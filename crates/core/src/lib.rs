@@ -77,13 +77,16 @@ pub use error::{ClimberError, ServeError};
 pub use recover::{BackendHealth, RecoveryPolicy, RecoveryReport, ScrubReport};
 pub use shard::{ShardSetManifest, ShardStatus, ShardedClimber, SHARD_SET_FILE};
 
-use climber_dfs::format::{Decode, Encode, PartitionWriter, TrieNodeId};
+use climber_dfs::format::{Decode, Encode, PartitionReader, PartitionWriter, TrieNodeId};
 use climber_dfs::fsio::{self, ClimberFs, FsRef};
 use climber_dfs::manifest::{xxh64, FileEntry, PartitionEntry};
 use climber_dfs::page;
 use climber_dfs::quant::QuantCache;
 use climber_dfs::segment::{self, Journal};
-use climber_dfs::store::{partition_file_name, DiskStore, MemStore, PartitionId, PartitionStore};
+use climber_dfs::store::{
+    partition_file_name, staged_path_of, DiskStore, MemStore, PartitionId, PartitionStore,
+    PutReceipt,
+};
 use climber_index::builder::IndexBuilder;
 use climber_pivot::signature::SignatureScratch;
 use climber_query::engine::KnnEngine;
@@ -151,6 +154,11 @@ pub struct Climber<S: PartitionStore = MemStore> {
     /// A later flush or save repairs the directory even when the fold
     /// itself has nothing left to do.
     reseal_owed: std::sync::atomic::AtomicBool,
+    /// The manifest last committed to the store's home directory by this
+    /// instance (or the one it was opened from): what an incremental
+    /// re-seal refreshes, held so a fold never re-reads and re-validates
+    /// its own commit. `None` until the first seal of an unopened index.
+    sealed: Mutex<Option<Manifest>>,
     /// Store I/O at the moment the index became servable; the zero point
     /// for [`serve_io`](Self::serve_io). Behind a mutex because
     /// [`save`](Self::save) (which takes `&self`) advances it past its
@@ -473,6 +481,7 @@ impl Climber<DiskStore> {
         c.delta = journal.delta;
         c.tombstones = journal.tombstones;
         c.generation = AtomicU64::new(manifest.generation);
+        c.sealed = Mutex::new(Some(manifest));
         c.writable = writable;
         // A cached open unifies the byte budgets: quantized codes charge
         // the block cache's ledger, so blocks + codes together never
@@ -655,6 +664,7 @@ impl<S: PartitionStore> Climber<S> {
             generation: AtomicU64::new(0),
             writable: true,
             reseal_owed: std::sync::atomic::AtomicBool::new(false),
+            sealed: Mutex::new(None),
             ready_io: Mutex::new(IoSnapshot::default()),
             quant: QuantCache::new(),
         }
@@ -686,15 +696,24 @@ impl<S: PartitionStore> Climber<S> {
     }
 
     /// The save implementation. `refresh`, when given, is the previous
-    /// sealed manifest of `dir` plus the set of partitions rewritten
-    /// since: those (and any partition the old manifest misses) are
-    /// re-copied and re-checksummed, every other entry is reused verbatim
-    /// — the incremental re-seal a fold uses so flushing one partition
-    /// does not rewrite the whole directory.
+    /// sealed manifest of `dir` plus the put receipts of the partitions
+    /// rewritten since: those (and any partition the old manifest misses)
+    /// get fresh entries, every other entry is reused verbatim — the
+    /// incremental re-seal of a fold.
+    ///
+    /// Crash-consistency protocol: nothing a committed manifest references
+    /// is overwritten before the next manifest commits. New bytes are
+    /// staged beside the committed files (`.new` siblings, each fsynced),
+    /// **one** directory fsync makes every stage durable, the manifest —
+    /// describing the staged state — is written atomically as the commit
+    /// point, and only then are the stages renamed into place. A crash
+    /// before the commit leaves the old directory byte-identical (stages
+    /// match no manifest and are swept at open); a crash after it is
+    /// rolled forward at open from the surviving `.new` siblings.
     fn seal(
         &self,
         dir: &Path,
-        refresh: Option<(&Manifest, &BTreeSet<PartitionId>)>,
+        refresh: Option<(&Manifest, &BTreeMap<PartitionId, Option<PutReceipt>>)>,
     ) -> io::Result<Manifest> {
         let fs = self.store.fs();
         fs.create_dir_all(dir)?;
@@ -706,51 +725,44 @@ impl<S: PartitionStore> Climber<S> {
             ));
         }
         let io_before = self.store.stats().snapshot();
-        // Partition copy + checksum is per-partition independent; fan it
-        // out over the build's thread count with the cluster's
-        // order-preserving map, keeping the manifest's partition list in
-        // ascending-id order. The copy is deliberate even when the store
-        // already lives in `dir`: the builder's puts are plain writes,
-        // while a sealed manifest must only ever reference files that
-        // went through the temp-file + fsync + rename protocol.
-        // When the store's own puts already landed the files durably in
-        // this very directory (a manifest-opened DiskStore, which stages
-        // rewrites under `.new` siblings), the seal only needs to
-        // checksum them in place — re-copying identical bytes would
-        // double every fold's write I/O for nothing.
-        //
-        // Crash-consistency protocol: nothing a committed manifest
-        // references is overwritten before the next manifest commits.
-        // New bytes are staged beside the committed files (`.new`
-        // siblings, written durably), the manifest — which describes the
-        // staged state — is written atomically as the commit point, and
-        // only then are the staged files renamed into place. A crash
-        // before the commit leaves the old directory byte-identical
-        // (stray stages are swept at open); a crash after it is rolled
-        // forward at open from the surviving `.new` siblings.
-        let in_place_durable =
-            self.store.persist_dir() == Some(dir) && self.store.puts_are_durable();
+        let home = self.store.persist_dir() == Some(dir);
+        // When the store's own puts already staged the files durably in
+        // this very directory (a manifest-opened DiskStore), a rewritten
+        // partition's receipt *is* its manifest entry — no open, no
+        // re-read, no re-hash. Everything else is copied (a builder's puts
+        // are plain writes; a manifest only references files that went
+        // through stage → commit), fanned out over the build's threads in
+        // ascending-id manifest order.
+        let in_place_durable = home && self.store.puts_are_durable();
         let cluster = climber_dfs::cluster::Cluster::new(self.build_options.resolved_threads());
         let fs_ref = &fs;
         let copied: Vec<io::Result<(PartitionEntry, Option<u32>, bool)>> =
             cluster.par_map(ids, move |pid| {
-                if let Some((prev, dirty)) = refresh {
-                    if !dirty.contains(&pid) {
-                        if let Some(e) = prev.partition(pid) {
-                            // Untouched since the previous seal: the file
-                            // in `dir` already went through the atomic
-                            // protocol and its entry is still exact.
-                            return Ok((*e, None, false));
+                if let Some((prev, rewritten)) = refresh {
+                    match rewritten.get(&pid) {
+                        Some(Some(r)) if in_place_durable => {
+                            return Ok((r.entry(pid), Some(r.series_len), false))
+                        }
+                        // Rewritten through a non-staging put: copied below.
+                        Some(_) => {}
+                        // Untouched since the previous seal: the file in
+                        // `dir` already went through the protocol and its
+                        // entry is still exact.
+                        None => {
+                            if let Some(e) = prev.partition(pid) {
+                                return Ok((*e, None, false));
+                            }
                         }
                     }
                 }
-                let reader = self.store.open(pid)?;
-                // The manifest must describe the *persisted* bytes — for a
-                // compressing store those differ from the decoded image the
-                // reader holds. A copy into a fresh directory from a
-                // compressing store also compresses, so the sealed
-                // directory matches the store's own files.
+                // The manifest describes the *persisted* bytes — for a
+                // compressing store those differ from the decoded image,
+                // and a copy out of one compresses too. One read serves the
+                // copy, the checksum and the structural validation.
                 let stored = self.store.stored_bytes(pid)?;
+                let (image, _) = page::maybe_decompress(stored.clone())?;
+                let reader = PartitionReader::open(image)
+                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
                 let payload = if !in_place_durable
                     && self.store.compresses_puts()
                     && !page::is_compressed(&stored)
@@ -760,11 +772,7 @@ impl<S: PartitionStore> Climber<S> {
                     stored
                 };
                 if !in_place_durable {
-                    fsio::write_file_atomic_with(
-                        &**fs_ref,
-                        &dir.join(format!("{}.new", partition_file_name(pid))),
-                        &payload,
-                    )?;
+                    fsio::write_staged(&**fs_ref, &staged_path_of(dir, pid), &payload)?;
                 }
                 Ok((
                     PartitionEntry {
@@ -792,27 +800,35 @@ impl<S: PartitionStore> Climber<S> {
             }
             partitions.push(p);
         }
-        // The skeleton's bytes are invariant after the build, so a
-        // re-save into the home directory leaves the identical file
-        // untouched; a differing file (sealing into a foreign directory)
-        // is staged and installed after the commit point like any
-        // partition.
+        // The skeleton's bytes are invariant after the build, so a re-seal
+        // of the home directory finds the manifest it last committed there
+        // already describing them and touches nothing. Otherwise the file
+        // is compared on disk: an identical one stays, a differing one
+        // (sealing into a foreign directory) is staged and installed after
+        // the commit point like any partition.
         let skel = self.skeleton.to_bytes();
+        let skeleton = FileEntry {
+            bytes: skel.len() as u64,
+            checksum: xxh64(&skel, 0),
+        };
         let skel_path = dir.join(SKELETON_FILE);
         let skel_staged_path = dir.join(format!("{SKELETON_FILE}.new"));
-        let skel_staged = match fs.read(&skel_path) {
-            Ok(cur) if cur == skel => false,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                // First seal of this directory: no committed manifest can
-                // reference a skeleton yet, write it directly.
-                fsio::write_file_atomic_with(&*fs, &skel_path, &skel)?;
-                false
-            }
-            _ => {
-                fsio::write_file_atomic_with(&*fs, &skel_staged_path, &skel)?;
-                true
-            }
-        };
+        let sealed_here =
+            home && self.sealed.lock().unwrap().as_ref().map(|m| m.skeleton) == Some(skeleton);
+        let skel_staged = !sealed_here
+            && match fs.read(&skel_path) {
+                Ok(cur) if cur == skel => false,
+                Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                    // First seal of this directory: no committed manifest can
+                    // reference a skeleton yet, write it directly.
+                    fsio::write_file_atomic_with(&*fs, &skel_path, &skel)?;
+                    false
+                }
+                _ => {
+                    fsio::write_staged(&*fs, &skel_staged_path, &skel)?;
+                    true
+                }
+            };
         // Unfolded mutable segments persist as a journal next to the
         // partitions; the manifest references it (size + checksum) under
         // the current segment generation, so a reopen can never replay a
@@ -842,12 +858,13 @@ impl<S: PartitionStore> Climber<S> {
             series_len,
             generation,
             journal,
-            skeleton: FileEntry {
-                bytes: skel.len() as u64,
-                checksum: xxh64(&skel, 0),
-            },
+            skeleton,
             partitions,
         };
+        // ---- the single pre-commit barrier: every stage above (and every
+        // stage the store's own puts made) was file-fsynced; this makes
+        // their directory entries durable before the manifest can be.
+        fs.fsync_dir(dir)?;
         // ---- commit point: the manifest now describes the staged state.
         // Everything below only installs what the manifest already
         // references; an interruption anywhere is rolled forward by the
@@ -855,7 +872,7 @@ impl<S: PartitionStore> Climber<S> {
         m.write_atomic_with(&*fs, dir)?;
         for pid in &staged_parts {
             fs.rename(
-                &dir.join(format!("{}.new", partition_file_name(*pid))),
+                &staged_path_of(dir, *pid),
                 &dir.join(partition_file_name(*pid)),
             )?;
         }
@@ -867,15 +884,14 @@ impl<S: PartitionStore> Climber<S> {
         } else {
             segment::discard_journal(&*fs, dir);
         }
-        if !staged_parts.is_empty() || skel_staged {
-            fs.fsync_dir(dir)?;
-        }
         self.store.commit_staged()?;
+        fs.fsync_dir(dir)?;
         // The home directory (if any) now describes the store exactly: no
         // fold re-seal is outstanding.
-        if self.store.persist_dir() == Some(dir) {
+        if home {
             self.reseal_owed
                 .store(false, std::sync::atomic::Ordering::Relaxed);
+            *self.sealed.lock().unwrap() = Some(m.clone());
         }
         // Advance the serve-phase zero point past save's own checksum
         // reads so they never show up as query traffic. (Queries racing a
@@ -1286,19 +1302,16 @@ impl<S: PartitionStore> Climber<S> {
             && self
                 .reseal_owed
                 .swap(true, std::sync::atomic::Ordering::Relaxed);
-        let series_len = self.series_len_hint().unwrap_or(0);
         let cluster = climber_dfs::cluster::Cluster::new(self.build_options.resolved_threads());
-        let delta_by_pid = &delta_by_pid;
-        let purge_ref = &purge_set;
-        type FoldOutcome = (PartitionId, io::Result<(u64, u64)>);
+        let (folds_ref, purge_ref) = (&delta_by_pid, &purge_set);
+        type FoldOutcome = (PartitionId, io::Result<(u64, u64, Option<PutReceipt>)>);
         let results: Vec<FoldOutcome> =
             cluster.par_map(affected.iter().copied().collect::<Vec<_>>(), move |pid| {
-                let folds = delta_by_pid.get(&pid);
-                let r = self.rewrite_partition(pid, series_len, folds, purge_ref);
+                let r = self.rewrite_partition(pid, folds_ref.get(&pid), purge_ref);
                 (pid, r)
             });
 
-        let mut rewritten = 0usize;
+        let mut receipts: BTreeMap<PartitionId, Option<PutReceipt>> = BTreeMap::new();
         let mut folded = 0u64;
         let mut purged = 0u64;
         let mut failed: Option<io::Error> = None;
@@ -1306,18 +1319,16 @@ impl<S: PartitionStore> Climber<S> {
             BTreeMap::new();
         for (pid, r) in results {
             match r {
-                Ok((f, p)) => {
-                    rewritten += 1;
+                Ok((f, p, receipt)) => {
+                    receipts.insert(pid, receipt);
                     folded += f;
                     purged += p;
                 }
                 Err(e) => {
                     // This partition was not rewritten: its drained delta
                     // clusters go back so the records stay queryable.
-                    if let Some(clusters) = delta_by_pid.get(&pid) {
-                        for (&node, recs) in clusters {
-                            restore.insert((pid, node), recs.clone());
-                        }
+                    for (node, recs) in delta_by_pid.remove(&pid).unwrap_or_default() {
+                        restore.insert((pid, node), recs);
                     }
                     failed = Some(e);
                 }
@@ -1338,14 +1349,18 @@ impl<S: PartitionStore> Climber<S> {
 
         // Disk-backed stores get re-sealed immediately: checksums and the
         // manifest must match the rewritten partitions for the directory
-        // to stay openable. The re-seal is incremental — only the folded
-        // partitions are re-copied and re-checksummed; every entry of the
-        // previous manifest for an untouched partition is reused — so a
-        // small fold costs O(affected partitions), not O(index).
+        // to stay openable. The re-seal is incremental — the folded
+        // partitions are described by their put receipts; every entry of
+        // the previous manifest for an untouched partition is reused — so
+        // a small fold costs O(affected partitions), not O(index). The
+        // previous manifest is the one this instance holds; only an index
+        // that never sealed or opened its directory reads it from disk.
         if let Some(dir) = self.store.persist_dir().map(Path::to_path_buf) {
-            match Manifest::load_with(&*self.store.fs(), &dir) {
+            let held = self.sealed.lock().unwrap().clone();
+            let prev = held.map_or_else(|| Manifest::load_with(&*self.store.fs(), &dir), Ok);
+            match prev {
                 Ok(prev) if !owed_before && prev.partition_ids() == self.store.ids() => {
-                    self.seal(&dir, Some((&prev, &affected)))?;
+                    self.seal(&dir, Some((&prev, &receipts)))?;
                 }
                 _ => {
                     // No usable previous seal: first save pending, the
@@ -1357,7 +1372,7 @@ impl<S: PartitionStore> Climber<S> {
             }
         }
         Ok(MaintenanceReport {
-            partitions_rewritten: rewritten,
+            partitions_rewritten: receipts.len(),
             records_folded: folded,
             records_purged: purged,
             tombstones_remaining: self.tombstones.len(),
@@ -1365,31 +1380,45 @@ impl<S: PartitionStore> Climber<S> {
         })
     }
 
-    /// Rewrites one sealed partition, merging `folds` (delta clusters by
-    /// trie node, folded in ascending-id order after the sealed records)
-    /// and dropping every id in `purge`. Returns `(records folded,
-    /// records purged)`.
+    /// Rewrites one sealed partition: every sealed cluster's encoded
+    /// records are spliced — byte ranges, never decoded — into the new
+    /// image minus the ids in `purge`, each followed by its `folds` delta
+    /// cluster (by trie node, in ascending-id order); clusters left empty
+    /// are dropped. Returns `(records folded, records purged, receipt of
+    /// the put)`.
     #[allow(clippy::type_complexity)]
     fn rewrite_partition(
         &self,
         pid: PartitionId,
-        series_len: usize,
         folds: Option<&BTreeMap<TrieNodeId, (Vec<u64>, Vec<f32>)>>,
         purge: &BTreeSet<u64>,
-    ) -> io::Result<(u64, u64)> {
-        /// Appends the delta cluster of `node` (ascending ids, minus
-        /// purged) to `recs`, then seals the cluster when non-empty.
-        /// Returns `(folded, purged)` for the delta side.
-        fn seal_cluster(
-            writer: &mut PartitionWriter,
-            node: TrieNodeId,
-            recs: &mut Vec<(u64, Vec<f32>)>,
-            folds: Option<&BTreeMap<TrieNodeId, (Vec<u64>, Vec<f32>)>>,
-            purge: &BTreeSet<u64>,
-        ) -> (u64, u64) {
-            let (mut folded, mut purged) = (0u64, 0u64);
+    ) -> io::Result<(u64, u64, Option<PutReceipt>)> {
+        let reader = self.store.open(pid)?;
+        let series_len = reader.series_len();
+        let sealed_nodes = reader.cluster_ids();
+        // Delta clusters routed to trie nodes this partition has never
+        // sealed (e.g. a leaf that received no records at build time)
+        // follow the sealed ones.
+        let new_nodes = folds
+            .into_iter()
+            .flat_map(BTreeMap::keys)
+            .filter(|node| !sealed_nodes.contains(node));
+        let fold_records: usize = folds
+            .into_iter()
+            .flat_map(BTreeMap::values)
+            .map(|(ids, _)| ids.len())
+            .sum();
+        let mut writer = PartitionWriter::with_capacity(
+            reader.group_id(),
+            series_len,
+            sealed_nodes.len() + new_nodes.clone().count(),
+            reader.record_count() as usize + fold_records,
+        );
+        let (mut folded, mut purged) = (0u64, 0u64);
+        // Appends `node`'s delta cluster to the open cluster and seals it
+        // unless nothing survived.
+        let mut seal_cluster = |writer: &mut PartitionWriter, node: TrieNodeId| {
             if let Some((ids, values)) = folds.and_then(|f| f.get(&node)) {
-                let w = values.len() / ids.len().max(1);
                 let mut order: Vec<usize> = (0..ids.len()).collect();
                 order.sort_unstable_by_key(|&i| ids[i]);
                 for i in order {
@@ -1397,56 +1426,24 @@ impl<S: PartitionStore> Climber<S> {
                         purged += 1;
                     } else {
                         folded += 1;
-                        recs.push((ids[i], values[i * w..(i + 1) * w].to_vec()));
+                        writer.push_record(ids[i], &values[i * series_len..(i + 1) * series_len]);
                     }
                 }
             }
-            if !recs.is_empty() {
-                writer.push_cluster(node, recs.iter().map(|(id, v)| (*id, v.as_slice())));
+            if writer.pending() > 0 {
+                writer.seal_cluster(node);
             }
-            (folded, purged)
-        }
-
-        let reader = self.store.open(pid)?;
-        let series_len = if series_len == 0 {
-            reader.series_len()
-        } else {
-            series_len
         };
-        let mut writer = PartitionWriter::new(reader.group_id(), series_len);
-        let mut folded = 0u64;
-        let mut purged = 0u64;
-        let sealed_nodes = reader.cluster_ids();
-        let mut recs: Vec<(u64, Vec<f32>)> = Vec::new();
-        for &node in &sealed_nodes {
-            recs.clear();
-            let mut dropped = 0u64;
-            reader.for_each_in_cluster(node, |id, vals| {
-                if purge.contains(&id) {
-                    dropped += 1;
-                } else {
-                    recs.push((id, vals.to_vec()));
-                }
-            });
-            purged += dropped;
-            let (f, p) = seal_cluster(&mut writer, node, &mut recs, folds, purge);
-            folded += f;
-            purged += p;
+        let mut dropped = 0u64;
+        for (node, recs) in reader.clusters() {
+            dropped += writer.splice(&recs, |id| !purge.contains(&id));
+            seal_cluster(&mut writer, node);
         }
-        // Delta clusters routed to trie nodes this partition has never
-        // sealed (e.g. a leaf that received no records at build time).
-        if let Some(f) = folds {
-            for &node in f.keys() {
-                if !sealed_nodes.contains(&node) {
-                    recs.clear();
-                    let (df, dp) = seal_cluster(&mut writer, node, &mut recs, folds, purge);
-                    folded += df;
-                    purged += dp;
-                }
-            }
+        for &node in new_nodes {
+            seal_cluster(&mut writer, node);
         }
-        self.store.put(pid, writer.finish())?;
-        Ok((folded, purged))
+        let receipt = self.store.put(pid, writer.finish())?;
+        Ok((folded, purged + dropped, receipt))
     }
 
     /// The global index skeleton.

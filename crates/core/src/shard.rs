@@ -274,29 +274,51 @@ impl ShardedClimber<MemStore> {
         // with zero clusters — so per-shard partition opens (and the
         // per-query `partitions_opened` accounting) mirror the single
         // index exactly.
+        // Each shard's copy is spliced out of the staging image — its
+        // records' encoded bytes, never decoded. One routing pass sizes
+        // every shard's image exactly, so the copy pass that follows
+        // writes each record once into its final place.
         let stores: Vec<MemStore> = (0..num_shards).map(|_| MemStore::new()).collect();
-        let mut per_shard: Vec<Vec<(u64, Vec<f32>)>> = vec![Vec::new(); num_shards];
+        let mut shard_of: Vec<usize> = Vec::new();
         for pid in skeleton.partition_ids() {
             let reader = staging.open(pid).expect("staging partition just built");
-            let mut writers: Vec<PartitionWriter> = (0..num_shards)
-                .map(|_| PartitionWriter::new(reader.group_id(), reader.series_len()))
-                .collect();
-            for node in reader.cluster_ids() {
-                for recs in per_shard.iter_mut() {
-                    recs.clear();
+            shard_of.clear();
+            // Per shard: (non-empty clusters, records).
+            let mut shape = vec![(0usize, 0usize); num_shards];
+            for (_, recs) in reader.clusters() {
+                let mut in_cluster = vec![0usize; num_shards];
+                for i in 0..recs.len() {
+                    let s = route(recs.id(i), router_seed, num_shards);
+                    shard_of.push(s);
+                    in_cluster[s] += 1;
                 }
-                reader.for_each_in_cluster(node, |id, vals| {
-                    per_shard[route(id, router_seed, num_shards)].push((id, vals.to_vec()));
-                });
-                for (s, recs) in per_shard.iter().enumerate() {
-                    if !recs.is_empty() {
-                        writers[s]
-                            .push_cluster(node, recs.iter().map(|(id, v)| (*id, v.as_slice())));
-                    }
+                for (sh, n) in shape.iter_mut().zip(in_cluster) {
+                    sh.0 += usize::from(n > 0);
+                    sh.1 += n;
                 }
             }
-            for (s, w) in writers.into_iter().enumerate() {
-                stores[s].put(pid, w.finish()).expect("in-memory put");
+            let mut writers: Vec<PartitionWriter> = shape
+                .iter()
+                .map(|&(clusters, records)| {
+                    PartitionWriter::with_capacity(
+                        reader.group_id(),
+                        reader.series_len(),
+                        clusters,
+                        records,
+                    )
+                })
+                .collect();
+            let mut routed = shard_of.iter();
+            for (node, recs) in reader.clusters() {
+                for (i, &s) in routed.by_ref().take(recs.len()).enumerate() {
+                    writers[s].splice_record(&recs, i);
+                }
+                for w in writers.iter_mut().filter(|w| w.pending() > 0) {
+                    w.seal_cluster(node);
+                }
+            }
+            for (store, w) in stores.iter().zip(writers) {
+                store.put(pid, w.finish()).expect("in-memory put");
             }
         }
 

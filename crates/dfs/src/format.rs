@@ -16,7 +16,7 @@
 //! trie-node cluster without decoding the rest of the partition, which is
 //! what makes CLIMBER's sub-partition query access pattern measurable.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
 /// Identifier of a trie node within a group's trie (assigned by the index
 /// builder; unique within an index).
@@ -197,32 +197,167 @@ const VERSION: u32 = 1;
 const HEADER_FIXED: usize = 4 + 4 + 8 + 4 + 4;
 const DIR_ENTRY: usize = 8 + 8 + 4;
 
-/// Builder for one partition: append whole trie-node clusters, then
-/// [`PartitionWriter::finish`].
+/// Bytes of one encoded record of `series_len` values.
+const fn record_size(series_len: usize) -> usize {
+    8 + series_len * 4
+}
+
+/// Appends `values` to `out` as little-endian `f32`s, a block at a time:
+/// the conversion loop fills a stack buffer the compiler turns into a
+/// straight copy on little-endian targets, and the vector grows once per
+/// block instead of once per float.
+fn put_f32s_le(out: &mut Vec<u8>, values: &[f32]) {
+    const BLOCK: usize = 64;
+    let mut buf = [0u8; BLOCK * 4];
+    for block in values.chunks(BLOCK) {
+        for (dst, v) in buf.chunks_exact_mut(4).zip(block) {
+            dst.copy_from_slice(&v.to_le_bytes());
+        }
+        out.extend_from_slice(&buf[..block.len() * 4]);
+    }
+}
+
+/// Builder for one partition. Records are appended straight into the
+/// final image — [`push_record`](Self::push_record) encodes one,
+/// [`splice`](Self::splice) copies already-encoded byte ranges out of a
+/// [`PartitionReader`] — and [`seal_cluster`](Self::seal_cluster) closes
+/// the run appended since the previous seal as one trie-node cluster.
+/// [`finish`](Self::finish) then writes the header and directory into
+/// the space reserved in front of the records and hands the buffer over
+/// to a [`Bytes`] without copying it.
+///
+/// The directory's size depends on the cluster count, so
+/// [`with_capacity`](Self::with_capacity) takes it (and the record count)
+/// up front; when the final count differs from the reservation the
+/// records are moved once in `finish` — the image is the same either way.
 #[derive(Debug)]
 pub struct PartitionWriter {
     group_id: u64,
     series_len: usize,
     directory: Vec<(TrieNodeId, u64, u32)>,
-    records: BytesMut,
+    /// The image under construction: `records_at` reserved bytes (header
+    /// + directory), then the encoded records.
+    image: Vec<u8>,
+    records_at: usize,
     record_count: u64,
+    /// Records appended since the last [`seal_cluster`](Self::seal_cluster).
+    pending: u32,
 }
 
 impl PartitionWriter {
     /// Starts a partition for `group_id` holding series of length
     /// `series_len`.
     pub fn new(group_id: u64, series_len: usize) -> Self {
+        Self::with_capacity(group_id, series_len, 0, 0)
+    }
+
+    /// [`new`](Self::new), reserving room for `clusters` directory
+    /// entries and `records` records so the image is built in place with
+    /// one exact allocation. Both are hints: any number of either may
+    /// follow.
+    pub fn with_capacity(
+        group_id: u64,
+        series_len: usize,
+        clusters: usize,
+        records: usize,
+    ) -> Self {
         assert!(series_len > 0, "series length must be positive");
+        let records_at = HEADER_FIXED + clusters * DIR_ENTRY;
+        let mut image = Vec::with_capacity(records_at + records * record_size(series_len));
+        image.resize(records_at, 0);
         Self {
             group_id,
             series_len,
-            directory: Vec::new(),
-            records: BytesMut::new(),
+            directory: Vec::with_capacity(clusters),
+            image,
+            records_at,
             record_count: 0,
+            pending: 0,
         }
     }
 
-    /// Appends a cluster of records belonging to trie node `node_id`.
+    /// Appends one record to the open cluster.
+    ///
+    /// # Panics
+    /// If `values` has the wrong length.
+    pub fn push_record(&mut self, id: u64, values: &[f32]) {
+        assert_eq!(
+            values.len(),
+            self.series_len,
+            "record {id} has length {}, partition expects {}",
+            values.len(),
+            self.series_len
+        );
+        self.image.extend_from_slice(&id.to_le_bytes());
+        put_f32s_le(&mut self.image, values);
+        self.pending += 1;
+    }
+
+    /// Appends the records of `recs` whose id passes `keep` to the open
+    /// cluster, as encoded — maximal kept runs are copied byte range by
+    /// byte range, no record is decoded. Returns how many were dropped.
+    ///
+    /// # Panics
+    /// If `recs` holds series of a different length.
+    pub fn splice(&mut self, recs: &ClusterRecords<'_>, mut keep: impl FnMut(u64) -> bool) -> u64 {
+        assert_eq!(
+            recs.series_len, self.series_len,
+            "cannot splice {}-point records into a {}-point partition",
+            recs.series_len, self.series_len
+        );
+        let size = record_size(self.series_len);
+        let mut run_start = 0;
+        let mut dropped = 0u64;
+        for i in 0..recs.count {
+            if !keep(recs.id(i)) {
+                self.image
+                    .extend_from_slice(&recs.bytes[run_start * size..i * size]);
+                run_start = i + 1;
+                dropped += 1;
+            }
+        }
+        self.image
+            .extend_from_slice(&recs.bytes[run_start * size..recs.count * size]);
+        self.pending += (recs.count as u64 - dropped) as u32;
+        dropped
+    }
+
+    /// Appends record `i` of `recs` to the open cluster, as encoded.
+    ///
+    /// # Panics
+    /// If `recs` holds series of a different length, or `i` is out of
+    /// range.
+    pub fn splice_record(&mut self, recs: &ClusterRecords<'_>, i: usize) {
+        assert_eq!(recs.series_len, self.series_len, "series length");
+        let size = record_size(self.series_len);
+        self.image
+            .extend_from_slice(&recs.bytes[i * size..(i + 1) * size]);
+        self.pending += 1;
+    }
+
+    /// Records appended to the open cluster so far.
+    pub fn pending(&self) -> u32 {
+        self.pending
+    }
+
+    /// Closes the open cluster as trie node `node_id` (an empty run makes
+    /// an empty cluster).
+    ///
+    /// # Panics
+    /// If the node was already sealed.
+    pub fn seal_cluster(&mut self, node_id: TrieNodeId) {
+        assert!(
+            !self.directory.iter().any(|&(n, _, _)| n == node_id),
+            "trie node {node_id} appended twice"
+        );
+        self.directory
+            .push((node_id, self.record_count, self.pending));
+        self.record_count += u64::from(self.pending);
+        self.pending = 0;
+    }
+
+    /// Appends a whole cluster of records belonging to trie node
+    /// `node_id`.
     ///
     /// # Panics
     /// If the node was already appended, or a record has the wrong length.
@@ -230,52 +365,45 @@ impl PartitionWriter {
     where
         I: IntoIterator<Item = (u64, &'a [f32])>,
     {
-        assert!(
-            !self.directory.iter().any(|&(n, _, _)| n == node_id),
-            "trie node {node_id} appended twice"
-        );
-        let start = self.record_count;
-        let mut count = 0u32;
+        debug_assert_eq!(self.pending, 0, "push_cluster inside an open cluster");
         for (id, values) in records {
-            assert_eq!(
-                values.len(),
-                self.series_len,
-                "record {id} has length {}, partition expects {}",
-                values.len(),
-                self.series_len
-            );
-            self.records.put_u64_le(id);
-            for &v in values {
-                self.records.put_f32_le(v);
-            }
-            count += 1;
+            self.push_record(id, values);
         }
-        self.record_count += count as u64;
-        self.directory.push((node_id, start, count));
+        self.seal_cluster(node_id);
     }
 
-    /// Number of records appended so far.
+    /// Number of records in sealed clusters so far.
     pub fn record_count(&self) -> u64 {
         self.record_count
     }
 
-    /// Serialises the partition.
-    pub fn finish(self) -> Bytes {
-        let mut out = BytesMut::with_capacity(
-            HEADER_FIXED + self.directory.len() * DIR_ENTRY + self.records.len(),
-        );
-        out.put_slice(&MAGIC);
-        out.put_u32_le(VERSION);
-        out.put_u64_le(self.group_id);
-        out.put_u32_le(self.series_len as u32);
-        out.put_u32_le(self.directory.len() as u32);
-        for &(node, start, count) in &self.directory {
-            out.put_u64_le(node);
-            out.put_u64_le(start);
-            out.put_u32_le(count);
+    /// Serialises the partition. Records still pending (never sealed
+    /// into a cluster) are a caller bug.
+    pub fn finish(mut self) -> Bytes {
+        assert_eq!(self.pending, 0, "records appended after the last seal");
+        let dir_end = HEADER_FIXED + self.directory.len() * DIR_ENTRY;
+        if dir_end != self.records_at {
+            // The cluster-count hint was off: slide the records to where
+            // the real directory ends.
+            let len = self.image.len() - self.records_at;
+            self.image.resize(self.image.len().max(dir_end + len), 0);
+            self.image
+                .copy_within(self.records_at..self.records_at + len, dir_end);
+            self.image.truncate(dir_end + len);
         }
-        out.extend_from_slice(&self.records);
-        out.freeze()
+        let mut head = Vec::with_capacity(dir_end);
+        head.extend_from_slice(&MAGIC);
+        head.extend_from_slice(&VERSION.to_le_bytes());
+        head.extend_from_slice(&self.group_id.to_le_bytes());
+        head.extend_from_slice(&(self.series_len as u32).to_le_bytes());
+        head.extend_from_slice(&(self.directory.len() as u32).to_le_bytes());
+        for &(node, start, count) in &self.directory {
+            head.extend_from_slice(&node.to_le_bytes());
+            head.extend_from_slice(&start.to_le_bytes());
+            head.extend_from_slice(&count.to_le_bytes());
+        }
+        self.image[..dir_end].copy_from_slice(&head);
+        Bytes::from(self.image)
     }
 }
 
@@ -548,14 +676,15 @@ impl PartitionReader {
         };
         buf.adopt_len(self.series_len);
         let record_size = 8 + self.series_len * 4;
+        let bytes: &[u8] = &self.bytes;
         for r in 0..count as u64 {
             let off = self.records_at + ((start + r) as usize) * record_size;
-            let id = u64::from_le_bytes(self.bytes[off..off + 8].try_into().unwrap());
+            let id = u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
             if !keep(id) {
                 continue;
             }
             buf.ids.push(id);
-            let vals = &self.bytes[off + 8..off + record_size];
+            let vals = &bytes[off + 8..off + record_size];
             buf.values.extend(
                 vals.chunks_exact(4)
                     .map(|chunk| f32::from_le_bytes(chunk.try_into().unwrap())),
@@ -571,14 +700,26 @@ impl PartitionReader {
     /// that survive the quantized lower bound.
     pub fn cluster_records(&self, node_id: TrieNodeId) -> Option<ClusterRecords<'_>> {
         let &(_, start, count) = self.directory.iter().find(|&&(n, _, _)| n == node_id)?;
-        let record_size = 8 + self.series_len * 4;
-        let off = self.records_at + (start as usize) * record_size;
-        let len = count as usize * record_size;
-        Some(ClusterRecords {
-            bytes: &self.bytes[off..off + len],
+        Some(self.records_of(start, count))
+    }
+
+    /// Every cluster in storage order with its encoded records — what a
+    /// rewrite walks to [`splice`](PartitionWriter::splice) a partition
+    /// into its successor.
+    pub fn clusters(&self) -> impl Iterator<Item = (TrieNodeId, ClusterRecords<'_>)> + '_ {
+        self.directory
+            .iter()
+            .map(|&(node, start, count)| (node, self.records_of(start, count)))
+    }
+
+    fn records_of(&self, start: u64, count: u32) -> ClusterRecords<'_> {
+        let size = record_size(self.series_len);
+        let off = self.records_at + (start as usize) * size;
+        ClusterRecords {
+            bytes: &self.bytes[off..off + count as usize * size],
             series_len: self.series_len,
             count: count as usize,
-        })
+        }
     }
 
     /// The raw encoded partition as a refcounted handle — a clone of the
@@ -605,9 +746,10 @@ impl PartitionReader {
     /// far less than a full decode.
     pub fn any_id(&self, mut pred: impl FnMut(u64) -> bool) -> bool {
         let record_size = 8 + self.series_len * 4;
+        let bytes: &[u8] = &self.bytes;
         for r in 0..self.record_count() {
             let off = self.records_at + (r as usize) * record_size;
-            let id = u64::from_le_bytes(self.bytes[off..off + 8].try_into().unwrap());
+            let id = u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
             if pred(id) {
                 return true;
             }
@@ -631,10 +773,11 @@ impl PartitionReader {
     {
         let record_size = 8 + self.series_len * 4;
         let mut buf = vec![0.0f32; self.series_len];
+        let bytes: &[u8] = &self.bytes;
         for r in 0..count as u64 {
             let off = self.records_at + ((start + r) as usize) * record_size;
-            let id = u64::from_le_bytes(self.bytes[off..off + 8].try_into().unwrap());
-            let vals = &self.bytes[off + 8..off + record_size];
+            let id = u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
+            let vals = &bytes[off + 8..off + record_size];
             for (i, chunk) in vals.chunks_exact(4).enumerate() {
                 buf[i] = f32::from_le_bytes(chunk.try_into().unwrap());
             }
@@ -804,6 +947,78 @@ mod tests {
     fn wrong_record_length_panics() {
         let mut w = PartitionWriter::new(0, 3);
         w.push_cluster(1, vec![(0u64, &[1.0f32][..])]);
+    }
+
+    #[test]
+    fn capacity_hints_never_change_the_image() {
+        let want = sample_partition();
+        for (clusters, records) in [(0, 0), (1, 1), (2, 3), (5, 9)] {
+            let mut w = PartitionWriter::with_capacity(3, 4, clusters, records);
+            w.push_cluster(
+                100,
+                vec![
+                    (1u64, &[1.0f32, 2.0, 3.0, 4.0][..]),
+                    (2, &[5.0, 6.0, 7.0, 8.0]),
+                ],
+            );
+            w.push_cluster(200, vec![(3u64, &[9.0f32, 10.0, 11.0, 12.0][..])]);
+            // Exact hints: the buffer the records were appended to *is*
+            // the finished image.
+            let built_at = w.image.as_ptr();
+            let image = w.finish();
+            assert_eq!(image, want, "hints ({clusters}, {records})");
+            if (clusters, records) == (2, 3) {
+                assert_eq!(image.as_ptr(), built_at, "finish re-copied the image");
+            }
+        }
+    }
+
+    #[test]
+    fn splice_copies_encoded_runs_and_drops_by_id() {
+        let original = sample_partition();
+        let r = PartitionReader::open(original.clone()).unwrap();
+        let respliced = |keep: &dyn Fn(u64) -> bool| {
+            let mut w = PartitionWriter::with_capacity(r.group_id(), r.series_len(), 2, 3);
+            let mut dropped = 0;
+            for (node, recs) in r.clusters() {
+                dropped += w.splice(&recs, keep);
+                if w.pending() > 0 {
+                    w.seal_cluster(node);
+                }
+            }
+            (w.finish(), dropped)
+        };
+        // Keep-all reproduces the image bit for bit.
+        assert_eq!(respliced(&|_| true), (original, 0));
+        // Dropping a record from the middle of a run, and a whole cluster.
+        let mut w = PartitionWriter::new(3, 4);
+        w.push_cluster(100, vec![(1u64, &[1.0f32, 2.0, 3.0, 4.0][..])]);
+        assert_eq!(respliced(&|id| id == 1), (w.finish(), 2));
+        // Spliced and encoded records share a cluster.
+        let mut w = PartitionWriter::new(3, 4);
+        w.splice(&r.cluster_records(200).unwrap(), |_| true);
+        w.push_record(9, &[0.5; 4]);
+        assert_eq!(w.pending(), 2);
+        w.seal_cluster(7);
+        let merged = PartitionReader::open(w.finish()).unwrap();
+        let mut ids = Vec::new();
+        merged.for_each_in_cluster(7, |id, _| ids.push(id));
+        assert_eq!(ids, vec![3, 9]);
+        // Record by record is the same bytes as run by run.
+        let mut w = PartitionWriter::with_capacity(r.group_id(), r.series_len(), 2, 3);
+        for (node, recs) in r.clusters() {
+            (0..recs.len()).for_each(|i| w.splice_record(&recs, i));
+            w.seal_cluster(node);
+        }
+        assert_eq!(w.finish(), r.raw_bytes_owned());
+    }
+
+    #[test]
+    #[should_panic(expected = "after the last seal")]
+    fn unsealed_records_are_a_bug() {
+        let mut w = PartitionWriter::new(0, 1);
+        w.push_record(1, &[0.0]);
+        w.finish();
     }
 
     #[test]

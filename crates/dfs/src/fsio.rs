@@ -453,14 +453,7 @@ pub fn is_tmp_name(name: &str) -> bool {
 /// removed best-effort (a crash may keep it; open-time recovery sweeps
 /// strays).
 pub fn write_file_atomic_with(fs: &dyn ClimberFs, path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = tmp_sibling(path);
-    let cleanup = |e: io::Error| {
-        fs.remove_file(&tmp).ok();
-        e
-    };
-    fs.write(&tmp, bytes).map_err(cleanup)?;
-    fs.fsync_file(&tmp).map_err(cleanup)?;
-    fs.rename(&tmp, path).map_err(cleanup)?;
+    write_staged(fs, path, bytes)?;
     // A rename is directory metadata: without fsyncing the parent, a
     // power cut can durably keep the file data yet lose the rename,
     // breaking the "manifest visible => partitions visible" ordering.
@@ -468,6 +461,24 @@ pub fn write_file_atomic_with(fs: &dyn ClimberFs, path: &Path, bytes: &[u8]) -> 
         fs.fsync_dir(parent)?;
     }
     Ok(())
+}
+
+/// [`write_file_atomic_with`] minus the directory fsync: sibling temp
+/// file, fsync, atomic rename. For the `.new` stages of a fold — the
+/// caller owes **one** directory fsync covering all its stages before the
+/// manifest commit that references them. `path` only ever changes by the
+/// rename, so whatever it held before (an earlier stage a failed seal
+/// left as the only copy of its records, possibly being read right now)
+/// survives a failed or torn write intact; on failure the temp file is
+/// removed best-effort.
+pub fn write_staged(fs: &dyn ClimberFs, path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let tmp = tmp_sibling(path);
+    fs.write(&tmp, bytes)
+        .and_then(|()| fs.fsync_file(&tmp))
+        .and_then(|()| fs.rename(&tmp, path))
+        .inspect_err(|_| {
+            fs.remove_file(&tmp).ok();
+        })
 }
 
 /// The plain (non-injected) `write_file_atomic` used since PR 3 —

@@ -573,10 +573,11 @@ impl ClusterView {
     {
         let record_size = 8 + self.series_len * 4;
         let mut buf = vec![0.0f32; self.series_len];
+        let bytes: &[u8] = &self.bytes;
         for r in 0..self.count {
             let off = r * record_size;
-            let id = u64::from_le_bytes(self.bytes[off..off + 8].try_into().unwrap());
-            for (i, chunk) in self.bytes[off + 8..off + record_size]
+            let id = u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
+            for (i, chunk) in bytes[off + 8..off + record_size]
                 .chunks_exact(4)
                 .enumerate()
             {
@@ -799,7 +800,16 @@ pub fn decompress_partition(bytes: &[u8]) -> io::Result<Bytes> {
         total += u64::from(count);
         directory.push((node, count));
     }
-    let mut writer = PartitionWriter::new(group_id, series_len);
+    // The reservation is bounded by the input, not by what the directory
+    // claims: a packed record takes at least a byte per value plus one
+    // for its id, so a well-formed image holds no more records than this
+    // (and a lying one fails in the block reads below).
+    let mut writer = PartitionWriter::with_capacity(
+        group_id,
+        series_len,
+        n_clusters,
+        (total as usize).min(bytes.len() / (series_len + 1)),
+    );
     let mut pos = dir_end;
     let take_block = |pos: &mut usize| -> io::Result<(u8, &[u8])> {
         if bytes.len() < *pos + 5 {

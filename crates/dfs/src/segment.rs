@@ -55,9 +55,10 @@ pub fn staged_journal_path(dir: &Path) -> PathBuf {
     dir.join(format!("{JOURNAL_FILE}.new"))
 }
 
-/// Serialises and durably stages the mutable segments under the
-/// journal's `.new` sibling, returning the size + checksum entry the
-/// manifest will commit.
+/// Serialises and stages the mutable segments under the journal's `.new`
+/// sibling ([`write_staged`](crate::fsio::write_staged): the seal's
+/// pre-commit directory fsync covers it), returning the size + checksum
+/// entry the manifest will commit.
 pub fn stage_journal(
     fs: &dyn ClimberFs,
     dir: &Path,
@@ -70,15 +71,14 @@ pub fn stage_journal(
         bytes: bytes.len() as u64,
         checksum: crate::manifest::xxh64(&bytes, 0),
     };
-    crate::fsio::write_file_atomic_with(fs, &staged_journal_path(dir), &bytes)?;
+    crate::fsio::write_staged(fs, &staged_journal_path(dir), &bytes)?;
     Ok(entry)
 }
 
-/// Installs a staged journal over the main file — called after the
-/// manifest commit point.
+/// Renames a staged journal over the main file — called after the
+/// manifest commit point; the seal's closing directory fsync covers it.
 pub fn commit_staged_journal(fs: &dyn ClimberFs, dir: &Path) -> io::Result<()> {
-    fs.rename(&staged_journal_path(dir), &journal_path(dir))?;
-    fs.fsync_dir(dir)
+    fs.rename(&staged_journal_path(dir), &journal_path(dir))
 }
 
 /// Removes the journal and any staged sibling, best-effort — the

@@ -34,11 +34,12 @@ pub fn partition_file_name(id: PartitionId) -> String {
 /// [`try_readmit`](DiskStore::try_readmit) or operator repair.
 pub const QUARANTINE_DIR: &str = "QUARANTINE";
 
-/// The roll-forward staging sibling of partition `id`: a manifest-mode
-/// `put` lands here, and the rename over the main file happens only
-/// *after* the next manifest commit — so a crash anywhere in a fold
-/// leaves the committed file untouched.
-fn staged_path_of(dir: &Path, id: PartitionId) -> PathBuf {
+/// The roll-forward staging sibling of partition `id` inside `dir`: a
+/// manifest-mode `put` (and a seal copying into a committed directory)
+/// lands here, and the rename over the main file happens only *after*
+/// the next manifest commit — so a crash anywhere in a fold leaves the
+/// committed file untouched.
+pub fn staged_path_of(dir: &Path, id: PartitionId) -> PathBuf {
     dir.join(format!("{}.new", partition_file_name(id)))
 }
 
@@ -49,10 +50,43 @@ fn quarantine_path_of(dir: &Path, id: PartitionId) -> PathBuf {
 /// Identifier of a physical partition (the paper's `β` ids).
 pub type PartitionId = u32;
 
+/// What a staging [`put`](PartitionStore::put) persisted: everything a
+/// manifest records about a partition, taken while the bytes were in
+/// hand — so a seal describes a rewritten partition without opening,
+/// re-reading or re-hashing it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PutReceipt {
+    /// Length of the bytes as stored (the compressed length when the
+    /// store compresses its puts).
+    pub stored_len: u64,
+    /// xxHash64 (seed 0) of the bytes as stored.
+    pub checksum: u64,
+    /// Records in the partition.
+    pub records: u64,
+    /// Length of every stored series.
+    pub series_len: u32,
+}
+
+impl PutReceipt {
+    /// The manifest entry this receipt describes.
+    pub fn entry(&self, id: PartitionId) -> PartitionEntry {
+        PartitionEntry {
+            id,
+            bytes: self.stored_len,
+            checksum: self.checksum,
+            records: self.records,
+        }
+    }
+}
+
 /// A store of encoded partitions keyed by [`PartitionId`].
 pub trait PartitionStore: Send + Sync {
-    /// Writes (or replaces) a partition.
-    fn put(&self, id: PartitionId, bytes: Bytes) -> io::Result<()>;
+    /// Writes (or replaces) a partition. A store whose
+    /// [puts are durable](Self::puts_are_durable) returns the receipt of
+    /// what it staged — the seal's manifest entry for the partition;
+    /// every other store returns `None` (its seal copies the partition,
+    /// and describes the copy).
+    fn put(&self, id: PartitionId, bytes: Bytes) -> io::Result<Option<PutReceipt>>;
 
     /// Opens a partition for reading. Counts the open and the header bytes.
     fn open(&self, id: PartitionId) -> io::Result<PartitionReader>;
@@ -81,10 +115,10 @@ pub trait PartitionStore: Send + Sync {
         None
     }
 
-    /// True when [`put`](Self::put) already lands partitions in
-    /// [`persist_dir`](Self::persist_dir) through the durable temp-file +
-    /// fsync + atomic-rename protocol — a seal of that directory can then
-    /// checksum the files in place instead of re-copying them.
+    /// True when [`put`](Self::put) already stages partitions durably in
+    /// [`persist_dir`](Self::persist_dir) (written and fsynced under
+    /// their `.new` siblings) — a seal of that directory then commits
+    /// them from their [`PutReceipt`]s instead of re-copying them.
     fn puts_are_durable(&self) -> bool {
         false
     }
@@ -95,8 +129,10 @@ pub trait PartitionStore: Send + Sync {
         fsio::std_fs()
     }
 
-    /// Installs every staged (`.new`) partition over its committed main
-    /// file — called by the seal *after* the manifest commit point. A
+    /// Renames every staged (`.new`) partition over its committed main
+    /// file — called by the seal *after* the manifest commit point; the
+    /// seal's closing directory fsync makes the renames durable (an
+    /// interrupted install is rolled forward at open either way). A
     /// no-op for stores without a staging protocol.
     fn commit_staged(&self) -> io::Result<()> {
         Ok(())
@@ -226,10 +262,10 @@ impl MemStore {
 }
 
 impl PartitionStore for MemStore {
-    fn put(&self, id: PartitionId, bytes: Bytes) -> io::Result<()> {
+    fn put(&self, id: PartitionId, bytes: Bytes) -> io::Result<Option<PutReceipt>> {
         self.stats.on_partition_write(bytes.len() as u64);
         self.parts.write().insert(id, bytes);
-        Ok(())
+        Ok(None)
     }
 
     fn open(&self, id: PartitionId) -> io::Result<PartitionReader> {
@@ -626,13 +662,22 @@ impl PartitionStore for DiskStore {
         DiskStore::block_cache(self)
     }
 
-    fn put(&self, id: PartitionId, bytes: Bytes) -> io::Result<()> {
+    fn put(&self, id: PartitionId, bytes: Bytes) -> io::Result<Option<PutReceipt>> {
         if self.is_read_only() {
             return Err(io::Error::new(
                 io::ErrorKind::PermissionDenied,
                 "store was opened read-only from a manifest",
             ));
         }
+        // A put into a committed index (opened read-write from a sealed
+        // manifest) validates the image; its shape goes on the receipt.
+        let shape = (self.manifest_ids.is_some())
+            .then(|| {
+                let reader = PartitionReader::open(page::maybe_decompress(bytes.clone())?.0)
+                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+                io::Result::Ok((reader.record_count(), reader.series_len() as u32))
+            })
+            .transpose()?;
         // Compressed stores transcode on the way down, so decode paths —
         // which always see the v1 image — never meet v2 bytes.
         let bytes = if self.compresses_puts() && !page::is_compressed(&bytes) {
@@ -641,23 +686,26 @@ impl PartitionStore for DiskStore {
             bytes
         };
         self.stats.on_partition_write(bytes.len() as u64);
-        let result = if self.manifest_ids.is_some() {
-            // Opened from a sealed manifest (read-write mode): the file
-            // being replaced is referenced by a live, committed manifest,
-            // so the rewrite is *staged* under a `.new` sibling (written
-            // durably) and only renamed over the committed file by
-            // `commit_staged`, after the next manifest commit. A crash
-            // anywhere before that commit leaves the committed directory
-            // byte-identical; a crash after it is rolled forward at open.
-            fsio::write_file_atomic_with(&*self.fs, &staged_path_of(&self.dir, id), &bytes).map(
-                |()| {
+        let result = match shape {
+            // The committed file stays untouched: the rewrite is *staged*
+            // under its `.new` sibling (replaced atomically or not at all,
+            // see `write_staged`) and renamed over it by `commit_staged`
+            // after the next manifest commit. The seal pays the one
+            // directory fsync covering every stage of the fold.
+            Some((records, series_len)) => {
+                fsio::write_staged(&*self.fs, &staged_path_of(&self.dir, id), &bytes).map(|()| {
                     self.staged.write().insert(id);
-                },
-            )
-        } else {
+                    Some(PutReceipt {
+                        stored_len: bytes.len() as u64,
+                        checksum: xxh64(&bytes, 0),
+                        records,
+                        series_len,
+                    })
+                })
+            }
             // Build mode: the directory is not yet a committed index, a
             // bare write is fine (the first seal copies durably).
-            self.fs.write(&self.path_of(id), &bytes)
+            None => self.fs.write(&self.path_of(id), &bytes).map(|()| None),
         };
         // The old image is stale either way (staged opens serve the
         // sibling; build-mode opens the new file).
@@ -751,7 +799,7 @@ impl PartitionStore for DiskStore {
                 sc.cache.invalidate(sc.token, *id);
             }
         }
-        self.fs.fsync_dir(&self.dir)
+        Ok(())
     }
 
     fn quarantined(&self) -> Vec<PartitionId> {

@@ -256,6 +256,42 @@ fn read_write_open_validates_then_accepts_puts() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// A staging put (manifest mode) returns the receipt of exactly what it
+/// staged — the seal's manifest entry, no re-read needed — and refuses
+/// bytes that are not a partition image; puts that stage nothing (memory,
+/// build mode) return no receipt.
+#[test]
+fn staging_puts_return_receipts_of_the_stored_bytes() {
+    let dir = persisted_dir("receipt");
+    let (store, _) = DiskStore::open_read_write(&dir).unwrap();
+    let mut w = PartitionWriter::new(0, 4);
+    let recs: Vec<(u64, [f32; 4])> = (0..50).map(|i| (i, [i as f32, 0.5, -1.0, 2.0])).collect();
+    w.push_cluster(2, recs.iter().map(|(id, v)| (*id, &v[..])));
+    let image = w.finish();
+    for compress in [false, true] {
+        store.set_compress_puts(compress);
+        let receipt = store.put(0, image.clone()).unwrap().expect("a staging put");
+        let stored = store.stored_bytes(0).unwrap();
+        assert_eq!(climber_dfs::page::is_compressed(&stored), compress);
+        assert_eq!(receipt.stored_len, stored.len() as u64);
+        assert_eq!(receipt.checksum, xxh64(&stored, 0));
+        assert_eq!((receipt.records, receipt.series_len), (50, 4));
+        assert_eq!(receipt.entry(0).bytes, receipt.stored_len);
+        assert_eq!(store.open(0).unwrap().raw_bytes(), &image[..]);
+    }
+    let err = store.put(1, vec![0u8; 64].into()).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert_eq!(store.open(1).unwrap().record_count(), 3, "committed file");
+
+    let build = DiskStore::new(dir.join("build")).unwrap();
+    assert_eq!(build.put(0, image.clone()).unwrap(), None);
+    assert_eq!(
+        climber_dfs::store::MemStore::new().put(0, image).unwrap(),
+        None
+    );
+    fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn missing_manifest_is_typed() {
     let dir = persisted_dir("nomanifest");

@@ -476,7 +476,14 @@ impl IndexBuilder {
                 for (&pid, &gid) in &partition_group {
                     let clusters = by_partition.get(&pid);
                     s.spawn(move |_| {
-                        let mut writer = PartitionWriter::new(gid as u64, ds.series_len());
+                        let (n_clusters, n_records) =
+                            clusters.map_or((0, 0), |c| (c.len(), c.values().map(Vec::len).sum()));
+                        let mut writer = PartitionWriter::with_capacity(
+                            gid as u64,
+                            ds.series_len(),
+                            n_clusters,
+                            n_records,
+                        );
                         if let Some(clusters) = clusters {
                             for (&node, sids) in clusters {
                                 writer

@@ -392,6 +392,101 @@ fn failed_flush_restores_drained_records_then_retries_clean() {
     fs::remove_dir_all(&root).ok();
 }
 
+/// A fold whose seal fails *after* its partitions were staged leaves the
+/// folded records living only in those stages (the delta was drained, the
+/// store serves the `.new` siblings). A later fold that re-stages one of
+/// them and fails mid-write must leave the earlier stage intact: no
+/// acknowledged append is lost, every partition stays readable, and the
+/// next fault-free flush converges.
+#[test]
+fn failed_restage_after_failed_seal_loses_nothing() {
+    use climber_core::dfs::store::PartitionStore;
+    use std::collections::BTreeMap;
+
+    let root = tmp_root("restage");
+    let dir = root.join("idx");
+    setup_plain(&dir);
+    let extra = Domain::RandomWalk.generate(80, 91);
+    let append = |c: &Climber<DiskStore>, range: std::ops::Range<u64>| -> Vec<(u64, Vec<f32>)> {
+        range
+            .map(|i| (c.append(extra.get(i)).unwrap(), extra.get(i).to_vec()))
+            .collect()
+    };
+    // Every record the index holds — sealed partitions (each must open)
+    // plus the delta — by exhaustive scan, not by (approximate) search.
+    let census = |c: &Climber<DiskStore>, when: &str| -> BTreeMap<u64, Vec<f32>> {
+        let mut all = BTreeMap::new();
+        for pid in c.store().ids() {
+            let reader = c
+                .store()
+                .open(pid)
+                .unwrap_or_else(|e| panic!("partition {pid} unreadable {when}: {e}"));
+            reader.for_each(|id, values| {
+                assert!(all.insert(id, values.to_vec()).is_none(), "duplicate {id}");
+            });
+        }
+        c.delta().for_each(|_, _, id, values| {
+            assert!(all.insert(id, values.to_vec()).is_none(), "duplicate {id}");
+        });
+        all
+    };
+    let assert_all_held = |c: &Climber<DiskStore>, acked: &[(u64, Vec<f32>)], when: &str| {
+        let all = census(c, when);
+        assert_eq!(all.len(), 200 + acked.len(), "record count {when}");
+        for (id, values) in acked {
+            assert_eq!(all.get(id), Some(values), "append {id} lost {when}");
+        }
+    };
+
+    // Fault-free dry run of the first fold on a copy: which op renames the
+    // manifest's temp file into place (the commit point)?
+    let dry = root.join("dry");
+    copy_dir(&dir, &dry);
+    let ff = FaultFs::over_std();
+    let c = Climber::open_rw_with_fs(&dry, ff.clone() as FsRef).unwrap();
+    append(&c, 0..40);
+    ff.arm();
+    c.flush().unwrap();
+    ff.disarm();
+    drop(c);
+    let commit = ff
+        .trace()
+        .iter()
+        .position(|(op, path)| {
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            *op == FsOp::Rename && name.starts_with("MANIFEST")
+        })
+        .expect("the fold commits a manifest") as u64;
+
+    // Fold 1: every partition stages, the manifest commit fails once.
+    let ff = FaultFs::over_std();
+    let c = Climber::open_rw_with_fs(&dir, ff.clone() as FsRef).unwrap();
+    let mut acked = append(&c, 0..40);
+    ff.inject(FaultTrigger::Op(commit), FaultAction::ErrorOnce);
+    ff.arm();
+    c.flush().expect_err("the manifest commit was failed");
+    assert!(c.delta().is_empty(), "fold 1's records live in its stages");
+    assert_all_held(&c, &acked, "after the failed seal");
+    // Fold 2: more appends landing in already-staged partitions; its first
+    // stage write is torn.
+    acked.extend(append(&c, 40..80));
+    ff.inject(
+        FaultTrigger::Kind(FsOp::Write, ff.op_count_of(FsOp::Write)),
+        FaultAction::Torn { keep: 10 },
+    );
+    c.flush().expect_err("the re-stage was torn");
+    assert_all_held(&c, &acked, "after the torn re-stage");
+    c.flush().expect("fault-free retry converges");
+    assert!(c.delta().is_empty());
+    assert_all_held(&c, &acked, "after the retry");
+    ff.disarm();
+    drop(c);
+    let cold = Climber::open_rw(&dir).unwrap();
+    assert_all_held(&cold, &acked, "after a cold reopen");
+    assert_no_droppings(&dir);
+    fs::remove_dir_all(&root).ok();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 

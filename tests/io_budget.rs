@@ -1,0 +1,188 @@
+//! The I/O budget of the storage layer, pinned with the `FaultFs` op
+//! trace: every partition byte crosses the filesystem boundary once per
+//! direction.
+//!
+//! * A flush dirtying D partitions performs exactly **D partition reads,
+//!   D staged writes, D file fsyncs** and a **constant** number of
+//!   directory fsyncs (the pre-commit barrier, the manifest commit, the
+//!   closing install) — no manifest or skeleton re-read, no per-file
+//!   directory fsync, no read-back of what it just wrote. Each stage is
+//!   written under a temp name and renamed to its `.new` sibling, so no
+//!   file another reader may be serving is ever truncated.
+//! * The barrier sits where the protocol needs it: after the last stage
+//!   is fsynced, before the manifest is renamed into place.
+//! * A block-cache miss — and an uncached open — is exactly **one** read.
+
+use climber_core::dfs::fsio::{FaultFs, FsOp, FsRef};
+use climber_core::dfs::page::PAGE_SIZE;
+use climber_core::dfs::store::{partition_file_name, DiskStore, PartitionStore};
+use climber_core::series::gen::Domain;
+use climber_core::{CacheConfig, Climber, ClimberConfig, RecoveryPolicy};
+use std::fs;
+use std::path::{Path, PathBuf};
+
+fn cfg() -> ClimberConfig {
+    ClimberConfig::default()
+        .with_paa_segments(8)
+        .with_pivots(32)
+        .with_prefix_len(5)
+        .with_capacity(40)
+        .with_alpha(0.5)
+        .with_epsilon(1)
+        .with_seed(7)
+        .with_workers(2)
+}
+
+fn built(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("climber-iobudget-{tag}-{}", std::process::id()));
+    fs::remove_dir_all(&dir).ok();
+    let ds = Domain::RandomWalk.generate(400, 5);
+    drop(Climber::build_on_disk(&ds, &dir, cfg()).unwrap());
+    dir
+}
+
+fn name_of(path: &Path) -> String {
+    path.file_name().unwrap().to_string_lossy().into_owned()
+}
+
+/// Appends `appends` series, then flushes under an armed `FaultFs`.
+/// Returns the partitions rewritten and the flush's op trace.
+fn traced_flush(dir: &Path, appends: usize) -> (usize, Vec<(FsOp, String)>) {
+    let ff = FaultFs::over_std();
+    let fsref: FsRef = ff.clone();
+    let index = Climber::open_rw_with_fs(dir, fsref).unwrap();
+    let extra = Domain::RandomWalk.generate(appends, 99);
+    let batch: Vec<Vec<f32>> = (0..appends).map(|i| extra.get(i as u64).to_vec()).collect();
+    index.append_batch(&batch).unwrap();
+    ff.arm();
+    let report = index.flush().unwrap();
+    ff.disarm();
+    let trace = ff
+        .trace()
+        .into_iter()
+        .map(|(op, path)| (op, name_of(&path)))
+        .collect();
+    (report.partitions_rewritten, trace)
+}
+
+fn count(trace: &[(FsOp, String)], op: FsOp, pred: impl Fn(&str) -> bool) -> usize {
+    trace.iter().filter(|(o, n)| *o == op && pred(n)).count()
+}
+
+#[test]
+fn flush_reads_writes_and_syncs_each_dirty_partition_once() {
+    let is_partition = |n: &str| n.starts_with("part_");
+    let is_stage = |n: &str| n.starts_with("part_") && n.ends_with(".clbp.new");
+    let is_stage_tmp = |n: &str| n.starts_with("part_") && n.contains(".clbp.new.tmp.");
+    let mut dir_fsyncs = Vec::new();
+    for (tag, appends) in [("few", 3), ("many", 60)] {
+        let dir = built(tag);
+        let (d, trace) = traced_flush(&dir, appends);
+        assert!(d > 0, "the appends dirtied no partition");
+        let all = |_: &str| true;
+
+        // Reads: the D partitions being rewritten, and nothing else — the
+        // manifest and the skeleton this instance opened stay in memory,
+        // and the seal describes each rewrite from its put receipt.
+        assert_eq!(count(&trace, FsOp::Read, is_partition), d, "{trace:?}");
+        assert_eq!(
+            count(&trace, FsOp::Read, all),
+            d,
+            "non-partition reads: {trace:?}"
+        );
+
+        // Writes: one stage per dirty partition plus the manifest, each
+        // under a temp name and fsynced exactly once. Nothing is written
+        // in place — not a committed file, not an earlier stage.
+        assert_eq!(count(&trace, FsOp::Write, is_stage_tmp), d);
+        assert_eq!(count(&trace, FsOp::Write, all), d + 1, "{trace:?}");
+        assert_eq!(count(&trace, FsOp::FsyncFile, is_stage_tmp), d);
+        assert_eq!(count(&trace, FsOp::FsyncFile, all), d + 1);
+
+        // Renames (traced by source): temp → stage per partition, the
+        // manifest commit, then one install per stage.
+        assert_eq!(count(&trace, FsOp::Rename, is_stage_tmp), d);
+        assert_eq!(count(&trace, FsOp::Rename, is_stage), d);
+        assert_eq!(count(&trace, FsOp::Rename, all), 2 * d + 1);
+
+        // The single pre-commit barrier: the first directory fsync comes
+        // after every stage is written and fsynced, and before the
+        // manifest is renamed into place; no stage is installed before
+        // that rename.
+        let pos = |op: FsOp, pred: &dyn Fn(&str) -> bool, last: bool| {
+            let mut hits = trace
+                .iter()
+                .enumerate()
+                .filter(|(_, (o, n))| *o == op && pred(n))
+                .map(|(i, _)| i);
+            if last { hits.last() } else { hits.next() }.unwrap()
+        };
+        let barrier = pos(FsOp::FsyncDir, &all, false);
+        let commit = pos(FsOp::Rename, &|n| n.starts_with("MANIFEST"), false);
+        assert!(pos(FsOp::Rename, &is_stage_tmp, true) < barrier);
+        assert!(barrier < commit);
+        assert!(commit < pos(FsOp::Rename, &is_stage, false));
+
+        dir_fsyncs.push((d, count(&trace, FsOp::FsyncDir, all)));
+        fs::remove_dir_all(&dir).ok();
+    }
+    // O(1) directory fsyncs: barrier + manifest commit + closing install,
+    // whatever D is.
+    let (d_few, d_many) = (dir_fsyncs[0].0, dir_fsyncs[1].0);
+    assert!(
+        d_many > d_few,
+        "the two flushes must differ in D ({d_few} vs {d_many})"
+    );
+    assert_eq!(dir_fsyncs[0].1, 3);
+    assert_eq!(dir_fsyncs[1].1, 3);
+}
+
+#[test]
+fn a_miss_is_one_read_and_a_hit_is_none() {
+    let dir = built("miss");
+    let reads = |ff: &FaultFs, store: &DiskStore, pid: u32| {
+        let before = ff.op_count_of(FsOp::Read);
+        store.open(pid).unwrap();
+        assert_eq!(
+            ff.op_count(),
+            ff.op_count_of(FsOp::Read),
+            "an open only reads"
+        );
+        ff.op_count_of(FsOp::Read) - before
+    };
+
+    // Uncached store: every open is a miss, every miss one read.
+    let ff = FaultFs::over_std();
+    let fsref: FsRef = ff.clone();
+    let index = Climber::open_rw_with_fs(&dir, fsref).unwrap();
+    ff.arm();
+    let mut pids = index.store().ids();
+    for &pid in &pids {
+        assert_eq!(reads(&ff, index.store(), pid), 1);
+    }
+    drop(index);
+
+    // A cache exactly as large as the largest partition `a`: `a` and any
+    // other partition `b` never fit together, so alternating between them
+    // misses every time (one read each) and repeating one hits.
+    let size_of = |pid: u32| {
+        fs::metadata(dir.join(partition_file_name(pid)))
+            .unwrap()
+            .len()
+    };
+    pids.sort_by_key(|&pid| std::cmp::Reverse(size_of(pid)));
+    let (a, b) = (pids[0], pids[1]);
+    let ff = FaultFs::over_std();
+    let fsref: FsRef = ff.clone();
+    let one_image = CacheConfig::default()
+        .with_capacity_bytes((size_of(a) as usize).next_multiple_of(PAGE_SIZE));
+    let (index, _) =
+        Climber::open_with_cache_fs(&dir, fsref, RecoveryPolicy::Strict, one_image).unwrap();
+    ff.arm();
+    index.store().open(a).unwrap();
+    assert_eq!(reads(&ff, index.store(), b), 1, "miss after eviction");
+    assert_eq!(reads(&ff, index.store(), b), 0, "hit");
+    assert_eq!(reads(&ff, index.store(), a), 1, "miss after eviction");
+    assert_eq!(reads(&ff, index.store(), a), 0, "hit");
+    fs::remove_dir_all(&dir).ok();
+}

@@ -1,0 +1,249 @@
+//! Property test: the splice-based fold is **byte-identical** to the
+//! decode → re-encode fold it replaced.
+//!
+//! A flush or compaction rewrites a partition by copying the encoded byte
+//! ranges of its sealed clusters into the new image, never decoding a
+//! record. This test keeps the old fold alive as an oracle that shares no
+//! code with the writer: every partition is decoded record by record
+//! before the fold, the expected successor is assembled from those
+//! records, the pending delta and the tombstones, and encoded by a
+//! from-the-format-doc encoder written here. After the fold, for every
+//! partition of the index:
+//!
+//! * the image a reader sees equals the oracle's, bit for bit — including
+//!   partitions the fold must *not* have touched;
+//! * on a compressing store the persisted bytes are exactly the CLBP v2
+//!   compression of that image;
+//! * the committed manifest entry (length, checksum, record count) — now
+//!   taken from the put's receipt, not from re-reading the file —
+//!   describes the persisted bytes exactly.
+//!
+//! Varied: generator domain, dataset size, append count and source, delta
+//! records injected into trie nodes the partition never sealed, tombstones
+//! over sealed and pending records, flush vs compact, compression on/off.
+
+use climber_core::dfs::manifest::xxh64;
+use climber_core::dfs::page::{compress_partition, is_compressed};
+use climber_core::dfs::store::{DiskStore, PartitionStore};
+use climber_core::series::gen::Domain;
+use climber_core::{Climber, ClimberConfig, Manifest};
+use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fs;
+
+const DOMAINS: [Domain; 4] = [Domain::RandomWalk, Domain::Eeg, Domain::Dna, Domain::TexMex];
+
+/// Ids of the records injected straight into the delta segment (far above
+/// anything the append counter hands out in these tests).
+const INJECTED_BASE: u64 = 1 << 40;
+
+type Records = Vec<(u64, Vec<f32>)>;
+
+/// One partition, decoded: group id, series length, clusters in storage
+/// order.
+struct Decoded {
+    group_id: u64,
+    series_len: usize,
+    clusters: Vec<(u64, Records)>,
+}
+
+fn decode(index: &Climber<DiskStore>, pid: u32) -> Decoded {
+    let reader = index.store().open(pid).unwrap();
+    let clusters = reader
+        .cluster_ids()
+        .into_iter()
+        .map(|node| {
+            let mut recs = Vec::new();
+            reader.for_each_in_cluster(node, |id, vals| recs.push((id, vals.to_vec())));
+            (node, recs)
+        })
+        .collect();
+    Decoded {
+        group_id: reader.group_id(),
+        series_len: reader.series_len(),
+        clusters,
+    }
+}
+
+/// The CLBP v1 layout, written out from the format's documentation:
+/// `magic | version | group | series_len | n_clusters | directory |
+/// records`, everything little-endian.
+fn encode_v1(p: &Decoded) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(b"CLBP");
+    out.extend_from_slice(&1u32.to_le_bytes());
+    out.extend_from_slice(&p.group_id.to_le_bytes());
+    out.extend_from_slice(&(p.series_len as u32).to_le_bytes());
+    out.extend_from_slice(&(p.clusters.len() as u32).to_le_bytes());
+    let mut start = 0u64;
+    for (node, recs) in &p.clusters {
+        out.extend_from_slice(&node.to_le_bytes());
+        out.extend_from_slice(&start.to_le_bytes());
+        out.extend_from_slice(&(recs.len() as u32).to_le_bytes());
+        start += recs.len() as u64;
+    }
+    for (id, vals) in p.clusters.iter().flat_map(|(_, recs)| recs) {
+        out.extend_from_slice(&id.to_le_bytes());
+        for v in vals {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+    out
+}
+
+/// The fold as it was before the splice: sealed records minus `purge`,
+/// then the node's delta records in ascending-id order minus `purge`;
+/// clusters left empty vanish; delta clusters of never-sealed nodes follow
+/// the sealed ones in node order.
+fn oracle_fold(before: Decoded, folds: &BTreeMap<u64, Records>, purge: &BTreeSet<u64>) -> Decoded {
+    let sealed: BTreeSet<u64> = before.clusters.iter().map(|(n, _)| *n).collect();
+    let fresh = folds
+        .keys()
+        .filter(|n| !sealed.contains(n))
+        .map(|&n| (n, Vec::new()));
+    let clusters = before
+        .clusters
+        .into_iter()
+        .chain(fresh)
+        .filter_map(|(node, mut recs)| {
+            let mut delta = folds.get(&node).cloned().unwrap_or_default();
+            delta.sort_by_key(|(id, _)| *id);
+            recs.extend(delta);
+            recs.retain(|(id, _)| !purge.contains(id));
+            (!recs.is_empty()).then_some((node, recs))
+        })
+        .collect();
+    Decoded { clusters, ..before }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn spliced_fold_is_byte_identical_to_decode_and_reencode(
+        seed in 0u64..500,
+        n in 150usize..320,
+        domain in 0usize..4,
+        appends in 0usize..40,
+        injected in 0usize..6,
+        deletes in 0usize..24,
+        flags in 0u8..8,
+    ) {
+        let (foreign, compact, compress) = (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);
+        let dir = std::env::temp_dir().join(format!(
+            "climber-splice-{}-{seed}-{n}-{appends}-{deletes}",
+            std::process::id()
+        ));
+        fs::remove_dir_all(&dir).ok();
+        let ds = DOMAINS[domain].generate(n, seed);
+        let cfg = ClimberConfig::default()
+            .with_paa_segments(8)
+            .with_pivots(32)
+            .with_prefix_len(5)
+            .with_capacity(50)
+            .with_alpha(0.5)
+            .with_epsilon(1)
+            .with_seed(seed ^ 0xF01D)
+            .with_workers(2);
+        drop(Climber::build_on_disk(&ds, &dir, cfg).unwrap());
+        let index = Climber::open_rw(&dir).unwrap();
+        index.set_compress_on_seal(compress);
+        let pids = index.store().ids();
+
+        // The delta: routed appends (from the indexed domain, or from a
+        // foreign one so records land in sparsely populated leaves) …
+        let source = if foreign { DOMAINS[(domain + 1) % 4] } else { DOMAINS[domain] };
+        let extra = source.generate(appends.max(1), seed + 1);
+        let appended: Vec<Vec<f32>> = (0..appends)
+            .map(|i| {
+                let mut v = extra.get(i as u64).to_vec();
+                v.resize(ds.series_len(), 0.25);
+                v
+            })
+            .collect();
+        let appended_ids = index.append_batch(&appended).unwrap();
+        // … plus records injected under trie nodes no partition ever
+        // sealed (node ids past every real one), out of id order.
+        for j in 0..injected {
+            let pid = pids[(seed as usize + 7 * j) % pids.len()];
+            let node = u64::MAX - (j as u64 % 2);
+            let id = INJECTED_BASE + (injected - j) as u64;
+            index.delta().append(pid, node, id, ds.get((j % n) as u64));
+        }
+        // Tombstones over sealed records, pending appends and injections.
+        for j in 0..deletes {
+            index.delete(((seed as usize + 13 * j) % n) as u64).unwrap();
+        }
+        if let (true, Some(&id)) = (deletes > 3, appended_ids.first()) {
+            index.delete(id).unwrap();
+        }
+        if deletes > 5 && injected > 0 {
+            prop_assert!(index.tombstones().delete(INJECTED_BASE + 1));
+        }
+
+        // Snapshot the fold's inputs, then predict every partition.
+        let mut folds: BTreeMap<u32, BTreeMap<u64, Records>> = BTreeMap::new();
+        index.delta().for_each(|pid, node, id, vals| {
+            folds.entry(pid).or_default().entry(node).or_default().push((id, vals.to_vec()));
+        });
+        let purge: BTreeSet<u64> = if compact {
+            index.tombstones().ids().into_iter().collect()
+        } else {
+            BTreeSet::new()
+        };
+        let mut expected: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
+        let mut rewritten = 0usize;
+        for &pid in &pids {
+            let before = decode(&index, pid);
+            let holds_purged = before
+                .clusters
+                .iter()
+                .flat_map(|(_, recs)| recs)
+                .any(|(id, _)| purge.contains(id));
+            let image = match folds.get(&pid) {
+                None if !holds_purged => encode_v1(&before),
+                f => {
+                    rewritten += 1;
+                    encode_v1(&oracle_fold(before, f.unwrap_or(&BTreeMap::new()), &purge))
+                }
+            };
+            expected.insert(pid, image);
+        }
+
+        let report = if compact { index.compact() } else { index.flush() }.unwrap();
+        prop_assert_eq!(report.partitions_rewritten, rewritten);
+
+        let manifest = Manifest::load(&dir).unwrap();
+        let mut compressed_files = 0usize;
+        for &pid in &pids {
+            let want = &expected[&pid];
+            let reader = index.store().open(pid).unwrap();
+            prop_assert!(
+                reader.raw_bytes() == &want[..],
+                "partition {} differs from the decode/re-encode fold", pid
+            );
+            let stored = index.store().stored_bytes(pid).unwrap();
+            if is_compressed(&stored) {
+                compressed_files += 1;
+                let v2 = compress_partition(&reader.raw_bytes_owned()).unwrap();
+                prop_assert!(stored == v2, "partition {} is not the v2 form of its image", pid);
+            } else {
+                prop_assert!(stored[..] == want[..]);
+            }
+            let entry = manifest.partition(pid).unwrap();
+            prop_assert_eq!(entry.bytes, stored.len() as u64);
+            prop_assert_eq!(entry.checksum, xxh64(&stored, 0));
+            prop_assert_eq!(entry.records, reader.record_count());
+        }
+        prop_assert_eq!(compressed_files, if compress { rewritten } else { 0 });
+
+        // A cold reopen validates every receipt-derived entry against the
+        // installed files.
+        drop(index);
+        let cold = Climber::open(&dir).unwrap();
+        for &pid in &pids {
+            prop_assert!(cold.store().open(pid).unwrap().raw_bytes() == &expected[&pid][..]);
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+}
