@@ -15,6 +15,7 @@ use climber_core::dfs::store::MemStore;
 use climber_core::index::builder::IndexBuilder;
 use climber_core::series::gen::Domain;
 use climber_core::Climber;
+use climber_core::SearchRequest;
 
 fn main() {
     let n = default_n();
@@ -67,7 +68,7 @@ fn main() {
             let climber = Climber::build_in_memory(&ds, cfg);
             let (queries, truth) = workload(&ds, nq, k, QUERY_SEED);
             let s = sweep(&ds, &queries, &truth, |q| {
-                let o = climber.knn_adaptive(q, k, 4);
+                let o = climber.search(&SearchRequest::new(q, k).adaptive(4));
                 (o.results, o.records_scanned, o.partitions_opened)
             });
             cells.push(f3(s.recall));

@@ -17,6 +17,7 @@ use climber_bench::{banner, default_n, default_queries, experiment_config, QUERY
 use climber_core::series::gen::{query_workload, Domain};
 use climber_core::series::ground_truth::exact_knn;
 use climber_core::series::recall::recall_of_results;
+use climber_core::SearchRequest;
 
 fn main() {
     let n = default_n();
@@ -43,18 +44,32 @@ fn main() {
     for (i, &mult) in multiples.iter().enumerate() {
         let (mut rk, mut r2, mut r4) = (0.0, 0.0, 0.0);
         for &qid in &queries {
-            let probe = built.climber.knn(ds.get(qid), 1);
+            let probe = built
+                .climber
+                .search(&SearchRequest::new(ds.get(qid), 1).exact());
             let m = probe.plan.primary_node_size.max(1) as usize;
             let k = (m * mult).clamp(1, n / 2);
             let exact = exact_knn(&ds, ds.get(qid), k);
             let nqf = queries.len() as f64;
-            rk += recall_of_results(&built.climber.knn(ds.get(qid), k).results, &exact) / nqf;
+            rk += recall_of_results(
+                &built
+                    .climber
+                    .search(&SearchRequest::new(ds.get(qid), k).exact())
+                    .results,
+                &exact,
+            ) / nqf;
             r2 += recall_of_results(
-                &built.climber.knn_adaptive(ds.get(qid), k, 2).results,
+                &built
+                    .climber
+                    .search(&SearchRequest::new(ds.get(qid), k).adaptive(2))
+                    .results,
                 &exact,
             ) / nqf;
             r4 += recall_of_results(
-                &built.climber.knn_adaptive(ds.get(qid), k, 4).results,
+                &built
+                    .climber
+                    .search(&SearchRequest::new(ds.get(qid), k).adaptive(4))
+                    .results,
                 &exact,
             ) / nqf;
         }
@@ -97,14 +112,20 @@ fn main() {
             for &qid in &queries {
                 let exact = exact_knn(&ds, ds.get(qid), k);
                 let out = if factor == 0 {
-                    built.climber.knn(ds.get(qid), k)
+                    built
+                        .climber
+                        .search(&SearchRequest::new(ds.get(qid), k).exact())
                 } else {
-                    built.climber.knn_adaptive(ds.get(qid), k, factor)
+                    built
+                        .climber
+                        .search(&SearchRequest::new(ds.get(qid), k).adaptive(factor))
                 };
                 recs += out.records_scanned as f64 / queries.len() as f64;
                 rec += recall_of_results(&out.results, &exact) / queries.len() as f64;
                 if vi == 0 {
-                    let o = built.climber.od_smallest(ds.get(qid), k);
+                    let o = built
+                        .climber
+                        .search(&SearchRequest::new(ds.get(qid), k).smallest());
                     ods_records += o.records_scanned as f64 / queries.len() as f64;
                     ods_recall += recall_of_results(&o.results, &exact) / queries.len() as f64;
                 }

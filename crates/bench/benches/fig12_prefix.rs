@@ -14,6 +14,7 @@ use climber_core::dfs::store::MemStore;
 use climber_core::index::builder::IndexBuilder;
 use climber_core::series::gen::Domain;
 use climber_core::Climber;
+use climber_core::SearchRequest;
 use climber_pivot::decay::DecayFunction;
 
 fn main() {
@@ -57,7 +58,7 @@ fn main() {
         let build_secs = t.elapsed().as_secs_f64();
         let climber = Climber::from_parts(skeleton, store);
         let s = sweep(&ds, &queries, &truth, |q| {
-            let o = climber.knn_adaptive(q, k, 4);
+            let o = climber.search(&SearchRequest::new(q, k).adaptive(4));
             (o.results, o.records_scanned, o.partitions_opened)
         });
         points.push(Point {

@@ -12,6 +12,7 @@ use climber_bench::runner::{build_climber, build_dpisax, build_tardis, dataset, 
 use climber_bench::table::{f3, ms, Table};
 use climber_bench::{banner, default_k, default_n, default_queries, experiment_config, QUERY_SEED};
 use climber_core::baselines::dss::dss_query;
+use climber_core::SearchRequest;
 
 fn main() {
     let n = default_n();
@@ -39,7 +40,7 @@ fn main() {
 
         let built = build_climber(&ds, experiment_config(n));
         let s = sweep(&ds, &queries, &truth, |q| {
-            let o = built.climber.knn_adaptive(q, k, 4);
+            let o = built.climber.search(&SearchRequest::new(q, k).adaptive(4));
             (o.results, o.records_scanned, o.partitions_opened)
         });
         table.row(vec![

@@ -34,6 +34,7 @@ use climber_bench::runner::{
 use climber_bench::table::{f2, kib, Table};
 use climber_bench::{banner, default_n, env_usize, experiment_config};
 use climber_core::BuildOptions;
+use climber_core::SearchRequest;
 use std::fmt::Write as _;
 
 struct ClimberRow {
@@ -112,8 +113,12 @@ fn main() {
         // The reopened index must answer like the built one.
         let probe = ds.get(0);
         assert_eq!(
-            co.climber.knn(probe, 10).results,
-            c.climber.knn(probe, 10).results,
+            co.climber
+                .search(&SearchRequest::new(probe, 10).exact())
+                .results,
+            c.climber
+                .search(&SearchRequest::new(probe, 10).exact())
+                .results,
             "reopened index diverged on {}",
             domain.name()
         );

@@ -13,6 +13,7 @@ use climber_bench::table::{f3, ms, Table};
 use climber_bench::{banner, default_n, default_queries, experiment_config, QUERY_SEED};
 use climber_core::baselines::dss::dss_query;
 use climber_core::series::gen::Domain;
+use climber_core::SearchRequest;
 
 fn main() {
     let n = default_n();
@@ -50,7 +51,7 @@ fn main() {
         let pb = FIG9B_TIME_VS_K[i];
 
         let s = sweep(&ds, &queries, &truth, |q| {
-            let o = built.climber.knn(q, k);
+            let o = built.climber.search(&SearchRequest::new(q, k).exact());
             (o.results, o.records_scanned, o.partitions_opened)
         });
         table.row(vec![
@@ -67,7 +68,9 @@ fn main() {
             ("Adaptive-4X", 4, pa.1, pb.2),
         ] {
             let s = sweep(&ds, &queries, &truth, |q| {
-                let o = built.climber.knn_adaptive(q, k, factor);
+                let o = built
+                    .climber
+                    .search(&SearchRequest::new(q, k).adaptive(factor));
                 (o.results, o.records_scanned, o.partitions_opened)
             });
             table.row(vec![

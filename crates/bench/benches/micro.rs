@@ -16,6 +16,7 @@ use climber_core::repr::isax::ISaxWord;
 use climber_core::repr::paa::paa;
 use climber_core::series::distance::{ed, ed_early_abandon, sq_ed};
 use climber_core::series::gen::Domain;
+use climber_core::SearchRequest;
 
 fn bench_distances(c: &mut Criterion) {
     let ds = Domain::RandomWalk.generate(2, 1);
@@ -117,14 +118,15 @@ fn bench_end_to_end_query(c: &mut Criterion) {
             .with_max_centroids(6)
             .with_seed(5),
     );
-    let q = ds.get(99).to_vec();
+    let exact = SearchRequest::new(ds.get(99), 100).exact();
+    let adaptive = exact.clone().adaptive(4);
     let mut g = c.benchmark_group("query");
     g.sample_size(20);
     g.bench_function("climber_knn_5k", |b| {
-        b.iter(|| climber.knn(black_box(&q), 100))
+        b.iter(|| climber.search(black_box(&exact)))
     });
     g.bench_function("climber_adaptive4x_5k", |b| {
-        b.iter(|| climber.knn_adaptive(black_box(&q), 100, 4))
+        b.iter(|| climber.search(black_box(&adaptive)))
     });
     g.finish();
 }

@@ -20,6 +20,7 @@ use climber_bench::{banner, default_k, default_n, default_queries, experiment_co
 use climber_core::baselines::hnsw::{HnswConfig, HnswIndex};
 use climber_core::baselines::odyssey::{OdysseyConfig, OdysseyIndex};
 use climber_core::series::gen::Domain;
+use climber_core::SearchRequest;
 use std::time::Instant;
 
 fn main() {
@@ -71,7 +72,7 @@ fn main() {
         // CLIMBER (always runs)
         let built = build_climber(&ds, experiment_config(n));
         let s = sweep(&ds, &queries, &truth, |q| {
-            let o = built.climber.knn_adaptive(q, k, 4);
+            let o = built.climber.search(&SearchRequest::new(q, k).adaptive(4));
             (o.results, o.records_scanned, o.partitions_opened)
         });
         table.row(vec![

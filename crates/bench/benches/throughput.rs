@@ -1,17 +1,19 @@
-//! Throughput (QPS) of the batched partition-major engine vs the
-//! sequential per-query engine.
+//! Throughput (QPS) of the query executor as a function of how many
+//! requests it is handed at once.
 //!
 //! The Lernaean Hydra evaluation (Echihabi et al.) measures data-series
 //! engines by *sustained query throughput*, not single-query latency. This
 //! harness runs the same fixed query workload through every
 //! batch-size × thread-count configuration and reports queries/second:
 //!
-//! * `batch=1 threads=1` — the sequential per-query engine, the baseline;
-//! * larger batches — the partition-major engine: each partition selected
-//!   by any query of a batch is opened once and each cluster decoded once
-//!   for all its queries, so throughput rises even on a single core;
-//! * more threads — partitions fan out across workers via the work-queue
-//!   `rayon::scope`.
+//! * `batch=1 threads=1` — one `Climber::search` per request, the
+//!   baseline;
+//! * larger batches — `search_many`'s partition-major scan: each
+//!   partition selected by any request of a batch is opened once and each
+//!   cluster decoded once for all its queries, so throughput rises even
+//!   on a single core;
+//! * more threads — workers pull `(source, partition)` tasks off a shared
+//!   cursor.
 //!
 //! Results are bit-identical across all configurations (asserted on a
 //! sample at the end). Emits a `BENCH_throughput.json` record next to the
@@ -22,8 +24,9 @@ use climber_bench::runner::{build_climber, dataset};
 use climber_bench::table::{f2, Table};
 use climber_bench::{default_k, default_n, env_usize, experiment_config, QUERY_SEED};
 use climber_core::dfs::store::{MemStore, PartitionStore};
+use climber_core::query::exec::{execute, Source};
 use climber_core::series::gen::{query_workload, Domain};
-use climber_core::{BatchRequest, Climber, SearchRequest};
+use climber_core::{Climber, QueryOutcome, SearchRequest};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -36,14 +39,23 @@ struct Row {
     sharing: f64,
 }
 
-/// The fixed query workload, in both shapes the engines accept: raw
-/// queries for the batch engine and pre-built unified requests for the
-/// sequential path (built outside the timed region).
-struct Workload<'a> {
-    queries: &'a [Vec<f32>],
-    requests: &'a [SearchRequest],
-    k: usize,
-    factor: usize,
+/// `Climber::search_many` with an explicit worker count: the executor
+/// over the index's one (update-free) source.
+fn search_many(
+    climber: &Climber<MemStore>,
+    reqs: &[SearchRequest],
+    threads: usize,
+) -> Vec<QueryOutcome> {
+    let source = Source::sealed(climber.store());
+    let sources = [Some(source)];
+    execute(
+        climber.skeleton(),
+        &sources,
+        climber.series_len(),
+        reqs,
+        threads,
+    )
+    .0
 }
 
 /// Runs a configuration `reps` times and keeps the fastest run (standard
@@ -51,7 +63,7 @@ struct Workload<'a> {
 /// and every configuration gets the same treatment).
 fn run_config_best(
     climber: &Climber<MemStore>,
-    wl: &Workload<'_>,
+    wl: &[SearchRequest],
     batch: usize,
     threads: usize,
     reps: usize,
@@ -62,32 +74,35 @@ fn run_config_best(
         .expect("reps >= 1")
 }
 
-/// Runs the whole workload split into `batch`-sized requests on `threads`
-/// workers; `batch == 1 && threads == 1` uses the sequential engine
-/// (`Climber::search`).
-fn run_config(climber: &Climber<MemStore>, wl: &Workload<'_>, batch: usize, threads: usize) -> Row {
+/// Runs the whole workload split into `batch`-sized calls on `threads`
+/// workers; `batch == 1 && threads == 1` is one `Climber::search` per
+/// request. Sharing = logical records scanned per record physically
+/// decoded (the store's `IoStats` delta).
+fn run_config(
+    climber: &Climber<MemStore>,
+    wl: &[SearchRequest],
+    batch: usize,
+    threads: usize,
+) -> Row {
+    let before = climber.serve_io();
     let t = Instant::now();
-    let mut decoded = 0u64;
     let mut scanned = 0u64;
     if batch == 1 && threads == 1 {
-        for req in wl.requests {
-            let out = climber.search(req);
-            decoded += out.records_scanned; // sequential decodes per query
-            scanned += out.records_scanned;
+        for req in wl {
+            scanned += climber.search(req).records_scanned;
         }
     } else {
-        for chunk in wl.queries.chunks(batch) {
-            let out = climber
-                .batch(&BatchRequest::adaptive(chunk, wl.k, wl.factor).with_threads(threads));
-            decoded += out.records_decoded;
-            scanned += out.records_scanned;
+        for chunk in wl.chunks(batch) {
+            let out = search_many(climber, chunk, threads);
+            scanned += out.iter().map(|o| o.records_scanned).sum::<u64>();
         }
     }
     let secs = t.elapsed().as_secs_f64();
+    let decoded = climber.serve_io().since(&before).records_read;
     Row {
         batch,
         threads,
-        qps: wl.queries.len() as f64 / secs,
+        qps: wl.len() as f64 / secs,
         secs,
         sharing: if decoded == 0 {
             1.0
@@ -125,12 +140,11 @@ fn main() {
     );
 
     let qids = query_workload(&ds, nq, QUERY_SEED);
-    let queries: Vec<Vec<f32>> = qids.iter().map(|&q| ds.get(q).to_vec()).collect();
-    // Pre-built unified requests for the sequential path, so the timed
-    // region measures the engine, not request construction.
-    let requests: Vec<SearchRequest> = queries
+    // Requests are built once, so the timed region measures the
+    // executor, not request construction.
+    let requests: Vec<SearchRequest> = qids
         .iter()
-        .map(|q| SearchRequest::new(q.clone(), k).adaptive(factor))
+        .map(|&q| SearchRequest::new(ds.get(q), k).adaptive(factor))
         .collect();
 
     let batches = [1usize, 16, 256];
@@ -139,30 +153,16 @@ fn main() {
     let mut table = Table::new(vec![
         "batch", "threads", "QPS", "secs", "sharing", "speedup",
     ]);
-    let wl = Workload {
-        queries: &queries,
-        requests: &requests,
-        k,
-        factor,
-    };
+    let wl = &requests[..];
     // Warm up caches so the 1×1 baseline is not penalised by first-touch.
-    run_config(
-        climber,
-        &Workload {
-            queries: &queries[..queries.len().min(8)],
-            requests: &requests[..requests.len().min(8)],
-            ..wl
-        },
-        1,
-        1,
-    );
+    run_config(climber, &wl[..wl.len().min(8)], 1, 1);
     let mut baseline_qps = 0.0;
     for &b in &batches {
         for &t in &threads {
             if b == 1 && t > 1 && quick {
                 continue; // single-query batches gain nothing on smoke runs
             }
-            let row = run_config_best(climber, &wl, b, t, 3);
+            let row = run_config_best(climber, wl, b, t, 3);
             if b == 1 && t == 1 {
                 baseline_qps = row.qps;
             }
@@ -190,10 +190,9 @@ fn main() {
         best.batch, best.threads, best.qps, baseline_qps
     );
 
-    // The batched engine must return exactly what the sequential one does.
-    let sample = &queries[..queries.len().min(16)];
-    let out = climber.batch(&BatchRequest::adaptive(sample, k, factor).with_threads(8));
-    for (req, got) in requests.iter().zip(&out.outcomes) {
+    // A batch must return exactly what request-at-a-time search does.
+    let sample = &requests[..requests.len().min(16)];
+    for (req, got) in sample.iter().zip(&climber.search_many(sample)) {
         assert_eq!(got, &climber.search(req), "batch diverged");
     }
     println!(
@@ -233,7 +232,7 @@ fn main() {
     if std::env::var("CLIMBER_BENCH_STRICT").as_deref() == Ok("1") {
         assert!(
             speedup >= 2.0,
-            "batched engine speedup {speedup:.2}x below the 2x target"
+            "batched search_many speedup {speedup:.2}x below the 2x target"
         );
     }
 }

@@ -10,7 +10,7 @@
 //!   per append). The strict gate requires the delta path to be ≥ 50×
 //!   faster;
 //! * **delete cost** — nanoseconds per tombstone;
-//! * **ingest-while-query QPS** — the adaptive batch engine answering a
+//! * **ingest-while-query QPS** — adaptive `search_many` answering a
 //!   fixed workload while appends land between batches, vs the same
 //!   workload on the frozen index;
 //! * **post-flush QPS delta** — how much folding the delta back into
@@ -26,7 +26,7 @@ use climber_bench::{default_n, env_usize, experiment_config, QUERY_SEED};
 use climber_core::dfs::format::PartitionWriter;
 use climber_core::dfs::store::{MemStore, PartitionStore};
 use climber_core::series::gen::{query_workload, Domain};
-use climber_core::{BatchRequest, Climber};
+use climber_core::{Climber, SearchRequest};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -59,9 +59,13 @@ fn append_rewrite(climber: &Climber<MemStore>, next_id: &mut u64, values: &[f32]
 }
 
 fn qps_of(climber: &Climber<MemStore>, queries: &[Vec<f32>], k: usize) -> f64 {
+    let requests: Vec<SearchRequest> = queries
+        .iter()
+        .map(|q| SearchRequest::new(&q[..], k).adaptive(4))
+        .collect();
     let t = Instant::now();
-    for chunk in queries.chunks(64) {
-        climber.batch(&BatchRequest::adaptive(chunk, k, 4));
+    for chunk in requests.chunks(64) {
+        climber.search_many(chunk);
     }
     queries.len() as f64 / t.elapsed().as_secs_f64()
 }
@@ -174,7 +178,7 @@ fn main() {
     // tombstones even offsets only) must be served by id at distance 0 —
     // satisfiable only if the append/fold pipeline actually works.
     let probe = ingest.get(1).to_vec();
-    let out = climber.knn(&probe, 1);
+    let out = climber.search(&SearchRequest::new(&probe[..], 1).exact());
     assert_eq!(
         out.results[0],
         (n as u64 + 1, 0.0),
@@ -182,7 +186,7 @@ fn main() {
     );
     // ... and a deleted ingested record must not be.
     let deleted_probe = ingest.get(0).to_vec();
-    let out = climber.knn(&deleted_probe, 5);
+    let out = climber.search(&SearchRequest::new(&deleted_probe[..], 5).exact());
     assert!(
         out.results.iter().all(|&(id, _)| id != n as u64),
         "tombstoned record served"

@@ -128,7 +128,7 @@ pub enum ServeError {
     ShuttingDown,
     /// The request failed validation before admission.
     BadRequest(String),
-    /// The per-request deadline expired before the batch engine answered.
+    /// The per-request deadline expired before the query executor answered.
     /// The request itself was valid and read-only; retrying is safe but a
     /// client should treat repeated deadline misses as overload.
     DeadlineExceeded,

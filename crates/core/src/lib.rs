@@ -69,7 +69,6 @@ pub use climber_dfs::stats::IoSnapshot;
 pub use climber_index::builder::{BuildOptions, BuildReport};
 pub use climber_index::config::IndexConfig as ClimberConfig;
 pub use climber_index::skeleton::IndexSkeleton;
-pub use climber_query::batch::{BatchOutcome, BatchRequest, BatchStrategy};
 pub use climber_query::plan::QueryOutcome;
 pub use climber_query::search::{SearchMode, SearchRequest};
 pub use climber_query::updates::UpdateView;
@@ -89,7 +88,7 @@ use climber_dfs::store::{
 };
 use climber_index::builder::IndexBuilder;
 use climber_pivot::signature::SignatureScratch;
-use climber_query::engine::KnnEngine;
+use climber_query::exec::{execute, SeriesLen, Source};
 use climber_series::dataset::Dataset;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
@@ -168,6 +167,9 @@ pub struct Climber<S: PartitionStore = MemStore> {
     /// from (opt-in via [`set_quant_enabled`](Self::set_quant_enabled));
     /// cleared whenever a fold rewrites sealed partitions.
     quant: QuantCache,
+    /// The indexed series length, known from the manifest (open) or the
+    /// id-seeding scan (build): no query opens a partition to learn it.
+    series_len: SeriesLen,
 }
 
 impl Climber<MemStore> {
@@ -481,6 +483,7 @@ impl Climber<DiskStore> {
         c.delta = journal.delta;
         c.tombstones = journal.tombstones;
         c.generation = AtomicU64::new(manifest.generation);
+        c.series_len.set(manifest.series_len as usize);
         c.sealed = Mutex::new(Some(manifest));
         c.writable = writable;
         // A cached open unifies the byte budgets: quantized codes charge
@@ -667,6 +670,7 @@ impl<S: PartitionStore> Climber<S> {
             sealed: Mutex::new(None),
             ready_io: Mutex::new(IoSnapshot::default()),
             quant: QuantCache::new(),
+            series_len: SeriesLen::default(),
         }
     }
 
@@ -914,27 +918,26 @@ impl<S: PartitionStore> Climber<S> {
         Ok(m)
     }
 
-    /// The engine every facade query goes through. While no updates are
-    /// pending the sealed-only fast path runs untouched; as soon as the
-    /// delta segment or the tombstone set is non-empty, the engine merges
-    /// them into every candidate stream.
-    fn engine(&self) -> KnnEngine<'_, S> {
-        let engine = KnnEngine::new(&self.skeleton, &self.store).with_quant(&self.quant);
-        if self.delta.is_empty() && self.tombstones.is_empty() {
-            engine
-        } else {
-            engine.with_updates(UpdateView {
+    /// This index as one source of the executor. The update view is left
+    /// out while nothing is pending, which keeps sealed scans eligible for
+    /// the quantized cache.
+    pub(crate) fn source(&self) -> Source<'_, S> {
+        let pending = !(self.delta.is_empty() && self.tombstones.is_empty());
+        Source {
+            store: &self.store,
+            updates: pending.then_some(UpdateView {
                 delta: &self.delta,
                 tombstones: &self.tombstones,
-            })
+            }),
+            quant: Some(&self.quant),
         }
     }
 
-    /// Executes one unified [`SearchRequest`]: the single query entry
-    /// point every strategy routes through — the request's
-    /// [`SearchMode`] picks the planner, and an optional
-    /// [budget](SearchRequest::with_budget) caps the partitions read.
-    /// Results are `(series id, squared ED)` ascending.
+    /// Executes one [`SearchRequest`] — its [`SearchMode`] picks the
+    /// planner, an optional [budget](SearchRequest::with_budget) caps the
+    /// partitions read — as [`search_many`](Self::search_many) with one
+    /// request, inline on the calling thread. Results are
+    /// `(series id, squared ED)` ascending.
     ///
     /// ```
     /// use climber_core::{Climber, ClimberConfig, SearchRequest};
@@ -951,150 +954,56 @@ impl<S: PartitionStore> Climber<S> {
     /// ```
     ///
     /// # Panics
-    /// If [`SearchRequest::validate`] fails (zero `k`, empty query, zero
-    /// factor). The serving layer validates first and returns a typed
-    /// bad-request response instead.
+    /// As [`search_many`](Self::search_many).
     pub fn search(&self, req: &SearchRequest) -> QueryOutcome {
-        if !self.store.quarantined().is_empty() {
-            return self
-                .search_many(std::slice::from_ref(req))
-                .pop()
-                .expect("one outcome per request");
-        }
-        self.engine().search(req)
+        self.search_many(std::slice::from_ref(req))
+            .pop()
+            .expect("one outcome per request")
     }
 
-    /// Executes many [`SearchRequest`]s through the partition-major batch
-    /// engine: compatible requests are grouped so every shared partition
-    /// is opened once and every shared cluster decoded once. Outcomes
-    /// come back in request order, **bit-identical** to calling
-    /// [`search`](Self::search) once per request — this is the entry
-    /// point the serving layer's micro-batches ride.
+    /// Executes many [`SearchRequest`]s through the one query executor
+    /// ([`climber_query::exec`]): compatible requests are grouped so every
+    /// shared partition is opened once and every shared cluster decoded
+    /// once. Outcomes come back in request order, **bit-identical** to
+    /// calling [`search`](Self::search) once per request — this is the
+    /// entry point the serving layer's micro-batches ride.
     ///
     /// # Panics
-    /// If any request fails [`SearchRequest::validate`].
+    /// If a request fails [`SearchRequest::validate_for`] the indexed
+    /// [`series_len`](Self::series_len): zero `k`, empty query, zero
+    /// factor, or — in every mode but `Resampled` — a query of another
+    /// length (the message names both). The serving layer runs the same
+    /// check before admission and answers with a typed bad request.
     pub fn search_many(&self, reqs: &[SearchRequest]) -> Vec<QueryOutcome> {
-        if !self.store.quarantined().is_empty() {
-            // A degraded index (quarantined partitions) routes through
-            // the status-aware scatter path, which records unopenable
-            // partitions instead of failing the whole pass. On a healthy
-            // index both paths are bit-identical (the PR-7 sharding
-            // contract with one shard), so the fast engine serves it.
-            return self.search_many_with_status(reqs).0;
-        }
-        self.engine().search_many(reqs)
+        self.search_many_with_status(reqs).0
     }
 
     /// [`search_many`](Self::search_many) with the index's health for
-    /// the pass: runs the scatter-gather scan used by [`ShardedClimber`]
-    /// over this one index, degrading planned-but-unopenable partitions
-    /// (quarantined, deleted mid-flight) into the returned
-    /// [`ShardStatus`] — never a panic, never a silently partial answer
-    /// without the status saying so. On a fully healthy index the
-    /// outcomes are bit-identical to [`search_many`](Self::search_many).
+    /// the pass: planned-but-unopenable partitions (quarantined, deleted
+    /// mid-flight) are skipped and named in the returned [`ShardStatus`]
+    /// — never a panic, never a silently partial answer.
     pub fn search_many_with_status(
         &self,
         reqs: &[SearchRequest],
     ) -> (Vec<QueryOutcome>, ShardStatus) {
-        let (out, mut statuses) = shard::scatter_search_with_status(&[Some(self)], reqs, 0);
-        (out, statuses.pop().expect("one shard status"))
+        let sources = [Some(self.source())];
+        let (out, mut statuses) = execute(&self.skeleton, &sources, self.series_len(), reqs, 0);
+        let status = statuses.pop().expect("one status per source");
+        (out, ShardStatus::of_source(0, true, status))
     }
 
-    /// Partitions currently quarantined by the store — empty for healthy
-    /// (and for in-memory) indexes. Quarantined partitions are skipped by
-    /// queries (reported via
-    /// [`search_many_with_status`](Self::search_many_with_status)) until
+    /// Partitions currently quarantined by the store — none for healthy
+    /// (and in-memory) indexes. Queries skip them, and say so through
+    /// [`search_many_with_status`](Self::search_many_with_status), until
     /// a scrub re-admits them.
     pub fn quarantined_partitions(&self) -> Vec<PartitionId> {
         self.store.quarantined()
     }
 
-    /// CLIMBER-kNN (Algorithm 3): approximate `k` nearest neighbours.
-    /// Results are `(series id, squared ED)` ascending.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Climber::search with SearchRequest::new(query, k).exact()"
-    )]
-    pub fn knn(&self, query: &[f32], k: usize) -> QueryOutcome {
-        self.search(&SearchRequest::new(query, k).exact())
-    }
-
-    /// CLIMBER-kNN-Adaptive with a partition budget of `factor ×` the plain
-    /// plan (the paper evaluates 2X and 4X; 4X is its default variation).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Climber::search with SearchRequest::new(query, k).adaptive(factor)"
-    )]
-    pub fn knn_adaptive(&self, query: &[f32], k: usize, factor: usize) -> QueryOutcome {
-        self.search(&SearchRequest::new(query, k).adaptive(factor))
-    }
-
-    /// The OD-Smallest full-group scan (ablation baseline, Figure 11(b)).
-    pub fn od_smallest(&self, query: &[f32], k: usize) -> QueryOutcome {
-        self.engine().od_smallest(query, k)
-    }
-
-    /// Executes a whole [`BatchRequest`] partition-major across threads:
-    /// the union of all per-query plans is regrouped by partition, each
-    /// partition is opened once, each needed cluster decoded once, and the
-    /// decoded records are scored against every query that selected them.
-    /// Per-query outcomes are bit-identical to the sequential methods —
-    /// see [`climber_query::batch`] for the execution model.
-    ///
-    /// ```
-    /// use climber_core::{BatchRequest, Climber, ClimberConfig};
-    /// use climber_core::series::gen::Domain;
-    ///
-    /// let data = Domain::RandomWalk.generate(500, 3);
-    /// let climber = Climber::build_in_memory(&data, ClimberConfig::default()
-    ///     .with_pivots(32).with_capacity(100));
-    /// let queries: Vec<Vec<f32>> = (0..16u64).map(|i| data.get(i * 31).to_vec()).collect();
-    ///
-    /// let batch = climber.batch(&BatchRequest::adaptive(&queries, 10, 4));
-    /// assert_eq!(batch.outcomes.len(), 16);
-    /// use climber_core::SearchRequest;
-    /// assert_eq!(
-    ///     batch.outcomes[0],
-    ///     climber.search(&SearchRequest::new(&queries[0][..], 10).adaptive(4)),
-    /// );
-    /// ```
-    pub fn batch(&self, request: &BatchRequest<'_>) -> BatchOutcome {
-        self.engine().batch(request)
-    }
-
-    /// Batch evaluation of CLIMBER-kNN-Adaptive over many queries — the
-    /// sustained-throughput workload (queries/second) the Lernaean Hydra
-    /// evaluation measures engines by. A convenience wrapper over
-    /// [`batch`](Self::batch) returning just the per-query outcomes.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Climber::search_many with per-request SearchRequests, or \
-                Climber::batch for the full BatchOutcome counters"
-    )]
-    pub fn knn_batch(&self, queries: &[Vec<f32>], k: usize, factor: usize) -> Vec<QueryOutcome> {
-        self.batch(&BatchRequest::adaptive(queries, k, factor))
-            .outcomes
-    }
-
-    /// Approximate kNN for a query *shorter or longer* than the indexed
-    /// series length: the query is linearly resampled to the index length
-    /// first (§II: PAA-family representations support shorter queries,
-    /// unlike DFT/wavelet indexes).
-    ///
-    /// Distances in the result are squared ED between the resampled query
-    /// and the stored series.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Climber::search with SearchRequest::new(query, k).resampled(factor)"
-    )]
-    pub fn knn_resampled(&self, query: &[f32], k: usize, factor: usize) -> QueryOutcome {
-        self.search(&SearchRequest::new(query, k).resampled(factor))
-    }
-
-    /// The indexed series length, recovered from any stored partition.
-    fn series_len_hint(&self) -> Option<usize> {
-        let pid = *self.store.ids().first()?;
-        self.store.open(pid).ok().map(|r| r.series_len())
+    /// The indexed series length — what every non-resampled query and
+    /// every appended series must measure (`None`: no partition yet).
+    pub fn series_len(&self) -> Option<usize> {
+        self.series_len.get(&self.store)
     }
 
     /// Scans the store once to seed the append id counter (reopened
@@ -1103,6 +1012,7 @@ impl<S: PartitionStore> Climber<S> {
         let mut max_id: Option<u64> = None;
         for pid in self.store.ids() {
             if let Ok(reader) = self.store.open(pid) {
+                self.series_len.set(reader.series_len());
                 reader.for_each(|id, _| {
                     max_id = Some(max_id.map_or(id, |m| m.max(id)));
                 });
@@ -1136,7 +1046,7 @@ impl<S: PartitionStore> Climber<S> {
     /// If the series length differs from the indexed length.
     pub fn append(&self, values: &[f32]) -> Result<u64, ClimberError> {
         self.ensure_writable()?;
-        let expected = self.series_len_hint().unwrap_or(values.len());
+        let expected = self.series_len().unwrap_or(values.len());
         assert_eq!(
             values.len(),
             expected,
@@ -1161,7 +1071,7 @@ impl<S: PartitionStore> Climber<S> {
         if series.is_empty() {
             return Ok(Vec::new());
         }
-        let expected = self.series_len_hint().unwrap_or(series[0].len());
+        let expected = self.series_len().unwrap_or(series[0].len());
         for v in series {
             assert_eq!(
                 v.len(),
@@ -1552,12 +1462,20 @@ impl<S: PartitionStore> Climber<S> {
 /// Implementations must match [`Climber::search_many`] semantics: one
 /// outcome per request, in order, bit-identical to per-request
 /// [`Climber::search`] calls, panicking only on requests that fail
-/// [`SearchRequest::validate`] (network callers validate first).
+/// [`SearchRequest::validate_for`] the backend's
+/// [`series_len`](Self::series_len) (network callers run it first).
 ///
-/// [`SearchRequest::validate`]: climber_query::search::SearchRequest::validate
+/// [`SearchRequest::validate_for`]: climber_query::search::SearchRequest::validate_for
 pub trait SearchBackend: Send + Sync {
     /// Executes many requests, outcomes in request order.
     fn search_many(&self, reqs: &[SearchRequest]) -> Vec<QueryOutcome>;
+
+    /// The indexed series length, so a network front end can refuse a
+    /// query of any other length (unless it is to be resampled) before
+    /// admission. The default, `None`, checks nothing.
+    fn series_len(&self) -> Option<usize> {
+        None
+    }
 
     /// The backend's current health — shard liveness and partition
     /// quarantine — for the serving layer's health endpoint. The default
@@ -1581,6 +1499,10 @@ impl<S: PartitionStore> SearchBackend for Climber<S> {
         Climber::search_many(self, reqs)
     }
 
+    fn series_len(&self) -> Option<usize> {
+        Climber::series_len(self)
+    }
+
     fn health(&self) -> BackendHealth {
         BackendHealth {
             shards: 1,
@@ -1597,6 +1519,10 @@ impl<S: PartitionStore> SearchBackend for Climber<S> {
 impl<S: PartitionStore> SearchBackend for ShardedClimber<S> {
     fn search_many(&self, reqs: &[SearchRequest]) -> Vec<QueryOutcome> {
         ShardedClimber::search_many(self, reqs)
+    }
+
+    fn series_len(&self) -> Option<usize> {
+        ShardedClimber::series_len(self)
     }
 
     fn health(&self) -> BackendHealth {
@@ -1629,7 +1555,7 @@ mod tests {
     fn facade_quickstart_flow() {
         let ds = Domain::RandomWalk.generate(300, 1);
         let climber = Climber::build_in_memory(&ds, small_cfg());
-        let out = climber.knn(ds.get(5), 10);
+        let out = climber.search(&SearchRequest::new(ds.get(5), 10).exact());
         assert_eq!(out.results.len(), 10);
         assert!(climber.report().is_some());
         assert!(climber.global_index_bytes() > 0);
@@ -1651,8 +1577,8 @@ mod tests {
         );
         assert_eq!(b.build_options().threads, 8);
         assert_eq!(b.report().unwrap().threads, 8);
-        let q = ds.get(11);
-        assert_eq!(a.knn(q, 10), b.knn(q, 10));
+        let req = SearchRequest::new(ds.get(11), 10).exact();
+        assert_eq!(a.search(&req), b.search(&req));
     }
 
     #[test]
@@ -1660,9 +1586,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("climber-core-{}", std::process::id()));
         let ds = Domain::Eeg.generate(200, 2);
         let built = Climber::build_on_disk(&ds, &dir, small_cfg()).unwrap();
-        let a = built.knn(ds.get(3), 5);
+        let a = built.search(&SearchRequest::new(ds.get(3), 5).exact());
         let reopened = Climber::open(&dir).unwrap();
-        let b = reopened.knn(ds.get(3), 5);
+        let b = reopened.search(&SearchRequest::new(ds.get(3), 5).exact());
         assert_eq!(a.results, b.results);
         assert!(reopened.report().is_none());
         std::fs::remove_dir_all(&dir).ok();
@@ -1678,8 +1604,8 @@ mod tests {
         let ds = Domain::TexMex.generate(250, 3);
         let climber = Climber::build_in_memory(&ds, small_cfg());
         let q = ds.get(9);
-        let a = climber.knn_adaptive(q, 50, 4);
-        let o = climber.od_smallest(q, 50);
+        let a = climber.search(&SearchRequest::new(q, 50).adaptive(4));
+        let o = climber.search(&SearchRequest::new(q, 50).smallest());
         assert!(!a.results.is_empty());
         assert!(o.records_scanned >= a.records_scanned || o.plan.num_partitions() >= 1);
     }
@@ -1688,10 +1614,12 @@ mod tests {
     fn batch_matches_sequential() {
         let ds = Domain::RandomWalk.generate(300, 4);
         let climber = Climber::build_in_memory(&ds, small_cfg());
-        let queries: Vec<Vec<f32>> = (0..6u64).map(|i| ds.get(i * 40).to_vec()).collect();
-        let batch = climber.knn_batch(&queries, 10, 4);
-        for (q, out) in queries.iter().zip(batch.iter()) {
-            assert_eq!(out, &climber.knn_adaptive(q, 10, 4));
+        let reqs: Vec<SearchRequest> = (0..6u64)
+            .map(|i| SearchRequest::new(ds.get(i * 40), 10).adaptive(4))
+            .collect();
+        let batch = climber.search_many(&reqs);
+        for (req, out) in reqs.iter().zip(batch.iter()) {
+            assert_eq!(out, &climber.search(req));
         }
     }
 
@@ -1703,7 +1631,7 @@ mod tests {
             // take a prefix (or stretch) of a real series as the probe
             let src = ds.get(7);
             let probe: Vec<f32> = climber_series::resample::resample_linear(src, qlen);
-            let out = climber.knn_resampled(&probe, 5, 2);
+            let out = climber.search(&SearchRequest::new(&probe[..], 5).resampled(2));
             assert_eq!(out.results.len(), 5, "qlen={qlen}");
             if qlen == 256 {
                 // exact length: the probe equals the source series
@@ -1722,7 +1650,7 @@ mod tests {
         let new_id = climber.append(&probe).unwrap();
         assert_eq!(new_id, 300, "ids continue after the build");
         // the appended record must be findable by an identical query
-        let out = climber.knn(&probe, 5);
+        let out = climber.search(&SearchRequest::new(&probe[..], 5).exact());
         assert_eq!(
             out.results[0],
             (new_id, 0.0),
@@ -1731,15 +1659,11 @@ mod tests {
         );
         // and it sits in the delta cluster placement replay points at
         let placement = climber.skeleton().place(&probe, new_id);
-        let mut buf = climber_dfs::format::ClusterBuf::new();
-        let n = climber.delta().read_cluster_into(
-            placement.partition,
-            placement.node,
-            &mut buf,
-            |_| true,
-        );
-        assert_eq!(n, 1);
-        assert_eq!(buf.get(0).0, new_id);
+        let mut ids = Vec::new();
+        (climber.delta()).for_each_in_cluster(placement.partition, placement.node, |id, _| {
+            ids.push(id);
+        });
+        assert_eq!(ids, vec![new_id]);
     }
 
     /// The delta-segment regression the refactor exists for: appending
@@ -1800,14 +1724,14 @@ mod tests {
         let ds = Domain::RandomWalk.generate(300, 31);
         let climber = Climber::build_in_memory(&ds, small_cfg());
         let q = ds.get(42).to_vec();
-        let before = climber.knn(&q, 5);
+        let before = climber.search(&SearchRequest::new(&q[..], 5).exact());
         assert_eq!(before.results[0], (42, 0.0));
 
         assert!(climber.delete(42).unwrap());
         assert!(!climber.delete(42).unwrap(), "double delete");
         assert!(!climber.delete(99_999).unwrap(), "never-assigned id");
 
-        let after = climber.knn(&q, 5);
+        let after = climber.search(&SearchRequest::new(&q[..], 5).exact());
         assert!(
             after.results.iter().all(|&(id, _)| id != 42),
             "deleted record served: {:?}",
@@ -1829,7 +1753,12 @@ mod tests {
         }
         assert_eq!(total, 299);
         // results unchanged by the fold
-        assert_eq!(climber.knn(&q, 5).results, after.results);
+        assert_eq!(
+            climber
+                .search(&SearchRequest::new(&q[..], 5).exact())
+                .results,
+            after.results
+        );
     }
 
     #[test]
@@ -1861,15 +1790,15 @@ mod tests {
         let appended = climber.append(&probe).unwrap();
         climber.delete(10).unwrap();
 
-        let with_segments = climber.knn(&probe, 8);
+        let with_segments = climber.search(&SearchRequest::new(&probe[..], 8).exact());
         climber.flush().unwrap();
-        let after_flush = climber.knn(&probe, 8);
+        let after_flush = climber.search(&SearchRequest::new(&probe[..], 8).exact());
         assert_eq!(
             with_segments, after_flush,
             "folding must not change answers"
         );
         climber.compact().unwrap();
-        let after_compact = climber.knn(&probe, 8);
+        let after_compact = climber.search(&SearchRequest::new(&probe[..], 8).exact());
         assert_eq!(with_segments.results, after_compact.results);
         assert!(after_compact.results.iter().any(|&(id, _)| id == appended));
         assert!(after_compact.results.iter().all(|&(id, _)| id != 10));
@@ -1896,7 +1825,7 @@ mod tests {
             climber_dfs::stats::IoSnapshot::default()
         );
 
-        climber.knn(ds.get(1), 5);
+        climber.search(&SearchRequest::new(ds.get(1), 5).exact());
         let serve = climber.serve_io();
         assert!(serve.partitions_opened > 0, "query opened partitions");
         assert_eq!(serve.partitions_written, 0, "serving writes nothing");
@@ -1935,7 +1864,7 @@ mod tests {
             reopened.serve_io(),
             climber_dfs::stats::IoSnapshot::default()
         );
-        reopened.knn(ds.get(3), 5);
+        reopened.search(&SearchRequest::new(ds.get(3), 5).exact());
         assert!(reopened.serve_io().partitions_opened > 0);
         std::fs::remove_dir_all(&dir).ok();
     }

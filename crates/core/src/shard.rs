@@ -12,24 +12,24 @@
 //!   deterministic at build, append, and delete time, and stable across
 //!   reopens. Every record lives in exactly one shard.
 //! * **Queries** are planned **once** against the shared skeleton (plans
-//!   depend only on skeleton + query), the same plans are scattered to
-//!   every shard through the partition-major batch scan
-//!   ([`climber_query::scatter::scan_shard`]), and the per-shard top-k
-//!   streams are merged per query. All shards share one
-//!   [`SharedBound`] per query, so the moment any shard holds `k`
-//!   candidates every other shard early-abandons against the best global
-//!   k-th distance — cross-shard pruning that is provably lossless (a
-//!   published bound always reflects `k` real candidates, so anything
-//!   pruned is outside the global top-k).
+//!   depend only on skeleton + query) and every shard is one *source* of
+//!   the one query executor ([`climber_query::exec`]): the same
+//!   partition-major scan runs on each, and each query's candidates are
+//!   gathered into one heap. All shards share one `SharedBound` per
+//!   query, so the moment any shard holds `k` candidates every other
+//!   shard early-abandons against the best global k-th distance —
+//!   cross-shard pruning that is provably lossless (a published bound
+//!   always reflects `k` real candidates, so anything pruned is outside
+//!   the global top-k).
 //! * **Results are bit-identical** to one [`Climber`] over the same
 //!   records: shards are record-disjoint, the scan offers every surviving
-//!   candidate of every shard, and a [`TopK`] is insertion-order
+//!   candidate of every shard, and a `TopK` is insertion-order
 //!   independent with deterministic `(distance, id)` tie-breaking — so
 //!   the merged heap holds exactly the single-index answer, ties at the
 //!   k-boundary included. Per-query `records_scanned` sums across shards
-//!   to the single-index count, and the expansion fallback replays the
-//!   sequential engine's plan-order loop shard-by-shard with the same
-//!   partition-granular stopping rule.
+//!   to the single-index count, and the expansion fallback walks the
+//!   plan in order across shards with a partition-granular stopping rule
+//!   that does not depend on the shard count.
 //!
 //! ## Persistence
 //!
@@ -54,22 +54,16 @@
 
 use crate::error::ClimberError;
 use crate::recover::{BackendHealth, RecoveryPolicy, RecoveryReport, ScrubReport};
-use crate::{Climber, ClimberConfig, MaintenanceReport, SearchMode, SearchRequest};
+use crate::{Climber, ClimberConfig, MaintenanceReport, SearchRequest};
 use climber_dfs::format::PartitionWriter;
 use climber_dfs::manifest::{self, xxh64, OpenError};
 use climber_dfs::page::{BlockCache, CacheConfig};
 use climber_dfs::stats::IoSnapshot;
 use climber_dfs::store::{DiskStore, MemStore, PartitionId, PartitionStore};
 use climber_index::builder::{BuildOptions, IndexBuilder};
-use climber_query::batch::BatchStrategy;
-use climber_query::engine::strategy_of;
+use climber_query::exec::{execute, SourceStatus};
 use climber_query::plan::QueryOutcome;
-use climber_query::scatter::{expand_shard_partition, plan_queries, scan_shard, ShardScan};
-use climber_query::updates::UpdateView;
 use climber_series::dataset::Dataset;
-use climber_series::resample::resample_linear;
-use climber_series::topk::{SharedBound, TopK};
-use rayon::prelude::*;
 use std::collections::BTreeSet;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -198,6 +192,19 @@ pub struct ShardStatus {
     /// Records this shard contributed to the candidate streams (scan +
     /// expansion). Sums across shards to the single-index totals.
     pub records_scanned: u64,
+}
+
+impl ShardStatus {
+    /// The executor's per-source status as shard `shard`'s health; a dead
+    /// slot (`live == false`) is unhealthy whatever it did not fail.
+    pub(crate) fn of_source(shard: usize, live: bool, status: SourceStatus) -> Self {
+        Self {
+            shard,
+            healthy: live && status.failed_partitions.is_empty(),
+            failed_partitions: status.failed_partitions,
+            records_scanned: status.records_scanned,
+        }
+    }
 }
 
 /// N independent [`Climber`] shards behind one scatter-gather query
@@ -723,8 +730,8 @@ impl<S: PartitionStore> ShardedClimber<S> {
 
     /// The indexed series length, from any live shard (all agree: they
     /// share the skeleton and the split preserves partition metadata).
-    fn series_len_hint(&self) -> Option<usize> {
-        self.shards.iter().flatten().next()?.series_len_hint()
+    pub fn series_len(&self) -> Option<usize> {
+        self.shards.iter().flatten().next()?.series_len()
     }
 
     fn set_manifest(&self) -> ShardSetManifest {
@@ -806,7 +813,7 @@ impl<S: PartitionStore> ShardedClimber<S> {
         if series.is_empty() {
             return Ok(Vec::new());
         }
-        let expected = self.series_len_hint().unwrap_or(series[0].len());
+        let expected = self.series_len().unwrap_or(series[0].len());
         for v in series {
             assert_eq!(
                 v.len(),
@@ -917,10 +924,7 @@ impl<S: PartitionStore> ShardedClimber<S> {
     /// on a single index over the same records.
     ///
     /// # Panics
-    /// If [`SearchRequest::validate`] fails, exactly like the
-    /// single-index surface.
-    ///
-    /// [`SearchRequest::validate`]: climber_query::search::SearchRequest::validate
+    /// As [`Climber::search_many`].
     pub fn search(&self, req: &SearchRequest) -> QueryOutcome {
         self.search_many(std::slice::from_ref(req))
             .pop()
@@ -929,13 +933,13 @@ impl<S: PartitionStore> ShardedClimber<S> {
 
     /// Executes many [`SearchRequest`]s across every shard: compatible
     /// requests are grouped and planned once on the shared skeleton, the
-    /// plans scattered to all shards through the partition-major batch
-    /// scan, and per-shard top-k streams merged per query under a shared
-    /// cross-shard bound. Outcomes come back in request order,
-    /// bit-identical to [`Climber::search_many`] on a single index.
+    /// plans scanned partition-major on all shards, and each query's
+    /// candidates gathered under one cross-shard bound. Outcomes come back
+    /// in request order, bit-identical to [`Climber::search_many`] on a
+    /// single index.
     ///
     /// # Panics
-    /// If any request fails validation.
+    /// As [`Climber::search_many`].
     pub fn search_many(&self, reqs: &[SearchRequest]) -> Vec<QueryOutcome> {
         self.search_many_with_status(reqs, 0).0
     }
@@ -950,21 +954,32 @@ impl<S: PartitionStore> ShardedClimber<S> {
         self.search_many_with_status(reqs, threads).0
     }
 
-    /// The full scatter-gather entry point: outcomes in request order
-    /// plus one [`ShardStatus`] per shard. When every status is healthy
-    /// the outcomes are complete (bit-identical to a single index); a
-    /// shard that failed partitions mid-scatter degrades to the surviving
-    /// shards' answer, reported — never a panic or a hang.
+    /// The full scatter-gather entry point: the query executor
+    /// ([`climber_query::exec`]) over one source per shard slot. Outcomes
+    /// in request order plus one [`ShardStatus`] per shard: when every
+    /// status is healthy the outcomes are complete (bit-identical to a
+    /// single index); a dead slot, or a shard whose planned partitions
+    /// fail to open mid-scatter, degrades to the surviving shards'
+    /// answer, reported — never a panic or a hang.
     ///
     /// # Panics
-    /// If any request fails validation.
+    /// As [`Climber::search_many`].
     pub fn search_many_with_status(
         &self,
         reqs: &[SearchRequest],
         threads: usize,
     ) -> (Vec<QueryOutcome>, Vec<ShardStatus>) {
-        let slots: Vec<Option<&Climber<S>>> = self.shards.iter().map(Option::as_ref).collect();
-        scatter_search_with_status(&slots, reqs, threads)
+        let sources: Vec<_> = (self.shards.iter())
+            .map(|slot| slot.as_ref().map(Climber::source))
+            .collect();
+        let skeleton = (self.shards.iter().flatten().next())
+            .expect("a set holds at least one live shard")
+            .skeleton();
+        let (outcomes, statuses) = execute(skeleton, &sources, self.series_len(), reqs, threads);
+        let statuses = (statuses.into_iter().enumerate())
+            .map(|(i, status)| ShardStatus::of_source(i, self.shards[i].is_some(), status))
+            .collect();
+        (outcomes, statuses)
     }
 }
 
@@ -974,204 +989,6 @@ fn dead_shard_error(shard: usize) -> io::Error {
         io::ErrorKind::NotFound,
         format!("shard {shard} is quarantined (dead slot); scrub the set to re-admit it"),
     )
-}
-
-/// The scatter-gather batch engine over a slice of shard slots — the
-/// shared implementation behind
-/// [`ShardedClimber::search_many_with_status`] and the degraded
-/// single-index path [`Climber::search_many_with_status`] (one slot).
-/// Dead (`None`) slots contribute nothing and are reported unhealthy;
-/// planned partitions that fail to open on a live shard (quarantined,
-/// deleted mid-flight) are recorded in that shard's status instead of
-/// failing the pass.
-///
-/// # Panics
-/// If any request fails validation, or every slot is dead (there is no
-/// skeleton to plan against).
-pub(crate) fn scatter_search_with_status<S: PartitionStore>(
-    shards: &[Option<&Climber<S>>],
-    reqs: &[SearchRequest],
-    threads: usize,
-) -> (Vec<QueryOutcome>, Vec<ShardStatus>) {
-    let mut statuses: Vec<ShardStatus> = (0..shards.len())
-        .map(|s| ShardStatus {
-            shard: s,
-            healthy: shards[s].is_some(),
-            failed_partitions: BTreeSet::new(),
-            records_scanned: 0,
-        })
-        .collect();
-    if reqs.is_empty() {
-        return (Vec::new(), statuses);
-    }
-    for req in reqs {
-        if let Err(e) = req.validate() {
-            panic!("{e}");
-        }
-    }
-    let first_live = shards
-        .iter()
-        .flatten()
-        .next()
-        .expect("at least one live shard");
-    // Group compatible requests exactly like the single-index
-    // micro-batch path (first-seen order, tiny linear scan).
-    type GroupKey = (BatchStrategy, usize, Option<u32>);
-    let mut groups: Vec<(GroupKey, Vec<usize>)> = Vec::new();
-    for (i, req) in reqs.iter().enumerate() {
-        let key = (strategy_of(req.mode), req.k, req.budget);
-        match groups.iter_mut().find(|(gk, _)| *gk == key) {
-            Some((_, idxs)) => idxs.push(i),
-            None => groups.push((key, vec![i])),
-        }
-    }
-    let len_hint = first_live.series_len_hint();
-    let mut out: Vec<Option<QueryOutcome>> = Vec::with_capacity(reqs.len());
-    out.resize_with(reqs.len(), || None);
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("thread pool");
-    pool.install(|| {
-        for ((strategy, k, budget), idxs) in &groups {
-            let queries: Vec<Vec<f32>> = idxs
-                .iter()
-                .map(|&i| {
-                    let req = &reqs[i];
-                    if matches!(req.mode, SearchMode::Resampled(_)) {
-                        let target = len_hint.unwrap_or(req.query.len());
-                        resample_linear(&req.query, target)
-                    } else {
-                        req.query.clone()
-                    }
-                })
-                .collect();
-            // One planning pass on the shared skeleton serves every
-            // shard; one bound array per query is shared across
-            // shards for cross-shard pruning.
-            let plans = plan_queries(
-                first_live.skeleton(),
-                &queries,
-                *k,
-                *strategy,
-                budget.map(|b| b as usize),
-            );
-            let bounds: Vec<SharedBound> = (0..queries.len()).map(|_| SharedBound::new()).collect();
-            let scans: Vec<Option<ShardScan>> = shards
-                .par_iter()
-                .map(|slot| {
-                    slot.map(|shard| {
-                        scan_shard(
-                            &shard.store,
-                            &queries,
-                            *k,
-                            &plans,
-                            &bounds,
-                            updates_of(shard),
-                            Some(&shard.quant),
-                        )
-                    })
-                })
-                .collect();
-            for (si, scan) in scans.iter().enumerate() {
-                let Some(scan) = scan else { continue };
-                statuses[si]
-                    .failed_partitions
-                    .extend(scan.failed.iter().copied());
-                statuses[si].records_scanned += scan.scanned.iter().sum::<u64>();
-            }
-            let expands = strategy.expands();
-            for (qi, &ri) in idxs.iter().enumerate() {
-                let plan = &plans[qi];
-                // Seeking k-way merge of the per-shard streams: each
-                // shard's heap already holds its best ≤ k candidates
-                // sorted by (distance, id), so merging heaps IS the
-                // stream merge — deterministic tie-breaking included.
-                let mut top = TopK::new(*k);
-                let mut records_scanned = 0u64;
-                for scan in scans.iter().flatten() {
-                    top.merge(scan.tops[qi].clone());
-                    records_scanned += scan.scanned[qi];
-                }
-                // A planned partition counts as opened when any live
-                // shard opened it — with healthy shards that is every
-                // planned partition, the single-index count.
-                let partitions_opened = plan
-                    .reads
-                    .keys()
-                    .filter(|pid| scans.iter().flatten().any(|s| !s.failed.contains(pid)))
-                    .count();
-                if expands && top.len() < *k {
-                    // The sequential engine's expansion loop, fanned
-                    // across shards: plan order, stop checked at
-                    // partition granularity. Each shard expands into
-                    // a FRESH heap (TopK::merge does not dedup; shard
-                    // stores are record-disjoint and expansion
-                    // clusters are disjoint from planned ones, so a
-                    // fresh local per shard merges exactly once).
-                    'partitions: for (pid, planned) in &plan.reads {
-                        for (si, slot) in shards.iter().enumerate() {
-                            let Some(shard) = slot else { continue };
-                            let failed_scan =
-                                scans[si].as_ref().is_some_and(|s| s.failed.contains(pid));
-                            if failed_scan {
-                                continue;
-                            }
-                            let mut local = TopK::new(*k);
-                            match expand_shard_partition(
-                                &shard.store,
-                                *pid,
-                                planned,
-                                &queries[qi],
-                                &mut local,
-                                updates_of(shard),
-                                Some(&shard.quant),
-                            ) {
-                                Some(n) => {
-                                    records_scanned += n;
-                                    statuses[si].records_scanned += n;
-                                    top.merge(local);
-                                }
-                                None => {
-                                    statuses[si].failed_partitions.insert(*pid);
-                                }
-                            }
-                        }
-                        if top.len() >= *k {
-                            break 'partitions;
-                        }
-                    }
-                }
-                out[ri] = Some(QueryOutcome {
-                    results: top.into_sorted(),
-                    partitions_opened,
-                    records_scanned,
-                    plan: plan.clone(),
-                });
-            }
-        }
-    });
-    for s in &mut statuses {
-        s.healthy = shards[s.shard].is_some() && s.failed_partitions.is_empty();
-    }
-    let outcomes = out
-        .into_iter()
-        .map(|o| o.expect("every request answered"))
-        .collect();
-    (outcomes, statuses)
-}
-
-/// The shard's mutable segments as an [`UpdateView`], or `None` when both
-/// are empty (keeping the sealed-only fast path of the scan).
-fn updates_of<S: PartitionStore>(shard: &Climber<S>) -> Option<UpdateView<'_>> {
-    if shard.delta.is_empty() && shard.tombstones.is_empty() {
-        None
-    } else {
-        Some(UpdateView {
-            delta: &shard.delta,
-            tombstones: &shard.tombstones,
-        })
-    }
 }
 
 #[cfg(test)]

@@ -788,7 +788,8 @@ impl PartitionReader {
 
 /// Random-access view over one sealed cluster's encoded records, returned
 /// by [`PartitionReader::cluster_records`]. Ids can be inspected without
-/// decoding values; values decode on demand, per record.
+/// decoding values; values decode on demand, per record — the scan
+/// loop's skip-before-decode shape.
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterRecords<'a> {
     bytes: &'a [u8],
@@ -825,36 +826,20 @@ impl ClusterRecords<'_> {
         u64::from_le_bytes(self.bytes[off..off + 8].try_into().unwrap())
     }
 
-    /// Decodes the values of record `i` into `out` (cleared first).
+    /// Decodes the values of record `i` into `out` (resized to fit): one
+    /// reusable buffer serves a whole scan and stays cache-hot.
     ///
     /// # Panics
     /// If `i >= len()`.
+    #[inline]
     pub fn values_into(&self, i: usize, out: &mut Vec<f32>) {
         let record_size = 8 + self.series_len * 4;
         let off = i * record_size;
-        out.clear();
-        out.extend(
-            self.bytes[off + 8..off + record_size]
-                .chunks_exact(4)
-                .map(|chunk| f32::from_le_bytes(chunk.try_into().unwrap())),
-        );
-    }
-
-    /// Appends record `i` (id and values) to `buf`.
-    ///
-    /// # Panics
-    /// If `i >= len()`, or `buf` is non-empty with a different series
-    /// length.
-    pub fn push_into(&self, i: usize, buf: &mut ClusterBuf) {
-        let record_size = 8 + self.series_len * 4;
-        let off = i * record_size;
-        buf.adopt_len(self.series_len);
-        buf.ids.push(self.id(i));
-        buf.values.extend(
-            self.bytes[off + 8..off + record_size]
-                .chunks_exact(4)
-                .map(|chunk| f32::from_le_bytes(chunk.try_into().unwrap())),
-        );
+        out.resize(self.series_len, 0.0);
+        let encoded = self.bytes[off + 8..off + record_size].chunks_exact(4);
+        for (value, chunk) in out.iter_mut().zip(encoded) {
+            *value = f32::from_le_bytes(chunk.try_into().unwrap());
+        }
     }
 }
 
@@ -1154,14 +1139,22 @@ mod tests {
         assert!(r.cluster_records(999).is_none());
     }
 
+    /// Decodes record `i` through a reused scratch vector and appends it
+    /// to `buf` — how the scan loop keeps the records it decoded.
+    fn promote(recs: &ClusterRecords<'_>, i: usize, scratch: &mut Vec<f32>, buf: &mut ClusterBuf) {
+        recs.values_into(i, scratch);
+        buf.push(recs.id(i), scratch);
+    }
+
     #[test]
     fn cluster_records_push_into_appends_records() {
         let r = PartitionReader::open(sample_partition()).unwrap();
         let recs = r.cluster_records(100).unwrap();
-        let mut buf = ClusterBuf::new();
-        // Promote records out of order, as a survivor scan would.
-        recs.push_into(1, &mut buf);
-        recs.push_into(0, &mut buf);
+        let (mut buf, mut scratch) = (ClusterBuf::new(), vec![0.0f32; 99]);
+        // Promote records out of order, as a survivor scan would; the
+        // stale, over-long scratch must not leak into either record.
+        promote(&recs, 1, &mut scratch, &mut buf);
+        promote(&recs, 0, &mut scratch, &mut buf);
         assert_eq!(buf.len(), 2);
         assert_eq!(buf.get(0), (2, &[5.0f32, 6.0, 7.0, 8.0][..]));
         assert_eq!(buf.get(1), (1, &[1.0f32, 2.0, 3.0, 4.0][..]));
@@ -1184,7 +1177,8 @@ mod tests {
         // buffer must hold exactly the promoted record, not leftovers.
         buf.clear();
         let recs = r.cluster_records(100).unwrap();
-        recs.push_into(1, &mut buf);
+        let mut scratch = Vec::new();
+        promote(&recs, 1, &mut scratch, &mut buf);
         assert_eq!(buf.len(), 1);
         assert_eq!(buf.get(0), (2, &[5.0f32, 6.0, 7.0, 8.0][..]));
 
@@ -1197,14 +1191,9 @@ mod tests {
 
         // Promotion appends on top of a sealed decode (the delta-merge
         // shape): order and values stay exact.
-        recs.push_into(0, &mut buf);
+        promote(&recs, 0, &mut scratch, &mut buf);
         assert_eq!(buf.len(), 2);
         assert_eq!(buf.get(1), (1, &[1.0f32, 2.0, 3.0, 4.0][..]));
-
-        // values_into through a reused scratch vec always clears first.
-        let mut scratch = vec![0.0f32; 99];
-        recs.values_into(0, &mut scratch);
-        assert_eq!(scratch, vec![1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

@@ -550,21 +550,6 @@ impl ClusterView {
         u64::from_le_bytes(self.bytes[off..off + 8].try_into().unwrap())
     }
 
-    /// Decodes the values of record `i` into `out` (cleared first).
-    ///
-    /// # Panics
-    /// If `i >= len()`.
-    pub fn values_into(&self, i: usize, out: &mut Vec<f32>) {
-        let record_size = 8 + self.series_len * 4;
-        let off = i * record_size;
-        out.clear();
-        out.extend(
-            self.bytes[off + 8..off + record_size]
-                .chunks_exact(4)
-                .map(|chunk| f32::from_le_bytes(chunk.try_into().unwrap())),
-        );
-    }
-
     /// Visits every record with a reusable decode buffer, in storage
     /// order. Returns the number of records visited.
     pub fn for_each<F>(&self, mut f: F) -> u64
@@ -1116,11 +1101,8 @@ mod tests {
             let mut via_view = Vec::new();
             view.for_each(|id, vals| via_view.push((id, vals.to_vec())));
             assert_eq!(via_reader, via_view);
-            let mut scratch = Vec::new();
-            for (i, (id, vals)) in via_reader.iter().enumerate() {
+            for (i, (id, _)) in via_reader.iter().enumerate() {
                 assert_eq!(view.id(i), *id);
-                view.values_into(i, &mut scratch);
-                assert_eq!(&scratch, vals);
             }
         }
         assert!(reader.cluster_view(999_999).is_none());

@@ -28,7 +28,7 @@
 //! referenced (size + checksum) by the index manifest so a persisted
 //! index can be reopened *writable* with its pending updates intact.
 
-use crate::format::{ByteReader, ClusterBuf, TrieNodeId};
+use crate::format::{ByteReader, TrieNodeId};
 use crate::fsio::ClimberFs;
 use crate::manifest::FileEntry;
 use crate::store::PartitionId;
@@ -98,7 +98,7 @@ pub const JOURNAL_VERSION: u32 = 1;
 
 /// One delta cluster: appended records routed to a `(partition, node)`
 /// pair, ids side by side with a flat value arena (the same layout as
-/// [`ClusterBuf`]).
+/// [`ClusterBuf`](crate::format::ClusterBuf)).
 #[derive(Debug, Default, Clone)]
 struct DeltaCluster {
     ids: Vec<u64>,
@@ -207,29 +207,25 @@ impl DeltaSegment {
             .collect()
     }
 
-    /// Appends the delta records of `(partition, node)` that pass `keep`
-    /// into `buf` (the same merge primitive sealed clusters use). Returns
-    /// the number of records appended.
-    pub fn read_cluster_into(
+    /// Visits the delta records of `(partition, node)` in append order —
+    /// the delta-side counterpart of
+    /// [`PartitionReader::for_each_in_cluster`](crate::format::PartitionReader::for_each_in_cluster).
+    /// Returns the number of records visited (0 when the cluster is absent).
+    pub fn for_each_in_cluster(
         &self,
         partition: PartitionId,
         node: TrieNodeId,
-        buf: &mut ClusterBuf,
-        mut keep: impl FnMut(u64) -> bool,
+        mut f: impl FnMut(u64, &[f32]),
     ) -> u64 {
         let inner = self.inner.read();
         let Some(cluster) = inner.clusters.get(&(partition, node)) else {
             return 0;
         };
         let w = inner.series_len;
-        let mut appended = 0u64;
         for (i, &id) in cluster.ids.iter().enumerate() {
-            if keep(id) {
-                buf.push(id, &cluster.values[i * w..(i + 1) * w]);
-                appended += 1;
-            }
+            f(id, &cluster.values[i * w..(i + 1) * w]);
         }
-        appended
+        cluster.ids.len() as u64
     }
 
     /// Visits every held record as `(partition, node, id, values)` in
@@ -498,19 +494,24 @@ mod tests {
         assert_eq!(d.nodes_for(1), vec![7]);
         assert_eq!(d.nodes_for(9), Vec::<TrieNodeId>::new());
 
-        let mut buf = ClusterBuf::new();
-        assert_eq!(d.read_cluster_into(3, 10, &mut buf, |_| true), 2);
-        assert_eq!(buf.get(0), (100, &[1.0f32, 2.0][..]));
-        assert_eq!(buf.get(1), (102, &[5.0f32, 6.0][..]));
+        let mut seen = Vec::new();
+        let n = d.for_each_in_cluster(3, 10, |id, v| seen.push((id, v.to_vec())));
+        assert_eq!(n, 2);
+        assert_eq!(seen, vec![(100, vec![1.0, 2.0]), (102, vec![5.0, 6.0])]);
+        assert_eq!(d.for_each_in_cluster(9, 10, |_, _| panic!("absent")), 0);
     }
 
     #[test]
     fn delta_read_respects_keep_filter() {
+        // Filtering (tombstones) is the visitor's job: it sees every id.
         let d = sample_delta();
-        let mut buf = ClusterBuf::new();
-        assert_eq!(d.read_cluster_into(3, 10, &mut buf, |id| id != 100), 1);
-        assert_eq!(buf.len(), 1);
-        assert_eq!(buf.get(0).0, 102);
+        let mut kept = Vec::new();
+        d.for_each_in_cluster(3, 10, |id, _| {
+            if id != 100 {
+                kept.push(id);
+            }
+        });
+        assert_eq!(kept, vec![102]);
     }
 
     #[test]

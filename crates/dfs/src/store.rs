@@ -201,37 +201,6 @@ pub trait PartitionStore: Send + Sync {
         self.stats().on_records_read(n);
         Ok(n)
     }
-
-    /// Decodes several clusters of one partition into a caller-provided
-    /// reuse buffer in a single open, appending in the order given and
-    /// counting each cluster's bytes as read. Returns the record count
-    /// appended. Absent clusters contribute nothing.
-    ///
-    /// This is the store-level convenience for partition-major access —
-    /// one open, no per-record allocation (unlike
-    /// [`read_cluster`](Self::read_cluster), which re-allocates a
-    /// `Vec<f32>` per record). The batched query engine needs per-cluster
-    /// interleaving (prefilter + scoring between decodes), so it holds the
-    /// [`PartitionReader`] itself and calls
-    /// [`PartitionReader::read_cluster_into`] directly; callers without
-    /// that constraint should prefer this method.
-    fn read_clusters_into(
-        &self,
-        id: PartitionId,
-        nodes: &[crate::format::TrieNodeId],
-        buf: &mut crate::format::ClusterBuf,
-    ) -> io::Result<u64> {
-        let reader = self.open(id)?;
-        let mut n = 0u64;
-        let mut bytes = 0u64;
-        for &node in nodes {
-            bytes += reader.cluster_bytes(node).unwrap_or(0) as u64;
-            n += reader.read_cluster_into(node, buf);
-        }
-        self.stats().on_read(bytes);
-        self.stats().on_records_read(n);
-        Ok(n)
-    }
 }
 
 /// In-memory partition store.
@@ -843,32 +812,6 @@ mod tests {
             .collect();
         w.push_cluster(node, recs.iter().map(|(id, v)| (*id, v.as_slice())));
         w.finish()
-    }
-
-    #[test]
-    fn read_clusters_into_single_open_and_counts() {
-        let store = MemStore::new();
-        let mut w = PartitionWriter::new(1, 2);
-        let a: Vec<(u64, Vec<f32>)> = (0..3).map(|i| (i, vec![i as f32, 0.0])).collect();
-        let b: Vec<(u64, Vec<f32>)> = (10..12).map(|i| (i, vec![i as f32, 1.0])).collect();
-        w.push_cluster(1, a.iter().map(|(id, v)| (*id, v.as_slice())));
-        w.push_cluster(2, b.iter().map(|(id, v)| (*id, v.as_slice())));
-        store.put(0, w.finish()).unwrap();
-
-        let before = store.stats().snapshot();
-        let mut buf = crate::format::ClusterBuf::new();
-        let n = store.read_clusters_into(0, &[1, 2, 42], &mut buf).unwrap();
-        assert_eq!(n, 5);
-        assert_eq!(buf.len(), 5);
-        assert_eq!(buf.get(3), (10, &[10.0f32, 1.0][..]));
-        let diff = store.stats().snapshot().since(&before);
-        assert_eq!(diff.partitions_opened, 1, "one open for many clusters");
-        assert_eq!(diff.records_read, 5);
-        // 5 records × (8 id bytes + 2 × 4 value bytes) + header
-        assert_eq!(diff.bytes_read as usize, 5 * 16 + 24 + 2 * 20);
-        assert!(store
-            .read_clusters_into(99, &[1], &mut buf)
-            .is_err_and(|e| e.kind() == std::io::ErrorKind::NotFound));
     }
 
     fn exercise_store<S: PartitionStore>(store: &S) {

@@ -81,8 +81,12 @@ impl IndexSkeleton {
     /// across threads (signature extraction is pure and per-query
     /// independent) with one [`SignatureScratch`] per worker chunk instead
     /// of per-query allocations. Output order matches input order; used by
-    /// the batched query engine's planning phase.
-    pub fn extract_signatures(&self, queries: &[Vec<f32>]) -> Vec<DualSignature> {
+    /// the query executor's planning stage (which borrows request queries
+    /// as they are, hence the `AsRef` bound).
+    pub fn extract_signatures<Q>(&self, queries: &[Q]) -> Vec<DualSignature>
+    where
+        Q: AsRef<[f32]> + Sync,
+    {
         use rayon::prelude::*;
         let chunk = queries
             .len()
@@ -92,7 +96,7 @@ impl IndexSkeleton {
             .par_chunks(chunk)
             .map(|c| {
                 DualSignature::extract_batch(
-                    c.iter().map(Vec::as_slice),
+                    c.iter().map(AsRef::as_ref),
                     &self.pivots,
                     self.paa_segments,
                     self.prefix_len,

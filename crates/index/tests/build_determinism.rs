@@ -12,6 +12,7 @@
 
 use climber_core::dfs::store::PartitionStore;
 use climber_core::series::gen::Domain;
+use climber_core::SearchRequest;
 use climber_core::{BuildOptions, Climber, ClimberConfig};
 use proptest::prelude::*;
 use std::fs;
@@ -142,8 +143,8 @@ proptest! {
         let r1 = Climber::open(&d1).expect("reopen 1-thread dir");
         let r8 = Climber::open(&d8).expect("reopen 8-thread dir");
         let q = ds.get(7);
-        prop_assert_eq!(r1.knn(q, 10), r8.knn(q, 10));
-        prop_assert_eq!(b1.knn(q, 10), b8.knn(q, 10));
+        prop_assert_eq!(r1.search(&SearchRequest::new(q, 10).exact()), r8.search(&SearchRequest::new(q, 10).exact()));
+        prop_assert_eq!(b1.search(&SearchRequest::new(q, 10).exact()), b8.search(&SearchRequest::new(q, 10).exact()));
 
         fs::remove_dir_all(&d1).ok();
         fs::remove_dir_all(&d8).ok();

@@ -2,13 +2,13 @@
 //!
 //! Across random datasets × configurations, a saved-and-reopened index
 //! must carry a **bit-identical** `IndexSkeleton` (structural equality
-//! *and* identical serialised bytes) and answer every query — `knn`,
-//! adaptive, OD-Smallest, and whole batches under all three
-//! [`BatchStrategy`]s — with outcomes equal to the freshly built
-//! in-memory index down to distances, counters, and plans.
+//! *and* identical serialised bytes) and answer every query — exact,
+//! adaptive, OD-Smallest, one request at a time and as whole batches —
+//! with outcomes equal to the freshly built in-memory index down to
+//! distances, counters, and plans.
 
 use climber_core::series::gen::Domain;
-use climber_core::{BatchRequest, BatchStrategy, Climber, ClimberConfig};
+use climber_core::{Climber, ClimberConfig, SearchMode, SearchRequest};
 use proptest::prelude::*;
 use std::fs;
 use std::path::PathBuf;
@@ -17,10 +17,10 @@ fn tmp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("climber-rt-{tag}-{}", std::process::id()))
 }
 
-const STRATEGIES: [BatchStrategy; 3] = [
-    BatchStrategy::Knn,
-    BatchStrategy::Adaptive { factor: 4 },
-    BatchStrategy::OdSmallest,
+const MODES: [SearchMode; 3] = [
+    SearchMode::Exact,
+    SearchMode::Adaptive(4),
+    SearchMode::Smallest,
 ];
 
 proptest! {
@@ -72,28 +72,24 @@ proptest! {
             })
             .collect();
 
-        for strategy in STRATEGIES {
-            // Per-query sequential equality.
-            for q in &queries {
-                let (a, b) = match strategy {
-                    BatchStrategy::Knn => (built.knn(q, k), reopened.knn(q, k)),
-                    BatchStrategy::Adaptive { factor } => (
-                        built.knn_adaptive(q, k, factor),
-                        reopened.knn_adaptive(q, k, factor),
-                    ),
-                    BatchStrategy::OdSmallest => {
-                        (built.od_smallest(q, k), reopened.od_smallest(q, k))
-                    }
-                };
-                prop_assert_eq!(a, b, "sequential {:?} diverged after reopen", strategy);
+        for mode in MODES {
+            let reqs: Vec<SearchRequest> = queries
+                .iter()
+                .map(|q| SearchRequest { mode, ..SearchRequest::new(&q[..], k) })
+                .collect();
+            // Per-request equality.
+            for req in &reqs {
+                prop_assert_eq!(
+                    built.search(req),
+                    reopened.search(req),
+                    "sequential {:?} diverged after reopen", mode
+                );
             }
-            // Whole-batch equality under the partition-major engine.
-            let request = BatchRequest::new(&queries, k, strategy);
-            let a = built.batch(&request);
-            let b = reopened.batch(&request);
+            // Whole-batch equality under the partition-major scan.
             prop_assert_eq!(
-                &a.outcomes, &b.outcomes,
-                "batch {:?} diverged after reopen", strategy
+                built.search_many(&reqs),
+                reopened.search_many(&reqs),
+                "batch {:?} diverged after reopen", mode
             );
         }
 

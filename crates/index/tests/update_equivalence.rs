@@ -2,8 +2,8 @@
 //!
 //! The segmented architecture's core guarantee: after **any**
 //! interleaving of appends, deletes, flushes and compactions, every
-//! query — `knn`, adaptive, OD-Smallest, sequential and batched, at any
-//! thread count — answers exactly as an index whose sealed partitions
+//! query — exact, adaptive, OD-Smallest, one request at a time and
+//! batched — answers exactly as an index whose sealed partitions
 //! were produced by a from-scratch Step-4 conversion of the *surviving*
 //! records under the same frozen skeleton (the CLIMBER++ contract:
 //! pivots, centroids and tries never change; only data placement does).
@@ -20,16 +20,16 @@
 use climber_core::dfs::format::PartitionWriter;
 use climber_core::dfs::store::{MemStore, PartitionStore};
 use climber_core::series::gen::Domain;
-use climber_core::{BatchRequest, BatchStrategy, Climber, ClimberConfig, IndexSkeleton};
+use climber_core::{Climber, ClimberConfig, IndexSkeleton, SearchMode, SearchRequest};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::PathBuf;
 
-const STRATEGIES: [BatchStrategy; 3] = [
-    BatchStrategy::Knn,
-    BatchStrategy::Adaptive { factor: 4 },
-    BatchStrategy::OdSmallest,
+const MODES: [SearchMode; 3] = [
+    SearchMode::Exact,
+    SearchMode::Adaptive(4),
+    SearchMode::Smallest,
 ];
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -82,7 +82,7 @@ fn rebuild_reference(
 
 /// Asserts that `a` (the incremental index) and `b` (the rebuild) answer
 /// identically — full outcomes (results, distances, scan counters, plan)
-/// for every strategy, sequentially and in batches at 1 and 8 threads.
+/// for every mode, one request at a time and as a batch.
 fn assert_equivalent<SA: PartitionStore, SB: PartitionStore>(
     a: &Climber<SA>,
     b: &Climber<SB>,
@@ -90,29 +90,30 @@ fn assert_equivalent<SA: PartitionStore, SB: PartitionStore>(
     k: usize,
     ctx: &str,
 ) -> Result<(), TestCaseError> {
-    for strategy in STRATEGIES {
-        for q in queries {
-            let (oa, ob) = match strategy {
-                BatchStrategy::Knn => (a.knn(q, k), b.knn(q, k)),
-                BatchStrategy::Adaptive { factor } => {
-                    (a.knn_adaptive(q, k, factor), b.knn_adaptive(q, k, factor))
-                }
-                BatchStrategy::OdSmallest => (a.od_smallest(q, k), b.od_smallest(q, k)),
-            };
-            prop_assert_eq!(oa, ob, "sequential {:?} diverged ({})", strategy, ctx);
-        }
-        for threads in [1usize, 8] {
-            let req = BatchRequest::new(queries, k, strategy).with_threads(threads);
-            let (ba, bb) = (a.batch(&req), b.batch(&req));
+    for mode in MODES {
+        let reqs: Vec<SearchRequest> = queries
+            .iter()
+            .map(|q| SearchRequest {
+                mode,
+                ..SearchRequest::new(&q[..], k)
+            })
+            .collect();
+        for req in &reqs {
             prop_assert_eq!(
-                &ba.outcomes,
-                &bb.outcomes,
-                "batch {:?} at {} threads diverged ({})",
-                strategy,
-                threads,
+                a.search(req),
+                b.search(req),
+                "sequential {:?} diverged ({})",
+                mode,
                 ctx
             );
         }
+        prop_assert_eq!(
+            a.search_many(&reqs),
+            b.search_many(&reqs),
+            "batch {:?} diverged ({})",
+            mode,
+            ctx
+        );
     }
     Ok(())
 }

@@ -1,32 +1,26 @@
-//! The query engine: one object tying skeleton + store + the three search
-//! strategies together.
+//! The query engine: one borrowed handle tying a skeleton and a store to
+//! the executor ([`crate::exec`]).
 
-use crate::adaptive::plan_adaptive;
-use crate::batch::{BatchOutcome, BatchRequest, BatchStrategy};
-use crate::knn::plan_knn;
-use crate::od_smallest::plan_od_smallest;
+use crate::exec::{execute, SeriesLen, Source};
 use crate::plan::QueryOutcome;
-use crate::refine::refine;
-use crate::search::{SearchMode, SearchRequest};
+use crate::search::SearchRequest;
 use crate::updates::UpdateView;
 use climber_dfs::quant::QuantCache;
 use climber_dfs::store::PartitionStore;
 use climber_index::skeleton::IndexSkeleton;
-use climber_series::resample::resample_linear;
 
-/// Executes kNN queries against a built CLIMBER index.
+/// Executes kNN queries against a built CLIMBER index: the executor over
+/// one [`Source`].
 ///
 /// By default the engine serves the sealed partitions alone. Attaching an
 /// [`UpdateView`] with [`with_updates`](Self::with_updates) makes every
-/// search strategy — sequential and batched — merge the delta segment's
-/// clusters into the candidate stream and filter tombstoned ids before
-/// the top-k heap.
-#[derive(Debug, Clone, Copy)]
+/// search merge the delta segment's clusters into the candidate stream
+/// and filter tombstoned ids before the top-k heap.
+#[derive(Debug, Clone)]
 pub struct KnnEngine<'a, S: PartitionStore> {
     skeleton: &'a IndexSkeleton,
-    store: &'a S,
-    updates: Option<UpdateView<'a>>,
-    quant: Option<&'a QuantCache>,
+    source: Source<'a, S>,
+    series_len: SeriesLen,
 }
 
 impl<'a, S: PartitionStore> KnnEngine<'a, S> {
@@ -34,9 +28,8 @@ impl<'a, S: PartitionStore> KnnEngine<'a, S> {
     pub fn new(skeleton: &'a IndexSkeleton, store: &'a S) -> Self {
         Self {
             skeleton,
-            store,
-            updates: None,
-            quant: None,
+            source: Source::sealed(store),
+            series_len: SeriesLen::default(),
         }
     }
 
@@ -44,7 +37,7 @@ impl<'a, S: PartitionStore> KnnEngine<'a, S> {
     /// clusters and filters tombstones from here on.
     #[must_use]
     pub fn with_updates(mut self, updates: UpdateView<'a>) -> Self {
-        self.updates = Some(updates);
+        self.source.updates = Some(updates);
         self
     }
 
@@ -54,7 +47,7 @@ impl<'a, S: PartitionStore> KnnEngine<'a, S> {
     /// only changes how much physical decode work a scan pays.
     #[must_use]
     pub fn with_quant(mut self, quant: &'a QuantCache) -> Self {
-        self.quant = Some(quant);
+        self.source.quant = Some(quant);
         self
     }
 
@@ -65,203 +58,48 @@ impl<'a, S: PartitionStore> KnnEngine<'a, S> {
 
     /// The attached update view, if any.
     pub fn updates(&self) -> Option<UpdateView<'a>> {
-        self.updates
+        self.source.updates
     }
 
-    /// CLIMBER-kNN (Algorithm 3): single best trie node, within-partition
-    /// expansion when short of `k`.
-    pub fn knn(&self, query: &[f32], k: usize) -> QueryOutcome {
-        let sig = self.skeleton.extract_signature(query);
-        let plan = plan_knn(self.skeleton, &sig, query_seed(query));
-        refine(self.store, &plan, query, k, true, self.updates, self.quant)
-    }
-
-    /// CLIMBER-kNN-Adaptive with partition cap `factor ×` the plain plan
-    /// (2 = Adaptive-2X, 4 = Adaptive-4X).
-    pub fn knn_adaptive(&self, query: &[f32], k: usize, factor: usize) -> QueryOutcome {
-        let sig = self.skeleton.extract_signature(query);
-        let plan = plan_adaptive(self.skeleton, &sig, k, factor, query_seed(query));
-        refine(self.store, &plan, query, k, true, self.updates, self.quant)
-    }
-
-    /// OD-Smallest: scan every partition of every OD-tied group
-    /// (the Figure 11(b) ablation baseline).
-    pub fn od_smallest(&self, query: &[f32], k: usize) -> QueryOutcome {
-        let sig = self.skeleton.extract_signature(query);
-        let plan = plan_od_smallest(self.skeleton, &sig);
-        refine(self.store, &plan, query, k, false, self.updates, self.quant)
-    }
-
-    /// Executes a whole [`BatchRequest`] partition-major across threads:
-    /// each partition selected by *any* query of the batch is opened once,
-    /// each needed cluster decoded once, and the decoded records scored
-    /// against every query that selected them. Outcomes are bit-identical
-    /// to calling [`knn`](Self::knn) / [`knn_adaptive`](Self::knn_adaptive)
-    /// / [`od_smallest`](Self::od_smallest) once per query — see
-    /// [`crate::batch`] for the execution model and the throughput
-    /// characteristics.
-    pub fn batch(&self, request: &BatchRequest<'_>) -> BatchOutcome {
-        crate::batch::execute(self.skeleton, self.store, request, self.updates, self.quant)
-    }
-
-    /// Executes one unified [`SearchRequest`] sequentially.
-    ///
-    /// This is the single entry point behind every strategy-specific
-    /// method: the request's [`SearchMode`] selects the planner,
-    /// [`SearchMode::Resampled`] first stretches the query to the indexed
-    /// series length, and an optional budget truncates the plan
-    /// (deterministically, ascending partition id) before refinement.
+    /// Executes one [`SearchRequest`]: [`search_many`](Self::search_many)
+    /// with a single request, run inline on the calling thread.
     ///
     /// # Panics
-    /// If [`SearchRequest::validate`] fails — network callers validate
-    /// first and map failures onto a typed bad-request response.
+    /// As [`search_many`](Self::search_many).
     pub fn search(&self, req: &SearchRequest) -> QueryOutcome {
-        if let Err(e) = req.validate() {
-            panic!("{e}");
-        }
-        let strategy = strategy_of(req.mode);
-        if matches!(req.mode, SearchMode::Resampled(_)) {
-            let target = self.series_len_hint().unwrap_or(req.query.len());
-            let full = resample_linear(&req.query, target);
-            self.search_planned(&full, req.k, strategy, req.budget)
-        } else {
-            self.search_planned(&req.query, req.k, strategy, req.budget)
-        }
+        self.search_many(std::slice::from_ref(req))
+            .pop()
+            .expect("one outcome per request")
     }
 
-    /// Executes a slice of [`SearchRequest`]s through the partition-major
-    /// batch engine.
-    ///
-    /// Requests with the same `(mode strategy, k, budget)` shape are
-    /// grouped into one [`BatchRequest`] each, so every partition any of
-    /// them selects is opened once and every shared cluster decoded once.
-    /// Outcomes come back in request order and are **bit-identical** to
-    /// calling [`search`](Self::search) once per request — the batch
-    /// engine's equivalence guarantee, with budgets applied identically on
-    /// both paths.
+    /// Executes a slice of [`SearchRequest`]s: requests of the same
+    /// `(mode, k, budget)` shape are planned and scanned together, so
+    /// every partition any of them selects is opened once and every
+    /// shared cluster decoded once. Outcomes come back in request order
+    /// and are **bit-identical** to [`search`](Self::search) per request.
     ///
     /// # Panics
-    /// If any request fails [`SearchRequest::validate`].
+    /// If a request fails [`SearchRequest::validate_for`] the indexed
+    /// series length (zero `k`, empty query, zero factor, or a query of
+    /// another length in a mode that does not resample) — network callers
+    /// run that check first and answer with a typed bad-request response.
     pub fn search_many(&self, reqs: &[SearchRequest]) -> Vec<QueryOutcome> {
-        if reqs.len() <= 1 {
-            return reqs.iter().map(|r| self.search(r)).collect();
-        }
-        for req in reqs {
-            if let Err(e) = req.validate() {
-                panic!("{e}");
-            }
-        }
-        // Group compatible requests; linear scan because batches are small
-        // (a serving micro-batch) and `BatchStrategy` is a tiny Copy key.
-        type GroupKey = (BatchStrategy, usize, Option<u32>);
-        let mut groups: Vec<(GroupKey, Vec<usize>)> = Vec::new();
-        for (i, req) in reqs.iter().enumerate() {
-            let key = (strategy_of(req.mode), req.k, req.budget);
-            match groups.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, idxs)) => idxs.push(i),
-                None => groups.push((key, vec![i])),
-            }
-        }
-        let len_hint = self.series_len_hint();
-        let mut outcomes: Vec<Option<QueryOutcome>> = reqs.iter().map(|_| None).collect();
-        for ((strategy, k, budget), idxs) in groups {
-            let queries: Vec<Vec<f32>> = idxs
-                .iter()
-                .map(|&i| {
-                    let req = &reqs[i];
-                    if matches!(req.mode, SearchMode::Resampled(_)) {
-                        resample_linear(&req.query, len_hint.unwrap_or(req.query.len()))
-                    } else {
-                        req.query.clone()
-                    }
-                })
-                .collect();
-            let mut breq = BatchRequest::new(&queries, k, strategy);
-            if let Some(b) = budget {
-                breq = breq.with_partition_cap(b as usize);
-            }
-            let batch = self.batch(&breq);
-            for (idx, out) in idxs.into_iter().zip(batch.outcomes) {
-                outcomes[idx] = Some(out);
-            }
-        }
-        outcomes
-            .into_iter()
-            .map(|o| o.expect("every request belongs to exactly one group"))
-            .collect()
+        let series_len = self.series_len.get(self.source.store);
+        execute(self.skeleton, &[Some(self.source)], series_len, reqs, 0).0
     }
-
-    /// Plans with the given strategy, applies the budget, refines.
-    fn search_planned(
-        &self,
-        query: &[f32],
-        k: usize,
-        strategy: BatchStrategy,
-        budget: Option<u32>,
-    ) -> QueryOutcome {
-        let sig = self.skeleton.extract_signature(query);
-        let seed = query_seed(query);
-        let mut plan = match strategy {
-            BatchStrategy::Knn => plan_knn(self.skeleton, &sig, seed),
-            BatchStrategy::Adaptive { factor } => {
-                plan_adaptive(self.skeleton, &sig, k, factor, seed)
-            }
-            BatchStrategy::OdSmallest => plan_od_smallest(self.skeleton, &sig),
-        };
-        if let Some(b) = budget {
-            plan.truncate_partitions(b as usize);
-        }
-        refine(
-            self.store,
-            &plan,
-            query,
-            k,
-            strategy.expands(),
-            self.updates,
-            self.quant,
-        )
-    }
-
-    /// The indexed series length, recovered from any stored partition
-    /// (`None` on an empty store).
-    fn series_len_hint(&self) -> Option<usize> {
-        let pid = *self.store.ids().first()?;
-        self.store.open(pid).ok().map(|r| r.series_len())
-    }
-}
-
-/// Maps a request's [`SearchMode`] onto the batch engine's strategy; the
-/// resample preprocessing of [`SearchMode::Resampled`] happens before the
-/// strategy runs, so it maps to plain Adaptive.
-pub fn strategy_of(mode: SearchMode) -> BatchStrategy {
-    match mode {
-        SearchMode::Exact => BatchStrategy::Knn,
-        SearchMode::Adaptive(f) | SearchMode::Resampled(f) => {
-            BatchStrategy::Adaptive { factor: f as usize }
-        }
-        SearchMode::Smallest => BatchStrategy::OdSmallest,
-    }
-}
-
-/// Deterministic per-query seed for tie-breaks: hash of the query bytes.
-pub(crate) fn query_seed(query: &[f32]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in query {
-        h ^= v.to_bits() as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::search::SearchRequest;
     use climber_dfs::store::MemStore;
     use climber_index::builder::IndexBuilder;
     use climber_index::config::IndexConfig;
     use climber_series::gen::{query_workload, Domain};
     use climber_series::ground_truth::exact_knn;
     use climber_series::recall::recall_of_results;
+    use climber_series::resample::resample_linear;
 
     fn build(
         domain: Domain,
@@ -288,7 +126,7 @@ mod tests {
         let engine = KnnEngine::new(&skeleton, &store);
         let mut found = 0;
         for qid in query_workload(&ds, 20, 1) {
-            let out = engine.knn(ds.get(qid), 10);
+            let out = engine.search(&SearchRequest::new(ds.get(qid), 10).exact());
             if out.results.iter().any(|&(id, d)| id == qid && d == 0.0) {
                 found += 1;
             }
@@ -303,7 +141,7 @@ mod tests {
     fn knn_returns_k_results_sorted() {
         let (skeleton, store, ds) = build(Domain::Eeg, 300);
         let engine = KnnEngine::new(&skeleton, &store);
-        let out = engine.knn(ds.get(5), 25);
+        let out = engine.search(&SearchRequest::new(ds.get(5), 25).exact());
         assert_eq!(out.results.len(), 25);
         for w in out.results.windows(2) {
             assert!(w[0].1 <= w[1].1);
@@ -321,7 +159,7 @@ mod tests {
         let mut scanned = 0u64;
         let queries = query_workload(&ds, 15, 2);
         for &qid in &queries {
-            let out = engine.knn_adaptive(ds.get(qid), k, 4);
+            let out = engine.search(&SearchRequest::new(ds.get(qid), k).adaptive(4));
             let exact = exact_knn(&ds, ds.get(qid), k);
             total += recall_of_results(&out.results, &exact);
             scanned += out.records_scanned;
@@ -346,8 +184,18 @@ mod tests {
         let (mut r_knn, mut r_adp) = (0.0, 0.0);
         for &qid in &queries {
             let exact = exact_knn(&ds, ds.get(qid), k);
-            r_knn += recall_of_results(&engine.knn(ds.get(qid), k).results, &exact);
-            r_adp += recall_of_results(&engine.knn_adaptive(ds.get(qid), k, 4).results, &exact);
+            r_knn += recall_of_results(
+                &engine
+                    .search(&SearchRequest::new(ds.get(qid), k).exact())
+                    .results,
+                &exact,
+            );
+            r_adp += recall_of_results(
+                &engine
+                    .search(&SearchRequest::new(ds.get(qid), k).adaptive(4))
+                    .results,
+                &exact,
+            );
         }
         assert!(
             r_adp >= r_knn - 1e-9,
@@ -367,8 +215,8 @@ mod tests {
         let (mut rec_knn, mut rec_ods) = (0.0, 0.0);
         for &qid in &queries {
             let exact = exact_knn(&ds, ds.get(qid), k);
-            let a = engine.knn(ds.get(qid), k);
-            let b = engine.od_smallest(ds.get(qid), k);
+            let a = engine.search(&SearchRequest::new(ds.get(qid), k).exact());
+            let b = engine.search(&SearchRequest::new(ds.get(qid), k).smallest());
             scan_knn += a.records_scanned;
             scan_ods += b.records_scanned;
             rec_knn += recall_of_results(&a.results, &exact);
@@ -389,32 +237,49 @@ mod tests {
         let (skeleton, store, ds) = build(Domain::Eeg, 200);
         let engine = KnnEngine::new(&skeleton, &store);
         let q = ds.get(9);
-        assert_eq!(engine.knn(q, 10), engine.knn(q, 10));
-        assert_eq!(engine.knn_adaptive(q, 50, 2), engine.knn_adaptive(q, 50, 2));
+        assert_eq!(
+            engine.search(&SearchRequest::new(q, 10).exact()),
+            engine.search(&SearchRequest::new(q, 10).exact())
+        );
+        assert_eq!(
+            engine.search(&SearchRequest::new(q, 50).adaptive(2)),
+            engine.search(&SearchRequest::new(q, 50).adaptive(2))
+        );
     }
 
     #[test]
     fn search_matches_every_legacy_entry_point() {
+        use crate::exec::query_seed;
+        use crate::{adaptive::plan_adaptive, knn::plan_knn, od_smallest::plan_od_smallest};
         let (skeleton, store, ds) = build(Domain::RandomWalk, 400);
         let engine = KnnEngine::new(&skeleton, &store);
         let q = ds.get(13).to_vec();
         let k = 12;
+        // Each mode runs the planner the paper names for it.
+        let (sig, seed) = (skeleton.extract_signature(&q), query_seed(&q));
+        let req = SearchRequest::new(q.clone(), k);
         assert_eq!(
-            engine.search(&SearchRequest::new(q.clone(), k).exact()),
-            engine.knn(&q, k)
+            engine.search(&req.clone().exact()).plan,
+            plan_knn(&skeleton, &sig, seed)
         );
         assert_eq!(
-            engine.search(&SearchRequest::new(q.clone(), k).adaptive(4)),
-            engine.knn_adaptive(&q, k, 4)
+            engine.search(&req.clone().adaptive(2)).plan,
+            plan_adaptive(&skeleton, &sig, k, 2, seed)
         );
         assert_eq!(
-            engine.search(&SearchRequest::new(q.clone(), k).smallest()),
-            engine.od_smallest(&q, k)
+            engine.search(&req.clone().smallest()).plan,
+            plan_od_smallest(&skeleton, &sig)
         );
-        // resampled at a shorter length still returns k sorted results
+        assert_eq!(engine.search(&req), engine.search(&req.clone().adaptive(4)));
+        // Resampled = Adaptive on the query stretched to the indexed length.
         let short = resample_linear(&q, q.len() / 2);
-        let out = engine.search(&SearchRequest::new(short, k).resampled(2));
+        let out = engine.search(&SearchRequest::new(short.clone(), k).resampled(2));
         assert_eq!(out.results.len(), k);
+        let stretched = resample_linear(&short, q.len());
+        assert_eq!(
+            out,
+            engine.search(&SearchRequest::new(stretched, k).adaptive(2))
+        );
     }
 
     #[test]
@@ -473,9 +338,12 @@ mod tests {
         let (skeleton, store, ds) = build(Domain::RandomWalk, 200);
         let restored = IndexSkeleton::from_bytes(&skeleton.to_bytes()).unwrap();
         let engine = KnnEngine::new(&restored, &store);
-        let out = engine.knn(ds.get(3), 5);
+        let out = engine.search(&SearchRequest::new(ds.get(3), 5).exact());
         assert_eq!(out.results.len(), 5);
         let engine0 = KnnEngine::new(&skeleton, &store);
-        assert_eq!(out, engine0.knn(ds.get(3), 5));
+        assert_eq!(
+            out,
+            engine0.search(&SearchRequest::new(ds.get(3), 5).exact())
+        );
     }
 }

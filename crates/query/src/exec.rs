@@ -1,0 +1,602 @@
+//! The one scan pipeline: every search is [`execute`] over N sources.
+//!
+//! CLIMBER-kNN, the Adaptive variants and OD-Smallest differ only in the
+//! *plan* (§V–VI: which groups, partitions and trie-node clusters to
+//! read); the record-level ED refinement under a best-so-far bound is one
+//! algorithm. This module runs it once, for every query shape:
+//!
+//! ```text
+//! validate → group by (mode, k, budget) → resample → plan once on the
+//! shared skeleton → scan every source partition-major under one
+//! SharedBound per query → gather → expand → QueryOutcome + SourceStatus
+//! ```
+//!
+//! A [`Source`] is one record-disjoint place records live: a partition
+//! store plus, optionally, its pending updates and its quantized record
+//! cache. One request over one source is a plain search; N requests share
+//! every partition open and cluster decode (each partition any plan
+//! selects is opened **once**, each surviving record decoded **once** and
+//! scored against every query that selected its cluster); N sources are
+//! the shards of a scatter-gather set, and a dead shard slot is `None`.
+//! All of them run the same stages and the same `scan_cluster`.
+//!
+//! Outcomes are bit-identical across all of these shapes because a
+//! [`TopK`]'s content depends only on which records it is offered, and
+//! everything that withholds a record — early abandon against a bound
+//! only full heaps publish, the PAA and quantized lower bounds, the
+//! tombstone filter — withholds only records provably outside the final
+//! top-k; `records_scanned` counts the candidate stream, never the
+//! offers. The arguments are spelled out once, in ARCHITECTURE.md ("Why
+//! every shape returns the same bits").
+
+use crate::adaptive::plan_adaptive;
+use crate::knn::plan_knn;
+use crate::od_smallest::plan_od_smallest;
+use crate::plan::{QueryOutcome, QueryPlan};
+use crate::search::{SearchMode, SearchRequest};
+use crate::updates::UpdateView;
+use climber_dfs::format::{ClusterBuf, PartitionReader, TrieNodeId};
+use climber_dfs::quant::{QuantCache, QuantizedCluster};
+use climber_dfs::store::{PartitionId, PartitionStore};
+use climber_index::skeleton::IndexSkeleton;
+use climber_repr::paa::{paa, paa_into};
+use climber_series::distance::ed_early_abandon;
+use climber_series::resample::resample_linear;
+use climber_series::topk::{SharedBound, TopK};
+use rayon::prelude::*;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
+
+/// Segments of the shared PAA prefilter.
+const PREFILTER_SEGMENTS: usize = 16;
+
+/// Minimum queries sharing a cluster before its PAA signatures are worth
+/// computing: below this the signature pass costs about what it saves.
+const PREFILTER_MIN_QUERIES: usize = 4;
+
+/// One record-disjoint place a search reads from: a partition store, the
+/// updates pending against it, and its quantized record cache.
+#[derive(Debug)]
+pub struct Source<'a, S: PartitionStore> {
+    /// The sealed partitions.
+    pub store: &'a S,
+    /// Pending appends and deletes, merged into every cluster scan.
+    pub updates: Option<UpdateView<'a>>,
+    /// The 8-bit record cache sealed scans may be served from.
+    pub quant: Option<&'a QuantCache>,
+}
+
+impl<'a, S: PartitionStore> Source<'a, S> {
+    /// The sealed partitions of `store` alone: no updates, no cache.
+    pub fn sealed(store: &'a S) -> Self {
+        Self {
+            store,
+            updates: None,
+            quant: None,
+        }
+    }
+}
+
+impl<S: PartitionStore> Clone for Source<'_, S> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<S: PartitionStore> Copy for Source<'_, S> {}
+
+/// What one source contributed to (and withheld from) a call.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SourceStatus {
+    /// Planned partitions that failed to open (quarantined, deleted
+    /// mid-flight): treated as empty, never a panic.
+    pub failed_partitions: BTreeSet<PartitionId>,
+    /// Records this source put into candidate streams (scan + expansion);
+    /// sums across sources to the outcomes' `records_scanned`.
+    pub records_scanned: u64,
+}
+
+/// The indexed series length of one index handle, looked up at most once:
+/// set for free where a handle already knows it (a manifest field, a
+/// build's scan), read from the first stored partition otherwise.
+#[derive(Debug, Clone, Default)]
+pub struct SeriesLen(OnceLock<usize>);
+
+impl SeriesLen {
+    /// Records a length the caller already knows (`0` = unknown).
+    pub fn set(&self, len: usize) {
+        if len > 0 {
+            let _ = self.0.set(len);
+        }
+    }
+
+    /// The indexed length; `None` while `store` holds no partition.
+    pub fn get<S: PartitionStore>(&self, store: &S) -> Option<usize> {
+        if let Some(&len) = self.0.get() {
+            return Some(len);
+        }
+        let pid = *store.ids().first()?;
+        self.set(store.open(pid).ok()?.series_len());
+        self.0.get().copied()
+    }
+}
+
+/// Executes `reqs` against `sources` (see the [module docs](self)):
+/// outcomes in request order, one [`SourceStatus`] per source slot. The
+/// outcomes are bit-identical for any batch composition, thread count
+/// (`0` = the machine's parallelism) and split of the same records over
+/// sources. A single request always runs inline on the calling thread.
+///
+/// ```
+/// use climber_dfs::store::MemStore;
+/// use climber_index::builder::IndexBuilder;
+/// use climber_index::config::IndexConfig;
+/// use climber_query::exec::{execute, Source};
+/// use climber_query::SearchRequest;
+/// use climber_series::gen::Domain;
+///
+/// let ds = Domain::RandomWalk.generate(400, 7);
+/// let store = MemStore::new();
+/// let cfg = IndexConfig::default().with_pivots(32).with_capacity(80);
+/// let (skeleton, _) = IndexBuilder::new(cfg).build(&ds, &store);
+///
+/// let reqs: Vec<SearchRequest> = (0..8u64)
+///     .map(|i| SearchRequest::new(ds.get(i * 50), 10))
+///     .collect();
+/// // One live source and one dead slot: the dead one contributes nothing.
+/// let sources = [Some(Source::sealed(&store)), None];
+/// let (many, status) = execute(&skeleton, &sources, Some(ds.series_len()), &reqs, 4);
+/// assert_eq!(many.len(), 8);
+/// assert!(status[0].failed_partitions.is_empty());
+/// assert_eq!(
+///     status[0].records_scanned,
+///     many.iter().map(|o| o.records_scanned).sum::<u64>()
+/// );
+/// // Any batching of the same requests returns the same bits.
+/// let (one, _) = execute(&skeleton, &sources, Some(ds.series_len()), &reqs[..1], 0);
+/// assert_eq!(one[0], many[0]);
+/// ```
+///
+/// # Panics
+/// If a request fails [`SearchRequest::validate_for`] `series_len`.
+pub fn execute<S: PartitionStore>(
+    skeleton: &IndexSkeleton,
+    sources: &[Option<Source<'_, S>>],
+    series_len: Option<usize>,
+    reqs: &[SearchRequest],
+    threads: usize,
+) -> (Vec<QueryOutcome>, Vec<SourceStatus>) {
+    let mut statuses = vec![SourceStatus::default(); sources.len()];
+    for req in reqs {
+        if let Err(e) = req.validate_for(series_len) {
+            panic!("{e}");
+        }
+    }
+    // Requests of one shape share a plan stage and a scan. A resampled
+    // query plans as Adaptive once it has been stretched. Linear scan:
+    // batches are serving micro-batches and the key is a tiny Copy.
+    type Shape = (SearchMode, usize, Option<u32>);
+    let mut groups: Vec<(Shape, Vec<usize>)> = Vec::new();
+    for (i, req) in reqs.iter().enumerate() {
+        let mode = match req.mode {
+            SearchMode::Resampled(f) => SearchMode::Adaptive(f),
+            mode => mode,
+        };
+        let shape = (mode, req.k, req.budget);
+        match groups.iter_mut().find(|(s, _)| *s == shape) {
+            Some((_, members)) => members.push(i),
+            None => groups.push((shape, vec![i])),
+        }
+    }
+    // One request has nothing to share, and spawning workers for its one
+    // or two partitions costs more than scanning them.
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(if reqs.len() == 1 { 1 } else { threads })
+        .build()
+        .expect("building a pool cannot fail");
+    let mut outcomes: Vec<Option<QueryOutcome>> = reqs.iter().map(|_| None).collect();
+    pool.install(|| {
+        for ((mode, k, budget), members) in groups {
+            let queries: Vec<Cow<'_, [f32]>> = members
+                .iter()
+                .map(|&i| match (reqs[i].mode, series_len) {
+                    (SearchMode::Resampled(_), Some(len)) => {
+                        Cow::Owned(resample_linear(&reqs[i].query, len))
+                    }
+                    _ => Cow::Borrowed(&reqs[i].query[..]),
+                })
+                .collect();
+            let plans = plan_group(skeleton, &queries, mode, k, budget);
+            let expands = mode != SearchMode::Smallest;
+            let group = scan_group(sources, &queries, plans, k, expands, &mut statuses);
+            for (i, outcome) in members.into_iter().zip(group) {
+                outcomes[i] = Some(outcome);
+            }
+        }
+    });
+    let outcomes = outcomes
+        .into_iter()
+        .map(|o| o.expect("every request belongs to exactly one group"))
+        .collect();
+    (outcomes, statuses)
+}
+
+/// Plans every query of a group against the shared skeleton — plans
+/// depend only on skeleton and query, so one pass serves every source.
+/// A budget truncates each plan deterministically (ascending partition
+/// id).
+pub(crate) fn plan_group<Q: AsRef<[f32]> + Sync>(
+    skeleton: &IndexSkeleton,
+    queries: &[Q],
+    mode: SearchMode,
+    k: usize,
+    budget: Option<u32>,
+) -> Vec<QueryPlan> {
+    let signatures = skeleton.extract_signatures(queries);
+    (0..queries.len())
+        .into_par_iter()
+        .map(|qi| {
+            let sig = &signatures[qi];
+            let seed = query_seed(queries[qi].as_ref());
+            let mut plan = match mode {
+                SearchMode::Exact => plan_knn(skeleton, sig, seed),
+                SearchMode::Adaptive(f) | SearchMode::Resampled(f) => {
+                    plan_adaptive(skeleton, sig, k, f as usize, seed)
+                }
+                SearchMode::Smallest => plan_od_smallest(skeleton, sig),
+            };
+            if let Some(b) = budget {
+                plan.truncate_partitions(b as usize);
+            }
+            plan
+        })
+        .collect()
+}
+
+/// Deterministic per-query seed for tie-breaks: FNV-1a over the value bits.
+pub(crate) fn query_seed(query: &[f32]) -> u64 {
+    query.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+        (h ^ v.to_bits() as u64).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// One query's seat at a partition scan: what `scan_cluster` scores
+/// against, the heap it fills, and the stream length it is charged.
+struct Lane<'a> {
+    /// Index of the query in its group.
+    qi: usize,
+    query: &'a [f32],
+    /// The query's prefilter signature (empty when the group is too small
+    /// for any cluster to be prefiltered).
+    paa: &'a [f64],
+    shared: &'a SharedBound,
+    top: TopK,
+    /// The heap's bound moved since it was last published.
+    tightened: bool,
+    scanned: u64,
+}
+
+/// Per-worker reusable buffers of the cluster scan: the one decoded
+/// record every interested lane scores, and its PAA signature.
+#[derive(Default)]
+struct Scratch {
+    record: Vec<f32>,
+    paa: Vec<f64>,
+}
+
+/// What the plans of a group ask of one partition.
+#[derive(Default)]
+struct PartitionWork {
+    /// The queries whose plans read this partition (their lanes).
+    qis: Vec<usize>,
+    /// `(cluster, lane)` for every selection, sorted: each run of one
+    /// cluster lists the lanes (positions in `qis`) interested in it.
+    picks: Vec<(TrieNodeId, usize)>,
+}
+
+/// Scan, gather and expand for one planned group: the partition-major
+/// pass over every live source, then per query the merge of its lanes'
+/// heaps and the expansion fallback. Adds each source's share to
+/// `statuses`.
+pub(crate) fn scan_group<S: PartitionStore, Q: AsRef<[f32]> + Sync>(
+    sources: &[Option<Source<'_, S>>],
+    queries: &[Q],
+    plans: Vec<QueryPlan>,
+    k: usize,
+    expands: bool,
+    statuses: &mut [SourceStatus],
+) -> Vec<QueryOutcome> {
+    let nq = queries.len();
+    assert_eq!(plans.len(), nq, "one plan per query");
+    let bounds: Vec<SharedBound> = (0..nq).map(|_| SharedBound::new()).collect();
+    let qpaas: Vec<Vec<f64>> = if nq >= PREFILTER_MIN_QUERIES {
+        let sign = |q: &Q| paa(q.as_ref(), PREFILTER_SEGMENTS.min(q.as_ref().len()));
+        queries.par_iter().map(sign).collect()
+    } else {
+        Vec::new()
+    };
+    let lane = |qi: usize, top: TopK| Lane {
+        qi,
+        query: queries[qi].as_ref(),
+        paa: qpaas.get(qi).map_or(&[], Vec::as_slice),
+        shared: &bounds[qi],
+        top,
+        tightened: false,
+        scanned: 0,
+    };
+
+    // Regroup the union of all plans by partition, then by cluster.
+    let mut work: BTreeMap<PartitionId, PartitionWork> = BTreeMap::new();
+    for (qi, plan) in plans.iter().enumerate() {
+        for (&pid, nodes) in &plan.reads {
+            let w = work.entry(pid).or_default();
+            w.qis.push(qi);
+            w.picks
+                .extend(nodes.iter().map(|&node| (node, w.qis.len() - 1)));
+        }
+    }
+    let mut work: Vec<(PartitionId, PartitionWork)> = work.into_iter().collect();
+    work.iter_mut().for_each(|(_, w)| w.picks.sort_unstable());
+
+    // Every (live source, partition) pair is one task; workers pull the
+    // next one off a shared cursor, so skewed partition sizes balance. A
+    // task's slot is set iff its partition opened, and keeps the reader
+    // when an expansion may still want it. A query's heap is handed from
+    // task to task: a lane takes it when no other lane holds it (always,
+    // on one thread) and starts a fresh one otherwise; whoever finds the
+    // slot occupied on return merges.
+    let live: Vec<usize> = (0..sources.len())
+        .filter(|&si| sources[si].is_some())
+        .collect();
+    let tasks = live.len() * work.len();
+    let cursor = AtomicUsize::new(0);
+    let heaps: Vec<Mutex<Option<TopK>>> = (0..nq).map(|_| Mutex::new(None)).collect();
+    let held = "no lane panics holding a heap";
+    let scanned: Vec<AtomicU64> = (0..nq).map(|_| AtomicU64::new(0)).collect();
+    let source_scanned: Vec<AtomicU64> = sources.iter().map(|_| AtomicU64::new(0)).collect();
+    let slots: Vec<OnceLock<Option<PartitionReader>>> = (0..sources.len() * work.len())
+        .map(|_| OnceLock::new())
+        .collect();
+    let slot = |si: usize, pi: usize| &slots[si * work.len() + pi];
+    let worker = |_: usize| {
+        let mut scratch = Scratch::default();
+        loop {
+            let task = cursor.fetch_add(1, Ordering::Relaxed);
+            if task >= tasks {
+                break;
+            }
+            let (si, pi) = (live[task / work.len()], task % work.len());
+            let (src, (pid, pw)) = (sources[si].as_ref().expect("live source"), &work[pi]);
+            let Ok(reader) = src.store.open(*pid) else {
+                continue; // vanished or quarantined: treated as empty
+            };
+            let take = |qi: usize| heaps[qi].lock().expect(held).take();
+            let mut lanes: Vec<Lane<'_>> = (pw.qis.iter())
+                .map(|&qi| lane(qi, take(qi).unwrap_or_else(|| TopK::new(k))))
+                .collect();
+            for interested in pw.picks.chunk_by(|a, b| a.0 == b.0) {
+                scan_cluster(src, &reader, *pid, &mut lanes, interested, &mut scratch);
+            }
+            let mut total = 0;
+            for lane in lanes {
+                total += lane.scanned;
+                scanned[lane.qi].fetch_add(lane.scanned, Ordering::Relaxed);
+                let mut slot = heaps[lane.qi].lock().expect(held);
+                let mut top = lane.top;
+                if let Some(other) = slot.take() {
+                    top.merge(other);
+                    top.publish_bound(lane.shared);
+                }
+                *slot = Some(top);
+            }
+            source_scanned[si].fetch_add(total, Ordering::Relaxed);
+            let _ = slot(si, pi).set(expands.then_some(reader));
+        }
+    };
+    let workers = rayon::current_num_threads().min(tasks);
+    let _: Vec<()> = (0..workers).into_par_iter().map(worker).collect();
+
+    // Gather, per query: a planned partition counts as opened when any
+    // live source opened it; the expansion walks the plan in order.
+    let finish = |(qi, (plan, heap)): (usize, (QueryPlan, Mutex<Option<TopK>>))| {
+        let part = |pid: &PartitionId| {
+            let pi = work.binary_search_by_key(pid, |(p, _)| *p);
+            pi.expect("every planned partition has work")
+        };
+        let opened =
+            |pid: &&PartitionId| live.iter().any(|&si| slot(si, part(pid)).get().is_some());
+        let partitions_opened = plan.reads.keys().filter(opened).count();
+        let top = heap.into_inner().expect(held);
+        let mut lanes = [lane(qi, top.unwrap_or_else(|| TopK::new(k)))];
+        if expands && lanes[0].top.len() < k {
+            let mut scratch = Scratch::default();
+            for (&pid, planned) in &plan.reads {
+                for &si in &live {
+                    let Some(Some(reader)) = slot(si, part(&pid)).get() else {
+                        continue;
+                    };
+                    let src = sources[si].as_ref().expect("live source");
+                    let before = lanes[0].scanned;
+                    let sealed = reader.cluster_ids();
+                    let delta = src.updates.map_or(Vec::new(), |u| u.delta.nodes_for(pid));
+                    // Sealed clusters first, then delta-only nodes the
+                    // sealed file has never seen.
+                    let unseen = delta.iter().filter(|n| !sealed.contains(n));
+                    for &node in sealed.iter().chain(unseen) {
+                        if !planned.contains(&node) {
+                            scan_cluster(src, reader, pid, &mut lanes, &[(node, 0)], &mut scratch);
+                        }
+                    }
+                    source_scanned[si].fetch_add(lanes[0].scanned - before, Ordering::Relaxed);
+                }
+                if lanes[0].top.len() >= k {
+                    break;
+                }
+            }
+        }
+        let [Lane {
+            top,
+            scanned: expanded,
+            ..
+        }] = lanes;
+        QueryOutcome {
+            results: top.into_sorted(),
+            partitions_opened,
+            records_scanned: scanned[qi].load(Ordering::Relaxed) + expanded,
+            plan,
+        }
+    };
+    let items: Vec<_> = plans.into_iter().zip(heaps).enumerate().collect();
+    let outcomes = items.into_par_iter().map(finish).collect();
+
+    for &si in &live {
+        statuses[si].records_scanned += source_scanned[si].load(Ordering::Relaxed);
+        let failed = (work.iter().enumerate())
+            .filter(|&(pi, _)| slot(si, pi).get().is_none())
+            .map(|(_, (pid, _))| *pid);
+        statuses[si].failed_partitions.extend(failed);
+    }
+    outcomes
+}
+
+/// Scans one `(partition, node)` cluster of one source for the lanes that
+/// selected it (`interested`: one run of [`PartitionWork::picks`]) — the
+/// paper's record-level refinement, written once.
+///
+/// The candidate stream is the sealed cluster's records minus tombstoned
+/// ids, then the delta cluster under the same key minus tombstoned ids;
+/// its length is charged to every interested lane's `scanned`. A sealed
+/// record is *decoded* only if no skip-before-decode predicate rules it
+/// out (tombstone; quantized lower bound above every interested lane's
+/// bound), once, into a one-record buffer that stays cache-hot while
+/// every interested lane scores it: `ed_early_abandon → TopK::offer →
+/// publish_bound`, behind the shared PAA prefilter when enough lanes
+/// share the record to pay for its signature. Per lane the records are
+/// visited in stream order. [`climber_dfs::stats::IoStats`] is charged
+/// the sealed records actually decoded — the honest physical I/O.
+fn scan_cluster<S: PartitionStore>(
+    src: &Source<'_, S>,
+    reader: &PartitionReader,
+    pid: PartitionId,
+    lanes: &mut [Lane<'_>],
+    interested: &[(TrieNodeId, usize)],
+    scratch: &mut Scratch,
+) {
+    let node = interested[0].0;
+    let Scratch { record, paa } = scratch;
+    let segments = PREFILTER_SEGMENTS.min(reader.series_len());
+    let mut lanes = Scorer {
+        lanes,
+        interested,
+        paa,
+        segments,
+        scale: (reader.series_len() / segments) as f64,
+        prefilter: interested.len() >= PREFILTER_MIN_QUERIES,
+    };
+
+    let tombstones = src.updates.map(|u| u.tombstones.read());
+    let deleted = |id: u64| tombstones.as_ref().is_some_and(|t| t.contains(id));
+    // Quantized entries reflect sealed bytes only, so a source with
+    // pending updates bypasses the cache. On a miss the decoded records
+    // are also kept, whole, to feed the quantizer.
+    let cache = match src.updates {
+        None => src.quant.filter(|c| c.is_enabled()),
+        Some(_) => None,
+    };
+    let codes = cache.and_then(|c| c.get(pid, node));
+    let mut fill = cache
+        .filter(|_| codes.is_none())
+        .map(|c| (c, ClusterBuf::new()));
+    let (mut counted, mut decoded) = (0u64, 0u64);
+    if let Some(recs) = reader.cluster_records(node) {
+        for i in 0..recs.len() {
+            let id = recs.id(i);
+            if deleted(id) {
+                continue;
+            }
+            counted += 1;
+            if let Some(qc) = &codes {
+                let hopeless = |lane: &Lane<'_>| {
+                    qc.lb_exceeds(i, lane.query, lane.top.bound_with(lane.shared))
+                };
+                if interested.iter().all(|&(_, l)| hopeless(&lanes.lanes[l])) {
+                    continue;
+                }
+            }
+            recs.values_into(i, record);
+            decoded += 1;
+            if let Some((_, whole)) = &mut fill {
+                whole.push(id, record);
+            }
+            lanes.score(id, record);
+        }
+    }
+    if let Some((cache, whole)) = fill {
+        if let Some(qc) = QuantizedCluster::from_buf(&whole) {
+            cache.insert(pid, node, qc);
+        }
+    }
+    if let Some(u) = src.updates {
+        u.delta.for_each_in_cluster(pid, node, |id, values| {
+            if !deleted(id) {
+                counted += 1;
+                lanes.score(id, values);
+            }
+        });
+    }
+    let record_bytes = (8 + reader.series_len() * 4) as u64;
+    src.store.stats().on_read(decoded * record_bytes);
+    src.store.stats().on_records_read(decoded);
+    // One publication per cluster, not per kept offer: the shared bound
+    // is an atomic other workers poll, and a stale one only costs them
+    // early-abandon work.
+    for &(_, l) in interested {
+        let lane = &mut lanes.lanes[l];
+        lane.scanned += counted;
+        if std::mem::take(&mut lane.tightened) {
+            lane.top.publish_bound(lane.shared);
+        }
+    }
+}
+
+/// The lanes interested in one cluster, with the cluster-constant
+/// geometry of the PAA lower bound (segments, and the `floor(n / w)`
+/// weight that keeps it admissible for uneven splits).
+struct Scorer<'s, 'q> {
+    lanes: &'s mut [Lane<'q>],
+    interested: &'s [(TrieNodeId, usize)],
+    paa: &'s mut Vec<f64>,
+    segments: usize,
+    scale: f64,
+    prefilter: bool,
+}
+
+impl Scorer<'_, '_> {
+    /// Scores one decoded record against every interested lane — the
+    /// only place a record meets the exact kernel.
+    #[inline(always)]
+    fn score(&mut self, id: u64, values: &[f32]) {
+        if self.prefilter {
+            self.paa.clear();
+            paa_into(values, self.segments, self.paa);
+        }
+        for &(_, l) in self.interested {
+            let lane = &mut self.lanes[l];
+            let bound = lane.top.bound_with(lane.shared);
+            if self.prefilter && lane.paa.len() == self.segments && bound.is_finite() {
+                let mut lb = 0.0f64;
+                for (a, b) in lane.paa.iter().zip(self.paa.iter()) {
+                    lb += (a - b) * (a - b);
+                }
+                if lb * self.scale > bound * (1.0 + 1e-9) {
+                    continue;
+                }
+            }
+            if let Some(d) = ed_early_abandon(lane.query, values, bound) {
+                lane.tightened |= lane.top.offer(id, d);
+            }
+        }
+    }
+}

@@ -1,19 +1,16 @@
 //! The unified query surface: one request type for every search strategy.
 //!
-//! Historically the facade grew one entry point per strategy variant —
-//! `knn`, `knn_adaptive`, `knn_resampled`, `knn_batch` — each with its own
-//! parameter list. A network serving layer cannot reasonably encode four
-//! ad-hoc methods into a wire protocol, so the surface is unified here:
+//! Every strategy of the paper is one [`SearchMode`] of one request type
+//! — the shape a wire protocol can carry and one executor can run:
 //!
 //! * [`SearchRequest`] — query + `k` + a [`SearchMode`] + an optional
 //!   partition [budget](SearchRequest::with_budget), built fluently;
-//! * [`KnnEngine::search`](crate::engine::KnnEngine::search) — executes
-//!   one request sequentially;
 //! * [`KnnEngine::search_many`](crate::engine::KnnEngine::search_many) —
-//!   executes a slice of requests through the partition-major batch
-//!   engine, grouping compatible requests so each group is planned,
-//!   decoded and scored together, with outcomes bit-identical to calling
-//!   `search` once per request.
+//!   runs a slice of requests through the one executor
+//!   ([`crate::exec`]), grouping compatible requests so each group is
+//!   planned, decoded and scored together;
+//! * [`KnnEngine::search`](crate::engine::KnnEngine::search) — the same
+//!   call with one request, bit-identical to its slot in any batch.
 //!
 //! Both types implement the [`Encode`]/[`Decode`] codec from
 //! `climber_dfs::format`, so the serving layer's wire protocol carries
@@ -77,7 +74,7 @@ impl Decode for SearchMode {
 }
 
 /// One approximate kNN request: the single shape every entry point — the
-/// facade, the batch engine, and the network serving layer — accepts.
+/// facade, the executor, and the network serving layer — accepts.
 ///
 /// ```
 /// use climber_query::search::{SearchMode, SearchRequest};
@@ -169,6 +166,23 @@ impl SearchRequest {
                 Err("factor must be positive".into())
             }
             _ => Ok(()),
+        }
+    }
+
+    /// [`validate`](Self::validate) plus the one check only an index can
+    /// make: unless the request is [`SearchMode::Resampled`], its query
+    /// must have the indexed series length (`None` = an empty index, which
+    /// has no length to disagree with). This is the executor's validation
+    /// stage; the serving layer runs the same check before admission.
+    pub fn validate_for(&self, indexed_len: Option<usize>) -> Result<(), String> {
+        self.validate()?;
+        match (self.mode, indexed_len) {
+            (SearchMode::Resampled(_), _) | (_, None) => Ok(()),
+            (_, Some(n)) if self.query.len() == n => Ok(()),
+            (_, Some(n)) => Err(format!(
+                "query length {} != indexed series length {n}",
+                self.query.len()
+            )),
         }
     }
 }
@@ -268,6 +282,14 @@ mod tests {
             .smallest()
             .validate()
             .is_ok());
+        // the index-aware check: only Resampled may differ in length
+        let short = SearchRequest::new(vec![1.0; 3], 5);
+        assert!(short.validate_for(None).is_ok());
+        assert!(short.validate_for(Some(3)).is_ok());
+        let err = short.validate_for(Some(8)).unwrap_err();
+        assert!(err.contains('3') && err.contains('8'), "{err}");
+        assert!(short.clone().resampled(2).validate_for(Some(8)).is_ok());
+        assert!(short.resampled(0).validate_for(Some(8)).is_err());
     }
 
     #[test]

@@ -1,27 +1,37 @@
-//! Property test: batched partition-major execution is bit-identical to
-//! sequential per-query execution — across random datasets, batch sizes,
-//! thread counts, and all three strategies.
+//! Property test: the query executor equals an independent brute-force
+//! oracle — across random datasets, batch sizes, thread counts, source
+//! (shard) counts, pending updates, the quantized cache, and all four
+//! search modes.
 //!
-//! This is the contract the batch engine is built on (see
-//! `climber_query::batch`): full [`QueryOutcome`] equality, i.e. result
-//! ids, exact distances, `records_scanned`, `partitions_opened`, and the
-//! plan itself.
+//! Every production search is one executor (`climber_query::exec`), so
+//! comparing one entry point with another would compare the executor with
+//! itself. The reference here is [`oracle`]: it collects the planned
+//! clusters' records with the storage layer's plain visitors, scores them
+//! with `sq_ed` (no early abandon, no `TopK`, no shared bound, no
+//! prefilter, no quantization), sorts, truncates, and replays the
+//! expansion rule at set level. The contract is full [`QueryOutcome`]
+//! equality: result ids, exact distances, `records_scanned`,
+//! `partitions_opened`, and the plan itself.
 
-use climber_dfs::store::MemStore;
-use climber_index::builder::IndexBuilder;
-use climber_index::config::IndexConfig;
+use climber_core::{Climber, ClimberConfig, SearchMode, ShardedClimber};
+use climber_dfs::store::{MemStore, PartitionStore};
 use climber_index::skeleton::IndexSkeleton;
-use climber_query::batch::{BatchRequest, BatchStrategy};
-use climber_query::engine::KnnEngine;
-use climber_query::plan::QueryOutcome;
+use climber_query::adaptive::plan_adaptive;
+use climber_query::knn::plan_knn;
+use climber_query::od_smallest::plan_od_smallest;
+use climber_query::plan::{QueryOutcome, QueryPlan};
+use climber_query::search::SearchRequest;
 use climber_series::dataset::Dataset;
+use climber_series::distance::sq_ed;
 use climber_series::gen::{RandomWalkGenerator, SeriesGenerator};
+use climber_series::resample::resample_linear;
 use proptest::prelude::*;
 
-fn build_index(n: usize, seed: u64, capacity: u64) -> (IndexSkeleton, MemStore, Dataset) {
-    let ds = RandomWalkGenerator::new(64).generate(n, seed);
-    let store = MemStore::new();
-    let cfg = IndexConfig::default()
+const SERIES_LEN: usize = 64;
+
+fn build_index(n: usize, seed: u64, capacity: u64, shards: usize) -> (ShardedClimber, Dataset) {
+    let ds = RandomWalkGenerator::new(SERIES_LEN).generate(n, seed);
+    let cfg = ClimberConfig::default()
         .with_paa_segments(8)
         .with_pivots(24)
         .with_prefix_len(4)
@@ -30,20 +40,89 @@ fn build_index(n: usize, seed: u64, capacity: u64) -> (IndexSkeleton, MemStore, 
         .with_epsilon(1)
         .with_seed(seed ^ 0xBA7C)
         .with_workers(2);
-    let (skeleton, _) = IndexBuilder::new(cfg).build(&ds, &store);
-    (skeleton, store, ds)
+    (ShardedClimber::build_in_memory(&ds, cfg, shards), ds)
 }
 
-fn sequential<S: climber_dfs::store::PartitionStore>(
-    engine: &KnnEngine<'_, S>,
-    strategy: BatchStrategy,
+/// The plan a request must run, from the public planners alone, plus the
+/// query it runs on (stretched for `Resampled`).
+fn reference_plan(skeleton: &IndexSkeleton, req: &SearchRequest) -> (QueryPlan, Vec<f32>) {
+    let query = match req.mode {
+        SearchMode::Resampled(_) => resample_linear(&req.query, SERIES_LEN),
+        _ => req.query.clone(),
+    };
+    let sig = skeleton.extract_signature(&query);
+    let seed = query.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+        (h ^ v.to_bits() as u64).wrapping_mul(0x100_0000_01b3)
+    });
+    let mut plan = match req.mode {
+        SearchMode::Exact => plan_knn(skeleton, &sig, seed),
+        SearchMode::Adaptive(f) | SearchMode::Resampled(f) => {
+            plan_adaptive(skeleton, &sig, req.k, f as usize, seed)
+        }
+        SearchMode::Smallest => plan_od_smallest(skeleton, &sig),
+    };
+    if let Some(b) = req.budget {
+        plan.truncate_partitions(b as usize);
+    }
+    (plan, query)
+}
+
+/// The trivially-correct reference: every surviving record of the planned
+/// clusters of every shard, scored exactly, sorted by `(distance, id)`,
+/// truncated to `k`; expansion replayed on candidate *counts* — plan
+/// order, all shards per partition, stop once `k` candidates exist.
+fn oracle(
+    shards: &[&Climber<MemStore>],
+    plan: &QueryPlan,
     query: &[f32],
     k: usize,
+    expands: bool,
 ) -> QueryOutcome {
-    match strategy {
-        BatchStrategy::Knn => engine.knn(query, k),
-        BatchStrategy::Adaptive { factor } => engine.knn_adaptive(query, k, factor),
-        BatchStrategy::OdSmallest => engine.od_smallest(query, k),
+    let mut candidates: Vec<(f64, u64)> = Vec::new();
+    let mut cluster = |shard: &Climber<MemStore>, pid: u32, node: u64| {
+        let mut offer = |id: u64, values: &[f32]| {
+            if !shard.tombstones().contains(id) {
+                candidates.push((sq_ed(query, values), id));
+            }
+        };
+        if let Ok(reader) = shard.store().open(pid) {
+            reader.for_each_in_cluster(node, &mut offer);
+            shard.delta().for_each_in_cluster(pid, node, &mut offer);
+        }
+        candidates.len()
+    };
+    let mut have = 0;
+    for (&pid, nodes) in &plan.reads {
+        for shard in shards {
+            for &node in nodes {
+                have = cluster(shard, pid, node);
+            }
+        }
+    }
+    if expands && have < k {
+        for (&pid, planned) in &plan.reads {
+            for shard in shards {
+                let mut nodes = shard.store().open(pid).unwrap().cluster_ids();
+                nodes.extend(shard.delta().nodes_for(pid));
+                nodes.sort_unstable();
+                nodes.dedup();
+                for node in nodes.into_iter().filter(|n| !planned.contains(n)) {
+                    have = cluster(shard, pid, node);
+                }
+            }
+            if have >= k {
+                break;
+            }
+        }
+    }
+    let records_scanned = candidates.len() as u64;
+    candidates.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    candidates.truncate(k);
+    QueryOutcome {
+        results: candidates.into_iter().map(|(d, id)| (id, d)).collect(),
+        partitions_opened: plan.reads.len(),
+        records_scanned,
+        plan: plan.clone(),
     }
 }
 
@@ -61,47 +140,89 @@ proptest! {
         strategy_pick in 0usize..4,
     ) {
         let threads = [1usize, 2, 4, 8][threads_pick];
-        let (skeleton, store, ds) = build_index(n, seed, capacity);
-        let engine = KnnEngine::new(&skeleton, &store);
-        let strategy = match strategy_pick {
-            0 => BatchStrategy::Knn,
-            1 => BatchStrategy::Adaptive { factor: 2 },
-            2 => BatchStrategy::Adaptive { factor: 4 },
-            _ => BatchStrategy::OdSmallest,
-        };
+        for shards in 1usize..=3 {
+            let (index, ds) = build_index(n, seed, capacity, shards);
 
-        // Queries: members of the dataset plus slightly perturbed copies,
-        // so both exact-hit and near-miss paths are exercised.
-        let queries: Vec<Vec<f32>> = (0..batch_size as u64)
-            .map(|i| {
-                let mut q = ds.get((i * 13) % n as u64).to_vec();
-                if i % 3 == 1 {
-                    let j = (i as usize) % q.len();
-                    q[0] += 0.25;
-                    q[j] -= 0.5;
+            // Queries: members of the dataset plus slightly perturbed
+            // copies, so both exact-hit and near-miss paths are exercised.
+            // Requests come in runs of four near-identical queries of one
+            // shape, so clusters are shared by enough lanes for the PAA
+            // prefilter to engage; the shapes rotate through everything
+            // the executor groups by: the four modes, a budget, a
+            // shortened resampled query, and a `k` no trie node can
+            // satisfy (forces the expansion).
+            let reqs: Vec<SearchRequest> = (0..batch_size as u64)
+                .map(|i| {
+                    let run = i / 4;
+                    let mut q = ds.get((run * 13) % n as u64).to_vec();
+                    if i % 4 != 0 {
+                        let j = (i as usize * 7) % q.len();
+                        q[0] += 0.05 * (i % 4) as f32;
+                        q[j] -= 0.1;
+                    }
+                    match (strategy_pick + run as usize) % 7 {
+                        0 => SearchRequest::new(q, k).exact(),
+                        1 => SearchRequest::new(q, k).adaptive(2),
+                        2 => SearchRequest::new(q, k).adaptive(4),
+                        3 => SearchRequest::new(q, k).smallest(),
+                        4 => SearchRequest::new(q, k).adaptive(4).with_budget(1 + run as usize % 3),
+                        5 => SearchRequest::new(resample_linear(&q, 40), k).resampled(2),
+                        _ => SearchRequest::new(q, capacity as usize * 2).exact(),
+                    }
+                })
+                .collect();
+
+            for updates in [false, true] {
+                if updates {
+                    // Pending delta records near the queries, and
+                    // tombstones on sealed, query and delta records.
+                    for i in 0..8u64 {
+                        let mut v = ds.get((i * 13) % n as u64).to_vec();
+                        v[3] += 0.01 * (i + 1) as f32;
+                        index.append(&v).unwrap();
+                    }
+                    for id in [0, 13, 26, n as u64 / 2, n as u64 + 2] {
+                        index.delete(id).unwrap();
+                    }
                 }
-                q
-            })
-            .collect();
+                let live = index.shards();
+                let want: Vec<QueryOutcome> = reqs
+                    .iter()
+                    .map(|req| {
+                        let (plan, query) = reference_plan(live[0].skeleton(), req);
+                        let expands = req.mode != SearchMode::Smallest;
+                        oracle(&live, &plan, &query, req.k, expands)
+                    })
+                    .collect();
 
-        let request = BatchRequest::new(&queries, k, strategy).with_threads(threads);
-        let batch = engine.batch(&request);
-        prop_assert_eq!(batch.outcomes.len(), queries.len());
-
-        for (qi, (q, out)) in queries.iter().zip(batch.outcomes.iter()).enumerate() {
-            let want = sequential(&engine, strategy, q, k);
-            // Full outcome equality: ids, exact distances, counters, plan.
-            prop_assert_eq!(
-                out, &want,
-                "query {} of {} diverged (strategy {:?}, threads {})",
-                qi, batch_size, strategy, threads
-            );
+                for quant in [false, true] {
+                    index.set_quant_enabled(quant);
+                    // Twice with the cache on: the first pass fills it,
+                    // the second is served from the codes.
+                    for pass in 0..1 + usize::from(quant) {
+                        let ctx = format!(
+                            "shards {shards} updates {updates} quant {quant} pass {pass} threads {threads}"
+                        );
+                        let before = index.serve_io();
+                        let (got, status) = index.search_many_with_status(&reqs, threads);
+                        let io = index.serve_io().since(&before);
+                        prop_assert_eq!(&got, &want, "batch diverged ({})", &ctx);
+                        prop_assert!(status.iter().all(|s| s.healthy));
+                        let scanned: u64 = got.iter().map(|o| o.records_scanned).sum();
+                        prop_assert_eq!(
+                            status.iter().map(|s| s.records_scanned).sum::<u64>(),
+                            scanned
+                        );
+                        // The shared pass never decodes more than per-query
+                        // scans would: every decoded record is in >= 1 plan.
+                        prop_assert!(io.records_read <= scanned, "{}", &ctx);
+                        for (req, want) in reqs.iter().zip(&want) {
+                            prop_assert_eq!(&index.search(req), want, "inline diverged ({})", &ctx);
+                        }
+                    }
+                }
+            }
         }
-
-        // The shared pass never decodes more than the per-query paths
-        // would: every decoded (partition, cluster) pair is in >= 1 plan.
-        let seq_total: u64 = batch.outcomes.iter().map(|o| o.records_scanned).sum();
-        prop_assert!(batch.records_decoded <= seq_total);
     }
 }
 
@@ -112,7 +233,6 @@ proptest! {
 /// no interior mutability beyond it, but this pins the contract down.
 #[test]
 fn reopened_disk_index_concurrent_readers_agree() {
-    use climber_core::{Climber, ClimberConfig};
     use climber_series::gen::Domain;
 
     let dir = std::env::temp_dir().join(format!("climber-qconc-{}", std::process::id()));
@@ -129,40 +249,36 @@ fn reopened_disk_index_concurrent_readers_agree() {
         .with_workers(2);
     let built = Climber::build_on_disk(&ds, &dir, config).unwrap();
 
-    let queries: Vec<Vec<f32>> = (0..12u64)
+    let reqs: Vec<SearchRequest> = (0..12u64)
         .map(|i| {
             let mut q = ds.get(i * 47).to_vec();
             if i % 3 == 0 {
                 q[1] -= 0.5;
             }
-            q
+            SearchRequest::new(q, 15).adaptive(4)
         })
         .collect();
-    let k = 15;
-    let want: Vec<QueryOutcome> = queries
-        .iter()
-        .map(|q| built.knn_adaptive(q, k, 4))
-        .collect();
+    let want: Vec<QueryOutcome> = reqs.iter().map(|r| built.search(r)).collect();
     drop(built);
 
     let reopened = Climber::open(&dir).unwrap();
     assert!(reopened.store().is_read_only());
     std::thread::scope(|scope| {
         for t in 0..8usize {
-            let (reopened, queries, want) = (&reopened, &queries, &want);
+            let (reopened, reqs, want) = (&reopened, &reqs, &want);
             scope.spawn(move || {
-                // Interleave strategies across threads: sequential kNN,
-                // adaptive, and whole batches all race on the one store.
+                // Single requests and whole batches all race on the one
+                // store.
                 for round in 0..3 {
-                    for (qi, q) in queries.iter().enumerate() {
-                        let got = reopened.knn_adaptive(q, k, 4);
+                    for (qi, req) in reqs.iter().enumerate() {
+                        let got = reopened.search(req);
                         assert_eq!(
                             got, want[qi],
                             "thread {t} round {round} query {qi} diverged"
                         );
                     }
-                    let batch = reopened.batch(&BatchRequest::adaptive(queries, k, 4));
-                    assert_eq!(&batch.outcomes, want, "thread {t} round {round} batch");
+                    let batch = reopened.search_many(reqs);
+                    assert_eq!(&batch, want, "thread {t} round {round} batch");
                 }
             });
         }

@@ -8,6 +8,7 @@ use climber_query::adaptive::plan_adaptive;
 use climber_query::engine::KnnEngine;
 use climber_query::knn::plan_knn;
 use climber_query::od_smallest::plan_od_smallest;
+use climber_query::search::SearchRequest;
 use climber_series::dataset::Dataset;
 use climber_series::gen::{Domain, RandomWalkGenerator, SeriesGenerator};
 use proptest::prelude::*;
@@ -88,7 +89,7 @@ proptest! {
     ) {
         let (skeleton, store, ds) = build_index(150, seed, 30);
         let engine = KnnEngine::new(&skeleton, &store);
-        let out = engine.knn(ds.get(qid % 150), k);
+        let out = engine.search(&SearchRequest::new(ds.get(qid % 150), k).exact());
         prop_assert!(out.results.len() <= k);
         for w in out.results.windows(2) {
             prop_assert!(w[0].1 <= w[1].1);
@@ -112,7 +113,7 @@ proptest! {
         let (groups, _) = skeleton.groups_by_overlap(&sig);
         if groups == vec![FALLBACK_GROUP] {
             let engine = KnnEngine::new(&skeleton, &store);
-            let out = engine.knn(&weird, 5);
+            let out = engine.search(&SearchRequest::new(&weird[..], 5).exact());
             prop_assert!(out.results.len() <= 5);
         }
     }
@@ -133,7 +134,7 @@ proptest! {
             .with_workers(2);
         let (skeleton, _) = IndexBuilder::new(cfg).build(&ds, &store);
         let engine = KnnEngine::new(&skeleton, &store);
-        let out = engine.knn_adaptive(ds.get(qid % 150), 10, 2);
+        let out = engine.search(&SearchRequest::new(ds.get(qid % 150), 10).adaptive(2));
         prop_assert!(!out.results.is_empty());
         prop_assert!(out.partitions_opened >= 1);
     }

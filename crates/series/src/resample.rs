@@ -4,7 +4,7 @@
 //! than the length on which the index is built" — unlike DFT/wavelets. The
 //! standard whole-series mechanism is to bring the query to the indexed
 //! length; this module provides deterministic linear interpolation used by
-//! `Climber::knn_resampled`.
+//! `SearchMode::Resampled`.
 
 /// Linearly resamples `values` to `target_len` points.
 ///

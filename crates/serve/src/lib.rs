@@ -2,7 +2,7 @@
 //!
 //! A micro-batching network serving layer over the CLIMBER index.
 //!
-//! The batch engine ([`Climber::search_many`]) earns its candidate-sharing
+//! The query executor ([`Climber::search_many`]) earns its candidate-sharing
 //! win only when queries arrive *together* — but real traffic arrives one
 //! request at a time, over many connections. This crate closes that gap
 //! with a classic admission-queue design:
@@ -17,7 +17,7 @@
 //!   oldest request has waited `max_delay`. A full queue rejects with a
 //!   typed overload response — graceful degradation, never a hang;
 //! * [`server`] — the TCP [`Server`]: acceptor thread, per-connection
-//!   handlers, a worker pool feeding the batch engine, and a clean
+//!   handlers, a worker pool feeding the query executor, and a clean
 //!   [`shutdown`](Server::shutdown) that drains every admitted request;
 //! * [`metrics`] — per-request latency percentiles plus
 //!   QPS/queue-depth/batch-occupancy counters, served by the stats
@@ -27,7 +27,7 @@
 //!
 //! Everything is `std::net` + `std` synchronisation — no new external
 //! dependencies. Batched outcomes are **bit-identical** to direct
-//! [`Climber::search`] calls (the batch engine's equivalence guarantee;
+//! [`Climber::search`] calls (the query executor's equivalence guarantee;
 //! `tests/serving.rs` proves it end-to-end through real sockets).
 //!
 //! [`Climber::search`]: climber_core::Climber::search

@@ -63,7 +63,7 @@ impl ServeMetrics {
     }
 
     /// An admitted request's handler gave up waiting: its per-request
-    /// deadline expired before the batch engine answered.
+    /// deadline expired before the query executor answered.
     pub fn on_deadline_missed(&self) {
         self.deadline_missed.fetch_add(1, Ordering::Relaxed);
     }
@@ -148,7 +148,7 @@ pub struct StatsReport {
     /// Requests refused with a typed overload/shutdown response.
     pub rejected: u64,
     /// Admitted requests whose handlers answered a typed
-    /// deadline-exceeded error instead of waiting for the batch engine.
+    /// deadline-exceeded error instead of waiting for the query executor.
     pub deadline_missed: u64,
     /// Requests answered.
     pub completed: u64,

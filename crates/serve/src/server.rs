@@ -1,5 +1,5 @@
 //! The TCP server: acceptor + per-connection handlers + a worker pool
-//! draining the admission queue into the batch engine.
+//! draining the admission queue into the query executor.
 //!
 //! Threading model:
 //!
@@ -279,9 +279,9 @@ fn worker_loop<B: SearchBackend + ?Sized>(
             completions.push((p.tx, p.enqueued));
         }
         // Handlers validate before submitting, so search_many never sees a
-        // panicking request; outcomes are bit-identical to per-request
-        // `search` calls (the batch engine's — and for a sharded backend
-        // the scatter-gather merge's — equivalence guarantee).
+        // request it must panic on; outcomes are bit-identical to
+        // per-request `search` calls (the executor's equivalence guarantee,
+        // for one index and for a shard set alike).
         let outcomes = backend.search_many(&reqs);
         metrics.on_batch(reqs.len());
         for ((tx, enqueued), outcome) in completions.into_iter().zip(outcomes) {
@@ -360,7 +360,10 @@ fn handle_connection<B: SearchBackend + ?Sized>(
                 queue_depth: queue.depth() as u64,
                 cache_resident_bytes: backend.io().cache_resident_bytes,
             }),
-            Request::Search(req) => match req.validate() {
+            // The executor's own entry check, run before admission: a request
+            // it would panic on (wrong query length included) is answered
+            // here and never reaches a worker.
+            Request::Search(req) => match req.validate_for(backend.series_len()) {
                 Err(msg) => {
                     metrics.on_rejected();
                     bad_request(msg)
@@ -381,7 +384,7 @@ fn handle_connection<B: SearchBackend + ?Sized>(
                             metrics.on_admitted();
                             let answer = match config.request_deadline {
                                 Some(deadline) => rx.recv_timeout(deadline).map_err(|e| match e {
-                                    // The batch engine ran past the
+                                    // The query executor ran past the
                                     // deadline: abandon the response (the
                                     // batch still completes; its send just
                                     // finds a dead receiver).

@@ -85,7 +85,7 @@ fn request_deadline_answers_typed_without_waiting_for_the_batch() {
         "deadline response waited for the flush deadline"
     );
     // The typed miss is counted, the connection survives, and the same
-    // request still executes once the batch engine gets to it.
+    // request still executes once the query executor gets to it.
     let stats = client.stats().unwrap();
     assert_eq!(stats.deadline_missed, 1);
     server.shutdown();
@@ -222,4 +222,65 @@ fn client_read_timeout_bounds_a_stalled_server() {
         t.elapsed() < Duration::from_secs(10),
         "read timeout never fired"
     );
+}
+
+/// A query whose length is not the indexed one (in a mode that does not
+/// resample) used to pass the handler and panic inside a distance kernel
+/// on the worker thread; with no worker left, every later client timed
+/// out. The handler now runs the executor's own entry check before
+/// admission: typed bad request, nothing admitted, the one worker alive.
+#[test]
+fn wrong_length_queries_are_refused_before_admission() {
+    let climber = build_climber(200, 37);
+    let indexed = climber.series_len().unwrap();
+    let server = Server::start(
+        Arc::clone(&climber),
+        "127.0.0.1:0",
+        ServeConfig::default()
+            .with_workers(1)
+            .with_max_delay(Duration::from_millis(1))
+            .with_request_deadline(Some(Duration::from_secs(20))),
+    )
+    .unwrap();
+    let mut client = ServeClient::connect(server.local_addr())
+        .unwrap()
+        .with_retry_policy(RetryPolicy {
+            max_retries: 0,
+            base: Duration::from_millis(1),
+            cap: Duration::from_millis(1),
+        });
+    let mut refused = 0;
+    for len in [3usize, 100] {
+        assert_ne!(len, indexed);
+        let short = SearchRequest::new(vec![0.25f32; len], 5);
+        let modes = [
+            short.clone().exact(),
+            short.clone().adaptive(4),
+            short.clone().smallest(),
+        ];
+        for req in modes {
+            let err = client.search(&req).unwrap_err();
+            let ClimberError::Serve(ServeError::BadRequest(msg)) = &err else {
+                panic!(
+                    "len {len} {:?}: expected a bad request, got {err:?}",
+                    req.mode
+                );
+            };
+            assert!(
+                msg.contains(&len.to_string()) && msg.contains(&indexed.to_string()),
+                "message must name both lengths: {msg}"
+            );
+            refused += 1;
+        }
+        // Resampling is the one mode a foreign length is legal in.
+        let out = client.search(&short.resampled(2)).unwrap();
+        assert_eq!(out.results.len(), 5);
+    }
+    // The same connection, server and (only) worker still serve.
+    let good = SearchRequest::new(probe_query(&climber), 3);
+    assert_eq!(client.search(&good).unwrap(), climber.search(&good));
+    let stats = server.stats();
+    assert_eq!(stats.rejected, refused);
+    assert_eq!((stats.admitted, stats.completed), (3, 3));
+    server.shutdown();
 }

@@ -1,12 +1,13 @@
-//! Batched query execution: serve a burst of queries partition-major and
-//! compare its throughput (QPS) against the sequential per-query engine.
+//! Batched query execution: hand the executor a burst of requests at once
+//! (`search_many`) and compare its throughput (QPS) against the same
+//! requests issued one `search` at a time.
 //!
 //! ```sh
 //! cargo run --release --example batch_search
 //! ```
 
 use climber_core::series::gen::{query_workload, Domain};
-use climber_core::{BatchRequest, Climber, ClimberConfig};
+use climber_core::{Climber, ClimberConfig, SearchRequest};
 use std::time::Instant;
 
 fn main() {
@@ -24,45 +25,52 @@ fn main() {
         .with_seed(7);
     let climber = Climber::build_in_memory(&data, config);
 
-    // A burst of 128 queries, as a throughput-oriented service sees them.
+    // A burst of 128 requests, as a throughput-oriented service sees them.
     let (k, factor) = (100, 4);
-    let qids = query_workload(&data, 128, 1);
-    let queries: Vec<Vec<f32>> = qids.iter().map(|&q| data.get(q).to_vec()).collect();
-
-    // Sequential: one query at a time, each decoding its own partitions.
-    let t = Instant::now();
-    let sequential: Vec<_> = queries
+    let requests: Vec<SearchRequest> = query_workload(&data, 128, 1)
         .iter()
-        .map(|q| climber.knn_adaptive(q, k, factor))
+        .map(|&q| SearchRequest::new(data.get(q), k).adaptive(factor))
         .collect();
-    let seq_secs = t.elapsed().as_secs_f64();
 
-    // Batched: the union of all plans, partition-major across threads.
+    // One at a time: each request opens and decodes its own partitions.
+    let before = climber.serve_io();
     let t = Instant::now();
-    let batch = climber.batch(&BatchRequest::adaptive(&queries, k, factor));
+    let sequential: Vec<_> = requests.iter().map(|r| climber.search(r)).collect();
+    let seq_secs = t.elapsed().as_secs_f64();
+    let seq_io = climber.serve_io().since(&before);
+
+    // Together: the union of all plans, partition-major across threads —
+    // every shared partition opened once, every shared cluster decoded once.
+    let before = climber.serve_io();
+    let t = Instant::now();
+    let batched = climber.search_many(&requests);
     let batch_secs = t.elapsed().as_secs_f64();
+    let batch_io = climber.serve_io().since(&before);
 
     // Same answers, down to the last bit and counter.
-    assert_eq!(batch.outcomes, sequential, "batch must equal sequential");
+    assert_eq!(batched, sequential, "batch must equal sequential");
 
     println!(
         "sequential: {:7.1} QPS  ({} queries in {:.3}s)",
-        queries.len() as f64 / seq_secs,
-        queries.len(),
+        requests.len() as f64 / seq_secs,
+        requests.len(),
         seq_secs
     );
     println!(
         "batched:    {:7.1} QPS  ({} queries in {:.3}s)  -> {:.2}x",
-        queries.len() as f64 / batch_secs,
-        queries.len(),
+        requests.len() as f64 / batch_secs,
+        requests.len(),
         batch_secs,
         seq_secs / batch_secs
     );
+    let scanned: u64 = batched.iter().map(|o| o.records_scanned).sum();
     println!(
-        "sharing: {} records decoded once served {} per-query scans ({:.1}x reuse) across {} partition opens",
-        batch.records_decoded,
-        batch.records_scanned,
-        batch.sharing_factor(),
-        batch.partitions_opened
+        "sharing: {} records decoded once served {} per-query scans ({:.1}x reuse) across {} partition opens (sequential: {} records, {} opens)",
+        batch_io.records_read,
+        scanned,
+        scanned as f64 / batch_io.records_read.max(1) as f64,
+        batch_io.partitions_opened,
+        seq_io.records_read,
+        seq_io.partitions_opened
     );
 }

@@ -14,6 +14,7 @@
 use climber_core::series::gen::{query_workload, Domain};
 use climber_core::series::ground_truth::exact_knn;
 use climber_core::series::recall::recall_of_results;
+use climber_core::SearchRequest;
 use climber_core::{Climber, ClimberConfig};
 
 fn main() {
@@ -47,9 +48,9 @@ fn main() {
         let (mut r, mut recs, mut parts) = (0.0, 0.0, 0.0);
         for &qid in &queries {
             let out = if factor == 0 {
-                climber.knn(archive.get(qid), k)
+                climber.search(&SearchRequest::new(archive.get(qid), k).exact())
             } else {
-                climber.knn_adaptive(archive.get(qid), k, factor)
+                climber.search(&SearchRequest::new(archive.get(qid), k).adaptive(factor))
             };
             let exact = exact_knn(&archive, archive.get(qid), k);
             r += recall_of_results(&out.results, &exact) / queries.len() as f64;
@@ -61,7 +62,7 @@ fn main() {
     {
         let (mut r, mut recs, mut parts) = (0.0, 0.0, 0.0);
         for &qid in &queries {
-            let out = climber.od_smallest(archive.get(qid), k);
+            let out = climber.search(&SearchRequest::new(archive.get(qid), k).smallest());
             let exact = exact_knn(&archive, archive.get(qid), k);
             r += recall_of_results(&out.results, &exact) / queries.len() as f64;
             recs += out.records_scanned as f64 / queries.len() as f64;

@@ -18,6 +18,7 @@ use climber_core::baselines::odyssey::{OdysseyConfig, OdysseyIndex};
 use climber_core::series::gen::{query_workload, Domain};
 use climber_core::series::ground_truth::exact_knn;
 use climber_core::series::recall::recall_of_results;
+use climber_core::SearchRequest;
 use climber_core::{Climber, ClimberConfig};
 use std::time::Instant;
 
@@ -48,7 +49,9 @@ fn main() {
     );
     let build = t.elapsed().as_secs_f64();
     report("CLIMBER-4X", build, &queries, &corpus, k, |q| {
-        climber.knn_adaptive(q, k, 4).results
+        climber
+            .search(&SearchRequest::new(q, k).adaptive(4))
+            .results
     });
 
     // HNSW graph.

@@ -11,6 +11,7 @@
 
 use climber_core::dfs::store::PartitionStore;
 use climber_core::series::gen::Domain;
+use climber_core::SearchRequest;
 use climber_core::{Climber, ClimberConfig};
 
 fn main() {
@@ -47,7 +48,7 @@ fn main() {
     );
 
     // queries merge the delta and filter tombstones transparently
-    let answer = climber.knn(&novel, 5);
+    let answer = climber.search(&SearchRequest::new(&novel[..], 5).exact());
     assert_eq!(answer.results[0], (new_id, 0.0), "appended record served");
     assert!(answer.results.iter().all(|&(id, _)| id != 100));
     println!("query sees the new record and not the deleted one");
@@ -58,8 +59,13 @@ fn main() {
 
     // 4. reopen WRITABLE: the journal is replayed, ingest continues
     let reopened = Climber::open_rw(&dir).unwrap();
-    assert_eq!(reopened.knn(&novel, 5).results[0], (new_id, 0.0));
-    let before = reopened.knn(&novel, 10);
+    assert_eq!(
+        reopened
+            .search(&SearchRequest::new(&novel[..], 5).exact())
+            .results[0],
+        (new_id, 0.0)
+    );
+    let before = reopened.search(&SearchRequest::new(&novel[..], 10).exact());
 
     // 5. fold: flush appends into the sealed partitions, compact purges
     //    tombstones; the directory is re-sealed at a new generation
@@ -73,13 +79,17 @@ fn main() {
     );
     assert_eq!(
         before, // folding never changes answers
-        reopened.knn(&novel, 10),
+        reopened.search(&SearchRequest::new(&novel[..], 10).exact()),
         "fold changed query results"
     );
 
     // 6. a cold read-only open of the folded directory agrees
     let cold = Climber::open(&dir).unwrap();
-    assert_eq!(cold.knn(&novel, 10).results, before.results);
+    assert_eq!(
+        cold.search(&SearchRequest::new(&novel[..], 10).exact())
+            .results,
+        before.results
+    );
     println!("cold reopen agrees: generation {}", cold.generation());
 
     std::fs::remove_dir_all(&dir).ok();

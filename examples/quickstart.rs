@@ -8,6 +8,7 @@
 use climber_core::series::gen::{query_workload, Domain};
 use climber_core::series::ground_truth::exact_knn;
 use climber_core::series::recall::recall_of_results;
+use climber_core::SearchRequest;
 use climber_core::{Climber, ClimberConfig};
 use std::time::Instant;
 
@@ -48,7 +49,7 @@ fn main() {
     let mut mean_partitions = 0.0;
     let t = Instant::now();
     for &qid in &queries {
-        let approx = climber.knn_adaptive(data.get(qid), k, 4);
+        let approx = climber.search(&SearchRequest::new(data.get(qid), k).adaptive(4));
         let exact = exact_knn(&data, data.get(qid), k);
         let r = recall_of_results(&approx.results, &exact);
         mean_recall += r / queries.len() as f64;

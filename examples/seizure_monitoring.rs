@@ -15,6 +15,7 @@
 use climber_core::series::gen::{noisy_query_workload, Domain};
 use climber_core::series::ground_truth::exact_knn_serial;
 use climber_core::series::recall::recall_of_results;
+use climber_core::SearchRequest;
 use climber_core::{Climber, ClimberConfig};
 use std::time::Instant;
 
@@ -56,7 +57,7 @@ fn main() {
     let mut mean_recall = 0.0;
     for (i, probe) in probes.iter().enumerate() {
         let t = Instant::now();
-        let hits = service.knn_adaptive(probe, k, 4);
+        let hits = service.search(&SearchRequest::new(&probe[..], k).adaptive(4));
         let exact = exact_knn_serial(&archive, probe, k);
         let r = recall_of_results(&hits.results, &exact);
         mean_recall += r / probes.len() as f64;

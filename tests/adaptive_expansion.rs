@@ -3,6 +3,7 @@
 use climber_core::series::gen::{query_workload, Domain};
 use climber_core::series::ground_truth::exact_knn;
 use climber_core::series::recall::recall_of_results;
+use climber_core::SearchRequest;
 use climber_core::{Climber, ClimberConfig};
 
 fn cfg() -> ClimberConfig {
@@ -27,8 +28,8 @@ fn adaptive_matches_knn_for_small_k() {
     let mut same = 0;
     let queries = query_workload(&ds, 12, 5);
     for &qid in &queries {
-        let a = climber.knn(ds.get(qid), 5);
-        let b = climber.knn_adaptive(ds.get(qid), 5, 4);
+        let a = climber.search(&SearchRequest::new(ds.get(qid), 5).exact());
+        let b = climber.search(&SearchRequest::new(ds.get(qid), 5).adaptive(4));
         if a.plan.primary_node_size >= 5 {
             assert_eq!(a.results, b.results, "query {qid}");
             same += 1;
@@ -48,13 +49,22 @@ fn recall_boost_grows_with_k_pressure() {
     let mut gain_small = 0.0;
     let mut gain_large = 0.0;
     for &qid in &queries {
-        let probe = climber.knn(ds.get(qid), 5);
+        let probe = climber.search(&SearchRequest::new(ds.get(qid), 5).exact());
         let m = probe.plan.primary_node_size.max(5) as usize;
         for (k, gain) in [(m / 2 + 1, &mut gain_small), (m * 4, &mut gain_large)] {
             let exact = exact_knn(&ds, ds.get(qid), k);
-            let plain = recall_of_results(&climber.knn(ds.get(qid), k).results, &exact);
-            let adaptive =
-                recall_of_results(&climber.knn_adaptive(ds.get(qid), k, 4).results, &exact);
+            let plain = recall_of_results(
+                &climber
+                    .search(&SearchRequest::new(ds.get(qid), k).exact())
+                    .results,
+                &exact,
+            );
+            let adaptive = recall_of_results(
+                &climber
+                    .search(&SearchRequest::new(ds.get(qid), k).adaptive(4))
+                    .results,
+                &exact,
+            );
             *gain += (adaptive - plain) / queries.len() as f64;
         }
     }
@@ -72,9 +82,9 @@ fn partition_budget_ordering_2x_4x() {
     for &qid in &query_workload(&ds, 10, 13) {
         let q = ds.get(qid);
         let k = 400; // force expansion
-        let plain = climber.knn(q, k);
-        let two = climber.knn_adaptive(q, k, 2);
-        let four = climber.knn_adaptive(q, k, 4);
+        let plain = climber.search(&SearchRequest::new(q, k).exact());
+        let two = climber.search(&SearchRequest::new(q, k).adaptive(2));
+        let four = climber.search(&SearchRequest::new(q, k).adaptive(4));
         let base = plain.plan.num_partitions().max(1);
         assert!(two.plan.num_partitions() <= 2 * base, "2X cap broken");
         assert!(four.plan.num_partitions() <= 4 * base, "4X cap broken");
@@ -97,8 +107,8 @@ fn od_smallest_dominates_data_access() {
     let (mut rec_fast, mut rec_scan) = (0.0, 0.0);
     for &qid in &queries {
         let exact = exact_knn(&ds, ds.get(qid), k);
-        let fast = climber.knn_adaptive(ds.get(qid), k, 4);
-        let scan = climber.od_smallest(ds.get(qid), k);
+        let fast = climber.search(&SearchRequest::new(ds.get(qid), k).adaptive(4));
+        let scan = climber.search(&SearchRequest::new(ds.get(qid), k).smallest());
         acc_fast += fast.records_scanned;
         acc_scan += scan.records_scanned;
         rec_fast += recall_of_results(&fast.results, &exact) / queries.len() as f64;

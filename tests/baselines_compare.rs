@@ -8,6 +8,7 @@ use climber_core::dfs::store::MemStore;
 use climber_core::series::gen::{query_workload, Domain};
 use climber_core::series::ground_truth::exact_knn;
 use climber_core::series::recall::recall_of_results;
+use climber_core::SearchRequest;
 use climber_core::{Climber, ClimberConfig};
 
 const N: usize = 4_000;
@@ -48,7 +49,11 @@ fn dss_is_exact_and_climber_beats_isax_systems() {
     let queries = query_workload(&ds, 10, 77);
 
     let climber = Climber::build_in_memory(&ds, climber_cfg());
-    let r_climber = mean_recall(&ds, &queries, |q| climber.knn_adaptive(q, K, 4).results);
+    let r_climber = mean_recall(&ds, &queries, |q| {
+        climber
+            .search(&SearchRequest::new(q, K).adaptive(4))
+            .results
+    });
 
     let dstore = MemStore::new();
     let (dpisax, _) = DpisaxIndex::build(
@@ -101,7 +106,7 @@ fn dss_scans_everything_and_is_slowest_in_records() {
     let climber = Climber::build_in_memory(&ds, climber_cfg());
     let q = ds.get(4);
     let full = dss_query(climber.store(), q, K);
-    let fast = climber.knn_adaptive(q, K, 4);
+    let fast = climber.search(&SearchRequest::new(q, K).adaptive(4));
     assert_eq!(full.records_scanned, 2_000);
     assert!(
         fast.records_scanned < full.records_scanned / 2,

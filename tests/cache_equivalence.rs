@@ -33,6 +33,7 @@ use climber_core::{
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -182,17 +183,17 @@ proptest! {
 
         // How many partition images even fit the budget (a one-page
         // budget can only evict if at least two images are insertable).
-        let insertable = cached
+        let insertable: BTreeSet<u32> = cached
             .store()
             .ids()
-            .iter()
+            .into_iter()
             .filter(|id| {
-                let len = fs::metadata(cached_dir.join(partition_file_name(**id)))
+                let len = fs::metadata(cached_dir.join(partition_file_name(*id)))
                     .unwrap()
                     .len() as usize;
                 charge_of(len) <= cache_bytes
             })
-            .count();
+            .collect();
 
         let queries: Vec<Vec<f32>> = (0..3u64)
             .map(|i| {
@@ -215,10 +216,20 @@ proptest! {
             stats.hits + stats.misses > 0,
             "sealed reads never consulted the cache"
         );
+        // A one-page budget cannot keep two images resident, so once the
+        // requests touch two insertable partitions, one sealed read went
+        // to disk and one image was evicted. (Requests that touch only the
+        // one partition the open warmed are served from memory,
+        // legitimately, with neither.)
+        let touched: BTreeSet<u32> = reqs
+            .iter()
+            .flat_map(|r| baseline.search(r).plan.reads.into_keys())
+            .filter(|pid| insertable.contains(pid))
+            .collect();
         if tiny {
-            // A one-page budget cannot keep every image resident, so at
-            // least one sealed read went to disk.
-            prop_assert!(stats.misses > 0, "tiny budget never missed: {stats:?}");
+            if touched.len() >= 2 {
+                prop_assert!(stats.misses > 0, "tiny budget never missed: {stats:?}");
+            }
         } else {
             // A roomy budget was fully warmed by the open, so reads hit.
             prop_assert!(stats.hits > 0, "warm pass never hit: {stats:?}");
@@ -229,7 +240,7 @@ proptest! {
             stats.resident_bytes,
             cache_bytes
         );
-        if tiny && insertable >= 2 {
+        if tiny && touched.len() >= 2 {
             prop_assert!(stats.evictions > 0, "one-page budget never evicted: {stats:?}");
         }
 

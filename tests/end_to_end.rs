@@ -3,6 +3,7 @@
 use climber_core::series::gen::{query_workload, Domain};
 use climber_core::series::ground_truth::exact_knn;
 use climber_core::series::recall::recall_of_results;
+use climber_core::SearchRequest;
 use climber_core::{Climber, ClimberConfig};
 
 fn cfg() -> ClimberConfig {
@@ -29,7 +30,7 @@ fn all_domains_build_and_answer_queries() {
 
         let k = 25;
         for &qid in &query_workload(&ds, 5, 3) {
-            let out = climber.knn_adaptive(ds.get(qid), k, 4);
+            let out = climber.search(&SearchRequest::new(ds.get(qid), k).adaptive(4));
             assert_eq!(out.results.len(), k, "{} q{qid}", domain.name());
             // results sorted, distances non-negative
             for w in out.results.windows(2) {
@@ -52,7 +53,7 @@ fn recall_exceeds_scan_fraction_on_every_domain() {
         let mut recall = 0.0;
         let mut scanned = 0u64;
         for &qid in &queries {
-            let out = climber.knn_adaptive(ds.get(qid), k, 4);
+            let out = climber.search(&SearchRequest::new(ds.get(qid), k).adaptive(4));
             let exact = exact_knn(&ds, ds.get(qid), k);
             recall += recall_of_results(&out.results, &exact) / queries.len() as f64;
             scanned += out.records_scanned;
@@ -99,7 +100,7 @@ fn self_query_returns_zero_distance_first() {
     let mut hits = 0;
     let queries = query_workload(&ds, 20, 7);
     for &qid in &queries {
-        let out = climber.knn(ds.get(qid), 5);
+        let out = climber.search(&SearchRequest::new(ds.get(qid), 5).exact());
         if out.results.first() == Some(&(qid, 0.0)) {
             hits += 1;
         }

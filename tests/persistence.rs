@@ -7,6 +7,7 @@
 use climber_core::dfs::manifest::xxh64;
 use climber_core::dfs::store::PartitionStore;
 use climber_core::series::gen::Domain;
+use climber_core::SearchRequest;
 use climber_core::{
     Climber, ClimberConfig, ClimberError, OpenError, FORMAT_VERSION, MANIFEST_FILE, SKELETON_FILE,
 };
@@ -41,13 +42,19 @@ fn reopened_index_answers_identically() {
     let ds = Domain::RandomWalk.generate(1_200, 5);
     let built = Climber::build_on_disk(&ds, &dir, cfg()).unwrap();
     let before: Vec<_> = (0..5u64)
-        .map(|q| built.knn_adaptive(ds.get(q * 100), 20, 4).results)
+        .map(|q| {
+            built
+                .search(&SearchRequest::new(ds.get(q * 100), 20).adaptive(4))
+                .results
+        })
         .collect();
     drop(built);
 
     let reopened = Climber::open(&dir).unwrap();
     for (i, want) in before.iter().enumerate() {
-        let got = reopened.knn_adaptive(ds.get(i as u64 * 100), 20, 4).results;
+        let got = reopened
+            .search(&SearchRequest::new(ds.get(i as u64 * 100), 20).adaptive(4))
+            .results;
         assert_eq!(&got, want, "query {i} diverged after reopen");
     }
     fs::remove_dir_all(&dir).ok();
@@ -130,7 +137,7 @@ fn queries_tolerate_a_partition_lost_while_serving() {
     fs::remove_file(victim).unwrap();
 
     for q in 0..10u64 {
-        let out = reopened.knn(ds.get(q * 37), 10);
+        let out = reopened.search(&SearchRequest::new(ds.get(q * 37), 10).exact());
         // some queries may return fewer than k if their partition vanished,
         // but none may fail
         assert!(out.results.len() <= 10);
@@ -272,7 +279,7 @@ fn journal_survives_reopen_read_only_and_writable() {
     let (dir, probe) = journaled_dir("journal");
     // read-only: journal replayed, updates visible, mutations rejected
     let ro = Climber::open(&dir).unwrap();
-    let out = ro.knn(&probe, 5);
+    let out = ro.search(&SearchRequest::new(&probe[..], 5).exact());
     assert_eq!(
         out.results[0],
         (400, 0.0),
@@ -288,7 +295,7 @@ fn journal_survives_reopen_read_only_and_writable() {
     // writable: same state, and the index keeps moving — flush folds the
     // journal away and re-seals the directory at the next generation.
     let rw = Climber::open_rw(&dir).unwrap();
-    assert_eq!(rw.knn(&probe, 5), out);
+    assert_eq!(rw.search(&SearchRequest::new(&probe[..], 5).exact()), out);
     assert_eq!(rw.generation(), 0);
     let report = rw.flush().unwrap();
     assert_eq!(report.records_folded, 1);
@@ -309,7 +316,7 @@ fn journal_survives_reopen_read_only_and_writable() {
     // the re-sealed directory cold-opens to identical answers
     let cold = Climber::open(&dir).unwrap();
     assert_eq!(cold.generation(), 2);
-    assert_eq!(cold.knn(&probe, 5), out);
+    assert_eq!(cold.search(&SearchRequest::new(&probe[..], 5).exact()), out);
     fs::remove_dir_all(&dir).ok();
 }
 
@@ -324,7 +331,7 @@ fn writable_reopen_keeps_ingesting_across_cycles() {
     rw.compact().unwrap();
     rw.save(&dir).unwrap();
     let again = Climber::open_rw(&dir).unwrap();
-    let out = again.knn(&probe2, 3);
+    let out = again.search(&SearchRequest::new(&probe2[..], 3).exact());
     assert_eq!(out.results[0], (id2, 0.0));
     fs::remove_dir_all(&dir).ok();
 }
@@ -355,7 +362,7 @@ fn disk_flush_reseal_is_incremental() {
     // ... and the incrementally re-sealed directory validates end to end.
     let cold = Climber::open(&dir).unwrap();
     assert_eq!(cold.generation(), 1);
-    let out = cold.knn(ds.get(5), 2);
+    let out = cold.search(&SearchRequest::new(ds.get(5), 2).exact());
     assert_eq!(out.results[0].1, 0.0);
     fs::remove_dir_all(&dir).ok();
 }
