@@ -27,7 +27,7 @@ use climber_serve::{ServeClient, ServeConfig, Server};
 use std::fmt::Write as _;
 use std::sync::{Arc, Barrier};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One measured server configuration.
 struct Row {
@@ -145,19 +145,8 @@ fn main() {
         println!("equivalence check: served == direct on 8 requests");
     }
 
-    let sequential_cfg = ServeConfig::default()
-        .with_workers(1)
-        .with_max_batch(1)
-        .with_max_delay(Duration::ZERO);
-    // Continuous batching: zero delay means the worker never idles waiting
-    // for a fuller batch — it drains whatever accumulated while it was
-    // executing the previous one. Closed-loop clients make deadline-based
-    // coalescing lockstep (every round waits for the slowest client), so
-    // this is the throughput-optimal operating point; max_delay matters
-    // for open-loop traffic where arrivals don't depend on responses.
-    let batched_cfg = ServeConfig::default()
-        .with_max_batch(256)
-        .with_max_delay(Duration::ZERO);
+    let sequential_cfg = ServeConfig::default().with_workers(1).with_max_batch(1);
+    let batched_cfg = ServeConfig::default().with_max_batch(256);
 
     // Loopback scheduling noise dwarfs sub-second runs; always keep the
     // best of two so one descheduled client thread can't sink a mode.

@@ -36,6 +36,9 @@ pub mod status {
     /// answered; the search may still complete server-side, but the
     /// response was abandoned.
     pub const DEADLINE_EXCEEDED: u8 = 7;
+    /// The backend panicked while executing the request's batch; the
+    /// worker survived and keeps serving.
+    pub const INTERNAL: u8 = 8;
 }
 
 /// Every way the facade can fail, in one enum.
@@ -132,6 +135,10 @@ pub enum ServeError {
     /// The request itself was valid and read-only; retrying is safe but a
     /// client should treat repeated deadline misses as overload.
     DeadlineExceeded,
+    /// The backend panicked while executing this request's batch. The
+    /// server caught it and keeps serving; the same request is likely to
+    /// fail the same way, so clients do not retry it.
+    Internal,
     /// A malformed or unexpected frame on the wire.
     Protocol(String),
     /// A failure reported by the remote server that is not one of the
@@ -152,6 +159,7 @@ impl ServeError {
             ServeError::ShuttingDown => status::SHUTTING_DOWN,
             ServeError::BadRequest(_) => status::BAD_REQUEST,
             ServeError::DeadlineExceeded => status::DEADLINE_EXCEEDED,
+            ServeError::Internal => status::INTERNAL,
             ServeError::Protocol(_) => status::PROTOCOL,
             ServeError::Remote { status, .. } => *status,
         }
@@ -165,6 +173,7 @@ impl ServeError {
             status::SHUTTING_DOWN => ServeError::ShuttingDown,
             status::BAD_REQUEST => ServeError::BadRequest(message),
             status::DEADLINE_EXCEEDED => ServeError::DeadlineExceeded,
+            status::INTERNAL => ServeError::Internal,
             status::PROTOCOL => ServeError::Protocol(message),
             code => ServeError::Remote {
                 status: code,
@@ -181,6 +190,7 @@ impl fmt::Display for ServeError {
             ServeError::ShuttingDown => write!(f, "server shutting down"),
             ServeError::BadRequest(m) => write!(f, "bad request: {m}"),
             ServeError::DeadlineExceeded => write!(f, "request deadline exceeded"),
+            ServeError::Internal => write!(f, "internal error: the backend panicked"),
             ServeError::Protocol(m) => write!(f, "protocol error: {m}"),
             ServeError::Remote { status, message } => {
                 write!(f, "remote error (status {status}): {message}")
@@ -202,6 +212,7 @@ mod tests {
             ServeError::ShuttingDown,
             ServeError::BadRequest("k must be positive".into()),
             ServeError::DeadlineExceeded,
+            ServeError::Internal,
             ServeError::Protocol("bad frame".into()),
         ];
         for e in cases {

@@ -5,9 +5,11 @@
 //! (searches, stats, ping, health), so a transport failure — connection
 //! refused, reset, torn frame, socket timeout — is retried against a
 //! fresh connection under a capped jittered exponential backoff
-//! ([`RetryPolicy`]). Typed server responses (overloaded, shutting down,
-//! bad request, deadline exceeded) are **not** retried: the server
-//! answered; retrying is the caller's policy decision.
+//! ([`RetryPolicy`]). Typed server responses (overloaded, bad request,
+//! deadline exceeded, internal error) are **not** retried: the server
+//! answered; retrying is the caller's policy decision. The one exception
+//! is a draining server's refusal, replayed because a replacement may be
+//! coming up on the same address.
 
 use crate::metrics::StatsReport;
 use crate::protocol::{
@@ -136,8 +138,8 @@ impl ServeClient {
     /// Executes one search on the server. The outcome is bit-identical to
     /// calling [`Climber::search`] locally with the same request; typed
     /// failures ([`ServeError::Overloaded`], [`ServeError::ShuttingDown`],
-    /// [`ServeError::DeadlineExceeded`], bad requests) come back as the
-    /// matching error variant. Searches are read-only, so a transport
+    /// [`ServeError::DeadlineExceeded`], [`ServeError::Internal`], bad
+    /// requests) come back as the matching error variant. Searches are read-only, so a transport
     /// failure mid-request is replayed on a fresh connection — a server
     /// killed and restarted between calls (or mid-call) costs retries,
     /// never a wrong or duplicated answer.

@@ -5,21 +5,26 @@
 //! The query executor ([`Climber::search_many`]) earns its candidate-sharing
 //! win only when queries arrive *together* — but real traffic arrives one
 //! request at a time, over many connections. This crate closes that gap
-//! with a classic admission-queue design:
+//! with a work-conserving admission queue: nothing is held back to wait
+//! for company, and whatever piles up while the workers are busy is
+//! executed as one batch.
 //!
 //! * [`protocol`] — a length-prefixed binary wire protocol carrying
 //!   [`SearchRequest`]/[`QueryOutcome`] via the same `climber_dfs::format`
 //!   codec the on-disk format uses: a served query is byte-for-byte the
 //!   request a local caller would build;
 //! * [`queue`] — the [`AdmissionQueue`]: connection handlers submit
-//!   requests into a bounded queue, worker threads drain them in
-//!   micro-batches of up to `max_batch` requests, flushing early once the
-//!   oldest request has waited `max_delay`. A full queue rejects with a
-//!   typed overload response — graceful degradation, never a hang;
+//!   requests into a bounded queue; a free worker takes what is queued,
+//!   up to `max_batch` requests, at once and sleeps only on an empty
+//!   queue, so an idle server adds no queueing delay and a busy one
+//!   batches by itself. A full queue rejects with a typed overload
+//!   response — graceful degradation, never a hang;
 //! * [`server`] — the TCP [`Server`]: acceptor thread, per-connection
-//!   handlers, a worker pool feeding the query executor, and a clean
-//!   [`shutdown`](Server::shutdown) that drains every admitted request;
-//! * [`metrics`] — per-request latency percentiles plus
+//!   handlers, a worker pool feeding the query executor (a backend panic
+//!   is answered as a typed internal error and the worker lives on), and
+//!   a clean [`shutdown`](Server::shutdown) that drains every admitted
+//!   request;
+//! * [`metrics`] — per-request queue-wait and latency percentiles plus
 //!   QPS/queue-depth/batch-occupancy counters, served by the stats
 //!   endpoint as a [`StatsReport`];
 //! * [`client`] — a small blocking [`ServeClient`] for examples, tests,

@@ -1,24 +1,93 @@
-//! Serving metrics: counters, a queue-depth gauge, and a lock-free
-//! log-bucketed latency histogram with approximate percentiles.
+//! Serving metrics: counters, a queue-depth gauge, and two lock-free
+//! log-linear histograms (queue wait and end-to-end latency) with
+//! approximate percentiles.
 
 use climber_core::IoSnapshot;
 use climber_dfs::format::{ByteReader, Decode, Encode};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// Latency histogram buckets: bucket `i` counts requests whose end-to-end
-/// latency is in `[2^i, 2^(i+1))` microseconds; 40 buckets span 1 µs to
-/// ~12 days, far beyond any request this server would keep alive.
-const LATENCY_BUCKETS: usize = 40;
+/// Sub-buckets per octave, as a power of two: each power-of-two range of
+/// microseconds is cut into `2^SUB_BITS` = 8 equal slices, so a bucket is
+/// at most 1/8 of its lower edge wide.
+const SUB_BITS: usize = 3;
+const SUB_BUCKETS: usize = 1 << SUB_BITS;
+/// Octaves covered above the exact range `[0, 8)` µs: up to 2^40 µs
+/// (~12 days), far beyond any request this server would keep alive.
+const OCTAVES: usize = 37;
+const BUCKETS: usize = SUB_BUCKETS * (OCTAVES + 1);
+
+/// A lock-free log-linear histogram of microsecond durations.
+///
+/// Values below 8 µs get a bucket each; above that, every octave
+/// `[2^e, 2^(e+1))` is split into [`SUB_BUCKETS`] equal slices. A
+/// percentile reports its bucket's upper edge, so it overstates the true
+/// value by at most 12.5 % — and recording stays one relaxed `fetch_add`.
+#[derive(Debug)]
+struct Histogram(Vec<AtomicU64>);
+
+impl Histogram {
+    fn new() -> Self {
+        Self((0..BUCKETS).map(|_| AtomicU64::new(0)).collect())
+    }
+
+    fn bucket_of(us: u64) -> usize {
+        if us < SUB_BUCKETS as u64 {
+            return us as usize;
+        }
+        let octave = 63 - us.leading_zeros() as usize;
+        let sub = (us >> (octave - SUB_BITS)) as usize & (SUB_BUCKETS - 1);
+        ((octave - SUB_BITS + 1) * SUB_BUCKETS + sub).min(BUCKETS - 1)
+    }
+
+    /// The inclusive lower edge (µs) of bucket `i`; bucket `i`'s exclusive
+    /// upper edge is `lower_edge(i + 1)`.
+    fn lower_edge(i: usize) -> u64 {
+        if i < SUB_BUCKETS {
+            return i as u64;
+        }
+        ((SUB_BUCKETS + i % SUB_BUCKETS) as u64) << (i / SUB_BUCKETS - 1)
+    }
+
+    fn record(&self, d: Duration) {
+        let us = u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
+        self.0[Self::bucket_of(us)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn snapshot(&self) -> Vec<u64> {
+        self.0.iter().map(|c| c.load(Ordering::Relaxed)).collect()
+    }
+
+    /// The upper edge (µs) of the bucket holding percentile `q` (0–100) of
+    /// a [`snapshot`](Self::snapshot); 0 when nothing was recorded.
+    fn percentile_us(counts: &[u64], q: f64) -> u64 {
+        let total: u64 = counts.iter().sum();
+        if total == 0 {
+            return 0;
+        }
+        let rank = ((q / 100.0) * total as f64).ceil().max(1.0) as u64;
+        let mut seen = 0u64;
+        for (i, &c) in counts.iter().enumerate() {
+            seen += c;
+            if seen >= rank {
+                return Self::lower_edge(i + 1);
+            }
+        }
+        Self::lower_edge(counts.len())
+    }
+}
 
 /// Lock-free serving metrics, shared by handlers and workers.
 ///
 /// Counters are monotone relaxed atomics — each one is individually exact,
 /// while a [`report`](Self::report) is a near-consistent snapshot (readers
-/// never block the serving path). Percentiles are approximate: each
-/// observation lands in a power-of-two latency bucket and a percentile
-/// reports its bucket's upper bound, so the error is at most 2× — the
-/// right trade for a hot path that must never take a lock.
+/// never block the serving path). Two histograms time every admitted
+/// request from the moment it entered the queue: until a worker took it
+/// (the queue wait, measured where it happens) and until its answer was
+/// ready (end to end). Percentiles are approximate: each observation lands
+/// in one of 8 sub-buckets per octave and a percentile reports its
+/// bucket's upper edge, so the error is at most 12.5 % — the right trade
+/// for a hot path that must never take a lock.
 #[derive(Debug)]
 pub struct ServeMetrics {
     start: Instant,
@@ -26,9 +95,11 @@ pub struct ServeMetrics {
     rejected: AtomicU64,
     deadline_missed: AtomicU64,
     completed: AtomicU64,
+    internal: AtomicU64,
     batches: AtomicU64,
     batched_requests: AtomicU64,
-    latency: Vec<AtomicU64>,
+    queue_wait: Histogram,
+    latency: Histogram,
 }
 
 impl Default for ServeMetrics {
@@ -46,9 +117,11 @@ impl ServeMetrics {
             rejected: AtomicU64::new(0),
             deadline_missed: AtomicU64::new(0),
             completed: AtomicU64::new(0),
+            internal: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             batched_requests: AtomicU64::new(0),
-            latency: (0..LATENCY_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
+            queue_wait: Histogram::new(),
+            latency: Histogram::new(),
         }
     }
 
@@ -68,6 +141,11 @@ impl ServeMetrics {
         self.deadline_missed.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// A worker took a request out of the queue `wait` after it entered.
+    pub fn on_dequeued(&self, wait: Duration) {
+        self.queue_wait.record(wait);
+    }
+
     /// A micro-batch of `size` requests finished executing.
     pub fn on_batch(&self, size: usize) {
         self.batches.fetch_add(1, Ordering::Relaxed);
@@ -78,36 +156,20 @@ impl ServeMetrics {
     /// A request completed with the given queue-entry→response latency.
     pub fn on_completed(&self, latency: Duration) {
         self.completed.fetch_add(1, Ordering::Relaxed);
-        let us = latency.as_micros().max(1) as u64;
-        let bucket = (63 - us.leading_zeros() as usize).min(LATENCY_BUCKETS - 1);
-        self.latency[bucket].fetch_add(1, Ordering::Relaxed);
+        self.latency.record(latency);
     }
 
-    /// The upper bound (µs) of the bucket holding percentile `q` (0–100).
-    fn percentile_us(&self, counts: &[u64], q: f64) -> u64 {
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((q / 100.0) * total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return 1u64 << (i + 1);
-            }
-        }
-        1u64 << LATENCY_BUCKETS
+    /// The backend panicked on a micro-batch: its `size` requests are
+    /// answered `Internal`.
+    pub fn on_internal(&self, size: usize) {
+        self.internal.fetch_add(size as u64, Ordering::Relaxed);
     }
 
     /// Snapshots everything into a wire-encodable [`StatsReport`].
     /// `queue_depth` is sampled by the caller (the queue owns it).
     pub fn report(&self, queue_depth: u64) -> StatsReport {
-        let counts: Vec<u64> = self
-            .latency
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect();
+        let waits = self.queue_wait.snapshot();
+        let latencies = self.latency.snapshot();
         let completed = self.completed.load(Ordering::Relaxed);
         let batches = self.batches.load(Ordering::Relaxed);
         let batched = self.batched_requests.load(Ordering::Relaxed);
@@ -118,6 +180,7 @@ impl ServeMetrics {
             rejected: self.rejected.load(Ordering::Relaxed),
             deadline_missed: self.deadline_missed.load(Ordering::Relaxed),
             completed,
+            internal: self.internal.load(Ordering::Relaxed),
             batches,
             mean_batch: if batches == 0 {
                 0.0
@@ -126,9 +189,11 @@ impl ServeMetrics {
             },
             queue_depth,
             qps: completed as f64 / uptime.as_secs_f64().max(1e-9),
-            p50_us: self.percentile_us(&counts, 50.0),
-            p95_us: self.percentile_us(&counts, 95.0),
-            p99_us: self.percentile_us(&counts, 99.0),
+            queue_wait_p50_us: Histogram::percentile_us(&waits, 50.0),
+            queue_wait_p95_us: Histogram::percentile_us(&waits, 95.0),
+            p50_us: Histogram::percentile_us(&latencies, 50.0),
+            p95_us: Histogram::percentile_us(&latencies, 95.0),
+            p99_us: Histogram::percentile_us(&latencies, 99.0),
             cache_hits: 0,
             cache_misses: 0,
             cache_evictions: 0,
@@ -150,8 +215,12 @@ pub struct StatsReport {
     /// Admitted requests whose handlers answered a typed
     /// deadline-exceeded error instead of waiting for the query executor.
     pub deadline_missed: u64,
-    /// Requests answered.
+    /// Requests a worker executed and answered.
     pub completed: u64,
+    /// Requests answered with a typed internal error because the backend
+    /// panicked on their batch; `admitted == completed + internal` once
+    /// the queue is drained.
+    pub internal: u64,
     /// Micro-batches executed.
     pub batches: u64,
     /// Mean requests per executed micro-batch (batch occupancy).
@@ -160,6 +229,11 @@ pub struct StatsReport {
     pub queue_depth: u64,
     /// Completed requests per second of uptime.
     pub qps: f64,
+    /// Approximate median time (µs) a request sat in the admission queue,
+    /// queue entry → taken by a worker.
+    pub queue_wait_p50_us: u64,
+    /// Approximate 95th-percentile queue wait (µs).
+    pub queue_wait_p95_us: u64,
     /// Approximate median latency (µs), queue entry → response ready.
     pub p50_us: u64,
     /// Approximate 95th-percentile latency (µs).
@@ -203,10 +277,13 @@ impl Encode for StatsReport {
         self.rejected.encode(out);
         self.deadline_missed.encode(out);
         self.completed.encode(out);
+        self.internal.encode(out);
         self.batches.encode(out);
         self.mean_batch.encode(out);
         self.queue_depth.encode(out);
         self.qps.encode(out);
+        self.queue_wait_p50_us.encode(out);
+        self.queue_wait_p95_us.encode(out);
         self.p50_us.encode(out);
         self.p95_us.encode(out);
         self.p99_us.encode(out);
@@ -226,10 +303,13 @@ impl Decode for StatsReport {
             rejected: r.u64()?,
             deadline_missed: r.u64()?,
             completed: r.u64()?,
+            internal: r.u64()?,
             batches: r.u64()?,
             mean_batch: r.f64()?,
             queue_depth: r.u64()?,
             qps: r.f64()?,
+            queue_wait_p50_us: r.u64()?,
+            queue_wait_p95_us: r.u64()?,
             p50_us: r.u64()?,
             p95_us: r.u64()?,
             p99_us: r.u64()?,
@@ -253,6 +333,7 @@ mod tests {
             m.on_admitted();
         }
         m.on_rejected();
+        m.on_internal(1);
         m.on_batch(4);
         m.on_batch(6);
         for _ in 0..10 {
@@ -262,6 +343,7 @@ mod tests {
         assert_eq!(r.admitted, 10);
         assert_eq!(r.rejected, 1);
         assert_eq!(r.completed, 10);
+        assert_eq!(r.internal, 1);
         assert_eq!(r.batches, 2);
         assert!((r.mean_batch - 5.0).abs() < 1e-9);
         assert_eq!(r.queue_depth, 3);
@@ -273,22 +355,44 @@ mod tests {
         let m = ServeMetrics::new();
         // 9 fast requests and one slow one
         for _ in 0..9 {
+            m.on_dequeued(Duration::from_micros(3));
             m.on_completed(Duration::from_micros(100));
         }
+        m.on_dequeued(Duration::from_millis(2));
         m.on_completed(Duration::from_millis(80));
         let r = m.report(0);
-        // 100 µs lands in [64,128) → upper bound 128
-        assert_eq!(r.p50_us, 128);
+        // 100 µs lands in [96,104) → upper edge 104
+        assert_eq!(r.p50_us, 104);
         // ranks 9.5 and 9.9 round up to the slow request: 80 ms lands in
-        // [65.5,131) ms → upper bound 131072 µs
-        assert_eq!(r.p95_us, 131_072);
-        assert_eq!(r.p99_us, 131_072);
+        // [73.7,81.9) ms → upper edge 81920 µs
+        assert_eq!(r.p95_us, 81_920);
+        assert_eq!(r.p99_us, 81_920);
+        // below 8 µs every value has its own bucket; 2000 µs lands in
+        // [1920,2048)
+        assert_eq!(r.queue_wait_p50_us, 4);
+        assert_eq!(r.queue_wait_p95_us, 2_048);
+    }
+
+    #[test]
+    fn bucket_edges_tile_the_range_within_an_eighth() {
+        let mut prev = 0;
+        for us in (0..5_000u64).chain([1 << 20, (1 << 33) + 12_345, u64::MAX]) {
+            let i = Histogram::bucket_of(us);
+            assert!(i >= prev, "buckets must be monotone in the value");
+            prev = i;
+            let (lo, hi) = (Histogram::lower_edge(i), Histogram::lower_edge(i + 1));
+            if i < BUCKETS - 1 {
+                assert!(lo <= us && us < hi, "{us} outside [{lo},{hi})");
+            }
+            assert!(hi - lo <= (lo / 8).max(1), "[{lo},{hi}) wider than 1/8");
+        }
     }
 
     #[test]
     fn empty_histogram_reports_zero() {
         let r = ServeMetrics::new().report(0);
         assert_eq!((r.p50_us, r.p95_us, r.p99_us), (0, 0, 0));
+        assert_eq!((r.queue_wait_p50_us, r.queue_wait_p95_us), (0, 0));
         assert_eq!(r.mean_batch, 0.0);
     }
 
@@ -296,7 +400,9 @@ mod tests {
     fn report_roundtrips_through_the_codec() {
         let m = ServeMetrics::new();
         m.on_admitted();
+        m.on_dequeued(Duration::from_micros(17));
         m.on_completed(Duration::from_micros(42));
+        m.on_internal(1);
         m.on_batch(1);
         let r = m.report(7);
         let bytes = r.encode_vec();

@@ -339,16 +339,21 @@ mod tests {
 
     #[test]
     fn error_responses_carry_status_and_message() {
-        let resp = error_response(&ServeError::Overloaded.into());
-        let mut wire = Vec::new();
-        write_message(&mut wire, &resp).unwrap();
-        let back: Response = read_message(&mut &wire[..]).unwrap().unwrap();
-        match back {
-            Response::Error { status: s, message } => {
-                assert_eq!(s, status::OVERLOADED);
-                assert!(message.contains("overloaded"));
+        for (err, code, text) in [
+            (ServeError::Overloaded, status::OVERLOADED, "overloaded"),
+            (ServeError::Internal, status::INTERNAL, "panicked"),
+        ] {
+            let resp = error_response(&err.into());
+            let mut wire = Vec::new();
+            write_message(&mut wire, &resp).unwrap();
+            let back: Response = read_message(&mut &wire[..]).unwrap().unwrap();
+            match back {
+                Response::Error { status: s, message } => {
+                    assert_eq!(s, code);
+                    assert!(message.contains(text), "{message}");
+                }
+                other => panic!("wrong decode: {other:?}"),
             }
-            other => panic!("wrong decode: {other:?}"),
         }
     }
 

@@ -7,37 +7,39 @@
 //!            submit()                  next_batch()
 //! clients ─────────────▶ [ bounded VecDeque ] ─────────────▶ workers
 //!             │                                   │
-//!             │ queue full → Err(Overloaded)      │ flush when ANY of:
-//!             │ draining   → Err(ShuttingDown)    │   len ≥ max_batch
-//!             ▼                                   │   oldest waited ≥ max_delay
-//!        (request never enqueued,                 │   shutdown (drain rest)
+//!             │ queue full → Err(Overloaded)      │ flush when:
+//!             │ draining   → Err(ShuttingDown)    │   a worker is free and the
+//!             ▼                                   │   queue is non-empty
+//!        (request never enqueued,                 │   | shutdown (drain rest)
 //!         caller answers immediately)             ▼
 //!                                      batch of ≤ max_batch Pendings
 //! ```
 //!
-//! A worker blocks on the condvar while the queue is empty, then flushes
-//! as soon as the batch is full **or** the oldest request has waited
-//! `max_delay` — so under load batches fill instantly (throughput mode),
-//! and a lone request still leaves within the latency deadline. Shutdown
-//! flips a flag under the same lock: every already-admitted request is
-//! still drained and answered, while new submissions are refused with a
-//! typed error. Backpressure is the same shape: a full queue *refuses*
-//! (never blocks) so an overloaded server degrades into fast typed
-//! rejections instead of unbounded queueing or a hang.
+//! The queue is **work-conserving**: a worker that asks for a batch gets
+//! whatever is queued (oldest first, up to `max_batch`) at once, and
+//! blocks on the condvar only while the queue is empty. Nothing lingers
+//! for company, so an idle server answers in engine + wire time. Batches
+//! form from worker busy time instead: requests that arrive while every
+//! worker is executing accumulate, and the first worker to finish drains
+//! them together — coalescing happens exactly when there is something to
+//! share. Shutdown flips a flag under the same lock: every
+//! already-admitted request is still drained and answered, while new
+//! submissions are refused with a typed error. Backpressure is the same
+//! shape: a full queue *refuses* (never blocks) so an overloaded server
+//! degrades into fast typed rejections instead of unbounded queueing or a
+//! hang.
 
 use climber_core::{QueryOutcome, SearchRequest, ServeError};
 use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// When and how the queue flushes micro-batches.
+/// How large a micro-batch may grow and how deep the queue may get.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchPolicy {
-    /// Flush as soon as this many requests are waiting.
+    /// A worker takes at most this many requests per batch.
     pub max_batch: usize,
-    /// Flush once the oldest waiting request has waited this long.
-    pub max_delay: Duration,
     /// Admission bound: a submit beyond this depth is refused.
     pub queue_cap: usize,
 }
@@ -46,7 +48,6 @@ impl Default for BatchPolicy {
     fn default() -> Self {
         Self {
             max_batch: 64,
-            max_delay: Duration::from_millis(2),
             queue_cap: 1024,
         }
     }
@@ -117,41 +118,27 @@ impl AdmissionQueue {
         Ok(())
     }
 
-    /// Blocks until a micro-batch is ready and drains it (oldest first, at
-    /// most `max_batch`). Returns `None` only when the queue is shut down
-    /// **and** empty — the worker-exit signal; every admitted request is
-    /// part of some returned batch first.
+    /// Blocks while the queue is empty, then drains what is queued (oldest
+    /// first, at most `max_batch`) without waiting for more. Returns `None`
+    /// only when the queue is shut down **and** empty — the worker-exit
+    /// signal; every admitted request is part of some returned batch first.
     pub fn next_batch(&self) -> Option<Vec<Pending>> {
         let mut inner = self.inner.lock().unwrap();
-        loop {
-            if inner.queue.is_empty() {
-                if inner.shutdown {
-                    return None;
-                }
-                inner = self.nonempty.wait(inner).unwrap();
-                continue;
+        while inner.queue.is_empty() {
+            if inner.shutdown {
+                return None;
             }
-            let waited = inner.queue.front().expect("non-empty").enqueued.elapsed();
-            let flush = inner.shutdown
-                || inner.queue.len() >= self.policy.max_batch
-                || waited >= self.policy.max_delay;
-            if flush {
-                let n = inner.queue.len().min(self.policy.max_batch);
-                let batch: Vec<Pending> = inner.queue.drain(..n).collect();
-                let more = !inner.queue.is_empty();
-                drop(inner);
-                if more {
-                    // leftovers beyond max_batch: hand them to a sibling
-                    self.nonempty.notify_one();
-                }
-                return Some(batch);
-            }
-            // Not full yet: sleep until the oldest request's deadline (a
-            // new submit's notify wakes us earlier to re-check fullness).
-            let remaining = self.policy.max_delay - waited;
-            let (guard, _) = self.nonempty.wait_timeout(inner, remaining).unwrap();
-            inner = guard;
+            inner = self.nonempty.wait(inner).unwrap();
         }
+        let n = inner.queue.len().min(self.policy.max_batch);
+        let batch: Vec<Pending> = inner.queue.drain(..n).collect();
+        let more = !inner.queue.is_empty();
+        drop(inner);
+        if more {
+            // leftovers beyond max_batch: hand them to a sibling
+            self.nonempty.notify_one();
+        }
+        Some(batch)
     }
 
     /// Starts draining: new submissions are refused from this point, every
@@ -169,6 +156,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use std::thread;
+    use std::time::Duration;
 
     fn pending(id: u64) -> (Pending, mpsc::Receiver<QueryOutcome>) {
         let (tx, rx) = mpsc::channel();
@@ -180,48 +168,38 @@ mod tests {
         (p, rx)
     }
 
-    fn policy(max_batch: usize, max_delay_ms: u64, cap: usize) -> BatchPolicy {
+    fn policy(max_batch: usize, cap: usize) -> BatchPolicy {
         BatchPolicy {
             max_batch,
-            max_delay: Duration::from_millis(max_delay_ms),
             queue_cap: cap,
         }
     }
 
     #[test]
     fn full_batch_flushes_without_waiting_for_the_deadline() {
-        let q = AdmissionQueue::new(policy(4, 10_000, 100));
+        let q = AdmissionQueue::new(policy(4, 100));
         for i in 0..4 {
             q.submit(pending(i).0).unwrap();
         }
-        let t = Instant::now();
         let batch = q.next_batch().expect("full batch ready");
         assert_eq!(batch.len(), 4);
-        assert!(
-            t.elapsed() < Duration::from_secs(5),
-            "flush waited for the 10s deadline despite a full batch"
-        );
     }
 
     #[test]
-    fn deadline_flushes_a_partial_batch() {
-        let q = Arc::new(AdmissionQueue::new(policy(1000, 30, 100)));
+    fn partial_batch_is_handed_over_at_once() {
+        let q = AdmissionQueue::new(policy(1000, 100));
         q.submit(pending(1).0).unwrap();
         q.submit(pending(2).0).unwrap();
-        let t = Instant::now();
-        let batch = q.next_batch().expect("deadline batch");
-        let waited = t.elapsed();
+        // No further notify and no timer exists to end a wait: a
+        // `next_batch` that lingered for company would never return.
+        let batch = q.next_batch().expect("partial batch");
         assert_eq!(batch.len(), 2, "partial batch drained together");
-        assert!(
-            waited >= Duration::from_millis(5),
-            "flushed before the deadline"
-        );
-        assert!(waited < Duration::from_secs(10), "deadline never fired");
+        assert_eq!(q.depth(), 0);
     }
 
     #[test]
     fn overload_refuses_without_blocking() {
-        let q = AdmissionQueue::new(policy(64, 1, 2));
+        let q = AdmissionQueue::new(policy(64, 2));
         q.submit(pending(1).0).unwrap();
         q.submit(pending(2).0).unwrap();
         let err = q.submit(pending(3).0).unwrap_err();
@@ -231,7 +209,7 @@ mod tests {
 
     #[test]
     fn shutdown_drains_admitted_then_signals_exit() {
-        let q = AdmissionQueue::new(policy(64, 10_000, 100));
+        let q = AdmissionQueue::new(policy(64, 100));
         q.submit(pending(1).0).unwrap();
         q.submit(pending(2).0).unwrap();
         q.shutdown();
@@ -239,7 +217,7 @@ mod tests {
             q.submit(pending(3).0).unwrap_err(),
             ServeError::ShuttingDown
         ));
-        // admitted requests still come out (deadline ignored once draining)
+        // admitted requests still come out once draining
         let batch = q.next_batch().expect("drain batch");
         assert_eq!(batch.len(), 2);
         assert!(q.next_batch().is_none(), "empty + shutdown = exit signal");
@@ -247,7 +225,7 @@ mod tests {
 
     #[test]
     fn blocked_worker_wakes_on_shutdown() {
-        let q = Arc::new(AdmissionQueue::new(policy(64, 1, 100)));
+        let q = Arc::new(AdmissionQueue::new(policy(64, 100)));
         let q2 = Arc::clone(&q);
         let worker = thread::spawn(move || q2.next_batch());
         thread::sleep(Duration::from_millis(20));
@@ -257,7 +235,7 @@ mod tests {
 
     #[test]
     fn oversized_spike_splits_into_max_batch_chunks() {
-        let q = AdmissionQueue::new(policy(3, 10_000, 100));
+        let q = AdmissionQueue::new(policy(3, 100));
         for i in 0..8 {
             q.submit(pending(i).0).unwrap();
         }

@@ -12,7 +12,11 @@
 //! * **workers** loop on [`AdmissionQueue::next_batch`] and feed each
 //!   micro-batch to the backend's [`SearchBackend::search_many`], so
 //!   concurrent requests from independent connections share partition
-//!   opens and cluster decodes exactly like a hand-built batch would.
+//!   opens and cluster decodes exactly like a hand-built batch would. A
+//!   free worker takes whatever is queued at once, so batches are made of
+//!   the requests that arrived while every worker was busy. A backend
+//!   panic is caught per batch: its requests are answered with a typed
+//!   [`ServeError::Internal`] and the worker goes on to the next batch.
 //!
 //! The server is generic over [`SearchBackend`], so a single
 //! [`Climber`](climber_core::Climber) and a
@@ -31,6 +35,7 @@ use crate::protocol::{
 use crate::queue::{AdmissionQueue, BatchPolicy, Pending};
 use climber_core::{ClimberError, SearchBackend, ServeError};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
@@ -39,10 +44,8 @@ use std::time::{Duration, Instant};
 /// Server tuning knobs (see [`BatchPolicy`] for the queue semantics).
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
-    /// Flush a micro-batch at this many requests (default 64).
+    /// A worker takes at most this many requests per batch (default 64).
     pub max_batch: usize,
-    /// Flush once the oldest request has waited this long (default 2 ms).
-    pub max_delay: Duration,
     /// Admission bound; beyond it submissions are refused (default 1024).
     pub queue_cap: usize,
     /// Worker threads executing batches; `0` = the machine's available
@@ -67,7 +70,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             max_batch: 64,
-            max_delay: Duration::from_millis(2),
             queue_cap: 1024,
             workers: 0,
             request_deadline: None,
@@ -82,13 +84,6 @@ impl ServeConfig {
     #[must_use]
     pub fn with_max_batch(mut self, max_batch: usize) -> Self {
         self.max_batch = max_batch.max(1);
-        self
-    }
-
-    /// Sets the latency deadline for partial batches.
-    #[must_use]
-    pub fn with_max_delay(mut self, max_delay: Duration) -> Self {
-        self.max_delay = max_delay;
         self
     }
 
@@ -178,7 +173,6 @@ impl Server {
         let local_addr = listener.local_addr()?;
         let queue = Arc::new(AdmissionQueue::new(BatchPolicy {
             max_batch: config.max_batch.max(1),
-            max_delay: config.max_delay,
             queue_cap: config.queue_cap.max(1),
         }));
         let metrics = Arc::new(ServeMetrics::new());
@@ -272,25 +266,41 @@ fn worker_loop<B: SearchBackend + ?Sized>(
     // `None` = queue empty + shut down; every admitted request was part of
     // some earlier batch, so exiting here never strands a client.
     while let Some(batch) = queue.next_batch() {
+        let dequeued = Instant::now();
         let mut reqs = Vec::with_capacity(batch.len());
         let mut completions: Vec<(mpsc::Sender<_>, Instant)> = Vec::with_capacity(batch.len());
         for p in batch {
+            metrics.on_dequeued(dequeued.duration_since(p.enqueued));
             reqs.push(p.req);
             completions.push((p.tx, p.enqueued));
         }
-        // Handlers validate before submitting, so search_many never sees a
-        // request it must panic on; outcomes are bit-identical to
+        // Handlers validate before submitting, so search_many should never
+        // see a request it must panic on; outcomes are bit-identical to
         // per-request `search` calls (the executor's equivalence guarantee,
-        // for one index and for a shard set alike).
-        let outcomes = backend.search_many(&reqs);
+        // for one index and for a shard set alike). If it panics anyway,
+        // the panic stops here: this thread is a share of the pool's
+        // capacity, and with the last worker gone every admitted request
+        // would park forever. The backend is only read through `&B`, so no
+        // half-updated state of ours is observed after the unwind.
+        let outcomes = catch_unwind(AssertUnwindSafe(|| backend.search_many(&reqs)));
         metrics.on_batch(reqs.len());
+        let Ok(outcomes) = outcomes else {
+            // Dropping the senders unanswered is the signal: each handler
+            // sees its channel disconnect and answers `Internal`.
+            metrics.on_internal(completions.len());
+            continue;
+        };
         for ((tx, enqueued), outcome) in completions.into_iter().zip(outcomes) {
             metrics.on_completed(enqueued.elapsed());
-            // A dead receiver just means the client hung up mid-request.
+            // A dead receiver just means the client hung up mid-request
+            // (or its handler gave up at the request deadline).
             let _ = tx.send(outcome);
         }
     }
 }
+
+/// How long the acceptor pauses after a failed `accept()` before retrying.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 
 fn accept_loop<B: SearchBackend + 'static>(
     listener: &TcpListener,
@@ -320,6 +330,10 @@ fn accept_loop<B: SearchBackend + 'static>(
                 if stop.load(Ordering::SeqCst) {
                     return;
                 }
+                // A persistent failure (fd exhaustion, EMFILE) fails again
+                // at once: pause, or this loop spins on a core the workers
+                // need. Short enough that `shutdown` is not held up.
+                thread::sleep(ACCEPT_BACKOFF);
             }
         }
     }
@@ -389,14 +403,13 @@ fn handle_connection<B: SearchBackend + ?Sized>(
                                     // batch still completes; its send just
                                     // finds a dead receiver).
                                     mpsc::RecvTimeoutError::Timeout => ServeError::DeadlineExceeded,
-                                    mpsc::RecvTimeoutError::Disconnected => {
-                                        ServeError::ShuttingDown
-                                    }
+                                    mpsc::RecvTimeoutError::Disconnected => ServeError::Internal,
                                 }),
                                 // The worker dropped the sender without
-                                // answering — only possible if the pool
-                                // died; tell the client to go elsewhere.
-                                None => rx.recv().map_err(|_| ServeError::ShuttingDown),
+                                // answering: the backend panicked on this
+                                // request's batch (shutdown drains, it
+                                // never drops an admitted request).
+                                None => rx.recv().map_err(|_| ServeError::Internal),
                             };
                             match answer {
                                 Ok(outcome) => Response::Outcome(outcome),

@@ -1,33 +1,22 @@
 //! Serving-layer resilience over real sockets: per-request deadlines,
-//! the health endpoint (healthy and degraded), client reconnect across a
-//! server restart, and socket timeouts against a stalled server.
+//! panic isolation in the worker, the health endpoint (healthy and
+//! degraded), client reconnect across a server restart, and socket
+//! timeouts against a stalled server.
 
-use climber_core::series::gen::Domain;
+mod common;
+
 use climber_core::{
-    Climber, ClimberConfig, ClimberError, RecoveryPolicy, SearchRequest, ServeError,
+    Climber, ClimberError, QueryOutcome, RecoveryPolicy, SearchBackend, SearchRequest, ServeError,
 };
 use climber_dfs::store::partition_file_name;
 use climber_serve::{RetryPolicy, ServeClient, ServeConfig, Server};
+use common::{build_climber, no_retries, wait_until, Gated};
 use std::fs;
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
-
-fn build_climber(n: usize, seed: u64) -> Arc<Climber> {
-    let ds = Domain::RandomWalk.generate(n, seed);
-    let cfg = ClimberConfig::default()
-        .with_paa_segments(8)
-        .with_pivots(32)
-        .with_prefix_len(5)
-        .with_capacity(60)
-        .with_alpha(0.5)
-        .with_epsilon(1)
-        .with_seed(7)
-        .with_workers(2);
-    Arc::new(Climber::build_in_memory(&ds, cfg))
-}
 
 fn probe_query(climber: &Climber) -> Vec<f32> {
     probe_query_from(climber, 0)
@@ -58,21 +47,19 @@ fn temp_dir(tag: &str) -> PathBuf {
 #[test]
 fn request_deadline_answers_typed_without_waiting_for_the_batch() {
     let climber = build_climber(200, 31);
-    // One request parks behind a far-away flush deadline; the per-request
-    // deadline must answer long before the queue would flush.
+    // The only worker takes the request and is held in the gate; the
+    // per-request deadline must answer while the batch is still running.
+    let gated = Gated::new(Arc::clone(&climber));
     let server = Server::start(
-        Arc::clone(&climber),
+        Arc::clone(&gated),
         "127.0.0.1:0",
         ServeConfig::default()
             .with_workers(1)
-            .with_max_batch(64)
-            .with_max_delay(Duration::from_secs(10))
             .with_request_deadline(Some(Duration::from_millis(100))),
     )
     .unwrap();
     let mut client = ServeClient::connect(server.local_addr()).unwrap();
     let q = probe_query(&climber);
-    let t = Instant::now();
     let err = client
         .search(&SearchRequest::new(q.clone(), 3))
         .unwrap_err();
@@ -80,14 +67,65 @@ fn request_deadline_answers_typed_without_waiting_for_the_batch() {
         matches!(err, ClimberError::Serve(ServeError::DeadlineExceeded)),
         "{err:?}"
     );
-    assert!(
-        t.elapsed() < Duration::from_secs(8),
-        "deadline response waited for the flush deadline"
-    );
-    // The typed miss is counted, the connection survives, and the same
-    // request still executes once the query executor gets to it.
+    // The typed miss is counted and the connection survives.
     let stats = client.stats().unwrap();
-    assert_eq!(stats.deadline_missed, 1);
+    assert_eq!((stats.deadline_missed, stats.completed), (1, 0));
+    // Only the reply was abandoned: released, the worker still executes
+    // the request, so the books balance.
+    gated.open();
+    wait_until("the abandoned request completes", || {
+        server.stats().completed == 1
+    });
+    let stats = server.stats();
+    assert_eq!((stats.admitted, stats.internal), (1, 0));
+    server.shutdown();
+}
+
+/// Panics on any batch holding a request marked with this `k`.
+const POISON_K: usize = 13;
+
+struct PanicsOnPoison(Arc<Climber>);
+
+impl SearchBackend for PanicsOnPoison {
+    fn search_many(&self, reqs: &[SearchRequest]) -> Vec<QueryOutcome> {
+        assert!(reqs.iter().all(|r| r.k != POISON_K), "poisoned request");
+        self.0.search_many(reqs)
+    }
+
+    fn series_len(&self) -> Option<usize> {
+        self.0.series_len()
+    }
+}
+
+/// A panicking `search_many` used to kill its worker thread for good; with
+/// one worker, every later request parked forever. The panic is now caught
+/// per batch: typed `Internal` for that batch, the worker keeps serving.
+#[test]
+fn a_panicking_backend_call_costs_one_batch_not_the_worker() {
+    let climber = build_climber(200, 61);
+    let server = Server::start(
+        Arc::new(PanicsOnPoison(Arc::clone(&climber))),
+        "127.0.0.1:0",
+        ServeConfig::default()
+            .with_workers(1)
+            .with_request_deadline(Some(Duration::from_secs(20))),
+    )
+    .unwrap();
+    // Default retry policy: a typed `Internal` must not be replayed.
+    let mut client = ServeClient::connect(server.local_addr()).unwrap();
+    let q = probe_query(&climber);
+    let err = client
+        .search(&SearchRequest::new(q.clone(), POISON_K))
+        .unwrap_err();
+    assert!(
+        matches!(err, ClimberError::Serve(ServeError::Internal)),
+        "{err:?}"
+    );
+    // The same connection, server and (only) worker still serve.
+    let good = SearchRequest::new(q, 3);
+    assert_eq!(client.search(&good).unwrap(), climber.search(&good));
+    let stats = server.stats();
+    assert_eq!((stats.admitted, stats.completed, stats.internal), (2, 1, 1));
     server.shutdown();
 }
 
@@ -187,7 +225,8 @@ fn client_survives_a_killed_and_restarted_server() {
     assert_eq!(after, climber.search(&req));
     // exactly one search reached the restarted server — the replay did
     // not double-execute a request the client already answered
-    assert_eq!(server2.stats().completed, 1);
+    let stats = server2.stats();
+    assert_eq!((stats.admitted, stats.completed, stats.internal), (1, 1, 0));
     server2.shutdown();
 }
 
@@ -204,11 +243,7 @@ fn client_read_timeout_bounds_a_stalled_server() {
 
     let mut client = ServeClient::connect(addr)
         .unwrap()
-        .with_retry_policy(RetryPolicy {
-            max_retries: 0,
-            base: Duration::from_millis(1),
-            cap: Duration::from_millis(1),
-        });
+        .with_retry_policy(no_retries());
     client
         .set_read_timeout(Some(Duration::from_millis(150)))
         .unwrap();
@@ -238,17 +273,12 @@ fn wrong_length_queries_are_refused_before_admission() {
         "127.0.0.1:0",
         ServeConfig::default()
             .with_workers(1)
-            .with_max_delay(Duration::from_millis(1))
             .with_request_deadline(Some(Duration::from_secs(20))),
     )
     .unwrap();
     let mut client = ServeClient::connect(server.local_addr())
         .unwrap()
-        .with_retry_policy(RetryPolicy {
-            max_retries: 0,
-            base: Duration::from_millis(1),
-            cap: Duration::from_millis(1),
-        });
+        .with_retry_policy(no_retries());
     let mut refused = 0;
     for len in [3usize, 100] {
         assert_ne!(len, indexed);
@@ -281,6 +311,6 @@ fn wrong_length_queries_are_refused_before_admission() {
     assert_eq!(client.search(&good).unwrap(), climber.search(&good));
     let stats = server.stats();
     assert_eq!(stats.rejected, refused);
-    assert_eq!((stats.admitted, stats.completed), (3, 3));
+    assert_eq!((stats.admitted, stats.completed, stats.internal), (3, 3, 0));
     server.shutdown();
 }

@@ -1,28 +1,15 @@
-//! End-to-end serving tests over real sockets: micro-batching behaviour,
-//! backpressure, clean shutdown, and the server/direct equivalence
-//! guarantee.
+//! End-to-end serving tests over real sockets: work-conserving
+//! micro-batching, backpressure, clean shutdown, and the server/direct
+//! equivalence guarantee.
+
+mod common;
 
 use climber_core::dfs::store::PartitionStore;
-use climber_core::series::gen::Domain;
-use climber_core::{Climber, ClimberConfig, ClimberError, SearchRequest, ServeError};
+use climber_core::{Climber, ClimberError, SearchRequest, ServeError};
 use climber_serve::{ServeClient, ServeConfig, Server};
+use common::{build_climber, no_retries, poll_until, wait_until, Gated};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
-
-fn build_climber(n: usize, seed: u64) -> Arc<Climber> {
-    let ds = Domain::RandomWalk.generate(n, seed);
-    let cfg = ClimberConfig::default()
-        .with_paa_segments(8)
-        .with_pivots(32)
-        .with_prefix_len(5)
-        .with_capacity(60)
-        .with_alpha(0.5)
-        .with_epsilon(1)
-        .with_seed(7)
-        .with_workers(2);
-    Arc::new(Climber::build_in_memory(&ds, cfg))
-}
 
 fn queries_of(climber: &Climber, n: usize) -> Vec<Vec<f32>> {
     // recover probes from the store so tests need no dataset in scope
@@ -40,16 +27,12 @@ fn queries_of(climber: &Climber, n: usize) -> Vec<Vec<f32>> {
 #[test]
 fn served_outcomes_are_bit_identical_to_direct_search() {
     let climber = build_climber(400, 11);
-    let server = Server::start(
-        Arc::clone(&climber),
-        "127.0.0.1:0",
-        ServeConfig::default().with_max_delay(Duration::from_millis(5)),
-    )
-    .unwrap();
+    let server =
+        Server::start(Arc::clone(&climber), "127.0.0.1:0", ServeConfig::default()).unwrap();
     let addr = server.local_addr();
 
-    // N concurrent clients, each issuing its own stream of requests, so
-    // the admission queue actually coalesces cross-connection batches.
+    // N concurrent clients, each issuing its own request, so whatever
+    // cross-connection batches form are compared too.
     let queries = queries_of(&climber, 12);
     let handles: Vec<_> = queries
         .iter()
@@ -75,8 +58,10 @@ fn served_outcomes_are_bit_identical_to_direct_search() {
     }
 
     let stats = server.stats();
-    assert_eq!(stats.admitted, 12);
-    assert_eq!(stats.completed, 12);
+    assert_eq!(
+        (stats.admitted, stats.completed, stats.internal),
+        (12, 12, 0)
+    );
     assert!(stats.p50_us > 0);
     server.shutdown();
 }
@@ -84,15 +69,14 @@ fn served_outcomes_are_bit_identical_to_direct_search() {
 #[test]
 fn micro_batches_coalesce_concurrent_clients() {
     let climber = build_climber(300, 13);
-    // One worker + a generous deadline: concurrent requests pile up in the
-    // queue and must flush as multi-request batches.
+    // One worker, held in the gate by whichever request reaches it first:
+    // the other clients' requests pile up in the queue and must leave it
+    // as multi-request batches.
+    let gated = Gated::new(Arc::clone(&climber));
     let server = Server::start(
-        Arc::clone(&climber),
+        Arc::clone(&gated),
         "127.0.0.1:0",
-        ServeConfig::default()
-            .with_workers(1)
-            .with_max_batch(64)
-            .with_max_delay(Duration::from_millis(40)),
+        ServeConfig::default().with_workers(1),
     )
     .unwrap();
     let addr = server.local_addr();
@@ -106,16 +90,140 @@ fn micro_batches_coalesce_concurrent_clients() {
             })
         })
         .collect();
+    wait_until("all ten admitted", || server.stats().admitted == 10);
+    gated.open();
     for h in handles {
         h.join().unwrap();
     }
     let stats = server.stats();
-    assert_eq!(stats.completed, 10);
+    assert_eq!(
+        (stats.admitted, stats.completed, stats.internal),
+        (10, 10, 0)
+    );
     assert!(
         stats.mean_batch > 1.0,
         "no coalescing: mean batch occupancy {}",
         stats.mean_batch
     );
+    server.shutdown();
+}
+
+#[test]
+fn batches_form_from_worker_busy_time() {
+    const N: usize = 8;
+    let climber = build_climber(300, 47);
+    let gated = Gated::new(Arc::clone(&climber));
+    let server = Server::start(
+        Arc::clone(&gated),
+        "127.0.0.1:0",
+        ServeConfig::default().with_workers(1),
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let mut queries = queries_of(&climber, N + 1).into_iter();
+    let search = move |q: Vec<f32>| {
+        thread::spawn(move || {
+            let mut client = ServeClient::connect(addr).unwrap();
+            let req = SearchRequest::new(q, 6);
+            let outcome = client.search(&req).unwrap();
+            (req, outcome)
+        })
+    };
+    // One request alone reaches the idle worker: a batch of one, at once.
+    let first = search(queries.next().unwrap());
+    gated.wait_until_holding_one();
+    // N more arrive while the only worker is busy: they wait together...
+    let rest: Vec<_> = queries.map(search).collect();
+    wait_until("the rest are queued", || {
+        server.stats().queue_depth == N as u64
+    });
+    // ... and leave together, as one batch, the moment it is free.
+    gated.open();
+    for h in std::iter::once(first).chain(rest) {
+        let (req, served) = h.join().unwrap();
+        assert_eq!(served, climber.search(&req), "diverged for {req:?}");
+    }
+    assert_eq!(gated.batches(), [1, N]);
+    let stats = server.stats();
+    assert_eq!(stats.batches, 2);
+    let total = N as u64 + 1;
+    assert_eq!(
+        (stats.admitted, stats.completed, stats.internal),
+        (total, total, 0)
+    );
+    server.shutdown();
+}
+
+#[test]
+fn an_idle_server_adds_no_queueing_floor() {
+    let climber = build_climber(300, 53);
+    let server =
+        Server::start(Arc::clone(&climber), "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut client = ServeClient::connect(server.local_addr()).unwrap();
+    let queries = queries_of(&climber, 10);
+    for i in 0..200 {
+        let req = SearchRequest::new(queries[i % queries.len()].clone(), 5);
+        client.search(&req).unwrap();
+    }
+    // One closed-loop client never finds the workers busy, so a request
+    // waits only for a worker to wake: microseconds, not a batching timer.
+    let stats = client.stats().unwrap();
+    assert_eq!(
+        (stats.admitted, stats.completed, stats.internal),
+        (200, 200, 0)
+    );
+    assert!(
+        stats.queue_wait_p50_us < 1_000,
+        "median queue wait {} us on an idle server",
+        stats.queue_wait_p50_us
+    );
+    assert!(stats.queue_wait_p50_us <= stats.p50_us);
+    server.shutdown();
+}
+
+#[test]
+fn every_admitted_request_gets_exactly_one_reply() {
+    const CLIENTS: usize = 64;
+    const REQUESTS: usize = 20;
+    let climber = build_climber(400, 59);
+    let server = Server::start(
+        Arc::clone(&climber),
+        "127.0.0.1:0",
+        ServeConfig::default().with_workers(2),
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let queries = Arc::new(queries_of(&climber, 16));
+    let handles: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let queries = Arc::clone(&queries);
+            thread::spawn(move || {
+                let mut client = ServeClient::connect(addr).unwrap();
+                // (query, k) differs between clients in flight together, so
+                // a reply delivered to the wrong connection cannot match.
+                (0..REQUESTS)
+                    .map(|r| {
+                        let q = queries[(c + r) % queries.len()].clone();
+                        let req = SearchRequest::new(q, 1 + (c * REQUESTS + r) % 9);
+                        let outcome = client.search(&req).unwrap();
+                        (req, outcome)
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    for h in handles {
+        for (req, served) in h.join().unwrap() {
+            assert_eq!(served, climber.search(&req), "wrong reply for {req:?}");
+        }
+    }
+    let stats = server.stats();
+    let total = (CLIENTS * REQUESTS) as u64;
+    assert_eq!(
+        (stats.admitted, stats.completed, stats.internal),
+        (total, total, 0)
+    );
+    assert_eq!((stats.rejected, stats.queue_depth), (0, 0));
     server.shutdown();
 }
 
@@ -137,112 +245,122 @@ fn bad_requests_get_a_typed_response_not_a_dead_connection() {
     let q = queries_of(&climber, 1).remove(0);
     let ok = client.search(&SearchRequest::new(q, 3)).unwrap();
     assert_eq!(ok.results.len(), 3);
-    assert_eq!(server.stats().rejected, 1);
+    let stats = server.stats();
+    assert_eq!(stats.rejected, 1);
+    assert_eq!((stats.admitted, stats.completed, stats.internal), (1, 1, 0));
     server.shutdown();
 }
 
 #[test]
 fn overload_rejects_with_backpressure_instead_of_hanging() {
     let climber = build_climber(200, 19);
-    // A tiny queue and a worker pool throttled by a huge deadline & batch:
-    // with max_batch never reached and the deadline far away, submissions
-    // accumulate and the bound must trip.
+    // A tiny queue behind one worker that is held in the gate: nothing
+    // drains, so submissions accumulate and the bound must trip.
+    let gated = Gated::new(Arc::clone(&climber));
     let server = Server::start(
-        Arc::clone(&climber),
+        Arc::clone(&gated),
         "127.0.0.1:0",
-        ServeConfig::default()
-            .with_workers(1)
-            .with_max_batch(1000)
-            .with_max_delay(Duration::from_secs(5))
-            .with_queue_cap(2),
+        ServeConfig::default().with_workers(1).with_queue_cap(2),
     )
     .unwrap();
     let addr = server.local_addr();
     let q = queries_of(&climber, 1).remove(0);
-
-    // Two requests park in the queue (waiting out the 5 s deadline)...
-    let parked: Vec<_> = (0..2)
-        .map(|_| {
-            let q = q.clone();
-            thread::spawn(move || {
-                let mut c = ServeClient::connect(addr).unwrap();
-                c.search(&SearchRequest::new(q, 3)).map(|o| o.results.len())
-            })
+    let park = || {
+        let q = q.clone();
+        thread::spawn(move || {
+            let mut c = ServeClient::connect(addr).unwrap();
+            c.search(&SearchRequest::new(q, 3)).map(|o| o.results.len())
         })
-        .collect();
-    // ... wait until both are admitted ...
-    let mut waited = 0;
-    while waited < 2_000 {
-        thread::sleep(Duration::from_millis(10));
-        waited += 10;
-        let s = server.stats();
-        if s.queue_depth >= 2 {
-            break;
-        }
-    }
-    // ... so the third is refused immediately with the typed overload
-    // response (measurably faster than the 5 s flush deadline).
-    let t = std::time::Instant::now();
+    };
+    // One request occupies the worker, two more fill the queue...
+    let mut parked = vec![park()];
+    gated.wait_until_holding_one();
+    parked.extend([park(), park()]);
+    wait_until("the queue is full", || server.stats().queue_depth == 2);
+    // ... so the next is refused with the typed overload response while
+    // the worker is still held: the refusal waited for nothing.
     let mut c = ServeClient::connect(addr).unwrap();
-    let err = c.search(&SearchRequest::new(q, 3)).unwrap_err();
+    let err = c.search(&SearchRequest::new(q.clone(), 3)).unwrap_err();
     assert!(
         matches!(err, ClimberError::Serve(ServeError::Overloaded)),
         "{err:?}"
     );
-    assert!(
-        t.elapsed() < Duration::from_secs(4),
-        "overload response must not wait for the flush deadline"
-    );
-    // the parked requests are still answered (deadline or shutdown drain)
-    server.shutdown();
+    assert_eq!(gated.batches(), [1], "refused while nothing could drain");
+    // the parked requests are still answered once the worker is released
+    gated.open();
     for h in parked {
         assert_eq!(h.join().unwrap().unwrap(), 3);
     }
+    let stats = server.stats();
+    assert_eq!((stats.admitted, stats.completed, stats.internal), (3, 3, 0));
+    assert_eq!(stats.rejected, 1);
+    server.shutdown();
 }
 
 #[test]
 fn shutdown_drains_in_flight_requests() {
+    const QUEUED: usize = 5;
     let climber = build_climber(250, 23);
+    // One worker held in the gate with one request, and a queue exactly as
+    // deep as the requests parked behind it.
+    let gated = Gated::new(Arc::clone(&climber));
     let server = Server::start(
-        Arc::clone(&climber),
+        Arc::clone(&gated),
         "127.0.0.1:0",
         ServeConfig::default()
             .with_workers(1)
-            .with_max_batch(1000)
-            .with_max_delay(Duration::from_secs(10)),
+            .with_queue_cap(QUEUED),
     )
     .unwrap();
     let addr = server.local_addr();
-    let queries = queries_of(&climber, 6);
-    // Park several requests behind the 10 s deadline...
-    let handles: Vec<_> = queries
-        .into_iter()
-        .map(|q| {
-            thread::spawn(move || {
-                let mut c = ServeClient::connect(addr).unwrap();
-                c.search(&SearchRequest::new(q, 4)).map(|o| o.results.len())
-            })
+    let mut queries = queries_of(&climber, QUEUED + 2).into_iter();
+    let search = move |q: Vec<f32>| {
+        thread::spawn(move || {
+            let mut c = ServeClient::connect(addr).unwrap();
+            c.search(&SearchRequest::new(q, 4)).map(|o| o.results.len())
         })
-        .collect();
-    let mut waited = 0;
-    while waited < 2_000 {
-        thread::sleep(Duration::from_millis(10));
-        waited += 10;
-        if server.stats().queue_depth >= 6 {
-            break;
-        }
-    }
-    // ... then shut down: the drain must answer every one of them long
-    // before the deadline would have.
-    let t = std::time::Instant::now();
+    };
+    let mut handles = vec![search(queries.next().unwrap())];
+    gated.wait_until_holding_one();
+    let probe_query = queries.next().unwrap();
+    handles.extend(queries.map(search));
+    wait_until("the rest are queued", || {
+        server.stats().queue_depth == QUEUED as u64
+    });
+    // The worker must stay held until the drain has begun, or the queue
+    // would simply empty first. A probe on a connection opened beforehand
+    // tells the two apart: the full queue refuses it as `Overloaded` until
+    // shutdown flips the queue to draining, then as `ShuttingDown`.
+    let mut probe = ServeClient::connect(addr)
+        .unwrap()
+        .with_retry_policy(no_retries());
+    probe.ping().unwrap();
+    let opener = {
+        let gated = Arc::clone(&gated);
+        thread::spawn(move || {
+            let saw_draining = poll_until(|| {
+                let err = probe
+                    .search(&SearchRequest::new(probe_query.clone(), 4))
+                    .unwrap_err();
+                matches!(err, ClimberError::Serve(ServeError::ShuttingDown))
+            });
+            let held = gated.batches();
+            // opened whatever was seen, or a failure here would leave
+            // `shutdown` joining a worker nobody releases
+            gated.open();
+            (saw_draining, held)
+        })
+    };
+    // Shutdown joins the worker, so it returns only after the held request
+    // and the queued ones were executed and answered.
     server.shutdown();
-    assert!(
-        t.elapsed() < Duration::from_secs(8),
-        "shutdown waited for the deadline"
-    );
+    let (saw_draining, held) = opener.join().unwrap();
+    assert!(saw_draining, "the queue never refused as shutting down");
+    assert_eq!(held, [1], "nothing drained before shutdown");
     for h in handles {
         assert_eq!(h.join().unwrap().unwrap(), 4, "in-flight request dropped");
     }
+    assert_eq!(gated.batches(), [1, QUEUED], "the drain is one batch");
 }
 
 #[test]
@@ -255,7 +373,7 @@ fn ping_and_stats_endpoints_respond() {
     let q = queries_of(&climber, 1).remove(0);
     client.search(&SearchRequest::new(q, 2)).unwrap();
     let stats = client.stats().unwrap();
-    assert_eq!(stats.completed, 1);
+    assert_eq!((stats.admitted, stats.completed, stats.internal), (1, 1, 0));
     assert!(stats.uptime_us > 0);
     assert!(stats.qps > 0.0);
     server.shutdown();

@@ -79,12 +79,13 @@ fn serve<S: PartitionStore + 'static>(climber: Arc<Climber<S>>) {
     let stats = server.stats();
     println!(
         "stats: admitted={} completed={} rejected={} batches={} mean_batch={:.2} \
-         p50={}us p95={}us p99={}us",
+         queue_wait_p50={}us p50={}us p95={}us p99={}us",
         stats.admitted,
         stats.completed,
         stats.rejected,
         stats.batches,
         stats.mean_batch,
+        stats.queue_wait_p50_us,
         stats.p50_us,
         stats.p95_us,
         stats.p99_us
