@@ -1,15 +1,12 @@
 //! Block-cache economics: what the paged storage engine buys and costs.
 //!
-//! Three questions, one on-disk index:
+//! Two questions, one on-disk index:
 //!
 //! 1. **Cold vs warm QPS** — how much faster is a warm shared LRU of
-//!    decompressed partition images than reading and validating each
-//!    partition from the filesystem on every scan?
+//!    partition images than reading and validating each partition from
+//!    the filesystem on every scan?
 //! 2. **Hit rate** — what fraction of sealed reads a budget-bound cache
 //!    actually serves from memory under a realistic query workload.
-//! 3. **Compression** — how much smaller the CLBP v2 rewrite makes the
-//!    directory on disk, and what the decompressed-once-and-pinned read
-//!    path does to warm throughput.
 //!
 //! Emits `BENCH_cache.json`. Scale with `CLIMBER_N` / `CLIMBER_QUERIES`
 //! / `CLIMBER_CACHE_MB`, or pass `--quick` for the CI smoke scale.
@@ -82,7 +79,7 @@ fn main() {
     let reps = if quick { 2 } else { 3 };
     let budget = env_usize("CLIMBER_CACHE_MB", 256) << 20;
     println!("==========================================================================");
-    println!("Cache — cold vs warm QPS, hit rate, compressed clusters");
+    println!("Cache — cold vs warm QPS, hit rate");
     println!("workload: {total} requests, K={k}, Adaptive-4X, best of {reps}");
     println!(
         "scale: N={n}, budget {} MiB{} (CLIMBER_N / CLIMBER_QUERIES / CLIMBER_CACHE_MB)",
@@ -157,37 +154,6 @@ fn main() {
     );
     drop(cached);
 
-    // 3. Compressed rewrite: save through a compressing store into a
-    // sibling directory — every partition lands in CLBP v2 — then
-    // measure the warm read path over the compressed index.
-    let v2_dir =
-        std::env::temp_dir().join(format!("climber-bench-cache-v2-{}", std::process::id()));
-    fs::remove_dir_all(&v2_dir).ok();
-    let (writer, _) =
-        Climber::open_with_cache(&dir, RecoveryPolicy::Strict, cc.with_compression()).unwrap();
-    let t = Instant::now();
-    writer.save(&v2_dir).unwrap();
-    let compress_secs = t.elapsed().as_secs_f64();
-    drop(writer);
-    let v2_disk_bytes = partition_bytes(&v2_dir);
-    let disk_ratio = v2_disk_bytes as f64 / raw_disk_bytes.max(1) as f64;
-    let (compressed, _) =
-        Climber::open_with_cache(&v2_dir, RecoveryPolicy::Strict, cc.with_compression()).unwrap();
-    let _ = pass(&compressed); // populate past the cold pass
-    let cwarm_secs = (0..reps)
-        .map(|_| pass(&compressed))
-        .min_by(f64::total_cmp)
-        .expect("reps >= 1");
-    let cwarm_qps = total as f64 / cwarm_secs;
-    let resident_ratio = compressed.serve_io().cache_compressed_ratio();
-    println!(
-        "compressed: {:.1} -> {:.1} MB on disk ({disk_ratio:.2}x, rewrite {compress_secs:.2}s), \
-         warm {cwarm_qps:.1} QPS, resident ratio {resident_ratio:.2}",
-        raw_disk_bytes as f64 / 1e6,
-        v2_disk_bytes as f64 / 1e6
-    );
-    drop(compressed);
-
     let mut table = Table::new(vec!["metric", "value"]);
     table.row(vec!["build_s".into(), f2(build_secs)]);
     table.row(vec!["uncached_qps".into(), f2(uncached_qps)]);
@@ -197,8 +163,6 @@ fn main() {
     table.row(vec!["hit_rate".into(), f2(hit_rate)]);
     table.row(vec!["miss_us".into(), f2(miss_us)]);
     table.row(vec!["hit_us".into(), f2(hit_us)]);
-    table.row(vec!["disk_compressed_ratio".into(), f2(disk_ratio)]);
-    table.row(vec!["compressed_warm_qps".into(), f2(cwarm_qps)]);
     table.print();
 
     // BENCH_*.json record (consumed by tooling; schema kept flat).
@@ -222,11 +186,7 @@ fn main() {
     );
     let _ = write!(
         json,
-        "  \"disk_bytes_uncompressed\": {raw_disk_bytes},\n  \"disk_bytes_compressed\": {v2_disk_bytes},\n"
-    );
-    let _ = write!(
-        json,
-        "  \"disk_compressed_ratio\": {disk_ratio:.4},\n  \"resident_compressed_ratio\": {resident_ratio:.4},\n  \"compressed_warm_qps\": {cwarm_qps:.2}\n}}\n"
+        "  \"disk_bytes_uncompressed\": {raw_disk_bytes}\n}}\n"
     );
     let path =
         std::env::var("CLIMBER_BENCH_JSON").unwrap_or_else(|_| "BENCH_cache.json".to_string());
@@ -236,7 +196,6 @@ fn main() {
     }
 
     fs::remove_dir_all(&dir).ok();
-    fs::remove_dir_all(&v2_dir).ok();
 
     if std::env::var("CLIMBER_BENCH_STRICT").as_deref() == Ok("1") {
         println!(

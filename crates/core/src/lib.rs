@@ -79,8 +79,6 @@ pub use shard::{ShardSetManifest, ShardStatus, ShardedClimber, SHARD_SET_FILE};
 use climber_dfs::format::{Decode, Encode, PartitionReader, PartitionWriter, TrieNodeId};
 use climber_dfs::fsio::{self, ClimberFs, FsRef};
 use climber_dfs::manifest::{xxh64, FileEntry, PartitionEntry};
-use climber_dfs::page;
-use climber_dfs::quant::QuantCache;
 use climber_dfs::segment::{self, Journal};
 use climber_dfs::store::{
     partition_file_name, staged_path_of, DiskStore, MemStore, PartitionId, PartitionStore,
@@ -163,10 +161,6 @@ pub struct Climber<S: PartitionStore = MemStore> {
     /// [`save`](Self::save) (which takes `&self`) advances it past its
     /// own checksum reads.
     ready_io: Mutex<IoSnapshot>,
-    /// The 8-bit quantized record cache sealed cluster scans can be served
-    /// from (opt-in via [`set_quant_enabled`](Self::set_quant_enabled));
-    /// cleared whenever a fold rewrites sealed partitions.
-    quant: QuantCache,
     /// The indexed series length, known from the manifest (open) or the
     /// id-seeding scan (build): no query opens a partition to learn it.
     series_len: SeriesLen,
@@ -312,20 +306,16 @@ impl Climber<DiskStore> {
 
     /// [`open_with`](Self::open_with) plus a paged block cache sized by
     /// `config`: every partition open first consults a sharded LRU of
-    /// decompressed partition images, the open's own validation reads
-    /// pre-warm it (the report's
-    /// [`warmed_bytes`](RecoveryReport::warmed_bytes)), and — when
-    /// [`CacheConfig::compress`] is set — maintenance rewrites land in
-    /// the compressed CLBP v2 format. Answers are **bit-identical** to a
-    /// cacheless open: the cache only changes where bytes come from,
-    /// never what they decode to.
+    /// partition images, and the open's own validation reads pre-warm it
+    /// (the report's [`warmed_bytes`](RecoveryReport::warmed_bytes)).
+    /// Answers are **bit-identical** to a cacheless open: the cache only
+    /// changes where bytes come from, never what they decode to.
     pub fn open_with_cache(
         dir: impl AsRef<Path>,
         policy: RecoveryPolicy,
         config: CacheConfig,
     ) -> Result<(Self, RecoveryReport), ClimberError> {
-        let cache = Arc::new(BlockCache::new(config));
-        Self::open_with_cache_shared(dir, policy, config, cache)
+        Self::open_with_cache_shared(dir, policy, Arc::new(BlockCache::new(config)))
     }
 
     /// [`open_with_cache`](Self::open_with_cache) against a **shared**
@@ -336,22 +326,19 @@ impl Climber<DiskStore> {
     pub fn open_with_cache_shared(
         dir: impl AsRef<Path>,
         policy: RecoveryPolicy,
-        config: CacheConfig,
         cache: Arc<BlockCache>,
     ) -> Result<(Self, RecoveryReport), ClimberError> {
         Ok(Self::open_cached_impl(
             dir.as_ref(),
             fsio::std_fs(),
             policy,
-            config,
             cache,
         )?)
     }
 
     /// [`open_with_cache`](Self::open_with_cache) through an injectable
-    /// filesystem — the fault-injection seam for the cached read and
-    /// compressed write paths, mirroring
-    /// [`open_rw_with_fs`](Self::open_rw_with_fs).
+    /// filesystem — the fault-injection seam for the cached read path,
+    /// mirroring [`open_rw_with_fs`](Self::open_rw_with_fs).
     pub fn open_with_cache_fs(
         dir: impl AsRef<Path>,
         fs: FsRef,
@@ -359,24 +346,17 @@ impl Climber<DiskStore> {
         config: CacheConfig,
     ) -> Result<(Self, RecoveryReport), ClimberError> {
         let cache = Arc::new(BlockCache::new(config));
-        Ok(Self::open_cached_impl(
-            dir.as_ref(),
-            fs,
-            policy,
-            config,
-            cache,
-        )?)
+        Ok(Self::open_cached_impl(dir.as_ref(), fs, policy, cache)?)
     }
 
     pub(crate) fn open_cached_impl(
         dir: &Path,
         fs: FsRef,
         policy: RecoveryPolicy,
-        config: CacheConfig,
         cache: Arc<BlockCache>,
     ) -> Result<(Self, RecoveryReport), OpenError> {
         let (c, quarantined, warmed_bytes) =
-            Self::open_impl_cached(dir, true, fs, policy, Some(cache), config.compress)?;
+            Self::open_impl_cached(dir, true, fs, policy, Some(cache))?;
         Ok((
             c,
             RecoveryReport {
@@ -385,15 +365,6 @@ impl Climber<DiskStore> {
                 warmed_bytes,
             },
         ))
-    }
-
-    /// Turns compressed (CLBP v2) partition writes on or off for this
-    /// disk-backed index: subsequent [`save`](Self::save) copies, flushes
-    /// and compactions land compressed partitions; reads auto-detect the
-    /// format per file, so mixed directories stay valid and answers stay
-    /// bit-identical.
-    pub fn set_compress_on_seal(&self, on: bool) {
-        self.store.set_compress_puts(on);
     }
 
     fn open_impl(dir: &Path, writable: bool) -> Result<Self, OpenError> {
@@ -406,7 +377,7 @@ impl Climber<DiskStore> {
         fs: FsRef,
         policy: RecoveryPolicy,
     ) -> Result<(Self, Vec<PartitionId>), OpenError> {
-        let (c, quarantined, _) = Self::open_impl_cached(dir, writable, fs, policy, None, false)?;
+        let (c, quarantined, _) = Self::open_impl_cached(dir, writable, fs, policy, None)?;
         Ok((c, quarantined))
     }
 
@@ -416,7 +387,6 @@ impl Climber<DiskStore> {
         fs: FsRef,
         policy: RecoveryPolicy,
         cache: Option<Arc<BlockCache>>,
-        compress: bool,
     ) -> Result<(Self, Vec<PartitionId>, u64), OpenError> {
         let quarantine = policy == RecoveryPolicy::Quarantine;
         let (store, manifest, warmed_bytes) = DiskStore::open_validated_cached(
@@ -426,9 +396,6 @@ impl Climber<DiskStore> {
             quarantine,
             cache,
         )?;
-        if compress {
-            store.set_compress_puts(true);
-        }
         let skel_path = dir.join(SKELETON_FILE);
         let skel_staged = dir.join(format!("{SKELETON_FILE}.new"));
         let entry_matches = |b: &[u8]| {
@@ -486,12 +453,6 @@ impl Climber<DiskStore> {
         c.series_len.set(manifest.series_len as usize);
         c.sealed = Mutex::new(Some(manifest));
         c.writable = writable;
-        // A cached open unifies the byte budgets: quantized codes charge
-        // the block cache's ledger, so blocks + codes together never
-        // exceed the one configured capacity.
-        if let Some(block) = c.store.block_cache() {
-            c.quant.set_ledger(Some(block.ledger()));
-        }
         c.mark_ready();
         Ok((c, quarantined, warmed_bytes))
     }
@@ -574,9 +535,8 @@ impl Climber<DiskStore> {
     /// against the sealed manifest — the self-healing maintenance pass:
     ///
     /// * healthy partitions are re-read and re-checksummed;
-    /// * fresh damage is quarantined (file moved into `QUARANTINE/`,
-    ///   quantized cache entries evicted) so queries degrade instead of
-    ///   erroring;
+    /// * fresh damage is quarantined (file moved into `QUARANTINE/`) so
+    ///   queries degrade instead of erroring;
     /// * previously quarantined partitions are re-admitted when their
     ///   main file matches the manifest again (operator restored it) or
     ///   the quarantined copy itself validates.
@@ -591,7 +551,6 @@ impl Climber<DiskStore> {
         for e in &manifest.partitions {
             if quarantined.contains(&e.id) {
                 if self.store.try_readmit(e).map_err(ClimberError::Io)? {
-                    self.quant.evict_partition(e.id);
                     report.readmitted.push(e.id);
                 } else {
                     report.still_quarantined.push(e.id);
@@ -604,7 +563,6 @@ impl Climber<DiskStore> {
                         self.store
                             .quarantine_partition(e.id)
                             .map_err(ClimberError::Io)?;
-                        self.quant.evict_partition(e.id);
                         report.quarantined.push(e.id);
                     }
                 }
@@ -669,7 +627,6 @@ impl<S: PartitionStore> Climber<S> {
             reseal_owed: std::sync::atomic::AtomicBool::new(false),
             sealed: Mutex::new(None),
             ready_io: Mutex::new(IoSnapshot::default()),
-            quant: QuantCache::new(),
             series_len: SeriesLen::default(),
         }
     }
@@ -759,22 +716,11 @@ impl<S: PartitionStore> Climber<S> {
                         }
                     }
                 }
-                // The manifest describes the *persisted* bytes — for a
-                // compressing store those differ from the decoded image,
-                // and a copy out of one compresses too. One read serves the
-                // copy, the checksum and the structural validation.
-                let stored = self.store.stored_bytes(pid)?;
-                let (image, _) = page::maybe_decompress(stored.clone())?;
-                let reader = PartitionReader::open(image)
+                // One read serves the copy, the checksum and the structural
+                // validation.
+                let payload = self.store.stored_bytes(pid)?;
+                let reader = PartitionReader::open(payload.clone())
                     .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-                let payload = if !in_place_durable
-                    && self.store.compresses_puts()
-                    && !page::is_compressed(&stored)
-                {
-                    page::compress_partition(&stored)?
-                } else {
-                    stored
-                };
                 if !in_place_durable {
                     fsio::write_staged(&**fs_ref, &staged_path_of(dir, pid), &payload)?;
                 }
@@ -919,8 +865,8 @@ impl<S: PartitionStore> Climber<S> {
     }
 
     /// This index as one source of the executor. The update view is left
-    /// out while nothing is pending, which keeps sealed scans eligible for
-    /// the quantized cache.
+    /// out while nothing is pending, so a sealed scan never takes the
+    /// tombstone lock.
     pub(crate) fn source(&self) -> Source<'_, S> {
         let pending = !(self.delta.is_empty() && self.tombstones.is_empty());
         Source {
@@ -929,7 +875,6 @@ impl<S: PartitionStore> Climber<S> {
                 delta: &self.delta,
                 tombstones: &self.tombstones,
             }),
-            quant: Some(&self.quant),
         }
     }
 
@@ -1244,10 +1189,6 @@ impl<S: PartitionStore> Climber<S> {
                 }
             }
         }
-        // Any rewritten partition invalidates its quantized clusters —
-        // drop the whole cache (even on a partial failure: the successful
-        // rewrites already replaced sealed bytes).
-        self.quant.clear();
         if let Some(e) = failed {
             self.delta.restore(restore);
             return Err(e);
@@ -1386,22 +1327,6 @@ impl<S: PartitionStore> Climber<S> {
     /// partitions have absorbed).
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Relaxed)
-    }
-
-    /// Enables (or disables) the quantized record cache: when on, sealed
-    /// cluster scans are served from cached 8-bit codes with an admissible
-    /// lower-bound prefilter, promoting only the surviving records to
-    /// exact `f32` scoring. Answers are **bit-identical** either way — the
-    /// cache changes how much decode work a query pays, never what it
-    /// returns. Off by default; disabling also drops the cached entries.
-    pub fn set_quant_enabled(&self, enabled: bool) {
-        self.quant.set_enabled(enabled);
-    }
-
-    /// The quantized record cache (for inspection: entry count, byte
-    /// footprint, enabled flag).
-    pub fn quant_cache(&self) -> &QuantCache {
-        &self.quant
     }
 
     /// False only for indexes opened read-only via [`Climber::open`].

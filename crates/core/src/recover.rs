@@ -43,13 +43,14 @@ pub enum RecoveryPolicy {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RecoveryReport {
     /// Partitions quarantined because their committed bytes failed
-    /// validation (missing file, size mismatch, checksum mismatch).
+    /// validation (missing file, size mismatch, checksum mismatch, or a
+    /// header this build does not read).
     pub quarantined_partitions: Vec<PartitionId>,
     /// Shards that failed to open wholesale (corrupt manifest/skeleton,
     /// generation drift) and were left as dead slots; empty for a
     /// single-index open.
     pub dead_shards: Vec<usize>,
-    /// Decompressed partition bytes the open fed into the block cache
+    /// Partition bytes the open fed into the block cache
     /// from its validation reads (0 without a cache): first-query latency
     /// after this open skips the filesystem for those partitions.
     pub warmed_bytes: u64,

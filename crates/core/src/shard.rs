@@ -516,9 +516,8 @@ impl ShardedClimber<DiskStore> {
     /// serves the whole set, entries namespaced per shard store so shards
     /// never serve each other's partitions. Validation reads pre-warm the
     /// cache (the merged report's
-    /// [`warmed_bytes`](RecoveryReport::warmed_bytes)); with
-    /// [`CacheConfig::compress`] set, every shard's maintenance rewrites
-    /// land compressed. Results stay bit-identical to a cacheless open.
+    /// [`warmed_bytes`](RecoveryReport::warmed_bytes)). Results stay
+    /// bit-identical to a cacheless open.
     ///
     /// Under [`RecoveryPolicy::Strict`] any shard failure aborts the
     /// open; under [`RecoveryPolicy::Quarantine`] it degrades exactly
@@ -539,7 +538,6 @@ impl ShardedClimber<DiskStore> {
                 &sub,
                 climber_dfs::fsio::std_fs(),
                 policy,
-                config,
                 Arc::clone(&cache),
             );
             match opened {
@@ -691,16 +689,6 @@ impl<S: PartitionStore> ShardedClimber<S> {
             .iter()
             .flatten()
             .find_map(|c| c.store().block_cache())
-    }
-
-    /// Enables (or disables) the quantized record cache on every shard —
-    /// the set-wide counterpart of [`Climber::set_quant_enabled`]: sealed
-    /// cluster scans are served from 8-bit codes with exact promotion of
-    /// the survivors, leaving every answer bit-identical.
-    pub fn set_quant_enabled(&self, enabled: bool) {
-        for shard in self.shards.iter().flatten() {
-            shard.set_quant_enabled(enabled);
-        }
     }
 
     /// Which shard owns record `id`. Deterministic for the lifetime of

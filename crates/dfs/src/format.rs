@@ -197,6 +197,26 @@ const VERSION: u32 = 1;
 const HEADER_FIXED: usize = 4 + 4 + 8 + 4 + 4;
 const DIR_ENTRY: usize = 8 + 8 + 4;
 
+/// Checks the first 8 bytes of an encoded partition: the `CLBP` magic
+/// and the one supported format version. The error names what was found.
+/// Version 2 is reserved — an optional encoding of earlier builds — and
+/// refused like any other.
+pub fn check_header(bytes: &[u8]) -> Result<(), String> {
+    let Some(head) = bytes.get(..8) else {
+        return Err("partition shorter than its magic and version".into());
+    };
+    if head[..4] != MAGIC {
+        return Err(format!("bad partition magic {:?}", &head[..4]));
+    }
+    let version = u32::from_le_bytes(head[4..].try_into().unwrap());
+    if version != VERSION {
+        return Err(format!(
+            "unsupported partition version {version} (this build reads version {VERSION})"
+        ));
+    }
+    Ok(())
+}
+
 /// Bytes of one encoded record of `series_len` values.
 const fn record_size(series_len: usize) -> usize {
     8 + series_len * 4
@@ -407,113 +427,6 @@ impl PartitionWriter {
     }
 }
 
-/// A reusable flat buffer of decoded records: ids side by side with a
-/// single `f32` arena, `series_len` values per record.
-///
-/// The per-query refinement path decodes each record into a scratch slice
-/// as it visits it ([`PartitionReader::for_each_in_cluster`]); the batched
-/// partition-major path instead decodes a cluster **once** into a
-/// `ClusterBuf` and scores it against every query that selected it.
-/// Reusing the buffer across clusters and partitions means the steady
-/// state performs no per-call allocation at all.
-///
-/// ```
-/// use climber_dfs::format::{ClusterBuf, PartitionReader, PartitionWriter};
-///
-/// let mut w = PartitionWriter::new(0, 2);
-/// w.push_cluster(7, vec![(1u64, &[1.0f32, 2.0][..]), (2, &[3.0, 4.0])]);
-/// let reader = PartitionReader::open(w.finish()).unwrap();
-///
-/// let mut buf = ClusterBuf::new();
-/// assert_eq!(reader.read_cluster_into(7, &mut buf), 2);
-/// assert_eq!(buf.len(), 2);
-/// assert_eq!(buf.get(1), (2, &[3.0f32, 4.0][..]));
-/// buf.clear(); // keeps capacity for the next cluster
-/// assert!(buf.is_empty());
-/// ```
-#[derive(Debug, Default, Clone)]
-pub struct ClusterBuf {
-    series_len: usize,
-    ids: Vec<u64>,
-    values: Vec<f32>,
-}
-
-impl ClusterBuf {
-    /// An empty buffer; its series length is set by the first decode.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of decoded records held.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// True when no records are held.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Length of every held series (0 while empty and untouched).
-    #[inline]
-    pub fn series_len(&self) -> usize {
-        self.series_len
-    }
-
-    /// Drops all records but keeps the allocations for reuse.
-    pub fn clear(&mut self) {
-        self.ids.clear();
-        self.values.clear();
-    }
-
-    /// The `i`-th decoded record as `(series id, values)`.
-    ///
-    /// # Panics
-    /// If `i >= len()`.
-    #[inline]
-    pub fn get(&self, i: usize) -> (u64, &[f32]) {
-        let s = i * self.series_len;
-        (self.ids[i], &self.values[s..s + self.series_len])
-    }
-
-    /// Iterates the decoded records in storage order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &[f32])> {
-        self.ids
-            .iter()
-            .copied()
-            .zip(self.values.chunks_exact(self.series_len.max(1)))
-    }
-
-    /// Appends one already-decoded record — the merge primitive the query
-    /// layer uses to add delta-segment records to a sealed cluster's
-    /// candidate stream.
-    ///
-    /// # Panics
-    /// If the buffer is non-empty and `values` has a different length.
-    #[inline]
-    pub fn push(&mut self, id: u64, values: &[f32]) {
-        self.adopt_len(values.len());
-        self.ids.push(id);
-        self.values.extend_from_slice(values);
-    }
-
-    /// Prepares for appends of `series_len`-point records: adopts the
-    /// length when empty, asserts it matches otherwise.
-    fn adopt_len(&mut self, series_len: usize) {
-        if self.ids.is_empty() {
-            self.series_len = series_len;
-        } else {
-            assert_eq!(
-                self.series_len, series_len,
-                "ClusterBuf holds {}-point series, cannot append {}-point ones",
-                self.series_len, series_len
-            );
-        }
-    }
-}
-
 /// Zero-copy reader over an encoded partition.
 #[derive(Debug, Clone)]
 pub struct PartitionReader {
@@ -530,13 +443,7 @@ impl PartitionReader {
         if bytes.len() < HEADER_FIXED {
             return Err("partition shorter than fixed header".into());
         }
-        if bytes[0..4] != MAGIC {
-            return Err(format!("bad partition magic {:?}", &bytes[0..4]));
-        }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-        if version != VERSION {
-            return Err(format!("unsupported partition version {version}"));
-        }
+        check_header(&bytes)?;
         let group_id = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
         let series_len = u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize;
         let n_clusters = u32::from_le_bytes(bytes[20..24].try_into().unwrap()) as usize;
@@ -562,11 +469,15 @@ impl PartitionReader {
             total += count as u64;
             directory.push((node, start, count));
         }
-        let record_size = 8 + series_len * 4;
-        let want = dir_end + (total as usize) * record_size;
-        if bytes.len() != want {
+        // Checked: the two factors are independent header fields, and a
+        // wrapped product could equal the real length.
+        let want = usize::try_from(total)
+            .ok()
+            .and_then(|n| n.checked_mul(record_size(series_len)))
+            .and_then(|n| n.checked_add(dir_end));
+        if want != Some(bytes.len()) {
             return Err(format!(
-                "partition length {} != expected {want}",
+                "partition length {} != the {total} records of {series_len} values its directory lists",
                 bytes.len()
             ));
         }
@@ -640,64 +551,10 @@ impl PartitionReader {
         count as u64
     }
 
-    /// Decodes every record of cluster `node_id` into `buf`, **appending**
-    /// to whatever the buffer already holds and reusing its allocations.
-    /// Returns the number of records appended (0 when the node is absent).
-    ///
-    /// This is the partition-major counterpart of
-    /// [`for_each_in_cluster`](Self::for_each_in_cluster): decode once,
-    /// then let many queries scan the decoded floats.
-    ///
-    /// # Panics
-    /// If `buf` is non-empty and holds series of a different length.
-    pub fn read_cluster_into(&self, node_id: TrieNodeId, buf: &mut ClusterBuf) -> u64 {
-        let Some(&(_, _, count)) = self.directory.iter().find(|&&(n, _, _)| n == node_id) else {
-            return 0;
-        };
-        buf.ids.reserve(count as usize);
-        buf.values.reserve(count as usize * self.series_len);
-        self.read_cluster_into_if(node_id, buf, |_| true)
-    }
-
-    /// Like [`read_cluster_into`](Self::read_cluster_into), but appends
-    /// only records whose id passes `keep` — the tombstone-filtering
-    /// decode of the update-aware query paths. Returns the number of
-    /// records *visited* (the physical cluster size), not the number
-    /// appended; the caller reads `buf.len()` for the logical count.
-    pub fn read_cluster_into_if(
-        &self,
-        node_id: TrieNodeId,
-        buf: &mut ClusterBuf,
-        mut keep: impl FnMut(u64) -> bool,
-    ) -> u64 {
-        let Some(&(_, start, count)) = self.directory.iter().find(|&&(n, _, _)| n == node_id)
-        else {
-            return 0;
-        };
-        buf.adopt_len(self.series_len);
-        let record_size = 8 + self.series_len * 4;
-        let bytes: &[u8] = &self.bytes;
-        for r in 0..count as u64 {
-            let off = self.records_at + ((start + r) as usize) * record_size;
-            let id = u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
-            if !keep(id) {
-                continue;
-            }
-            buf.ids.push(id);
-            let vals = &bytes[off + 8..off + record_size];
-            buf.values.extend(
-                vals.chunks_exact(4)
-                    .map(|chunk| f32::from_le_bytes(chunk.try_into().unwrap())),
-            );
-        }
-        count as u64
-    }
-
     /// Random-access view over the records of cluster `node_id`, or `None`
     /// when the node is absent. One directory lookup up front, then O(1)
-    /// per-record access — the promotion primitive of the quantized
-    /// prefilter, which decodes exact `f32` values only for the records
-    /// that survive the quantized lower bound.
+    /// per-record access: a scan reads a record's id first and decodes
+    /// its `f32` values only if the record is still wanted.
     pub fn cluster_records(&self, node_id: TrieNodeId) -> Option<ClusterRecords<'_>> {
         let &(_, start, count) = self.directory.iter().find(|&&(n, _, _)| n == node_id)?;
         Some(self.records_of(start, count))
@@ -833,9 +690,21 @@ impl ClusterRecords<'_> {
     /// If `i >= len()`.
     #[inline]
     pub fn values_into(&self, i: usize, out: &mut Vec<f32>) {
+        out.resize(self.series_len, 0.0);
+        self.decode_into(i, out);
+    }
+
+    /// Decodes the values of record `i` into `out`, a slice of exactly
+    /// `series_len` values — the scan loop's form: the buffer is sized
+    /// once per cluster, not once per record.
+    ///
+    /// # Panics
+    /// If `i >= len()`.
+    #[inline]
+    pub fn decode_into(&self, i: usize, out: &mut [f32]) {
+        debug_assert_eq!(out.len(), self.series_len);
         let record_size = 8 + self.series_len * 4;
         let off = i * record_size;
-        out.resize(self.series_len, 0.0);
         let encoded = self.bytes[off + 8..off + record_size].chunks_exact(4);
         for (value, chunk) in out.iter_mut().zip(encoded) {
             *value = f32::from_le_bytes(chunk.try_into().unwrap());
@@ -858,6 +727,127 @@ mod tests {
         );
         w.push_cluster(200, vec![(3u64, &[9.0f32, 10.0, 11.0, 12.0][..])]);
         w.finish()
+    }
+
+    /// Reference decoder the tests compare the zero-copy accessors
+    /// against: a whole cluster decoded into ids side by side with one
+    /// flat `f32` arena, `series_len` values per record.
+    #[derive(Debug, Default, Clone)]
+    struct ClusterBuf {
+        series_len: usize,
+        ids: Vec<u64>,
+        values: Vec<f32>,
+    }
+
+    impl ClusterBuf {
+        fn new() -> Self {
+            Self::default()
+        }
+
+        fn len(&self) -> usize {
+            self.ids.len()
+        }
+
+        fn is_empty(&self) -> bool {
+            self.ids.is_empty()
+        }
+
+        /// Length of every held series (0 while empty and untouched).
+        fn series_len(&self) -> usize {
+            self.series_len
+        }
+
+        /// Drops all records but keeps the allocations for reuse.
+        fn clear(&mut self) {
+            self.ids.clear();
+            self.values.clear();
+        }
+
+        fn get(&self, i: usize) -> (u64, &[f32]) {
+            let s = i * self.series_len;
+            (self.ids[i], &self.values[s..s + self.series_len])
+        }
+
+        fn iter(&self) -> impl Iterator<Item = (u64, &[f32])> {
+            self.ids
+                .iter()
+                .copied()
+                .zip(self.values.chunks_exact(self.series_len.max(1)))
+        }
+
+        /// Appends one already-decoded record.
+        fn push(&mut self, id: u64, values: &[f32]) {
+            self.adopt_len(values.len());
+            self.ids.push(id);
+            self.values.extend_from_slice(values);
+        }
+
+        /// Adopts `series_len` when empty, asserts it matches otherwise.
+        fn adopt_len(&mut self, series_len: usize) {
+            if self.ids.is_empty() {
+                self.series_len = series_len;
+            } else {
+                assert_eq!(
+                    self.series_len, series_len,
+                    "ClusterBuf holds {}-point series, cannot append {}-point ones",
+                    self.series_len, series_len
+                );
+            }
+        }
+    }
+
+    impl PartitionReader {
+        /// Decodes every record of cluster `node_id`, **appending** to
+        /// `buf`. Returns the records appended (0 when the node is absent).
+        fn read_cluster_into(&self, node_id: TrieNodeId, buf: &mut ClusterBuf) -> u64 {
+            self.read_cluster_into_if(node_id, buf, |_| true)
+        }
+
+        /// Appends only records whose id passes `keep`; returns the records
+        /// *visited* (the physical cluster size), not the number appended.
+        fn read_cluster_into_if(
+            &self,
+            node_id: TrieNodeId,
+            buf: &mut ClusterBuf,
+            mut keep: impl FnMut(u64) -> bool,
+        ) -> u64 {
+            let Some(&(_, start, count)) = self.directory.iter().find(|&&(n, _, _)| n == node_id)
+            else {
+                return 0;
+            };
+            buf.adopt_len(self.series_len);
+            let record_size = record_size(self.series_len);
+            for r in 0..count as u64 {
+                let off = self.records_at + ((start + r) as usize) * record_size;
+                let id = u64::from_le_bytes(self.bytes[off..off + 8].try_into().unwrap());
+                if !keep(id) {
+                    continue;
+                }
+                buf.ids.push(id);
+                let vals = &self.bytes[off + 8..off + record_size];
+                buf.values.extend(
+                    vals.chunks_exact(4)
+                        .map(|chunk| f32::from_le_bytes(chunk.try_into().unwrap())),
+                );
+            }
+            count as u64
+        }
+    }
+
+    /// The whole-cluster decode in one picture: two records in, two
+    /// `(id, values)` pairs out, and a cleared buffer is reusable.
+    #[test]
+    fn cluster_buf_decodes_a_cluster_and_clears() {
+        let mut w = PartitionWriter::new(0, 2);
+        w.push_cluster(7, vec![(1u64, &[1.0f32, 2.0][..]), (2, &[3.0, 4.0])]);
+        let reader = PartitionReader::open(w.finish()).unwrap();
+
+        let mut buf = ClusterBuf::new();
+        assert_eq!(reader.read_cluster_into(7, &mut buf), 2);
+        assert_eq!(buf.len(), 2);
+        assert_eq!(buf.get(1), (2, &[3.0f32, 4.0][..]));
+        buf.clear(); // keeps capacity for the next cluster
+        assert!(buf.is_empty());
     }
 
     #[test]
@@ -1162,10 +1152,10 @@ mod tests {
 
     #[test]
     fn cluster_buf_reuse_across_quantized_and_f32_decodes() {
-        // The quantized prefilter promotes survivors into the same
-        // ClusterBuf that full-f32 decodes use; a stale-buffer bug here
-        // would silently corrupt scores. Interleave the two access styles
-        // through one buffer and check every state transition.
+        // Record-at-a-time promotion and whole-cluster decodes share one
+        // ClusterBuf; a stale-buffer bug here would silently corrupt the
+        // reference. Interleave the two access styles through one buffer
+        // and check every state transition.
         let r = PartitionReader::open(sample_partition()).unwrap();
         let mut buf = ClusterBuf::new();
 

@@ -28,16 +28,14 @@
 //! * [`sample`] — partition-level sampling (§V Step 1 reads a random subset
 //!   of partitions rather than scanning the dataset);
 //! * [`page`] — the paged storage engine: a sharded byte-budgeted LRU
-//!   [`BlockCache`] over whole partition images, zero-copy
-//!   [`ClusterView`]s, the compressed CLBP v2 partition encoding, and the
-//!   [`CacheLedger`] unifying block and quantized byte budgets.
+//!   [`BlockCache`] over whole partition images and zero-copy
+//!   [`ClusterView`]s.
 
 pub mod cluster;
 pub mod format;
 pub mod fsio;
 pub mod manifest;
 pub mod page;
-pub mod quant;
 pub mod sample;
 pub mod segment;
 pub mod stats;
@@ -47,8 +45,7 @@ pub use cluster::{Broadcast, Cluster};
 pub use format::{ByteReader, Decode, Encode, PartitionReader, PartitionWriter, TrieNodeId};
 pub use fsio::{ClimberFs, FaultAction, FaultFs, FaultTrigger, FsOp, FsRef, StdFs};
 pub use manifest::{Manifest, OpenError, FORMAT_VERSION, MANIFEST_FILE};
-pub use page::{BlockCache, BlockCacheStats, CacheConfig, CacheLedger, ClusterView, PAGE_SIZE};
-pub use quant::{QuantCache, QuantizedCluster};
+pub use page::{BlockCache, BlockCacheStats, CacheConfig, ClusterView, PAGE_SIZE};
 pub use segment::{DeltaSegment, TombstoneSet, JOURNAL_FILE};
 pub use stats::IoStats;
 pub use store::{DiskStore, MemStore, PartitionId, PartitionStore};

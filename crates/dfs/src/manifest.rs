@@ -175,6 +175,16 @@ pub enum OpenError {
         /// Bytes actually on disk.
         found: u64,
     },
+    /// A partition file matches its manifest entry byte for byte but is
+    /// not a partition this build reads (wrong magic, or a format version
+    /// other than the one supported — e.g. a file written by a build that
+    /// had an optional version-2 encoding).
+    CorruptPartition {
+        /// The unreadable partition.
+        id: PartitionId,
+        /// What the header check found, magic or version included.
+        reason: String,
+    },
     /// A file's content hash differs from the manifest (bit rot, torn
     /// write, or tampering).
     ChecksumMismatch {
@@ -243,6 +253,9 @@ impl fmt::Display for OpenError {
                 f,
                 "partition {id} is {found} bytes, manifest says {expected}"
             ),
+            Self::CorruptPartition { id, reason } => {
+                write!(f, "partition {id} is unreadable: {reason}")
+            }
             Self::ChecksumMismatch {
                 what,
                 expected,

@@ -97,8 +97,7 @@ pub const JOURNAL_MAGIC: [u8; 4] = *b"CLDJ";
 pub const JOURNAL_VERSION: u32 = 1;
 
 /// One delta cluster: appended records routed to a `(partition, node)`
-/// pair, ids side by side with a flat value arena (the same layout as
-/// [`ClusterBuf`](crate::format::ClusterBuf)).
+/// pair, ids side by side with a flat value arena.
 #[derive(Debug, Default, Clone)]
 struct DeltaCluster {
     ids: Vec<u64>,

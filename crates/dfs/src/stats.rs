@@ -48,11 +48,6 @@ pub struct IoSnapshot {
     /// Page-rounded bytes currently resident in the block cache (a gauge:
     /// [`since`](Self::since) passes the later value through unchanged).
     pub cache_resident_bytes: u64,
-    /// Decompressed bytes of resident blocks (gauge).
-    pub cache_raw_bytes: u64,
-    /// On-disk bytes of resident blocks (gauge; smaller than
-    /// `cache_raw_bytes` when compression is saving disk space).
-    pub cache_stored_bytes: u64,
 }
 
 impl IoStats {
@@ -134,8 +129,6 @@ impl IoSnapshot {
             cache_misses: self.cache_misses - earlier.cache_misses,
             cache_evictions: self.cache_evictions - earlier.cache_evictions,
             cache_resident_bytes: self.cache_resident_bytes,
-            cache_raw_bytes: self.cache_raw_bytes,
-            cache_stored_bytes: self.cache_stored_bytes,
         }
     }
 
@@ -147,19 +140,7 @@ impl IoSnapshot {
         self.cache_misses = cache.misses;
         self.cache_evictions = cache.evictions;
         self.cache_resident_bytes = cache.resident_bytes;
-        self.cache_raw_bytes = cache.raw_bytes;
-        self.cache_stored_bytes = cache.stored_bytes;
         self
-    }
-
-    /// On-disk ÷ in-memory size of resident cached blocks: 1.0 when the
-    /// cache is empty or uncompressed, below 1.0 when compression helps.
-    pub fn cache_compressed_ratio(&self) -> f64 {
-        if self.cache_raw_bytes == 0 {
-            1.0
-        } else {
-            self.cache_stored_bytes as f64 / self.cache_raw_bytes as f64
-        }
     }
 }
 
@@ -220,8 +201,6 @@ mod tests {
             evictions: 2,
             warmed_bytes: 0,
             resident_bytes: 1 << 20,
-            raw_bytes: 1000,
-            stored_bytes: 250,
         };
         let t0 = IoSnapshot::default().with_cache(&crate::page::BlockCacheStats {
             hits: 3,
@@ -232,8 +211,6 @@ mod tests {
         assert_eq!(diff.cache_hits, 7, "counters subtract");
         assert_eq!(diff.cache_misses, 4);
         assert_eq!(diff.cache_resident_bytes, 1 << 20, "gauges pass through");
-        assert!((t1.cache_compressed_ratio() - 0.25).abs() < 1e-12);
-        assert!((IoSnapshot::default().cache_compressed_ratio() - 1.0).abs() < 1e-12);
     }
 
     #[test]

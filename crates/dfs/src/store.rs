@@ -10,7 +10,7 @@
 //! Every operation reports to an [`IoStats`], which is how experiments
 //! observe "partitions touched" and bytes moved.
 
-use crate::format::PartitionReader;
+use crate::format::{self, PartitionReader};
 use crate::fsio::{self, ClimberFs, FsRef};
 use crate::manifest::{xxh64, Manifest, OpenError, PartitionEntry};
 use crate::page::{self, BlockCache};
@@ -21,7 +21,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// File name of partition `id` inside an index directory.
@@ -56,8 +55,7 @@ pub type PartitionId = u32;
 /// re-reading or re-hashing it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PutReceipt {
-    /// Length of the bytes as stored (the compressed length when the
-    /// store compresses its puts).
+    /// Length of the bytes as stored.
     pub stored_len: u64,
     /// xxHash64 (seed 0) of the bytes as stored.
     pub checksum: u64,
@@ -145,21 +143,12 @@ pub trait PartitionStore: Send + Sync {
         Vec::new()
     }
 
-    /// The **exact persisted bytes** of a partition — what a seal must
-    /// checksum and copy. For stores holding partitions verbatim this is
-    /// the open image; stores with a compressed on-disk representation
-    /// override it to return the stored (compressed) bytes, which the
-    /// decode path never sees. Performs no I/O accounting: sealing
-    /// attributes its reads to the open that accompanies it.
+    /// The **exact persisted bytes** of a partition — what a seal
+    /// checksums and copies. A disk store reads them straight from the
+    /// file (staged sibling first), past the block cache and without I/O
+    /// accounting: a seal's reads are not query traffic.
     fn stored_bytes(&self, id: PartitionId) -> io::Result<Bytes> {
         Ok(self.open(id)?.raw_bytes_owned())
-    }
-
-    /// True when [`put`](Self::put) lands partitions in the compressed
-    /// (CLBP v2) on-disk format; a seal copying into a fresh directory
-    /// then compresses its payloads to match the store's own files.
-    fn compresses_puts(&self) -> bool {
-        false
     }
 
     /// The block cache serving this store's opens, when one is attached;
@@ -282,12 +271,6 @@ pub struct DiskStore {
     /// Block-cache attachment: the shared cache plus this store's token
     /// (the namespace its partition ids live under in the cache).
     cache: RwLock<Option<StoreCache>>,
-    /// When set, [`put`](PartitionStore::put) transcodes partitions into
-    /// the compressed CLBP v2 format before writing. Set explicitly by
-    /// `CacheConfig::compress` or automatically when a validated open
-    /// finds compressed files, so rewrites never silently decompress an
-    /// index.
-    compress_puts: AtomicBool,
 }
 
 /// A [`DiskStore`]'s handle into a shared [`BlockCache`].
@@ -325,7 +308,6 @@ impl DiskStore {
             staged: RwLock::new(BTreeSet::new()),
             quarantined: RwLock::new(BTreeSet::new()),
             cache: RwLock::new(None),
-            compress_puts: AtomicBool::new(false),
         })
     }
 
@@ -349,19 +331,10 @@ impl DiskStore {
         self.cache.read().clone()
     }
 
-    /// Turns compressed (CLBP v2) partition writes on or off.
-    pub fn set_compress_puts(&self, on: bool) {
-        self.compress_puts.store(on, Ordering::Relaxed);
-    }
-
-    /// True when puts are written in the compressed format.
-    pub fn compresses_puts(&self) -> bool {
-        self.compress_puts.load(Ordering::Relaxed)
-    }
-
     /// Opens a persisted index directory **read-only**, validating every
-    /// partition file against the manifest: existence, byte range, and
-    /// content checksum. Returns the store plus the validated manifest.
+    /// partition file against the manifest — existence, byte range,
+    /// content checksum — and its own header (CLBP magic and version).
+    /// Returns the store plus the validated manifest.
     ///
     /// This is the serve-side cold-start path: any corruption or
     /// incompleteness surfaces here as a typed [`OpenError`] instead of a
@@ -403,10 +376,10 @@ impl DiskStore {
 
     /// [`open_validated_with`](Self::open_validated_with) plus a shared
     /// [`BlockCache`]: each partition's cold-open validation read — which
-    /// the cacheless path checksums and discards — is decompressed and
-    /// fed into the cache ([`BlockCache::try_warm`]: warming never evicts
-    /// what another index already holds). Returns the store, the
-    /// manifest, and the warmed byte count for the recovery report.
+    /// the cacheless path checksums and discards — is fed into the cache
+    /// ([`BlockCache::try_warm`]: warming never evicts what another index
+    /// already holds). Returns the store, the manifest, and the warmed
+    /// byte count for the recovery report.
     pub fn open_validated_cached(
         dir: PathBuf,
         read_only: bool,
@@ -436,6 +409,16 @@ impl DiskStore {
             }
             Err(err) => return Err(OpenError::Io(err)),
         };
+        Self::check_entry(&bytes, e)?;
+        Ok(bytes)
+    }
+
+    /// Checks partition bytes against their manifest entry (size,
+    /// checksum) and against the format itself: a file the manifest
+    /// describes exactly but [`PartitionReader::open`] would refuse — say
+    /// a version this build does not read — must fail here, by name, not
+    /// open "healthy" and then read as empty in every scan.
+    fn check_entry(bytes: &[u8], e: &PartitionEntry) -> Result<(), OpenError> {
         if bytes.len() as u64 != e.bytes {
             return Err(OpenError::PartitionSizeMismatch {
                 id: e.id,
@@ -443,7 +426,7 @@ impl DiskStore {
                 found: bytes.len() as u64,
             });
         }
-        let found = xxh64(&bytes, 0);
+        let found = xxh64(bytes, 0);
         if found != e.checksum {
             return Err(OpenError::ChecksumMismatch {
                 what: format!("partition {}", e.id),
@@ -451,7 +434,8 @@ impl DiskStore {
                 found,
             });
         }
-        Ok(bytes)
+        format::check_header(bytes)
+            .map_err(|reason| OpenError::CorruptPartition { id: e.id, reason })
     }
 
     fn open_validated(
@@ -465,7 +449,6 @@ impl DiskStore {
         let mut quarantined = BTreeSet::new();
         let warming = cache.map(|c| (c, page::next_store_token()));
         let mut warmed_bytes = 0u64;
-        let mut saw_compressed = false;
         for e in &manifest.partitions {
             let path = dir.join(partition_file_name(e.id));
             let staged = staged_path_of(&dir, e.id);
@@ -475,19 +458,13 @@ impl DiskStore {
                     // interrupted fold — the committed file matches the
                     // committed manifest.
                     fs.remove_file(&staged).ok();
-                    if page::is_compressed(&bytes) {
-                        saw_compressed = true;
-                    }
-                    // Reuse the validation read: decompress once here and
-                    // warm the cache so first-query latency after a cold
-                    // open skips the filesystem entirely.
+                    // Reuse the validation read: warm the cache so
+                    // first-query latency after a cold open skips the
+                    // filesystem entirely.
                     if let Some((cache, token)) = &warming {
-                        if let Ok((image, stored_len)) = page::maybe_decompress(Bytes::from(bytes))
-                        {
-                            let raw_len = image.len() as u64;
-                            if cache.try_warm(*token, e.id, image, stored_len) {
-                                warmed_bytes += raw_len;
-                            }
+                        let len = bytes.len() as u64;
+                        if cache.try_warm(*token, e.id, Bytes::from(bytes)) {
+                            warmed_bytes += len;
                         }
                     }
                 }
@@ -498,7 +475,7 @@ impl DiskStore {
                     // gone). If the sibling matches the committed entry,
                     // finish the interrupted rename.
                     let rolled = match fs.read(&staged) {
-                        Ok(b) if b.len() as u64 == e.bytes && xxh64(&b, 0) == e.checksum => {
+                        Ok(b) if Self::check_entry(&b, e).is_ok() => {
                             fs.rename(&staged, &path).is_ok() && {
                                 fs.fsync_dir(&dir).ok();
                                 true
@@ -542,7 +519,6 @@ impl DiskStore {
                 staged: RwLock::new(BTreeSet::new()),
                 quarantined: RwLock::new(quarantined),
                 cache: RwLock::new(warming.map(|(cache, token)| StoreCache { cache, token })),
-                compress_puts: AtomicBool::new(saw_compressed),
             },
             manifest,
             warmed_bytes,
@@ -594,7 +570,7 @@ impl DiskStore {
             return Ok(true);
         }
         let main = self.path_of(e.id);
-        let matches = |b: &[u8]| b.len() as u64 == e.bytes && xxh64(b, 0) == e.checksum;
+        let matches = |b: &[u8]| Self::check_entry(b, e).is_ok();
         let readmit = |id: PartitionId| {
             self.quarantined.write().remove(&id);
             if let Some(sc) = self.cache_handle() {
@@ -623,10 +599,6 @@ impl DiskStore {
 }
 
 impl PartitionStore for DiskStore {
-    fn compresses_puts(&self) -> bool {
-        DiskStore::compresses_puts(self)
-    }
-
     fn block_cache(&self) -> Option<Arc<BlockCache>> {
         DiskStore::block_cache(self)
     }
@@ -642,18 +614,11 @@ impl PartitionStore for DiskStore {
         // manifest) validates the image; its shape goes on the receipt.
         let shape = (self.manifest_ids.is_some())
             .then(|| {
-                let reader = PartitionReader::open(page::maybe_decompress(bytes.clone())?.0)
+                let reader = PartitionReader::open(bytes.clone())
                     .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
                 io::Result::Ok((reader.record_count(), reader.series_len() as u32))
             })
             .transpose()?;
-        // Compressed stores transcode on the way down, so decode paths —
-        // which always see the v1 image — never meet v2 bytes.
-        let bytes = if self.compresses_puts() && !page::is_compressed(&bytes) {
-            page::compress_partition(&bytes)?
-        } else {
-            bytes
-        };
         self.stats.on_partition_write(bytes.len() as u64);
         let result = match shape {
             // The committed file stays untouched: the rewrite is *staged*
@@ -709,17 +674,13 @@ impl PartitionStore for DiskStore {
         } else {
             self.path_of(id)
         };
-        let raw = Bytes::from(self.fs.read(&path)?);
-        // Compressed partitions decompress exactly once here; the cache
-        // then pins the decoded image so later touches skip both the
-        // filesystem and the decode.
-        let (image, stored_len) = page::maybe_decompress(raw)?;
+        let image = Bytes::from(self.fs.read(&path)?);
         self.stats.on_partition_open();
         let reader = PartitionReader::open(image.clone())
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         self.stats.on_read(reader.header_bytes() as u64);
         if let Some(sc) = &cached {
-            sc.cache.insert(sc.token, id, image, stored_len);
+            sc.cache.insert(sc.token, id, image);
         }
         Ok(reader)
     }
@@ -939,25 +900,6 @@ mod tests {
         store.open(3).unwrap();
         let diff = store.stats().snapshot().since(&before);
         assert_eq!(diff.partitions_opened, 1);
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn compressed_puts_roundtrip_and_report_stored_bytes() {
-        let dir = std::env::temp_dir().join(format!("climber-dfs-comp-{}", std::process::id()));
-        fs::remove_dir_all(&dir).ok();
-        let store = DiskStore::new(&dir).unwrap();
-        store.set_compress_puts(true);
-        let v1 = encode_partition(5, 2, 50);
-        store.put(1, v1.clone()).unwrap();
-        // On disk: compressed. Through open(): the exact v1 image.
-        let stored = store.stored_bytes(1).unwrap();
-        assert!(crate::page::is_compressed(&stored));
-        let reader = store.open(1).unwrap();
-        assert_eq!(reader.raw_bytes(), &v1[..]);
-        // read_cluster goes through the same transparent decompression.
-        let mut out = Vec::new();
-        assert_eq!(store.read_cluster(1, 2, &mut out).unwrap(), 50);
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -5,7 +5,7 @@
 //! five scenarios are asserted end-to-end through `Climber::open` in the
 //! workspace-level `tests/persistence.rs`.
 
-use climber_dfs::format::PartitionWriter;
+use climber_dfs::format::{PartitionReader, PartitionWriter};
 use climber_dfs::manifest::{
     write_file_atomic, xxh64, FileEntry, Manifest, OpenError, PartitionEntry, FORMAT_VERSION,
     MANIFEST_FILE,
@@ -268,17 +268,14 @@ fn staging_puts_return_receipts_of_the_stored_bytes() {
     let recs: Vec<(u64, [f32; 4])> = (0..50).map(|i| (i, [i as f32, 0.5, -1.0, 2.0])).collect();
     w.push_cluster(2, recs.iter().map(|(id, v)| (*id, &v[..])));
     let image = w.finish();
-    for compress in [false, true] {
-        store.set_compress_puts(compress);
-        let receipt = store.put(0, image.clone()).unwrap().expect("a staging put");
-        let stored = store.stored_bytes(0).unwrap();
-        assert_eq!(climber_dfs::page::is_compressed(&stored), compress);
-        assert_eq!(receipt.stored_len, stored.len() as u64);
-        assert_eq!(receipt.checksum, xxh64(&stored, 0));
-        assert_eq!((receipt.records, receipt.series_len), (50, 4));
-        assert_eq!(receipt.entry(0).bytes, receipt.stored_len);
-        assert_eq!(store.open(0).unwrap().raw_bytes(), &image[..]);
-    }
+    let receipt = store.put(0, image.clone()).unwrap().expect("a staging put");
+    let stored = store.stored_bytes(0).unwrap();
+    assert_eq!(stored, image);
+    assert_eq!(receipt.stored_len, stored.len() as u64);
+    assert_eq!(receipt.checksum, xxh64(&stored, 0));
+    assert_eq!((receipt.records, receipt.series_len), (50, 4));
+    assert_eq!(receipt.entry(0).bytes, receipt.stored_len);
+    assert_eq!(store.open(0).unwrap().raw_bytes(), &image[..]);
     let err = store.put(1, vec![0u8; 64].into()).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert_eq!(store.open(1).unwrap().record_count(), 3, "committed file");
@@ -290,6 +287,92 @@ fn staging_puts_return_receipts_of_the_stored_bytes() {
         None
     );
     fs::remove_dir_all(&dir).ok();
+}
+
+/// Walks everything an `Ok` reader hands out; any access outside the
+/// image would panic on a slice bound.
+fn touch_every_record(reader: &PartitionReader) -> u64 {
+    let mut seen = 0u64;
+    let mut values = Vec::new();
+    for node in reader.cluster_ids() {
+        let recs = reader.cluster_records(node).expect("listed cluster");
+        let view = reader.cluster_view(node).expect("listed cluster");
+        assert_eq!(recs.len(), view.len());
+        for i in 0..recs.len() {
+            assert_eq!(recs.id(i), view.id(i));
+            recs.values_into(i, &mut values);
+            assert_eq!(values.len(), reader.series_len());
+        }
+        seen += view.for_each(|_, v| assert_eq!(v.len(), reader.series_len()));
+    }
+    for (_, recs) in reader.clusters() {
+        assert!(recs.len() as u64 <= reader.record_count());
+    }
+    reader.any_id(|_| false);
+    seen
+}
+
+/// The decoder contract of the one partition format: every truncation of
+/// a valid multi-cluster image and every corruption of a header or
+/// directory byte (each single bit, and the whole byte) decodes to `Ok`
+/// or `Err` — never a panic — and an `Ok` reader's accessors stay inside
+/// the image.
+#[test]
+fn partition_decoder_survives_every_truncation_and_header_flip() {
+    let mut w = PartitionWriter::new(7, 5);
+    let mut id = 0u64;
+    for (node, n) in [(11u64, 4usize), (12, 0), (40, 9)] {
+        let recs: Vec<(u64, [f32; 5])> = (0..n)
+            .map(|i| {
+                id += 1;
+                (id, [i as f32, -1.5, 0.25, node as f32, 3.0])
+            })
+            .collect();
+        w.push_cluster(node, recs.iter().map(|(id, v)| (*id, &v[..])));
+    }
+    let image = w.finish().to_vec();
+    let pristine = PartitionReader::open(image.clone().into()).unwrap();
+    let header_and_directory = pristine.header_bytes();
+    assert_eq!(touch_every_record(&pristine), 13);
+
+    let open_and_walk = |bytes: Vec<u8>, what: String| {
+        let outcome = std::panic::catch_unwind(|| {
+            PartitionReader::open(bytes.into()).map(|r| touch_every_record(&r))
+        });
+        outcome.unwrap_or_else(|_| panic!("decoder panicked on {what}"))
+    };
+    for cut in 0..image.len() {
+        let got = open_and_walk(image[..cut].to_vec(), format!("truncation to {cut}"));
+        assert!(got.is_err(), "truncation to {cut} bytes was accepted");
+    }
+    let mut accepted = 0;
+    for at in 0..header_and_directory {
+        for mask in (0..8).map(|bit| 1u8 << bit).chain([0xFF]) {
+            let mut bytes = image.clone();
+            bytes[at] ^= mask;
+            let what = format!("byte {at} ^ {mask:#04x}");
+            if let Ok(seen) = open_and_walk(bytes, what.clone()) {
+                // Only a field no length depends on (group id, a node id)
+                // can change and still parse.
+                assert_eq!(seen, 13, "{what} changed the record count");
+                accepted += 1;
+            }
+        }
+    }
+    assert!(accepted > 0, "group-id flips must still parse");
+
+    // Two fields at once: a record size and a record count whose product
+    // overflows must be refused, not wrapped into a plausible length.
+    // (Directory entry i sits at 24 + 20 i: node u64, start u64, count u32.)
+    let mut bytes = image.clone();
+    bytes[16..20].copy_from_slice(&u32::MAX.to_le_bytes()); // series_len
+    bytes[24 + 16..24 + 20].copy_from_slice(&u32::MAX.to_le_bytes()); // first count
+    for entry in [1, 2] {
+        // keep the later entries' starts the running total
+        let at = 24 + 20 * entry + 8;
+        bytes[at..at + 8].copy_from_slice(&u64::from(u32::MAX).to_le_bytes());
+    }
+    assert!(open_and_walk(bytes, "overflowing size x count".into()).is_err());
 }
 
 #[test]

@@ -5,7 +5,6 @@ use crate::exec::{execute, SeriesLen, Source};
 use crate::plan::QueryOutcome;
 use crate::search::SearchRequest;
 use crate::updates::UpdateView;
-use climber_dfs::quant::QuantCache;
 use climber_dfs::store::PartitionStore;
 use climber_index::skeleton::IndexSkeleton;
 
@@ -38,16 +37,6 @@ impl<'a, S: PartitionStore> KnnEngine<'a, S> {
     #[must_use]
     pub fn with_updates(mut self, updates: UpdateView<'a>) -> Self {
         self.source.updates = Some(updates);
-        self
-    }
-
-    /// Attaches a quantized record cache: sealed cluster scans are served
-    /// from 8-bit codes with exact promotion of the survivors whenever the
-    /// cache is enabled. Results stay bit-identical either way — the cache
-    /// only changes how much physical decode work a scan pays.
-    #[must_use]
-    pub fn with_quant(mut self, quant: &'a QuantCache) -> Self {
-        self.source.quant = Some(quant);
         self
     }
 

@@ -12,8 +12,7 @@
 //! ```
 //!
 //! A [`Source`] is one record-disjoint place records live: a partition
-//! store plus, optionally, its pending updates and its quantized record
-//! cache. One request over one source is a plain search; N requests share
+//! store plus, optionally, its pending updates. One request over one source is a plain search; N requests share
 //! every partition open and cluster decode (each partition any plan
 //! selects is opened **once**, each surviving record decoded **once** and
 //! scored against every query that selected its cluster); N sources are
@@ -23,8 +22,8 @@
 //! Outcomes are bit-identical across all of these shapes because a
 //! [`TopK`]'s content depends only on which records it is offered, and
 //! everything that withholds a record — early abandon against a bound
-//! only full heaps publish, the PAA and quantized lower bounds, the
-//! tombstone filter — withholds only records provably outside the final
+//! only full heaps publish, the PAA lower bound, the tombstone filter —
+//! withholds only records provably outside the final
 //! top-k; `records_scanned` counts the candidate stream, never the
 //! offers. The arguments are spelled out once, in ARCHITECTURE.md ("Why
 //! every shape returns the same bits").
@@ -35,8 +34,7 @@ use crate::od_smallest::plan_od_smallest;
 use crate::plan::{QueryOutcome, QueryPlan};
 use crate::search::{SearchMode, SearchRequest};
 use crate::updates::UpdateView;
-use climber_dfs::format::{ClusterBuf, PartitionReader, TrieNodeId};
-use climber_dfs::quant::{QuantCache, QuantizedCluster};
+use climber_dfs::format::{PartitionReader, TrieNodeId};
 use climber_dfs::store::{PartitionId, PartitionStore};
 use climber_index::skeleton::IndexSkeleton;
 use climber_repr::paa::{paa, paa_into};
@@ -56,25 +54,22 @@ const PREFILTER_SEGMENTS: usize = 16;
 /// computing: below this the signature pass costs about what it saves.
 const PREFILTER_MIN_QUERIES: usize = 4;
 
-/// One record-disjoint place a search reads from: a partition store, the
-/// updates pending against it, and its quantized record cache.
+/// One record-disjoint place a search reads from: a partition store and
+/// the updates pending against it.
 #[derive(Debug)]
 pub struct Source<'a, S: PartitionStore> {
     /// The sealed partitions.
     pub store: &'a S,
     /// Pending appends and deletes, merged into every cluster scan.
     pub updates: Option<UpdateView<'a>>,
-    /// The 8-bit record cache sealed scans may be served from.
-    pub quant: Option<&'a QuantCache>,
 }
 
 impl<'a, S: PartitionStore> Source<'a, S> {
-    /// The sealed partitions of `store` alone: no updates, no cache.
+    /// The sealed partitions of `store` alone: no updates.
     pub fn sealed(store: &'a S) -> Self {
         Self {
             store,
             updates: None,
-            quant: None,
         }
     }
 }
@@ -468,9 +463,8 @@ pub(crate) fn scan_group<S: PartitionStore, Q: AsRef<[f32]> + Sync>(
 /// The candidate stream is the sealed cluster's records minus tombstoned
 /// ids, then the delta cluster under the same key minus tombstoned ids;
 /// its length is charged to every interested lane's `scanned`. A sealed
-/// record is *decoded* only if no skip-before-decode predicate rules it
-/// out (tombstone; quantized lower bound above every interested lane's
-/// bound), once, into a one-record buffer that stays cache-hot while
+/// record is *decoded* unless it is tombstoned (the one skip-before-decode
+/// predicate), once, into a one-record buffer that stays cache-hot while
 /// every interested lane scores it: `ed_early_abandon → TopK::offer →
 /// publish_bound`, behind the shared PAA prefilter when enough lanes
 /// share the record to pay for its signature. Per lane the records are
@@ -498,46 +492,25 @@ fn scan_cluster<S: PartitionStore>(
 
     let tombstones = src.updates.map(|u| u.tombstones.read());
     let deleted = |id: u64| tombstones.as_ref().is_some_and(|t| t.contains(id));
-    // Quantized entries reflect sealed bytes only, so a source with
-    // pending updates bypasses the cache. On a miss the decoded records
-    // are also kept, whole, to feed the quantizer.
-    let cache = match src.updates {
-        None => src.quant.filter(|c| c.is_enabled()),
-        Some(_) => None,
-    };
-    let codes = cache.and_then(|c| c.get(pid, node));
-    let mut fill = cache
-        .filter(|_| codes.is_none())
-        .map(|c| (c, ClusterBuf::new()));
-    let (mut counted, mut decoded) = (0u64, 0u64);
+    let mut counted = 0u64;
     if let Some(recs) = reader.cluster_records(node) {
+        // Sized once per cluster: the per-record decode then writes
+        // through a slice and the loop carries no `Vec` bookkeeping.
+        record.resize(reader.series_len(), 0.0);
+        let record = record.as_mut_slice();
         for i in 0..recs.len() {
             let id = recs.id(i);
             if deleted(id) {
                 continue;
             }
             counted += 1;
-            if let Some(qc) = &codes {
-                let hopeless = |lane: &Lane<'_>| {
-                    qc.lb_exceeds(i, lane.query, lane.top.bound_with(lane.shared))
-                };
-                if interested.iter().all(|&(_, l)| hopeless(&lanes.lanes[l])) {
-                    continue;
-                }
-            }
-            recs.values_into(i, record);
-            decoded += 1;
-            if let Some((_, whole)) = &mut fill {
-                whole.push(id, record);
-            }
+            recs.decode_into(i, record);
             lanes.score(id, record);
         }
     }
-    if let Some((cache, whole)) = fill {
-        if let Some(qc) = QuantizedCluster::from_buf(&whole) {
-            cache.insert(pid, node, qc);
-        }
-    }
+    // The store is charged the sealed records decoded; delta records
+    // counted below never came from it.
+    let decoded = counted;
     if let Some(u) = src.updates {
         u.delta.for_each_in_cluster(pid, node, |id, values| {
             if !deleted(id) {

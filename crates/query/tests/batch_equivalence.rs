@@ -1,15 +1,14 @@
 //! Property test: the query executor equals an independent brute-force
 //! oracle — across random datasets, batch sizes, thread counts, source
-//! (shard) counts, pending updates, the quantized cache, and all four
-//! search modes.
+//! (shard) counts, pending updates, and all four search modes.
 //!
 //! Every production search is one executor (`climber_query::exec`), so
 //! comparing one entry point with another would compare the executor with
 //! itself. The reference here is [`oracle`]: it collects the planned
 //! clusters' records with the storage layer's plain visitors, scores them
 //! with `sq_ed` (no early abandon, no `TopK`, no shared bound, no
-//! prefilter, no quantization), sorts, truncates, and replays the
-//! expansion rule at set level. The contract is full [`QueryOutcome`]
+//! prefilter), sorts, truncates, and replays the expansion rule at set
+//! level. The contract is full [`QueryOutcome`]
 //! equality: result ids, exact distances, `records_scanned`,
 //! `partitions_opened`, and the plan itself.
 
@@ -195,31 +194,22 @@ proptest! {
                     })
                     .collect();
 
-                for quant in [false, true] {
-                    index.set_quant_enabled(quant);
-                    // Twice with the cache on: the first pass fills it,
-                    // the second is served from the codes.
-                    for pass in 0..1 + usize::from(quant) {
-                        let ctx = format!(
-                            "shards {shards} updates {updates} quant {quant} pass {pass} threads {threads}"
-                        );
-                        let before = index.serve_io();
-                        let (got, status) = index.search_many_with_status(&reqs, threads);
-                        let io = index.serve_io().since(&before);
-                        prop_assert_eq!(&got, &want, "batch diverged ({})", &ctx);
-                        prop_assert!(status.iter().all(|s| s.healthy));
-                        let scanned: u64 = got.iter().map(|o| o.records_scanned).sum();
-                        prop_assert_eq!(
-                            status.iter().map(|s| s.records_scanned).sum::<u64>(),
-                            scanned
-                        );
-                        // The shared pass never decodes more than per-query
-                        // scans would: every decoded record is in >= 1 plan.
-                        prop_assert!(io.records_read <= scanned, "{}", &ctx);
-                        for (req, want) in reqs.iter().zip(&want) {
-                            prop_assert_eq!(&index.search(req), want, "inline diverged ({})", &ctx);
-                        }
-                    }
+                let ctx = format!("shards {shards} updates {updates} threads {threads}");
+                let before = index.serve_io();
+                let (got, status) = index.search_many_with_status(&reqs, threads);
+                let io = index.serve_io().since(&before);
+                prop_assert_eq!(&got, &want, "batch diverged ({})", &ctx);
+                prop_assert!(status.iter().all(|s| s.healthy));
+                let scanned: u64 = got.iter().map(|o| o.records_scanned).sum();
+                prop_assert_eq!(
+                    status.iter().map(|s| s.records_scanned).sum::<u64>(),
+                    scanned
+                );
+                // The shared pass never decodes more than per-query
+                // scans would: every decoded record is in >= 1 plan.
+                prop_assert!(io.records_read <= scanned, "{}", &ctx);
+                for (req, want) in reqs.iter().zip(&want) {
+                    prop_assert_eq!(&index.search(req), want, "inline diverged ({})", &ctx);
                 }
             }
         }

@@ -198,7 +198,6 @@ impl ServeMetrics {
             cache_misses: 0,
             cache_evictions: 0,
             cache_resident_bytes: 0,
-            cache_compressed_ratio: 1.0,
         }
     }
 }
@@ -249,9 +248,6 @@ pub struct StatsReport {
     pub cache_evictions: u64,
     /// Bytes currently charged against the cache's budget.
     pub cache_resident_bytes: u64,
-    /// On-disk ÷ in-memory size of resident cached blocks (1.0 when the
-    /// cache is empty, absent, or uncompressed).
-    pub cache_compressed_ratio: f64,
 }
 
 impl StatsReport {
@@ -265,7 +261,6 @@ impl StatsReport {
         self.cache_misses = io.cache_misses;
         self.cache_evictions = io.cache_evictions;
         self.cache_resident_bytes = io.cache_resident_bytes;
-        self.cache_compressed_ratio = io.cache_compressed_ratio();
         self
     }
 }
@@ -291,7 +286,6 @@ impl Encode for StatsReport {
         self.cache_misses.encode(out);
         self.cache_evictions.encode(out);
         self.cache_resident_bytes.encode(out);
-        self.cache_compressed_ratio.encode(out);
     }
 }
 
@@ -317,7 +311,6 @@ impl Decode for StatsReport {
             cache_misses: r.u64()?,
             cache_evictions: r.u64()?,
             cache_resident_bytes: r.u64()?,
-            cache_compressed_ratio: r.f64()?,
         })
     }
 }
@@ -417,8 +410,6 @@ mod tests {
             cache_misses: 4,
             cache_evictions: 2,
             cache_resident_bytes: 1 << 20,
-            cache_raw_bytes: 1000,
-            cache_stored_bytes: 250,
             ..IoSnapshot::default()
         };
         let r = ServeMetrics::new().report(0).with_io(&io);
@@ -426,7 +417,6 @@ mod tests {
         assert_eq!(r.cache_misses, 4);
         assert_eq!(r.cache_evictions, 2);
         assert_eq!(r.cache_resident_bytes, 1 << 20);
-        assert!((r.cache_compressed_ratio - 0.25).abs() < 1e-12);
         let back = StatsReport::decode_vec(&r.encode_vec()).unwrap();
         assert_eq!(back, r);
         // A cacheless backend reports the neutral defaults.
@@ -434,6 +424,5 @@ mod tests {
             .report(0)
             .with_io(&IoSnapshot::default());
         assert_eq!(plain.cache_hits + plain.cache_misses, 0);
-        assert!((plain.cache_compressed_ratio - 1.0).abs() < 1e-12);
     }
 }

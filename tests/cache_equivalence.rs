@@ -1,6 +1,6 @@
 //! Property test: the paged block cache is **invisible**.
 //!
-//! Three contracts, checked independently:
+//! Two contracts, checked independently:
 //!
 //! 1. **End-to-end equality.** A [`Climber`] and a [`ShardedClimber`]
 //!    opened through [`Climber::open_with_cache`] answer every
@@ -9,22 +9,17 @@
 //!    cacheless baseline over a byte-identical directory: same
 //!    neighbour ids, same distances, same `records_scanned`, same plan.
 //!    The comparison runs cold (miss path), warm (hit path), with a
-//!    pending delta, after flush and compaction (invalidation), under a
-//!    one-page budget that forces eviction on nearly every read, and
-//!    with compressed (CLBP v2) rewrites on or off.
+//!    pending delta, after flush and compaction (invalidation), and
+//!    under a one-page budget that forces eviction on nearly every read.
 //!
-//! 2. **Budget unification.** The block cache and the quantized record
-//!    cache draw from one [`CacheLedger`]; disabling the quantized
-//!    cache releases exactly its bytes back to the shared budget.
-//!
-//! 3. **Crash consistency.** The compressed-rewrite flush protocol is
+//! 2. **Crash consistency.** The flush protocol of a cached open is
 //!    tortured with the same two-state invariant as
 //!    `crash_consistency.rs` — frozen disk at every op, torn prefixes at
 //!    every write — and the recovered directory must answer identically
 //!    whether it is reopened with or without a cache.
 
 use climber_core::dfs::fsio::{FaultFs, FsRef};
-use climber_core::dfs::page::{is_compressed, PAGE_SIZE};
+use climber_core::dfs::page::PAGE_SIZE;
 use climber_core::dfs::store::{partition_file_name, DiskStore, PartitionStore};
 use climber_core::series::gen::Domain;
 use climber_core::{
@@ -61,8 +56,7 @@ fn copy_dir(src: &Path, dst: &Path) {
     }
 }
 
-/// Every mode in the unified surface, budgeted and not, over `queries`
-/// (mirrors the request matrix of `quantized_equivalence`).
+/// Every mode in the unified surface, budgeted and not, over `queries`.
 fn requests(queries: &[Vec<f32>], k: usize) -> Vec<SearchRequest> {
     let mut reqs = Vec::new();
     for (i, q) in queries.iter().enumerate() {
@@ -113,7 +107,7 @@ fn assert_invisible(
     Ok(())
 }
 
-/// The ledger charge of a partition image of `len` bytes: whole pages.
+/// The budget charge of a partition image of `len` bytes: whole pages.
 fn charge_of(len: usize) -> usize {
     len.div_ceil(PAGE_SIZE).max(1) * PAGE_SIZE
 }
@@ -121,10 +115,9 @@ fn charge_of(len: usize) -> usize {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// Contract 1 (+2): the block cache changes where bytes come from,
-    /// never what they decode to — across modes, shard counts, budgets,
-    /// compression, updates, and maintenance — and shares its budget
-    /// with the quantized cache through one ledger.
+    /// Contract 1: the block cache changes where bytes come from, never
+    /// what they decode to — across modes, shard counts, budgets,
+    /// updates, and maintenance.
     #[test]
     fn block_cache_is_invisible(
         seed in 0u64..400,
@@ -133,7 +126,6 @@ proptest! {
         pick in 0usize..16,
         capacity in 40u64..80,
         tiny in any::<bool>(),
-        compress in any::<bool>(),
     ) {
         let domain = DOMAINS[pick % 4];
         let num_shards = 1 + pick % 3;
@@ -160,10 +152,7 @@ proptest! {
         drop(ShardedClimber::build_on_disk(&ds, &shard_dir, config, num_shards).unwrap());
 
         let cache_bytes = if tiny { PAGE_SIZE } else { 256 << 20 };
-        let mut cc = CacheConfig::default().with_capacity_bytes(cache_bytes);
-        if compress {
-            cc = cc.with_compression();
-        }
+        let cc = CacheConfig::default().with_capacity_bytes(cache_bytes);
 
         let baseline = Climber::open_rw(&base_dir).unwrap();
         let (cached, report) =
@@ -267,8 +256,8 @@ proptest! {
         prop_assert!(sharded.delete(seed % n as u64).unwrap());
         assert_invisible(&baseline, &cached, &sharded, &reqs, "with delta")?;
 
-        // Flush rewrites the touched partitions — compressed when the
-        // config says so — and must drop their stale cache entries.
+        // Flush rewrites the touched partitions and must drop their stale
+        // cache entries.
         baseline.flush().unwrap();
         cached.flush().unwrap();
         sharded.flush().unwrap();
@@ -280,42 +269,9 @@ proptest! {
         sharded.compact().unwrap();
         assert_invisible(&baseline, &cached, &sharded, &reqs, "after compaction")?;
 
-        // The on-disk format after maintenance matches the config: v2
-        // somewhere iff compression is on; without it every resident
-        // entry stores exactly its raw bytes (ratio is exactly 1).
-        let any_v2 = cached.store().ids().iter().any(|id| {
-            is_compressed(&fs::read(cached_dir.join(partition_file_name(*id))).unwrap())
-        });
-        prop_assert_eq!(any_v2, compress, "compression config vs on-disk format");
-        if !compress {
-            let s = block.stats();
-            prop_assert_eq!(s.raw_bytes, s.stored_bytes, "uncompressed entries must charge 1:1");
-        }
-
-        // Contract 2: the quantized cache draws on the same ledger, and
-        // disabling it hands back exactly its bytes.
-        if !tiny {
-            let ledger = block.ledger();
-            cached.set_quant_enabled(true);
-            sharded.set_quant_enabled(true);
-            assert_invisible(&baseline, &cached, &sharded, &reqs, "quant sharing the budget")?;
-            let qbytes = cached.quant_cache().bytes();
-            prop_assert!(qbytes > 0, "warm pass never populated the quantized cache");
-            let used_with_quant = ledger.used();
-            prop_assert!(used_with_quant <= ledger.capacity());
-            cached.set_quant_enabled(false);
-            prop_assert_eq!(
-                ledger.used(),
-                used_with_quant - qbytes,
-                "disabling the quantized cache must release exactly its bytes"
-            );
-            sharded.set_quant_enabled(false);
-            assert_invisible(&baseline, &cached, &sharded, &reqs, "after quant disable")?;
-        }
-
-        // Cold truth: a cacheless reopen of the cached (possibly
-        // compressed) directory answers identically — the on-disk state
-        // the cached index maintained is the canonical one.
+        // Cold truth: a cacheless reopen of the cached directory answers
+        // identically — the on-disk state the cached index maintained is
+        // the canonical one.
         drop(cached);
         let reopened = Climber::open_rw(&cached_dir).unwrap();
         for req in &reqs {
@@ -331,7 +287,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Contract 3: crash torture of the compressed-rewrite flush protocol,
+// Contract 2: crash torture of the flush protocol under a cached open,
 // mirroring the harness in `crash_consistency.rs`.
 // ---------------------------------------------------------------------
 
@@ -348,9 +304,7 @@ fn cfg() -> ClimberConfig {
 }
 
 fn torture_cache_config() -> CacheConfig {
-    CacheConfig::default()
-        .with_capacity_bytes(8 << 20)
-        .with_compression()
+    CacheConfig::default().with_capacity_bytes(8 << 20)
 }
 
 /// A committed state's fingerprint: manifest generation plus the exact
@@ -401,9 +355,9 @@ fn assert_no_droppings(dir: &Path) {
     }
 }
 
-/// The torture op: six appends and a flush, on an index whose cache
-/// config turns on compressed rewrites — every partition the fold
-/// touches lands through the CLBP v2 write path.
+/// The torture op: six appends and a flush, on an index opened behind a
+/// block cache — every partition the fold touches is staged, committed
+/// and invalidated under it.
 fn op_append_flush(c: &Climber<DiskStore>) -> Result<(), ClimberError> {
     let extra = Domain::RandomWalk.generate(6, 33);
     for i in 0..6 {
@@ -454,7 +408,7 @@ impl Torture {
         )
         .unwrap();
         ff.arm();
-        op_append_flush(&c).expect("fault-free run of the compressed flush");
+        op_append_flush(&c).expect("fault-free run of the cached flush");
         ff.disarm();
         drop(c);
         let op_count = ff.op_count();
@@ -466,16 +420,7 @@ impl Torture {
             .filter(|(_, (kind, _))| *kind == climber_core::dfs::fsio::FsOp::Write)
             .map(|(i, _)| i as u64)
             .collect();
-        assert!(
-            !write_ops.is_empty(),
-            "a compressed flush must write partition bytes"
-        );
-        // The dry run's flush really exercised the v2 write path.
-        let any_v2 = fs::read_dir(&dry).unwrap().any(|e| {
-            let p = e.unwrap().path();
-            p.extension().is_some() && fs::read(&p).map(|b| is_compressed(&b)).unwrap_or(false)
-        });
-        assert!(any_v2, "dry-run flush left no compressed partition behind");
+        assert!(!write_ops.is_empty(), "a flush must write partition bytes");
 
         let state_b = recovered_state(&dry, &probes);
         assert_ne!(
@@ -534,12 +479,12 @@ impl Torture {
     }
 }
 
-/// Exhaustive sweep: a pure crash at every op of the compressed flush,
+/// Exhaustive sweep: a pure crash at every op of the cached flush,
 /// then a torn write (1 byte kept, and most-of-the-page kept) at every
 /// write op. The recovered directory must be state A or state B — never
 /// a third — under both the plain and the cached read path.
 #[test]
-fn compressed_flush_survives_every_crash_point() {
+fn cached_flush_survives_every_crash_point() {
     let t = Torture::prepare();
     for i in 0..t.op_count {
         t.crash_once(i, None);
@@ -559,7 +504,7 @@ proptest! {
     /// Random crash coordinates over the same protocol (cases pinned;
     /// `PROPTEST_CASES` widens it in the CI cache lane).
     #[test]
-    fn random_compressed_crash_never_yields_a_third_state(
+    fn random_cached_crash_never_yields_a_third_state(
         frac in 0.0f64..1.0,
         torn in any::<bool>(),
         keep in 1usize..256,

@@ -5,11 +5,11 @@
 //! never a silently wrong index.
 
 use climber_core::dfs::manifest::xxh64;
-use climber_core::dfs::store::PartitionStore;
+use climber_core::dfs::store::{partition_file_name, PartitionStore};
 use climber_core::series::gen::Domain;
-use climber_core::SearchRequest;
 use climber_core::{
-    Climber, ClimberConfig, ClimberError, OpenError, FORMAT_VERSION, MANIFEST_FILE, SKELETON_FILE,
+    CacheConfig, Climber, ClimberConfig, ClimberError, Manifest, OpenError, RecoveryPolicy,
+    SearchRequest, FORMAT_VERSION, MANIFEST_FILE, SKELETON_FILE,
 };
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -238,6 +238,82 @@ fn missing_partition_file_is_typed() {
         Climber::open(&dir),
         Err(ClimberError::Open(OpenError::MissingPartition { .. }))
     ));
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// Rewrites the first partition of a built directory as a CLBP v2 file —
+/// the version field set to 2, nothing else touched — and re-seals the
+/// manifest entry (size, checksum, fingerprint) to describe those bytes
+/// exactly, as a build that wrote version 2 would have left it. Returns
+/// the directory, the partition's id and a query routed to it.
+fn dir_with_a_version_2_partition(tag: &str) -> (PathBuf, u32, Vec<f32>) {
+    let dir = tmp_dir(tag);
+    let ds = Domain::RandomWalk.generate(500, 23);
+    let built = Climber::build_on_disk(&ds, &dir, cfg()).unwrap();
+    let victim = built.store().ids()[0];
+    // A stored series whose exact plan reads the victim partition.
+    let query = (0..500u64)
+        .map(|i| ds.get(i).to_vec())
+        .find(|q| {
+            let plan = built.search(&SearchRequest::new(q.clone(), 5).exact()).plan;
+            plan.reads.contains_key(&victim)
+        })
+        .expect("some stored series is routed to the first partition");
+    drop(built);
+
+    let path = dir.join(partition_file_name(victim));
+    let mut bytes = fs::read(&path).unwrap();
+    bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+    fs::write(&path, &bytes).unwrap();
+    let mut m = Manifest::load(&dir).unwrap();
+    let entry = m.partitions.iter_mut().find(|e| e.id == victim).unwrap();
+    entry.checksum = xxh64(&bytes, 0);
+    m.fingerprint = Manifest::fingerprint_of(m.series_len, m.num_records, &m.partitions);
+    m.write_atomic(&dir).unwrap();
+    (dir, victim, query)
+}
+
+#[test]
+fn version_2_partition_is_refused_by_a_strict_open() {
+    let (dir, victim, _) = dir_with_a_version_2_partition("v2-strict");
+    for opened in [
+        Climber::open(&dir).map(drop),
+        Climber::open_rw(&dir).map(drop),
+        Climber::open_with(&dir, RecoveryPolicy::Strict).map(drop),
+        Climber::open_with_cache(&dir, RecoveryPolicy::Strict, CacheConfig::default()).map(drop),
+    ] {
+        match opened {
+            Err(ClimberError::Open(OpenError::CorruptPartition { id, reason })) => {
+                assert_eq!(id, victim);
+                assert!(reason.contains("version 2"), "{reason}");
+            }
+            other => panic!("expected CorruptPartition, got {other:?}"),
+        }
+    }
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn version_2_partition_is_quarantined_and_stays_quarantined() {
+    let (dir, victim, query) = dir_with_a_version_2_partition("v2-quarantine");
+    let (degraded, report) = Climber::open_with(&dir, RecoveryPolicy::Quarantine).unwrap();
+    assert_eq!(report.quarantined_partitions, vec![victim]);
+    assert_eq!(degraded.quarantined_partitions(), vec![victim]);
+
+    // The answer is partial and says which partition it is missing.
+    let req = SearchRequest::new(query, 5).exact();
+    let (_, status) = degraded.search_many_with_status(std::slice::from_ref(&req));
+    assert!(!status.healthy);
+    assert!(status.failed_partitions.contains(&victim), "{status:?}");
+
+    // The quarantined copy matches the manifest byte for byte, and is
+    // still not a partition this build reads: scrub must not re-admit it.
+    for _ in 0..2 {
+        let scrub = degraded.scrub().unwrap();
+        assert_eq!(scrub.still_quarantined, vec![victim]);
+        assert!(scrub.readmitted.is_empty());
+    }
+    assert_eq!(degraded.quarantined_partitions(), vec![victim]);
     fs::remove_dir_all(&dir).ok();
 }
 

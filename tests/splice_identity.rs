@@ -12,18 +12,16 @@
 //!
 //! * the image a reader sees equals the oracle's, bit for bit — including
 //!   partitions the fold must *not* have touched;
-//! * on a compressing store the persisted bytes are exactly the CLBP v2
-//!   compression of that image;
+//! * the persisted bytes are that image, verbatim;
 //! * the committed manifest entry (length, checksum, record count) — now
 //!   taken from the put's receipt, not from re-reading the file —
 //!   describes the persisted bytes exactly.
 //!
 //! Varied: generator domain, dataset size, append count and source, delta
 //! records injected into trie nodes the partition never sealed, tombstones
-//! over sealed and pending records, flush vs compact, compression on/off.
+//! over sealed and pending records, flush vs compact.
 
 use climber_core::dfs::manifest::xxh64;
-use climber_core::dfs::page::{compress_partition, is_compressed};
 use climber_core::dfs::store::{DiskStore, PartitionStore};
 use climber_core::series::gen::Domain;
 use climber_core::{Climber, ClimberConfig, Manifest};
@@ -127,9 +125,9 @@ proptest! {
         appends in 0usize..40,
         injected in 0usize..6,
         deletes in 0usize..24,
-        flags in 0u8..8,
+        flags in 0u8..4,
     ) {
-        let (foreign, compact, compress) = (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);
+        let (foreign, compact) = (flags & 1 != 0, flags & 2 != 0);
         let dir = std::env::temp_dir().join(format!(
             "climber-splice-{}-{seed}-{n}-{appends}-{deletes}",
             std::process::id()
@@ -147,7 +145,6 @@ proptest! {
             .with_workers(2);
         drop(Climber::build_on_disk(&ds, &dir, cfg).unwrap());
         let index = Climber::open_rw(&dir).unwrap();
-        index.set_compress_on_seal(compress);
         let pids = index.store().ids();
 
         // The delta: routed appends (from the indexed domain, or from a
@@ -214,7 +211,6 @@ proptest! {
         prop_assert_eq!(report.partitions_rewritten, rewritten);
 
         let manifest = Manifest::load(&dir).unwrap();
-        let mut compressed_files = 0usize;
         for &pid in &pids {
             let want = &expected[&pid];
             let reader = index.store().open(pid).unwrap();
@@ -223,19 +219,12 @@ proptest! {
                 "partition {} differs from the decode/re-encode fold", pid
             );
             let stored = index.store().stored_bytes(pid).unwrap();
-            if is_compressed(&stored) {
-                compressed_files += 1;
-                let v2 = compress_partition(&reader.raw_bytes_owned()).unwrap();
-                prop_assert!(stored == v2, "partition {} is not the v2 form of its image", pid);
-            } else {
-                prop_assert!(stored[..] == want[..]);
-            }
+            prop_assert!(stored[..] == want[..]);
             let entry = manifest.partition(pid).unwrap();
             prop_assert_eq!(entry.bytes, stored.len() as u64);
             prop_assert_eq!(entry.checksum, xxh64(&stored, 0));
             prop_assert_eq!(entry.records, reader.record_count());
         }
-        prop_assert_eq!(compressed_files, if compress { rewritten } else { 0 });
 
         // A cold reopen validates every receipt-derived entry against the
         // installed files.
