@@ -19,7 +19,7 @@ use climber_bench::runner::dataset;
 use climber_bench::table::{f2, Table};
 use climber_bench::{default_k, env_usize, experiment_config, QUERY_SEED};
 use climber_core::series::gen::{query_workload, Domain};
-use climber_core::{RecoveryPolicy, SearchRequest, ShardedClimber};
+use climber_core::{OpenOptions, RecoveryPolicy, SearchRequest, ShardedClimber};
 use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
@@ -134,9 +134,14 @@ fn main() {
     fs::remove_file(&manifest).unwrap();
 
     // 1b. Recovery cold open of the damaged set.
+    let quarantining = OpenOptions {
+        writable: true,
+        policy: RecoveryPolicy::Quarantine,
+        ..OpenOptions::default()
+    };
     let recovery_open_secs = best(&|| {
         let t = Instant::now();
-        let (set, report) = ShardedClimber::open_with(&dir, RecoveryPolicy::Quarantine).unwrap();
+        let (set, report) = ShardedClimber::open_dir(&dir, &quarantining).unwrap();
         let secs = t.elapsed().as_secs_f64();
         assert_eq!(report.dead_shards, vec![0]);
         drop(set);
@@ -148,7 +153,7 @@ fn main() {
     );
 
     // 3b. Degraded batch QPS with the dead slot in place.
-    let (degraded_set, _) = ShardedClimber::open_with(&dir, RecoveryPolicy::Quarantine).unwrap();
+    let (degraded_set, _) = ShardedClimber::open_dir(&dir, &quarantining).unwrap();
     assert_eq!(degraded_set.health().dead_shards, 1);
     let degraded_secs = best(&|| {
         let t = Instant::now();

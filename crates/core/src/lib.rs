@@ -51,6 +51,7 @@
 #![warn(missing_docs)]
 
 pub mod error;
+pub mod open;
 pub mod recover;
 pub mod shard;
 
@@ -73,13 +74,14 @@ pub use climber_query::plan::QueryOutcome;
 pub use climber_query::search::{SearchMode, SearchRequest};
 pub use climber_query::updates::UpdateView;
 pub use error::{ClimberError, ServeError};
+pub use open::OpenOptions;
 pub use recover::{BackendHealth, RecoveryPolicy, RecoveryReport, ScrubReport};
 pub use shard::{ShardSetManifest, ShardStatus, ShardedClimber, SHARD_SET_FILE};
 
-use climber_dfs::format::{Decode, Encode, PartitionReader, PartitionWriter, TrieNodeId};
-use climber_dfs::fsio::{self, ClimberFs, FsRef};
+use climber_dfs::format::{Encode, PartitionReader, PartitionWriter, TrieNodeId};
+use climber_dfs::fsio;
 use climber_dfs::manifest::{xxh64, FileEntry, PartitionEntry};
-use climber_dfs::segment::{self, Journal};
+use climber_dfs::segment;
 use climber_dfs::store::{
     partition_file_name, staged_path_of, DiskStore, MemStore, PartitionId, PartitionStore,
     PutReceipt,
@@ -234,301 +236,6 @@ impl Climber<DiskStore> {
         c.save(dir)?;
         c.mark_ready();
         Ok(c)
-    }
-
-    /// Cold-starts a previously saved index: validates the manifest
-    /// (magic, format version, self-checksum), every partition file's
-    /// byte range and checksum, the skeleton's checksum, the
-    /// manifest/skeleton partition-set agreement, and — when the manifest
-    /// references one — the update journal's checksum and segment
-    /// generation. Pending appends and deletes from the journal are
-    /// restored, so queries see exactly the state that was saved, with no
-    /// access to the original raw dataset.
-    ///
-    /// The index is **read-only**: [`append`](Self::append),
-    /// [`delete`](Self::delete) and [`flush`](Self::flush) fail with
-    /// `PermissionDenied` — reopen with [`open_rw`](Self::open_rw) to
-    /// keep updating. Every failure mode is a typed [`OpenError`]
-    /// (surfaced as [`ClimberError::Open`]); opening never panics and
-    /// never yields a silently wrong index.
-    pub fn open(dir: impl AsRef<Path>) -> Result<Self, ClimberError> {
-        Ok(Self::open_impl(dir.as_ref(), false)?)
-    }
-
-    /// [`open`](Self::open) with updates enabled: the exact same
-    /// validation, but the store accepts partition rewrites, so the
-    /// reopened index absorbs [`append`](Self::append) /
-    /// [`delete`](Self::delete) and can [`flush`](Self::flush) them into
-    /// its sealed partitions — the serve-and-ingest deployment mode.
-    pub fn open_rw(dir: impl AsRef<Path>) -> Result<Self, ClimberError> {
-        Ok(Self::open_impl(dir.as_ref(), true)?)
-    }
-
-    /// [`open_rw`](Self::open_rw) through an injectable filesystem — the
-    /// fault-injection seam: every read, write, fsync, and rename the
-    /// index performs from open validation through save/flush goes
-    /// through `fs`, so a [`FaultFs`](climber_dfs::fsio::FaultFs) can
-    /// fail or freeze any single operation deterministically (the
-    /// crash-consistency torture harness drives exactly this entry
-    /// point).
-    pub fn open_rw_with_fs(dir: impl AsRef<Path>, fs: FsRef) -> Result<Self, ClimberError> {
-        Ok(Self::open_impl_fs(dir.as_ref(), true, fs, RecoveryPolicy::Strict)?.0)
-    }
-
-    /// A self-healing read-write open. Under
-    /// [`RecoveryPolicy::Quarantine`], a partition whose committed bytes
-    /// fail validation (missing, truncated, checksum mismatch) no longer
-    /// aborts the open: its file is moved into the directory's
-    /// `QUARANTINE/` subdirectory, the failure is recorded in the
-    /// returned [`RecoveryReport`], and the index opens serving every
-    /// partition that did validate. Queries then degrade instead of
-    /// erroring — [`search_many_with_status`] reports the failed
-    /// partitions per pass — and a later [`scrub`](Self::scrub) can
-    /// re-admit a partition once its bytes are restored. With
-    /// [`RecoveryPolicy::Strict`] this is exactly
-    /// [`open_rw`](Self::open_rw).
-    ///
-    /// [`search_many_with_status`]: Self::search_many_with_status
-    pub fn open_with(
-        dir: impl AsRef<Path>,
-        policy: RecoveryPolicy,
-    ) -> Result<(Self, RecoveryReport), ClimberError> {
-        let (c, quarantined) = Self::open_impl_fs(dir.as_ref(), true, fsio::std_fs(), policy)?;
-        Ok((
-            c,
-            RecoveryReport {
-                quarantined_partitions: quarantined,
-                dead_shards: Vec::new(),
-                warmed_bytes: 0,
-            },
-        ))
-    }
-
-    /// [`open_with`](Self::open_with) plus a paged block cache sized by
-    /// `config`: every partition open first consults a sharded LRU of
-    /// partition images, and the open's own validation reads pre-warm it
-    /// (the report's [`warmed_bytes`](RecoveryReport::warmed_bytes)).
-    /// Answers are **bit-identical** to a cacheless open: the cache only
-    /// changes where bytes come from, never what they decode to.
-    pub fn open_with_cache(
-        dir: impl AsRef<Path>,
-        policy: RecoveryPolicy,
-        config: CacheConfig,
-    ) -> Result<(Self, RecoveryReport), ClimberError> {
-        Self::open_with_cache_shared(dir, policy, Arc::new(BlockCache::new(config)))
-    }
-
-    /// [`open_with_cache`](Self::open_with_cache) against a **shared**
-    /// cache — the entry point a shard set (or any co-located group of
-    /// indexes) uses so every member draws from one byte budget. Entries
-    /// are namespaced per store, so two indexes never serve each other's
-    /// partitions even under the same id.
-    pub fn open_with_cache_shared(
-        dir: impl AsRef<Path>,
-        policy: RecoveryPolicy,
-        cache: Arc<BlockCache>,
-    ) -> Result<(Self, RecoveryReport), ClimberError> {
-        Ok(Self::open_cached_impl(
-            dir.as_ref(),
-            fsio::std_fs(),
-            policy,
-            cache,
-        )?)
-    }
-
-    /// [`open_with_cache`](Self::open_with_cache) through an injectable
-    /// filesystem — the fault-injection seam for the cached read path,
-    /// mirroring [`open_rw_with_fs`](Self::open_rw_with_fs).
-    pub fn open_with_cache_fs(
-        dir: impl AsRef<Path>,
-        fs: FsRef,
-        policy: RecoveryPolicy,
-        config: CacheConfig,
-    ) -> Result<(Self, RecoveryReport), ClimberError> {
-        let cache = Arc::new(BlockCache::new(config));
-        Ok(Self::open_cached_impl(dir.as_ref(), fs, policy, cache)?)
-    }
-
-    pub(crate) fn open_cached_impl(
-        dir: &Path,
-        fs: FsRef,
-        policy: RecoveryPolicy,
-        cache: Arc<BlockCache>,
-    ) -> Result<(Self, RecoveryReport), OpenError> {
-        let (c, quarantined, warmed_bytes) =
-            Self::open_impl_cached(dir, true, fs, policy, Some(cache))?;
-        Ok((
-            c,
-            RecoveryReport {
-                quarantined_partitions: quarantined,
-                dead_shards: Vec::new(),
-                warmed_bytes,
-            },
-        ))
-    }
-
-    fn open_impl(dir: &Path, writable: bool) -> Result<Self, OpenError> {
-        Ok(Self::open_impl_fs(dir, writable, fsio::std_fs(), RecoveryPolicy::Strict)?.0)
-    }
-
-    fn open_impl_fs(
-        dir: &Path,
-        writable: bool,
-        fs: FsRef,
-        policy: RecoveryPolicy,
-    ) -> Result<(Self, Vec<PartitionId>), OpenError> {
-        let (c, quarantined, _) = Self::open_impl_cached(dir, writable, fs, policy, None)?;
-        Ok((c, quarantined))
-    }
-
-    fn open_impl_cached(
-        dir: &Path,
-        writable: bool,
-        fs: FsRef,
-        policy: RecoveryPolicy,
-        cache: Option<Arc<BlockCache>>,
-    ) -> Result<(Self, Vec<PartitionId>, u64), OpenError> {
-        let quarantine = policy == RecoveryPolicy::Quarantine;
-        let (store, manifest, warmed_bytes) = DiskStore::open_validated_cached(
-            dir.to_path_buf(),
-            !writable,
-            fs.clone(),
-            quarantine,
-            cache,
-        )?;
-        let skel_path = dir.join(SKELETON_FILE);
-        let skel_staged = dir.join(format!("{SKELETON_FILE}.new"));
-        let entry_matches = |b: &[u8]| {
-            b.len() as u64 == manifest.skeleton.bytes && xxh64(b, 0) == manifest.skeleton.checksum
-        };
-        // The committed skeleton, rolled forward from its `.new` sibling
-        // when a crash interrupted a seal between the manifest commit and
-        // the skeleton install (same protocol as partition files).
-        let skel_bytes = match fs.read(&skel_path) {
-            Ok(b) if entry_matches(&b) => {
-                if writable {
-                    fs.remove_file(&skel_staged).ok();
-                }
-                b
-            }
-            main => match fs.read(&skel_staged) {
-                Ok(b) if entry_matches(&b) => {
-                    if writable && fs.rename(&skel_staged, &skel_path).is_ok() {
-                        fs.fsync_dir(dir).ok();
-                    }
-                    b
-                }
-                _ => {
-                    return Err(match main {
-                        Ok(b) => OpenError::ChecksumMismatch {
-                            what: "skeleton".into(),
-                            expected: manifest.skeleton.checksum,
-                            found: xxh64(&b, 0),
-                        },
-                        Err(e) => OpenError::Io(e),
-                    })
-                }
-            },
-        };
-        let skeleton =
-            IndexSkeleton::from_bytes(&skel_bytes).map_err(OpenError::CorruptSkeleton)?;
-        if skeleton.partition_ids() != manifest.partition_ids() {
-            return Err(OpenError::StoreMismatch(format!(
-                "skeleton references {} partitions, manifest lists {}",
-                skeleton.num_partitions(),
-                manifest.partitions.len()
-            )));
-        }
-        let config = ClimberConfig::decode_vec(&manifest.config)
-            .map_err(|e| OpenError::CorruptManifest(format!("config: {e}")))?;
-        let journal = Self::load_journal(&*fs, dir, &manifest, writable)?;
-        let quarantined = store.quarantined();
-        let mut c = Self::assemble(skeleton, store, config, None);
-        // The manifest records the largest stored id, so cold start needs
-        // no full scan to seed the append counter.
-        c.next_id = AtomicU64::new(manifest.max_series_id.map_or(0, |m| m + 1));
-        c.delta = journal.delta;
-        c.tombstones = journal.tombstones;
-        c.generation = AtomicU64::new(manifest.generation);
-        c.series_len.set(manifest.series_len as usize);
-        c.sealed = Mutex::new(Some(manifest));
-        c.writable = writable;
-        c.mark_ready();
-        Ok((c, quarantined, warmed_bytes))
-    }
-
-    /// Reads, validates and decodes the update journal the manifest
-    /// references; an empty [`Journal`] when it references none. A crash
-    /// between the manifest commit and the journal install leaves the
-    /// committed bytes under `journal.cldj.new` — they are rolled forward
-    /// here, so the open serves exactly the committed updates.
-    fn load_journal(
-        fs: &dyn ClimberFs,
-        dir: &Path,
-        m: &Manifest,
-        writable: bool,
-    ) -> Result<Journal, OpenError> {
-        let Some(entry) = &m.journal else {
-            if writable {
-                // A crash before the manifest commit can leave a staged
-                // journal the committed manifest never references —
-                // pre-commit garbage, swept like a `.new` partition.
-                fs.remove_file(&segment::staged_journal_path(dir)).ok();
-            }
-            return Ok(Journal::default());
-        };
-        let path = segment::journal_path(dir);
-        let staged = segment::staged_journal_path(dir);
-        let entry_matches =
-            |b: &[u8]| b.len() as u64 == entry.bytes && xxh64(b, 0) == entry.checksum;
-        let decode = |bytes: &[u8]| -> Result<Journal, OpenError> {
-            let journal = segment::decode_journal(bytes).map_err(OpenError::CorruptJournal)?;
-            if journal.generation != m.generation {
-                return Err(OpenError::StaleGeneration {
-                    manifest: m.generation,
-                    journal: journal.generation,
-                });
-            }
-            Ok(journal)
-        };
-        let main = fs.read(&path);
-        if let Ok(b) = &main {
-            if entry_matches(b) {
-                if writable {
-                    fs.remove_file(&staged).ok();
-                }
-                return decode(b);
-            }
-        }
-        if let Ok(b) = fs.read(&staged) {
-            if entry_matches(&b) {
-                if writable && fs.rename(&staged, &path).is_ok() {
-                    fs.fsync_dir(dir).ok();
-                }
-                return decode(&b);
-            }
-        }
-        // No committed journal anywhere: surface the main file's typed
-        // failure, exactly as if no staged sibling existed.
-        match main {
-            Ok(bytes) => {
-                if bytes.len() as u64 != entry.bytes {
-                    Err(OpenError::CorruptJournal(format!(
-                        "journal is {} bytes, manifest says {}",
-                        bytes.len(),
-                        entry.bytes
-                    )))
-                } else {
-                    Err(OpenError::ChecksumMismatch {
-                        what: "journal".into(),
-                        expected: entry.checksum,
-                        found: xxh64(&bytes, 0),
-                    })
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Err(OpenError::MissingJournal(path)),
-            Err(e) => Err(OpenError::Io(e)),
-        }
     }
 
     /// Re-verifies every committed partition of the home directory

@@ -7,15 +7,14 @@
 //! that *is* the replica wants the other trade: open what validates,
 //! quarantine what does not, and keep answering queries degraded (with
 //! per-shard status, so callers can tell a partial answer from a complete
-//! one). [`Climber::open_with`] and [`ShardedClimber::open_with`] select
-//! that behaviour per call site via [`RecoveryPolicy`];
+//! one). [`OpenOptions::policy`] selects that behaviour per call site
+//! via [`RecoveryPolicy`], for one index or a shard set alike;
 //! [`Climber::scrub`] re-verifies every checksum afterwards, re-admitting
 //! partitions whose bytes were restored and quarantining fresh damage.
 //!
 //! [`Climber::open`]: crate::Climber::open
-//! [`Climber::open_with`]: crate::Climber::open_with
 //! [`Climber::scrub`]: crate::Climber::scrub
-//! [`ShardedClimber::open_with`]: crate::ShardedClimber::open_with
+//! [`OpenOptions::policy`]: crate::OpenOptions::policy
 //! [`OpenError`]: climber_dfs::manifest::OpenError
 
 use climber_dfs::store::PartitionId;
@@ -31,9 +30,9 @@ pub enum RecoveryPolicy {
     /// [`Climber::open_rw`]: crate::Climber::open_rw
     #[default]
     Strict,
-    /// Damaged partitions are moved into the directory's `QUARANTINE/`
-    /// subdirectory and recorded; the index opens and serves the
-    /// partitions that validated, degraded-with-status. On a shard set,
+    /// Damaged partitions are recorded and — by a writable open — moved
+    /// into the directory's `QUARANTINE/` subdirectory; the index opens
+    /// and serves the partitions that validated, degraded-with-status. On a shard set,
     /// a shard that cannot open at all is left as a dead slot and every
     /// query reports it unhealthy.
     Quarantine,

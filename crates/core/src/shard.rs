@@ -43,6 +43,8 @@
 //! cross-checks each shard's generation against the set's snapshot; any
 //! per-shard failure surfaces as [`OpenError::Shard`] naming the shard.
 //!
+//! [`OpenError::Shard`]: crate::OpenError::Shard
+//!
 //! ## Failure semantics
 //!
 //! A shard whose partitions disappear mid-flight degrades, never panics:
@@ -53,11 +55,12 @@
 //! one.
 
 use crate::error::ClimberError;
-use crate::recover::{BackendHealth, RecoveryPolicy, RecoveryReport, ScrubReport};
+use crate::open::{open_shard, OpenOptions};
+use crate::recover::{BackendHealth, ScrubReport};
 use crate::{Climber, ClimberConfig, MaintenanceReport, SearchRequest};
 use climber_dfs::format::PartitionWriter;
-use climber_dfs::manifest::{self, xxh64, OpenError};
-use climber_dfs::page::{BlockCache, CacheConfig};
+use climber_dfs::manifest::{self, xxh64};
+use climber_dfs::page::BlockCache;
 use climber_dfs::stats::IoSnapshot;
 use climber_dfs::store::{DiskStore, MemStore, PartitionId, PartitionStore};
 use climber_index::builder::{BuildOptions, IndexBuilder};
@@ -127,7 +130,7 @@ impl ShardSetManifest {
 
     /// Decodes and validates a serialised super-manifest; the message
     /// names what is structurally wrong (surfaced as
-    /// [`OpenError::CorruptShardSet`]).
+    /// [`CorruptShardSet`](crate::OpenError::CorruptShardSet)).
     pub fn decode(bytes: &[u8]) -> Result<Self, String> {
         if bytes.len() < 28 {
             return Err(format!(
@@ -227,7 +230,7 @@ impl ShardStatus {
 #[derive(Debug)]
 pub struct ShardedClimber<S: PartitionStore = MemStore> {
     /// One slot per shard; `None` marks a dead shard a quarantining open
-    /// ([`ShardedClimber::open_with`]) could not bring up. Dead slots
+    /// ([`ShardedClimber::open_dir`]) could not bring up. Dead slots
     /// keep their position so routing — which depends only on the shard
     /// count and router seed — is unchanged by quarantine and repair.
     shards: Vec<Option<Climber<S>>>,
@@ -238,6 +241,11 @@ pub struct ShardedClimber<S: PartitionStore = MemStore> {
     /// Set-wide next append id (1 + the largest id stored anywhere); each
     /// shard's own counter trails it, tracking only that shard's records.
     next_id: AtomicU64,
+    /// The options the set was opened with (`None`: built, never opened —
+    /// such a set has no dead slot): what [`scrub`](ShardedClimber::scrub)
+    /// re-opens a dead slot under, so a re-admitted shard shares the set's
+    /// cache and filesystem.
+    opened_with: Option<OpenOptions>,
 }
 
 impl ShardedClimber<MemStore> {
@@ -351,6 +359,7 @@ impl ShardedClimber<MemStore> {
             shards,
             router_seed,
             next_id: AtomicU64::new(next_id),
+            opened_with: None,
         }
     }
 }
@@ -395,60 +404,13 @@ impl ShardedClimber<DiskStore> {
         Self::open_rw(dir)
     }
 
-    /// Cold-starts a saved shard set **read-only**: validates the
-    /// super-manifest (magic, version, self-checksum), opens every shard
-    /// through the full single-index validation, and cross-checks each
-    /// shard's generation against the set's sealed snapshot. Any
-    /// per-shard failure — a missing directory, a corrupt partition, a
-    /// drifted generation — surfaces as [`OpenError::Shard`] naming the
-    /// shard.
-    pub fn open(dir: impl AsRef<Path>) -> Result<Self, ClimberError> {
-        Ok(Self::open_impl(dir.as_ref(), false)?)
-    }
-
-    /// [`open`](Self::open) with updates enabled on every shard — the
-    /// serve-and-ingest mode of the whole set.
-    pub fn open_rw(dir: impl AsRef<Path>) -> Result<Self, ClimberError> {
-        Ok(Self::open_impl(dir.as_ref(), true)?)
-    }
-
-    fn open_impl(dir: &Path, writable: bool) -> Result<Self, OpenError> {
-        let sm = Self::load_set_manifest(dir)?;
-        let mut shards = Vec::with_capacity(sm.num_shards as usize);
-        for i in 0..sm.num_shards as usize {
-            let sub = dir.join(shard_dir_name(i));
-            let shard = Climber::open_impl(&sub, writable).map_err(|e| OpenError::Shard {
-                shard: i,
-                source: Box::new(e),
-            })?;
-            if shard.generation() != sm.generations[i] {
-                return Err(OpenError::Shard {
-                    shard: i,
-                    source: Box::new(OpenError::CorruptShardSet(format!(
-                        "shard generation {} disagrees with the shard set's sealed {}",
-                        shard.generation(),
-                        sm.generations[i]
-                    ))),
-                });
-            }
-            shards.push(Some(shard));
-        }
-        Ok(Self::from_slots(shards, sm))
-    }
-
-    fn load_set_manifest(dir: &Path) -> Result<ShardSetManifest, OpenError> {
-        let path = dir.join(SHARD_SET_FILE);
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                return Err(OpenError::MissingManifest(path))
-            }
-            Err(e) => return Err(OpenError::Io(e)),
-        };
-        ShardSetManifest::decode(&bytes).map_err(OpenError::CorruptShardSet)
-    }
-
-    fn from_slots(shards: Vec<Option<Climber<DiskStore>>>, sm: ShardSetManifest) -> Self {
+    /// The set over `shards` (slot-indexed; `None` = dead) as `sm`
+    /// describes it, remembering the options it was opened with.
+    pub(crate) fn from_slots(
+        shards: Vec<Option<Climber<DiskStore>>>,
+        sm: ShardSetManifest,
+        opened_with: OpenOptions,
+    ) -> Self {
         let next_id = shards
             .iter()
             .flatten()
@@ -460,132 +422,17 @@ impl ShardedClimber<DiskStore> {
             router_seed: sm.router_seed,
             sealed_generations: sm.generations,
             next_id: AtomicU64::new(next_id),
+            opened_with: Some(opened_with),
         }
-    }
-
-    /// A self-healing set open. Each shard is opened under `policy`:
-    /// partitions that fail validation are quarantined *inside* their
-    /// shard (see [`Climber::open_with`]); a shard that cannot open at
-    /// all — corrupt manifest or skeleton, drifted generation — is left
-    /// as a **dead slot** instead of failing the set. Queries over a set
-    /// with dead slots return the surviving shards' answer, with every
-    /// dead shard reported unhealthy in its [`ShardStatus`]. Routing and
-    /// id assignment depend only on the persisted shard count and router
-    /// seed, so they are byte-for-byte stable across quarantine, repair
-    /// ([`scrub`](Self::scrub)), and reopen.
-    ///
-    /// Fails when *no* shard opens (nothing left to serve), and behaves
-    /// exactly like [`open_rw`](Self::open_rw) under
-    /// [`RecoveryPolicy::Strict`].
-    pub fn open_with(
-        dir: impl AsRef<Path>,
-        policy: RecoveryPolicy,
-    ) -> Result<(Self, RecoveryReport), ClimberError> {
-        let dir = dir.as_ref();
-        if policy == RecoveryPolicy::Strict {
-            return Ok((Self::open_rw(dir)?, RecoveryReport::default()));
-        }
-        let sm = Self::load_set_manifest(dir)?;
-        let mut report = RecoveryReport::default();
-        let mut shards = Vec::with_capacity(sm.num_shards as usize);
-        for i in 0..sm.num_shards as usize {
-            let sub = dir.join(shard_dir_name(i));
-            match Climber::open_with(&sub, RecoveryPolicy::Quarantine) {
-                Ok((shard, r)) if shard.generation() == sm.generations[i] => {
-                    report
-                        .quarantined_partitions
-                        .extend(r.quarantined_partitions);
-                    shards.push(Some(shard));
-                }
-                _ => {
-                    report.dead_shards.push(i);
-                    shards.push(None);
-                }
-            }
-        }
-        if shards.iter().all(Option::is_none) {
-            return Err(
-                OpenError::CorruptShardSet("every shard of the set failed to open".into()).into(),
-            );
-        }
-        Ok((Self::from_slots(shards, sm), report))
-    }
-
-    /// [`open_with`](Self::open_with) plus **one** paged block cache
-    /// shared by every shard: a single byte budget (and a single LRU)
-    /// serves the whole set, entries namespaced per shard store so shards
-    /// never serve each other's partitions. Validation reads pre-warm the
-    /// cache (the merged report's
-    /// [`warmed_bytes`](RecoveryReport::warmed_bytes)). Results stay
-    /// bit-identical to a cacheless open.
-    ///
-    /// Under [`RecoveryPolicy::Strict`] any shard failure aborts the
-    /// open; under [`RecoveryPolicy::Quarantine`] it degrades exactly
-    /// like [`open_with`](Self::open_with).
-    pub fn open_with_cache(
-        dir: impl AsRef<Path>,
-        policy: RecoveryPolicy,
-        config: CacheConfig,
-    ) -> Result<(Self, RecoveryReport), ClimberError> {
-        let dir = dir.as_ref();
-        let cache = Arc::new(BlockCache::new(config));
-        let sm = Self::load_set_manifest(dir)?;
-        let mut report = RecoveryReport::default();
-        let mut shards = Vec::with_capacity(sm.num_shards as usize);
-        for i in 0..sm.num_shards as usize {
-            let sub = dir.join(shard_dir_name(i));
-            let opened = Climber::open_cached_impl(
-                &sub,
-                climber_dfs::fsio::std_fs(),
-                policy,
-                Arc::clone(&cache),
-            );
-            match opened {
-                Ok((shard, r)) if shard.generation() == sm.generations[i] => {
-                    report
-                        .quarantined_partitions
-                        .extend(r.quarantined_partitions);
-                    report.warmed_bytes += r.warmed_bytes;
-                    shards.push(Some(shard));
-                }
-                Ok(shard_r) if policy == RecoveryPolicy::Strict => {
-                    return Err(OpenError::Shard {
-                        shard: i,
-                        source: Box::new(OpenError::CorruptShardSet(format!(
-                            "shard generation {} disagrees with the shard set's sealed {}",
-                            shard_r.0.generation(),
-                            sm.generations[i]
-                        ))),
-                    }
-                    .into());
-                }
-                Err(e) if policy == RecoveryPolicy::Strict => {
-                    return Err(OpenError::Shard {
-                        shard: i,
-                        source: Box::new(e),
-                    }
-                    .into());
-                }
-                _ => {
-                    report.dead_shards.push(i);
-                    shards.push(None);
-                }
-            }
-        }
-        if shards.iter().all(Option::is_none) {
-            return Err(
-                OpenError::CorruptShardSet("every shard of the set failed to open".into()).into(),
-            );
-        }
-        Ok((Self::from_slots(shards, sm), report))
     }
 
     /// Scrubs the whole set: every live shard runs [`Climber::scrub`]
     /// (re-verify, re-admit, quarantine fresh damage), and every dead
-    /// slot retries a quarantining open — a shard whose directory was
-    /// repaired since is re-admitted **in place**, with routing and ids
-    /// untouched. Returns the merged report; re-opened shards' remaining
-    /// quarantined partitions count as still-quarantined.
+    /// slot is re-opened exactly as the set was (same policy, cache and
+    /// filesystem) — a shard whose directory was repaired since is
+    /// re-admitted **in place**, with routing and ids untouched. Returns
+    /// the merged report; re-opened shards' remaining quarantined
+    /// partitions count as still-quarantined.
     pub fn scrub(&mut self) -> Result<ScrubReport, ClimberError> {
         let mut merged = ScrubReport::default();
         let home = self.home_dir();
@@ -593,13 +440,12 @@ impl ShardedClimber<DiskStore> {
             match slot {
                 Some(shard) => merged.absorb(shard.scrub()?),
                 None => {
-                    let Some(home) = &home else { continue };
-                    let sub = home.join(shard_dir_name(i));
-                    if let Ok((shard, r)) = Climber::open_with(&sub, RecoveryPolicy::Quarantine) {
-                        if shard.generation() == self.sealed_generations[i] {
-                            merged.still_quarantined.extend(r.quarantined_partitions);
-                            *slot = Some(shard);
-                        }
+                    let (Some(home), Some(opts)) = (&home, &self.opened_with) else {
+                        continue;
+                    };
+                    if let Ok((shard, r)) = open_shard(home, i, self.sealed_generations[i], opts) {
+                        merged.still_quarantined.extend(r.quarantined_partitions);
+                        *slot = Some(shard);
                     }
                 }
             }
@@ -633,7 +479,7 @@ impl<S: PartitionStore> ShardedClimber<S> {
 
     /// The slot-indexed shard view: `None` marks a dead shard left
     /// behind by a quarantining open (see
-    /// [`open_with`](ShardedClimber::open_with)).
+    /// [`open_dir`](ShardedClimber::open_dir)).
     pub fn shard_slots(&self) -> &[Option<Climber<S>>] {
         &self.shards
     }

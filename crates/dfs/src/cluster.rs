@@ -37,11 +37,6 @@ impl std::fmt::Debug for Cluster {
 impl Cluster {
     /// Creates a cluster of `workers` workers reporting to fresh stats.
     pub fn new(workers: usize) -> Self {
-        Self::with_stats(workers, IoStats::new())
-    }
-
-    /// Creates a cluster reporting to existing stats.
-    pub fn with_stats(workers: usize, stats: IoStats) -> Self {
         assert!(workers > 0, "cluster needs at least one worker");
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(workers)
@@ -50,7 +45,7 @@ impl Cluster {
         Self {
             pool: Arc::new(pool),
             workers,
-            stats,
+            stats: IoStats::new(),
         }
     }
 

@@ -481,6 +481,54 @@ pub fn write_staged(fs: &dyn ClimberFs, path: &Path, bytes: &[u8]) -> io::Result
         })
 }
 
+/// The open-side half of the stage → commit → install protocol, for every
+/// file a manifest references (partition, skeleton, journal): returns the
+/// bytes that pass `check` — those of `path`, else those of its `staged`
+/// sibling, which a crash between the manifest commit and the install
+/// leaves as the only copy of the committed contents — plus whether they
+/// are still under `staged` when this returns. When neither passes, the
+/// error is the one `path` itself earned (`unreadable` maps a failed
+/// read of it), as if no sibling existed.
+///
+/// `writable` gates everything this does to the directory. A writable
+/// open finishes the protocol: a sibling beside a matching
+/// `path` is pre-commit garbage and is removed; a matching sibling is
+/// renamed over `path` and the directory fsynced. A read-only open only
+/// reads, so it can never remove a live writer's pre-commit stages.
+pub fn read_committed<E>(
+    fs: &dyn ClimberFs,
+    path: &Path,
+    staged: &Path,
+    writable: bool,
+    check: impl Fn(&[u8]) -> Result<(), E>,
+    unreadable: impl FnOnce(io::Error) -> E,
+) -> Result<(Vec<u8>, bool), E> {
+    let first = match fs.read(path).map_err(unreadable) {
+        Ok(bytes) => match check(&bytes) {
+            Ok(()) => {
+                if writable {
+                    fs.remove_file(staged).ok();
+                }
+                return Ok((bytes, false));
+            }
+            Err(e) => e,
+        },
+        Err(e) => e,
+    };
+    match fs.read(staged) {
+        Ok(bytes) if check(&bytes).is_ok() => {
+            let installed = writable && fs.rename(staged, path).is_ok();
+            if installed {
+                if let Some(dir) = path.parent() {
+                    fs.fsync_dir(dir).ok();
+                }
+            }
+            Ok((bytes, !installed))
+        }
+        _ => Err(first),
+    }
+}
+
 /// The plain (non-injected) `write_file_atomic` used since PR 3 —
 /// delegates to [`write_file_atomic_with`] over [`StdFs`], but keeps
 /// one `std`-only fast path detail: the temp file is written and synced

@@ -23,7 +23,7 @@
 //! *last*, so a crash mid-save leaves either the previous valid index or
 //! no manifest — never a torn one. Readers validate magic, version,
 //! the manifest's own trailing checksum, and (via
-//! [`crate::store::DiskStore::open_read_only`]) every partition file's
+//! [`crate::store::DiskStore::open_validated`]) every partition file's
 //! size and checksum, reporting failures as typed [`OpenError`]s.
 //!
 //! Version/compat policy: `format_version` is bumped on any layout change;

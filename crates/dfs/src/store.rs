@@ -11,7 +11,7 @@
 //! observe "partitions touched" and bytes moved.
 
 use crate::format::{self, PartitionReader};
-use crate::fsio::{self, ClimberFs, FsRef};
+use crate::fsio::{self, FsRef};
 use crate::manifest::{xxh64, Manifest, OpenError, PartitionEntry};
 use crate::page::{self, BlockCache};
 use crate::stats::IoStats;
@@ -205,14 +205,6 @@ impl MemStore {
         Self::default()
     }
 
-    /// Creates an empty store reporting to existing stats.
-    pub fn with_stats(stats: IoStats) -> Self {
-        Self {
-            parts: RwLock::new(BTreeMap::new()),
-            stats,
-        }
-    }
-
     /// Total bytes held across partitions.
     pub fn total_bytes(&self) -> u64 {
         self.parts.read().values().map(|b| b.len() as u64).sum()
@@ -256,161 +248,65 @@ pub struct DiskStore {
     /// ids, used instead of a directory scan so stray files are never
     /// served.
     manifest_ids: Option<Vec<PartitionId>>,
-    /// True when opened via [`open_read_only`](Self::open_read_only):
+    /// True when [`open_validated`](Self::open_validated) was told so:
     /// every [`put`](PartitionStore::put) is rejected.
     read_only: bool,
     /// The filesystem every durable operation goes through (injectable).
     fs: FsRef,
-    /// Partitions whose rewrite is staged under a `.new` sibling awaiting
-    /// the next manifest commit; [`PartitionStore::open`] serves the
-    /// staged bytes so readers in this process see the rewrite.
+    /// Partitions whose current bytes are under a `.new` sibling: a
+    /// rewrite awaiting the next manifest commit, or committed bytes a
+    /// crash left uninstalled that this open could not (read-only) or did
+    /// not manage to rename. [`PartitionStore::open`] serves the sibling.
     staged: RwLock<BTreeSet<PartitionId>>,
     /// Partitions a quarantining open (or a scrub) moved aside; opening
     /// them fails with `NotFound` until repaired.
     quarantined: RwLock<BTreeSet<PartitionId>>,
     /// Block-cache attachment: the shared cache plus this store's token
     /// (the namespace its partition ids live under in the cache).
-    cache: RwLock<Option<StoreCache>>,
+    cache: Option<StoreCache>,
 }
 
 /// A [`DiskStore`]'s handle into a shared [`BlockCache`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct StoreCache {
     cache: Arc<BlockCache>,
     token: u64,
 }
 
 impl DiskStore {
-    /// Opens (creating if needed) a writable store rooted at `dir`.
+    /// Opens (creating if needed) a writable store rooted at `dir` — the
+    /// build-mode store: no manifest yet, ids come from a directory scan.
     pub fn new(dir: impl Into<PathBuf>) -> io::Result<Self> {
-        Self::with_stats(dir, IoStats::new())
-    }
-
-    /// Opens a writable store reporting to existing stats.
-    pub fn with_stats(dir: impl Into<PathBuf>, stats: IoStats) -> io::Result<Self> {
-        Self::with_stats_fs(dir, stats, fsio::std_fs())
-    }
-
-    /// Opens a writable store through an injectable filesystem.
-    pub fn with_fs(dir: impl Into<PathBuf>, fs: FsRef) -> io::Result<Self> {
-        Self::with_stats_fs(dir, IoStats::new(), fs)
-    }
-
-    fn with_stats_fs(dir: impl Into<PathBuf>, stats: IoStats, fs: FsRef) -> io::Result<Self> {
         let dir = dir.into();
+        let fs = fsio::std_fs();
         fs.create_dir_all(&dir)?;
         Ok(Self {
             dir,
-            stats,
+            stats: IoStats::new(),
             manifest_ids: None,
             read_only: false,
             fs,
             staged: RwLock::new(BTreeSet::new()),
             quarantined: RwLock::new(BTreeSet::new()),
-            cache: RwLock::new(None),
+            cache: None,
         })
-    }
-
-    /// Attaches a shared [`BlockCache`]: subsequent opens of committed,
-    /// unquarantined partitions are served from (and fill) the cache
-    /// under a fresh store token. Rewrites, quarantines, and
-    /// re-admissions invalidate the affected entry.
-    pub fn attach_cache(&self, cache: Arc<BlockCache>) {
-        *self.cache.write() = Some(StoreCache {
-            cache,
-            token: page::next_store_token(),
-        });
     }
 
     /// The attached block cache, if any.
     pub fn block_cache(&self) -> Option<Arc<BlockCache>> {
-        self.cache.read().as_ref().map(|sc| Arc::clone(&sc.cache))
+        self.cache.as_ref().map(|sc| Arc::clone(&sc.cache))
     }
 
-    fn cache_handle(&self) -> Option<StoreCache> {
-        self.cache.read().clone()
-    }
-
-    /// Opens a persisted index directory **read-only**, validating every
-    /// partition file against the manifest — existence, byte range,
-    /// content checksum — and its own header (CLBP magic and version).
-    /// Returns the store plus the validated manifest.
-    ///
-    /// This is the serve-side cold-start path: any corruption or
-    /// incompleteness surfaces here as a typed [`OpenError`] instead of a
-    /// wrong answer later. [`put`](PartitionStore::put) on the returned
-    /// store fails with `PermissionDenied`; an index that must keep
-    /// absorbing updates goes through
-    /// [`open_read_write`](Self::open_read_write) instead.
-    pub fn open_read_only(dir: impl Into<PathBuf>) -> Result<(Self, Manifest), OpenError> {
-        Self::open_validated_with(dir.into(), true, fsio::std_fs(), false)
-    }
-
-    /// Opens a persisted index directory with the exact validation of
-    /// [`open_read_only`](Self::open_read_only), but with
-    /// [`put`](PartitionStore::put) enabled — the path a flush/compaction
-    /// needs to fold pending updates back into the sealed partitions.
-    /// Partition ids are still served from the manifest, so stray files
-    /// are never picked up.
-    pub fn open_read_write(dir: impl Into<PathBuf>) -> Result<(Self, Manifest), OpenError> {
-        Self::open_validated_with(dir.into(), false, fsio::std_fs(), false)
-    }
-
-    /// [`open_read_only`](Self::open_read_only) /
-    /// [`open_read_write`](Self::open_read_write) through an injectable
-    /// filesystem, optionally in **quarantine mode**: instead of the
-    /// first failing partition aborting the open, the bad file is moved
-    /// into [`QUARANTINE_DIR`] and recorded, and the store opens serving
-    /// every partition that did validate (a degraded open; see
-    /// [`quarantined`](PartitionStore::quarantined)).
-    pub fn open_validated_with(
-        dir: PathBuf,
-        read_only: bool,
-        fs: FsRef,
-        quarantine: bool,
-    ) -> Result<(Self, Manifest), OpenError> {
-        let (store, manifest, _) =
-            Self::open_validated_cached(dir, read_only, fs, quarantine, None)?;
-        Ok((store, manifest))
-    }
-
-    /// [`open_validated_with`](Self::open_validated_with) plus a shared
-    /// [`BlockCache`]: each partition's cold-open validation read — which
-    /// the cacheless path checksums and discards — is fed into the cache
-    /// ([`BlockCache::try_warm`]: warming never evicts what another index
-    /// already holds). Returns the store, the manifest, and the warmed
-    /// byte count for the recovery report.
-    pub fn open_validated_cached(
-        dir: PathBuf,
-        read_only: bool,
-        fs: FsRef,
-        quarantine: bool,
-        cache: Option<Arc<BlockCache>>,
-    ) -> Result<(Self, Manifest, u64), OpenError> {
-        Self::open_validated(dir, read_only, fs, quarantine, cache)
-    }
-
-    /// Validates one manifest entry's main file through `fs`, returning
-    /// the validated bytes so cold-open callers can reuse (rather than
-    /// discard) the read — see the cache-warming in
-    /// [`open_validated_cached`](Self::open_validated_cached).
-    fn validate_entry(
-        fs: &dyn ClimberFs,
-        path: &Path,
-        e: &PartitionEntry,
-    ) -> Result<Vec<u8>, OpenError> {
-        let bytes = match fs.read(path) {
-            Ok(b) => b,
-            Err(err) if err.kind() == io::ErrorKind::NotFound => {
-                return Err(OpenError::MissingPartition {
-                    id: e.id,
-                    path: path.to_path_buf(),
-                })
+    /// The typed failure of reading entry `e`'s file at `path`.
+    fn unreadable(err: io::Error, path: &Path, e: &PartitionEntry) -> OpenError {
+        if err.kind() == io::ErrorKind::NotFound {
+            OpenError::MissingPartition {
+                id: e.id,
+                path: path.to_path_buf(),
             }
-            Err(err) => return Err(OpenError::Io(err)),
-        };
-        Self::check_entry(&bytes, e)?;
-        Ok(bytes)
+        } else {
+            OpenError::Io(err)
+        }
     }
 
     /// Checks partition bytes against their manifest entry (size,
@@ -438,7 +334,29 @@ impl DiskStore {
             .map_err(|reason| OpenError::CorruptPartition { id: e.id, reason })
     }
 
-    fn open_validated(
+    /// Opens a persisted index directory — the one store open. Loads the
+    /// manifest through `fs` and validates every partition it lists:
+    /// existence, byte range, content checksum, and the file's own header
+    /// (CLBP magic and version). Any corruption or incompleteness
+    /// surfaces here as a typed [`OpenError`] instead of a wrong answer
+    /// later; ids are served from the manifest, so stray files are never
+    /// picked up. Returns the store, the validated manifest, and the bytes
+    /// warmed into `cache`.
+    ///
+    /// * `read_only` — [`put`](PartitionStore::put) fails with
+    ///   `PermissionDenied`, **and the open itself only reads**, whatever
+    ///   the other arguments say: committed bytes a crash left under a
+    ///   `.new` sibling are served from there ([`fsio::read_committed`]);
+    ///   temp droppings and stale siblings wait for the next writable
+    ///   open, which installs or sweeps them.
+    /// * `quarantine` — a failing partition no longer aborts the open: it
+    ///   is recorded ([`quarantined`](PartitionStore::quarantined)) and,
+    ///   when writable, its file moved into [`QUARANTINE_DIR`].
+    /// * `cache` — each validation read, which a cacheless open checksums
+    ///   and discards, is fed into the shared [`BlockCache`]
+    ///   ([`BlockCache::try_warm`]: warming never evicts what another
+    ///   index already holds), and later opens go through it.
+    pub fn open_validated(
         dir: PathBuf,
         read_only: bool,
         fs: FsRef,
@@ -446,64 +364,60 @@ impl DiskStore {
         cache: Option<Arc<BlockCache>>,
     ) -> Result<(Self, Manifest, u64), OpenError> {
         let manifest = Manifest::load_with(&*fs, &dir)?;
+        let mut staged = BTreeSet::new();
         let mut quarantined = BTreeSet::new();
-        let warming = cache.map(|c| (c, page::next_store_token()));
+        let cache = cache.map(|cache| StoreCache {
+            cache,
+            token: page::next_store_token(),
+        });
         let mut warmed_bytes = 0u64;
         for e in &manifest.partitions {
             let path = dir.join(partition_file_name(e.id));
-            let staged = staged_path_of(&dir, e.id);
-            match Self::validate_entry(&*fs, &path, e) {
-                Ok(bytes) => {
-                    // Any `.new` sibling is pre-commit garbage from an
-                    // interrupted fold — the committed file matches the
-                    // committed manifest.
-                    fs.remove_file(&staged).ok();
-                    // Reuse the validation read: warm the cache so
-                    // first-query latency after a cold open skips the
-                    // filesystem entirely.
-                    if let Some((cache, token)) = &warming {
+            let sibling = staged_path_of(&dir, e.id);
+            match fsio::read_committed(
+                &*fs,
+                &path,
+                &sibling,
+                !read_only,
+                |b| Self::check_entry(b, e),
+                |err| Self::unreadable(err, &path, e),
+            ) {
+                // Reuse the validation read: warm the cache so first-query
+                // latency after a cold open skips the filesystem entirely.
+                Ok((bytes, false)) => {
+                    if let Some(sc) = &cache {
                         let len = bytes.len() as u64;
-                        if cache.try_warm(*token, e.id, Bytes::from(bytes)) {
+                        if sc.cache.try_warm(sc.token, e.id, Bytes::from(bytes)) {
                             warmed_bytes += len;
                         }
                     }
                 }
-                Err(first) => {
-                    // Roll forward: a crash between the manifest commit
-                    // and the staged-file install leaves the *new* bytes
-                    // under `.new` while the main file is still old (or
-                    // gone). If the sibling matches the committed entry,
-                    // finish the interrupted rename.
-                    let rolled = match fs.read(&staged) {
-                        Ok(b) if Self::check_entry(&b, e).is_ok() => {
-                            fs.rename(&staged, &path).is_ok() && {
-                                fs.fsync_dir(&dir).ok();
-                                true
-                            }
-                        }
-                        _ => false,
-                    };
-                    if rolled {
-                        continue;
+                // Still under `.new`: opens read the sibling, uncached,
+                // like any other staged partition.
+                Ok((_, true)) => {
+                    staged.insert(e.id);
+                }
+                Err(first) if !quarantine => return Err(first),
+                Err(_) => {
+                    // Preserve the bad bytes aside and serve the rest of
+                    // the index degraded.
+                    if !read_only {
+                        fs.create_dir_all(&dir.join(QUARANTINE_DIR)).ok();
+                        fs.rename(&path, &quarantine_path_of(&dir, e.id)).ok();
+                        fs.remove_file(&sibling).ok();
                     }
-                    if !quarantine {
-                        return Err(first);
-                    }
-                    // Quarantine mode: preserve the bad bytes aside and
-                    // serve the rest of the index degraded.
-                    fs.create_dir_all(&dir.join(QUARANTINE_DIR)).ok();
-                    fs.rename(&path, &quarantine_path_of(&dir, e.id)).ok();
-                    fs.remove_file(&staged).ok();
                     quarantined.insert(e.id);
                 }
             }
         }
         // Sweep temp droppings from interrupted atomic writes.
-        if let Ok(entries) = fs::read_dir(&dir) {
-            for entry in entries.filter_map(|x| x.ok()) {
-                if let Some(name) = entry.file_name().to_str() {
-                    if fsio::is_tmp_name(name) {
-                        fs.remove_file(&entry.path()).ok();
+        if !read_only {
+            if let Ok(entries) = fs::read_dir(&dir) {
+                for entry in entries.filter_map(|x| x.ok()) {
+                    if let Some(name) = entry.file_name().to_str() {
+                        if fsio::is_tmp_name(name) {
+                            fs.remove_file(&entry.path()).ok();
+                        }
                     }
                 }
             }
@@ -516,9 +430,9 @@ impl DiskStore {
                 manifest_ids: Some(ids),
                 read_only,
                 fs,
-                staged: RwLock::new(BTreeSet::new()),
+                staged: RwLock::new(staged),
                 quarantined: RwLock::new(quarantined),
-                cache: RwLock::new(warming.map(|(cache, token)| StoreCache { cache, token })),
+                cache,
             },
             manifest,
             warmed_bytes,
@@ -554,7 +468,7 @@ impl DiskStore {
             Err(e) => return Err(e),
         }
         self.quarantined.write().insert(id);
-        if let Some(sc) = self.cache_handle() {
+        if let Some(sc) = &self.cache {
             sc.cache.invalidate(sc.token, id);
         }
         Ok(())
@@ -573,7 +487,7 @@ impl DiskStore {
         let matches = |b: &[u8]| Self::check_entry(b, e).is_ok();
         let readmit = |id: PartitionId| {
             self.quarantined.write().remove(&id);
-            if let Some(sc) = self.cache_handle() {
+            if let Some(sc) = &self.cache {
                 sc.cache.invalidate(sc.token, id);
             }
         };
@@ -594,7 +508,9 @@ impl DiskStore {
     /// Re-validates the committed bytes of `entry` against its manifest
     /// record — the scrub primitive for partitions not under quarantine.
     pub fn verify_partition(&self, e: &PartitionEntry) -> Result<(), OpenError> {
-        Self::validate_entry(&*self.fs, &self.path_of(e.id), e).map(|_| ())
+        let path = self.path_of(e.id);
+        let bytes = (self.fs.read(&path)).map_err(|err| Self::unreadable(err, &path, e))?;
+        Self::check_entry(&bytes, e)
     }
 }
 
@@ -643,7 +559,7 @@ impl PartitionStore for DiskStore {
         };
         // The old image is stale either way (staged opens serve the
         // sibling; build-mode opens the new file).
-        if let Some(sc) = self.cache_handle() {
+        if let Some(sc) = &self.cache {
             sc.cache.invalidate(sc.token, id);
         }
         result
@@ -659,7 +575,7 @@ impl PartitionStore for DiskStore {
         let staged = self.staged.read().contains(&id);
         // Staged (pre-commit) bytes never enter the cache: they are not
         // the committed image yet and are replaced at the next commit.
-        let cached = if staged { None } else { self.cache_handle() };
+        let cached = if staged { None } else { self.cache.as_ref() };
         if let Some(sc) = &cached {
             if let Some(image) = sc.cache.get(sc.token, id) {
                 self.stats.on_partition_open();
@@ -720,7 +636,7 @@ impl PartitionStore for DiskStore {
         if pending.is_empty() {
             return Ok(());
         }
-        let cache = self.cache_handle();
+        let cache = self.cache.as_ref();
         for id in &pending {
             self.fs
                 .rename(&staged_path_of(&self.dir, *id), &self.path_of(*id))?;
@@ -881,20 +797,55 @@ mod tests {
 
     #[test]
     fn cached_disk_store_serves_hits_and_invalidates_on_put() {
+        use crate::manifest::{FileEntry, FORMAT_VERSION};
         use crate::page::{BlockCache, CacheConfig};
         let dir = std::env::temp_dir().join(format!("climber-dfs-cache-{}", std::process::id()));
         fs::remove_dir_all(&dir).ok();
-        let store = DiskStore::new(&dir).unwrap();
+        // A sealed one-partition directory: the cache attaches through a
+        // validated open.
+        let image = encode_partition(7, 1, 4);
+        DiskStore::new(&dir).unwrap().put(3, image.clone()).unwrap();
+        let partitions = vec![PartitionEntry {
+            id: 3,
+            bytes: image.len() as u64,
+            checksum: xxh64(&image, 0),
+            records: 4,
+        }];
+        Manifest {
+            format_version: FORMAT_VERSION,
+            config: Vec::new(),
+            fingerprint: Manifest::fingerprint_of(2, 4, &partitions),
+            num_records: 4,
+            max_series_id: Some(3),
+            series_len: 2,
+            generation: 0,
+            journal: None,
+            skeleton: FileEntry {
+                bytes: 0,
+                checksum: 0,
+            },
+            partitions,
+        }
+        .write_atomic(&dir)
+        .unwrap();
         let cache = Arc::new(BlockCache::new(CacheConfig::default()));
-        store.attach_cache(Arc::clone(&cache));
-        store.put(3, encode_partition(7, 1, 4)).unwrap();
+        let (store, _, warmed) = DiskStore::open_validated(
+            dir.clone(),
+            false,
+            fsio::std_fs(),
+            false,
+            Some(Arc::clone(&cache)),
+        )
+        .unwrap();
+        assert_eq!(warmed, image.len() as u64, "the validation read is kept");
         assert_eq!(store.open(3).unwrap().record_count(), 4);
-        assert_eq!(cache.stats().hits, 0, "first open misses");
+        assert_eq!(cache.stats().hits, 1, "first open hits the warmed image");
         assert_eq!(store.open(3).unwrap().record_count(), 4);
-        assert_eq!(cache.stats().hits, 1, "second open hits");
+        assert_eq!(cache.stats().hits, 2, "second open hits");
         // A rewrite invalidates: the next open sees the new bytes.
         store.put(3, encode_partition(7, 1, 9)).unwrap();
         assert_eq!(store.open(3).unwrap().record_count(), 9);
+        assert_eq!(cache.stats().hits, 2, "the old image is gone");
         // Both cached and uncached opens count identically.
         let before = store.stats().snapshot();
         store.open(3).unwrap();

@@ -1,11 +1,12 @@
 //! Corruption test suite for the persisted index directory, exercised at
 //! the storage layer: every damage mode must surface from
-//! [`DiskStore::open_read_only`] / [`Manifest::load`] as a distinct typed
+//! [`DiskStore::open_validated`] / [`Manifest::load`] as a distinct typed
 //! [`OpenError`] — never a panic, never a silently served index. The same
 //! five scenarios are asserted end-to-end through `Climber::open` in the
 //! workspace-level `tests/persistence.rs`.
 
 use climber_dfs::format::{PartitionReader, PartitionWriter};
+use climber_dfs::fsio::std_fs;
 use climber_dfs::manifest::{
     write_file_atomic, xxh64, FileEntry, Manifest, OpenError, PartitionEntry, FORMAT_VERSION,
     MANIFEST_FILE,
@@ -66,8 +67,14 @@ fn persisted_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// A strict, cacheless validated open over the real filesystem.
+fn open_validated(dir: &Path, read_only: bool) -> Result<(DiskStore, Manifest), OpenError> {
+    DiskStore::open_validated(dir.to_path_buf(), read_only, std_fs(), false, None)
+        .map(|(store, manifest, _)| (store, manifest))
+}
+
 fn open(dir: &Path) -> Result<(DiskStore, Manifest), OpenError> {
-    DiskStore::open_read_only(dir)
+    open_validated(dir, true)
 }
 
 #[test]
@@ -207,7 +214,7 @@ fn read_only_store_rejects_writes_and_ignores_strays() {
 #[test]
 fn read_write_open_validates_then_accepts_puts() {
     let dir = persisted_dir("rw");
-    let (store, manifest) = DiskStore::open_read_write(&dir).unwrap();
+    let (store, manifest) = open_validated(&dir, false).unwrap();
     assert!(!store.is_read_only());
     assert_eq!(store.ids(), manifest.partition_ids());
 
@@ -235,7 +242,7 @@ fn read_write_open_validates_then_accepts_puts() {
     // An abandoned stage is harmless: reopening validates the committed
     // file, succeeds, and sweeps the stray `.new` — never a third state.
     {
-        let (reopened, _) = DiskStore::open_read_write(&dir).unwrap();
+        let (reopened, _) = open_validated(&dir, false).unwrap();
         assert_eq!(reopened.open(0).unwrap().record_count(), 7);
     }
     assert!(!staged.exists(), "stray stage must be swept at open");
@@ -244,13 +251,13 @@ fn read_write_open_validates_then_accepts_puts() {
     // the sealed manifest: until the caller re-seals, reopening is
     // rejected — the validation that makes an unsealed rewrite
     // detectable, not silent.
-    let (store, _) = DiskStore::open_read_write(&dir).unwrap();
+    let (store, _) = open_validated(&dir, false).unwrap();
     let mut w = PartitionWriter::new(0, 4);
     w.push_cluster(2, vec![(1u64, &[9.0f32, 9.0, 9.0, 9.0][..])]);
     store.put(0, w.finish()).unwrap();
     store.commit_staged().unwrap();
     assert!(matches!(
-        DiskStore::open_read_write(&dir),
+        open_validated(&dir, false),
         Err(OpenError::PartitionSizeMismatch { id: 0, .. } | OpenError::ChecksumMismatch { .. })
     ));
     fs::remove_dir_all(&dir).ok();
@@ -263,7 +270,7 @@ fn read_write_open_validates_then_accepts_puts() {
 #[test]
 fn staging_puts_return_receipts_of_the_stored_bytes() {
     let dir = persisted_dir("receipt");
-    let (store, _) = DiskStore::open_read_write(&dir).unwrap();
+    let (store, _) = open_validated(&dir, false).unwrap();
     let mut w = PartitionWriter::new(0, 4);
     let recs: Vec<(u64, [f32; 4])> = (0..50).map(|i| (i, [i as f32, 0.5, -1.0, 2.0])).collect();
     w.push_cluster(2, recs.iter().map(|(id, v)| (*id, &v[..])));

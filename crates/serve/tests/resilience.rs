@@ -6,7 +6,8 @@
 mod common;
 
 use climber_core::{
-    Climber, ClimberError, QueryOutcome, RecoveryPolicy, SearchBackend, SearchRequest, ServeError,
+    Climber, ClimberError, OpenOptions, QueryOutcome, RecoveryPolicy, SearchBackend, SearchRequest,
+    ServeError,
 };
 use climber_dfs::store::partition_file_name;
 use climber_serve::{RetryPolicy, ServeClient, ServeConfig, Server};
@@ -160,7 +161,12 @@ fn degraded_open_serves_and_reports_quarantine_over_the_wire() {
     bytes[at] ^= 0xFF;
     fs::write(&path, &bytes).unwrap();
 
-    let (degraded, report) = Climber::open_with(&dir, RecoveryPolicy::Quarantine).unwrap();
+    let quarantining = OpenOptions {
+        writable: true,
+        policy: RecoveryPolicy::Quarantine,
+        ..OpenOptions::default()
+    };
+    let (degraded, report) = Climber::open_dir(&dir, &quarantining).unwrap();
     assert_eq!(report.quarantined_partitions, vec![victim]);
     let server = Server::start(Arc::new(degraded), "127.0.0.1:0", ServeConfig::default()).unwrap();
     let mut client = ServeClient::connect(server.local_addr()).unwrap();

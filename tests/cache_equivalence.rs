@@ -23,14 +23,15 @@ use climber_core::dfs::page::PAGE_SIZE;
 use climber_core::dfs::store::{partition_file_name, DiskStore, PartitionStore};
 use climber_core::series::gen::Domain;
 use climber_core::{
-    CacheConfig, Climber, ClimberConfig, ClimberError, QueryOutcome, RecoveryPolicy, SearchRequest,
-    ShardedClimber,
+    BlockCache, CacheConfig, Climber, ClimberConfig, ClimberError, OpenOptions, QueryOutcome,
+    RecoveryPolicy, SearchRequest, ShardedClimber,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 const DOMAINS: [Domain; 4] = [Domain::RandomWalk, Domain::Eeg, Domain::Dna, Domain::TexMex];
 
@@ -307,6 +308,16 @@ fn torture_cache_config() -> CacheConfig {
     CacheConfig::default().with_capacity_bytes(8 << 20)
 }
 
+/// A strict read-write open over `fs` with the torture cache.
+fn torture_options(fs: FsRef) -> OpenOptions {
+    OpenOptions {
+        writable: true,
+        policy: RecoveryPolicy::Strict,
+        cache: Some(Arc::new(BlockCache::new(torture_cache_config()))),
+        fs,
+    }
+}
+
 /// A committed state's fingerprint: manifest generation plus the exact
 /// answers to the probe set.
 type Fingerprint = (u64, Vec<QueryOutcome>);
@@ -400,13 +411,7 @@ impl Torture {
         copy_dir(&golden, &dry);
         let ff = FaultFs::over_std();
         let fsref: FsRef = ff.clone();
-        let (c, _) = Climber::open_with_cache_fs(
-            &dry,
-            fsref,
-            RecoveryPolicy::Strict,
-            torture_cache_config(),
-        )
-        .unwrap();
+        let (c, _) = Climber::open_dir(&dry, &torture_options(fsref)).unwrap();
         ff.arm();
         op_append_flush(&c).expect("fault-free run of the cached flush");
         ff.disarm();
@@ -442,13 +447,8 @@ impl Torture {
         copy_dir(&self.root.join("A"), &work);
         let ff = FaultFs::over_std();
         let fsref: FsRef = ff.clone();
-        let (c, _) = Climber::open_with_cache_fs(
-            &work,
-            fsref,
-            RecoveryPolicy::Strict,
-            torture_cache_config(),
-        )
-        .expect("pre-crash open is fault-free");
+        let (c, _) = Climber::open_dir(&work, &torture_options(fsref))
+            .expect("pre-crash open is fault-free");
         match torn_keep {
             Some(keep) => ff.torn_crash_at(crash_op, keep),
             None => ff.crash_at(crash_op),

@@ -23,14 +23,23 @@
 //!
 //! The manifest write is the commit point: every fault strictly before it
 //! recovers to A, every fault at or after it rolls forward to B.
+//!
+//! Recovery is the *writable* open; a read-only open of the same crash
+//! states serves the same committed state with reads only (`read_only_*`),
+//! and no `OpenOptions` combination changes an answer (the open matrix).
 
 use climber_core::dfs::fsio::{FaultAction, FaultFs, FaultTrigger, FsOp, FsRef};
 use climber_core::dfs::store::DiskStore;
 use climber_core::series::gen::Domain;
-use climber_core::{Climber, ClimberConfig, ClimberError, QueryOutcome, SearchRequest};
+use climber_core::{
+    BlockCache, CacheConfig, Climber, ClimberConfig, ClimberError, OpenError, OpenOptions,
+    QueryOutcome, RecoveryPolicy, RecoveryReport, SearchBackend, SearchRequest, ShardedClimber,
+};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 fn cfg() -> ClimberConfig {
     ClimberConfig::default()
@@ -66,6 +75,16 @@ fn copy_dir(src: &Path, dst: &Path) {
     }
 }
 
+/// A read-write open with every filesystem operation going through `fs`.
+fn open_rw_over(dir: &Path, fs: FsRef) -> Result<Climber<DiskStore>, ClimberError> {
+    let opts = OpenOptions {
+        writable: true,
+        fs,
+        ..OpenOptions::default()
+    };
+    Ok(Climber::open_dir(dir, &opts)?.0)
+}
+
 /// A committed state's fingerprint: manifest generation plus the exact
 /// answers to the scenario's probe set. Two states an op separates must
 /// differ in at least one component (appended series answer exactly in
@@ -86,11 +105,71 @@ fn recovered_state(dir: &Path, probes: &[Vec<f32>]) -> Fingerprint {
     let c = Climber::open_rw(dir).unwrap_or_else(|e| {
         panic!("recovery open of {} failed: {e}", dir.display());
     });
+    fingerprint(&c, probes)
+}
+
+fn fingerprint(c: &Climber<DiskStore>, probes: &[Vec<f32>]) -> Fingerprint {
     let answers = probes
         .iter()
         .map(|q| c.search(&SearchRequest::new(q.clone(), 5)))
         .collect();
     (c.generation(), answers)
+}
+
+/// Every file under `dir` (recursively), by path, with its bytes.
+fn dir_image(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    let mut out = BTreeMap::new();
+    for entry in fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            out.extend(dir_image(&path));
+        } else {
+            out.insert(path.clone(), fs::read(&path).unwrap());
+        }
+    }
+    out
+}
+
+/// Runs `state_of` — open `dir`, query it, drop it — with read-only
+/// options over a tracing `FaultFs`, and asserts the rule of a
+/// `writable: false` open: every filesystem operation from open to drop
+/// is a read, and the directory keeps its listing and its bytes.
+fn read_only_state<T>(
+    dir: &Path,
+    policy: RecoveryPolicy,
+    state_of: impl FnOnce(&OpenOptions) -> T,
+) -> T {
+    let before = dir_image(dir);
+    let ff = FaultFs::over_std();
+    ff.arm();
+    let state = state_of(&OpenOptions {
+        policy,
+        fs: ff.clone(),
+        ..OpenOptions::default()
+    });
+    let mutating: Vec<_> = ff
+        .trace()
+        .into_iter()
+        .filter(|(op, _)| *op != FsOp::Read)
+        .collect();
+    assert!(mutating.is_empty(), "read-only open mutated: {mutating:?}");
+    assert!(
+        dir_image(dir) == before,
+        "read-only open changed {}",
+        dir.display()
+    );
+    state
+}
+
+/// [`read_only_state`] of a single index: its fingerprint.
+fn read_only_fingerprint(dir: &Path, policy: RecoveryPolicy, probes: &[Vec<f32>]) -> Fingerprint {
+    read_only_state(dir, policy, |opts| {
+        let (c, report) = Climber::open_dir(dir, opts).unwrap_or_else(|e| {
+            panic!("read-only open of {} failed: {e}", dir.display());
+        });
+        assert!(!c.is_writable() && report.is_clean());
+        fingerprint(&c, probes)
+    })
 }
 
 /// Asserts the recovery open swept every stage dropping.
@@ -136,7 +215,7 @@ impl<'a> Torture<'a> {
         copy_dir(&golden, &dry);
         let ff = FaultFs::over_std();
         let fsref: FsRef = ff.clone();
-        let c = Climber::open_rw_with_fs(&dry, fsref).unwrap();
+        let c = open_rw_over(&dry, fsref).unwrap();
         ff.arm();
         op(&c).expect("fault-free run of the protocol under test");
         ff.disarm();
@@ -166,14 +245,19 @@ impl<'a> Torture<'a> {
         }
     }
 
-    /// One torture iteration: crash (optionally torn) at `crash_op`,
-    /// recover, assert the two-state invariant.
-    fn crash_once(&self, crash_op: u64, torn_keep: Option<usize>) {
+    /// A fresh copy of the baseline with the protocol crashed (optionally
+    /// torn) at `crash_op`: the directory a dead process left behind, and
+    /// what the protocol reported.
+    fn crashed_dir(
+        &self,
+        crash_op: u64,
+        torn_keep: Option<usize>,
+    ) -> (PathBuf, Result<(), ClimberError>) {
         let work = self.root.join("work");
         copy_dir(&self.root.join("A"), &work);
         let ff = FaultFs::over_std();
         let fsref: FsRef = ff.clone();
-        let c = Climber::open_rw_with_fs(&work, fsref).expect("pre-crash open is fault-free");
+        let c = open_rw_over(&work, fsref).expect("pre-crash open is fault-free");
         match torn_keep {
             Some(keep) => ff.torn_crash_at(crash_op, keep),
             None => ff.crash_at(crash_op),
@@ -182,7 +266,33 @@ impl<'a> Torture<'a> {
         let result = (self.op)(&c);
         ff.disarm();
         drop(c);
+        (work, result)
+    }
 
+    /// Every crash state of the sweep — pre-commit ones littered with
+    /// stages, post-commit ones with committed bytes still under `.new` —
+    /// opened read-only *before* anything recovers it: the open mutates
+    /// nothing and serves exactly the state the writable recovery of the
+    /// same directory then lands on.
+    fn read_only_sweep(&self) {
+        let mut seen = std::collections::BTreeSet::new();
+        for i in 0..self.op_count {
+            let (work, _) = self.crashed_dir(i, None);
+            let read_only = read_only_fingerprint(&work, RecoveryPolicy::Strict, &self.probes);
+            let recovered = recovered_state(&work, &self.probes);
+            assert!(
+                read_only == recovered,
+                "crash at op {i}: read-only open served another state"
+            );
+            seen.insert(recovered == self.state_b);
+        }
+        assert_eq!(seen.len(), 2, "the sweep must cross the commit point");
+    }
+
+    /// One torture iteration: crash (optionally torn) at `crash_op`,
+    /// recover, assert the two-state invariant.
+    fn crash_once(&self, crash_op: u64, torn_keep: Option<usize>) {
+        let (work, result) = self.crashed_dir(crash_op, torn_keep);
         let got = recovered_state(&work, &self.probes);
         let label = format!("crash at op {crash_op} (torn: {torn_keep:?})");
         if got == self.state_a {
@@ -348,6 +458,130 @@ fn compact_survives_every_crash_point() {
     t.cleanup();
 }
 
+/// A read-only open next to a live writer's litter — a pre-commit `.new`
+/// stage of a partition, of the journal and of the skeleton, plus a temp
+/// dropping — leaves every one of them in place, under either policy, and
+/// serves what the writable open of the same directory serves (which then
+/// sweeps them).
+#[test]
+fn read_only_open_of_a_littered_directory_mutates_nothing() {
+    use climber_core::dfs::store::PartitionStore;
+
+    let root = tmp_root("ro-litter");
+    let dir = root.join("idx");
+    setup_plain(&dir);
+    let probes = generic_probes();
+    let clean = recovered_state(&dir, &probes);
+    let pid = Climber::open(&dir).unwrap().store().ids()[2];
+    let part = climber_core::dfs::store::partition_file_name(pid);
+    let litter = [
+        format!("{part}.new"),
+        format!("{part}.tmp.1.2"),
+        format!("{}.new", climber_core::JOURNAL_FILE),
+        format!("{}.new", climber_core::SKELETON_FILE),
+    ];
+    for name in &litter {
+        fs::write(dir.join(name), b"a writer's half-made stage").unwrap();
+    }
+    for policy in [RecoveryPolicy::Strict, RecoveryPolicy::Quarantine] {
+        assert!(read_only_fingerprint(&dir, policy, &probes) == clean);
+    }
+    assert!(litter.iter().all(|name| dir.join(name).exists()));
+    assert!(recovered_state(&dir, &probes) == clean);
+    assert_no_droppings(&dir);
+    fs::remove_dir_all(&root).ok();
+}
+
+/// The flush sweep (partitions rewritten, staged, committed, installed)
+/// and the save sweep (a journal staged and installed), every crash state
+/// opened read-only first.
+#[test]
+fn read_only_open_of_every_crash_state_is_pure_and_serves_the_committed_state() {
+    for (tag, op) in [
+        ("ro-flush", &op_append_flush as &CrashOp),
+        ("ro-save", &op_append_save),
+    ] {
+        let t = Torture::prepare(tag, &setup_plain, op, probes_with(appended_probes()));
+        t.read_only_sweep();
+        t.cleanup();
+    }
+}
+
+/// The same rule for a shard set: a set-wide append + save crashed at
+/// every operation (shard 0 mid-save leaves shard 1 untouched; shard 1
+/// mid-save leaves shard 0 resealed), opened read-only through the
+/// injected filesystem before the writable recovery.
+#[test]
+fn read_only_open_of_a_crashed_shard_set_is_pure() {
+    type SetState = (Vec<u64>, Vec<QueryOutcome>);
+    fn state_of(set: &ShardedClimber<DiskStore>, probes: &[Vec<f32>]) -> SetState {
+        let answers = probes
+            .iter()
+            .map(|q| set.search(&SearchRequest::new(q.clone(), 5)))
+            .collect();
+        (set.generations(), answers)
+    }
+    let append_save = |set: &ShardedClimber<DiskStore>, dir: &Path| {
+        let extra = Domain::RandomWalk.generate(6, 33);
+        for i in 0..6 {
+            set.append(extra.get(i))?;
+        }
+        set.save(dir).map(drop)
+    };
+    let open_rw_set_over = |dir: &Path, ff: &std::sync::Arc<FaultFs>| {
+        let opts = OpenOptions {
+            writable: true,
+            fs: ff.clone(),
+            ..OpenOptions::default()
+        };
+        ShardedClimber::open_dir(dir, &opts).unwrap().0
+    };
+
+    let root = tmp_root("ro-set");
+    let golden = root.join("A");
+    let ds = Domain::RandomWalk.generate(200, 21);
+    drop(ShardedClimber::build_on_disk(&ds, &golden, cfg(), 2).unwrap());
+    let probes = probes_with(appended_probes());
+
+    // Fault-free run: the op count.
+    let work = root.join("work");
+    copy_dir(&golden, &work);
+    let ff = FaultFs::over_std();
+    let set = open_rw_set_over(&work, &ff);
+    ff.arm();
+    append_save(&set, &work).unwrap();
+    ff.disarm();
+    drop(set);
+
+    let mut states: Vec<SetState> = Vec::new();
+    for i in 0..ff.op_count() {
+        copy_dir(&golden, &work);
+        let ff = FaultFs::over_std();
+        let set = open_rw_set_over(&work, &ff);
+        ff.crash_at(i);
+        ff.arm();
+        append_save(&set, &work).unwrap_err();
+        ff.disarm();
+        drop(set);
+
+        let read_only = read_only_state(&work, RecoveryPolicy::Strict, |opts| {
+            let (set, report) = ShardedClimber::open_dir(&work, opts).unwrap();
+            assert!(!set.is_writable() && report.is_clean());
+            state_of(&set, &probes)
+        });
+        let recovered = state_of(&ShardedClimber::open_rw(&work).unwrap(), &probes);
+        assert!(
+            read_only == recovered,
+            "crash at op {i}: read-only open served another state"
+        );
+        if !states.contains(&recovered) {
+            states.push(recovered);
+        }
+    }
+    assert_eq!(states.len(), 3, "neither, shard 0 only, both shards saved");
+    fs::remove_dir_all(&root).ok();
+}
+
 /// Satellite regression: a flush whose partition write fails must
 /// restore the drained delta records — an acknowledged append is never
 /// dropped — and the next fault-free flush must land them.
@@ -358,7 +592,7 @@ fn failed_flush_restores_drained_records_then_retries_clean() {
     setup_plain(&dir);
     let ff = FaultFs::over_std();
     let fsref: FsRef = ff.clone();
-    let c = Climber::open_rw_with_fs(&dir, fsref).unwrap();
+    let c = open_rw_over(&dir, fsref).unwrap();
     let extra = Domain::RandomWalk.generate(4, 91);
     let mut ids = Vec::new();
     for i in 0..4 {
@@ -443,7 +677,7 @@ fn failed_restage_after_failed_seal_loses_nothing() {
     let dry = root.join("dry");
     copy_dir(&dir, &dry);
     let ff = FaultFs::over_std();
-    let c = Climber::open_rw_with_fs(&dry, ff.clone() as FsRef).unwrap();
+    let c = open_rw_over(&dry, ff.clone() as FsRef).unwrap();
     append(&c, 0..40);
     ff.arm();
     c.flush().unwrap();
@@ -460,7 +694,7 @@ fn failed_restage_after_failed_seal_loses_nothing() {
 
     // Fold 1: every partition stages, the manifest commit fails once.
     let ff = FaultFs::over_std();
-    let c = Climber::open_rw_with_fs(&dir, ff.clone() as FsRef).unwrap();
+    let c = open_rw_over(&dir, ff.clone() as FsRef).unwrap();
     let mut acked = append(&c, 0..40);
     ff.inject(FaultTrigger::Op(commit), FaultAction::ErrorOnce);
     ff.arm();
@@ -512,4 +746,141 @@ proptest! {
         t.crash_once(crash_op, torn.then_some(keep));
         t.cleanup();
     }
+}
+
+// --- the open matrix ------------------------------------------------------
+
+/// Walks {read-only, writable} × {Strict, Quarantine} × {no cache, cache}
+/// × {real filesystem, pass-through `FaultFs`} over `healthy` and over a
+/// copy whose `victim_file` (partition `victim`) has one byte flipped.
+/// The options may change where bytes come from and what the open
+/// repairs, never what a successful open answers (`reference`: what
+/// `Climber::open` answers) or how a failed one is typed.
+fn walk_open_matrix<I: SearchBackend>(
+    healthy: &Path,
+    (victim_file, victim): (&Path, u32),
+    (reqs, reference): (&[SearchRequest], &[QueryOutcome]),
+    open: impl Fn(&Path, &OpenOptions) -> Result<(I, RecoveryReport), ClimberError>,
+    append: impl Fn(&I, &[f32]) -> Result<u64, ClimberError>,
+    is_the_strict_error: impl Fn(&OpenError) -> bool,
+) {
+    let (damaged, work) = (
+        healthy.with_extension("bad"),
+        healthy.with_extension("work"),
+    );
+    copy_dir(healthy, &damaged);
+    let mut bytes = fs::read(damaged.join(victim_file)).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xFF;
+    fs::write(damaged.join(victim_file), &bytes).unwrap();
+
+    let mut strict_error: Option<String> = None;
+    let mut degraded: Option<Vec<QueryOutcome>> = None;
+    for cell in 0..16 {
+        let on = |bit: u32| cell & bit != 0;
+        let (writable, quarantine, cached, injected) = (on(1), on(2), on(4), on(8));
+        let label = format!("rw={writable} quarantine={quarantine} cache={cached} fs={injected}");
+        let opts = OpenOptions {
+            writable,
+            policy: [RecoveryPolicy::Strict, RecoveryPolicy::Quarantine][quarantine as usize],
+            cache: cached.then(|| Arc::new(BlockCache::new(CacheConfig::default()))),
+            fs: [climber_core::dfs::fsio::std_fs(), FaultFs::over_std()][injected as usize].clone(),
+        };
+        let check_handle = |index: &I, report: &RecoveryReport| {
+            let denied = matches!(
+                append(index, &[0.0; 256]),
+                Err(ClimberError::Io(e)) if e.kind() == std::io::ErrorKind::PermissionDenied
+            );
+            assert_eq!(denied, !writable, "{label}: append");
+            assert_eq!(report.warmed_bytes > 0, cached, "{label}: warming");
+        };
+
+        // Healthy: a clean report and the reference answers, twice (the
+        // second pass comes from the cache where there is one).
+        copy_dir(healthy, &work);
+        let (index, report) = open(&work, &opts).unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert!(report.is_clean(), "{label}: {report:?}");
+        for _ in 0..2 {
+            assert!(index.search_many(reqs) == reference, "{label}: answers");
+        }
+        check_handle(&index, &report);
+        drop(index);
+
+        // Damaged: one typed refusal under Strict; under Quarantine one
+        // report, one set of degraded answers, and the file moved aside
+        // only by a writable open.
+        copy_dir(&damaged, &work);
+        match open(&work, &opts) {
+            Err(ClimberError::Open(e)) if !quarantine => {
+                assert!(is_the_strict_error(&e), "{label}: {e:?}");
+                let e = format!("{e:?}");
+                assert_eq!(strict_error.get_or_insert_with(|| e.clone()), &e, "{label}");
+            }
+            Ok((index, report)) if quarantine => {
+                let set_aside = (
+                    report.quarantined_partitions.clone(),
+                    report.dead_shards.len(),
+                );
+                assert_eq!(set_aside, (vec![victim], 0), "{label}");
+                assert_eq!(index.health().quarantined_partitions, 1, "{label}");
+                let out = index.search_many(reqs);
+                assert!(
+                    degraded.get_or_insert_with(|| out.clone()) == &out,
+                    "{label}: degraded"
+                );
+                check_handle(&index, &report);
+                let moved = !work.join(victim_file).exists();
+                assert_eq!(
+                    moved, writable,
+                    "{label}: only a writable open moves the file"
+                );
+            }
+            other => panic!("{label}: unexpected {:?}", other.map(|(_, r)| r)),
+        }
+    }
+    assert!(
+        degraded.unwrap() != reference,
+        "the victim must matter to the requests"
+    );
+}
+
+#[test]
+fn every_option_combination_opens_the_same_index() {
+    use climber_core::dfs::store::{partition_file_name, PartitionStore};
+
+    let root = tmp_root("open-matrix");
+    let ds = Domain::RandomWalk.generate(300, 21);
+    let (single_dir, set_dir) = (root.join("single"), root.join("set"));
+    let victim = Climber::build_on_disk(&ds, &single_dir, cfg())
+        .unwrap()
+        .store()
+        .ids()[1];
+    drop(ShardedClimber::build_on_disk(&ds, &set_dir, cfg(), 3).unwrap());
+    // Exact requests over members of every partition: whichever partition
+    // is damaged, some answer changes.
+    let reqs: Vec<SearchRequest> = (0..300u64)
+        .step_by(2)
+        .map(|i| SearchRequest::new(ds.get(i).to_vec(), 5).exact())
+        .chain([SearchRequest::new(ds.get(3).to_vec(), 10)])
+        .collect();
+    let reference = Climber::open(&single_dir).unwrap().search_many(&reqs);
+
+    let part = PathBuf::from(partition_file_name(victim));
+    walk_open_matrix(
+        &single_dir,
+        (&part, victim),
+        (&reqs, &reference),
+        |dir, opts| Climber::open_dir(dir, opts),
+        |index, series| index.append(series),
+        |e| matches!(e, OpenError::ChecksumMismatch { what, .. } if *what == format!("partition {victim}")),
+    );
+    walk_open_matrix(
+        &set_dir,
+        (&Path::new("shard-001").join(&part), victim),
+        (&reqs, &reference),
+        |dir, opts| ShardedClimber::open_dir(dir, opts),
+        |set, series| set.append(series),
+        |e| matches!(e, OpenError::Shard { shard: 1, source } if matches!(**source, OpenError::ChecksumMismatch { .. })),
+    );
+    fs::remove_dir_all(&root).ok();
 }

@@ -17,9 +17,10 @@ use climber_core::dfs::fsio::{FaultFs, FsOp, FsRef};
 use climber_core::dfs::page::PAGE_SIZE;
 use climber_core::dfs::store::{partition_file_name, DiskStore, PartitionStore};
 use climber_core::series::gen::Domain;
-use climber_core::{CacheConfig, Climber, ClimberConfig, RecoveryPolicy};
+use climber_core::{BlockCache, CacheConfig, Climber, ClimberConfig, OpenOptions, RecoveryPolicy};
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 fn cfg() -> ClimberConfig {
     ClimberConfig::default()
@@ -41,6 +42,16 @@ fn built(tag: &str) -> PathBuf {
     dir
 }
 
+/// Strict read-write open options over `fs`, cached when given a config.
+fn rw_over(fs: FsRef, cache: Option<CacheConfig>) -> OpenOptions {
+    OpenOptions {
+        writable: true,
+        policy: RecoveryPolicy::Strict,
+        cache: cache.map(|config| Arc::new(BlockCache::new(config))),
+        fs,
+    }
+}
+
 fn name_of(path: &Path) -> String {
     path.file_name().unwrap().to_string_lossy().into_owned()
 }
@@ -50,7 +61,7 @@ fn name_of(path: &Path) -> String {
 fn traced_flush(dir: &Path, appends: usize) -> (usize, Vec<(FsOp, String)>) {
     let ff = FaultFs::over_std();
     let fsref: FsRef = ff.clone();
-    let index = Climber::open_rw_with_fs(dir, fsref).unwrap();
+    let (index, _) = Climber::open_dir(dir, &rw_over(fsref, None)).unwrap();
     let extra = Domain::RandomWalk.generate(appends, 99);
     let batch: Vec<Vec<f32>> = (0..appends).map(|i| extra.get(i as u64).to_vec()).collect();
     index.append_batch(&batch).unwrap();
@@ -154,7 +165,7 @@ fn a_miss_is_one_read_and_a_hit_is_none() {
     // Uncached store: every open is a miss, every miss one read.
     let ff = FaultFs::over_std();
     let fsref: FsRef = ff.clone();
-    let index = Climber::open_rw_with_fs(&dir, fsref).unwrap();
+    let (index, _) = Climber::open_dir(&dir, &rw_over(fsref, None)).unwrap();
     ff.arm();
     let mut pids = index.store().ids();
     for &pid in &pids {
@@ -176,8 +187,7 @@ fn a_miss_is_one_read_and_a_hit_is_none() {
     let fsref: FsRef = ff.clone();
     let one_image = CacheConfig::default()
         .with_capacity_bytes((size_of(a) as usize).next_multiple_of(PAGE_SIZE));
-    let (index, _) =
-        Climber::open_with_cache_fs(&dir, fsref, RecoveryPolicy::Strict, one_image).unwrap();
+    let (index, _) = Climber::open_dir(&dir, &rw_over(fsref, Some(one_image))).unwrap();
     ff.arm();
     index.store().open(a).unwrap();
     assert_eq!(reads(&ff, index.store(), b), 1, "miss after eviction");

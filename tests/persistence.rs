@@ -8,8 +8,8 @@ use climber_core::dfs::manifest::xxh64;
 use climber_core::dfs::store::{partition_file_name, PartitionStore};
 use climber_core::series::gen::Domain;
 use climber_core::{
-    CacheConfig, Climber, ClimberConfig, ClimberError, Manifest, OpenError, RecoveryPolicy,
-    SearchRequest, FORMAT_VERSION, MANIFEST_FILE, SKELETON_FILE,
+    CacheConfig, Climber, ClimberConfig, ClimberError, Manifest, OpenError, OpenOptions,
+    RecoveryPolicy, SearchRequest, FORMAT_VERSION, MANIFEST_FILE, SKELETON_FILE,
 };
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -34,6 +34,15 @@ fn cfg() -> ClimberConfig {
 
 fn tmp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("climber-it-{tag}-{}", std::process::id()))
+}
+
+/// Read-write open options under `policy` (no cache, real filesystem).
+fn rw(policy: RecoveryPolicy) -> OpenOptions {
+    OpenOptions {
+        writable: true,
+        policy,
+        ..OpenOptions::default()
+    }
 }
 
 #[test]
@@ -279,7 +288,7 @@ fn version_2_partition_is_refused_by_a_strict_open() {
     for opened in [
         Climber::open(&dir).map(drop),
         Climber::open_rw(&dir).map(drop),
-        Climber::open_with(&dir, RecoveryPolicy::Strict).map(drop),
+        Climber::open_dir(&dir, &rw(RecoveryPolicy::Strict)).map(drop),
         Climber::open_with_cache(&dir, RecoveryPolicy::Strict, CacheConfig::default()).map(drop),
     ] {
         match opened {
@@ -296,7 +305,7 @@ fn version_2_partition_is_refused_by_a_strict_open() {
 #[test]
 fn version_2_partition_is_quarantined_and_stays_quarantined() {
     let (dir, victim, query) = dir_with_a_version_2_partition("v2-quarantine");
-    let (degraded, report) = Climber::open_with(&dir, RecoveryPolicy::Quarantine).unwrap();
+    let (degraded, report) = Climber::open_dir(&dir, &rw(RecoveryPolicy::Quarantine)).unwrap();
     assert_eq!(report.quarantined_partitions, vec![victim]);
     assert_eq!(degraded.quarantined_partitions(), vec![victim]);
 

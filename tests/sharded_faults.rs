@@ -6,8 +6,8 @@
 use climber_core::dfs::manifest::OpenError;
 use climber_core::series::gen::Domain;
 use climber_core::{
-    Climber, ClimberConfig, ClimberError, RecoveryPolicy, SearchRequest, ShardedClimber,
-    SHARD_SET_FILE,
+    CacheConfig, Climber, ClimberConfig, ClimberError, OpenOptions, RecoveryPolicy, SearchRequest,
+    ShardedClimber, SHARD_SET_FILE,
 };
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -33,6 +33,15 @@ fn build(
     let ds = Domain::RandomWalk.generate(300, 21);
     let set = ShardedClimber::build_on_disk(&ds, &dir, cfg(), shards).unwrap();
     (dir, set)
+}
+
+/// Read-write open options under `policy` (no cache, real filesystem).
+fn rw(policy: RecoveryPolicy) -> OpenOptions {
+    OpenOptions {
+        writable: true,
+        policy,
+        ..OpenOptions::default()
+    }
 }
 
 /// The shard index named by a typed shard-open failure.
@@ -208,7 +217,8 @@ fn quarantined_partition_readmitted_by_scrub_bit_identical() {
     fs::write(&part, &bad).unwrap();
     assert!(ShardedClimber::open(&dir).is_err(), "strict must refuse");
 
-    let (mut set, report) = ShardedClimber::open_with(&dir, RecoveryPolicy::Quarantine).unwrap();
+    let (mut set, report) =
+        ShardedClimber::open_dir(&dir, &rw(RecoveryPolicy::Quarantine)).unwrap();
     assert_eq!(report.quarantined_partitions.len(), 1);
     assert!(
         report.dead_shards.is_empty(),
@@ -270,7 +280,8 @@ fn dead_shard_readmitted_by_scrub_after_repair() {
     let good = fs::read(&manifest).unwrap();
     fs::remove_file(&manifest).unwrap();
 
-    let (mut set, report) = ShardedClimber::open_with(&dir, RecoveryPolicy::Quarantine).unwrap();
+    let (mut set, report) =
+        ShardedClimber::open_dir(&dir, &rw(RecoveryPolicy::Quarantine)).unwrap();
     assert_eq!(report.dead_shards, vec![1]);
     let health = set.health();
     assert_eq!(health.shards, 3);
@@ -306,5 +317,51 @@ fn dead_shard_readmitted_by_scrub_after_repair() {
     // The whole set still reports healthy statuses end-to-end.
     let (_, statuses) = set.search_many_with_status(&reqs, 0);
     assert!(statuses.iter().all(|s| s.healthy));
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A shard re-admitted by `scrub` is opened as the set was: it joins the
+/// set's one block cache instead of serving uncached for the rest of the
+/// process.
+#[test]
+fn shard_readmitted_by_scrub_shares_the_sets_cache() {
+    use climber_core::dfs::store::PartitionStore;
+    use std::sync::Arc;
+
+    let (dir, set) = build("scrub-cache", 3);
+    drop(set);
+    let manifest = dir.join("shard-001").join(climber_core::MANIFEST_FILE);
+    let good = fs::read(&manifest).unwrap();
+    fs::remove_file(&manifest).unwrap();
+
+    let (mut set, report) =
+        ShardedClimber::open_with_cache(&dir, RecoveryPolicy::Quarantine, CacheConfig::default())
+            .unwrap();
+    assert_eq!(report.dead_shards, vec![1]);
+    let cache = set.block_cache().expect("a cached open");
+
+    fs::write(&manifest, &good).unwrap();
+    set.scrub().unwrap();
+    assert!(set.health().is_healthy());
+    for shard in set.shards() {
+        let held = shard
+            .store()
+            .block_cache()
+            .expect("every live shard is cached");
+        assert!(Arc::ptr_eq(&held, &cache), "one cache serves the whole set");
+    }
+
+    // Two passes over the re-admitted shard's partitions: whatever the
+    // first found cached, the second finds every one of them.
+    let readmitted = set.shard_slots()[1].as_ref().unwrap().store();
+    let pids = readmitted.ids();
+    for &pid in &pids {
+        readmitted.open(pid).unwrap();
+    }
+    let before = set.serve_io().cache_hits;
+    for &pid in &pids {
+        readmitted.open(pid).unwrap();
+    }
+    assert_eq!(set.serve_io().cache_hits - before, pids.len() as u64);
     fs::remove_dir_all(&dir).ok();
 }
