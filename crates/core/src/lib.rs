@@ -665,9 +665,8 @@ impl<S: PartitionStore> Climber<S> {
         for pid in self.store.ids() {
             if let Ok(reader) = self.store.open(pid) {
                 self.series_len.set(reader.series_len());
-                reader.for_each(|id, _| {
-                    max_id = Some(max_id.map_or(id, |m| m.max(id)));
-                });
+                // Ids only: 8 bytes read per record, no value decoded.
+                max_id = max_id.max(reader.records().ids().max());
             }
         }
         self.next_id

@@ -16,6 +16,7 @@
 //! trie-node cluster without decoding the rest of the partition, which is
 //! what makes CLIMBER's sub-partition query access pattern measurable.
 
+use crate::page::ClusterView;
 use bytes::Bytes;
 
 /// Identifier of a trie node within a group's trie (assigned by the index
@@ -217,8 +218,10 @@ pub fn check_header(bytes: &[u8]) -> Result<(), String> {
     Ok(())
 }
 
-/// Bytes of one encoded record of `series_len` values.
-const fn record_size(series_len: usize) -> usize {
+/// Bytes of one encoded record of `series_len` values: the `u64` id, then
+/// the values as `f32`s, all little-endian. The one spelling of the record
+/// layout; [`ClusterRecords`] is the one decoder of it.
+pub const fn record_size(series_len: usize) -> usize {
     8 + series_len * 4
 }
 
@@ -525,30 +528,31 @@ impl PartitionReader {
 
     /// Record count of a specific cluster, or `None` if absent.
     pub fn cluster_len(&self, node_id: TrieNodeId) -> Option<u32> {
+        self.locate(node_id).map(|(_, c)| c as u32)
+    }
+
+    /// First record and record count of cluster `node_id`.
+    fn locate(&self, node_id: TrieNodeId) -> Option<(u64, usize)> {
         self.directory
             .iter()
             .find(|&&(n, _, _)| n == node_id)
-            .map(|&(_, _, c)| c)
+            .map(|&(_, start, count)| (start, count as usize))
     }
 
     /// Byte size of a specific cluster's records.
     pub fn cluster_bytes(&self, node_id: TrieNodeId) -> Option<usize> {
         self.cluster_len(node_id)
-            .map(|c| c as usize * (8 + self.series_len * 4))
+            .map(|c| c as usize * record_size(self.series_len))
     }
 
     /// Visits every record of cluster `node_id` with a reusable buffer.
     /// Returns the number of records visited (0 when the node is absent).
-    pub fn for_each_in_cluster<F>(&self, node_id: TrieNodeId, mut f: F) -> u64
+    pub fn for_each_in_cluster<F>(&self, node_id: TrieNodeId, f: F) -> u64
     where
         F: FnMut(u64, &[f32]),
     {
-        let Some(&(_, start, count)) = self.directory.iter().find(|&&(n, _, _)| n == node_id)
-        else {
-            return 0;
-        };
-        self.visit_range(start, count, &mut f);
-        count as u64
+        self.cluster_records(node_id)
+            .map_or(0, |recs| recs.for_each(f))
     }
 
     /// Random-access view over the records of cluster `node_id`, or `None`
@@ -556,8 +560,18 @@ impl PartitionReader {
     /// per-record access: a scan reads a record's id first and decodes
     /// its `f32` values only if the record is still wanted.
     pub fn cluster_records(&self, node_id: TrieNodeId) -> Option<ClusterRecords<'_>> {
-        let &(_, start, count) = self.directory.iter().find(|&&(n, _, _)| n == node_id)?;
-        Some(self.records_of(start, count))
+        let (start, count) = self.locate(node_id)?;
+        Some(self.run(start, count))
+    }
+
+    /// An owned zero-copy view of cluster `node_id`, or `None` when the
+    /// node is absent. The view shares the reader's refcounted image —
+    /// when that image came from a [`BlockCache`](crate::page::BlockCache)
+    /// hit, the view borrows cached pages directly.
+    pub fn cluster_view(&self, node_id: TrieNodeId) -> Option<ClusterView> {
+        let (start, count) = self.locate(node_id)?;
+        let bytes = self.bytes.slice(self.span(start, count));
+        Some(ClusterView::new(bytes, self.series_len, count))
     }
 
     /// Every cluster in storage order with its encoded records — what a
@@ -566,17 +580,24 @@ impl PartitionReader {
     pub fn clusters(&self) -> impl Iterator<Item = (TrieNodeId, ClusterRecords<'_>)> + '_ {
         self.directory
             .iter()
-            .map(|&(node, start, count)| (node, self.records_of(start, count)))
+            .map(|&(node, start, count)| (node, self.run(start, count as usize)))
     }
 
-    fn records_of(&self, start: u64, count: u32) -> ClusterRecords<'_> {
+    /// Every record of the partition, in storage order, as one run
+    /// (clusters are stored back to back).
+    pub fn records(&self) -> ClusterRecords<'_> {
+        self.run(0, self.record_count() as usize)
+    }
+
+    /// Byte range in the image of `count` records from record `start` on.
+    fn span(&self, start: u64, count: usize) -> std::ops::Range<usize> {
         let size = record_size(self.series_len);
         let off = self.records_at + (start as usize) * size;
-        ClusterRecords {
-            bytes: &self.bytes[off..off + count as usize * size],
-            series_len: self.series_len,
-            count: count as usize,
-        }
+        off..off + count * size
+    }
+
+    fn run(&self, start: u64, count: usize) -> ClusterRecords<'_> {
+        ClusterRecords::new(&self.bytes[self.span(start, count)], self.series_len, count)
     }
 
     /// The raw encoded partition as a refcounted handle — a clone of the
@@ -586,67 +607,29 @@ impl PartitionReader {
         self.bytes.clone()
     }
 
-    /// An owned, refcounted slice of cluster `node_id`'s encoded records
-    /// plus its record count — the zero-copy backing of
-    /// [`ClusterView`](crate::page::ClusterView).
-    pub(crate) fn cluster_bytes_owned(&self, node_id: TrieNodeId) -> Option<(Bytes, u32)> {
-        let &(_, start, count) = self.directory.iter().find(|&&(n, _, _)| n == node_id)?;
-        let record_size = 8 + self.series_len * 4;
-        let off = self.records_at + (start as usize) * record_size;
-        let len = count as usize * record_size;
-        Some((self.bytes.slice(off..off + len), count))
-    }
-
     /// True when any stored record's id satisfies `pred`. Reads only the
     /// 8 id bytes of each record — no value decoding — and returns at the
     /// first hit, so scanning a partition for (say) tombstoned ids costs
     /// far less than a full decode.
-    pub fn any_id(&self, mut pred: impl FnMut(u64) -> bool) -> bool {
-        let record_size = 8 + self.series_len * 4;
-        let bytes: &[u8] = &self.bytes;
-        for r in 0..self.record_count() {
-            let off = self.records_at + (r as usize) * record_size;
-            let id = u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
-            if pred(id) {
-                return true;
-            }
-        }
-        false
+    pub fn any_id(&self, pred: impl FnMut(u64) -> bool) -> bool {
+        self.records().ids().any(pred)
     }
 
     /// Visits every record in the whole partition.
-    pub fn for_each<F>(&self, mut f: F) -> u64
+    pub fn for_each<F>(&self, f: F) -> u64
     where
         F: FnMut(u64, &[f32]),
     {
-        let total = self.record_count();
-        self.visit_range(0, total as u32, &mut f);
-        total
-    }
-
-    fn visit_range<F>(&self, start: u64, count: u32, f: &mut F)
-    where
-        F: FnMut(u64, &[f32]),
-    {
-        let record_size = 8 + self.series_len * 4;
-        let mut buf = vec![0.0f32; self.series_len];
-        let bytes: &[u8] = &self.bytes;
-        for r in 0..count as u64 {
-            let off = self.records_at + ((start + r) as usize) * record_size;
-            let id = u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
-            let vals = &bytes[off + 8..off + record_size];
-            for (i, chunk) in vals.chunks_exact(4).enumerate() {
-                buf[i] = f32::from_le_bytes(chunk.try_into().unwrap());
-            }
-            f(id, &buf);
-        }
+        self.records().for_each(f)
     }
 }
 
-/// Random-access view over one sealed cluster's encoded records, returned
-/// by [`PartitionReader::cluster_records`]. Ids can be inspected without
-/// decoding values; values decode on demand, per record — the scan
-/// loop's skip-before-decode shape.
+/// The cursor over a run of encoded records — one sealed cluster
+/// ([`PartitionReader::cluster_records`], [`ClusterView::records`]) or a
+/// whole partition ([`PartitionReader::records`]) — and the only code
+/// that decodes a record. Ids can be inspected without decoding values;
+/// values decode on demand, per record — the scan loop's
+/// skip-before-decode shape.
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterRecords<'a> {
     bytes: &'a [u8],
@@ -654,14 +637,25 @@ pub struct ClusterRecords<'a> {
     count: usize,
 }
 
-impl ClusterRecords<'_> {
-    /// Number of records in the cluster.
+impl<'a> ClusterRecords<'a> {
+    /// A cursor over `count` records of `series_len` values encoded in
+    /// `bytes`.
+    pub(crate) fn new(bytes: &'a [u8], series_len: usize, count: usize) -> Self {
+        debug_assert_eq!(bytes.len(), count * record_size(series_len));
+        Self {
+            bytes,
+            series_len,
+            count,
+        }
+    }
+
+    /// Number of records in the run.
     #[inline]
     pub fn len(&self) -> usize {
         self.count
     }
 
-    /// True when the cluster holds no records.
+    /// True when the run holds no records.
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.count == 0
@@ -673,25 +667,28 @@ impl ClusterRecords<'_> {
         self.series_len
     }
 
+    /// Bytes of one encoded record.
+    #[inline]
+    pub fn record_bytes(&self) -> usize {
+        record_size(self.series_len)
+    }
+
     /// Series id of record `i` — an 8-byte read, no value decoding.
     ///
     /// # Panics
     /// If `i >= len()`.
     #[inline]
     pub fn id(&self, i: usize) -> u64 {
-        let off = i * (8 + self.series_len * 4);
+        let off = i * self.record_bytes();
         u64::from_le_bytes(self.bytes[off..off + 8].try_into().unwrap())
     }
 
-    /// Decodes the values of record `i` into `out` (resized to fit): one
-    /// reusable buffer serves a whole scan and stays cache-hot.
-    ///
-    /// # Panics
-    /// If `i >= len()`.
-    #[inline]
-    pub fn values_into(&self, i: usize, out: &mut Vec<f32>) {
-        out.resize(self.series_len, 0.0);
-        self.decode_into(i, out);
+    /// The series ids in storage order — 8 bytes read per record, no
+    /// value decoded.
+    pub fn ids(&self) -> impl Iterator<Item = u64> + 'a {
+        self.bytes
+            .chunks_exact(self.record_bytes())
+            .map(|rec| u64::from_le_bytes(rec[..8].try_into().unwrap()))
     }
 
     /// Decodes the values of record `i` into `out`, a slice of exactly
@@ -703,12 +700,26 @@ impl ClusterRecords<'_> {
     #[inline]
     pub fn decode_into(&self, i: usize, out: &mut [f32]) {
         debug_assert_eq!(out.len(), self.series_len);
-        let record_size = 8 + self.series_len * 4;
+        let record_size = self.record_bytes();
         let off = i * record_size;
         let encoded = self.bytes[off + 8..off + record_size].chunks_exact(4);
         for (value, chunk) in out.iter_mut().zip(encoded) {
             *value = f32::from_le_bytes(chunk.try_into().unwrap());
         }
+    }
+
+    /// Visits every record with a reusable decode buffer, in storage
+    /// order. Returns the number of records visited.
+    pub fn for_each<F>(&self, mut f: F) -> u64
+    where
+        F: FnMut(u64, &[f32]),
+    {
+        let mut buf = vec![0.0f32; self.series_len];
+        for i in 0..self.count {
+            self.decode_into(i, &mut buf);
+            f(self.id(i), &buf);
+        }
+        self.count as u64
     }
 }
 
@@ -1118,11 +1129,11 @@ mod tests {
             let recs = r.cluster_records(node).unwrap();
             assert_eq!(recs.len(), buf.len());
             assert_eq!(recs.series_len(), buf.series_len());
-            let mut scratch = Vec::new();
+            let mut scratch = vec![0.0f32; recs.series_len()];
             for i in 0..recs.len() {
                 let (id, values) = buf.get(i);
                 assert_eq!(recs.id(i), id);
-                recs.values_into(i, &mut scratch);
+                recs.decode_into(i, &mut scratch);
                 assert_eq!(scratch.as_slice(), values);
             }
         }
@@ -1132,7 +1143,8 @@ mod tests {
     /// Decodes record `i` through a reused scratch vector and appends it
     /// to `buf` — how the scan loop keeps the records it decoded.
     fn promote(recs: &ClusterRecords<'_>, i: usize, scratch: &mut Vec<f32>, buf: &mut ClusterBuf) {
-        recs.values_into(i, scratch);
+        scratch.resize(recs.series_len(), 0.0);
+        recs.decode_into(i, scratch);
         buf.push(recs.id(i), scratch);
     }
 

@@ -24,9 +24,9 @@
 //!   deterministic fault-injecting [`FaultFs`] for crash-consistency
 //!   torture tests;
 //! * [`cluster`] — a deterministic worker pool with the Spark-ish verbs the
-//!   index build pipeline needs (parallel map, shuffle-by-key, broadcast);
-//! * [`sample`] — partition-level sampling (§V Step 1 reads a random subset
-//!   of partitions rather than scanning the dataset);
+//!   index build pipeline needs (parallel map, broadcast);
+//! * [`sample`] — scattering a raw dataset over input partitions, the
+//!   unorganised state data arrives in before indexing;
 //! * [`page`] — the paged storage engine: a sharded byte-budgeted LRU
 //!   [`BlockCache`] over whole partition images and zero-copy
 //!   [`ClusterView`]s.

@@ -499,7 +499,9 @@ impl Manifest {
             checksum: r.u64().map_err(parse)?,
         };
         let n = r.u32().map_err(parse)? as usize;
-        let mut partitions = Vec::with_capacity(n);
+        // Capped at what the remaining bytes can hold (28 per entry): the
+        // self-checksum is an integrity check, not a defence.
+        let mut partitions = Vec::with_capacity(n.min(r.remaining() / 28));
         for _ in 0..n {
             partitions.push(PartitionEntry {
                 id: r.u32().map_err(parse)?,
@@ -744,6 +746,24 @@ mod tests {
                 "flip at {i}"
             );
         }
+    }
+
+    #[test]
+    fn crafted_partition_count_is_an_error_not_an_allocation() {
+        // A partition count of u32::MAX with no entries behind it, under
+        // a *valid* self-checksum: the checksum guards integrity only.
+        let m = sample_manifest();
+        let mut b = m.encode();
+        let at = b.len() - 8 - m.partitions.len() * 28 - 4;
+        assert_eq!(b[at..at + 4], (m.partitions.len() as u32).to_le_bytes());
+        b.truncate(at);
+        b.extend_from_slice(&u32::MAX.to_le_bytes());
+        let sum = xxh64(&b, 0);
+        b.extend_from_slice(&sum.to_le_bytes());
+        assert!(matches!(
+            Manifest::decode(&b),
+            Err(OpenError::CorruptManifest(_))
+        ));
     }
 
     #[test]

@@ -14,14 +14,15 @@
 //!   zero-copy.
 //! * **[`ClusterView`]** — an *owned* zero-copy view of one trie-node
 //!   cluster: a refcounted slice of the cached partition image that can
-//!   outlive the [`PartitionReader`] it came from, so scan loops borrow
-//!   cached pages instead of copying records out.
+//!   outlive the [`PartitionReader`](crate::format::PartitionReader) it
+//!   came from, so scan loops borrow cached pages instead of copying
+//!   records out.
 //!
 //! A cached image is the partition file's bytes, verbatim: the raw f32
 //! records of CLBP version 1 are the only representation a sealed record
 //! has between the file and the distance kernel.
 
-use crate::format::PartitionReader;
+use crate::format::ClusterRecords;
 use crate::store::PartitionId;
 use bytes::Bytes;
 use std::collections::HashMap;
@@ -308,21 +309,6 @@ impl BlockCache {
         }
     }
 
-    /// Drops every cached block of store `token`.
-    pub fn invalidate_store(&self, token: u64) {
-        for shard in &self.shards {
-            let mut map = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            map.retain(|key, entry| {
-                if key.0 == token {
-                    self.release(entry);
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-    }
-
     /// Number of resident blocks.
     pub fn len(&self) -> usize {
         self.shards
@@ -355,9 +341,11 @@ impl BlockCache {
 /// An **owned** zero-copy view over one trie-node cluster's encoded
 /// records: a refcounted slice of the (possibly cached) partition image.
 ///
-/// Unlike `ClusterRecords<'_>`, which borrows its `PartitionReader`, a
-/// `ClusterView` can outlive the reader — scan loops hold the view (and
-/// thereby pin the cached pages) without copying a byte of record data.
+/// Unlike [`ClusterRecords<'_>`](ClusterRecords), which borrows its
+/// `PartitionReader`, a `ClusterView` can outlive the reader — scan loops
+/// hold the view (and thereby pin the cached pages) without copying a byte
+/// of record data. Reading goes through [`records`](Self::records), the
+/// one cursor.
 #[derive(Debug, Clone)]
 pub struct ClusterView {
     bytes: Bytes,
@@ -367,7 +355,6 @@ pub struct ClusterView {
 
 impl ClusterView {
     pub(crate) fn new(bytes: Bytes, series_len: usize, count: usize) -> Self {
-        debug_assert_eq!(bytes.len(), count * (8 + series_len * 4));
         Self {
             bytes,
             series_len,
@@ -387,61 +374,26 @@ impl ClusterView {
         self.count == 0
     }
 
-    /// Length of every stored series.
+    /// The cursor over the view's records.
     #[inline]
-    pub fn series_len(&self) -> usize {
-        self.series_len
-    }
-
-    /// Series id of record `i` — an 8-byte read, no value decoding.
-    ///
-    /// # Panics
-    /// If `i >= len()`.
-    #[inline]
-    pub fn id(&self, i: usize) -> u64 {
-        let off = i * (8 + self.series_len * 4);
-        u64::from_le_bytes(self.bytes[off..off + 8].try_into().unwrap())
+    pub fn records(&self) -> ClusterRecords<'_> {
+        ClusterRecords::new(&self.bytes, self.series_len, self.count)
     }
 
     /// Visits every record with a reusable decode buffer, in storage
     /// order. Returns the number of records visited.
-    pub fn for_each<F>(&self, mut f: F) -> u64
+    pub fn for_each<F>(&self, f: F) -> u64
     where
         F: FnMut(u64, &[f32]),
     {
-        let record_size = 8 + self.series_len * 4;
-        let mut buf = vec![0.0f32; self.series_len];
-        let bytes: &[u8] = &self.bytes;
-        for r in 0..self.count {
-            let off = r * record_size;
-            let id = u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
-            for (i, chunk) in bytes[off + 8..off + record_size]
-                .chunks_exact(4)
-                .enumerate()
-            {
-                buf[i] = f32::from_le_bytes(chunk.try_into().unwrap());
-            }
-            f(id, &buf);
-        }
-        self.count as u64
-    }
-}
-
-impl PartitionReader {
-    /// An owned zero-copy view of cluster `node_id`, or `None` when the
-    /// node is absent. The view shares the reader's refcounted image —
-    /// when that image came from a [`BlockCache`] hit, the view borrows
-    /// cached pages directly.
-    pub fn cluster_view(&self, node_id: crate::format::TrieNodeId) -> Option<ClusterView> {
-        let (bytes, count) = self.cluster_bytes_owned(node_id)?;
-        Some(ClusterView::new(bytes, self.series_len(), count as usize))
+        self.records().for_each(f)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::PartitionWriter;
+    use crate::format::{PartitionReader, PartitionWriter};
 
     fn sample_partition(seed: u64, clusters: usize, per_cluster: usize, len: usize) -> Bytes {
         let mut w = PartitionWriter::new(seed, len);
@@ -550,10 +502,10 @@ mod tests {
         cache.invalidate(b, 0);
         cache.invalidate(b, 99);
         assert_eq!(resident(), 3 * PAGE_SIZE as u64);
-        cache.invalidate_store(a);
-        cache.invalidate_store(a);
+        cache.invalidate(a, 1);
+        cache.invalidate(a, 2);
         assert_eq!(resident(), PAGE_SIZE as u64);
-        cache.invalidate_store(b);
+        cache.invalidate(b, 1);
         assert_eq!(resident(), 0);
         assert!(cache.is_empty());
     }
@@ -576,14 +528,14 @@ mod tests {
         for node in reader.cluster_ids() {
             let view = reader.cluster_view(node).unwrap();
             assert_eq!(view.len() as u32, reader.cluster_len(node).unwrap());
-            assert_eq!(view.series_len(), reader.series_len());
+            assert_eq!(view.records().series_len(), reader.series_len());
             let mut via_reader = Vec::new();
             reader.for_each_in_cluster(node, |id, vals| via_reader.push((id, vals.to_vec())));
             let mut via_view = Vec::new();
             view.for_each(|id, vals| via_view.push((id, vals.to_vec())));
             assert_eq!(via_reader, via_view);
             for (i, (id, _)) in via_reader.iter().enumerate() {
-                assert_eq!(view.id(i), *id);
+                assert_eq!(view.records().id(i), *id);
             }
         }
         assert!(reader.cluster_view(999_999).is_none());

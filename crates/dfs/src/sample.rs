@@ -1,79 +1,12 @@
-//! Partition-level sampling (§V Step 1).
+//! The raw, unorganised input of an index build (§V Step 1).
 //!
-//! "The sample is generated at the partition level, i.e., a subset of the
-//! data partitions are randomly selected. This way full-scan over the data
-//! is avoided." Raw input data is assumed to arrive already spread over
-//! partitions without any special organisation, so whole-partition sampling
-//! is representative.
+//! Raw input data is assumed to arrive already spread over partitions
+//! without any special organisation; [`scatter_dataset`] produces that
+//! state from a [`Dataset`]. (The builder draws its partition-level sample
+//! itself, through `climber_series::sampling`.)
 
 use crate::store::{PartitionId, PartitionStore};
 use climber_series::dataset::Dataset;
-use climber_series::sampling::partition_level_sample;
-
-/// Result of a partition-level sample: the series drawn plus the achieved
-/// sampling fraction (which can differ slightly from the requested `alpha`
-/// because whole partitions are taken).
-#[derive(Debug, Clone)]
-pub struct PartitionSample {
-    /// The sampled series, as a dataset.
-    pub data: Dataset,
-    /// Ids of the partitions that were read.
-    pub partitions: Vec<PartitionId>,
-    /// Achieved sampling fraction = sampled records / total records.
-    pub achieved_alpha: f64,
-}
-
-/// Draws an `alpha` partition-level sample from `store` (whole partitions,
-/// chosen uniformly at random, deterministic in `seed`).
-///
-/// # Panics
-/// If the store is empty or `alpha` is outside `(0, 1]`.
-pub fn sample_partitions<S: PartitionStore>(
-    store: &S,
-    series_len: usize,
-    alpha: f64,
-    seed: u64,
-) -> PartitionSample {
-    assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0,1]");
-    let ids = store.ids();
-    assert!(!ids.is_empty(), "cannot sample an empty store");
-    let take = ((ids.len() as f64 * alpha).ceil() as usize).clamp(1, ids.len());
-    let picked_idx = partition_level_sample(ids.len(), take, seed);
-
-    let mut data = Dataset::new(series_len);
-    let mut partitions = Vec::with_capacity(take);
-    let mut total_records = 0u64;
-    // total records across all partitions, to compute the achieved fraction
-    for (i, &pid) in ids.iter().enumerate() {
-        let reader = store.open(pid).expect("partition listed but unreadable");
-        let count = reader.record_count();
-        total_records += count;
-        if picked_idx.binary_search(&i).is_ok() {
-            reader.for_each(|_, vals| {
-                data.push(vals);
-            });
-            store.stats().on_read(
-                reader
-                    .cluster_ids()
-                    .iter()
-                    .filter_map(|&n| reader.cluster_bytes(n))
-                    .sum::<usize>() as u64,
-            );
-            store.stats().on_records_read(count);
-            partitions.push(pid);
-        }
-    }
-    let achieved_alpha = if total_records == 0 {
-        0.0
-    } else {
-        data.num_series() as f64 / total_records as f64
-    };
-    PartitionSample {
-        data,
-        partitions,
-        achieved_alpha,
-    }
-}
 
 /// Splits a raw dataset into `parts` roughly equal input partitions and
 /// stores them (the "raw dataset" box of Figure 6 — the unorganised state
@@ -111,40 +44,6 @@ mod tests {
     use climber_series::gen::Domain;
 
     #[test]
-    fn scatter_then_sample_roundtrip() {
-        let ds = Domain::RandomWalk.generate(100, 1);
-        let store = MemStore::new();
-        let pids = scatter_dataset(&store, &ds, 10);
-        assert_eq!(pids.len(), 10);
-
-        let sample = sample_partitions(&store, ds.series_len(), 1.0, 7);
-        assert_eq!(sample.data.num_series(), 100);
-        assert!((sample.achieved_alpha - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn partial_sample_has_expected_size() {
-        let ds = Domain::Eeg.generate(100, 2);
-        let store = MemStore::new();
-        scatter_dataset(&store, &ds, 20); // 5 records per partition
-        let sample = sample_partitions(&store, ds.series_len(), 0.3, 3);
-        assert_eq!(sample.partitions.len(), 6);
-        assert_eq!(sample.data.num_series(), 30);
-        assert!((sample.achieved_alpha - 0.3).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sample_is_deterministic() {
-        let ds = Domain::Dna.generate(50, 3);
-        let store = MemStore::new();
-        scatter_dataset(&store, &ds, 10);
-        let a = sample_partitions(&store, ds.series_len(), 0.5, 11);
-        let b = sample_partitions(&store, ds.series_len(), 0.5, 11);
-        assert_eq!(a.data, b.data);
-        assert_eq!(a.partitions, b.partitions);
-    }
-
-    #[test]
     fn scatter_handles_non_divisible_counts() {
         let ds = Domain::TexMex.generate(7, 4);
         let store = MemStore::new();
@@ -163,13 +62,6 @@ mod tests {
         let store = MemStore::new();
         let pids = scatter_dataset(&store, &ds, 10);
         assert_eq!(pids.len(), 2, "no empty partitions created");
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn zero_alpha_rejected() {
-        let store = MemStore::new();
-        sample_partitions(&store, 8, 0.0, 0);
     }
 
     #[test]

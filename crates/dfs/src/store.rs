@@ -157,24 +157,6 @@ pub trait PartitionStore: Send + Sync {
         None
     }
 
-    /// An owned zero-copy view of one cluster — a single open plus a
-    /// refcounted slice, no record memcpy. Counts the cluster's bytes and
-    /// records as read, exactly like the decoding reads.
-    fn cluster_view(
-        &self,
-        id: PartitionId,
-        node: crate::format::TrieNodeId,
-    ) -> io::Result<Option<crate::page::ClusterView>> {
-        let reader = self.open(id)?;
-        let Some(view) = reader.cluster_view(node) else {
-            return Ok(None);
-        };
-        self.stats()
-            .on_read((view.len() * (8 + reader.series_len() * 4)) as u64);
-        self.stats().on_records_read(view.len() as u64);
-        Ok(Some(view))
-    }
-
     /// Reads the records of one trie-node cluster, counting only the bytes
     /// of that cluster (plus the header) as read.
     fn read_cluster(
@@ -203,11 +185,6 @@ impl MemStore {
     /// Creates an empty store with fresh stats.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Total bytes held across partitions.
-    pub fn total_bytes(&self) -> u64 {
-        self.parts.read().values().map(|b| b.len() as u64).sum()
     }
 }
 
@@ -743,15 +720,6 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn mem_store_total_bytes() {
-        let store = MemStore::new();
-        let b = encode_partition(0, 1, 4);
-        let len = b.len() as u64;
-        store.put(0, b).unwrap();
-        assert_eq!(store.total_bytes(), len);
-    }
-
     /// The parallel build writes distinct partitions from many threads at
     /// once through `&self` puts; both backends and the shared [`IoStats`]
     /// must hold up under that fan-out.
@@ -866,14 +834,15 @@ mod tests {
     fn store_cluster_view_is_zero_copy_equivalent() {
         let store = MemStore::new();
         store.put(0, encode_partition(3, 11, 6)).unwrap();
-        let view = store.cluster_view(0, 11).unwrap().unwrap();
+        let reader = store.open(0).unwrap();
+        let view = reader.cluster_view(11).unwrap();
         assert_eq!(view.len(), 6);
         let mut decoded = Vec::new();
         store.read_cluster(0, 11, &mut decoded).unwrap();
         let mut viewed = Vec::new();
         view.for_each(|id, vals| viewed.push((id, vals.to_vec())));
         assert_eq!(decoded, viewed);
-        assert!(store.cluster_view(0, 999).unwrap().is_none());
+        assert!(reader.cluster_view(999).is_none());
     }
 
     #[test]

@@ -300,15 +300,15 @@ fn staging_puts_return_receipts_of_the_stored_bytes() {
 /// image would panic on a slice bound.
 fn touch_every_record(reader: &PartitionReader) -> u64 {
     let mut seen = 0u64;
-    let mut values = Vec::new();
+    let mut values = vec![0.0f32; reader.series_len()];
     for node in reader.cluster_ids() {
         let recs = reader.cluster_records(node).expect("listed cluster");
         let view = reader.cluster_view(node).expect("listed cluster");
         assert_eq!(recs.len(), view.len());
+        assert_eq!(recs.ids().count(), recs.len());
         for i in 0..recs.len() {
-            assert_eq!(recs.id(i), view.id(i));
-            recs.values_into(i, &mut values);
-            assert_eq!(values.len(), reader.series_len());
+            assert_eq!(recs.id(i), view.records().id(i));
+            recs.decode_into(i, &mut values);
         }
         seen += view.for_each(|_, v| assert_eq!(v.len(), reader.series_len()));
     }

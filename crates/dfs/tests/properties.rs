@@ -1,4 +1,4 @@
-//! Property-based tests for the partition format and the cluster verbs.
+//! Property-based tests for the partition format and the cluster's parallel map.
 
 use bytes::Bytes;
 use climber_dfs::cluster::Cluster;
@@ -60,30 +60,6 @@ proptest! {
     fn random_bytes_never_panic_the_reader(junk in prop::collection::vec(any::<u8>(), 0..400)) {
         // opening arbitrary bytes must return Err, never panic
         let _ = PartitionReader::open(Bytes::from(junk));
-    }
-
-    #[test]
-    fn shuffle_partitions_the_input(
-        items in prop::collection::vec(any::<u32>(), 0..500),
-        modulus in 1u32..10,
-    ) {
-        let c = Cluster::new(4);
-        let groups = c.shuffle_by_key(items.clone(), move |&x| x % modulus);
-        // every item lands in exactly one bucket, in input order
-        let mut reassembled: Vec<u32> = Vec::new();
-        for bucket in groups.values() {
-            reassembled.extend(bucket.iter().copied());
-        }
-        reassembled.sort_unstable();
-        let mut want = items.clone();
-        want.sort_unstable();
-        prop_assert_eq!(reassembled, want);
-        // keys are correct
-        for (k, bucket) in &groups {
-            for v in bucket {
-                prop_assert_eq!(v % modulus, *k);
-            }
-        }
     }
 
     #[test]

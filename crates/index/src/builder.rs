@@ -154,13 +154,6 @@ pub struct BuildReport {
     pub redistribution_records_per_sec: f64,
 }
 
-impl BuildReport {
-    /// Total build wall time.
-    pub fn total_secs(&self) -> f64 {
-        self.skeleton_secs + self.conversion_secs + self.redistribution_secs
-    }
-}
-
 /// Records-per-second with a zero-duration guard (tiny builds can finish a
 /// phase below timer resolution).
 fn per_sec(records: usize, secs: f64) -> f64 {
@@ -732,7 +725,6 @@ mod tests {
         let store = MemStore::new();
         let (_, report) = IndexBuilder::new(small_config()).build(&ds, &store);
         assert!(report.skeleton_secs >= 0.0);
-        assert!(report.total_secs() >= report.skeleton_secs);
         assert!(report.sampled_records > 0);
         assert!(report.distinct_sensitive >= report.distinct_insensitive);
         assert!(report.skeleton_bytes > 0);

@@ -8,7 +8,7 @@
 //! packed partition with the smallest occupancy) that receives records
 //! unable to navigate a complete root-to-leaf path.
 
-use crate::trie::{NodeIdx, Trie};
+use crate::trie::Trie;
 use climber_dfs::format::{ByteReader, TrieNodeId};
 use climber_dfs::store::PartitionId;
 use climber_pivot::assignment::{assign_group, splitmix64, Assignment};
@@ -309,7 +309,9 @@ impl IndexSkeleton {
         let pivot_blob = r.blob().map_err(|e| format!("pivot blob: {e}"))?;
         let pivots = PivotSet::from_bytes(pivot_blob)?;
         let n_groups = r.u32()? as usize;
-        let mut groups = Vec::with_capacity(n_groups);
+        // Capped at what the remaining bytes can hold (a group is at least
+        // 17 bytes before its trie): the count comes straight from the file.
+        let mut groups = Vec::with_capacity(n_groups.min(r.remaining() / 17));
         for _ in 0..n_groups {
             let id = r.u32()?;
             let has_centroid = r.u8()?;
@@ -344,16 +346,6 @@ impl IndexSkeleton {
             groups,
             seed,
         })
-    }
-
-    /// Leaf arena-index → node-id pairs under `node` of group `g`
-    /// (convenience for the query layer).
-    pub fn leaf_nodes_under(&self, g: GroupId, node: NodeIdx) -> Vec<TrieNodeId> {
-        let trie = &self.groups[g as usize].trie;
-        trie.leaves_under(node)
-            .into_iter()
-            .map(|i| trie.node(i).id)
-            .collect()
     }
 
     /// Renders the Figure-5-style skeleton overview: one line per group
@@ -552,6 +544,19 @@ mod tests {
         let mut trailing = bytes;
         trailing.push(0);
         assert!(IndexSkeleton::from_bytes(&trailing).is_err());
+    }
+
+    #[test]
+    fn crafted_group_count_is_an_error_not_an_allocation() {
+        let sk = toy_skeleton();
+        // magic, version, w, m, decay tag, lambda, seed, pivot blob: the
+        // group count follows.
+        let at = 4 + 4 + 4 + 4 + 1 + 8 + 8 + 8 + sk.pivots.to_bytes().len();
+        let mut bytes = sk.to_bytes();
+        assert_eq!(bytes[at..at + 4], (sk.groups.len() as u32).to_le_bytes());
+        bytes.truncate(at);
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(IndexSkeleton::from_bytes(&bytes).is_err());
     }
 
     #[test]

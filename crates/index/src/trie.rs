@@ -276,7 +276,10 @@ impl Trie {
         if n_nodes == 0 {
             return Err("trie with zero nodes".into());
         }
-        let mut nodes = Vec::with_capacity(n_nodes);
+        // Pre-allocations are capped at what the remaining bytes can hold:
+        // a count is read straight from the file (a node is at least 25
+        // bytes, a child 6, a partition id 4).
+        let mut nodes = Vec::with_capacity(n_nodes.min(r.remaining() / 25));
         for _ in 0..n_nodes {
             let id = r.u64()?;
             let pivot_raw = r.u16()?;
@@ -284,7 +287,7 @@ impl Trie {
             let depth = r.u8()?;
             let est_size = r.u64()?;
             let n_children = r.u16()? as usize;
-            let mut children = Vec::with_capacity(n_children);
+            let mut children = Vec::with_capacity(n_children.min(r.remaining() / 6));
             for _ in 0..n_children {
                 let p = r.u16()?;
                 let c = r.u32()?;
@@ -294,7 +297,7 @@ impl Trie {
                 children.push((p, c));
             }
             let n_parts = r.u32()? as usize;
-            let mut partitions = Vec::with_capacity(n_parts);
+            let mut partitions = Vec::with_capacity(n_parts.min(r.remaining() / 4));
             for _ in 0..n_parts {
                 partitions.push(r.u32()?);
             }
@@ -483,6 +486,18 @@ mod tests {
         t.to_bytes(&mut buf);
         let mut r = ByteReader::new(&buf[..buf.len() - 2]);
         assert!(Trie::from_reader(&mut r).is_err());
+    }
+
+    #[test]
+    fn crafted_counts_are_an_error_not_an_allocation() {
+        // A node count of u32::MAX followed by nothing.
+        let mut r = ByteReader::new(&[0xFF; 4]);
+        assert!(Trie::from_reader(&mut r).is_err());
+        // One node whose partition count is u32::MAX, then nothing.
+        let mut buf = 1u32.to_le_bytes().to_vec();
+        buf.extend_from_slice(&[0; 8 + 2 + 1 + 8 + 2]); // id, pivot, depth, size, 0 children
+        buf.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(Trie::from_reader(&mut ByteReader::new(&buf)).is_err());
     }
 
     #[test]

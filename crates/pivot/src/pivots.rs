@@ -87,9 +87,8 @@ impl PivotSet {
 
     /// Squared Euclidean distance from `point` (in PAA space) to pivot `id`.
     ///
-    /// Runs on the SIMD-dispatched f64 kernel; results are bit-identical
-    /// across dispatch tiers, so signatures extracted on different hosts
-    /// (or at build vs. query time) always agree.
+    /// Runs on the pinned-order f64 kernel, so signatures extracted on
+    /// different hosts (or at build vs. query time) always agree.
     #[inline]
     pub fn sq_dist_to(&self, id: PivotId, point: &[f64]) -> f64 {
         debug_assert_eq!(point.len(), self.dims);
@@ -122,13 +121,18 @@ impl PivotSet {
         }
         let dims = u64::from_le_bytes(bytes[0..8].try_into().unwrap()) as usize;
         let count = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-        let want = 16 + dims * count * 8;
         if dims == 0 || count == 0 {
             return Err("empty pivot set".into());
         }
-        if bytes.len() != want {
+        // Checked: both factors come from the blob, and a wrapped product
+        // could equal the real length.
+        let want = dims
+            .checked_mul(count)
+            .and_then(|n| n.checked_mul(8))
+            .and_then(|n| n.checked_add(16));
+        if want != Some(bytes.len()) {
             return Err(format!(
-                "pivot blob length {} != expected {want}",
+                "pivot blob length {} != the {count} pivots of {dims} dimensions its header lists",
                 bytes.len()
             ));
         }
@@ -217,5 +221,9 @@ mod tests {
         let mut b = ps.to_bytes();
         b.pop();
         assert!(PivotSet::from_bytes(&b).is_err());
+        // dims * count * 8 wraps to 0: a bare header must not pass for it.
+        let mut wrapped = (1u64 << 62).to_le_bytes().to_vec();
+        wrapped.extend_from_slice(&4u64.to_le_bytes());
+        assert!(PivotSet::from_bytes(&wrapped).is_err());
     }
 }

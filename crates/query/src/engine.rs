@@ -1,90 +1,16 @@
-//! The query engine: one borrowed handle tying a skeleton and a store to
-//! the executor ([`crate::exec`]).
-
-use crate::exec::{execute, SeriesLen, Source};
-use crate::plan::QueryOutcome;
-use crate::search::SearchRequest;
-use crate::updates::UpdateView;
-use climber_dfs::store::PartitionStore;
-use climber_index::skeleton::IndexSkeleton;
-
-/// Executes kNN queries against a built CLIMBER index: the executor over
-/// one [`Source`].
-///
-/// By default the engine serves the sealed partitions alone. Attaching an
-/// [`UpdateView`] with [`with_updates`](Self::with_updates) makes every
-/// search merge the delta segment's clusters into the candidate stream
-/// and filter tombstoned ids before the top-k heap.
-#[derive(Debug, Clone)]
-pub struct KnnEngine<'a, S: PartitionStore> {
-    skeleton: &'a IndexSkeleton,
-    source: Source<'a, S>,
-    series_len: SeriesLen,
-}
-
-impl<'a, S: PartitionStore> KnnEngine<'a, S> {
-    /// Creates an engine over a skeleton and its partition store.
-    pub fn new(skeleton: &'a IndexSkeleton, store: &'a S) -> Self {
-        Self {
-            skeleton,
-            source: Source::sealed(store),
-            series_len: SeriesLen::default(),
-        }
-    }
-
-    /// Attaches the index's mutable segments: every query merges delta
-    /// clusters and filters tombstones from here on.
-    #[must_use]
-    pub fn with_updates(mut self, updates: UpdateView<'a>) -> Self {
-        self.source.updates = Some(updates);
-        self
-    }
-
-    /// The skeleton in use.
-    pub fn skeleton(&self) -> &IndexSkeleton {
-        self.skeleton
-    }
-
-    /// The attached update view, if any.
-    pub fn updates(&self) -> Option<UpdateView<'a>> {
-        self.source.updates
-    }
-
-    /// Executes one [`SearchRequest`]: [`search_many`](Self::search_many)
-    /// with a single request, run inline on the calling thread.
-    ///
-    /// # Panics
-    /// As [`search_many`](Self::search_many).
-    pub fn search(&self, req: &SearchRequest) -> QueryOutcome {
-        self.search_many(std::slice::from_ref(req))
-            .pop()
-            .expect("one outcome per request")
-    }
-
-    /// Executes a slice of [`SearchRequest`]s: requests of the same
-    /// `(mode, k, budget)` shape are planned and scanned together, so
-    /// every partition any of them selects is opened once and every
-    /// shared cluster decoded once. Outcomes come back in request order
-    /// and are **bit-identical** to [`search`](Self::search) per request.
-    ///
-    /// # Panics
-    /// If a request fails [`SearchRequest::validate_for`] the indexed
-    /// series length (zero `k`, empty query, zero factor, or a query of
-    /// another length in a mode that does not resample) — network callers
-    /// run that check first and answer with a typed bad-request response.
-    pub fn search_many(&self, reqs: &[SearchRequest]) -> Vec<QueryOutcome> {
-        let series_len = self.series_len.get(self.source.store);
-        execute(self.skeleton, &[Some(self.source)], series_len, reqs, 0).0
-    }
-}
+//! End-to-end tests of the executor over one store: answer quality per
+//! planner, determinism, budgets. (The module is named for the `KnnEngine`
+//! façade these tests were written against; every search is
+//! [`crate::exec::execute`].)
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::search::SearchRequest;
+    use crate::testkit::{run, search};
     use climber_dfs::store::MemStore;
     use climber_index::builder::IndexBuilder;
     use climber_index::config::IndexConfig;
+    use climber_index::skeleton::IndexSkeleton;
     use climber_series::gen::{query_workload, Domain};
     use climber_series::ground_truth::exact_knn;
     use climber_series::recall::recall_of_results;
@@ -112,10 +38,13 @@ mod tests {
     #[test]
     fn self_queries_find_themselves() {
         let (skeleton, store, ds) = build(Domain::RandomWalk, 400);
-        let engine = KnnEngine::new(&skeleton, &store);
         let mut found = 0;
         for qid in query_workload(&ds, 20, 1) {
-            let out = engine.search(&SearchRequest::new(ds.get(qid), 10).exact());
+            let out = search(
+                &skeleton,
+                &store,
+                &SearchRequest::new(ds.get(qid), 10).exact(),
+            );
             if out.results.iter().any(|&(id, d)| id == qid && d == 0.0) {
                 found += 1;
             }
@@ -129,8 +58,11 @@ mod tests {
     #[test]
     fn knn_returns_k_results_sorted() {
         let (skeleton, store, ds) = build(Domain::Eeg, 300);
-        let engine = KnnEngine::new(&skeleton, &store);
-        let out = engine.search(&SearchRequest::new(ds.get(5), 25).exact());
+        let out = search(
+            &skeleton,
+            &store,
+            &SearchRequest::new(ds.get(5), 25).exact(),
+        );
         assert_eq!(out.results.len(), 25);
         for w in out.results.windows(2) {
             assert!(w[0].1 <= w[1].1);
@@ -140,7 +72,6 @@ mod tests {
     #[test]
     fn recall_beats_random_partition_guessing() {
         let (skeleton, store, ds) = build(Domain::TexMex, 500);
-        let engine = KnnEngine::new(&skeleton, &store);
         // k small relative to n: at 500 records the 20th "neighbour" is
         // already nearly random, so probe the regime the index is for.
         let k = 5;
@@ -148,7 +79,11 @@ mod tests {
         let mut scanned = 0u64;
         let queries = query_workload(&ds, 15, 2);
         for &qid in &queries {
-            let out = engine.search(&SearchRequest::new(ds.get(qid), k).adaptive(4));
+            let out = search(
+                &skeleton,
+                &store,
+                &SearchRequest::new(ds.get(qid), k).adaptive(4),
+            );
             let exact = exact_knn(&ds, ds.get(qid), k);
             total += recall_of_results(&out.results, &exact);
             scanned += out.records_scanned;
@@ -167,22 +102,27 @@ mod tests {
     #[test]
     fn adaptive_recall_at_least_knn_recall_on_average() {
         let (skeleton, store, ds) = build(Domain::RandomWalk, 500);
-        let engine = KnnEngine::new(&skeleton, &store);
         let k = 120; // larger than most trie nodes → adaptive should help
         let queries = query_workload(&ds, 12, 3);
         let (mut r_knn, mut r_adp) = (0.0, 0.0);
         for &qid in &queries {
             let exact = exact_knn(&ds, ds.get(qid), k);
             r_knn += recall_of_results(
-                &engine
-                    .search(&SearchRequest::new(ds.get(qid), k).exact())
-                    .results,
+                &search(
+                    &skeleton,
+                    &store,
+                    &SearchRequest::new(ds.get(qid), k).exact(),
+                )
+                .results,
                 &exact,
             );
             r_adp += recall_of_results(
-                &engine
-                    .search(&SearchRequest::new(ds.get(qid), k).adaptive(4))
-                    .results,
+                &search(
+                    &skeleton,
+                    &store,
+                    &SearchRequest::new(ds.get(qid), k).adaptive(4),
+                )
+                .results,
                 &exact,
             );
         }
@@ -197,15 +137,22 @@ mod tests {
     #[test]
     fn od_smallest_reads_most_and_recalls_most() {
         let (skeleton, store, ds) = build(Domain::Dna, 400);
-        let engine = KnnEngine::new(&skeleton, &store);
         let k = 50;
         let queries = query_workload(&ds, 10, 4);
         let (mut scan_knn, mut scan_ods) = (0u64, 0u64);
         let (mut rec_knn, mut rec_ods) = (0.0, 0.0);
         for &qid in &queries {
             let exact = exact_knn(&ds, ds.get(qid), k);
-            let a = engine.search(&SearchRequest::new(ds.get(qid), k).exact());
-            let b = engine.search(&SearchRequest::new(ds.get(qid), k).smallest());
+            let a = search(
+                &skeleton,
+                &store,
+                &SearchRequest::new(ds.get(qid), k).exact(),
+            );
+            let b = search(
+                &skeleton,
+                &store,
+                &SearchRequest::new(ds.get(qid), k).smallest(),
+            );
             scan_knn += a.records_scanned;
             scan_ods += b.records_scanned;
             rec_knn += recall_of_results(&a.results, &exact);
@@ -224,57 +171,20 @@ mod tests {
     #[test]
     fn queries_are_deterministic() {
         let (skeleton, store, ds) = build(Domain::Eeg, 200);
-        let engine = KnnEngine::new(&skeleton, &store);
         let q = ds.get(9);
         assert_eq!(
-            engine.search(&SearchRequest::new(q, 10).exact()),
-            engine.search(&SearchRequest::new(q, 10).exact())
+            search(&skeleton, &store, &SearchRequest::new(q, 10).exact()),
+            search(&skeleton, &store, &SearchRequest::new(q, 10).exact())
         );
         assert_eq!(
-            engine.search(&SearchRequest::new(q, 50).adaptive(2)),
-            engine.search(&SearchRequest::new(q, 50).adaptive(2))
-        );
-    }
-
-    #[test]
-    fn search_matches_every_legacy_entry_point() {
-        use crate::exec::query_seed;
-        use crate::{adaptive::plan_adaptive, knn::plan_knn, od_smallest::plan_od_smallest};
-        let (skeleton, store, ds) = build(Domain::RandomWalk, 400);
-        let engine = KnnEngine::new(&skeleton, &store);
-        let q = ds.get(13).to_vec();
-        let k = 12;
-        // Each mode runs the planner the paper names for it.
-        let (sig, seed) = (skeleton.extract_signature(&q), query_seed(&q));
-        let req = SearchRequest::new(q.clone(), k);
-        assert_eq!(
-            engine.search(&req.clone().exact()).plan,
-            plan_knn(&skeleton, &sig, seed)
-        );
-        assert_eq!(
-            engine.search(&req.clone().adaptive(2)).plan,
-            plan_adaptive(&skeleton, &sig, k, 2, seed)
-        );
-        assert_eq!(
-            engine.search(&req.clone().smallest()).plan,
-            plan_od_smallest(&skeleton, &sig)
-        );
-        assert_eq!(engine.search(&req), engine.search(&req.clone().adaptive(4)));
-        // Resampled = Adaptive on the query stretched to the indexed length.
-        let short = resample_linear(&q, q.len() / 2);
-        let out = engine.search(&SearchRequest::new(short.clone(), k).resampled(2));
-        assert_eq!(out.results.len(), k);
-        let stretched = resample_linear(&short, q.len());
-        assert_eq!(
-            out,
-            engine.search(&SearchRequest::new(stretched, k).adaptive(2))
+            search(&skeleton, &store, &SearchRequest::new(q, 50).adaptive(2)),
+            search(&skeleton, &store, &SearchRequest::new(q, 50).adaptive(2))
         );
     }
 
     #[test]
     fn search_many_is_bit_identical_to_search_per_request() {
         let (skeleton, store, ds) = build(Domain::Eeg, 350);
-        let engine = KnnEngine::new(&skeleton, &store);
         // A deliberately heterogeneous batch: mixed modes, ks, budgets,
         // and a resampled short query — the serving layer's worst case.
         let mut reqs = Vec::new();
@@ -288,29 +198,35 @@ mod tests {
                 _ => SearchRequest::new(q, 5).smallest(),
             });
         }
-        let many = engine.search_many(&reqs);
+        let many = run(&skeleton, &store, &reqs, 0);
         assert_eq!(many.len(), reqs.len());
         for (req, out) in reqs.iter().zip(&many) {
-            assert_eq!(out, &engine.search(req), "req {req:?}");
+            assert_eq!(out, &search(&skeleton, &store, req), "req {req:?}");
         }
     }
 
     #[test]
     fn budget_caps_partitions_opened() {
         let (skeleton, store, ds) = build(Domain::RandomWalk, 500);
-        let engine = KnnEngine::new(&skeleton, &store);
         // find a query whose OD-Smallest plan spans several partitions
         let q = (0..50u64)
             .map(|i| ds.get(i * 7).to_vec())
             .find(|q| {
-                engine
-                    .search(&SearchRequest::new(q.clone(), 150).smallest())
-                    .plan
-                    .num_partitions()
+                search(
+                    &skeleton,
+                    &store,
+                    &SearchRequest::new(q.clone(), 150).smallest(),
+                )
+                .plan
+                .num_partitions()
                     > 1
             })
             .expect("some query must span several partitions");
-        let capped = engine.search(&SearchRequest::new(q, 150).smallest().with_budget(1));
+        let capped = search(
+            &skeleton,
+            &store,
+            &SearchRequest::new(q, 150).smallest().with_budget(1),
+        );
         assert!(capped.partitions_opened <= 1);
         assert!(capped.plan.num_partitions() <= 1);
     }
@@ -319,20 +235,18 @@ mod tests {
     #[should_panic(expected = "k must be positive")]
     fn search_rejects_zero_k() {
         let (skeleton, store, _) = build(Domain::RandomWalk, 200);
-        KnnEngine::new(&skeleton, &store).search(&SearchRequest::new(vec![1.0f32], 0));
+        search(&skeleton, &store, &SearchRequest::new(vec![1.0f32], 0));
     }
 
     #[test]
     fn works_after_skeleton_roundtrip() {
         let (skeleton, store, ds) = build(Domain::RandomWalk, 200);
         let restored = IndexSkeleton::from_bytes(&skeleton.to_bytes()).unwrap();
-        let engine = KnnEngine::new(&restored, &store);
-        let out = engine.search(&SearchRequest::new(ds.get(3), 5).exact());
+        let out = search(&restored, &store, &SearchRequest::new(ds.get(3), 5).exact());
         assert_eq!(out.results.len(), 5);
-        let engine0 = KnnEngine::new(&skeleton, &store);
         assert_eq!(
             out,
-            engine0.search(&SearchRequest::new(ds.get(3), 5).exact())
+            search(&skeleton, &store, &SearchRequest::new(ds.get(3), 5).exact())
         );
     }
 }

@@ -34,7 +34,7 @@ use crate::od_smallest::plan_od_smallest;
 use crate::plan::{QueryOutcome, QueryPlan};
 use crate::search::{SearchMode, SearchRequest};
 use crate::updates::UpdateView;
-use climber_dfs::format::{PartitionReader, TrieNodeId};
+use climber_dfs::format::{record_size, PartitionReader, TrieNodeId};
 use climber_dfs::store::{PartitionId, PartitionStore};
 use climber_index::skeleton::IndexSkeleton;
 use climber_repr::paa::{paa, paa_into};
@@ -519,7 +519,7 @@ fn scan_cluster<S: PartitionStore>(
             }
         });
     }
-    let record_bytes = (8 + reader.series_len() * 4) as u64;
+    let record_bytes = record_size(reader.series_len()) as u64;
     src.store.stats().on_read(decoded * record_bytes);
     src.store.stats().on_records_read(decoded);
     // One publication per cluster, not per kept offer: the shared bound

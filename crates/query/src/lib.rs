@@ -21,13 +21,13 @@
 //! [`SearchMode`] picks the planner, and the planned clusters are scanned
 //! **partition-major** (open each partition once, decode each cluster
 //! once, score it against every query that selected it) with outcomes
-//! that do not depend on how the requests were batched. [`KnnEngine`] is
-//! the executor over a single store.
+//! that do not depend on how the requests were batched.
 
 #![warn(missing_docs)]
 
 pub mod adaptive;
-pub mod engine;
+#[cfg(test)]
+mod engine;
 pub mod exec;
 pub mod knn;
 pub mod od_smallest;
@@ -35,17 +35,17 @@ pub mod plan;
 pub mod search;
 pub mod updates;
 
-pub use engine::KnnEngine;
 pub use exec::{execute, Source, SourceStatus};
 pub use plan::{QueryOutcome, QueryPlan};
 pub use search::{SearchMode, SearchRequest};
 pub use updates::UpdateView;
 
 // The executor's unit tests. Their module paths predate the executor —
-// there used to be one scan loop per module — and are kept so the suite's
-// test ids stay comparable across the collapse: `refine` pins the
-// cluster-scan core on a hand-built store, `scatter` the plan and
-// multi-partition stages, `batch` n requests against one at a time.
+// there used to be one scan loop per module and a `KnnEngine` façade — and
+// are kept so the suite's test ids stay comparable across the collapse:
+// `refine` pins the cluster-scan core on a hand-built store, `scatter` the
+// plan and multi-partition stages, `batch` n requests against one at a
+// time, `engine` (engine.rs) answer quality end to end.
 
 #[cfg(test)]
 mod refine {
@@ -265,12 +265,33 @@ mod refine {
 
 #[cfg(test)]
 mod testkit {
+    use crate::exec::{execute, SeriesLen, Source};
+    use crate::{QueryOutcome, SearchRequest};
     use climber_dfs::store::MemStore;
     use climber_index::builder::IndexBuilder;
     use climber_index::config::IndexConfig;
     use climber_index::skeleton::IndexSkeleton;
     use climber_series::dataset::Dataset;
     use climber_series::gen::Domain;
+
+    /// `reqs` through the executor over the sealed partitions of `store`.
+    pub fn run(
+        skeleton: &IndexSkeleton,
+        store: &MemStore,
+        reqs: &[SearchRequest],
+        threads: usize,
+    ) -> Vec<QueryOutcome> {
+        let sources = [Some(Source::sealed(store))];
+        let series_len = SeriesLen::default().get(store);
+        execute(skeleton, &sources, series_len, reqs, threads).0
+    }
+
+    /// One request, inline on the calling thread.
+    pub fn search(skeleton: &IndexSkeleton, store: &MemStore, req: &SearchRequest) -> QueryOutcome {
+        run(skeleton, store, std::slice::from_ref(req), 0)
+            .pop()
+            .expect("one outcome per request")
+    }
 
     pub fn build(domain: Domain, n: usize) -> (IndexSkeleton, MemStore, Dataset) {
         let ds = domain.generate(n, 91);
@@ -299,19 +320,18 @@ mod testkit {
 mod scatter {
     mod tests {
         use crate::exec::{plan_group, scan_group, Source, SourceStatus};
-        use crate::testkit::{build, queries_of};
-        use crate::{KnnEngine, QueryPlan, SearchMode, SearchRequest};
+        use crate::testkit::{build, queries_of, search};
+        use crate::{QueryPlan, SearchMode, SearchRequest};
         use climber_dfs::store::PartitionStore;
         use climber_series::gen::Domain;
 
         #[test]
         fn plan_queries_matches_sequential_planning() {
             let (skeleton, store, ds) = build(Domain::RandomWalk, 400);
-            let engine = KnnEngine::new(&skeleton, &store);
             let queries = queries_of(&ds, 8);
             let plans = plan_group(&skeleton, &queries, SearchMode::Exact, 10, None);
             for (q, plan) in queries.iter().zip(&plans) {
-                let alone = engine.search(&SearchRequest::new(&q[..], 10).exact());
+                let alone = search(&skeleton, &store, &SearchRequest::new(&q[..], 10).exact());
                 assert_eq!(plan, &alone.plan);
             }
             // A budget truncates every plan of the group.
@@ -368,23 +388,10 @@ mod scatter {
 #[cfg(test)]
 mod batch {
     mod tests {
-        use crate::exec::{execute, Source};
-        use crate::testkit::{build, queries_of};
-        use crate::{KnnEngine, QueryOutcome, SearchRequest};
-        use climber_dfs::store::{MemStore, PartitionStore};
-        use climber_index::skeleton::IndexSkeleton;
+        use crate::testkit::{build, queries_of, run, search};
+        use crate::{QueryOutcome, SearchRequest};
+        use climber_dfs::store::PartitionStore;
         use climber_series::gen::Domain;
-
-        fn run(
-            skeleton: &IndexSkeleton,
-            store: &MemStore,
-            reqs: &[SearchRequest],
-            threads: usize,
-        ) -> Vec<QueryOutcome> {
-            let sources = [Some(Source::sealed(store))];
-            let series_len = store.open(store.ids()[0]).ok().map(|r| r.series_len());
-            execute(skeleton, &sources, series_len, reqs, threads).0
-        }
 
         /// `n` requests at the given thread counts vs one at a time.
         fn check(
@@ -394,9 +401,9 @@ mod batch {
             threads: &[usize],
         ) {
             let (skeleton, store, ds) = build(domain, 400);
-            let engine = KnnEngine::new(&skeleton, &store);
             let reqs: Vec<SearchRequest> = queries_of(&ds, n).into_iter().map(shape).collect();
-            let want: Vec<QueryOutcome> = reqs.iter().map(|r| engine.search(r)).collect();
+            let want: Vec<QueryOutcome> =
+                reqs.iter().map(|r| search(&skeleton, &store, r)).collect();
             for &t in threads {
                 assert_eq!(run(&skeleton, &store, &reqs, t), want, "threads={t}");
             }

@@ -5,12 +5,10 @@
 //!
 //! * [`SearchRequest`] — query + `k` + a [`SearchMode`] + an optional
 //!   partition [budget](SearchRequest::with_budget), built fluently;
-//! * [`KnnEngine::search_many`](crate::engine::KnnEngine::search_many) —
-//!   runs a slice of requests through the one executor
-//!   ([`crate::exec`]), grouping compatible requests so each group is
-//!   planned, decoded and scored together;
-//! * [`KnnEngine::search`](crate::engine::KnnEngine::search) — the same
-//!   call with one request, bit-identical to its slot in any batch.
+//! * [`execute`](crate::exec::execute) — runs a slice of requests through
+//!   the one executor, grouping compatible requests so each group is
+//!   planned, decoded and scored together; one request alone is
+//!   bit-identical to its slot in any batch.
 //!
 //! Both types implement the [`Encode`]/[`Decode`] codec from
 //! `climber_dfs::format`, so the serving layer's wire protocol carries

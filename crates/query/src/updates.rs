@@ -10,15 +10,14 @@
 //!   delta candidates *before* any distance reaches the top-k heap, so a
 //!   deleted record can neither appear in an answer nor displace one.
 //!
-//! An [`UpdateView`] bundles borrowed references to both and is attached
-//! to a [`crate::engine::KnnEngine`] via
-//! [`with_updates`](crate::engine::KnnEngine::with_updates). Engines
-//! without a view run the original sealed-only code paths untouched.
+//! An [`UpdateView`] bundles borrowed references to both and rides in a
+//! [`Source`](crate::exec::Source). A source without a view is scanned
+//! from its sealed partitions alone.
 
 use climber_dfs::segment::{DeltaSegment, TombstoneSet};
 
 /// Borrowed view of an index's mutable segments, shared by every query
-/// of an engine. Copy-cheap: two references.
+/// over its source. Copy-cheap: two references.
 #[derive(Debug, Clone, Copy)]
 pub struct UpdateView<'a> {
     /// Pending appends, clustered by `(partition, trie node)`.

@@ -5,9 +5,10 @@ use climber_index::builder::IndexBuilder;
 use climber_index::config::IndexConfig;
 use climber_index::skeleton::{IndexSkeleton, FALLBACK_GROUP};
 use climber_query::adaptive::plan_adaptive;
-use climber_query::engine::KnnEngine;
+use climber_query::exec::{execute, SeriesLen, Source};
 use climber_query::knn::plan_knn;
 use climber_query::od_smallest::plan_od_smallest;
+use climber_query::plan::QueryOutcome;
 use climber_query::search::SearchRequest;
 use climber_series::dataset::Dataset;
 use climber_series::gen::{Domain, RandomWalkGenerator, SeriesGenerator};
@@ -28,6 +29,14 @@ fn build_index(n: usize, seed: u64, capacity: u64) -> (IndexSkeleton, MemStore, 
         .with_workers(2);
     let (skeleton, _) = IndexBuilder::new(cfg).build(&ds, &store);
     (skeleton, store, ds)
+}
+
+/// One request through the executor over the sealed partitions of `store`.
+fn search(skeleton: &IndexSkeleton, store: &MemStore, req: &SearchRequest) -> QueryOutcome {
+    let sources = [Some(Source::sealed(store))];
+    let series_len = SeriesLen::default().get(store);
+    let reqs = std::slice::from_ref(req);
+    execute(skeleton, &sources, series_len, reqs, 0).0.remove(0)
 }
 
 proptest! {
@@ -88,8 +97,7 @@ proptest! {
         k in 1usize..60,
     ) {
         let (skeleton, store, ds) = build_index(150, seed, 30);
-        let engine = KnnEngine::new(&skeleton, &store);
-        let out = engine.search(&SearchRequest::new(ds.get(qid % 150), k).exact());
+        let out = search(&skeleton, &store, &SearchRequest::new(ds.get(qid % 150), k).exact());
         prop_assert!(out.results.len() <= k);
         for w in out.results.windows(2) {
             prop_assert!(w[0].1 <= w[1].1);
@@ -112,8 +120,7 @@ proptest! {
         let sig = skeleton.extract_signature(&weird);
         let (groups, _) = skeleton.groups_by_overlap(&sig);
         if groups == vec![FALLBACK_GROUP] {
-            let engine = KnnEngine::new(&skeleton, &store);
-            let out = engine.search(&SearchRequest::new(&weird[..], 5).exact());
+            let out = search(&skeleton, &store, &SearchRequest::new(&weird[..], 5).exact());
             prop_assert!(out.results.len() <= 5);
         }
     }
@@ -133,8 +140,7 @@ proptest! {
             .with_seed(3)
             .with_workers(2);
         let (skeleton, _) = IndexBuilder::new(cfg).build(&ds, &store);
-        let engine = KnnEngine::new(&skeleton, &store);
-        let out = engine.search(&SearchRequest::new(ds.get(qid % 150), 10).adaptive(2));
+        let out = search(&skeleton, &store, &SearchRequest::new(ds.get(qid % 150), 10).adaptive(2));
         prop_assert!(!out.results.is_empty());
         prop_assert!(out.partitions_opened >= 1);
     }

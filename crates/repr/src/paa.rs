@@ -41,8 +41,8 @@ pub fn paa_into(values: &[f32], segments: usize, out: &mut Vec<f64>) {
     for s in 0..segments {
         let len = base + usize::from(s < extra);
         let seg = &values[start..start + len];
-        // Lane-based sum from the kernels module: SIMD-dispatched, but
-        // bit-identical to the scalar tier on every host.
+        // Lane-based sum from the kernels module: its pinned order fixes
+        // the bits of every PAA value, on every host.
         let mean = climber_series::kernels::sum_f32(seg) / len as f64;
         out.push(mean);
         start += len;
@@ -68,20 +68,6 @@ pub fn paa_dist(a: &[f64], b: &[f64], n: usize) -> f64 {
         })
         .sum();
     ((n as f64 / w as f64) * sum).sqrt()
-}
-
-/// Euclidean distance between PAA signatures *as points in `w`-dim space*
-/// (no `n/w` scaling) — the metric used to rank pivots in CLIMBER-FX.
-pub fn paa_point_dist(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "PAA signatures must have equal length");
-    a.iter()
-        .zip(b.iter())
-        .map(|(x, y)| {
-            let d = x - y;
-            d * d
-        })
-        .sum::<f64>()
-        .sqrt()
 }
 
 #[cfg(test)]
@@ -157,13 +143,6 @@ mod tests {
     fn paa_dist_of_identical_signatures_is_zero() {
         let p = paa(&[1.0f32, 2.0, 3.0, 4.0], 2);
         assert_eq!(paa_dist(&p, &p, 4), 0.0);
-    }
-
-    #[test]
-    fn point_dist_is_plain_euclidean() {
-        let a = vec![0.0, 0.0];
-        let b = vec![3.0, 4.0];
-        assert!((paa_point_dist(&a, &b) - 5.0).abs() < 1e-12);
     }
 
     #[test]

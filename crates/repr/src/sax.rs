@@ -27,18 +27,6 @@ impl SaxWord {
     pub fn is_empty(&self) -> bool {
         self.symbols.is_empty()
     }
-
-    /// Renders the word as the paper draws it: binary labels per segment,
-    /// e.g. `[000, 010, 101, 111]` for Figure 1(a).
-    pub fn to_binary_string(&self) -> String {
-        let bits = self.cardinality.trailing_zeros() as usize;
-        let parts: Vec<String> = self
-            .symbols
-            .iter()
-            .map(|&s| format!("{:0width$b}", s, width = bits))
-            .collect();
-        format!("[{}]", parts.join(", "))
-    }
 }
 
 /// Computes the SAX word of a (z-normalised) series with `segments` segments
@@ -80,7 +68,6 @@ mod tests {
         let x = series_with_means([-1.5, -0.5, 0.5, 1.5]);
         let w = sax_word(&x, 4, 8);
         assert_eq!(w.symbols, vec![0, 2, 5, 7]);
-        assert_eq!(w.to_binary_string(), "[000, 010, 101, 111]");
     }
 
     #[test]
@@ -112,12 +99,5 @@ mod tests {
         let mut set = HashSet::new();
         set.insert(sax_word(&x, 4, 8));
         assert!(set.contains(&sax_word(&x, 4, 8)));
-    }
-
-    #[test]
-    fn binary_string_width_tracks_cardinality() {
-        let x = series_with_means([-1.5, -0.5, 0.5, 1.5]);
-        let w = sax_word(&x, 4, 4);
-        assert_eq!(w.to_binary_string(), "[00, 01, 10, 11]");
     }
 }

@@ -11,9 +11,8 @@
 ///
 /// Chunks of 8 with one independent `f64` accumulator per lane break the
 /// loop-carried dependence on a single sum; the lanes are combined in a
-/// fixed order shared by every dispatch tier in [`crate::kernels`], so the
-/// scalar, SSE and AVX2 paths — and `ed_early_abandon` — all agree
-/// bit-for-bit.
+/// fixed order shared by both dispatch tiers in [`crate::kernels`], so the
+/// scalar and AVX2 paths — and `ed_early_abandon` — all agree bit-for-bit.
 ///
 /// # Panics
 /// If the slices differ in length.

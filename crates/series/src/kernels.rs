@@ -1,37 +1,38 @@
 //! Runtime-dispatched SIMD distance kernels, bit-identical to scalar.
 //!
-//! This module holds the repo's only `unsafe` code: AVX2 and SSE paths for
-//! the hot inner loops (`sq_ed`, `ed_early_abandon`, f32 segment sums for
-//! PAA, and f64 squared distances for pivot space). The contract that makes
-//! them safe to dispatch freely is **bit-identity**: every tier reduces its
-//! lane accumulators in exactly the same pairwise order as the scalar
-//! reference, and no tier uses fused multiply-add (FMA changes rounding).
-//! A query answered on an AVX2 host is therefore byte-for-byte the query
-//! answered on a scalar host — dispatch is a pure speed knob, never a
-//! semantics knob.
+//! This module holds the repo's only `unsafe` code: the AVX2 paths of the
+//! two record-scoring loops, `sq_ed` and `ed_early_abandon`. The contract
+//! that makes them safe to dispatch freely is **bit-identity**: both tiers
+//! reduce their lane accumulators in exactly the same pairwise order, and
+//! neither uses fused multiply-add (FMA changes rounding). A query answered
+//! on an AVX2 host is therefore byte-for-byte the query answered on a
+//! scalar host — dispatch is a pure speed knob, never a semantics knob.
+//!
+//! [`sum_f32`] (PAA segment means) and [`sq_dist_f64`] (pivot-space
+//! distances) are plain safe functions with the same pinned lane order:
+//! their inputs are 8–32 values long, where a vector tier measured at or
+//! below scalar. Their bits decide signatures and therefore the on-disk
+//! layout, so the summation order is part of the format.
 //!
 //! ## Lane layout
 //!
 //! The f32 kernels accumulate in chunks of 8 with one `f64` accumulator per
 //! lane, reduced as `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))`; the f64 kernel
-//! uses chunks of 4 reduced as `(l0+l2)+(l1+l3)`. The SIMD tiers materialise
-//! the same lanes in vector registers:
-//!
-//! * AVX2: lanes 0-3 in one `__m256d`, lanes 4-7 in another; one
-//!   `_mm256_add_pd` yields `[l0+l4, l1+l5, l2+l6, l3+l7]` and the final
-//!   scalar combine `(s0+s2)+(s1+s3)` reproduces the reference tree.
-//! * SSE: four `__m128d` accumulators `[l0,l1] [l2,l3] [l4,l5] [l6,l7]`;
-//!   `(A+C) + (B+D)` yields the same vector, then `t0+t1`.
+//! uses chunks of 4 reduced as `(l0+l2)+(l1+l3)`. The AVX2 tier keeps lanes
+//! 0-3 in one `__m256d` and lanes 4-7 in another; one `_mm256_add_pd` yields
+//! `[l0+l4, l1+l5, l2+l6, l3+l7]` and the final scalar combine
+//! `(s0+s2)+(s1+s3)` reproduces the reference tree.
 //!
 //! Tails shorter than a chunk are always summed sequentially in scalar code,
-//! identically across tiers.
+//! identically on both tiers.
 //!
 //! ## Dispatch
 //!
 //! [`detect`] probes CPU features once (cached in an atomic); [`force`] is a
 //! test hook that pins the auto-dispatched entry points to a specific tier.
 //! Forcing is a process-global toggle, which is race-safe precisely because
-//! tiers never disagree on results.
+//! tiers never disagree on results. An x86-64 host without AVX2 runs the
+//! scalar tier (LLVM already vectorises its 8-lane loops to SSE2).
 #![allow(unsafe_code)]
 
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -41,8 +42,6 @@ use std::sync::atomic::{AtomicU8, Ordering};
 pub enum Dispatch {
     /// Portable Rust, the reference implementation. Always available.
     Scalar,
-    /// 128-bit SSE path (gated on `sse4.1` detection; x86-64 only).
-    Sse41,
     /// 256-bit AVX path (gated on `avx2` detection; x86-64 only).
     Avx2,
 }
@@ -52,7 +51,6 @@ impl Dispatch {
     pub fn name(self) -> &'static str {
         match self {
             Dispatch::Scalar => "scalar",
-            Dispatch::Sse41 => "sse4.1",
             Dispatch::Avx2 => "avx2",
         }
     }
@@ -61,7 +59,7 @@ impl Dispatch {
     /// Always contains at least [`Dispatch::Scalar`].
     pub fn available() -> Vec<Dispatch> {
         let best = detect();
-        [Dispatch::Scalar, Dispatch::Sse41, Dispatch::Avx2]
+        [Dispatch::Scalar, Dispatch::Avx2]
             .into_iter()
             .filter(|t| *t <= best)
             .collect()
@@ -70,8 +68,7 @@ impl Dispatch {
 
 const TIER_UNSET: u8 = 0;
 const TIER_SCALAR: u8 = 1;
-const TIER_SSE41: u8 = 2;
-const TIER_AVX2: u8 = 3;
+const TIER_AVX2: u8 = 2;
 
 /// Cached result of CPU-feature probing (0 = not yet probed).
 static DETECTED: AtomicU8 = AtomicU8::new(TIER_UNSET);
@@ -80,7 +77,6 @@ static FORCED: AtomicU8 = AtomicU8::new(TIER_UNSET);
 
 fn tier_of(code: u8) -> Dispatch {
     match code {
-        TIER_SSE41 => Dispatch::Sse41,
         TIER_AVX2 => Dispatch::Avx2,
         _ => Dispatch::Scalar,
     }
@@ -89,7 +85,6 @@ fn tier_of(code: u8) -> Dispatch {
 fn code_of(tier: Dispatch) -> u8 {
     match tier {
         Dispatch::Scalar => TIER_SCALAR,
-        Dispatch::Sse41 => TIER_SSE41,
         Dispatch::Avx2 => TIER_AVX2,
     }
 }
@@ -103,8 +98,6 @@ pub fn detect() -> Dispatch {
     #[cfg(target_arch = "x86_64")]
     let probed = if std::arch::is_x86_feature_detected!("avx2") {
         Dispatch::Avx2
-    } else if std::arch::is_x86_feature_detected!("sse4.1") {
-        Dispatch::Sse41
     } else {
         Dispatch::Scalar
     };
@@ -209,8 +202,10 @@ fn ed_early_abandon_scalar(x: &[f32], y: &[f32], sq_bound: f64) -> Option<f64> {
     Some(acc)
 }
 
+/// Sum of an f32 slice accumulated in f64 lanes — the segment-mean kernel
+/// behind PAA extraction.
 #[inline]
-fn sum_f32_scalar(v: &[f32]) -> f64 {
+pub fn sum_f32(v: &[f32]) -> f64 {
     let mut lanes = [0.0f64; 8];
     let mut vc = v.chunks_exact(8);
     for c in &mut vc {
@@ -225,8 +220,14 @@ fn sum_f32_scalar(v: &[f32]) -> f64 {
     acc
 }
 
+/// Squared Euclidean distance between f64 points — the pivot-space kernel
+/// behind signature extraction.
+///
+/// # Panics
+/// If the slices differ in length.
 #[inline]
-fn sq_dist_f64_scalar(a: &[f64], b: &[f64]) -> f64 {
+pub fn sq_dist_f64(a: &[f64], b: &[f64]) -> f64 {
+    assert_eq!(a.len(), b.len(), "squared distance requires equal lengths");
     let mut lanes = [0.0f64; 4];
     let mut ac = a.chunks_exact(4);
     let mut bc = b.chunks_exact(4);
@@ -245,16 +246,14 @@ fn sq_dist_f64_scalar(a: &[f64], b: &[f64]) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// x86-64 SIMD tiers
+// x86-64 AVX2 tier
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! AVX2 and SSE lanes. Every function here upholds the module's
-    //! bit-identity contract: same lane layout, same combine tree, no FMA.
-    //! Loads are all bounds-respecting: 256-bit f32 loads cover exactly one
-    //! 8-chunk, and the SSE f32 path loads 64-bit pairs so the final chunk
-    //! never reads past the slice.
+    //! AVX2 lanes. Every function here upholds the module's bit-identity
+    //! contract: same lane layout, same combine tree, no FMA. Loads are all
+    //! bounds-respecting: a 256-bit f32 load covers exactly one 8-chunk.
 
     use core::arch::x86_64::*;
 
@@ -267,27 +266,6 @@ mod x86 {
         let mut out = [0.0f64; 4];
         _mm256_storeu_pd(out.as_mut_ptr(), s);
         (out[0] + out[2]) + (out[1] + out[3])
-    }
-
-    /// Combines SSE accumulators `[l0,l1] [l2,l3] [l4,l5] [l6,l7]` in the
-    /// scalar reference order.
-    #[inline]
-    #[target_feature(enable = "sse4.1")]
-    unsafe fn combine_sse(a: __m128d, b: __m128d, c: __m128d, d: __m128d) -> f64 {
-        let sac = _mm_add_pd(a, c); // [l0+l4, l1+l5]
-        let sbd = _mm_add_pd(b, d); // [l2+l6, l3+l7]
-        let t = _mm_add_pd(sac, sbd); // [(l0+l4)+(l2+l6), (l1+l5)+(l3+l7)]
-        let mut out = [0.0f64; 2];
-        _mm_storeu_pd(out.as_mut_ptr(), t);
-        out[0] + out[1]
-    }
-
-    /// Loads two consecutive f32 at `p` widened to f64 — an 8-byte load, so
-    /// it stays in bounds even at the very end of a slice.
-    #[inline]
-    #[target_feature(enable = "sse4.1")]
-    unsafe fn load2_ps_pd(p: *const f32) -> __m128d {
-        _mm_cvtps_pd(_mm_castsi128_ps(_mm_loadl_epi64(p as *const __m128i)))
     }
 
     #[target_feature(enable = "avx2")]
@@ -352,155 +330,6 @@ mod x86 {
         }
         Some(acc)
     }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn sum_f32_avx2(v: &[f32]) -> f64 {
-        let n = v.len();
-        let chunks = n / 8;
-        let mut acc_lo = _mm256_setzero_pd();
-        let mut acc_hi = _mm256_setzero_pd();
-        for c in 0..chunks {
-            let vv = _mm256_loadu_ps(v.as_ptr().add(c * 8));
-            acc_lo = _mm256_add_pd(acc_lo, _mm256_cvtps_pd(_mm256_castps256_ps128(vv)));
-            acc_hi = _mm256_add_pd(acc_hi, _mm256_cvtps_pd(_mm256_extractf128_ps(vv, 1)));
-        }
-        let mut acc = combine_avx2(acc_lo, acc_hi);
-        for i in chunks * 8..n {
-            acc += f64::from(*v.get_unchecked(i));
-        }
-        acc
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn sq_dist_f64_avx2(a: &[f64], b: &[f64]) -> f64 {
-        let n = a.len();
-        let chunks = n / 4;
-        let mut accv = _mm256_setzero_pd();
-        for c in 0..chunks {
-            let d = _mm256_sub_pd(
-                _mm256_loadu_pd(a.as_ptr().add(c * 4)),
-                _mm256_loadu_pd(b.as_ptr().add(c * 4)),
-            );
-            accv = _mm256_add_pd(accv, _mm256_mul_pd(d, d));
-        }
-        let mut out = [0.0f64; 4];
-        _mm256_storeu_pd(out.as_mut_ptr(), accv);
-        let mut acc = (out[0] + out[2]) + (out[1] + out[3]);
-        for i in chunks * 4..n {
-            let d = *a.get_unchecked(i) - *b.get_unchecked(i);
-            acc += d * d;
-        }
-        acc
-    }
-
-    #[target_feature(enable = "sse4.1")]
-    pub unsafe fn sq_ed_sse(x: &[f32], y: &[f32]) -> f64 {
-        let n = x.len();
-        let chunks = n / 8;
-        let mut la = _mm_setzero_pd();
-        let mut lb = _mm_setzero_pd();
-        let mut lc = _mm_setzero_pd();
-        let mut ld = _mm_setzero_pd();
-        for c in 0..chunks {
-            let px = x.as_ptr().add(c * 8);
-            let py = y.as_ptr().add(c * 8);
-            let d0 = _mm_sub_pd(load2_ps_pd(px), load2_ps_pd(py));
-            let d1 = _mm_sub_pd(load2_ps_pd(px.add(2)), load2_ps_pd(py.add(2)));
-            let d2 = _mm_sub_pd(load2_ps_pd(px.add(4)), load2_ps_pd(py.add(4)));
-            let d3 = _mm_sub_pd(load2_ps_pd(px.add(6)), load2_ps_pd(py.add(6)));
-            la = _mm_add_pd(la, _mm_mul_pd(d0, d0));
-            lb = _mm_add_pd(lb, _mm_mul_pd(d1, d1));
-            lc = _mm_add_pd(lc, _mm_mul_pd(d2, d2));
-            ld = _mm_add_pd(ld, _mm_mul_pd(d3, d3));
-        }
-        let mut acc = combine_sse(la, lb, lc, ld);
-        for i in chunks * 8..n {
-            let d = f64::from(*x.get_unchecked(i)) - f64::from(*y.get_unchecked(i));
-            acc += d * d;
-        }
-        acc
-    }
-
-    #[target_feature(enable = "sse4.1")]
-    pub unsafe fn ed_early_abandon_sse(x: &[f32], y: &[f32], sq_bound: f64) -> Option<f64> {
-        let n = x.len();
-        let chunks = n / 8;
-        let mut la = _mm_setzero_pd();
-        let mut lb = _mm_setzero_pd();
-        let mut lc = _mm_setzero_pd();
-        let mut ld = _mm_setzero_pd();
-        for c in 0..chunks {
-            let px = x.as_ptr().add(c * 8);
-            let py = y.as_ptr().add(c * 8);
-            let d0 = _mm_sub_pd(load2_ps_pd(px), load2_ps_pd(py));
-            let d1 = _mm_sub_pd(load2_ps_pd(px.add(2)), load2_ps_pd(py.add(2)));
-            let d2 = _mm_sub_pd(load2_ps_pd(px.add(4)), load2_ps_pd(py.add(4)));
-            let d3 = _mm_sub_pd(load2_ps_pd(px.add(6)), load2_ps_pd(py.add(6)));
-            la = _mm_add_pd(la, _mm_mul_pd(d0, d0));
-            lb = _mm_add_pd(lb, _mm_mul_pd(d1, d1));
-            lc = _mm_add_pd(lc, _mm_mul_pd(d2, d2));
-            ld = _mm_add_pd(ld, _mm_mul_pd(d3, d3));
-            if c % 2 == 1 && combine_sse(la, lb, lc, ld) > sq_bound {
-                return None;
-            }
-        }
-        let mut acc = combine_sse(la, lb, lc, ld);
-        for i in chunks * 8..n {
-            let d = f64::from(*x.get_unchecked(i)) - f64::from(*y.get_unchecked(i));
-            acc += d * d;
-        }
-        if acc > sq_bound {
-            return None;
-        }
-        Some(acc)
-    }
-
-    #[target_feature(enable = "sse4.1")]
-    pub unsafe fn sum_f32_sse(v: &[f32]) -> f64 {
-        let n = v.len();
-        let chunks = n / 8;
-        let mut la = _mm_setzero_pd();
-        let mut lb = _mm_setzero_pd();
-        let mut lc = _mm_setzero_pd();
-        let mut ld = _mm_setzero_pd();
-        for c in 0..chunks {
-            let p = v.as_ptr().add(c * 8);
-            la = _mm_add_pd(la, load2_ps_pd(p));
-            lb = _mm_add_pd(lb, load2_ps_pd(p.add(2)));
-            lc = _mm_add_pd(lc, load2_ps_pd(p.add(4)));
-            ld = _mm_add_pd(ld, load2_ps_pd(p.add(6)));
-        }
-        let mut acc = combine_sse(la, lb, lc, ld);
-        for i in chunks * 8..n {
-            acc += f64::from(*v.get_unchecked(i));
-        }
-        acc
-    }
-
-    #[target_feature(enable = "sse4.1")]
-    pub unsafe fn sq_dist_f64_sse(a: &[f64], b: &[f64]) -> f64 {
-        let n = a.len();
-        let chunks = n / 4;
-        let mut la = _mm_setzero_pd();
-        let mut lb = _mm_setzero_pd();
-        for c in 0..chunks {
-            let pa = a.as_ptr().add(c * 4);
-            let pb = b.as_ptr().add(c * 4);
-            let d0 = _mm_sub_pd(_mm_loadu_pd(pa), _mm_loadu_pd(pb));
-            let d1 = _mm_sub_pd(_mm_loadu_pd(pa.add(2)), _mm_loadu_pd(pb.add(2)));
-            la = _mm_add_pd(la, _mm_mul_pd(d0, d0));
-            lb = _mm_add_pd(lb, _mm_mul_pd(d1, d1));
-        }
-        let t = _mm_add_pd(la, lb); // [l0+l2, l1+l3]
-        let mut out = [0.0f64; 2];
-        _mm_storeu_pd(out.as_mut_ptr(), t);
-        let mut acc = out[0] + out[1];
-        for i in chunks * 4..n {
-            let d = *a.get_unchecked(i) - *b.get_unchecked(i);
-            acc += d * d;
-        }
-        acc
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -519,11 +348,6 @@ pub fn sq_ed_with(tier: Dispatch, x: &[f32], y: &[f32]) -> f64 {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `force`/`current` only hand out host-supported tiers;
         // explicit callers are checked here before entering SIMD code.
-        Dispatch::Sse41 => {
-            assert_supported(tier);
-            unsafe { x86::sq_ed_sse(x, y) }
-        }
-        #[cfg(target_arch = "x86_64")]
         Dispatch::Avx2 => {
             assert_supported(tier);
             unsafe { x86::sq_ed_avx2(x, y) }
@@ -543,61 +367,11 @@ pub fn ed_early_abandon_with(tier: Dispatch, x: &[f32], y: &[f32], sq_bound: f64
     match tier {
         Dispatch::Scalar => ed_early_abandon_scalar(x, y, sq_bound),
         #[cfg(target_arch = "x86_64")]
-        Dispatch::Sse41 => {
-            assert_supported(tier);
-            unsafe { x86::ed_early_abandon_sse(x, y, sq_bound) }
-        }
-        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `sq_ed_with` — the tier is checked against the host
+        // before the AVX2 code runs.
         Dispatch::Avx2 => {
             assert_supported(tier);
             unsafe { x86::ed_early_abandon_avx2(x, y, sq_bound) }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => unsupported(tier),
-    }
-}
-
-/// [`sum_f32`] on an explicit tier.
-///
-/// # Panics
-/// If `tier` is unsupported on this host.
-#[inline]
-pub fn sum_f32_with(tier: Dispatch, v: &[f32]) -> f64 {
-    match tier {
-        Dispatch::Scalar => sum_f32_scalar(v),
-        #[cfg(target_arch = "x86_64")]
-        Dispatch::Sse41 => {
-            assert_supported(tier);
-            unsafe { x86::sum_f32_sse(v) }
-        }
-        #[cfg(target_arch = "x86_64")]
-        Dispatch::Avx2 => {
-            assert_supported(tier);
-            unsafe { x86::sum_f32_avx2(v) }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => unsupported(tier),
-    }
-}
-
-/// [`sq_dist_f64`] on an explicit tier.
-///
-/// # Panics
-/// If the slices differ in length, or `tier` is unsupported on this host.
-#[inline]
-pub fn sq_dist_f64_with(tier: Dispatch, a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "squared distance requires equal lengths");
-    match tier {
-        Dispatch::Scalar => sq_dist_f64_scalar(a, b),
-        #[cfg(target_arch = "x86_64")]
-        Dispatch::Sse41 => {
-            assert_supported(tier);
-            unsafe { x86::sq_dist_f64_sse(a, b) }
-        }
-        #[cfg(target_arch = "x86_64")]
-        Dispatch::Avx2 => {
-            assert_supported(tier);
-            unsafe { x86::sq_dist_f64_avx2(a, b) }
         }
         #[cfg(not(target_arch = "x86_64"))]
         _ => unsupported(tier),
@@ -626,8 +400,8 @@ fn unsupported(tier: Dispatch) -> ! {
 /// Below this length the auto-dispatched entry points route straight to
 /// the scalar tier: the vector paths' fixed costs (dispatch load,
 /// accumulator setup, lane combine) exceed their per-element win on
-/// short inputs like PAA segments and pivot-space points. Because every
-/// tier is bit-identical, the cutoff is unobservable in results.
+/// short inputs. Because the tiers are bit-identical, the cutoff is
+/// unobservable in results.
 const SIMD_MIN_LEN: usize = 32;
 
 /// Squared Euclidean distance on the current tier.
@@ -647,28 +421,6 @@ pub fn ed_early_abandon(x: &[f32], y: &[f32], sq_bound: f64) -> Option<f64> {
         ed_early_abandon_with(Dispatch::Scalar, x, y, sq_bound)
     } else {
         ed_early_abandon_with(current(), x, y, sq_bound)
-    }
-}
-
-/// Sum of an f32 slice accumulated in f64 lanes on the current tier —
-/// the segment-mean kernel behind PAA extraction.
-#[inline]
-pub fn sum_f32(v: &[f32]) -> f64 {
-    if v.len() < SIMD_MIN_LEN {
-        sum_f32_with(Dispatch::Scalar, v)
-    } else {
-        sum_f32_with(current(), v)
-    }
-}
-
-/// Squared Euclidean distance between f64 points on the current tier —
-/// the pivot-space kernel behind signature extraction.
-#[inline]
-pub fn sq_dist_f64(a: &[f64], b: &[f64]) -> f64 {
-    if a.len() < SIMD_MIN_LEN {
-        sq_dist_f64_with(Dispatch::Scalar, a, b)
-    } else {
-        sq_dist_f64_with(current(), a, b)
     }
 }
 
@@ -699,17 +451,11 @@ mod tests {
             let x = series(len, 1);
             let y = series(len, 2);
             let want = sq_ed_with(Dispatch::Scalar, &x, &y);
-            let want_sum = sum_f32_with(Dispatch::Scalar, &x);
             for tier in Dispatch::available() {
                 assert_eq!(
                     sq_ed_with(tier, &x, &y).to_bits(),
                     want.to_bits(),
                     "sq_ed {tier:?} len {len}"
-                );
-                assert_eq!(
-                    sum_f32_with(tier, &x).to_bits(),
-                    want_sum.to_bits(),
-                    "sum_f32 {tier:?} len {len}"
                 );
             }
         }
