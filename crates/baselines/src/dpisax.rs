@@ -8,13 +8,12 @@
 //! with ED inside it — the single-partition restriction the CLIMBER paper
 //! identifies as the accuracy bottleneck (§VII-B).
 
-use crate::BaselineOutcome;
+use crate::{refine, BaselineOutcome};
 use climber_dfs::format::PartitionWriter;
 use climber_dfs::store::{PartitionId, PartitionStore};
 use climber_repr::isax::ISaxWord;
 use climber_repr::paa::paa;
 use climber_series::dataset::Dataset;
-use climber_series::distance::ed_early_abandon;
 use climber_series::sampling::{partition_level_sample, partitions_for_alpha};
 use climber_series::topk::TopK;
 use std::collections::HashMap;
@@ -208,14 +207,13 @@ impl DpisaxIndex {
         let pid = self.route(&w);
         let mut top = TopK::new(k);
         let mut scanned = 0u64;
-        let mut out = Vec::new();
-        if store.read_cluster(pid, pid as u64, &mut out).is_ok() {
-            for (id, vals) in &out {
-                scanned += 1;
-                if let Some(d) = ed_early_abandon(query, vals, top.bound()) {
-                    top.offer(*id, d);
-                }
+        if let Ok(reader) = store.open(pid) {
+            if let Some(recs) = reader.cluster_records(pid as u64) {
+                scanned = refine(recs, query, &mut top);
             }
+            let bytes = reader.cluster_bytes(pid as u64).unwrap_or(0);
+            store.stats().on_read(bytes as u64);
+            store.stats().on_records_read(scanned);
         }
         BaselineOutcome {
             results: top.into_sorted(),

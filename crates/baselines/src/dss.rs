@@ -4,9 +4,8 @@
 //! parallel to generate the exact answer set." Used both as the ground
 //! truth and as the exorbitant-cost baseline in Figures 7 and 9.
 
-use crate::BaselineOutcome;
+use crate::{refine, BaselineOutcome};
 use climber_dfs::store::PartitionStore;
-use climber_series::distance::ed_early_abandon;
 use climber_series::topk::TopK;
 use rayon::prelude::*;
 
@@ -29,11 +28,7 @@ pub fn dss_query<S: PartitionStore>(store: &S, query: &[f32], k: usize) -> Basel
                     .iter()
                     .filter_map(|&n| reader.cluster_bytes(n))
                     .sum();
-                scanned += reader.for_each(|id, vals| {
-                    if let Some(d) = ed_early_abandon(query, vals, top.bound()) {
-                        top.offer(id, d);
-                    }
-                });
+                scanned += refine(reader.records(), query, &mut top);
                 store.stats().on_read(bytes as u64);
                 store.stats().on_records_read(scanned);
             }

@@ -26,7 +26,10 @@ pub mod lsh;
 pub mod odyssey;
 pub mod tardis;
 
+use climber_dfs::format::ClusterRecords;
+use climber_series::distance::ed_early_abandon_le;
 use climber_series::series::SeriesId;
+use climber_series::topk::TopK;
 
 /// Common result shape for every baseline query.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,4 +40,17 @@ pub struct BaselineOutcome {
     pub records_scanned: u64,
     /// Partitions opened (0 for purely in-memory engines).
     pub partitions_opened: usize,
+}
+
+/// The exact-ED refinement the partition-based baselines share with
+/// CLIMBER's scan: every record of `recs` scored where it lies in the
+/// partition image, so the comparisons measure indexes, not decoders.
+/// Returns the records visited.
+fn refine(recs: ClusterRecords<'_>, query: &[f32], top: &mut TopK) -> u64 {
+    for i in 0..recs.len() {
+        if let Some(d) = ed_early_abandon_le(query, recs.values_le(i), top.bound()) {
+            top.offer(recs.id(i), d);
+        }
+    }
+    recs.len() as u64
 }

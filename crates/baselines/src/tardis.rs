@@ -9,14 +9,13 @@
 //! absent), lands on one leaf, and refines inside that leaf's partition —
 //! again the single-partition search the CLIMBER paper contrasts with.
 
-use crate::BaselineOutcome;
+use crate::{refine, BaselineOutcome};
 use climber_dfs::format::PartitionWriter;
 use climber_dfs::store::{PartitionId, PartitionStore};
 use climber_index::packing::first_fit_decreasing;
 use climber_repr::isax::ISaxWord;
 use climber_repr::paa::paa;
 use climber_series::dataset::Dataset;
-use climber_series::distance::ed_early_abandon;
 use climber_series::sampling::{partition_level_sample, partitions_for_alpha};
 use climber_series::topk::TopK;
 use std::collections::{BTreeMap, HashMap};
@@ -241,11 +240,8 @@ impl TardisIndex {
         };
         let scan_cluster = |node: u64, top: &mut TopK, scanned: &mut u64| {
             let bytes = reader.cluster_bytes(node).unwrap_or(0);
-            let c = reader.for_each_in_cluster(node, |id, vals| {
-                if let Some(d) = ed_early_abandon(query, vals, top.bound()) {
-                    top.offer(id, d);
-                }
-            });
+            let recs = reader.cluster_records(node);
+            let c = recs.map_or(0, |recs| refine(recs, query, top));
             store.stats().on_read(bytes as u64);
             store.stats().on_records_read(c);
             *scanned += c;

@@ -14,6 +14,12 @@
 //! `sq_ed` additionally the *naive* single-accumulator scalar baseline,
 //! which floating-point non-associativity keeps genuinely scalar.
 //!
+//! One paired row follows the table: the scan's per-record step before and
+//! after it scored records in place — `decode_into` + `ed_early_abandon`
+//! against `ed_early_abandon_le` — over 1 000 records laid out back to
+//! back as a cluster image, under the bound a full 100-NN heap would hold,
+//! on every tier the host runs.
+//!
 //! Prints the detected CPU features in the header and records them in
 //! `BENCH_kernels.json` (path override: `CLIMBER_BENCH_JSON`). With
 //! `CLIMBER_BENCH_STRICT=1` the run asserts that on AVX2 hosts `sq_ed`
@@ -23,15 +29,17 @@
 //! the latency floor for every bit-identical implementation, so the
 //! tier-vs-tier ratio lands well under 2x by construction). On hosts
 //! without AVX2 the gate relaxes to >= 1.0x over the scalar tier and the
-//! relaxation reason is logged. `--quick` shrinks the repetition count
-//! to the CI smoke cadence.
+//! relaxation reason is logged; and on every tier scoring in place must
+//! be at least as fast as decoding first. `--quick` shrinks the
+//! repetition count to the CI smoke cadence.
 
+use climber_core::dfs::format::{PartitionReader, PartitionWriter};
 use climber_core::pivot::pivots::PivotSet;
 use climber_core::pivot::signature::{DualSignature, SignatureScratch};
 use climber_core::repr::paa::paa_into;
 use climber_core::series::gen::Domain;
 use climber_core::series::kernels::{
-    self, ed_early_abandon, ed_early_abandon_with, sq_ed, sq_ed_with, Dispatch,
+    self, ed_early_abandon, ed_early_abandon_le, ed_early_abandon_with, sq_ed, sq_ed_with, Dispatch,
 };
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -146,6 +154,31 @@ fn main() {
             f64::INFINITY,
         ));
     }));
+    let y_le: Vec<u8> = y.iter().flat_map(|v| v.to_le_bytes()).collect();
+    rows.push(measure(
+        "ed_early_abandon_le_mid_bound",
+        reps,
+        iters,
+        || {
+            black_box(ed_early_abandon_le(
+                black_box(&x),
+                black_box(&y_le),
+                exact * 0.5,
+            ));
+        },
+    ));
+    rows.push(measure(
+        "ed_early_abandon_le_no_abandon",
+        reps,
+        iters,
+        || {
+            black_box(ed_early_abandon_le(
+                black_box(&x),
+                black_box(&y_le),
+                f64::INFINITY,
+            ));
+        },
+    ));
     let mut arena: Vec<f64> = Vec::with_capacity(16);
     rows.push(measure("paa_into_256_to_16", reps, iters, || {
         arena.clear();
@@ -216,6 +249,49 @@ fn main() {
         sq_ed_row.dispatched_ns, sq_ed_row.scalar_ns
     );
 
+    // The scan's per-record step, both ways, over a cluster image: 1 000
+    // records back to back, so value bytes start wherever `8 + i * 1032`
+    // lands. The bound is the one a full 100-NN heap holds once the
+    // cluster has been seen — most records abandon early, as in a scan.
+    let cluster = Domain::RandomWalk.generate(1_000, 11);
+    let mut writer = PartitionWriter::new(0, cluster.series_len());
+    writer.push_cluster(1, (0..1_000u64).map(|id| (id, cluster.get(id))));
+    let reader = PartitionReader::open(writer.finish()).expect("a freshly written partition");
+    let recs = reader.cluster_records(1).expect("the one cluster");
+    let mut dists: Vec<f64> = (0..1_000).map(|id| sq_ed(&x, cluster.get(id))).collect();
+    dists.sort_by(f64::total_cmp);
+    let bound = dists[99];
+    let mut record = vec![0.0f32; cluster.series_len()];
+    let scan_iters = (iters / 1_000).max(2);
+    println!(
+        "\n{:<10} {:>18} {:>18} {:>9}",
+        "tier", "decode + kernel", "in place", "ratio"
+    );
+    let mut in_place = Vec::new();
+    for tier in Dispatch::available() {
+        kernels::force(Some(tier));
+        let decode_ns = time_ns(reps, scan_iters, || {
+            for i in 0..recs.len() {
+                recs.decode_into(i, &mut record);
+                black_box(ed_early_abandon(black_box(&x), &record, bound));
+            }
+        }) / recs.len() as f64;
+        let le_ns = time_ns(reps, scan_iters, || {
+            for i in 0..recs.len() {
+                black_box(ed_early_abandon_le(black_box(&x), recs.values_le(i), bound));
+            }
+        }) / recs.len() as f64;
+        kernels::force(None);
+        println!(
+            "{:<10} {:>13.1}ns/rec {:>13.1}ns/rec {:>8.2}x",
+            tier.name(),
+            decode_ns,
+            le_ns,
+            decode_ns / le_ns.max(1e-9)
+        );
+        in_place.push((tier, decode_ns, le_ns));
+    }
+
     // BENCH_*.json record (consumed by tooling; schema kept flat).
     let mut json = String::new();
     let _ = write!(
@@ -240,6 +316,15 @@ fn main() {
             r.speedup()
         );
     }
+    let _ = write!(json, "\n  ],\n  \"scan_step\": [");
+    for (i, (tier, decode_ns, le_ns)) in in_place.iter().enumerate() {
+        let _ = write!(
+            json,
+            "{}\n    {{\"tier\": \"{}\", \"decode_then_kernel_ns\": {decode_ns:.2}, \"in_place_ns\": {le_ns:.2}}}",
+            if i == 0 { "" } else { "," },
+            tier.name()
+        );
+    }
     let _ = write!(
         json,
         "\n  ],\n  \"sq_ed_naive_scalar_ns\": {naive_ns:.2},\n  \"sq_ed_vs_naive\": {vs_naive:.2},\n  \"sq_ed_vs_scalar_tier\": {vs_tier:.2},\n  \"gate\": {gate:.1}\n}}\n"
@@ -260,5 +345,13 @@ fn main() {
                 .as_deref()
                 .unwrap_or("AVX2 host: >= 2x vs naive and >= 1x vs tier")
         );
+        for (tier, decode_ns, le_ns) in &in_place {
+            assert!(
+                le_ns <= decode_ns,
+                "scoring in place ({le_ns:.1} ns/record) is slower than decoding first \
+                 ({decode_ns:.1} ns/record) on the {} tier",
+                tier.name()
+            );
+        }
     }
 }

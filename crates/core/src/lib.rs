@@ -615,7 +615,7 @@ impl<S: PartitionStore> Climber<S> {
 
     /// Executes many [`SearchRequest`]s through the one query executor
     /// ([`climber_query::exec`]): compatible requests are grouped so every
-    /// shared partition is opened once and every shared cluster decoded
+    /// shared partition is opened once and every shared cluster walked
     /// once. Outcomes come back in request order, **bit-identical** to
     /// calling [`search`](Self::search) once per request — this is the
     /// entry point the serving layer's micro-batches ride.

@@ -218,6 +218,13 @@ pub fn check_header(bytes: &[u8]) -> Result<(), String> {
     Ok(())
 }
 
+/// The series length an encoded partition's header declares, or `None`
+/// when `bytes` ends before the field.
+pub fn header_series_len(bytes: &[u8]) -> Option<u32> {
+    let field = bytes.get(16..20)?;
+    Some(u32::from_le_bytes(field.try_into().unwrap()))
+}
+
 /// Bytes of one encoded record of `series_len` values: the `u64` id, then
 /// the values as `f32`s, all little-endian. The one spelling of the record
 /// layout; [`ClusterRecords`] is the one decoder of it.
@@ -448,7 +455,7 @@ impl PartitionReader {
         }
         check_header(&bytes)?;
         let group_id = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-        let series_len = u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize;
+        let series_len = header_series_len(&bytes).expect("fixed header present") as usize;
         let n_clusters = u32::from_le_bytes(bytes[20..24].try_into().unwrap()) as usize;
         if series_len == 0 {
             return Err("partition with zero series length".into());
@@ -557,8 +564,8 @@ impl PartitionReader {
 
     /// Random-access view over the records of cluster `node_id`, or `None`
     /// when the node is absent. One directory lookup up front, then O(1)
-    /// per-record access: a scan reads a record's id first and decodes
-    /// its `f32` values only if the record is still wanted.
+    /// per-record access: a scan reads a record's id first and touches
+    /// its values only if the record is still wanted.
     pub fn cluster_records(&self, node_id: TrieNodeId) -> Option<ClusterRecords<'_>> {
         let (start, count) = self.locate(node_id)?;
         Some(self.run(start, count))
@@ -627,9 +634,10 @@ impl PartitionReader {
 /// The cursor over a run of encoded records — one sealed cluster
 /// ([`PartitionReader::cluster_records`], [`ClusterView::records`]) or a
 /// whole partition ([`PartitionReader::records`]) — and the only code
-/// that decodes a record. Ids can be inspected without decoding values;
-/// values decode on demand, per record — the scan loop's
-/// skip-before-decode shape.
+/// that knows where a record's id and values lie. Ids can be inspected
+/// without touching values; values are handed out in place
+/// ([`values_le`](Self::values_le), the scan's form) or decoded on
+/// demand, per record.
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterRecords<'a> {
     bytes: &'a [u8],
@@ -691,18 +699,30 @@ impl<'a> ClusterRecords<'a> {
             .map(|rec| u64::from_le_bytes(rec[..8].try_into().unwrap()))
     }
 
+    /// The values of record `i` as stored: `series_len` little-endian
+    /// `f32`s, borrowed from the image at whatever alignment the record
+    /// landed on. The scan's form — `ed_early_abandon_le` scores these
+    /// bytes in place, so a sealed record is never copied on its way to
+    /// the kernel.
+    ///
+    /// # Panics
+    /// If `i >= len()`.
+    #[inline]
+    pub fn values_le(&self, i: usize) -> &'a [u8] {
+        let record_size = self.record_bytes();
+        let off = i * record_size;
+        &self.bytes[off + 8..off + record_size]
+    }
+
     /// Decodes the values of record `i` into `out`, a slice of exactly
-    /// `series_len` values — the scan loop's form: the buffer is sized
-    /// once per cluster, not once per record.
+    /// `series_len` values, for callers that need host `f32`s.
     ///
     /// # Panics
     /// If `i >= len()`.
     #[inline]
     pub fn decode_into(&self, i: usize, out: &mut [f32]) {
         debug_assert_eq!(out.len(), self.series_len);
-        let record_size = self.record_bytes();
-        let off = i * record_size;
-        let encoded = self.bytes[off + 8..off + record_size].chunks_exact(4);
+        let encoded = self.values_le(i).chunks_exact(4);
         for (value, chunk) in out.iter_mut().zip(encoded) {
             *value = f32::from_le_bytes(chunk.try_into().unwrap());
         }

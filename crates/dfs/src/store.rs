@@ -225,6 +225,9 @@ pub struct DiskStore {
     /// ids, used instead of a directory scan so stray files are never
     /// served.
     manifest_ids: Option<Vec<PartitionId>>,
+    /// The manifest's series length, which every partition header must
+    /// repeat (`0` = none recorded: build mode, or an empty index).
+    series_len: u32,
     /// True when [`open_validated`](Self::open_validated) was told so:
     /// every [`put`](PartitionStore::put) is rejected.
     read_only: bool,
@@ -261,6 +264,7 @@ impl DiskStore {
             dir,
             stats: IoStats::new(),
             manifest_ids: None,
+            series_len: 0,
             read_only: false,
             fs,
             staged: RwLock::new(BTreeSet::new()),
@@ -289,9 +293,11 @@ impl DiskStore {
     /// Checks partition bytes against their manifest entry (size,
     /// checksum) and against the format itself: a file the manifest
     /// describes exactly but [`PartitionReader::open`] would refuse — say
-    /// a version this build does not read — must fail here, by name, not
-    /// open "healthy" and then read as empty in every scan.
-    fn check_entry(bytes: &[u8], e: &PartitionEntry) -> Result<(), OpenError> {
+    /// a version this build does not read — or whose header claims another
+    /// series length than the manifest's `series_len` (`0` = unknown) must
+    /// fail here, by name, not open "healthy" and then read as empty in
+    /// every scan.
+    fn check_entry(bytes: &[u8], e: &PartitionEntry, series_len: u32) -> Result<(), OpenError> {
         if bytes.len() as u64 != e.bytes {
             return Err(OpenError::PartitionSizeMismatch {
                 id: e.id,
@@ -307,8 +313,14 @@ impl DiskStore {
                 found,
             });
         }
-        format::check_header(bytes)
-            .map_err(|reason| OpenError::CorruptPartition { id: e.id, reason })
+        let corrupt = |reason| OpenError::CorruptPartition { id: e.id, reason };
+        format::check_header(bytes).map_err(corrupt)?;
+        match format::header_series_len(bytes) {
+            Some(len) if series_len != 0 && len != series_len => Err(corrupt(format!(
+                "series length {len} ≠ manifest {series_len}"
+            ))),
+            _ => Ok(()),
+        }
     }
 
     /// Opens a persisted index directory — the one store open. Loads the
@@ -356,7 +368,7 @@ impl DiskStore {
                 &path,
                 &sibling,
                 !read_only,
-                |b| Self::check_entry(b, e),
+                |b| Self::check_entry(b, e, manifest.series_len),
                 |err| Self::unreadable(err, &path, e),
             ) {
                 // Reuse the validation read: warm the cache so first-query
@@ -405,6 +417,7 @@ impl DiskStore {
                 dir,
                 stats: IoStats::new(),
                 manifest_ids: Some(ids),
+                series_len: manifest.series_len,
                 read_only,
                 fs,
                 staged: RwLock::new(staged),
@@ -461,7 +474,7 @@ impl DiskStore {
             return Ok(true);
         }
         let main = self.path_of(e.id);
-        let matches = |b: &[u8]| Self::check_entry(b, e).is_ok();
+        let matches = |b: &[u8]| Self::check_entry(b, e, self.series_len).is_ok();
         let readmit = |id: PartitionId| {
             self.quarantined.write().remove(&id);
             if let Some(sc) = &self.cache {
@@ -487,7 +500,7 @@ impl DiskStore {
     pub fn verify_partition(&self, e: &PartitionEntry) -> Result<(), OpenError> {
         let path = self.path_of(e.id);
         let bytes = (self.fs.read(&path)).map_err(|err| Self::unreadable(err, &path, e))?;
-        Self::check_entry(&bytes, e)
+        Self::check_entry(&bytes, e, self.series_len)
     }
 }
 

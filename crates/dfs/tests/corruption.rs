@@ -186,6 +186,59 @@ fn grown_partition_file_is_a_size_mismatch() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// A partition file whose header declares another series length than the
+/// manifest, with the manifest entry re-sealed to describe it exactly
+/// (size, checksum, record count, fingerprint): only the header-vs-manifest
+/// comparison can tell. Returns the directory.
+fn dir_with_a_longer_series_partition(tag: &str) -> PathBuf {
+    let dir = persisted_dir(tag);
+    let mut manifest = Manifest::load(&dir).unwrap();
+    let mut w = PartitionWriter::new(1, 5);
+    let recs: Vec<(u64, Vec<f32>)> = (7..10).map(|id| (id, vec![id as f32; 5])).collect();
+    w.push_cluster(9, recs.iter().map(|(id, v)| (*id, v.as_slice())));
+    let bytes = w.finish();
+    write_file_atomic(&dir.join(partition_file_name(1)), &bytes).unwrap();
+    manifest.partitions[1].bytes = bytes.len() as u64;
+    manifest.partitions[1].checksum = xxh64(&bytes, 0);
+    manifest.fingerprint = Manifest::fingerprint_of(
+        manifest.series_len,
+        manifest.num_records,
+        &manifest.partitions,
+    );
+    manifest.write_atomic(&dir).unwrap();
+    dir
+}
+
+#[test]
+fn partition_of_another_series_length_is_refused_by_a_strict_open() {
+    let dir = dir_with_a_longer_series_partition("serieslen-strict");
+    match open(&dir) {
+        Err(OpenError::CorruptPartition { id: 1, reason }) => {
+            assert!(
+                reason.contains("series length 5 ≠ manifest 4"),
+                "unexpected reason: {reason}"
+            );
+        }
+        other => panic!("expected CorruptPartition, got {other:?}"),
+    }
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn partition_of_another_series_length_is_quarantined() {
+    let dir = dir_with_a_longer_series_partition("serieslen-quarantine");
+    let (store, _, _) =
+        DiskStore::open_validated(dir.clone(), false, std_fs(), true, None).unwrap();
+    assert_eq!(store.quarantined(), vec![1]);
+    assert!(store.open(1).is_err(), "a quarantined partition opened");
+    assert_eq!(store.open(0).unwrap().series_len(), 4);
+    // Still refused when an operator asks for it back: the bytes match the
+    // manifest entry, the header still does not match the manifest.
+    let entry = *Manifest::load(&dir).unwrap().partition(1).unwrap();
+    assert!(!store.try_readmit(&entry).unwrap());
+    fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn read_only_store_rejects_writes_and_ignores_strays() {
     let dir = persisted_dir("ro");

@@ -199,19 +199,21 @@ impl Trie {
     /// Arena indices of all leaves under `idx` (inclusive when a leaf).
     pub fn leaves_under(&self, idx: NodeIdx) -> Vec<NodeIdx> {
         let mut out = Vec::new();
-        let mut stack = vec![idx];
-        while let Some(i) = stack.pop() {
-            let n = &self.nodes[i as usize];
-            if n.is_leaf() {
-                out.push(i);
-            } else {
-                // push in reverse so leaves come out in pivot order
-                for &(_, c) in n.children.iter().rev() {
-                    stack.push(c);
-                }
-            }
-        }
+        self.for_each_leaf_under(idx, &mut |leaf| out.push(leaf));
         out
+    }
+
+    /// Visits the leaves under `idx` (inclusive when a leaf) in pivot
+    /// order without allocating — the planner's form, once per candidate
+    /// node of every query.
+    pub fn for_each_leaf_under(&self, idx: NodeIdx, visit: &mut impl FnMut(NodeIdx)) {
+        let n = &self.nodes[idx as usize];
+        if n.is_leaf() {
+            visit(idx);
+        }
+        for &(_, child) in &n.children {
+            self.for_each_leaf_under(child, visit);
+        }
     }
 
     /// All leaf arena indices.

@@ -121,6 +121,7 @@ impl DualSignature {
         scratch: &mut SignatureScratch,
     ) -> Self {
         scratch.paa.clear();
+        scratch.paa.reserve(w);
         paa_into(values, w, &mut scratch.paa);
         let prefix = pivot_permutation_prefix_with(pivots, &scratch.paa, m, &mut scratch.heap);
         Self::from_sensitive(RankSensitive(prefix))

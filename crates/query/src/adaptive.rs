@@ -11,8 +11,9 @@
 //! `factor ×` the partitions CLIMBER-kNN would access (2X and 4X in the
 //! paper's evaluation).
 
-use crate::knn::{add_node_reads, descend_group, select_primary};
+use crate::knn::{add_node_reads, descend_group, for_each_node_read, select_primary};
 use crate::plan::QueryPlan;
+use climber_dfs::store::PartitionId;
 use climber_index::skeleton::{GroupId, IndexSkeleton};
 use climber_index::trie::NodeIdx;
 use climber_pivot::signature::DualSignature;
@@ -89,6 +90,7 @@ pub fn plan_adaptive(
 
     // Greedy expansion under the partition cap.
     let mut covered = primary.size;
+    let mut fresh: Vec<PartitionId> = Vec::new();
     for c in candidates {
         if covered >= k as u64 {
             break;
@@ -96,17 +98,23 @@ pub fn plan_adaptive(
         if c.group == primary.group && c.node == primary.node {
             continue; // already read
         }
-        let mut tentative = plan.clone();
-        add_node_reads(skeleton, c.group, c.node, &mut tentative);
-        if tentative.num_partitions() > cap {
+        // The partitions the node would add, counted before touching the
+        // plan.
+        fresh.clear();
+        for_each_node_read(skeleton, c.group, c.node, |partition, _, _| {
+            if !plan.reads.contains_key(&partition) && !fresh.contains(&partition) {
+                fresh.push(partition);
+            }
+        });
+        if plan.num_partitions() + fresh.len() > cap {
             continue; // would blow the cap; try a cheaper candidate
         }
-        let added = tentative.est_candidates - plan.est_candidates;
-        if !tentative.groups.contains(&c.group) {
-            tentative.groups.push(c.group);
+        let before = plan.est_candidates;
+        add_node_reads(skeleton, c.group, c.node, &mut plan);
+        covered += plan.est_candidates - before;
+        if !plan.groups.contains(&c.group) {
+            plan.groups.push(c.group);
         }
-        plan = tentative;
-        covered += added;
     }
     plan
 }

@@ -12,9 +12,10 @@
 //! ```
 //!
 //! A [`Source`] is one record-disjoint place records live: a partition
-//! store plus, optionally, its pending updates. One request over one source is a plain search; N requests share
-//! every partition open and cluster decode (each partition any plan
-//! selects is opened **once**, each surviving record decoded **once** and
+//! store plus, optionally, its pending updates. One request over one
+//! source is a plain search; N requests share every partition open and
+//! cluster walk (each partition any plan selects is opened **once**, each
+//! surviving record visited **once**, in place in the page image, and
 //! scored against every query that selected its cluster); N sources are
 //! the shards of a scatter-gather set, and a dead shard slot is `None`.
 //! All of them run the same stages and the same `scan_cluster`.
@@ -28,22 +29,23 @@
 //! offers. The arguments are spelled out once, in ARCHITECTURE.md ("Why
 //! every shape returns the same bits").
 
-use crate::adaptive::plan_adaptive;
-use crate::knn::plan_knn;
-use crate::od_smallest::plan_od_smallest;
+pub(crate) use crate::plan::plan_group;
 use crate::plan::{QueryOutcome, QueryPlan};
+pub use crate::search::SeriesLen;
 use crate::search::{SearchMode, SearchRequest};
 use crate::updates::UpdateView;
 use climber_dfs::format::{record_size, PartitionReader, TrieNodeId};
 use climber_dfs::store::{PartitionId, PartitionStore};
 use climber_index::skeleton::IndexSkeleton;
-use climber_repr::paa::{paa, paa_into};
-use climber_series::distance::ed_early_abandon;
+use climber_repr::paa::{paa, paa_into, paa_le_into};
+use climber_series::distance::{ed_early_abandon, ed_early_abandon_le};
+use climber_series::kernels::prefetch;
 use climber_series::resample::resample_linear;
 use climber_series::topk::{SharedBound, TopK};
 use rayon::prelude::*;
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
+use std::cell::RefCell;
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -53,6 +55,15 @@ const PREFILTER_SEGMENTS: usize = 16;
 /// Minimum queries sharing a cluster before its PAA signatures are worth
 /// computing: below this the signature pass costs about what it saves.
 const PREFILTER_MIN_QUERIES: usize = 4;
+
+/// The sealed scan asks for the leading cache lines of the record this
+/// many places ahead while it scores the current one. Most records are
+/// abandoned inside their first four lines, which leaves a strided access
+/// pattern the hardware streamer does not follow. Measured and kept:
+/// `direct-warm` qps +12 % without the hint, +23 % with it (ARCHITECTURE,
+/// "Distance kernels").
+const PREFETCH_AHEAD: usize = 2;
+const PREFETCH_LINES: usize = 5;
 
 /// One record-disjoint place a search reads from: a partition store and
 /// the updates pending against it.
@@ -91,31 +102,6 @@ pub struct SourceStatus {
     /// Records this source put into candidate streams (scan + expansion);
     /// sums across sources to the outcomes' `records_scanned`.
     pub records_scanned: u64,
-}
-
-/// The indexed series length of one index handle, looked up at most once:
-/// set for free where a handle already knows it (a manifest field, a
-/// build's scan), read from the first stored partition otherwise.
-#[derive(Debug, Clone, Default)]
-pub struct SeriesLen(OnceLock<usize>);
-
-impl SeriesLen {
-    /// Records a length the caller already knows (`0` = unknown).
-    pub fn set(&self, len: usize) {
-        if len > 0 {
-            let _ = self.0.set(len);
-        }
-    }
-
-    /// The indexed length; `None` while `store` holds no partition.
-    pub fn get<S: PartitionStore>(&self, store: &S) -> Option<usize> {
-        if let Some(&len) = self.0.get() {
-            return Some(len);
-        }
-        let pid = *store.ids().first()?;
-        self.set(store.open(pid).ok()?.series_len());
-        self.0.get().copied()
-    }
 }
 
 /// Executes `reqs` against `sources` (see the [module docs](self)):
@@ -218,72 +204,53 @@ pub fn execute<S: PartitionStore>(
     (outcomes, statuses)
 }
 
-/// Plans every query of a group against the shared skeleton — plans
-/// depend only on skeleton and query, so one pass serves every source.
-/// A budget truncates each plan deterministically (ascending partition
-/// id).
-pub(crate) fn plan_group<Q: AsRef<[f32]> + Sync>(
-    skeleton: &IndexSkeleton,
-    queries: &[Q],
-    mode: SearchMode,
-    k: usize,
-    budget: Option<u32>,
-) -> Vec<QueryPlan> {
-    let signatures = skeleton.extract_signatures(queries);
-    (0..queries.len())
-        .into_par_iter()
-        .map(|qi| {
-            let sig = &signatures[qi];
-            let seed = query_seed(queries[qi].as_ref());
-            let mut plan = match mode {
-                SearchMode::Exact => plan_knn(skeleton, sig, seed),
-                SearchMode::Adaptive(f) | SearchMode::Resampled(f) => {
-                    plan_adaptive(skeleton, sig, k, f as usize, seed)
-                }
-                SearchMode::Smallest => plan_od_smallest(skeleton, sig),
-            };
-            if let Some(b) = budget {
-                plan.truncate_partitions(b as usize);
-            }
-            plan
-        })
-        .collect()
-}
-
-/// Deterministic per-query seed for tie-breaks: FNV-1a over the value bits.
-pub(crate) fn query_seed(query: &[f32]) -> u64 {
-    query.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
-        (h ^ v.to_bits() as u64).wrapping_mul(0x100_0000_01b3)
-    })
-}
-
-/// One query's seat at a partition scan: what `scan_cluster` scores
-/// against, the heap it fills, and the stream length it is charged.
-struct Lane<'a> {
-    /// Index of the query in its group.
-    qi: usize,
+/// What a group keeps per query across its partition tasks. A [`Lane`]
+/// borrows nothing: it names its seat by index, so the lane vector can be
+/// a per-thread buffer that outlives the call.
+struct Seat<'a> {
     query: &'a [f32],
     /// The query's prefilter signature (empty when the group is too small
-    /// for any cluster to be prefiltered).
-    paa: &'a [f64],
-    shared: &'a SharedBound,
+    /// for any cluster to be prefiltered): ~70 ns to compute, so signed
+    /// inline rather than fanned out.
+    paa: Vec<f64>,
+    /// The bound every lane of the query polls.
+    shared: SharedBound,
+    /// The query's heap, handed from task to task.
+    heap: Mutex<Option<TopK>>,
+    /// Stream length charged by the tasks finished so far.
+    scanned: AtomicU64,
+}
+
+/// One query's place at a partition scan: the heap it fills and the
+/// stream length it is charged.
+struct Lane {
+    /// Index of the query (and its [`Seat`]) in the group.
+    qi: usize,
     top: TopK,
     /// The heap's bound moved since it was last published.
     tightened: bool,
     scanned: u64,
 }
 
-/// Per-worker reusable buffers of the cluster scan: the one decoded
-/// record every interested lane scores, and its PAA signature.
+/// Per-thread buffers of the scan, reused across calls: the lanes of the
+/// partition task being run and the PAA signature of the record being
+/// scored. After warm-up an inline search allocates nothing per task,
+/// cluster or record (`tests/alloc_budget.rs`).
 #[derive(Default)]
 struct Scratch {
-    record: Vec<f32>,
+    lanes: Vec<Lane>,
     paa: Vec<f64>,
+    work: Vec<PartitionWork>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
 }
 
 /// What the plans of a group ask of one partition.
 #[derive(Default)]
 struct PartitionWork {
+    pid: PartitionId,
     /// The queries whose plans read this partition (their lanes).
     qis: Vec<usize>,
     /// `(cluster, lane)` for every selection, sorted: each run of one
@@ -305,35 +272,55 @@ pub(crate) fn scan_group<S: PartitionStore, Q: AsRef<[f32]> + Sync>(
 ) -> Vec<QueryOutcome> {
     let nq = queries.len();
     assert_eq!(plans.len(), nq, "one plan per query");
-    let bounds: Vec<SharedBound> = (0..nq).map(|_| SharedBound::new()).collect();
-    let qpaas: Vec<Vec<f64>> = if nq >= PREFILTER_MIN_QUERIES {
-        let sign = |q: &Q| paa(q.as_ref(), PREFILTER_SEGMENTS.min(q.as_ref().len()));
-        queries.par_iter().map(sign).collect()
-    } else {
-        Vec::new()
+    // A cluster is prefiltered only when four lanes share it, so a smaller
+    // group signs nothing.
+    let sign = |q: &[f32]| match nq >= PREFILTER_MIN_QUERIES {
+        true => paa(q, PREFILTER_SEGMENTS.min(q.len())),
+        false => Vec::new(),
     };
-    let lane = |qi: usize, top: TopK| Lane {
+    let seats: Vec<Seat<'_>> = (queries.iter().map(AsRef::as_ref))
+        .map(|query| Seat {
+            query,
+            paa: sign(query),
+            shared: SharedBound::new(),
+            heap: Mutex::new(None),
+            scanned: AtomicU64::new(0),
+        })
+        .collect();
+    let held = "no lane panics holding a heap";
+    let lane = |qi: usize, top: Option<TopK>| Lane {
         qi,
-        query: queries[qi].as_ref(),
-        paa: qpaas.get(qi).map_or(&[], Vec::as_slice),
-        shared: &bounds[qi],
-        top,
+        top: top.unwrap_or_else(|| TopK::new(k)),
         tightened: false,
         scanned: 0,
     };
 
-    // Regroup the union of all plans by partition, then by cluster.
-    let mut work: BTreeMap<PartitionId, PartitionWork> = BTreeMap::new();
+    // Regroup the union of all plans by partition, then by cluster, into
+    // the thread's pooled entries: their vectors keep their capacity.
+    let mut pool = SCRATCH.with_borrow_mut(|s| std::mem::take(&mut s.work));
+    let mut used = 0;
     for (qi, plan) in plans.iter().enumerate() {
         for (&pid, nodes) in &plan.reads {
-            let w = work.entry(pid).or_default();
+            let known = pool[..used].iter().position(|w| w.pid == pid);
+            let wi = known.unwrap_or_else(|| {
+                used += 1;
+                pool.resize_with(pool.len().max(used), Default::default);
+                let w = &mut pool[used - 1];
+                w.pid = pid;
+                w.qis.clear();
+                w.picks.clear();
+                used - 1
+            });
+            let w = &mut pool[wi];
             w.qis.push(qi);
             w.picks
                 .extend(nodes.iter().map(|&node| (node, w.qis.len() - 1)));
         }
     }
-    let mut work: Vec<(PartitionId, PartitionWork)> = work.into_iter().collect();
-    work.iter_mut().for_each(|(_, w)| w.picks.sort_unstable());
+    let work = &mut pool[..used];
+    work.sort_unstable_by_key(|w| w.pid);
+    work.iter_mut().for_each(|w| w.picks.sort_unstable());
+    let work = &*work;
 
     // Every (live source, partition) pair is one task; workers pull the
     // next one off a shared cursor, so skewed partition sizes balance. A
@@ -347,66 +334,67 @@ pub(crate) fn scan_group<S: PartitionStore, Q: AsRef<[f32]> + Sync>(
         .collect();
     let tasks = live.len() * work.len();
     let cursor = AtomicUsize::new(0);
-    let heaps: Vec<Mutex<Option<TopK>>> = (0..nq).map(|_| Mutex::new(None)).collect();
-    let held = "no lane panics holding a heap";
-    let scanned: Vec<AtomicU64> = (0..nq).map(|_| AtomicU64::new(0)).collect();
     let source_scanned: Vec<AtomicU64> = sources.iter().map(|_| AtomicU64::new(0)).collect();
     let slots: Vec<OnceLock<Option<PartitionReader>>> = (0..sources.len() * work.len())
         .map(|_| OnceLock::new())
         .collect();
     let slot = |si: usize, pi: usize| &slots[si * work.len() + pi];
-    let worker = |_: usize| {
-        let mut scratch = Scratch::default();
-        loop {
-            let task = cursor.fetch_add(1, Ordering::Relaxed);
-            if task >= tasks {
-                break;
-            }
-            let (si, pi) = (live[task / work.len()], task % work.len());
-            let (src, (pid, pw)) = (sources[si].as_ref().expect("live source"), &work[pi]);
-            let Ok(reader) = src.store.open(*pid) else {
-                continue; // vanished or quarantined: treated as empty
-            };
-            let take = |qi: usize| heaps[qi].lock().expect(held).take();
-            let mut lanes: Vec<Lane<'_>> = (pw.qis.iter())
-                .map(|&qi| lane(qi, take(qi).unwrap_or_else(|| TopK::new(k))))
-                .collect();
-            for interested in pw.picks.chunk_by(|a, b| a.0 == b.0) {
-                scan_cluster(src, &reader, *pid, &mut lanes, interested, &mut scratch);
-            }
-            let mut total = 0;
-            for lane in lanes {
-                total += lane.scanned;
-                scanned[lane.qi].fetch_add(lane.scanned, Ordering::Relaxed);
-                let mut slot = heaps[lane.qi].lock().expect(held);
-                let mut top = lane.top;
-                if let Some(other) = slot.take() {
-                    top.merge(other);
-                    top.publish_bound(lane.shared);
-                }
-                *slot = Some(top);
-            }
-            source_scanned[si].fetch_add(total, Ordering::Relaxed);
-            let _ = slot(si, pi).set(expands.then_some(reader));
+    let run_tasks = |Scratch { lanes, paa, .. }: &mut Scratch| loop {
+        let task = cursor.fetch_add(1, Ordering::Relaxed);
+        if task >= tasks {
+            break;
         }
+        let (si, pi) = (live[task / work.len()], task % work.len());
+        let (src, pw) = (sources[si].as_ref().expect("live source"), &work[pi]);
+        // Vanished, quarantined, or holding records of another length than
+        // the queries (a file-supplied length never reaches the kernel):
+        // treated as empty, and named in the status.
+        let fits = |r: &PartitionReader| {
+            (pw.qis.iter()).all(|&qi| seats[qi].query.len() == r.series_len())
+        };
+        let Some(reader) = src.store.open(pw.pid).ok().filter(fits) else {
+            continue;
+        };
+        let take = |qi: usize| seats[qi].heap.lock().expect(held).take();
+        lanes.clear(); // a panicked task may have left its lanes behind
+        lanes.extend(pw.qis.iter().map(|&qi| lane(qi, take(qi))));
+        for interested in pw.picks.chunk_by(|a, b| a.0 == b.0) {
+            scan_cluster(src, &reader, pw.pid, &seats, lanes, interested, paa);
+        }
+        let mut total = 0;
+        for lane in lanes.drain(..) {
+            let seat = &seats[lane.qi];
+            total += lane.scanned;
+            seat.scanned.fetch_add(lane.scanned, Ordering::Relaxed);
+            let mut slot = seat.heap.lock().expect(held);
+            let mut top = lane.top;
+            if let Some(other) = slot.take() {
+                top.merge(other);
+                top.publish_bound(&seat.shared);
+            }
+            *slot = Some(top);
+        }
+        source_scanned[si].fetch_add(total, Ordering::Relaxed);
+        let _ = slot(si, pi).set(expands.then_some(reader));
     };
     let workers = rayon::current_num_threads().min(tasks);
+    let worker = |_: usize| SCRATCH.with_borrow_mut(run_tasks);
     let _: Vec<()> = (0..workers).into_par_iter().map(worker).collect();
 
     // Gather, per query: a planned partition counts as opened when any
     // live source opened it; the expansion walks the plan in order.
-    let finish = |(qi, (plan, heap)): (usize, (QueryPlan, Mutex<Option<TopK>>))| {
+    let finish = |(qi, plan): (usize, QueryPlan)| {
         let part = |pid: &PartitionId| {
-            let pi = work.binary_search_by_key(pid, |(p, _)| *p);
+            let pi = work.binary_search_by_key(pid, |w| w.pid);
             pi.expect("every planned partition has work")
         };
         let opened =
             |pid: &&PartitionId| live.iter().any(|&si| slot(si, part(pid)).get().is_some());
         let partitions_opened = plan.reads.keys().filter(opened).count();
-        let top = heap.into_inner().expect(held);
-        let mut lanes = [lane(qi, top.unwrap_or_else(|| TopK::new(k)))];
+        let top = seats[qi].heap.lock().expect(held).take();
+        let mut lanes = [lane(qi, top)];
         if expands && lanes[0].top.len() < k {
-            let mut scratch = Scratch::default();
+            let paa = &mut Vec::new(); // one lane: never prefiltered, never filled
             for (&pid, planned) in &plan.reads {
                 for &si in &live {
                     let Some(Some(reader)) = slot(si, part(&pid)).get() else {
@@ -421,7 +409,8 @@ pub(crate) fn scan_group<S: PartitionStore, Q: AsRef<[f32]> + Sync>(
                     let unseen = delta.iter().filter(|n| !sealed.contains(n));
                     for &node in sealed.iter().chain(unseen) {
                         if !planned.contains(&node) {
-                            scan_cluster(src, reader, pid, &mut lanes, &[(node, 0)], &mut scratch);
+                            let only = &[(node, 0)];
+                            scan_cluster(src, reader, pid, &seats, &mut lanes, only, paa);
                         }
                     }
                     source_scanned[si].fetch_add(lanes[0].scanned - before, Ordering::Relaxed);
@@ -439,20 +428,21 @@ pub(crate) fn scan_group<S: PartitionStore, Q: AsRef<[f32]> + Sync>(
         QueryOutcome {
             results: top.into_sorted(),
             partitions_opened,
-            records_scanned: scanned[qi].load(Ordering::Relaxed) + expanded,
+            records_scanned: seats[qi].scanned.load(Ordering::Relaxed) + expanded,
             plan,
         }
     };
-    let items: Vec<_> = plans.into_iter().zip(heaps).enumerate().collect();
+    let items: Vec<_> = plans.into_iter().enumerate().collect();
     let outcomes = items.into_par_iter().map(finish).collect();
 
     for &si in &live {
         statuses[si].records_scanned += source_scanned[si].load(Ordering::Relaxed);
         let failed = (work.iter().enumerate())
             .filter(|&(pi, _)| slot(si, pi).get().is_none())
-            .map(|(_, (pid, _))| *pid);
+            .map(|(_, w)| w.pid);
         statuses[si].failed_partitions.extend(failed);
     }
+    SCRATCH.with_borrow_mut(|s| s.work = pool);
     outcomes
 }
 
@@ -463,25 +453,27 @@ pub(crate) fn scan_group<S: PartitionStore, Q: AsRef<[f32]> + Sync>(
 /// The candidate stream is the sealed cluster's records minus tombstoned
 /// ids, then the delta cluster under the same key minus tombstoned ids;
 /// its length is charged to every interested lane's `scanned`. A sealed
-/// record is *decoded* unless it is tombstoned (the one skip-before-decode
-/// predicate), once, into a one-record buffer that stays cache-hot while
-/// every interested lane scores it: `ed_early_abandon → TopK::offer →
-/// publish_bound`, behind the shared PAA prefilter when enough lanes
-/// share the record to pay for its signature. Per lane the records are
-/// visited in stream order. [`climber_dfs::stats::IoStats`] is charged
-/// the sealed records actually decoded — the honest physical I/O.
+/// record is scored where it lies in the page image — never decoded, never
+/// copied — by every interested lane while its lines are cache-hot:
+/// `ed_early_abandon_le → TopK::offer → publish_bound`, behind the shared
+/// PAA prefilter when enough lanes share the record to pay for its
+/// signature. Per lane the records are visited in stream order.
+/// [`climber_dfs::stats::IoStats`] is charged a full record per sealed
+/// candidate — what the partition holds for it, whatever the kernel left
+/// unread.
 fn scan_cluster<S: PartitionStore>(
     src: &Source<'_, S>,
     reader: &PartitionReader,
     pid: PartitionId,
-    lanes: &mut [Lane<'_>],
+    seats: &[Seat<'_>],
+    lanes: &mut [Lane],
     interested: &[(TrieNodeId, usize)],
-    scratch: &mut Scratch,
+    paa: &mut Vec<f64>,
 ) {
     let node = interested[0].0;
-    let Scratch { record, paa } = scratch;
     let segments = PREFILTER_SEGMENTS.min(reader.series_len());
     let mut lanes = Scorer {
+        seats,
         lanes,
         interested,
         paa,
@@ -494,34 +486,32 @@ fn scan_cluster<S: PartitionStore>(
     let deleted = |id: u64| tombstones.as_ref().is_some_and(|t| t.contains(id));
     let mut counted = 0u64;
     if let Some(recs) = reader.cluster_records(node) {
-        // Sized once per cluster: the per-record decode then writes
-        // through a slice and the loop carries no `Vec` bookkeeping.
-        record.resize(reader.series_len(), 0.0);
-        let record = record.as_mut_slice();
         for i in 0..recs.len() {
+            if i + PREFETCH_AHEAD < recs.len() {
+                prefetch(recs.values_le(i + PREFETCH_AHEAD), PREFETCH_LINES);
+            }
             let id = recs.id(i);
             if deleted(id) {
                 continue;
             }
             counted += 1;
-            recs.decode_into(i, record);
-            lanes.score(id, record);
+            lanes.score(id, Values::Le(recs.values_le(i)));
         }
     }
-    // The store is charged the sealed records decoded; delta records
-    // counted below never came from it.
-    let decoded = counted;
+    // The store is charged the sealed candidates; delta records counted
+    // below never came from it.
+    let sealed = counted;
     if let Some(u) = src.updates {
         u.delta.for_each_in_cluster(pid, node, |id, values| {
             if !deleted(id) {
                 counted += 1;
-                lanes.score(id, values);
+                lanes.score(id, Values::F32(values));
             }
         });
     }
     let record_bytes = record_size(reader.series_len()) as u64;
-    src.store.stats().on_read(decoded * record_bytes);
-    src.store.stats().on_records_read(decoded);
+    src.store.stats().on_read(sealed * record_bytes);
+    src.store.stats().on_records_read(sealed);
     // One publication per cluster, not per kept offer: the shared bound
     // is an atomic other workers poll, and a stale one only costs them
     // early-abandon work.
@@ -529,7 +519,7 @@ fn scan_cluster<S: PartitionStore>(
         let lane = &mut lanes.lanes[l];
         lane.scanned += counted;
         if std::mem::take(&mut lane.tightened) {
-            lane.top.publish_bound(lane.shared);
+            lane.top.publish_bound(&seats[lane.qi].shared);
         }
     }
 }
@@ -538,7 +528,8 @@ fn scan_cluster<S: PartitionStore>(
 /// geometry of the PAA lower bound (segments, and the `floor(n / w)`
 /// weight that keeps it admissible for uneven splits).
 struct Scorer<'s, 'q> {
-    lanes: &'s mut [Lane<'q>],
+    seats: &'s [Seat<'q>],
+    lanes: &'s mut [Lane],
     interested: &'s [(TrieNodeId, usize)],
     paa: &'s mut Vec<f64>,
     segments: usize,
@@ -546,28 +537,46 @@ struct Scorer<'s, 'q> {
     prefilter: bool,
 }
 
+/// A record's readings as the scan finds them: the little-endian bytes of
+/// a sealed record, borrowed from the partition image, or the host `f32`s
+/// of a delta-segment record. Both kernels return the same bits for the
+/// same readings.
+#[derive(Clone, Copy)]
+enum Values<'a> {
+    Le(&'a [u8]),
+    F32(&'a [f32]),
+}
+
 impl Scorer<'_, '_> {
-    /// Scores one decoded record against every interested lane — the
-    /// only place a record meets the exact kernel.
+    /// Scores one record, where it lies, against every interested lane —
+    /// the only place a record meets the exact kernel.
     #[inline(always)]
-    fn score(&mut self, id: u64, values: &[f32]) {
+    fn score(&mut self, id: u64, values: Values<'_>) {
         if self.prefilter {
             self.paa.clear();
-            paa_into(values, self.segments, self.paa);
+            match values {
+                Values::Le(bytes) => paa_le_into(bytes, self.segments, self.paa),
+                Values::F32(v) => paa_into(v, self.segments, self.paa),
+            }
         }
         for &(_, l) in self.interested {
             let lane = &mut self.lanes[l];
-            let bound = lane.top.bound_with(lane.shared);
-            if self.prefilter && lane.paa.len() == self.segments && bound.is_finite() {
+            let seat = &self.seats[lane.qi];
+            let bound = lane.top.bound_with(&seat.shared);
+            if self.prefilter && seat.paa.len() == self.segments && bound.is_finite() {
                 let mut lb = 0.0f64;
-                for (a, b) in lane.paa.iter().zip(self.paa.iter()) {
+                for (a, b) in seat.paa.iter().zip(self.paa.iter()) {
                     lb += (a - b) * (a - b);
                 }
                 if lb * self.scale > bound * (1.0 + 1e-9) {
                     continue;
                 }
             }
-            if let Some(d) = ed_early_abandon(lane.query, values, bound) {
+            let d = match values {
+                Values::Le(bytes) => ed_early_abandon_le(seat.query, bytes, bound),
+                Values::F32(v) => ed_early_abandon(seat.query, v, bound),
+            };
+            if let Some(d) = d {
                 lane.tightened |= lane.top.offer(id, d);
             }
         }

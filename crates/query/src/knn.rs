@@ -9,6 +9,8 @@
 //! 5. deterministic pseudo-random pick (lines 18-19).
 
 use crate::plan::QueryPlan;
+use climber_dfs::format::TrieNodeId;
+use climber_dfs::store::PartitionId;
 use climber_index::skeleton::{GroupId, IndexSkeleton, FALLBACK_GROUP};
 use climber_index::trie::NodeIdx;
 use climber_pivot::assignment::splitmix64;
@@ -116,18 +118,31 @@ pub fn plan_knn(skeleton: &IndexSkeleton, sig: &DualSignature, qseed: u64) -> Qu
 /// cluster under the node (in its packed partition), plus the group's
 /// overflow cluster when the node is the trie root.
 pub fn add_node_reads(skeleton: &IndexSkeleton, g: GroupId, node: NodeIdx, plan: &mut QueryPlan) {
+    for_each_node_read(skeleton, g, node, |partition, cluster, est_size| {
+        plan.add_read(partition, cluster);
+        plan.est_candidates += est_size;
+    });
+}
+
+/// Visits the `(partition, cluster, estimated records)` reads of one
+/// `(group, node)` selection, in plan order, without allocating.
+pub(crate) fn for_each_node_read(
+    skeleton: &IndexSkeleton,
+    g: GroupId,
+    node: NodeIdx,
+    mut read: impl FnMut(PartitionId, TrieNodeId, u64),
+) {
     let meta = &skeleton.groups[g as usize];
     let trie = &meta.trie;
-    for leaf_idx in trie.leaves_under(node) {
+    trie.for_each_leaf_under(node, &mut |leaf_idx| {
         let leaf = trie.node(leaf_idx);
-        plan.add_read(leaf.partitions[0], leaf.id);
-        plan.est_candidates += leaf.est_size;
-    }
+        read(leaf.partitions[0], leaf.id, leaf.est_size);
+    });
     if node == 0 {
         // Root: include the default-partition overflow cluster (records
         // that could not complete a root-to-leaf walk are stored there
         // under the root's node id).
-        plan.add_read(meta.default_partition, trie.root().id);
+        read(meta.default_partition, trie.root().id, 0);
     }
 }
 

@@ -319,11 +319,13 @@ mod testkit {
 #[cfg(test)]
 mod scatter {
     mod tests {
-        use crate::exec::{plan_group, scan_group, Source, SourceStatus};
+        use crate::exec::{execute, plan_group, scan_group, Source, SourceStatus};
         use crate::testkit::{build, queries_of, search};
         use crate::{QueryPlan, SearchMode, SearchRequest};
-        use climber_dfs::store::PartitionStore;
+        use climber_dfs::format::PartitionWriter;
+        use climber_dfs::store::{MemStore, PartitionStore};
         use climber_series::gen::Domain;
+        use std::collections::BTreeSet;
 
         #[test]
         fn plan_queries_matches_sequential_planning() {
@@ -381,6 +383,55 @@ mod scatter {
             assert_eq!(out[0].partitions_opened, 1);
             assert!(status[0].failed_partitions.contains(&9_999));
             assert!(!status[0].failed_partitions.contains(&pid));
+        }
+
+        #[test]
+        fn partition_of_another_series_length_is_skipped_and_named() {
+            let (skeleton, store, ds) = build(Domain::RandomWalk, 600);
+            let req = (queries_of(&ds, 20).into_iter())
+                .map(|q| SearchRequest::new(q, 50))
+                .find(|req| search(&skeleton, &store, req).plan.num_partitions() >= 2)
+                .expect("some plan reads two partitions");
+            let bad = *search(&skeleton, &store, &req)
+                .plan
+                .reads
+                .keys()
+                .next()
+                .unwrap();
+
+            // The same partitions minus `bad`, and with `bad` re-encoded one
+            // reading longer per record than the index (and the query).
+            let (without, crafted) = (MemStore::new(), MemStore::new());
+            for pid in store.ids() {
+                let reader = store.open(pid).unwrap();
+                if pid != bad {
+                    without.put(pid, reader.raw_bytes_owned()).unwrap();
+                    crafted.put(pid, reader.raw_bytes_owned()).unwrap();
+                    continue;
+                }
+                let mut w = PartitionWriter::new(reader.group_id(), reader.series_len() + 1);
+                for (node, recs) in reader.clusters() {
+                    recs.for_each(|id, values| w.push_record(id, &[values, &[0.0]].concat()));
+                    w.seal_cluster(node);
+                }
+                crafted.put(pid, w.finish()).unwrap();
+            }
+
+            let reqs = std::slice::from_ref(&req);
+            let over = |store| {
+                execute(
+                    &skeleton,
+                    &[Some(Source::sealed(store))],
+                    Some(ds.series_len()),
+                    reqs,
+                    0,
+                )
+            };
+            let (got, status) = over(&crafted);
+            let (want, _) = over(&without);
+            assert_eq!(status[0].failed_partitions, BTreeSet::from([bad]));
+            assert!(!got[0].results.is_empty(), "the other partitions answer");
+            assert_eq!(got, want, "a partition the scan refuses reads as absent");
         }
     }
 }

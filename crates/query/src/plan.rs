@@ -5,10 +5,15 @@
 //! the result of executing it (the approximate answer set plus the access
 //! statistics the paper's experiments report).
 
+use crate::adaptive::plan_adaptive;
+use crate::knn::plan_knn;
+use crate::od_smallest::plan_od_smallest;
+use crate::search::SearchMode;
 use climber_dfs::format::{ByteReader, Decode, Encode, TrieNodeId};
 use climber_dfs::store::PartitionId;
-use climber_index::skeleton::GroupId;
+use climber_index::skeleton::{GroupId, IndexSkeleton};
 use climber_series::series::SeriesId;
+use rayon::prelude::*;
 use std::collections::BTreeMap;
 
 /// The physical reads a query will perform.
@@ -55,6 +60,45 @@ impl QueryPlan {
             self.reads.split_off(&cut);
         }
     }
+}
+
+/// Plans every query of a group against the shared skeleton — plans
+/// depend only on skeleton and query, so one pass serves every source.
+/// A budget truncates each plan deterministically (ascending partition
+/// id).
+pub(crate) fn plan_group<Q: AsRef<[f32]> + Sync>(
+    skeleton: &IndexSkeleton,
+    queries: &[Q],
+    mode: SearchMode,
+    k: usize,
+    budget: Option<u32>,
+) -> Vec<QueryPlan> {
+    let signatures = skeleton.extract_signatures(queries);
+    (0..queries.len())
+        .into_par_iter()
+        .map(|qi| {
+            let sig = &signatures[qi];
+            let seed = query_seed(queries[qi].as_ref());
+            let mut plan = match mode {
+                SearchMode::Exact => plan_knn(skeleton, sig, seed),
+                SearchMode::Adaptive(f) | SearchMode::Resampled(f) => {
+                    plan_adaptive(skeleton, sig, k, f as usize, seed)
+                }
+                SearchMode::Smallest => plan_od_smallest(skeleton, sig),
+            };
+            if let Some(b) = budget {
+                plan.truncate_partitions(b as usize);
+            }
+            plan
+        })
+        .collect()
+}
+
+/// Deterministic per-query seed for tie-breaks: FNV-1a over the value bits.
+pub(crate) fn query_seed(query: &[f32]) -> u64 {
+    query.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+        (h ^ v.to_bits() as u64).wrapping_mul(0x100_0000_01b3)
+    })
 }
 
 impl Encode for QueryPlan {

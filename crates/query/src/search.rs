@@ -7,7 +7,7 @@
 //!   partition [budget](SearchRequest::with_budget), built fluently;
 //! * [`execute`](crate::exec::execute) — runs a slice of requests through
 //!   the one executor, grouping compatible requests so each group is
-//!   planned, decoded and scored together; one request alone is
+//!   planned, scanned and scored together; one request alone is
 //!   bit-identical to its slot in any batch.
 //!
 //! Both types implement the [`Encode`]/[`Decode`] codec from
@@ -16,6 +16,8 @@
 //! caller would build.
 
 use climber_dfs::format::{ByteReader, Decode, Encode};
+use climber_dfs::store::PartitionStore;
+use std::sync::OnceLock;
 
 /// Which search strategy a [`SearchRequest`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -231,6 +233,31 @@ impl Decode for SearchRequest {
             mode,
             budget,
         })
+    }
+}
+
+/// The indexed series length of one index handle, looked up at most once:
+/// set for free where a handle already knows it (a manifest field, a
+/// build's scan), read from the first stored partition otherwise.
+#[derive(Debug, Clone, Default)]
+pub struct SeriesLen(OnceLock<usize>);
+
+impl SeriesLen {
+    /// Records a length the caller already knows (`0` = unknown).
+    pub fn set(&self, len: usize) {
+        if len > 0 {
+            let _ = self.0.set(len);
+        }
+    }
+
+    /// The indexed length; `None` while `store` holds no partition.
+    pub fn get<S: PartitionStore>(&self, store: &S) -> Option<usize> {
+        if let Some(&len) = self.0.get() {
+            return Some(len);
+        }
+        let pid = *store.ids().first()?;
+        self.set(store.open(pid).ok()?.series_len());
+        self.0.get().copied()
     }
 }
 

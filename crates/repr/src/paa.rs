@@ -27,24 +27,45 @@ pub fn paa(values: &[f32], segments: usize) -> Paa {
 /// # Panics
 /// If `segments == 0` or `segments > values.len()`.
 pub fn paa_into(values: &[f32], segments: usize, out: &mut Vec<f64>) {
+    // Lane-based sum from the kernels module: its pinned order fixes the
+    // bits of every PAA value, on every host.
+    segment_means(values.len(), segments, out, |seg| {
+        climber_series::kernels::sum_f32(&values[seg])
+    });
+}
+
+/// [`paa_into`] over a record's stored bytes (`f32`s, little-endian) —
+/// the same segments summed in the same lane order, so the same bits as
+/// decoding first; the scan's prefilter signs records in the page image.
+///
+/// # Panics
+/// As [`paa_into`], or if `values_le` is not a whole number of `f32`s.
+pub fn paa_le_into(values_le: &[u8], segments: usize, out: &mut Vec<f64>) {
+    assert_eq!(values_le.len() % 4, 0, "readings are 4 bytes each");
+    segment_means(values_le.len() / 4, segments, out, |seg| {
+        climber_series::kernels::sum_f32_le(&values_le[4 * seg.start..4 * seg.end])
+    });
+}
+
+/// The one spelling of the segmentation: appends to `out` the mean of each
+/// of the `segments` segments of `n` readings, given a segment's `sum`.
+fn segment_means(
+    n: usize,
+    segments: usize,
+    out: &mut Vec<f64>,
+    sum: impl Fn(std::ops::Range<usize>) -> f64,
+) {
     assert!(segments > 0, "segment count must be positive");
     assert!(
-        segments <= values.len(),
-        "cannot cut {} readings into {} segments",
-        values.len(),
-        segments
+        segments <= n,
+        "cannot cut {n} readings into {segments} segments"
     );
-    let n = values.len();
     let base = n / segments;
     let extra = n % segments; // first `extra` segments take base+1 readings
     let mut start = 0usize;
     for s in 0..segments {
         let len = base + usize::from(s < extra);
-        let seg = &values[start..start + len];
-        // Lane-based sum from the kernels module: its pinned order fixes
-        // the bits of every PAA value, on every host.
-        let mean = climber_series::kernels::sum_f32(seg) / len as f64;
-        out.push(mean);
+        out.push(sum(start..start + len) / len as f64);
         start += len;
     }
     debug_assert_eq!(start, n);

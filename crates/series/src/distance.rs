@@ -1,11 +1,15 @@
 //! Euclidean distance kernels (Definition 3) with `f64` accumulation.
 //!
-//! Three variants are provided:
+//! Four variants are provided:
 //! * [`sq_ed`] — squared distance, the hot kernel used by all comparisons
 //!   that only need an ordering;
 //! * [`ed`] — the paper's `ED(X, Y)` with the final square root;
 //! * [`ed_early_abandon`] — the classic data-series optimisation that stops
-//!   accumulating as soon as the running sum exceeds a known best bound.
+//!   accumulating as soon as the running sum exceeds a known best bound;
+//! * [`ed_early_abandon_le`] — the same loop over a record's stored
+//!   little-endian bytes: the scan scores partition images in place.
+
+pub use crate::kernels::ed_early_abandon_le;
 
 /// Squared Euclidean distance between two equal-length slices.
 ///

@@ -1,7 +1,10 @@
 //! Runtime-dispatched SIMD distance kernels, bit-identical to scalar.
 //!
 //! This module holds the repo's only `unsafe` code: the AVX2 paths of the
-//! two record-scoring loops, `sq_ed` and `ed_early_abandon`. The contract
+//! two record-scoring loops, `sq_ed` and `ed_early_abandon`, the byte view
+//! behind [`ed_early_abandon_le`] (the same loop fed a record's stored
+//! little-endian bytes, so a scan scores the page image in place) and the
+//! [`prefetch`] hint. The contract
 //! that makes them safe to dispatch freely is **bit-identity**: both tiers
 //! reduce their lane accumulators in exactly the same pairwise order, and
 //! neither uses fused multiply-add (FMA changes rounding). A query answered
@@ -175,14 +178,51 @@ fn sq_ed_scalar(x: &[f32], y: &[f32]) -> f64 {
     acc
 }
 
+/// One reading of the record side of the early-abandon kernel, as the
+/// kernel finds it in memory: a host `f32`, or the four little-endian bytes
+/// a partition image stores it as. Each tier's loop is written once over
+/// this trait, so the `&[f32]` and `&[u8]` entries cannot drift apart, and
+/// `f32::from_le_bytes` is exact — the loop sees the very `f32` a decode
+/// would have produced, so it cannot change a bit of the result.
+///
+/// Private, with exactly these two impls: the AVX2 tier loads 8 readings
+/// with one unaligned 256-bit load, which is the same 8 `f32`s only because
+/// both types are 4 bytes with alignment ≤ 4 and x86-64 is little-endian.
+trait Reading: Copy {
+    fn get(self) -> f32;
+}
+
+impl Reading for f32 {
+    #[inline(always)]
+    fn get(self) -> f32 {
+        self
+    }
+}
+
+impl Reading for [u8; 4] {
+    #[inline(always)]
+    fn get(self) -> f32 {
+        f32::from_le_bytes(self)
+    }
+}
+
+/// The value bytes of an encoded record as its readings.
 #[inline]
-fn ed_early_abandon_scalar(x: &[f32], y: &[f32], sq_bound: f64) -> Option<f64> {
+fn le_readings(bytes: &[u8]) -> &[[u8; 4]] {
+    // SAFETY: `[u8; 4]` has alignment 1 and every bit pattern is valid; the
+    // view covers the first `4 * (len / 4)` bytes of `bytes`, in bounds and
+    // under the same borrow.
+    unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast(), bytes.len() / 4) }
+}
+
+#[inline]
+fn ed_early_abandon_scalar<R: Reading>(x: &[f32], y: &[R], sq_bound: f64) -> Option<f64> {
     let mut lanes = [0.0f64; 8];
     let mut xc = x.chunks_exact(8);
     let mut yc = y.chunks_exact(8);
     for (i, (cx, cy)) in (&mut xc).zip(&mut yc).enumerate() {
         for j in 0..8 {
-            let d = f64::from(cx[j]) - f64::from(cy[j]);
+            let d = f64::from(cx[j]) - f64::from(cy[j].get());
             lanes[j] += d * d;
         }
         // Check after every second 8-chunk (16 readings). Combining the
@@ -193,7 +233,7 @@ fn ed_early_abandon_scalar(x: &[f32], y: &[f32], sq_bound: f64) -> Option<f64> {
     }
     let mut acc = combine_lanes(&lanes);
     for (a, b) in xc.remainder().iter().zip(yc.remainder().iter()) {
-        let d = f64::from(*a) - f64::from(*b);
+        let d = f64::from(*a) - f64::from(b.get());
         acc += d * d;
     }
     if acc > sq_bound {
@@ -206,16 +246,32 @@ fn ed_early_abandon_scalar(x: &[f32], y: &[f32], sq_bound: f64) -> Option<f64> {
 /// behind PAA extraction.
 #[inline]
 pub fn sum_f32(v: &[f32]) -> f64 {
+    sum_readings(v)
+}
+
+/// [`sum_f32`] over readings given as stored little-endian bytes: the same
+/// lanes in the same order, so the same bits as summing the decoded values.
+///
+/// # Panics
+/// If `values_le` is not a whole number of `f32`s.
+#[inline]
+pub fn sum_f32_le(values_le: &[u8]) -> f64 {
+    assert_eq!(values_le.len() % 4, 0, "readings are 4 bytes each");
+    sum_readings(le_readings(values_le))
+}
+
+#[inline]
+fn sum_readings<R: Reading>(v: &[R]) -> f64 {
     let mut lanes = [0.0f64; 8];
     let mut vc = v.chunks_exact(8);
     for c in &mut vc {
         for i in 0..8 {
-            lanes[i] += f64::from(c[i]);
+            lanes[i] += f64::from(c[i].get());
         }
     }
     let mut acc = combine_lanes(&lanes);
     for a in vc.remainder() {
-        acc += f64::from(*a);
+        acc += f64::from(a.get());
     }
     acc
 }
@@ -255,6 +311,7 @@ mod x86 {
     //! contract: same lane layout, same combine tree, no FMA. Loads are all
     //! bounds-respecting: a 256-bit f32 load covers exactly one 8-chunk.
 
+    use super::Reading;
     use core::arch::x86_64::*;
 
     /// Combines AVX2 accumulators `[l0..l3]` and `[l4..l7]` in the scalar
@@ -296,15 +353,24 @@ mod x86 {
         acc
     }
 
+    /// # Safety
+    /// The host supports AVX2 and `x.len() == y.len()`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn ed_early_abandon_avx2(x: &[f32], y: &[f32], sq_bound: f64) -> Option<f64> {
+    pub unsafe fn ed_early_abandon_avx2<R: Reading>(
+        x: &[f32],
+        y: &[R],
+        sq_bound: f64,
+    ) -> Option<f64> {
         let n = x.len();
         let chunks = n / 8;
         let mut acc_lo = _mm256_setzero_pd();
         let mut acc_hi = _mm256_setzero_pd();
         for c in 0..chunks {
             let vx = _mm256_loadu_ps(x.as_ptr().add(c * 8));
-            let vy = _mm256_loadu_ps(y.as_ptr().add(c * 8));
+            // Eight readings in one unaligned load: either `Reading` is 4
+            // bytes of a little-endian f32 (see the trait), and an image
+            // record's value bytes start at no particular alignment.
+            let vy = _mm256_loadu_ps(y.as_ptr().add(c * 8).cast::<f32>());
             let dlo = _mm256_sub_pd(
                 _mm256_cvtps_pd(_mm256_castps256_ps128(vx)),
                 _mm256_cvtps_pd(_mm256_castps256_ps128(vy)),
@@ -322,7 +388,7 @@ mod x86 {
         }
         let mut acc = combine_avx2(acc_lo, acc_hi);
         for i in chunks * 8..n {
-            let d = f64::from(*x.get_unchecked(i)) - f64::from(*y.get_unchecked(i));
+            let d = f64::from(*x.get_unchecked(i)) - f64::from(y.get_unchecked(i).get());
             acc += d * d;
         }
         if acc > sq_bound {
@@ -363,12 +429,44 @@ pub fn sq_ed_with(tier: Dispatch, x: &[f32], y: &[f32]) -> f64 {
 /// If the slices differ in length, or `tier` is unsupported on this host.
 #[inline]
 pub fn ed_early_abandon_with(tier: Dispatch, x: &[f32], y: &[f32], sq_bound: f64) -> Option<f64> {
+    ed_early_abandon_on(tier, x, y, sq_bound)
+}
+
+/// [`ed_early_abandon_le`] on an explicit tier.
+///
+/// # Panics
+/// If `record_le` is not exactly `4 * query.len()` bytes, or `tier` is
+/// unsupported on this host.
+#[inline]
+pub fn ed_early_abandon_le_with(
+    tier: Dispatch,
+    query: &[f32],
+    record_le: &[u8],
+    sq_bound: f64,
+) -> Option<f64> {
+    assert_eq!(
+        4 * query.len(),
+        record_le.len(),
+        "ED requires equal-length series"
+    );
+    ed_early_abandon_on(tier, query, le_readings(record_le), sq_bound)
+}
+
+/// The one dispatch of the early-abandon loop, for either [`Reading`].
+#[inline]
+fn ed_early_abandon_on<R: Reading>(
+    tier: Dispatch,
+    x: &[f32],
+    y: &[R],
+    sq_bound: f64,
+) -> Option<f64> {
     assert_eq!(x.len(), y.len(), "ED requires equal-length series");
     match tier {
         Dispatch::Scalar => ed_early_abandon_scalar(x, y, sq_bound),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as in `sq_ed_with` — the tier is checked against the host
-        // before the AVX2 code runs.
+        // before the AVX2 code runs, and the lengths were just asserted
+        // equal, so every 8-reading load stays inside both slices.
         Dispatch::Avx2 => {
             assert_supported(tier);
             unsafe { x86::ed_early_abandon_avx2(x, y, sq_bound) }
@@ -422,6 +520,43 @@ pub fn ed_early_abandon(x: &[f32], y: &[f32], sq_bound: f64) -> Option<f64> {
     } else {
         ed_early_abandon_with(current(), x, y, sq_bound)
     }
+}
+
+/// [`ed_early_abandon`] with the record given as its stored bytes —
+/// `query.len()` little-endian `f32`s, at any alignment — so a scan scores
+/// a page image in place instead of decoding it first. Returns the bits
+/// `ed_early_abandon` returns on the decoded values.
+///
+/// # Panics
+/// If `record_le` is not exactly `4 * query.len()` bytes.
+#[inline]
+pub fn ed_early_abandon_le(query: &[f32], record_le: &[u8], sq_bound: f64) -> Option<f64> {
+    if query.len() < SIMD_MIN_LEN {
+        ed_early_abandon_le_with(Dispatch::Scalar, query, record_le, sq_bound)
+    } else {
+        ed_early_abandon_le_with(current(), query, record_le, sq_bound)
+    }
+}
+
+/// Hints the CPU to pull the first `lines` 64-byte cache lines of `bytes`
+/// into every cache level. A scan that abandons most records after a few
+/// lines strides through memory in a pattern the hardware streamer gives
+/// up on; asking for the next records' leading lines while the current one
+/// is scored hides that latency. Never reads, never faults; a no-op off
+/// x86-64.
+#[inline]
+pub fn prefetch(bytes: &[u8], lines: usize) {
+    #[cfg(target_arch = "x86_64")]
+    for line in bytes.chunks(64).take(lines) {
+        // SAFETY: SSE is part of the x86-64 baseline, and a prefetch of any
+        // address is only a hint — here the address is inside `bytes`.
+        unsafe {
+            use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            _mm_prefetch::<_MM_HINT_T0>(line.as_ptr().cast());
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (bytes, lines);
 }
 
 #[cfg(test)]

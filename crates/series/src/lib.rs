@@ -27,7 +27,7 @@ pub mod topk;
 pub mod znorm;
 
 pub use dataset::Dataset;
-pub use distance::{ed, ed_early_abandon, sq_ed};
+pub use distance::{ed, ed_early_abandon, ed_early_abandon_le, sq_ed};
 pub use ground_truth::{exact_knn, exact_knn_batch};
 pub use recall::recall;
 pub use series::{DataSeries, SeriesId};

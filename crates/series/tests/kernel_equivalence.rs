@@ -7,11 +7,15 @@
 //! whose results can be compared with `f64::to_bits` — not "close
 //! enough", *equal* — over arbitrary finite inputs: negatives,
 //! subnormals, huge magnitudes, misaligned subslices, and early-abandon
-//! cutoffs that land exactly on a chunk-boundary partial sum.
+//! cutoffs that land exactly on a chunk-boundary partial sum. The scan's
+//! entry, `ed_early_abandon_le`, reads a record's stored little-endian
+//! bytes in place: it is held to the bits the `&[f32]` entry returns on
+//! the decoded values, at every byte offset a page image can put a record.
 #![recursion_limit = "1024"]
 
 use climber_series::kernels::{
-    self, ed_early_abandon_with, sq_dist_f64, sq_ed_with, sum_f32, Dispatch,
+    self, ed_early_abandon_le_with, ed_early_abandon_with, sq_dist_f64, sq_ed_with, sum_f32,
+    Dispatch,
 };
 use proptest::prelude::*;
 
@@ -234,4 +238,102 @@ fn force_pins_auto_dispatch_to_each_tier() {
     }
     kernels::force(None);
     assert_eq!(kernels::current(), detected);
+}
+
+/// Deterministic readings for the in-place entry: the finite regimes of
+/// [`shape_f32`] and, on the record side, what only a stored file can
+/// hold — NaN and both infinities.
+fn readings(len: usize, salt: u64, file_values: bool) -> Vec<f32> {
+    (0..len as u64)
+        .map(|i| {
+            let h = (i + 1)
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add(salt.wrapping_mul(0xD1B5_4A32_D192_ED03));
+            let (sel, v) = ((h >> 56) as u8, (h >> 20) as u32 as f32 / 2.7e8);
+            match (file_values, sel % 11) {
+                (true, 8) => f32::NAN,
+                (true, 9) => f32::INFINITY,
+                (true, 10) => f32::NEG_INFINITY,
+                _ => shape_f32(sel, v),
+            }
+        })
+        .collect()
+}
+
+/// NaN distances compare as one value: which NaN an `inf − inf` leaves in
+/// a lane is the hardware's choice, not part of the contract.
+fn bits(d: Option<f64>) -> Option<u64> {
+    d.map(|d| if d.is_nan() { u64::MAX } else { d.to_bits() })
+}
+
+/// `ed_early_abandon_le_with` on every tier equals the scalar `&[f32]`
+/// kernel on the decoded values — for every length around the chunk and
+/// checkpoint boundaries, payloads including NaN, ±inf, subnormals and
+/// −0.0, bounds on every knife edge (the exact distance must be kept:
+/// strict `>`), and **every byte offset 0…31** of the record inside a
+/// 32-byte-aligned buffer. In a cluster image the values of record `i`
+/// start `8 + i·(8 + 4n)` bytes in: almost never aligned to anything.
+#[test]
+fn ed_early_abandon_le_matches_the_decoded_kernel_at_every_offset() {
+    let lengths = (0..=40).chain([255, 256, 257]);
+    for (len, salt) in lengths.flat_map(|len| (0..3).map(move |salt| (len, salt))) {
+        let query = readings(len, salt, false);
+        let record = readings(len, salt + 100, salt > 0);
+        let exact = sq_ed_with(Dispatch::Scalar, &query, &record);
+        let mut bounds = vec![
+            f64::INFINITY,
+            exact,
+            f64::from_bits(exact.to_bits().saturating_sub(1)),
+            0.0,
+        ];
+        for c in (16..=len).step_by(16) {
+            bounds.push(sq_ed_with(Dispatch::Scalar, &query[..c], &record[..c]));
+        }
+
+        let mut backing = vec![0xA5u8; 4 * len + 96];
+        let aligned = backing.as_ptr().align_offset(32);
+        for offset in 0..32 {
+            let at = aligned + offset;
+            for (dst, v) in backing[at..].chunks_exact_mut(4).zip(&record) {
+                dst.copy_from_slice(&v.to_le_bytes());
+            }
+            let record_le = &backing[at..at + 4 * len];
+            for &bound in &bounds {
+                let want = ed_early_abandon_with(Dispatch::Scalar, &query, &record, bound);
+                if bound == exact && !exact.is_nan() {
+                    assert_eq!(want, Some(exact), "strict >: the exact distance is kept");
+                }
+                for tier in tiers() {
+                    let got = ed_early_abandon_le_with(tier, &query, record_le, bound);
+                    assert_eq!(
+                        bits(got),
+                        bits(want),
+                        "ed_early_abandon_le {} len {len} salt {salt} offset {offset} bound {bound:e}",
+                        tier.name()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Bytes that are not exactly `4 · query.len()` long never reach a load:
+/// every tier panics with the length message of the `&[f32]` entry.
+#[test]
+fn ed_early_abandon_le_refuses_wrong_length_bytes() {
+    let query = [1.0f32; 40];
+    let bytes = [0u8; 4 * 40 + 4];
+    for tier in tiers() {
+        for len in [0, 4 * 40 - 4, 4 * 40 - 1, 4 * 40 + 1, 4 * 40 + 4] {
+            let panic = std::panic::catch_unwind(|| {
+                ed_early_abandon_le_with(tier, &query, &bytes[..len], f64::INFINITY)
+            })
+            .expect_err("wrong-length bytes were scored");
+            let message = panic.downcast_ref::<String>().expect("a formatted panic");
+            assert!(
+                message.contains("ED requires equal-length series"),
+                "{message}"
+            );
+        }
+    }
 }
