@@ -12,9 +12,7 @@
 //! coming up on the same address.
 
 use crate::metrics::StatsReport;
-use crate::protocol::{
-    read_message, write_frame, HealthReport, Response, REQ_HEALTH, REQ_PING, REQ_SEARCH, REQ_STATS,
-};
+use crate::protocol::{Framed, HealthReport, Request, Response, SearchRef};
 use climber_core::error::status;
 use climber_core::{ClimberError, QueryOutcome, SearchRequest, ServeError};
 use climber_dfs::format::Encode;
@@ -71,7 +69,7 @@ impl RetryPolicy {
 #[derive(Debug)]
 pub struct ServeClient {
     addrs: Vec<SocketAddr>,
-    stream: Option<TcpStream>,
+    stream: Option<Framed<TcpStream>>,
     retry: RetryPolicy,
     read_timeout: Option<Duration>,
     write_timeout: Option<Duration>,
@@ -119,7 +117,7 @@ impl ServeClient {
     pub fn set_read_timeout(&mut self, timeout: Option<Duration>) -> Result<(), ClimberError> {
         self.read_timeout = timeout;
         if let Some(s) = &self.stream {
-            s.set_read_timeout(timeout)?;
+            s.get_ref().set_read_timeout(timeout)?;
         }
         Ok(())
     }
@@ -130,7 +128,7 @@ impl ServeClient {
     pub fn set_write_timeout(&mut self, timeout: Option<Duration>) -> Result<(), ClimberError> {
         self.write_timeout = timeout;
         if let Some(s) = &self.stream {
-            s.set_write_timeout(timeout)?;
+            s.get_ref().set_write_timeout(timeout)?;
         }
         Ok(())
     }
@@ -146,10 +144,7 @@ impl ServeClient {
     ///
     /// [`Climber::search`]: climber_core::Climber::search
     pub fn search(&mut self, req: &SearchRequest) -> Result<QueryOutcome, ClimberError> {
-        let mut payload = Vec::new();
-        REQ_SEARCH.encode(&mut payload);
-        req.encode(&mut payload);
-        match self.request(&payload)? {
+        match self.request(&SearchRef(req))? {
             Response::Outcome(outcome) => Ok(outcome),
             Response::Error { status, message } => {
                 Err(ServeError::from_wire(status, message).into())
@@ -162,7 +157,7 @@ impl ServeClient {
 
     /// Fetches the server's metrics snapshot.
     pub fn stats(&mut self) -> Result<StatsReport, ClimberError> {
-        match self.request(&[REQ_STATS])? {
+        match self.request(&Request::Stats)? {
             Response::Stats(report) => Ok(report),
             Response::Error { status, message } => {
                 Err(ServeError::from_wire(status, message).into())
@@ -174,7 +169,7 @@ impl ServeClient {
     /// Fetches the server's health: backend shard/quarantine state plus
     /// queue depth — the endpoint a load balancer polls.
     pub fn health(&mut self) -> Result<HealthReport, ClimberError> {
-        match self.request(&[REQ_HEALTH])? {
+        match self.request(&Request::Health)? {
             Response::Health(report) => Ok(report),
             Response::Error { status, message } => {
                 Err(ServeError::from_wire(status, message).into())
@@ -185,7 +180,7 @@ impl ServeClient {
 
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<(), ClimberError> {
-        match self.request(&[REQ_PING])? {
+        match self.request(&Request::Ping)? {
             Response::Pong => Ok(()),
             other => Err(ServeError::Protocol(format!("expected pong, got {other:?}")).into()),
         }
@@ -195,10 +190,10 @@ impl ServeClient {
     /// exchange on a fresh connection after transport failures. Every
     /// protocol request is read-only, so the replay cannot duplicate
     /// work the caller observes.
-    fn request(&mut self, payload: &[u8]) -> Result<Response, ClimberError> {
+    fn request(&mut self, msg: &impl Encode) -> Result<Response, ClimberError> {
         let mut attempt = 0u32;
         loop {
-            match self.try_once(payload) {
+            match self.try_once(msg) {
                 Ok(resp) => {
                     // A draining server refused the request without
                     // executing it — the one typed answer worth retrying,
@@ -236,13 +231,13 @@ impl ServeClient {
         }
     }
 
-    fn try_once(&mut self, payload: &[u8]) -> Result<Response, ClimberError> {
+    fn try_once(&mut self, msg: &impl Encode) -> Result<Response, ClimberError> {
         if self.stream.is_none() {
             self.reconnect()?;
         }
         let stream = self.stream.as_mut().expect("just connected");
-        let result = write_frame(stream, payload).and_then(|()| {
-            read_message::<Response>(stream)?.ok_or_else(|| {
+        let result = stream.write_message(msg).and_then(|()| {
+            stream.read_message::<Response>()?.ok_or_else(|| {
                 ServeError::Protocol("server closed the connection mid-request".into()).into()
             })
         });
@@ -262,7 +257,7 @@ impl ServeClient {
                     stream.set_nodelay(true)?;
                     stream.set_read_timeout(self.read_timeout)?;
                     stream.set_write_timeout(self.write_timeout)?;
-                    self.stream = Some(stream);
+                    self.stream = Some(Framed::new(stream));
                     return Ok(());
                 }
                 Err(e) => last = Some(e),

@@ -59,7 +59,9 @@ impl Histogram {
     }
 
     /// The upper edge (µs) of the bucket holding percentile `q` (0–100) of
-    /// a [`snapshot`](Self::snapshot); 0 when nothing was recorded.
+    /// a [`snapshot`](Self::snapshot); 0 when nothing was recorded, and 0
+    /// for the first bucket — "under a microsecond" reads as no wait at
+    /// all, which is what a request executed by its own handler records.
     fn percentile_us(counts: &[u64], q: f64) -> u64 {
         let total: u64 = counts.iter().sum();
         if total == 0 {
@@ -70,7 +72,7 @@ impl Histogram {
         for (i, &c) in counts.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return Self::lower_edge(i + 1);
+                return if i == 0 { 0 } else { Self::lower_edge(i + 1) };
             }
         }
         Self::lower_edge(counts.len())

@@ -5,18 +5,26 @@
 //!
 //! * one **acceptor** thread blocks on `TcpListener::accept` and spawns a
 //!   detached handler per connection;
-//! * each **handler** reads frames, validates requests, submits them to
-//!   the [`AdmissionQueue`], and writes the response its completion
-//!   channel delivers — or the typed error (`bad request`, `overloaded`,
-//!   `shutting down`) when the request never made it in;
+//! * each **handler** reads frames and validates requests. A request that
+//!   finds the [`AdmissionQueue`] empty and an execution slot free is
+//!   **executed by the handler itself** and answered from the same thread:
+//!   no queue hand-off, no completion channel, no other thread woken.
+//!   Anything else is submitted to the queue and the handler writes the
+//!   response its completion channel delivers — or the typed error (`bad
+//!   request`, `overloaded`, `shutting down`) when the request never made
+//!   it in. A server with a `request_deadline` queues every request: its
+//!   handler must stay free to answer at the deadline;
 //! * **workers** loop on [`AdmissionQueue::next_batch`] and feed each
 //!   micro-batch to the backend's [`SearchBackend::search_many`], so
 //!   concurrent requests from independent connections share partition
 //!   opens and cluster decodes exactly like a hand-built batch would. A
-//!   free worker takes whatever is queued at once, so batches are made of
-//!   the requests that arrived while every worker was busy. A backend
-//!   panic is caught per batch: its requests are answered with a typed
-//!   [`ServeError::Internal`] and the worker goes on to the next batch.
+//!   worker takes whatever is queued as soon as a slot is free, so batches
+//!   are made of the requests that arrived while every slot was taken.
+//!
+//! Executions in flight — handlers' and workers' together — never exceed
+//! `workers`. Wherever one runs, a backend panic is caught: its requests
+//! are answered with a typed [`ServeError::Internal`], the slot is given
+//! back and the thread goes on.
 //!
 //! The server is generic over [`SearchBackend`], so a single
 //! [`Climber`](climber_core::Climber) and a
@@ -26,18 +34,19 @@
 //!
 //! [`shutdown`](Server::shutdown) is drain-clean: the acceptor stops, the
 //! queue refuses new work, every admitted request is still executed and
-//! answered, and every thread the server owns is joined.
+//! answered, every thread the server owns is joined, and every open
+//! connection's read half is closed so that its handler — and the backend
+//! handle it holds — goes away without waiting for the client to hang up.
 
 use crate::metrics::{ServeMetrics, StatsReport};
-use crate::protocol::{
-    bad_request, error_response, read_message, write_message, HealthReport, Request, Response,
-};
+use crate::protocol::{bad_request, error_response, Framed, HealthReport, Request, Response};
 use crate::queue::{AdmissionQueue, BatchPolicy, Pending};
-use climber_core::{ClimberError, SearchBackend, ServeError};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use climber_core::{ClimberError, QueryOutcome, SearchBackend, SearchRequest, ServeError};
+use std::collections::HashMap;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -48,8 +57,8 @@ pub struct ServeConfig {
     pub max_batch: usize,
     /// Admission bound; beyond it submissions are refused (default 1024).
     pub queue_cap: usize,
-    /// Worker threads executing batches; `0` = the machine's available
-    /// parallelism (default).
+    /// Executions in flight, and the threads that drain the queue; `0` =
+    /// the machine's available parallelism (default).
     pub workers: usize,
     /// Per-request deadline: how long a connection handler waits for the
     /// batch engine before answering with a typed
@@ -94,7 +103,8 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the worker count (`0` = available parallelism).
+    /// Sets the execution slots and worker threads (`0` = available
+    /// parallelism).
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
@@ -142,8 +152,21 @@ pub struct Server {
     // without the Server being generic over the backend type.
     io_probe: Arc<dyn Fn() -> climber_core::IoSnapshot + Send + Sync>,
     stop: Arc<AtomicBool>,
+    connections: Arc<Connections>,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
+}
+
+/// A clone of every open connection's stream, keyed by accept order: what
+/// [`Server::shutdown`] closes to end handlers blocked on an idle client.
+/// A handler removes its entry when it exits, so the socket closes then.
+type Connections = Mutex<HashMap<u64, TcpStream>>;
+
+/// The map is only ever inserted into, removed from and iterated, so it is
+/// intact even if a thread died holding the lock; `shutdown` also runs
+/// from `Drop`, where a panic on poison could abort the process.
+fn lock(connections: &Connections) -> MutexGuard<'_, HashMap<u64, TcpStream>> {
+    connections.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl std::fmt::Debug for Server {
@@ -171,14 +194,19 @@ impl Server {
     {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let queue = Arc::new(AdmissionQueue::new(BatchPolicy {
-            max_batch: config.max_batch.max(1),
-            queue_cap: config.queue_cap.max(1),
-        }));
+        let slots = config.resolved_workers();
+        let queue = Arc::new(
+            AdmissionQueue::new(BatchPolicy {
+                max_batch: config.max_batch.max(1),
+                queue_cap: config.queue_cap.max(1),
+            })
+            .with_slots(slots),
+        );
         let metrics = Arc::new(ServeMetrics::new());
         let stop = Arc::new(AtomicBool::new(false));
+        let connections = Arc::new(Connections::default());
 
-        let workers = (0..config.resolved_workers())
+        let workers = (0..slots)
             .map(|i| {
                 let queue = Arc::clone(&queue);
                 let metrics = Arc::clone(&metrics);
@@ -194,10 +222,21 @@ impl Server {
             let queue = Arc::clone(&queue);
             let metrics = Arc::clone(&metrics);
             let stop = Arc::clone(&stop);
+            let connections = Arc::clone(&connections);
             let backend = Arc::clone(&backend);
             thread::Builder::new()
                 .name("climber-serve-acceptor".into())
-                .spawn(move || accept_loop(&listener, &backend, &queue, &metrics, &stop, config))
+                .spawn(move || {
+                    accept_loop(
+                        &listener,
+                        &backend,
+                        &queue,
+                        &metrics,
+                        &connections,
+                        &stop,
+                        config,
+                    );
+                })
                 .expect("spawn acceptor")
         };
 
@@ -212,6 +251,7 @@ impl Server {
             metrics,
             io_probe,
             stop,
+            connections,
             acceptor: Some(acceptor),
             workers,
         })
@@ -230,9 +270,11 @@ impl Server {
             .with_io(&(self.io_probe)())
     }
 
-    /// Stops accepting, drains every admitted request, and joins every
-    /// owned thread. In-flight requests are answered; requests submitted
-    /// after this point get a typed shutting-down response.
+    /// Stops accepting, drains every admitted request, joins every owned
+    /// thread, and returns once no execution is in flight and every open
+    /// connection has been told to end. In-flight requests are answered;
+    /// requests submitted after this point get a typed shutting-down
+    /// response, or find the connection closed.
     pub fn shutdown(mut self) {
         self.shutdown_impl();
     }
@@ -249,6 +291,16 @@ impl Server {
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
+        // The workers left an empty queue; what still holds a slot is a
+        // handler executing its own request.
+        self.queue.wait_idle();
+        // Handlers are detached and block in `read` for as long as their
+        // client stays connected, each holding the backend. Closing the
+        // read half ends that wait with a clean EOF; a handler that is
+        // still writing a reply finishes it first.
+        for stream in lock(&self.connections).values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
     }
 }
 
@@ -256,6 +308,39 @@ impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown_impl();
     }
+}
+
+/// Runs `reqs` as one batch on the calling thread, which took an execution
+/// slot for it; the slot is given back on the way out, unwinding included.
+/// `None` = the backend panicked, counted as [`ServeMetrics::on_internal`].
+///
+/// Handlers validate before admission, so `search_many` should never see a
+/// request it must panic on; outcomes are bit-identical to per-request
+/// `search` calls (the executor's equivalence guarantee, for one index and
+/// for a shard set alike). If it panics anyway, the panic stops here: a
+/// worker is a share of the pool's capacity (with the last one gone every
+/// queued request would park forever) and a handler is a client's
+/// connection. The backend is only read through `&B`, so no half-updated
+/// state of ours is observed after the unwind.
+fn execute<B: SearchBackend + ?Sized>(
+    backend: &B,
+    queue: &AdmissionQueue,
+    metrics: &ServeMetrics,
+    reqs: &[SearchRequest],
+) -> Option<Vec<QueryOutcome>> {
+    struct Slot<'a>(&'a AdmissionQueue);
+    impl Drop for Slot<'_> {
+        fn drop(&mut self) {
+            self.0.release_slot();
+        }
+    }
+    let _slot = Slot(queue);
+    let outcomes = catch_unwind(AssertUnwindSafe(|| backend.search_many(reqs))).ok();
+    metrics.on_batch(reqs.len());
+    if outcomes.is_none() {
+        metrics.on_internal(reqs.len());
+    }
+    outcomes
 }
 
 fn worker_loop<B: SearchBackend + ?Sized>(
@@ -274,20 +359,9 @@ fn worker_loop<B: SearchBackend + ?Sized>(
             reqs.push(p.req);
             completions.push((p.tx, p.enqueued));
         }
-        // Handlers validate before submitting, so search_many should never
-        // see a request it must panic on; outcomes are bit-identical to
-        // per-request `search` calls (the executor's equivalence guarantee,
-        // for one index and for a shard set alike). If it panics anyway,
-        // the panic stops here: this thread is a share of the pool's
-        // capacity, and with the last worker gone every admitted request
-        // would park forever. The backend is only read through `&B`, so no
-        // half-updated state of ours is observed after the unwind.
-        let outcomes = catch_unwind(AssertUnwindSafe(|| backend.search_many(&reqs)));
-        metrics.on_batch(reqs.len());
-        let Ok(outcomes) = outcomes else {
+        let Some(outcomes) = execute(backend, queue, metrics, &reqs) else {
             // Dropping the senders unanswered is the signal: each handler
             // sees its channel disconnect and answers `Internal`.
-            metrics.on_internal(completions.len());
             continue;
         };
         for ((tx, enqueued), outcome) in completions.into_iter().zip(outcomes) {
@@ -307,24 +381,42 @@ fn accept_loop<B: SearchBackend + 'static>(
     backend: &Arc<B>,
     queue: &Arc<AdmissionQueue>,
     metrics: &Arc<ServeMetrics>,
+    connections: &Arc<Connections>,
     stop: &Arc<AtomicBool>,
     config: ServeConfig,
 ) {
-    loop {
+    for id in 0u64.. {
         match listener.accept() {
             Ok((stream, _)) => {
                 if stop.load(Ordering::SeqCst) {
                     return;
                 }
+                // Registered before the handler exists, so a `shutdown`
+                // that has joined this thread sees every connection. One
+                // that cannot be cloned is not served: nothing could end
+                // its handler.
+                let Ok(clone) = stream.try_clone() else {
+                    continue;
+                };
+                lock(connections).insert(id, clone);
                 let backend = Arc::clone(backend);
                 let queue = Arc::clone(queue);
                 let metrics = Arc::clone(metrics);
-                // Handlers are detached: they exit on client EOF, and a
-                // post-shutdown submit is refused by the queue, so none of
-                // them can outlive the process holding work.
-                let _ = thread::Builder::new()
+                let registry = Arc::clone(connections);
+                // Handlers are detached: they exit on EOF — the client's,
+                // or the one `shutdown` sends them — and a post-shutdown
+                // submit is refused by the queue, so none of them can
+                // outlive the process holding work.
+                let spawned = thread::Builder::new()
                     .name("climber-serve-conn".into())
-                    .spawn(move || handle_connection(stream, &*backend, &queue, &metrics, config));
+                    .spawn(move || {
+                        handle_connection(stream, &*backend, &queue, &metrics, config);
+                        lock(&registry).remove(&id);
+                    });
+                if spawned.is_err() {
+                    // no handler will: close the connection
+                    lock(connections).remove(&id);
+                }
             }
             Err(_) => {
                 if stop.load(Ordering::SeqCst) {
@@ -340,7 +432,7 @@ fn accept_loop<B: SearchBackend + 'static>(
 }
 
 fn handle_connection<B: SearchBackend + ?Sized>(
-    mut stream: TcpStream,
+    stream: TcpStream,
     backend: &B,
     queue: &AdmissionQueue,
     metrics: &ServeMetrics,
@@ -352,15 +444,16 @@ fn handle_connection<B: SearchBackend + ?Sized>(
     // A stalled or idle peer must not pin this thread forever.
     let _ = stream.set_read_timeout(config.read_timeout);
     let _ = stream.set_write_timeout(config.write_timeout);
+    let mut conn = Framed::new(stream);
     loop {
-        let request = match read_message::<Request>(&mut stream) {
+        let request = match conn.read_message::<Request>() {
             Ok(Some(req)) => req,
-            // clean EOF: the client is done
+            // clean EOF: the client is done, or the server is
             Ok(None) => return,
             Err(e) => {
                 // Best-effort typed answer, then drop the connection — a
                 // torn frame leaves the stream unsynchronised.
-                let _ = write_message(&mut stream, &error_response(&e));
+                let _ = conn.write_message(&error_response(&e));
                 return;
             }
         };
@@ -376,57 +469,66 @@ fn handle_connection<B: SearchBackend + ?Sized>(
             }),
             // The executor's own entry check, run before admission: a request
             // it would panic on (wrong query length included) is answered
-            // here and never reaches a worker.
+            // here and never reaches the backend.
             Request::Search(req) => match req.validate_for(backend.series_len()) {
                 Err(msg) => {
                     metrics.on_rejected();
                     bad_request(msg)
                 }
-                Ok(()) => {
-                    let (tx, rx) = mpsc::channel();
-                    let pending = Pending {
-                        req,
-                        tx,
-                        enqueued: Instant::now(),
-                    };
-                    match queue.submit(pending) {
-                        Err(e) => {
-                            metrics.on_rejected();
-                            error_response(&e.into())
-                        }
-                        Ok(()) => {
-                            metrics.on_admitted();
-                            let answer = match config.request_deadline {
-                                Some(deadline) => rx.recv_timeout(deadline).map_err(|e| match e {
-                                    // The query executor ran past the
-                                    // deadline: abandon the response (the
-                                    // batch still completes; its send just
-                                    // finds a dead receiver).
-                                    mpsc::RecvTimeoutError::Timeout => ServeError::DeadlineExceeded,
-                                    mpsc::RecvTimeoutError::Disconnected => ServeError::Internal,
-                                }),
-                                // The worker dropped the sender without
-                                // answering: the backend panicked on this
-                                // request's batch (shutdown drains, it
-                                // never drops an admitted request).
-                                None => rx.recv().map_err(|_| ServeError::Internal),
-                            };
-                            match answer {
-                                Ok(outcome) => Response::Outcome(outcome),
-                                Err(e) => {
-                                    if matches!(e, ServeError::DeadlineExceeded) {
-                                        metrics.on_deadline_missed();
-                                    }
-                                    error_response(&e.into())
-                                }
-                            }
-                        }
-                    }
-                }
+                Ok(()) => match search(req, backend, queue, metrics, config.request_deadline) {
+                    Ok(outcome) => Response::Outcome(outcome),
+                    Err(e) => error_response(&e.into()),
+                },
             },
         };
-        if write_message(&mut stream, &response).is_err() {
+        if conn.write_message(&response).is_err() {
             return;
         }
+    }
+}
+
+/// Answers one validated request on its handler's thread: executed right
+/// here when it is alone — nothing queued, a slot free, no deadline to
+/// watch — and through the queue and a worker's batch otherwise.
+fn search<B: SearchBackend + ?Sized>(
+    req: SearchRequest,
+    backend: &B,
+    queue: &AdmissionQueue,
+    metrics: &ServeMetrics,
+    deadline: Option<Duration>,
+) -> Result<QueryOutcome, ServeError> {
+    let enqueued = Instant::now();
+    // A handler that executes cannot also answer at a deadline, so a
+    // server that was given one queues every request.
+    if deadline.is_none() && queue.try_take_slot() {
+        metrics.on_admitted();
+        metrics.on_dequeued(Duration::ZERO);
+        let outcome = execute(backend, queue, metrics, std::slice::from_ref(&req))
+            .and_then(|mut outcomes| outcomes.pop())
+            .ok_or(ServeError::Internal)?;
+        metrics.on_completed(enqueued.elapsed());
+        return Ok(outcome);
+    }
+    let (tx, rx) = mpsc::channel();
+    let pending = Pending { req, tx, enqueued };
+    queue
+        .submit(pending)
+        .inspect_err(|_| metrics.on_rejected())?;
+    metrics.on_admitted();
+    match deadline {
+        Some(deadline) => rx.recv_timeout(deadline).map_err(|e| match e {
+            // The query executor ran past the deadline: abandon the
+            // response (the batch still completes; its send just finds a
+            // dead receiver).
+            mpsc::RecvTimeoutError::Timeout => {
+                metrics.on_deadline_missed();
+                ServeError::DeadlineExceeded
+            }
+            mpsc::RecvTimeoutError::Disconnected => ServeError::Internal,
+        }),
+        // The worker dropped the sender without answering: the backend
+        // panicked on this request's batch (shutdown drains, it never
+        // drops an admitted request).
+        None => rx.recv().map_err(|_| ServeError::Internal),
     }
 }

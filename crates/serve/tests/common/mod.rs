@@ -1,10 +1,13 @@
 //! Shared fixtures for the socket tests: a small index, a polling wait,
-//! and a backend whose worker can be held in place.
+//! and a backend whose executions can be held in place.
 //!
-//! The admission queue hands a free worker whatever is queued at once, so
-//! the only way to keep requests *in* the queue is to keep every worker
-//! busy. [`Gated`] does that without a clock: its `search_many` blocks
-//! until the test opens the gate.
+//! A request that finds a slot free is executed at once — by its own
+//! handler when nothing is queued, by a worker otherwise — so the only way
+//! to keep requests *in* the queue is to keep every slot taken. [`Gated`]
+//! does that without a clock: its `search_many` blocks until the test
+//! opens the gate. It also records what reached it: batch sizes, the name
+//! of the thread each batch ran on, and the most executions it ever saw
+//! inside at once.
 
 #![allow(dead_code)] // each test binary uses its own subset
 
@@ -13,6 +16,7 @@ use climber_core::{
     BackendHealth, Climber, ClimberConfig, IoSnapshot, QueryOutcome, SearchBackend, SearchRequest,
 };
 use climber_serve::RetryPolicy;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -29,6 +33,21 @@ pub fn build_climber(n: usize, seed: u64) -> Arc<Climber> {
         .with_seed(7)
         .with_workers(2);
     Arc::new(Climber::build_in_memory(&ds, cfg))
+}
+
+/// `n` stored records, spread over the partitions, to use as queries —
+/// recovered from the store so tests need no dataset in scope.
+pub fn queries_of(climber: &Climber, n: usize) -> Vec<Vec<f32>> {
+    use climber_core::dfs::store::PartitionStore;
+    let mut records = Vec::new();
+    for pid in climber.store().ids() {
+        let reader = climber.store().open(pid).unwrap();
+        reader.for_each(|_, vals| records.push(vals.to_vec()));
+        if records.len() >= n * 17 {
+            break;
+        }
+    }
+    records.into_iter().step_by(17).take(n).collect()
 }
 
 /// Polls `cond` until it holds; `false` if it still does not after 20 s.
@@ -58,15 +77,19 @@ pub fn no_retries() -> RetryPolicy {
 }
 
 /// A backend whose `search_many` parks until [`open`](Self::open): with
-/// one worker, the first batch pins it and everything submitted meanwhile
-/// stays in the queue. Once open it stays open and only delegates.
+/// one slot, the first execution pins it and everything submitted
+/// meanwhile stays in the queue. Open, it only delegates — until a test
+/// [`close`](Self::close)s it again.
 pub struct Gated<B> {
     inner: Arc<B>,
     open: Mutex<bool>,
     opened: Condvar,
-    /// The size of every batch that reached the backend, in arrival order
-    /// (recorded before parking, so a held batch is already listed).
-    batches: Mutex<Vec<usize>>,
+    /// The size of every batch that reached the backend and the name of
+    /// the thread it ran on, in arrival order (recorded before parking, so
+    /// a held batch is already listed).
+    batches: Mutex<Vec<(usize, String)>>,
+    inside: AtomicUsize,
+    peak_inside: AtomicUsize,
 }
 
 impl<B: SearchBackend> Gated<B> {
@@ -76,7 +99,16 @@ impl<B: SearchBackend> Gated<B> {
             open: Mutex::new(false),
             opened: Condvar::new(),
             batches: Mutex::new(Vec::new()),
+            inside: AtomicUsize::new(0),
+            peak_inside: AtomicUsize::new(0),
         })
+    }
+
+    /// A gate that starts open: a pure recorder.
+    pub fn opened(inner: Arc<B>) -> Arc<Self> {
+        let gated = Self::new(inner);
+        gated.open();
+        gated
     }
 
     pub fn open(&self) {
@@ -84,14 +116,30 @@ impl<B: SearchBackend> Gated<B> {
         self.opened.notify_all();
     }
 
-    pub fn batches(&self) -> Vec<usize> {
-        self.batches.lock().unwrap().clone()
+    /// Executions that arrive from now on park again.
+    pub fn close(&self) {
+        *self.open.lock().unwrap() = false;
     }
 
-    /// Blocks until the (one) worker sits in the gate with a batch of one:
+    pub fn batches(&self) -> Vec<usize> {
+        self.batches.lock().unwrap().iter().map(|b| b.0).collect()
+    }
+
+    /// The name of the thread each batch ran on, in arrival order.
+    pub fn threads(&self) -> Vec<String> {
+        let batches = self.batches.lock().unwrap();
+        batches.iter().map(|b| b.1.clone()).collect()
+    }
+
+    /// The most `search_many` calls ever inside at the same moment.
+    pub fn peak_in_flight(&self) -> usize {
+        self.peak_inside.load(Ordering::SeqCst)
+    }
+
+    /// Blocks until the (one) slot sits in the gate with a batch of one:
     /// from here on, everything submitted stays queued.
     pub fn wait_until_holding_one(&self) {
-        wait_until("the worker holds the first request", || {
+        wait_until("the only slot holds the first request", || {
             self.batches() == [1]
         });
     }
@@ -99,13 +147,18 @@ impl<B: SearchBackend> Gated<B> {
 
 impl<B: SearchBackend> SearchBackend for Gated<B> {
     fn search_many(&self, reqs: &[SearchRequest]) -> Vec<QueryOutcome> {
-        self.batches.lock().unwrap().push(reqs.len());
+        let thread = thread::current().name().unwrap_or_default().to_owned();
+        self.batches.lock().unwrap().push((reqs.len(), thread));
+        let inside = self.inside.fetch_add(1, Ordering::SeqCst) + 1;
+        self.peak_inside.fetch_max(inside, Ordering::SeqCst);
         let mut open = self.open.lock().unwrap();
         while !*open {
             open = self.opened.wait(open).unwrap();
         }
         drop(open);
-        self.inner.search_many(reqs)
+        let outcomes = self.inner.search_many(reqs);
+        self.inside.fetch_sub(1, Ordering::SeqCst);
+        outcomes
     }
 
     fn series_len(&self) -> Option<usize> {
@@ -118,5 +171,22 @@ impl<B: SearchBackend> SearchBackend for Gated<B> {
 
     fn io(&self) -> IoSnapshot {
         self.inner.io()
+    }
+}
+
+/// Panics on any batch holding a request marked with this `k`.
+pub const POISON_K: usize = 13;
+
+/// A backend that panics on [`POISON_K`] and delegates otherwise.
+pub struct PanicsOnPoison(pub Arc<Climber>);
+
+impl SearchBackend for PanicsOnPoison {
+    fn search_many(&self, reqs: &[SearchRequest]) -> Vec<QueryOutcome> {
+        assert!(reqs.iter().all(|r| r.k != POISON_K), "poisoned request");
+        self.0.search_many(reqs)
+    }
+
+    fn series_len(&self) -> Option<usize> {
+        self.0.series_len()
     }
 }

@@ -5,13 +5,10 @@
 
 mod common;
 
-use climber_core::{
-    Climber, ClimberError, OpenOptions, QueryOutcome, RecoveryPolicy, SearchBackend, SearchRequest,
-    ServeError,
-};
+use climber_core::{Climber, ClimberError, OpenOptions, RecoveryPolicy, SearchRequest, ServeError};
 use climber_dfs::store::partition_file_name;
 use climber_serve::{RetryPolicy, ServeClient, ServeConfig, Server};
-use common::{build_climber, no_retries, wait_until, Gated};
+use common::{build_climber, no_retries, wait_until, Gated, PanicsOnPoison, POISON_K};
 use std::fs;
 use std::net::TcpListener;
 use std::path::PathBuf;
@@ -80,22 +77,6 @@ fn request_deadline_answers_typed_without_waiting_for_the_batch() {
     let stats = server.stats();
     assert_eq!((stats.admitted, stats.internal), (1, 0));
     server.shutdown();
-}
-
-/// Panics on any batch holding a request marked with this `k`.
-const POISON_K: usize = 13;
-
-struct PanicsOnPoison(Arc<Climber>);
-
-impl SearchBackend for PanicsOnPoison {
-    fn search_many(&self, reqs: &[SearchRequest]) -> Vec<QueryOutcome> {
-        assert!(reqs.iter().all(|r| r.k != POISON_K), "poisoned request");
-        self.0.search_many(reqs)
-    }
-
-    fn series_len(&self) -> Option<usize> {
-        self.0.series_len()
-    }
 }
 
 /// A panicking `search_many` used to kill its worker thread for good; with

@@ -4,25 +4,11 @@
 
 mod common;
 
-use climber_core::dfs::store::PartitionStore;
-use climber_core::{Climber, ClimberError, SearchRequest, ServeError};
+use climber_core::{ClimberError, SearchRequest, ServeError};
 use climber_serve::{ServeClient, ServeConfig, Server};
-use common::{build_climber, no_retries, poll_until, wait_until, Gated};
+use common::{build_climber, no_retries, poll_until, queries_of, wait_until, Gated};
 use std::sync::Arc;
 use std::thread;
-
-fn queries_of(climber: &Climber, n: usize) -> Vec<Vec<f32>> {
-    // recover probes from the store so tests need no dataset in scope
-    let mut records = Vec::new();
-    for pid in climber.store().ids() {
-        let reader = climber.store().open(pid).unwrap();
-        reader.for_each(|_, vals| records.push(vals.to_vec()));
-        if records.len() >= n * 17 {
-            break;
-        }
-    }
-    records.into_iter().step_by(17).take(n).collect()
-}
 
 #[test]
 fn served_outcomes_are_bit_identical_to_direct_search() {

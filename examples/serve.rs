@@ -11,9 +11,12 @@
 //! ```
 //!
 //! Either way the process is its own smoke test: it starts a
-//! [`Server`], runs a pool of concurrent clients through real sockets,
-//! asserts one served outcome is bit-identical to a direct
-//! [`Climber::search`], prints the metrics snapshot, and shuts down
+//! [`Server`], sends the probes one after another from one client (each is
+//! executed by its own connection handler and never waits) and then all at
+//! once from a pool of concurrent clients (whatever finds the execution
+//! slots taken queues up and leaves as a micro-batch), asserts every
+//! served outcome is bit-identical to a direct [`Climber::search`], prints
+//! the metrics snapshot, checks that the books balance, and shuts down
 //! drain-clean.
 
 use climber_core::dfs::store::PartitionStore;
@@ -36,8 +39,9 @@ fn probes<S: PartitionStore>(climber: &Climber<S>, n: usize) -> Vec<Vec<f32>> {
     records.into_iter().step_by(31).take(n).collect()
 }
 
-/// Starts a server on `climber`, drives it with a concurrent client pool,
-/// verifies the serving guarantee, and prints the stats snapshot.
+/// Starts a server on `climber`, drives it with one sequential client and
+/// then a concurrent client pool, verifies the serving guarantee, and
+/// prints the stats snapshot.
 fn serve<S: PartitionStore + 'static>(climber: Arc<Climber<S>>) {
     let queries = probes(&climber, 24);
     let k = 10;
@@ -45,6 +49,28 @@ fn serve<S: PartitionStore + 'static>(climber: Arc<Climber<S>>) {
         .expect("start server");
     let addr = server.local_addr();
     println!("serving on {addr} ({} probe queries)", queries.len());
+
+    // One request at a time: each finds nothing queued and a slot free, so
+    // the handler that read it executes it — no hand-off, no wait.
+    let mut client = ServeClient::connect(addr).expect("connect");
+    let t = Instant::now();
+    for q in &queries {
+        let req = SearchRequest::new(q.clone(), k);
+        let served = client.search(&req).expect("serve");
+        assert_eq!(served, climber.search(&req), "served outcome diverged");
+    }
+    let secs = t.elapsed().as_secs_f64();
+    let stats = server.stats();
+    assert_eq!(
+        stats.queue_wait_p50_us, 0,
+        "sequential traffic waited in the queue"
+    );
+    println!(
+        "one client, {} sequential queries in {:.3}s ({:.1} QPS), none of them queued",
+        queries.len(),
+        secs,
+        queries.len() as f64 / secs
+    );
 
     let t = Instant::now();
     let handles: Vec<_> = queries
@@ -70,7 +96,7 @@ fn serve<S: PartitionStore + 'static>(climber: Arc<Climber<S>>) {
         assert_eq!(served, &climber.search(req), "served outcome diverged");
     }
     println!(
-        "served {} queries in {:.3}s ({:.1} QPS), all bit-identical to direct search",
+        "{} concurrent clients served in {:.3}s ({:.1} QPS), all bit-identical to direct search",
         answered.len(),
         secs,
         answered.len() as f64 / secs
@@ -90,6 +116,9 @@ fn serve<S: PartitionStore + 'static>(climber: Arc<Climber<S>>) {
         stats.p95_us,
         stats.p99_us
     );
+    // The books: every admitted request was answered, none was refused.
+    assert_eq!(stats.admitted, stats.completed + stats.internal);
+    assert_eq!((stats.rejected, stats.internal), (0, 0));
     server.shutdown();
     println!("OK: drain-clean shutdown");
 }
