@@ -84,7 +84,6 @@ use climber_dfs::manifest::{xxh64, FileEntry, PartitionEntry};
 use climber_dfs::segment;
 use climber_dfs::store::{
     partition_file_name, staged_path_of, DiskStore, MemStore, PartitionId, PartitionStore,
-    PutReceipt,
 };
 use climber_index::builder::IndexBuilder;
 use climber_pivot::signature::SignatureScratch;
@@ -147,11 +146,11 @@ pub struct Climber<S: PartitionStore = MemStore> {
     /// False only for indexes opened via [`Climber::open`]: updates are
     /// rejected with `PermissionDenied` (use [`Climber::open_rw`]).
     writable: bool,
-    /// True while a disk-backed fold has rewritten partition files that
-    /// the on-disk manifest does not yet describe (set before the
-    /// rewrites, cleared by a successful re-seal of the home directory).
-    /// A later flush or save repairs the directory even when the fold
-    /// itself has nothing left to do.
+    /// True while a fold may have staged partitions that the on-disk
+    /// manifest does not yet describe (set before the rewrites, cleared by
+    /// a successful re-seal of the home directory). A later flush or save
+    /// repairs the directory even when the fold itself has nothing left
+    /// to do.
     reseal_owed: std::sync::atomic::AtomicBool,
     /// The manifest last committed to the store's home directory by this
     /// instance (or the one it was opened from): what an incremental
@@ -219,16 +218,22 @@ impl Climber<DiskStore> {
     }
 
     /// [`build_on_disk`](Self::build_on_disk) with explicit
-    /// [`BuildOptions`]: build phases, partition writes, and the sealing
-    /// save's checksum pass all fan out across `options` threads. The
-    /// resulting directory is byte-identical for any thread count.
+    /// [`BuildOptions`]: build phases and partition writes fan out across
+    /// `options` threads. The resulting directory is byte-identical for
+    /// any thread count.
+    ///
+    /// Partitions stream to disk as they are built, each staged like a
+    /// fold's rewrite, and the sealing save commits them from their put
+    /// receipts — every partition is written once and never read back by
+    /// the seal. An index a previous build left in `dir` stays committed
+    /// until the new manifest is.
     pub fn build_on_disk_with(
         ds: &Dataset,
         dir: impl AsRef<Path>,
         config: ClimberConfig,
         options: BuildOptions,
     ) -> Result<Self, ClimberError> {
-        let store = DiskStore::new(dir.as_ref())?;
+        let store = DiskStore::create(dir.as_ref(), fsio::std_fs())?;
         let (skeleton, report) = IndexBuilder::with_options(config, options).build(ds, &store);
         let mut c = Self::assemble(skeleton, store, config, Some(report));
         c.build_options = options;
@@ -242,11 +247,13 @@ impl Climber<DiskStore> {
     /// against the sealed manifest — the self-healing maintenance pass:
     ///
     /// * healthy partitions are re-read and re-checksummed;
-    /// * fresh damage is quarantined (file moved into `QUARANTINE/`) so
-    ///   queries degrade instead of erroring;
+    /// * fresh damage is quarantined so queries degrade instead of
+    ///   erroring — a writable index moves the file into `QUARANTINE/`,
+    ///   a read-only one only marks it, and so never touches the
+    ///   directory;
     /// * previously quarantined partitions are re-admitted when their
-    ///   main file matches the manifest again (operator restored it) or
-    ///   the quarantined copy itself validates.
+    ///   main file matches the manifest again (operator restored it) or,
+    ///   writable only, the quarantined copy itself validates.
     ///
     /// Returns what the pass found and did; see [`ScrubReport`].
     pub fn scrub(&self) -> Result<ScrubReport, ClimberError> {
@@ -363,11 +370,10 @@ impl<S: PartitionStore> Climber<S> {
         Ok(self.seal(dir.as_ref(), None)?)
     }
 
-    /// The save implementation. `refresh`, when given, is the previous
-    /// sealed manifest of `dir` plus the put receipts of the partitions
-    /// rewritten since: those (and any partition the old manifest misses)
-    /// get fresh entries, every other entry is reused verbatim — the
-    /// incremental re-seal of a fold.
+    /// The save implementation. `refresh`, when given, is the manifest
+    /// last committed to `dir`, the store's home: a partition the store
+    /// has not staged since keeps its entry verbatim — the incremental
+    /// re-seal of a fold.
     ///
     /// Crash-consistency protocol: nothing a committed manifest references
     /// is overwritten before the next manifest commits. New bytes are
@@ -378,11 +384,7 @@ impl<S: PartitionStore> Climber<S> {
     /// before the commit leaves the old directory byte-identical (stages
     /// match no manifest and are swept at open); a crash after it is
     /// rolled forward at open from the surviving `.new` siblings.
-    fn seal(
-        &self,
-        dir: &Path,
-        refresh: Option<(&Manifest, &BTreeMap<PartitionId, Option<PutReceipt>>)>,
-    ) -> io::Result<Manifest> {
+    fn seal(&self, dir: &Path, refresh: Option<&Manifest>) -> io::Result<Manifest> {
         let fs = self.store.fs();
         fs.create_dir_all(dir)?;
         let ids = self.store.ids();
@@ -394,41 +396,30 @@ impl<S: PartitionStore> Climber<S> {
         }
         let io_before = self.store.stats().snapshot();
         let home = self.store.persist_dir() == Some(dir);
-        // When the store's own puts already staged the files durably in
-        // this very directory (a manifest-opened DiskStore), a rewritten
-        // partition's receipt *is* its manifest entry — no open, no
-        // re-read, no re-hash. Everything else is copied (a builder's puts
-        // are plain writes; a manifest only references files that went
-        // through stage → commit), fanned out over the build's threads in
-        // ascending-id manifest order.
-        let in_place_durable = home && self.store.puts_are_durable();
+        // In the store's own directory a partition its puts staged there
+        // is described by the put's receipt, and an untouched one by the
+        // previous manifest — no open, no re-read, no re-hash. Everything
+        // else is read once, for the checksum and the structural
+        // validation, and — sealing into another directory — staged there
+        // (a manifest only references files that went through stage →
+        // commit). Fanned out over the build's threads in ascending-id
+        // manifest order.
         let cluster = climber_dfs::cluster::Cluster::new(self.build_options.resolved_threads());
         let fs_ref = &fs;
-        let copied: Vec<io::Result<(PartitionEntry, Option<u32>, bool)>> =
+        let described: Vec<io::Result<(PartitionEntry, Option<u32>)>> =
             cluster.par_map(ids, move |pid| {
-                if let Some((prev, rewritten)) = refresh {
-                    match rewritten.get(&pid) {
-                        Some(Some(r)) if in_place_durable => {
-                            return Ok((r.entry(pid), Some(r.series_len), false))
-                        }
-                        // Rewritten through a non-staging put: copied below.
-                        Some(_) => {}
-                        // Untouched since the previous seal: the file in
-                        // `dir` already went through the protocol and its
-                        // entry is still exact.
-                        None => {
-                            if let Some(e) = prev.partition(pid) {
-                                return Ok((*e, None, false));
-                            }
-                        }
+                if home {
+                    if let Some(r) = self.store.receipt(pid) {
+                        return Ok((r.entry(pid), Some(r.series_len)));
+                    }
+                    if let Some(e) = refresh.and_then(|prev| prev.partition(pid)) {
+                        return Ok((*e, None));
                     }
                 }
-                // One read serves the copy, the checksum and the structural
-                // validation.
                 let payload = self.store.stored_bytes(pid)?;
                 let reader = PartitionReader::open(payload.clone())
                     .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-                if !in_place_durable {
+                if !home {
                     fsio::write_staged(&**fs_ref, &staged_path_of(dir, pid), &payload)?;
                 }
                 Ok((
@@ -439,18 +430,13 @@ impl<S: PartitionStore> Climber<S> {
                         records: reader.record_count(),
                     },
                     Some(reader.series_len() as u32),
-                    !in_place_durable,
                 ))
             });
-        let mut partitions = Vec::with_capacity(copied.len());
-        let mut staged_parts: Vec<PartitionId> = Vec::new();
+        let mut partitions = Vec::with_capacity(described.len());
         let mut num_records = 0u64;
-        let mut series_len = refresh.map_or(0, |(prev, _)| prev.series_len);
-        for entry in copied {
-            let (p, sl, staged) = entry?;
-            if staged {
-                staged_parts.push(p.id);
-            }
+        let mut series_len = refresh.map_or(0, |prev| prev.series_len);
+        for entry in described {
+            let (p, sl) = entry?;
             num_records += p.records;
             if let Some(sl) = sl {
                 series_len = sl;
@@ -527,11 +513,18 @@ impl<S: PartitionStore> Climber<S> {
         // references; an interruption anywhere is rolled forward by the
         // next open.
         m.write_atomic_with(&*fs, dir)?;
-        for pid in &staged_parts {
-            fs.rename(
-                &staged_path_of(dir, *pid),
-                &dir.join(partition_file_name(*pid)),
-            )?;
+        if home {
+            // The home directory commits `m` from here on, whatever of the
+            // install fails: the next re-seal refreshes it.
+            *self.sealed.lock().unwrap() = Some(m.clone());
+            self.store.commit_staged()?;
+        } else {
+            for e in &m.partitions {
+                fs.rename(
+                    &staged_path_of(dir, e.id),
+                    &dir.join(partition_file_name(e.id)),
+                )?;
+            }
         }
         if skel_staged {
             fs.rename(&skel_staged_path, &skel_path)?;
@@ -541,14 +534,12 @@ impl<S: PartitionStore> Climber<S> {
         } else {
             segment::discard_journal(&*fs, dir);
         }
-        self.store.commit_staged()?;
         fs.fsync_dir(dir)?;
         // The home directory (if any) now describes the store exactly: no
         // fold re-seal is outstanding.
         if home {
             self.reseal_owed
                 .store(false, std::sync::atomic::Ordering::Relaxed);
-            *self.sealed.lock().unwrap() = Some(m.clone());
         }
         // Advance the serve-phase zero point past save's own checksum
         // reads so they never show up as query traffic. (Queries racing a
@@ -769,8 +760,8 @@ impl<S: PartitionStore> Climber<S> {
     /// filtering queries); [`compact`](Self::compact) purges them too.
     ///
     /// On a disk-backed store the directory is re-sealed afterwards —
-    /// incrementally: only the folded partitions are re-copied and
-    /// re-checksummed, untouched manifest entries are reused, and the
+    /// incrementally: only the folded partitions get fresh entries (from
+    /// their put receipts), untouched manifest entries are reused, and the
     /// manifest is rewritten at the bumped segment generation, so the
     /// on-disk index stays openable at O(affected partitions) cost. If
     /// any partition write fails, the drained records of unwritten
@@ -837,9 +828,7 @@ impl<S: PartitionStore> Climber<S> {
             // repair the directory before reporting the no-op, so a
             // retried flush() always converges to an openable index.
             if self.reseal_owed.load(std::sync::atomic::Ordering::Relaxed) {
-                if let Some(dir) = self.store.persist_dir().map(Path::to_path_buf) {
-                    self.seal(&dir, None)?;
-                }
+                self.reseal_home()?;
             }
             return Ok(MaintenanceReport {
                 partitions_rewritten: 0,
@@ -854,25 +843,18 @@ impl<S: PartitionStore> Climber<S> {
         // per-partition fan-out: each worker owns one writer end to end).
         // From the first rewrite on, a disk directory's manifest is stale
         // until the re-seal below lands; the flag makes any later flush
-        // or save finish the repair if this attempt errors out. If the
-        // flag was ALREADY set, a previous fold left partitions on disk
-        // that this fold's dirty set does not cover — the re-seal below
-        // must then be a full one, or it would reuse stale manifest
-        // entries for them.
-        let owed_before = self.store.persist_dir().is_some()
-            && self
-                .reseal_owed
-                .swap(true, std::sync::atomic::Ordering::Relaxed);
+        // or save finish the repair if this attempt errors out.
+        self.reseal_owed
+            .store(true, std::sync::atomic::Ordering::Relaxed);
         let cluster = climber_dfs::cluster::Cluster::new(self.build_options.resolved_threads());
         let (folds_ref, purge_ref) = (&delta_by_pid, &purge_set);
-        type FoldOutcome = (PartitionId, io::Result<(u64, u64, Option<PutReceipt>)>);
-        let results: Vec<FoldOutcome> =
+        let results: Vec<(PartitionId, io::Result<(u64, u64)>)> =
             cluster.par_map(affected.iter().copied().collect::<Vec<_>>(), move |pid| {
                 let r = self.rewrite_partition(pid, folds_ref.get(&pid), purge_ref);
                 (pid, r)
             });
 
-        let mut receipts: BTreeMap<PartitionId, Option<PutReceipt>> = BTreeMap::new();
+        let mut rewritten = 0usize;
         let mut folded = 0u64;
         let mut purged = 0u64;
         let mut failed: Option<io::Error> = None;
@@ -880,8 +862,8 @@ impl<S: PartitionStore> Climber<S> {
             BTreeMap::new();
         for (pid, r) in results {
             match r {
-                Ok((f, p, receipt)) => {
-                    receipts.insert(pid, receipt);
+                Ok((f, p)) => {
+                    rewritten += 1;
                     folded += f;
                     purged += p;
                 }
@@ -904,32 +886,9 @@ impl<S: PartitionStore> Climber<S> {
         }
         let generation = self.generation.fetch_add(1, Ordering::Relaxed) + 1;
 
-        // Disk-backed stores get re-sealed immediately: checksums and the
-        // manifest must match the rewritten partitions for the directory
-        // to stay openable. The re-seal is incremental — the folded
-        // partitions are described by their put receipts; every entry of
-        // the previous manifest for an untouched partition is reused — so
-        // a small fold costs O(affected partitions), not O(index). The
-        // previous manifest is the one this instance holds; only an index
-        // that never sealed or opened its directory reads it from disk.
-        if let Some(dir) = self.store.persist_dir().map(Path::to_path_buf) {
-            let held = self.sealed.lock().unwrap().clone();
-            let prev = held.map_or_else(|| Manifest::load_with(&*self.store.fs(), &dir), Ok);
-            match prev {
-                Ok(prev) if !owed_before && prev.partition_ids() == self.store.ids() => {
-                    self.seal(&dir, Some((&prev, &receipts)))?;
-                }
-                _ => {
-                    // No usable previous seal: first save pending, the
-                    // partition set changed, or an earlier fold's re-seal
-                    // failed (its rewrites are outside this dirty set) —
-                    // full re-seal.
-                    self.seal(&dir, None)?;
-                }
-            }
-        }
+        self.reseal_home()?;
         Ok(MaintenanceReport {
-            partitions_rewritten: receipts.len(),
+            partitions_rewritten: rewritten,
             records_folded: folded,
             records_purged: purged,
             tombstones_remaining: self.tombstones.len(),
@@ -937,19 +896,36 @@ impl<S: PartitionStore> Climber<S> {
         })
     }
 
+    /// Re-seals a disk-backed store's home directory after a fold:
+    /// checksums and the manifest must match the rewritten partitions for
+    /// the directory to stay openable. The re-seal is incremental — every
+    /// partition the store staged since the last commit (this fold's, and
+    /// any an earlier failed re-seal left) is described by its put
+    /// receipt, every other entry of the previous manifest is reused — so
+    /// a small fold costs O(affected partitions), not O(index). The
+    /// previous manifest is the one this instance holds; only an index
+    /// that never sealed or opened its directory reads it from disk.
+    fn reseal_home(&self) -> io::Result<()> {
+        let Some(dir) = self.store.persist_dir() else {
+            return Ok(());
+        };
+        let held = self.sealed.lock().unwrap().clone();
+        let prev = held.or_else(|| Manifest::load_with(&*self.store.fs(), dir).ok());
+        self.seal(dir, prev.as_ref()).map(drop)
+    }
+
     /// Rewrites one sealed partition: every sealed cluster's encoded
     /// records are spliced — byte ranges, never decoded — into the new
     /// image minus the ids in `purge`, each followed by its `folds` delta
     /// cluster (by trie node, in ascending-id order); clusters left empty
-    /// are dropped. Returns `(records folded, records purged, receipt of
-    /// the put)`.
+    /// are dropped. Returns `(records folded, records purged)`.
     #[allow(clippy::type_complexity)]
     fn rewrite_partition(
         &self,
         pid: PartitionId,
         folds: Option<&BTreeMap<TrieNodeId, (Vec<u64>, Vec<f32>)>>,
         purge: &BTreeSet<u64>,
-    ) -> io::Result<(u64, u64, Option<PutReceipt>)> {
+    ) -> io::Result<(u64, u64)> {
         let reader = self.store.open(pid)?;
         let series_len = reader.series_len();
         let sealed_nodes = reader.cluster_ids();
@@ -999,8 +975,8 @@ impl<S: PartitionStore> Climber<S> {
         for &node in new_nodes {
             seal_cluster(&mut writer, node);
         }
-        let receipt = self.store.put(pid, writer.finish())?;
-        Ok((folded, purged + dropped, receipt))
+        self.store.put(pid, writer.finish())?;
+        Ok((folded, purged + dropped))
     }
 
     /// The global index skeleton.

@@ -59,7 +59,8 @@ use crate::open::{open_shard, OpenOptions};
 use crate::recover::{BackendHealth, ScrubReport};
 use crate::{Climber, ClimberConfig, MaintenanceReport, SearchRequest};
 use climber_dfs::format::PartitionWriter;
-use climber_dfs::manifest::{self, xxh64};
+use climber_dfs::fsio::{self, FsRef};
+use climber_dfs::manifest::xxh64;
 use climber_dfs::page::BlockCache;
 use climber_dfs::stats::IoSnapshot;
 use climber_dfs::store::{DiskStore, MemStore, PartitionId, PartitionStore};
@@ -244,7 +245,8 @@ pub struct ShardedClimber<S: PartitionStore = MemStore> {
     /// The options the set was opened with (`None`: built, never opened —
     /// such a set has no dead slot): what [`scrub`](ShardedClimber::scrub)
     /// re-opens a dead slot under, so a re-admitted shard shares the set's
-    /// cache and filesystem.
+    /// cache and filesystem, and the filesystem `SHARDS.clsm` is written
+    /// through.
     opened_with: Option<OpenOptions>,
 }
 
@@ -591,7 +593,8 @@ impl<S: PartitionStore> ShardedClimber<S> {
     /// super-manifest.
     pub fn save(&self, dir: impl AsRef<Path>) -> Result<ShardSetManifest, ClimberError> {
         let dir = dir.as_ref();
-        std::fs::create_dir_all(dir).map_err(ClimberError::Io)?;
+        let fs = self.fs();
+        fs.create_dir_all(dir).map_err(ClimberError::Io)?;
         // Dead slots are skipped: their directories keep whatever state
         // they sealed last (recorded in `sealed_generations`), so a
         // repaired shard can still re-admit under the super-manifest
@@ -601,9 +604,15 @@ impl<S: PartitionStore> ShardedClimber<S> {
             shard.save(dir.join(shard_dir_name(i)))?;
         }
         let sm = self.set_manifest();
-        manifest::write_file_atomic(&dir.join(SHARD_SET_FILE), &sm.encode())
+        fsio::write_file_atomic_with(&*fs, &dir.join(SHARD_SET_FILE), &sm.encode())
             .map_err(ClimberError::Io)?;
         Ok(sm)
+    }
+
+    /// The filesystem the set writes through: the one it was opened over,
+    /// the real one for a set that was built and never opened.
+    fn fs(&self) -> FsRef {
+        (self.opened_with.as_ref()).map_or_else(fsio::std_fs, |opts| opts.fs.clone())
     }
 
     /// Re-seals the super-manifest of a disk-backed set after a fold
@@ -611,13 +620,9 @@ impl<S: PartitionStore> ShardedClimber<S> {
     /// refuse the drifted shard.
     fn reseal_set(&self) -> Result<(), ClimberError> {
         if let Some(home) = self.home_dir() {
-            if home.join(SHARD_SET_FILE).is_file() {
-                manifest::write_file_atomic(
-                    &home.join(SHARD_SET_FILE),
-                    &self.set_manifest().encode(),
-                )
+            let path = home.join(SHARD_SET_FILE);
+            fsio::write_file_atomic_with(&*self.fs(), &path, &self.set_manifest().encode())
                 .map_err(ClimberError::Io)?;
-            }
         }
         Ok(())
     }

@@ -26,7 +26,7 @@
 
 use std::fmt;
 use std::fs;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -431,7 +431,7 @@ impl ClimberFs for FaultFs {
 
 /// A sibling temp path for `path` that no concurrent writer shares: the
 /// name carries the process id and a process-wide sequence number.
-pub fn tmp_sibling(path: &Path) -> PathBuf {
+fn tmp_sibling(path: &Path) -> PathBuf {
     static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
     let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
     path.with_extension(format!(
@@ -527,27 +527,6 @@ pub fn read_committed<E>(
         }
         _ => Err(first),
     }
-}
-
-/// The plain (non-injected) `write_file_atomic` used since PR 3 —
-/// delegates to [`write_file_atomic_with`] over [`StdFs`], but keeps
-/// one `std`-only fast path detail: the temp file is written and synced
-/// through a single open handle.
-pub fn write_file_atomic_std(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = tmp_sibling(path);
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path).inspect_err(|_| {
-        fs::remove_file(&tmp).ok();
-    })?;
-    #[cfg(unix)]
-    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-        fs::File::open(parent)?.sync_all()?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

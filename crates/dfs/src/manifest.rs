@@ -18,13 +18,14 @@
 //! manifest xxh64 u64          — checksum of every preceding byte
 //! ```
 //!
-//! All integers little-endian. Writers go through [`write_file_atomic`]
-//! (temp file + `sync_all` + atomic rename) with the manifest written
-//! *last*, so a crash mid-save leaves either the previous valid index or
-//! no manifest — never a torn one. Readers validate magic, version,
-//! the manifest's own trailing checksum, and (via
-//! [`crate::store::DiskStore::open_validated`]) every partition file's
-//! size and checksum, reporting failures as typed [`OpenError`]s.
+//! All integers little-endian. Writers go through
+//! [`Manifest::write_atomic_with`] (temp file + fsync + atomic rename +
+//! directory fsync) with the manifest written *last*, so a crash mid-save
+//! leaves either the previous valid index or no manifest — never a torn
+//! one. Readers validate magic, version, the manifest's own trailing
+//! checksum, and (via [`crate::store::DiskStore::open_validated`]) every
+//! partition file's size and checksum, reporting failures as typed
+//! [`OpenError`]s.
 //!
 //! Version/compat policy: `format_version` is bumped on any layout change;
 //! readers accept only versions `<= FORMAT_VERSION` they know how to parse
@@ -356,7 +357,7 @@ pub struct Manifest {
 
 impl Manifest {
     /// Path of the manifest inside `dir`.
-    pub fn path(dir: &Path) -> PathBuf {
+    fn path(dir: &Path) -> PathBuf {
         dir.join(MANIFEST_FILE)
     }
 
@@ -525,27 +526,16 @@ impl Manifest {
         })
     }
 
-    /// Writes the manifest to `dir` via temp file + atomic rename. This is
+    /// Writes the manifest to `dir` through `fs` via temp file + atomic
+    /// rename + directory fsync, each step a distinct fault point. This is
     /// the save protocol's commit point: call it only after every file the
     /// manifest references is durably in place (or staged under its
     /// roll-forward `.new` sibling).
-    pub fn write_atomic(&self, dir: &Path) -> io::Result<()> {
-        write_file_atomic(&Self::path(dir), &self.encode())
-    }
-
-    /// [`write_atomic`](Self::write_atomic) through an injectable
-    /// filesystem — every protocol step (temp write, fsync, rename,
-    /// directory fsync) is a distinct fault point.
     pub fn write_atomic_with(&self, fs: &dyn ClimberFs, dir: &Path) -> io::Result<()> {
         crate::fsio::write_file_atomic_with(fs, &Self::path(dir), &self.encode())
     }
 
-    /// Reads and validates the manifest of `dir`.
-    pub fn load(dir: &Path) -> Result<Self, OpenError> {
-        Self::load_with(&crate::fsio::StdFs, dir)
-    }
-
-    /// [`load`](Self::load) through an injectable filesystem.
+    /// Reads (through `fs`) and validates the manifest of `dir`.
     pub fn load_with(fs: &dyn ClimberFs, dir: &Path) -> Result<Self, OpenError> {
         let path = Self::path(dir);
         let bytes = match fs.read(&path) {
@@ -559,23 +549,10 @@ impl Manifest {
     }
 }
 
-/// Writes `bytes` to `path` crash-safely: a sibling temp file is written,
-/// fsynced, then renamed over the target (atomic on POSIX within one
-/// directory), and the parent directory is fsynced so the rename itself
-/// is durable before the call returns. The temp name carries the process
-/// id *and* a process-wide counter, so concurrent savers of the same
-/// path never share a temp file — the last full rename wins.
-///
-/// This is the `std`-only fast path; injectable callers go through
-/// [`crate::fsio::write_file_atomic_with`], which performs the same
-/// protocol step by step through a [`ClimberFs`].
-pub fn write_file_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    crate::fsio::write_file_atomic_std(path, bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fsio::StdFs;
     use std::fs;
 
     fn sample_manifest() -> Manifest {
@@ -782,8 +759,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("climber-manifest-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         let m = sample_manifest();
-        m.write_atomic(&dir).unwrap();
-        assert_eq!(Manifest::load(&dir).unwrap(), m);
+        m.write_atomic_with(&StdFs, &dir).unwrap();
+        assert_eq!(Manifest::load_with(&StdFs, &dir).unwrap(), m);
         // No temp droppings left behind.
         let stray: Vec<_> = fs::read_dir(&dir)
             .unwrap()
@@ -798,7 +775,7 @@ mod tests {
     fn load_missing_dir_is_typed() {
         let dir = std::env::temp_dir().join("climber-manifest-definitely-absent");
         assert!(matches!(
-            Manifest::load(&dir),
+            Manifest::load_with(&StdFs, &dir),
             Err(OpenError::MissingManifest(_))
         ));
     }

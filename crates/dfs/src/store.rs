@@ -7,6 +7,16 @@
 //!   disk-based HDFS stand-in (CLIMBER is explicitly a *disk-based*
 //!   system, §II).
 //!
+//! A disk store has **one** write protocol, whether it was
+//! [created](DiskStore::create) empty for a build or
+//! [opened](DiskStore::open_validated) from a sealed manifest for a
+//! fold: every [`put`](PartitionStore::put) stages the image under the
+//! partition's `.new` sibling (temp file, fsync, rename) and keeps the
+//! [`PutReceipt`] of what it staged; the seal describes the partition
+//! from that receipt, commits the manifest, and only then
+//! [installs](PartitionStore::commit_staged) the stage over the main
+//! file. No committed file is ever written in place.
+//!
 //! Every operation reports to an [`IoStats`], which is how experiments
 //! observe "partitions touched" and bytes moved.
 
@@ -18,7 +28,6 @@ use crate::stats::IoStats;
 use bytes::Bytes;
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, BTreeSet};
-use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -33,10 +42,10 @@ pub fn partition_file_name(id: PartitionId) -> String {
 /// [`try_readmit`](DiskStore::try_readmit) or operator repair.
 pub const QUARANTINE_DIR: &str = "QUARANTINE";
 
-/// The roll-forward staging sibling of partition `id` inside `dir`: a
-/// manifest-mode `put` (and a seal copying into a committed directory)
-/// lands here, and the rename over the main file happens only *after*
-/// the next manifest commit — so a crash anywhere in a fold leaves the
+/// The roll-forward staging sibling of partition `id` inside `dir`: every
+/// disk `put` (and a seal copying into another directory) lands here,
+/// and the rename over the main file happens only *after* the next
+/// manifest commit — so a crash anywhere in a build or a fold leaves the
 /// committed file untouched.
 pub fn staged_path_of(dir: &Path, id: PartitionId) -> PathBuf {
     dir.join(format!("{}.new", partition_file_name(id)))
@@ -49,9 +58,9 @@ fn quarantine_path_of(dir: &Path, id: PartitionId) -> PathBuf {
 /// Identifier of a physical partition (the paper's `β` ids).
 pub type PartitionId = u32;
 
-/// What a staging [`put`](PartitionStore::put) persisted: everything a
-/// manifest records about a partition, taken while the bytes were in
-/// hand — so a seal describes a rewritten partition without opening,
+/// What a disk [`put`](PartitionStore::put) staged: everything a manifest
+/// records about a partition, taken while the bytes were in hand — so a
+/// seal describes a built or rewritten partition without opening,
 /// re-reading or re-hashing it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PutReceipt {
@@ -79,12 +88,8 @@ impl PutReceipt {
 
 /// A store of encoded partitions keyed by [`PartitionId`].
 pub trait PartitionStore: Send + Sync {
-    /// Writes (or replaces) a partition. A store whose
-    /// [puts are durable](Self::puts_are_durable) returns the receipt of
-    /// what it staged — the seal's manifest entry for the partition;
-    /// every other store returns `None` (its seal copies the partition,
-    /// and describes the copy).
-    fn put(&self, id: PartitionId, bytes: Bytes) -> io::Result<Option<PutReceipt>>;
+    /// Writes (or replaces) a partition.
+    fn put(&self, id: PartitionId, bytes: Bytes) -> io::Result<()>;
 
     /// Opens a partition for reading. Counts the open and the header bytes.
     fn open(&self, id: PartitionId) -> io::Result<PartitionReader>;
@@ -113,12 +118,14 @@ pub trait PartitionStore: Send + Sync {
         None
     }
 
-    /// True when [`put`](Self::put) already stages partitions durably in
-    /// [`persist_dir`](Self::persist_dir) (written and fsynced under
-    /// their `.new` siblings) — a seal of that directory then commits
-    /// them from their [`PutReceipt`]s instead of re-copying them.
-    fn puts_are_durable(&self) -> bool {
-        false
+    /// The receipt of partition `id`'s [`put`](Self::put) when that put
+    /// is staged durably in [`persist_dir`](Self::persist_dir) (written
+    /// and fsynced under its `.new` sibling) and not yet
+    /// [committed](Self::commit_staged): a seal of that directory takes
+    /// the partition's manifest entry from it instead of re-reading the
+    /// bytes. `None` for stores that stage nothing.
+    fn receipt(&self, _id: PartitionId) -> Option<PutReceipt> {
+        None
     }
 
     /// The filesystem this store performs durable operations through.
@@ -156,22 +163,6 @@ pub trait PartitionStore: Send + Sync {
     fn block_cache(&self) -> Option<Arc<BlockCache>> {
         None
     }
-
-    /// Reads the records of one trie-node cluster, counting only the bytes
-    /// of that cluster (plus the header) as read.
-    fn read_cluster(
-        &self,
-        id: PartitionId,
-        node: crate::format::TrieNodeId,
-        out: &mut Vec<(u64, Vec<f32>)>,
-    ) -> io::Result<u64> {
-        let reader = self.open(id)?;
-        let bytes = reader.cluster_bytes(node).unwrap_or(0);
-        let n = reader.for_each_in_cluster(node, |rid, vals| out.push((rid, vals.to_vec())));
-        self.stats().on_read(bytes as u64);
-        self.stats().on_records_read(n);
-        Ok(n)
-    }
 }
 
 /// In-memory partition store.
@@ -189,10 +180,10 @@ impl MemStore {
 }
 
 impl PartitionStore for MemStore {
-    fn put(&self, id: PartitionId, bytes: Bytes) -> io::Result<Option<PutReceipt>> {
+    fn put(&self, id: PartitionId, bytes: Bytes) -> io::Result<()> {
         self.stats.on_partition_write(bytes.len() as u64);
         self.parts.write().insert(id, bytes);
-        Ok(None)
+        Ok(())
     }
 
     fn open(&self, id: PartitionId) -> io::Result<PartitionReader> {
@@ -221,25 +212,27 @@ impl PartitionStore for MemStore {
 pub struct DiskStore {
     dir: PathBuf,
     stats: IoStats,
-    /// `Some` when opened from a manifest: the manifest-listed partition
-    /// ids, used instead of a directory scan so stray files are never
-    /// served.
-    manifest_ids: Option<Vec<PartitionId>>,
+    /// Every partition the store holds: the manifest's (never a directory
+    /// scan, so stray files are never served) plus each one a put staged
+    /// since.
+    ids: RwLock<BTreeSet<PartitionId>>,
     /// The manifest's series length, which every partition header must
-    /// repeat (`0` = none recorded: build mode, or an empty index).
+    /// repeat (`0` = none recorded: a created store, or an empty index).
     series_len: u32,
     /// True when [`open_validated`](Self::open_validated) was told so:
-    /// every [`put`](PartitionStore::put) is rejected.
+    /// every [`put`](PartitionStore::put) is rejected, and a scrub
+    /// quarantines in memory only.
     read_only: bool,
     /// The filesystem every durable operation goes through (injectable).
     fs: FsRef,
-    /// Partitions whose current bytes are under a `.new` sibling: a
-    /// rewrite awaiting the next manifest commit, or committed bytes a
-    /// crash left uninstalled that this open could not (read-only) or did
-    /// not manage to rename. [`PartitionStore::open`] serves the sibling.
-    staged: RwLock<BTreeSet<PartitionId>>,
-    /// Partitions a quarantining open (or a scrub) moved aside; opening
-    /// them fails with `NotFound` until repaired.
+    /// Partitions whose current bytes are under a `.new` sibling, which
+    /// [`PartitionStore::open`] serves: a put awaiting the next manifest
+    /// commit, with its receipt, or (`None`) committed bytes a crash left
+    /// uninstalled that this open could not (read-only) or did not manage
+    /// to rename.
+    staged: RwLock<BTreeMap<PartitionId, Option<PutReceipt>>>,
+    /// Partitions a quarantining open (or a scrub) set aside; opening them
+    /// fails with `NotFound` until repaired.
     quarantined: RwLock<BTreeSet<PartitionId>>,
     /// Block-cache attachment: the shared cache plus this store's token
     /// (the namespace its partition ids live under in the cache).
@@ -254,28 +247,25 @@ struct StoreCache {
 }
 
 impl DiskStore {
-    /// Opens (creating if needed) a writable store rooted at `dir` — the
-    /// build-mode store: no manifest yet, ids come from a directory scan.
-    pub fn new(dir: impl Into<PathBuf>) -> io::Result<Self> {
+    /// An empty writable store rooted at `dir` (created through `fs` if
+    /// needed) — what a build writes into. It holds no partition until a
+    /// put stages one, whatever files `dir` already has: an index a
+    /// previous build left there stays committed, and openable, until
+    /// the seal of this one commits its manifest.
+    pub fn create(dir: impl Into<PathBuf>, fs: FsRef) -> io::Result<Self> {
         let dir = dir.into();
-        let fs = fsio::std_fs();
         fs.create_dir_all(&dir)?;
         Ok(Self {
             dir,
             stats: IoStats::new(),
-            manifest_ids: None,
+            ids: RwLock::new(BTreeSet::new()),
             series_len: 0,
             read_only: false,
             fs,
-            staged: RwLock::new(BTreeSet::new()),
+            staged: RwLock::new(BTreeMap::new()),
             quarantined: RwLock::new(BTreeSet::new()),
             cache: None,
         })
-    }
-
-    /// The attached block cache, if any.
-    pub fn block_cache(&self) -> Option<Arc<BlockCache>> {
-        self.cache.as_ref().map(|sc| Arc::clone(&sc.cache))
     }
 
     /// The typed failure of reading entry `e`'s file at `path`.
@@ -353,7 +343,7 @@ impl DiskStore {
         cache: Option<Arc<BlockCache>>,
     ) -> Result<(Self, Manifest, u64), OpenError> {
         let manifest = Manifest::load_with(&*fs, &dir)?;
-        let mut staged = BTreeSet::new();
+        let mut staged = BTreeMap::new();
         let mut quarantined = BTreeSet::new();
         let cache = cache.map(|cache| StoreCache {
             cache,
@@ -384,7 +374,7 @@ impl DiskStore {
                 // Still under `.new`: opens read the sibling, uncached,
                 // like any other staged partition.
                 Ok((_, true)) => {
-                    staged.insert(e.id);
+                    staged.insert(e.id, None);
                 }
                 Err(first) if !quarantine => return Err(first),
                 Err(_) => {
@@ -401,7 +391,7 @@ impl DiskStore {
         }
         // Sweep temp droppings from interrupted atomic writes.
         if !read_only {
-            if let Ok(entries) = fs::read_dir(&dir) {
+            if let Ok(entries) = std::fs::read_dir(&dir) {
                 for entry in entries.filter_map(|x| x.ok()) {
                     if let Some(name) = entry.file_name().to_str() {
                         if fsio::is_tmp_name(name) {
@@ -411,12 +401,12 @@ impl DiskStore {
                 }
             }
         }
-        let ids = manifest.partition_ids();
+        let ids = manifest.partition_ids().into_iter().collect();
         Ok((
             Self {
                 dir,
                 stats: IoStats::new(),
-                manifest_ids: Some(ids),
+                ids: RwLock::new(ids),
                 series_len: manifest.series_len,
                 read_only,
                 fs,
@@ -443,19 +433,22 @@ impl DiskStore {
         &self.dir
     }
 
-    /// Moves partition `id`'s main file into [`QUARANTINE_DIR`] and marks
-    /// it quarantined — the scrub path for corruption found *after* open.
-    /// Opening the id then fails until [`try_readmit`](Self::try_readmit)
-    /// succeeds.
+    /// Marks partition `id` quarantined and, when the store is writable,
+    /// moves its main file into [`QUARANTINE_DIR`] — the scrub path for
+    /// corruption found *after* open. A read-only store only marks it, as
+    /// a read-only quarantining open does. Opening the id then fails until
+    /// [`try_readmit`](Self::try_readmit) succeeds.
     pub fn quarantine_partition(&self, id: PartitionId) -> io::Result<()> {
-        self.fs.create_dir_all(&self.dir.join(QUARANTINE_DIR))?;
-        match self
-            .fs
-            .rename(&self.path_of(id), &quarantine_path_of(&self.dir, id))
-        {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
+        if !self.read_only {
+            self.fs.create_dir_all(&self.dir.join(QUARANTINE_DIR))?;
+            match self
+                .fs
+                .rename(&self.path_of(id), &quarantine_path_of(&self.dir, id))
+            {
+                Ok(()) => {}
+                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+                Err(e) => return Err(e),
+            }
         }
         self.quarantined.write().insert(id);
         if let Some(sc) = &self.cache {
@@ -466,9 +459,10 @@ impl DiskStore {
 
     /// Attempts to bring a quarantined partition back into service:
     /// either the main path now holds bytes matching the manifest entry
-    /// (operator restored them), or the quarantined copy itself validates
-    /// (the original failure was transient) and is renamed back. Returns
-    /// `true` when the partition is healthy and serving again.
+    /// (operator restored them), or — for a writable store — the
+    /// quarantined copy itself validates (the original failure was
+    /// transient) and is renamed back; a read-only store renames nothing.
+    /// Returns `true` when the partition is healthy and serving again.
     pub fn try_readmit(&self, e: &PartitionEntry) -> io::Result<bool> {
         if !self.quarantined.read().contains(&e.id) {
             return Ok(true);
@@ -486,7 +480,7 @@ impl DiskStore {
             return Ok(true);
         }
         let qpath = quarantine_path_of(&self.dir, e.id);
-        if self.fs.read(&qpath).is_ok_and(|b| matches(&b)) {
+        if !self.read_only && self.fs.read(&qpath).is_ok_and(|b| matches(&b)) {
             self.fs.rename(&qpath, &main)?;
             self.fs.fsync_dir(&self.dir)?;
             readmit(e.id);
@@ -506,53 +500,45 @@ impl DiskStore {
 
 impl PartitionStore for DiskStore {
     fn block_cache(&self) -> Option<Arc<BlockCache>> {
-        DiskStore::block_cache(self)
+        self.cache.as_ref().map(|sc| Arc::clone(&sc.cache))
     }
 
-    fn put(&self, id: PartitionId, bytes: Bytes) -> io::Result<Option<PutReceipt>> {
+    fn put(&self, id: PartitionId, bytes: Bytes) -> io::Result<()> {
         if self.is_read_only() {
             return Err(io::Error::new(
                 io::ErrorKind::PermissionDenied,
                 "store was opened read-only from a manifest",
             ));
         }
-        // A put into a committed index (opened read-write from a sealed
-        // manifest) validates the image; its shape goes on the receipt.
-        let shape = (self.manifest_ids.is_some())
-            .then(|| {
-                let reader = PartitionReader::open(bytes.clone())
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-                io::Result::Ok((reader.record_count(), reader.series_len() as u32))
-            })
-            .transpose()?;
-        self.stats.on_partition_write(bytes.len() as u64);
-        let result = match shape {
-            // The committed file stays untouched: the rewrite is *staged*
-            // under its `.new` sibling (replaced atomically or not at all,
-            // see `write_staged`) and renamed over it by `commit_staged`
-            // after the next manifest commit. The seal pays the one
-            // directory fsync covering every stage of the fold.
-            Some((records, series_len)) => {
-                fsio::write_staged(&*self.fs, &staged_path_of(&self.dir, id), &bytes).map(|()| {
-                    self.staged.write().insert(id);
-                    Some(PutReceipt {
-                        stored_len: bytes.len() as u64,
-                        checksum: xxh64(&bytes, 0),
-                        records,
-                        series_len,
-                    })
-                })
-            }
-            // Build mode: the directory is not yet a committed index, a
-            // bare write is fine (the first seal copies durably).
-            None => self.fs.write(&self.path_of(id), &bytes).map(|()| None),
+        // Only a partition image is staged; its shape goes on the receipt.
+        let reader = PartitionReader::open(bytes.clone())
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        let receipt = PutReceipt {
+            stored_len: bytes.len() as u64,
+            checksum: xxh64(&bytes, 0),
+            records: reader.record_count(),
+            series_len: reader.series_len() as u32,
         };
-        // The old image is stale either way (staged opens serve the
-        // sibling; build-mode opens the new file).
+        self.stats.on_partition_write(bytes.len() as u64);
+        // The committed file stays untouched: the image is *staged* under
+        // its `.new` sibling (replaced atomically or not at all, see
+        // `write_staged`) and renamed over it by `commit_staged` after the
+        // next manifest commit. The seal pays the one directory fsync
+        // covering every stage.
+        let result = fsio::write_staged(&*self.fs, &staged_path_of(&self.dir, id), &bytes);
+        if result.is_ok() {
+            self.staged.write().insert(id, Some(receipt));
+            self.ids.write().insert(id);
+        }
+        // Opens serve the sibling now: the old image is stale.
         if let Some(sc) = &self.cache {
             sc.cache.invalidate(sc.token, id);
         }
         result
+    }
+
+    fn receipt(&self, id: PartitionId) -> Option<PutReceipt> {
+        self.staged.read().get(&id).copied().flatten()
     }
 
     fn open(&self, id: PartitionId) -> io::Result<PartitionReader> {
@@ -562,7 +548,7 @@ impl PartitionStore for DiskStore {
                 format!("partition {id} is quarantined"),
             ));
         }
-        let staged = self.staged.read().contains(&id);
+        let staged = self.staged.read().contains_key(&id);
         // Staged (pre-commit) bytes never enter the cache: they are not
         // the committed image yet and are replaced at the next commit.
         let cached = if staged { None } else { self.cache.as_ref() };
@@ -598,7 +584,7 @@ impl PartitionStore for DiskStore {
                 format!("partition {id} is quarantined"),
             ));
         }
-        let path = if self.staged.read().contains(&id) {
+        let path = if self.staged.read().contains_key(&id) {
             staged_path_of(&self.dir, id)
         } else {
             self.path_of(id)
@@ -610,29 +596,18 @@ impl PartitionStore for DiskStore {
         Some(&self.dir)
     }
 
-    fn puts_are_durable(&self) -> bool {
-        // Manifest-opened stores stage partition rewrites durably (see
-        // `put`); plain writable stores use bare writes and need the
-        // seal-time copy for durability.
-        self.manifest_ids.is_some()
-    }
-
     fn fs(&self) -> FsRef {
         self.fs.clone()
     }
 
     fn commit_staged(&self) -> io::Result<()> {
-        let pending: Vec<PartitionId> = self.staged.read().iter().copied().collect();
-        if pending.is_empty() {
-            return Ok(());
-        }
-        let cache = self.cache.as_ref();
-        for id in &pending {
+        let pending: Vec<PartitionId> = self.staged.read().keys().copied().collect();
+        for id in pending {
             self.fs
-                .rename(&staged_path_of(&self.dir, *id), &self.path_of(*id))?;
-            self.staged.write().remove(id);
-            if let Some(sc) = &cache {
-                sc.cache.invalidate(sc.token, *id);
+                .rename(&staged_path_of(&self.dir, id), &self.path_of(id))?;
+            self.staged.write().remove(&id);
+            if let Some(sc) = &self.cache {
+                sc.cache.invalidate(sc.token, id);
             }
         }
         Ok(())
@@ -643,23 +618,7 @@ impl PartitionStore for DiskStore {
     }
 
     fn ids(&self) -> Vec<PartitionId> {
-        if let Some(ids) = &self.manifest_ids {
-            return ids.clone();
-        }
-        let Ok(entries) = fs::read_dir(&self.dir) else {
-            return Vec::new();
-        };
-        let mut ids: Vec<PartitionId> = entries
-            .filter_map(|e| e.ok())
-            .filter_map(|e| {
-                let name = e.file_name();
-                let name = name.to_str()?;
-                let num = name.strip_prefix("part_")?.strip_suffix(".clbp")?;
-                num.parse().ok()
-            })
-            .collect();
-        ids.sort_unstable();
-        ids
+        self.ids.read().iter().copied().collect()
     }
 
     fn stats(&self) -> &IoStats {
@@ -671,6 +630,7 @@ impl PartitionStore for DiskStore {
 mod tests {
     use super::*;
     use crate::format::PartitionWriter;
+    use std::fs;
 
     fn encode_partition(group: u64, node: u64, n: usize) -> Bytes {
         let mut w = PartitionWriter::new(group, 2);
@@ -692,7 +652,8 @@ mod tests {
         assert_eq!(r.record_count(), 3);
 
         let mut out = Vec::new();
-        let n = store.read_cluster(5, 10, &mut out).unwrap();
+        let n = (store.open(5).unwrap())
+            .for_each_in_cluster(10, |rid, vals| out.push((rid, vals.to_vec())));
         assert_eq!(n, 3);
         assert_eq!(out[2], (2, vec![2.0, -2.0]));
 
@@ -700,10 +661,9 @@ mod tests {
 
         let snap = store.stats().snapshot();
         assert_eq!(snap.partitions_written, 2);
-        // open(5) in test + open inside read_cluster
+        // open(5) in test + open for the cluster read
         assert_eq!(snap.partitions_opened, 2);
         assert!(snap.bytes_read > 0);
-        assert_eq!(snap.records_read, 3);
     }
 
     #[test]
@@ -714,22 +674,8 @@ mod tests {
     #[test]
     fn disk_store_behaviour() {
         let dir = std::env::temp_dir().join(format!("climber-dfs-test-{}", std::process::id()));
-        let store = DiskStore::new(&dir).unwrap();
+        let store = DiskStore::create(&dir, fsio::std_fs()).unwrap();
         exercise_store(&store);
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn disk_store_ids_survive_reopen() {
-        let dir = std::env::temp_dir().join(format!("climber-dfs-reopen-{}", std::process::id()));
-        {
-            let store = DiskStore::new(&dir).unwrap();
-            store.put(7, encode_partition(0, 1, 2)).unwrap();
-        }
-        let store2 = DiskStore::new(&dir).unwrap();
-        assert_eq!(store2.ids(), vec![7]);
-        let r = store2.open(7).unwrap();
-        assert_eq!(r.record_count(), 2);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -762,7 +708,7 @@ mod tests {
     fn disk_store_concurrent_puts() {
         let dir = std::env::temp_dir().join(format!("climber-dfs-conc-{}", std::process::id()));
         fs::remove_dir_all(&dir).ok();
-        let store = DiskStore::new(&dir).unwrap();
+        let store = DiskStore::create(&dir, fsio::std_fs()).unwrap();
         exercise_concurrent_puts(&store);
         fs::remove_dir_all(&dir).ok();
     }
@@ -785,7 +731,9 @@ mod tests {
         // A sealed one-partition directory: the cache attaches through a
         // validated open.
         let image = encode_partition(7, 1, 4);
-        DiskStore::new(&dir).unwrap().put(3, image.clone()).unwrap();
+        let build = DiskStore::create(&dir, fsio::std_fs()).unwrap();
+        build.put(3, image.clone()).unwrap();
+        build.commit_staged().unwrap();
         let partitions = vec![PartitionEntry {
             id: 3,
             bytes: image.len() as u64,
@@ -807,7 +755,7 @@ mod tests {
             },
             partitions,
         }
-        .write_atomic(&dir)
+        .write_atomic_with(&fsio::StdFs, &dir)
         .unwrap();
         let cache = Arc::new(BlockCache::new(CacheConfig::default()));
         let (store, _, warmed) = DiskStore::open_validated(
@@ -851,7 +799,8 @@ mod tests {
         let view = reader.cluster_view(11).unwrap();
         assert_eq!(view.len(), 6);
         let mut decoded = Vec::new();
-        store.read_cluster(0, 11, &mut decoded).unwrap();
+        (store.open(0).unwrap())
+            .for_each_in_cluster(11, |id, vals| decoded.push((id, vals.to_vec())));
         let mut viewed = Vec::new();
         view.for_each(|id, vals| viewed.push((id, vals.to_vec())));
         assert_eq!(decoded, viewed);
@@ -870,7 +819,7 @@ mod tests {
 
         let before = store.stats().snapshot();
         let mut out = Vec::new();
-        store.read_cluster(0, 2, &mut out).unwrap();
+        (store.open(0).unwrap()).for_each_in_cluster(2, |id, vals| out.push((id, vals.to_vec())));
         let diff = store.stats().snapshot().since(&before);
         // One record of 16 bytes + header, far below the 100-record cluster.
         assert!(diff.bytes_read < 200, "read {} bytes", diff.bytes_read);

@@ -1,17 +1,16 @@
 //! Corruption test suite for the persisted index directory, exercised at
 //! the storage layer: every damage mode must surface from
-//! [`DiskStore::open_validated`] / [`Manifest::load`] as a distinct typed
+//! [`DiskStore::open_validated`] / [`Manifest::load_with`] as a distinct typed
 //! [`OpenError`] — never a panic, never a silently served index. The same
 //! five scenarios are asserted end-to-end through `Climber::open` in the
 //! workspace-level `tests/persistence.rs`.
 
 use climber_dfs::format::{PartitionReader, PartitionWriter};
-use climber_dfs::fsio::std_fs;
+use climber_dfs::fsio::{std_fs, write_file_atomic_with, StdFs};
 use climber_dfs::manifest::{
-    write_file_atomic, xxh64, FileEntry, Manifest, OpenError, PartitionEntry, FORMAT_VERSION,
-    MANIFEST_FILE,
+    xxh64, FileEntry, Manifest, OpenError, PartitionEntry, FORMAT_VERSION, MANIFEST_FILE,
 };
-use climber_dfs::store::{partition_file_name, DiskStore, PartitionStore};
+use climber_dfs::store::{partition_file_name, staged_path_of, DiskStore, PartitionStore};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -34,7 +33,7 @@ fn persisted_dir(tag: &str) -> PathBuf {
             .collect();
         w.push_cluster(node, recs.iter().map(|(id, v)| (*id, v.as_slice())));
         let bytes = w.finish();
-        write_file_atomic(&dir.join(partition_file_name(pid)), &bytes).unwrap();
+        write_file_atomic_with(&StdFs, &dir.join(partition_file_name(pid)), &bytes).unwrap();
         partitions.push(PartitionEntry {
             id: pid,
             bytes: bytes.len() as u64,
@@ -45,7 +44,7 @@ fn persisted_dir(tag: &str) -> PathBuf {
     }
 
     let skeleton_blob: Vec<u8> = (0u8..48).collect();
-    write_file_atomic(&dir.join("skeleton.clsk"), &skeleton_blob).unwrap();
+    write_file_atomic_with(&StdFs, &dir.join("skeleton.clsk"), &skeleton_blob).unwrap();
 
     Manifest {
         format_version: FORMAT_VERSION,
@@ -62,7 +61,7 @@ fn persisted_dir(tag: &str) -> PathBuf {
         },
         partitions,
     }
-    .write_atomic(&dir)
+    .write_atomic_with(&StdFs, &dir)
     .unwrap();
     dir
 }
@@ -87,7 +86,7 @@ fn pristine_directory_opens_and_serves() {
     assert_eq!(manifest.partition(1).unwrap().records, 3);
     // records are readable through the validated store
     let mut out = Vec::new();
-    store.read_cluster(0, 5, &mut out).unwrap();
+    (store.open(0).unwrap()).for_each_in_cluster(5, |id, vals| out.push((id, vals.to_vec())));
     assert_eq!(out.len(), 7);
     fs::remove_dir_all(&dir).ok();
 }
@@ -192,12 +191,12 @@ fn grown_partition_file_is_a_size_mismatch() {
 /// comparison can tell. Returns the directory.
 fn dir_with_a_longer_series_partition(tag: &str) -> PathBuf {
     let dir = persisted_dir(tag);
-    let mut manifest = Manifest::load(&dir).unwrap();
+    let mut manifest = Manifest::load_with(&StdFs, &dir).unwrap();
     let mut w = PartitionWriter::new(1, 5);
     let recs: Vec<(u64, Vec<f32>)> = (7..10).map(|id| (id, vec![id as f32; 5])).collect();
     w.push_cluster(9, recs.iter().map(|(id, v)| (*id, v.as_slice())));
     let bytes = w.finish();
-    write_file_atomic(&dir.join(partition_file_name(1)), &bytes).unwrap();
+    write_file_atomic_with(&StdFs, &dir.join(partition_file_name(1)), &bytes).unwrap();
     manifest.partitions[1].bytes = bytes.len() as u64;
     manifest.partitions[1].checksum = xxh64(&bytes, 0);
     manifest.fingerprint = Manifest::fingerprint_of(
@@ -205,7 +204,7 @@ fn dir_with_a_longer_series_partition(tag: &str) -> PathBuf {
         manifest.num_records,
         &manifest.partitions,
     );
-    manifest.write_atomic(&dir).unwrap();
+    manifest.write_atomic_with(&StdFs, &dir).unwrap();
     dir
 }
 
@@ -234,7 +233,10 @@ fn partition_of_another_series_length_is_quarantined() {
     assert_eq!(store.open(0).unwrap().series_len(), 4);
     // Still refused when an operator asks for it back: the bytes match the
     // manifest entry, the header still does not match the manifest.
-    let entry = *Manifest::load(&dir).unwrap().partition(1).unwrap();
+    let entry = *Manifest::load_with(&StdFs, &dir)
+        .unwrap()
+        .partition(1)
+        .unwrap();
     assert!(!store.try_readmit(&entry).unwrap());
     fs::remove_dir_all(&dir).ok();
 }
@@ -316,10 +318,10 @@ fn read_write_open_validates_then_accepts_puts() {
     fs::remove_dir_all(&dir).ok();
 }
 
-/// A staging put (manifest mode) returns the receipt of exactly what it
-/// staged — the seal's manifest entry, no re-read needed — and refuses
-/// bytes that are not a partition image; puts that stage nothing (memory,
-/// build mode) return no receipt.
+/// A disk put keeps the receipt of exactly what it staged — the seal's
+/// manifest entry, no re-read needed — and refuses bytes that are not a
+/// partition image; a build store's put stages like any other, and a
+/// memory put stages nothing and keeps no receipt.
 #[test]
 fn staging_puts_return_receipts_of_the_stored_bytes() {
     let dir = persisted_dir("receipt");
@@ -328,7 +330,8 @@ fn staging_puts_return_receipts_of_the_stored_bytes() {
     let recs: Vec<(u64, [f32; 4])> = (0..50).map(|i| (i, [i as f32, 0.5, -1.0, 2.0])).collect();
     w.push_cluster(2, recs.iter().map(|(id, v)| (*id, &v[..])));
     let image = w.finish();
-    let receipt = store.put(0, image.clone()).unwrap().expect("a staging put");
+    store.put(0, image.clone()).unwrap();
+    let receipt = store.receipt(0).expect("a staging put");
     let stored = store.stored_bytes(0).unwrap();
     assert_eq!(stored, image);
     assert_eq!(receipt.stored_len, stored.len() as u64);
@@ -340,12 +343,17 @@ fn staging_puts_return_receipts_of_the_stored_bytes() {
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert_eq!(store.open(1).unwrap().record_count(), 3, "committed file");
 
-    let build = DiskStore::new(dir.join("build")).unwrap();
-    assert_eq!(build.put(0, image.clone()).unwrap(), None);
-    assert_eq!(
-        climber_dfs::store::MemStore::new().put(0, image).unwrap(),
-        None
-    );
+    let build_dir = dir.join("build");
+    let build = DiskStore::create(&build_dir, std_fs()).unwrap();
+    assert!(build.ids().is_empty());
+    build.put(0, image.clone()).unwrap();
+    assert_eq!(build.receipt(0), Some(receipt));
+    assert_eq!(build.ids(), vec![0]);
+    assert_eq!(fs::read(staged_path_of(&build_dir, 0)).unwrap(), &image[..]);
+    assert!(!build_dir.join(partition_file_name(0)).exists());
+    let mem = climber_dfs::store::MemStore::new();
+    mem.put(0, image).unwrap();
+    assert_eq!(mem.receipt(0), None);
     fs::remove_dir_all(&dir).ok();
 }
 

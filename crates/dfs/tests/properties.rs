@@ -80,7 +80,8 @@ proptest! {
         store.put(0, w.finish()).unwrap();
         for (node, recs) in &cs {
             let mut out = Vec::new();
-            let n = store.read_cluster(0, *node, &mut out).unwrap();
+            let n = (store.open(0).unwrap())
+                .for_each_in_cluster(*node, |id, vals| out.push((id, vals.to_vec())));
             prop_assert_eq!(n as usize, recs.len());
             prop_assert_eq!(&out, recs);
         }

@@ -11,13 +11,20 @@
 //!   file another reader may be serving is ever truncated.
 //! * The barrier sits where the protocol needs it: after the last stage
 //!   is fsynced, before the manifest is renamed into place.
+//! * A build of P partitions performs exactly **P partition writes, P
+//!   partition fsyncs** and its seal **no partition read**: every
+//!   partition is staged once by its put, and the seal commits it from
+//!   the put's receipt.
 //! * A block-cache miss — and an uncached open — is exactly **one** read.
 
 use climber_core::dfs::fsio::{FaultFs, FsOp, FsRef};
 use climber_core::dfs::page::PAGE_SIZE;
 use climber_core::dfs::store::{partition_file_name, DiskStore, PartitionStore};
+use climber_core::index::builder::IndexBuilder;
 use climber_core::series::gen::Domain;
-use climber_core::{BlockCache, CacheConfig, Climber, ClimberConfig, OpenOptions, RecoveryPolicy};
+use climber_core::{
+    BlockCache, BuildOptions, CacheConfig, Climber, ClimberConfig, OpenOptions, RecoveryPolicy,
+};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -146,6 +153,99 @@ fn flush_reads_writes_and_syncs_each_dirty_partition_once() {
     );
     assert_eq!(dir_fsyncs[0].1, 3);
     assert_eq!(dir_fsyncs[1].1, 3);
+}
+
+/// A trace entry's file name with the unique part of a temp name dropped
+/// (`x.tmp.<pid>.<seq>` → `x.tmp`), and `dir` itself as `<dir>`.
+fn stable_name(dir: &Path, path: &Path) -> String {
+    if path == dir {
+        return "<dir>".into();
+    }
+    let name = name_of(path);
+    match name.find(".tmp.") {
+        Some(at) => format!("{}.tmp", &name[..at]),
+        None => name,
+    }
+}
+
+#[test]
+fn a_build_stages_each_partition_once_and_its_seal_reads_none() {
+    let dir = std::env::temp_dir().join(format!("climber-iobudget-build-{}", std::process::id()));
+    fs::remove_dir_all(&dir).ok();
+    let ff = FaultFs::over_std();
+    let store = DiskStore::create(&dir, ff.clone()).unwrap();
+    let ds = Domain::RandomWalk.generate(400, 5);
+    let builder = IndexBuilder::with_options(cfg(), BuildOptions::default().with_threads(2));
+    let trace_of = |ff: &FaultFs| -> Vec<(FsOp, String)> {
+        let trace = ff.trace().into_iter();
+        trace.map(|(op, p)| (op, stable_name(&dir, &p))).collect()
+    };
+
+    // The build: one stage per partition — temp write, fsync, rename to
+    // the `.new` sibling — in whatever order the workers finish.
+    ff.arm();
+    let (skeleton, _) = builder.build(&ds, &store);
+    ff.disarm();
+    let pids = store.ids();
+    let p = pids.len();
+    assert_eq!(p, skeleton.num_partitions());
+    let mut build = trace_of(&ff);
+    build.sort();
+    let mut want: Vec<(FsOp, String)> = (pids.iter())
+        .flat_map(|&pid| {
+            let tmp = format!("{}.new.tmp", partition_file_name(pid));
+            [FsOp::Write, FsOp::FsyncFile, FsOp::Rename].map(|op| (op, tmp.clone()))
+        })
+        .collect();
+    want.sort();
+    assert_eq!(build, want);
+
+    // The seal (`from_parts` seeds its id counter by an ids-only scan in
+    // between, outside both windows): the skeleton written once, the
+    // pre-commit barrier, the manifest commit, one install per partition,
+    // the journal cleanup, the closing directory fsync — and not one
+    // partition read, write or fsync.
+    let index = Climber::from_parts(skeleton, store);
+    ff.arm();
+    index.save(&dir).unwrap();
+    ff.disarm();
+    let seal = trace_of(&ff).split_off(build.len());
+    let mut want: Vec<(FsOp, String)> = vec![
+        (FsOp::CreateDirAll, "<dir>".into()),
+        (FsOp::Read, "skeleton.clsk".into()),
+        (FsOp::Write, "skeleton.clsk.tmp".into()),
+        (FsOp::FsyncFile, "skeleton.clsk.tmp".into()),
+        (FsOp::Rename, "skeleton.clsk.tmp".into()),
+        (FsOp::FsyncDir, "<dir>".into()),
+        (FsOp::FsyncDir, "<dir>".into()),
+        (FsOp::Write, "MANIFEST.clmf.tmp".into()),
+        (FsOp::FsyncFile, "MANIFEST.clmf.tmp".into()),
+        (FsOp::Rename, "MANIFEST.clmf.tmp".into()),
+        (FsOp::FsyncDir, "<dir>".into()),
+    ];
+    want.extend(
+        pids.iter()
+            .map(|&pid| (FsOp::Rename, format!("{}.new", partition_file_name(pid)))),
+    );
+    want.extend([
+        (FsOp::RemoveFile, "journal.cldj".into()),
+        (FsOp::RemoveFile, "journal.cldj.new".into()),
+        (FsOp::FsyncDir, "<dir>".into()),
+    ]);
+    assert_eq!(seal, want);
+    drop(index);
+
+    // Exactly P partition writes and P partition fsyncs in all, no
+    // partition read, and the directory opens strictly.
+    let all = trace_of(&ff);
+    let on_partitions = |op: FsOp| count(&all, op, |n| n.starts_with("part_"));
+    assert_eq!(
+        [FsOp::Write, FsOp::FsyncFile, FsOp::Read].map(on_partitions),
+        [p, p, 0]
+    );
+    let reopened = Climber::open(&dir).unwrap();
+    assert_eq!(reopened.store().ids(), pids);
+    fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

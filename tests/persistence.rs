@@ -4,6 +4,7 @@
 //! `ClimberError::Open(OpenError)` from `Climber::open` — never a panic,
 //! never a silently wrong index.
 
+use climber_core::dfs::fsio::StdFs;
 use climber_core::dfs::manifest::xxh64;
 use climber_core::dfs::store::{partition_file_name, PartitionStore};
 use climber_core::series::gen::Domain;
@@ -11,6 +12,7 @@ use climber_core::{
     CacheConfig, Climber, ClimberConfig, ClimberError, Manifest, OpenError, OpenOptions,
     RecoveryPolicy, SearchRequest, FORMAT_VERSION, MANIFEST_FILE, SKELETON_FILE,
 };
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -274,11 +276,11 @@ fn dir_with_a_version_2_partition(tag: &str) -> (PathBuf, u32, Vec<f32>) {
     let mut bytes = fs::read(&path).unwrap();
     bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
     fs::write(&path, &bytes).unwrap();
-    let mut m = Manifest::load(&dir).unwrap();
+    let mut m = Manifest::load_with(&StdFs, &dir).unwrap();
     let entry = m.partitions.iter_mut().find(|e| e.id == victim).unwrap();
     entry.checksum = xxh64(&bytes, 0);
     m.fingerprint = Manifest::fingerprint_of(m.series_len, m.num_records, &m.partitions);
-    m.write_atomic(&dir).unwrap();
+    m.write_atomic_with(&StdFs, &dir).unwrap();
     (dir, victim, query)
 }
 
@@ -499,6 +501,119 @@ fn stale_generation_journal_is_typed() {
             journal: 0,
         }))
     ));
+    fs::remove_dir_all(&dir).ok();
+}
+
+// --- one write protocol: a build stages like a fold ----------------------
+
+/// Every file and directory under `dir` (recursively), by path, with the
+/// bytes of each file.
+fn dir_image(dir: &Path) -> BTreeMap<PathBuf, Option<Vec<u8>>> {
+    let mut out = BTreeMap::new();
+    for entry in fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            out.extend(dir_image(&path));
+            out.insert(path, None);
+        } else {
+            out.insert(path.clone(), Some(fs::read(&path).unwrap()));
+        }
+    }
+    out
+}
+
+/// A build into a directory that holds a larger index commits exactly the
+/// new one: its partitions are the skeleton's, not whatever files the old
+/// index left behind.
+#[test]
+fn rebuilding_over_a_larger_index_commits_only_the_new_one() {
+    let dir = tmp_dir("rebuild");
+    fs::remove_dir_all(&dir).ok();
+    let large = Domain::RandomWalk.generate(3_000, 51);
+    drop(Climber::build_on_disk(&large, &dir, cfg()).unwrap());
+    let small = Domain::RandomWalk.generate(400, 52);
+    let built = Climber::build_on_disk(&small, &dir, cfg()).unwrap();
+
+    let reopened = Climber::open(&dir).unwrap();
+    let m = Manifest::load_with(&StdFs, &dir).unwrap();
+    assert_eq!(m.partition_ids(), reopened.skeleton().partition_ids());
+    assert_eq!(m.num_records, 400);
+    let req = SearchRequest::new(small.get(7), 5).exact();
+    assert_eq!(reopened.search(&req), built.search(&req));
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// The handle `build_on_disk` returns writes like any writable open: a
+/// fold that fails on one partition has only *staged* the others, so the
+/// committed bytes of every other partition survive it.
+#[test]
+fn a_failed_fold_through_the_built_handle_keeps_every_committed_partition() {
+    let dir = tmp_dir("built-fold");
+    fs::remove_dir_all(&dir).ok();
+    let ds = Domain::RandomWalk.generate(1_000, 53);
+    let built = Climber::build_on_disk(&ds, &dir, cfg()).unwrap();
+    let committed: BTreeMap<u32, Vec<u8>> = (built.store().ids().into_iter())
+        .map(|pid| (pid, fs::read(dir.join(partition_file_name(pid))).unwrap()))
+        .collect();
+
+    let extra = Domain::RandomWalk.generate(60, 54);
+    let batch: Vec<Vec<f32>> = (0..60).map(|i| extra.get(i).to_vec()).collect();
+    let ids = built.append_batch(&batch).unwrap();
+    let touched: BTreeSet<u32> = (batch.iter().zip(&ids))
+        .map(|(v, &id)| built.skeleton().place(v, id).partition)
+        .collect();
+    assert!(
+        touched.len() > 1,
+        "the fold must rewrite several partitions"
+    );
+    let victim = *touched.first().unwrap();
+    fs::write(dir.join(partition_file_name(victim)), b"not a partition").unwrap();
+    assert!(
+        built.flush().is_err(),
+        "the fold read an unreadable partition"
+    );
+    drop(built);
+
+    let quarantine = OpenOptions {
+        policy: RecoveryPolicy::Quarantine,
+        ..OpenOptions::default()
+    };
+    let (_, report) = Climber::open_dir(&dir, &quarantine).unwrap();
+    assert_eq!(report.quarantined_partitions, vec![victim]);
+    for (pid, bytes) in committed.iter().filter(|(&pid, _)| pid != victim) {
+        let now = fs::read(dir.join(partition_file_name(*pid))).unwrap();
+        assert!(now == *bytes, "partition {pid} lost its committed bytes");
+    }
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A scrub of a read-only index verifies and reports, and quarantines in
+/// memory only: the directory keeps its listing and every byte, while the
+/// report and the query status both name the damaged partition.
+#[test]
+fn read_only_scrub_reports_damage_and_touches_nothing() {
+    let dir = built_dir("ro-scrub");
+    let ds = Domain::RandomWalk.generate(500, 23);
+    let index = Climber::open(&dir).unwrap();
+    // The first partition a stored series' exact plan reads.
+    let req = SearchRequest::new(ds.get(0).to_vec(), 5).exact();
+    let victim = *index.search(&req).plan.reads.keys().next().unwrap();
+
+    let path = dir.join(partition_file_name(victim));
+    let mut bytes = fs::read(&path).unwrap();
+    *bytes.last_mut().unwrap() ^= 0xFF;
+    fs::write(&path, &bytes).unwrap();
+    let before = dir_image(&dir);
+    let report = index.scrub().unwrap();
+    assert!(
+        dir_image(&dir) == before,
+        "a read-only scrub changed the directory"
+    );
+    assert_eq!(report.quarantined, vec![victim]);
+    assert_eq!(index.quarantined_partitions(), vec![victim]);
+    let (_, status) = index.search_many_with_status(std::slice::from_ref(&req));
+    assert!(!status.healthy);
+    assert!(status.failed_partitions.contains(&victim), "{status:?}");
     fs::remove_dir_all(&dir).ok();
 }
 

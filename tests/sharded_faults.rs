@@ -3,11 +3,12 @@
 //! mid-scatter degrades a query to a reported partial answer — never a
 //! panic, never a hang.
 
+use climber_core::dfs::fsio::{FaultFs, FsOp};
 use climber_core::dfs::manifest::OpenError;
 use climber_core::series::gen::Domain;
 use climber_core::{
     CacheConfig, Climber, ClimberConfig, ClimberError, OpenOptions, RecoveryPolicy, SearchRequest,
-    ShardedClimber, SHARD_SET_FILE,
+    ShardSetManifest, ShardedClimber, SHARD_SET_FILE,
 };
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -318,6 +319,97 @@ fn dead_shard_readmitted_by_scrub_after_repair() {
     let (_, statuses) = set.search_many_with_status(&reqs, 0);
     assert!(statuses.iter().all(|s| s.healthy));
     fs::remove_dir_all(&dir).ok();
+}
+
+fn copy_dir(src: &Path, dst: &Path) {
+    fs::remove_dir_all(dst).ok();
+    fs::create_dir_all(dst).unwrap();
+    for entry in fs::read_dir(src).unwrap() {
+        let entry = entry.unwrap();
+        let to = dst.join(entry.file_name());
+        if entry.path().is_dir() {
+            copy_dir(&entry.path(), &to);
+        } else {
+            fs::copy(entry.path(), &to).unwrap();
+        }
+    }
+}
+
+/// The generations `SHARDS.clsm` under `dir` records.
+fn sealed_generations(dir: &Path) -> Vec<u64> {
+    let bytes = fs::read(dir.join(SHARD_SET_FILE)).unwrap();
+    ShardSetManifest::decode(&bytes).unwrap().generations
+}
+
+/// A set opened over a filesystem writes its super-manifest through it
+/// too: the flush's trace holds the `SHARDS.clsm` write and rename, and a
+/// crash at any of its steps leaves the super-manifest at the pre- or the
+/// post-flush generations, never a mix.
+#[test]
+fn set_flush_writes_the_super_manifest_through_the_sets_filesystem() {
+    let (golden, set) = build("sm-fs", 2);
+    drop(set);
+    let work = golden.with_extension("work");
+    let extra = Domain::RandomWalk.generate(8, 61);
+    // Opens `work` read-write over a fresh FaultFs, appends, and flushes
+    // with the injector armed (crashing at `crash`, when given).
+    let flush = |crash: Option<(u64, Option<usize>)>| {
+        copy_dir(&golden, &work);
+        let ff = FaultFs::over_std();
+        let opts = OpenOptions {
+            fs: ff.clone(),
+            ..rw(RecoveryPolicy::Strict)
+        };
+        let (set, _) = ShardedClimber::open_dir(&work, &opts).unwrap();
+        for i in 0..8 {
+            set.append(extra.get(i)).unwrap();
+        }
+        match crash {
+            Some((op, Some(keep))) => ff.torn_crash_at(op, keep),
+            Some((op, None)) => ff.crash_at(op),
+            None => {}
+        }
+        ff.arm();
+        let result = set.flush();
+        ff.disarm();
+        (ff.trace(), result.is_ok())
+    };
+
+    let pre = sealed_generations(&golden);
+    let (trace, ok) = flush(None);
+    assert!(ok);
+    let post = sealed_generations(&work);
+    assert_ne!(pre, post, "the flush must bump a generation");
+    let on_set_file = |op: FsOp| {
+        (trace.iter()).position(|(o, path)| {
+            *o == op
+                && path
+                    .file_name()
+                    .unwrap()
+                    .to_string_lossy()
+                    .starts_with(SHARD_SET_FILE)
+        })
+    };
+    let write = on_set_file(FsOp::Write).expect("the SHARDS.clsm write is traced") as u64;
+    let rename = on_set_file(FsOp::Rename).expect("the SHARDS.clsm rename is traced") as u64;
+    assert!(write < rename);
+
+    // A crash at every step from the write on, and a torn write.
+    let crashes = (write..trace.len() as u64).map(|op| (op, None));
+    for (op, keep) in crashes.chain([(write, Some(5))]) {
+        let (_, ok) = flush(Some((op, keep)));
+        assert!(!ok, "crash at op {op} went unreported");
+        let got = sealed_generations(&work);
+        if op <= rename {
+            assert_eq!(got, pre, "crash at op {op} (torn: {keep:?})");
+        } else {
+            assert_eq!(got, post, "crash at op {op}");
+            let reopened = ShardedClimber::open(&work).unwrap();
+            assert_eq!(reopened.generations(), post);
+        }
+    }
+    fs::remove_dir_all(&golden).ok();
+    fs::remove_dir_all(&work).ok();
 }
 
 /// A shard re-admitted by `scrub` is opened as the set was: it joins the

@@ -21,6 +21,7 @@
 //! records injected into trie nodes the partition never sealed, tombstones
 //! over sealed and pending records, flush vs compact.
 
+use climber_core::dfs::fsio::StdFs;
 use climber_core::dfs::manifest::xxh64;
 use climber_core::dfs::store::{DiskStore, PartitionStore};
 use climber_core::series::gen::Domain;
@@ -210,7 +211,7 @@ proptest! {
         let report = if compact { index.compact() } else { index.flush() }.unwrap();
         prop_assert_eq!(report.partitions_rewritten, rewritten);
 
-        let manifest = Manifest::load(&dir).unwrap();
+        let manifest = Manifest::load_with(&StdFs, &dir).unwrap();
         for &pid in &pids {
             let want = &expected[&pid];
             let reader = index.store().open(pid).unwrap();
