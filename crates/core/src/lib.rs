@@ -162,8 +162,9 @@ pub struct Climber<S: PartitionStore = MemStore> {
     /// [`save`](Self::save) (which takes `&self`) advances it past its
     /// own checksum reads.
     ready_io: Mutex<IoSnapshot>,
-    /// The indexed series length, known from the manifest (open) or the
-    /// id-seeding scan (build): no query opens a partition to learn it.
+    /// The indexed series length, known from the manifest (open), the
+    /// dataset (build) or the id-seeding scan (`from_parts`): no query
+    /// opens a partition to learn it.
     series_len: SeriesLen,
 }
 
@@ -191,11 +192,8 @@ impl Climber<MemStore> {
     ) -> Self {
         let store = MemStore::new();
         let (skeleton, report) = IndexBuilder::with_options(config, options).build(ds, &store);
-        let mut c = Self::assemble(skeleton, store, config, Some(report));
-        c.build_options = options;
-        c.seed_next_id_by_scan();
-        c.mark_ready();
-        c
+        let next_id = ds.num_series() as u64;
+        Self::built(skeleton, store, config, options, Some(report), ds, next_id)
     }
 }
 
@@ -235,11 +233,9 @@ impl Climber<DiskStore> {
     ) -> Result<Self, ClimberError> {
         let store = DiskStore::create(dir.as_ref(), fsio::std_fs())?;
         let (skeleton, report) = IndexBuilder::with_options(config, options).build(ds, &store);
-        let mut c = Self::assemble(skeleton, store, config, Some(report));
-        c.build_options = options;
-        c.seed_next_id_by_scan();
+        let next_id = ds.num_series() as u64;
+        let c = Self::built(skeleton, store, config, options, Some(report), ds, next_id);
         c.save(dir)?;
-        c.mark_ready();
         Ok(c)
     }
 
@@ -304,19 +300,23 @@ impl<S: PartitionStore> Climber<S> {
         c
     }
 
-    /// [`from_parts`](Self::from_parts) with the exact build configuration
-    /// and options preserved — used by the sharded builder, whose shards
-    /// are assembled from a split of an already-built store and must keep
-    /// the capacity/α/worker knobs a plain skeleton does not persist.
-    pub(crate) fn from_parts_with_config(
+    /// The index a build of `ds` just wrote into `store`, whose largest
+    /// stored id is `next_id - 1`: the append counter and the series
+    /// length come from the build, so no partition is opened to learn
+    /// them.
+    pub(crate) fn built(
         skeleton: IndexSkeleton,
         store: S,
         config: ClimberConfig,
         options: BuildOptions,
+        report: Option<BuildReport>,
+        ds: &Dataset,
+        next_id: u64,
     ) -> Self {
-        let mut c = Self::assemble(skeleton, store, config, None);
+        let mut c = Self::assemble(skeleton, store, config, report);
         c.build_options = options;
-        c.seed_next_id_by_scan();
+        c.next_id = AtomicU64::new(next_id);
+        c.series_len.set(ds.series_len());
         c.mark_ready();
         c
     }
@@ -649,8 +649,9 @@ impl<S: PartitionStore> Climber<S> {
         self.series_len.get(&self.store)
     }
 
-    /// Scans the store once to seed the append id counter (reopened
-    /// indexes skip this — the manifest records the largest id).
+    /// Scans the store once to seed the append id counter — only for
+    /// [`from_parts`](Self::from_parts), whose store is arbitrary: a build
+    /// knows its ids and a reopen reads the manifest's largest one.
     fn seed_next_id_by_scan(&mut self) {
         let mut max_id: Option<u64> = None;
         for pid in self.store.ids() {
@@ -1014,6 +1015,13 @@ impl<S: PartitionStore> Climber<S> {
     /// False only for indexes opened read-only via [`Climber::open`].
     pub fn is_writable(&self) -> bool {
         self.writable
+    }
+
+    /// The skeleton entry (size, checksum) of the manifest this instance
+    /// last committed or opened; `None` before its first seal. The shards
+    /// of one set all carry the same one.
+    pub(crate) fn sealed_skeleton(&self) -> Option<FileEntry> {
+        self.sealed.lock().unwrap().as_ref().map(|m| m.skeleton)
     }
 
     /// The index configuration: the exact build parameters for built
@@ -1462,8 +1470,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let ds = Domain::Eeg.generate(200, 12);
         let built = Climber::build_on_disk(&ds, &dir, small_cfg()).unwrap();
-        // build_on_disk's save() re-reads partitions for checksumming;
-        // none of that leaks into the serve phase.
+        // None of build_on_disk's own I/O leaks into the serve phase.
         assert_eq!(built.serve_io(), climber_dfs::stats::IoSnapshot::default());
 
         let reopened = Climber::open(&dir).unwrap();

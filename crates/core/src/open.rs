@@ -6,12 +6,13 @@
 //! `open_with_cache` are shorthands for the three combinations serving
 //! uses. Underneath, [`DiskStore::open_validated`] validates the
 //! partitions, `open_index` adds skeleton, journal and config, and
-//! `open_shard` the shard set's generation check. Every file a manifest
-//! references is read through [`fsio::read_committed`], the one copy of
-//! the roll-forward protocol and of its `writable` gate: **a read-only
-//! open performs no write, rename, remove or fsync, whatever the
-//! policy** — it serves committed bytes from wherever a crash left them
-//! and leaves every repair and sweep to the next writable open.
+//! `open_shard` the shard set's generation and skeleton checks. Every
+//! file a manifest references is read through [`fsio::read_committed`],
+//! the one copy of the roll-forward protocol and of its `writable` gate:
+//! **a read-only open performs no write, rename, remove or fsync,
+//! whatever the policy** — it serves committed bytes from wherever a
+//! crash left them and leaves every repair and sweep to the next
+//! writable open.
 
 use crate::error::ClimberError;
 use crate::recover::{RecoveryPolicy, RecoveryReport};
@@ -19,7 +20,7 @@ use crate::shard::{shard_dir_name, ShardSetManifest, ShardedClimber, SHARD_SET_F
 use crate::{Climber, ClimberConfig, SKELETON_FILE};
 use climber_dfs::format::Decode;
 use climber_dfs::fsio::{self, FsRef};
-use climber_dfs::manifest::{xxh64, Manifest, OpenError};
+use climber_dfs::manifest::{xxh64, FileEntry, Manifest, OpenError};
 use climber_dfs::page::{BlockCache, CacheConfig};
 use climber_dfs::segment::{self, Journal};
 use climber_dfs::store::{DiskStore, PartitionStore};
@@ -269,10 +270,11 @@ impl ShardedClimber<DiskStore> {
     /// Cold-starts a saved shard set **read-only**: validates the
     /// super-manifest (magic, version, self-checksum), opens every shard
     /// through the full single-index validation, and cross-checks each
-    /// shard's generation against the set's sealed snapshot. Any
-    /// per-shard failure — a missing directory, a corrupt partition, a
-    /// drifted generation — surfaces as [`OpenError::Shard`] naming the
-    /// shard.
+    /// shard's generation against the set's sealed snapshot and its
+    /// skeleton against the first live shard's. Any per-shard failure — a
+    /// missing directory, a corrupt partition, a drifted generation, a
+    /// shard of another build — surfaces as [`OpenError::Shard`] naming
+    /// the shard.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, ClimberError> {
         Ok(Self::open_dir(dir, &OpenOptions::default())?.0)
     }
@@ -302,7 +304,8 @@ impl ShardedClimber<DiskStore> {
     /// the open with [`OpenError::Shard`]. Under
     /// [`RecoveryPolicy::Quarantine`] partitions that fail validation are
     /// quarantined *inside* their shard, and a shard that cannot open at
-    /// all — corrupt manifest or skeleton, drifted generation — is left
+    /// all — corrupt manifest or skeleton, drifted generation, a skeleton
+    /// its live siblings do not share — is left
     /// as a **dead slot**, reported unhealthy in every query's
     /// [`ShardStatus`](crate::ShardStatus); routing depends only on the
     /// persisted shard count and router seed, so it is stable across
@@ -321,13 +324,16 @@ impl ShardedClimber<DiskStore> {
         let sm = ShardSetManifest::decode(&bytes).map_err(OpenError::CorruptShardSet)?;
         let mut report = RecoveryReport::default();
         let mut shards = Vec::with_capacity(sm.generations.len());
+        // The first live shard's skeleton is the one every other must carry.
+        let mut skeleton = None;
         for (i, &generation) in sm.generations.iter().enumerate() {
-            match open_shard(dir, i, generation, opts) {
+            match open_shard(dir, i, generation, skeleton, opts) {
                 Ok((shard, r)) => {
                     report
                         .quarantined_partitions
                         .extend(r.quarantined_partitions);
                     report.warmed_bytes += r.warmed_bytes;
+                    skeleton = skeleton.or(shard.sealed_skeleton());
                     shards.push(Some(shard));
                 }
                 Err(e) if opts.policy == RecoveryPolicy::Strict => {
@@ -353,13 +359,15 @@ impl ShardedClimber<DiskStore> {
 }
 
 /// Opens shard `shard` of the set under `dir` and checks it is at the
-/// generation the set sealed — the one per-shard open, shared by
-/// [`ShardedClimber::open_dir`] and the dead-slot retry of
+/// generation the set sealed and shares its live siblings' `skeleton`
+/// (every fresh build is generation 0) — the one per-shard open, shared
+/// by [`ShardedClimber::open_dir`] and the dead-slot retry of
 /// [`ShardedClimber::scrub`].
 pub(crate) fn open_shard(
     dir: &Path,
     shard: usize,
     sealed_generation: u64,
+    skeleton: Option<FileEntry>,
     opts: &OpenOptions,
 ) -> Result<(Climber<DiskStore>, RecoveryReport), OpenError> {
     let (index, report) = open_index(&dir.join(shard_dir_name(shard)), opts)?;
@@ -368,6 +376,11 @@ pub(crate) fn open_shard(
             "shard generation {} disagrees with the shard set's sealed {sealed_generation}",
             index.generation(),
         )));
+    }
+    if skeleton.is_some_and(|want| Some(want) != index.sealed_skeleton()) {
+        return Err(OpenError::CorruptShardSet(
+            "shard skeleton disagrees with its siblings': a shard of another build".into(),
+        ));
     }
     Ok((index, report))
 }

@@ -31,17 +31,20 @@
 //!   plan in order across shards with a partition-granular stopping rule
 //!   that does not depend on the shard count.
 //!
-//! ## Persistence
+//! ## Building and persistence
 //!
-//! [`save`](ShardedClimber::save) writes each shard as a normal index
-//! directory (`shard-000/`, `shard-001/`, ...) through the per-shard
-//! seal, then a tiny super-manifest [`SHARD_SET_FILE`] — shard count,
-//! router seed, per-shard generations, self-checksummed — atomically
-//! last, so a crash mid-save never leaves an openable-but-wrong set.
-//! [`open`](ShardedClimber::open) validates the super-manifest, opens
-//! every shard through the full single-index validation, and
-//! cross-checks each shard's generation against the set's snapshot; any
-//! per-shard failure surfaces as [`OpenError::Shard`] naming the shard.
+//! One build serves any shard count: the builder hands each finished
+//! partition image to a routing put that splices it into one image per
+//! shard store ([`MemStore`]s, or [`DiskStore`]s staging in `shard-NNN/`).
+//! [`save`](ShardedClimber::save) seals each shard as a normal index
+//! directory, then writes a tiny super-manifest [`SHARD_SET_FILE`] —
+//! shard count, router seed, per-shard generations, self-checksummed —
+//! atomically last, so a crash mid-save never leaves an
+//! openable-but-wrong set. [`open`](ShardedClimber::open) validates it,
+//! opens every shard through the full single-index validation, and
+//! cross-checks each shard's generation against the set's snapshot and
+//! its skeleton against its siblings'; any per-shard failure surfaces as
+//! [`OpenError::Shard`] naming the shard.
 //!
 //! [`OpenError::Shard`]: crate::OpenError::Shard
 //!
@@ -58,7 +61,7 @@ use crate::error::ClimberError;
 use crate::open::{open_shard, OpenOptions};
 use crate::recover::{BackendHealth, ScrubReport};
 use crate::{Climber, ClimberConfig, MaintenanceReport, SearchRequest};
-use climber_dfs::format::PartitionWriter;
+use climber_dfs::format::{PartitionReader, PartitionWriter};
 use climber_dfs::fsio::{self, FsRef};
 use climber_dfs::manifest::xxh64;
 use climber_dfs::page::BlockCache;
@@ -245,18 +248,17 @@ pub struct ShardedClimber<S: PartitionStore = MemStore> {
     /// The options the set was opened with (`None`: built, never opened —
     /// such a set has no dead slot): what [`scrub`](ShardedClimber::scrub)
     /// re-opens a dead slot under, so a re-admitted shard shares the set's
-    /// cache and filesystem, and the filesystem `SHARDS.clsm` is written
-    /// through.
+    /// cache and filesystem.
     opened_with: Option<OpenOptions>,
 }
 
 impl ShardedClimber<MemStore> {
-    /// Builds a sharded index in memory: one full single-index build, then
-    /// a deterministic per-partition split of every cluster across
-    /// `num_shards` record-disjoint stores sharing the skeleton. Within a
-    /// shard, cluster order and in-cluster record order are preserved, so
-    /// each shard's scan visits exactly the single index's records that
-    /// route to it.
+    /// Builds a sharded index in memory: one build whose every finished
+    /// partition image is split at put time across `num_shards`
+    /// record-disjoint stores sharing the skeleton. Within a shard,
+    /// cluster order and in-cluster record order are preserved, so each
+    /// shard's scan visits exactly the single index's records that route
+    /// to it.
     ///
     /// # Panics
     /// If `num_shards == 0`.
@@ -270,8 +272,8 @@ impl ShardedClimber<MemStore> {
     }
 
     /// [`build_in_memory`](Self::build_in_memory) with explicit
-    /// [`BuildOptions`] for the staging build (options never affect index
-    /// content, only build speed).
+    /// [`BuildOptions`] (options never affect index content, only build
+    /// speed).
     ///
     /// # Panics
     /// If `num_shards == 0`.
@@ -281,96 +283,17 @@ impl ShardedClimber<MemStore> {
         options: BuildOptions,
         num_shards: usize,
     ) -> Self {
-        assert!(num_shards > 0, "num_shards must be positive");
-        let staging = MemStore::new();
-        let (skeleton, _report) = IndexBuilder::with_options(config, options).build(ds, &staging);
-        let router_seed = config.seed ^ ROUTER_SALT;
-
-        // Split every partition of the staging store across the shards.
-        // Every shard gets a file for EVERY skeleton partition — possibly
-        // with zero clusters — so per-shard partition opens (and the
-        // per-query `partitions_opened` accounting) mirror the single
-        // index exactly.
-        // Each shard's copy is spliced out of the staging image — its
-        // records' encoded bytes, never decoded. One routing pass sizes
-        // every shard's image exactly, so the copy pass that follows
-        // writes each record once into its final place.
-        let stores: Vec<MemStore> = (0..num_shards).map(|_| MemStore::new()).collect();
-        let mut shard_of: Vec<usize> = Vec::new();
-        for pid in skeleton.partition_ids() {
-            let reader = staging.open(pid).expect("staging partition just built");
-            shard_of.clear();
-            // Per shard: (non-empty clusters, records).
-            let mut shape = vec![(0usize, 0usize); num_shards];
-            for (_, recs) in reader.clusters() {
-                let mut in_cluster = vec![0usize; num_shards];
-                for i in 0..recs.len() {
-                    let s = route(recs.id(i), router_seed, num_shards);
-                    shard_of.push(s);
-                    in_cluster[s] += 1;
-                }
-                for (sh, n) in shape.iter_mut().zip(in_cluster) {
-                    sh.0 += usize::from(n > 0);
-                    sh.1 += n;
-                }
-            }
-            let mut writers: Vec<PartitionWriter> = shape
-                .iter()
-                .map(|&(clusters, records)| {
-                    PartitionWriter::with_capacity(
-                        reader.group_id(),
-                        reader.series_len(),
-                        clusters,
-                        records,
-                    )
-                })
-                .collect();
-            let mut routed = shard_of.iter();
-            for (node, recs) in reader.clusters() {
-                for (i, &s) in routed.by_ref().take(recs.len()).enumerate() {
-                    writers[s].splice_record(&recs, i);
-                }
-                for w in writers.iter_mut().filter(|w| w.pending() > 0) {
-                    w.seal_cluster(node);
-                }
-            }
-            for (store, w) in stores.iter().zip(writers) {
-                store.put(pid, w.finish()).expect("in-memory put");
-            }
-        }
-
-        let shards: Vec<Option<Climber<MemStore>>> = stores
-            .into_iter()
-            .map(|st| {
-                Some(Climber::from_parts_with_config(
-                    skeleton.clone(),
-                    st,
-                    config,
-                    options,
-                ))
-            })
-            .collect();
-        let next_id = shards
-            .iter()
-            .flatten()
-            .map(|c| c.next_id.load(Ordering::Relaxed))
-            .max()
-            .unwrap_or(0);
-        Self {
-            sealed_generations: vec![0; shards.len()],
-            shards,
-            router_seed,
-            next_id: AtomicU64::new(next_id),
-            opened_with: None,
-        }
+        let stores = (0..num_shards).map(|_| MemStore::new()).collect();
+        Self::build_over(ds, config, options, stores)
     }
 }
 
 impl ShardedClimber<DiskStore> {
-    /// Builds a sharded index and persists it under `dir` (one
-    /// subdirectory per shard plus the super-manifest), returning the set
-    /// reopened read-write through the full cold-start validation — the
-    /// sharded counterpart of [`Climber::build_on_disk`].
+    /// Builds a sharded index under `dir` (one subdirectory per shard plus
+    /// the super-manifest), the sharded counterpart of
+    /// [`Climber::build_on_disk`]: each shard's share of every partition
+    /// is staged as it is built, each shard sealed from its put receipts,
+    /// and the built set returned as it is, writable.
     ///
     /// # Panics
     /// If `num_shards == 0`.
@@ -390,7 +313,8 @@ impl ShardedClimber<DiskStore> {
     }
 
     /// [`build_on_disk`](Self::build_on_disk) with explicit
-    /// [`BuildOptions`].
+    /// [`BuildOptions`]. The directory is byte-identical for any thread
+    /// count.
     ///
     /// # Panics
     /// If `num_shards == 0`.
@@ -401,9 +325,13 @@ impl ShardedClimber<DiskStore> {
         options: BuildOptions,
         num_shards: usize,
     ) -> Result<Self, ClimberError> {
-        let mem = ShardedClimber::build_in_memory_with(ds, config, options, num_shards);
-        mem.save(dir.as_ref())?;
-        Self::open_rw(dir)
+        let dir = dir.as_ref();
+        let stores = (0..num_shards)
+            .map(|i| DiskStore::create(dir.join(shard_dir_name(i)), fsio::std_fs()))
+            .collect::<io::Result<_>>()?;
+        let set = Self::build_over(ds, config, options, stores);
+        set.save(dir)?;
+        Ok(set)
     }
 
     /// The set over `shards` (slot-indexed; `None` = dead) as `sm`
@@ -413,31 +341,33 @@ impl ShardedClimber<DiskStore> {
         sm: ShardSetManifest,
         opened_with: OpenOptions,
     ) -> Self {
-        let next_id = shards
-            .iter()
-            .flatten()
-            .map(|c| c.next_id.load(Ordering::Relaxed))
-            .max()
-            .unwrap_or(0);
-        Self {
+        let set = Self {
             shards,
             router_seed: sm.router_seed,
             sealed_generations: sm.generations,
-            next_id: AtomicU64::new(next_id),
+            next_id: AtomicU64::new(0),
             opened_with: Some(opened_with),
-        }
+        };
+        set.next_id.store(set.stored_next_id(), Ordering::Relaxed);
+        set
     }
 
     /// Scrubs the whole set: every live shard runs [`Climber::scrub`]
     /// (re-verify, re-admit, quarantine fresh damage), and every dead
     /// slot is re-opened exactly as the set was (same policy, cache and
-    /// filesystem) — a shard whose directory was repaired since is
-    /// re-admitted **in place**, with routing and ids untouched. Returns
-    /// the merged report; re-opened shards' remaining quarantined
-    /// partitions count as still-quarantined.
+    /// filesystem) — a shard whose directory was repaired since, and
+    /// whose skeleton agrees with its live siblings', is re-admitted **in
+    /// place**, with routing and ids untouched. Returns the merged report;
+    /// re-opened shards' remaining quarantined partitions count as
+    /// still-quarantined.
     pub fn scrub(&mut self) -> Result<ScrubReport, ClimberError> {
         let mut merged = ScrubReport::default();
         let home = self.home_dir();
+        let skeleton = self
+            .shards
+            .iter()
+            .flatten()
+            .find_map(Climber::sealed_skeleton);
         for (i, slot) in self.shards.iter_mut().enumerate() {
             match slot {
                 Some(shard) => merged.absorb(shard.scrub()?),
@@ -445,7 +375,8 @@ impl ShardedClimber<DiskStore> {
                     let (Some(home), Some(opts)) = (&home, &self.opened_with) else {
                         continue;
                     };
-                    if let Ok((shard, r)) = open_shard(home, i, self.sealed_generations[i], opts) {
+                    let generation = self.sealed_generations[i];
+                    if let Ok((shard, r)) = open_shard(home, i, generation, skeleton, opts) {
                         merged.still_quarantined.extend(r.quarantined_partitions);
                         *slot = Some(shard);
                     }
@@ -453,19 +384,62 @@ impl ShardedClimber<DiskStore> {
             }
         }
         // A re-admitted shard may hold the set's largest stored id.
-        let seen = self
-            .shards
-            .iter()
-            .flatten()
-            .map(|c| c.next_id.load(Ordering::Relaxed))
-            .max()
-            .unwrap_or(0);
-        self.next_id.fetch_max(seen, Ordering::Relaxed);
+        self.next_id
+            .fetch_max(self.stored_next_id(), Ordering::Relaxed);
         Ok(merged)
     }
 }
 
 impl<S: PartitionStore> ShardedClimber<S> {
+    /// The one sharded build, into one empty store per shard: a single
+    /// build whose redistribution step routes every finished partition
+    /// image at put time ([`route_partition`]), then one [`Climber`] per
+    /// shard over the shared skeleton. Build memory is one in-flight
+    /// partition and its splices per build thread.
+    fn build_over(
+        ds: &Dataset,
+        config: ClimberConfig,
+        options: BuildOptions,
+        stores: Vec<S>,
+    ) -> Self {
+        let num_shards = stores.len();
+        assert!(num_shards > 0, "num_shards must be positive");
+        let router_seed = config.seed ^ ROUTER_SALT;
+        let builder = IndexBuilder::with_options(config, options);
+        let (skeleton, _report) = builder.build_with_put(ds, |pid, image| {
+            let reader = PartitionReader::open(image)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+            route_partition(&stores, router_seed, pid, &reader)
+        });
+        let n = ds.num_series() as u64;
+        let shards = (stores.into_iter().enumerate())
+            .map(|(i, store)| {
+                // 1 + the largest id that routed here.
+                let next_id = ((0..n).rev())
+                    .find(|&id| route(id, router_seed, num_shards) == i)
+                    .map_or(0, |id| id + 1);
+                let shard =
+                    Climber::built(skeleton.clone(), store, config, options, None, ds, next_id);
+                Some(shard)
+            })
+            .collect();
+        Self {
+            shards,
+            router_seed,
+            sealed_generations: vec![0; num_shards],
+            next_id: AtomicU64::new(n),
+            opened_with: None,
+        }
+    }
+
+    /// 1 + the largest id a live shard stores.
+    fn stored_next_id(&self) -> u64 {
+        (self.shards.iter().flatten())
+            .map(|c| c.next_id.load(Ordering::Relaxed))
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Number of shards in the set.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
@@ -609,10 +583,10 @@ impl<S: PartitionStore> ShardedClimber<S> {
         Ok(sm)
     }
 
-    /// The filesystem the set writes through: the one it was opened over,
-    /// the real one for a set that was built and never opened.
+    /// The filesystem the set writes through: its shards' — the one it
+    /// was opened over or built into.
     fn fs(&self) -> FsRef {
-        (self.opened_with.as_ref()).map_or_else(fsio::std_fs, |opts| opts.fs.clone())
+        (self.shards.iter().flatten().next()).map_or_else(fsio::std_fs, |c| c.store.fs())
     }
 
     /// Re-seals the super-manifest of a disk-backed set after a fold
@@ -822,6 +796,63 @@ impl<S: PartitionStore> ShardedClimber<S> {
     }
 }
 
+/// The routing put of a sharded build: splits partition `pid`'s finished
+/// image across the shard `stores` and puts every shard's share. Every
+/// shard gets a file for EVERY skeleton partition — possibly with zero
+/// clusters — so per-shard partition opens (and the per-query
+/// `partitions_opened` accounting) mirror the single index exactly.
+/// Each shard's copy is spliced out of the image — its records' encoded
+/// bytes, never decoded. One routing pass sizes every shard's image
+/// exactly, so the copy pass that follows writes each record once into
+/// its final place.
+fn route_partition<S: PartitionStore>(
+    stores: &[S],
+    router_seed: u64,
+    pid: PartitionId,
+    reader: &PartitionReader,
+) -> io::Result<()> {
+    let num_shards = stores.len();
+    let mut shard_of: Vec<usize> = Vec::with_capacity(reader.record_count() as usize);
+    // Per shard: (non-empty clusters, records).
+    let mut shape = vec![(0usize, 0usize); num_shards];
+    for (_, recs) in reader.clusters() {
+        let mut in_cluster = vec![0usize; num_shards];
+        for i in 0..recs.len() {
+            let s = route(recs.id(i), router_seed, num_shards);
+            shard_of.push(s);
+            in_cluster[s] += 1;
+        }
+        for (sh, n) in shape.iter_mut().zip(in_cluster) {
+            sh.0 += usize::from(n > 0);
+            sh.1 += n;
+        }
+    }
+    let mut writers: Vec<PartitionWriter> = shape
+        .iter()
+        .map(|&(clusters, records)| {
+            PartitionWriter::with_capacity(
+                reader.group_id(),
+                reader.series_len(),
+                clusters,
+                records,
+            )
+        })
+        .collect();
+    let mut routed = shard_of.iter();
+    for (node, recs) in reader.clusters() {
+        for (i, &s) in routed.by_ref().take(recs.len()).enumerate() {
+            writers[s].splice_record(&recs, i);
+        }
+        for w in writers.iter_mut().filter(|w| w.pending() > 0) {
+            w.seal_cluster(node);
+        }
+    }
+    for (store, w) in stores.iter().zip(writers) {
+        store.put(pid, w.finish())?;
+    }
+    Ok(())
+}
+
 /// The error an update targeting a dead (quarantined) shard slot gets.
 fn dead_shard_error(shard: usize) -> io::Error {
     io::Error::new(
@@ -935,6 +966,70 @@ mod tests {
         assert_eq!(reopened.router_seed(), built.router_seed());
         assert_eq!(reopened.num_shards(), 2);
         assert!(!reopened.is_writable());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The sharded disk build, traced over a `FaultFs` exactly as
+    /// `build_on_disk_with` runs it: N × P partition writes and fsyncs,
+    /// no partition read, every file each shard's manifest lists
+    /// installed with no stage or temp left over, and `SHARDS.clsm`
+    /// renamed into place after the last shard's manifest commit.
+    #[test]
+    fn sharded_disk_build_stages_every_shard_partition_once_and_reads_none() {
+        use climber_dfs::fsio::{FaultFs, FsOp};
+        use climber_dfs::manifest::Manifest;
+        use climber_dfs::store::partition_file_name;
+
+        let dir = std::env::temp_dir().join(format!("climber-shard-io-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let ds = Domain::RandomWalk.generate(400, 5);
+        let n = 3;
+        let ff = FaultFs::over_std();
+        ff.arm();
+        let stores = (0..n)
+            .map(|i| DiskStore::create(dir.join(shard_dir_name(i)), ff.clone()).unwrap())
+            .collect();
+        let options = BuildOptions::default().with_threads(2);
+        let set = ShardedClimber::build_over(&ds, cfg(), options, stores);
+        set.save(&dir).unwrap();
+        ff.disarm();
+
+        let trace = ff.trace();
+        let name = |p: &Path| p.file_name().unwrap().to_string_lossy().into_owned();
+        let on_partitions = |op: FsOp| {
+            (trace.iter())
+                .filter(|(o, p)| *o == op && name(p).starts_with("part_"))
+                .count()
+        };
+        let p = set.shards()[0].skeleton().num_partitions();
+        assert_eq!(
+            [FsOp::Write, FsOp::FsyncFile, FsOp::Read].map(on_partitions),
+            [n * p, n * p, 0]
+        );
+        for i in 0..n {
+            let shard_dir = dir.join(shard_dir_name(i));
+            let m = Manifest::load_with(&fsio::StdFs, &shard_dir).unwrap();
+            assert_eq!(m.partitions.len(), p, "shard {i} lists every partition");
+            for e in &m.partitions {
+                assert!(shard_dir.join(partition_file_name(e.id)).is_file());
+            }
+            for entry in std::fs::read_dir(&shard_dir).unwrap() {
+                let file = entry.unwrap().file_name().to_string_lossy().into_owned();
+                assert!(!file.ends_with(".new") && !file.contains(".tmp"), "{file}");
+            }
+        }
+        let renamed = |file: &str| {
+            (trace.iter())
+                .enumerate()
+                .filter(|(_, (o, p))| *o == FsOp::Rename && name(p).starts_with(file))
+                .map(|(at, _)| at)
+                .collect::<Vec<_>>()
+        };
+        let commits = renamed(crate::MANIFEST_FILE);
+        assert_eq!(commits.len(), n, "one manifest commit per shard");
+        assert_eq!(renamed(SHARD_SET_FILE).len(), 1);
+        assert!(commits[n - 1] < renamed(SHARD_SET_FILE)[0]);
+        assert_eq!(ShardedClimber::open(&dir).unwrap().num_shards(), n);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -45,6 +45,7 @@ use crate::centroids::compute_centroids;
 use crate::config::IndexConfig;
 use crate::skeleton::{GroupId, GroupMeta, IndexSkeleton, FALLBACK_GROUP};
 use crate::trie::Trie;
+use bytes::Bytes;
 use climber_dfs::cluster::{Broadcast, Cluster};
 use climber_dfs::format::{PartitionWriter, TrieNodeId};
 use climber_dfs::stats::IoSnapshot;
@@ -56,6 +57,7 @@ use climber_repr::paa::paa_into;
 use climber_series::dataset::Dataset;
 use climber_series::sampling::{partition_level_sample, partitions_for_alpha};
 use std::collections::{BTreeMap, HashMap};
+use std::io;
 use std::ops::Range;
 use std::time::Instant;
 
@@ -223,10 +225,29 @@ impl IndexBuilder {
         ds: &Dataset,
         store: &S,
     ) -> (IndexSkeleton, BuildReport) {
+        let io_before = store.stats().snapshot();
+        let (skeleton, mut report) = self.build_with_put(ds, |pid, image| store.put(pid, image));
+        report.io = store.stats().snapshot().since(&io_before);
+        (skeleton, report)
+    }
+
+    /// Builds the index over `ds`, handing every finished partition image
+    /// to `put` — step 4's one write per skeleton partition, records or
+    /// not, called from up to `threads` workers at once. [`build`] is the
+    /// `store.put` case; the report's `io` stays zero here, since what
+    /// `put` does with an image is the caller's to count.
+    ///
+    /// [`build`]: Self::build
+    ///
+    /// # Panics
+    /// If `put` fails.
+    pub fn build_with_put<F>(&self, ds: &Dataset, put: F) -> (IndexSkeleton, BuildReport)
+    where
+        F: Fn(PartitionId, Bytes) -> io::Result<()> + Sync,
+    {
         let cfg = &self.config;
         cfg.validate(ds.series_len());
         assert!(ds.num_series() > 0, "cannot index an empty dataset");
-        let io_before = store.stats().snapshot();
         let w = cfg.paa_segments;
         let block_size = self.options.resolved_block_size();
 
@@ -464,6 +485,7 @@ impl IndexBuilder {
         // the dataset into its own writer, so at most `threads` partition
         // buffers are in flight at once.
         let final_skeleton = (*bskel).clone();
+        let put = &put;
         self.cluster.install(|| {
             rayon::scope(|s| {
                 for (&pid, &gid) in &partition_group {
@@ -483,9 +505,7 @@ impl IndexBuilder {
                                     .push_cluster(node, sids.iter().map(|&sid| (sid, ds.get(sid))));
                             }
                         }
-                        store
-                            .put(pid, writer.finish())
-                            .expect("partition write failed");
+                        put(pid, writer.finish()).expect("partition write failed");
                     });
                 }
             })
@@ -505,7 +525,7 @@ impl IndexBuilder {
             fallback_records,
             default_routed_records,
             skeleton_bytes: final_skeleton.size_bytes(),
-            io: store.stats().snapshot().since(&io_before),
+            io: IoSnapshot::default(),
             threads: self.cluster.workers(),
             skeleton_records_per_sec: per_sec(sampled_records, skeleton_secs),
             conversion_records_per_sec: per_sec(n, conversion_secs),

@@ -1,13 +1,15 @@
 //! Sharded CLIMBER: scatter-gather over N shards, served unchanged.
 //!
 //! Builds the same dataset as one index and as a 3-shard
-//! `ShardedClimber`, proves the sharded answers are bit-identical (the
-//! scatter-gather contract), pushes live appends/deletes and a
-//! shard-set-wide flush through it, persists and cold-opens the set
-//! (per-shard directories + super-manifest), and finally serves the
-//! sharded index over TCP through the exact same `Server::start` call a
-//! single index uses — the serving layer is generic over
-//! `SearchBackend`, so clients cannot tell the difference.
+//! `ShardedClimber` on disk — the streaming build: every partition image
+//! is split across the shards as it is written, and each shard sealed in
+//! its own directory under the `SHARDS.clsm` super-manifest — proves the
+//! sharded answers are bit-identical (the scatter-gather contract),
+//! pushes live appends/deletes and a shard-set-wide flush through the
+//! built set, cold-opens the directory, and finally serves the sharded
+//! index over TCP through the exact same `Server::start` call a single
+//! index uses — the serving layer is generic over `SearchBackend`, so
+//! clients cannot tell the difference.
 //!
 //! Run: `cargo run --release --example sharded`
 
@@ -22,6 +24,7 @@ fn main() {
     std::fs::remove_dir_all(&dir).ok();
 
     // 1. one dataset, two builds: a single index and a 3-shard set
+    //    written to shard-000/, shard-001/, ... plus SHARDS.clsm
     let data = Domain::RandomWalk.generate(4_000, 7);
     let config = ClimberConfig::default()
         .with_pivots(64)
@@ -29,10 +32,11 @@ fn main() {
         .with_capacity(250)
         .with_alpha(0.2);
     let single = Climber::build_in_memory(&data, config);
-    let sharded = ShardedClimber::build_in_memory(&data, config, 3);
+    let sharded = ShardedClimber::build_on_disk(&data, &dir, config, 3).unwrap();
     println!(
-        "built {} shards (router seed {:#x}); shard 0 holds {} partitions",
+        "built {} shards under {} (router seed {:#x}); shard 0 holds {} partitions",
         sharded.num_shards(),
+        dir.display(),
         sharded.router_seed(),
         sharded.shards()[0].store().len()
     );
@@ -57,11 +61,11 @@ fn main() {
     assert_eq!(answer.results[0], (id, 0.0), "appended record served");
     assert!(answer.results.iter().all(|&(rid, _)| rid != 100));
 
-    // 4. fold every shard and persist the whole set: shard-000/,
-    //    shard-001/, ... plus the SHARDS.clsm super-manifest
+    // 4. fold every shard — each re-seals its directory, then the set its
+    //    super-manifest — and cold-open the directory
     sharded.flush().unwrap();
-    sharded.save(&dir).unwrap();
     let cold = ShardedClimber::open(&dir).unwrap();
+    assert_eq!(cold.generations(), sharded.generations());
     assert_eq!(
         cold.search(&SearchRequest::new(novel.clone(), 5)).results[0],
         (id, 0.0)

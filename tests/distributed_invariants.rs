@@ -79,6 +79,45 @@ fn routing_is_stable_across_reopen() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The handle `build_on_disk` returns is the built set itself, never
+/// reopened: it is writable, takes append → delete → flush → compact, and
+/// then answers like a single index — directly and after a cold open.
+#[test]
+fn the_built_disk_handle_takes_updates_like_a_single_index() {
+    let dir = std::env::temp_dir().join(format!("climber-built-rw-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let ds = Domain::RandomWalk.generate(500, 13);
+    let single = Climber::build_in_memory(&ds, cfg());
+    let built = ShardedClimber::build_on_disk(&ds, &dir, cfg(), 3).unwrap();
+    assert!(built.is_writable());
+
+    let extra = Domain::RandomWalk.generate(24, 14);
+    let batch: Vec<Vec<f32>> = (0..24u64).map(|i| extra.get(i).to_vec()).collect();
+    assert_eq!(
+        built.append_batch(&batch).unwrap(),
+        single.append_batch(&batch).unwrap()
+    );
+    for id in [3u64, 77, 260, 505] {
+        assert_eq!(built.delete(id).unwrap(), single.delete(id).unwrap());
+    }
+    built.flush().unwrap();
+    single.flush().unwrap();
+    built.compact().unwrap();
+    single.compact().unwrap();
+
+    let reqs: Vec<SearchRequest> = (0..6u64)
+        .map(|i| SearchRequest::new(ds.get(i * 71).to_vec(), 10))
+        .chain((0..4u64).map(|i| SearchRequest::new(extra.get(i * 5).to_vec(), 10).exact()))
+        .collect();
+    let want = single.search_many(&reqs);
+    assert_eq!(built.search_many(&reqs), want, "the built handle");
+    let cold = ShardedClimber::open(&dir).unwrap();
+    assert_eq!(cold.search_many(&reqs), want, "a cold open");
+    assert_eq!(cold.generations(), built.generations());
+    assert_eq!(shard_contents(&cold), shard_contents(&built));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn per_shard_accounting_sums_to_single_index_totals() {
     let ds = Domain::TexMex.generate(1_200, 7);

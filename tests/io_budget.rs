@@ -15,6 +15,8 @@
 //!   partition fsyncs** and its seal **no partition read**: every
 //!   partition is staged once by its put, and the seal commits it from
 //!   the put's receipt.
+//! * A fresh build, single or sharded, opens no partition: its append
+//!   counter and series length come from the dataset, not from a scan.
 //! * A block-cache miss — and an uncached open — is exactly **one** read.
 
 use climber_core::dfs::fsio::{FaultFs, FsOp, FsRef};
@@ -24,6 +26,7 @@ use climber_core::index::builder::IndexBuilder;
 use climber_core::series::gen::Domain;
 use climber_core::{
     BlockCache, BuildOptions, CacheConfig, Climber, ClimberConfig, OpenOptions, RecoveryPolicy,
+    ShardedClimber,
 };
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -245,6 +248,25 @@ fn a_build_stages_each_partition_once_and_its_seal_reads_none() {
     );
     let reopened = Climber::open(&dir).unwrap();
     assert_eq!(reopened.store().ids(), pids);
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A build knows its ids and its series length: right after a fresh
+/// `build_on_disk`, single or sharded, no store has opened a partition.
+#[test]
+fn a_fresh_build_opens_no_partition() {
+    let dir = std::env::temp_dir().join(format!("climber-iobudget-ids-{}", std::process::id()));
+    fs::remove_dir_all(&dir).ok();
+    let ds = Domain::RandomWalk.generate(400, 5);
+    let single = Climber::build_on_disk(&ds, dir.join("single"), cfg()).unwrap();
+    let sharded = ShardedClimber::build_on_disk(&ds, dir.join("sharded"), cfg(), 3).unwrap();
+    let stores =
+        std::iter::once(single.store()).chain(sharded.shards().into_iter().map(Climber::store));
+    for (i, store) in stores.enumerate() {
+        assert_eq!(store.stats().snapshot().partitions_opened, 0, "store {i}");
+    }
+    assert_eq!(single.series_len(), Some(ds.series_len()));
+    assert_eq!(sharded.series_len(), Some(ds.series_len()));
     fs::remove_dir_all(&dir).ok();
 }
 

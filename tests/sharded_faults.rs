@@ -135,6 +135,40 @@ fn generation_drift_behind_the_sets_back_is_refused() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// A rebuild interrupted between two shard seals leaves shards of two
+/// builds side by side, every one at generation 0: the skeleton
+/// cross-check refuses the mix — a strict open names the shard, a
+/// quarantining one leaves it dead, and scrub re-admits it only once it
+/// agrees with its siblings.
+#[test]
+fn a_shard_of_another_build_is_refused() {
+    let (dir, set) = build("mixed", 2);
+    drop(set);
+    // Set B: other data, so another skeleton; only its shard 0 got sealed.
+    let data_b = Domain::RandomWalk.generate(900, 2);
+    let set_b = ShardedClimber::build_in_memory(&data_b, cfg(), 2);
+    set_b.shards()[0].save(dir.join("shard-000")).unwrap();
+
+    let err = ShardedClimber::open(&dir).unwrap_err();
+    assert_eq!(shard_of_error(&err), Some(1), "got: {err}");
+    assert!(err.to_string().contains("skeleton"), "got: {err}");
+
+    let (mut set, report) =
+        ShardedClimber::open_dir(&dir, &rw(RecoveryPolicy::Quarantine)).unwrap();
+    assert_eq!(report.dead_shards, vec![1]);
+    set.scrub().unwrap();
+    assert_eq!(set.health().dead_shards, 1, "scrub re-admitted a stranger");
+
+    // The interrupted build completes; the shard now agrees and rejoins.
+    set_b.shards()[1].save(dir.join("shard-001")).unwrap();
+    set.scrub().unwrap();
+    assert!(set.health().is_healthy());
+    let req = SearchRequest::new(data_b.get(3).to_vec(), 5);
+    assert_eq!(set.search(&req), set_b.search(&req));
+    assert_eq!(set.search(&req).results[0], (3, 0.0));
+    fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn shard_failing_mid_scatter_degrades_with_status_not_panic() {
     let (dir, set) = build("scatter", 2);
