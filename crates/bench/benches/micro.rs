@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 use climber_core::dfs::format::{PartitionReader, PartitionWriter};
-use climber_core::pivot::assignment::assign_group;
+use climber_core::pivot::assignment::CentroidTable;
 use climber_core::pivot::decay::DecayFunction;
 use climber_core::pivot::distances::{overlap_distance, weight_distance};
 use climber_core::pivot::pivots::PivotSet;
@@ -59,10 +59,11 @@ fn bench_metrics(c: &mut Criterion) {
     let a = RankInsensitive(vec![1, 5, 9, 13, 17, 21, 25, 29, 33, 37]);
     let bsig = RankInsensitive(vec![1, 4, 9, 14, 17, 22, 25, 30, 33, 38]);
     let x = RankSensitive(vec![9, 1, 17, 25, 33, 5, 13, 21, 29, 37]);
+    // 24 centroids of m = 10 over P = 200 pivots, the ledger's shape.
     let centroids: Vec<RankInsensitive> = (0..24u16)
-        .map(|i| RankInsensitive((0..10).map(|j| i * 10 + j).collect()))
+        .map(|i| RankInsensitive((0..10).map(|j| i * 8 + j).collect()))
         .collect();
-    let sig = DualSignature::from_sensitive(x.clone());
+    let table = CentroidTable::new(&centroids, 200, DecayFunction::DEFAULT, 10).unwrap();
     let mut g = c.benchmark_group("metrics");
     g.bench_function("overlap_distance_m10", |b| {
         b.iter(|| overlap_distance(black_box(&a), black_box(&bsig)))
@@ -71,7 +72,7 @@ fn bench_metrics(c: &mut Criterion) {
         b.iter(|| weight_distance(black_box(&x), black_box(&a), DecayFunction::DEFAULT))
     });
     g.bench_function("assign_group_24_centroids", |b| {
-        b.iter(|| assign_group(black_box(&centroids), &sig, DecayFunction::DEFAULT, 7))
+        b.iter(|| black_box(&table).assign(black_box(&x.0), 7))
     });
     g.finish();
 }

@@ -50,9 +50,10 @@ use climber_dfs::cluster::{Broadcast, Cluster};
 use climber_dfs::format::{PartitionWriter, TrieNodeId};
 use climber_dfs::stats::IoSnapshot;
 use climber_dfs::store::{PartitionId, PartitionStore};
+use climber_pivot::assignment::CentroidTable;
 use climber_pivot::permutation::pivot_permutation_prefix_with;
 use climber_pivot::pivots::{PivotId, PivotSet};
-use climber_pivot::signature::{DualSignature, RankInsensitive, RankSensitive, SignatureScratch};
+use climber_pivot::signature::{RankInsensitive, SignatureScratch};
 use climber_repr::paa::paa_into;
 use climber_series::dataset::Dataset;
 use climber_series::sampling::{partition_level_sample, partitions_for_alpha};
@@ -325,6 +326,8 @@ impl IndexBuilder {
             cfg.max_centroids,
         );
         let centroids = selection.centroids;
+        let table = CentroidTable::new(&centroids, bpivots.len(), cfg.decay, cfg.prefix_len)
+            .expect("Algorithm 2 selects prefixes of the sample as centroids");
 
         // Step 3: group the aggregated sensitive signatures (Algorithm 1,
         // parallel over the distinct-signature list in its deterministic
@@ -337,19 +340,16 @@ impl IndexBuilder {
         sens_list.sort_unstable(); // deterministic iteration order
         let assigned: Vec<usize> = {
             let list = &sens_list;
-            let cents = &centroids;
+            let table = &table;
             self.cluster
                 .par_map(range_blocks(sens_list.len(), block_size), move |r| {
                     r.map(|i| {
                         let sig_ids = &list[i].0;
-                        let sig = DualSignature::from_sensitive(RankSensitive(sig_ids.clone()));
                         let tie_seed = sig_hash(sig_ids) ^ cfg.seed;
-                        match climber_pivot::assignment::assign_group(
-                            cents, &sig, cfg.decay, tie_seed,
-                        ) {
-                            climber_pivot::assignment::Assignment::Fallback => 0,
-                            a => a.centroid().expect("non-fallback") + 1,
-                        }
+                        table
+                            .assign(sig_ids, tie_seed)
+                            .centroid()
+                            .map_or(0, |c| c + 1)
                     })
                     .collect::<Vec<usize>>()
                 })
@@ -422,6 +422,7 @@ impl IndexBuilder {
             pivots: (*bpivots).clone(),
             groups,
             seed: cfg.seed,
+            table,
         };
         let skeleton_secs = t0.elapsed().as_secs_f64();
 

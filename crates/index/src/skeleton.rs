@@ -11,9 +11,9 @@
 use crate::trie::Trie;
 use climber_dfs::format::{ByteReader, TrieNodeId};
 use climber_dfs::store::PartitionId;
-use climber_pivot::assignment::{assign_group, splitmix64, Assignment};
+use climber_pivot::assignment::{splitmix64, CentroidTable};
 use climber_pivot::decay::DecayFunction;
-use climber_pivot::pivots::PivotSet;
+use climber_pivot::pivots::{PivotId, PivotSet};
 use climber_pivot::signature::{DualSignature, RankInsensitive, SignatureScratch};
 use climber_repr::paa::paa;
 
@@ -53,6 +53,11 @@ pub struct Placement {
 }
 
 /// The two-level global index.
+///
+/// Built by the index builder or decoded by [`from_bytes`](Self::from_bytes),
+/// both of which derive the [`CentroidTable`] of the real groups' centroids
+/// that group assignment and lookup run on; the fields are read-only in
+/// practice, since the table does not follow later edits to them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexSkeleton {
     /// PAA segment count `w`.
@@ -67,9 +72,65 @@ pub struct IndexSkeleton {
     pub groups: Vec<GroupMeta>,
     /// Seed mixed into deterministic tie-breaks.
     pub seed: u64,
+    /// `groups[1..]`'s centroids as pivot bitmaps (row `c` is group
+    /// `c + 1`); derived, never serialised.
+    pub(crate) table: CentroidTable,
 }
 
 impl IndexSkeleton {
+    /// A skeleton from its parts, checked the way a decoded one must be:
+    /// every search on it runs without a panic.
+    ///
+    /// # Errors
+    /// - `prefix_len` outside `1..=` the pivot count, or `paa_segments`
+    ///   other than the pivot space's dimensionality;
+    /// - no groups, a group whose id is not its index, a fall-back group
+    ///   with a centroid or a real group without one;
+    /// - a centroid that is not `prefix_len` strictly ascending pivot ids.
+    fn assemble(
+        paa_segments: usize,
+        prefix_len: usize,
+        decay: DecayFunction,
+        pivots: PivotSet,
+        groups: Vec<GroupMeta>,
+        seed: u64,
+    ) -> Result<Self, String> {
+        if prefix_len == 0 || prefix_len > pivots.len() {
+            return Err(format!(
+                "prefix length {prefix_len} outside 1..={} pivots",
+                pivots.len()
+            ));
+        }
+        if paa_segments != pivots.dims() {
+            return Err(format!(
+                "{paa_segments} PAA segments over a {}-dimensional pivot space",
+                pivots.dims()
+            ));
+        }
+        if groups.is_empty() {
+            return Err("no fall-back group".to_string());
+        }
+        for (i, g) in groups.iter().enumerate() {
+            if g.id as usize != i {
+                return Err(format!("group {} at index {i}", g.id));
+            }
+            if g.centroid.is_some() != (i != FALLBACK_GROUP as usize) {
+                return Err(format!("group {i}: centroid on the wrong side of G0"));
+            }
+        }
+        let centroids = groups[1..].iter().filter_map(|g| g.centroid.as_ref());
+        let table = CentroidTable::new(centroids, pivots.len(), decay, prefix_len)?;
+        Ok(Self {
+            paa_segments,
+            prefix_len,
+            decay,
+            pivots,
+            groups,
+            seed,
+            table,
+        })
+    }
+
     /// Extracts the P4 dual signature of a raw series under this index's
     /// parameters (the exact transformation indexed records went through).
     pub fn extract_signature(&self, values: &[f32]) -> DualSignature {
@@ -106,35 +167,22 @@ impl IndexSkeleton {
         per_chunk.into_iter().flatten().collect()
     }
 
-    /// Centroids of the real (non-fall-back) groups, index-aligned with
-    /// group ids `1..`.
-    fn real_centroids(&self) -> Vec<RankInsensitive> {
-        self.groups[1..]
-            .iter()
-            .map(|g| {
-                g.centroid
-                    .clone()
-                    .expect("non-fallback group without centroid")
-            })
-            .collect()
+    /// The real groups' centroids as the bitmap table Algorithm 1 runs on
+    /// (row `c` is group `c + 1`).
+    pub fn centroid_table(&self) -> &CentroidTable {
+        &self.table
     }
 
-    /// Algorithm-1 group assignment for a signature; `tie_seed` feeds the
-    /// deterministic random tie-break.
-    pub fn assign(&self, sig: &DualSignature, tie_seed: u64) -> GroupId {
-        let centroids = self.real_centroids();
-        if centroids.is_empty() {
+    /// Algorithm-1 group assignment of a rank-sensitive prefix; `tie_seed`
+    /// feeds the deterministic random tie-break.
+    pub fn assign(&self, prefix: &[PivotId], tie_seed: u64) -> GroupId {
+        if self.table.is_empty() {
             return FALLBACK_GROUP;
         }
-        match assign_group(
-            &centroids,
-            sig,
-            self.decay,
-            splitmix64(self.seed ^ tie_seed),
-        ) {
-            Assignment::Fallback => FALLBACK_GROUP,
-            a => a.centroid().expect("non-fallback has centroid") as GroupId + 1,
-        }
+        self.table
+            .assign(prefix, splitmix64(self.seed ^ tie_seed))
+            .centroid()
+            .map_or(FALLBACK_GROUP, |c| c as GroupId + 1)
     }
 
     /// Full Step-4 placement of one record: group assignment, then trie
@@ -145,25 +193,20 @@ impl IndexSkeleton {
     }
 
     /// [`place`](Self::place) with caller-provided scratch buffers — the
-    /// bulk-conversion form the parallel build's worker threads use, one
-    /// scratch per thread, so routing the full dataset allocates nothing
-    /// per record beyond the transient signature.
+    /// bulk-conversion form the parallel build's worker threads and
+    /// `append_batch` use, one scratch per thread, so routing the full
+    /// dataset allocates nothing per record.
     pub fn place_with(
         &self,
         values: &[f32],
         series_id: u64,
         scratch: &mut SignatureScratch,
     ) -> Placement {
-        let sig = DualSignature::extract_with(
-            values,
-            &self.pivots,
-            self.paa_segments,
-            self.prefix_len,
-            scratch,
-        );
-        let group = self.assign(&sig, series_id);
+        let prefix =
+            scratch.rank_sensitive(values, &self.pivots, self.paa_segments, self.prefix_len);
+        let group = self.assign(prefix, series_id);
         let meta = &self.groups[group as usize];
-        match meta.trie.leaf_for(&sig.sensitive.0) {
+        match meta.trie.leaf_for(prefix) {
             Some(leaf_idx) => {
                 let leaf = meta.trie.node(leaf_idx);
                 Placement {
@@ -186,26 +229,16 @@ impl IndexSkeleton {
     /// with that distance. The fall-back group is returned only when *no*
     /// real group overlaps the signature.
     pub fn groups_by_overlap(&self, sig: &DualSignature) -> (Vec<GroupId>, usize) {
-        use climber_pivot::distances::overlap_distance;
-        let m = self.prefix_len;
-        let mut best = m + 1;
-        let mut out: Vec<GroupId> = Vec::new();
-        for g in &self.groups[1..] {
-            let c = g.centroid.as_ref().expect("real group has centroid");
-            let od = overlap_distance(c, &sig.insensitive);
-            if od < best {
-                best = od;
-                out.clear();
-                out.push(g.id);
-            } else if od == best {
-                out.push(g.id);
-            }
+        let prefix = &sig.sensitive.0;
+        let best = self.table.min_od(prefix);
+        if best == self.prefix_len {
+            return (vec![FALLBACK_GROUP], best);
         }
-        if out.is_empty() || best == m {
-            (vec![FALLBACK_GROUP], m)
-        } else {
-            (out, best)
-        }
+        let groups = (0..self.table.len())
+            .filter(|&c| self.table.od(c, prefix) == best)
+            .map(|c| c as GroupId + 1)
+            .collect();
+        (groups, best)
     }
 
     /// The distinct physical partition ids referenced by the skeleton,
@@ -301,7 +334,8 @@ impl IndexSkeleton {
         let decay_tag = r.u8()?;
         let lambda = r.f64()?;
         let decay = match decay_tag {
-            0 => DecayFunction::Exponential { lambda },
+            0 if lambda > 0.0 && lambda < 1.0 => DecayFunction::Exponential { lambda },
+            0 => return Err(format!("exponential decay rate {lambda} outside (0,1)")),
             1 => DecayFunction::Linear,
             t => return Err(format!("unknown decay tag {t}")),
         };
@@ -338,14 +372,7 @@ impl IndexSkeleton {
         }
         r.expect_end()
             .map_err(|_| "trailing bytes after skeleton".to_string())?;
-        Ok(Self {
-            paa_segments,
-            prefix_len,
-            decay,
-            pivots,
-            groups,
-            seed,
-        })
+        Self::assemble(paa_segments, prefix_len, decay, pivots, groups, seed)
     }
 
     /// Renders the Figure-5-style skeleton overview: one line per group
@@ -431,12 +458,12 @@ mod tests {
         }
         t2.assign_partitions(&m2);
 
-        IndexSkeleton {
-            paa_segments: 1,
-            prefix_len: 2,
-            decay: DecayFunction::DEFAULT,
+        IndexSkeleton::assemble(
+            1,
+            2,
+            DecayFunction::DEFAULT,
             pivots,
-            groups: vec![
+            vec![
                 GroupMeta {
                     id: 0,
                     centroid: None,
@@ -459,8 +486,9 @@ mod tests {
                     est_size: 150,
                 },
             ],
-            seed: 42,
-        }
+            42,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -488,9 +516,9 @@ mod tests {
     fn assign_routes_to_best_group() {
         let sk = toy_skeleton();
         let near0 = sk.extract_signature(&[1.0, 1.0]); // pivots {0,1}
-        assert_eq!(sk.assign(&near0, 0), 1);
+        assert_eq!(sk.assign(&near0.sensitive.0, 0), 1);
         let near3 = sk.extract_signature(&[29.0, 29.0]); // pivots {3,2}
-        assert_eq!(sk.assign(&near3, 0), 2);
+        assert_eq!(sk.assign(&near3.sensitive.0, 0), 2);
     }
 
     #[test]
@@ -559,6 +587,59 @@ mod tests {
         assert!(IndexSkeleton::from_bytes(&bytes).is_err());
     }
 
+    /// The toy skeleton with one field edited, through the bytes.
+    fn decode_edited(edit: impl FnOnce(&mut IndexSkeleton)) -> Result<IndexSkeleton, String> {
+        let mut sk = toy_skeleton();
+        edit(&mut sk);
+        IndexSkeleton::from_bytes(&sk.to_bytes())
+    }
+
+    /// Decodes the toy skeleton with group `g`'s centroid set to `ids`.
+    fn decode_with_centroid(g: usize, ids: Option<&[PivotId]>) -> Result<IndexSkeleton, String> {
+        decode_edited(|sk| sk.groups[g].centroid = ids.map(|ids| RankInsensitive(ids.to_vec())))
+    }
+
+    #[test]
+    fn a_centroid_of_the_wrong_length_is_an_error_not_a_panic_at_search() {
+        assert!(decode_with_centroid(1, Some(&[0, 1, 2])).is_err());
+        assert!(decode_with_centroid(2, Some(&[3])).is_err());
+    }
+
+    #[test]
+    fn a_prefix_longer_than_the_pivot_set_is_an_error() {
+        assert!(decode_edited(|sk| sk.prefix_len = 500).is_err());
+        assert!(decode_edited(|sk| sk.prefix_len = 0).is_err());
+    }
+
+    #[test]
+    fn paa_segments_off_the_pivot_space_are_an_error() {
+        assert!(decode_edited(|sk| sk.paa_segments = 8).is_err());
+    }
+
+    #[test]
+    fn a_centroid_pivot_id_past_the_pivot_set_is_an_error() {
+        assert!(decode_with_centroid(2, Some(&[2, 60_000])).is_err());
+        assert!(decode_with_centroid(2, Some(&[2, 4])).is_err());
+    }
+
+    #[test]
+    fn centroid_ids_out_of_order_are_an_error() {
+        assert!(decode_with_centroid(2, Some(&[3, 2])).is_err());
+        assert!(decode_with_centroid(2, Some(&[2, 2])).is_err());
+    }
+
+    #[test]
+    fn a_malformed_group_list_is_an_error() {
+        assert!(decode_edited(|sk| sk.groups[1].id = 7).is_err());
+        assert!(decode_edited(|sk| sk.groups.clear()).is_err());
+        assert!(decode_with_centroid(0, Some(&[0, 1])).is_err());
+        assert!(decode_with_centroid(1, None).is_err());
+        let bad_rate = DecayFunction::Exponential { lambda: 1.5 };
+        assert!(decode_edited(|sk| sk.decay = bad_rate).is_err());
+        // The untouched skeleton still decodes.
+        assert_eq!(decode_edited(|_| {}), Ok(toy_skeleton()));
+    }
+
     #[test]
     fn num_partitions_counts_distinct() {
         let sk = toy_skeleton();
@@ -580,6 +661,20 @@ mod tests {
         for i in 0..30u64 {
             let v = [i as f32, i as f32 + 0.5];
             assert_eq!(sk.place_with(&v, i, &mut scratch), sk.place(&v, i));
+        }
+    }
+
+    #[test]
+    fn place_routes_by_the_extracted_signature() {
+        // The scratch prefix `place_with` reads is the signature's `P4→`.
+        let sk = toy_skeleton();
+        for i in 0..30u64 {
+            let v = [i as f32, i as f32 + 0.5];
+            let sig = sk.extract_signature(&v);
+            let p = sk.place(&v, i);
+            assert_eq!(p.group, sk.assign(&sig.sensitive.0, i));
+            let trie = &sk.groups[p.group as usize].trie;
+            assert_eq!(p.via_default, trie.leaf_for(&sig.sensitive.0).is_none());
         }
     }
 }

@@ -15,7 +15,7 @@
 //! signatures, and the decay-weighted [`distances::weight_distance`] (WD,
 //! Defs. 9-11) between a rank-sensitive signature and a rank-insensitive
 //! centroid. [`assignment`] implements the Algorithm-1 tie-breaking rules
-//! built from the two.
+//! built from the two, over a [`CentroidTable`] of centroid bitmaps.
 
 pub mod assignment;
 pub mod decay;
@@ -24,7 +24,7 @@ pub mod permutation;
 pub mod pivots;
 pub mod signature;
 
-pub use assignment::{assign_group, Assignment};
+pub use assignment::{Assignment, CentroidTable};
 pub use decay::DecayFunction;
 pub use distances::{kendall_tau, overlap_distance, spearman_footrule, weight_distance};
 pub use permutation::{pivot_permutation, pivot_permutation_prefix};

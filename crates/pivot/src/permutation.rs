@@ -46,6 +46,19 @@ pub fn pivot_permutation_prefix_with(
     m: usize,
     heap: &mut Vec<(f64, PivotId)>,
 ) -> Vec<PivotId> {
+    select_prefix(pivots, point, m, heap);
+    heap.iter().map(|&(_, id)| id).collect()
+}
+
+/// The selection behind [`pivot_permutation_prefix_with`]: leaves the `m`
+/// nearest `(distance, id)` pairs in `heap`, ascending — the form a caller
+/// that keeps the prefix in its own buffer reads it from.
+pub(crate) fn select_prefix(
+    pivots: &PivotSet,
+    point: &[f64],
+    m: usize,
+    heap: &mut Vec<(f64, PivotId)>,
+) {
     assert!(m > 0, "prefix length must be positive");
     assert!(
         m <= pivots.len(),
@@ -83,7 +96,6 @@ pub fn pivot_permutation_prefix_with(
     if heap.len() < m {
         heap.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     }
-    heap.iter().map(|&(_, id)| id).collect()
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! insensitive form gives the coarse (group) granularity, the sensitive form
 //! the fine (partition) granularity.
 
-use crate::permutation::{pivot_permutation_prefix, pivot_permutation_prefix_with};
+use crate::permutation::{pivot_permutation_prefix, select_prefix};
 use crate::pivots::{PivotId, PivotSet};
 use climber_repr::paa::{paa, paa_into};
 
@@ -58,20 +58,49 @@ impl RankInsensitive {
     }
 }
 
-/// Reusable scratch buffers for bulk signature extraction: the PAA arena
-/// and the bounded pivot-selection buffer that [`DualSignature::extract`]
-/// would otherwise allocate per call. One scratch per worker thread turns
-/// the per-record conversion cost of an index build into pure compute.
+/// Reusable scratch buffers for bulk signature extraction: the PAA arena,
+/// the bounded pivot-selection buffer and the prefix that
+/// [`DualSignature::extract`] would otherwise allocate per call. One scratch
+/// per worker thread turns the per-record conversion cost of an index build
+/// into pure compute.
 #[derive(Debug, Default)]
 pub struct SignatureScratch {
     paa: Vec<f64>,
     heap: Vec<(f64, PivotId)>,
+    prefix: Vec<PivotId>,
 }
 
 impl SignatureScratch {
     /// Fresh, empty scratch buffers.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The rank-sensitive prefix `P4→` of a raw series — PAA with `w`
+    /// segments, then the `m` nearest pivots — kept in this scratch and
+    /// borrowed from it. Record placement needs no `P4↛`, so it takes this
+    /// instead of a [`DualSignature`]: no insensitive copy, no sort, and no
+    /// allocation once the scratch has grown to `w` and `m`.
+    pub fn rank_sensitive(
+        &mut self,
+        values: &[f32],
+        pivots: &PivotSet,
+        w: usize,
+        m: usize,
+    ) -> &[PivotId] {
+        self.select(values, pivots, w, m);
+        self.prefix.clear();
+        self.prefix.extend(self.heap.iter().map(|&(_, id)| id));
+        &self.prefix
+    }
+
+    /// PAA into the arena, then the `m` nearest pivots into the selection
+    /// buffer, ascending by `(distance, id)`.
+    fn select(&mut self, values: &[f32], pivots: &PivotSet, w: usize, m: usize) {
+        self.paa.clear();
+        self.paa.reserve(w);
+        paa_into(values, w, &mut self.paa);
+        select_prefix(pivots, &self.paa, m, &mut self.heap);
     }
 }
 
@@ -120,10 +149,8 @@ impl DualSignature {
         m: usize,
         scratch: &mut SignatureScratch,
     ) -> Self {
-        scratch.paa.clear();
-        scratch.paa.reserve(w);
-        paa_into(values, w, &mut scratch.paa);
-        let prefix = pivot_permutation_prefix_with(pivots, &scratch.paa, m, &mut scratch.heap);
+        scratch.select(values, pivots, w, m);
+        let prefix = scratch.heap.iter().map(|&(_, id)| id).collect();
         Self::from_sensitive(RankSensitive(prefix))
     }
 

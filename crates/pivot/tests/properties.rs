@@ -1,6 +1,6 @@
 //! Property-based tests for the pivot-signature layer.
 
-use climber_pivot::assignment::{assign_group, Assignment};
+use climber_pivot::assignment::{Assignment, CentroidTable};
 use climber_pivot::decay::DecayFunction;
 use climber_pivot::distances::{kendall_tau, overlap_distance, spearman_footrule, weight_distance};
 use climber_pivot::permutation::{pivot_permutation, pivot_permutation_prefix};
@@ -122,9 +122,10 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let cs = vec![c1, c2, c3];
+        let table = CentroidTable::new(&cs, 30, DecayFunction::DEFAULT, 6).unwrap();
+        let a = table.assign(&x.0, seed);
+        let b = table.assign(&x.0, seed);
         let sig = DualSignature::from_sensitive(x);
-        let a = assign_group(&cs, &sig, DecayFunction::DEFAULT, seed);
-        let b = assign_group(&cs, &sig, DecayFunction::DEFAULT, seed);
         prop_assert_eq!(a, b);
         if let Some(i) = a.centroid() {
             prop_assert!(i < cs.len());
@@ -145,8 +146,9 @@ proptest! {
 
     #[test]
     fn fallback_matches_definition(x in sensitive_sig(5), c in insensitive_sig(5)) {
+        let table = CentroidTable::new([&c], 30, DecayFunction::DEFAULT, 5).unwrap();
+        let a = table.assign(&x.0, 0);
         let sig = DualSignature::from_sensitive(x);
-        let a = assign_group(std::slice::from_ref(&c), &sig, DecayFunction::DEFAULT, 0);
         let od = overlap_distance(&c, &sig.insensitive);
         if od == 5 {
             prop_assert_eq!(a, Assignment::Fallback);

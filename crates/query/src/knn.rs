@@ -14,7 +14,6 @@ use climber_dfs::store::PartitionId;
 use climber_index::skeleton::{GroupId, IndexSkeleton, FALLBACK_GROUP};
 use climber_index::trie::NodeIdx;
 use climber_pivot::assignment::splitmix64;
-use climber_pivot::distances::weight_distance;
 use climber_pivot::signature::DualSignature;
 
 /// A candidate `(group, trie node)` pair produced by descending one group.
@@ -37,24 +36,12 @@ pub fn select_groups(skeleton: &IndexSkeleton, sig: &DualSignature) -> Vec<Group
     if od_tied == [FALLBACK_GROUP] || od_tied.len() == 1 {
         return od_tied;
     }
-    // WD tie-break (lines 7-9).
-    let wds: Vec<f64> = od_tied
-        .iter()
-        .map(|&g| {
-            let c = skeleton.groups[g as usize]
-                .centroid
-                .as_ref()
-                .expect("real group has centroid");
-            weight_distance(&sig.sensitive, c, skeleton.decay)
-        })
-        .collect();
-    let best = wds.iter().cloned().fold(f64::INFINITY, f64::min);
-    od_tied
-        .iter()
-        .zip(wds.iter())
-        .filter(|&(_, &wd)| wd <= best + f64::EPSILON * best.abs().max(1.0))
-        .map(|(&g, _)| g)
-        .collect()
+    // WD tie-break (lines 7-9), on the centroid table (row g - 1).
+    let table = skeleton.centroid_table();
+    let wd = |g: GroupId| table.wd(g as usize - 1, &sig.sensitive.0);
+    let best = od_tied.iter().map(|&g| wd(g)).fold(f64::INFINITY, f64::min);
+    let limit = best + f64::EPSILON * best.abs().max(1.0);
+    od_tied.into_iter().filter(|&g| wd(g) <= limit).collect()
 }
 
 /// Descends one group's trie along the rank-sensitive signature

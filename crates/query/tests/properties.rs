@@ -3,10 +3,12 @@
 use climber_dfs::store::MemStore;
 use climber_index::builder::IndexBuilder;
 use climber_index::config::IndexConfig;
-use climber_index::skeleton::{IndexSkeleton, FALLBACK_GROUP};
+use climber_index::skeleton::{GroupId, IndexSkeleton, FALLBACK_GROUP};
+use climber_pivot::distances::{overlap_distance, weight_distance};
+use climber_pivot::signature::DualSignature;
 use climber_query::adaptive::plan_adaptive;
 use climber_query::exec::{execute, SeriesLen, Source};
-use climber_query::knn::plan_knn;
+use climber_query::knn::{plan_knn, select_groups};
 use climber_query::od_smallest::plan_od_smallest;
 use climber_query::plan::QueryOutcome;
 use climber_query::search::SearchRequest;
@@ -39,8 +41,73 @@ fn search(skeleton: &IndexSkeleton, store: &MemStore, req: &SearchRequest) -> Qu
     execute(skeleton, &sources, series_len, reqs, 0).0.remove(0)
 }
 
+/// Algorithm 3 lines 5-6 over the Definition 7 reference: the groups at
+/// the smallest OD, or the fall-back when nothing overlaps.
+fn reference_groups_by_overlap(
+    skeleton: &IndexSkeleton,
+    sig: &DualSignature,
+) -> (Vec<GroupId>, usize) {
+    let m = skeleton.prefix_len;
+    let mut best = m + 1;
+    let mut out: Vec<GroupId> = Vec::new();
+    for g in &skeleton.groups[1..] {
+        let od = overlap_distance(g.centroid.as_ref().unwrap(), &sig.insensitive);
+        if od < best {
+            best = od;
+            out.clear();
+            out.push(g.id);
+        } else if od == best {
+            out.push(g.id);
+        }
+    }
+    if out.is_empty() || best == m {
+        (vec![FALLBACK_GROUP], m)
+    } else {
+        (out, best)
+    }
+}
+
+/// Lines 7-9 over the Definition 11 reference: the WD tie-break among them.
+fn reference_select_groups(skeleton: &IndexSkeleton, sig: &DualSignature) -> Vec<GroupId> {
+    let (od_tied, _) = reference_groups_by_overlap(skeleton, sig);
+    if od_tied == [FALLBACK_GROUP] || od_tied.len() == 1 {
+        return od_tied;
+    }
+    let wds: Vec<f64> = od_tied
+        .iter()
+        .map(|&g| {
+            let c = skeleton.groups[g as usize].centroid.as_ref().unwrap();
+            weight_distance(&sig.sensitive, c, skeleton.decay)
+        })
+        .collect();
+    let best = wds.iter().cloned().fold(f64::INFINITY, f64::min);
+    od_tied
+        .iter()
+        .zip(&wds)
+        .filter(|&(_, &wd)| wd <= best + f64::EPSILON * best.abs().max(1.0))
+        .map(|(&g, _)| g)
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn group_lookup_matches_the_reference_metrics(seed in 0u64..300, shift in -3.0f32..3.0) {
+        // Indexed records, shifted copies (other signatures) and far-off
+        // series (the fall-back) all get the reference's group lists.
+        let (skeleton, _, ds) = build_index(200, seed, 40);
+        for qid in 0..200u64 {
+            let q: Vec<f32> = match qid % 3 {
+                0 => ds.get(qid).to_vec(),
+                1 => ds.get(qid).iter().map(|v| v + shift).collect(),
+                _ => ds.get(qid).iter().map(|v| v * 40.0 + shift * 1e3).collect(),
+            };
+            let sig = skeleton.extract_signature(&q);
+            prop_assert_eq!(skeleton.groups_by_overlap(&sig), reference_groups_by_overlap(&skeleton, &sig));
+            prop_assert_eq!(select_groups(&skeleton, &sig), reference_select_groups(&skeleton, &sig));
+        }
+    }
 
     #[test]
     fn plans_always_read_something(seed in 0u64..500, qid in 0u64..200) {

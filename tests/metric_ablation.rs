@@ -8,7 +8,7 @@
 //! the paper's design must match or beat the naive one on every domain,
 //! and beat it clearly somewhere.
 
-use climber_core::pivot::assignment::{assign_group, assign_group_naive_footrule, Assignment};
+use climber_core::pivot::assignment::{assign_group_naive_footrule, Assignment, CentroidTable};
 use climber_core::pivot::decay::DecayFunction;
 use climber_core::pivot::pivots::PivotSet;
 use climber_core::pivot::signature::{DualSignature, RankInsensitive};
@@ -18,6 +18,7 @@ use climber_core::series::ground_truth::exact_knn;
 
 const N: usize = 1_200;
 const W: usize = 16;
+const P: usize = 96;
 const M: usize = 8;
 
 fn centroid_of(a: &Assignment) -> i64 {
@@ -28,7 +29,7 @@ fn centroid_of(a: &Assignment) -> i64 {
 /// insensitive signatures, ε-separated) for one domain.
 fn setup(domain: Domain) -> (Vec<DualSignature>, Vec<RankInsensitive>) {
     let ds = domain.generate(N, 97);
-    let pivots = PivotSet::select_random(&ds, W, 96, 5);
+    let pivots = PivotSet::select_random(&ds, W, P, 5);
     let sigs: Vec<DualSignature> = (0..N as u64)
         .map(|i| DualSignature::extract_from_paa(&paa(ds.get(i), W), &pivots, M))
         .collect();
@@ -43,6 +44,17 @@ fn setup(domain: Domain) -> (Vec<DualSignature>, Vec<RankInsensitive>) {
         .collect();
     let sel = climber_core::index::centroids::compute_centroids(&list, 1.0, 40, 2, Some(12));
     (sigs, sel.centroids)
+}
+
+/// Algorithm 1 over `centroids` under `decay`.
+fn algorithm_1(
+    centroids: &[RankInsensitive],
+    s: &DualSignature,
+    decay: DecayFunction,
+    tie_seed: u64,
+) -> Assignment {
+    let table = CentroidTable::new(centroids, P, decay, M).unwrap();
+    table.assign(&s.sensitive.0, tie_seed)
 }
 
 /// Fraction of (query, true-NN) pairs co-assigned to one group.
@@ -80,7 +92,7 @@ fn od_wd_co_assignment_compares_favourably_to_naive_footrule() {
     for domain in Domain::ALL {
         let (sigs, centroids) = setup(domain);
         let od = co_assignment_rate(domain, &sigs, |s| {
-            centroid_of(&assign_group(&centroids, s, DecayFunction::DEFAULT, 0))
+            centroid_of(&algorithm_1(&centroids, s, DecayFunction::DEFAULT, 0))
         });
         let naive = co_assignment_rate(domain, &sigs, |s| {
             centroid_of(&assign_group_naive_footrule(&centroids, s))
@@ -120,8 +132,8 @@ fn decay_functions_agree_on_unambiguous_cases() {
         let (sigs, centroids) = setup(domain);
         let mut checked = 0;
         for s in sigs.iter().take(300) {
-            let exp = assign_group(&centroids, s, DecayFunction::DEFAULT, 1);
-            let lin = assign_group(&centroids, s, DecayFunction::Linear, 1);
+            let exp = algorithm_1(&centroids, s, DecayFunction::DEFAULT, 1);
+            let lin = algorithm_1(&centroids, s, DecayFunction::Linear, 1);
             if let Assignment::ByOverlap(i) = exp {
                 assert_eq!(lin, Assignment::ByOverlap(i), "{}", domain.name());
                 checked += 1;
