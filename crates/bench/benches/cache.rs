@@ -3,8 +3,8 @@
 //! Two questions, one on-disk index:
 //!
 //! 1. **Cold vs warm QPS** — how much faster is a warm shared LRU of
-//!    partition images than reading and validating each partition from
-//!    the filesystem on every scan?
+//!    trie-node clusters than reading each cluster from the filesystem
+//!    on every scan?
 //! 2. **Hit rate** — what fraction of sealed reads a budget-bound cache
 //!    actually serves from memory under a realistic query workload.
 //!
@@ -50,18 +50,26 @@ fn partition_bytes(dir: &Path) -> u64 {
         .sum()
 }
 
-/// Mean microseconds of one `store.open` per partition of `c`, best of
-/// `reps` passes over every partition.
-fn open_us(c: &Climber<climber_core::dfs::store::DiskStore>, reps: usize) -> f64 {
+/// Mean microseconds of reading every cluster of one partition of `c`
+/// through `read_clusters` — the query path's read, a cache hit or a
+/// ranged read per cluster — best of `reps` passes over every partition.
+fn read_us(c: &Climber<climber_core::dfs::store::DiskStore>, reps: usize) -> f64 {
+    use climber_core::dfs::format::ClusterPick;
     use climber_core::dfs::store::PartitionStore;
-    let ids = c.store().ids();
+    let store = c.store();
+    let parts: Vec<(u32, Vec<u64>)> = (store.ids().into_iter())
+        .map(|pid| (pid, store.open(pid).unwrap().cluster_ids()))
+        .collect();
+    let mut views = Vec::new();
     (0..reps)
         .map(|_| {
             let t = Instant::now();
-            for &pid in &ids {
-                std::hint::black_box(c.store().open(pid).unwrap());
+            for (pid, nodes) in &parts {
+                views.clear();
+                let pick = ClusterPick::Named(nodes);
+                std::hint::black_box(store.read_clusters(*pid, pick, &mut views).unwrap());
             }
-            t.elapsed().as_secs_f64() * 1e6 / ids.len() as f64
+            t.elapsed().as_secs_f64() * 1e6 / parts.len() as f64
         })
         .min_by(f64::total_cmp)
         .expect("reps >= 1")
@@ -113,16 +121,18 @@ fn main() {
         t.elapsed().as_secs_f64()
     };
 
-    // 1a. Uncached baseline: every sealed scan reads and validates the
-    // partition from the filesystem.
+    // 1a. Uncached baseline: every sealed scan reads its clusters from
+    // the filesystem.
     let uncached = Climber::open_rw(&dir).unwrap();
     let uncached_secs = (0..reps)
         .map(|_| pass(&uncached))
         .min_by(f64::total_cmp)
         .expect("reps >= 1");
     let uncached_qps = total as f64 / uncached_secs;
-    let miss_us = open_us(&uncached, reps);
-    println!("uncached: {uncached_qps:.1} QPS, {miss_us:.1} us per open (every open a miss)");
+    let miss_us = read_us(&uncached, reps);
+    println!(
+        "uncached: {uncached_qps:.1} QPS, {miss_us:.1} us per partition's clusters (every read a miss)"
+    );
     drop(uncached);
 
     // 1b. Cached: the cold pass right after the open (pre-warmed by the
@@ -143,12 +153,12 @@ fn main() {
         .stats();
     let hit_rate = stats.hits as f64 / (stats.hits + stats.misses).max(1) as f64;
     let speedup = warm_qps / uncached_qps;
-    // One untimed pass makes every partition resident, then time hits.
-    let _ = open_us(&cached, 1);
-    let hit_us = open_us(&cached, reps);
+    // One untimed pass makes every cluster resident, then time hits.
+    let _ = read_us(&cached, 1);
+    let hit_us = read_us(&cached, reps);
     println!(
         "cached: cold {cold_qps:.1} QPS, warm {warm_qps:.1} QPS ({speedup:.2}x uncached), \
-         hit rate {:.1}%, warmed {:.1} MB, {hit_us:.2} us per open (hit)",
+         hit rate {:.1}%, warmed {:.1} MB, {hit_us:.2} us per partition's clusters (hit)",
         hit_rate * 100.0,
         warmed_bytes as f64 / 1e6
     );

@@ -416,7 +416,7 @@ impl<S: PartitionStore> Climber<S> {
                         return Ok((*e, None));
                     }
                 }
-                let payload = self.store.stored_bytes(pid)?;
+                let payload = self.store.image(pid)?;
                 let reader = PartitionReader::open(payload.clone())
                     .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
                 if !home {

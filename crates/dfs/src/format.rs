@@ -202,7 +202,7 @@ const DIR_ENTRY: usize = 8 + 8 + 4;
 /// and the one supported format version. The error names what was found.
 /// Version 2 is reserved — an optional encoding of earlier builds — and
 /// refused like any other.
-pub fn check_header(bytes: &[u8]) -> Result<(), String> {
+fn check_header(bytes: &[u8]) -> Result<(), String> {
     let Some(head) = bytes.get(..8) else {
         return Err("partition shorter than its magic and version".into());
     };
@@ -216,13 +216,6 @@ pub fn check_header(bytes: &[u8]) -> Result<(), String> {
         ));
     }
     Ok(())
-}
-
-/// The series length an encoded partition's header declares, or `None`
-/// when `bytes` ends before the field.
-pub fn header_series_len(bytes: &[u8]) -> Option<u32> {
-    let field = bytes.get(16..20)?;
-    Some(u32::from_le_bytes(field.try_into().unwrap()))
 }
 
 /// Bytes of one encoded record of `series_len` values: the `u64` id, then
@@ -437,25 +430,41 @@ impl PartitionWriter {
     }
 }
 
-/// Zero-copy reader over an encoded partition.
+/// Which clusters of one partition a read asks for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ClusterPick<'a> {
+    /// These nodes, in this order; a node the partition does not hold is
+    /// skipped.
+    Named(&'a [TrieNodeId]),
+    /// Every cluster but these, in storage order.
+    Rest(&'a [TrieNodeId]),
+}
+
+/// The parsed header of an encoded partition: its group, its series length
+/// and where every trie-node cluster lies in the image. Everything a reader
+/// needs to fetch one cluster without the rest of the partition — a disk
+/// store keeps one per partition and reads clusters by byte range.
 #[derive(Debug, Clone)]
-pub struct PartitionReader {
-    bytes: Bytes,
+pub struct PartitionDirectory {
     group_id: u64,
     series_len: usize,
-    directory: Vec<(TrieNodeId, u64, u32)>,
+    /// `(node, first record, record count)` per cluster, in storage order.
+    clusters: Vec<(TrieNodeId, u64, u32)>,
+    /// Byte offset of the first record (the end of the directory).
     records_at: usize,
 }
 
-impl PartitionReader {
-    /// Parses the header of an encoded partition.
-    pub fn open(bytes: Bytes) -> Result<Self, String> {
+impl PartitionDirectory {
+    /// Parses and checks the header of the encoded partition `bytes`: magic,
+    /// version, a directory whose runs are contiguous, and an image exactly
+    /// as long as the records the directory lists.
+    pub fn parse(bytes: &[u8]) -> Result<Self, String> {
         if bytes.len() < HEADER_FIXED {
             return Err("partition shorter than fixed header".into());
         }
-        check_header(&bytes)?;
+        check_header(bytes)?;
         let group_id = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-        let series_len = header_series_len(&bytes).expect("fixed header present") as usize;
+        let series_len = u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize;
         let n_clusters = u32::from_le_bytes(bytes[20..24].try_into().unwrap()) as usize;
         if series_len == 0 {
             return Err("partition with zero series length".into());
@@ -464,7 +473,7 @@ impl PartitionReader {
         if bytes.len() < dir_end {
             return Err("partition truncated inside directory".into());
         }
-        let mut directory = Vec::with_capacity(n_clusters);
+        let mut clusters = Vec::with_capacity(n_clusters);
         let mut total = 0u64;
         for i in 0..n_clusters {
             let off = HEADER_FIXED + i * DIR_ENTRY;
@@ -477,7 +486,7 @@ impl PartitionReader {
                 ));
             }
             total += count as u64;
-            directory.push((node, start, count));
+            clusters.push((node, start, count));
         }
         // Checked: the two factors are independent header fields, and a
         // wrapped product could equal the real length.
@@ -492,17 +501,92 @@ impl PartitionReader {
             ));
         }
         Ok(Self {
-            bytes,
             group_id,
             series_len,
-            directory,
+            clusters,
             records_at: dir_end,
         })
     }
 
+    /// Length of every stored series.
+    pub fn series_len(&self) -> usize {
+        self.series_len
+    }
+
+    /// Total records in the partition.
+    pub fn record_count(&self) -> u64 {
+        self.clusters.iter().map(|&(_, _, c)| c as u64).sum()
+    }
+
+    /// Size of the header + directory in bytes (the cost of opening the
+    /// partition without reading records).
+    pub fn header_bytes(&self) -> usize {
+        self.records_at
+    }
+
+    /// Byte span in the image and record count of cluster `node_id`, or
+    /// `None` when the node is absent.
+    pub fn locate(&self, node_id: TrieNodeId) -> Option<(std::ops::Range<usize>, usize)> {
+        self.clusters
+            .iter()
+            .find(|&&(n, _, _)| n == node_id)
+            .map(|&(_, start, count)| self.span(start, count as usize))
+    }
+
+    /// Calls `f(node, byte span, record count)` for every cluster `pick`
+    /// selects, in the pick's order; stops at the first error.
+    pub fn for_each_picked<E>(
+        &self,
+        pick: ClusterPick<'_>,
+        mut f: impl FnMut(TrieNodeId, std::ops::Range<usize>, usize) -> Result<(), E>,
+    ) -> Result<(), E> {
+        match pick {
+            ClusterPick::Named(nodes) => {
+                for &node in nodes {
+                    if let Some((span, count)) = self.locate(node) {
+                        f(node, span, count)?;
+                    }
+                }
+            }
+            ClusterPick::Rest(skip) => {
+                for &(node, start, count) in &self.clusters {
+                    if !skip.contains(&node) {
+                        let (span, count) = self.span(start, count as usize);
+                        f(node, span, count)?;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Byte range in the image of `count` records from record `start` on,
+    /// with the count.
+    fn span(&self, start: u64, count: usize) -> (std::ops::Range<usize>, usize) {
+        let size = record_size(self.series_len);
+        let off = self.records_at + (start as usize) * size;
+        (off..off + count * size, count)
+    }
+}
+
+/// Zero-copy reader over an encoded partition: its bytes and their
+/// [`PartitionDirectory`].
+#[derive(Debug, Clone)]
+pub struct PartitionReader {
+    bytes: Bytes,
+    dir: PartitionDirectory,
+}
+
+impl PartitionReader {
+    /// Parses the header of an encoded partition.
+    pub fn open(bytes: Bytes) -> Result<Self, String> {
+        let dir = PartitionDirectory::parse(&bytes)?;
+        Ok(Self { bytes, dir })
+    }
+
     /// The owning group id.
     pub fn group_id(&self) -> u64 {
-        self.group_id
+        self.dir.group_id
     }
 
     /// The raw encoded partition, exactly as stored. Used by the
@@ -514,42 +598,33 @@ impl PartitionReader {
 
     /// Length of every stored series.
     pub fn series_len(&self) -> usize {
-        self.series_len
+        self.dir.series_len
     }
 
     /// Total records in the partition.
     pub fn record_count(&self) -> u64 {
-        self.directory.iter().map(|&(_, _, c)| c as u64).sum()
+        self.dir.record_count()
     }
 
     /// Size of the header + directory in bytes (the cost of opening the
     /// partition without reading records).
     pub fn header_bytes(&self) -> usize {
-        HEADER_FIXED + self.directory.len() * DIR_ENTRY
+        self.dir.header_bytes()
     }
 
     /// Trie-node ids present, in storage order.
     pub fn cluster_ids(&self) -> Vec<TrieNodeId> {
-        self.directory.iter().map(|&(n, _, _)| n).collect()
+        self.dir.clusters.iter().map(|&(n, _, _)| n).collect()
     }
 
     /// Record count of a specific cluster, or `None` if absent.
     pub fn cluster_len(&self, node_id: TrieNodeId) -> Option<u32> {
-        self.locate(node_id).map(|(_, c)| c as u32)
-    }
-
-    /// First record and record count of cluster `node_id`.
-    fn locate(&self, node_id: TrieNodeId) -> Option<(u64, usize)> {
-        self.directory
-            .iter()
-            .find(|&&(n, _, _)| n == node_id)
-            .map(|&(_, start, count)| (start, count as usize))
+        self.dir.locate(node_id).map(|(_, c)| c as u32)
     }
 
     /// Byte size of a specific cluster's records.
     pub fn cluster_bytes(&self, node_id: TrieNodeId) -> Option<usize> {
-        self.cluster_len(node_id)
-            .map(|c| c as usize * record_size(self.series_len))
+        self.dir.locate(node_id).map(|(span, _)| span.len())
     }
 
     /// Visits every record of cluster `node_id` with a reusable buffer.
@@ -567,49 +642,44 @@ impl PartitionReader {
     /// per-record access: a scan reads a record's id first and touches
     /// its values only if the record is still wanted.
     pub fn cluster_records(&self, node_id: TrieNodeId) -> Option<ClusterRecords<'_>> {
-        let (start, count) = self.locate(node_id)?;
-        Some(self.run(start, count))
+        let (span, count) = self.dir.locate(node_id)?;
+        Some(self.run(span, count))
     }
 
     /// An owned zero-copy view of cluster `node_id`, or `None` when the
-    /// node is absent. The view shares the reader's refcounted image —
-    /// when that image came from a [`BlockCache`](crate::page::BlockCache)
-    /// hit, the view borrows cached pages directly.
+    /// node is absent. The view shares the reader's refcounted image.
     pub fn cluster_view(&self, node_id: TrieNodeId) -> Option<ClusterView> {
-        let (start, count) = self.locate(node_id)?;
-        let bytes = self.bytes.slice(self.span(start, count));
-        Some(ClusterView::new(bytes, self.series_len, count))
+        let (span, count) = self.dir.locate(node_id)?;
+        Some(ClusterView::new(
+            self.bytes.slice(span),
+            self.dir.series_len,
+            count,
+        ))
     }
 
     /// Every cluster in storage order with its encoded records — what a
     /// rewrite walks to [`splice`](PartitionWriter::splice) a partition
     /// into its successor.
     pub fn clusters(&self) -> impl Iterator<Item = (TrieNodeId, ClusterRecords<'_>)> + '_ {
-        self.directory
-            .iter()
-            .map(|&(node, start, count)| (node, self.run(start, count as usize)))
+        self.dir.clusters.iter().map(|&(node, start, count)| {
+            let (span, count) = self.dir.span(start, count as usize);
+            (node, self.run(span, count))
+        })
     }
 
     /// Every record of the partition, in storage order, as one run
     /// (clusters are stored back to back).
     pub fn records(&self) -> ClusterRecords<'_> {
-        self.run(0, self.record_count() as usize)
+        let (span, count) = self.dir.span(0, self.record_count() as usize);
+        self.run(span, count)
     }
 
-    /// Byte range in the image of `count` records from record `start` on.
-    fn span(&self, start: u64, count: usize) -> std::ops::Range<usize> {
-        let size = record_size(self.series_len);
-        let off = self.records_at + (start as usize) * size;
-        off..off + count * size
-    }
-
-    fn run(&self, start: u64, count: usize) -> ClusterRecords<'_> {
-        ClusterRecords::new(&self.bytes[self.span(start, count)], self.series_len, count)
+    fn run(&self, span: std::ops::Range<usize>, count: usize) -> ClusterRecords<'_> {
+        ClusterRecords::new(&self.bytes[span], self.dir.series_len, count)
     }
 
     /// The raw encoded partition as a refcounted handle — a clone of the
-    /// underlying [`Bytes`], no copy. The cache layer uses this to keep a
-    /// partition image resident after the reader is dropped.
+    /// underlying [`Bytes`], no copy.
     pub fn raw_bytes_owned(&self) -> Bytes {
         self.bytes.clone()
     }
@@ -842,14 +912,13 @@ mod tests {
             buf: &mut ClusterBuf,
             mut keep: impl FnMut(u64) -> bool,
         ) -> u64 {
-            let Some(&(_, start, count)) = self.directory.iter().find(|&&(n, _, _)| n == node_id)
-            else {
+            let Some((span, count)) = self.dir.locate(node_id) else {
                 return 0;
             };
-            buf.adopt_len(self.series_len);
-            let record_size = record_size(self.series_len);
-            for r in 0..count as u64 {
-                let off = self.records_at + ((start + r) as usize) * record_size;
+            buf.adopt_len(self.series_len());
+            let record_size = record_size(self.series_len());
+            for r in 0..count {
+                let off = span.start + r * record_size;
                 let id = u64::from_le_bytes(self.bytes[off..off + 8].try_into().unwrap());
                 if !keep(id) {
                     continue;

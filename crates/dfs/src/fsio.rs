@@ -26,7 +26,7 @@
 
 use std::fmt;
 use std::fs;
-use std::io;
+use std::io::{self, Read, Seek};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -35,7 +35,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// each a distinct fault point a [`FaultFs`] script can target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FsOp {
-    /// Whole-file read.
+    /// A read: of a whole file ([`ClimberFs::read`]) or of one byte range
+    /// of it (each range of a [`ClimberFs::read_ranges`], a query's
+    /// cluster read).
     Read,
     /// Whole-file write (create/truncate).
     Write,
@@ -79,6 +81,12 @@ pub trait ClimberFs: fmt::Debug + Send + Sync {
     /// Reads the entire file at `path`.
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
 
+    /// Reads every `(offset, len)` range of the file at `path` — exactly
+    /// `len` bytes from byte `offset` on, one read per range, in order —
+    /// through one open of the file. A range the file ends inside fails
+    /// the call with [`io::ErrorKind::UnexpectedEof`].
+    fn read_ranges(&self, path: &Path, ranges: &[(u64, usize)]) -> io::Result<Vec<Vec<u8>>>;
+
     /// Writes `bytes` to `path`, creating or truncating it. Not atomic
     /// and not synced — compose with [`ClimberFs::fsync_file`] and
     /// [`ClimberFs::rename`] (or use [`write_file_atomic_with`]) for
@@ -112,6 +120,28 @@ pub struct StdFs;
 impl ClimberFs for StdFs {
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
         fs::read(path)
+    }
+
+    fn read_ranges(&self, path: &Path, ranges: &[(u64, usize)]) -> io::Result<Vec<Vec<u8>>> {
+        // One open: it costs about as much as reading a small cluster.
+        let mut file = fs::File::open(path)?;
+        let mut read = |&(offset, len): &(u64, usize)| {
+            file.seek(io::SeekFrom::Start(offset))?;
+            // Filled by `read_to_end` without zeroing it first.
+            let mut buf = Vec::with_capacity(len);
+            (&mut file).take(len as u64).read_to_end(&mut buf)?;
+            if buf.len() < len {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    format!(
+                        "{}: {len} bytes at offset {offset} run past its end",
+                        path.display()
+                    ),
+                ));
+            }
+            Ok(buf)
+        };
+        ranges.iter().map(&mut read).collect()
     }
 
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
@@ -390,6 +420,15 @@ impl ClimberFs for FaultFs {
         self.inner.read(path)
     }
 
+    /// Each range is one [`FsOp::Read`]; a fault at any of them fails
+    /// the call.
+    fn read_ranges(&self, path: &Path, ranges: &[(u64, usize)]) -> io::Result<Vec<Vec<u8>>> {
+        for _ in ranges {
+            self.check(FsOp::Read, path)?;
+        }
+        self.inner.read_ranges(path, ranges)
+    }
+
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         match self.check(FsOp::Write, path)? {
             Some(FaultAction::Torn { keep } | FaultAction::TornCrash { keep }) => {
@@ -472,10 +511,27 @@ pub fn write_file_atomic_with(fs: &dyn ClimberFs, path: &Path, bytes: &[u8]) -> 
 /// survives a failed or torn write intact; on failure the temp file is
 /// removed best-effort.
 pub fn write_staged(fs: &dyn ClimberFs, path: &Path, bytes: &[u8]) -> io::Result<()> {
+    write_staged_under(fs, path, bytes, || ())
+}
+
+/// [`write_staged`], making the closing rename while holding whatever
+/// `lock` returns, and handing it back on success: a store whose readers
+/// of `path` hold the other side of that lock never sees the file change
+/// under a read, and updates what it knows of `path` before they read it
+/// again.
+pub fn write_staged_under<G>(
+    fs: &dyn ClimberFs,
+    path: &Path,
+    bytes: &[u8],
+    lock: impl FnOnce() -> G,
+) -> io::Result<G> {
     let tmp = tmp_sibling(path);
     fs.write(&tmp, bytes)
         .and_then(|()| fs.fsync_file(&tmp))
-        .and_then(|()| fs.rename(&tmp, path))
+        .and_then(|()| {
+            let guard = lock();
+            fs.rename(&tmp, path).map(|()| guard)
+        })
         .inspect_err(|_| {
             fs.remove_file(&tmp).ok();
         })
@@ -552,6 +608,28 @@ mod tests {
         fs_.remove_file(&dir.join("b.bin")).unwrap();
         // No temp droppings.
         assert!(fs::read_dir(&dir).unwrap().next().is_none());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn read_ranges_reads_exactly_the_ranges_or_fails_typed() {
+        let dir = tmp_dir("range");
+        let ff = FaultFs::over_std();
+        let p = dir.join("r.bin");
+        ff.write(&p, b"0123456789").unwrap();
+        ff.arm();
+        let got = ff.read_ranges(&p, &[(2, 5), (0, 1), (10, 0)]).unwrap();
+        assert_eq!(got, [&b"23456"[..], b"0", b""]);
+        assert!(ff.read_ranges(&p, &[]).unwrap().is_empty());
+        let err = ff.read_ranges(&p, &[(0, 2), (8, 3)]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(ff.read_ranges(&dir.join("absent"), &[(0, 1)]).is_err());
+        // Each range is one `Read` op, faultable like a whole read.
+        assert_eq!(ff.op_count_of(FsOp::Read), 6);
+        ff.inject(FaultTrigger::Kind(FsOp::Read, 7), FaultAction::ErrorOnce);
+        let err = ff.read_ranges(&p, &[(0, 1), (1, 1)]).unwrap_err();
+        assert!(err.to_string().contains(INJECTED_FAULT));
+        assert_eq!(ff.read_ranges(&p, &[(0, 1), (1, 1)]).unwrap(), [b"0", b"1"]);
         fs::remove_dir_all(&dir).ok();
     }
 

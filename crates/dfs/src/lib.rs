@@ -28,7 +28,7 @@
 //! * [`sample`] — scattering a raw dataset over input partitions, the
 //!   unorganised state data arrives in before indexing;
 //! * [`page`] — the paged storage engine: a sharded byte-budgeted LRU
-//!   [`BlockCache`] over whole partition images and zero-copy
+//!   [`BlockCache`] over trie-node clusters and zero-copy
 //!   [`ClusterView`]s.
 
 pub mod cluster;
@@ -42,7 +42,10 @@ pub mod stats;
 pub mod store;
 
 pub use cluster::{Broadcast, Cluster};
-pub use format::{ByteReader, Decode, Encode, PartitionReader, PartitionWriter, TrieNodeId};
+pub use format::{
+    ByteReader, ClusterPick, Decode, Encode, PartitionDirectory, PartitionReader, PartitionWriter,
+    TrieNodeId,
+};
 pub use fsio::{ClimberFs, FaultAction, FaultFs, FaultTrigger, FsOp, FsRef, StdFs};
 pub use manifest::{Manifest, OpenError, FORMAT_VERSION, MANIFEST_FILE};
 pub use page::{BlockCache, BlockCacheStats, CacheConfig, ClusterView, PAGE_SIZE};

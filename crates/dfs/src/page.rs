@@ -1,43 +1,43 @@
 //! Paged storage: fixed-size pages, a sharded byte-budgeted LRU block
 //! cache, and zero-copy cluster views.
 //!
-//! The uncached read path re-reads whole partitions from disk on every
-//! open; at scale, data-series search is dominated by that storage I/O,
-//! not by distance math. This module restructures `climber-dfs` around
-//! two cooperating pieces:
+//! A query reads trie-node clusters, not partitions (§VI: a partition's
+//! header keeps the start offset of every cluster so that a query reads
+//! only the clusters its plan names). At scale, data-series search is
+//! dominated by that storage I/O, not by distance math. This module
+//! restructures `climber-dfs` around two cooperating pieces:
 //!
-//! * **[`BlockCache`]** — a sharded, byte-budgeted LRU over whole
-//!   partition images, accounted in fixed-size [`PAGE_SIZE`] pages and
-//!   shared across queries, batches, and shards through one `Arc`. A hit
-//!   serves the partition's bytes without touching the filesystem; the
-//!   refcounted [`Bytes`] image means every reader opened over it is
-//!   zero-copy.
+//! * **[`BlockCache`]** — a sharded, byte-budgeted LRU over trie-node
+//!   clusters, keyed `(store token, partition, node)`, accounted in
+//!   fixed-size [`PAGE_SIZE`] pages and shared across queries, batches,
+//!   and shards through one `Arc`. A hit serves the cluster's bytes
+//!   without touching the filesystem; a miss is one ranged read of
+//!   exactly that cluster.
 //! * **[`ClusterView`]** — an *owned* zero-copy view of one trie-node
-//!   cluster: a refcounted slice of the cached partition image that can
-//!   outlive the [`PartitionReader`](crate::format::PartitionReader) it
-//!   came from, so scan loops borrow cached pages instead of copying
-//!   records out.
+//!   cluster: a refcounted [`Bytes`] that can outlive whatever it came
+//!   from (a cache entry, a ranged read, a whole image), so scan loops
+//!   borrow cached pages instead of copying records out.
 //!
-//! A cached image is the partition file's bytes, verbatim: the raw f32
-//! records of CLBP version 1 are the only representation a sealed record
-//! has between the file and the distance kernel.
+//! A cached cluster is the partition file's bytes for it, verbatim: the
+//! raw f32 records of CLBP version 1 are the only representation a sealed
+//! record has between the file and the distance kernel.
 
-use crate::format::ClusterRecords;
+use crate::format::{ClusterRecords, TrieNodeId};
 use crate::store::PartitionId;
 use bytes::Bytes;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-/// Size of one cache page (64 KiB). Cached partition images are charged
-/// in whole pages — `ceil(len / PAGE_SIZE)` pages each — so the budget
-/// accounting mirrors a page-granular buffer pool even though an image is
-/// stored contiguously for zero-copy reads.
+/// Size of one cache page (64 KiB). Cached clusters are charged in whole
+/// pages — `ceil(len / PAGE_SIZE)` pages each — so the budget accounting
+/// mirrors a page-granular buffer pool even though a cluster is stored
+/// contiguously for zero-copy reads.
 pub const PAGE_SIZE: usize = 64 * 1024;
 
 /// Number of independently locked cache shards. Eight is plenty: the
-/// map operations under each lock are O(1) hash probes, and partition
-/// opens are orders of magnitude rarer than record scans.
+/// map operations under each lock are O(1) hash probes, and cluster
+/// lookups are orders of magnitude rarer than record scans.
 const CACHE_SHARDS: usize = 8;
 
 /// Default cache budget: 256 MiB.
@@ -48,7 +48,7 @@ pub fn pages_of(len: usize) -> usize {
     len.div_ceil(PAGE_SIZE).max(1)
 }
 
-/// The byte charge of caching a `len`-byte image: whole pages.
+/// The byte charge of caching a `len`-byte cluster: whole pages.
 pub fn charge_of(len: usize) -> usize {
     pages_of(len) * PAGE_SIZE
 }
@@ -62,7 +62,7 @@ pub fn charge_of(len: usize) -> usize {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Byte budget of cached blocks (whole [`PAGE_SIZE`] pages per cached
-    /// image).
+    /// cluster).
     pub capacity_bytes: usize,
 }
 
@@ -88,13 +88,14 @@ impl CacheConfig {
 // ---------------------------------------------------------------------------
 
 /// Key of a cached block: the owning store's token (so one shared cache
-/// serves many stores/shards without id collisions) and the partition id.
-type BlockKey = (u64, PartitionId);
+/// serves many stores/shards without id collisions), the partition id and
+/// the trie node whose cluster the block holds.
+type BlockKey = (u64, PartitionId, TrieNodeId);
 
 #[derive(Debug)]
 struct CacheEntry {
-    /// The partition image; refcounted, so readers and views opened over
-    /// it are zero-copy.
+    /// The cluster's records; refcounted, so views handed out over them
+    /// are zero-copy.
     bytes: Bytes,
     /// Page-rounded byte charge against the budget.
     charge: usize,
@@ -111,7 +112,7 @@ pub struct BlockCacheStats {
     pub misses: u64,
     /// Blocks evicted to stay inside the budget.
     pub evictions: u64,
-    /// Bytes warmed from cold-open validation reads.
+    /// Cluster bytes warmed from cold-open validation reads.
     pub warmed_bytes: u64,
     /// Page-rounded bytes of resident blocks (what the budget is charged).
     pub resident_bytes: u64,
@@ -125,17 +126,18 @@ pub fn next_store_token() -> u64 {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
-/// A sharded, byte-budgeted LRU cache of whole partition images, shared
+/// A sharded, byte-budgeted LRU cache of trie-node clusters, shared
 /// across queries, batches, and shards through one `Arc`.
 ///
 /// * **Hit path**: a refcounted [`Bytes`] clone — no filesystem touch, no
-///   copy; `PartitionReader::open` over it re-validates the header and
-///   borrows the cached pages.
-/// * **Budget**: whole [`PAGE_SIZE`] pages per image, evicting the least
-///   recently used blocks once the resident charge exceeds the budget.
-/// * **Coherence**: stores invalidate a partition's entry on every
-///   rewrite, quarantine, and re-admission; staged (`.new`) and
-///   quarantined partitions bypass the cache entirely.
+///   copy, no header parse: the store keeps each partition's directory.
+/// * **Budget**: whole [`PAGE_SIZE`] pages per cluster, evicting the
+///   least recently used blocks once the resident charge exceeds the
+///   budget.
+/// * **Coherence**: stores invalidate every cluster of a partition on
+///   each rewrite, quarantine, and re-admission; staged (`.new`) and
+///   quarantined partitions bypass the cache entirely. All clusters of a
+///   partition live in one shard, so that invalidation locks one shard.
 #[derive(Debug)]
 pub struct BlockCache {
     shards: Vec<Mutex<HashMap<BlockKey, CacheEntry>>>,
@@ -179,7 +181,8 @@ impl BlockCache {
 
     fn shard_of(&self, key: &BlockKey) -> &Mutex<HashMap<BlockKey, CacheEntry>> {
         // Partition ids are small and sequential; mix the token in so two
-        // stores' partitions spread across different shards.
+        // stores' partitions spread across different shards. The node is
+        // left out: a partition's clusters share a shard.
         let h = key
             .0
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -192,10 +195,10 @@ impl BlockCache {
         self.tick.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Looks up the cached image of `(token, pid)`, refreshing its LRU
-    /// position. Counts a hit or a miss.
-    pub fn get(&self, token: u64, pid: PartitionId) -> Option<Bytes> {
-        let key = (token, pid);
+    /// Looks up the cached cluster `node` of `(token, pid)`, refreshing its
+    /// LRU position. Counts a hit or a miss.
+    pub fn get(&self, token: u64, pid: PartitionId, node: TrieNodeId) -> Option<Bytes> {
+        let key = (token, pid, node);
         let mut map = self
             .shard_of(&key)
             .lock()
@@ -237,30 +240,30 @@ impl BlockCache {
             .fetch_sub(entry.charge, Ordering::Relaxed);
     }
 
-    /// Inserts (or replaces) the image of `(token, pid)`, then evicts
+    /// Inserts (or replaces) cluster `node` of `(token, pid)`, then evicts
     /// least-recently-used blocks until the resident charge fits the
     /// budget again. Returns the number of evictions this insert
-    /// triggered. Images larger than the whole budget are not cached.
-    pub fn insert(&self, token: u64, pid: PartitionId, bytes: Bytes) -> u64 {
+    /// triggered. Clusters larger than the whole budget are not cached.
+    pub fn insert(&self, token: u64, pid: PartitionId, node: TrieNodeId, bytes: Bytes) -> u64 {
         let charge = charge_of(bytes.len());
         if charge > self.capacity {
             return 0;
         }
-        self.put((token, pid), bytes, charge);
+        self.put((token, pid, node), bytes, charge);
         self.evict_to_fit()
     }
 
-    /// Inserts only when the image fits the budget *without* evicting
+    /// Inserts only when the cluster fits the budget *without* evicting
     /// anything — the cold-open warming path, which must never churn a
     /// cache another index is already using. Returns whether the bytes
     /// were cached; on success they count toward `warmed_bytes`.
-    pub fn try_warm(&self, token: u64, pid: PartitionId, bytes: Bytes) -> bool {
+    pub fn try_warm(&self, token: u64, pid: PartitionId, node: TrieNodeId, bytes: Bytes) -> bool {
         let charge = charge_of(bytes.len());
         if self.resident().saturating_add(charge) > self.capacity {
             return false;
         }
         let len = bytes.len() as u64;
-        self.put((token, pid), bytes, charge);
+        self.put((token, pid, node), bytes, charge);
         self.warmed_bytes.fetch_add(len, Ordering::Relaxed);
         true
     }
@@ -296,17 +299,20 @@ impl BlockCache {
         evicted
     }
 
-    /// Drops the cached image of `(token, pid)`, if resident — called by
-    /// stores on rewrite, quarantine, and re-admission.
+    /// Drops every cached cluster of `(token, pid)` — called by stores on
+    /// rewrite, quarantine, and re-admission.
     pub fn invalidate(&self, token: u64, pid: PartitionId) {
-        let key = (token, pid);
         let mut map = self
-            .shard_of(&key)
+            .shard_of(&(token, pid, 0))
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        if let Some(old) = map.remove(&key) {
-            self.release(&old);
-        }
+        map.retain(|&(t, p, _), entry| {
+            let keep = (t, p) != (token, pid);
+            if !keep {
+                self.release(entry);
+            }
+            keep
+        });
     }
 
     /// Number of resident blocks.
@@ -339,13 +345,14 @@ impl BlockCache {
 // ---------------------------------------------------------------------------
 
 /// An **owned** zero-copy view over one trie-node cluster's encoded
-/// records: a refcounted slice of the (possibly cached) partition image.
+/// records: a refcounted handle to a cached cluster, to the bytes of one
+/// ranged read, or to a slice of a whole partition image.
 ///
 /// Unlike [`ClusterRecords<'_>`](ClusterRecords), which borrows its
-/// `PartitionReader`, a `ClusterView` can outlive the reader — scan loops
-/// hold the view (and thereby pin the cached pages) without copying a byte
-/// of record data. Reading goes through [`records`](Self::records), the
-/// one cursor.
+/// `PartitionReader`, a `ClusterView` owns its handle — scan loops hold
+/// the view (and thereby pin the cached pages) without copying a byte of
+/// record data. Reading goes through [`records`](Self::records), the one
+/// cursor.
 #[derive(Debug, Clone)]
 pub struct ClusterView {
     bytes: Bytes,
@@ -425,18 +432,18 @@ mod tests {
         let cache = BlockCache::new(CacheConfig::default().with_capacity_bytes(3 * PAGE_SIZE));
         let token = next_store_token();
         let img = |seed| sample_partition(seed, 1, 2, 4);
-        assert!(cache.get(token, 1).is_none());
-        cache.insert(token, 1, img(1));
-        cache.insert(token, 2, img(2));
-        cache.insert(token, 3, img(3));
+        assert!(cache.get(token, 1, 0).is_none());
+        cache.insert(token, 1, 0, img(1));
+        cache.insert(token, 2, 0, img(2));
+        cache.insert(token, 3, 0, img(3));
         assert_eq!(cache.len(), 3);
         // Touch 1 and 2 so 3 is the LRU victim.
-        assert!(cache.get(token, 1).is_some());
-        assert!(cache.get(token, 2).is_some());
-        let evicted = cache.insert(token, 4, img(4));
+        assert!(cache.get(token, 1, 0).is_some());
+        assert!(cache.get(token, 2, 0).is_some());
+        let evicted = cache.insert(token, 4, 0, img(4));
         assert_eq!(evicted, 1);
-        assert!(cache.get(token, 3).is_none(), "LRU entry evicted");
-        assert!(cache.get(token, 1).is_some());
+        assert!(cache.get(token, 3, 0).is_none(), "LRU entry evicted");
+        assert!(cache.get(token, 1, 0).is_some());
         let stats = cache.stats();
         assert_eq!(stats.evictions, 1);
         assert!(stats.hits >= 3);
@@ -449,12 +456,31 @@ mod tests {
         let cache = BlockCache::new(CacheConfig::default());
         let (a, b) = (next_store_token(), next_store_token());
         let img = sample_partition(5, 1, 1, 2);
-        cache.insert(a, 7, img.clone());
-        assert!(cache.get(a, 7).is_some());
-        assert!(cache.get(b, 7).is_none());
+        cache.insert(a, 7, 0, img.clone());
+        assert!(cache.get(a, 7, 0).is_some());
+        assert!(cache.get(b, 7, 0).is_none());
         cache.invalidate(a, 7);
-        assert!(cache.get(a, 7).is_none());
+        assert!(cache.get(a, 7, 0).is_none());
         assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn invalidation_drops_every_cluster_of_one_partition() {
+        let cache = BlockCache::new(CacheConfig::default());
+        let (a, b) = (next_store_token(), next_store_token());
+        let img = sample_partition(6, 1, 1, 2);
+        for node in 0..4 {
+            cache.insert(a, 1, node, img.clone());
+            cache.insert(a, 2, node, img.clone());
+            cache.insert(b, 1, node, img.clone());
+        }
+        assert_eq!(cache.len(), 12);
+        cache.invalidate(a, 1);
+        assert_eq!(cache.len(), 8);
+        assert!((0..4).all(|node| cache.get(a, 1, node).is_none()));
+        assert!((0..4).all(|node| cache.get(a, 2, node).is_some()));
+        assert!((0..4).all(|node| cache.get(b, 1, node).is_some()));
+        assert_eq!(cache.stats().resident_bytes, 8 * PAGE_SIZE as u64);
     }
 
     #[test]
@@ -462,10 +488,10 @@ mod tests {
         let cache = BlockCache::new(CacheConfig::default().with_capacity_bytes(2 * PAGE_SIZE));
         let token = next_store_token();
         let img = |seed| sample_partition(seed, 1, 2, 4);
-        assert!(cache.try_warm(token, 1, img(1)));
-        assert!(cache.try_warm(token, 2, img(2)));
+        assert!(cache.try_warm(token, 1, 0, img(1)));
+        assert!(cache.try_warm(token, 2, 0, img(2)));
         // Budget full: warming refuses instead of evicting.
-        assert!(!cache.try_warm(token, 3, img(3)));
+        assert!(!cache.try_warm(token, 3, 0, img(3)));
         assert_eq!(cache.len(), 2);
         let stats = cache.stats();
         assert_eq!(stats.evictions, 0);
@@ -482,19 +508,19 @@ mod tests {
         let resident = || cache.stats().resident_bytes;
         assert_eq!(resident(), 0);
         for pid in 0..3 {
-            cache.insert(a, pid, img(1));
+            cache.insert(a, pid, 0, img(1));
         }
         assert_eq!(resident(), 3 * PAGE_SIZE as u64);
-        cache.insert(b, 0, img(2));
-        cache.insert(b, 1, img(3));
+        cache.insert(b, 0, 0, img(2));
+        cache.insert(b, 1, 0, img(3));
         // 3 pages of store a + 2 of store b > 4: the LRU block is evicted.
         assert_eq!(cache.len(), 4);
         assert_eq!(resident(), 4 * PAGE_SIZE as u64);
-        assert!(cache.get(a, 0).is_none(), "store a's oldest block paid");
+        assert!(cache.get(a, 0, 0).is_none(), "store a's oldest block paid");
         // Full: warming refuses whichever store asks.
-        assert!(!cache.try_warm(b, 2, img(4)));
+        assert!(!cache.try_warm(b, 2, 0, img(4)));
         // Replacing an entry releases the old charge with the new one.
-        cache.insert(b, 1, img(5));
+        cache.insert(b, 1, 0, img(5));
         assert_eq!(resident(), 4 * PAGE_SIZE as u64);
         // A release happens once per resident entry and never below zero:
         // repeated and absent invalidations leave the gauge exact.
@@ -516,9 +542,9 @@ mod tests {
         let token = next_store_token();
         let big = sample_partition(9, 8, 200, 16);
         assert!(big.len() > PAGE_SIZE);
-        assert_eq!(cache.insert(token, 1, big.clone()), 0);
+        assert_eq!(cache.insert(token, 1, 0, big.clone()), 0);
         assert!(cache.is_empty());
-        assert!(!cache.try_warm(token, 1, big));
+        assert!(!cache.try_warm(token, 1, 0, big));
     }
 
     #[test]

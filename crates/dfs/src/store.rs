@@ -17,13 +17,22 @@
 //! [installs](PartitionStore::commit_staged) the stage over the main
 //! file. No committed file is ever written in place.
 //!
+//! A query reads clusters, not partitions: [`read_clusters`] hands out
+//! the trie-node clusters a plan names as [`ClusterView`]s. A disk store
+//! keeps every partition's parsed [`PartitionDirectory`], so a cluster is
+//! a [`BlockCache`] hit or one ranged read of exactly its bytes;
+//! [`open`](PartitionStore::open) stays the whole-image read that folds,
+//! scrubs, seals and tests use, and never touches the cache.
+//!
 //! Every operation reports to an [`IoStats`], which is how experiments
 //! observe "partitions touched" and bytes moved.
+//!
+//! [`read_clusters`]: PartitionStore::read_clusters
 
-use crate::format::{self, PartitionReader};
+use crate::format::{ClusterPick, PartitionDirectory, PartitionReader, TrieNodeId};
 use crate::fsio::{self, FsRef};
 use crate::manifest::{xxh64, Manifest, OpenError, PartitionEntry};
-use crate::page::{self, BlockCache};
+use crate::page::{self, BlockCache, ClusterView};
 use crate::stats::IoStats;
 use bytes::Bytes;
 use parking_lot::RwLock;
@@ -64,9 +73,9 @@ pub type PartitionId = u32;
 /// re-reading or re-hashing it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PutReceipt {
-    /// Length of the bytes as stored.
-    pub stored_len: u64,
-    /// xxHash64 (seed 0) of the bytes as stored.
+    /// Length of the image.
+    pub image_len: u64,
+    /// xxHash64 (seed 0) of the image.
     pub checksum: u64,
     /// Records in the partition.
     pub records: u64,
@@ -79,7 +88,7 @@ impl PutReceipt {
     pub fn entry(&self, id: PartitionId) -> PartitionEntry {
         PartitionEntry {
             id,
-            bytes: self.stored_len,
+            bytes: self.image_len,
             checksum: self.checksum,
             records: self.records,
         }
@@ -91,8 +100,25 @@ pub trait PartitionStore: Send + Sync {
     /// Writes (or replaces) a partition.
     fn put(&self, id: PartitionId, bytes: Bytes) -> io::Result<()>;
 
-    /// Opens a partition for reading. Counts the open and the header bytes.
+    /// Reads partition `id`'s whole image for reading, past any block
+    /// cache. Counts the open and the header bytes. Folds, scrubs and
+    /// tests read partitions this way; queries use
+    /// [`read_clusters`](Self::read_clusters).
     fn open(&self, id: PartitionId) -> io::Result<PartitionReader>;
+
+    /// The query path's one read: appends `(node, view)` to `out` for every
+    /// cluster of partition `id` that `pick` selects, in the pick's order,
+    /// and returns the partition's series length. A
+    /// [`ClusterPick::Named`] read is the partition's open and counts as
+    /// [`open`](Self::open) does (one open, the header bytes); a
+    /// [`ClusterPick::Rest`] read continues a partition already opened and
+    /// counts nothing. Record bytes are the scan's to count.
+    fn read_clusters(
+        &self,
+        id: PartitionId,
+        pick: ClusterPick<'_>,
+        out: &mut Vec<(TrieNodeId, ClusterView)>,
+    ) -> io::Result<usize>;
 
     /// All stored partition ids, ascending.
     fn ids(&self) -> Vec<PartitionId>;
@@ -150,16 +176,17 @@ pub trait PartitionStore: Send + Sync {
         Vec::new()
     }
 
-    /// The **exact persisted bytes** of a partition — what a seal
-    /// checksums and copies. A disk store reads them straight from the
+    /// The **exact persisted image** of a partition — what a seal
+    /// checksums and copies. A disk store reads it straight from the
     /// file (staged sibling first), past the block cache and without I/O
     /// accounting: a seal's reads are not query traffic.
-    fn stored_bytes(&self, id: PartitionId) -> io::Result<Bytes> {
+    fn image(&self, id: PartitionId) -> io::Result<Bytes> {
         Ok(self.open(id)?.raw_bytes_owned())
     }
 
-    /// The block cache serving this store's opens, when one is attached;
-    /// the serving layer overlays its counters onto I/O snapshots.
+    /// The block cache serving this store's cluster reads, when one is
+    /// attached; the serving layer overlays its counters onto I/O
+    /// snapshots.
     fn block_cache(&self) -> Option<Arc<BlockCache>> {
         None
     }
@@ -177,6 +204,25 @@ impl MemStore {
     pub fn new() -> Self {
         Self::default()
     }
+
+    fn image_of(&self, id: PartitionId) -> io::Result<Bytes> {
+        self.parts
+            .read()
+            .get(&id)
+            .cloned()
+            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("partition {id}")))
+    }
+}
+
+fn invalid_data(e: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e)
+}
+
+fn quarantined_error(id: PartitionId) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::NotFound,
+        format!("partition {id} is quarantined"),
+    )
 }
 
 impl PartitionStore for MemStore {
@@ -187,15 +233,32 @@ impl PartitionStore for MemStore {
     }
 
     fn open(&self, id: PartitionId) -> io::Result<PartitionReader> {
-        let bytes =
-            self.parts.read().get(&id).cloned().ok_or_else(|| {
-                io::Error::new(io::ErrorKind::NotFound, format!("partition {id}"))
-            })?;
+        let bytes = self.image_of(id)?;
         self.stats.on_partition_open();
-        let reader = PartitionReader::open(bytes)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        let reader = PartitionReader::open(bytes).map_err(invalid_data)?;
         self.stats.on_read(reader.header_bytes() as u64);
         Ok(reader)
+    }
+
+    /// Slices the image: every view shares the stored [`Bytes`].
+    fn read_clusters(
+        &self,
+        id: PartitionId,
+        pick: ClusterPick<'_>,
+        out: &mut Vec<(TrieNodeId, ClusterView)>,
+    ) -> io::Result<usize> {
+        let image = self.image_of(id)?;
+        let dir = PartitionDirectory::parse(&image).map_err(invalid_data)?;
+        if let ClusterPick::Named(_) = pick {
+            self.stats.on_partition_open();
+            self.stats.on_read(dir.header_bytes() as u64);
+        }
+        let series_len = dir.series_len();
+        dir.for_each_picked(pick, |node, span, count| {
+            out.push((node, ClusterView::new(image.slice(span), series_len, count)));
+            Ok::<(), io::Error>(())
+        })?;
+        Ok(series_len)
     }
 
     fn ids(&self) -> Vec<PartitionId> {
@@ -226,11 +289,19 @@ pub struct DiskStore {
     /// The filesystem every durable operation goes through (injectable).
     fs: FsRef,
     /// Partitions whose current bytes are under a `.new` sibling, which
-    /// [`PartitionStore::open`] serves: a put awaiting the next manifest
-    /// commit, with its receipt, or (`None`) committed bytes a crash left
-    /// uninstalled that this open could not (read-only) or did not manage
-    /// to rename.
+    /// reads serve: a put awaiting the next manifest commit, with its
+    /// receipt, or (`None`) committed bytes a crash left uninstalled that
+    /// this open could not (read-only) or did not manage to rename.
+    ///
+    /// Also the lock that keeps a partition's directory and its bytes in
+    /// step: a cluster read holds it shared over its ranged reads, and a
+    /// put or a commit renames a partition file only while holding it
+    /// exclusively.
     staged: RwLock<BTreeMap<PartitionId, Option<PutReceipt>>>,
+    /// The parsed directory of every partition's current image, taken from
+    /// the bytes a validated open checksummed or the image a put staged:
+    /// where each cluster's bytes lie, so a cluster read needs no header.
+    directories: RwLock<BTreeMap<PartitionId, PartitionDirectory>>,
     /// Partitions a quarantining open (or a scrub) set aside; opening them
     /// fails with `NotFound` until repaired.
     quarantined: RwLock<BTreeSet<PartitionId>>,
@@ -263,6 +334,7 @@ impl DiskStore {
             read_only: false,
             fs,
             staged: RwLock::new(BTreeMap::new()),
+            directories: RwLock::new(BTreeMap::new()),
             quarantined: RwLock::new(BTreeSet::new()),
             cache: None,
         })
@@ -282,12 +354,16 @@ impl DiskStore {
 
     /// Checks partition bytes against their manifest entry (size,
     /// checksum) and against the format itself: a file the manifest
-    /// describes exactly but [`PartitionReader::open`] would refuse — say
-    /// a version this build does not read — or whose header claims another
-    /// series length than the manifest's `series_len` (`0` = unknown) must
-    /// fail here, by name, not open "healthy" and then read as empty in
-    /// every scan.
-    fn check_entry(bytes: &[u8], e: &PartitionEntry, series_len: u32) -> Result<(), OpenError> {
+    /// describes exactly but [`PartitionDirectory::parse`] would refuse —
+    /// say a version this build does not read — or whose header claims
+    /// another series length than the manifest's `series_len` (`0` =
+    /// unknown) must fail here, by name, not open "healthy" and then read
+    /// as empty in every scan. Returns the parsed directory.
+    fn check_entry(
+        bytes: &[u8],
+        e: &PartitionEntry,
+        series_len: u32,
+    ) -> Result<PartitionDirectory, OpenError> {
         if bytes.len() as u64 != e.bytes {
             return Err(OpenError::PartitionSizeMismatch {
                 id: e.id,
@@ -304,12 +380,12 @@ impl DiskStore {
             });
         }
         let corrupt = |reason| OpenError::CorruptPartition { id: e.id, reason };
-        format::check_header(bytes).map_err(corrupt)?;
-        match format::header_series_len(bytes) {
-            Some(len) if series_len != 0 && len != series_len => Err(corrupt(format!(
+        let parsed = PartitionDirectory::parse(bytes).map_err(corrupt)?;
+        match parsed.series_len() as u32 {
+            len if series_len != 0 && len != series_len => Err(corrupt(format!(
                 "series length {len} ≠ manifest {series_len}"
             ))),
-            _ => Ok(()),
+            _ => Ok(parsed),
         }
     }
 
@@ -332,9 +408,11 @@ impl DiskStore {
     ///   is recorded ([`quarantined`](PartitionStore::quarantined)) and,
     ///   when writable, its file moved into [`QUARANTINE_DIR`].
     /// * `cache` — each validation read, which a cacheless open checksums
-    ///   and discards, is fed into the shared [`BlockCache`]
-    ///   ([`BlockCache::try_warm`]: warming never evicts what another
-    ///   index already holds), and later opens go through it.
+    ///   and discards, is fed into the shared [`BlockCache`] as zero-copy
+    ///   slices, one per cluster ([`BlockCache::try_warm`]: warming never
+    ///   evicts what another index already holds, and stops at the first
+    ///   cluster that does not fit, so at most one image is kept alive by
+    ///   a part of it), and later cluster reads go through it.
     pub fn open_validated(
         dir: PathBuf,
         read_only: bool,
@@ -344,12 +422,14 @@ impl DiskStore {
     ) -> Result<(Self, Manifest, u64), OpenError> {
         let manifest = Manifest::load_with(&*fs, &dir)?;
         let mut staged = BTreeMap::new();
+        let mut directories = BTreeMap::new();
         let mut quarantined = BTreeSet::new();
         let cache = cache.map(|cache| StoreCache {
             cache,
             token: page::next_store_token(),
         });
         let mut warmed_bytes = 0u64;
+        let mut warming = cache.is_some();
         for e in &manifest.partitions {
             let path = dir.join(partition_file_name(e.id));
             let sibling = staged_path_of(&dir, e.id);
@@ -358,23 +438,35 @@ impl DiskStore {
                 &path,
                 &sibling,
                 !read_only,
-                |b| Self::check_entry(b, e, manifest.series_len),
+                |b| Self::check_entry(b, e, manifest.series_len).map(drop),
                 |err| Self::unreadable(err, &path, e),
             ) {
-                // Reuse the validation read: warm the cache so first-query
-                // latency after a cold open skips the filesystem entirely.
-                Ok((bytes, false)) => {
-                    if let Some(sc) = &cache {
-                        let len = bytes.len() as u64;
-                        if sc.cache.try_warm(sc.token, e.id, Bytes::from(bytes)) {
-                            warmed_bytes += len;
-                        }
+                Ok((bytes, is_staged)) => {
+                    // Checked by the closure above; parsed again here,
+                    // without re-hashing the image.
+                    let parsed = PartitionDirectory::parse(&bytes)
+                        .map_err(|reason| OpenError::CorruptPartition { id: e.id, reason })?;
+                    if is_staged {
+                        // Still under `.new`: reads go to the sibling,
+                        // uncached, like any other staged partition.
+                        staged.insert(e.id, None);
+                    } else if let Some(sc) = cache.as_ref().filter(|_| warming) {
+                        // Reuse the validation read: warm the cache so
+                        // first-query latency after a cold open skips the
+                        // filesystem entirely.
+                        let image = Bytes::from(bytes);
+                        warming = parsed
+                            .for_each_picked(ClusterPick::Rest(&[]), |node, span, _| {
+                                let len = span.len() as u64;
+                                if !sc.cache.try_warm(sc.token, e.id, node, image.slice(span)) {
+                                    return Err(());
+                                }
+                                warmed_bytes += len;
+                                Ok(())
+                            })
+                            .is_ok();
                     }
-                }
-                // Still under `.new`: opens read the sibling, uncached,
-                // like any other staged partition.
-                Ok((_, true)) => {
-                    staged.insert(e.id, None);
+                    directories.insert(e.id, parsed);
                 }
                 Err(first) if !quarantine => return Err(first),
                 Err(_) => {
@@ -411,6 +503,7 @@ impl DiskStore {
                 read_only,
                 fs,
                 staged: RwLock::new(staged),
+                directories: RwLock::new(directories),
                 quarantined: RwLock::new(quarantined),
                 cache,
             },
@@ -468,23 +561,29 @@ impl DiskStore {
             return Ok(true);
         }
         let main = self.path_of(e.id);
-        let matches = |b: &[u8]| Self::check_entry(b, e, self.series_len).is_ok();
-        let readmit = |id: PartitionId| {
-            self.quarantined.write().remove(&id);
+        let matching = |path: &Path| {
+            let bytes = self.fs.read(path).ok()?;
+            Self::check_entry(&bytes, e, self.series_len).ok()
+        };
+        let readmit = |parsed: PartitionDirectory| {
+            self.directories.write().insert(e.id, parsed);
+            self.quarantined.write().remove(&e.id);
             if let Some(sc) = &self.cache {
-                sc.cache.invalidate(sc.token, id);
+                sc.cache.invalidate(sc.token, e.id);
             }
         };
-        if self.fs.read(&main).is_ok_and(|b| matches(&b)) {
-            readmit(e.id);
+        if let Some(parsed) = matching(&main) {
+            readmit(parsed);
             return Ok(true);
         }
         let qpath = quarantine_path_of(&self.dir, e.id);
-        if !self.read_only && self.fs.read(&qpath).is_ok_and(|b| matches(&b)) {
-            self.fs.rename(&qpath, &main)?;
-            self.fs.fsync_dir(&self.dir)?;
-            readmit(e.id);
-            return Ok(true);
+        if !self.read_only {
+            if let Some(parsed) = matching(&qpath) {
+                self.fs.rename(&qpath, &main)?;
+                self.fs.fsync_dir(&self.dir)?;
+                readmit(parsed);
+                return Ok(true);
+            }
         }
         Ok(false)
     }
@@ -494,7 +593,20 @@ impl DiskStore {
     pub fn verify_partition(&self, e: &PartitionEntry) -> Result<(), OpenError> {
         let path = self.path_of(e.id);
         let bytes = (self.fs.read(&path)).map_err(|err| Self::unreadable(err, &path, e))?;
-        Self::check_entry(&bytes, e, self.series_len)
+        Self::check_entry(&bytes, e, self.series_len).map(drop)
+    }
+
+    /// Where partition `id`'s current bytes are: its `.new` sibling while
+    /// `staged` lists it, else the committed file.
+    fn current_path(
+        &self,
+        staged: &BTreeMap<PartitionId, Option<PutReceipt>>,
+        id: PartitionId,
+    ) -> PathBuf {
+        match staged.contains_key(&id) {
+            true => staged_path_of(&self.dir, id),
+            false => self.path_of(id),
+        }
     }
 }
 
@@ -510,27 +622,30 @@ impl PartitionStore for DiskStore {
                 "store was opened read-only from a manifest",
             ));
         }
-        // Only a partition image is staged; its shape goes on the receipt.
-        let reader = PartitionReader::open(bytes.clone())
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        // Only a partition image is staged; its shape goes on the receipt,
+        // its directory serves the cluster reads.
+        let parsed = PartitionDirectory::parse(&bytes).map_err(invalid_data)?;
         let receipt = PutReceipt {
-            stored_len: bytes.len() as u64,
+            image_len: bytes.len() as u64,
             checksum: xxh64(&bytes, 0),
-            records: reader.record_count(),
-            series_len: reader.series_len() as u32,
+            records: parsed.record_count(),
+            series_len: parsed.series_len() as u32,
         };
         self.stats.on_partition_write(bytes.len() as u64);
         // The committed file stays untouched: the image is *staged* under
         // its `.new` sibling (replaced atomically or not at all, see
         // `write_staged`) and renamed over it by `commit_staged` after the
         // next manifest commit. The seal pays the one directory fsync
-        // covering every stage.
-        let result = fsio::write_staged(&*self.fs, &staged_path_of(&self.dir, id), &bytes);
-        if result.is_ok() {
-            self.staged.write().insert(id, Some(receipt));
-            self.ids.write().insert(id);
-        }
-        // Opens serve the sibling now: the old image is stale.
+        // covering every stage. The rename and the new directory land
+        // together, between two cluster reads.
+        let path = staged_path_of(&self.dir, id);
+        let result = fsio::write_staged_under(&*self.fs, &path, &bytes, || self.staged.write())
+            .map(|mut staged| {
+                staged.insert(id, Some(receipt));
+                self.directories.write().insert(id, parsed);
+                self.ids.write().insert(id);
+            });
+        // Reads serve the sibling now: the old clusters are stale.
         if let Some(sc) = &self.cache {
             sc.cache.invalidate(sc.token, id);
         }
@@ -542,53 +657,80 @@ impl PartitionStore for DiskStore {
     }
 
     fn open(&self, id: PartitionId) -> io::Result<PartitionReader> {
-        if self.quarantined.read().contains(&id) {
-            return Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("partition {id} is quarantined"),
-            ));
-        }
-        let staged = self.staged.read().contains_key(&id);
-        // Staged (pre-commit) bytes never enter the cache: they are not
-        // the committed image yet and are replaced at the next commit.
-        let cached = if staged { None } else { self.cache.as_ref() };
-        if let Some(sc) = &cached {
-            if let Some(image) = sc.cache.get(sc.token, id) {
-                self.stats.on_partition_open();
-                let reader = PartitionReader::open(image)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-                self.stats.on_read(reader.header_bytes() as u64);
-                return Ok(reader);
-            }
-        }
-        let path = if staged {
-            staged_path_of(&self.dir, id)
-        } else {
-            self.path_of(id)
-        };
-        let image = Bytes::from(self.fs.read(&path)?);
+        let image = self.image(id)?;
         self.stats.on_partition_open();
-        let reader = PartitionReader::open(image.clone())
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        let reader = PartitionReader::open(image).map_err(invalid_data)?;
         self.stats.on_read(reader.header_bytes() as u64);
-        if let Some(sc) = &cached {
-            sc.cache.insert(sc.token, id, image);
-        }
         Ok(reader)
     }
 
-    fn stored_bytes(&self, id: PartitionId) -> io::Result<Bytes> {
+    /// Each cluster is a cache hit or one ranged read of exactly its bytes
+    /// (then cached); the misses of one call share one open of the file.
+    /// Staged (pre-commit) bytes never enter the cache: they are not the
+    /// committed image yet and are replaced at the next commit.
+    fn read_clusters(
+        &self,
+        id: PartitionId,
+        pick: ClusterPick<'_>,
+        out: &mut Vec<(TrieNodeId, ClusterView)>,
+    ) -> io::Result<usize> {
+        // Held over the reads below: no rename moves the file they read
+        // while the directory says where its clusters lie.
+        let staged = self.staged.read();
         if self.quarantined.read().contains(&id) {
-            return Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("partition {id} is quarantined"),
-            ));
+            return Err(quarantined_error(id));
         }
-        let path = if self.staged.read().contains_key(&id) {
-            staged_path_of(&self.dir, id)
-        } else {
-            self.path_of(id)
+        let directories = self.directories.read();
+        let dir = directories
+            .get(&id)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("partition {id}")))?;
+        let cache = match staged.contains_key(&id) {
+            true => None,
+            false => self.cache.as_ref(),
         };
+        let series_len = dir.series_len();
+        // A hit goes out as found; a miss holds its place in `out` until
+        // the one read of every miss fills it.
+        let start = out.len();
+        let mut misses: Vec<(usize, (u64, usize))> = Vec::new();
+        dir.for_each_picked(pick, |node, span, count| {
+            let hit = cache.and_then(|sc| sc.cache.get(sc.token, id, node));
+            if hit.is_none() {
+                misses.push((out.len(), (span.start as u64, span.len())));
+            }
+            out.push((
+                node,
+                ClusterView::new(hit.unwrap_or_default(), series_len, count),
+            ));
+            Ok::<(), io::Error>(())
+        })?;
+        if !misses.is_empty() {
+            let ranges: Vec<(u64, usize)> = misses.iter().map(|&(_, range)| range).collect();
+            let read = self
+                .fs
+                .read_ranges(&self.current_path(&staged, id), &ranges);
+            let read = read.inspect_err(|_| out.truncate(start))?;
+            for (&(i, _), bytes) in misses.iter().zip(read) {
+                let (node, view) = &mut out[i];
+                let bytes = Bytes::from(bytes);
+                if let Some(sc) = cache {
+                    sc.cache.insert(sc.token, id, *node, bytes.clone());
+                }
+                *view = ClusterView::new(bytes, series_len, view.len());
+            }
+        }
+        if let ClusterPick::Named(_) = pick {
+            self.stats.on_partition_open();
+            self.stats.on_read(dir.header_bytes() as u64);
+        }
+        Ok(series_len)
+    }
+
+    fn image(&self, id: PartitionId) -> io::Result<Bytes> {
+        if self.quarantined.read().contains(&id) {
+            return Err(quarantined_error(id));
+        }
+        let path = self.current_path(&self.staged.read(), id);
         Ok(Bytes::from(self.fs.read(&path)?))
     }
 
@@ -603,9 +745,11 @@ impl PartitionStore for DiskStore {
     fn commit_staged(&self) -> io::Result<()> {
         let pending: Vec<PartitionId> = self.staged.read().keys().copied().collect();
         for id in pending {
+            let mut staged = self.staged.write();
             self.fs
                 .rename(&staged_path_of(&self.dir, id), &self.path_of(id))?;
-            self.staged.write().remove(&id);
+            staged.remove(&id);
+            drop(staged);
             if let Some(sc) = &self.cache {
                 sc.cache.invalidate(sc.token, id);
             }
@@ -766,21 +910,55 @@ mod tests {
             Some(Arc::clone(&cache)),
         )
         .unwrap();
-        assert_eq!(warmed, image.len() as u64, "the validation read is kept");
+        let header = PartitionDirectory::parse(&image).unwrap().header_bytes();
+        assert_eq!(
+            warmed,
+            (image.len() - header) as u64,
+            "the validation read is kept, a slice per cluster"
+        );
+        let read = |pick| {
+            let mut out = Vec::new();
+            store.read_clusters(3, pick, &mut out).unwrap();
+            out.iter().map(|(_, view)| view.len()).sum::<usize>()
+        };
+        assert_eq!(read(ClusterPick::Named(&[1])), 4);
+        assert_eq!(
+            hits_misses(&cache),
+            (1, 0),
+            "first read hits the warmed cluster"
+        );
+        assert_eq!(read(ClusterPick::Named(&[1])), 4);
+        assert_eq!(hits_misses(&cache), (2, 0), "second read hits");
+        // A whole-image open goes past the cache.
         assert_eq!(store.open(3).unwrap().record_count(), 4);
-        assert_eq!(cache.stats().hits, 1, "first open hits the warmed image");
-        assert_eq!(store.open(3).unwrap().record_count(), 4);
-        assert_eq!(cache.stats().hits, 2, "second open hits");
-        // A rewrite invalidates: the next open sees the new bytes.
+        assert_eq!(hits_misses(&cache), (2, 0), "an open is uncached");
+        // A rewrite invalidates: the staged image is read uncached, and
+        // after the commit the first read misses, the second hits.
         store.put(3, encode_partition(7, 1, 9)).unwrap();
-        assert_eq!(store.open(3).unwrap().record_count(), 9);
-        assert_eq!(cache.stats().hits, 2, "the old image is gone");
-        // Both cached and uncached opens count identically.
+        assert_eq!(read(ClusterPick::Named(&[1])), 9);
+        assert_eq!(
+            hits_misses(&cache),
+            (2, 0),
+            "the staged image bypasses the cache"
+        );
+        store.commit_staged().unwrap();
+        assert_eq!(read(ClusterPick::Named(&[1])), 9);
+        assert_eq!(hits_misses(&cache), (2, 1), "the old cluster is gone");
+        assert_eq!(read(ClusterPick::Named(&[1])), 9);
+        assert_eq!(hits_misses(&cache), (3, 1));
+        // A named read counts an open, cached or not; the rest of an
+        // opened partition counts none.
         let before = store.stats().snapshot();
-        store.open(3).unwrap();
+        assert_eq!(read(ClusterPick::Named(&[1, 2])), 9);
+        assert_eq!(read(ClusterPick::Rest(&[1])), 0);
         let diff = store.stats().snapshot().since(&before);
         assert_eq!(diff.partitions_opened, 1);
         fs::remove_dir_all(&dir).ok();
+    }
+
+    fn hits_misses(cache: &BlockCache) -> (u64, u64) {
+        let stats = cache.stats();
+        (stats.hits, stats.misses)
     }
 
     #[test]
@@ -788,7 +966,7 @@ mod tests {
         let store = MemStore::new();
         let v1 = encode_partition(1, 4, 3);
         store.put(0, v1.clone()).unwrap();
-        assert_eq!(&store.stored_bytes(0).unwrap()[..], &v1[..]);
+        assert_eq!(&store.image(0).unwrap()[..], &v1[..]);
     }
 
     #[test]

@@ -332,12 +332,12 @@ fn staging_puts_return_receipts_of_the_stored_bytes() {
     let image = w.finish();
     store.put(0, image.clone()).unwrap();
     let receipt = store.receipt(0).expect("a staging put");
-    let stored = store.stored_bytes(0).unwrap();
+    let stored = store.image(0).unwrap();
     assert_eq!(stored, image);
-    assert_eq!(receipt.stored_len, stored.len() as u64);
+    assert_eq!(receipt.image_len, stored.len() as u64);
     assert_eq!(receipt.checksum, xxh64(&stored, 0));
     assert_eq!((receipt.records, receipt.series_len), (50, 4));
-    assert_eq!(receipt.entry(0).bytes, receipt.stored_len);
+    assert_eq!(receipt.entry(0).bytes, receipt.image_len);
     assert_eq!(store.open(0).unwrap().raw_bytes(), &image[..]);
     let err = store.put(1, vec![0u8; 64].into()).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);

@@ -14,11 +14,12 @@
 //! A [`Source`] is one record-disjoint place records live: a partition
 //! store plus, optionally, its pending updates. One request over one
 //! source is a plain search; N requests share every partition open and
-//! cluster walk (each partition any plan selects is opened **once**, each
-//! surviving record visited **once**, in place in the page image, and
-//! scored against every query that selected its cluster); N sources are
-//! the shards of a scatter-gather set, and a dead shard slot is `None`.
-//! All of them run the same stages and the same `scan_cluster`.
+//! cluster walk (each partition any plan selects is opened **once**, by
+//! one read of the union of the clusters the plans name, each surviving
+//! record visited **once**, in place in the cluster's bytes, and scored
+//! against every query that selected its cluster); N sources are the
+//! shards of a scatter-gather set, and a dead shard slot is `None`. All
+//! of them run the same stages and the same `scan_cluster`.
 //!
 //! Outcomes are bit-identical across all of these shapes because a
 //! [`TopK`]'s content depends only on which records it is offered, and
@@ -34,7 +35,8 @@ use crate::plan::{QueryOutcome, QueryPlan};
 pub use crate::search::SeriesLen;
 use crate::search::{SearchMode, SearchRequest};
 use crate::updates::UpdateView;
-use climber_dfs::format::{record_size, PartitionReader, TrieNodeId};
+use climber_dfs::format::{record_size, ClusterPick, TrieNodeId};
+use climber_dfs::page::ClusterView;
 use climber_dfs::store::{PartitionId, PartitionStore};
 use climber_index::skeleton::IndexSkeleton;
 use climber_repr::paa::{paa, paa_into, paa_le_into};
@@ -46,8 +48,8 @@ use rayon::prelude::*;
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Segments of the shared PAA prefilter.
 const PREFILTER_SEGMENTS: usize = 16;
@@ -96,8 +98,9 @@ impl<S: PartitionStore> Copy for Source<'_, S> {}
 /// What one source contributed to (and withheld from) a call.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SourceStatus {
-    /// Planned partitions that failed to open (quarantined, deleted
-    /// mid-flight): treated as empty, never a panic.
+    /// Planned partitions that failed to open or to read a cluster
+    /// (quarantined, deleted or truncated mid-flight): treated as empty,
+    /// never a panic.
     pub failed_partitions: BTreeSet<PartitionId>,
     /// Records this source put into candidate streams (scan + expansion);
     /// sums across sources to the outcomes' `records_scanned`.
@@ -233,12 +236,13 @@ struct Lane {
 }
 
 /// Per-thread buffers of the scan, reused across calls: the lanes of the
-/// partition task being run and the PAA signature of the record being
-/// scored. After warm-up an inline search allocates nothing per task,
-/// cluster or record (`tests/alloc_budget.rs`).
+/// partition task being run, its cluster views and the PAA signature of
+/// the record being scored. After warm-up an inline search allocates
+/// nothing per task, cluster or record (`tests/alloc_budget.rs`).
 #[derive(Default)]
 struct Scratch {
     lanes: Vec<Lane>,
+    views: Vec<(TrieNodeId, ClusterView)>,
     paa: Vec<f64>,
     work: Vec<PartitionWork>,
 }
@@ -256,6 +260,8 @@ struct PartitionWork {
     /// `(cluster, lane)` for every selection, sorted: each run of one
     /// cluster lists the lanes (positions in `qis`) interested in it.
     picks: Vec<(TrieNodeId, usize)>,
+    /// The distinct clusters of `picks`, ascending: what the task reads.
+    nodes: Vec<TrieNodeId>,
 }
 
 /// Scan, gather and expand for one planned group: the partition-major
@@ -319,48 +325,60 @@ pub(crate) fn scan_group<S: PartitionStore, Q: AsRef<[f32]> + Sync>(
     }
     let work = &mut pool[..used];
     work.sort_unstable_by_key(|w| w.pid);
-    work.iter_mut().for_each(|w| w.picks.sort_unstable());
+    for w in work.iter_mut() {
+        w.picks.sort_unstable();
+        w.nodes.clear();
+        (w.nodes).extend(w.picks.chunk_by(|a, b| a.0 == b.0).map(|run| run[0].0));
+    }
     let work = &*work;
 
     // Every (live source, partition) pair is one task; workers pull the
     // next one off a shared cursor, so skewed partition sizes balance. A
-    // task's slot is set iff its partition opened, and keeps the reader
-    // when an expansion may still want it. A query's heap is handed from
-    // task to task: a lane takes it when no other lane holds it (always,
-    // on one thread) and starts a fresh one otherwise; whoever finds the
-    // slot occupied on return merges.
+    // task reads the clusters its partition's picks name in one store
+    // call, and its flag is set iff every one of them arrived. A query's
+    // heap is handed from task to task: a lane takes it when no other lane
+    // holds it (always, on one thread) and starts a fresh one otherwise;
+    // whoever finds the slot occupied on return merges.
     let live: Vec<usize> = (0..sources.len())
         .filter(|&si| sources[si].is_some())
         .collect();
     let tasks = live.len() * work.len();
     let cursor = AtomicUsize::new(0);
     let source_scanned: Vec<AtomicU64> = sources.iter().map(|_| AtomicU64::new(0)).collect();
-    let slots: Vec<OnceLock<Option<PartitionReader>>> = (0..sources.len() * work.len())
-        .map(|_| OnceLock::new())
+    let opened: Vec<AtomicBool> = (0..sources.len() * work.len())
+        .map(|_| AtomicBool::new(false))
         .collect();
-    let slot = |si: usize, pi: usize| &slots[si * work.len() + pi];
-    let run_tasks = |Scratch { lanes, paa, .. }: &mut Scratch| loop {
+    let opened = |si: usize, pi: usize| &opened[si * work.len() + pi];
+    let run_tasks = |Scratch {
+                         lanes, views, paa, ..
+                     }: &mut Scratch| loop {
         let task = cursor.fetch_add(1, Ordering::Relaxed);
         if task >= tasks {
             break;
         }
         let (si, pi) = (live[task / work.len()], task % work.len());
         let (src, pw) = (sources[si].as_ref().expect("live source"), &work[pi]);
-        // Vanished, quarantined, or holding records of another length than
-        // the queries (a file-supplied length never reaches the kernel):
-        // treated as empty, and named in the status.
-        let fits = |r: &PartitionReader| {
-            (pw.qis.iter()).all(|&qi| seats[qi].query.len() == r.series_len())
-        };
-        let Some(reader) = src.store.open(pw.pid).ok().filter(fits) else {
+        // Vanished, quarantined, unreadable, or holding records of another
+        // length than the queries (a file-supplied length never reaches
+        // the kernel): treated as empty, and named in the status.
+        let fits = |len: &usize| (pw.qis.iter()).all(|&qi| seats[qi].query.len() == *len);
+        views.clear(); // a panicked task may have left its views behind
+        let read = src
+            .store
+            .read_clusters(pw.pid, ClusterPick::Named(&pw.nodes), views);
+        let Some(series_len) = read.ok().filter(fits) else {
             continue;
         };
         let take = |qi: usize| seats[qi].heap.lock().expect(held).take();
         lanes.clear(); // a panicked task may have left its lanes behind
         lanes.extend(pw.qis.iter().map(|&qi| lane(qi, take(qi))));
         for interested in pw.picks.chunk_by(|a, b| a.0 == b.0) {
-            scan_cluster(src, &reader, pw.pid, &seats, lanes, interested, paa);
+            let sealed = views.iter().find(|(n, _)| *n == interested[0].0);
+            let cluster = (pw.pid, sealed.map(|(_, v)| v), series_len);
+            scan_cluster(src, cluster, &seats, lanes, interested, paa);
         }
+        // Views pin cached pages: none outlives its task.
+        views.clear();
         let mut total = 0;
         for lane in lanes.drain(..) {
             let seat = &seats[lane.qi];
@@ -375,43 +393,57 @@ pub(crate) fn scan_group<S: PartitionStore, Q: AsRef<[f32]> + Sync>(
             *slot = Some(top);
         }
         source_scanned[si].fetch_add(total, Ordering::Relaxed);
-        let _ = slot(si, pi).set(expands.then_some(reader));
+        opened(si, pi).store(true, Ordering::Relaxed);
     };
     let workers = rayon::current_num_threads().min(tasks);
     let worker = |_: usize| SCRATCH.with_borrow_mut(run_tasks);
     let _: Vec<()> = (0..workers).into_par_iter().map(worker).collect();
 
     // Gather, per query: a planned partition counts as opened when any
-    // live source opened it; the expansion walks the plan in order.
+    // live source opened it; the expansion walks the plan in order, and
+    // reads the rest of each opened partition's clusters.
+    let expand_failed: Mutex<Vec<(usize, PartitionId)>> = Mutex::new(Vec::new());
     let finish = |(qi, plan): (usize, QueryPlan)| {
         let part = |pid: &PartitionId| {
             let pi = work.binary_search_by_key(pid, |w| w.pid);
             pi.expect("every planned partition has work")
         };
-        let opened =
-            |pid: &&PartitionId| live.iter().any(|&si| slot(si, part(pid)).get().is_some());
-        let partitions_opened = plan.reads.keys().filter(opened).count();
+        let any_opened = |pid: &&PartitionId| {
+            let pi = part(pid);
+            live.iter()
+                .any(|&si| opened(si, pi).load(Ordering::Relaxed))
+        };
+        let partitions_opened = plan.reads.keys().filter(any_opened).count();
         let top = seats[qi].heap.lock().expect(held).take();
         let mut lanes = [lane(qi, top)];
         if expands && lanes[0].top.len() < k {
             let paa = &mut Vec::new(); // one lane: never prefiltered, never filled
+            let rest = &mut Vec::new();
             for (&pid, planned) in &plan.reads {
                 for &si in &live {
-                    let Some(Some(reader)) = slot(si, part(&pid)).get() else {
+                    if !opened(si, part(&pid)).load(Ordering::Relaxed) {
+                        continue;
+                    }
+                    let src = sources[si].as_ref().expect("live source");
+                    rest.clear();
+                    let read = src
+                        .store
+                        .read_clusters(pid, ClusterPick::Rest(planned), rest);
+                    let Ok(series_len) = read else {
+                        expand_failed.lock().expect(held).push((si, pid));
                         continue;
                     };
-                    let src = sources[si].as_ref().expect("live source");
                     let before = lanes[0].scanned;
-                    let sealed = reader.cluster_ids();
                     let delta = src.updates.map_or(Vec::new(), |u| u.delta.nodes_for(pid));
-                    // Sealed clusters first, then delta-only nodes the
-                    // sealed file has never seen.
-                    let unseen = delta.iter().filter(|n| !sealed.contains(n));
-                    for &node in sealed.iter().chain(unseen) {
-                        if !planned.contains(&node) {
-                            let only = &[(node, 0)];
-                            scan_cluster(src, reader, pid, &seats, &mut lanes, only, paa);
-                        }
+                    // Sealed clusters first, in storage order, then
+                    // delta-only nodes the sealed file has never seen.
+                    let sealed = rest.iter().map(|(node, view)| (*node, Some(view)));
+                    let unseen = (delta.iter().copied())
+                        .filter(|n| !planned.contains(n) && !rest.iter().any(|(m, _)| m == n))
+                        .map(|node| (node, None));
+                    for (node, view) in sealed.chain(unseen) {
+                        let only = &[(node, 0)];
+                        scan_cluster(src, (pid, view, series_len), &seats, &mut lanes, only, paa);
                     }
                     source_scanned[si].fetch_add(lanes[0].scanned - before, Ordering::Relaxed);
                 }
@@ -438,9 +470,12 @@ pub(crate) fn scan_group<S: PartitionStore, Q: AsRef<[f32]> + Sync>(
     for &si in &live {
         statuses[si].records_scanned += source_scanned[si].load(Ordering::Relaxed);
         let failed = (work.iter().enumerate())
-            .filter(|&(pi, _)| slot(si, pi).get().is_none())
+            .filter(|&(pi, _)| !opened(si, pi).load(Ordering::Relaxed))
             .map(|(_, w)| w.pid);
         statuses[si].failed_partitions.extend(failed);
+    }
+    for (si, pid) in expand_failed.into_inner().expect(held) {
+        statuses[si].failed_partitions.insert(pid);
     }
     SCRATCH.with_borrow_mut(|s| s.work = pool);
     outcomes
@@ -448,13 +483,15 @@ pub(crate) fn scan_group<S: PartitionStore, Q: AsRef<[f32]> + Sync>(
 
 /// Scans one `(partition, node)` cluster of one source for the lanes that
 /// selected it (`interested`: one run of [`PartitionWork::picks`]) — the
-/// paper's record-level refinement, written once.
+/// paper's record-level refinement, written once. `cluster` is the
+/// partition, the node's sealed records (`None` when the partition holds
+/// none under it) and the partition's series length.
 ///
 /// The candidate stream is the sealed cluster's records minus tombstoned
 /// ids, then the delta cluster under the same key minus tombstoned ids;
 /// its length is charged to every interested lane's `scanned`. A sealed
-/// record is scored where it lies in the page image — never decoded, never
-/// copied — by every interested lane while its lines are cache-hot:
+/// record is scored where it lies in the cluster's bytes — never decoded,
+/// never copied — by every interested lane while its lines are cache-hot:
 /// `ed_early_abandon_le → TopK::offer → publish_bound`, behind the shared
 /// PAA prefilter when enough lanes share the record to pay for its
 /// signature. Per lane the records are visited in stream order.
@@ -463,29 +500,28 @@ pub(crate) fn scan_group<S: PartitionStore, Q: AsRef<[f32]> + Sync>(
 /// unread.
 fn scan_cluster<S: PartitionStore>(
     src: &Source<'_, S>,
-    reader: &PartitionReader,
-    pid: PartitionId,
+    (pid, sealed, series_len): (PartitionId, Option<&ClusterView>, usize),
     seats: &[Seat<'_>],
     lanes: &mut [Lane],
     interested: &[(TrieNodeId, usize)],
     paa: &mut Vec<f64>,
 ) {
     let node = interested[0].0;
-    let segments = PREFILTER_SEGMENTS.min(reader.series_len());
+    let segments = PREFILTER_SEGMENTS.min(series_len);
     let mut lanes = Scorer {
         seats,
         lanes,
         interested,
         paa,
         segments,
-        scale: (reader.series_len() / segments) as f64,
+        scale: (series_len / segments) as f64,
         prefilter: interested.len() >= PREFILTER_MIN_QUERIES,
     };
 
     let tombstones = src.updates.map(|u| u.tombstones.read());
     let deleted = |id: u64| tombstones.as_ref().is_some_and(|t| t.contains(id));
     let mut counted = 0u64;
-    if let Some(recs) = reader.cluster_records(node) {
+    if let Some(recs) = sealed.map(ClusterView::records) {
         for i in 0..recs.len() {
             if i + PREFETCH_AHEAD < recs.len() {
                 prefetch(recs.values_le(i + PREFETCH_AHEAD), PREFETCH_LINES);
@@ -509,7 +545,7 @@ fn scan_cluster<S: PartitionStore>(
             }
         });
     }
-    let record_bytes = record_size(reader.series_len()) as u64;
+    let record_bytes = record_size(series_len) as u64;
     src.store.stats().on_read(sealed * record_bytes);
     src.store.stats().on_records_read(sealed);
     // One publication per cluster, not per kept offer: the shared bound

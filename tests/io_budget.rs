@@ -17,20 +17,27 @@
 //!   the put's receipt.
 //! * A fresh build, single or sharded, opens no partition: its append
 //!   counter and series length come from the dataset, not from a scan.
-//! * A block-cache miss — and an uncached open — is exactly **one** read.
+//! * A block-cache miss is exactly **one** read, of exactly one cluster,
+//!   and a hit is none; a whole-partition open, cached store or not, is
+//!   exactly one read.
+//! * An uncached query reads exactly its planned clusters, one read each,
+//!   and the rest of a partition only when it expands.
 
-use climber_core::dfs::fsio::{FaultFs, FsOp, FsRef};
+use climber_core::dfs::format::{ClusterPick, PartitionDirectory, PartitionReader};
+use climber_core::dfs::fsio::{ClimberFs, FaultFs, FsOp, FsRef, StdFs};
 use climber_core::dfs::page::PAGE_SIZE;
 use climber_core::dfs::store::{partition_file_name, DiskStore, PartitionStore};
 use climber_core::index::builder::IndexBuilder;
 use climber_core::series::gen::Domain;
 use climber_core::{
     BlockCache, BuildOptions, CacheConfig, Climber, ClimberConfig, OpenOptions, RecoveryPolicy,
-    ShardedClimber,
+    SearchRequest, ShardedClimber,
 };
+use std::collections::BTreeMap;
 use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn cfg() -> ClimberConfig {
     ClimberConfig::default()
@@ -289,32 +296,185 @@ fn a_miss_is_one_read_and_a_hit_is_none() {
     let fsref: FsRef = ff.clone();
     let (index, _) = Climber::open_dir(&dir, &rw_over(fsref, None)).unwrap();
     ff.arm();
-    let mut pids = index.store().ids();
+    let pids = index.store().ids();
     for &pid in &pids {
         assert_eq!(reads(&ff, index.store(), pid), 1);
     }
     drop(index);
 
-    // A cache exactly as large as the largest partition `a`: `a` and any
-    // other partition `b` never fit together, so alternating between them
+    // A cache exactly as large as the largest cluster `a`: `a` and any
+    // other cluster `b` never fit together, so alternating between them
     // misses every time (one read each) and repeating one hits.
-    let size_of = |pid: u32| {
-        fs::metadata(dir.join(partition_file_name(pid)))
-            .unwrap()
-            .len()
+    let cluster_reads = |ff: &FaultFs, store: &DiskStore, (pid, node): (u32, u64)| {
+        let before = ff.op_count_of(FsOp::Read);
+        let mut out = Vec::new();
+        store
+            .read_clusters(pid, ClusterPick::Named(&[node]), &mut out)
+            .unwrap();
+        assert_eq!(out.len(), 1);
+        assert_eq!(
+            ff.op_count(),
+            ff.op_count_of(FsOp::Read),
+            "a cluster read only reads"
+        );
+        ff.op_count_of(FsOp::Read) - before
     };
-    pids.sort_by_key(|&pid| std::cmp::Reverse(size_of(pid)));
-    let (a, b) = (pids[0], pids[1]);
+    let mut clusters: Vec<((u32, u64), usize)> = Vec::new();
+    for &pid in &pids {
+        let reader =
+            PartitionReader::open(fs::read(dir.join(partition_file_name(pid))).unwrap().into())
+                .unwrap();
+        for node in reader.cluster_ids() {
+            clusters.push(((pid, node), reader.cluster_bytes(node).unwrap()));
+        }
+    }
+    clusters.sort_by_key(|&(_, len)| std::cmp::Reverse(len));
+    let (a, b) = (clusters[0].0, clusters[1].0);
     let ff = FaultFs::over_std();
     let fsref: FsRef = ff.clone();
-    let one_image = CacheConfig::default()
-        .with_capacity_bytes((size_of(a) as usize).next_multiple_of(PAGE_SIZE));
-    let (index, _) = Climber::open_dir(&dir, &rw_over(fsref, Some(one_image))).unwrap();
+    let one_cluster =
+        CacheConfig::default().with_capacity_bytes(clusters[0].1.next_multiple_of(PAGE_SIZE));
+    let (index, _) = Climber::open_dir(&dir, &rw_over(fsref, Some(one_cluster))).unwrap();
     ff.arm();
-    index.store().open(a).unwrap();
-    assert_eq!(reads(&ff, index.store(), b), 1, "miss after eviction");
-    assert_eq!(reads(&ff, index.store(), b), 0, "hit");
-    assert_eq!(reads(&ff, index.store(), a), 1, "miss after eviction");
-    assert_eq!(reads(&ff, index.store(), a), 0, "hit");
+    cluster_reads(&ff, index.store(), a);
+    assert_eq!(
+        cluster_reads(&ff, index.store(), b),
+        1,
+        "miss after eviction"
+    );
+    assert_eq!(cluster_reads(&ff, index.store(), b), 0, "hit");
+    assert_eq!(
+        cluster_reads(&ff, index.store(), a),
+        1,
+        "miss after eviction"
+    );
+    assert_eq!(cluster_reads(&ff, index.store(), a), 0, "hit");
+    // A whole-image open stays one read, cached store or not.
+    assert_eq!(reads(&ff, index.store(), a.0), 1, "an open is uncached");
+    assert_eq!(reads(&ff, index.store(), a.0), 1, "an open is uncached");
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A recording filesystem over the standard one: the `(file name, offset,
+/// len)` of every read — each range of a ranged read, and a whole read as
+/// offset 0 and `usize::MAX` — and a panic on anything else, which a
+/// query must never do.
+#[derive(Debug, Default)]
+struct ReadLog(Mutex<Vec<(String, u64, usize)>>);
+
+impl ReadLog {
+    fn take(&self) -> Vec<(String, u64, usize)> {
+        std::mem::take(&mut *self.0.lock().unwrap())
+    }
+}
+
+impl ClimberFs for ReadLog {
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        self.0.lock().unwrap().push((name_of(path), 0, usize::MAX));
+        StdFs.read(path)
+    }
+    fn read_ranges(&self, path: &Path, ranges: &[(u64, usize)]) -> io::Result<Vec<Vec<u8>>> {
+        let mut log = self.0.lock().unwrap();
+        log.extend(
+            ranges
+                .iter()
+                .map(|&(offset, len)| (name_of(path), offset, len)),
+        );
+        StdFs.read_ranges(path, ranges)
+    }
+    fn write(&self, path: &Path, _: &[u8]) -> io::Result<()> {
+        unreachable!("write {}", path.display())
+    }
+    fn fsync_file(&self, path: &Path) -> io::Result<()> {
+        unreachable!("fsync {}", path.display())
+    }
+    fn rename(&self, from: &Path, _: &Path) -> io::Result<()> {
+        unreachable!("rename {}", from.display())
+    }
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
+        unreachable!("remove {}", path.display())
+    }
+    fn fsync_dir(&self, path: &Path) -> io::Result<()> {
+        unreachable!("fsync dir {}", path.display())
+    }
+    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
+        unreachable!("mkdir {}", path.display())
+    }
+}
+
+/// On an uncached store a query performs exactly one read per planned
+/// cluster, of exactly that cluster's bytes, and reads no byte of an
+/// unplanned cluster unless it expands — when it reads the rest of each
+/// partition it walks, each cluster once.
+#[test]
+fn an_uncached_query_reads_exactly_its_planned_clusters() {
+    let dir = built("planned");
+    let ds = Domain::RandomWalk.generate(400, 5);
+    let readers: BTreeMap<u32, PartitionReader> = {
+        let index = Climber::open(&dir).unwrap();
+        let pids = index.store().ids();
+        (pids.into_iter())
+            .map(|pid| (pid, index.store().open(pid).unwrap()))
+            .collect()
+    };
+    let span = |pid: u32, node: u64| {
+        let parsed = PartitionDirectory::parse(readers[&pid].raw_bytes()).unwrap();
+        let (range, count) = parsed.locate(node).unwrap();
+        (
+            (partition_file_name(pid), range.start as u64, range.len()),
+            count,
+        )
+    };
+    let log = Arc::new(ReadLog::default());
+    let fsref: FsRef = log.clone();
+    let opts = OpenOptions {
+        writable: false,
+        ..rw_over(fsref, None)
+    };
+    let (index, _) = Climber::open_dir(&dir, &opts).unwrap();
+    log.take();
+    let (mut plain, mut expanded) = (0, 0);
+    for i in 0..24u64 {
+        let k = if i % 2 == 0 { 5 } else { 400 };
+        let outcome = index.search(&SearchRequest::new(ds.get(i * 13).to_vec(), k));
+        let mut got = log.take();
+        // The planned clusters, then — while the answer is short — the
+        // rest of each planned partition in plan order.
+        let mut want = Vec::new();
+        let mut found = 0;
+        for (&pid, nodes) in &outcome.plan.reads {
+            for &node in nodes
+                .iter()
+                .filter(|n| readers[&pid].cluster_len(**n).is_some())
+            {
+                let (read, count) = span(pid, node);
+                want.push(read);
+                found += count;
+            }
+        }
+        let expands = found < k;
+        if expands {
+            for (&pid, nodes) in &outcome.plan.reads {
+                for node in readers[&pid].cluster_ids() {
+                    if !nodes.contains(&node) {
+                        let (read, count) = span(pid, node);
+                        want.push(read);
+                        found += count;
+                    }
+                }
+                if found >= k {
+                    break;
+                }
+            }
+        }
+        *if expands { &mut expanded } else { &mut plain } += 1;
+        got.sort();
+        want.sort();
+        assert_eq!(got, want, "query {i}, k {k}: {:?}", outcome.plan);
+    }
+    assert!(
+        plain > 0 && expanded > 0,
+        "{plain} plain, {expanded} expanding"
+    );
     fs::remove_dir_all(&dir).ok();
 }

@@ -477,17 +477,27 @@ fn shard_readmitted_by_scrub_shares_the_sets_cache() {
         assert!(Arc::ptr_eq(&held, &cache), "one cache serves the whole set");
     }
 
-    // Two passes over the re-admitted shard's partitions: whatever the
+    // Two passes over the re-admitted shard's clusters: whatever the
     // first found cached, the second finds every one of them.
     let readmitted = set.shard_slots()[1].as_ref().unwrap().store();
     let pids = readmitted.ids();
-    for &pid in &pids {
-        readmitted.open(pid).unwrap();
-    }
+    let nodes: Vec<Vec<u64>> = pids
+        .iter()
+        .map(|&pid| readmitted.open(pid).unwrap().cluster_ids())
+        .collect();
+    let read_all = || {
+        for (&pid, nodes) in pids.iter().zip(&nodes) {
+            let mut out = Vec::new();
+            let pick = climber_core::dfs::format::ClusterPick::Named(nodes);
+            readmitted.read_clusters(pid, pick, &mut out).unwrap();
+            assert_eq!(out.len(), nodes.len());
+        }
+    };
+    read_all();
     let before = set.serve_io().cache_hits;
-    for &pid in &pids {
-        readmitted.open(pid).unwrap();
-    }
-    assert_eq!(set.serve_io().cache_hits - before, pids.len() as u64);
+    read_all();
+    let clusters: usize = nodes.iter().map(Vec::len).sum();
+    assert!(clusters >= pids.len());
+    assert_eq!(set.serve_io().cache_hits - before, clusters as u64);
     fs::remove_dir_all(&dir).ok();
 }

@@ -219,7 +219,7 @@ proptest! {
                 reader.raw_bytes() == &want[..],
                 "partition {} differs from the decode/re-encode fold", pid
             );
-            let stored = index.store().stored_bytes(pid).unwrap();
+            let stored = index.store().image(pid).unwrap();
             prop_assert!(stored[..] == want[..]);
             let entry = manifest.partition(pid).unwrap();
             prop_assert_eq!(entry.bytes, stored.len() as u64);
