@@ -198,9 +198,8 @@ fn main() {
         json,
         "  \"disk_bytes_uncompressed\": {raw_disk_bytes}\n}}\n"
     );
-    let path =
-        std::env::var("CLIMBER_BENCH_JSON").unwrap_or_else(|_| "BENCH_cache.json".to_string());
-    match std::fs::write(&path, &json) {
+    let path = "BENCH_cache.json";
+    match std::fs::write(path, &json) {
         Ok(()) => println!("wrote {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),
     }

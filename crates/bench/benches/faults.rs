@@ -201,9 +201,8 @@ fn main() {
         json,
         "  \"healthy_qps\": {healthy_qps:.2},\n  \"degraded_qps\": {degraded_qps:.2},\n  \"degraded_over_healthy\": {ratio:.4}\n}}\n"
     );
-    let path =
-        std::env::var("CLIMBER_BENCH_JSON").unwrap_or_else(|_| "BENCH_faults.json".to_string());
-    match std::fs::write(&path, &json) {
+    let path = "BENCH_faults.json";
+    match std::fs::write(path, &json) {
         Ok(()) => println!("wrote {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),
     }

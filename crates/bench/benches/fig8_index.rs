@@ -205,9 +205,8 @@ fn main() {
         );
     }
     let _ = write!(json, "\n  ]\n}}\n");
-    let path =
-        std::env::var("CLIMBER_BENCH_JSON").unwrap_or_else(|_| "BENCH_fig8_index.json".to_string());
-    match std::fs::write(&path, &json) {
+    let path = "BENCH_fig8_index.json";
+    match std::fs::write(path, &json) {
         Ok(()) => println!("\nwrote {path}"),
         Err(e) => eprintln!("\ncould not write {path}: {e}"),
     }

@@ -20,22 +20,32 @@
 //! back as a cluster image, under the bound a full 100-NN heap would hold,
 //! on every tier the host runs.
 //!
+//! A second, single-tier table closes the run: the kernels with nothing to
+//! dispatch — OD and WD over m = 10 signatures, Algorithm 1's group
+//! assignment against 24 centroids, the iSAX word, and the partition codec
+//! encoding and scanning 1 000 records. These rows are not gated.
+//!
 //! Prints the detected CPU features in the header and records them in
-//! `BENCH_kernels.json` (path override: `CLIMBER_BENCH_JSON`). With
-//! `CLIMBER_BENCH_STRICT=1` the run asserts that on AVX2 hosts `sq_ed`
-//! reaches >= 2x over the naive scalar baseline *and* beats the scalar
-//! tier outright (the dependency chain of the pinned per-lane summation
-//! order bounds the tier-vs-tier gap: one FP add per lane per chunk is
-//! the latency floor for every bit-identical implementation, so the
-//! tier-vs-tier ratio lands well under 2x by construction). On hosts
-//! without AVX2 the gate relaxes to >= 1.0x over the scalar tier and the
-//! relaxation reason is logged; and on every tier scoring in place must
-//! be at least as fast as decoding first. `--quick` shrinks the
-//! repetition count to the CI smoke cadence.
+//! `BENCH_kernels.json`. With `CLIMBER_BENCH_STRICT=1` the run asserts that
+//! on AVX2 hosts `sq_ed` reaches >= 2x over the naive scalar baseline *and*
+//! beats the scalar tier outright (the dependency chain of the pinned
+//! per-lane summation order bounds the tier-vs-tier gap: one FP add per
+//! lane per chunk is the latency floor for every bit-identical
+//! implementation, so the tier-vs-tier ratio lands well under 2x by
+//! construction). On hosts without AVX2 the gate relaxes to >= 1.0x over
+//! the scalar tier and the relaxation reason is logged; and on every tier
+//! scoring in place must be at least as fast as decoding first. `--quick`
+//! shrinks the repetition count to the CI smoke cadence.
 
 use climber_core::dfs::format::{PartitionReader, PartitionWriter};
+use climber_core::pivot::assignment::CentroidTable;
+use climber_core::pivot::decay::DecayFunction;
+use climber_core::pivot::distances::{overlap_distance, weight_distance};
 use climber_core::pivot::pivots::PivotSet;
-use climber_core::pivot::signature::{DualSignature, SignatureScratch};
+use climber_core::pivot::signature::{
+    DualSignature, RankInsensitive, RankSensitive, SignatureScratch,
+};
+use climber_core::repr::isax::ISaxWord;
 use climber_core::repr::paa::paa_into;
 use climber_core::series::gen::Domain;
 use climber_core::series::kernels::{
@@ -256,7 +266,8 @@ fn main() {
     let cluster = Domain::RandomWalk.generate(1_000, 11);
     let mut writer = PartitionWriter::new(0, cluster.series_len());
     writer.push_cluster(1, (0..1_000u64).map(|id| (id, cluster.get(id))));
-    let reader = PartitionReader::open(writer.finish()).expect("a freshly written partition");
+    let image = writer.finish();
+    let reader = PartitionReader::open(image.clone()).expect("a freshly written partition");
     let recs = reader.cluster_records(1).expect("the one cluster");
     let mut dists: Vec<f64> = (0..1_000).map(|id| sq_ed(&x, cluster.get(id))).collect();
     dists.sort_by(f64::total_cmp);
@@ -290,6 +301,68 @@ fn main() {
             decode_ns / le_ns.max(1e-9)
         );
         in_place.push((tier, decode_ns, le_ns));
+    }
+
+    // Single-tier rows. The signatures are m = 10 over P = 200 pivots and
+    // the 24 centroids are the ledger's shape.
+    let ri = RankInsensitive(vec![1, 5, 9, 13, 17, 21, 25, 29, 33, 37]);
+    let ri_near = RankInsensitive(vec![1, 4, 9, 14, 17, 22, 25, 30, 33, 38]);
+    let rs = RankSensitive(vec![9, 1, 17, 25, 33, 5, 13, 21, 29, 37]);
+    let centroids: Vec<RankInsensitive> = (0..24u16)
+        .map(|i| RankInsensitive((0..10).map(|j| i * 8 + j).collect()))
+        .collect();
+    let table = CentroidTable::new(&centroids, 200, DecayFunction::DEFAULT, 10)
+        .expect("24 in-range centroids");
+    let single = [
+        (
+            "overlap_distance_m10",
+            time_ns(reps, iters, || {
+                black_box(overlap_distance(black_box(&ri), black_box(&ri_near)));
+            }),
+        ),
+        (
+            "weight_distance_m10",
+            time_ns(reps, iters, || {
+                black_box(weight_distance(
+                    black_box(&rs),
+                    black_box(&ri),
+                    DecayFunction::DEFAULT,
+                ));
+            }),
+        ),
+        (
+            "assign_group_24_centroids",
+            time_ns(reps, iters, || {
+                black_box(black_box(&table).assign(black_box(&rs.0), 7));
+            }),
+        ),
+        (
+            "isax_word_16x8",
+            time_ns(reps, iters, || {
+                black_box(ISaxWord::from_series(black_box(&x), 16, 8));
+            }),
+        ),
+        (
+            "encode_1000x256",
+            time_ns(reps, scan_iters, || {
+                let mut w = PartitionWriter::new(1, cluster.series_len());
+                w.push_cluster(0, (0..1_000u64).map(|id| (id, cluster.get(id))));
+                black_box(w.finish());
+            }),
+        ),
+        (
+            "decode_scan_1000x256",
+            time_ns(reps, scan_iters, || {
+                let r = PartitionReader::open(image.clone()).expect("a valid image");
+                let mut acc = 0.0f32;
+                r.for_each(|_, vals| acc += vals[0]);
+                black_box(acc);
+            }),
+        ),
+    ];
+    println!("\n{:<30} {:>12}", "single-tier", "ns/op");
+    for (name, ns) in &single {
+        println!("{name:<30} {ns:>10.1}ns");
     }
 
     // BENCH_*.json record (consumed by tooling; schema kept flat).
@@ -329,9 +402,8 @@ fn main() {
         json,
         "\n  ],\n  \"sq_ed_naive_scalar_ns\": {naive_ns:.2},\n  \"sq_ed_vs_naive\": {vs_naive:.2},\n  \"sq_ed_vs_scalar_tier\": {vs_tier:.2},\n  \"gate\": {gate:.1}\n}}\n"
     );
-    let path =
-        std::env::var("CLIMBER_BENCH_JSON").unwrap_or_else(|_| "BENCH_kernels.json".to_string());
-    match std::fs::write(&path, &json) {
+    let path = "BENCH_kernels.json";
+    match std::fs::write(path, &json) {
         Ok(()) => println!("wrote {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),
     }

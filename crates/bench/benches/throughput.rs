@@ -222,9 +222,8 @@ fn main() {
         json,
         "\n  ],\n  \"speedup_best_vs_sequential\": {speedup:.2}\n}}\n"
     );
-    let path =
-        std::env::var("CLIMBER_BENCH_JSON").unwrap_or_else(|_| "BENCH_throughput.json".to_string());
-    match std::fs::write(&path, &json) {
+    let path = "BENCH_throughput.json";
+    match std::fs::write(path, &json) {
         Ok(()) => println!("wrote {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),
     }

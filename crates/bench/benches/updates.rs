@@ -197,9 +197,8 @@ fn main() {
         json,
         "{{\n  \"bench\": \"updates\",\n  \"n\": {n},\n  \"updates\": {updates},\n  \"queries\": {nq},\n  \"k\": {k},\n  \"rewrite_appends_per_sec\": {rewrite_aps:.2},\n  \"delta_appends_per_sec\": {delta_aps:.2},\n  \"append_speedup\": {speedup:.2},\n  \"delete_ns\": {delete_ns:.1},\n  \"qps_frozen\": {qps_frozen:.2},\n  \"qps_with_delta\": {qps_with_delta:.2},\n  \"qps_post_flush\": {qps_post_flush:.2},\n  \"post_flush_qps_delta\": {post_flush_delta:.3},\n  \"flush_secs\": {flush_secs:.3}\n}}\n"
     );
-    let path =
-        std::env::var("CLIMBER_BENCH_JSON").unwrap_or_else(|_| "BENCH_updates.json".to_string());
-    match std::fs::write(&path, &json) {
+    let path = "BENCH_updates.json";
+    match std::fs::write(path, &json) {
         Ok(()) => println!("wrote {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),
     }

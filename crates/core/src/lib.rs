@@ -158,10 +158,10 @@ pub struct Climber<S: PartitionStore = MemStore> {
     /// its own commit. `None` until the first seal of an unopened index.
     sealed: Mutex<Option<Manifest>>,
     /// Store I/O at the moment the index became servable; the zero point
-    /// for [`serve_io`](Self::serve_io). Behind a mutex because
-    /// [`save`](Self::save) (which takes `&self`) advances it past its
-    /// own checksum reads.
-    ready_io: Mutex<IoSnapshot>,
+    /// for [`serve_io`](Self::serve_io). A seal reads through the
+    /// unaccounted [`PartitionStore::image`], so [`save`](Self::save)
+    /// never moves it.
+    ready_io: IoSnapshot,
     /// The indexed series length, known from the manifest (open), the
     /// dataset (build) or the id-seeding scan (`from_parts`): no query
     /// opens a partition to learn it.
@@ -340,16 +340,16 @@ impl<S: PartitionStore> Climber<S> {
             writable: true,
             reseal_owed: std::sync::atomic::AtomicBool::new(false),
             sealed: Mutex::new(None),
-            ready_io: Mutex::new(IoSnapshot::default()),
+            ready_io: IoSnapshot::default(),
             series_len: SeriesLen::default(),
         }
     }
 
     /// Snapshots store I/O as the serve-phase zero point. Called at the
-    /// end of every constructor so build reads/writes (and save's reads)
-    /// are never double-counted into serve-phase measurements.
+    /// end of every constructor so build reads/writes are never
+    /// double-counted into serve-phase measurements.
     fn mark_ready(&mut self) {
-        *self.ready_io.lock().unwrap() = self.store.stats().snapshot();
+        self.ready_io = self.store.stats().snapshot();
     }
 
     /// Persists the index into `dir` as a self-validating directory:
@@ -363,9 +363,8 @@ impl<S: PartitionStore> Climber<S> {
     /// rename leaves no valid manifest, so [`Climber::open`] can never
     /// observe a half-written index. Returns the written manifest.
     ///
-    /// The partition reads save performs for checksumming are excluded
-    /// from [`serve_io`](Self::serve_io): the phase zero point advances
-    /// past them when save completes.
+    /// The partition reads save performs for checksumming are not store
+    /// I/O: they never show in [`serve_io`](Self::serve_io).
     pub fn save(&self, dir: impl AsRef<Path>) -> Result<Manifest, ClimberError> {
         Ok(self.seal(dir.as_ref(), None)?)
     }
@@ -394,7 +393,6 @@ impl<S: PartitionStore> Climber<S> {
                 "cannot save an index with no partitions",
             ));
         }
-        let io_before = self.store.stats().snapshot();
         let home = self.store.persist_dir() == Some(dir);
         // In the store's own directory a partition its puts staged there
         // is described by the put's receipt, and an untouched one by the
@@ -541,24 +539,6 @@ impl<S: PartitionStore> Climber<S> {
             self.reseal_owed
                 .store(false, std::sync::atomic::Ordering::Relaxed);
         }
-        // Advance the serve-phase zero point past save's own checksum
-        // reads so they never show up as query traffic. (Queries racing a
-        // concurrent save may be partially absorbed too; save while
-        // measuring serve I/O is not a meaningful combination.)
-        let save_io = self.store.stats().snapshot().since(&io_before);
-        let mut ready = self.ready_io.lock().unwrap();
-        // Cache fields stay at their default 0: the serve snapshot's cache
-        // counters are overlaid from the cache itself, not from IoStats,
-        // so the zero point must never absorb them.
-        *ready = IoSnapshot {
-            partitions_written: ready.partitions_written + save_io.partitions_written,
-            partitions_opened: ready.partitions_opened + save_io.partitions_opened,
-            bytes_written: ready.bytes_written + save_io.bytes_written,
-            bytes_read: ready.bytes_read + save_io.bytes_read,
-            records_shuffled: ready.records_shuffled + save_io.records_shuffled,
-            records_read: ready.records_read + save_io.records_read,
-            ..IoSnapshot::default()
-        };
         Ok(m)
     }
 
@@ -1039,15 +1019,12 @@ impl<S: PartitionStore> Climber<S> {
 
     /// Store I/O performed since the index became servable — partitions
     /// opened, bytes and records read by queries alone. Build-phase I/O
-    /// (and the reads [`save`](Self::save) performs) is excluded by a
-    /// snapshot taken at the build/serve phase boundary, so benchmarks on
-    /// a shared store never double-count construction traffic.
+    /// is excluded by a snapshot taken at the build/serve phase boundary,
+    /// so benchmarks on a shared store never double-count construction
+    /// traffic; the reads [`save`](Self::save) performs are never
+    /// accounted.
     pub fn serve_io(&self) -> IoSnapshot {
-        let snap = self
-            .store
-            .stats()
-            .snapshot()
-            .since(&self.ready_io.lock().unwrap());
+        let snap = self.store.stats().snapshot().since(&self.ready_io);
         match self.store.block_cache() {
             Some(cache) => snap.with_cache(&cache.stats()),
             None => snap,
@@ -1461,6 +1438,18 @@ mod tests {
             serve,
             "save's reads leaked into serve-phase I/O"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn saving_an_in_memory_index_performs_no_store_io() {
+        let ds = Domain::RandomWalk.generate(300, 10);
+        let climber = Climber::build_in_memory(&ds, small_cfg());
+        let before = climber.store().stats().snapshot();
+        let dir = std::env::temp_dir().join(format!("climber-core-seal-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        climber.save(&dir).unwrap();
+        assert_eq!(climber.store().stats().snapshot(), before);
         std::fs::remove_dir_all(&dir).ok();
     }
 

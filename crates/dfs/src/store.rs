@@ -178,11 +178,10 @@ pub trait PartitionStore: Send + Sync {
 
     /// The **exact persisted image** of a partition — what a seal
     /// checksums and copies. A disk store reads it straight from the
-    /// file (staged sibling first), past the block cache and without I/O
-    /// accounting: a seal's reads are not query traffic.
-    fn image(&self, id: PartitionId) -> io::Result<Bytes> {
-        Ok(self.open(id)?.raw_bytes_owned())
-    }
+    /// file (staged sibling first), past the block cache; no store
+    /// accounts it in [`stats`](Self::stats): a seal's reads are not
+    /// query traffic.
+    fn image(&self, id: PartitionId) -> io::Result<Bytes>;
 
     /// The block cache serving this store's cluster reads, when one is
     /// attached; the serving layer overlays its counters onto I/O
@@ -203,14 +202,6 @@ impl MemStore {
     /// Creates an empty store with fresh stats.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn image_of(&self, id: PartitionId) -> io::Result<Bytes> {
-        self.parts
-            .read()
-            .get(&id)
-            .cloned()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("partition {id}")))
     }
 }
 
@@ -233,11 +224,19 @@ impl PartitionStore for MemStore {
     }
 
     fn open(&self, id: PartitionId) -> io::Result<PartitionReader> {
-        let bytes = self.image_of(id)?;
+        let bytes = self.image(id)?;
         self.stats.on_partition_open();
         let reader = PartitionReader::open(bytes).map_err(invalid_data)?;
         self.stats.on_read(reader.header_bytes() as u64);
         Ok(reader)
+    }
+
+    fn image(&self, id: PartitionId) -> io::Result<Bytes> {
+        self.parts
+            .read()
+            .get(&id)
+            .cloned()
+            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("partition {id}")))
     }
 
     /// Slices the image: every view shares the stored [`Bytes`].
@@ -247,7 +246,7 @@ impl PartitionStore for MemStore {
         pick: ClusterPick<'_>,
         out: &mut Vec<(TrieNodeId, ClusterView)>,
     ) -> io::Result<usize> {
-        let image = self.image_of(id)?;
+        let image = self.image(id)?;
         let dir = PartitionDirectory::parse(&image).map_err(invalid_data)?;
         if let ClusterPick::Named(_) = pick {
             self.stats.on_partition_open();

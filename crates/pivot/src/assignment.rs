@@ -448,7 +448,7 @@ mod tests {
             "Algorithm 1 is unambiguous"
         );
         // whatever footrule picks, Algorithm 1's pick has OD 0 — the
-        // correctness criterion the ablation measures end-to-end.
+        // correctness requirement the ablation measures end-to-end.
         let naive = assign_group_naive_footrule(&c, &sig);
         assert!(naive.centroid().is_some());
     }

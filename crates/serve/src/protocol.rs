@@ -282,9 +282,14 @@ pub fn read_message<T: Decode>(r: &mut impl Read) -> Result<Option<T>, ClimberEr
     Ok(Some(msg))
 }
 
+/// The largest frame buffer a connection keeps between replies: a frame
+/// that grew it past this releases it, so one huge reply does not pin its
+/// capacity for the connection's lifetime.
+const RETAINED_FRAME: usize = 64 * 1024;
+
 /// One end of a connection: the stream, a read buffer in front of it and
 /// the buffer outgoing frames are built in — both reused for every frame
-/// the connection carries.
+/// the connection carries (the frame buffer up to 64 KiB).
 #[derive(Debug)]
 pub struct Framed<S> {
     reader: BufReader<S>,
@@ -308,7 +313,11 @@ impl<S: Read + Write> Framed<S> {
     /// Encodes one message into the connection's frame buffer and writes
     /// it as one frame: one `write` on the stream.
     pub fn write_message(&mut self, msg: &impl Encode) -> Result<(), ClimberError> {
-        write_message(self.reader.get_mut(), &mut self.frame, msg)
+        let written = write_message(self.reader.get_mut(), &mut self.frame, msg);
+        if self.frame.capacity() > RETAINED_FRAME {
+            self.frame = Vec::new();
+        }
+        written
     }
 
     /// Reads and decodes one message through the read buffer; `Ok(None)`
@@ -456,6 +465,26 @@ mod tests {
         wire.extend_from_slice(&[0; 8]);
         let err = read_frame(&mut &wire[..]).unwrap_err();
         assert!(matches!(err, ClimberError::Serve(ServeError::Protocol(_))));
+    }
+
+    #[test]
+    fn a_large_reply_does_not_pin_the_frame_buffer() {
+        let large = Response::Outcome(QueryOutcome {
+            results: (0..10_000u64).map(|id| (id, id as f64)).collect(),
+            partitions_opened: 1,
+            records_scanned: 10_000,
+            plan: Default::default(),
+        });
+        let mut framed = Framed::new(std::io::Cursor::new(Vec::new()));
+        framed.write_message(&large).unwrap();
+        framed.write_message(&Response::Pong).unwrap();
+        assert!(framed.frame.capacity() <= RETAINED_FRAME);
+        let mut wire = &framed.get_ref().get_ref()[..];
+        assert_eq!(read_message::<Response>(&mut wire).unwrap(), Some(large));
+        assert_eq!(
+            read_message::<Response>(&mut wire).unwrap(),
+            Some(Response::Pong)
+        );
     }
 
     #[test]
