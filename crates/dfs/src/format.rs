@@ -761,6 +761,18 @@ impl<'a> ClusterRecords<'a> {
         u64::from_le_bytes(self.bytes[off..off + 8].try_into().unwrap())
     }
 
+    /// Record `i` as stored: its 8-byte id, then its values — the span a
+    /// scan reads, id first, so the span it prefetches.
+    ///
+    /// # Panics
+    /// If `i >= len()`.
+    #[inline]
+    pub fn record(&self, i: usize) -> &'a [u8] {
+        let record_size = self.record_bytes();
+        let off = i * record_size;
+        &self.bytes[off..off + record_size]
+    }
+
     /// The series ids in storage order — 8 bytes read per record, no
     /// value decoded.
     pub fn ids(&self) -> impl Iterator<Item = u64> + 'a {

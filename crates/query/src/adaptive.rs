@@ -58,7 +58,7 @@ pub fn plan_adaptive(
     if primary.size >= k as u64 || factor == 1 {
         return plan;
     }
-    let cap = base_partitions * factor;
+    let cap = base_partitions.saturating_mul(factor);
 
     // Memorise candidates: for every OD-tied group, the descent node and
     // its ancestor chain (each ancestor is the next-longest best match).

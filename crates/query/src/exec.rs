@@ -58,14 +58,14 @@ const PREFILTER_SEGMENTS: usize = 16;
 /// computing: below this the signature pass costs about what it saves.
 const PREFILTER_MIN_QUERIES: usize = 4;
 
-/// The sealed scan asks for the leading cache lines of the record this
-/// many places ahead while it scores the current one. Most records are
-/// abandoned inside their first four lines, which leaves a strided access
-/// pattern the hardware streamer does not follow. Measured and kept:
-/// `direct-warm` qps +12 % without the hint, +23 % with it (ARCHITECTURE,
-/// "Distance kernels").
-const PREFETCH_AHEAD: usize = 2;
-const PREFETCH_LINES: usize = 5;
+/// The sealed scan prefetches every cache line of the record this many
+/// places ahead, id included, while it scores the current one. Most
+/// records are abandoned within a few lines, a stride the hardware
+/// streamer does not follow, but about two in five candidates (the first
+/// k, then every improvement) are scored to their last line. Tuned at
+/// 1 032-byte records (256 values): on `direct-warm` 4 read best of 3, 4,
+/// 6 and 8 (ARCHITECTURE, "Distance kernels").
+const PREFETCH_AHEAD: usize = 4;
 
 /// One record-disjoint place a search reads from: a partition store and
 /// the updates pending against it.
@@ -524,7 +524,7 @@ fn scan_cluster<S: PartitionStore>(
     if let Some(recs) = sealed.map(ClusterView::records) {
         for i in 0..recs.len() {
             if i + PREFETCH_AHEAD < recs.len() {
-                prefetch(recs.values_le(i + PREFETCH_AHEAD), PREFETCH_LINES);
+                prefetch(recs.record(i + PREFETCH_AHEAD));
             }
             let id = recs.id(i);
             if deleted(id) {

@@ -125,14 +125,14 @@ impl SearchRequest {
     /// Switches to [`SearchMode::Adaptive`] with the given factor.
     #[must_use]
     pub fn adaptive(mut self, factor: usize) -> Self {
-        self.mode = SearchMode::Adaptive(factor as u32);
+        self.mode = SearchMode::Adaptive(saturate(factor));
         self
     }
 
     /// Switches to [`SearchMode::Resampled`] with the given factor.
     #[must_use]
     pub fn resampled(mut self, factor: usize) -> Self {
-        self.mode = SearchMode::Resampled(factor as u32);
+        self.mode = SearchMode::Resampled(saturate(factor));
         self
     }
 
@@ -146,7 +146,7 @@ impl SearchRequest {
     /// Caps the plan at `max_partitions` distinct partitions.
     #[must_use]
     pub fn with_budget(mut self, max_partitions: usize) -> Self {
-        self.budget = Some(max_partitions as u32);
+        self.budget = Some(saturate(max_partitions));
         self
     }
 
@@ -185,6 +185,12 @@ impl SearchRequest {
             )),
         }
     }
+}
+
+/// A builder argument as the request's `u32`: values past `u32::MAX` read
+/// as `u32::MAX` ("no cap" in practice), never wrapped to a small number.
+fn saturate(n: usize) -> u32 {
+    u32::try_from(n).unwrap_or(u32::MAX)
 }
 
 impl Encode for SearchRequest {
@@ -288,6 +294,24 @@ mod tests {
             SearchRequest::new(q, 3).smallest().mode,
             SearchMode::Smallest
         );
+    }
+
+    #[test]
+    fn builders_saturate_arguments_past_u32() {
+        let Ok(big) = usize::try_from(1u64 << 32) else {
+            return;
+        };
+        let req = SearchRequest::new(vec![1.0f32], 3);
+        assert_eq!(
+            req.clone().adaptive(big).mode,
+            SearchMode::Adaptive(u32::MAX)
+        );
+        assert_eq!(
+            req.clone().resampled(big).mode,
+            SearchMode::Resampled(u32::MAX)
+        );
+        assert_eq!(req.clone().with_budget(big).budget, Some(u32::MAX));
+        assert!(req.adaptive(big).validate().is_ok());
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! two record-scoring loops, `sq_ed` and `ed_early_abandon`, the byte view
 //! behind [`ed_early_abandon_le`] (the same loop fed a record's stored
 //! little-endian bytes, so a scan scores the page image in place) and the
-//! [`prefetch`] hint. The contract
+//! [`prefetch`] hint, which asks for every cache line of a slice — the
+//! scan's whole record, id included, a few records ahead. The contract
 //! that makes them safe to dispatch freely is **bit-identity**: both tiers
 //! reduce their lane accumulators in exactly the same pairwise order, and
 //! neither uses fused multiply-add (FMA changes rounding). A query answered
@@ -538,25 +539,43 @@ pub fn ed_early_abandon_le(query: &[f32], record_le: &[u8], sq_bound: f64) -> Op
     }
 }
 
-/// Hints the CPU to pull the first `lines` 64-byte cache lines of `bytes`
-/// into every cache level. A scan that abandons most records after a few
-/// lines strides through memory in a pattern the hardware streamer gives
-/// up on; asking for the next records' leading lines while the current one
-/// is scored hides that latency. Never reads, never faults; a no-op off
-/// x86-64.
+/// Hints the CPU to pull every 64-byte cache line `bytes` spans into every
+/// cache level — the first line is the one holding `bytes[0]`, whatever
+/// its alignment, so the hint fits a record of any length. A scan over
+/// records far apart in memory strides in a pattern the hardware streamer
+/// gives up on; asking for a whole record a few places ahead while the
+/// current one is scored hides the DRAM miss of every line the kernel will
+/// read, however far it gets before abandoning. Never reads, never faults;
+/// a no-op off x86-64.
 #[inline]
-pub fn prefetch(bytes: &[u8], lines: usize) {
-    #[cfg(target_arch = "x86_64")]
-    for line in bytes.chunks(64).take(lines) {
-        // SAFETY: SSE is part of the x86-64 baseline, and a prefetch of any
-        // address is only a hint — here the address is inside `bytes`.
+pub fn prefetch(bytes: &[u8]) {
+    let head = bytes.as_ptr() as usize % 64;
+    let first_line = bytes.as_ptr().wrapping_sub(head);
+    for j in 0..line_count(head, bytes.len()) {
+        let line = first_line.wrapping_add(64 * j);
+        // SAFETY: SSE is part of the x86-64 baseline, and a prefetch is
+        // only a hint: it never faults, whatever the address.
+        #[cfg(target_arch = "x86_64")]
         unsafe {
             use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            _mm_prefetch::<_MM_HINT_T0>(line.as_ptr().cast());
+            _mm_prefetch::<_MM_HINT_T0>(line.cast());
         }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = line;
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (bytes, lines);
+}
+
+/// How many 64-byte cache lines `len` bytes span when the first of them
+/// sits `head` bytes into its line. None for an empty span. A count, not
+/// an iterator of offsets: `prefetch` inlines into the scan loop, and the
+/// iterator form cost the cache-hot scan (`direct-cold`) a few per cent.
+#[inline]
+fn line_count(head: usize, len: usize) -> usize {
+    if len == 0 {
+        0
+    } else {
+        (head + len).div_ceil(64)
+    }
 }
 
 #[cfg(test)]
@@ -602,6 +621,29 @@ mod tests {
         assert_eq!(current(), Dispatch::Scalar);
         force(None);
         assert_eq!(current(), detect());
+    }
+
+    #[test]
+    fn prefetch_touches_every_line_a_span_covers_once() {
+        for start in 0..64usize {
+            for len in [0usize, 1, 64, 1_032] {
+                let want = if len == 0 {
+                    0
+                } else {
+                    (start + len - 1) / 64 - start / 64 + 1
+                };
+                assert_eq!(line_count(start, len), want, "start {start} len {len}");
+                if len == 1_032 {
+                    assert!(want == 17 || want == 18, "start {start}: {want} lines");
+                }
+            }
+        }
+        // Any slice, any alignment: only a hint, never a read.
+        let bytes = [0u8; 200];
+        for start in 0..64 {
+            prefetch(&bytes[start..]);
+        }
+        prefetch(&[]);
     }
 
     #[test]
