@@ -81,7 +81,7 @@ pub use shard::{ShardSetManifest, ShardStatus, ShardedClimber, SHARD_SET_FILE};
 use climber_dfs::format::{Encode, PartitionReader, PartitionWriter, TrieNodeId};
 use climber_dfs::fsio;
 use climber_dfs::manifest::{xxh64, FileEntry, PartitionEntry};
-use climber_dfs::segment;
+use climber_dfs::segment::{self, DeltaRun};
 use climber_dfs::store::{
     partition_file_name, staged_path_of, DiskStore, MemStore, PartitionId, PartitionStore,
 };
@@ -664,22 +664,12 @@ impl<S: PartitionStore> Climber<S> {
     /// delta cluster into the same candidate stream, so the record is
     /// findable through exactly the plans that would find it after a
     /// rebuild. [`flush`](Self::flush) folds it into its sealed partition.
+    /// [`append_batch`](Self::append_batch) of one series.
     ///
     /// # Panics
     /// If the series length differs from the indexed length.
     pub fn append(&self, values: &[f32]) -> Result<u64, ClimberError> {
-        self.ensure_writable()?;
-        let expected = self.series_len().unwrap_or(values.len());
-        assert_eq!(
-            values.len(),
-            expected,
-            "appended series length {} != indexed length {expected}",
-            values.len()
-        );
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let p = self.skeleton.place(values, id);
-        self.delta.append(p.partition, p.node, id, values);
-        Ok(id)
+        Ok(self.append_batch(&[values])?[0])
     }
 
     /// Appends a batch of series, returning their assigned ids: one
@@ -689,13 +679,13 @@ impl<S: PartitionStore> Climber<S> {
     ///
     /// # Panics
     /// If any series length differs from the indexed length.
-    pub fn append_batch(&self, series: &[Vec<f32>]) -> Result<Vec<u64>, ClimberError> {
+    pub fn append_batch<V: AsRef<[f32]>>(&self, series: &[V]) -> Result<Vec<u64>, ClimberError> {
         self.ensure_writable()?;
-        if series.is_empty() {
+        let Some(first) = series.first() else {
             return Ok(Vec::new());
-        }
-        let expected = self.series_len().unwrap_or(series[0].len());
-        for v in series {
+        };
+        let expected = self.series_len().unwrap_or(first.as_ref().len());
+        for v in series.iter().map(AsRef::as_ref) {
             assert_eq!(
                 v.len(),
                 expected,
@@ -712,8 +702,8 @@ impl<S: PartitionStore> Climber<S> {
             .iter()
             .zip(&ids)
             .map(|(v, &id)| {
-                let p = self.skeleton.place_with(v, id, &mut scratch);
-                (p.partition, p.node, id, v.as_slice())
+                let p = self.skeleton.place_with(v.as_ref(), id, &mut scratch);
+                (p.partition, p.node, id, v.as_ref())
             })
             .collect();
         self.delta.append_many(routed);
@@ -793,13 +783,10 @@ impl<S: PartitionStore> Climber<S> {
         // by partition; the rewrite set is their partitions plus the
         // purge scan's.
         let drained = self.delta.drain();
-        #[allow(clippy::type_complexity)]
-        let mut delta_by_pid: BTreeMap<
-            PartitionId,
-            BTreeMap<TrieNodeId, (Vec<u64>, Vec<f32>)>,
-        > = BTreeMap::new();
-        for ((pid, node), recs) in drained {
-            delta_by_pid.entry(pid).or_default().insert(node, recs);
+        let mut delta_by_pid: BTreeMap<PartitionId, BTreeMap<TrieNodeId, DeltaRun>> =
+            BTreeMap::new();
+        for ((pid, node), run) in drained {
+            delta_by_pid.entry(pid).or_default().insert(node, run);
         }
         let mut affected: BTreeSet<PartitionId> = delta_by_pid.keys().copied().collect();
         affected.extend(tomb_affected);
@@ -839,8 +826,7 @@ impl<S: PartitionStore> Climber<S> {
         let mut folded = 0u64;
         let mut purged = 0u64;
         let mut failed: Option<io::Error> = None;
-        let mut restore: BTreeMap<(PartitionId, TrieNodeId), (Vec<u64>, Vec<f32>)> =
-            BTreeMap::new();
+        let mut restore = BTreeMap::new();
         for (pid, r) in results {
             match r {
                 Ok((f, p)) => {
@@ -851,8 +837,8 @@ impl<S: PartitionStore> Climber<S> {
                 Err(e) => {
                     // This partition was not rewritten: its drained delta
                     // clusters go back so the records stay queryable.
-                    for (node, recs) in delta_by_pid.remove(&pid).unwrap_or_default() {
-                        restore.insert((pid, node), recs);
+                    for (node, run) in delta_by_pid.remove(&pid).unwrap_or_default() {
+                        restore.insert((pid, node), run);
                     }
                     failed = Some(e);
                 }
@@ -898,17 +884,16 @@ impl<S: PartitionStore> Climber<S> {
     /// Rewrites one sealed partition: every sealed cluster's encoded
     /// records are spliced — byte ranges, never decoded — into the new
     /// image minus the ids in `purge`, each followed by its `folds` delta
-    /// cluster (by trie node, in ascending-id order); clusters left empty
-    /// are dropped. Returns `(records folded, records purged)`.
-    #[allow(clippy::type_complexity)]
+    /// run (by trie node), spliced record by record in ascending-id
+    /// order; clusters left empty are dropped. Returns `(records folded,
+    /// records purged)`.
     fn rewrite_partition(
         &self,
         pid: PartitionId,
-        folds: Option<&BTreeMap<TrieNodeId, (Vec<u64>, Vec<f32>)>>,
+        folds: Option<&BTreeMap<TrieNodeId, DeltaRun>>,
         purge: &BTreeSet<u64>,
     ) -> io::Result<(u64, u64)> {
         let reader = self.store.open(pid)?;
-        let series_len = reader.series_len();
         let sealed_nodes = reader.cluster_ids();
         // Delta clusters routed to trie nodes this partition has never
         // sealed (e.g. a leaf that received no records at build time)
@@ -920,27 +905,27 @@ impl<S: PartitionStore> Climber<S> {
         let fold_records: usize = folds
             .into_iter()
             .flat_map(BTreeMap::values)
-            .map(|(ids, _)| ids.len())
+            .map(|run| run.records().len())
             .sum();
         let mut writer = PartitionWriter::with_capacity(
             reader.group_id(),
-            series_len,
+            reader.series_len(),
             sealed_nodes.len() + new_nodes.clone().count(),
             reader.record_count() as usize + fold_records,
         );
         let (mut folded, mut purged) = (0u64, 0u64);
-        // Appends `node`'s delta cluster to the open cluster and seals it
+        // Appends `node`'s delta run to the open cluster and seals it
         // unless nothing survived.
         let mut seal_cluster = |writer: &mut PartitionWriter, node: TrieNodeId| {
-            if let Some((ids, values)) = folds.and_then(|f| f.get(&node)) {
-                let mut order: Vec<usize> = (0..ids.len()).collect();
-                order.sort_unstable_by_key(|&i| ids[i]);
+            if let Some(recs) = folds.and_then(|f| f.get(&node)).map(DeltaRun::records) {
+                let mut order: Vec<usize> = (0..recs.len()).collect();
+                order.sort_unstable_by_key(|&i| recs.id(i));
                 for i in order {
-                    if purge.contains(&ids[i]) {
+                    if purge.contains(&recs.id(i)) {
                         purged += 1;
                     } else {
                         folded += 1;
-                        writer.push_record(ids[i], &values[i * series_len..(i + 1) * series_len]);
+                        writer.splice_record(&recs, i);
                     }
                 }
             }

@@ -257,6 +257,13 @@ fn load_journal(dir: &Path, m: &Manifest, opts: &OpenOptions) -> Result<Journal,
         },
     )?;
     let journal = segment::decode_journal(&bytes).map_err(OpenError::CorruptJournal)?;
+    let series_len = journal.delta.series_len();
+    if series_len != 0 && series_len != m.series_len as usize {
+        return Err(OpenError::CorruptJournal(format!(
+            "journal series length {series_len} ≠ manifest {}",
+            m.series_len
+        )));
+    }
     if journal.generation != m.generation {
         return Err(OpenError::StaleGeneration {
             manifest: m.generation,

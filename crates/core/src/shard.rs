@@ -610,7 +610,7 @@ impl<S: PartitionStore> ShardedClimber<S> {
     /// # Panics
     /// If the series length differs from the indexed length.
     pub fn append(&self, values: &[f32]) -> Result<u64, ClimberError> {
-        Ok(self.append_batch(std::slice::from_ref(&values.to_vec()))?[0])
+        Ok(self.append_batch(&[values])?[0])
     }
 
     /// Appends a batch of series, returning their set-wide assigned ids:
@@ -619,15 +619,15 @@ impl<S: PartitionStore> ShardedClimber<S> {
     ///
     /// # Panics
     /// If any series length differs from the indexed length.
-    pub fn append_batch(&self, series: &[Vec<f32>]) -> Result<Vec<u64>, ClimberError> {
+    pub fn append_batch<V: AsRef<[f32]>>(&self, series: &[V]) -> Result<Vec<u64>, ClimberError> {
         for shard in self.shards.iter().flatten() {
             shard.ensure_writable()?;
         }
-        if series.is_empty() {
+        let Some(first) = series.first() else {
             return Ok(Vec::new());
-        }
-        let expected = self.series_len().unwrap_or(series[0].len());
-        for v in series {
+        };
+        let expected = self.series_len().unwrap_or(first.as_ref().len());
+        for v in series.iter().map(AsRef::as_ref) {
             assert_eq!(
                 v.len(),
                 expected,
@@ -643,7 +643,7 @@ impl<S: PartitionStore> ShardedClimber<S> {
         // within each group (delta folds replay in id order).
         let mut grouped: Vec<Vec<(u64, &[f32])>> = vec![Vec::new(); self.shards.len()];
         for (v, &id) in series.iter().zip(&ids) {
-            grouped[self.shard_of(id)].push((id, v.as_slice()));
+            grouped[self.shard_of(id)].push((id, v.as_ref()));
         }
         // All-or-nothing: refuse the whole batch before any record lands
         // if one routes to a dead slot (the reserved ids stay unused — a

@@ -1,11 +1,10 @@
 //! The cluster simulator: Spark-ish verbs over a deterministic worker pool.
 //!
-//! The index-build pipeline (Figure 6) is expressed with two primitives:
-//!
-//! * **narrow map** ([`Cluster::par_map`]) — order-preserving parallel map,
-//!   the "local op" arrows of Figure 6;
-//! * **broadcast** ([`Broadcast`]) — cheap shared read-only state (pivots
-//!   and the index skeleton are broadcast to all workers in Step 4).
+//! The index-build pipeline (Figure 6) is expressed with one primitive,
+//! the **narrow map** ([`Cluster::par_map`]) — order-preserving parallel
+//! map, the "local op" arrows of Figure 6. Its closures borrow read-only
+//! state directly: that is the broadcast (pivots and the index skeleton
+//! are shared with every worker in Step 4).
 //!
 //! The "shuffling and re-distribution op" arrows are the builder's own
 //! grouping by partition, which counts the records it moves in
@@ -77,32 +76,6 @@ impl Cluster {
     }
 }
 
-/// Read-only state shared with every worker — the Spark broadcast variable.
-/// (§V Step 4: "both the set of pivots and the index skeleton are
-/// broadcasted to all machines"; both are tiny and fit in memory.)
-#[derive(Debug)]
-pub struct Broadcast<T>(Arc<T>);
-
-impl<T> Broadcast<T> {
-    /// Wraps a value for broadcast.
-    pub fn new(value: T) -> Self {
-        Self(Arc::new(value))
-    }
-}
-
-impl<T> Clone for Broadcast<T> {
-    fn clone(&self) -> Self {
-        Self(Arc::clone(&self.0))
-    }
-}
-
-impl<T> std::ops::Deref for Broadcast<T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,14 +88,6 @@ mod tests {
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, i as i32 * 2);
         }
-    }
-
-    #[test]
-    fn broadcast_shares_value() {
-        let b = Broadcast::new(vec![1, 2, 3]);
-        let c = b.clone();
-        assert_eq!(*c, vec![1, 2, 3]);
-        assert_eq!(b.len(), 3);
     }
 
     #[test]

@@ -220,17 +220,20 @@ fn check_header(bytes: &[u8]) -> Result<(), String> {
 
 /// Bytes of one encoded record of `series_len` values: the `u64` id, then
 /// the values as `f32`s, all little-endian. The one spelling of the record
-/// layout; [`ClusterRecords`] is the one decoder of it.
+/// layout; [`encode_record`] is the one encoder of it and
+/// [`ClusterRecords`] the one decoder.
 pub const fn record_size(series_len: usize) -> usize {
     8 + series_len * 4
 }
 
-/// Appends `values` to `out` as little-endian `f32`s, a block at a time:
-/// the conversion loop fills a stack buffer the compiler turns into a
-/// straight copy on little-endian targets, and the vector grows once per
-/// block instead of once per float.
-fn put_f32s_le(out: &mut Vec<u8>, values: &[f32]) {
+/// Appends one record — `id`, then `values` — to `out` in the
+/// [`record_size`] layout. The values go a block at a time: the conversion
+/// loop fills a stack buffer the compiler turns into a straight copy on
+/// little-endian targets, and the vector grows once per block instead of
+/// once per float.
+pub fn encode_record(out: &mut Vec<u8>, id: u64, values: &[f32]) {
     const BLOCK: usize = 64;
+    out.extend_from_slice(&id.to_le_bytes());
     let mut buf = [0u8; BLOCK * 4];
     for block in values.chunks(BLOCK) {
         for (dst, v) in buf.chunks_exact_mut(4).zip(block) {
@@ -311,8 +314,7 @@ impl PartitionWriter {
             values.len(),
             self.series_len
         );
-        self.image.extend_from_slice(&id.to_le_bytes());
-        put_f32s_le(&mut self.image, values);
+        encode_record(&mut self.image, id, values);
         self.pending += 1;
     }
 
@@ -702,11 +704,12 @@ impl PartitionReader {
 }
 
 /// The cursor over a run of encoded records — one sealed cluster
-/// ([`PartitionReader::cluster_records`], [`ClusterView::records`]) or a
-/// whole partition ([`PartitionReader::records`]) — and the only code
-/// that knows where a record's id and values lie. Ids can be inspected
-/// without touching values; values are handed out in place
-/// ([`values_le`](Self::values_le), the scan's form) or decoded on
+/// ([`PartitionReader::cluster_records`], [`ClusterView::records`]), a
+/// whole partition ([`PartitionReader::records`]) or one pending delta
+/// cluster ([`DeltaRun::records`](crate::segment::DeltaRun::records)) —
+/// and the only code that knows where a record's id and values lie. Ids
+/// can be inspected without touching values; values are handed out in
+/// place ([`values_le`](Self::values_le), the scan's form) or decoded on
 /// demand, per record.
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterRecords<'a> {

@@ -24,7 +24,7 @@
 //!   deterministic fault-injecting [`FaultFs`] for crash-consistency
 //!   torture tests;
 //! * [`cluster`] — a deterministic worker pool with the Spark-ish verbs the
-//!   index build pipeline needs (parallel map, broadcast);
+//!   index build pipeline needs (an order-preserving parallel map);
 //! * [`sample`] — scattering a raw dataset over input partitions, the
 //!   unorganised state data arrives in before indexing;
 //! * [`page`] — the paged storage engine: a sharded byte-budgeted LRU
@@ -41,7 +41,7 @@ pub mod segment;
 pub mod stats;
 pub mod store;
 
-pub use cluster::{Broadcast, Cluster};
+pub use cluster::Cluster;
 pub use format::{
     ByteReader, ClusterPick, Decode, Encode, PartitionDirectory, PartitionReader, PartitionWriter,
     TrieNodeId,

@@ -8,10 +8,13 @@
 //! * the [`DeltaSegment`] — an in-memory segment of appended records,
 //!   clustered by the *same* `(partition, trie node)` key the frozen
 //!   skeleton would route them to. An append is O(record): one routing
-//!   pass plus a push into the right delta cluster. Queries read the
-//!   delta cluster of every `(partition, node)` they planned, so an
-//!   appended record is findable through exactly the plans that would
-//!   find it after a rebuild;
+//!   pass plus one record encoded onto the end of the right delta
+//!   cluster, in the layout a sealed cluster stores
+//!   ([`record_size`](crate::format::record_size)). Queries read the
+//!   delta cluster of every `(partition, node)` they planned through the
+//!   cursor and the loop that read the sealed one, so an appended record
+//!   is findable through exactly the plans that would find it after a
+//!   rebuild, and scored by the same kernel;
 //! * the [`TombstoneSet`] — the ids of deleted records. Deletes are
 //!   logical: the record stays in its sealed partition (or delta
 //!   cluster) until a flush/compaction folds the segments, and every
@@ -24,11 +27,12 @@
 //! lock-free.
 //!
 //! The [`Journal`] is their durable form: one little-endian blob holding
-//! the segment generation, the tombstone ids, and every delta cluster,
-//! referenced (size + checksum) by the index manifest so a persisted
-//! index can be reopened *writable* with its pending updates intact.
+//! the segment generation, the tombstone ids, and every delta cluster's
+//! encoded records as they are held, referenced (size + checksum) by the
+//! index manifest so a persisted index can be reopened *writable* with
+//! its pending updates intact.
 
-use crate::format::{ByteReader, TrieNodeId};
+use crate::format::{encode_record, record_size, ByteReader, ClusterRecords, TrieNodeId};
 use crate::fsio::ClimberFs;
 use crate::manifest::FileEntry;
 use crate::store::PartitionId;
@@ -96,28 +100,39 @@ pub const JOURNAL_MAGIC: [u8; 4] = *b"CLDJ";
 /// Journal layout version written by this build.
 pub const JOURNAL_VERSION: u32 = 1;
 
-/// One delta cluster: appended records routed to a `(partition, node)`
-/// pair, ids side by side with a flat value arena.
-#[derive(Debug, Default, Clone)]
-struct DeltaCluster {
-    ids: Vec<u64>,
-    values: Vec<f32>,
+/// One delta cluster: the records appended to a `(partition, node)` pair,
+/// encoded in arrival order in the [`record_size`] layout a sealed cluster
+/// holds — so a scan reads it through the same [`ClusterRecords`] cursor,
+/// a fold splices it and the journal copies it, byte for byte.
+#[derive(Debug)]
+pub struct DeltaRun {
+    series_len: usize,
+    bytes: Vec<u8>,
+}
+
+impl DeltaRun {
+    /// The cursor over the run's records, in append order.
+    pub fn records(&self) -> ClusterRecords<'_> {
+        let count = self.bytes.len() / record_size(self.series_len);
+        ClusterRecords::new(&self.bytes, self.series_len, count)
+    }
 }
 
 #[derive(Debug, Default)]
 struct DeltaInner {
     /// Length of every held series (0 until the first append).
     series_len: usize,
-    clusters: BTreeMap<(PartitionId, TrieNodeId), DeltaCluster>,
+    clusters: BTreeMap<(PartitionId, TrieNodeId), DeltaRun>,
 }
 
 /// The mutable in-memory segment absorbing appends.
 ///
 /// Records are clustered under the `(partition, trie node)` key the
-/// frozen skeleton routes them to, so the query layer can merge a delta
-/// cluster into the candidate stream of the sealed cluster with the same
-/// key. The segment is drained by a flush, which folds its clusters into
-/// rewritten sealed partitions.
+/// frozen skeleton routes them to, each cluster one [`DeltaRun`] of
+/// encoded records, so the query layer scans the delta cluster with the
+/// loop that scans the sealed cluster of the same key. The segment is
+/// drained by a flush, which splices its runs into rewritten sealed
+/// partitions.
 #[derive(Debug, Default)]
 pub struct DeltaSegment {
     inner: RwLock<DeltaInner>,
@@ -173,16 +188,21 @@ impl DeltaSegment {
             if inner.series_len == 0 {
                 inner.series_len = values.len();
             }
+            let series_len = inner.series_len;
             assert_eq!(
                 values.len(),
-                inner.series_len,
-                "appended series length {} != delta series length {}",
+                series_len,
+                "appended series length {} != delta series length {series_len}",
                 values.len(),
-                inner.series_len
             );
-            let cluster = inner.clusters.entry((partition, node)).or_default();
-            cluster.ids.push(id);
-            cluster.values.extend_from_slice(values);
+            let run = inner
+                .clusters
+                .entry((partition, node))
+                .or_insert_with(|| DeltaRun {
+                    series_len,
+                    bytes: Vec::new(),
+                });
+            encode_record(&mut run.bytes, id, values);
             added += 1;
         }
         self.records.fetch_add(added, Ordering::Release);
@@ -206,72 +226,74 @@ impl DeltaSegment {
             .collect()
     }
 
-    /// Visits the delta records of `(partition, node)` in append order —
+    /// Runs `f` over the delta records of `(partition, node)`, in append
+    /// order, inside a read section of the segment — the pending
+    /// counterpart of a sealed cluster's [`ClusterRecords`]. `None` when
+    /// the cluster is absent.
+    pub fn read_cluster<R>(
+        &self,
+        partition: PartitionId,
+        node: TrieNodeId,
+        f: impl FnOnce(ClusterRecords<'_>) -> R,
+    ) -> Option<R> {
+        let inner = self.inner.read();
+        inner
+            .clusters
+            .get(&(partition, node))
+            .map(|run| f(run.records()))
+    }
+
+    /// Decodes the delta records of `(partition, node)` in append order —
     /// the delta-side counterpart of
-    /// [`PartitionReader::for_each_in_cluster`](crate::format::PartitionReader::for_each_in_cluster).
-    /// Returns the number of records visited (0 when the cluster is absent).
+    /// [`PartitionReader::for_each_in_cluster`](crate::format::PartitionReader::for_each_in_cluster),
+    /// kept as a reference visitor for tests. Returns the number of
+    /// records visited (0 when the cluster is absent).
     pub fn for_each_in_cluster(
         &self,
         partition: PartitionId,
         node: TrieNodeId,
-        mut f: impl FnMut(u64, &[f32]),
+        f: impl FnMut(u64, &[f32]),
     ) -> u64 {
-        let inner = self.inner.read();
-        let Some(cluster) = inner.clusters.get(&(partition, node)) else {
-            return 0;
-        };
-        let w = inner.series_len;
-        for (i, &id) in cluster.ids.iter().enumerate() {
-            f(id, &cluster.values[i * w..(i + 1) * w]);
-        }
-        cluster.ids.len() as u64
+        self.read_cluster(partition, node, |recs| recs.for_each(f))
+            .unwrap_or(0)
     }
 
-    /// Visits every held record as `(partition, node, id, values)` in
-    /// `(partition, node)` order (journal serialisation and tests).
+    /// Decodes every held record as `(partition, node, id, values)` in
+    /// `(partition, node)` order (tests).
     pub fn for_each(&self, mut f: impl FnMut(PartitionId, TrieNodeId, u64, &[f32])) {
         let inner = self.inner.read();
-        let w = inner.series_len;
-        for (&(p, n), cluster) in &inner.clusters {
-            for (i, &id) in cluster.ids.iter().enumerate() {
-                f(p, n, id, &cluster.values[i * w..(i + 1) * w]);
-            }
+        for (&(p, n), run) in &inner.clusters {
+            run.records().for_each(|id, values| f(p, n, id, values));
         }
     }
 
     /// Drains every cluster out of the segment, leaving it empty — the
     /// first step of a flush. Records appended concurrently after the
     /// drain land in the emptied segment and survive for the next flush.
-    /// Returns `(partition, node) → (ids, flat values)` with ids in
-    /// append order.
-    #[allow(clippy::type_complexity)]
-    pub fn drain(&self) -> BTreeMap<(PartitionId, TrieNodeId), (Vec<u64>, Vec<f32>)> {
-        let mut inner = self.inner.write();
-        let drained = std::mem::take(&mut inner.clusters);
-        let out: BTreeMap<_, _> = drained
-            .into_iter()
-            .map(|(k, c)| (k, (c.ids, c.values)))
-            .collect();
-        let n: u64 = out.values().map(|(ids, _)| ids.len() as u64).sum();
-        self.records.fetch_sub(n, Ordering::Release);
-        out
+    pub fn drain(&self) -> BTreeMap<(PartitionId, TrieNodeId), DeltaRun> {
+        let drained = std::mem::take(&mut self.inner.write().clusters);
+        let n: usize = drained.values().map(|run| run.records().len()).sum();
+        self.records.fetch_sub(n as u64, Ordering::Release);
+        drained
     }
 
-    /// Re-inserts clusters produced by [`drain`](Self::drain) — the
-    /// rollback path of a failed flush, so no acknowledged append is ever
-    /// dropped on an I/O error.
-    #[allow(clippy::type_complexity)]
-    pub fn restore(&self, clusters: BTreeMap<(PartitionId, TrieNodeId), (Vec<u64>, Vec<f32>)>) {
+    /// Re-inserts runs produced by [`drain`](Self::drain) — the rollback
+    /// path of a failed flush, so no acknowledged append is ever dropped
+    /// on an I/O error. A restored run follows anything appended to its
+    /// cluster since the drain.
+    pub fn restore(&self, runs: BTreeMap<(PartitionId, TrieNodeId), DeltaRun>) {
         let mut inner = self.inner.write();
         let mut added = 0u64;
-        for ((p, n), (ids, values)) in clusters {
-            if inner.series_len == 0 && !ids.is_empty() {
-                inner.series_len = values.len() / ids.len();
+        for (key, run) in runs {
+            if inner.series_len == 0 {
+                inner.series_len = run.series_len;
             }
-            added += ids.len() as u64;
-            let cluster = inner.clusters.entry((p, n)).or_default();
-            cluster.ids.extend(ids);
-            cluster.values.extend(values);
+            added += run.records().len() as u64;
+            let held = inner.clusters.entry(key).or_insert_with(|| DeltaRun {
+                series_len: run.series_len,
+                bytes: Vec::new(),
+            });
+            held.bytes.extend_from_slice(&run.bytes);
         }
         self.records.fetch_add(added, Ordering::Release);
     }
@@ -376,10 +398,13 @@ pub struct Journal {
 /// ```text
 /// magic "CLDJ" | version u32 | generation u64 | series_len u32
 /// tombstones: count u64, then ids u64 ascending
-/// clusters:   count u32, then per cluster:
-///             partition u32, node u64, records u32,
+/// clusters:   count u32, then per cluster, keys strictly ascending:
+///             partition u32, node u64, records u32 (at least 1),
 ///             records × (id u64, series_len × f32)
 /// ```
+///
+/// A cluster's records are its [`DeltaRun`] in append order, in the
+/// partition record layout ([`record_size`]), copied as one slice.
 ///
 /// The blob carries no checksum of its own — the manifest references it
 /// with a size + xxHash64 entry, exactly like a partition file.
@@ -396,16 +421,11 @@ pub fn encode_journal(generation: u64, delta: &DeltaSegment, tombstones: &Tombst
         out.extend_from_slice(&id.to_le_bytes());
     }
     out.extend_from_slice(&(inner.clusters.len() as u32).to_le_bytes());
-    for (&(p, n), cluster) in &inner.clusters {
+    for (&(p, n), run) in &inner.clusters {
         out.extend_from_slice(&p.to_le_bytes());
         out.extend_from_slice(&n.to_le_bytes());
-        out.extend_from_slice(&(cluster.ids.len() as u32).to_le_bytes());
-        for (i, &id) in cluster.ids.iter().enumerate() {
-            out.extend_from_slice(&id.to_le_bytes());
-            for &v in &cluster.values[i * inner.series_len..(i + 1) * inner.series_len] {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
+        out.extend_from_slice(&(run.records().len() as u32).to_le_bytes());
+        out.extend_from_slice(&run.bytes);
     }
     out
 }
@@ -448,20 +468,24 @@ pub fn decode_journal(bytes: &[u8]) -> Result<Journal, String> {
     inner.series_len = series_len;
     let mut total = 0u64;
     for _ in 0..n_clusters {
-        let p = r.u32()?;
-        let n = r.u64()?;
-        let count = r.u32()? as usize;
-        let cluster = inner.clusters.entry((p, n)).or_default();
-        if !cluster.ids.is_empty() {
-            return Err(format!("duplicate journal cluster ({p}, {n})"));
+        let key = (r.u32()?, r.u64()?);
+        if inner
+            .clusters
+            .last_key_value()
+            .is_some_and(|(&prev, _)| prev >= key)
+        {
+            return Err(format!("journal cluster {key:?} out of key order"));
         }
-        for _ in 0..count {
-            cluster.ids.push(r.u64()?);
-            for _ in 0..series_len {
-                cluster.values.push(r.f32()?);
-            }
+        let count = r.u32()?;
+        if count == 0 {
+            return Err(format!("empty journal cluster {key:?}"));
         }
-        total += count as u64;
+        let run_bytes = (count as usize)
+            .checked_mul(record_size(series_len))
+            .ok_or_else(|| format!("journal cluster {key:?} overflows"))?;
+        let bytes = r.take(run_bytes)?.to_vec();
+        inner.clusters.insert(key, DeltaRun { series_len, bytes });
+        total += u64::from(count);
     }
     r.expect_end()
         .map_err(|_| "trailing bytes after journal".to_string())?;
@@ -536,7 +560,8 @@ mod tests {
         let drained = d.drain();
         assert!(d.is_empty());
         assert_eq!(drained.len(), 3);
-        assert_eq!(drained[&(3, 10)].0, vec![100, 102]);
+        let ids: Vec<u64> = drained[&(3, 10)].records().ids().collect();
+        assert_eq!(ids, vec![100, 102]);
         d.restore(drained);
         assert_eq!(d.record_count(), 4);
         assert_eq!(d.series_len(), 2);
@@ -613,6 +638,43 @@ mod tests {
     }
 
     #[test]
+    fn journal_bytes_follow_the_documented_layout() {
+        let d = DeltaSegment::new();
+        d.append(3, 10, 100, &[1.0, 2.0]);
+        d.append(1, 7, 101, &[3.0, 4.0]);
+        d.append(3, 10, 102, &[5.0, -6.5]);
+        let t = TombstoneSet::new();
+        t.delete(101);
+        t.delete(2);
+
+        let mut want = Vec::new();
+        want.extend_from_slice(b"CLDJ");
+        want.extend_from_slice(&1u32.to_le_bytes()); // version
+        want.extend_from_slice(&7u64.to_le_bytes()); // generation
+        want.extend_from_slice(&2u32.to_le_bytes()); // series_len
+        want.extend_from_slice(&2u64.to_le_bytes()); // tombstones, ascending
+        want.extend_from_slice(&2u64.to_le_bytes());
+        want.extend_from_slice(&101u64.to_le_bytes());
+        want.extend_from_slice(&2u32.to_le_bytes()); // clusters, key order
+        let clusters = [
+            (1u32, 7u64, vec![(101u64, [3.0f32, 4.0])]),
+            (3, 10, vec![(100, [1.0, 2.0]), (102, [5.0, -6.5])]),
+        ];
+        for (p, n, records) in clusters {
+            want.extend_from_slice(&p.to_le_bytes());
+            want.extend_from_slice(&n.to_le_bytes());
+            want.extend_from_slice(&(records.len() as u32).to_le_bytes());
+            for (id, values) in records {
+                want.extend_from_slice(&id.to_le_bytes());
+                for v in values {
+                    want.extend_from_slice(&v.to_le_bytes());
+                }
+            }
+        }
+        assert_eq!(encode_journal(7, &d, &t), want);
+    }
+
+    #[test]
     fn empty_journal_roundtrips() {
         let j = decode_journal(&encode_journal(
             0,
@@ -640,5 +702,36 @@ mod tests {
         let mut bad_version = bytes;
         bad_version[4] = 99;
         assert!(decode_journal(&bad_version).is_err());
+
+        // Well-framed cluster lists the encoder never writes: a key
+        // repeated after an empty first copy, a lone empty cluster, and
+        // keys out of order.
+        let journal = |clusters: &[(u32, u64, &[u64])]| {
+            let mut out = b"CLDJ".to_vec();
+            out.extend_from_slice(&JOURNAL_VERSION.to_le_bytes());
+            out.extend_from_slice(&3u64.to_le_bytes());
+            out.extend_from_slice(&1u32.to_le_bytes()); // series_len
+            out.extend_from_slice(&0u64.to_le_bytes()); // no tombstones
+            out.extend_from_slice(&(clusters.len() as u32).to_le_bytes());
+            for &(p, n, ids) in clusters {
+                out.extend_from_slice(&p.to_le_bytes());
+                out.extend_from_slice(&n.to_le_bytes());
+                out.extend_from_slice(&(ids.len() as u32).to_le_bytes());
+                for id in ids {
+                    out.extend_from_slice(&id.to_le_bytes());
+                    out.extend_from_slice(&0.5f32.to_le_bytes());
+                }
+            }
+            out
+        };
+        assert!(decode_journal(&journal(&[(7, 9, &[1]), (7, 10, &[2])])).is_ok());
+        for bad in [
+            &[(7, 9, &[][..]), (7, 9, &[1][..])][..],
+            &[(7, 9, &[])],
+            &[(7, 10, &[1]), (7, 9, &[2])],
+            &[(8, 0, &[1]), (7, 9, &[2])],
+        ] {
+            assert!(decode_journal(&journal(bad)).is_err(), "{bad:?}");
+        }
     }
 }

@@ -46,7 +46,7 @@ use crate::config::IndexConfig;
 use crate::skeleton::{GroupId, GroupMeta, IndexSkeleton, FALLBACK_GROUP};
 use crate::trie::Trie;
 use bytes::Bytes;
-use climber_dfs::cluster::{Broadcast, Cluster};
+use climber_dfs::cluster::Cluster;
 use climber_dfs::format::{PartitionWriter, TrieNodeId};
 use climber_dfs::stats::IoSnapshot;
 use climber_dfs::store::{PartitionId, PartitionStore};
@@ -278,7 +278,6 @@ impl IndexBuilder {
                 .collect()
         };
         let pivots = select_pivots(&sample_paa, w, cfg.num_pivots, cfg.seed);
-        let bpivots = Broadcast::new(pivots);
 
         // Step 1b + 2 (aggregation): rank-sensitive signatures of the
         // sample, extracted block-parallel with one selection buffer per
@@ -286,15 +285,14 @@ impl IndexBuilder {
         // merge is commutative counting, so the final map — and everything
         // derived from it — is independent of block or thread schedule.
         let freq_maps: Vec<HashMap<Vec<PivotId>, u64>> = {
-            let bp = bpivots.clone();
-            let arena = &sample_paa;
+            let (pivots, arena) = (&pivots, &sample_paa);
             self.cluster.par_map(sample_blocks, move |r| {
                 let mut heap: Vec<(f64, PivotId)> = Vec::with_capacity(cfg.prefix_len + 1);
                 let mut freq: HashMap<Vec<PivotId>, u64> = HashMap::new();
                 for i in r {
                     let point = &arena[i * w..(i + 1) * w];
                     let prefix =
-                        pivot_permutation_prefix_with(&bp, point, cfg.prefix_len, &mut heap);
+                        pivot_permutation_prefix_with(pivots, point, cfg.prefix_len, &mut heap);
                     *freq.entry(prefix).or_insert(0) += 1;
                 }
                 freq
@@ -326,7 +324,7 @@ impl IndexBuilder {
             cfg.max_centroids,
         );
         let centroids = selection.centroids;
-        let table = CentroidTable::new(&centroids, bpivots.len(), cfg.decay, cfg.prefix_len)
+        let table = CentroidTable::new(&centroids, pivots.len(), cfg.decay, cfg.prefix_len)
             .expect("Algorithm 2 selects prefixes of the sample as centroids");
 
         // Step 3: group the aggregated sensitive signatures (Algorithm 1,
@@ -419,7 +417,7 @@ impl IndexBuilder {
             paa_segments: cfg.paa_segments,
             prefix_len: cfg.prefix_len,
             decay: cfg.decay,
-            pivots: (*bpivots).clone(),
+            pivots,
             groups,
             seed: cfg.seed,
             table,
@@ -433,16 +431,15 @@ impl IndexBuilder {
         // the dataset when writing, so conversion holds no record copies.
         let t1 = Instant::now();
         let n = ds.num_series();
-        let bskel = Broadcast::new(skeleton);
         let shards: Vec<BlockShard> = {
-            let bs = bskel.clone();
+            let skeleton = &skeleton;
             self.cluster.par_map(ds.blocks(block_size), move |blk| {
                 let mut scratch = SignatureScratch::new();
                 let mut routed: HashMap<PartitionId, Vec<(TrieNodeId, u64)>> = HashMap::new();
                 let mut fallback = 0u64;
                 let mut via_default = 0u64;
                 for (id, vals) in blk.iter() {
-                    let p = bs.place_with(vals, id, &mut scratch);
+                    let p = skeleton.place_with(vals, id, &mut scratch);
                     fallback += u64::from(p.group == FALLBACK_GROUP);
                     via_default += u64::from(p.via_default);
                     routed.entry(p.partition).or_default().push((p.node, id));
@@ -485,7 +482,6 @@ impl IndexBuilder {
         // balance naturally); each worker streams records straight from
         // the dataset into its own writer, so at most `threads` partition
         // buffers are in flight at once.
-        let final_skeleton = (*bskel).clone();
         let put = &put;
         self.cluster.install(|| {
             rayon::scope(|s| {
@@ -520,19 +516,19 @@ impl IndexBuilder {
             sampled_records,
             distinct_sensitive,
             distinct_insensitive,
-            num_groups: final_skeleton.groups.len() - 1,
-            num_partitions: final_skeleton.num_partitions(),
-            num_trie_nodes: final_skeleton.num_trie_nodes(),
+            num_groups: skeleton.groups.len() - 1,
+            num_partitions: skeleton.num_partitions(),
+            num_trie_nodes: skeleton.num_trie_nodes(),
             fallback_records,
             default_routed_records,
-            skeleton_bytes: final_skeleton.size_bytes(),
+            skeleton_bytes: skeleton.size_bytes(),
             io: IoSnapshot::default(),
             threads: self.cluster.workers(),
             skeleton_records_per_sec: per_sec(sampled_records, skeleton_secs),
             conversion_records_per_sec: per_sec(n, conversion_secs),
             redistribution_records_per_sec: per_sec(n, redistribution_secs),
         };
-        (final_skeleton, report)
+        (skeleton, report)
     }
 
     /// Partition-level sampling over the raw dataset: the unorganised input

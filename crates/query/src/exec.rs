@@ -35,12 +35,12 @@ use crate::plan::{QueryOutcome, QueryPlan};
 pub use crate::search::SeriesLen;
 use crate::search::{SearchMode, SearchRequest};
 use crate::updates::UpdateView;
-use climber_dfs::format::{record_size, ClusterPick, TrieNodeId};
+use climber_dfs::format::{record_size, ClusterPick, ClusterRecords, TrieNodeId};
 use climber_dfs::page::ClusterView;
 use climber_dfs::store::{PartitionId, PartitionStore};
 use climber_index::skeleton::IndexSkeleton;
-use climber_repr::paa::{paa, paa_into, paa_le_into};
-use climber_series::distance::{ed_early_abandon, ed_early_abandon_le};
+use climber_repr::paa::{paa, paa_le_into};
+use climber_series::distance::ed_early_abandon_le;
 use climber_series::kernels::prefetch;
 use climber_series::resample::resample_linear;
 use climber_series::topk::{SharedBound, TopK};
@@ -58,7 +58,7 @@ const PREFILTER_SEGMENTS: usize = 16;
 /// computing: below this the signature pass costs about what it saves.
 const PREFILTER_MIN_QUERIES: usize = 4;
 
-/// The sealed scan prefetches every cache line of the record this many
+/// The scan prefetches every cache line of the record this many
 /// places ahead, id included, while it scores the current one. Most
 /// records are abandoned within a few lines, a stride the hardware
 /// streamer does not follow, but about two in five candidates (the first
@@ -489,12 +489,14 @@ pub(crate) fn scan_group<S: PartitionStore, Q: AsRef<[f32]> + Sync>(
 ///
 /// The candidate stream is the sealed cluster's records minus tombstoned
 /// ids, then the delta cluster under the same key minus tombstoned ids;
-/// its length is charged to every interested lane's `scanned`. A sealed
-/// record is scored where it lies in the cluster's bytes — never decoded,
-/// never copied — by every interested lane while its lines are cache-hot:
+/// its length is charged to every interested lane's `scanned`. Both runs
+/// hold records in the one encoded layout and go through the one record
+/// loop: each record is scored where it lies — never decoded, never
+/// copied — by every interested lane while its lines are cache-hot:
 /// `ed_early_abandon_le → TopK::offer → publish_bound`, behind the shared
 /// PAA prefilter when enough lanes share the record to pay for its
-/// signature. Per lane the records are visited in stream order.
+/// signature. Per lane the records are visited in stream order. The delta
+/// segment's read section is held around the delta run only.
 /// [`climber_dfs::stats::IoStats`] is charged a full record per sealed
 /// candidate — what the partition holds for it, whatever the kernel left
 /// unread.
@@ -520,31 +522,12 @@ fn scan_cluster<S: PartitionStore>(
 
     let tombstones = src.updates.map(|u| u.tombstones.read());
     let deleted = |id: u64| tombstones.as_ref().is_some_and(|t| t.contains(id));
-    let mut counted = 0u64;
-    if let Some(recs) = sealed.map(ClusterView::records) {
-        for i in 0..recs.len() {
-            if i + PREFETCH_AHEAD < recs.len() {
-                prefetch(recs.record(i + PREFETCH_AHEAD));
-            }
-            let id = recs.id(i);
-            if deleted(id) {
-                continue;
-            }
-            counted += 1;
-            lanes.score(id, Values::Le(recs.values_le(i)));
-        }
-    }
-    // The store is charged the sealed candidates; delta records counted
-    // below never came from it.
-    let sealed = counted;
-    if let Some(u) = src.updates {
-        u.delta.for_each_in_cluster(pid, node, |id, values| {
-            if !deleted(id) {
-                counted += 1;
-                lanes.score(id, Values::F32(values));
-            }
-        });
-    }
+    let sealed = sealed.map_or(0, |view| lanes.scan(view.records(), deleted));
+    let pending = (src.updates)
+        .and_then(|u| (u.delta).read_cluster(pid, node, |recs| lanes.scan(recs, deleted)))
+        .unwrap_or(0);
+    // The store is charged the sealed candidates; delta records never
+    // came from it.
     let record_bytes = record_size(series_len) as u64;
     src.store.stats().on_read(sealed * record_bytes);
     src.store.stats().on_records_read(sealed);
@@ -553,7 +536,7 @@ fn scan_cluster<S: PartitionStore>(
     // early-abandon work.
     for &(_, l) in interested {
         let lane = &mut lanes.lanes[l];
-        lane.scanned += counted;
+        lane.scanned += sealed + pending;
         if std::mem::take(&mut lane.tightened) {
             lane.top.publish_bound(&seats[lane.qi].shared);
         }
@@ -573,27 +556,36 @@ struct Scorer<'s, 'q> {
     prefilter: bool,
 }
 
-/// A record's readings as the scan finds them: the little-endian bytes of
-/// a sealed record, borrowed from the partition image, or the host `f32`s
-/// of a delta-segment record. Both kernels return the same bits for the
-/// same readings.
-#[derive(Clone, Copy)]
-enum Values<'a> {
-    Le(&'a [u8]),
-    F32(&'a [f32]),
-}
-
 impl Scorer<'_, '_> {
-    /// Scores one record, where it lies, against every interested lane —
-    /// the only place a record meets the exact kernel.
+    /// The record loop, over one run: every record whose id is not
+    /// `deleted` is [scored](Self::score) where it lies, while the record
+    /// [`PREFETCH_AHEAD`] places on is prefetched. Returns the run's
+    /// candidates.
     #[inline(always)]
-    fn score(&mut self, id: u64, values: Values<'_>) {
+    fn scan(&mut self, recs: ClusterRecords<'_>, deleted: impl Fn(u64) -> bool) -> u64 {
+        let mut counted = 0u64;
+        for i in 0..recs.len() {
+            if i + PREFETCH_AHEAD < recs.len() {
+                prefetch(recs.record(i + PREFETCH_AHEAD));
+            }
+            let id = recs.id(i);
+            if deleted(id) {
+                continue;
+            }
+            counted += 1;
+            self.score(id, recs.values_le(i));
+        }
+        counted
+    }
+
+    /// Scores one record — its values as stored, little-endian bytes
+    /// borrowed from the run — against every interested lane: the only
+    /// place a record meets the exact kernel.
+    #[inline(always)]
+    fn score(&mut self, id: u64, values: &[u8]) {
         if self.prefilter {
             self.paa.clear();
-            match values {
-                Values::Le(bytes) => paa_le_into(bytes, self.segments, self.paa),
-                Values::F32(v) => paa_into(v, self.segments, self.paa),
-            }
+            paa_le_into(values, self.segments, self.paa);
         }
         for &(_, l) in self.interested {
             let lane = &mut self.lanes[l];
@@ -608,11 +600,7 @@ impl Scorer<'_, '_> {
                     continue;
                 }
             }
-            let d = match values {
-                Values::Le(bytes) => ed_early_abandon_le(seat.query, bytes, bound),
-                Values::F32(v) => ed_early_abandon(seat.query, v, bound),
-            };
-            if let Some(d) = d {
+            if let Some(d) = ed_early_abandon_le(seat.query, values, bound) {
                 lane.tightened |= lane.top.offer(id, d);
             }
         }

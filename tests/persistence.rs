@@ -5,12 +5,13 @@
 //! never a silently wrong index.
 
 use climber_core::dfs::fsio::StdFs;
-use climber_core::dfs::manifest::xxh64;
+use climber_core::dfs::manifest::{xxh64, FileEntry};
+use climber_core::dfs::segment::{decode_journal, encode_journal};
 use climber_core::dfs::store::{partition_file_name, PartitionStore};
 use climber_core::series::gen::Domain;
 use climber_core::{
-    CacheConfig, Climber, ClimberConfig, ClimberError, Manifest, OpenError, OpenOptions,
-    RecoveryPolicy, SearchRequest, FORMAT_VERSION, MANIFEST_FILE, SKELETON_FILE,
+    CacheConfig, Climber, ClimberConfig, ClimberError, DeltaSegment, Manifest, OpenError,
+    OpenOptions, RecoveryPolicy, SearchRequest, FORMAT_VERSION, MANIFEST_FILE, SKELETON_FILE,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -501,6 +502,45 @@ fn stale_generation_journal_is_typed() {
             journal: 0,
         }))
     ));
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A journal whose records are of another length than the manifest's
+/// series is corrupt: opening it would hand a query's kernel two series
+/// of different lengths, and an append would trip the delta's length
+/// check.
+#[test]
+fn journal_of_another_series_length_is_typed() {
+    let (dir, _) = journaled_dir("journallen");
+    // Rewrite the journal with every pending record cut to half its
+    // length, and re-seal the manifest's journal entry to match it.
+    let journal_path = dir.join(climber_core::JOURNAL_FILE);
+    let old = decode_journal(&fs::read(&journal_path).unwrap()).unwrap();
+    let short = DeltaSegment::new();
+    old.delta
+        .for_each(|p, n, id, values| short.append(p, n, id, &values[..values.len() / 2]));
+    let bytes = encode_journal(old.generation, &short, &old.tombstones);
+    fs::write(&journal_path, &bytes).unwrap();
+    let mut m = Manifest::load_with(&StdFs, &dir).unwrap();
+    m.journal = Some(FileEntry {
+        bytes: bytes.len() as u64,
+        checksum: xxh64(&bytes, 0),
+    });
+    fs::write(manifest_path(&dir), m.encode()).unwrap();
+    for writable in [false, true] {
+        let opts = OpenOptions {
+            writable,
+            ..OpenOptions::default()
+        };
+        let opened = Climber::open_dir(&dir, &opts).map(drop);
+        assert!(
+            matches!(
+                opened,
+                Err(ClimberError::Open(OpenError::CorruptJournal(_)))
+            ),
+            "writable = {writable}: {opened:?}"
+        );
+    }
     fs::remove_dir_all(&dir).ok();
 }
 
