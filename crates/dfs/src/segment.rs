@@ -10,7 +10,7 @@
 //!   skeleton would route them to. An append is O(record): one routing
 //!   pass plus one record encoded onto the end of the right delta
 //!   cluster, in the layout a sealed cluster stores
-//!   ([`record_size`](crate::format::record_size)). Queries read the
+//!   ([`record_size`]). Queries read the
 //!   delta cluster of every `(partition, node)` they planned through the
 //!   cursor and the loop that read the sealed one, so an appended record
 //!   is findable through exactly the plans that would find it after a

@@ -50,9 +50,19 @@ pub fn pivot_permutation_prefix_with(
     heap.iter().map(|&(_, id)| id).collect()
 }
 
+/// Pivots scored per kernel call: their distances sit in one stack block,
+/// so the selection allocates nothing beyond `heap`.
+const BLOCK: usize = 64;
+
 /// The selection behind [`pivot_permutation_prefix_with`]: leaves the `m`
 /// nearest `(distance, id)` pairs in `heap`, ascending — the form a caller
 /// that keeps the prefix in its own buffer reads it from.
+///
+/// Two passes per block of pivots: one kernel call scores the whole block,
+/// then each pivot's [`order_key`] is tested against the current `m`-th
+/// best and, only when it beats it, inserted into the sorted `heap`. The
+/// pivot order and the ties are those of the full sort, so the prefix is
+/// too.
 pub(crate) fn select_prefix(
     pivots: &PivotSet,
     point: &[f64],
@@ -72,30 +82,47 @@ pub(crate) fn select_prefix(
         point.len(),
         pivots.dims()
     );
-    // Bounded max-heap over (dist, id) keyed the same way as the full sort.
     heap.clear();
-    heap.reserve(m + 1);
-    for (id, _) in pivots.iter() {
-        let d = pivots.sq_dist_to(id, point);
-        if heap.len() < m {
-            heap.push((d, id));
-            if heap.len() == m {
-                heap.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    heap.reserve(m);
+    // The key of `heap[m - 1]`, read only once `heap` is full.
+    let mut worst = (0, 0);
+    let mut dists = [0.0f64; BLOCK];
+    for first in (0..pivots.len()).step_by(BLOCK) {
+        let block = &mut dists[..BLOCK.min(pivots.len() - first)];
+        pivots.sq_dists_to(first, point, block);
+        for (j, &d) in block.iter().enumerate() {
+            let entry = (d, (first + j) as PivotId);
+            let key = order_key(entry);
+            let full = heap.len() == m;
+            if full && key >= worst {
+                continue;
             }
-            continue;
-        }
-        let worst = heap[m - 1];
-        if d.total_cmp(&worst.0).then(id.cmp(&worst.1)).is_lt() {
-            // insert in sorted position, drop the worst
-            let pos =
-                heap.partition_point(|&(hd, hid)| hd.total_cmp(&d).then(hid.cmp(&id)).is_lt());
-            heap.insert(pos, (d, id));
-            heap.pop();
+            if !full {
+                heap.push(entry);
+            }
+            // Insertion from the back: the last slot is free or the
+            // outgoing worst, and every slot passed moves up one.
+            let h = heap.as_mut_slice();
+            let mut i = h.len() - 1;
+            while i > 0 && order_key(h[i - 1]) > key {
+                h[i] = h[i - 1];
+                i -= 1;
+            }
+            h[i] = entry;
+            worst = order_key(h[h.len() - 1]);
         }
     }
-    if heap.len() < m {
-        heap.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    }
+}
+
+/// A `(distance, id)` pair as integers whose lexicographic order is exactly
+/// `d.total_cmp(..).then(id.cmp(..))`. A set sign bit (negative values,
+/// −0.0, and x86's default NaN from `inf − inf`) flips every bit, so a
+/// larger magnitude sorts lower; a clear one flips only the sign bit,
+/// lifting the value above every negative.
+#[inline]
+fn order_key((d, id): (f64, PivotId)) -> (u64, PivotId) {
+    let bits = d.to_bits();
+    (bits ^ (((bits as i64 >> 63) as u64) | (1 << 63)), id)
 }
 
 #[cfg(test)]
@@ -160,6 +187,35 @@ mod tests {
             let point = [i as f64 * 13.0 + 1.0];
             let with = pivot_permutation_prefix_with(&ps, &point, m, &mut heap);
             assert_eq!(with, pivot_permutation_prefix(&ps, &point, m));
+        }
+    }
+
+    #[test]
+    fn order_key_orders_as_total_cmp_then_id() {
+        let values = [
+            f64::from_bits(0xFFF8_0000_0000_0000), // x86's default NaN
+            f64::from_bits(0xFFF0_0000_0000_0001), // a negative signalling NaN
+            f64::NEG_INFINITY,
+            -1.5,
+            -f64::from_bits(1),
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            2.5,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for &a in &values {
+            for &b in &values {
+                for (ia, ib) in [(0, 0), (0, 1), (1, 0), (7, u16::MAX)] {
+                    assert_eq!(
+                        order_key((a, ia)).cmp(&order_key((b, ib))),
+                        a.total_cmp(&b).then(ia.cmp(&ib)),
+                        "({a:?}, {ia}) vs ({b:?}, {ib})"
+                    );
+                }
+            }
         }
     }
 

@@ -95,6 +95,20 @@ impl PivotSet {
         climber_series::kernels::sq_dist_f64(self.get(id), point)
     }
 
+    /// Squared Euclidean distances from `point` to pivots `first ..
+    /// first + out.len()`, one per slot of `out`: the bits of
+    /// [`sq_dist_to`](Self::sq_dist_to) for each, from one call of the
+    /// dispatched multi-row kernel.
+    ///
+    /// # Panics
+    /// If the range runs past the last pivot or `point` has the wrong
+    /// dimensionality.
+    #[inline]
+    pub(crate) fn sq_dists_to(&self, first: usize, point: &[f64], out: &mut [f64]) {
+        let rows = &self.coords[first * self.dims..(first + out.len()) * self.dims];
+        climber_series::kernels::sq_dist_f64_rows(rows, point, out);
+    }
+
     /// Iterator over `(id, coords)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (PivotId, &[f64])> {
         self.coords

@@ -173,6 +173,51 @@ proptest! {
         prop_assert_eq!(&prefix[..], &full[..m]);
     }
 
+    /// The keyed top-`m` selection is the head of the full
+    /// `(distance, id)` sort, block edges included (up to 200 pivots, 64
+    /// to a kernel call). Coordinates on a coarse grid and pivots copied
+    /// from earlier ones make exact distance ties, which only the id may
+    /// break; a point holding NaN of one sign makes every distance that
+    /// NaN, so the prefix is the first `m` ids.
+    #[test]
+    fn keyed_selection_equals_the_full_sort(
+        dims in 1usize..20,
+        r in 1usize..200,
+        seed in any::<u64>(),
+        nan in 0u8..3,
+    ) {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut coords: Vec<Vec<f64>> = Vec::with_capacity(r);
+        for i in 0..r {
+            let pivot = if i > 0 && rng.random::<f64>() < 0.3 {
+                coords[rng.random_range(0..i)].clone()
+            } else {
+                (0..dims).map(|_| f64::from(rng.random_range(0u8..7)) - 3.0).collect()
+            };
+            coords.push(pivot);
+        }
+        let ps = PivotSet::from_points(coords);
+        let mut q: Vec<f64> = (0..dims)
+            .map(|_| f64::from(rng.random_range(0u8..13)) / 2.0 - 3.0)
+            .collect();
+        if nan > 0 {
+            let value = if nan == 1 { f64::NAN } else { -f64::NAN };
+            for _ in 0..rng.random_range(1..=dims) {
+                q[rng.random_range(0..dims)] = value;
+            }
+        }
+        let full = pivot_permutation(&ps, &q);
+        for m in [1, rng.random_range(1..=r), r] {
+            let prefix = pivot_permutation_prefix(&ps, &q, m);
+            prop_assert_eq!(&prefix[..], &full[..m], "m {} of {}", m, r);
+            if nan > 0 {
+                prop_assert!(prefix.iter().copied().eq(0..m as u16));
+            }
+        }
+    }
+
     #[test]
     fn dual_signature_invariants(
         coords in prop::collection::vec(

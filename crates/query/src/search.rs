@@ -151,15 +151,23 @@ impl SearchRequest {
     }
 
     /// Checks the request is executable without panicking: `k` positive,
-    /// a non-empty query, and a positive factor for the factor-carrying
-    /// modes. The serving layer maps a failure onto a typed bad-request
-    /// response instead of letting a malformed frame kill a worker.
+    /// a non-empty query of finite values, and a positive factor for the
+    /// factor-carrying modes. The serving layer maps a failure onto a typed
+    /// bad-request response instead of letting a malformed frame kill a
+    /// worker. A NaN or infinite query value would make every distance
+    /// NaN or infinite, which no top-k bound can order.
     pub fn validate(&self) -> Result<(), String> {
         if self.k == 0 {
             return Err("k must be positive".into());
         }
         if self.query.is_empty() {
             return Err("query must be non-empty".into());
+        }
+        if let Some(i) = self.query.iter().position(|v| !v.is_finite()) {
+            return Err(format!(
+                "query value {i} is {}: every value must be finite",
+                self.query[i]
+            ));
         }
         match self.mode {
             SearchMode::Adaptive(0) | SearchMode::Resampled(0) => {
@@ -339,6 +347,28 @@ mod tests {
         assert!(err.contains('3') && err.contains('8'), "{err}");
         assert!(short.clone().resampled(2).validate_for(Some(8)).is_ok());
         assert!(short.resampled(0).validate_for(Some(8)).is_err());
+    }
+
+    #[test]
+    fn validate_refuses_non_finite_query_values() {
+        let negative_nan = f32::from_bits(0xFFC0_0000);
+        for bad in [f32::NAN, negative_nan, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut query = vec![0.5f32; 8];
+            query[5] = bad;
+            for req in [
+                SearchRequest::new(query.clone(), 3),
+                SearchRequest::new(query.clone(), 3).adaptive(4),
+                SearchRequest::new(query.clone(), 3).resampled(2),
+            ] {
+                let err = req.validate_for(Some(8)).unwrap_err();
+                assert!(
+                    err.contains("query value 5") && err.contains("finite"),
+                    "{err}"
+                );
+            }
+        }
+        let edges = vec![f32::MAX, f32::MIN, -0.0, f32::from_bits(1)];
+        assert!(SearchRequest::new(edges, 3).validate_for(Some(4)).is_ok());
     }
 
     #[test]

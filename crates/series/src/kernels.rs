@@ -1,7 +1,8 @@
 //! Runtime-dispatched SIMD distance kernels, bit-identical to scalar.
 //!
 //! This module holds the repo's only `unsafe` code: the AVX2 paths of the
-//! two record-scoring loops, `sq_ed` and `ed_early_abandon`, the byte view
+//! two record-scoring loops, `sq_ed` and `ed_early_abandon`, and of the
+//! pivot-distance loop [`sq_dist_f64_rows`], the byte view
 //! behind [`ed_early_abandon_le`] (the same loop fed a record's stored
 //! little-endian bytes, so a scan scores the page image in place) and the
 //! [`prefetch`] hint, which asks for every cache line of a slice — the
@@ -12,11 +13,14 @@
 //! on an AVX2 host is therefore byte-for-byte the query answered on a
 //! scalar host — dispatch is a pure speed knob, never a semantics knob.
 //!
-//! [`sum_f32`] (PAA segment means) and [`sq_dist_f64`] (pivot-space
-//! distances) are plain safe functions with the same pinned lane order:
-//! their inputs are 8–32 values long, where a vector tier measured at or
-//! below scalar. Their bits decide signatures and therefore the on-disk
-//! layout, so the summation order is part of the format.
+//! [`sum_f32`] (PAA segment means) and [`sq_dist_f64`] (one pivot-space
+//! distance) are plain safe functions with the same pinned lane order:
+//! their inputs are 8–32 values long, where a vector tier over one input
+//! measured at or below scalar. Their bits decide signatures and therefore
+//! the on-disk layout, so the summation order is part of the format.
+//! [`sq_dist_f64_rows`] is `sq_dist_f64` from one point to many rows at
+//! once; its AVX2 tier runs four rows side by side, one row per register,
+//! so each row keeps `sq_dist_f64`'s lanes and combine tree.
 //!
 //! ## Lane layout
 //!
@@ -25,10 +29,15 @@
 //! uses chunks of 4 reduced as `(l0+l2)+(l1+l3)`. The AVX2 tier keeps lanes
 //! 0-3 in one `__m256d` and lanes 4-7 in another; one `_mm256_add_pd` yields
 //! `[l0+l4, l1+l5, l2+l6, l3+l7]` and the final scalar combine
-//! `(s0+s2)+(s1+s3)` reproduces the reference tree.
+//! `(s0+s2)+(s1+s3)` reproduces the reference tree. [`sq_dist_f64_rows`]
+//! holds rows `A..D` in four `__m256d`; swapping 128-bit halves and one add
+//! yield `[A0+A2, A1+A3, B0+B2, B1+B3]` (and the same for `C`, `D`), and a
+//! horizontal add finishes each row's `(l0+l2)+(l1+l3)`.
 //!
-//! Tails shorter than a chunk are always summed sequentially in scalar code,
-//! identically on both tiers.
+//! Tails shorter than a chunk are always summed sequentially after the
+//! combine, identically on both tiers — in scalar code, except that
+//! [`sq_dist_f64_rows`] adds each of its four rows' tail dims in one vector
+//! op per dim, in the same order.
 //!
 //! ## Dispatch
 //!
@@ -302,6 +311,20 @@ pub fn sq_dist_f64(a: &[f64], b: &[f64]) -> f64 {
     acc
 }
 
+/// [`sq_dist_f64`] from `point` to every row of the row-major `rows`, one
+/// row per slot of `out`, the row as the first operand:
+/// `sq_dist_f64(row, point)`.
+fn sq_dist_f64_rows_scalar(rows: &[f64], point: &[f64], out: &mut [f64]) {
+    if point.is_empty() {
+        // Zero-length rows: every distance is the empty sum.
+        out.fill(0.0);
+        return;
+    }
+    for (row, d) in rows.chunks_exact(point.len()).zip(out) {
+        *d = sq_dist_f64(row, point);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // x86-64 AVX2 tier
 // ---------------------------------------------------------------------------
@@ -397,6 +420,61 @@ mod x86 {
         }
         Some(acc)
     }
+
+    /// Four rows at a time, one `__m256d` accumulator per row: lane `i` of
+    /// row `A` sums dims `i, i+4, …` exactly as `sq_dist_f64`'s lane `i`
+    /// does, the combine below is its `(l0+l2)+(l1+l3)` for four rows at
+    /// once, and a row's tail dims are then added one at a time, in order.
+    /// Rows past the last group of four go through `sq_dist_f64` itself.
+    ///
+    /// # Safety
+    /// The host supports AVX2 and `rows.len() == point.len() * out.len()`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn sq_dist_f64_rows_avx2(rows: &[f64], point: &[f64], out: &mut [f64]) {
+        let w = point.len();
+        let chunks = w / 4;
+        let p = point.as_ptr();
+        for q in 0..out.len() / 4 {
+            let r0 = rows.as_ptr().add(4 * q * w);
+            let (r1, r2, r3) = (r0.add(w), r0.add(2 * w), r0.add(3 * w));
+            let mut a0 = _mm256_setzero_pd();
+            let mut a1 = _mm256_setzero_pd();
+            let mut a2 = _mm256_setzero_pd();
+            let mut a3 = _mm256_setzero_pd();
+            for c in 0..chunks {
+                let vp = _mm256_loadu_pd(p.add(4 * c));
+                let d0 = _mm256_sub_pd(_mm256_loadu_pd(r0.add(4 * c)), vp);
+                let d1 = _mm256_sub_pd(_mm256_loadu_pd(r1.add(4 * c)), vp);
+                let d2 = _mm256_sub_pd(_mm256_loadu_pd(r2.add(4 * c)), vp);
+                let d3 = _mm256_sub_pd(_mm256_loadu_pd(r3.add(4 * c)), vp);
+                a0 = _mm256_add_pd(a0, _mm256_mul_pd(d0, d0));
+                a1 = _mm256_add_pd(a1, _mm256_mul_pd(d1, d1));
+                a2 = _mm256_add_pd(a2, _mm256_mul_pd(d2, d2));
+                a3 = _mm256_add_pd(a3, _mm256_mul_pd(d3, d3));
+            }
+            // [A0+A2, A1+A3, B0+B2, B1+B3] and the same for C, D ...
+            let ab = _mm256_add_pd(
+                _mm256_permute2f128_pd(a0, a1, 0x20),
+                _mm256_permute2f128_pd(a0, a1, 0x31),
+            );
+            let cd = _mm256_add_pd(
+                _mm256_permute2f128_pd(a2, a3, 0x20),
+                _mm256_permute2f128_pd(a2, a3, 0x31),
+            );
+            // ... then [A, C, B, D], each (l0+l2)+(l1+l3), back in row order.
+            let mut acc = _mm256_permute4x64_pd(_mm256_hadd_pd(ab, cd), 0b11_01_10_00);
+            for t in chunks * 4..w {
+                let vp = _mm256_set1_pd(*p.add(t));
+                let v = _mm256_set_pd(*r3.add(t), *r2.add(t), *r1.add(t), *r0.add(t));
+                let d = _mm256_sub_pd(v, vp);
+                acc = _mm256_add_pd(acc, _mm256_mul_pd(d, d));
+            }
+            _mm256_storeu_pd(out.as_mut_ptr().add(4 * q), acc);
+        }
+        for i in out.len() / 4 * 4..out.len() {
+            out[i] = super::sq_dist_f64(&rows[i * w..(i + 1) * w], point);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -477,6 +555,33 @@ fn ed_early_abandon_on<R: Reading>(
     }
 }
 
+/// [`sq_dist_f64_rows`] on an explicit tier.
+///
+/// # Panics
+/// If `rows` is not exactly `out.len()` rows of `point.len()` values, or
+/// `tier` is unsupported on this host.
+pub fn sq_dist_f64_rows_with(tier: Dispatch, rows: &[f64], point: &[f64], out: &mut [f64]) {
+    assert_eq!(
+        Some(rows.len()),
+        point.len().checked_mul(out.len()),
+        "squared distance requires equal lengths"
+    );
+    match tier {
+        Dispatch::Scalar => sq_dist_f64_rows_scalar(rows, point, out),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the tier is checked against the host before the AVX2
+        // code runs, and `rows` was just checked to hold exactly
+        // `out.len()` rows of `point.len()` values, so every load of row
+        // `i < out.len()` and of `point` stays inside its slice.
+        Dispatch::Avx2 => {
+            assert_supported(tier);
+            unsafe { x86::sq_dist_f64_rows_avx2(rows, point, out) }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => unsupported(tier),
+    }
+}
+
 #[inline]
 fn assert_supported(tier: Dispatch) {
     assert!(
@@ -537,6 +642,18 @@ pub fn ed_early_abandon_le(query: &[f32], record_le: &[u8], sq_bound: f64) -> Op
     } else {
         ed_early_abandon_le_with(current(), query, record_le, sq_bound)
     }
+}
+
+/// Squared distances from `point` to each row of the row-major `rows`
+/// (`out.len()` rows of `point.len()` values) on the current tier: slot
+/// `i` of `out` gets the bits of `sq_dist_f64(row_i, point)` — the
+/// pivot-distance pass of signature extraction, all pivots in one call.
+///
+/// # Panics
+/// If `rows` is not exactly `out.len()` rows of `point.len()` values.
+#[inline]
+pub fn sq_dist_f64_rows(rows: &[f64], point: &[f64], out: &mut [f64]) {
+    sq_dist_f64_rows_with(current(), rows, point, out)
 }
 
 /// Hints the CPU to pull every 64-byte cache line `bytes` spans into every

@@ -11,11 +11,13 @@
 //! entry, `ed_early_abandon_le`, reads a record's stored little-endian
 //! bytes in place: it is held to the bits the `&[f32]` entry returns on
 //! the decoded values, at every byte offset a page image can put a record.
+//! The pivot-distance entry, `sq_dist_f64_rows`, is held to the bits of
+//! `sq_dist_f64` row by row, NaN signs included: they decide signatures.
 #![recursion_limit = "1024"]
 
 use climber_series::kernels::{
-    self, ed_early_abandon_le_with, ed_early_abandon_with, sq_dist_f64, sq_ed_with, sum_f32,
-    Dispatch,
+    self, ed_early_abandon_le_with, ed_early_abandon_with, sq_dist_f64, sq_dist_f64_rows,
+    sq_dist_f64_rows_with, sq_ed_with, sum_f32, Dispatch,
 };
 use proptest::prelude::*;
 
@@ -334,6 +336,144 @@ fn ed_early_abandon_le_refuses_wrong_length_bytes() {
                 message.contains("ED requires equal-length series"),
                 "{message}"
             );
+        }
+    }
+}
+
+/// Deterministic pivot-space coordinates: plain values, and with `nasty`
+/// also NaN of both signs, both infinities, f64 subnormals and zeros of
+/// both signs — about one value in four.
+fn coords(len: usize, salt: u64, nasty: bool) -> Vec<f64> {
+    (0..len as u64)
+        .map(|i| {
+            let h = (i + 1)
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add(salt.wrapping_mul(0xD1B5_4A32_D192_ED03));
+            let v = (h >> 11) as f64 / (1u64 << 53) as f64 * 40.0 - 20.0;
+            match (nasty, (h >> 56) % 28) {
+                (true, 0) => f64::NAN,
+                (true, 1) => f64::from_bits(0xFFF8_0000_0000_0000), // negative NaN
+                (true, 2) => f64::INFINITY,
+                (true, 3) => f64::NEG_INFINITY,
+                (true, 4) => v * 1e-310,
+                (true, 5) => -0.0,
+                (true, 6) => 0.0,
+                _ => v,
+            }
+        })
+        .collect()
+}
+
+/// The NaNs a distance from `point` to `row` can end in: the NaN inputs
+/// themselves, and x86's default NaN (negative) wherever two infinities of
+/// one sign cancel. Every input NaN here is quiet with an empty payload.
+fn nan_sources(row: &[f64], point: &[f64]) -> Vec<u64> {
+    let default_nan = f64::from_bits(0xFFF8_0000_0000_0000);
+    let mut sources: Vec<u64> = row
+        .iter()
+        .zip(point)
+        .flat_map(|(&a, &b)| {
+            let cancels = a.is_infinite() && a == b;
+            [a, b, if cancels { default_nan } else { 0.0 }]
+        })
+        .filter(|v| v.is_nan())
+        .map(f64::to_bits)
+        .collect();
+    sources.sort_unstable();
+    sources.dedup();
+    sources
+}
+
+/// `sq_dist_f64_rows` on every tier, and its auto-dispatched entry, equal
+/// `sq_dist_f64(row, point)` for every row to the bit — a NaN's sign
+/// included, since `total_cmp` sorts the two NaNs to opposite ends of a
+/// permutation. Every dimensionality 0…40 (the AVX2 tier's 4-lane chunks
+/// and its sequential tail), row counts that leave 0, 1 and 3 rows past
+/// the last group of four, and rows starting at every f64 offset of a
+/// 32-byte line.
+///
+/// One exception, on which even two compilations of `sq_dist_f64`
+/// disagree: where NaNs of both signs meet in one sum, which of them comes
+/// out is the compiler's choice (it may swap an add's operands), so such a
+/// row is only asked to be a NaN. A row whose NaNs all share one sign —
+/// however many there are, from inputs or from `inf − inf` — is held to
+/// the bit.
+#[test]
+fn sq_dist_f64_rows_matches_sq_dist_f64_per_row() {
+    let mut held_nans = [0usize; 2];
+    for dims in 0..=40usize {
+        for r in [1usize, 3, 200] {
+            for (salt, nasty) in [(0u64, false), (1, true), (2, true), (3, true)] {
+                let point = coords(dims, salt, nasty);
+                let backing = coords(r * dims + 4, salt + 100, nasty);
+                for offset in 0..4 {
+                    let rows = &backing[offset..offset + r * dims];
+                    let want: Vec<u64> = (0..r)
+                        .map(|i| {
+                            let row = &rows[i * dims..(i + 1) * dims];
+                            let d = sq_dist_f64(row, &point);
+                            match nan_sources(row, &point).len() {
+                                0 | 1 => {
+                                    if d.is_nan() {
+                                        held_nans[usize::from(d.is_sign_negative())] += 1;
+                                    }
+                                    d.to_bits()
+                                }
+                                _ => u64::MAX,
+                            }
+                        })
+                        .collect();
+                    let seen = |out: &[f64]| -> Vec<u64> {
+                        out.iter()
+                            .zip(&want)
+                            .map(|(d, &w)| {
+                                if w == u64::MAX && d.is_nan() {
+                                    w
+                                } else {
+                                    d.to_bits()
+                                }
+                            })
+                            .collect()
+                    };
+                    let mut out = vec![0.5; r];
+                    sq_dist_f64_rows(rows, &point, &mut out);
+                    assert_eq!(
+                        seen(&out),
+                        want,
+                        "auto dims {dims} r {r} salt {salt} offset {offset}"
+                    );
+                    for tier in tiers() {
+                        let mut out = vec![0.5; r];
+                        sq_dist_f64_rows_with(tier, rows, &point, &mut out);
+                        assert_eq!(
+                            seen(&out),
+                            want,
+                            "{} dims {dims} r {r} salt {salt} offset {offset}",
+                            tier.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+    // Both signs of NaN reach the output and are held to the bit.
+    assert!(held_nans.iter().all(|&n| n > 100), "{held_nans:?}");
+}
+
+/// Rows that are not exactly `out.len()` rows of `point.len()` values
+/// never reach a load: every tier panics first.
+#[test]
+fn sq_dist_f64_rows_refuses_a_ragged_row_block() {
+    let point = [1.0f64; 16];
+    let rows = [0.0f64; 16 * 8 + 1];
+    for tier in tiers() {
+        for (len, slots) in [(16 * 8 + 1, 8), (16 * 8 - 1, 8), (16 * 8, 9), (16, 0)] {
+            let panic = std::panic::catch_unwind(|| {
+                sq_dist_f64_rows_with(tier, &rows[..len], &point, &mut [0.0; 9][..slots])
+            })
+            .expect_err("a ragged row block was scored");
+            let message = panic.downcast_ref::<String>().expect("a formatted panic");
+            assert!(message.contains("equal lengths"), "{message}");
         }
     }
 }

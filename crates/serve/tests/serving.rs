@@ -237,6 +237,39 @@ fn bad_requests_get_a_typed_response_not_a_dead_connection() {
     server.shutdown();
 }
 
+/// A query holding a NaN (either sign) or an infinity is a bad request,
+/// answered before admission: it never reaches the executor, where it
+/// would panic the batch into `Internal`.
+#[test]
+fn a_non_finite_query_is_a_bad_request_not_an_internal_error() {
+    let climber = build_climber(200, 19);
+    let server =
+        Server::start(Arc::clone(&climber), "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut client = ServeClient::connect(server.local_addr()).unwrap();
+    let q = queries_of(&climber, 1).remove(0);
+    let bad_values = [f32::NAN, f32::from_bits(0xFFC0_0000), f32::INFINITY];
+    for (i, bad) in bad_values.into_iter().enumerate() {
+        let mut query = q.clone();
+        query[i * 7] = bad;
+        for req in [
+            SearchRequest::new(query.clone(), 5),
+            SearchRequest::new(query, 5).adaptive(4),
+        ] {
+            let err = client.search(&req).unwrap_err();
+            assert!(
+                matches!(&err, ClimberError::Serve(ServeError::BadRequest(m)) if m.contains("finite")),
+                "{req:?}: {err:?}"
+            );
+        }
+    }
+    let ok = client.search(&SearchRequest::new(q, 3)).unwrap();
+    assert_eq!(ok.results.len(), 3);
+    let stats = server.stats();
+    assert_eq!(stats.rejected, 6);
+    assert_eq!((stats.admitted, stats.completed, stats.internal), (1, 1, 0));
+    server.shutdown();
+}
+
 #[test]
 fn overload_rejects_with_backpressure_instead_of_hanging() {
     let climber = build_climber(200, 19);
