@@ -136,7 +136,9 @@ impl DpisaxIndex {
             let empty = Vec::new();
             let ids = buckets.get(&pid).unwrap_or(&empty);
             writer.push_cluster(pid as u64, ids.iter().map(|&id| (id, ds.get(id))));
-            store.put(pid, writer.finish()).expect("partition write");
+            store
+                .put(pid, writer.finish(), || ())
+                .expect("partition write");
         }
 
         let stats = DpisaxBuildStats {

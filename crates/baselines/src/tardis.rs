@@ -150,7 +150,9 @@ impl TardisIndex {
                     writer.push_cluster(*node, ids.iter().map(|&id| (id, ds.get(id))));
                 }
             }
-            store.put(pid, writer.finish()).expect("partition write");
+            store
+                .put(pid, writer.finish(), || ())
+                .expect("partition write");
         }
 
         let stats = TardisBuildStats {

@@ -54,7 +54,9 @@ fn append_rewrite(climber: &Climber<MemStore>, next_id: &mut u64, values: &[f32]
     for (node, recs) in &clusters {
         writer.push_cluster(*node, recs.iter().map(|(rid, v)| (*rid, v.as_slice())));
     }
-    store.put(placement.partition, writer.finish()).unwrap();
+    store
+        .put(placement.partition, writer.finish(), || ())
+        .unwrap();
     id
 }
 

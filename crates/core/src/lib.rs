@@ -89,11 +89,11 @@ use climber_index::builder::IndexBuilder;
 use climber_pivot::signature::SignatureScratch;
 use climber_query::exec::{execute, SeriesLen, Source};
 use climber_series::dataset::Dataset;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Name of the skeleton file inside a disk-backed index directory.
 pub const SKELETON_FILE: &str = "skeleton.clsk";
@@ -157,6 +157,12 @@ pub struct Climber<S: PartitionStore = MemStore> {
     /// re-seal refreshes, held so a fold never re-reads and re-validates
     /// its own commit. `None` until the first seal of an unopened index.
     sealed: Mutex<Option<Manifest>>,
+    /// Held for the whole of every fold and every save: a fold splices a
+    /// snapshot of the delta's runs and then retires exactly that prefix,
+    /// so two folds must never copy the same records, and a seal must
+    /// never journal a delta a fold is halfway through. It guards no data:
+    /// a fold that panicked poisons nothing, its runs never left the delta.
+    maintenance: Mutex<()>,
     /// Store I/O at the moment the index became servable; the zero point
     /// for [`serve_io`](Self::serve_io). A seal reads through the
     /// unaccounted [`PartitionStore::image`], so [`save`](Self::save)
@@ -340,6 +346,7 @@ impl<S: PartitionStore> Climber<S> {
             writable: true,
             reseal_owed: std::sync::atomic::AtomicBool::new(false),
             sealed: Mutex::new(None),
+            maintenance: Mutex::new(()),
             ready_io: IoSnapshot::default(),
             series_len: SeriesLen::default(),
         }
@@ -366,6 +373,7 @@ impl<S: PartitionStore> Climber<S> {
     /// The partition reads save performs for checksumming are not store
     /// I/O: they never show in [`serve_io`](Self::serve_io).
     pub fn save(&self, dir: impl AsRef<Path>) -> Result<Manifest, ClimberError> {
+        let _serial = (self.maintenance.lock()).unwrap_or_else(PoisonError::into_inner);
         Ok(self.seal(dir.as_ref(), None)?)
     }
 
@@ -681,33 +689,29 @@ impl<S: PartitionStore> Climber<S> {
     /// If any series length differs from the indexed length.
     pub fn append_batch<V: AsRef<[f32]>>(&self, series: &[V]) -> Result<Vec<u64>, ClimberError> {
         self.ensure_writable()?;
-        let Some(first) = series.first() else {
-            return Ok(Vec::new());
-        };
-        let expected = self.series_len().unwrap_or(first.as_ref().len());
-        for v in series.iter().map(AsRef::as_ref) {
-            assert_eq!(
-                v.len(),
-                expected,
-                "appended series length {} != indexed length {expected}",
-                v.len()
-            );
-        }
+        check_append_lengths(self.series_len(), series);
         let first = self
             .next_id
             .fetch_add(series.len() as u64, Ordering::Relaxed);
         let ids: Vec<u64> = (first..first + series.len() as u64).collect();
+        self.append_routed(ids.iter().copied().zip(series.iter().map(AsRef::as_ref)));
+        Ok(ids)
+    }
+
+    /// Routes `(id, series)` records, ids already reserved, with the
+    /// frozen skeleton — one signature scratch for the batch — and inserts
+    /// them into the delta segment in one write section, taken only once
+    /// every record is placed. The one append path of a single index and
+    /// of a shard.
+    pub(crate) fn append_routed<'v>(&self, records: impl Iterator<Item = (u64, &'v [f32])>) {
         let mut scratch = SignatureScratch::new();
-        let routed: Vec<(PartitionId, TrieNodeId, u64, &[f32])> = series
-            .iter()
-            .zip(&ids)
-            .map(|(v, &id)| {
-                let p = self.skeleton.place_with(v.as_ref(), id, &mut scratch);
-                (p.partition, p.node, id, v.as_ref())
+        let routed: Vec<(PartitionId, TrieNodeId, u64, &[f32])> = records
+            .map(|(id, v)| {
+                let p = self.skeleton.place_with(v, id, &mut scratch);
+                (p.partition, p.node, id, v)
             })
             .collect();
         self.delta.append_many(routed);
-        Ok(ids)
     }
 
     /// Deletes series `id` — O(log n) into the tombstone set. Returns
@@ -734,13 +738,16 @@ impl<S: PartitionStore> Climber<S> {
     /// incrementally: only the folded partitions get fresh entries (from
     /// their put receipts), untouched manifest entries are reused, and the
     /// manifest is rewritten at the bumped segment generation, so the
-    /// on-disk index stays openable at O(affected partitions) cost. If
-    /// any partition write fails, the drained records of unwritten
-    /// partitions are restored to the delta segment — no acknowledged
-    /// append is dropped — and a later `flush` or `save` finishes the
-    /// pending re-seal. Queries racing a fold never see duplicates or
-    /// deleted records; records mid-fold can be transiently invisible
-    /// between the drain and their partition's install.
+    /// on-disk index stays openable at O(affected partitions) cost.
+    ///
+    /// A query racing a fold answers as it would before or after it: a
+    /// delta record leaves the segment in the same critical section that
+    /// publishes the image holding it, so at every instant it is in
+    /// exactly one place a query reads. If a partition write fails, that
+    /// partition's records simply stay in the delta segment — no
+    /// acknowledged append is dropped — and a later `flush` or `save`
+    /// finishes the pending re-seal. Folds and saves of one index run one
+    /// at a time; appends, deletes and queries proceed throughout.
     pub fn flush(&self) -> Result<MaintenanceReport, ClimberError> {
         Ok(self.maintain(false)?)
     }
@@ -754,42 +761,34 @@ impl<S: PartitionStore> Climber<S> {
 
     fn maintain(&self, purge: bool) -> io::Result<MaintenanceReport> {
         self.ensure_writable()?;
+        let _serial = (self.maintenance.lock()).unwrap_or_else(PoisonError::into_inner);
         // Tombstones snapshot only for a purge — ids deleted *during* the
-        // fold stay pending either way. The purge scan (which partitions
-        // hold tombstoned records) runs BEFORE anything is drained, and
-        // every scan error aborts the fold: silently skipping an
-        // unreadable partition here would later clear tombstones whose
-        // records were never purged, resurrecting deleted ids.
+        // fold stay pending either way. Every error of the purge scan
+        // (which partitions hold tombstoned records) aborts the fold:
+        // silently skipping an unreadable partition here would later clear
+        // tombstones whose records were never purged, resurrecting
+        // deleted ids.
         let purged_ids: Vec<u64> = if purge {
             self.tombstones.ids()
         } else {
             Vec::new()
         };
         let purge_set: BTreeSet<u64> = purged_ids.iter().copied().collect();
-        let mut tomb_affected: BTreeSet<PartitionId> = BTreeSet::new();
+        let mut affected: BTreeSet<PartitionId> = BTreeSet::new();
         if !purge_set.is_empty() {
             for pid in self.store.ids() {
                 let reader = self.store.open(pid)?;
                 // Id-only scan with early exit: no value decoding, stops
                 // at the first tombstoned record.
                 if reader.any_id(|id| purge_set.contains(&id)) {
-                    tomb_affected.insert(pid);
+                    affected.insert(pid);
                 }
             }
         }
-
-        // Drain the delta: concurrent appends land in the emptied segment
-        // and simply wait for the next flush. Group the drained clusters
-        // by partition; the rewrite set is their partitions plus the
-        // purge scan's.
-        let drained = self.delta.drain();
-        let mut delta_by_pid: BTreeMap<PartitionId, BTreeMap<TrieNodeId, DeltaRun>> =
-            BTreeMap::new();
-        for ((pid, node), run) in drained {
-            delta_by_pid.entry(pid).or_default().insert(node, run);
-        }
-        let mut affected: BTreeSet<PartitionId> = delta_by_pid.keys().copied().collect();
-        affected.extend(tomb_affected);
+        // The rewrite set: the purge scan's partitions plus every one with
+        // pending records. Records appended to any of them from here on
+        // wait for the next fold.
+        affected.extend(self.delta.partitions());
         if affected.is_empty() && purge_set.is_empty() {
             // Nothing to fold — but an earlier fold may have rewritten
             // partitions and then failed its re-seal (e.g. out of disk):
@@ -811,43 +810,16 @@ impl<S: PartitionStore> Climber<S> {
         // per-partition fan-out: each worker owns one writer end to end).
         // From the first rewrite on, a disk directory's manifest is stale
         // until the re-seal below lands; the flag makes any later flush
-        // or save finish the repair if this attempt errors out.
+        // or save finish the repair if this attempt errors out. A failed
+        // rewrite published nothing and retired nothing.
         self.reseal_owed
             .store(true, std::sync::atomic::Ordering::Relaxed);
         let cluster = climber_dfs::cluster::Cluster::new(self.build_options.resolved_threads());
-        let (folds_ref, purge_ref) = (&delta_by_pid, &purge_set);
-        let results: Vec<(PartitionId, io::Result<(u64, u64)>)> =
-            cluster.par_map(affected.iter().copied().collect::<Vec<_>>(), move |pid| {
-                let r = self.rewrite_partition(pid, folds_ref.get(&pid), purge_ref);
-                (pid, r)
-            });
-
-        let mut rewritten = 0usize;
-        let mut folded = 0u64;
-        let mut purged = 0u64;
-        let mut failed: Option<io::Error> = None;
-        let mut restore = BTreeMap::new();
-        for (pid, r) in results {
-            match r {
-                Ok((f, p)) => {
-                    rewritten += 1;
-                    folded += f;
-                    purged += p;
-                }
-                Err(e) => {
-                    // This partition was not rewritten: its drained delta
-                    // clusters go back so the records stay queryable.
-                    for (node, run) in delta_by_pid.remove(&pid).unwrap_or_default() {
-                        restore.insert((pid, node), run);
-                    }
-                    failed = Some(e);
-                }
-            }
-        }
-        if let Some(e) = failed {
-            self.delta.restore(restore);
-            return Err(e);
-        }
+        let purge_ref = &purge_set;
+        let results = cluster.par_map(affected.into_iter().collect(), move |pid| {
+            self.rewrite_partition(pid, purge_ref)
+        });
+        let rewrites = results.into_iter().collect::<io::Result<Vec<_>>>()?;
         if purge {
             self.tombstones.remove_all(&purged_ids);
         }
@@ -855,9 +827,9 @@ impl<S: PartitionStore> Climber<S> {
 
         self.reseal_home()?;
         Ok(MaintenanceReport {
-            partitions_rewritten: rewritten,
-            records_folded: folded,
-            records_purged: purged,
+            partitions_rewritten: rewrites.len(),
+            records_folded: rewrites.iter().map(|&(f, _)| f).sum(),
+            records_purged: rewrites.iter().map(|&(_, p)| p).sum(),
             tombstones_remaining: self.tombstones.len(),
             generation,
         })
@@ -883,30 +855,21 @@ impl<S: PartitionStore> Climber<S> {
 
     /// Rewrites one sealed partition: every sealed cluster's encoded
     /// records are spliced — byte ranges, never decoded — into the new
-    /// image minus the ids in `purge`, each followed by its `folds` delta
-    /// run (by trie node), spliced record by record in ascending-id
-    /// order; clusters left empty are dropped. Returns `(records folded,
-    /// records purged)`.
-    fn rewrite_partition(
-        &self,
-        pid: PartitionId,
-        folds: Option<&BTreeMap<TrieNodeId, DeltaRun>>,
-        purge: &BTreeSet<u64>,
-    ) -> io::Result<(u64, u64)> {
+    /// image minus the ids in `purge`, each followed by the partition's
+    /// delta run of the same trie node as it stands now, spliced record by
+    /// record in ascending-id order; clusters left empty are dropped. The
+    /// image is written and fsynced with no lock held, then published in
+    /// the delta write section that retires the runs it holds. Returns
+    /// `(records folded, records purged)`.
+    fn rewrite_partition(&self, pid: PartitionId, purge: &BTreeSet<u64>) -> io::Result<(u64, u64)> {
+        let folds = self.delta.snapshot(pid);
         let reader = self.store.open(pid)?;
         let sealed_nodes = reader.cluster_ids();
         // Delta clusters routed to trie nodes this partition has never
         // sealed (e.g. a leaf that received no records at build time)
         // follow the sealed ones.
-        let new_nodes = folds
-            .into_iter()
-            .flat_map(BTreeMap::keys)
-            .filter(|node| !sealed_nodes.contains(node));
-        let fold_records: usize = folds
-            .into_iter()
-            .flat_map(BTreeMap::values)
-            .map(|run| run.records().len())
-            .sum();
+        let new_nodes = folds.keys().filter(|node| !sealed_nodes.contains(node));
+        let fold_records: usize = folds.values().map(|run| run.records().len()).sum();
         let mut writer = PartitionWriter::with_capacity(
             reader.group_id(),
             reader.series_len(),
@@ -917,7 +880,7 @@ impl<S: PartitionStore> Climber<S> {
         // Appends `node`'s delta run to the open cluster and seals it
         // unless nothing survived.
         let mut seal_cluster = |writer: &mut PartitionWriter, node: TrieNodeId| {
-            if let Some(recs) = folds.and_then(|f| f.get(&node)).map(DeltaRun::records) {
+            if let Some(recs) = folds.get(&node).map(DeltaRun::records) {
                 let mut order: Vec<usize> = (0..recs.len()).collect();
                 order.sort_unstable_by_key(|&i| recs.id(i));
                 for i in order {
@@ -941,7 +904,10 @@ impl<S: PartitionStore> Climber<S> {
         for &node in new_nodes {
             seal_cluster(&mut writer, node);
         }
-        self.store.put(pid, writer.finish())?;
+        let section = self
+            .store
+            .put(pid, writer.finish(), || self.delta.write())?;
+        section.retire(pid, &folds);
         Ok((folded, purged + dropped))
     }
 
@@ -1026,6 +992,23 @@ impl<S: PartitionStore> Climber<S> {
     /// Serialised global index size in bytes (Figure 8(b)'s metric).
     pub fn global_index_bytes(&self) -> usize {
         self.skeleton.size_bytes()
+    }
+}
+
+/// Panics unless every series of an append batch measures `series_len`:
+/// the indexed length, or the first series' while nothing is indexed.
+pub(crate) fn check_append_lengths<V: AsRef<[f32]>>(series_len: Option<usize>, series: &[V]) {
+    let Some(first) = series.first() else {
+        return;
+    };
+    let expected = series_len.unwrap_or(first.as_ref().len());
+    for v in series.iter().map(AsRef::as_ref) {
+        assert_eq!(
+            v.len(),
+            expected,
+            "appended series length {} != indexed length {expected}",
+            v.len()
+        );
     }
 }
 
@@ -1236,11 +1219,9 @@ mod tests {
         );
         // and it sits in the delta cluster placement replay points at
         let placement = climber.skeleton().place(&probe, new_id);
-        let mut ids = Vec::new();
-        (climber.delta()).for_each_in_cluster(placement.partition, placement.node, |id, _| {
-            ids.push(id);
-        });
-        assert_eq!(ids, vec![new_id]);
+        let view = climber.delta().read();
+        let run = view.run(placement.partition, placement.node).unwrap();
+        assert_eq!(run.ids().collect::<Vec<_>>(), vec![new_id]);
     }
 
     /// The delta-segment regression the refactor exists for: appending

@@ -623,18 +623,7 @@ impl<S: PartitionStore> ShardedClimber<S> {
         for shard in self.shards.iter().flatten() {
             shard.ensure_writable()?;
         }
-        let Some(first) = series.first() else {
-            return Ok(Vec::new());
-        };
-        let expected = self.series_len().unwrap_or(first.as_ref().len());
-        for v in series.iter().map(AsRef::as_ref) {
-            assert_eq!(
-                v.len(),
-                expected,
-                "appended series length {} != indexed length {expected}",
-                v.len()
-            );
-        }
+        crate::check_append_lengths(self.series_len(), series);
         let first = self
             .next_id
             .fetch_add(series.len() as u64, Ordering::Relaxed);
@@ -658,14 +647,7 @@ impl<S: PartitionStore> ShardedClimber<S> {
                 continue;
             };
             let shard = self.shards[s].as_ref().expect("dead slots checked above");
-            let routed: Vec<_> = group
-                .into_iter()
-                .map(|(id, v)| {
-                    let p = shard.skeleton.place(v, id);
-                    (p.partition, p.node, id, v)
-                })
-                .collect();
-            shard.delta.append_many(routed);
+            shard.append_routed(group.into_iter());
             // The shard's own counter tracks the largest id it stores, so
             // a per-shard seal records the right `max_series_id`.
             shard.next_id.fetch_max(max_id + 1, Ordering::Relaxed);
@@ -848,7 +830,7 @@ fn route_partition<S: PartitionStore>(
         }
     }
     for (store, w) in stores.iter().zip(writers) {
-        store.put(pid, w.finish())?;
+        store.put(pid, w.finish(), || ())?;
     }
     Ok(())
 }

@@ -29,7 +29,9 @@ pub fn scatter_dataset<S: PartitionStore>(
         let mut w = PartitionWriter::new(u64::MAX, ds.series_len());
         // Raw input partitions have no trie structure: single cluster 0.
         w.push_cluster(0, (i..end).map(|r| (r as u64, ds.get(r as u64))));
-        store.put(next_pid, w.finish()).expect("store write failed");
+        store
+            .put(next_pid, w.finish(), || ())
+            .expect("store write failed");
         ids.push(next_pid);
         next_pid += 1;
         i = end;

@@ -22,9 +22,14 @@
 //!   heap.
 //!
 //! Both structures are concurrency-safe behind [`parking_lot`] locks:
-//! appends/deletes take short write sections, query scans take per-cluster
-//! read sections, and cheap atomic counters keep the no-update fast path
-//! lock-free.
+//! appends/deletes take short write sections, a query scan holds one
+//! delta read section per partition it reads, and cheap atomic counters
+//! keep the no-update fast path lock-free. A fold never empties the
+//! segment up front: it [copies](DeltaSegment::snapshot) a partition's
+//! runs, writes the partition's new image, and
+//! [retires](DeltaRetire::retire) the copied records in the write section
+//! that publishes the image — so every acknowledged append is, at every
+//! instant, in exactly one place a query reads.
 //!
 //! The [`Journal`] is their durable form: one little-endian blob holding
 //! the segment generation, the tombstone ids, and every delta cluster's
@@ -41,6 +46,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{RwLockReadGuard, RwLockWriteGuard};
 
 /// File name of the update journal inside an index directory.
 pub const JOURNAL_FILE: &str = "journal.cldj";
@@ -104,7 +110,7 @@ pub const JOURNAL_VERSION: u32 = 1;
 /// encoded in arrival order in the [`record_size`] layout a sealed cluster
 /// holds — so a scan reads it through the same [`ClusterRecords`] cursor,
 /// a fold splices it and the journal copies it, byte for byte.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DeltaRun {
     series_len: usize,
     bytes: Vec<u8>,
@@ -125,14 +131,22 @@ struct DeltaInner {
     clusters: BTreeMap<(PartitionId, TrieNodeId), DeltaRun>,
 }
 
+impl DeltaInner {
+    /// `partition`'s runs by ascending trie node.
+    fn runs_of(&self, partition: PartitionId) -> impl Iterator<Item = (TrieNodeId, &DeltaRun)> {
+        let keys = (partition, 0)..=(partition, TrieNodeId::MAX);
+        self.clusters.range(keys).map(|(&(_, n), run)| (n, run))
+    }
+}
+
 /// The mutable in-memory segment absorbing appends.
 ///
 /// Records are clustered under the `(partition, trie node)` key the
 /// frozen skeleton routes them to, each cluster one [`DeltaRun`] of
 /// encoded records, so the query layer scans the delta cluster with the
-/// loop that scans the sealed cluster of the same key. The segment is
-/// drained by a flush, which splices its runs into rewritten sealed
-/// partitions.
+/// loop that scans the sealed cluster of the same key. A fold splices a
+/// partition's runs into its rewritten image and retires them as the
+/// image is published.
 #[derive(Debug, Default)]
 pub struct DeltaSegment {
     inner: RwLock<DeltaInner>,
@@ -216,86 +230,87 @@ impl DeltaSegment {
         out
     }
 
-    /// Trie nodes of `partition` holding delta records, ascending.
-    pub fn nodes_for(&self, partition: PartitionId) -> Vec<TrieNodeId> {
+    /// Opens a read section: no run grows or shrinks while the view is
+    /// held. A scan holds one across everything it reads of a partition,
+    /// sealed clusters included, so it sees the partition either before a
+    /// fold publishes its new image or after, never in between. Never
+    /// open a second view on the same thread while holding one: a writer
+    /// queued between the two deadlocks both.
+    pub fn read(&self) -> DeltaView<'_> {
+        DeltaView(self.inner.read())
+    }
+
+    /// Copies `partition`'s runs at their current lengths — what a fold
+    /// splices into the partition's new image. Records appended from here
+    /// on extend the held runs past the copied prefix and stay for the
+    /// next fold.
+    pub fn snapshot(&self, partition: PartitionId) -> BTreeMap<TrieNodeId, DeltaRun> {
         let inner = self.inner.read();
         inner
-            .clusters
-            .range((partition, 0)..=(partition, TrieNodeId::MAX))
-            .map(|(&(_, n), _)| n)
+            .runs_of(partition)
+            .map(|(n, run)| (n, run.clone()))
             .collect()
     }
 
-    /// Runs `f` over the delta records of `(partition, node)`, in append
-    /// order, inside a read section of the segment — the pending
+    /// Opens the write section a fold publishes a partition's new image
+    /// in: held from before the store makes the image readable until
+    /// [`DeltaRetire::retire`] has removed the records the image now holds.
+    pub fn write(&self) -> DeltaRetire<'_> {
+        DeltaRetire {
+            inner: self.inner.write(),
+            records: &self.records,
+        }
+    }
+}
+
+/// A read section over a [`DeltaSegment`] (see [`DeltaSegment::read`]).
+pub struct DeltaView<'a>(RwLockReadGuard<'a, DeltaInner>);
+
+impl DeltaView<'_> {
+    /// The run of `(partition, node)`, in append order — the pending
     /// counterpart of a sealed cluster's [`ClusterRecords`]. `None` when
     /// the cluster is absent.
-    pub fn read_cluster<R>(
-        &self,
-        partition: PartitionId,
-        node: TrieNodeId,
-        f: impl FnOnce(ClusterRecords<'_>) -> R,
-    ) -> Option<R> {
-        let inner = self.inner.read();
-        inner
+    pub fn run(&self, partition: PartitionId, node: TrieNodeId) -> Option<ClusterRecords<'_>> {
+        self.0
             .clusters
             .get(&(partition, node))
-            .map(|run| f(run.records()))
+            .map(DeltaRun::records)
     }
 
-    /// Decodes the delta records of `(partition, node)` in append order —
-    /// the delta-side counterpart of
-    /// [`PartitionReader::for_each_in_cluster`](crate::format::PartitionReader::for_each_in_cluster),
-    /// kept as a reference visitor for tests. Returns the number of
-    /// records visited (0 when the cluster is absent).
-    pub fn for_each_in_cluster(
-        &self,
-        partition: PartitionId,
-        node: TrieNodeId,
-        f: impl FnMut(u64, &[f32]),
-    ) -> u64 {
-        self.read_cluster(partition, node, |recs| recs.for_each(f))
-            .unwrap_or(0)
+    /// Trie nodes of `partition` holding delta records, ascending.
+    pub fn nodes_for(&self, partition: PartitionId) -> impl Iterator<Item = TrieNodeId> + '_ {
+        self.0.runs_of(partition).map(|(n, _)| n)
     }
+}
 
-    /// Decodes every held record as `(partition, node, id, values)` in
-    /// `(partition, node)` order (tests).
-    pub fn for_each(&self, mut f: impl FnMut(PartitionId, TrieNodeId, u64, &[f32])) {
-        let inner = self.inner.read();
-        for (&(p, n), run) in &inner.clusters {
-            run.records().for_each(|id, values| f(p, n, id, values));
-        }
-    }
+/// The write section of a fold's publish (see [`DeltaSegment::write`]).
+pub struct DeltaRetire<'a> {
+    inner: RwLockWriteGuard<'a, DeltaInner>,
+    records: &'a AtomicU64,
+}
 
-    /// Drains every cluster out of the segment, leaving it empty — the
-    /// first step of a flush. Records appended concurrently after the
-    /// drain land in the emptied segment and survive for the next flush.
-    pub fn drain(&self) -> BTreeMap<(PartitionId, TrieNodeId), DeltaRun> {
-        let drained = std::mem::take(&mut self.inner.write().clusters);
-        let n: usize = drained.values().map(|run| run.records().len()).sum();
-        self.records.fetch_sub(n as u64, Ordering::Release);
-        drained
-    }
-
-    /// Re-inserts runs produced by [`drain`](Self::drain) — the rollback
-    /// path of a failed flush, so no acknowledged append is ever dropped
-    /// on an I/O error. A restored run follows anything appended to its
-    /// cluster since the drain.
-    pub fn restore(&self, runs: BTreeMap<(PartitionId, TrieNodeId), DeltaRun>) {
-        let mut inner = self.inner.write();
-        let mut added = 0u64;
-        for (key, run) in runs {
-            if inner.series_len == 0 {
-                inner.series_len = run.series_len;
+impl DeltaRetire<'_> {
+    /// Removes from `partition`'s runs exactly the prefix `folded` copied
+    /// ([`DeltaSegment::snapshot`]), dropping runs left empty, and closes
+    /// the section. Folds are serialised, so nothing else removed records
+    /// from these runs since the copy; appends only ever extend them.
+    pub fn retire(mut self, partition: PartitionId, folded: &BTreeMap<TrieNodeId, DeltaRun>) {
+        let mut removed = 0u64;
+        for (&node, prefix) in folded {
+            let key = (partition, node);
+            let run =
+                (self.inner.clusters.get_mut(&key)).expect("a folded run stays until retired");
+            debug_assert!(
+                run.bytes.starts_with(&prefix.bytes),
+                "run {key:?} lost its prefix"
+            );
+            run.bytes.drain(..prefix.bytes.len());
+            if run.bytes.is_empty() {
+                self.inner.clusters.remove(&key);
             }
-            added += run.records().len() as u64;
-            let held = inner.clusters.entry(key).or_insert_with(|| DeltaRun {
-                series_len: run.series_len,
-                bytes: Vec::new(),
-            });
-            held.bytes.extend_from_slice(&run.bytes);
+            removed += prefix.records().len() as u64;
         }
-        self.records.fetch_add(added, Ordering::Release);
+        self.records.fetch_sub(removed, Ordering::Release);
     }
 }
 
@@ -498,6 +513,16 @@ pub fn decode_journal(bytes: &[u8]) -> Result<Journal, String> {
 mod tests {
     use super::*;
 
+    /// Every held record as `(partition, node, id, values)`, in key order.
+    fn records(d: &DeltaSegment) -> Vec<(PartitionId, TrieNodeId, u64, Vec<f32>)> {
+        let mut out = Vec::new();
+        for (&(p, n), run) in &d.inner.read().clusters {
+            run.records()
+                .for_each(|id, v| out.push((p, n, id, v.to_vec())));
+        }
+        out
+    }
+
     fn sample_delta() -> DeltaSegment {
         let d = DeltaSegment::new();
         d.append(3, 10, 100, &[1.0, 2.0]);
@@ -513,27 +538,27 @@ mod tests {
         assert_eq!(d.record_count(), 4);
         assert_eq!(d.series_len(), 2);
         assert_eq!(d.partitions(), vec![1, 3]);
-        assert_eq!(d.nodes_for(3), vec![10, 11]);
-        assert_eq!(d.nodes_for(1), vec![7]);
-        assert_eq!(d.nodes_for(9), Vec::<TrieNodeId>::new());
+        let view = d.read();
+        let nodes = |p| view.nodes_for(p).collect::<Vec<_>>();
+        assert_eq!(nodes(3), vec![10, 11]);
+        assert_eq!(nodes(1), vec![7]);
+        assert_eq!(nodes(9), Vec::<TrieNodeId>::new());
 
         let mut seen = Vec::new();
-        let n = d.for_each_in_cluster(3, 10, |id, v| seen.push((id, v.to_vec())));
+        let n = (view.run(3, 10).unwrap()).for_each(|id, v| seen.push((id, v.to_vec())));
         assert_eq!(n, 2);
         assert_eq!(seen, vec![(100, vec![1.0, 2.0]), (102, vec![5.0, 6.0])]);
-        assert_eq!(d.for_each_in_cluster(9, 10, |_, _| panic!("absent")), 0);
+        assert!(view.run(9, 10).is_none());
     }
 
     #[test]
     fn delta_read_respects_keep_filter() {
         // Filtering (tombstones) is the visitor's job: it sees every id.
         let d = sample_delta();
-        let mut kept = Vec::new();
-        d.for_each_in_cluster(3, 10, |id, _| {
-            if id != 100 {
-                kept.push(id);
-            }
-        });
+        let view = d.read();
+        let kept: Vec<u64> = (view.run(3, 10).unwrap().ids())
+            .filter(|&id| id != 100)
+            .collect();
         assert_eq!(kept, vec![102]);
     }
 
@@ -555,17 +580,27 @@ mod tests {
     }
 
     #[test]
-    fn delta_drain_then_restore_roundtrips() {
+    fn retire_removes_exactly_the_snapshot_prefix() {
         let d = sample_delta();
-        let drained = d.drain();
-        assert!(d.is_empty());
-        assert_eq!(drained.len(), 3);
-        let ids: Vec<u64> = drained[&(3, 10)].records().ids().collect();
+        let folded = d.snapshot(3);
+        assert_eq!(folded.keys().copied().collect::<Vec<_>>(), vec![10, 11]);
+        let ids: Vec<u64> = folded[&10].records().ids().collect();
         assert_eq!(ids, vec![100, 102]);
-        d.restore(drained);
-        assert_eq!(d.record_count(), 4);
-        assert_eq!(d.series_len(), 2);
-        assert_eq!(d.nodes_for(3), vec![10, 11]);
+        // Appended after the copy: stays for the next fold.
+        d.append(3, 10, 104, &[9.0, 9.5]);
+        assert_eq!(d.record_count(), 5, "a snapshot removes nothing");
+        d.write().retire(3, &folded);
+        assert_eq!(d.record_count(), 2);
+        assert_eq!(
+            records(&d),
+            vec![(1, 7, 101, vec![3.0, 4.0]), (3, 10, 104, vec![9.0, 9.5])]
+        );
+        assert_eq!(d.partitions(), vec![1, 3]);
+        for p in [1, 3] {
+            let folded = d.snapshot(p);
+            d.write().retire(p, &folded);
+        }
+        assert!(d.is_empty() && d.partitions().is_empty());
     }
 
     #[test]
@@ -607,12 +642,9 @@ mod tests {
         });
         assert_eq!(d.record_count(), 800);
         assert_eq!(t.len(), 200);
-        let mut seen = 0u64;
-        d.for_each(|_, _, _, vals| {
-            assert_eq!(vals.len(), 2);
-            seen += 1;
-        });
-        assert_eq!(seen, 800);
+        let held = records(&d);
+        assert_eq!(held.len(), 800);
+        assert!(held.iter().all(|(_, _, _, vals)| vals.len() == 2));
     }
 
     #[test]
@@ -627,12 +659,7 @@ mod tests {
         assert_eq!(j.tombstones.ids(), vec![2, 101]);
         assert_eq!(j.delta.record_count(), 4);
         assert_eq!(j.delta.series_len(), 2);
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        d.for_each(|p, n, id, v| a.push((p, n, id, v.to_vec())));
-        j.delta
-            .for_each(|p, n, id, v| b.push((p, n, id, v.to_vec())));
-        assert_eq!(a, b);
+        assert_eq!(records(&d), records(&j.delta));
         // Deterministic: same state → same bytes.
         assert_eq!(bytes, encode_journal(7, &d, &t));
     }

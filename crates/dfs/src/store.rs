@@ -97,8 +97,12 @@ impl PutReceipt {
 
 /// A store of encoded partitions keyed by [`PartitionId`].
 pub trait PartitionStore: Send + Sync {
-    /// Writes (or replaces) a partition.
-    fn put(&self, id: PartitionId, bytes: Bytes) -> io::Result<()>;
+    /// Writes (or replaces) a partition. Once the image is durable, the
+    /// store opens the caller's section (`publish`) right before its own
+    /// that makes the image readable, and returns it still held: a fold's
+    /// is the delta write section (lock order: delta, then store). Every
+    /// other caller passes `|| ()`.
+    fn put<G>(&self, id: PartitionId, bytes: Bytes, publish: impl FnOnce() -> G) -> io::Result<G>;
 
     /// Reads partition `id`'s whole image for reading, past any block
     /// cache. Counts the open and the header bytes. Folds, scrubs and
@@ -217,10 +221,11 @@ fn quarantined_error(id: PartitionId) -> io::Error {
 }
 
 impl PartitionStore for MemStore {
-    fn put(&self, id: PartitionId, bytes: Bytes) -> io::Result<()> {
+    fn put<G>(&self, id: PartitionId, bytes: Bytes, publish: impl FnOnce() -> G) -> io::Result<G> {
         self.stats.on_partition_write(bytes.len() as u64);
+        let section = publish();
         self.parts.write().insert(id, bytes);
-        Ok(())
+        Ok(section)
     }
 
     fn open(&self, id: PartitionId) -> io::Result<PartitionReader> {
@@ -614,7 +619,7 @@ impl PartitionStore for DiskStore {
         self.cache.as_ref().map(|sc| Arc::clone(&sc.cache))
     }
 
-    fn put(&self, id: PartitionId, bytes: Bytes) -> io::Result<()> {
+    fn put<G>(&self, id: PartitionId, bytes: Bytes, publish: impl FnOnce() -> G) -> io::Result<G> {
         if self.is_read_only() {
             return Err(io::Error::new(
                 io::ErrorKind::PermissionDenied,
@@ -636,14 +641,16 @@ impl PartitionStore for DiskStore {
         // `write_staged`) and renamed over it by `commit_staged` after the
         // next manifest commit. The seal pays the one directory fsync
         // covering every stage. The rename and the new directory land
-        // together, between two cluster reads.
+        // together, between two cluster reads, in the caller's section.
         let path = staged_path_of(&self.dir, id);
-        let result = fsio::write_staged_under(&*self.fs, &path, &bytes, || self.staged.write())
-            .map(|mut staged| {
-                staged.insert(id, Some(receipt));
-                self.directories.write().insert(id, parsed);
-                self.ids.write().insert(id);
-            });
+        let lock = || (publish(), self.staged.write());
+        let result = fsio::write_staged_under(&*self.fs, &path, &bytes, lock);
+        let result = result.map(|(section, mut staged)| {
+            staged.insert(id, Some(receipt));
+            self.directories.write().insert(id, parsed);
+            self.ids.write().insert(id);
+            section
+        });
         // Reads serve the sibling now: the old clusters are stale.
         if let Some(sc) = &self.cache {
             sc.cache.invalidate(sc.token, id);
@@ -785,8 +792,8 @@ mod tests {
     }
 
     fn exercise_store<S: PartitionStore>(store: &S) {
-        store.put(5, encode_partition(1, 10, 3)).unwrap();
-        store.put(2, encode_partition(2, 20, 1)).unwrap();
+        store.put(5, encode_partition(1, 10, 3), || ()).unwrap();
+        store.put(2, encode_partition(2, 20, 1), || ()).unwrap();
         assert_eq!(store.ids(), vec![2, 5]);
         assert_eq!(store.len(), 2);
 
@@ -830,7 +837,11 @@ mod tests {
             for pid in 0..16u32 {
                 s.spawn(move |_| {
                     store
-                        .put(pid, encode_partition(pid as u64, 1, 1 + pid as usize % 4))
+                        .put(
+                            pid,
+                            encode_partition(pid as u64, 1, 1 + pid as usize % 4),
+                            || (),
+                        )
                         .unwrap();
                 });
             }
@@ -859,8 +870,8 @@ mod tests {
     #[test]
     fn put_replaces_partition() {
         let store = MemStore::new();
-        store.put(1, encode_partition(0, 1, 2)).unwrap();
-        store.put(1, encode_partition(0, 1, 5)).unwrap();
+        store.put(1, encode_partition(0, 1, 2), || ()).unwrap();
+        store.put(1, encode_partition(0, 1, 5), || ()).unwrap();
         assert_eq!(store.open(1).unwrap().record_count(), 5);
         assert_eq!(store.ids(), vec![1]);
     }
@@ -875,7 +886,7 @@ mod tests {
         // validated open.
         let image = encode_partition(7, 1, 4);
         let build = DiskStore::create(&dir, fsio::std_fs()).unwrap();
-        build.put(3, image.clone()).unwrap();
+        build.put(3, image.clone(), || ()).unwrap();
         build.commit_staged().unwrap();
         let partitions = vec![PartitionEntry {
             id: 3,
@@ -933,7 +944,7 @@ mod tests {
         assert_eq!(hits_misses(&cache), (2, 0), "an open is uncached");
         // A rewrite invalidates: the staged image is read uncached, and
         // after the commit the first read misses, the second hits.
-        store.put(3, encode_partition(7, 1, 9)).unwrap();
+        store.put(3, encode_partition(7, 1, 9), || ()).unwrap();
         assert_eq!(read(ClusterPick::Named(&[1])), 9);
         assert_eq!(
             hits_misses(&cache),
@@ -964,14 +975,14 @@ mod tests {
     fn stored_bytes_default_matches_open_image() {
         let store = MemStore::new();
         let v1 = encode_partition(1, 4, 3);
-        store.put(0, v1.clone()).unwrap();
+        store.put(0, v1.clone(), || ()).unwrap();
         assert_eq!(&store.image(0).unwrap()[..], &v1[..]);
     }
 
     #[test]
     fn store_cluster_view_is_zero_copy_equivalent() {
         let store = MemStore::new();
-        store.put(0, encode_partition(3, 11, 6)).unwrap();
+        store.put(0, encode_partition(3, 11, 6), || ()).unwrap();
         let reader = store.open(0).unwrap();
         let view = reader.cluster_view(11).unwrap();
         assert_eq!(view.len(), 6);
@@ -992,7 +1003,7 @@ mod tests {
         let small: Vec<(u64, Vec<f32>)> = vec![(999, vec![1.0, 1.0])];
         w.push_cluster(1, big.iter().map(|(id, v)| (*id, v.as_slice())));
         w.push_cluster(2, small.iter().map(|(id, v)| (*id, v.as_slice())));
-        store.put(0, w.finish()).unwrap();
+        store.put(0, w.finish(), || ()).unwrap();
 
         let before = store.stats().snapshot();
         let mut out = Vec::new();

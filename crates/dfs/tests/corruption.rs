@@ -257,7 +257,7 @@ fn read_only_store_rejects_writes_and_ignores_strays() {
     );
     let mut w = PartitionWriter::new(0, 4);
     w.push_cluster(2, vec![(1u64, &[0.0f32, 0.0, 0.0, 0.0][..])]);
-    let err = store.put(0, w.finish()).unwrap_err();
+    let err = store.put(0, w.finish(), || ()).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::PermissionDenied);
     fs::remove_dir_all(&dir).ok();
 }
@@ -276,7 +276,7 @@ fn read_write_open_validates_then_accepts_puts() {
     let mut w = PartitionWriter::new(0, 4);
     w.push_cluster(2, vec![(1u64, &[9.0f32, 9.0, 9.0, 9.0][..])]);
     let committed = fs::read(dir.join(partition_file_name(0))).unwrap();
-    store.put(0, w.finish()).unwrap();
+    store.put(0, w.finish(), || ()).unwrap();
     // the store serves the staged bytes...
     assert_eq!(store.open(0).unwrap().record_count(), 1);
     // ...but the committed file is untouched: the put is staged beside it.
@@ -309,7 +309,7 @@ fn read_write_open_validates_then_accepts_puts() {
     let (store, _) = open_validated(&dir, false).unwrap();
     let mut w = PartitionWriter::new(0, 4);
     w.push_cluster(2, vec![(1u64, &[9.0f32, 9.0, 9.0, 9.0][..])]);
-    store.put(0, w.finish()).unwrap();
+    store.put(0, w.finish(), || ()).unwrap();
     store.commit_staged().unwrap();
     assert!(matches!(
         open_validated(&dir, false),
@@ -330,7 +330,7 @@ fn staging_puts_return_receipts_of_the_stored_bytes() {
     let recs: Vec<(u64, [f32; 4])> = (0..50).map(|i| (i, [i as f32, 0.5, -1.0, 2.0])).collect();
     w.push_cluster(2, recs.iter().map(|(id, v)| (*id, &v[..])));
     let image = w.finish();
-    store.put(0, image.clone()).unwrap();
+    store.put(0, image.clone(), || ()).unwrap();
     let receipt = store.receipt(0).expect("a staging put");
     let stored = store.image(0).unwrap();
     assert_eq!(stored, image);
@@ -339,20 +339,20 @@ fn staging_puts_return_receipts_of_the_stored_bytes() {
     assert_eq!((receipt.records, receipt.series_len), (50, 4));
     assert_eq!(receipt.entry(0).bytes, receipt.image_len);
     assert_eq!(store.open(0).unwrap().raw_bytes(), &image[..]);
-    let err = store.put(1, vec![0u8; 64].into()).unwrap_err();
+    let err = store.put(1, vec![0u8; 64].into(), || ()).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert_eq!(store.open(1).unwrap().record_count(), 3, "committed file");
 
     let build_dir = dir.join("build");
     let build = DiskStore::create(&build_dir, std_fs()).unwrap();
     assert!(build.ids().is_empty());
-    build.put(0, image.clone()).unwrap();
+    build.put(0, image.clone(), || ()).unwrap();
     assert_eq!(build.receipt(0), Some(receipt));
     assert_eq!(build.ids(), vec![0]);
     assert_eq!(fs::read(staged_path_of(&build_dir, 0)).unwrap(), &image[..]);
     assert!(!build_dir.join(partition_file_name(0)).exists());
     let mem = climber_dfs::store::MemStore::new();
-    mem.put(0, image).unwrap();
+    mem.put(0, image, || ()).unwrap();
     assert_eq!(mem.receipt(0), None);
     fs::remove_dir_all(&dir).ok();
 }

@@ -77,7 +77,7 @@ proptest! {
         for (node, recs) in &cs {
             w.push_cluster(*node, recs.iter().map(|(id, v)| (*id, v.as_slice())));
         }
-        store.put(0, w.finish()).unwrap();
+        store.put(0, w.finish(), || ()).unwrap();
         for (node, recs) in &cs {
             let mut out = Vec::new();
             let n = (store.open(0).unwrap())

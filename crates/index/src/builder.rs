@@ -227,7 +227,8 @@ impl IndexBuilder {
         store: &S,
     ) -> (IndexSkeleton, BuildReport) {
         let io_before = store.stats().snapshot();
-        let (skeleton, mut report) = self.build_with_put(ds, |pid, image| store.put(pid, image));
+        let (skeleton, mut report) =
+            self.build_with_put(ds, |pid, image| store.put(pid, image, || ()));
         report.io = store.stats().snapshot().since(&io_before);
         (skeleton, report)
     }

@@ -75,7 +75,7 @@ fn rebuild_reference(
                 w.push_cluster(node, ids.iter().map(|id| (*id, records[id].as_slice())));
             }
         }
-        store.put(pid, w.finish()).unwrap();
+        store.put(pid, w.finish(), || ()).unwrap();
     }
     Climber::from_parts(skeleton.clone(), store)
 }

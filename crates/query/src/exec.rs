@@ -37,6 +37,8 @@ use crate::search::{SearchMode, SearchRequest};
 use crate::updates::UpdateView;
 use climber_dfs::format::{record_size, ClusterPick, ClusterRecords, TrieNodeId};
 use climber_dfs::page::ClusterView;
+use climber_dfs::segment::{DeltaView, TombstoneSet};
+use climber_dfs::stats::IoStats;
 use climber_dfs::store::{PartitionId, PartitionStore};
 use climber_index::skeleton::IndexSkeleton;
 use climber_repr::paa::{paa, paa_le_into};
@@ -358,6 +360,9 @@ pub(crate) fn scan_group<S: PartitionStore, Q: AsRef<[f32]> + Sync>(
         }
         let (si, pi) = (live[task / work.len()], task % work.len());
         let (src, pw) = (sources[si].as_ref().expect("live source"), &work[pi]);
+        // One delta read section over every read of the partition: its
+        // clusters and runs are one state (ARCHITECTURE, "Flush/compaction").
+        let pending = src.updates.map(|u| (u.delta.read(), u.tombstones));
         // Vanished, quarantined, unreadable, or holding records of another
         // length than the queries (a file-supplied length never reaches
         // the kernel): treated as empty, and named in the status.
@@ -372,13 +377,15 @@ pub(crate) fn scan_group<S: PartitionStore, Q: AsRef<[f32]> + Sync>(
         let take = |qi: usize| seats[qi].heap.lock().expect(held).take();
         lanes.clear(); // a panicked task may have left its lanes behind
         lanes.extend(pw.qis.iter().map(|&qi| lane(qi, take(qi))));
+        let (stats, updates) = (src.store.stats(), pending.as_ref());
         for interested in pw.picks.chunk_by(|a, b| a.0 == b.0) {
             let sealed = views.iter().find(|(n, _)| *n == interested[0].0);
             let cluster = (pw.pid, sealed.map(|(_, v)| v), series_len);
-            scan_cluster(src, cluster, &seats, lanes, interested, paa);
+            scan_cluster(stats, updates, cluster, &seats, lanes, interested, paa);
         }
         // Views pin cached pages: none outlives its task.
         views.clear();
+        drop(pending);
         let mut total = 0;
         for lane in lanes.drain(..) {
             let seat = &seats[lane.qi];
@@ -425,6 +432,7 @@ pub(crate) fn scan_group<S: PartitionStore, Q: AsRef<[f32]> + Sync>(
                         continue;
                     }
                     let src = sources[si].as_ref().expect("live source");
+                    let pending = src.updates.map(|u| (u.delta.read(), u.tombstones));
                     rest.clear();
                     let read = src
                         .store
@@ -434,16 +442,17 @@ pub(crate) fn scan_group<S: PartitionStore, Q: AsRef<[f32]> + Sync>(
                         continue;
                     };
                     let before = lanes[0].scanned;
-                    let delta = src.updates.map_or(Vec::new(), |u| u.delta.nodes_for(pid));
                     // Sealed clusters first, in storage order, then
                     // delta-only nodes the sealed file has never seen.
                     let sealed = rest.iter().map(|(node, view)| (*node, Some(view)));
-                    let unseen = (delta.iter().copied())
+                    let unseen = (pending.iter().flat_map(|(delta, _)| delta.nodes_for(pid)))
                         .filter(|n| !planned.contains(n) && !rest.iter().any(|(m, _)| m == n))
                         .map(|node| (node, None));
+                    let (stats, updates) = (src.store.stats(), pending.as_ref());
                     for (node, view) in sealed.chain(unseen) {
                         let only = &[(node, 0)];
-                        scan_cluster(src, (pid, view, series_len), &seats, &mut lanes, only, paa);
+                        let cluster = (pid, view, series_len);
+                        scan_cluster(stats, updates, cluster, &seats, &mut lanes, only, paa);
                     }
                     source_scanned[si].fetch_add(lanes[0].scanned - before, Ordering::Relaxed);
                 }
@@ -485,7 +494,8 @@ pub(crate) fn scan_group<S: PartitionStore, Q: AsRef<[f32]> + Sync>(
 /// selected it (`interested`: one run of [`PartitionWork::picks`]) — the
 /// paper's record-level refinement, written once. `cluster` is the
 /// partition, the node's sealed records (`None` when the partition holds
-/// none under it) and the partition's series length.
+/// none under it) and the partition's series length; `pending` is the
+/// source's delta, read section held by the caller, and its deletes.
 ///
 /// The candidate stream is the sealed cluster's records minus tombstoned
 /// ids, then the delta cluster under the same key minus tombstoned ids;
@@ -495,13 +505,12 @@ pub(crate) fn scan_group<S: PartitionStore, Q: AsRef<[f32]> + Sync>(
 /// copied — by every interested lane while its lines are cache-hot:
 /// `ed_early_abandon_le → TopK::offer → publish_bound`, behind the shared
 /// PAA prefilter when enough lanes share the record to pay for its
-/// signature. Per lane the records are visited in stream order. The delta
-/// segment's read section is held around the delta run only.
-/// [`climber_dfs::stats::IoStats`] is charged a full record per sealed
-/// candidate — what the partition holds for it, whatever the kernel left
-/// unread.
-fn scan_cluster<S: PartitionStore>(
-    src: &Source<'_, S>,
+/// signature. Per lane the records are visited in stream order. `stats`
+/// is charged a full record per sealed candidate — what the partition
+/// holds for it, whatever the kernel left unread.
+fn scan_cluster(
+    stats: &IoStats,
+    pending: Option<&(DeltaView<'_>, &TombstoneSet)>,
     (pid, sealed, series_len): (PartitionId, Option<&ClusterView>, usize),
     seats: &[Seat<'_>],
     lanes: &mut [Lane],
@@ -520,17 +529,16 @@ fn scan_cluster<S: PartitionStore>(
         prefilter: interested.len() >= PREFILTER_MIN_QUERIES,
     };
 
-    let tombstones = src.updates.map(|u| u.tombstones.read());
+    let tombstones = pending.map(|(_, t)| t.read());
     let deleted = |id: u64| tombstones.as_ref().is_some_and(|t| t.contains(id));
     let sealed = sealed.map_or(0, |view| lanes.scan(view.records(), deleted));
-    let pending = (src.updates)
-        .and_then(|u| (u.delta).read_cluster(pid, node, |recs| lanes.scan(recs, deleted)))
-        .unwrap_or(0);
+    let pending = (pending.and_then(|(delta, _)| delta.run(pid, node)))
+        .map_or(0, |recs| lanes.scan(recs, deleted));
     // The store is charged the sealed candidates; delta records never
     // came from it.
     let record_bytes = record_size(series_len) as u64;
-    src.store.stats().on_read(sealed * record_bytes);
-    src.store.stats().on_records_read(sealed);
+    stats.on_read(sealed * record_bytes);
+    stats.on_records_read(sealed);
     // One publication per cluster, not per kept offer: the shared bound
     // is an atomic other workers poll, and a stale one only costs them
     // early-abandon work.

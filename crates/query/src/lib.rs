@@ -71,7 +71,7 @@ mod refine {
                 .collect();
             w.push_cluster(1, near.iter().map(|(id, v)| (*id, v.as_slice())));
             w.push_cluster(2, far.iter().map(|(id, v)| (*id, v.as_slice())));
-            store.put(0, w.finish()).unwrap();
+            store.put(0, w.finish(), || ()).unwrap();
             store
         }
 
@@ -235,7 +235,7 @@ mod refine {
                 delta: &delta,
                 tombstones: &tombstones,
             };
-            assert!(view.is_noop());
+            assert!(delta.is_empty() && tombstones.is_empty());
             for (k, expand) in [(2usize, false), (6, true), (8, false)] {
                 let a = refine(&store, &plan_for(&[1]), &[0.1, 0.0], k, expand, None);
                 let b = refine(&store, &plan_for(&[1]), &[0.1, 0.0], k, expand, Some(view));
@@ -405,8 +405,8 @@ mod scatter {
             for pid in store.ids() {
                 let reader = store.open(pid).unwrap();
                 if pid != bad {
-                    without.put(pid, reader.raw_bytes_owned()).unwrap();
-                    crafted.put(pid, reader.raw_bytes_owned()).unwrap();
+                    without.put(pid, reader.raw_bytes_owned(), || ()).unwrap();
+                    crafted.put(pid, reader.raw_bytes_owned(), || ()).unwrap();
                     continue;
                 }
                 let mut w = PartitionWriter::new(reader.group_id(), reader.series_len() + 1);
@@ -414,7 +414,7 @@ mod scatter {
                     recs.for_each(|id, values| w.push_record(id, &[values, &[0.0]].concat()));
                     w.seal_cluster(node);
                 }
-                crafted.put(pid, w.finish()).unwrap();
+                crafted.put(pid, w.finish(), || ()).unwrap();
             }
 
             let reqs = std::slice::from_ref(&req);

@@ -12,7 +12,9 @@
 //!
 //! An [`UpdateView`] bundles borrowed references to both and rides in a
 //! [`Source`](crate::exec::Source). A source without a view is scanned
-//! from its sealed partitions alone.
+//! from its sealed partitions alone. A scan holds one delta read section
+//! over everything it reads of a partition, sealed clusters included
+//! (ARCHITECTURE, "Flush/compaction protocol").
 
 use climber_dfs::segment::{DeltaSegment, TombstoneSet};
 
@@ -24,13 +26,4 @@ pub struct UpdateView<'a> {
     pub delta: &'a DeltaSegment,
     /// Pending deletes.
     pub tombstones: &'a TombstoneSet,
-}
-
-impl UpdateView<'_> {
-    /// True when the view currently changes nothing (no pending appends
-    /// or deletes) — callers may skip attaching it and keep the
-    /// sealed-only fast path.
-    pub fn is_noop(&self) -> bool {
-        self.delta.is_empty() && self.tombstones.is_empty()
-    }
 }

@@ -86,7 +86,9 @@ fn oracle(
         };
         if let Ok(reader) = shard.store().open(pid) {
             reader.for_each_in_cluster(node, &mut offer);
-            shard.delta().for_each_in_cluster(pid, node, &mut offer);
+            if let Some(run) = shard.delta().read().run(pid, node) {
+                run.for_each(&mut offer);
+            }
         }
         candidates.len()
     };
@@ -102,7 +104,7 @@ fn oracle(
         for (&pid, planned) in &plan.reads {
             for shard in shards {
                 let mut nodes = shard.store().open(pid).unwrap().cluster_ids();
-                nodes.extend(shard.delta().nodes_for(pid));
+                nodes.extend(shard.delta().read().nodes_for(pid));
                 nodes.sort_unstable();
                 nodes.dedup();
                 for node in nodes.into_iter().filter(|n| !planned.contains(n)) {

@@ -174,7 +174,7 @@ fn cluster_reads_match_whole_image_views() {
     let rewritten: Vec<PartitionId> = pids.iter().copied().step_by(2).collect();
     for &pid in &rewritten {
         store
-            .put(pid, thinned(&whole(&main(pid))).finish())
+            .put(pid, thinned(&whole(&main(pid))).finish(), || ())
             .unwrap();
     }
     let is_staged = |pid| rewritten.contains(&pid);

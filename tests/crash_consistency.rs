@@ -582,9 +582,10 @@ fn read_only_open_of_a_crashed_shard_set_is_pure() {
     fs::remove_dir_all(&root).ok();
 }
 
-/// Satellite regression: a flush whose partition write fails must
-/// restore the drained delta records — an acknowledged append is never
-/// dropped — and the next fault-free flush must land them.
+/// A flush whose partition write fails leaves that partition's records
+/// in the delta segment — they leave it only when their new image is
+/// published, so an acknowledged append is never dropped — and the next
+/// fault-free flush must land them.
 #[test]
 fn failed_flush_restores_drained_records_then_retries_clean() {
     let root = tmp_root("drain");
@@ -608,8 +609,8 @@ fn failed_flush_restores_drained_records_then_retries_clean() {
             .contains(climber_core::dfs::fsio::INJECTED_FAULT),
         "{err}"
     );
-    // The appended records are still answerable right now (restored to
-    // the delta), and a retry folds them for real.
+    // The appended records are still answerable right now (still in the
+    // delta), and a retry folds them for real.
     for (i, id) in ids.iter().enumerate() {
         let hit = c.search(&SearchRequest::new(extra.get(i as u64).to_vec(), 1));
         assert_eq!(hit.results[0].0, *id, "append {id} lost after failed flush");
@@ -627,8 +628,8 @@ fn failed_flush_restores_drained_records_then_retries_clean() {
 }
 
 /// A fold whose seal fails *after* its partitions were staged leaves the
-/// folded records living only in those stages (the delta was drained, the
-/// store serves the `.new` siblings). A later fold that re-stages one of
+/// folded records living only in those stages (each left the delta when
+/// its stage was published; the store serves the `.new` siblings). A later fold that re-stages one of
 /// them and fails mid-write must leave the earlier stage intact: no
 /// acknowledged append is lost, every partition stays readable, and the
 /// next fault-free flush converges.
@@ -659,9 +660,15 @@ fn failed_restage_after_failed_seal_loses_nothing() {
                 assert!(all.insert(id, values.to_vec()).is_none(), "duplicate {id}");
             });
         }
-        c.delta().for_each(|_, _, id, values| {
-            assert!(all.insert(id, values.to_vec()).is_none(), "duplicate {id}");
-        });
+        let pending = c.delta().partitions();
+        let view = c.delta().read();
+        for &pid in &pending {
+            for node in view.nodes_for(pid) {
+                view.run(pid, node).unwrap().for_each(|id, values| {
+                    assert!(all.insert(id, values.to_vec()).is_none(), "duplicate {id}");
+                });
+            }
+        }
         all
     };
     let assert_all_held = |c: &Climber<DiskStore>, acked: &[(u64, Vec<f32>)], when: &str| {

@@ -517,8 +517,15 @@ fn journal_of_another_series_length_is_typed() {
     let journal_path = dir.join(climber_core::JOURNAL_FILE);
     let old = decode_journal(&fs::read(&journal_path).unwrap()).unwrap();
     let short = DeltaSegment::new();
-    old.delta
-        .for_each(|p, n, id, values| short.append(p, n, id, &values[..values.len() / 2]));
+    let pending = old.delta.partitions();
+    let view = old.delta.read();
+    for p in pending {
+        for n in view.nodes_for(p) {
+            (view.run(p, n).unwrap())
+                .for_each(|id, values| short.append(p, n, id, &values[..values.len() / 2]));
+        }
+    }
+    drop(view);
     let bytes = encode_journal(old.generation, &short, &old.tombstones);
     fs::write(&journal_path, &bytes).unwrap();
     let mut m = Manifest::load_with(&StdFs, &dir).unwrap();

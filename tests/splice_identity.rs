@@ -181,9 +181,16 @@ proptest! {
 
         // Snapshot the fold's inputs, then predict every partition.
         let mut folds: BTreeMap<u32, BTreeMap<u64, Records>> = BTreeMap::new();
-        index.delta().for_each(|pid, node, id, vals| {
-            folds.entry(pid).or_default().entry(node).or_default().push((id, vals.to_vec()));
-        });
+        let pending = index.delta().partitions();
+        let view = index.delta().read();
+        for &pid in &pending {
+            for node in view.nodes_for(pid) {
+                view.run(pid, node).unwrap().for_each(|id, vals| {
+                    folds.entry(pid).or_default().entry(node).or_default().push((id, vals.to_vec()));
+                });
+            }
+        }
+        drop(view);
         let purge: BTreeSet<u64> = if compact {
             index.tombstones().ids().into_iter().collect()
         } else {
