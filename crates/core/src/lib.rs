@@ -83,7 +83,7 @@ use climber_dfs::fsio;
 use climber_dfs::manifest::{xxh64, FileEntry, PartitionEntry};
 use climber_dfs::segment::{self, DeltaRun};
 use climber_dfs::store::{
-    partition_file_name, staged_path_of, DiskStore, MemStore, PartitionId, PartitionStore,
+    partition_file_name, staged_path_of, DiskStore, MemStore, PartitionId, PartitionStore, Staged,
 };
 use climber_index::builder::IndexBuilder;
 use climber_pivot::signature::SignatureScratch;
@@ -113,6 +113,16 @@ pub struct MaintenanceReport {
     pub tombstones_remaining: u64,
     /// Segment generation after the fold.
     pub generation: u64,
+}
+
+/// One partition of a fold between its stage and its publish: the
+/// staged image (written, not yet durable), how many records it copied
+/// from each delta run (the prefix its publish retires), and its counts.
+struct FoldStage {
+    staged: Staged,
+    copied: Vec<(TrieNodeId, usize)>,
+    folded: u64,
+    purged: u64,
 }
 
 /// A built CLIMBER index: skeleton + partition store + build report.
@@ -714,7 +724,7 @@ impl<S: PartitionStore> Climber<S> {
         self.delta.append_many(routed);
     }
 
-    /// Deletes series `id` — O(log n) into the tombstone set. Returns
+    /// Deletes series `id` — one insert into the tombstone set. Returns
     /// `false` when the id was never assigned or is already deleted. The
     /// record's bytes stay in place until [`compact`](Self::compact)
     /// purges them, but no query will ever return (or rank against) a
@@ -728,11 +738,12 @@ impl<S: PartitionStore> Climber<S> {
     }
 
     /// Folds the delta segment into the sealed partitions: every partition
-    /// holding delta clusters is rewritten once — concurrently, one
-    /// [`PartitionWriter`] per partition over the build's worker fan-out —
-    /// with each delta cluster appended (in id order) to the sealed
-    /// cluster of the same trie node. Tombstones are kept (they keep
-    /// filtering queries); [`compact`](Self::compact) purges them too.
+    /// holding delta clusters is rewritten once — one [`PartitionWriter`]
+    /// per partition over the build's worker fan-out, the staged files
+    /// made durable together on the I/O threads, then each partition
+    /// published — with each delta cluster appended (in id order) to the
+    /// sealed cluster of the same trie node. Tombstones are kept (they
+    /// keep filtering queries); [`compact`](Self::compact) purges them too.
     ///
     /// On a disk-backed store the directory is re-sealed afterwards —
     /// incrementally: only the folded partitions get fresh entries (from
@@ -743,10 +754,11 @@ impl<S: PartitionStore> Climber<S> {
     /// A query racing a fold answers as it would before or after it: a
     /// delta record leaves the segment in the same critical section that
     /// publishes the image holding it, so at every instant it is in
-    /// exactly one place a query reads. If a partition write fails, that
-    /// partition's records simply stay in the delta segment — no
-    /// acknowledged append is dropped — and a later `flush` or `save`
-    /// finishes the pending re-seal. Folds and saves of one index run one
+    /// exactly one place a query reads. If a partition write or fsync
+    /// fails, that partition's records simply stay in the delta segment —
+    /// no acknowledged append is dropped — the other partitions still
+    /// publish, and a later `flush` or `save` finishes the pending
+    /// re-seal. Folds and saves of one index run one
     /// at a time; appends, deletes and queries proceed throughout.
     pub fn flush(&self) -> Result<MaintenanceReport, ClimberError> {
         Ok(self.maintain(false)?)
@@ -806,20 +818,39 @@ impl<S: PartitionStore> Climber<S> {
             });
         }
 
-        // Rewrite the affected partitions concurrently (the PR-4 style
-        // per-partition fan-out: each worker owns one writer end to end).
-        // From the first rewrite on, a disk directory's manifest is stale
-        // until the re-seal below lands; the flag makes any later flush
-        // or save finish the repair if this attempt errors out. A failed
-        // rewrite published nothing and retired nothing.
+        // Rewrite the affected partitions in three phases: stage every
+        // image on the build's worker fan-out (CPU work: each worker owns
+        // one writer end to end, and the image is dropped once written),
+        // make every staged file durable at once on the I/O threads, then
+        // publish each partition. From the first publish on, a disk
+        // directory's manifest is stale until the re-seal below lands; the
+        // flag makes any later flush or save finish the repair if this
+        // attempt errors out. A partition whose stage or fsync failed
+        // published nothing and retired nothing; the others still publish.
         self.reseal_owed
             .store(true, std::sync::atomic::Ordering::Relaxed);
         let cluster = climber_dfs::cluster::Cluster::new(self.build_options.resolved_threads());
         let purge_ref = &purge_set;
-        let results = cluster.par_map(affected.into_iter().collect(), move |pid| {
-            self.rewrite_partition(pid, purge_ref)
+        let stages = cluster.par_map(affected.into_iter().collect(), move |pid| {
+            self.stage_fold(pid, purge_ref)
         });
-        let rewrites = results.into_iter().collect::<io::Result<Vec<_>>>()?;
+        let unsynced = (stages.iter().flatten())
+            .filter_map(|stage| stage.staged.unsynced().map(Path::to_path_buf))
+            .collect();
+        let mut synced = fsio::fsync_files(&self.store.fs(), unsynced).into_iter();
+        let published: Vec<io::Result<(u64, u64)>> = (stages.into_iter())
+            .map(|stage| {
+                let stage = stage?;
+                if stage.staged.unsynced().is_some() {
+                    if let Err(e) = synced.next().expect("one fsync per staged file") {
+                        self.store.discard(stage.staged);
+                        return Err(e);
+                    }
+                }
+                self.publish_fold(stage)
+            })
+            .collect();
+        let rewrites = published.into_iter().collect::<io::Result<Vec<_>>>()?;
         if purge {
             self.tombstones.remove_all(&purged_ids);
         }
@@ -853,15 +884,14 @@ impl<S: PartitionStore> Climber<S> {
         self.seal(dir, prev.as_ref()).map(drop)
     }
 
-    /// Rewrites one sealed partition: every sealed cluster's encoded
-    /// records are spliced — byte ranges, never decoded — into the new
-    /// image minus the ids in `purge`, each followed by the partition's
+    /// Stages one sealed partition's rewrite: every sealed cluster's
+    /// encoded records are spliced — byte ranges, never decoded — into the
+    /// new image minus the ids in `purge`, each followed by the partition's
     /// delta run of the same trie node as it stands now, spliced record by
     /// record in ascending-id order; clusters left empty are dropped. The
-    /// image is written and fsynced with no lock held, then published in
-    /// the delta write section that retires the runs it holds. Returns
-    /// `(records folded, records purged)`.
-    fn rewrite_partition(&self, pid: PartitionId, purge: &BTreeSet<u64>) -> io::Result<(u64, u64)> {
+    /// image is [staged](PartitionStore::stage) unsynced and dropped; the
+    /// stage keeps how many records it copied from each run.
+    fn stage_fold(&self, pid: PartitionId, purge: &BTreeSet<u64>) -> io::Result<FoldStage> {
         let folds = self.delta.snapshot(pid);
         let reader = self.store.open(pid)?;
         let sealed_nodes = reader.cluster_ids();
@@ -904,11 +934,29 @@ impl<S: PartitionStore> Climber<S> {
         for &node in new_nodes {
             seal_cluster(&mut writer, node);
         }
-        let section = self
-            .store
-            .put(pid, writer.finish(), || self.delta.write())?;
-        section.retire(pid, &folds);
-        Ok((folded, purged + dropped))
+        let copied = (folds.iter())
+            .map(|(&node, run)| (node, run.records().len()))
+            .collect();
+        if self.store.persist_dir().is_some() {
+            // From a stage worker: see `start_io_threads` on heap arenas.
+            fsio::start_io_threads();
+        }
+        Ok(FoldStage {
+            staged: self.store.stage(pid, writer.finish())?,
+            copied,
+            folded,
+            purged: purged + dropped,
+        })
+    }
+
+    /// Publishes a durable fold stage in the delta write section that
+    /// retires the runs it copied. Returns `(records folded, records
+    /// purged)`.
+    fn publish_fold(&self, stage: FoldStage) -> io::Result<(u64, u64)> {
+        let pid = stage.staged.id();
+        let section = (self.store).publish(stage.staged, || self.delta.write())?;
+        section.retire(pid, stage.copied);
+        Ok((stage.folded, stage.purged))
     }
 
     /// The global index skeleton.

@@ -42,7 +42,7 @@ use crate::fsio::ClimberFs;
 use crate::manifest::FileEntry;
 use crate::store::PartitionId;
 use parking_lot::RwLock;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -290,25 +290,28 @@ pub struct DeltaRetire<'a> {
 }
 
 impl DeltaRetire<'_> {
-    /// Removes from `partition`'s runs exactly the prefix `folded` copied
-    /// ([`DeltaSegment::snapshot`]), dropping runs left empty, and closes
-    /// the section. Folds are serialised, so nothing else removed records
-    /// from these runs since the copy; appends only ever extend them.
-    pub fn retire(mut self, partition: PartitionId, folded: &BTreeMap<TrieNodeId, DeltaRun>) {
+    /// Removes from `partition`'s runs exactly the prefix a fold copied
+    /// ([`DeltaSegment::snapshot`]) — `(trie node, records copied)` per
+    /// run — dropping runs left empty, and closes the section. Folds are
+    /// serialised, so nothing else removed records from these runs since
+    /// the copy; appends only ever extend them.
+    pub fn retire(
+        mut self,
+        partition: PartitionId,
+        copied: impl IntoIterator<Item = (TrieNodeId, usize)>,
+    ) {
         let mut removed = 0u64;
-        for (&node, prefix) in folded {
+        for (node, records) in copied {
             let key = (partition, node);
             let run =
                 (self.inner.clusters.get_mut(&key)).expect("a folded run stays until retired");
-            debug_assert!(
-                run.bytes.starts_with(&prefix.bytes),
-                "run {key:?} lost its prefix"
-            );
-            run.bytes.drain(..prefix.bytes.len());
+            let prefix = records * record_size(run.series_len);
+            debug_assert!(run.bytes.len() >= prefix, "run {key:?} lost its prefix");
+            run.bytes.drain(..prefix);
             if run.bytes.is_empty() {
                 self.inner.clusters.remove(&key);
             }
-            removed += prefix.records().len() as u64;
+            removed += records as u64;
         }
         self.records.fetch_sub(removed, Ordering::Release);
     }
@@ -316,27 +319,30 @@ impl DeltaRetire<'_> {
 
 /// The set of logically deleted series ids.
 ///
-/// A delete is O(log n) into an ordered set; the record's bytes stay in
-/// place until a compaction rewrites the partitions that hold them. Query
-/// paths filter tombstoned ids out of the candidate stream before any
-/// distance is offered to the top-k heap, so a deleted record can never
-/// appear in (or displace members of) an answer set.
+/// A delete is one insert into an open-addressed hash set; the record's
+/// bytes stay in place until a compaction rewrites the partitions that
+/// hold them. Query paths filter tombstoned ids out of the candidate
+/// stream before any distance is offered to the top-k heap, so a deleted
+/// record can never appear in (or displace members of) an answer set.
+/// Every scanned record of an index with anything pending pays one
+/// membership probe, which costs the same at ten tombstones or ten
+/// thousand.
 #[derive(Debug, Default)]
 pub struct TombstoneSet {
-    set: RwLock<BTreeSet<u64>>,
+    set: RwLock<IdSet>,
     /// Size mirror so `is_empty` never locks on the query fast path.
     count: AtomicU64,
 }
 
 /// A read section over a [`TombstoneSet`], held for the duration of one
 /// cluster scan so per-record membership checks don't re-lock.
-pub struct TombstoneView<'a>(std::sync::RwLockReadGuard<'a, BTreeSet<u64>>);
+pub struct TombstoneView<'a>(RwLockReadGuard<'a, IdSet>);
 
 impl TombstoneView<'_> {
     /// True when `id` is deleted.
     #[inline]
     pub fn contains(&self, id: u64) -> bool {
-        self.0.contains(&id)
+        self.0.contains(id)
     }
 }
 
@@ -357,7 +363,7 @@ impl TombstoneSet {
 
     /// True when `id` is deleted.
     pub fn contains(&self, id: u64) -> bool {
-        !self.is_empty() && self.set.read().contains(&id)
+        !self.is_empty() && self.set.read().contains(id)
     }
 
     /// Number of tombstoned ids.
@@ -379,7 +385,7 @@ impl TombstoneSet {
 
     /// All tombstoned ids, ascending.
     pub fn ids(&self) -> Vec<u64> {
-        self.set.read().iter().copied().collect()
+        self.set.read().ids()
     }
 
     /// Removes `ids` from the set (a compaction purged their records).
@@ -387,11 +393,139 @@ impl TombstoneSet {
     pub fn remove_all(&self, ids: &[u64]) {
         let mut set = self.set.write();
         let mut removed = 0u64;
-        for id in ids {
+        for &id in ids {
             removed += u64::from(set.remove(id));
         }
+        set.shrink();
         drop(set);
         self.count.fetch_sub(removed, Ordering::Release);
+    }
+}
+
+/// An open-addressed set of `u64` ids: linear probing from a Fibonacci
+/// hash of the id, at most half the slots full. A probe is one or two
+/// adjacent slots whatever the set's size, memory is O(ids) (at most
+/// four slots an id, 16 while empty, none before the first insert), and
+/// a removal shifts its probe run back instead of leaving a marker.
+#[derive(Debug, Default)]
+struct IdSet {
+    /// A power-of-two table of ids, [`FREE`] where none is.
+    slots: Vec<u64>,
+    /// Ids held in `slots`.
+    held: usize,
+    /// Whether [`FREE`] itself, which no slot can hold, is in the set.
+    holds_free: bool,
+}
+
+/// The slot value meaning "no id here".
+const FREE: u64 = u64::MAX;
+
+impl IdSet {
+    /// The smallest table a non-empty set uses.
+    const MIN_SLOTS: usize = 16;
+
+    /// `id`'s first slot: the top bits of its product with 2^64 / φ.
+    #[inline]
+    fn home(&self, id: u64) -> usize {
+        let bits = self.slots.len().trailing_zeros();
+        (id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
+    }
+
+    /// The slot holding `id`, or the free slot ending its probe run.
+    #[inline]
+    fn slot_of(&self, id: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(id);
+        while self.slots[i] != id && self.slots[i] != FREE {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    #[inline]
+    fn contains(&self, id: u64) -> bool {
+        if id == FREE {
+            return self.holds_free;
+        }
+        !self.slots.is_empty() && self.slots[self.slot_of(id)] == id
+    }
+
+    fn insert(&mut self, id: u64) -> bool {
+        if id == FREE {
+            return !std::mem::replace(&mut self.holds_free, true);
+        }
+        if 2 * (self.held + 1) > self.slots.len() {
+            self.rehash((2 * self.slots.len()).max(Self::MIN_SLOTS));
+        }
+        let i = self.slot_of(id);
+        if self.slots[i] == id {
+            return false;
+        }
+        self.slots[i] = id;
+        self.held += 1;
+        true
+    }
+
+    fn remove(&mut self, id: u64) -> bool {
+        if id == FREE {
+            return std::mem::replace(&mut self.holds_free, false);
+        }
+        if self.slots.is_empty() {
+            return false;
+        }
+        let mut hole = self.slot_of(id);
+        if self.slots[hole] != id {
+            return false;
+        }
+        // Backward shift: every later id of the run whose home is not
+        // after the hole moves into it, so no probe run is ever cut short.
+        let mask = self.slots.len() - 1;
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let next = self.slots[j];
+            if next == FREE {
+                break;
+            }
+            let home = self.home(next);
+            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
+                self.slots[hole] = next;
+                hole = j;
+            }
+        }
+        self.slots[hole] = FREE;
+        self.held -= 1;
+        true
+    }
+
+    /// Gives back the table a compaction emptied, or most of it.
+    fn shrink(&mut self) {
+        if self.held == 0 {
+            self.slots = Vec::new();
+        } else if 8 * self.held < self.slots.len() && self.slots.len() > Self::MIN_SLOTS {
+            self.rehash((4 * self.held).next_power_of_two().max(Self::MIN_SLOTS));
+        }
+    }
+
+    fn rehash(&mut self, slots: usize) {
+        let old = std::mem::replace(&mut self.slots, vec![FREE; slots]);
+        for id in old.into_iter().filter(|&id| id != FREE) {
+            let i = self.slot_of(id);
+            self.slots[i] = id;
+        }
+    }
+
+    /// Every id, ascending.
+    fn ids(&self) -> Vec<u64> {
+        let mut ids: Vec<u64> = self
+            .slots
+            .iter()
+            .copied()
+            .filter(|&id| id != FREE)
+            .collect();
+        ids.sort_unstable();
+        ids.extend(self.holds_free.then_some(FREE));
+        ids
     }
 }
 
@@ -523,6 +657,13 @@ mod tests {
         out
     }
 
+    /// What a fold keeps of its snapshot: records copied per run.
+    fn copied(folded: &BTreeMap<TrieNodeId, DeltaRun>) -> Vec<(TrieNodeId, usize)> {
+        (folded.iter())
+            .map(|(&node, run)| (node, run.records().len()))
+            .collect()
+    }
+
     fn sample_delta() -> DeltaSegment {
         let d = DeltaSegment::new();
         d.append(3, 10, 100, &[1.0, 2.0]);
@@ -589,7 +730,7 @@ mod tests {
         // Appended after the copy: stays for the next fold.
         d.append(3, 10, 104, &[9.0, 9.5]);
         assert_eq!(d.record_count(), 5, "a snapshot removes nothing");
-        d.write().retire(3, &folded);
+        d.write().retire(3, copied(&folded));
         assert_eq!(d.record_count(), 2);
         assert_eq!(
             records(&d),
@@ -598,7 +739,7 @@ mod tests {
         assert_eq!(d.partitions(), vec![1, 3]);
         for p in [1, 3] {
             let folded = d.snapshot(p);
-            d.write().retire(p, &folded);
+            d.write().retire(p, copied(&folded));
         }
         assert!(d.is_empty() && d.partitions().is_empty());
     }
@@ -699,6 +840,43 @@ mod tests {
             }
         }
         assert_eq!(encode_journal(7, &d, &t), want);
+    }
+
+    /// Every single-bit flip of a small journal (two clusters, three
+    /// tombstones) decodes to a typed error or to a journal that encodes
+    /// back to exactly the flipped bytes: never a panic, and no allocation
+    /// beyond what the bytes hold.
+    #[test]
+    fn every_bit_flip_of_a_journal_is_refused_or_reencodes_exactly() {
+        let d = DeltaSegment::new();
+        d.append(3, 10, 100, &[1.0, 2.0]);
+        d.append(1, 7, 101, &[3.0, 4.0]);
+        d.append(3, 10, 102, &[5.0, -6.5]);
+        let t = TombstoneSet::new();
+        for id in [2, 101, 7_000] {
+            t.delete(id);
+        }
+        let bytes = encode_journal(7, &d, &t);
+        let (mut refused, mut decoded) = (0, 0);
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            match decode_journal(&flipped) {
+                Err(_) => refused += 1,
+                Ok(j) => {
+                    assert!(j.delta.record_count() <= 3 && j.tombstones.len() <= 3);
+                    let again = encode_journal(j.generation, &j.delta, &j.tombstones);
+                    assert!(again == flipped, "bit {bit} decoded to another journal");
+                    decoded += 1;
+                }
+            }
+        }
+        // Magic, version, counts and key order refuse; generation, ids and
+        // values decode.
+        assert!(
+            refused > 0 && decoded > 0,
+            "{refused} refused, {decoded} decoded"
+        );
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //! [`PutReceipt`] of what it staged; the seal describes the partition
 //! from that receipt, commits the manifest, and only then
 //! [installs](PartitionStore::commit_staged) the stage over the main
-//! file. No committed file is ever written in place.
+//! file. No committed file is ever written in place. A `put` is three
+//! steps a fold takes apart to overlap many partitions' waits:
+//! [`stage`](PartitionStore::stage) (temp file written, unsynced), the
+//! fsync, and [`publish`](PartitionStore::publish) (the rename to `.new`).
 //!
 //! A query reads clusters, not partitions: [`read_clusters`] hands out
 //! the trie-node clusters a plan names as [`ClusterView`]s. A disk store
@@ -95,14 +98,90 @@ impl PutReceipt {
     }
 }
 
+/// A partition image [staged](PartitionStore::stage) and not yet
+/// readable. A disk store keeps only what the publish records — the
+/// receipt, the parsed directory and the temp file the image sits in,
+/// unsynced — never the image itself.
+#[derive(Debug)]
+pub struct Staged {
+    id: PartitionId,
+    body: StagedBody,
+}
+
+#[derive(Debug)]
+enum StagedBody {
+    /// A disk store's image, written unsynced under `tmp`.
+    File {
+        tmp: PathBuf,
+        receipt: PutReceipt,
+        directory: PartitionDirectory,
+    },
+    /// An in-memory store's image itself.
+    Image(Bytes),
+}
+
+impl Staged {
+    /// The partition the image replaces.
+    pub fn id(&self) -> PartitionId {
+        self.id
+    }
+
+    /// The file that must be fsynced before the image is
+    /// [published](PartitionStore::publish); `None` when the store keeps
+    /// no file.
+    pub fn unsynced(&self) -> Option<&Path> {
+        match &self.body {
+            StagedBody::File { tmp, .. } => Some(tmp),
+            StagedBody::Image(_) => None,
+        }
+    }
+}
+
+fn foreign_stage(id: PartitionId) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidInput,
+        format!("partition {id} was staged by another kind of store"),
+    )
+}
+
 /// A store of encoded partitions keyed by [`PartitionId`].
 pub trait PartitionStore: Send + Sync {
-    /// Writes (or replaces) a partition. Once the image is durable, the
-    /// store opens the caller's section (`publish`) right before its own
-    /// that makes the image readable, and returns it still held: a fold's
-    /// is the delta write section (lock order: delta, then store). Every
-    /// other caller passes `|| ()`.
-    fn put<G>(&self, id: PartitionId, bytes: Bytes, publish: impl FnOnce() -> G) -> io::Result<G>;
+    /// Writes (or replaces) a partition: [`stage`](Self::stage), fsync the
+    /// staged file, [`publish`](Self::publish), all on the calling thread.
+    /// `publish` is the caller's section, opened right before the store's
+    /// own that makes the image readable and returned still held; every
+    /// caller but a fold passes `|| ()`.
+    fn put<G>(&self, id: PartitionId, bytes: Bytes, publish: impl FnOnce() -> G) -> io::Result<G> {
+        let staged = self.stage(id, bytes)?;
+        if let Some(tmp) = staged.unsynced() {
+            if let Err(e) = self.fs().fsync_file(tmp) {
+                self.discard(staged);
+                return Err(e);
+            }
+        }
+        self.publish(staged, publish)
+    }
+
+    /// The first step of a [`put`](Self::put): takes what the publish
+    /// records from `bytes` and writes them where the store keeps images —
+    /// for a disk store, a temp sibling of the partition's stage, not
+    /// fsynced (see [`Staged::unsynced`]). Nothing is readable yet.
+    fn stage(&self, id: PartitionId, bytes: Bytes) -> io::Result<Staged>;
+
+    /// Makes a staged image the partition's readable one. The caller has
+    /// made [`Staged::unsynced`] durable first. Once the store holds its
+    /// own publish section it has opened the caller's, `section` (lock
+    /// order: a fold's delta write section, then the store), and returns it
+    /// still held. On failure nothing was published and the staged file is
+    /// gone.
+    fn publish<G>(&self, staged: Staged, section: impl FnOnce() -> G) -> io::Result<G>;
+
+    /// Drops a staged image that will not be published, removing its file.
+    fn discard(&self, staged: Staged) {
+        if let Some(tmp) = staged.unsynced() {
+            self.fs().remove_file(tmp).ok();
+        }
+    }
 
     /// Reads partition `id`'s whole image for reading, past any block
     /// cache. Counts the open and the header bytes. Folds, scrubs and
@@ -221,10 +300,18 @@ fn quarantined_error(id: PartitionId) -> io::Error {
 }
 
 impl PartitionStore for MemStore {
-    fn put<G>(&self, id: PartitionId, bytes: Bytes, publish: impl FnOnce() -> G) -> io::Result<G> {
+    fn stage(&self, id: PartitionId, bytes: Bytes) -> io::Result<Staged> {
         self.stats.on_partition_write(bytes.len() as u64);
-        let section = publish();
-        self.parts.write().insert(id, bytes);
+        let body = StagedBody::Image(bytes);
+        Ok(Staged { id, body })
+    }
+
+    fn publish<G>(&self, staged: Staged, section: impl FnOnce() -> G) -> io::Result<G> {
+        let StagedBody::Image(bytes) = staged.body else {
+            return Err(foreign_stage(staged.id));
+        };
+        let section = section();
+        self.parts.write().insert(staged.id, bytes);
         Ok(section)
     }
 
@@ -619,7 +706,7 @@ impl PartitionStore for DiskStore {
         self.cache.as_ref().map(|sc| Arc::clone(&sc.cache))
     }
 
-    fn put<G>(&self, id: PartitionId, bytes: Bytes, publish: impl FnOnce() -> G) -> io::Result<G> {
+    fn stage(&self, id: PartitionId, bytes: Bytes) -> io::Result<Staged> {
         if self.is_read_only() {
             return Err(io::Error::new(
                 io::ErrorKind::PermissionDenied,
@@ -628,34 +715,56 @@ impl PartitionStore for DiskStore {
         }
         // Only a partition image is staged; its shape goes on the receipt,
         // its directory serves the cluster reads.
-        let parsed = PartitionDirectory::parse(&bytes).map_err(invalid_data)?;
+        let directory = PartitionDirectory::parse(&bytes).map_err(invalid_data)?;
         let receipt = PutReceipt {
             image_len: bytes.len() as u64,
             checksum: xxh64(&bytes, 0),
-            records: parsed.record_count(),
-            series_len: parsed.series_len() as u32,
+            records: directory.record_count(),
+            series_len: directory.series_len() as u32,
         };
         self.stats.on_partition_write(bytes.len() as u64);
-        // The committed file stays untouched: the image is *staged* under
-        // its `.new` sibling (replaced atomically or not at all, see
-        // `write_staged`) and renamed over it by `commit_staged` after the
-        // next manifest commit. The seal pays the one directory fsync
-        // covering every stage. The rename and the new directory land
-        // together, between two cluster reads, in the caller's section.
-        let path = staged_path_of(&self.dir, id);
-        let lock = || (publish(), self.staged.write());
-        let result = fsio::write_staged_under(&*self.fs, &path, &bytes, lock);
-        let result = result.map(|(section, mut staged)| {
-            staged.insert(id, Some(receipt));
-            self.directories.write().insert(id, parsed);
-            self.ids.write().insert(id);
-            section
-        });
+        // The committed file stays untouched: the image goes to a temp
+        // sibling of its `.new` stage, which the publish renames into place
+        // (replaced atomically or not at all) and `commit_staged` over the
+        // main file after the next manifest commit.
+        let tmp = fsio::write_temp(&*self.fs, &staged_path_of(&self.dir, id), &bytes)?;
+        let body = StagedBody::File {
+            tmp,
+            receipt,
+            directory,
+        };
+        Ok(Staged { id, body })
+    }
+
+    /// The seal pays the one directory fsync covering every stage. The
+    /// rename and the new directory land together, between two cluster
+    /// reads, inside the caller's section.
+    fn publish<G>(&self, staged: Staged, section: impl FnOnce() -> G) -> io::Result<G> {
+        let id = staged.id;
+        let StagedBody::File {
+            tmp,
+            receipt,
+            directory,
+        } = staged.body
+        else {
+            return Err(foreign_stage(id));
+        };
+        let section = section();
+        let mut staged = self.staged.write();
+        if let Err(e) = self.fs.rename(&tmp, &staged_path_of(&self.dir, id)) {
+            drop((staged, section));
+            self.fs.remove_file(&tmp).ok();
+            return Err(e);
+        }
+        staged.insert(id, Some(receipt));
+        self.directories.write().insert(id, directory);
+        self.ids.write().insert(id);
+        drop(staged);
         // Reads serve the sibling now: the old clusters are stale.
         if let Some(sc) = &self.cache {
             sc.cache.invalidate(sc.token, id);
         }
-        result
+        Ok(section)
     }
 
     fn receipt(&self, id: PartitionId) -> Option<PutReceipt> {
@@ -748,19 +857,28 @@ impl PartitionStore for DiskStore {
         self.fs.clone()
     }
 
+    /// Each install holds the file it replaces open across its rename, so
+    /// the rename only unlinks it; the held handles are closed on the I/O
+    /// threads ([`fsio::release`]), where the replaced files' blocks are
+    /// freed in parallel and outside the lock reads wait on.
     fn commit_staged(&self) -> io::Result<()> {
         let pending: Vec<PartitionId> = self.staged.read().keys().copied().collect();
-        for id in pending {
+        let mut replaced = Vec::new();
+        let mut install = |id: PartitionId| {
+            let main = self.path_of(id);
+            replaced.extend(self.fs.hold(&main));
             let mut staged = self.staged.write();
-            self.fs
-                .rename(&staged_path_of(&self.dir, id), &self.path_of(id))?;
+            self.fs.rename(&staged_path_of(&self.dir, id), &main)?;
             staged.remove(&id);
             drop(staged);
             if let Some(sc) = &self.cache {
                 sc.cache.invalidate(sc.token, id);
             }
-        }
-        Ok(())
+            Ok(())
+        };
+        let installed = pending.into_iter().try_for_each(&mut install);
+        fsio::release(replaced);
+        installed
     }
 
     fn quarantined(&self) -> Vec<PartitionId> {

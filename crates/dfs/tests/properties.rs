@@ -1,10 +1,13 @@
-//! Property-based tests for the partition format and the cluster's parallel map.
+//! Property-based tests for the partition format, the cluster's parallel
+//! map and the tombstone set.
 
 use bytes::Bytes;
 use climber_dfs::cluster::Cluster;
 use climber_dfs::format::{PartitionReader, PartitionWriter};
+use climber_dfs::segment::TombstoneSet;
 use climber_dfs::store::{MemStore, PartitionStore};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// Cluster contents: `(trie node id, records)` with records `(id, values)`.
 type Clusters = Vec<(u64, Vec<(u64, Vec<f32>)>)>;
@@ -23,7 +26,46 @@ fn clusters(w: usize) -> impl Strategy<Value = Clusters> {
     .prop_map(|m| m.into_iter().collect())
 }
 
+/// A tombstone id: mostly from a dense range (long probe runs, removals
+/// in the middle of them, the table growing and shrinking), sometimes an
+/// arbitrary id or the largest one.
+fn tombstone_id() -> impl Strategy<Value = u64> {
+    (0u64..10, 0u64..600, any::<u64>()).prop_map(|(pick, dense, wide)| match pick {
+        0 => wide,
+        1 => u64::MAX - dense % 2,
+        _ => dense,
+    })
+}
+
 proptest! {
+    #[test]
+    fn tombstone_set_matches_a_btree_set(
+        ops in prop::collection::vec((0u8..8, tombstone_id(), 1u64..200), 0..600),
+    ) {
+        let set = TombstoneSet::new();
+        let mut reference = BTreeSet::new();
+        for (op, id, span) in ops {
+            match op {
+                // A compaction clears a batch of ids, present or not.
+                0 => {
+                    let batch: Vec<u64> = (0..span).map(|i| id.wrapping_add(i)).collect();
+                    set.remove_all(&batch);
+                    for b in &batch {
+                        reference.remove(b);
+                    }
+                }
+                1 | 2 => prop_assert_eq!(set.contains(id), reference.contains(&id)),
+                _ => prop_assert_eq!(set.delete(id), reference.insert(id)),
+            }
+            prop_assert_eq!(set.len(), reference.len() as u64);
+        }
+        prop_assert_eq!(set.ids(), reference.iter().copied().collect::<Vec<_>>());
+        let view = set.read();
+        for id in (0..700).chain([u64::MAX - 1, u64::MAX]) {
+            prop_assert_eq!(view.contains(id), reference.contains(&id));
+        }
+    }
+
     #[test]
     fn partition_roundtrip_preserves_everything(cs in clusters(5), group in any::<u64>()) {
         let mut w = PartitionWriter::new(group, 5);

@@ -132,6 +132,16 @@ fn flush_reads_writes_and_syncs_each_dirty_partition_once() {
         assert_eq!(count(&trace, FsOp::Rename, is_stage_tmp), d);
         assert_eq!(count(&trace, FsOp::Rename, is_stage), d);
         assert_eq!(count(&trace, FsOp::Rename, all), 2 * d + 1);
+        // Each stage is durable before it is published: its temp file's
+        // fsync comes before the rename of that temp file.
+        for (at, (_, tmp)) in
+            (trace.iter().enumerate()).filter(|(_, (op, n))| *op == FsOp::Rename && is_stage_tmp(n))
+        {
+            let synced = trace[..at]
+                .iter()
+                .any(|(op, n)| *op == FsOp::FsyncFile && n == tmp);
+            assert!(synced, "{tmp} renamed before its fsync: {trace:?}");
+        }
 
         // The single pre-commit barrier: the first directory fsync comes
         // after every stage is written and fsynced, and before the
