@@ -170,8 +170,11 @@ fn main() {
     table.row(vec![
         "flush".to_string(),
         format!(
-            "{:.2}s ({} partitions, {} folded)",
-            flush_secs, report.partitions_rewritten, report.records_folded
+            "{:.2}s ({} extended, {} rewritten, {} folded)",
+            flush_secs,
+            report.partitions_extended,
+            report.partitions_rewritten,
+            report.records_folded
         ),
     ]);
     table.print();

@@ -78,12 +78,15 @@ pub use open::OpenOptions;
 pub use recover::{BackendHealth, RecoveryPolicy, RecoveryReport, ScrubReport};
 pub use shard::{ShardSetManifest, ShardStatus, ShardedClimber, SHARD_SET_FILE};
 
-use climber_dfs::format::{Encode, PartitionReader, PartitionWriter, TrieNodeId};
+use climber_dfs::format::{
+    fold_partition, image_len, ClusterRecords, Encode, PartitionReader, TrieNodeId,
+};
 use climber_dfs::fsio;
 use climber_dfs::manifest::{xxh64, FileEntry, PartitionEntry};
-use climber_dfs::segment::{self, DeltaRun};
+use climber_dfs::segment;
 use climber_dfs::store::{
-    partition_file_name, staged_path_of, DiskStore, MemStore, PartitionId, PartitionStore, Staged,
+    partition_file_name, staged_path_of, DiskStore, Layer, Layout, MemStore, PartitionId,
+    PartitionStore, Staged,
 };
 use climber_index::builder::IndexBuilder;
 use climber_pivot::signature::SignatureScratch;
@@ -101,18 +104,50 @@ pub const SKELETON_FILE: &str = "skeleton.clsk";
 /// What one flush or compaction did to the index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MaintenanceReport {
-    /// Sealed partitions rewritten by this fold.
+    /// Partitions whose base image this fold rewrote: every partition a
+    /// compaction folds, and a flush's partitions whose extension images
+    /// would outgrow their share of the base.
     pub partitions_rewritten: usize,
-    /// Delta records folded into sealed partitions.
+    /// Partitions this fold gave an extension image — a new one, or one
+    /// merging its extensions — instead of rewriting the base.
+    pub partitions_extended: usize,
+    /// Delta records folded into sealed partitions: every record pending
+    /// when the fold began but one a base rewrite purged (counted there).
+    /// Records a merge or a base rewrite copies again from earlier
+    /// extension images are not counted.
     pub records_folded: u64,
-    /// Tombstoned records physically removed (always 0 for a flush;
-    /// compaction purges them).
+    /// Tombstoned records physically removed: every base rewrite drops the
+    /// tombstoned records it holds (a flush that only extends drops none).
     pub records_purged: u64,
-    /// Tombstones still pending after the fold (a flush keeps them; a
-    /// compaction clears every id it purged).
+    /// Tombstones still pending after the fold (a base rewrite clears
+    /// exactly the ids it dropped; a compaction clears every one).
     pub tombstones_remaining: u64,
     /// Segment generation after the fold.
     pub generation: u64,
+}
+
+/// Extension images a partition holds at most: a flush that would add
+/// one more merges the partition's extensions and its pending records into
+/// one. A cluster read therefore touches at most `1 + MAX_EXTENSIONS`
+/// files.
+const MAX_EXTENSIONS: usize = 4;
+
+/// A partition's extension images hold at most `1 / EXTENSION_SHARE` of
+/// its base image's bytes: a flush that would pass it rewrites the
+/// partition into one base image instead, so records are copied a bounded
+/// number of times (the log-structured merge rule).
+const EXTENSION_SHARE: u64 = 4;
+
+/// What a fold does to one partition.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fold {
+    /// A new extension image holding the pending records.
+    Extend,
+    /// One extension image holding the extensions and the pending records.
+    Merge,
+    /// One base image holding the base, the extensions and the pending
+    /// records, minus every tombstoned id.
+    Rewrite,
 }
 
 /// One partition of a fold between its stage and its publish: the
@@ -121,8 +156,16 @@ pub struct MaintenanceReport {
 struct FoldStage {
     staged: Staged,
     copied: Vec<(TrieNodeId, usize)>,
+    done: FoldDone,
+}
+
+/// What one partition's fold did, once published.
+struct FoldDone {
+    fold: Fold,
+    /// Delta records the image holds.
     folded: u64,
-    purged: u64,
+    /// The tombstoned ids the image dropped.
+    purged: Vec<u64>,
 }
 
 /// A built CLIMBER index: skeleton + partition store + build report.
@@ -389,8 +432,7 @@ impl<S: PartitionStore> Climber<S> {
 
     /// The save implementation. `refresh`, when given, is the manifest
     /// last committed to `dir`, the store's home: a partition the store
-    /// has not staged since keeps its entry verbatim — the incremental
-    /// re-seal of a fold.
+    /// cannot describe (a quarantined one) keeps its entry verbatim.
     ///
     /// Crash-consistency protocol: nothing a committed manifest references
     /// is overwritten before the next manifest commits. New bytes are
@@ -412,24 +454,25 @@ impl<S: PartitionStore> Climber<S> {
             ));
         }
         let home = self.store.persist_dir() == Some(dir);
-        // In the store's own directory a partition its puts staged there
-        // is described by the put's receipt, and an untouched one by the
-        // previous manifest — no open, no re-read, no re-hash. Everything
+        // In the store's own directory a partition is described by what
+        // the store holds — the receipts of the images it staged there and
+        // the entries it was opened with — and one it cannot serve by the
+        // previous manifest: no open, no re-read, no re-hash. Everything
         // else is read once, for the checksum and the structural
         // validation, and — sealing into another directory — staged there
-        // (a manifest only references files that went through stage →
-        // commit). Fanned out over the build's threads in ascending-id
-        // manifest order.
+        // as one base image (a manifest only references files that went
+        // through stage → commit). Fanned out over the build's threads in
+        // ascending-id manifest order.
         let cluster = climber_dfs::cluster::Cluster::new(self.build_options.resolved_threads());
         let fs_ref = &fs;
         let described: Vec<io::Result<(PartitionEntry, Option<u32>)>> =
             cluster.par_map(ids, move |pid| {
                 if home {
-                    if let Some(r) = self.store.receipt(pid) {
-                        return Ok((r.entry(pid), Some(r.series_len)));
+                    if let Some(e) = self.store.entry(pid) {
+                        return Ok((e, None));
                     }
                     if let Some(e) = refresh.and_then(|prev| prev.partition(pid)) {
-                        return Ok((*e, None));
+                        return Ok((e.clone(), None));
                     }
                 }
                 let payload = self.store.image(pid)?;
@@ -444,16 +487,20 @@ impl<S: PartitionStore> Climber<S> {
                         bytes: payload.len() as u64,
                         checksum: xxh64(&payload, 0),
                         records: reader.record_count(),
+                        extensions: Vec::new(),
                     },
                     Some(reader.series_len() as u32),
                 ))
             });
         let mut partitions = Vec::with_capacity(described.len());
         let mut num_records = 0u64;
-        let mut series_len = refresh.map_or(0, |prev| prev.series_len);
+        let mut series_len = (self.series_len()).map_or_else(
+            || refresh.map_or(0, |prev| prev.series_len),
+            |len| len as u32,
+        );
         for entry in described {
             let (p, sl) = entry?;
-            num_records += p.records;
+            num_records += p.total_records();
             if let Some(sl) = sl {
                 series_len = sl;
             }
@@ -737,19 +784,37 @@ impl<S: PartitionStore> Climber<S> {
         Ok(self.tombstones.delete(id))
     }
 
-    /// Folds the delta segment into the sealed partitions: every partition
-    /// holding delta clusters is rewritten once — one [`PartitionWriter`]
-    /// per partition over the build's worker fan-out, the staged files
-    /// made durable together on the I/O threads, then each partition
-    /// published — with each delta cluster appended (in id order) to the
-    /// sealed cluster of the same trie node. Tombstones are kept (they
-    /// keep filtering queries); [`compact`](Self::compact) purges them too.
+    /// Folds the delta segment into the sealed partitions. Every partition
+    /// holding delta records gets them as one more *extension image* — a
+    /// small image beside its base holding only those records, each
+    /// trie-node cluster in id order — so a flush writes about what was
+    /// appended, and no base image is read or rewritten. Two bounds keep
+    /// reads and rewrites in check, per partition:
+    ///
+    /// * a flush that would give it a fifth extension merges its
+    ///   extensions and its pending records into one;
+    /// * a flush that would make its extensions pass a quarter of its base
+    ///   image's bytes rewrites it instead into one base image — base,
+    ///   extensions and pending records — and that rewrite **purges**: it
+    ///   drops the tombstoned records it holds and clears exactly those
+    ///   tombstones. Tombstones of partitions that only extend are kept
+    ///   (they keep filtering queries); [`compact`](Self::compact) purges
+    ///   every one.
+    ///
+    /// Each image is built by one [`fold_partition`] per partition over the
+    /// build's worker fan-out, the new files made durable together on the
+    /// I/O threads, then each partition published. Queries read a node's
+    /// cluster from the base and then from each extension, which is the
+    /// cluster a rewrite would hold: answers never depend on how a
+    /// partition's records are split over its images.
     ///
     /// On a disk-backed store the directory is re-sealed afterwards —
-    /// incrementally: only the folded partitions get fresh entries (from
-    /// their put receipts), untouched manifest entries are reused, and the
-    /// manifest is rewritten at the bumped segment generation, so the
-    /// on-disk index stays openable at O(affected partitions) cost.
+    /// incrementally: every entry comes from what the store already holds
+    /// (the receipts of this fold's images, the entries it was opened
+    /// with), and the manifest is rewritten at the bumped segment
+    /// generation, so the on-disk index stays openable at O(affected
+    /// partitions) cost. The images a merge or a rewrite replaced are
+    /// removed once that manifest has committed.
     ///
     /// A query racing a fold answers as it would before or after it: a
     /// delta record leaves the segment in the same critical section that
@@ -764,46 +829,47 @@ impl<S: PartitionStore> Climber<S> {
         Ok(self.maintain(false)?)
     }
 
-    /// [`flush`](Self::flush) + purge: additionally rewrites every
-    /// partition holding tombstoned records, physically removing them,
-    /// and clears the purged ids from the tombstone set.
+    /// [`flush`](Self::flush) + purge: rewrites every partition holding
+    /// pending records, extension images or tombstoned records into one
+    /// base image, physically removing the tombstoned records, and clears
+    /// the purged ids from the tombstone set.
     pub fn compact(&self) -> Result<MaintenanceReport, ClimberError> {
         Ok(self.maintain(true)?)
     }
 
-    fn maintain(&self, purge: bool) -> io::Result<MaintenanceReport> {
+    fn maintain(&self, compact: bool) -> io::Result<MaintenanceReport> {
         self.ensure_writable()?;
         let _serial = (self.maintenance.lock()).unwrap_or_else(PoisonError::into_inner);
-        // Tombstones snapshot only for a purge — ids deleted *during* the
-        // fold stay pending either way. Every error of the purge scan
-        // (which partitions hold tombstoned records) aborts the fold:
+        // The tombstones a base rewrite drops: a snapshot, so ids deleted
+        // *during* the fold stay pending. Every error of the compaction's
+        // scan (which partitions hold tombstoned records) aborts the fold:
         // silently skipping an unreadable partition here would later clear
-        // tombstones whose records were never purged, resurrecting
-        // deleted ids.
-        let purged_ids: Vec<u64> = if purge {
-            self.tombstones.ids()
-        } else {
-            Vec::new()
-        };
-        let purge_set: BTreeSet<u64> = purged_ids.iter().copied().collect();
+        // tombstones whose records were never purged, resurrecting deleted
+        // ids.
+        let tombstoned = self.tombstones.ids();
+        let purge: BTreeSet<u64> = tombstoned.iter().copied().collect();
         let mut affected: BTreeSet<PartitionId> = BTreeSet::new();
-        if !purge_set.is_empty() {
+        if compact {
             for pid in self.store.ids() {
-                let reader = self.store.open(pid)?;
+                let extended = (self.store.layout(pid)).is_ok_and(|l| l.files.len() > 1);
                 // Id-only scan with early exit: no value decoding, stops
                 // at the first tombstoned record.
-                if reader.any_id(|id| purge_set.contains(&id)) {
+                if extended
+                    || (!purge.is_empty()
+                        && (self.store.layers(pid, 0)?.iter())
+                            .any(|layer| layer.any_id(|id| purge.contains(&id))))
+                {
                     affected.insert(pid);
                 }
             }
         }
-        // The rewrite set: the purge scan's partitions plus every one with
+        // The fold set: the compaction's partitions plus every one with
         // pending records. Records appended to any of them from here on
         // wait for the next fold.
         affected.extend(self.delta.partitions());
-        if affected.is_empty() && purge_set.is_empty() {
-            // Nothing to fold — but an earlier fold may have rewritten
-            // partitions and then failed its re-seal (e.g. out of disk):
+        if affected.is_empty() && (!compact || purge.is_empty()) {
+            // Nothing to fold — but an earlier fold may have published
+            // images and then failed its re-seal (e.g. out of disk):
             // repair the directory before reporting the no-op, so a
             // retried flush() always converges to an openable index.
             if self.reseal_owed.load(std::sync::atomic::Ordering::Relaxed) {
@@ -811,6 +877,7 @@ impl<S: PartitionStore> Climber<S> {
             }
             return Ok(MaintenanceReport {
                 partitions_rewritten: 0,
+                partitions_extended: 0,
                 records_folded: 0,
                 records_purged: 0,
                 tombstones_remaining: self.tombstones.len(),
@@ -818,10 +885,10 @@ impl<S: PartitionStore> Climber<S> {
             });
         }
 
-        // Rewrite the affected partitions in three phases: stage every
-        // image on the build's worker fan-out (CPU work: each worker owns
-        // one writer end to end, and the image is dropped once written),
-        // make every staged file durable at once on the I/O threads, then
+        // Fold the affected partitions in three phases: stage every image
+        // on the build's worker fan-out (CPU work: each worker owns one
+        // image end to end, and the image is dropped once written), make
+        // every staged file durable at once on the I/O threads, then
         // publish each partition. From the first publish on, a disk
         // directory's manifest is stale until the re-seal below lands; the
         // flag makes any later flush or save finish the repair if this
@@ -830,15 +897,15 @@ impl<S: PartitionStore> Climber<S> {
         self.reseal_owed
             .store(true, std::sync::atomic::Ordering::Relaxed);
         let cluster = climber_dfs::cluster::Cluster::new(self.build_options.resolved_threads());
-        let purge_ref = &purge_set;
+        let purge_ref = &purge;
         let stages = cluster.par_map(affected.into_iter().collect(), move |pid| {
-            self.stage_fold(pid, purge_ref)
+            self.stage_fold(pid, compact, purge_ref)
         });
         let unsynced = (stages.iter().flatten())
             .filter_map(|stage| stage.staged.unsynced().map(Path::to_path_buf))
             .collect();
         let mut synced = fsio::fsync_files(&self.store.fs(), unsynced).into_iter();
-        let published: Vec<io::Result<(u64, u64)>> = (stages.into_iter())
+        let published: Vec<io::Result<FoldDone>> = (stages.into_iter())
             .map(|stage| {
                 let stage = stage?;
                 if stage.staged.unsynced().is_some() {
@@ -850,31 +917,61 @@ impl<S: PartitionStore> Climber<S> {
                 self.publish_fold(stage)
             })
             .collect();
-        let rewrites = published.into_iter().collect::<io::Result<Vec<_>>>()?;
-        if purge {
-            self.tombstones.remove_all(&purged_ids);
+        let mut report = MaintenanceReport {
+            partitions_rewritten: 0,
+            partitions_extended: 0,
+            records_folded: 0,
+            records_purged: 0,
+            tombstones_remaining: 0,
+            generation: self.generation.load(Ordering::Relaxed),
+        };
+        let mut failed = None;
+        for done in published {
+            match done {
+                Ok(done) => {
+                    match done.fold {
+                        Fold::Rewrite => report.partitions_rewritten += 1,
+                        Fold::Extend | Fold::Merge => report.partitions_extended += 1,
+                    }
+                    report.records_folded += done.folded;
+                    report.records_purged += done.purged.len() as u64;
+                    // The records are gone from every image a query reads.
+                    self.tombstones.remove_all(&done.purged);
+                }
+                Err(e) => {
+                    failed.get_or_insert(e);
+                }
+            }
         }
-        let generation = self.generation.fetch_add(1, Ordering::Relaxed) + 1;
+        // A published image is named by this generation (an extension's
+        // file number): spend it even when another partition failed.
+        if report.partitions_rewritten + report.partitions_extended > 0 {
+            report.generation = self.generation.fetch_add(1, Ordering::Relaxed) + 1;
+        }
+        if let Some(e) = failed {
+            return Err(e);
+        }
+        if compact {
+            // Every partition holding a tombstoned record was rewritten
+            // without it: no snapshot id is held anywhere any more.
+            self.tombstones.remove_all(&tombstoned);
+        }
+        report.tombstones_remaining = self.tombstones.len();
 
         self.reseal_home()?;
-        Ok(MaintenanceReport {
-            partitions_rewritten: rewrites.len(),
-            records_folded: rewrites.iter().map(|&(f, _)| f).sum(),
-            records_purged: rewrites.iter().map(|&(_, p)| p).sum(),
-            tombstones_remaining: self.tombstones.len(),
-            generation,
-        })
+        Ok(report)
     }
 
     /// Re-seals a disk-backed store's home directory after a fold:
-    /// checksums and the manifest must match the rewritten partitions for
+    /// checksums and the manifest must match the folded partitions for
     /// the directory to stay openable. The re-seal is incremental — every
-    /// partition the store staged since the last commit (this fold's, and
-    /// any an earlier failed re-seal left) is described by its put
-    /// receipt, every other entry of the previous manifest is reused — so
-    /// a small fold costs O(affected partitions), not O(index). The
-    /// previous manifest is the one this instance holds; only an index
-    /// that never sealed or opened its directory reads it from disk.
+    /// partition is described by what the store already holds, the
+    /// receipts of the images it published and the entries it was opened
+    /// with, and only a quarantined partition's entry comes from the
+    /// previous manifest — so a small fold costs O(affected partitions)
+    /// of I/O, not O(index). The previous manifest is the one this
+    /// instance holds; only an index that never sealed or opened its
+    /// directory reads it from disk.
     fn reseal_home(&self) -> io::Result<()> {
         let Some(dir) = self.store.persist_dir() else {
             return Ok(());
@@ -884,79 +981,103 @@ impl<S: PartitionStore> Climber<S> {
         self.seal(dir, prev.as_ref()).map(drop)
     }
 
-    /// Stages one sealed partition's rewrite: every sealed cluster's
-    /// encoded records are spliced — byte ranges, never decoded — into the
-    /// new image minus the ids in `purge`, each followed by the partition's
-    /// delta run of the same trie node as it stands now, spliced record by
-    /// record in ascending-id order; clusters left empty are dropped. The
-    /// image is [staged](PartitionStore::stage) unsynced and dropped; the
-    /// stage keeps how many records it copied from each run.
-    fn stage_fold(&self, pid: PartitionId, purge: &BTreeSet<u64>) -> io::Result<FoldStage> {
-        let folds = self.delta.snapshot(pid);
-        let reader = self.store.open(pid)?;
-        let sealed_nodes = reader.cluster_ids();
-        // Delta clusters routed to trie nodes this partition has never
-        // sealed (e.g. a leaf that received no records at build time)
-        // follow the sealed ones.
-        let new_nodes = folds.keys().filter(|node| !sealed_nodes.contains(node));
-        let fold_records: usize = folds.values().map(|run| run.records().len()).sum();
-        let mut writer = PartitionWriter::with_capacity(
-            reader.group_id(),
-            reader.series_len(),
-            sealed_nodes.len() + new_nodes.clone().count(),
-            reader.record_count() as usize + fold_records,
-        );
-        let (mut folded, mut purged) = (0u64, 0u64);
-        // Appends `node`'s delta run to the open cluster and seals it
-        // unless nothing survived.
-        let mut seal_cluster = |writer: &mut PartitionWriter, node: TrieNodeId| {
-            if let Some(recs) = folds.get(&node).map(DeltaRun::records) {
-                let mut order: Vec<usize> = (0..recs.len()).collect();
-                order.sort_unstable_by_key(|&i| recs.id(i));
-                for i in order {
-                    if purge.contains(&recs.id(i)) {
-                        purged += 1;
-                    } else {
-                        folded += 1;
-                        writer.splice_record(&recs, i);
-                    }
-                }
-            }
-            if writer.pending() > 0 {
-                writer.seal_cluster(node);
-            }
+    /// What a flush does to partition `pid` (see [`flush`](Self::flush)),
+    /// from the sizes of its images and of the extension its pending
+    /// records would make.
+    fn flush_fold(&self, pid: PartitionId, layout: &Layout) -> Fold {
+        let (nodes, records) = (self.delta.read().runs(pid))
+            .fold((0, 0), |(nodes, records), (_, run)| {
+                (nodes + 1, records + run.len())
+            });
+        let added = image_len(layout.series_len, nodes, records) as u64;
+        let extension_bytes = layout.files[1..].iter().sum::<u64>() + added;
+        if extension_bytes * EXTENSION_SHARE > layout.files[0] {
+            Fold::Rewrite
+        } else if layout.files.len() > MAX_EXTENSIONS {
+            Fold::Merge
+        } else {
+            Fold::Extend
+        }
+    }
+
+    /// Stages one partition's fold (see [`Fold`]; a compaction always
+    /// rewrites): the images it folds in are read with no lock held, then,
+    /// inside one delta read section, their clusters and the partition's
+    /// delta runs as they stand are spliced — byte ranges, never decoded,
+    /// each run in ascending-id order — into the new image, and only each
+    /// run's record count is kept; a rewrite drops the ids in `purge`, and
+    /// clusters left empty are dropped. The image is then
+    /// [staged](PartitionStore::stage) unsynced, with no lock held, and
+    /// dropped. An extension is named by the generation the fold commits.
+    fn stage_fold(
+        &self,
+        pid: PartitionId,
+        compact: bool,
+        purge: &BTreeSet<u64>,
+    ) -> io::Result<FoldStage> {
+        let layout = self.store.layout(pid)?;
+        let fold = match compact {
+            true => Fold::Rewrite,
+            false => self.flush_fold(pid, &layout),
         };
-        let mut dropped = 0u64;
-        for (node, recs) in reader.clusters() {
-            dropped += writer.splice(&recs, |id| !purge.contains(&id));
-            seal_cluster(&mut writer, node);
-        }
-        for &node in new_nodes {
-            seal_cluster(&mut writer, node);
-        }
-        let copied = (folds.iter())
-            .map(|(&node, run)| (node, run.records().len()))
+        let file = self.generation.load(Ordering::Relaxed) + 1;
+        let (layer, layers) = match fold {
+            Fold::Extend => (
+                Layer::Extension {
+                    file,
+                    merged: false,
+                },
+                Vec::new(),
+            ),
+            Fold::Merge => (
+                Layer::Extension { file, merged: true },
+                self.store.layers(pid, 1)?,
+            ),
+            Fold::Rewrite => (Layer::Base, self.store.layers(pid, 0)?),
+        };
+        let mut purged = Vec::new();
+        let keep = |id: u64| match fold == Fold::Rewrite && purge.contains(&id) {
+            true => {
+                purged.push(id);
+                false
+            }
+            false => true,
+        };
+        let view = self.delta.read();
+        let runs: Vec<(TrieNodeId, ClusterRecords<'_>)> = view.runs(pid).collect();
+        let (image, _) = fold_partition(layout.group_id, layout.series_len, &layers, &runs, keep);
+        let copied: Vec<(TrieNodeId, usize)> = (runs.iter())
+            .map(|(node, recs)| (*node, recs.len()))
             .collect();
+        let pending = copied.iter().map(|&(_, n)| n as u64).sum::<u64>();
+        let pending_purged = (runs.iter().flat_map(|(_, recs)| recs.ids()))
+            .filter(|id| purged.contains(id))
+            .count() as u64;
+        drop(runs);
+        drop(view);
+        drop(layers);
         if self.store.persist_dir().is_some() {
             // From a stage worker: see `start_io_threads` on heap arenas.
             fsio::start_io_threads();
         }
         Ok(FoldStage {
-            staged: self.store.stage(pid, writer.finish())?,
+            staged: self.store.stage(pid, layer, image)?,
             copied,
-            folded,
-            purged: purged + dropped,
+            done: FoldDone {
+                fold,
+                folded: pending - pending_purged,
+                purged,
+            },
         })
     }
 
     /// Publishes a durable fold stage in the delta write section that
-    /// retires the runs it copied. Returns `(records folded, records
-    /// purged)`.
-    fn publish_fold(&self, stage: FoldStage) -> io::Result<(u64, u64)> {
+    /// retires the runs it copied.
+    fn publish_fold(&self, stage: FoldStage) -> io::Result<FoldDone> {
         let pid = stage.staged.id();
         let section = (self.store).publish(stage.staged, || self.delta.write())?;
         section.retire(pid, stage.copied);
-        Ok((stage.folded, stage.purged))
+        Ok(stage.done)
     }
 
     /// The global index skeleton.
@@ -1288,15 +1409,17 @@ mod tests {
         assert_eq!(diff.bytes_written, 0);
         assert_eq!(climber.delta().record_count(), 41);
         // ... and a flush is what folds them, with exactly one write per
-        // affected partition.
+        // affected partition: an extension image or a base rewrite.
+        let affected = climber.delta().partitions().len();
         let report = climber.flush().unwrap();
         assert_eq!(report.records_folded, 41);
         assert!(climber.delta().is_empty());
-        let after = climber.store().stats().snapshot().since(&before);
         assert_eq!(
-            after.partitions_written as usize,
-            report.partitions_rewritten
+            report.partitions_extended + report.partitions_rewritten,
+            affected
         );
+        let after = climber.store().stats().snapshot().since(&before);
+        assert_eq!(after.partitions_written as usize, affected);
     }
 
     #[test]

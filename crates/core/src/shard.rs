@@ -693,6 +693,7 @@ impl<S: PartitionStore> ShardedClimber<S> {
     fn maintain(&self, purge: bool) -> Result<MaintenanceReport, ClimberError> {
         let mut merged = MaintenanceReport {
             partitions_rewritten: 0,
+            partitions_extended: 0,
             records_folded: 0,
             records_purged: 0,
             tombstones_remaining: 0,
@@ -705,6 +706,7 @@ impl<S: PartitionStore> ShardedClimber<S> {
                 shard.flush()?
             };
             merged.partitions_rewritten += r.partitions_rewritten;
+            merged.partitions_extended += r.partitions_extended;
             merged.records_folded += r.records_folded;
             merged.records_purged += r.records_purged;
             merged.tombstones_remaining += r.tombstones_remaining;

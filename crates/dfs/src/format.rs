@@ -432,6 +432,71 @@ impl PartitionWriter {
     }
 }
 
+/// Bytes of a partition image of `clusters` clusters holding `records`
+/// records of `series_len` values: what [`PartitionWriter::finish`] will
+/// hand out, known before a record is copied.
+pub const fn image_len(series_len: usize, clusters: usize, records: usize) -> usize {
+    HEADER_FIXED + clusters * DIR_ENTRY + records * record_size(series_len)
+}
+
+/// Folds a partition's records from several sources into one image of
+/// group `group_id`: every cluster of `layers` (a partition's images, base
+/// first, then its extensions in file order), node by node, each node's
+/// clusters in layer order and then its run of `runs` (pending records in
+/// arrival order, by ascending node) in ascending-id order. Records whose
+/// id fails `keep` are dropped, and clusters left empty vanish. Nodes come
+/// in the order they first appear — the base's storage order, then nodes
+/// only a later layer holds, then nodes only `runs` hold — so folding an
+/// image's extensions into it gives exactly the image that folding the
+/// same records into it flush by flush would have. Records are copied as
+/// encoded, never decoded. Returns the image and how many records `keep`
+/// dropped.
+///
+/// # Panics
+/// If a layer or a run holds series of another length than `series_len`.
+pub fn fold_partition(
+    group_id: u64,
+    series_len: usize,
+    layers: &[PartitionReader],
+    runs: &[(TrieNodeId, ClusterRecords<'_>)],
+    mut keep: impl FnMut(u64) -> bool,
+) -> (Bytes, u64) {
+    let mut nodes: Vec<TrieNodeId> = Vec::new();
+    for node in (layers
+        .iter()
+        .flat_map(|l| l.dir.clusters.iter().map(|c| c.0)))
+    .chain(runs.iter().map(|r| r.0))
+    {
+        if !nodes.contains(&node) {
+            nodes.push(node);
+        }
+    }
+    let records = (layers.iter().map(|l| l.record_count() as usize))
+        .chain(runs.iter().map(|(_, recs)| recs.len()))
+        .sum();
+    let mut writer = PartitionWriter::with_capacity(group_id, series_len, nodes.len(), records);
+    let mut dropped = 0u64;
+    for node in nodes {
+        for recs in layers.iter().filter_map(|l| l.cluster_records(node)) {
+            dropped += writer.splice(&recs, &mut keep);
+        }
+        if let Some((_, recs)) = runs.iter().find(|(n, _)| *n == node) {
+            let mut order: Vec<usize> = (0..recs.len()).collect();
+            order.sort_unstable_by_key(|&i| recs.id(i));
+            for i in order {
+                match keep(recs.id(i)) {
+                    true => writer.splice_record(recs, i),
+                    false => dropped += 1,
+                }
+            }
+        }
+        if writer.pending() > 0 {
+            writer.seal_cluster(node);
+        }
+    }
+    (writer.finish(), dropped)
+}
+
 /// Which clusters of one partition a read asks for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClusterPick<'a> {
@@ -508,6 +573,11 @@ impl PartitionDirectory {
             clusters,
             records_at: dir_end,
         })
+    }
+
+    /// The owning group id.
+    pub fn group_id(&self) -> u64 {
+        self.group_id
     }
 
     /// Length of every stored series.

@@ -1,9 +1,11 @@
 //! The versioned on-disk index manifest.
 //!
-//! A persisted CLIMBER index directory holds one file per partition
-//! (`part_XXXXXXXX.clbp`), the serialised skeleton (`skeleton.clsk`), and
-//! this module's `MANIFEST.clmf` — the commit record that makes the
-//! directory a *valid index* rather than a pile of files:
+//! A persisted CLIMBER index directory holds, per partition, one base
+//! image (`part_XXXXXXXX.clbp`) and up to a few extension images
+//! (`part_XXXXXXXX.x<n>.clbp`, each holding records a flush appended), the
+//! serialised skeleton (`skeleton.clsk`), and this module's
+//! `MANIFEST.clmf` — the commit record that makes the directory a *valid
+//! index* rather than a pile of files:
 //!
 //! ```text
 //! magic "CLMF" | format_version u32 | flags u32 (reserved)
@@ -14,9 +16,18 @@
 //! config blob  (u64 len + bytes)   — opaque encoded IndexConfig
 //! skeleton: bytes u64, xxh64 u64
 //! partition count u32
-//!   per partition: id u32, bytes u64, xxh64 u64, records u64
+//!   per partition: id u32, file count u32 (≥ 1)
+//!     per file, in file order: file u64, bytes u64, xxh64 u64, records u64
 //! manifest xxh64 u64          — checksum of every preceding byte
 //! ```
+//!
+//! A partition's files are ordered: the base image first (file `0`), then
+//! its extension images by strictly ascending file number `n ≥ 1` — the
+//! segment generation of the flush that wrote it. A query reads a node's
+//! cluster from every file in that order. Versions 1 and 2 list one file
+//! per partition as `id u32, bytes u64, xxh64 u64, records u64` and still
+//! decode (as base images with no extension); a writable open rewrites
+//! them as version 3 at its next seal.
 //!
 //! All integers little-endian. Writers go through
 //! [`Manifest::write_atomic_with`] (temp file + fsync + atomic rename +
@@ -47,8 +58,10 @@ pub const MANIFEST_MAGIC: [u8; 4] = *b"CLMF";
 
 /// Newest on-disk index format this build reads and writes. Version 2
 /// added the segment generation and the optional update-journal entry;
-/// version-1 directories are still read (generation 0, no journal).
-pub const FORMAT_VERSION: u32 = 2;
+/// version 3 made each partition entry an ordered list of files (a base
+/// image and its extension images). Version-1 and version-2 directories
+/// are still read (version 1 as generation 0 with no journal).
+pub const FORMAT_VERSION: u32 = 3;
 
 // ---------------------------------------------------------------------------
 // xxHash64
@@ -308,17 +321,54 @@ pub struct FileEntry {
     pub checksum: u64,
 }
 
-/// One partition file's byte range and integrity data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One partition's files: the base image's byte range and integrity data
+/// and those of each extension image, in file order.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionEntry {
     /// The partition id (`part_{id:08}.clbp`).
     pub id: PartitionId,
+    /// Encoded size of the base image in bytes.
+    pub bytes: u64,
+    /// xxHash64 of the encoded base image (seed 0).
+    pub checksum: u64,
+    /// Records stored in the base image.
+    pub records: u64,
+    /// The extension images, in file order (ascending file number).
+    pub extensions: Vec<ImageEntry>,
+}
+
+/// One image file of a partition: its base image (`file` 0,
+/// `part_{id:08}.clbp`) or an extension image (`part_{id:08}.x{file}.clbp`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ImageEntry {
+    /// `0` for the base image; else the extension's number (≥ 1), the
+    /// generation of the flush that wrote it.
+    pub file: u64,
     /// Encoded size in bytes.
     pub bytes: u64,
-    /// xxHash64 of the encoded partition (seed 0).
+    /// xxHash64 of the encoded image (seed 0).
     pub checksum: u64,
     /// Records stored inside.
     pub records: u64,
+}
+
+impl PartitionEntry {
+    /// Every image of the partition in file order: the base image (file
+    /// 0), then its extensions.
+    pub fn images(&self) -> impl Iterator<Item = ImageEntry> + '_ {
+        let base = ImageEntry {
+            file: 0,
+            bytes: self.bytes,
+            checksum: self.checksum,
+            records: self.records,
+        };
+        std::iter::once(base).chain(self.extensions.iter().copied())
+    }
+
+    /// Records the partition holds, base and extensions together.
+    pub fn total_records(&self) -> u64 {
+        self.records + self.extensions.iter().map(|x| x.records).sum::<u64>()
+    }
 }
 
 /// The index directory's commit record: format version, build
@@ -372,9 +422,9 @@ impl Manifest {
     }
 
     /// Deterministic dataset fingerprint: xxHash64 over the series length,
-    /// record count and every partition's `(id, records, checksum)`. Two
-    /// saves of the same built index agree; any change to the stored data
-    /// changes it.
+    /// record count, every partition's `(id, records, checksum)` and each
+    /// of its extensions' `(file, records, checksum)`. Two saves of the
+    /// same built index agree; any change to the stored data changes it.
     pub fn fingerprint_of(series_len: u32, num_records: u64, partitions: &[PartitionEntry]) -> u64 {
         let mut buf = Vec::with_capacity(16 + partitions.len() * 20);
         (series_len).encode(&mut buf);
@@ -383,6 +433,11 @@ impl Manifest {
             e.id.encode(&mut buf);
             e.records.encode(&mut buf);
             e.checksum.encode(&mut buf);
+            for x in &e.extensions {
+                x.file.encode(&mut buf);
+                x.records.encode(&mut buf);
+                x.checksum.encode(&mut buf);
+            }
         }
         xxh64(&buf, 0x0C11_B3E5)
     }
@@ -412,9 +467,13 @@ impl Manifest {
         (self.partitions.len() as u32).encode(&mut out);
         for e in &self.partitions {
             e.id.encode(&mut out);
-            e.bytes.encode(&mut out);
-            e.checksum.encode(&mut out);
-            e.records.encode(&mut out);
+            (1 + e.extensions.len() as u32).encode(&mut out);
+            for image in e.images() {
+                image.file.encode(&mut out);
+                image.bytes.encode(&mut out);
+                image.checksum.encode(&mut out);
+                image.records.encode(&mut out);
+            }
         }
         let sum = xxh64(&out, 0);
         sum.encode(&mut out);
@@ -504,11 +563,52 @@ impl Manifest {
         // self-checksum is an integrity check, not a defence.
         let mut partitions = Vec::with_capacity(n.min(r.remaining() / 28));
         for _ in 0..n {
+            let id = r.u32().map_err(parse)?;
+            // Before version 3 an entry is one base image, untagged.
+            let files = match version >= 3 {
+                true => r.u32().map_err(parse)?,
+                false => 1,
+            };
+            let mut file = |expect_base: bool| -> Result<ImageEntry, OpenError> {
+                let file = match version >= 3 {
+                    true => r.u64().map_err(parse)?,
+                    false => 0,
+                };
+                if (file == 0) != expect_base {
+                    return Err(OpenError::CorruptManifest(format!(
+                        "partition {id}: file {file} out of place"
+                    )));
+                }
+                Ok(ImageEntry {
+                    file,
+                    bytes: r.u64().map_err(parse)?,
+                    checksum: r.u64().map_err(parse)?,
+                    records: r.u64().map_err(parse)?,
+                })
+            };
+            if files == 0 {
+                return Err(OpenError::CorruptManifest(format!(
+                    "partition {id} lists no file"
+                )));
+            }
+            let base = file(true)?;
+            let mut extensions: Vec<ImageEntry> = Vec::new();
+            for _ in 1..files {
+                let x = file(false)?;
+                if extensions.last().is_some_and(|prev| prev.file >= x.file) {
+                    return Err(OpenError::CorruptManifest(format!(
+                        "partition {id}: extension {} out of order",
+                        x.file
+                    )));
+                }
+                extensions.push(x);
+            }
             partitions.push(PartitionEntry {
-                id: r.u32().map_err(parse)?,
-                bytes: r.u64().map_err(parse)?,
-                checksum: r.u64().map_err(parse)?,
-                records: r.u64().map_err(parse)?,
+                id,
+                bytes: base.bytes,
+                checksum: base.checksum,
+                records: base.records,
+                extensions,
             });
         }
         r.expect_end().map_err(parse)?;
@@ -562,12 +662,14 @@ mod tests {
                 bytes: 120,
                 checksum: 0xABCD,
                 records: 4,
+                extensions: Vec::new(),
             },
             PartitionEntry {
                 id: 3,
                 bytes: 64,
                 checksum: 0x1234,
                 records: 1,
+                extensions: Vec::new(),
             },
         ];
         Manifest {
@@ -609,11 +711,67 @@ mod tests {
         assert_eq!(hashes.len(), 40);
     }
 
+    /// [`sample_manifest`] with extension images on both partitions.
+    fn sample_extended() -> Manifest {
+        let mut m = sample_manifest();
+        let ext = |file, records| ImageEntry {
+            file,
+            bytes: 40 + records * 24,
+            checksum: 0x5EED ^ file,
+            records,
+        };
+        m.partitions[0].extensions = vec![ext(2, 3), ext(5, 1), ext(9, 2)];
+        m.partitions[1].extensions = vec![ext(4, 7)];
+        m.num_records = m.partitions.iter().map(PartitionEntry::total_records).sum();
+        m.fingerprint = Manifest::fingerprint_of(16, m.num_records, &m.partitions);
+        m
+    }
+
     #[test]
     fn manifest_roundtrip() {
-        let m = sample_manifest();
-        let back = Manifest::decode(&m.encode()).unwrap();
-        assert_eq!(m, back);
+        for m in [sample_manifest(), sample_extended()] {
+            let back = Manifest::decode(&m.encode()).unwrap();
+            assert_eq!(m, back);
+        }
+    }
+
+    /// Every single-bit flip of a version-3 manifest that lists extension
+    /// images decodes to a typed error — or to a manifest that re-encodes
+    /// to exactly the flipped bytes. Never a panic, never a silently
+    /// different manifest.
+    #[test]
+    fn every_bit_flip_of_a_v3_manifest_is_typed() {
+        let b = sample_extended().encode();
+        for bit in 0..b.len() * 8 {
+            let mut bad = b.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            match Manifest::decode(&bad) {
+                Ok(m) => assert_eq!(m.encode(), bad, "bit {bit} decoded to another manifest"),
+                Err(
+                    OpenError::CorruptManifest(_)
+                    | OpenError::BadMagic { .. }
+                    | OpenError::UnsupportedVersion { .. },
+                ) => {}
+                Err(e) => panic!("bit {bit}: untyped failure {e:?}"),
+            }
+        }
+    }
+
+    /// A version-3 entry's files are a base (file 0) and then extensions
+    /// by strictly ascending file number: anything else, under a valid
+    /// self-checksum, is a corrupt manifest.
+    #[test]
+    fn misordered_files_are_corrupt() {
+        let mut twice = sample_extended();
+        twice.partitions[0].extensions[1].file = 2;
+        let mut zero = sample_extended();
+        zero.partitions[1].extensions[0].file = 0;
+        for m in [twice, zero] {
+            assert!(matches!(
+                Manifest::decode(&m.encode()),
+                Err(OpenError::CorruptManifest(_))
+            ));
+        }
     }
 
     #[test]
@@ -731,7 +889,8 @@ mod tests {
         // a *valid* self-checksum: the checksum guards integrity only.
         let m = sample_manifest();
         let mut b = m.encode();
-        let at = b.len() - 8 - m.partitions.len() * 28 - 4;
+        // Each entry: id, file count, then one base file of four u64s.
+        let at = b.len() - 8 - m.partitions.len() * 40 - 4;
         assert_eq!(b[at..at + 4], (m.partitions.len() as u32).to_le_bytes());
         b.truncate(at);
         b.extend_from_slice(&u32::MAX.to_le_bytes());

@@ -8,7 +8,7 @@
 //! restructures `climber-dfs` around two cooperating pieces:
 //!
 //! * **[`BlockCache`]** — a sharded, byte-budgeted LRU over trie-node
-//!   clusters, keyed `(store token, partition, node)`, accounted in
+//!   clusters, keyed `(store token, partition, file, node)`, accounted in
 //!   fixed-size [`PAGE_SIZE`] pages and shared across queries, batches,
 //!   and shards through one `Arc`. A hit serves the cluster's bytes
 //!   without touching the filesystem; a miss is one ranged read of
@@ -88,9 +88,10 @@ impl CacheConfig {
 // ---------------------------------------------------------------------------
 
 /// Key of a cached block: the owning store's token (so one shared cache
-/// serves many stores/shards without id collisions), the partition id and
-/// the trie node whose cluster the block holds.
-type BlockKey = (u64, PartitionId, TrieNodeId);
+/// serves many stores/shards without id collisions), the partition id, the
+/// partition file (`0` = base image, `n` = extension image `n`) and the
+/// trie node whose cluster the block holds.
+type BlockKey = (u64, PartitionId, u64, TrieNodeId);
 
 #[derive(Debug)]
 struct CacheEntry {
@@ -195,10 +196,10 @@ impl BlockCache {
         self.tick.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Looks up the cached cluster `node` of `(token, pid)`, refreshing its
-    /// LRU position. Counts a hit or a miss.
-    pub fn get(&self, token: u64, pid: PartitionId, node: TrieNodeId) -> Option<Bytes> {
-        let key = (token, pid, node);
+    /// Looks up the cached cluster `node` of `(token, pid)`'s file `file`,
+    /// refreshing its LRU position. Counts a hit or a miss.
+    pub fn get(&self, token: u64, pid: PartitionId, file: u64, node: TrieNodeId) -> Option<Bytes> {
+        let key = (token, pid, file, node);
         let mut map = self
             .shard_of(&key)
             .lock()
@@ -240,16 +241,24 @@ impl BlockCache {
             .fetch_sub(entry.charge, Ordering::Relaxed);
     }
 
-    /// Inserts (or replaces) cluster `node` of `(token, pid)`, then evicts
-    /// least-recently-used blocks until the resident charge fits the
-    /// budget again. Returns the number of evictions this insert
-    /// triggered. Clusters larger than the whole budget are not cached.
-    pub fn insert(&self, token: u64, pid: PartitionId, node: TrieNodeId, bytes: Bytes) -> u64 {
+    /// Inserts (or replaces) cluster `node` of `(token, pid)`'s file
+    /// `file`, then evicts least-recently-used blocks until the resident
+    /// charge fits the budget again. Returns the number of evictions this
+    /// insert triggered. Clusters larger than the whole budget are not
+    /// cached.
+    pub fn insert(
+        &self,
+        token: u64,
+        pid: PartitionId,
+        file: u64,
+        node: TrieNodeId,
+        bytes: Bytes,
+    ) -> u64 {
         let charge = charge_of(bytes.len());
         if charge > self.capacity {
             return 0;
         }
-        self.put((token, pid, node), bytes, charge);
+        self.put((token, pid, file, node), bytes, charge);
         self.evict_to_fit()
     }
 
@@ -257,13 +266,20 @@ impl BlockCache {
     /// anything — the cold-open warming path, which must never churn a
     /// cache another index is already using. Returns whether the bytes
     /// were cached; on success they count toward `warmed_bytes`.
-    pub fn try_warm(&self, token: u64, pid: PartitionId, node: TrieNodeId, bytes: Bytes) -> bool {
+    pub fn try_warm(
+        &self,
+        token: u64,
+        pid: PartitionId,
+        file: u64,
+        node: TrieNodeId,
+        bytes: Bytes,
+    ) -> bool {
         let charge = charge_of(bytes.len());
         if self.resident().saturating_add(charge) > self.capacity {
             return false;
         }
         let len = bytes.len() as u64;
-        self.put((token, pid, node), bytes, charge);
+        self.put((token, pid, file, node), bytes, charge);
         self.warmed_bytes.fetch_add(len, Ordering::Relaxed);
         true
     }
@@ -299,15 +315,25 @@ impl BlockCache {
         evicted
     }
 
-    /// Drops every cached cluster of `(token, pid)` — called by stores on
-    /// rewrite, quarantine, and re-admission.
+    /// Drops every cached cluster of `(token, pid)`, whatever its file —
+    /// called by stores on a base rewrite, quarantine, and re-admission.
     pub fn invalidate(&self, token: u64, pid: PartitionId) {
+        self.invalidate_where(token, pid, |_| true);
+    }
+
+    /// Drops the cached clusters of `(token, pid)`'s files `files` — the
+    /// extension images a merged one replaced.
+    pub fn invalidate_files(&self, token: u64, pid: PartitionId, files: &[u64]) {
+        self.invalidate_where(token, pid, |file| files.contains(&file));
+    }
+
+    fn invalidate_where(&self, token: u64, pid: PartitionId, of_file: impl Fn(u64) -> bool) {
         let mut map = self
-            .shard_of(&(token, pid, 0))
+            .shard_of(&(token, pid, 0, 0))
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        map.retain(|&(t, p, _), entry| {
-            let keep = (t, p) != (token, pid);
+        map.retain(|&(t, p, file, _), entry| {
+            let keep = (t, p) != (token, pid) || !of_file(file);
             if !keep {
                 self.release(entry);
             }
@@ -432,18 +458,18 @@ mod tests {
         let cache = BlockCache::new(CacheConfig::default().with_capacity_bytes(3 * PAGE_SIZE));
         let token = next_store_token();
         let img = |seed| sample_partition(seed, 1, 2, 4);
-        assert!(cache.get(token, 1, 0).is_none());
-        cache.insert(token, 1, 0, img(1));
-        cache.insert(token, 2, 0, img(2));
-        cache.insert(token, 3, 0, img(3));
+        assert!(cache.get(token, 1, 0, 0).is_none());
+        cache.insert(token, 1, 0, 0, img(1));
+        cache.insert(token, 2, 0, 0, img(2));
+        cache.insert(token, 3, 0, 0, img(3));
         assert_eq!(cache.len(), 3);
         // Touch 1 and 2 so 3 is the LRU victim.
-        assert!(cache.get(token, 1, 0).is_some());
-        assert!(cache.get(token, 2, 0).is_some());
-        let evicted = cache.insert(token, 4, 0, img(4));
+        assert!(cache.get(token, 1, 0, 0).is_some());
+        assert!(cache.get(token, 2, 0, 0).is_some());
+        let evicted = cache.insert(token, 4, 0, 0, img(4));
         assert_eq!(evicted, 1);
-        assert!(cache.get(token, 3, 0).is_none(), "LRU entry evicted");
-        assert!(cache.get(token, 1, 0).is_some());
+        assert!(cache.get(token, 3, 0, 0).is_none(), "LRU entry evicted");
+        assert!(cache.get(token, 1, 0, 0).is_some());
         let stats = cache.stats();
         assert_eq!(stats.evictions, 1);
         assert!(stats.hits >= 3);
@@ -456,11 +482,11 @@ mod tests {
         let cache = BlockCache::new(CacheConfig::default());
         let (a, b) = (next_store_token(), next_store_token());
         let img = sample_partition(5, 1, 1, 2);
-        cache.insert(a, 7, 0, img.clone());
-        assert!(cache.get(a, 7, 0).is_some());
-        assert!(cache.get(b, 7, 0).is_none());
+        cache.insert(a, 7, 0, 0, img.clone());
+        assert!(cache.get(a, 7, 0, 0).is_some());
+        assert!(cache.get(b, 7, 0, 0).is_none());
         cache.invalidate(a, 7);
-        assert!(cache.get(a, 7, 0).is_none());
+        assert!(cache.get(a, 7, 0, 0).is_none());
         assert!(cache.is_empty());
     }
 
@@ -470,16 +496,16 @@ mod tests {
         let (a, b) = (next_store_token(), next_store_token());
         let img = sample_partition(6, 1, 1, 2);
         for node in 0..4 {
-            cache.insert(a, 1, node, img.clone());
-            cache.insert(a, 2, node, img.clone());
-            cache.insert(b, 1, node, img.clone());
+            cache.insert(a, 1, 0, node, img.clone());
+            cache.insert(a, 2, 0, node, img.clone());
+            cache.insert(b, 1, 0, node, img.clone());
         }
         assert_eq!(cache.len(), 12);
         cache.invalidate(a, 1);
         assert_eq!(cache.len(), 8);
-        assert!((0..4).all(|node| cache.get(a, 1, node).is_none()));
-        assert!((0..4).all(|node| cache.get(a, 2, node).is_some()));
-        assert!((0..4).all(|node| cache.get(b, 1, node).is_some()));
+        assert!((0..4).all(|node| cache.get(a, 1, 0, node).is_none()));
+        assert!((0..4).all(|node| cache.get(a, 2, 0, node).is_some()));
+        assert!((0..4).all(|node| cache.get(b, 1, 0, node).is_some()));
         assert_eq!(cache.stats().resident_bytes, 8 * PAGE_SIZE as u64);
     }
 
@@ -488,10 +514,10 @@ mod tests {
         let cache = BlockCache::new(CacheConfig::default().with_capacity_bytes(2 * PAGE_SIZE));
         let token = next_store_token();
         let img = |seed| sample_partition(seed, 1, 2, 4);
-        assert!(cache.try_warm(token, 1, 0, img(1)));
-        assert!(cache.try_warm(token, 2, 0, img(2)));
+        assert!(cache.try_warm(token, 1, 0, 0, img(1)));
+        assert!(cache.try_warm(token, 2, 0, 0, img(2)));
         // Budget full: warming refuses instead of evicting.
-        assert!(!cache.try_warm(token, 3, 0, img(3)));
+        assert!(!cache.try_warm(token, 3, 0, 0, img(3)));
         assert_eq!(cache.len(), 2);
         let stats = cache.stats();
         assert_eq!(stats.evictions, 0);
@@ -508,19 +534,22 @@ mod tests {
         let resident = || cache.stats().resident_bytes;
         assert_eq!(resident(), 0);
         for pid in 0..3 {
-            cache.insert(a, pid, 0, img(1));
+            cache.insert(a, pid, 0, 0, img(1));
         }
         assert_eq!(resident(), 3 * PAGE_SIZE as u64);
-        cache.insert(b, 0, 0, img(2));
-        cache.insert(b, 1, 0, img(3));
+        cache.insert(b, 0, 0, 0, img(2));
+        cache.insert(b, 1, 0, 0, img(3));
         // 3 pages of store a + 2 of store b > 4: the LRU block is evicted.
         assert_eq!(cache.len(), 4);
         assert_eq!(resident(), 4 * PAGE_SIZE as u64);
-        assert!(cache.get(a, 0, 0).is_none(), "store a's oldest block paid");
+        assert!(
+            cache.get(a, 0, 0, 0).is_none(),
+            "store a's oldest block paid"
+        );
         // Full: warming refuses whichever store asks.
-        assert!(!cache.try_warm(b, 2, 0, img(4)));
+        assert!(!cache.try_warm(b, 2, 0, 0, img(4)));
         // Replacing an entry releases the old charge with the new one.
-        cache.insert(b, 1, 0, img(5));
+        cache.insert(b, 1, 0, 0, img(5));
         assert_eq!(resident(), 4 * PAGE_SIZE as u64);
         // A release happens once per resident entry and never below zero:
         // repeated and absent invalidations leave the gauge exact.
@@ -542,9 +571,9 @@ mod tests {
         let token = next_store_token();
         let big = sample_partition(9, 8, 200, 16);
         assert!(big.len() > PAGE_SIZE);
-        assert_eq!(cache.insert(token, 1, 0, big.clone()), 0);
+        assert_eq!(cache.insert(token, 1, 0, 0, big.clone()), 0);
         assert!(cache.is_empty());
-        assert!(!cache.try_warm(token, 1, 0, big));
+        assert!(!cache.try_warm(token, 1, 0, 0, big));
     }
 
     #[test]

@@ -25,11 +25,12 @@
 //! appends/deletes take short write sections, a query scan holds one
 //! delta read section per partition it reads, and cheap atomic counters
 //! keep the no-update fast path lock-free. A fold never empties the
-//! segment up front: it [copies](DeltaSegment::snapshot) a partition's
-//! runs, writes the partition's new image, and
-//! [retires](DeltaRetire::retire) the copied records in the write section
-//! that publishes the image — so every acknowledged append is, at every
-//! instant, in exactly one place a query reads.
+//! segment up front: inside one read section it copies a partition's
+//! [runs](DeltaView::runs) straight into the partition's new image and
+//! keeps only how many records it took from each, writes the image with
+//! no lock held, and [retires](DeltaRetire::retire) exactly those records
+//! in the write section that publishes the image — so every acknowledged
+//! append is, at every instant, in exactly one place a query reads.
 //!
 //! The [`Journal`] is their durable form: one little-endian blob holding
 //! the segment generation, the tombstone ids, and every delta cluster's
@@ -240,18 +241,6 @@ impl DeltaSegment {
         DeltaView(self.inner.read())
     }
 
-    /// Copies `partition`'s runs at their current lengths — what a fold
-    /// splices into the partition's new image. Records appended from here
-    /// on extend the held runs past the copied prefix and stay for the
-    /// next fold.
-    pub fn snapshot(&self, partition: PartitionId) -> BTreeMap<TrieNodeId, DeltaRun> {
-        let inner = self.inner.read();
-        inner
-            .runs_of(partition)
-            .map(|(n, run)| (n, run.clone()))
-            .collect()
-    }
-
     /// Opens the write section a fold publishes a partition's new image
     /// in: held from before the store makes the image readable until
     /// [`DeltaRetire::retire`] has removed the records the image now holds.
@@ -277,6 +266,18 @@ impl DeltaView<'_> {
             .map(DeltaRun::records)
     }
 
+    /// `partition`'s runs by ascending trie node, each in append order, at
+    /// their current lengths — what a fold copies into the partition's new
+    /// image while it holds the section. Records appended once the section
+    /// closes extend the runs past what it copied and stay for the next
+    /// fold.
+    pub fn runs(
+        &self,
+        partition: PartitionId,
+    ) -> impl Iterator<Item = (TrieNodeId, ClusterRecords<'_>)> + '_ {
+        (self.0.runs_of(partition)).map(|(n, run)| (n, run.records()))
+    }
+
     /// Trie nodes of `partition` holding delta records, ascending.
     pub fn nodes_for(&self, partition: PartitionId) -> impl Iterator<Item = TrieNodeId> + '_ {
         self.0.runs_of(partition).map(|(n, _)| n)
@@ -291,7 +292,7 @@ pub struct DeltaRetire<'a> {
 
 impl DeltaRetire<'_> {
     /// Removes from `partition`'s runs exactly the prefix a fold copied
-    /// ([`DeltaSegment::snapshot`]) — `(trie node, records copied)` per
+    /// ([`DeltaView::runs`]) — `(trie node, records copied)` per
     /// run — dropping runs left empty, and closes the section. Folds are
     /// serialised, so nothing else removed records from these runs since
     /// the copy; appends only ever extend them.
@@ -658,9 +659,11 @@ mod tests {
     }
 
     /// What a fold keeps of its snapshot: records copied per run.
-    fn copied(folded: &BTreeMap<TrieNodeId, DeltaRun>) -> Vec<(TrieNodeId, usize)> {
-        (folded.iter())
-            .map(|(&node, run)| (node, run.records().len()))
+    /// What a fold of partition `p` would copy: each run's length.
+    fn copied(d: &DeltaSegment, p: PartitionId) -> Vec<(TrieNodeId, usize)> {
+        d.read()
+            .runs(p)
+            .map(|(node, recs)| (node, recs.len()))
             .collect()
     }
 
@@ -723,14 +726,14 @@ mod tests {
     #[test]
     fn retire_removes_exactly_the_snapshot_prefix() {
         let d = sample_delta();
-        let folded = d.snapshot(3);
-        assert_eq!(folded.keys().copied().collect::<Vec<_>>(), vec![10, 11]);
-        let ids: Vec<u64> = folded[&10].records().ids().collect();
+        let folded = copied(&d, 3);
+        assert_eq!(folded, vec![(10, 2), (11, 1)]);
+        let ids: Vec<u64> = d.read().run(3, 10).unwrap().ids().collect();
         assert_eq!(ids, vec![100, 102]);
         // Appended after the copy: stays for the next fold.
         d.append(3, 10, 104, &[9.0, 9.5]);
-        assert_eq!(d.record_count(), 5, "a snapshot removes nothing");
-        d.write().retire(3, copied(&folded));
+        assert_eq!(d.record_count(), 5, "a copy removes nothing");
+        d.write().retire(3, folded);
         assert_eq!(d.record_count(), 2);
         assert_eq!(
             records(&d),
@@ -738,8 +741,8 @@ mod tests {
         );
         assert_eq!(d.partitions(), vec![1, 3]);
         for p in [1, 3] {
-            let folded = d.snapshot(p);
-            d.write().retire(p, copied(&folded));
+            let folded = copied(&d, p);
+            d.write().retire(p, folded);
         }
         assert!(d.is_empty() && d.partitions().is_empty());
     }

@@ -3,50 +3,82 @@
 //! Two implementations behind one trait:
 //! * [`MemStore`] — partitions in a concurrent map; models the paper's
 //!   comparison against main-memory engines and keeps unit tests fast;
-//! * [`DiskStore`] — one file per partition under a directory, the
+//! * [`DiskStore`] — files per partition under a directory, the
 //!   disk-based HDFS stand-in (CLIMBER is explicitly a *disk-based*
 //!   system, §II).
 //!
-//! A disk store has **one** write protocol, whether it was
+//! A partition is a **base image** plus up to a few **extension images**,
+//! each a CLBP image of its own ([`Layer`]): a flush appends a partition's
+//! pending records as one more extension instead of rewriting the base.
+//! Reads see the partition as one: a node's cluster is its cluster in the
+//! base followed by its cluster in each extension, in file order, which
+//! is exactly the cluster folding them into one base would give
+//! ([`fold_partition`]).
+//!
+//! A disk store has **one** write protocol per layer, whether it was
 //! [created](DiskStore::create) empty for a build or
 //! [opened](DiskStore::open_validated) from a sealed manifest for a
-//! fold: every [`put`](PartitionStore::put) stages the image under the
-//! partition's `.new` sibling (temp file, fsync, rename) and keeps the
-//! [`PutReceipt`] of what it staged; the seal describes the partition
-//! from that receipt, commits the manifest, and only then
+//! fold. A base image is staged under the partition's `.new` sibling
+//! (temp file, fsync, rename); the seal describes the partition from what
+//! the store holds, commits the manifest, and only then
 //! [installs](PartitionStore::commit_staged) the stage over the main
-//! file. No committed file is ever written in place. A `put` is three
-//! steps a fold takes apart to overlap many partitions' waits:
-//! [`stage`](PartitionStore::stage) (temp file written, unsynced), the
-//! fsync, and [`publish`](PartitionStore::publish) (the rename to `.new`).
+//! file. An extension image is written once, under its own new name
+//! (`part_<id>.x<n>.clbp`, see [`extension_file_name`]), fsynced, and made
+//! durable by the seal's directory fsync before the manifest that names
+//! it commits. No committed file is ever written in place, and an
+//! extension a merge or a base rewrite replaced is removed only after the
+//! manifest that no longer names it has committed. A `put` is three steps
+//! a fold takes apart to overlap many partitions' waits:
+//! [`stage`](PartitionStore::stage) (file written, unsynced), the fsync,
+//! and [`publish`](PartitionStore::publish).
 //!
 //! A query reads clusters, not partitions: [`read_clusters`] hands out
 //! the trie-node clusters a plan names as [`ClusterView`]s. A disk store
-//! keeps every partition's parsed [`PartitionDirectory`], so a cluster is
-//! a [`BlockCache`] hit or one ranged read of exactly its bytes;
-//! [`open`](PartitionStore::open) stays the whole-image read that folds,
-//! scrubs, seals and tests use, and never touches the cache.
+//! keeps every file's parsed [`PartitionDirectory`], so a cluster is a
+//! [`BlockCache`] hit or one ranged read of exactly its bytes;
+//! [`open`](PartitionStore::open) stays the whole-partition read that
+//! folds, scrubs, seals and tests use, and never touches the cache.
 //!
 //! Every operation reports to an [`IoStats`], which is how experiments
 //! observe "partitions touched" and bytes moved.
 //!
 //! [`read_clusters`]: PartitionStore::read_clusters
 
-use crate::format::{ClusterPick, PartitionDirectory, PartitionReader, TrieNodeId};
+use crate::format::{fold_partition, ClusterPick, PartitionDirectory, PartitionReader, TrieNodeId};
 use crate::fsio::{self, FsRef};
-use crate::manifest::{xxh64, Manifest, OpenError, PartitionEntry};
+use crate::manifest::{xxh64, ImageEntry, Manifest, OpenError, PartitionEntry};
 use crate::page::{self, BlockCache, ClusterView};
 use crate::stats::IoStats;
 use bytes::Bytes;
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// File name of partition `id` inside an index directory.
+/// File name of partition `id`'s base image inside an index directory.
 pub fn partition_file_name(id: PartitionId) -> String {
     format!("part_{id:08}.clbp")
+}
+
+/// File name of partition `id`'s extension image `file` (≥ 1) inside an
+/// index directory.
+pub fn extension_file_name(id: PartitionId, file: u64) -> String {
+    format!("part_{id:08}.x{file}.clbp")
+}
+
+/// The `(partition, file)` an [`extension_file_name`] names, or `None`
+/// for any other name.
+pub fn parse_extension_file_name(name: &str) -> Option<(PartitionId, u64)> {
+    let rest = name.strip_prefix("part_")?.strip_suffix(".clbp")?;
+    let (id, file) = rest.split_once(".x")?;
+    let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+    if id.len() != 8 || !digits(id) || !digits(file) {
+        return None;
+    }
+    let parsed = (id.parse().ok()?, file.parse().ok()?);
+    (extension_file_name(parsed.0, parsed.1) == name && parsed.1 > 0).then_some(parsed)
 }
 
 /// Subdirectory a quarantining open moves failed-validation partition
@@ -54,11 +86,11 @@ pub fn partition_file_name(id: PartitionId) -> String {
 /// [`try_readmit`](DiskStore::try_readmit) or operator repair.
 pub const QUARANTINE_DIR: &str = "QUARANTINE";
 
-/// The roll-forward staging sibling of partition `id` inside `dir`: every
-/// disk `put` (and a seal copying into another directory) lands here,
-/// and the rename over the main file happens only *after* the next
-/// manifest commit — so a crash anywhere in a build or a fold leaves the
-/// committed file untouched.
+/// The roll-forward staging sibling of partition `id`'s base image inside
+/// `dir`: every base `put` (and a seal copying into another directory)
+/// lands here, and the rename over the main file happens only *after* the
+/// next manifest commit — so a crash anywhere in a build or a fold leaves
+/// the committed file untouched.
 pub fn staged_path_of(dir: &Path, id: PartitionId) -> PathBuf {
     dir.join(format!("{}.new", partition_file_name(id)))
 }
@@ -70,58 +102,131 @@ fn quarantine_path_of(dir: &Path, id: PartitionId) -> PathBuf {
 /// Identifier of a physical partition (the paper's `β` ids).
 pub type PartitionId = u32;
 
-/// What a disk [`put`](PartitionStore::put) staged: everything a manifest
-/// records about a partition, taken while the bytes were in hand — so a
-/// seal describes a built or rewritten partition without opening,
-/// re-reading or re-hashing it.
+/// What a [`stage`](PartitionStore::stage) took from an image: everything
+/// a manifest records about it, taken while the bytes were in hand — so a
+/// seal describes a built or folded partition without opening, re-reading
+/// or re-hashing it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PutReceipt {
     /// Length of the image.
     pub image_len: u64,
     /// xxHash64 (seed 0) of the image.
     pub checksum: u64,
-    /// Records in the partition.
+    /// Records in the image.
     pub records: u64,
     /// Length of every stored series.
     pub series_len: u32,
 }
 
 impl PutReceipt {
-    /// The manifest entry this receipt describes.
+    /// The manifest entry of partition `id` when this receipt's image is
+    /// its base image and it has no extension.
     pub fn entry(&self, id: PartitionId) -> PartitionEntry {
         PartitionEntry {
             id,
             bytes: self.image_len,
             checksum: self.checksum,
             records: self.records,
+            extensions: Vec::new(),
+        }
+    }
+
+    /// The manifest entry of the image this receipt describes as file
+    /// `file` of its partition.
+    fn image(&self, file: u64) -> ImageEntry {
+        ImageEntry {
+            file,
+            bytes: self.image_len,
+            checksum: self.checksum,
+            records: self.records,
+        }
+    }
+
+    /// The receipt of an image already checked against its manifest
+    /// entry `e`: taken from the entry, without hashing the image again.
+    fn checked(e: &ImageEntry, directory: &PartitionDirectory) -> Self {
+        Self {
+            image_len: e.bytes,
+            checksum: e.checksum,
+            records: directory.record_count(),
+            series_len: directory.series_len() as u32,
+        }
+    }
+
+    fn of(bytes: &[u8], directory: &PartitionDirectory) -> Self {
+        Self {
+            image_len: bytes.len() as u64,
+            checksum: xxh64(bytes, 0),
+            records: directory.record_count(),
+            series_len: directory.series_len() as u32,
         }
     }
 }
 
+/// Where a staged image goes in its partition.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layer {
+    /// The base image: replaces the partition's base and every extension.
+    Base,
+    /// Extension image `file` (≥ 1, unique to the partition): follows the
+    /// partition's extensions — or, when `merged`, replaces all of them.
+    Extension {
+        /// The extension's number.
+        file: u64,
+        /// The image holds the partition's current extensions' records:
+        /// it replaces them.
+        merged: bool,
+    },
+}
+
+impl Layer {
+    /// The file number: `0` for the base image.
+    fn file(self) -> u64 {
+        match self {
+            Self::Base => 0,
+            Self::Extension { file, .. } => file,
+        }
+    }
+}
+
+/// A partition's files as a fold's merge rule weighs them, known without
+/// reading a byte of them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Layout {
+    /// The owning group id.
+    pub group_id: u64,
+    /// Length of every stored series.
+    pub series_len: usize,
+    /// Bytes of each image, base first, then the extensions in file order.
+    pub files: Vec<u64>,
+}
+
 /// A partition image [staged](PartitionStore::stage) and not yet
 /// readable. A disk store keeps only what the publish records — the
-/// receipt, the parsed directory and the temp file the image sits in,
-/// unsynced — never the image itself.
+/// receipt, the parsed directory and the file the image sits in, unsynced
+/// — never the image itself.
 #[derive(Debug)]
 pub struct Staged {
     id: PartitionId,
+    layer: Layer,
     body: StagedBody,
 }
 
 #[derive(Debug)]
 enum StagedBody {
-    /// A disk store's image, written unsynced under `tmp`.
+    /// A disk store's image, written unsynced at `path`: a temp sibling of
+    /// the `.new` stage for a base image, the final name for an extension.
     File {
-        tmp: PathBuf,
+        path: PathBuf,
         receipt: PutReceipt,
         directory: PartitionDirectory,
     },
     /// An in-memory store's image itself.
-    Image(Bytes),
+    Image(Bytes, PartitionDirectory),
 }
 
 impl Staged {
-    /// The partition the image replaces.
+    /// The partition the image belongs to.
     pub fn id(&self) -> PartitionId {
         self.id
     }
@@ -131,10 +236,28 @@ impl Staged {
     /// no file.
     pub fn unsynced(&self) -> Option<&Path> {
         match &self.body {
-            StagedBody::File { tmp, .. } => Some(tmp),
-            StagedBody::Image(_) => None,
+            StagedBody::File { path, .. } => Some(path),
+            StagedBody::Image(..) => None,
         }
     }
+}
+
+/// Parses a partition's images, base first.
+fn parse_images(images: Vec<Bytes>) -> io::Result<Vec<PartitionReader>> {
+    (images.into_iter())
+        .map(|image| PartitionReader::open(image).map_err(invalid_data))
+        .collect()
+}
+
+/// A partition's parsed images as one: the base alone, or the base folded
+/// with its extensions.
+fn one_image(mut layers: Vec<PartitionReader>) -> io::Result<PartitionReader> {
+    if layers.len() == 1 {
+        return Ok(layers.pop().expect("one layer"));
+    }
+    let (group, series_len) = (layers[0].group_id(), layers[0].series_len());
+    let (image, _) = fold_partition(group, series_len, &layers, &[], |_| true);
+    PartitionReader::open(image).map_err(invalid_data)
 }
 
 fn foreign_stage(id: PartitionId) -> io::Error {
@@ -144,17 +267,63 @@ fn foreign_stage(id: PartitionId) -> io::Error {
     )
 }
 
+fn not_found(id: PartitionId) -> io::Error {
+    io::Error::new(io::ErrorKind::NotFound, format!("partition {id}"))
+}
+
+/// Calls `f(layer, node, byte span, record count)` for every cluster
+/// `pick` selects across a partition's `layers` (base first): node by node
+/// — a [`ClusterPick::Named`] read in the pick's order, a
+/// [`ClusterPick::Rest`] read in the order nodes first appear in the
+/// layers — and each node's clusters in layer order, so the views of one
+/// node are adjacent. One layer is today's single-file walk.
+fn for_each_layered<L, E>(
+    layers: &[L],
+    directory: impl Fn(&L) -> &PartitionDirectory,
+    pick: ClusterPick<'_>,
+    mut f: impl FnMut(usize, TrieNodeId, Range<usize>, usize) -> Result<(), E>,
+) -> Result<(), E> {
+    if let [only] = layers {
+        return directory(only).for_each_picked(pick, |node, span, count| f(0, node, span, count));
+    }
+    let mut node_of = |node: TrieNodeId, from: usize| -> Result<(), E> {
+        for (li, layer) in layers.iter().enumerate().skip(from) {
+            if let Some((span, count)) = directory(layer).locate(node) {
+                f(li, node, span, count)?;
+            }
+        }
+        Ok(())
+    };
+    match pick {
+        ClusterPick::Named(nodes) => nodes.iter().try_for_each(|&node| node_of(node, 0)),
+        ClusterPick::Rest(skip) => {
+            let mut seen: Vec<TrieNodeId> = Vec::new();
+            for (li, layer) in layers.iter().enumerate() {
+                directory(layer).for_each_picked(ClusterPick::Rest(skip), |node, _, _| {
+                    if seen.contains(&node) {
+                        return Ok(());
+                    }
+                    seen.push(node);
+                    node_of(node, li)
+                })?;
+            }
+            Ok(())
+        }
+    }
+}
+
 /// A store of encoded partitions keyed by [`PartitionId`].
 pub trait PartitionStore: Send + Sync {
-    /// Writes (or replaces) a partition: [`stage`](Self::stage), fsync the
+    /// Writes (or replaces) a partition's base image, dropping any
+    /// extension: [`stage`](Self::stage) it as [`Layer::Base`], fsync the
     /// staged file, [`publish`](Self::publish), all on the calling thread.
     /// `publish` is the caller's section, opened right before the store's
     /// own that makes the image readable and returned still held; every
     /// caller but a fold passes `|| ()`.
     fn put<G>(&self, id: PartitionId, bytes: Bytes, publish: impl FnOnce() -> G) -> io::Result<G> {
-        let staged = self.stage(id, bytes)?;
-        if let Some(tmp) = staged.unsynced() {
-            if let Err(e) = self.fs().fsync_file(tmp) {
+        let staged = self.stage(id, Layer::Base, bytes)?;
+        if let Some(path) = staged.unsynced() {
+            if let Err(e) = self.fs().fsync_file(path) {
                 self.discard(staged);
                 return Err(e);
             }
@@ -164,38 +333,77 @@ pub trait PartitionStore: Send + Sync {
 
     /// The first step of a [`put`](Self::put): takes what the publish
     /// records from `bytes` and writes them where the store keeps images —
-    /// for a disk store, a temp sibling of the partition's stage, not
-    /// fsynced (see [`Staged::unsynced`]). Nothing is readable yet.
-    fn stage(&self, id: PartitionId, bytes: Bytes) -> io::Result<Staged>;
+    /// for a disk store, a base image to a temp sibling of the partition's
+    /// stage and an extension to its own new file, not fsynced (see
+    /// [`Staged::unsynced`]). Nothing is readable yet.
+    fn stage(&self, id: PartitionId, layer: Layer, bytes: Bytes) -> io::Result<Staged>;
 
-    /// Makes a staged image the partition's readable one. The caller has
-    /// made [`Staged::unsynced`] durable first. Once the store holds its
-    /// own publish section it has opened the caller's, `section` (lock
-    /// order: a fold's delta write section, then the store), and returns it
-    /// still held. On failure nothing was published and the staged file is
-    /// gone.
+    /// Makes a staged image part of its partition's readable state, as its
+    /// [`Layer`] says. The caller has made [`Staged::unsynced`] durable
+    /// first. Once the store holds its own publish section it has opened
+    /// the caller's, `section` (lock order: a fold's delta write section,
+    /// then the store), and returns it still held. On failure nothing was
+    /// published and the staged file is gone.
     fn publish<G>(&self, staged: Staged, section: impl FnOnce() -> G) -> io::Result<G>;
 
     /// Drops a staged image that will not be published, removing its file.
     fn discard(&self, staged: Staged) {
-        if let Some(tmp) = staged.unsynced() {
-            self.fs().remove_file(tmp).ok();
+        if let Some(path) = staged.unsynced() {
+            self.fs().remove_file(path).ok();
         }
     }
 
-    /// Reads partition `id`'s whole image for reading, past any block
-    /// cache. Counts the open and the header bytes. Folds, scrubs and
-    /// tests read partitions this way; queries use
-    /// [`read_clusters`](Self::read_clusters).
-    fn open(&self, id: PartitionId) -> io::Result<PartitionReader>;
+    /// Partition `id`'s images from file `from` on (`0`: the base image,
+    /// then its extensions in file order; `1`: the extensions alone) —
+    /// each read whole, past any block cache, and accounted nowhere: what
+    /// [`layers`](Self::layers), [`open`](Self::open) and a seal's
+    /// [`image`](Self::image) read.
+    fn images(&self, id: PartitionId, from: usize) -> io::Result<Vec<Bytes>>;
+
+    /// Partition `id`'s images from file `from` on, parsed (see
+    /// [`images`](Self::images)). Counts one partition open and every
+    /// image's header bytes: what a fold reads to rewrite a partition or
+    /// merge its extensions.
+    fn layers(&self, id: PartitionId, from: usize) -> io::Result<Vec<PartitionReader>> {
+        let layers = parse_images(self.images(id, from)?)?;
+        self.stats().on_partition_open();
+        let header_bytes: usize = layers.iter().map(PartitionReader::header_bytes).sum();
+        self.stats().on_read(header_bytes as u64);
+        Ok(layers)
+    }
+
+    /// Reads partition `id` whole, as one image, past any block cache: the
+    /// base image, or — with extensions — the base folded with them, the
+    /// image a base rewrite of the same records would hold. Counts as
+    /// [`layers`](Self::layers). Folds, scrubs and tests read partitions
+    /// this way; queries use [`read_clusters`](Self::read_clusters).
+    fn open(&self, id: PartitionId) -> io::Result<PartitionReader> {
+        one_image(self.layers(id, 0)?)
+    }
+
+    /// Partition `id` as one image, the bytes a seal into another
+    /// directory copies and checksums: the persisted base image verbatim
+    /// when the partition has no extension, else the base folded with its
+    /// extensions (as [`open`](Self::open)). Accounted nowhere: a seal's
+    /// reads are not query traffic.
+    fn image(&self, id: PartitionId) -> io::Result<Bytes> {
+        Ok(one_image(parse_images(self.images(id, 0)?)?)?.raw_bytes_owned())
+    }
+
+    /// Partition `id`'s group, series length and image sizes — what a fold
+    /// decides between extending, merging and rewriting by — read from
+    /// what the store already holds.
+    fn layout(&self, id: PartitionId) -> io::Result<Layout>;
 
     /// The query path's one read: appends `(node, view)` to `out` for every
-    /// cluster of partition `id` that `pick` selects, in the pick's order,
-    /// and returns the partition's series length. A
-    /// [`ClusterPick::Named`] read is the partition's open and counts as
-    /// [`open`](Self::open) does (one open, the header bytes); a
-    /// [`ClusterPick::Rest`] read continues a partition already opened and
-    /// counts nothing. Record bytes are the scan's to count.
+    /// cluster of partition `id` that `pick` selects — from the base image
+    /// and then from each extension that holds the node, in file order, so
+    /// a node's views are adjacent — and returns the partition's series
+    /// length. A [`ClusterPick::Named`] read is the partition's open and
+    /// counts as one open, however many files it reads, and every image's
+    /// header bytes; a [`ClusterPick::Rest`] read continues a partition
+    /// already opened and counts nothing. Record bytes are the scan's to
+    /// count.
     fn read_clusters(
         &self,
         id: PartitionId,
@@ -220,20 +428,29 @@ pub trait PartitionStore: Send + Sync {
     fn stats(&self) -> &IoStats;
 
     /// The directory this store persists partitions into, when it is
-    /// disk-backed. A flush re-seals the manifest there after rewriting
+    /// disk-backed. A flush re-seals the manifest there after folding
     /// partitions so the on-disk directory stays openable; in-memory
     /// stores return `None` and need no re-seal.
     fn persist_dir(&self) -> Option<&std::path::Path> {
         None
     }
 
-    /// The receipt of partition `id`'s [`put`](Self::put) when that put
-    /// is staged durably in [`persist_dir`](Self::persist_dir) (written
-    /// and fsynced under its `.new` sibling) and not yet
-    /// [committed](Self::commit_staged): a seal of that directory takes
-    /// the partition's manifest entry from it instead of re-reading the
-    /// bytes. `None` for stores that stage nothing.
+    /// The receipt of the image most recently published for partition
+    /// `id` in [`persist_dir`](Self::persist_dir) (durable there, base or
+    /// extension) that no manifest commit has described yet — see
+    /// [`commit_staged`](Self::commit_staged). `None` for stores that
+    /// stage nothing.
     fn receipt(&self, _id: PartitionId) -> Option<PutReceipt> {
+        None
+    }
+
+    /// The manifest entry describing partition `id`'s current images in
+    /// [`persist_dir`](Self::persist_dir), taken from what the store holds
+    /// — receipts of its publishes and the entries it was opened with — so
+    /// a seal of that directory describes the partition without reading
+    /// it. `None` for stores that persist nothing, and for partitions the
+    /// store cannot serve.
+    fn entry(&self, _id: PartitionId) -> Option<PartitionEntry> {
         None
     }
 
@@ -243,11 +460,13 @@ pub trait PartitionStore: Send + Sync {
         fsio::std_fs()
     }
 
-    /// Renames every staged (`.new`) partition over its committed main
-    /// file — called by the seal *after* the manifest commit point; the
+    /// Called by the seal *after* the manifest commit point: renames every
+    /// staged (`.new`) base image over its committed main file and removes
+    /// the extension images the committed manifest no longer names. The
     /// seal's closing directory fsync makes the renames durable (an
-    /// interrupted install is rolled forward at open either way). A
-    /// no-op for stores without a staging protocol.
+    /// interrupted install is rolled forward at open either way, and a
+    /// writable open removes extensions no manifest names). A no-op for
+    /// stores without a staging protocol.
     fn commit_staged(&self) -> io::Result<()> {
         Ok(())
     }
@@ -259,13 +478,6 @@ pub trait PartitionStore: Send + Sync {
         Vec::new()
     }
 
-    /// The **exact persisted image** of a partition — what a seal
-    /// checksums and copies. A disk store reads it straight from the
-    /// file (staged sibling first), past the block cache; no store
-    /// accounts it in [`stats`](Self::stats): a seal's reads are not
-    /// query traffic.
-    fn image(&self, id: PartitionId) -> io::Result<Bytes>;
-
     /// The block cache serving this store's cluster reads, when one is
     /// attached; the serving layer overlays its counters onto I/O
     /// snapshots.
@@ -274,10 +486,11 @@ pub trait PartitionStore: Send + Sync {
     }
 }
 
-/// In-memory partition store.
+/// In-memory partition store: each partition's images, base first, with
+/// their parsed directories.
 #[derive(Debug, Default)]
 pub struct MemStore {
-    parts: RwLock<BTreeMap<PartitionId, Bytes>>,
+    parts: RwLock<BTreeMap<PartitionId, Vec<(Bytes, PartitionDirectory)>>>,
     stats: IoStats,
 }
 
@@ -299,56 +512,95 @@ fn quarantined_error(id: PartitionId) -> io::Error {
     )
 }
 
+fn read_only_error() -> io::Error {
+    io::Error::new(
+        io::ErrorKind::PermissionDenied,
+        "store was opened read-only from a manifest",
+    )
+}
+
+/// Places a published image in a partition's images (`held`, base first)
+/// as `layer` says, returning the images it replaced.
+fn place_layer<T>(held: &mut Vec<T>, layer: Layer, image: T) -> Vec<T> {
+    let replaced = match layer {
+        Layer::Base => std::mem::take(held),
+        Layer::Extension { merged: true, .. } => held.split_off(1),
+        Layer::Extension { merged: false, .. } => Vec::new(),
+    };
+    held.push(image);
+    replaced
+}
+
 impl PartitionStore for MemStore {
-    fn stage(&self, id: PartitionId, bytes: Bytes) -> io::Result<Staged> {
+    fn stage(&self, id: PartitionId, layer: Layer, bytes: Bytes) -> io::Result<Staged> {
+        let directory = PartitionDirectory::parse(&bytes).map_err(invalid_data)?;
         self.stats.on_partition_write(bytes.len() as u64);
-        let body = StagedBody::Image(bytes);
-        Ok(Staged { id, body })
+        let body = StagedBody::Image(bytes, directory);
+        Ok(Staged { id, layer, body })
     }
 
     fn publish<G>(&self, staged: Staged, section: impl FnOnce() -> G) -> io::Result<G> {
-        let StagedBody::Image(bytes) = staged.body else {
+        let StagedBody::Image(bytes, directory) = staged.body else {
             return Err(foreign_stage(staged.id));
         };
         let section = section();
-        self.parts.write().insert(staged.id, bytes);
+        let mut parts = self.parts.write();
+        let held = match staged.layer {
+            Layer::Base => parts.entry(staged.id).or_default(),
+            Layer::Extension { .. } => {
+                (parts.get_mut(&staged.id)).ok_or_else(|| not_found(staged.id))?
+            }
+        };
+        place_layer(held, staged.layer, (bytes, directory));
         Ok(section)
     }
 
-    fn open(&self, id: PartitionId) -> io::Result<PartitionReader> {
-        let bytes = self.image(id)?;
-        self.stats.on_partition_open();
-        let reader = PartitionReader::open(bytes).map_err(invalid_data)?;
-        self.stats.on_read(reader.header_bytes() as u64);
-        Ok(reader)
+    fn images(&self, id: PartitionId, from: usize) -> io::Result<Vec<Bytes>> {
+        let parts = self.parts.read();
+        let images = parts.get(&id).ok_or_else(|| not_found(id))?;
+        Ok(images
+            .iter()
+            .skip(from)
+            .map(|(image, _)| image.clone())
+            .collect())
     }
 
-    fn image(&self, id: PartitionId) -> io::Result<Bytes> {
-        self.parts
-            .read()
-            .get(&id)
-            .cloned()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("partition {id}")))
+    fn layout(&self, id: PartitionId) -> io::Result<Layout> {
+        let parts = self.parts.read();
+        let images = parts.get(&id).ok_or_else(|| not_found(id))?;
+        let base = &images[0].1;
+        Ok(Layout {
+            group_id: base.group_id(),
+            series_len: base.series_len(),
+            files: images.iter().map(|(image, _)| image.len() as u64).collect(),
+        })
     }
 
-    /// Slices the image: every view shares the stored [`Bytes`].
+    /// Slices the images: every view shares the stored [`Bytes`].
     fn read_clusters(
         &self,
         id: PartitionId,
         pick: ClusterPick<'_>,
         out: &mut Vec<(TrieNodeId, ClusterView)>,
     ) -> io::Result<usize> {
-        let image = self.image(id)?;
-        let dir = PartitionDirectory::parse(&image).map_err(invalid_data)?;
+        let parts = self.parts.read();
+        let images = parts.get(&id).ok_or_else(|| not_found(id))?;
         if let ClusterPick::Named(_) = pick {
             self.stats.on_partition_open();
-            self.stats.on_read(dir.header_bytes() as u64);
+            let header_bytes: usize = images.iter().map(|(_, d)| d.header_bytes()).sum();
+            self.stats.on_read(header_bytes as u64);
         }
-        let series_len = dir.series_len();
-        dir.for_each_picked(pick, |node, span, count| {
-            out.push((node, ClusterView::new(image.slice(span), series_len, count)));
-            Ok::<(), io::Error>(())
-        })?;
+        let series_len = images[0].1.series_len();
+        for_each_layered(
+            images,
+            |(_, d)| d,
+            pick,
+            |li, node, span, count| {
+                let view = ClusterView::new(images[li].0.slice(span), series_len, count);
+                out.push((node, view));
+                Ok::<(), io::Error>(())
+            },
+        )?;
         Ok(series_len)
     }
 
@@ -361,7 +613,8 @@ impl PartitionStore for MemStore {
     }
 }
 
-/// On-disk partition store: `<dir>/part_<id>.clbp`.
+/// On-disk partition store: `<dir>/part_<id>.clbp` and the partition's
+/// extension images `<dir>/part_<id>.x<n>.clbp`.
 #[derive(Debug)]
 pub struct DiskStore {
     dir: PathBuf,
@@ -370,8 +623,8 @@ pub struct DiskStore {
     /// scan, so stray files are never served) plus each one a put staged
     /// since.
     ids: RwLock<BTreeSet<PartitionId>>,
-    /// The manifest's series length, which every partition header must
-    /// repeat (`0` = none recorded: a created store, or an empty index).
+    /// The manifest's series length, which every image header must repeat
+    /// (`0` = none recorded: a created store, or an empty index).
     series_len: u32,
     /// True when [`open_validated`](Self::open_validated) was told so:
     /// every [`put`](PartitionStore::put) is rejected, and a scrub
@@ -379,26 +632,47 @@ pub struct DiskStore {
     read_only: bool,
     /// The filesystem every durable operation goes through (injectable).
     fs: FsRef,
-    /// Partitions whose current bytes are under a `.new` sibling, which
-    /// reads serve: a put awaiting the next manifest commit, with its
-    /// receipt, or (`None`) committed bytes a crash left uninstalled that
-    /// this open could not (read-only) or did not manage to rename.
+    /// Every servable partition's images, base first: what each holds (its
+    /// receipt) and where its clusters lie (its parsed directory), so a
+    /// cluster read needs no header.
     ///
-    /// Also the lock that keeps a partition's directory and its bytes in
+    /// Also the lock that keeps a partition's directories and its files in
     /// step: a cluster read holds it shared over its ranged reads, and a
-    /// put or a commit renames a partition file only while holding it
-    /// exclusively.
-    staged: RwLock<BTreeMap<PartitionId, Option<PutReceipt>>>,
-    /// The parsed directory of every partition's current image, taken from
-    /// the bytes a validated open checksummed or the image a put staged:
-    /// where each cluster's bytes lie, so a cluster read needs no header.
-    directories: RwLock<BTreeMap<PartitionId, PartitionDirectory>>,
+    /// publish or a commit changes a partition's files only while holding
+    /// it exclusively.
+    parts: RwLock<BTreeMap<PartitionId, Images>>,
+    /// Extension images a publish replaced: removed once the next manifest
+    /// commit no longer names them.
+    retired: Mutex<Vec<PathBuf>>,
     /// Partitions a quarantining open (or a scrub) set aside; opening them
     /// fails with `NotFound` until repaired.
     quarantined: RwLock<BTreeSet<PartitionId>>,
     /// Block-cache attachment: the shared cache plus this store's token
     /// (the namespace its partition ids live under in the cache).
     cache: Option<StoreCache>,
+}
+
+/// One partition's images in a [`DiskStore`].
+#[derive(Debug, Default)]
+struct Images {
+    /// Base first, then the extensions in file order.
+    files: Vec<ImageFile>,
+    /// The base image's current bytes are under its `.new` sibling, which
+    /// reads serve: a put awaiting the next manifest commit, or committed
+    /// bytes a crash left uninstalled that this open could not (read-only)
+    /// or did not manage to rename.
+    base_staged: bool,
+    /// The receipt of the last image published and not yet committed.
+    pending: Option<PutReceipt>,
+}
+
+/// One image file of a [`DiskStore`] partition.
+#[derive(Debug)]
+struct ImageFile {
+    /// `0` for the base image, else the extension's number.
+    file: u64,
+    receipt: PutReceipt,
+    directory: PartitionDirectory,
 }
 
 /// A [`DiskStore`]'s handle into a shared [`BlockCache`].
@@ -424,18 +698,18 @@ impl DiskStore {
             series_len: 0,
             read_only: false,
             fs,
-            staged: RwLock::new(BTreeMap::new()),
-            directories: RwLock::new(BTreeMap::new()),
+            parts: RwLock::new(BTreeMap::new()),
+            retired: Mutex::new(Vec::new()),
             quarantined: RwLock::new(BTreeSet::new()),
             cache: None,
         })
     }
 
-    /// The typed failure of reading entry `e`'s file at `path`.
-    fn unreadable(err: io::Error, path: &Path, e: &PartitionEntry) -> OpenError {
+    /// The typed failure of reading partition `id`'s image at `path`.
+    fn unreadable(err: io::Error, path: &Path, id: PartitionId) -> OpenError {
         if err.kind() == io::ErrorKind::NotFound {
             OpenError::MissingPartition {
-                id: e.id,
+                id,
                 path: path.to_path_buf(),
             }
         } else {
@@ -443,21 +717,22 @@ impl DiskStore {
         }
     }
 
-    /// Checks partition bytes against their manifest entry (size,
-    /// checksum) and against the format itself: a file the manifest
-    /// describes exactly but [`PartitionDirectory::parse`] would refuse —
-    /// say a version this build does not read — or whose header claims
-    /// another series length than the manifest's `series_len` (`0` =
-    /// unknown) must fail here, by name, not open "healthy" and then read
-    /// as empty in every scan. Returns the parsed directory.
-    fn check_entry(
+    /// Checks the bytes of partition `id`'s image against its manifest
+    /// entry (size, checksum) and against the format itself: a file the
+    /// manifest describes exactly but [`PartitionDirectory::parse`] would
+    /// refuse — say a version this build does not read — or whose header
+    /// claims another series length than the manifest's `series_len` (`0`
+    /// = unknown) must fail here, by name, not open "healthy" and then
+    /// read as empty in every scan. Returns the parsed directory.
+    fn check_image(
         bytes: &[u8],
-        e: &PartitionEntry,
+        id: PartitionId,
+        e: &ImageEntry,
         series_len: u32,
     ) -> Result<PartitionDirectory, OpenError> {
         if bytes.len() as u64 != e.bytes {
             return Err(OpenError::PartitionSizeMismatch {
-                id: e.id,
+                id,
                 expected: e.bytes,
                 found: bytes.len() as u64,
             });
@@ -465,12 +740,15 @@ impl DiskStore {
         let found = xxh64(bytes, 0);
         if found != e.checksum {
             return Err(OpenError::ChecksumMismatch {
-                what: format!("partition {}", e.id),
+                what: match e.file {
+                    0 => format!("partition {id}"),
+                    file => format!("partition {id} extension {file}"),
+                },
                 expected: e.checksum,
                 found,
             });
         }
-        let corrupt = |reason| OpenError::CorruptPartition { id: e.id, reason };
+        let corrupt = |reason| OpenError::CorruptPartition { id, reason };
         let parsed = PartitionDirectory::parse(bytes).map_err(corrupt)?;
         match parsed.series_len() as u32 {
             len if series_len != 0 && len != series_len => Err(corrupt(format!(
@@ -480,24 +758,51 @@ impl DiskStore {
         }
     }
 
+    /// Reads and checks every extension image of `e` where it lies,
+    /// appending each to `files` and its bytes to `images`.
+    fn read_extensions(
+        fs: &FsRef,
+        dir: &Path,
+        e: &PartitionEntry,
+        series_len: u32,
+        files: &mut Vec<ImageFile>,
+        images: &mut Vec<Vec<u8>>,
+    ) -> Result<(), OpenError> {
+        for x in &e.extensions {
+            let path = dir.join(extension_file_name(e.id, x.file));
+            let bytes = fs
+                .read(&path)
+                .map_err(|err| Self::unreadable(err, &path, e.id))?;
+            let directory = Self::check_image(&bytes, e.id, x, series_len)?;
+            let receipt = PutReceipt::checked(x, &directory);
+            files.push(ImageFile {
+                file: x.file,
+                receipt,
+                directory,
+            });
+            images.push(bytes);
+        }
+        Ok(())
+    }
+
     /// Opens a persisted index directory — the one store open. Loads the
-    /// manifest through `fs` and validates every partition it lists:
-    /// existence, byte range, content checksum, and the file's own header
-    /// (CLBP magic and version). Any corruption or incompleteness
-    /// surfaces here as a typed [`OpenError`] instead of a wrong answer
-    /// later; ids are served from the manifest, so stray files are never
-    /// picked up. Returns the store, the validated manifest, and the bytes
-    /// warmed into `cache`.
+    /// manifest through `fs` and validates every image it lists: existence,
+    /// byte range, content checksum, and the file's own header (CLBP magic
+    /// and version). Any corruption or incompleteness surfaces here as a
+    /// typed [`OpenError`] instead of a wrong answer later; ids are served
+    /// from the manifest, so stray files are never picked up. Returns the
+    /// store, the validated manifest, and the bytes warmed into `cache`.
     ///
     /// * `read_only` — [`put`](PartitionStore::put) fails with
     ///   `PermissionDenied`, **and the open itself only reads**, whatever
     ///   the other arguments say: committed bytes a crash left under a
     ///   `.new` sibling are served from there ([`fsio::read_committed`]);
-    ///   temp droppings and stale siblings wait for the next writable
-    ///   open, which installs or sweeps them.
+    ///   temp droppings, stale siblings and extension images no manifest
+    ///   names wait for the next writable open, which installs or sweeps
+    ///   them.
     /// * `quarantine` — a failing partition no longer aborts the open: it
     ///   is recorded ([`quarantined`](PartitionStore::quarantined)) and,
-    ///   when writable, its file moved into [`QUARANTINE_DIR`].
+    ///   when writable, its base file moved into [`QUARANTINE_DIR`].
     /// * `cache` — each validation read, which a cacheless open checksums
     ///   and discards, is fed into the shared [`BlockCache`] as zero-copy
     ///   slices, one per cluster ([`BlockCache::try_warm`]: warming never
@@ -512,8 +817,7 @@ impl DiskStore {
         cache: Option<Arc<BlockCache>>,
     ) -> Result<(Self, Manifest, u64), OpenError> {
         let manifest = Manifest::load_with(&*fs, &dir)?;
-        let mut staged = BTreeMap::new();
-        let mut directories = BTreeMap::new();
+        let mut parts = BTreeMap::new();
         let mut quarantined = BTreeSet::new();
         let cache = cache.map(|cache| StoreCache {
             cache,
@@ -524,40 +828,65 @@ impl DiskStore {
         for e in &manifest.partitions {
             let path = dir.join(partition_file_name(e.id));
             let sibling = staged_path_of(&dir, e.id);
-            match fsio::read_committed(
+            let base = e.images().next().expect("a base image");
+            let mut files = Vec::with_capacity(1 + e.extensions.len());
+            let mut images = Vec::with_capacity(1 + e.extensions.len());
+            let read = fsio::read_committed(
                 &*fs,
                 &path,
                 &sibling,
                 !read_only,
-                |b| Self::check_entry(b, e, manifest.series_len).map(drop),
-                |err| Self::unreadable(err, &path, e),
-            ) {
-                Ok((bytes, is_staged)) => {
-                    // Checked by the closure above; parsed again here,
-                    // without re-hashing the image.
-                    let parsed = PartitionDirectory::parse(&bytes)
-                        .map_err(|reason| OpenError::CorruptPartition { id: e.id, reason })?;
-                    if is_staged {
-                        // Still under `.new`: reads go to the sibling,
-                        // uncached, like any other staged partition.
-                        staged.insert(e.id, None);
-                    } else if let Some(sc) = cache.as_ref().filter(|_| warming) {
-                        // Reuse the validation read: warm the cache so
+                |b| Self::check_image(b, e.id, &base, manifest.series_len).map(drop),
+                |err| Self::unreadable(err, &path, e.id),
+            )
+            .and_then(|(bytes, is_staged)| {
+                // Checked by the closure above; parsed again here, without
+                // re-hashing the image.
+                let directory = PartitionDirectory::parse(&bytes)
+                    .map_err(|reason| OpenError::CorruptPartition { id: e.id, reason })?;
+                let receipt = PutReceipt::checked(&base, &directory);
+                files.push(ImageFile {
+                    file: 0,
+                    receipt,
+                    directory,
+                });
+                images.push(bytes);
+                Self::read_extensions(&fs, &dir, e, manifest.series_len, &mut files, &mut images)?;
+                Ok(is_staged)
+            });
+            match read {
+                Ok(base_staged) => {
+                    if let Some(sc) = cache.as_ref().filter(|_| warming) {
+                        // Reuse the validation reads: warm the cache so
                         // first-query latency after a cold open skips the
-                        // filesystem entirely.
-                        let image = Bytes::from(bytes);
-                        warming = parsed
-                            .for_each_picked(ClusterPick::Rest(&[]), |node, span, _| {
-                                let len = span.len() as u64;
-                                if !sc.cache.try_warm(sc.token, e.id, node, image.slice(span)) {
-                                    return Err(());
-                                }
-                                warmed_bytes += len;
-                                Ok(())
-                            })
-                            .is_ok();
+                        // filesystem entirely. A base still under `.new` is
+                        // read uncached, like any other staged image.
+                        let warm =
+                            (files.iter().zip(images)).filter(|(f, _)| f.file != 0 || !base_staged);
+                        for (f, image) in warm {
+                            let image = Bytes::from(image);
+                            warming = (f.directory)
+                                .for_each_picked(ClusterPick::Rest(&[]), |node, span, _| {
+                                    let len = span.len() as u64;
+                                    let bytes = image.slice(span);
+                                    if !sc.cache.try_warm(sc.token, e.id, f.file, node, bytes) {
+                                        return Err(());
+                                    }
+                                    warmed_bytes += len;
+                                    Ok(())
+                                })
+                                .is_ok();
+                            if !warming {
+                                break;
+                            }
+                        }
                     }
-                    directories.insert(e.id, parsed);
+                    let images = Images {
+                        files,
+                        base_staged,
+                        pending: None,
+                    };
+                    parts.insert(e.id, images);
                 }
                 Err(first) if !quarantine => return Err(first),
                 Err(_) => {
@@ -572,12 +901,19 @@ impl DiskStore {
                 }
             }
         }
-        // Sweep temp droppings from interrupted atomic writes.
+        // Sweep temp droppings from interrupted atomic writes, and the
+        // extension images of folds that never committed (or whose
+        // replacement did): files no committed manifest names.
         if !read_only {
+            let named: BTreeSet<(PartitionId, u64)> = (manifest.partitions.iter())
+                .flat_map(|e| e.extensions.iter().map(|x| (e.id, x.file)))
+                .collect();
             if let Ok(entries) = std::fs::read_dir(&dir) {
                 for entry in entries.filter_map(|x| x.ok()) {
                     if let Some(name) = entry.file_name().to_str() {
-                        if fsio::is_tmp_name(name) {
+                        let orphan = parse_extension_file_name(name)
+                            .is_some_and(|image| !named.contains(&image));
+                        if fsio::is_tmp_name(name) || orphan {
                             fs.remove_file(&entry.path()).ok();
                         }
                     }
@@ -593,8 +929,8 @@ impl DiskStore {
                 series_len: manifest.series_len,
                 read_only,
                 fs,
-                staged: RwLock::new(staged),
-                directories: RwLock::new(directories),
+                parts: RwLock::new(parts),
+                retired: Mutex::new(Vec::new()),
                 quarantined: RwLock::new(quarantined),
                 cache,
             },
@@ -618,7 +954,7 @@ impl DiskStore {
     }
 
     /// Marks partition `id` quarantined and, when the store is writable,
-    /// moves its main file into [`QUARANTINE_DIR`] — the scrub path for
+    /// moves its base file into [`QUARANTINE_DIR`] — the scrub path for
     /// corruption found *after* open. A read-only store only marks it, as
     /// a read-only quarantining open does. Opening the id then fails until
     /// [`try_readmit`](Self::try_readmit) succeeds.
@@ -642,61 +978,85 @@ impl DiskStore {
     }
 
     /// Attempts to bring a quarantined partition back into service:
-    /// either the main path now holds bytes matching the manifest entry
-    /// (operator restored them), or — for a writable store — the
-    /// quarantined copy itself validates (the original failure was
-    /// transient) and is renamed back; a read-only store renames nothing.
-    /// Returns `true` when the partition is healthy and serving again.
+    /// its extension images must match the manifest entry where they lie,
+    /// and either the main path now holds a base image matching it
+    /// (operator restored it) or — for a writable store — the quarantined
+    /// copy itself validates (the original failure was transient) and is
+    /// renamed back; a read-only store renames nothing. Returns `true`
+    /// when the partition is healthy and serving again.
     pub fn try_readmit(&self, e: &PartitionEntry) -> io::Result<bool> {
         if !self.quarantined.read().contains(&e.id) {
             return Ok(true);
         }
-        let main = self.path_of(e.id);
+        let base = e.images().next().expect("a base image");
         let matching = |path: &Path| {
             let bytes = self.fs.read(path).ok()?;
-            Self::check_entry(&bytes, e, self.series_len).ok()
+            let directory = Self::check_image(&bytes, e.id, &base, self.series_len).ok()?;
+            let mut files = vec![ImageFile {
+                file: 0,
+                receipt: PutReceipt::checked(&base, &directory),
+                directory,
+            }];
+            let extensions = Self::read_extensions(
+                &self.fs,
+                &self.dir,
+                e,
+                self.series_len,
+                &mut files,
+                &mut Vec::new(),
+            );
+            extensions.is_ok().then_some(files)
         };
-        let readmit = |parsed: PartitionDirectory| {
-            self.directories.write().insert(e.id, parsed);
+        let readmit = |files: Vec<ImageFile>| {
+            let images = Images {
+                files,
+                base_staged: false,
+                pending: None,
+            };
+            self.parts.write().insert(e.id, images);
             self.quarantined.write().remove(&e.id);
             if let Some(sc) = &self.cache {
                 sc.cache.invalidate(sc.token, e.id);
             }
         };
-        if let Some(parsed) = matching(&main) {
-            readmit(parsed);
+        let main = self.path_of(e.id);
+        if let Some(files) = matching(&main) {
+            readmit(files);
             return Ok(true);
         }
         let qpath = quarantine_path_of(&self.dir, e.id);
         if !self.read_only {
-            if let Some(parsed) = matching(&qpath) {
+            if let Some(files) = matching(&qpath) {
                 self.fs.rename(&qpath, &main)?;
                 self.fs.fsync_dir(&self.dir)?;
-                readmit(parsed);
+                readmit(files);
                 return Ok(true);
             }
         }
         Ok(false)
     }
 
-    /// Re-validates the committed bytes of `entry` against its manifest
+    /// Re-validates the committed images of `e` against its manifest
     /// record — the scrub primitive for partitions not under quarantine.
     pub fn verify_partition(&self, e: &PartitionEntry) -> Result<(), OpenError> {
-        let path = self.path_of(e.id);
-        let bytes = (self.fs.read(&path)).map_err(|err| Self::unreadable(err, &path, e))?;
-        Self::check_entry(&bytes, e, self.series_len).map(drop)
+        for image in e.images() {
+            let path = match image.file {
+                0 => self.path_of(e.id),
+                file => self.dir.join(extension_file_name(e.id, file)),
+            };
+            let bytes = (self.fs.read(&path)).map_err(|err| Self::unreadable(err, &path, e.id))?;
+            Self::check_image(&bytes, e.id, &image, self.series_len)?;
+        }
+        Ok(())
     }
 
-    /// Where partition `id`'s current bytes are: its `.new` sibling while
-    /// `staged` lists it, else the committed file.
-    fn current_path(
-        &self,
-        staged: &BTreeMap<PartitionId, Option<PutReceipt>>,
-        id: PartitionId,
-    ) -> PathBuf {
-        match staged.contains_key(&id) {
-            true => staged_path_of(&self.dir, id),
-            false => self.path_of(id),
+    /// Where image `file` of partition `id` lies: the base under its `.new`
+    /// sibling while `base_staged`, else under its own name.
+    fn image_path(&self, id: PartitionId, file: u64, base_staged: bool) -> PathBuf {
+        match (file, base_staged) {
+            (0, true) => staged_path_of(&self.dir, id),
+            (0, false) => self.path_of(id),
+            (file, _) => self.dir.join(extension_file_name(id, file)),
         }
     }
 }
@@ -706,43 +1066,51 @@ impl PartitionStore for DiskStore {
         self.cache.as_ref().map(|sc| Arc::clone(&sc.cache))
     }
 
-    fn stage(&self, id: PartitionId, bytes: Bytes) -> io::Result<Staged> {
+    fn stage(&self, id: PartitionId, layer: Layer, bytes: Bytes) -> io::Result<Staged> {
         if self.is_read_only() {
-            return Err(io::Error::new(
-                io::ErrorKind::PermissionDenied,
-                "store was opened read-only from a manifest",
-            ));
+            return Err(read_only_error());
         }
         // Only a partition image is staged; its shape goes on the receipt,
         // its directory serves the cluster reads.
         let directory = PartitionDirectory::parse(&bytes).map_err(invalid_data)?;
-        let receipt = PutReceipt {
-            image_len: bytes.len() as u64,
-            checksum: xxh64(&bytes, 0),
-            records: directory.record_count(),
-            series_len: directory.series_len() as u32,
-        };
+        let receipt = PutReceipt::of(&bytes, &directory);
         self.stats.on_partition_write(bytes.len() as u64);
-        // The committed file stays untouched: the image goes to a temp
-        // sibling of its `.new` stage, which the publish renames into place
-        // (replaced atomically or not at all) and `commit_staged` over the
-        // main file after the next manifest commit.
-        let tmp = fsio::write_temp(&*self.fs, &staged_path_of(&self.dir, id), &bytes)?;
+        let path = match layer {
+            // The committed file stays untouched: the image goes to a temp
+            // sibling of its `.new` stage, which the publish renames into
+            // place (replaced atomically or not at all) and
+            // `commit_staged` over the main file after the next manifest
+            // commit.
+            Layer::Base => fsio::write_temp(&*self.fs, &staged_path_of(&self.dir, id), &bytes)?,
+            // A name no file of the committed state has: written once, in
+            // place, and never renamed.
+            Layer::Extension { file, .. } => {
+                let path = self.dir.join(extension_file_name(id, file));
+                if let Err(e) = self.fs.write(&path, &bytes) {
+                    self.fs.remove_file(&path).ok();
+                    return Err(e);
+                }
+                path
+            }
+        };
         let body = StagedBody::File {
-            tmp,
+            path,
             receipt,
             directory,
         };
-        Ok(Staged { id, body })
+        Ok(Staged { id, layer, body })
     }
 
-    /// The seal pays the one directory fsync covering every stage. The
-    /// rename and the new directory land together, between two cluster
-    /// reads, inside the caller's section.
+    /// The seal pays the one directory fsync covering every stage. A base
+    /// image's rename and its new directory, or an extension's directory,
+    /// land together, between two cluster reads, inside the caller's
+    /// section. Publishing an extension leaves every cached cluster
+    /// valid; a merged one drops those of the extensions it replaces, a
+    /// base image every one of the partition's.
     fn publish<G>(&self, staged: Staged, section: impl FnOnce() -> G) -> io::Result<G> {
-        let id = staged.id;
+        let (id, layer) = (staged.id, staged.layer);
         let StagedBody::File {
-            tmp,
+            path,
             receipt,
             directory,
         } = staged.body
@@ -750,39 +1118,87 @@ impl PartitionStore for DiskStore {
             return Err(foreign_stage(id));
         };
         let section = section();
-        let mut staged = self.staged.write();
-        if let Err(e) = self.fs.rename(&tmp, &staged_path_of(&self.dir, id)) {
-            drop((staged, section));
-            self.fs.remove_file(&tmp).ok();
-            return Err(e);
-        }
-        staged.insert(id, Some(receipt));
-        self.directories.write().insert(id, directory);
+        let mut parts = self.parts.write();
+        let images = match layer {
+            Layer::Base => {
+                if let Err(e) = self.fs.rename(&path, &staged_path_of(&self.dir, id)) {
+                    drop((parts, section));
+                    self.fs.remove_file(&path).ok();
+                    return Err(e);
+                }
+                let images = parts.entry(id).or_default();
+                images.base_staged = true;
+                images
+            }
+            Layer::Extension { .. } => match parts.get_mut(&id) {
+                Some(images) => images,
+                None => {
+                    drop((parts, section));
+                    self.fs.remove_file(&path).ok();
+                    return Err(not_found(id));
+                }
+            },
+        };
+        images.pending = Some(receipt);
+        let image = ImageFile {
+            file: layer.file(),
+            receipt,
+            directory,
+        };
+        let replaced = place_layer(&mut images.files, layer, image);
         self.ids.write().insert(id);
-        drop(staged);
-        // Reads serve the sibling now: the old clusters are stale.
+        drop(parts);
+        let extensions: Vec<u64> = (replaced.iter().map(|f| f.file))
+            .filter(|&file| file != 0)
+            .collect();
+        (self.retired.lock())
+            .extend((extensions.iter()).map(|&file| self.dir.join(extension_file_name(id, file))));
         if let Some(sc) = &self.cache {
-            sc.cache.invalidate(sc.token, id);
+            match layer {
+                // Reads serve the sibling now: the old clusters are stale.
+                Layer::Base => sc.cache.invalidate(sc.token, id),
+                Layer::Extension { .. } => sc.cache.invalidate_files(sc.token, id, &extensions),
+            }
         }
         Ok(section)
     }
 
     fn receipt(&self, id: PartitionId) -> Option<PutReceipt> {
-        self.staged.read().get(&id).copied().flatten()
+        self.parts.read().get(&id).and_then(|images| images.pending)
     }
 
-    fn open(&self, id: PartitionId) -> io::Result<PartitionReader> {
-        let image = self.image(id)?;
-        self.stats.on_partition_open();
-        let reader = PartitionReader::open(image).map_err(invalid_data)?;
-        self.stats.on_read(reader.header_bytes() as u64);
-        Ok(reader)
+    fn entry(&self, id: PartitionId) -> Option<PartitionEntry> {
+        let parts = self.parts.read();
+        let images = parts.get(&id)?;
+        let (base, extensions) = images.files.split_first()?;
+        Some(PartitionEntry {
+            id,
+            bytes: base.receipt.image_len,
+            checksum: base.receipt.checksum,
+            records: base.receipt.records,
+            extensions: (extensions.iter())
+                .map(|x| x.receipt.image(x.file))
+                .collect(),
+        })
+    }
+
+    fn layout(&self, id: PartitionId) -> io::Result<Layout> {
+        let parts = self.parts.read();
+        let images = parts.get(&id).ok_or_else(|| not_found(id))?;
+        let base = &images.files[0].directory;
+        Ok(Layout {
+            group_id: base.group_id(),
+            series_len: base.series_len(),
+            files: images.files.iter().map(|f| f.receipt.image_len).collect(),
+        })
     }
 
     /// Each cluster is a cache hit or one ranged read of exactly its bytes
-    /// (then cached); the misses of one call share one open of the file.
-    /// Staged (pre-commit) bytes never enter the cache: they are not the
-    /// committed image yet and are replaced at the next commit.
+    /// (then cached); the misses of one call share one open per file.
+    /// A staged (pre-commit) base image never enters the cache: it is not
+    /// the committed image yet and is replaced at the next commit. An
+    /// extension is never rewritten, so its clusters are cached from its
+    /// publish on.
     fn read_clusters(
         &self,
         id: PartitionId,
@@ -791,62 +1207,76 @@ impl PartitionStore for DiskStore {
     ) -> io::Result<usize> {
         // Held over the reads below: no rename moves the file they read
         // while the directory says where its clusters lie.
-        let staged = self.staged.read();
+        let parts = self.parts.read();
         if self.quarantined.read().contains(&id) {
             return Err(quarantined_error(id));
         }
-        let directories = self.directories.read();
-        let dir = directories
-            .get(&id)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("partition {id}")))?;
-        let cache = match staged.contains_key(&id) {
+        let images = parts.get(&id).ok_or_else(|| not_found(id))?;
+        let files = &images.files;
+        let series_len = files[0].directory.series_len();
+        let cache_of = |li: usize| match li == 0 && images.base_staged {
             true => None,
             false => self.cache.as_ref(),
         };
-        let series_len = dir.series_len();
         // A hit goes out as found; a miss holds its place in `out` until
-        // the one read of every miss fills it.
+        // the one read of its file's misses fills it.
         let start = out.len();
-        let mut misses: Vec<(usize, (u64, usize))> = Vec::new();
-        dir.for_each_picked(pick, |node, span, count| {
-            let hit = cache.and_then(|sc| sc.cache.get(sc.token, id, node));
-            if hit.is_none() {
-                misses.push((out.len(), (span.start as u64, span.len())));
-            }
-            out.push((
-                node,
-                ClusterView::new(hit.unwrap_or_default(), series_len, count),
-            ));
-            Ok::<(), io::Error>(())
-        })?;
-        if !misses.is_empty() {
-            let ranges: Vec<(u64, usize)> = misses.iter().map(|&(_, range)| range).collect();
-            let read = self
-                .fs
-                .read_ranges(&self.current_path(&staged, id), &ranges);
+        let mut misses: Vec<(usize, usize, (u64, usize))> = Vec::new();
+        for_each_layered(
+            files,
+            |f| &f.directory,
+            pick,
+            |li, node, span, count| {
+                let cache = cache_of(li);
+                let hit = cache.and_then(|sc| sc.cache.get(sc.token, id, files[li].file, node));
+                if hit.is_none() {
+                    misses.push((li, out.len(), (span.start as u64, span.len())));
+                }
+                out.push((
+                    node,
+                    ClusterView::new(hit.unwrap_or_default(), series_len, count),
+                ));
+                Ok::<(), io::Error>(())
+            },
+        )?;
+        // Stable: each file's misses keep their order.
+        misses.sort_by_key(|&(li, _, _)| li);
+        for run in misses.chunk_by(|a, b| a.0 == b.0) {
+            let li = run[0].0;
+            let ranges: Vec<(u64, usize)> = run.iter().map(|&(_, _, range)| range).collect();
+            let path = self.image_path(id, files[li].file, images.base_staged);
+            let read = self.fs.read_ranges(&path, &ranges);
             let read = read.inspect_err(|_| out.truncate(start))?;
-            for (&(i, _), bytes) in misses.iter().zip(read) {
+            for (&(_, i, _), bytes) in run.iter().zip(read) {
                 let (node, view) = &mut out[i];
                 let bytes = Bytes::from(bytes);
-                if let Some(sc) = cache {
-                    sc.cache.insert(sc.token, id, *node, bytes.clone());
+                if let Some(sc) = cache_of(li) {
+                    sc.cache
+                        .insert(sc.token, id, files[li].file, *node, bytes.clone());
                 }
                 *view = ClusterView::new(bytes, series_len, view.len());
             }
         }
         if let ClusterPick::Named(_) = pick {
             self.stats.on_partition_open();
-            self.stats.on_read(dir.header_bytes() as u64);
+            let header_bytes: usize = files.iter().map(|f| f.directory.header_bytes()).sum();
+            self.stats.on_read(header_bytes as u64);
         }
         Ok(series_len)
     }
 
-    fn image(&self, id: PartitionId) -> io::Result<Bytes> {
+    fn images(&self, id: PartitionId, from: usize) -> io::Result<Vec<Bytes>> {
         if self.quarantined.read().contains(&id) {
             return Err(quarantined_error(id));
         }
-        let path = self.current_path(&self.staged.read(), id);
-        Ok(Bytes::from(self.fs.read(&path)?))
+        let parts = self.parts.read();
+        let images = parts.get(&id).ok_or_else(|| not_found(id))?;
+        (images.files.iter().skip(from))
+            .map(|f| {
+                let path = self.image_path(id, f.file, images.base_staged);
+                Ok(Bytes::from(self.fs.read(&path)?))
+            })
+            .collect()
     }
 
     fn persist_dir(&self) -> Option<&std::path::Path> {
@@ -860,25 +1290,40 @@ impl PartitionStore for DiskStore {
     /// Each install holds the file it replaces open across its rename, so
     /// the rename only unlinks it; the held handles are closed on the I/O
     /// threads ([`fsio::release`]), where the replaced files' blocks are
-    /// freed in parallel and outside the lock reads wait on.
+    /// freed in parallel and outside the lock reads wait on. Then every
+    /// retired extension is removed, best effort: one a crash or an error
+    /// leaves behind is named by no manifest, and the next writable open
+    /// sweeps it.
     fn commit_staged(&self) -> io::Result<()> {
-        let pending: Vec<PartitionId> = self.staged.read().keys().copied().collect();
+        let pending: Vec<PartitionId> = (self.parts.read().iter())
+            .filter(|(_, images)| images.base_staged)
+            .map(|(&id, _)| id)
+            .collect();
         let mut replaced = Vec::new();
         let mut install = |id: PartitionId| {
             let main = self.path_of(id);
             replaced.extend(self.fs.hold(&main));
-            let mut staged = self.staged.write();
+            let mut parts = self.parts.write();
             self.fs.rename(&staged_path_of(&self.dir, id), &main)?;
-            staged.remove(&id);
-            drop(staged);
+            if let Some(images) = parts.get_mut(&id) {
+                images.base_staged = false;
+            }
+            drop(parts);
             if let Some(sc) = &self.cache {
                 sc.cache.invalidate(sc.token, id);
             }
             Ok(())
         };
-        let installed = pending.into_iter().try_for_each(&mut install);
+        let installed: io::Result<()> = pending.into_iter().try_for_each(&mut install);
         fsio::release(replaced);
-        installed
+        installed?;
+        for images in self.parts.write().values_mut() {
+            images.pending = None;
+        }
+        for path in std::mem::take(&mut *self.retired.lock()) {
+            self.fs.remove_file(&path).ok();
+        }
+        Ok(())
     }
 
     fn quarantined(&self) -> Vec<PartitionId> {
@@ -1011,6 +1456,7 @@ mod tests {
             bytes: image.len() as u64,
             checksum: xxh64(&image, 0),
             records: 4,
+            extensions: Vec::new(),
         }];
         Manifest {
             format_version: FORMAT_VERSION,

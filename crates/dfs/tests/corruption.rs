@@ -39,6 +39,7 @@ fn persisted_dir(tag: &str) -> PathBuf {
             bytes: bytes.len() as u64,
             checksum: xxh64(&bytes, 0),
             records: n as u64,
+            extensions: Vec::new(),
         });
         num_records += n as u64;
     }
@@ -233,10 +234,9 @@ fn partition_of_another_series_length_is_quarantined() {
     assert_eq!(store.open(0).unwrap().series_len(), 4);
     // Still refused when an operator asks for it back: the bytes match the
     // manifest entry, the header still does not match the manifest.
-    let entry = *Manifest::load_with(&StdFs, &dir)
+    let entry = (Manifest::load_with(&StdFs, &dir).unwrap().partition(1))
         .unwrap()
-        .partition(1)
-        .unwrap();
+        .clone();
     assert!(!store.try_readmit(&entry).unwrap());
     fs::remove_dir_all(&dir).ok();
 }

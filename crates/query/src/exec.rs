@@ -379,8 +379,7 @@ pub(crate) fn scan_group<S: PartitionStore, Q: AsRef<[f32]> + Sync>(
         lanes.extend(pw.qis.iter().map(|&qi| lane(qi, take(qi))));
         let (stats, updates) = (src.store.stats(), pending.as_ref());
         for interested in pw.picks.chunk_by(|a, b| a.0 == b.0) {
-            let sealed = views.iter().find(|(n, _)| *n == interested[0].0);
-            let cluster = (pw.pid, sealed.map(|(_, v)| v), series_len);
+            let cluster = (pw.pid, node_views(views, interested[0].0), series_len);
             scan_cluster(stats, updates, cluster, &seats, lanes, interested, paa);
         }
         // Views pin cached pages: none outlives its task.
@@ -442,12 +441,13 @@ pub(crate) fn scan_group<S: PartitionStore, Q: AsRef<[f32]> + Sync>(
                         continue;
                     };
                     let before = lanes[0].scanned;
-                    // Sealed clusters first, in storage order, then
-                    // delta-only nodes the sealed file has never seen.
-                    let sealed = rest.iter().map(|(node, view)| (*node, Some(view)));
+                    // Sealed clusters first, in storage order (a node's
+                    // views from every image are adjacent), then delta-only
+                    // nodes no image has seen.
+                    let sealed = rest.chunk_by(|a, b| a.0 == b.0).map(|run| (run[0].0, run));
                     let unseen = (pending.iter().flat_map(|(delta, _)| delta.nodes_for(pid)))
                         .filter(|n| !planned.contains(n) && !rest.iter().any(|(m, _)| m == n))
-                        .map(|node| (node, None));
+                        .map(|node| (node, &[][..]));
                     let (stats, updates) = (src.store.stats(), pending.as_ref());
                     for (node, view) in sealed.chain(unseen) {
                         let only = &[(node, 0)];
@@ -490,15 +490,32 @@ pub(crate) fn scan_group<S: PartitionStore, Q: AsRef<[f32]> + Sync>(
     outcomes
 }
 
+/// The views of `node` in `views`, where a store put them side by side
+/// (its cluster in the base image, then in each extension): empty when no
+/// image holds the node.
+fn node_views(
+    views: &[(TrieNodeId, ClusterView)],
+    node: TrieNodeId,
+) -> &[(TrieNodeId, ClusterView)] {
+    let Some(at) = views.iter().position(|(n, _)| *n == node) else {
+        return &[];
+    };
+    let len = views[at..].iter().take_while(|(n, _)| *n == node).count();
+    &views[at..at + len]
+}
+
 /// Scans one `(partition, node)` cluster of one source for the lanes that
 /// selected it (`interested`: one run of [`PartitionWork::picks`]) — the
 /// paper's record-level refinement, written once. `cluster` is the
-/// partition, the node's sealed records (`None` when the partition holds
-/// none under it) and the partition's series length; `pending` is the
-/// source's delta, read section held by the caller, and its deletes.
+/// partition, the node's sealed records (one view per image holding the
+/// node, base first; none when no image does) and the partition's series
+/// length; `pending` is the source's delta, read section held by the
+/// caller, and its deletes.
 ///
 /// The candidate stream is the sealed cluster's records minus tombstoned
-/// ids, then the delta cluster under the same key minus tombstoned ids;
+/// ids — the base image's, then each extension's, in file order: the
+/// stream the same records folded into one base image would give — then
+/// the delta cluster under the same key minus tombstoned ids;
 /// its length is charged to every interested lane's `scanned`. Both runs
 /// hold records in the one encoded layout and go through the one record
 /// loop: each record is scored where it lies — never decoded, never
@@ -511,7 +528,7 @@ pub(crate) fn scan_group<S: PartitionStore, Q: AsRef<[f32]> + Sync>(
 fn scan_cluster(
     stats: &IoStats,
     pending: Option<&(DeltaView<'_>, &TombstoneSet)>,
-    (pid, sealed, series_len): (PartitionId, Option<&ClusterView>, usize),
+    (pid, sealed, series_len): (PartitionId, &[(TrieNodeId, ClusterView)], usize),
     seats: &[Seat<'_>],
     lanes: &mut [Lane],
     interested: &[(TrieNodeId, usize)],
@@ -531,7 +548,9 @@ fn scan_cluster(
 
     let tombstones = pending.map(|(_, t)| t.read());
     let deleted = |id: u64| tombstones.as_ref().is_some_and(|t| t.contains(id));
-    let sealed = sealed.map_or(0, |view| lanes.scan(view.records(), deleted));
+    let sealed: u64 = (sealed.iter())
+        .map(|(_, view)| lanes.scan(view.records(), deleted))
+        .sum();
     let pending = (pending.and_then(|(delta, _)| delta.run(pid, node)))
         .map_or(0, |recs| lanes.scan(recs, deleted));
     // The store is charged the sealed candidates; delta records never

@@ -346,6 +346,21 @@ fn setup_journaled(dir: &Path) {
     c.save(dir).unwrap();
 }
 
+/// Baseline with extension images: built, then four flushes each of one
+/// more copy of the first series `op_append_flush` appends, so that
+/// series' partition holds four extensions and the op's flush merges them.
+fn setup_extended(dir: &Path) {
+    setup_plain(dir);
+    let c = Climber::open_rw(dir).unwrap();
+    let first = appended_probes().remove(0);
+    for _ in 0..4 {
+        c.append(&first).unwrap();
+        let report = c.flush().unwrap();
+        assert_eq!(report.partitions_extended, 1);
+        assert_eq!(report.partitions_rewritten, 0);
+    }
+}
+
 /// Probes no scenario is sensitive to (background coverage) — the
 /// scenario-specific ones that actually discriminate A from B follow.
 fn generic_probes() -> Vec<Vec<f32>> {
@@ -456,6 +471,82 @@ fn compact_survives_every_crash_point() {
     );
     t.sweep();
     t.cleanup();
+}
+
+/// A flush that merges a partition's extension images: crashed at every
+/// operation, it recovers to the old or the new committed state — and the
+/// fault-free run really merged (one extension, of the new generation).
+#[test]
+fn merging_flush_survives_every_crash_point() {
+    let t = Torture::prepare(
+        "merge",
+        &setup_extended,
+        &op_append_flush,
+        probes_with(appended_probes()),
+    );
+    let merged =
+        climber_core::Manifest::load_with(&climber_core::dfs::fsio::StdFs, &t.root.join("dry"))
+            .unwrap();
+    let generation = merged.generation;
+    let extended: Vec<_> = (merged.partitions.iter())
+        .filter(|e| !e.extensions.is_empty())
+        .collect();
+    assert!(
+        extended
+            .iter()
+            .any(|e| e.extensions.len() == 1 && e.extensions[0].file == generation),
+        "the flush merged no partition's extensions: {extended:?}"
+    );
+    t.sweep();
+    t.cleanup();
+}
+
+/// Extension images no committed manifest names — a fold that crashed
+/// before its commit, or images a merge replaced — are litter: a
+/// read-only open, under either policy, leaves every one in place and
+/// changes nothing; the writable open removes exactly those and keeps
+/// every named extension.
+#[test]
+fn orphan_extension_images_are_left_by_a_read_only_open_and_swept_by_a_writable_one() {
+    use climber_core::dfs::store::{
+        extension_file_name, parse_extension_file_name, PartitionStore,
+    };
+
+    let root = tmp_root("orphans");
+    let dir = root.join("idx");
+    setup_extended(&dir);
+    let probes = probes_with(appended_probes());
+    let clean = recovered_state(&dir, &probes);
+    let named = |dir: &Path| -> Vec<String> {
+        let mut names: Vec<String> = (fs::read_dir(dir).unwrap().flatten())
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .filter(|n| parse_extension_file_name(n).is_some())
+            .collect();
+        names.sort();
+        names
+    };
+    let before = named(&dir);
+    assert_eq!(before.len(), 4, "{before:?}");
+    let pids = Climber::open(&dir).unwrap().store().ids();
+    let litter = [
+        extension_file_name(pids[0], 5),
+        extension_file_name(pids[1], 1),
+        extension_file_name(pids[2], 77),
+    ];
+    fs::write(dir.join(&litter[0]), b"a crashed fold's extension").unwrap();
+    fs::copy(dir.join(&before[0]), dir.join(&litter[1])).unwrap();
+    fs::write(dir.join(&litter[2]), b"").unwrap();
+    for policy in [RecoveryPolicy::Strict, RecoveryPolicy::Quarantine] {
+        assert!(read_only_fingerprint(&dir, policy, &probes) == clean);
+    }
+    assert!(litter.iter().all(|name| dir.join(name).exists()));
+    assert!(recovered_state(&dir, &probes) == clean);
+    assert_eq!(
+        named(&dir),
+        before,
+        "the writable open swept the wrong files"
+    );
+    fs::remove_dir_all(&root).ok();
 }
 
 /// A read-only open next to a live writer's litter — a pre-commit `.new`

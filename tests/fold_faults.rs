@@ -1,9 +1,10 @@
 //! A fold whose durability step fails.
 //!
-//! A flush stages every dirty partition's image, fsyncs the staged files
-//! together on the I/O threads, then publishes each partition. When one of
-//! those fsyncs fails, that partition publishes nothing: its temp file is
-//! removed and its records stay in the delta segment, queryable. Every
+//! A flush stages every dirty partition's image (an extension image, or a
+//! rewritten base image), fsyncs the staged files together on the I/O
+//! threads, then publishes each partition. When one of those fsyncs fails,
+//! that partition publishes nothing: its file is removed and its records
+//! stay in the delta segment, queryable. Every
 //! other partition still publishes, the flush returns the error, and a
 //! retried flush converges with every acknowledged append held.
 
@@ -120,8 +121,15 @@ fn a_failed_stage_fsync_publishes_the_others_and_a_retry_converges() {
     assert!(matches!(err, ClimberError::Io(_)), "{err:?}");
     let message = err.to_string();
     assert!(message.contains(INJECTED_FAULT), "{message}");
+    // The failed file: an extension image, or the temp file of a rewritten
+    // base image.
+    let names = |pid: u32| {
+        let stage = format!("{}.new.tmp.", partition_file_name(pid));
+        let extension = format!("part_{pid:08}.x");
+        [stage, extension]
+    };
     let failed: Vec<u32> = (dirty.iter().copied())
-        .filter(|&pid| message.contains(&format!("{}.new.tmp.", partition_file_name(pid))))
+        .filter(|&pid| names(pid).iter().any(|name| message.contains(name)))
         .collect();
     assert_eq!(failed.len(), 1, "not one stage fsync failed: {message}");
     let failed = failed[0];
@@ -134,13 +142,20 @@ fn a_failed_stage_fsync_publishes_the_others_and_a_retry_converges() {
         assert!(index.store().receipt(pid).is_some(), "{pid} not published");
     }
     assert_eq!(temp_files(&dir), Vec::<String>::new());
+    let extension = format!("part_{failed:08}.x");
+    let left: Vec<String> = (std::fs::read_dir(&dir).unwrap().flatten())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with(&extension))
+        .collect();
+    assert_eq!(left, Vec::<String>::new(), "the failed image stayed");
     let now: Vec<QueryOutcome> = reqs.iter().map(|r| index.search(r)).collect();
     assert_eq!(now, want, "the failed flush moved an answer");
     assert_holds(&index, &acked);
 
     // The retry folds what is left and re-seals the directory.
     let report = index.flush().unwrap();
-    assert_eq!(report.partitions_rewritten, 1);
+    assert_eq!(report.partitions_extended, 1);
+    assert_eq!(report.partitions_rewritten, 0);
     assert!(index.delta().is_empty());
     let now: Vec<QueryOutcome> = reqs.iter().map(|r| index.search(r)).collect();
     assert_eq!(now, want, "the retried flush moved an answer");

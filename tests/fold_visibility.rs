@@ -17,7 +17,7 @@
 //!   append.
 
 use climber_core::dfs::fsio::{ClimberFs, FsRef, StdFs};
-use climber_core::dfs::store::{DiskStore, PartitionStore};
+use climber_core::dfs::store::{parse_extension_file_name, DiskStore, PartitionStore};
 use climber_core::series::gen::Domain;
 use climber_core::{
     Climber, ClimberConfig, OpenOptions, QueryOutcome, RecoveryPolicy, SearchRequest,
@@ -52,7 +52,8 @@ enum Park {
     /// Every operation but a ranged read. Queries read through ranged
     /// reads only, and a fold never does, so this parks the fold alone.
     Fold,
-    /// The first write of a partition stage, once.
+    /// The first write of a partition image — a base image's stage or an
+    /// extension image — once.
     FirstStage,
 }
 
@@ -93,7 +94,11 @@ impl Gate {
         let parks = |park: Park| match park {
             Park::Off => false,
             Park::Fold => op != "read_ranges",
-            Park::FirstStage => op == "write" && path.to_string_lossy().contains(".clbp.new"),
+            Park::FirstStage => {
+                let name = path.file_name().unwrap().to_string_lossy();
+                op == "write"
+                    && (name.contains(".clbp.new") || parse_extension_file_name(&name).is_some())
+            }
         };
         let mut st = self.state.lock().unwrap();
         // One operation parks at a time; the others queue behind it.

@@ -2,15 +2,21 @@
 //! trace: every partition byte crosses the filesystem boundary once per
 //! direction.
 //!
-//! * A flush dirtying D partitions performs exactly **D partition reads,
-//!   D staged writes, D file fsyncs** and a **constant** number of
+//! * A flush that gives D partitions an extension image and rewrites the
+//!   base image of R others performs exactly **R partition reads, D + R
+//!   image writes, D + R file fsyncs** and a **constant** number of
 //!   directory fsyncs (the pre-commit barrier, the manifest commit, the
-//!   closing install) — no manifest or skeleton re-read, no per-file
-//!   directory fsync, no read-back of what it just wrote. Each stage is
-//!   written under a temp name and renamed to its `.new` sibling, so no
-//!   file another reader may be serving is ever truncated.
-//! * The barrier sits where the protocol needs it: after the last stage
-//!   is fsynced, before the manifest is renamed into place.
+//!   closing install) — no extension is read, renamed or written twice, no
+//!   manifest or skeleton re-read, no per-file directory fsync, no
+//!   read-back of what it just wrote. An extension is written once under
+//!   its own new name; a base image is written under a temp name and
+//!   renamed to its `.new` sibling, so no file another reader may be
+//!   serving is ever truncated.
+//! * A flush that merges a partition's E extensions reads exactly those E
+//!   images, writes one, and removes the E only after the manifest that
+//!   no longer names them has committed.
+//! * The barrier sits where the protocol needs it: after the last image
+//!   is written and fsynced, before the manifest is renamed into place.
 //! * A build of P partitions performs exactly **P partition writes, P
 //!   partition fsyncs** and its seal **no partition read**: every
 //!   partition is staged once by its put, and the seal commits it from
@@ -26,7 +32,9 @@
 use climber_core::dfs::format::{ClusterPick, PartitionDirectory, PartitionReader};
 use climber_core::dfs::fsio::{ClimberFs, FaultFs, FsOp, FsRef, StdFs};
 use climber_core::dfs::page::PAGE_SIZE;
-use climber_core::dfs::store::{partition_file_name, DiskStore, PartitionStore};
+use climber_core::dfs::store::{
+    parse_extension_file_name, partition_file_name, DiskStore, PartitionStore,
+};
 use climber_core::index::builder::IndexBuilder;
 use climber_core::series::gen::Domain;
 use climber_core::{
@@ -74,8 +82,8 @@ fn name_of(path: &Path) -> String {
 }
 
 /// Appends `appends` series, then flushes under an armed `FaultFs`.
-/// Returns the partitions rewritten and the flush's op trace.
-fn traced_flush(dir: &Path, appends: usize) -> (usize, Vec<(FsOp, String)>) {
+/// Returns the partitions extended and rewritten and the flush's op trace.
+fn traced_flush(dir: &Path, appends: usize) -> (usize, usize, Vec<(FsOp, String)>) {
     let ff = FaultFs::over_std();
     let fsref: FsRef = ff.clone();
     let (index, _) = Climber::open_dir(dir, &rw_over(fsref, None)).unwrap();
@@ -90,11 +98,27 @@ fn traced_flush(dir: &Path, appends: usize) -> (usize, Vec<(FsOp, String)>) {
         .into_iter()
         .map(|(op, path)| (op, name_of(&path)))
         .collect();
-    (report.partitions_rewritten, trace)
+    (
+        report.partitions_extended,
+        report.partitions_rewritten,
+        trace,
+    )
 }
 
 fn count(trace: &[(FsOp, String)], op: FsOp, pred: impl Fn(&str) -> bool) -> usize {
     trace.iter().filter(|(o, n)| *o == op && pred(n)).count()
+}
+
+fn is_extension(name: &str) -> bool {
+    parse_extension_file_name(name).is_some()
+}
+
+/// Position of the first (or `last`) op of `op` on a name `pred` accepts.
+fn pos(trace: &[(FsOp, String)], op: FsOp, pred: &dyn Fn(&str) -> bool, last: bool) -> usize {
+    let mut hits = (trace.iter().enumerate())
+        .filter(|(_, (o, n))| *o == op && pred(n))
+        .map(|(i, _)| i);
+    if last { hits.last() } else { hits.next() }.unwrap()
 }
 
 #[test]
@@ -102,36 +126,43 @@ fn flush_reads_writes_and_syncs_each_dirty_partition_once() {
     let is_partition = |n: &str| n.starts_with("part_");
     let is_stage = |n: &str| n.starts_with("part_") && n.ends_with(".clbp.new");
     let is_stage_tmp = |n: &str| n.starts_with("part_") && n.contains(".clbp.new.tmp.");
-    let mut dir_fsyncs = Vec::new();
-    for (tag, appends) in [("few", 3), ("many", 60)] {
+    let all = |_: &str| true;
+    let mut folded = Vec::new();
+    for (tag, appends) in [("few", 3), ("many", 60), ("bulk", 400)] {
         let dir = built(tag);
-        let (d, trace) = traced_flush(&dir, appends);
-        assert!(d > 0, "the appends dirtied no partition");
-        let all = |_: &str| true;
+        let (d, r, trace) = traced_flush(&dir, appends);
+        assert!(d + r > 0, "the appends dirtied no partition");
 
-        // Reads: the D partitions being rewritten, and nothing else — the
-        // manifest and the skeleton this instance opened stay in memory,
-        // and the seal describes each rewrite from its put receipt.
-        assert_eq!(count(&trace, FsOp::Read, is_partition), d, "{trace:?}");
+        // Reads: the R base images being rewritten, and nothing else — no
+        // extended partition is read, the manifest and the skeleton this
+        // instance opened stay in memory, and the seal describes each
+        // image from its receipt.
+        assert_eq!(count(&trace, FsOp::Read, is_partition), r, "{trace:?}");
         assert_eq!(
             count(&trace, FsOp::Read, all),
-            d,
+            r,
             "non-partition reads: {trace:?}"
         );
 
-        // Writes: one stage per dirty partition plus the manifest, each
-        // under a temp name and fsynced exactly once. Nothing is written
-        // in place — not a committed file, not an earlier stage.
-        assert_eq!(count(&trace, FsOp::Write, is_stage_tmp), d);
-        assert_eq!(count(&trace, FsOp::Write, all), d + 1, "{trace:?}");
-        assert_eq!(count(&trace, FsOp::FsyncFile, is_stage_tmp), d);
-        assert_eq!(count(&trace, FsOp::FsyncFile, all), d + 1);
+        // Writes: one extension per extended partition, under its own
+        // name; one stage per rewritten one, under a temp name; plus the
+        // manifest — each fsynced exactly once. Nothing is written in
+        // place: not a committed file, not an earlier stage.
+        assert_eq!(count(&trace, FsOp::Write, is_extension), d);
+        assert_eq!(count(&trace, FsOp::Write, is_stage_tmp), r);
+        assert_eq!(count(&trace, FsOp::Write, all), d + r + 1, "{trace:?}");
+        assert_eq!(count(&trace, FsOp::FsyncFile, is_extension), d);
+        assert_eq!(count(&trace, FsOp::FsyncFile, is_stage_tmp), r);
+        assert_eq!(count(&trace, FsOp::FsyncFile, all), d + r + 1);
 
-        // Renames (traced by source): temp → stage per partition, the
-        // manifest commit, then one install per stage.
-        assert_eq!(count(&trace, FsOp::Rename, is_stage_tmp), d);
-        assert_eq!(count(&trace, FsOp::Rename, is_stage), d);
-        assert_eq!(count(&trace, FsOp::Rename, all), 2 * d + 1);
+        // Renames (traced by source): temp → stage per rewritten
+        // partition, the manifest commit, then one install per stage. An
+        // extension is never renamed, and nothing is removed.
+        assert_eq!(count(&trace, FsOp::Rename, is_extension), 0);
+        assert_eq!(count(&trace, FsOp::Rename, is_stage_tmp), r);
+        assert_eq!(count(&trace, FsOp::Rename, is_stage), r);
+        assert_eq!(count(&trace, FsOp::Rename, all), 2 * r + 1);
+        assert_eq!(count(&trace, FsOp::RemoveFile, is_partition), 0);
         // Each stage is durable before it is published: its temp file's
         // fsync comes before the rename of that temp file.
         for (at, (_, tmp)) in
@@ -144,35 +175,104 @@ fn flush_reads_writes_and_syncs_each_dirty_partition_once() {
         }
 
         // The single pre-commit barrier: the first directory fsync comes
-        // after every stage is written and fsynced, and before the
+        // after every image is written and fsynced, and before the
         // manifest is renamed into place; no stage is installed before
         // that rename.
-        let pos = |op: FsOp, pred: &dyn Fn(&str) -> bool, last: bool| {
-            let mut hits = trace
-                .iter()
-                .enumerate()
-                .filter(|(_, (o, n))| *o == op && pred(n))
-                .map(|(i, _)| i);
-            if last { hits.last() } else { hits.next() }.unwrap()
-        };
-        let barrier = pos(FsOp::FsyncDir, &all, false);
-        let commit = pos(FsOp::Rename, &|n| n.starts_with("MANIFEST"), false);
-        assert!(pos(FsOp::Rename, &is_stage_tmp, true) < barrier);
+        let barrier = pos(&trace, FsOp::FsyncDir, &all, false);
+        let commit = pos(&trace, FsOp::Rename, &|n| n.starts_with("MANIFEST"), false);
+        let last_image = |op| pos(&trace, op, &|n| is_extension(n) || is_stage_tmp(n), true);
+        assert!(last_image(FsOp::Write) < barrier);
+        assert!(last_image(FsOp::FsyncFile) < barrier);
+        if r > 0 {
+            assert!(pos(&trace, FsOp::Rename, &is_stage_tmp, true) < barrier);
+            assert!(commit < pos(&trace, FsOp::Rename, &is_stage, false));
+        }
         assert!(barrier < commit);
-        assert!(commit < pos(FsOp::Rename, &is_stage, false));
 
-        dir_fsyncs.push((d, count(&trace, FsOp::FsyncDir, all)));
+        folded.push((d, r, count(&trace, FsOp::FsyncDir, all)));
         fs::remove_dir_all(&dir).ok();
     }
-    // O(1) directory fsyncs: barrier + manifest commit + closing install,
-    // whatever D is.
-    let (d_few, d_many) = (dir_fsyncs[0].0, dir_fsyncs[1].0);
+    // Both kinds of fold were exercised, over flushes of differing size.
+    assert!(folded.iter().any(|&(d, _, _)| d > 0), "{folded:?}");
+    assert!(folded.iter().any(|&(_, r, _)| r > 0), "{folded:?}");
     assert!(
-        d_many > d_few,
-        "the two flushes must differ in D ({d_few} vs {d_many})"
+        folded[1].0 + folded[1].1 > folded[0].0 + folded[0].1,
+        "{folded:?}"
     );
-    assert_eq!(dir_fsyncs[0].1, 3);
-    assert_eq!(dir_fsyncs[1].1, 3);
+    // O(1) directory fsyncs: barrier + manifest commit + closing install,
+    // whatever D and R are.
+    assert!(
+        folded.iter().all(|&(_, _, dir_fsyncs)| dir_fsyncs == 3),
+        "{folded:?}"
+    );
+}
+
+/// A flush that would give a partition one extension too many merges its
+/// extensions and its pending records into one: it reads exactly those
+/// extension images (never the base), writes and fsyncs one image, renames
+/// nothing but the manifest, and removes the merged images only after the
+/// commit that stops naming them.
+#[test]
+fn a_merging_flush_reads_its_extensions_and_removes_them_after_the_commit() {
+    let dir = std::env::temp_dir().join(format!("climber-iobudget-merge-{}", std::process::id()));
+    fs::remove_dir_all(&dir).ok();
+    let ds = Domain::RandomWalk.generate(800, 5);
+    let big = cfg().with_capacity(200);
+    drop(Climber::build_on_disk(&ds, &dir, big).unwrap());
+    let ff = FaultFs::over_std();
+    let fsref: FsRef = ff.clone();
+    let (index, _) = Climber::open_dir(&dir, &rw_over(fsref, None)).unwrap();
+    // The same series again and again: every copy lands in one partition.
+    let probe = ds.get(17).to_vec();
+    let mut extended = Vec::new();
+    for _ in 0..4 {
+        index.append(&probe).unwrap();
+        let report = index.flush().unwrap();
+        extended.push((report.partitions_extended, report.partitions_rewritten));
+    }
+    assert_eq!(extended, vec![(1, 0); 4]);
+    let ext_count = |n: &str| is_extension(n);
+    let before: Vec<String> = (fs::read_dir(&dir).unwrap().flatten())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|n| ext_count(n))
+        .collect();
+    assert_eq!(before.len(), 4, "{before:?}");
+
+    index.append(&probe).unwrap();
+    ff.arm();
+    let report = index.flush().unwrap();
+    ff.disarm();
+    assert_eq!(
+        (report.partitions_extended, report.partitions_rewritten),
+        (1, 0)
+    );
+    let trace: Vec<(FsOp, String)> = (ff.trace().into_iter())
+        .map(|(op, path)| (op, name_of(&path)))
+        .collect();
+    let all = |_: &str| true;
+    let merged = |n: &str| before.iter().any(|b| b == n);
+    assert_eq!(count(&trace, FsOp::Read, all), 4, "{trace:?}");
+    assert_eq!(count(&trace, FsOp::Read, merged), 4);
+    assert_eq!(count(&trace, FsOp::Write, is_extension), 1);
+    assert_eq!(count(&trace, FsOp::Write, all), 2, "{trace:?}");
+    assert_eq!(count(&trace, FsOp::FsyncFile, is_extension), 1);
+    assert_eq!(count(&trace, FsOp::FsyncFile, all), 2);
+    assert_eq!(count(&trace, FsOp::Rename, all), 1, "{trace:?}");
+    assert_eq!(count(&trace, FsOp::RemoveFile, merged), 4);
+    assert_eq!(count(&trace, FsOp::FsyncDir, all), 3);
+    let commit = pos(&trace, FsOp::Rename, &|n| n.starts_with("MANIFEST"), false);
+    assert!(commit < pos(&trace, FsOp::RemoveFile, &merged, false));
+    let after: Vec<String> = (fs::read_dir(&dir).unwrap().flatten())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|n| ext_count(n))
+        .collect();
+    assert_eq!(after.len(), 1, "{after:?}");
+    assert!(!merged(&after[0]));
+    drop(index);
+    let reopened = Climber::open(&dir).unwrap();
+    let out = reopened.search(&SearchRequest::new(probe.clone(), 6).exact());
+    assert_eq!(out.results.iter().filter(|&&(_, d)| d == 0.0).count(), 6);
+    fs::remove_dir_all(&dir).ok();
 }
 
 /// A trace entry's file name with the unique part of a temp name dropped

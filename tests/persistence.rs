@@ -439,7 +439,8 @@ fn disk_flush_reseal_is_incremental() {
     built.append(ds.get(5)).unwrap();
     let before = built.store().stats().snapshot();
     let report = built.flush().unwrap();
-    assert_eq!(report.partitions_rewritten, 1);
+    assert_eq!(report.partitions_extended, 1);
+    assert_eq!(report.partitions_rewritten, 0);
     let diff = built.store().stats().snapshot().since(&before);
     assert!(
         (diff.partitions_opened as usize) < total / 2,
@@ -592,7 +593,9 @@ fn rebuilding_over_a_larger_index_commits_only_the_new_one() {
 
 /// The handle `build_on_disk` returns writes like any writable open: a
 /// fold that fails on one partition has only *staged* the others, so the
-/// committed bytes of every other partition survive it.
+/// committed bytes of every other partition survive it. The fold is a
+/// compaction, which reads every base image it folds: a flush that only
+/// extends reads none.
 #[test]
 fn a_failed_fold_through_the_built_handle_keeps_every_committed_partition() {
     let dir = tmp_dir("built-fold");
@@ -616,7 +619,7 @@ fn a_failed_fold_through_the_built_handle_keeps_every_committed_partition() {
     let victim = *touched.first().unwrap();
     fs::write(dir.join(partition_file_name(victim)), b"not a partition").unwrap();
     assert!(
-        built.flush().is_err(),
+        built.compact().is_err(),
         "the fold read an unreadable partition"
     );
     drop(built);
@@ -677,4 +680,106 @@ fn config_and_fingerprint_survive_reopen() {
     assert_eq!(m1.fingerprint, m2.fingerprint);
     fs::remove_dir_all(&dir).ok();
     fs::remove_dir_all(tmp_dir("config-copy")).ok();
+}
+
+/// `m` in the manifest layout of format version 1 (no generation, no
+/// journal entry) or 2, both of which list one image per partition as
+/// `id, bytes, checksum, records` — the directories earlier builds wrote.
+fn legacy_manifest(m: &Manifest, version: u32) -> Vec<u8> {
+    use climber_core::dfs::format::Encode;
+    let mut out = Vec::new();
+    out.extend_from_slice(b"CLMF");
+    version.encode(&mut out);
+    0u32.encode(&mut out);
+    m.fingerprint.encode(&mut out);
+    m.num_records.encode(&mut out);
+    m.max_series_id.unwrap_or(u64::MAX).encode(&mut out);
+    m.series_len.encode(&mut out);
+    if version == 2 {
+        m.generation.encode(&mut out);
+        0u8.encode(&mut out); // no journal
+    }
+    m.config.encode(&mut out);
+    m.skeleton.bytes.encode(&mut out);
+    m.skeleton.checksum.encode(&mut out);
+    (m.partitions.len() as u32).encode(&mut out);
+    for e in &m.partitions {
+        assert!(e.extensions.is_empty(), "a legacy layout has no extension");
+        e.id.encode(&mut out);
+        e.bytes.encode(&mut out);
+        e.checksum.encode(&mut out);
+        e.records.encode(&mut out);
+    }
+    let sum = xxh64(&out, 0);
+    sum.encode(&mut out);
+    out
+}
+
+/// Directories of format versions 1 and 2 still open, read-only and
+/// writable, and answer exactly as the version-3 directory they were
+/// made from; a writable open's next seal rewrites them as version 3,
+/// extension images included.
+#[test]
+fn version_1_and_2_directories_open_and_answer_identically() {
+    let root = tmp_dir("legacy");
+    fs::remove_dir_all(&root).ok();
+    let ds = Domain::RandomWalk.generate(600, 61);
+    let current = root.join("v3");
+    drop(Climber::build_on_disk(&ds, &current, cfg()).unwrap());
+    let m = Manifest::load_with(&StdFs, &current).unwrap();
+    assert_eq!(m.format_version, FORMAT_VERSION);
+    let reqs: Vec<SearchRequest> = (0..12u64)
+        .map(|i| SearchRequest::new(ds.get(i * 47), 10))
+        .collect();
+    let want: Vec<_> = {
+        let c = Climber::open(&current).unwrap();
+        reqs.iter().map(|r| c.search(r)).collect()
+    };
+    for version in [1u32, 2] {
+        let dir = root.join(format!("v{version}"));
+        fs::create_dir_all(&dir).unwrap();
+        for entry in fs::read_dir(&current).unwrap().flatten() {
+            fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
+        }
+        fs::write(dir.join(MANIFEST_FILE), legacy_manifest(&m, version)).unwrap();
+        let legacy = Manifest::load_with(&StdFs, &dir).unwrap();
+        assert_eq!(legacy.format_version, version);
+        assert_eq!(legacy.partitions, m.partitions);
+
+        let ro = Climber::open(&dir).unwrap();
+        let got: Vec<_> = reqs.iter().map(|r| ro.search(r)).collect();
+        assert_eq!(got, want, "a version-{version} directory answers otherwise");
+        drop(ro);
+
+        let rw = Climber::open_rw(&dir).unwrap();
+        let got: Vec<_> = reqs.iter().map(|r| rw.search(r)).collect();
+        assert_eq!(
+            got, want,
+            "a writable version-{version} open answers otherwise"
+        );
+        assert_eq!(
+            Manifest::load_with(&StdFs, &dir).unwrap().format_version,
+            version,
+            "an open alone rewrote the manifest"
+        );
+        let probe: Vec<f32> = ds.get(3).iter().map(|v| v + 0.5).collect();
+        let id = rw.append(&probe).unwrap();
+        let report = rw.flush().unwrap();
+        assert_eq!(report.partitions_extended, 1);
+        let sealed = Manifest::load_with(&StdFs, &dir).unwrap();
+        assert_eq!(sealed.format_version, FORMAT_VERSION);
+        assert_eq!(
+            sealed
+                .partitions
+                .iter()
+                .map(|e| e.extensions.len())
+                .sum::<usize>(),
+            1
+        );
+        drop(rw);
+        let cold = Climber::open(&dir).unwrap();
+        let out = cold.search(&SearchRequest::new(&probe[..], 1).exact());
+        assert_eq!(out.results[0], (id, 0.0));
+    }
+    fs::remove_dir_all(&root).ok();
 }

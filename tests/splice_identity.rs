@@ -1,21 +1,27 @@
 //! Property test: the splice-based fold is **byte-identical** to the
 //! decode → re-encode fold it replaced.
 //!
-//! A flush or compaction rewrites a partition by copying the encoded byte
-//! ranges of its sealed clusters into the new image, never decoding a
-//! record. This test keeps the old fold alive as an oracle that shares no
-//! code with the writer: every partition is decoded record by record
-//! before the fold, the expected successor is assembled from those
-//! records, the pending delta and the tombstones, and encoded by a
-//! from-the-format-doc encoder written here. After the fold, for every
+//! A flush or compaction folds a partition by copying the encoded byte
+//! ranges of its clusters into a new image, never decoding a record. This
+//! test keeps the old fold alive as an oracle that shares no code with the
+//! writer: every partition is decoded record by record before the fold,
+//! the expected successor is assembled from those records, the pending
+//! delta and the tombstones, and encoded by a from-the-format-doc encoder
+//! written here. A compaction rewrites each folded partition's base image.
+//! A flush gives a partition an extension image of its pending records,
+//! predicted here too — unless that extension would pass a quarter of the
+//! base image's bytes, when it rewrites the base and purges every
+//! tombstoned record the partition holds. After the fold, for every
 //! partition of the index:
 //!
-//! * the image a reader sees equals the oracle's, bit for bit — including
-//!   partitions the fold must *not* have touched;
-//! * the persisted bytes are that image, verbatim;
-//! * the committed manifest entry (length, checksum, record count) — now
-//!   taken from the put's receipt, not from re-reading the file —
-//!   describes the persisted bytes exactly.
+//! * the image a reader sees (base and extensions as one) equals the
+//!   oracle's, bit for bit — including partitions the fold must *not*
+//!   have touched;
+//! * the persisted bytes are that image, verbatim — or, for an extended
+//!   partition, its untouched base image and the predicted extension;
+//! * the committed manifest entry (length, checksum, record count per
+//!   image) — taken from the stage's receipt, not from re-reading the
+//!   file — describes the persisted bytes exactly.
 //!
 //! Varied: generator domain, dataset size, append count and source, delta
 //! records injected into trie nodes the partition never sealed, tombstones
@@ -23,7 +29,9 @@
 
 use climber_core::dfs::fsio::StdFs;
 use climber_core::dfs::manifest::xxh64;
-use climber_core::dfs::store::{DiskStore, PartitionStore};
+use climber_core::dfs::store::{
+    extension_file_name, partition_file_name, DiskStore, PartitionStore,
+};
 use climber_core::series::gen::Domain;
 use climber_core::{Climber, ClimberConfig, Manifest};
 use proptest::prelude::*;
@@ -115,6 +123,26 @@ fn oracle_fold(before: Decoded, folds: &BTreeMap<u64, Records>, purge: &BTreeSet
     Decoded { clusters, ..before }
 }
 
+/// A flush's extension image of `before`'s partition: the pending
+/// records alone, one cluster per trie node in node order, each in
+/// ascending-id order. Returns the image and its record count.
+fn oracle_extension(before: &Decoded, folds: &BTreeMap<u64, Records>) -> (Vec<u8>, u64) {
+    let clusters: Vec<(u64, Records)> = (folds.iter())
+        .map(|(&node, recs)| {
+            let mut recs = recs.clone();
+            recs.sort_by_key(|(id, _)| *id);
+            (node, recs)
+        })
+        .collect();
+    let records = clusters.iter().map(|(_, recs)| recs.len() as u64).sum();
+    let extension = Decoded {
+        group_id: before.group_id,
+        series_len: before.series_len,
+        clusters,
+    };
+    (encode_v1(&extension), records)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -191,12 +219,15 @@ proptest! {
             }
         }
         drop(view);
+        let tombstoned: BTreeSet<u64> = index.tombstones().ids().into_iter().collect();
         let purge: BTreeSet<u64> = if compact {
-            index.tombstones().ids().into_iter().collect()
+            tombstoned.clone()
         } else {
             BTreeSet::new()
         };
         let mut expected: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
+        // Extended partitions: the untouched base image and the extension.
+        let mut extended: BTreeMap<u32, (Vec<u8>, Vec<u8>, u64)> = BTreeMap::new();
         let mut rewritten = 0usize;
         for &pid in &pids {
             let before = decode(&index, pid);
@@ -207,9 +238,24 @@ proptest! {
                 .any(|(id, _)| purge.contains(id));
             let image = match folds.get(&pid) {
                 None if !holds_purged => encode_v1(&before),
-                f => {
+                None => {
                     rewritten += 1;
-                    encode_v1(&oracle_fold(before, f.unwrap_or(&BTreeMap::new()), &purge))
+                    encode_v1(&oracle_fold(before, &BTreeMap::new(), &purge))
+                }
+                Some(f) if compact => {
+                    rewritten += 1;
+                    encode_v1(&oracle_fold(before, f, &purge))
+                }
+                Some(f) => {
+                    let base = encode_v1(&before);
+                    let (extension, records) = oracle_extension(&before, f);
+                    if extension.len() * 4 > base.len() {
+                        rewritten += 1;
+                        encode_v1(&oracle_fold(before, f, &tombstoned))
+                    } else {
+                        extended.insert(pid, (base, extension, records));
+                        encode_v1(&oracle_fold(before, f, &BTreeSet::new()))
+                    }
                 }
             };
             expected.insert(pid, image);
@@ -217,6 +263,7 @@ proptest! {
 
         let report = if compact { index.compact() } else { index.flush() }.unwrap();
         prop_assert_eq!(report.partitions_rewritten, rewritten);
+        prop_assert_eq!(report.partitions_extended, extended.len());
 
         let manifest = Manifest::load_with(&StdFs, &dir).unwrap();
         for &pid in &pids {
@@ -229,9 +276,25 @@ proptest! {
             let stored = index.store().image(pid).unwrap();
             prop_assert!(stored[..] == want[..]);
             let entry = manifest.partition(pid).unwrap();
-            prop_assert_eq!(entry.bytes, stored.len() as u64);
-            prop_assert_eq!(entry.checksum, xxh64(&stored, 0));
-            prop_assert_eq!(entry.records, reader.record_count());
+            let Some((base, extension, records)) = extended.get(&pid) else {
+                prop_assert_eq!(entry.bytes, stored.len() as u64);
+                prop_assert_eq!(entry.checksum, xxh64(&stored, 0));
+                prop_assert_eq!(entry.records, reader.record_count());
+                prop_assert!(entry.extensions.is_empty());
+                continue;
+            };
+            let on_disk = fs::read(dir.join(partition_file_name(pid))).unwrap();
+            prop_assert!(on_disk == *base, "partition {} rewrote its base", pid);
+            prop_assert_eq!(entry.bytes, base.len() as u64);
+            prop_assert_eq!(entry.checksum, xxh64(base, 0));
+            prop_assert_eq!(entry.extensions.len(), 1);
+            let x = entry.extensions[0];
+            let on_disk = fs::read(dir.join(extension_file_name(pid, x.file))).unwrap();
+            prop_assert!(on_disk == *extension, "partition {}: extension differs", pid);
+            prop_assert_eq!(x.bytes, extension.len() as u64);
+            prop_assert_eq!(x.checksum, xxh64(extension, 0));
+            prop_assert_eq!(x.records, *records);
+            prop_assert_eq!(entry.total_records(), reader.record_count());
         }
 
         // A cold reopen validates every receipt-derived entry against the
