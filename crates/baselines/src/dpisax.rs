@@ -248,7 +248,7 @@ fn word_of(values: &[f32], cfg: &DpisaxConfig) -> ISaxWord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use climber_dfs::store::MemStore;
+    use climber_dfs::store::DiskStore;
     use climber_series::gen::Domain;
     use climber_series::ground_truth::exact_knn;
     use climber_series::recall::recall_of_results;
@@ -266,7 +266,7 @@ mod tests {
     #[test]
     fn every_record_stored_exactly_once() {
         let ds = Domain::RandomWalk.generate(300, 7);
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         let (_, stats) = DpisaxIndex::build(&ds, &store, cfg());
         let mut seen = Vec::new();
         for pid in store.ids() {
@@ -280,7 +280,7 @@ mod tests {
     #[test]
     fn routing_is_consistent_with_storage() {
         let ds = Domain::Eeg.generate(200, 9);
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         let (index, _) = DpisaxIndex::build(&ds, &store, cfg());
         for pid in store.ids() {
             store.open(pid).unwrap().for_each(|id, vals| {
@@ -293,7 +293,7 @@ mod tests {
     #[test]
     fn query_touches_one_partition() {
         let ds = Domain::TexMex.generate(300, 11);
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         let (index, _) = DpisaxIndex::build(&ds, &store, cfg());
         let out = index.query(&store, ds.get(5), 10);
         assert_eq!(out.partitions_opened, 1);
@@ -304,7 +304,7 @@ mod tests {
     #[test]
     fn self_query_finds_itself() {
         let ds = Domain::Dna.generate(250, 13);
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         let (index, _) = DpisaxIndex::build(&ds, &store, cfg());
         // the query record routes to the partition that stores it
         let mut hits = 0;
@@ -322,7 +322,7 @@ mod tests {
         // the point of this baseline: single-partition iSAX search recalls
         // far less than scanning everything
         let ds = Domain::RandomWalk.generate(800, 15);
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         let (index, _) = DpisaxIndex::build(&ds, &store, cfg());
         let k = 20;
         let mut r = 0.0;
@@ -339,7 +339,7 @@ mod tests {
     #[test]
     fn balanced_splitting_bounds_partition_sizes() {
         let ds = Domain::RandomWalk.generate(1000, 21);
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         let c = DpisaxConfig {
             capacity: 100,
             alpha: 1.0,
@@ -362,7 +362,7 @@ mod tests {
     #[test]
     fn index_size_grows_with_nodes() {
         let ds = Domain::Eeg.generate(400, 23);
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         let (index, stats) = DpisaxIndex::build(&ds, &store, cfg());
         assert_eq!(stats.index_bytes, index.size_bytes());
         assert!(index.num_nodes() >= 2 * index.num_partitions() - 1);

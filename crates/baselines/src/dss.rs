@@ -52,14 +52,14 @@ pub fn dss_query<S: PartitionStore>(store: &S, query: &[f32], k: usize) -> Basel
 mod tests {
     use super::*;
     use climber_dfs::sample::scatter_dataset;
-    use climber_dfs::store::MemStore;
+    use climber_dfs::store::DiskStore;
     use climber_series::gen::Domain;
     use climber_series::ground_truth::exact_knn;
 
     #[test]
     fn dss_matches_exact_ground_truth() {
         let ds = Domain::RandomWalk.generate(300, 3);
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         scatter_dataset(&store, &ds, 7);
         for qid in [0u64, 100, 299] {
             let out = dss_query(&store, ds.get(qid), 10);
@@ -71,7 +71,7 @@ mod tests {
     #[test]
     fn dss_scans_everything() {
         let ds = Domain::Eeg.generate(120, 5);
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         scatter_dataset(&store, &ds, 4);
         let out = dss_query(&store, ds.get(0), 5);
         assert_eq!(out.records_scanned, 120);
@@ -81,7 +81,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "k must be positive")]
     fn zero_k_rejected() {
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         dss_query(&store, &[0.0; 8], 0);
     }
 }

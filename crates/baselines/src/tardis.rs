@@ -312,7 +312,7 @@ fn label_mindist(symbols: &[u16], bits: u8, query_paa: &[f64], n: usize) -> f64 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use climber_dfs::store::MemStore;
+    use climber_dfs::store::DiskStore;
     use climber_series::gen::Domain;
     use climber_series::ground_truth::exact_knn;
     use climber_series::recall::recall_of_results;
@@ -330,7 +330,7 @@ mod tests {
     #[test]
     fn every_record_stored_exactly_once() {
         let ds = Domain::RandomWalk.generate(350, 31);
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         let (_, stats) = TardisIndex::build(&ds, &store, cfg());
         let mut seen = Vec::new();
         for pid in store.ids() {
@@ -344,7 +344,7 @@ mod tests {
     #[test]
     fn descend_is_deterministic_and_storage_consistent() {
         let ds = Domain::Eeg.generate(200, 33);
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         let (index, _) = TardisIndex::build(&ds, &store, cfg());
         for qid in [0u64, 55, 199] {
             let leaf = index.descend(ds.get(qid));
@@ -367,7 +367,7 @@ mod tests {
     #[test]
     fn query_touches_one_partition_and_finds_self() {
         let ds = Domain::TexMex.generate(300, 35);
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         let (index, _) = TardisIndex::build(&ds, &store, cfg());
         for qid in [2u64, 150, 299] {
             let out = index.query(&store, ds.get(qid), 5);
@@ -385,7 +385,7 @@ mod tests {
         // exceed 2 on any diverse dataset (the structural difference from
         // the DPiSAX binary split).
         let ds = Domain::RandomWalk.generate(500, 37);
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         let (index, _) = TardisIndex::build(&ds, &store, cfg());
         assert!(
             index.nodes[0].children.len() > 2,
@@ -397,7 +397,7 @@ mod tests {
     #[test]
     fn recall_is_positive_but_modest() {
         let ds = Domain::RandomWalk.generate(800, 39);
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         let (index, _) = TardisIndex::build(&ds, &store, cfg());
         let k = 20;
         let mut r = 0.0;
@@ -417,7 +417,7 @@ mod tests {
     #[test]
     fn size_bytes_reported() {
         let ds = Domain::Dna.generate(200, 41);
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         let (index, stats) = TardisIndex::build(&ds, &store, cfg());
         assert_eq!(stats.index_bytes, index.size_bytes());
         assert!(stats.index_bytes > 0);

@@ -8,7 +8,7 @@ use climber_baselines::lsh::{LshConfig, LshIndex};
 use climber_baselines::odyssey::{OdysseyConfig, OdysseyIndex};
 use climber_baselines::tardis::{TardisConfig, TardisIndex};
 use climber_dfs::sample::scatter_dataset;
-use climber_dfs::store::{MemStore, PartitionStore};
+use climber_dfs::store::{DiskStore, PartitionStore};
 use climber_series::gen::{Domain, RandomWalkGenerator, SeriesGenerator};
 use climber_series::ground_truth::exact_knn;
 use proptest::prelude::*;
@@ -19,7 +19,7 @@ proptest! {
     #[test]
     fn dss_equals_ground_truth(seed in 0u64..200, qid in 0u64..150, k in 1usize..30) {
         let ds = RandomWalkGenerator::new(48).generate(150, seed);
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         scatter_dataset(&store, &ds, 5);
         let got = dss_query(&store, ds.get(qid % 150), k);
         let want = exact_knn(&ds, ds.get(qid % 150), k);
@@ -43,7 +43,7 @@ proptest! {
     fn dpisax_routing_is_total_and_consistent(seed in 0u64..100) {
         // every record must be routable and stored where routing says
         let ds = Domain::ALL[(seed % 4) as usize].generate(120, seed);
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         let cfg = DpisaxConfig { segments: 8, max_bits: 5, capacity: 30, alpha: 0.5, seed };
         let (index, stats) = DpisaxIndex::build(&ds, &store, cfg);
         prop_assert!(stats.num_partitions >= 1);
@@ -61,7 +61,7 @@ proptest! {
     #[test]
     fn tardis_self_queries_find_themselves(seed in 0u64..100) {
         let ds = Domain::ALL[(seed % 4) as usize].generate(120, seed ^ 7);
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         let cfg = TardisConfig { segments: 8, max_bits: 4, capacity: 30, alpha: 0.5, seed };
         let (index, _) = TardisIndex::build(&ds, &store, cfg);
         let q = ds.get(seed % 120);

@@ -11,7 +11,7 @@ use climber_bench::paper::FIG10B_RECALL_VS_PIVOTS;
 use climber_bench::runner::{dataset, sweep, workload};
 use climber_bench::table::{f2, f3, Table};
 use climber_bench::{banner, default_k, default_n, default_queries, experiment_config, QUERY_SEED};
-use climber_core::dfs::store::MemStore;
+use climber_core::dfs::store::DiskStore;
 use climber_core::index::builder::IndexBuilder;
 use climber_core::series::gen::Domain;
 use climber_core::Climber;
@@ -39,7 +39,7 @@ fn main() {
     ]);
     for &r in &pivot_counts {
         let cfg = experiment_config(n).with_pivots(r);
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         let (_, report) = IndexBuilder::new(cfg).build(&ds, &store);
         ta.row(vec![
             r.to_string(),

@@ -10,7 +10,7 @@ use climber_bench::paper::FIG12_PREFIX_RELATIVE;
 use climber_bench::runner::{dataset, sweep, workload};
 use climber_bench::table::{f2, Table};
 use climber_bench::{banner, default_k, default_n, default_queries, experiment_config, QUERY_SEED};
-use climber_core::dfs::store::MemStore;
+use climber_core::dfs::store::DiskStore;
 use climber_core::index::builder::IndexBuilder;
 use climber_core::series::gen::Domain;
 use climber_core::Climber;
@@ -51,7 +51,7 @@ fn main() {
         let mut cfg = experiment_config(n).with_prefix_len(m).with_decay(decay);
         cfg.max_centroids = None;
         cfg.epsilon = (m / 5).max(1);
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         let builder = IndexBuilder::new(cfg);
         let t = std::time::Instant::now();
         let (skeleton, report) = builder.build(&ds, &store);

@@ -23,7 +23,7 @@
 use climber_bench::runner::{build_climber, dataset};
 use climber_bench::table::{f2, Table};
 use climber_bench::{default_k, default_n, env_usize, experiment_config, QUERY_SEED};
-use climber_core::dfs::store::{MemStore, PartitionStore};
+use climber_core::dfs::store::{DiskStore, PartitionStore};
 use climber_core::query::exec::{execute, Source};
 use climber_core::series::gen::{query_workload, Domain};
 use climber_core::{Climber, QueryOutcome, SearchRequest};
@@ -42,7 +42,7 @@ struct Row {
 /// `Climber::search_many` with an explicit worker count: the executor
 /// over the index's one (update-free) source.
 fn search_many(
-    climber: &Climber<MemStore>,
+    climber: &Climber<DiskStore>,
     reqs: &[SearchRequest],
     threads: usize,
 ) -> Vec<QueryOutcome> {
@@ -62,7 +62,7 @@ fn search_many(
 /// benching practice: the minimum is the least noise-contaminated sample,
 /// and every configuration gets the same treatment).
 fn run_config_best(
-    climber: &Climber<MemStore>,
+    climber: &Climber<DiskStore>,
     wl: &[SearchRequest],
     batch: usize,
     threads: usize,
@@ -79,7 +79,7 @@ fn run_config_best(
 /// request. Sharing = logical records scanned per record physically
 /// decoded (the store's `IoStats` delta).
 fn run_config(
-    climber: &Climber<MemStore>,
+    climber: &Climber<DiskStore>,
     wl: &[SearchRequest],
     batch: usize,
     threads: usize,

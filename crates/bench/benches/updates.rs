@@ -24,7 +24,7 @@ use climber_bench::runner::{build_climber, dataset};
 use climber_bench::table::{f2, Table};
 use climber_bench::{default_n, env_usize, experiment_config, QUERY_SEED};
 use climber_core::dfs::format::PartitionWriter;
-use climber_core::dfs::store::{MemStore, PartitionStore};
+use climber_core::dfs::store::{DiskStore, PartitionStore};
 use climber_core::series::gen::{query_workload, Domain};
 use climber_core::{Climber, SearchRequest};
 use std::collections::BTreeMap;
@@ -34,7 +34,7 @@ use std::time::Instant;
 /// The pre-segment append: read-modify-rewrite of the whole target
 /// partition (kept here as the measured baseline the delta segment
 /// replaced).
-fn append_rewrite(climber: &Climber<MemStore>, next_id: &mut u64, values: &[f32]) -> u64 {
+fn append_rewrite(climber: &Climber<DiskStore>, next_id: &mut u64, values: &[f32]) -> u64 {
     let id = *next_id;
     *next_id += 1;
     let placement = climber.skeleton().place(values, id);
@@ -60,7 +60,7 @@ fn append_rewrite(climber: &Climber<MemStore>, next_id: &mut u64, values: &[f32]
     id
 }
 
-fn qps_of(climber: &Climber<MemStore>, queries: &[Vec<f32>], k: usize) -> f64 {
+fn qps_of(climber: &Climber<DiskStore>, queries: &[Vec<f32>], k: usize) -> f64 {
     let requests: Vec<SearchRequest> = queries
         .iter()
         .map(|q| SearchRequest::new(&q[..], k).adaptive(4))

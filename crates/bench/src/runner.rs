@@ -3,7 +3,7 @@
 
 use climber_core::baselines::dpisax::{DpisaxConfig, DpisaxIndex};
 use climber_core::baselines::tardis::{TardisConfig, TardisIndex};
-use climber_core::dfs::store::{DiskStore, MemStore, PartitionStore};
+use climber_core::dfs::store::{DiskStore, PartitionStore};
 use climber_core::series::dataset::Dataset;
 use climber_core::series::gen::{query_workload, Domain};
 use climber_core::series::ground_truth::exact_knn;
@@ -58,8 +58,8 @@ pub fn workload(
 
 /// A fully built CLIMBER system plus its build metrics.
 pub struct BuiltClimber {
-    /// The index (in-memory store).
-    pub climber: Climber<MemStore>,
+    /// The index (built in memory).
+    pub climber: Climber<DiskStore>,
     /// Build wall time in seconds.
     pub build_secs: f64,
     /// Global index size in bytes.
@@ -131,7 +131,7 @@ pub struct BuiltDpisax {
     /// The index.
     pub index: DpisaxIndex,
     /// Its partition store.
-    pub store: MemStore,
+    pub store: DiskStore,
     /// Build wall time in seconds.
     pub build_secs: f64,
     /// Global partition-table size in bytes.
@@ -140,7 +140,7 @@ pub struct BuiltDpisax {
 
 /// Builds the DPiSAX baseline with a capacity matching CLIMBER's.
 pub fn build_dpisax(ds: &Dataset, capacity: u64, seed: u64) -> BuiltDpisax {
-    let store = MemStore::new();
+    let store = DiskStore::in_memory();
     let t = Instant::now();
     let (index, stats) = DpisaxIndex::build(
         ds,
@@ -166,7 +166,7 @@ pub struct BuiltTardis {
     /// The index.
     pub index: TardisIndex,
     /// Its partition store.
-    pub store: MemStore,
+    pub store: DiskStore,
     /// Build wall time in seconds.
     pub build_secs: f64,
     /// Global sigTree size in bytes.
@@ -175,7 +175,7 @@ pub struct BuiltTardis {
 
 /// Builds the TARDIS baseline (short word, the sigTree preference).
 pub fn build_tardis(ds: &Dataset, capacity: u64, seed: u64) -> BuiltTardis {
-    let store = MemStore::new();
+    let store = DiskStore::in_memory();
     let t = Instant::now();
     let (index, stats) = TardisIndex::build(
         ds,

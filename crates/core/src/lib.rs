@@ -18,7 +18,8 @@
 //! // 1. a dataset of 2 000 random-walk series (the standard benchmark)
 //! let data = Domain::RandomWalk.generate(2_000, 42);
 //!
-//! // 2. build the index in memory (use `build_on_disk` for persistence)
+//! // 2. build the index in memory (`build_on_disk` writes the same files
+//! //    to a directory)
 //! let config = ClimberConfig::default()
 //!     .with_pivots(64)
 //!     .with_prefix_len(8)
@@ -85,8 +86,8 @@ use climber_dfs::fsio;
 use climber_dfs::manifest::{xxh64, FileEntry, PartitionEntry};
 use climber_dfs::segment;
 use climber_dfs::store::{
-    partition_file_name, staged_path_of, DiskStore, Layer, Layout, MemStore, PartitionId,
-    PartitionStore, Staged,
+    partition_file_name, staged_path_of, DiskStore, Layer, Layout, PartitionId, PartitionStore,
+    Staged,
 };
 use climber_index::builder::IndexBuilder;
 use climber_pivot::signature::SignatureScratch;
@@ -98,7 +99,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// Name of the skeleton file inside a disk-backed index directory.
+/// Name of the skeleton file inside an index directory.
 pub const SKELETON_FILE: &str = "skeleton.clsk";
 
 /// What one flush or compaction did to the index.
@@ -179,7 +180,7 @@ struct FoldDone {
 /// persists unfolded segments as a journal next to the manifest so
 /// [`open_rw`](Self::open_rw) restores a fully writable index.
 #[derive(Debug)]
-pub struct Climber<S: PartitionStore = MemStore> {
+pub struct Climber<S: PartitionStore = DiskStore> {
     skeleton: IndexSkeleton,
     store: S,
     config: ClimberConfig,
@@ -227,9 +228,12 @@ pub struct Climber<S: PartitionStore = MemStore> {
     series_len: SeriesLen,
 }
 
-impl Climber<MemStore> {
-    /// Builds an index with in-memory partitions (fastest; combine with
-    /// [`save`](Self::save) for build/serve process separation). Build
+impl Climber<DiskStore> {
+    /// Builds an index in memory: [`build_on_disk`](Self::build_on_disk)
+    /// into a directory of an in-memory filesystem
+    /// ([`DiskStore::in_memory`]) — the same files, written, sealed and
+    /// folded by the same protocol, with nothing on a disk. Combine with
+    /// [`save`](Self::save) for build/serve process separation. Build
     /// parallelism follows `config.workers`; use
     /// [`build_in_memory_with`](Self::build_in_memory_with) for explicit
     /// thread/block control.
@@ -249,14 +253,10 @@ impl Climber<MemStore> {
         config: ClimberConfig,
         options: BuildOptions,
     ) -> Self {
-        let store = MemStore::new();
-        let (skeleton, report) = IndexBuilder::with_options(config, options).build(ds, &store);
-        let next_id = ds.num_series() as u64;
-        Self::built(skeleton, store, config, options, Some(report), ds, next_id)
+        Self::build_into(DiskStore::in_memory(), ds, config, options)
+            .expect("an in-memory build has no I/O to fail")
     }
-}
 
-impl Climber<DiskStore> {
     /// Builds a disk-backed index under `dir` — partition files, the
     /// serialised skeleton, and the checksummed [`Manifest`] — the
     /// paper's deployment mode. The directory can be reopened cold with
@@ -291,10 +291,20 @@ impl Climber<DiskStore> {
         options: BuildOptions,
     ) -> Result<Self, ClimberError> {
         let store = DiskStore::create(dir.as_ref(), fsio::std_fs())?;
+        Self::build_into(store, ds, config, options)
+    }
+
+    /// Builds `ds` into the empty `store` and seals its directory.
+    fn build_into(
+        store: DiskStore,
+        ds: &Dataset,
+        config: ClimberConfig,
+        options: BuildOptions,
+    ) -> Result<Self, ClimberError> {
         let (skeleton, report) = IndexBuilder::with_options(config, options).build(ds, &store);
         let next_id = ds.num_series() as u64;
         let c = Self::built(skeleton, store, config, options, Some(report), ds, next_id);
-        c.save(dir)?;
+        c.save(c.store.dir())?;
         Ok(c)
     }
 
@@ -418,8 +428,8 @@ impl<S: PartitionStore> Climber<S> {
     /// format version, the build [`ClimberConfig`], a dataset
     /// fingerprint, and per-file byte ranges + xxHash64 checksums.
     ///
-    /// Works for any store backend, so an index built in memory can be
-    /// handed to a separate serve process. A crash before the final
+    /// An index built in memory saves into a real directory this way, to
+    /// be handed to a separate serve process. A crash before the final
     /// rename leaves no valid manifest, so [`Climber::open`] can never
     /// observe a half-written index. Returns the written manifest.
     ///
@@ -453,7 +463,7 @@ impl<S: PartitionStore> Climber<S> {
                 "cannot save an index with no partitions",
             ));
         }
-        let home = self.store.persist_dir() == Some(dir);
+        let home = self.store.dir() == dir;
         // In the store's own directory a partition is described by what
         // the store holds — the receipts of the images it staged there and
         // the entries it was opened with — and one it cannot serve by the
@@ -523,7 +533,7 @@ impl<S: PartitionStore> Climber<S> {
             home && self.sealed.lock().unwrap().as_ref().map(|m| m.skeleton) == Some(skeleton);
         let skel_staged = !sealed_here
             && match fs.read(&skel_path) {
-                Ok(cur) if cur == skel => false,
+                Ok(cur) if *cur == *skel => false,
                 Err(e) if e.kind() == io::ErrorKind::NotFound => {
                     // First seal of this directory: no committed manifest can
                     // reference a skeleton yet, write it directly.
@@ -681,7 +691,7 @@ impl<S: PartitionStore> Climber<S> {
     }
 
     /// Partitions currently quarantined by the store — none for healthy
-    /// (and in-memory) indexes. Queries skip them, and say so through
+    /// indexes. Queries skip them, and say so through
     /// [`search_many_with_status`](Self::search_many_with_status), until
     /// a scrub re-admits them.
     pub fn quarantined_partitions(&self) -> Vec<PartitionId> {
@@ -808,7 +818,7 @@ impl<S: PartitionStore> Climber<S> {
     /// cluster a rewrite would hold: answers never depend on how a
     /// partition's records are split over its images.
     ///
-    /// On a disk-backed store the directory is re-sealed afterwards —
+    /// The store's directory is re-sealed afterwards —
     /// incrementally: every entry comes from what the store already holds
     /// (the receipts of this fold's images, the entries it was opened
     /// with), and the manifest is rewritten at the bumped segment
@@ -902,17 +912,15 @@ impl<S: PartitionStore> Climber<S> {
             self.stage_fold(pid, compact, purge_ref)
         });
         let unsynced = (stages.iter().flatten())
-            .filter_map(|stage| stage.staged.unsynced().map(Path::to_path_buf))
+            .map(|stage| stage.staged.unsynced().to_path_buf())
             .collect();
         let mut synced = fsio::fsync_files(&self.store.fs(), unsynced).into_iter();
         let published: Vec<io::Result<FoldDone>> = (stages.into_iter())
             .map(|stage| {
                 let stage = stage?;
-                if stage.staged.unsynced().is_some() {
-                    if let Err(e) = synced.next().expect("one fsync per staged file") {
-                        self.store.discard(stage.staged);
-                        return Err(e);
-                    }
+                if let Err(e) = synced.next().expect("one fsync per staged file") {
+                    self.store.discard(stage.staged);
+                    return Err(e);
                 }
                 self.publish_fold(stage)
             })
@@ -962,7 +970,7 @@ impl<S: PartitionStore> Climber<S> {
         Ok(report)
     }
 
-    /// Re-seals a disk-backed store's home directory after a fold:
+    /// Re-seals the store's home directory after a fold:
     /// checksums and the manifest must match the folded partitions for
     /// the directory to stay openable. The re-seal is incremental — every
     /// partition is described by what the store already holds, the
@@ -973,9 +981,7 @@ impl<S: PartitionStore> Climber<S> {
     /// instance holds; only an index that never sealed or opened its
     /// directory reads it from disk.
     fn reseal_home(&self) -> io::Result<()> {
-        let Some(dir) = self.store.persist_dir() else {
-            return Ok(());
-        };
+        let dir = self.store.dir();
         let held = self.sealed.lock().unwrap().clone();
         let prev = held.or_else(|| Manifest::load_with(&*self.store.fs(), dir).ok());
         self.seal(dir, prev.as_ref()).map(drop)
@@ -1056,10 +1062,8 @@ impl<S: PartitionStore> Climber<S> {
         drop(runs);
         drop(view);
         drop(layers);
-        if self.store.persist_dir().is_some() {
-            // From a stage worker: see `start_io_threads` on heap arenas.
-            fsio::start_io_threads();
-        }
+        // From a stage worker: see `start_io_threads` on heap arenas.
+        fsio::start_io_threads();
         Ok(FoldStage {
             staged: self.store.stage(pid, layer, image)?,
             copied,
@@ -1607,6 +1611,96 @@ mod tests {
         reopened.search(&SearchRequest::new(ds.get(3), 5).exact());
         assert!(reopened.serve_io().partitions_opened > 0);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn over(fs: climber_dfs::fsio::FsRef, writable: bool) -> OpenOptions {
+        OpenOptions {
+            writable,
+            fs,
+            ..OpenOptions::default()
+        }
+    }
+
+    /// An in-memory index does no disk I/O: built, updated, folded,
+    /// scrubbed and searched over a `SimFs` whose wrapped filesystem is an
+    /// armed `FaultFs`, it leaves that filesystem's op count at zero. Its
+    /// save into a real directory goes through the wrapped filesystem, and
+    /// the saved directory opens to the same answers.
+    #[test]
+    fn an_in_memory_index_touches_no_disk_until_it_saves() {
+        use climber_dfs::fsio::{FaultFs, SimFs};
+        let ff = FaultFs::over_std();
+        ff.arm();
+        let sim = SimFs::new(ff.clone());
+        let store = DiskStore::create(sim.root().to_path_buf(), sim.clone()).unwrap();
+        let ds = Domain::RandomWalk.generate(300, 4);
+        let options = BuildOptions::default().with_threads(2);
+        let index = Climber::build_into(store, &ds, small_cfg(), options).unwrap();
+        index.append_batch(&[ds.get(3), ds.get(9)]).unwrap();
+        index.delete(5).unwrap();
+        assert!(index.flush().unwrap().records_folded > 0);
+        index.append(ds.get(1)).unwrap();
+        assert!(index.compact().unwrap().partitions_rewritten > 0);
+        let scrub = index.scrub().unwrap();
+        assert!(scrub.is_fully_healthy() && scrub.partitions_ok == index.store().len());
+        let reqs: Vec<SearchRequest> = (0..20u64)
+            .map(|i| SearchRequest::new(ds.get(i * 13), 10))
+            .collect();
+        let answers = index.search_many(&reqs);
+        assert_eq!(ff.op_count(), 0, "{:?}", ff.trace());
+
+        let dir = std::env::temp_dir().join(format!("climber-core-sim-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        index.save(&dir).unwrap();
+        assert!(ff.op_count() > 0);
+        assert!(ff.trace().iter().all(|(_, path)| path.starts_with(&dir)));
+        assert_eq!(Climber::open(&dir).unwrap().search_many(&reqs), answers);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The orphan sweep of a writable open lists the directory through the
+    /// open's filesystem: a `FaultFs` traces the listing (a read-only open
+    /// lists nothing), and in a `SimFs` directory a writable open removes
+    /// an orphan extension image that a read-only open leaves.
+    #[test]
+    fn a_writable_open_lists_through_its_filesystem() {
+        use climber_dfs::fsio::{ClimberFs, FaultFs, FsOp, SimFs};
+        use climber_dfs::store::extension_file_name;
+        let dir = std::env::temp_dir().join(format!("climber-core-list-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let ds = Domain::RandomWalk.generate(300, 3);
+        drop(Climber::build_on_disk(&ds, &dir, small_cfg()).unwrap());
+        let listings = |writable: bool| {
+            let ff = FaultFs::over_std();
+            ff.arm();
+            Climber::open_dir(&dir, &over(ff.clone(), writable)).unwrap();
+            let trace = ff.trace().into_iter();
+            trace
+                .filter(|(op, _)| *op == FsOp::List)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(listings(false), []);
+        assert_eq!(listings(true), [(FsOp::List, dir.clone())]);
+        std::fs::remove_dir_all(&dir).ok();
+
+        let sim = SimFs::new(fsio::std_fs());
+        let store = DiskStore::create(sim.root().to_path_buf(), sim.clone()).unwrap();
+        let options = BuildOptions::default().with_threads(2);
+        let built = Climber::build_into(store, &ds, small_cfg(), options).unwrap();
+        let orphan = sim
+            .root()
+            .join(extension_file_name(built.store().ids()[0], 9));
+        sim.write(&orphan, b"a crashed fold's extension").unwrap();
+        Climber::open_dir(sim.root(), &over(sim.clone(), false)).unwrap();
+        assert!(
+            sim.read(&orphan).is_ok(),
+            "a read-only open removes nothing"
+        );
+        Climber::open_dir(sim.root(), &over(sim.clone(), true)).unwrap();
+        assert!(
+            sim.read(&orphan).is_err(),
+            "the writable open sweeps the orphan"
+        );
     }
 
     #[test]

@@ -35,7 +35,8 @@
 //!
 //! One build serves any shard count: the builder hands each finished
 //! partition image to a routing put that splices it into one image per
-//! shard store ([`MemStore`]s, or [`DiskStore`]s staging in `shard-NNN/`).
+//! shard store (a [`DiskStore`] staging in `shard-NNN/`, on disk or in
+//! memory).
 //! [`save`](ShardedClimber::save) seals each shard as a normal index
 //! directory, then writes a tiny super-manifest [`SHARD_SET_FILE`] —
 //! shard count, router seed, per-shard generations, self-checksummed —
@@ -62,11 +63,11 @@ use crate::open::{open_shard, OpenOptions};
 use crate::recover::{BackendHealth, ScrubReport};
 use crate::{Climber, ClimberConfig, MaintenanceReport, SearchRequest};
 use climber_dfs::format::{PartitionReader, PartitionWriter};
-use climber_dfs::fsio::{self, FsRef};
+use climber_dfs::fsio::{self, FsRef, SimFs};
 use climber_dfs::manifest::xxh64;
 use climber_dfs::page::BlockCache;
 use climber_dfs::stats::IoSnapshot;
-use climber_dfs::store::{DiskStore, MemStore, PartitionId, PartitionStore};
+use climber_dfs::store::{DiskStore, PartitionId, PartitionStore};
 use climber_index::builder::{BuildOptions, IndexBuilder};
 use climber_query::exec::{execute, SourceStatus};
 use climber_query::plan::QueryOutcome;
@@ -232,7 +233,7 @@ impl ShardStatus {
 /// assert_eq!(sharded.search(&req), single.search(&req));
 /// ```
 #[derive(Debug)]
-pub struct ShardedClimber<S: PartitionStore = MemStore> {
+pub struct ShardedClimber<S: PartitionStore = DiskStore> {
     /// One slot per shard; `None` marks a dead shard a quarantining open
     /// ([`ShardedClimber::open_dir`]) could not bring up. Dead slots
     /// keep their position so routing — which depends only on the shard
@@ -252,13 +253,14 @@ pub struct ShardedClimber<S: PartitionStore = MemStore> {
     opened_with: Option<OpenOptions>,
 }
 
-impl ShardedClimber<MemStore> {
-    /// Builds a sharded index in memory: one build whose every finished
-    /// partition image is split at put time across `num_shards`
-    /// record-disjoint stores sharing the skeleton. Within a shard,
-    /// cluster order and in-cluster record order are preserved, so each
-    /// shard's scan visits exactly the single index's records that route
-    /// to it.
+impl ShardedClimber<DiskStore> {
+    /// Builds a sharded index in memory: [`build_on_disk`](Self::build_on_disk)
+    /// into a directory of an in-memory filesystem ([`SimFs`]). One build
+    /// splits every finished partition image at put time across
+    /// `num_shards` record-disjoint stores sharing the skeleton. Within a
+    /// shard, cluster order and in-cluster record order are preserved, so
+    /// each shard's scan visits exactly the single index's records that
+    /// route to it.
     ///
     /// # Panics
     /// If `num_shards == 0`.
@@ -283,12 +285,12 @@ impl ShardedClimber<MemStore> {
         options: BuildOptions,
         num_shards: usize,
     ) -> Self {
-        let stores = (0..num_shards).map(|_| MemStore::new()).collect();
-        Self::build_over(ds, config, options, stores)
+        let fs = SimFs::new(fsio::std_fs());
+        let dir = fs.root().to_path_buf();
+        Self::build_into(ds, &dir, fs, config, options, num_shards)
+            .expect("an in-memory build has no I/O to fail")
     }
-}
 
-impl ShardedClimber<DiskStore> {
     /// Builds a sharded index under `dir` (one subdirectory per shard plus
     /// the super-manifest), the sharded counterpart of
     /// [`Climber::build_on_disk`]: each shard's share of every partition
@@ -326,10 +328,53 @@ impl ShardedClimber<DiskStore> {
         num_shards: usize,
     ) -> Result<Self, ClimberError> {
         let dir = dir.as_ref();
-        let stores = (0..num_shards)
-            .map(|i| DiskStore::create(dir.join(shard_dir_name(i)), fsio::std_fs()))
+        Self::build_into(ds, dir, fsio::std_fs(), config, options, num_shards)
+    }
+
+    /// The one sharded build, into one empty store per shard under `dir`
+    /// on `fs`: a single build whose redistribution step routes every
+    /// finished partition image at put time ([`route_partition`]), then
+    /// one [`Climber`] per shard over the shared skeleton, and the set
+    /// sealed. Build memory is one in-flight partition and its splices per
+    /// build thread.
+    fn build_into(
+        ds: &Dataset,
+        dir: &Path,
+        fs: FsRef,
+        config: ClimberConfig,
+        options: BuildOptions,
+        num_shards: usize,
+    ) -> Result<Self, ClimberError> {
+        assert!(num_shards > 0, "num_shards must be positive");
+        let stores: Vec<DiskStore> = (0..num_shards)
+            .map(|i| DiskStore::create(dir.join(shard_dir_name(i)), fs.clone()))
             .collect::<io::Result<_>>()?;
-        let set = Self::build_over(ds, config, options, stores);
+        let router_seed = config.seed ^ ROUTER_SALT;
+        let builder = IndexBuilder::with_options(config, options);
+        let (skeleton, _report) = builder.build_with_put(ds, |pid, image| {
+            let reader = PartitionReader::open(image)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+            route_partition(&stores, router_seed, pid, &reader)
+        });
+        let n = ds.num_series() as u64;
+        let shards = (stores.into_iter().enumerate())
+            .map(|(i, store)| {
+                // 1 + the largest id that routed here.
+                let next_id = ((0..n).rev())
+                    .find(|&id| route(id, router_seed, num_shards) == i)
+                    .map_or(0, |id| id + 1);
+                let shard =
+                    Climber::built(skeleton.clone(), store, config, options, None, ds, next_id);
+                Some(shard)
+            })
+            .collect();
+        let set = Self {
+            shards,
+            router_seed,
+            sealed_generations: vec![0; num_shards],
+            next_id: AtomicU64::new(n),
+            opened_with: None,
+        };
         set.save(dir)?;
         Ok(set)
     }
@@ -391,47 +436,6 @@ impl ShardedClimber<DiskStore> {
 }
 
 impl<S: PartitionStore> ShardedClimber<S> {
-    /// The one sharded build, into one empty store per shard: a single
-    /// build whose redistribution step routes every finished partition
-    /// image at put time ([`route_partition`]), then one [`Climber`] per
-    /// shard over the shared skeleton. Build memory is one in-flight
-    /// partition and its splices per build thread.
-    fn build_over(
-        ds: &Dataset,
-        config: ClimberConfig,
-        options: BuildOptions,
-        stores: Vec<S>,
-    ) -> Self {
-        let num_shards = stores.len();
-        assert!(num_shards > 0, "num_shards must be positive");
-        let router_seed = config.seed ^ ROUTER_SALT;
-        let builder = IndexBuilder::with_options(config, options);
-        let (skeleton, _report) = builder.build_with_put(ds, |pid, image| {
-            let reader = PartitionReader::open(image)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            route_partition(&stores, router_seed, pid, &reader)
-        });
-        let n = ds.num_series() as u64;
-        let shards = (stores.into_iter().enumerate())
-            .map(|(i, store)| {
-                // 1 + the largest id that routed here.
-                let next_id = ((0..n).rev())
-                    .find(|&id| route(id, router_seed, num_shards) == i)
-                    .map_or(0, |id| id + 1);
-                let shard =
-                    Climber::built(skeleton.clone(), store, config, options, None, ds, next_id);
-                Some(shard)
-            })
-            .collect();
-        Self {
-            shards,
-            router_seed,
-            sealed_generations: vec![0; num_shards],
-            next_id: AtomicU64::new(n),
-            opened_with: None,
-        }
-    }
-
     /// 1 + the largest id a live shard stores.
     fn stored_next_id(&self) -> u64 {
         (self.shards.iter().flatten())
@@ -552,10 +556,9 @@ impl<S: PartitionStore> ShardedClimber<S> {
         }
     }
 
-    /// The directory holding the shard set, when the shards are
-    /// disk-backed under their standard subdirectories.
+    /// The directory holding the shard set (`None` when no shard is live).
     fn home_dir(&self) -> Option<PathBuf> {
-        let first = self.shards.iter().flatten().next()?.store.persist_dir()?;
+        let first = self.shards.iter().flatten().next()?.store.dir();
         first.parent().map(Path::to_path_buf)
     }
 
@@ -589,7 +592,7 @@ impl<S: PartitionStore> ShardedClimber<S> {
         (self.shards.iter().flatten().next()).map_or_else(fsio::std_fs, |c| c.store.fs())
     }
 
-    /// Re-seals the super-manifest of a disk-backed set after a fold
+    /// Re-seals the set's super-manifest after a fold
     /// bumped shard generations; without it a reopen would (correctly)
     /// refuse the drifted shard.
     fn reseal_set(&self) -> Result<(), ClimberError> {
@@ -970,12 +973,8 @@ mod tests {
         let n = 3;
         let ff = FaultFs::over_std();
         ff.arm();
-        let stores = (0..n)
-            .map(|i| DiskStore::create(dir.join(shard_dir_name(i)), ff.clone()).unwrap())
-            .collect();
         let options = BuildOptions::default().with_threads(2);
-        let set = ShardedClimber::build_over(&ds, cfg(), options, stores);
-        set.save(&dir).unwrap();
+        let set = ShardedClimber::build_into(&ds, &dir, ff.clone(), cfg(), options, n).unwrap();
         ff.disarm();
 
         let trace = ff.trace();

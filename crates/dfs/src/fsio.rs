@@ -22,7 +22,8 @@
 //! harness can run a protocol once fault-free to learn its op count,
 //! then sweep a crash point across **every** operation — which is what
 //! `tests/crash_consistency.rs` does to prove the save/flush/compact
-//! commit protocol never leaves a third state.
+//! commit protocol never leaves a third state. An in-memory index runs
+//! over a [`SimFs`], which keeps the files under its root in memory.
 //!
 //! The module also owns the process's **I/O threads**: a few long-lived
 //! threads that overlap filesystem waits — a fold's fsyncs
@@ -30,6 +31,9 @@
 //! replaced ([`release`]). Their jobs go through the caller's [`FsRef`],
 //! so an injected filesystem sees every operation, from whichever thread.
 
+pub use bytes::Bytes;
+use parking_lot::RwLock;
+use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::io::{self, Read, Seek};
@@ -57,24 +61,18 @@ pub enum FsOp {
     FsyncDir,
     /// Recursive directory creation.
     CreateDirAll,
+    /// Listing of a directory's entries.
+    List,
 }
 
 impl FsOp {
-    /// Index into per-kind counters.
+    /// Index into per-kind counters: the declaration order.
     fn idx(self) -> usize {
-        match self {
-            Self::Read => 0,
-            Self::Write => 1,
-            Self::FsyncFile => 2,
-            Self::Rename => 3,
-            Self::RemoveFile => 4,
-            Self::FsyncDir => 5,
-            Self::CreateDirAll => 6,
-        }
+        self as usize
     }
 }
 
-const NUM_KINDS: usize = 7;
+const NUM_KINDS: usize = FsOp::List as usize + 1;
 
 /// The filesystem surface of the persistence layer. Every durable-path
 /// byte the index writes or validates flows through one of these
@@ -85,13 +83,13 @@ const NUM_KINDS: usize = 7;
 /// partitions from a parallel map.
 pub trait ClimberFs: fmt::Debug + Send + Sync {
     /// Reads the entire file at `path`.
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
+    fn read(&self, path: &Path) -> io::Result<Bytes>;
 
     /// Reads every `(offset, len)` range of the file at `path` — exactly
     /// `len` bytes from byte `offset` on, one read per range, in order —
     /// through one open of the file. A range the file ends inside fails
     /// the call with [`io::ErrorKind::UnexpectedEof`].
-    fn read_ranges(&self, path: &Path, ranges: &[(u64, usize)]) -> io::Result<Vec<Vec<u8>>>;
+    fn read_ranges(&self, path: &Path, ranges: &[(u64, usize)]) -> io::Result<Vec<Bytes>>;
 
     /// Writes `bytes` to `path`, creating or truncating it. Not atomic
     /// and not synced — compose with [`ClimberFs::fsync_file`] and
@@ -122,6 +120,13 @@ pub trait ClimberFs: fmt::Debug + Send + Sync {
     fn hold(&self, path: &Path) -> Option<fs::File> {
         fs::File::open(path).ok()
     }
+
+    /// The names of the entries of directory `dir` (those that are UTF-8).
+    fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
+        let names =
+            fs::read_dir(dir)?.filter_map(|entry| entry.ok()?.file_name().into_string().ok());
+        Ok(names.collect())
+    }
 }
 
 /// A shared, thread-safe filesystem handle.
@@ -132,11 +137,11 @@ pub type FsRef = Arc<dyn ClimberFs>;
 pub struct StdFs;
 
 impl ClimberFs for StdFs {
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        fs::read(path)
+    fn read(&self, path: &Path) -> io::Result<Bytes> {
+        fs::read(path).map(Bytes::from)
     }
 
-    fn read_ranges(&self, path: &Path, ranges: &[(u64, usize)]) -> io::Result<Vec<Vec<u8>>> {
+    fn read_ranges(&self, path: &Path, ranges: &[(u64, usize)]) -> io::Result<Vec<Bytes>> {
         // One open: it costs about as much as reading a small cluster.
         let mut file = fs::File::open(path)?;
         let mut read = |&(offset, len): &(u64, usize)| {
@@ -145,15 +150,9 @@ impl ClimberFs for StdFs {
             let mut buf = Vec::with_capacity(len);
             (&mut file).take(len as u64).read_to_end(&mut buf)?;
             if buf.len() < len {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    format!(
-                        "{}: {len} bytes at offset {offset} run past its end",
-                        path.display()
-                    ),
-                ));
+                return Err(past_end(path, offset, len));
             }
-            Ok(buf)
+            Ok(Bytes::from(buf))
         };
         ranges.iter().map(&mut read).collect()
     }
@@ -191,6 +190,12 @@ impl ClimberFs for StdFs {
     fn create_dir_all(&self, path: &Path) -> io::Result<()> {
         fs::create_dir_all(path)
     }
+}
+
+fn past_end(path: &Path, offset: u64, len: usize) -> io::Error {
+    let at = format!("{len} bytes at offset {offset}");
+    let what = format!("{}: {at} run past its end", path.display());
+    io::Error::new(io::ErrorKind::UnexpectedEof, what)
 }
 
 /// The process-wide shared [`StdFs`] handle every non-injected
@@ -429,14 +434,14 @@ impl FaultFs {
 }
 
 impl ClimberFs for FaultFs {
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+    fn read(&self, path: &Path) -> io::Result<Bytes> {
         self.check(FsOp::Read, path)?;
         self.inner.read(path)
     }
 
     /// Each range is one [`FsOp::Read`]; a fault at any of them fails
     /// the call.
-    fn read_ranges(&self, path: &Path, ranges: &[(u64, usize)]) -> io::Result<Vec<Vec<u8>>> {
+    fn read_ranges(&self, path: &Path, ranges: &[(u64, usize)]) -> io::Result<Vec<Bytes>> {
         for _ in ranges {
             self.check(FsOp::Read, path)?;
         }
@@ -483,6 +488,140 @@ impl ClimberFs for FaultFs {
 
     fn hold(&self, path: &Path) -> Option<fs::File> {
         self.inner.hold(path)
+    }
+
+    fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
+        self.check(FsOp::List, dir)?;
+        self.inner.list(dir)
+    }
+}
+
+/// An in-memory filesystem: the files under its root — a path it picks
+/// itself, which names nothing on any disk — are [`Bytes`] in a map, and
+/// every other path goes to the filesystem it wraps, as a [`FaultFs`]
+/// passes its operations on. An in-memory index is a
+/// [`DiskStore`](crate::store::DiskStore) rooted there, so it runs the
+/// one stage → fsync → publish → seal protocol, and a `save` of it into a
+/// real directory writes one. A write, rename or remove under the root
+/// takes effect at once and an fsync only checks that its file exists:
+/// there is no crash model. Reads hand out slices of the stored bytes.
+#[derive(Debug)]
+pub struct SimFs {
+    root: PathBuf,
+    inner: FsRef,
+    files: RwLock<HashMap<PathBuf, Bytes>>,
+}
+
+impl SimFs {
+    /// An empty in-memory filesystem, under a root of its own, over
+    /// `inner`.
+    pub fn new(inner: FsRef) -> Arc<Self> {
+        static ROOTS: AtomicU64 = AtomicU64::new(0);
+        let root = format!("/climber-simfs/{}", ROOTS.fetch_add(1, Ordering::Relaxed));
+        let (root, files) = (PathBuf::from(root), RwLock::default());
+        Arc::new(Self { root, inner, files })
+    }
+
+    /// The directory under which files live in memory.
+    pub fn root(&self) -> &Path {
+        &self.root
+    }
+
+    /// The wrapped filesystem, when `path` lies outside the root.
+    fn disk(&self, path: &Path) -> Option<&dyn ClimberFs> {
+        (!path.starts_with(&self.root)).then_some(&*self.inner)
+    }
+
+    fn file(&self, path: &Path) -> io::Result<Bytes> {
+        let file = self.files.read().get(path).cloned();
+        file.ok_or_else(|| missing(path))
+    }
+}
+
+fn missing(path: &Path) -> io::Error {
+    io::Error::new(io::ErrorKind::NotFound, path.display().to_string())
+}
+
+impl ClimberFs for SimFs {
+    fn read(&self, path: &Path) -> io::Result<Bytes> {
+        self.disk(path)
+            .map_or_else(|| self.file(path), |disk| disk.read(path))
+    }
+
+    fn read_ranges(&self, path: &Path, ranges: &[(u64, usize)]) -> io::Result<Vec<Bytes>> {
+        if let Some(disk) = self.disk(path) {
+            return disk.read_ranges(path, ranges);
+        }
+        let file = self.file(path)?;
+        let slice = |&(offset, len): &(u64, usize)| match offset.checked_add(len as u64) {
+            Some(end) if end <= file.len() as u64 => Ok(file.slice(offset as usize..end as usize)),
+            _ => Err(past_end(path, offset, len)),
+        };
+        ranges.iter().map(slice).collect()
+    }
+
+    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        match self.disk(path) {
+            Some(disk) => disk.write(path, bytes),
+            None => {
+                self.files.write().insert(path.to_path_buf(), bytes.into());
+                Ok(())
+            }
+        }
+    }
+
+    fn fsync_file(&self, path: &Path) -> io::Result<()> {
+        let disk = self.disk(path);
+        disk.map_or_else(|| self.file(path).map(drop), |disk| disk.fsync_file(path))
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        match (self.disk(from), self.disk(to)) {
+            (Some(disk), Some(_)) => disk.rename(from, to),
+            (None, None) => {
+                let mut files = self.files.write();
+                let bytes = files.remove(from).ok_or_else(|| missing(from))?;
+                files.insert(to.to_path_buf(), bytes);
+                Ok(())
+            }
+            _ => Err(io::Error::other("a rename across the in-memory root")),
+        }
+    }
+
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
+        match self.disk(path) {
+            Some(disk) => disk.remove_file(path),
+            None => {
+                let removed = self.files.write().remove(path);
+                removed.map(drop).ok_or_else(|| missing(path))
+            }
+        }
+    }
+
+    fn fsync_dir(&self, path: &Path) -> io::Result<()> {
+        self.disk(path).map_or(Ok(()), |disk| disk.fsync_dir(path))
+    }
+
+    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
+        self.disk(path)
+            .map_or(Ok(()), |disk| disk.create_dir_all(path))
+    }
+
+    fn hold(&self, path: &Path) -> Option<fs::File> {
+        self.disk(path)?.hold(path)
+    }
+
+    fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
+        if let Some(disk) = self.disk(dir) {
+            return disk.list(dir);
+        }
+        let files = self.files.read();
+        let names = (files.keys().filter(|path| path.parent() == Some(dir)))
+            .filter_map(|path| Some(path.file_name()?.to_str()?.to_owned()));
+        // In name order, so what a listing drives repeats run to run.
+        let mut names: Vec<String> = names.collect();
+        names.sort_unstable();
+        Ok(names)
     }
 }
 
@@ -687,7 +826,7 @@ pub fn read_committed<E>(
     writable: bool,
     check: impl Fn(&[u8]) -> Result<(), E>,
     unreadable: impl FnOnce(io::Error) -> E,
-) -> Result<(Vec<u8>, bool), E> {
+) -> Result<(Bytes, bool), E> {
     let first = match fs.read(path).map_err(unreadable) {
         Ok(bytes) => match check(&bytes) {
             Ok(()) => {
@@ -725,41 +864,55 @@ mod tests {
         dir
     }
 
+    /// Runs `check` over each filesystem a store runs on, in a directory
+    /// of it: the real one (a fresh temp directory) and a [`SimFs`] root.
+    fn each_fs(tag: &str, check: impl Fn(FsRef, &Path)) {
+        let dir = tmp_dir(tag);
+        check(std_fs(), &dir);
+        fs::remove_dir_all(&dir).ok();
+        let sim = SimFs::new(std_fs());
+        check(sim.clone(), sim.root());
+    }
+
+    fn slices(read: &[Bytes]) -> Vec<&[u8]> {
+        read.iter().map(|b| &b[..]).collect()
+    }
+
     #[test]
     fn std_fs_roundtrip_and_atomic_write() {
-        let dir = tmp_dir("std");
-        let fs_ = std_fs();
-        let p = dir.join("a.bin");
-        write_file_atomic_with(&*fs_, &p, b"hello").unwrap();
-        assert_eq!(fs_.read(&p).unwrap(), b"hello");
-        fs_.rename(&p, &dir.join("b.bin")).unwrap();
-        assert!(fs_.read(&p).is_err());
-        fs_.remove_file(&dir.join("b.bin")).unwrap();
-        // No temp droppings.
-        assert!(fs::read_dir(&dir).unwrap().next().is_none());
-        fs::remove_dir_all(&dir).ok();
+        each_fs("std", |fs_, dir| {
+            let p = dir.join("a.bin");
+            write_file_atomic_with(&*fs_, &p, b"hello").unwrap();
+            assert_eq!(&fs_.read(&p).unwrap()[..], b"hello");
+            fs_.rename(&p, &dir.join("b.bin")).unwrap();
+            assert!(fs_.read(&p).is_err());
+            fs_.remove_file(&dir.join("b.bin")).unwrap();
+            // No temp droppings.
+            assert!(fs_.list(dir).unwrap().is_empty());
+        });
     }
 
     #[test]
     fn read_ranges_reads_exactly_the_ranges_or_fails_typed() {
-        let dir = tmp_dir("range");
-        let ff = FaultFs::over_std();
-        let p = dir.join("r.bin");
-        ff.write(&p, b"0123456789").unwrap();
-        ff.arm();
-        let got = ff.read_ranges(&p, &[(2, 5), (0, 1), (10, 0)]).unwrap();
-        assert_eq!(got, [&b"23456"[..], b"0", b""]);
-        assert!(ff.read_ranges(&p, &[]).unwrap().is_empty());
-        let err = ff.read_ranges(&p, &[(0, 2), (8, 3)]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-        assert!(ff.read_ranges(&dir.join("absent"), &[(0, 1)]).is_err());
-        // Each range is one `Read` op, faultable like a whole read.
-        assert_eq!(ff.op_count_of(FsOp::Read), 6);
-        ff.inject(FaultTrigger::Kind(FsOp::Read, 7), FaultAction::ErrorOnce);
-        let err = ff.read_ranges(&p, &[(0, 1), (1, 1)]).unwrap_err();
-        assert!(err.to_string().contains(INJECTED_FAULT));
-        assert_eq!(ff.read_ranges(&p, &[(0, 1), (1, 1)]).unwrap(), [b"0", b"1"]);
-        fs::remove_dir_all(&dir).ok();
+        each_fs("range", |inner, dir| {
+            let ff = FaultFs::new(inner);
+            let p = dir.join("r.bin");
+            ff.write(&p, b"0123456789").unwrap();
+            ff.arm();
+            let got = ff.read_ranges(&p, &[(2, 5), (0, 1), (10, 0)]).unwrap();
+            assert_eq!(slices(&got), [&b"23456"[..], b"0", b""]);
+            assert!(ff.read_ranges(&p, &[]).unwrap().is_empty());
+            let err = ff.read_ranges(&p, &[(0, 2), (8, 3)]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+            assert!(ff.read_ranges(&dir.join("absent"), &[(0, 1)]).is_err());
+            // Each range is one `Read` op, faultable like a whole read.
+            assert_eq!(ff.op_count_of(FsOp::Read), 6);
+            ff.inject(FaultTrigger::Kind(FsOp::Read, 7), FaultAction::ErrorOnce);
+            let err = ff.read_ranges(&p, &[(0, 1), (1, 1)]).unwrap_err();
+            assert!(err.to_string().contains(INJECTED_FAULT));
+            let got = ff.read_ranges(&p, &[(0, 1), (1, 1)]).unwrap();
+            assert_eq!(slices(&got), [b"0", b"1"]);
+        });
     }
 
     #[test]

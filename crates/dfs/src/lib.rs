@@ -14,15 +14,16 @@
 //!   clustered by trie
 //!   node with a header directory of offsets, exactly the layout §VI
 //!   describes for localized record-level access;
-//! * [`store`] — in-memory and on-disk partition stores behind one trait;
+//! * [`store`] — the partition store: files per partition under a
+//!   directory, on disk or in memory;
 //! * [`manifest`] — the versioned on-disk index manifest: checksummed
 //!   byte ranges for every partition, atomic-rename commit protocol, and
 //!   the typed [`OpenError`] cold-start validation
 //!   reports;
 //! * [`fsio`] — the pluggable filesystem under every durable path: a
-//!   [`ClimberFs`] trait with the production [`StdFs`] passthrough and a
-//!   deterministic fault-injecting [`FaultFs`] for crash-consistency
-//!   torture tests;
+//!   [`ClimberFs`] trait with the production [`StdFs`] passthrough, the
+//!   in-memory [`SimFs`] under in-memory indexes, and a deterministic
+//!   fault-injecting [`FaultFs`] for crash-consistency torture tests;
 //! * [`cluster`] — a deterministic worker pool with the Spark-ish verbs the
 //!   index build pipeline needs (an order-preserving parallel map);
 //! * [`sample`] — scattering a raw dataset over input partitions, the
@@ -46,9 +47,9 @@ pub use format::{
     ByteReader, ClusterPick, Decode, Encode, PartitionDirectory, PartitionReader, PartitionWriter,
     TrieNodeId,
 };
-pub use fsio::{ClimberFs, FaultAction, FaultFs, FaultTrigger, FsOp, FsRef, StdFs};
+pub use fsio::{ClimberFs, FaultAction, FaultFs, FaultTrigger, FsOp, FsRef, SimFs, StdFs};
 pub use manifest::{Manifest, OpenError, FORMAT_VERSION, MANIFEST_FILE};
 pub use page::{BlockCache, BlockCacheStats, CacheConfig, ClusterView, PAGE_SIZE};
 pub use segment::{DeltaSegment, TombstoneSet, JOURNAL_FILE};
 pub use stats::IoStats;
-pub use store::{DiskStore, MemStore, PartitionId, PartitionStore};
+pub use store::{DiskStore, PartitionId, PartitionStore};

@@ -42,13 +42,13 @@ pub fn scatter_dataset<S: PartitionStore>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::MemStore;
+    use crate::store::DiskStore;
     use climber_series::gen::Domain;
 
     #[test]
     fn scatter_handles_non_divisible_counts() {
         let ds = Domain::TexMex.generate(7, 4);
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         let pids = scatter_dataset(&store, &ds, 3);
         assert_eq!(pids.len(), 3);
         let total: u64 = pids
@@ -61,7 +61,7 @@ mod tests {
     #[test]
     fn scatter_more_parts_than_records() {
         let ds = Domain::TexMex.generate(2, 4);
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         let pids = scatter_dataset(&store, &ds, 10);
         assert_eq!(pids.len(), 2, "no empty partitions created");
     }
@@ -70,7 +70,7 @@ mod tests {
     fn sampled_series_preserve_original_ids_via_for_each() {
         // Ids inside partitions are the original dataset ids.
         let ds = Domain::RandomWalk.generate(10, 5);
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         let pids = scatter_dataset(&store, &ds, 2);
         let mut seen = Vec::new();
         for pid in pids {

@@ -1,11 +1,11 @@
-//! Partition stores: where encoded partitions live.
+//! The partition store: where encoded partitions live.
 //!
-//! Two implementations behind one trait:
-//! * [`MemStore`] — partitions in a concurrent map; models the paper's
-//!   comparison against main-memory engines and keeps unit tests fast;
-//! * [`DiskStore`] — files per partition under a directory, the
-//!   disk-based HDFS stand-in (CLIMBER is explicitly a *disk-based*
-//!   system, §II).
+//! [`DiskStore`] keeps files per partition under a directory, the
+//! disk-based HDFS stand-in (CLIMBER is explicitly a *disk-based* system,
+//! §II), and it is the one [`PartitionStore`]. An in-memory index is a
+//! `DiskStore` over an in-memory filesystem ([`DiskStore::in_memory`], a
+//! [`SimFs`]): the same files, the same protocol, the same reads, with
+//! the bytes in a map instead of on a disk.
 //!
 //! A partition is a **base image** plus up to a few **extension images**,
 //! each a CLBP image of its own ([`Layer`]): a flush appends a partition's
@@ -15,7 +15,7 @@
 //! is exactly the cluster folding them into one base would give
 //! ([`fold_partition`]).
 //!
-//! A disk store has **one** write protocol per layer, whether it was
+//! The store has **one** write protocol per layer, whether it was
 //! [created](DiskStore::create) empty for a build or
 //! [opened](DiskStore::open_validated) from a sealed manifest for a
 //! fold. A base image is staged under the partition's `.new` sibling
@@ -33,7 +33,7 @@
 //! and [`publish`](PartitionStore::publish).
 //!
 //! A query reads clusters, not partitions: [`read_clusters`] hands out
-//! the trie-node clusters a plan names as [`ClusterView`]s. A disk store
+//! the trie-node clusters a plan names as [`ClusterView`]s. The store
 //! keeps every file's parsed [`PartitionDirectory`], so a cluster is a
 //! [`BlockCache`] hit or one ranged read of exactly its bytes;
 //! [`open`](PartitionStore::open) stays the whole-partition read that
@@ -45,7 +45,7 @@
 //! [`read_clusters`]: PartitionStore::read_clusters
 
 use crate::format::{fold_partition, ClusterPick, PartitionDirectory, PartitionReader, TrieNodeId};
-use crate::fsio::{self, FsRef};
+use crate::fsio::{self, FsRef, SimFs};
 use crate::manifest::{xxh64, ImageEntry, Manifest, OpenError, PartitionEntry};
 use crate::page::{self, BlockCache, ClusterView};
 use crate::stats::IoStats;
@@ -202,27 +202,18 @@ pub struct Layout {
 }
 
 /// A partition image [staged](PartitionStore::stage) and not yet
-/// readable. A disk store keeps only what the publish records — the
-/// receipt, the parsed directory and the file the image sits in, unsynced
-/// — never the image itself.
+/// readable. The store keeps only what the publish records — the receipt,
+/// the parsed directory and the file the image sits in, unsynced — never
+/// the image itself.
 #[derive(Debug)]
 pub struct Staged {
     id: PartitionId,
     layer: Layer,
-    body: StagedBody,
-}
-
-#[derive(Debug)]
-enum StagedBody {
-    /// A disk store's image, written unsynced at `path`: a temp sibling of
-    /// the `.new` stage for a base image, the final name for an extension.
-    File {
-        path: PathBuf,
-        receipt: PutReceipt,
-        directory: PartitionDirectory,
-    },
-    /// An in-memory store's image itself.
-    Image(Bytes, PartitionDirectory),
+    /// Where the image was written, unsynced: a temp sibling of the `.new`
+    /// stage for a base image, the final name for an extension.
+    path: PathBuf,
+    receipt: PutReceipt,
+    directory: PartitionDirectory,
 }
 
 impl Staged {
@@ -232,13 +223,9 @@ impl Staged {
     }
 
     /// The file that must be fsynced before the image is
-    /// [published](PartitionStore::publish); `None` when the store keeps
-    /// no file.
-    pub fn unsynced(&self) -> Option<&Path> {
-        match &self.body {
-            StagedBody::File { path, .. } => Some(path),
-            StagedBody::Image(..) => None,
-        }
+    /// [published](PartitionStore::publish).
+    pub fn unsynced(&self) -> &Path {
+        &self.path
     }
 }
 
@@ -260,13 +247,6 @@ fn one_image(mut layers: Vec<PartitionReader>) -> io::Result<PartitionReader> {
     PartitionReader::open(image).map_err(invalid_data)
 }
 
-fn foreign_stage(id: PartitionId) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidInput,
-        format!("partition {id} was staged by another kind of store"),
-    )
-}
-
 fn not_found(id: PartitionId) -> io::Error {
     io::Error::new(io::ErrorKind::NotFound, format!("partition {id}"))
 }
@@ -277,18 +257,17 @@ fn not_found(id: PartitionId) -> io::Error {
 /// [`ClusterPick::Rest`] read in the order nodes first appear in the
 /// layers — and each node's clusters in layer order, so the views of one
 /// node are adjacent. One layer is today's single-file walk.
-fn for_each_layered<L, E>(
-    layers: &[L],
-    directory: impl Fn(&L) -> &PartitionDirectory,
+fn for_each_layered<E>(
+    layers: &[ImageFile],
     pick: ClusterPick<'_>,
     mut f: impl FnMut(usize, TrieNodeId, Range<usize>, usize) -> Result<(), E>,
 ) -> Result<(), E> {
     if let [only] = layers {
-        return directory(only).for_each_picked(pick, |node, span, count| f(0, node, span, count));
+        return (only.directory).for_each_picked(pick, |node, span, count| f(0, node, span, count));
     }
     let mut node_of = |node: TrieNodeId, from: usize| -> Result<(), E> {
         for (li, layer) in layers.iter().enumerate().skip(from) {
-            if let Some((span, count)) = directory(layer).locate(node) {
+            if let Some((span, count)) = layer.directory.locate(node) {
                 f(li, node, span, count)?;
             }
         }
@@ -299,7 +278,7 @@ fn for_each_layered<L, E>(
         ClusterPick::Rest(skip) => {
             let mut seen: Vec<TrieNodeId> = Vec::new();
             for (li, layer) in layers.iter().enumerate() {
-                directory(layer).for_each_picked(ClusterPick::Rest(skip), |node, _, _| {
+                (layer.directory).for_each_picked(ClusterPick::Rest(skip), |node, _, _| {
                     if seen.contains(&node) {
                         return Ok(());
                     }
@@ -322,20 +301,17 @@ pub trait PartitionStore: Send + Sync {
     /// caller but a fold passes `|| ()`.
     fn put<G>(&self, id: PartitionId, bytes: Bytes, publish: impl FnOnce() -> G) -> io::Result<G> {
         let staged = self.stage(id, Layer::Base, bytes)?;
-        if let Some(path) = staged.unsynced() {
-            if let Err(e) = self.fs().fsync_file(path) {
-                self.discard(staged);
-                return Err(e);
-            }
+        if let Err(e) = self.fs().fsync_file(staged.unsynced()) {
+            self.discard(staged);
+            return Err(e);
         }
         self.publish(staged, publish)
     }
 
     /// The first step of a [`put`](Self::put): takes what the publish
-    /// records from `bytes` and writes them where the store keeps images —
-    /// for a disk store, a base image to a temp sibling of the partition's
-    /// stage and an extension to its own new file, not fsynced (see
-    /// [`Staged::unsynced`]). Nothing is readable yet.
+    /// records from `bytes` and writes them — a base image to a temp
+    /// sibling of the partition's stage, an extension to its own new file
+    /// — not fsynced (see [`Staged::unsynced`]). Nothing is readable yet.
     fn stage(&self, id: PartitionId, layer: Layer, bytes: Bytes) -> io::Result<Staged>;
 
     /// Makes a staged image part of its partition's readable state, as its
@@ -348,9 +324,7 @@ pub trait PartitionStore: Send + Sync {
 
     /// Drops a staged image that will not be published, removing its file.
     fn discard(&self, staged: Staged) {
-        if let Some(path) = staged.unsynced() {
-            self.fs().remove_file(path).ok();
-        }
+        self.fs().remove_file(staged.unsynced()).ok();
     }
 
     /// Partition `id`'s images from file `from` on (`0`: the base image,
@@ -427,78 +401,43 @@ pub trait PartitionStore: Send + Sync {
     /// The stats sink this store reports to.
     fn stats(&self) -> &IoStats;
 
-    /// The directory this store persists partitions into, when it is
-    /// disk-backed. A flush re-seals the manifest there after folding
-    /// partitions so the on-disk directory stays openable; in-memory
-    /// stores return `None` and need no re-seal.
-    fn persist_dir(&self) -> Option<&std::path::Path> {
-        None
-    }
+    /// The directory the store keeps its partitions in: a flush re-seals
+    /// the manifest there after folding partitions, so the directory stays
+    /// openable.
+    fn dir(&self) -> &Path;
 
     /// The receipt of the image most recently published for partition
-    /// `id` in [`persist_dir`](Self::persist_dir) (durable there, base or
-    /// extension) that no manifest commit has described yet — see
-    /// [`commit_staged`](Self::commit_staged). `None` for stores that
-    /// stage nothing.
-    fn receipt(&self, _id: PartitionId) -> Option<PutReceipt> {
-        None
-    }
+    /// `id` (durable in [`dir`](Self::dir), base or extension) that no
+    /// manifest commit has described yet — see
+    /// [`commit_staged`](Self::commit_staged).
+    fn receipt(&self, id: PartitionId) -> Option<PutReceipt>;
 
     /// The manifest entry describing partition `id`'s current images in
-    /// [`persist_dir`](Self::persist_dir), taken from what the store holds
-    /// — receipts of its publishes and the entries it was opened with — so
-    /// a seal of that directory describes the partition without reading
-    /// it. `None` for stores that persist nothing, and for partitions the
-    /// store cannot serve.
-    fn entry(&self, _id: PartitionId) -> Option<PartitionEntry> {
-        None
-    }
+    /// [`dir`](Self::dir), taken from what the store holds — receipts of
+    /// its publishes and the entries it was opened with — so a seal of
+    /// that directory describes the partition without reading it. `None`
+    /// for partitions the store cannot serve.
+    fn entry(&self, id: PartitionId) -> Option<PartitionEntry>;
 
     /// The filesystem this store performs durable operations through.
-    /// In-memory stores return the process default.
-    fn fs(&self) -> FsRef {
-        fsio::std_fs()
-    }
+    fn fs(&self) -> FsRef;
 
     /// Called by the seal *after* the manifest commit point: renames every
     /// staged (`.new`) base image over its committed main file and removes
     /// the extension images the committed manifest no longer names. The
     /// seal's closing directory fsync makes the renames durable (an
     /// interrupted install is rolled forward at open either way, and a
-    /// writable open removes extensions no manifest names). A no-op for
-    /// stores without a staging protocol.
-    fn commit_staged(&self) -> io::Result<()> {
-        Ok(())
-    }
+    /// writable open removes extensions no manifest names).
+    fn commit_staged(&self) -> io::Result<()>;
 
     /// Partitions a quarantining open moved aside; opens of these ids
-    /// fail until [`DiskStore::try_readmit`] repairs them. Empty for
-    /// stores without quarantine support.
-    fn quarantined(&self) -> Vec<PartitionId> {
-        Vec::new()
-    }
+    /// fail until [`DiskStore::try_readmit`] repairs them.
+    fn quarantined(&self) -> Vec<PartitionId>;
 
     /// The block cache serving this store's cluster reads, when one is
     /// attached; the serving layer overlays its counters onto I/O
     /// snapshots.
-    fn block_cache(&self) -> Option<Arc<BlockCache>> {
-        None
-    }
-}
-
-/// In-memory partition store: each partition's images, base first, with
-/// their parsed directories.
-#[derive(Debug, Default)]
-pub struct MemStore {
-    parts: RwLock<BTreeMap<PartitionId, Vec<(Bytes, PartitionDirectory)>>>,
-    stats: IoStats,
-}
-
-impl MemStore {
-    /// Creates an empty store with fresh stats.
-    pub fn new() -> Self {
-        Self::default()
-    }
+    fn block_cache(&self) -> Option<Arc<BlockCache>>;
 }
 
 fn invalid_data(e: String) -> io::Error {
@@ -529,88 +468,6 @@ fn place_layer<T>(held: &mut Vec<T>, layer: Layer, image: T) -> Vec<T> {
     };
     held.push(image);
     replaced
-}
-
-impl PartitionStore for MemStore {
-    fn stage(&self, id: PartitionId, layer: Layer, bytes: Bytes) -> io::Result<Staged> {
-        let directory = PartitionDirectory::parse(&bytes).map_err(invalid_data)?;
-        self.stats.on_partition_write(bytes.len() as u64);
-        let body = StagedBody::Image(bytes, directory);
-        Ok(Staged { id, layer, body })
-    }
-
-    fn publish<G>(&self, staged: Staged, section: impl FnOnce() -> G) -> io::Result<G> {
-        let StagedBody::Image(bytes, directory) = staged.body else {
-            return Err(foreign_stage(staged.id));
-        };
-        let section = section();
-        let mut parts = self.parts.write();
-        let held = match staged.layer {
-            Layer::Base => parts.entry(staged.id).or_default(),
-            Layer::Extension { .. } => {
-                (parts.get_mut(&staged.id)).ok_or_else(|| not_found(staged.id))?
-            }
-        };
-        place_layer(held, staged.layer, (bytes, directory));
-        Ok(section)
-    }
-
-    fn images(&self, id: PartitionId, from: usize) -> io::Result<Vec<Bytes>> {
-        let parts = self.parts.read();
-        let images = parts.get(&id).ok_or_else(|| not_found(id))?;
-        Ok(images
-            .iter()
-            .skip(from)
-            .map(|(image, _)| image.clone())
-            .collect())
-    }
-
-    fn layout(&self, id: PartitionId) -> io::Result<Layout> {
-        let parts = self.parts.read();
-        let images = parts.get(&id).ok_or_else(|| not_found(id))?;
-        let base = &images[0].1;
-        Ok(Layout {
-            group_id: base.group_id(),
-            series_len: base.series_len(),
-            files: images.iter().map(|(image, _)| image.len() as u64).collect(),
-        })
-    }
-
-    /// Slices the images: every view shares the stored [`Bytes`].
-    fn read_clusters(
-        &self,
-        id: PartitionId,
-        pick: ClusterPick<'_>,
-        out: &mut Vec<(TrieNodeId, ClusterView)>,
-    ) -> io::Result<usize> {
-        let parts = self.parts.read();
-        let images = parts.get(&id).ok_or_else(|| not_found(id))?;
-        if let ClusterPick::Named(_) = pick {
-            self.stats.on_partition_open();
-            let header_bytes: usize = images.iter().map(|(_, d)| d.header_bytes()).sum();
-            self.stats.on_read(header_bytes as u64);
-        }
-        let series_len = images[0].1.series_len();
-        for_each_layered(
-            images,
-            |(_, d)| d,
-            pick,
-            |li, node, span, count| {
-                let view = ClusterView::new(images[li].0.slice(span), series_len, count);
-                out.push((node, view));
-                Ok::<(), io::Error>(())
-            },
-        )?;
-        Ok(series_len)
-    }
-
-    fn ids(&self) -> Vec<PartitionId> {
-        self.parts.read().keys().copied().collect()
-    }
-
-    fn stats(&self) -> &IoStats {
-        &self.stats
-    }
 }
 
 /// On-disk partition store: `<dir>/part_<id>.clbp` and the partition's
@@ -671,6 +528,9 @@ struct Images {
 struct ImageFile {
     /// `0` for the base image, else the extension's number.
     file: u64,
+    /// Where the image lies: a base image under its `.new` sibling while
+    /// its partition's `base_staged`, else under its own name.
+    path: PathBuf,
     receipt: PutReceipt,
     directory: PartitionDirectory,
 }
@@ -703,6 +563,14 @@ impl DiskStore {
             quarantined: RwLock::new(BTreeSet::new()),
             cache: None,
         })
+    }
+
+    /// An empty writable store over a fresh in-memory filesystem
+    /// ([`SimFs`] over the real one, so a seal into any other directory
+    /// writes to disk): what an in-memory build writes into.
+    pub fn in_memory() -> Self {
+        let fs = SimFs::new(fsio::std_fs());
+        Self::create(fs.root().to_path_buf(), fs).expect("an in-memory directory is always there")
     }
 
     /// The typed failure of reading partition `id`'s image at `path`.
@@ -766,7 +634,7 @@ impl DiskStore {
         e: &PartitionEntry,
         series_len: u32,
         files: &mut Vec<ImageFile>,
-        images: &mut Vec<Vec<u8>>,
+        images: &mut Vec<Bytes>,
     ) -> Result<(), OpenError> {
         for x in &e.extensions {
             let path = dir.join(extension_file_name(e.id, x.file));
@@ -777,6 +645,7 @@ impl DiskStore {
             let receipt = PutReceipt::checked(x, &directory);
             files.push(ImageFile {
                 file: x.file,
+                path,
                 receipt,
                 directory,
             });
@@ -847,6 +716,7 @@ impl DiskStore {
                 let receipt = PutReceipt::checked(&base, &directory);
                 files.push(ImageFile {
                     file: 0,
+                    path: (if is_staged { &sibling } else { &path }).clone(),
                     receipt,
                     directory,
                 });
@@ -864,7 +734,6 @@ impl DiskStore {
                         let warm =
                             (files.iter().zip(images)).filter(|(f, _)| f.file != 0 || !base_staged);
                         for (f, image) in warm {
-                            let image = Bytes::from(image);
                             warming = (f.directory)
                                 .for_each_picked(ClusterPick::Rest(&[]), |node, span, _| {
                                     let len = span.len() as u64;
@@ -908,15 +777,11 @@ impl DiskStore {
             let named: BTreeSet<(PartitionId, u64)> = (manifest.partitions.iter())
                 .flat_map(|e| e.extensions.iter().map(|x| (e.id, x.file)))
                 .collect();
-            if let Ok(entries) = std::fs::read_dir(&dir) {
-                for entry in entries.filter_map(|x| x.ok()) {
-                    if let Some(name) = entry.file_name().to_str() {
-                        let orphan = parse_extension_file_name(name)
-                            .is_some_and(|image| !named.contains(&image));
-                        if fsio::is_tmp_name(name) || orphan {
-                            fs.remove_file(&entry.path()).ok();
-                        }
-                    }
+            for name in fs.list(&dir).unwrap_or_default() {
+                let orphan =
+                    parse_extension_file_name(&name).is_some_and(|image| !named.contains(&image));
+                if fsio::is_tmp_name(&name) || orphan {
+                    fs.remove_file(&dir.join(name)).ok();
                 }
             }
         }
@@ -949,7 +814,7 @@ impl DiskStore {
     }
 
     /// Root directory of the store.
-    pub fn dir(&self) -> &std::path::Path {
+    pub fn dir(&self) -> &Path {
         &self.dir
     }
 
@@ -994,6 +859,7 @@ impl DiskStore {
             let directory = Self::check_image(&bytes, e.id, &base, self.series_len).ok()?;
             let mut files = vec![ImageFile {
                 file: 0,
+                path: self.path_of(e.id),
                 receipt: PutReceipt::checked(&base, &directory),
                 directory,
             }];
@@ -1049,16 +915,6 @@ impl DiskStore {
         }
         Ok(())
     }
-
-    /// Where image `file` of partition `id` lies: the base under its `.new`
-    /// sibling while `base_staged`, else under its own name.
-    fn image_path(&self, id: PartitionId, file: u64, base_staged: bool) -> PathBuf {
-        match (file, base_staged) {
-            (0, true) => staged_path_of(&self.dir, id),
-            (0, false) => self.path_of(id),
-            (file, _) => self.dir.join(extension_file_name(id, file)),
-        }
-    }
 }
 
 impl PartitionStore for DiskStore {
@@ -1093,12 +949,13 @@ impl PartitionStore for DiskStore {
                 path
             }
         };
-        let body = StagedBody::File {
+        Ok(Staged {
+            id,
+            layer,
             path,
             receipt,
             directory,
-        };
-        Ok(Staged { id, layer, body })
+        })
     }
 
     /// The seal pays the one directory fsync covering every stage. A base
@@ -1108,15 +965,13 @@ impl PartitionStore for DiskStore {
     /// valid; a merged one drops those of the extensions it replaces, a
     /// base image every one of the partition's.
     fn publish<G>(&self, staged: Staged, section: impl FnOnce() -> G) -> io::Result<G> {
-        let (id, layer) = (staged.id, staged.layer);
-        let StagedBody::File {
+        let Staged {
+            id,
+            layer,
             path,
             receipt,
             directory,
-        } = staged.body
-        else {
-            return Err(foreign_stage(id));
-        };
+        } = staged;
         let section = section();
         let mut parts = self.parts.write();
         let images = match layer {
@@ -1140,8 +995,13 @@ impl PartitionStore for DiskStore {
             },
         };
         images.pending = Some(receipt);
+        let path = match layer {
+            Layer::Base => staged_path_of(&self.dir, id),
+            Layer::Extension { .. } => path,
+        };
         let image = ImageFile {
             file: layer.file(),
+            path,
             receipt,
             directory,
         };
@@ -1222,34 +1082,27 @@ impl PartitionStore for DiskStore {
         // the one read of its file's misses fills it.
         let start = out.len();
         let mut misses: Vec<(usize, usize, (u64, usize))> = Vec::new();
-        for_each_layered(
-            files,
-            |f| &f.directory,
-            pick,
-            |li, node, span, count| {
-                let cache = cache_of(li);
-                let hit = cache.and_then(|sc| sc.cache.get(sc.token, id, files[li].file, node));
-                if hit.is_none() {
-                    misses.push((li, out.len(), (span.start as u64, span.len())));
-                }
-                out.push((
-                    node,
-                    ClusterView::new(hit.unwrap_or_default(), series_len, count),
-                ));
-                Ok::<(), io::Error>(())
-            },
-        )?;
-        // Stable: each file's misses keep their order.
-        misses.sort_by_key(|&(li, _, _)| li);
+        // The placeholder of every miss (one allocation, none for hits).
+        let mut empty = None;
+        for_each_layered(files, pick, |li, node, span, count| {
+            let cache = cache_of(li);
+            let hit = cache.and_then(|sc| sc.cache.get(sc.token, id, files[li].file, node));
+            let bytes = hit.unwrap_or_else(|| {
+                misses.push((li, out.len(), (span.start as u64, span.len())));
+                empty.get_or_insert_with(Bytes::new).clone()
+            });
+            out.push((node, ClusterView::new(bytes, series_len, count)));
+            Ok::<(), io::Error>(())
+        })?;
+        // Each file's misses in their order (a sorted run: no allocation).
+        misses.sort_unstable_by_key(|&(li, at, _)| (li, at));
         for run in misses.chunk_by(|a, b| a.0 == b.0) {
             let li = run[0].0;
             let ranges: Vec<(u64, usize)> = run.iter().map(|&(_, _, range)| range).collect();
-            let path = self.image_path(id, files[li].file, images.base_staged);
-            let read = self.fs.read_ranges(&path, &ranges);
+            let read = self.fs.read_ranges(&files[li].path, &ranges);
             let read = read.inspect_err(|_| out.truncate(start))?;
             for (&(_, i, _), bytes) in run.iter().zip(read) {
                 let (node, view) = &mut out[i];
-                let bytes = Bytes::from(bytes);
                 if let Some(sc) = cache_of(li) {
                     sc.cache
                         .insert(sc.token, id, files[li].file, *node, bytes.clone());
@@ -1272,15 +1125,12 @@ impl PartitionStore for DiskStore {
         let parts = self.parts.read();
         let images = parts.get(&id).ok_or_else(|| not_found(id))?;
         (images.files.iter().skip(from))
-            .map(|f| {
-                let path = self.image_path(id, f.file, images.base_staged);
-                Ok(Bytes::from(self.fs.read(&path)?))
-            })
+            .map(|f| self.fs.read(&f.path))
             .collect()
     }
 
-    fn persist_dir(&self) -> Option<&std::path::Path> {
-        Some(&self.dir)
+    fn dir(&self) -> &Path {
+        &self.dir
     }
 
     fn fs(&self) -> FsRef {
@@ -1307,6 +1157,7 @@ impl PartitionStore for DiskStore {
             self.fs.rename(&staged_path_of(&self.dir, id), &main)?;
             if let Some(images) = parts.get_mut(&id) {
                 images.base_staged = false;
+                images.files[0].path = main;
             }
             drop(parts);
             if let Some(sc) = &self.cache {
@@ -1381,7 +1232,7 @@ mod tests {
 
     #[test]
     fn mem_store_behaviour() {
-        exercise_store(&MemStore::new());
+        exercise_store(&DiskStore::in_memory());
     }
 
     #[test]
@@ -1393,8 +1244,8 @@ mod tests {
     }
 
     /// The parallel build writes distinct partitions from many threads at
-    /// once through `&self` puts; both backends and the shared [`IoStats`]
-    /// must hold up under that fan-out.
+    /// once through `&self` puts; the store over either filesystem and the
+    /// shared [`IoStats`] must hold up under that fan-out.
     fn exercise_concurrent_puts<S: PartitionStore>(store: &S) {
         rayon::scope(|s| {
             for pid in 0..16u32 {
@@ -1418,7 +1269,7 @@ mod tests {
 
     #[test]
     fn mem_store_concurrent_puts() {
-        exercise_concurrent_puts(&MemStore::new());
+        exercise_concurrent_puts(&DiskStore::in_memory());
     }
 
     #[test]
@@ -1432,7 +1283,7 @@ mod tests {
 
     #[test]
     fn put_replaces_partition() {
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         store.put(1, encode_partition(0, 1, 2), || ()).unwrap();
         store.put(1, encode_partition(0, 1, 5), || ()).unwrap();
         assert_eq!(store.open(1).unwrap().record_count(), 5);
@@ -1537,7 +1388,7 @@ mod tests {
 
     #[test]
     fn stored_bytes_default_matches_open_image() {
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         let v1 = encode_partition(1, 4, 3);
         store.put(0, v1.clone(), || ()).unwrap();
         assert_eq!(&store.image(0).unwrap()[..], &v1[..]);
@@ -1545,7 +1396,7 @@ mod tests {
 
     #[test]
     fn store_cluster_view_is_zero_copy_equivalent() {
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         store.put(0, encode_partition(3, 11, 6), || ()).unwrap();
         let reader = store.open(0).unwrap();
         let view = reader.cluster_view(11).unwrap();
@@ -1561,7 +1412,7 @@ mod tests {
 
     #[test]
     fn cluster_read_counts_only_cluster_bytes() {
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         let mut w = PartitionWriter::new(9, 2);
         let big: Vec<(u64, Vec<f32>)> = (0..100).map(|i| (i, vec![0.0, 0.0])).collect();
         let small: Vec<(u64, Vec<f32>)> = vec![(999, vec![1.0, 1.0])];

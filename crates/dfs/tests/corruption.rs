@@ -320,8 +320,7 @@ fn read_write_open_validates_then_accepts_puts() {
 
 /// A disk put keeps the receipt of exactly what it staged — the seal's
 /// manifest entry, no re-read needed — and refuses bytes that are not a
-/// partition image; a build store's put stages like any other, and a
-/// memory put stages nothing and keeps no receipt.
+/// partition image; a build store's put stages like any other.
 #[test]
 fn staging_puts_return_receipts_of_the_stored_bytes() {
     let dir = persisted_dir("receipt");
@@ -351,9 +350,6 @@ fn staging_puts_return_receipts_of_the_stored_bytes() {
     assert_eq!(build.ids(), vec![0]);
     assert_eq!(fs::read(staged_path_of(&build_dir, 0)).unwrap(), &image[..]);
     assert!(!build_dir.join(partition_file_name(0)).exists());
-    let mem = climber_dfs::store::MemStore::new();
-    mem.put(0, image, || ()).unwrap();
-    assert_eq!(mem.receipt(0), None);
     fs::remove_dir_all(&dir).ok();
 }
 

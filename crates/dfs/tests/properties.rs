@@ -5,7 +5,7 @@ use bytes::Bytes;
 use climber_dfs::cluster::Cluster;
 use climber_dfs::format::{PartitionReader, PartitionWriter};
 use climber_dfs::segment::TombstoneSet;
-use climber_dfs::store::{MemStore, PartitionStore};
+use climber_dfs::store::{DiskStore, PartitionStore};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -114,7 +114,7 @@ proptest! {
 
     #[test]
     fn store_read_cluster_returns_exact_records(cs in clusters(4)) {
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         let mut w = PartitionWriter::new(9, 4);
         for (node, recs) in &cs {
             w.push_cluster(*node, recs.iter().map(|(id, v)| (*id, v.as_slice())));

@@ -584,7 +584,7 @@ fn sig_hash(ids: &[PivotId]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use climber_dfs::store::MemStore;
+    use climber_dfs::store::DiskStore;
     use climber_series::gen::Domain;
 
     fn small_config() -> IndexConfig {
@@ -602,7 +602,7 @@ mod tests {
     #[test]
     fn build_writes_every_record_exactly_once() {
         let ds = Domain::RandomWalk.generate(400, 11);
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         let (skeleton, report) = IndexBuilder::new(small_config()).build(&ds, &store);
 
         let mut seen: Vec<u64> = Vec::new();
@@ -619,8 +619,8 @@ mod tests {
     #[test]
     fn build_is_deterministic() {
         let ds = Domain::Eeg.generate(200, 3);
-        let s1 = MemStore::new();
-        let s2 = MemStore::new();
+        let s1 = DiskStore::in_memory();
+        let s2 = DiskStore::in_memory();
         let (sk1, _) = IndexBuilder::new(small_config()).build(&ds, &s1);
         let (sk2, _) = IndexBuilder::new(small_config()).build(&ds, &s2);
         assert_eq!(sk1, sk2);
@@ -630,8 +630,8 @@ mod tests {
     #[test]
     fn build_deterministic_across_worker_counts() {
         let ds = Domain::TexMex.generate(200, 5);
-        let s1 = MemStore::new();
-        let s8 = MemStore::new();
+        let s1 = DiskStore::in_memory();
+        let s8 = DiskStore::in_memory();
         let (sk1, _) = IndexBuilder::new(small_config().with_workers(1)).build(&ds, &s1);
         let (sk8, _) = IndexBuilder::new(small_config().with_workers(8)).build(&ds, &s8);
         assert_eq!(sk1, sk8);
@@ -648,7 +648,7 @@ mod tests {
     fn build_bit_identical_across_threads_and_block_sizes() {
         let ds = Domain::RandomWalk.generate(330, 19);
         let reference = {
-            let store = MemStore::new();
+            let store = DiskStore::in_memory();
             let b = IndexBuilder::with_options(
                 small_config(),
                 BuildOptions::default()
@@ -659,7 +659,7 @@ mod tests {
             (sk.to_bytes(), partition_bytes(&store))
         };
         for (threads, block_size) in [(2usize, 7usize), (8, 64), (3, 1), (0, 33)] {
-            let store = MemStore::new();
+            let store = DiskStore::in_memory();
             let builder = IndexBuilder::with_options(
                 small_config(),
                 BuildOptions::default()
@@ -681,7 +681,7 @@ mod tests {
         }
     }
 
-    fn partition_bytes(store: &MemStore) -> Vec<(u32, Vec<u8>)> {
+    fn partition_bytes(store: &DiskStore) -> Vec<(u32, Vec<u8>)> {
         store
             .ids()
             .into_iter()
@@ -702,7 +702,7 @@ mod tests {
     #[test]
     fn partitions_respect_soft_capacity() {
         let ds = Domain::RandomWalk.generate(600, 13);
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         let cfg = small_config().with_capacity(50);
         let (_, report) = IndexBuilder::new(cfg).build(&ds, &store);
         // Estimates are sample-scaled so real partitions can exceed c, but
@@ -726,7 +726,7 @@ mod tests {
     fn placements_match_skeleton_replay() {
         // Every stored record must be recoverable by re-running place().
         let ds = Domain::Dna.generate(150, 17);
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         let (skeleton, _) = IndexBuilder::new(small_config()).build(&ds, &store);
         for pid in store.ids() {
             let r = store.open(pid).unwrap();
@@ -740,7 +740,7 @@ mod tests {
     #[test]
     fn report_phases_are_populated() {
         let ds = Domain::RandomWalk.generate(120, 23);
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         let (_, report) = IndexBuilder::new(small_config()).build(&ds, &store);
         assert!(report.skeleton_secs >= 0.0);
         assert!(report.sampled_records > 0);
@@ -757,14 +757,14 @@ mod tests {
     #[should_panic(expected = "empty dataset")]
     fn empty_dataset_rejected() {
         let ds = Dataset::new(16);
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         IndexBuilder::new(small_config()).build(&ds, &store);
     }
 
     #[test]
     fn skeleton_roundtrips_after_build() {
         let ds = Domain::Eeg.generate(100, 29);
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         let (skeleton, _) = IndexBuilder::new(small_config()).build(&ds, &store);
         let back = IndexSkeleton::from_bytes(&skeleton.to_bytes()).unwrap();
         assert_eq!(skeleton, back);

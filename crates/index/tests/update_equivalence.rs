@@ -18,7 +18,7 @@
 //! [`Climber::open_rw`] → flush → reopen.
 
 use climber_core::dfs::format::PartitionWriter;
-use climber_core::dfs::store::{MemStore, PartitionStore};
+use climber_core::dfs::store::{DiskStore, PartitionStore};
 use climber_core::series::gen::Domain;
 use climber_core::{Climber, ClimberConfig, IndexSkeleton, SearchMode, SearchRequest};
 use proptest::prelude::*;
@@ -49,7 +49,7 @@ fn splitmix(state: &mut u64) -> u64 {
 fn rebuild_reference(
     skeleton: &IndexSkeleton,
     records: &BTreeMap<u64, Vec<f32>>,
-) -> Climber<MemStore> {
+) -> Climber<DiskStore> {
     let series_len = records
         .values()
         .next()
@@ -65,7 +65,7 @@ fn rebuild_reference(
             .or_default()
             .push(id);
     }
-    let store = MemStore::new();
+    let store = DiskStore::in_memory();
     for pid in skeleton.partition_ids() {
         // Group ids are irrelevant to query execution; 0 keeps the
         // reference independent of builder internals.

@@ -123,14 +123,14 @@ pub fn plan_adaptive(
 mod tests {
     use super::*;
     use crate::knn::plan_knn;
-    use climber_dfs::store::MemStore;
+    use climber_dfs::store::DiskStore;
     use climber_index::builder::IndexBuilder;
     use climber_index::config::IndexConfig;
     use climber_series::gen::Domain;
 
     fn build_index() -> (IndexSkeleton, climber_series::dataset::Dataset) {
         let ds = Domain::RandomWalk.generate(600, 19);
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         let cfg = IndexConfig::default()
             .with_paa_segments(8)
             .with_pivots(32)

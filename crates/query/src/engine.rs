@@ -7,7 +7,7 @@
 mod tests {
     use crate::search::SearchRequest;
     use crate::testkit::{run, search};
-    use climber_dfs::store::MemStore;
+    use climber_dfs::store::DiskStore;
     use climber_index::builder::IndexBuilder;
     use climber_index::config::IndexConfig;
     use climber_index::skeleton::IndexSkeleton;
@@ -19,9 +19,9 @@ mod tests {
     fn build(
         domain: Domain,
         n: usize,
-    ) -> (IndexSkeleton, MemStore, climber_series::dataset::Dataset) {
+    ) -> (IndexSkeleton, DiskStore, climber_series::dataset::Dataset) {
         let ds = domain.generate(n, 47);
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         let cfg = IndexConfig::default()
             .with_paa_segments(8)
             .with_pivots(48)

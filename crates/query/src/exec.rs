@@ -116,7 +116,7 @@ pub struct SourceStatus {
 /// sources. A single request always runs inline on the calling thread.
 ///
 /// ```
-/// use climber_dfs::store::MemStore;
+/// use climber_dfs::store::DiskStore;
 /// use climber_index::builder::IndexBuilder;
 /// use climber_index::config::IndexConfig;
 /// use climber_query::exec::{execute, Source};
@@ -124,7 +124,7 @@ pub struct SourceStatus {
 /// use climber_series::gen::Domain;
 ///
 /// let ds = Domain::RandomWalk.generate(400, 7);
-/// let store = MemStore::new();
+/// let store = DiskStore::in_memory();
 /// let cfg = IndexConfig::default().with_pivots(32).with_capacity(80);
 /// let (skeleton, _) = IndexBuilder::new(cfg).build(&ds, &store);
 ///
@@ -631,5 +631,216 @@ impl Scorer<'_, '_> {
                 lane.tightened |= lane.top.offer(id, d);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{scan_group, Source, SourceStatus};
+    use crate::plan::{QueryOutcome, QueryPlan};
+    use crate::updates::UpdateView;
+    use climber_dfs::format::PartitionWriter;
+    use climber_dfs::segment::{DeltaSegment, TombstoneSet};
+    use climber_dfs::store::{DiskStore, PartitionStore};
+    use climber_series::distance::{ed_early_abandon, sq_ed};
+    use climber_series::topk::TopK;
+
+    /// A store with one partition: cluster 1 = records 0..4 near zero,
+    /// cluster 2 = records 10..14 far away.
+    fn toy_store() -> DiskStore {
+        let store = DiskStore::in_memory();
+        let mut w = PartitionWriter::new(0, 2);
+        let near: Vec<(u64, Vec<f32>)> = (0..4).map(|i| (i, vec![i as f32 * 0.1, 0.0])).collect();
+        let far: Vec<(u64, Vec<f32>)> = (10..14)
+            .map(|i| (i, vec![100.0 + i as f32, 100.0]))
+            .collect();
+        w.push_cluster(1, near.iter().map(|(id, v)| (*id, v.as_slice())));
+        w.push_cluster(2, far.iter().map(|(id, v)| (*id, v.as_slice())));
+        store.put(0, w.finish(), || ()).unwrap();
+        store
+    }
+
+    fn plan_for(clusters: &[u64]) -> QueryPlan {
+        let mut p = QueryPlan::default();
+        for &c in clusters {
+            p.add_read(0, c);
+        }
+        p
+    }
+
+    /// One query, one plan, one source through scan → gather → expand.
+    fn refine(
+        store: &DiskStore,
+        plan: &QueryPlan,
+        query: &[f32],
+        k: usize,
+        expand: bool,
+        updates: Option<UpdateView<'_>>,
+    ) -> (QueryOutcome, SourceStatus) {
+        let sources = [Some(Source {
+            updates,
+            ..Source::sealed(store)
+        })];
+        let mut status = [SourceStatus::default()];
+        let plans = vec![plan.clone()];
+        let mut out = scan_group(&sources, &[query], plans, k, expand, &mut status);
+        let [status] = status;
+        (out.pop().unwrap(), status)
+    }
+
+    #[test]
+    fn refine_ranks_by_distance() {
+        let (out, status) = refine(&toy_store(), &plan_for(&[1]), &[0.0, 0.0], 2, false, None);
+        assert_eq!(out.results.len(), 2);
+        assert_eq!((out.results[0].0, out.results[1].0), (0, 1));
+        assert!((out.results[1].1 - sq_ed(&[0.0, 0.0], &[0.1, 0.0])).abs() < 1e-9);
+        assert_eq!((out.records_scanned, out.partitions_opened), (4, 1));
+        assert_eq!(status.records_scanned, 4);
+    }
+
+    #[test]
+    fn expansion_fires_only_when_short_of_k() {
+        let store = toy_store();
+        // k=6 > 4 records in cluster 1 → expansion reads cluster 2 too.
+        let (out, status) = refine(&store, &plan_for(&[1]), &[0.0, 0.0], 6, true, None);
+        assert_eq!((out.results.len(), out.records_scanned), (6, 8));
+        assert_eq!(
+            status.records_scanned, 8,
+            "expansion is charged to its source"
+        );
+        // without expansion we stop at 4
+        let (out, _) = refine(&store, &plan_for(&[1]), &[0.0, 0.0], 6, false, None);
+        assert_eq!(out.results.len(), 4);
+    }
+
+    #[test]
+    fn expansion_not_used_when_k_satisfied() {
+        let (out, _) = refine(&toy_store(), &plan_for(&[1]), &[0.0, 0.0], 3, true, None);
+        assert_eq!(out.records_scanned, 4, "must not touch cluster 2");
+    }
+
+    #[test]
+    fn missing_partition_is_tolerated() {
+        let mut p = plan_for(&[1]);
+        p.add_read(99, 1); // nonexistent partition
+        let (out, status) = refine(&toy_store(), &p, &[0.0, 0.0], 2, true, None);
+        assert_eq!((out.results.len(), out.partitions_opened), (2, 1));
+        assert_eq!(
+            status.failed_partitions.into_iter().collect::<Vec<_>>(),
+            [99]
+        );
+    }
+
+    #[test]
+    fn missing_cluster_is_tolerated() {
+        let (out, _) = refine(&toy_store(), &plan_for(&[42]), &[0.0, 0.0], 2, false, None);
+        assert!(out.results.is_empty());
+        assert_eq!(out.records_scanned, 0);
+    }
+
+    #[test]
+    fn results_are_squared_distances_sorted() {
+        let (out, _) = refine(
+            &toy_store(),
+            &plan_for(&[1, 2]),
+            &[0.0, 0.0],
+            8,
+            false,
+            None,
+        );
+        assert!(out.results.windows(2).all(|w| w[0].1 <= w[1].1));
+        assert_eq!(out.results.len(), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "k must be positive")]
+    fn zero_k_rejected() {
+        refine(&toy_store(), &plan_for(&[1]), &[0.0, 0.0], 0, false, None);
+    }
+
+    #[test]
+    fn tombstoned_records_never_reach_topk() {
+        let (delta, tombstones) = (DeltaSegment::new(), TombstoneSet::new());
+        tombstones.delete(0); // the nearest record to the query
+        let view = UpdateView {
+            delta: &delta,
+            tombstones: &tombstones,
+        };
+        let (out, _) = refine(
+            &toy_store(),
+            &plan_for(&[1]),
+            &[0.0, 0.0],
+            2,
+            false,
+            Some(view),
+        );
+        assert!(
+            out.results.iter().all(|&(id, _)| id != 0),
+            "{:?}",
+            out.results
+        );
+        assert_eq!(out.results[0].0, 1, "survivors fill the answer");
+        assert_eq!(out.records_scanned, 3, "scan counts survivors only");
+    }
+
+    #[test]
+    fn delta_records_merge_into_planned_clusters() {
+        let (store, delta, tombstones) = (toy_store(), DeltaSegment::new(), TombstoneSet::new());
+        // route a new nearest record into (partition 0, cluster 1)
+        delta.append(0, 1, 500, &[0.01, 0.0]);
+        // ... and one into a cluster the sealed partition doesn't have
+        delta.append(0, 77, 501, &[0.02, 0.0]);
+        let view = Some(UpdateView {
+            delta: &delta,
+            tombstones: &tombstones,
+        });
+        let (out, _) = refine(&store, &plan_for(&[1]), &[0.0, 0.0], 2, false, view);
+        assert_eq!(out.results[0].0, 0, "exact sealed match still first");
+        assert_eq!(out.results[1].0, 500, "delta record ranks second");
+        assert_eq!(out.records_scanned, 5, "4 sealed + 1 delta");
+
+        // the delta-only cluster 77 is reachable via expansion
+        let (out, _) = refine(&store, &plan_for(&[1]), &[0.0, 0.0], 10, true, view);
+        assert!(out.results.iter().any(|&(id, _)| id == 501));
+        assert_eq!(out.records_scanned, 10, "8 sealed + 2 delta");
+
+        // a deleted delta record is filtered like any other
+        tombstones.delete(500);
+        let (out, _) = refine(&store, &plan_for(&[1]), &[0.0, 0.0], 2, false, view);
+        assert_eq!(out.results[0].0, 0);
+        assert_eq!(out.records_scanned, 4);
+    }
+
+    #[test]
+    fn empty_update_view_matches_sealed_path_exactly() {
+        let (store, delta, tombstones) = (toy_store(), DeltaSegment::new(), TombstoneSet::new());
+        let view = UpdateView {
+            delta: &delta,
+            tombstones: &tombstones,
+        };
+        assert!(delta.is_empty() && tombstones.is_empty());
+        for (k, expand) in [(2usize, false), (6, true), (8, false)] {
+            let a = refine(&store, &plan_for(&[1]), &[0.1, 0.0], k, expand, None);
+            let b = refine(&store, &plan_for(&[1]), &[0.1, 0.0], k, expand, Some(view));
+            assert_eq!(a, b, "k={k} expand={expand}");
+        }
+    }
+
+    #[test]
+    fn scan_decoded_matches_per_record_visit() {
+        // Block-wise scoring visits what a per-record visit would.
+        let store = toy_store();
+        let q = [0.3f32, 0.1];
+        let (via_blocks, _) = refine(&store, &plan_for(&[1, 2]), &q, 3, false, None);
+        let reader = store.open(0).unwrap();
+        let mut via_visit = TopK::new(3);
+        for node in [1u64, 2] {
+            reader.for_each_in_cluster(node, |id, vals| {
+                if let Some(d) = ed_early_abandon(&q, vals, via_visit.bound()) {
+                    via_visit.offer(id, d);
+                }
+            });
+        }
+        assert_eq!(via_blocks.results, via_visit.into_sorted());
     }
 }

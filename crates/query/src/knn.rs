@@ -136,14 +136,14 @@ pub(crate) fn for_each_node_read(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use climber_dfs::store::MemStore;
+    use climber_dfs::store::DiskStore;
     use climber_index::builder::IndexBuilder;
     use climber_index::config::IndexConfig;
     use climber_series::gen::Domain;
 
-    fn build_index() -> (IndexSkeleton, MemStore, climber_series::dataset::Dataset) {
+    fn build_index() -> (IndexSkeleton, DiskStore, climber_series::dataset::Dataset) {
         let ds = Domain::RandomWalk.generate(500, 41);
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         let cfg = IndexConfig::default()
             .with_paa_segments(8)
             .with_pivots(32)

@@ -40,234 +40,20 @@ pub use plan::{QueryOutcome, QueryPlan};
 pub use search::{SearchMode, SearchRequest};
 pub use updates::UpdateView;
 
-// The executor's unit tests. Their module paths predate the executor —
-// there used to be one scan loop per module and a `KnnEngine` façade — and
-// are kept so the suite's test ids stay comparable across the collapse:
-// `refine` pins the cluster-scan core on a hand-built store, `scatter` the
-// plan and multi-partition stages, `batch` n requests against one at a
-// time, `engine` (engine.rs) answer quality end to end.
-
-#[cfg(test)]
-mod refine {
-    mod tests {
-        use crate::exec::{scan_group, Source, SourceStatus};
-        use crate::plan::{QueryOutcome, QueryPlan};
-        use crate::updates::UpdateView;
-        use climber_dfs::format::PartitionWriter;
-        use climber_dfs::segment::{DeltaSegment, TombstoneSet};
-        use climber_dfs::store::{MemStore, PartitionStore};
-        use climber_series::distance::{ed_early_abandon, sq_ed};
-        use climber_series::topk::TopK;
-
-        /// A store with one partition: cluster 1 = records 0..4 near zero,
-        /// cluster 2 = records 10..14 far away.
-        fn toy_store() -> MemStore {
-            let store = MemStore::new();
-            let mut w = PartitionWriter::new(0, 2);
-            let near: Vec<(u64, Vec<f32>)> =
-                (0..4).map(|i| (i, vec![i as f32 * 0.1, 0.0])).collect();
-            let far: Vec<(u64, Vec<f32>)> = (10..14)
-                .map(|i| (i, vec![100.0 + i as f32, 100.0]))
-                .collect();
-            w.push_cluster(1, near.iter().map(|(id, v)| (*id, v.as_slice())));
-            w.push_cluster(2, far.iter().map(|(id, v)| (*id, v.as_slice())));
-            store.put(0, w.finish(), || ()).unwrap();
-            store
-        }
-
-        fn plan_for(clusters: &[u64]) -> QueryPlan {
-            let mut p = QueryPlan::default();
-            for &c in clusters {
-                p.add_read(0, c);
-            }
-            p
-        }
-
-        /// One query, one plan, one source through scan → gather → expand.
-        fn refine(
-            store: &MemStore,
-            plan: &QueryPlan,
-            query: &[f32],
-            k: usize,
-            expand: bool,
-            updates: Option<UpdateView<'_>>,
-        ) -> (QueryOutcome, SourceStatus) {
-            let sources = [Some(Source {
-                updates,
-                ..Source::sealed(store)
-            })];
-            let mut status = [SourceStatus::default()];
-            let plans = vec![plan.clone()];
-            let mut out = scan_group(&sources, &[query], plans, k, expand, &mut status);
-            let [status] = status;
-            (out.pop().unwrap(), status)
-        }
-
-        #[test]
-        fn refine_ranks_by_distance() {
-            let (out, status) = refine(&toy_store(), &plan_for(&[1]), &[0.0, 0.0], 2, false, None);
-            assert_eq!(out.results.len(), 2);
-            assert_eq!((out.results[0].0, out.results[1].0), (0, 1));
-            assert!((out.results[1].1 - sq_ed(&[0.0, 0.0], &[0.1, 0.0])).abs() < 1e-9);
-            assert_eq!((out.records_scanned, out.partitions_opened), (4, 1));
-            assert_eq!(status.records_scanned, 4);
-        }
-
-        #[test]
-        fn expansion_fires_only_when_short_of_k() {
-            let store = toy_store();
-            // k=6 > 4 records in cluster 1 → expansion reads cluster 2 too.
-            let (out, status) = refine(&store, &plan_for(&[1]), &[0.0, 0.0], 6, true, None);
-            assert_eq!((out.results.len(), out.records_scanned), (6, 8));
-            assert_eq!(
-                status.records_scanned, 8,
-                "expansion is charged to its source"
-            );
-            // without expansion we stop at 4
-            let (out, _) = refine(&store, &plan_for(&[1]), &[0.0, 0.0], 6, false, None);
-            assert_eq!(out.results.len(), 4);
-        }
-
-        #[test]
-        fn expansion_not_used_when_k_satisfied() {
-            let (out, _) = refine(&toy_store(), &plan_for(&[1]), &[0.0, 0.0], 3, true, None);
-            assert_eq!(out.records_scanned, 4, "must not touch cluster 2");
-        }
-
-        #[test]
-        fn missing_partition_is_tolerated() {
-            let mut p = plan_for(&[1]);
-            p.add_read(99, 1); // nonexistent partition
-            let (out, status) = refine(&toy_store(), &p, &[0.0, 0.0], 2, true, None);
-            assert_eq!((out.results.len(), out.partitions_opened), (2, 1));
-            assert_eq!(
-                status.failed_partitions.into_iter().collect::<Vec<_>>(),
-                [99]
-            );
-        }
-
-        #[test]
-        fn missing_cluster_is_tolerated() {
-            let (out, _) = refine(&toy_store(), &plan_for(&[42]), &[0.0, 0.0], 2, false, None);
-            assert!(out.results.is_empty());
-            assert_eq!(out.records_scanned, 0);
-        }
-
-        #[test]
-        fn results_are_squared_distances_sorted() {
-            let (out, _) = refine(
-                &toy_store(),
-                &plan_for(&[1, 2]),
-                &[0.0, 0.0],
-                8,
-                false,
-                None,
-            );
-            assert!(out.results.windows(2).all(|w| w[0].1 <= w[1].1));
-            assert_eq!(out.results.len(), 8);
-        }
-
-        #[test]
-        #[should_panic(expected = "k must be positive")]
-        fn zero_k_rejected() {
-            refine(&toy_store(), &plan_for(&[1]), &[0.0, 0.0], 0, false, None);
-        }
-
-        #[test]
-        fn tombstoned_records_never_reach_topk() {
-            let (delta, tombstones) = (DeltaSegment::new(), TombstoneSet::new());
-            tombstones.delete(0); // the nearest record to the query
-            let view = UpdateView {
-                delta: &delta,
-                tombstones: &tombstones,
-            };
-            let (out, _) = refine(
-                &toy_store(),
-                &plan_for(&[1]),
-                &[0.0, 0.0],
-                2,
-                false,
-                Some(view),
-            );
-            assert!(
-                out.results.iter().all(|&(id, _)| id != 0),
-                "{:?}",
-                out.results
-            );
-            assert_eq!(out.results[0].0, 1, "survivors fill the answer");
-            assert_eq!(out.records_scanned, 3, "scan counts survivors only");
-        }
-
-        #[test]
-        fn delta_records_merge_into_planned_clusters() {
-            let (store, delta, tombstones) =
-                (toy_store(), DeltaSegment::new(), TombstoneSet::new());
-            // route a new nearest record into (partition 0, cluster 1)
-            delta.append(0, 1, 500, &[0.01, 0.0]);
-            // ... and one into a cluster the sealed partition doesn't have
-            delta.append(0, 77, 501, &[0.02, 0.0]);
-            let view = Some(UpdateView {
-                delta: &delta,
-                tombstones: &tombstones,
-            });
-            let (out, _) = refine(&store, &plan_for(&[1]), &[0.0, 0.0], 2, false, view);
-            assert_eq!(out.results[0].0, 0, "exact sealed match still first");
-            assert_eq!(out.results[1].0, 500, "delta record ranks second");
-            assert_eq!(out.records_scanned, 5, "4 sealed + 1 delta");
-
-            // the delta-only cluster 77 is reachable via expansion
-            let (out, _) = refine(&store, &plan_for(&[1]), &[0.0, 0.0], 10, true, view);
-            assert!(out.results.iter().any(|&(id, _)| id == 501));
-            assert_eq!(out.records_scanned, 10, "8 sealed + 2 delta");
-
-            // a deleted delta record is filtered like any other
-            tombstones.delete(500);
-            let (out, _) = refine(&store, &plan_for(&[1]), &[0.0, 0.0], 2, false, view);
-            assert_eq!(out.results[0].0, 0);
-            assert_eq!(out.records_scanned, 4);
-        }
-
-        #[test]
-        fn empty_update_view_matches_sealed_path_exactly() {
-            let (store, delta, tombstones) =
-                (toy_store(), DeltaSegment::new(), TombstoneSet::new());
-            let view = UpdateView {
-                delta: &delta,
-                tombstones: &tombstones,
-            };
-            assert!(delta.is_empty() && tombstones.is_empty());
-            for (k, expand) in [(2usize, false), (6, true), (8, false)] {
-                let a = refine(&store, &plan_for(&[1]), &[0.1, 0.0], k, expand, None);
-                let b = refine(&store, &plan_for(&[1]), &[0.1, 0.0], k, expand, Some(view));
-                assert_eq!(a, b, "k={k} expand={expand}");
-            }
-        }
-
-        #[test]
-        fn scan_decoded_matches_per_record_visit() {
-            // Block-wise scoring visits what a per-record visit would.
-            let store = toy_store();
-            let q = [0.3f32, 0.1];
-            let (via_blocks, _) = refine(&store, &plan_for(&[1, 2]), &q, 3, false, None);
-            let reader = store.open(0).unwrap();
-            let mut via_visit = TopK::new(3);
-            for node in [1u64, 2] {
-                reader.for_each_in_cluster(node, |id, vals| {
-                    if let Some(d) = ed_early_abandon(&q, vals, via_visit.bound()) {
-                        via_visit.offer(id, d);
-                    }
-                });
-            }
-            assert_eq!(via_blocks.results, via_visit.into_sorted());
-        }
-    }
-}
+// More of the executor's unit tests (the cluster-scan core on a
+// hand-built store is `exec`'s own). Their module paths predate the
+// executor — there used to be one scan loop per module and a `KnnEngine`
+// façade — and are kept so the suite's test ids stay comparable across the
+// collapse: `scatter` pins the plan and multi-partition stages, `batch`
+// what a batch shares and refuses (n requests against one at a time is the
+// oracle proptest's, `tests/batch_equivalence.rs`), `engine` (engine.rs)
+// answer quality end to end.
 
 #[cfg(test)]
 mod testkit {
     use crate::exec::{execute, SeriesLen, Source};
     use crate::{QueryOutcome, SearchRequest};
-    use climber_dfs::store::MemStore;
+    use climber_dfs::store::DiskStore;
     use climber_index::builder::IndexBuilder;
     use climber_index::config::IndexConfig;
     use climber_index::skeleton::IndexSkeleton;
@@ -277,7 +63,7 @@ mod testkit {
     /// `reqs` through the executor over the sealed partitions of `store`.
     pub fn run(
         skeleton: &IndexSkeleton,
-        store: &MemStore,
+        store: &DiskStore,
         reqs: &[SearchRequest],
         threads: usize,
     ) -> Vec<QueryOutcome> {
@@ -287,15 +73,19 @@ mod testkit {
     }
 
     /// One request, inline on the calling thread.
-    pub fn search(skeleton: &IndexSkeleton, store: &MemStore, req: &SearchRequest) -> QueryOutcome {
+    pub fn search(
+        skeleton: &IndexSkeleton,
+        store: &DiskStore,
+        req: &SearchRequest,
+    ) -> QueryOutcome {
         run(skeleton, store, std::slice::from_ref(req), 0)
             .pop()
             .expect("one outcome per request")
     }
 
-    pub fn build(domain: Domain, n: usize) -> (IndexSkeleton, MemStore, Dataset) {
+    pub fn build(domain: Domain, n: usize) -> (IndexSkeleton, DiskStore, Dataset) {
         let ds = domain.generate(n, 91);
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         let cfg = IndexConfig::default()
             .with_paa_segments(8)
             .with_pivots(48)
@@ -323,7 +113,7 @@ mod scatter {
         use crate::testkit::{build, queries_of, search};
         use crate::{QueryPlan, SearchMode, SearchRequest};
         use climber_dfs::format::PartitionWriter;
-        use climber_dfs::store::{MemStore, PartitionStore};
+        use climber_dfs::store::{DiskStore, PartitionStore};
         use climber_series::gen::Domain;
         use std::collections::BTreeSet;
 
@@ -401,7 +191,7 @@ mod scatter {
 
             // The same partitions minus `bad`, and with `bad` re-encoded one
             // reading longer per record than the index (and the query).
-            let (without, crafted) = (MemStore::new(), MemStore::new());
+            let (without, crafted) = (DiskStore::in_memory(), DiskStore::in_memory());
             for pid in store.ids() {
                 let reader = store.open(pid).unwrap();
                 if pid != bad {
@@ -439,78 +229,10 @@ mod scatter {
 #[cfg(test)]
 mod batch {
     mod tests {
-        use crate::testkit::{build, queries_of, run, search};
-        use crate::{QueryOutcome, SearchRequest};
+        use crate::testkit::{build, queries_of, run};
+        use crate::SearchRequest;
         use climber_dfs::store::PartitionStore;
         use climber_series::gen::Domain;
-
-        /// `n` requests at the given thread counts vs one at a time.
-        fn check(
-            domain: Domain,
-            n: usize,
-            shape: impl Fn(Vec<f32>) -> SearchRequest,
-            threads: &[usize],
-        ) {
-            let (skeleton, store, ds) = build(domain, 400);
-            let reqs: Vec<SearchRequest> = queries_of(&ds, n).into_iter().map(shape).collect();
-            let want: Vec<QueryOutcome> =
-                reqs.iter().map(|r| search(&skeleton, &store, r)).collect();
-            for &t in threads {
-                assert_eq!(run(&skeleton, &store, &reqs, t), want, "threads={t}");
-            }
-        }
-
-        #[test]
-        fn batch_knn_identical_to_sequential() {
-            check(
-                Domain::RandomWalk,
-                12,
-                |q| SearchRequest::new(q, 10).exact(),
-                &[1, 2, 5],
-            );
-        }
-
-        #[test]
-        fn batch_adaptive_identical_to_sequential() {
-            // large k forces the adaptive cross-partition expansion AND the
-            // within-partition fallback
-            check(
-                Domain::Eeg,
-                9,
-                |q| SearchRequest::new(q, 120).adaptive(4),
-                &[3],
-            );
-        }
-
-        #[test]
-        fn batch_od_smallest_identical_to_sequential() {
-            check(
-                Domain::Dna,
-                6,
-                |q| SearchRequest::new(q, 25).smallest(),
-                &[2],
-            );
-        }
-
-        #[test]
-        fn single_query_batch_matches_single_query() {
-            check(
-                Domain::RandomWalk,
-                1,
-                |q| SearchRequest::new(q, 7).exact(),
-                &[8],
-            );
-        }
-
-        #[test]
-        fn batch_is_deterministic_across_thread_counts() {
-            check(
-                Domain::Eeg,
-                8,
-                |q| SearchRequest::new(q, 30).adaptive(2),
-                &[1, 4, 8],
-            );
-        }
 
         #[test]
         fn batch_decodes_less_than_it_scans() {

@@ -30,14 +30,14 @@ pub fn plan_od_smallest(skeleton: &IndexSkeleton, sig: &DualSignature) -> QueryP
 mod tests {
     use super::*;
     use crate::knn::plan_knn;
-    use climber_dfs::store::MemStore;
+    use climber_dfs::store::DiskStore;
     use climber_index::builder::IndexBuilder;
     use climber_index::config::IndexConfig;
     use climber_series::gen::Domain;
 
     fn build_index() -> (IndexSkeleton, climber_series::dataset::Dataset) {
         let ds = Domain::Eeg.generate(500, 31);
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         let cfg = IndexConfig::default()
             .with_paa_segments(8)
             .with_pivots(32)

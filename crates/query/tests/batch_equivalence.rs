@@ -13,7 +13,7 @@
 //! `partitions_opened`, and the plan itself.
 
 use climber_core::{Climber, ClimberConfig, SearchMode, ShardedClimber};
-use climber_dfs::store::{MemStore, PartitionStore};
+use climber_dfs::store::{DiskStore, PartitionStore};
 use climber_index::skeleton::IndexSkeleton;
 use climber_query::adaptive::plan_adaptive;
 use climber_query::knn::plan_knn;
@@ -71,14 +71,14 @@ fn reference_plan(skeleton: &IndexSkeleton, req: &SearchRequest) -> (QueryPlan, 
 /// truncated to `k`; expansion replayed on candidate *counts* — plan
 /// order, all shards per partition, stop once `k` candidates exist.
 fn oracle(
-    shards: &[&Climber<MemStore>],
+    shards: &[&Climber<DiskStore>],
     plan: &QueryPlan,
     query: &[f32],
     k: usize,
     expands: bool,
 ) -> QueryOutcome {
     let mut candidates: Vec<(f64, u64)> = Vec::new();
-    let mut cluster = |shard: &Climber<MemStore>, pid: u32, node: u64| {
+    let mut cluster = |shard: &Climber<DiskStore>, pid: u32, node: u64| {
         let mut offer = |id: u64, values: &[f32]| {
             if !shard.tombstones().contains(id) {
                 candidates.push((sq_ed(query, values), id));

@@ -1,6 +1,6 @@
 //! Property-based tests for query planning over randomly built indexes.
 
-use climber_dfs::store::MemStore;
+use climber_dfs::store::DiskStore;
 use climber_index::builder::IndexBuilder;
 use climber_index::config::IndexConfig;
 use climber_index::skeleton::{GroupId, IndexSkeleton, FALLBACK_GROUP};
@@ -17,9 +17,9 @@ use climber_series::gen::{Domain, RandomWalkGenerator, SeriesGenerator};
 use proptest::prelude::*;
 
 /// Builds a small index over a seeded random-walk dataset.
-fn build_index(n: usize, seed: u64, capacity: u64) -> (IndexSkeleton, MemStore, Dataset) {
+fn build_index(n: usize, seed: u64, capacity: u64) -> (IndexSkeleton, DiskStore, Dataset) {
     let ds = RandomWalkGenerator::new(64).generate(n, seed);
-    let store = MemStore::new();
+    let store = DiskStore::in_memory();
     let cfg = IndexConfig::default()
         .with_paa_segments(8)
         .with_pivots(24)
@@ -34,7 +34,7 @@ fn build_index(n: usize, seed: u64, capacity: u64) -> (IndexSkeleton, MemStore, 
 }
 
 /// One request through the executor over the sealed partitions of `store`.
-fn search(skeleton: &IndexSkeleton, store: &MemStore, req: &SearchRequest) -> QueryOutcome {
+fn search(skeleton: &IndexSkeleton, store: &DiskStore, req: &SearchRequest) -> QueryOutcome {
     let sources = [Some(Source::sealed(store))];
     let series_len = SeriesLen::default().get(store);
     let reqs = std::slice::from_ref(req);
@@ -196,7 +196,7 @@ proptest! {
     fn domains_other_than_randomwalk_plan_correctly(domain_idx in 0usize..4, qid in 0u64..100) {
         let domain = Domain::ALL[domain_idx];
         let ds = domain.generate(150, 99);
-        let store = MemStore::new();
+        let store = DiskStore::in_memory();
         let cfg = IndexConfig::default()
             .with_paa_segments(8)
             .with_pivots(24)

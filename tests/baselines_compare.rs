@@ -4,7 +4,7 @@
 use climber_core::baselines::dpisax::{DpisaxConfig, DpisaxIndex};
 use climber_core::baselines::dss::dss_query;
 use climber_core::baselines::tardis::{TardisConfig, TardisIndex};
-use climber_core::dfs::store::MemStore;
+use climber_core::dfs::store::DiskStore;
 use climber_core::series::gen::{query_workload, Domain};
 use climber_core::series::ground_truth::exact_knn;
 use climber_core::series::recall::recall_of_results;
@@ -55,7 +55,7 @@ fn dss_is_exact_and_climber_beats_isax_systems() {
             .results
     });
 
-    let dstore = MemStore::new();
+    let dstore = DiskStore::in_memory();
     let (dpisax, _) = DpisaxIndex::build(
         &ds,
         &dstore,
@@ -69,7 +69,7 @@ fn dss_is_exact_and_climber_beats_isax_systems() {
     );
     let r_dpisax = mean_recall(&ds, &queries, |q| dpisax.query(&dstore, q, K).results);
 
-    let tstore = MemStore::new();
+    let tstore = DiskStore::in_memory();
     let (tardis, _) = TardisIndex::build(
         &ds,
         &tstore,

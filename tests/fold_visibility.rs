@@ -16,7 +16,7 @@
 //!   census of every partition plus the delta holds every acknowledged
 //!   append.
 
-use climber_core::dfs::fsio::{ClimberFs, FsRef, StdFs};
+use climber_core::dfs::fsio::{Bytes, ClimberFs, FsRef, StdFs};
 use climber_core::dfs::store::{parse_extension_file_name, DiskStore, PartitionStore};
 use climber_core::series::gen::Domain;
 use climber_core::{
@@ -136,11 +136,11 @@ impl Gate {
 }
 
 impl ClimberFs for Gate {
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+    fn read(&self, path: &Path) -> io::Result<Bytes> {
         self.pass("read", path);
         StdFs.read(path)
     }
-    fn read_ranges(&self, path: &Path, ranges: &[(u64, usize)]) -> io::Result<Vec<Vec<u8>>> {
+    fn read_ranges(&self, path: &Path, ranges: &[(u64, usize)]) -> io::Result<Vec<Bytes>> {
         self.pass("read_ranges", path);
         StdFs.read_ranges(path, ranges)
     }
@@ -176,10 +176,10 @@ impl ClimberFs for Gate {
 struct Slow;
 
 impl ClimberFs for Slow {
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+    fn read(&self, path: &Path) -> io::Result<Bytes> {
         StdFs.read(path)
     }
-    fn read_ranges(&self, path: &Path, ranges: &[(u64, usize)]) -> io::Result<Vec<Vec<u8>>> {
+    fn read_ranges(&self, path: &Path, ranges: &[(u64, usize)]) -> io::Result<Vec<Bytes>> {
         StdFs.read_ranges(path, ranges)
     }
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {

@@ -30,7 +30,7 @@
 //!   and the rest of a partition only when it expands.
 
 use climber_core::dfs::format::{ClusterPick, PartitionDirectory, PartitionReader};
-use climber_core::dfs::fsio::{ClimberFs, FaultFs, FsOp, FsRef, StdFs};
+use climber_core::dfs::fsio::{Bytes, ClimberFs, FaultFs, FsOp, FsRef, StdFs};
 use climber_core::dfs::page::PAGE_SIZE;
 use climber_core::dfs::store::{
     parse_extension_file_name, partition_file_name, DiskStore, PartitionStore,
@@ -479,11 +479,11 @@ impl ReadLog {
 }
 
 impl ClimberFs for ReadLog {
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+    fn read(&self, path: &Path) -> io::Result<Bytes> {
         self.0.lock().unwrap().push((name_of(path), 0, usize::MAX));
         StdFs.read(path)
     }
-    fn read_ranges(&self, path: &Path, ranges: &[(u64, usize)]) -> io::Result<Vec<Vec<u8>>> {
+    fn read_ranges(&self, path: &Path, ranges: &[(u64, usize)]) -> io::Result<Vec<Bytes>> {
         let mut log = self.0.lock().unwrap();
         log.extend(
             ranges
