@@ -86,8 +86,7 @@ use climber_dfs::fsio;
 use climber_dfs::manifest::{xxh64, FileEntry, PartitionEntry};
 use climber_dfs::segment;
 use climber_dfs::store::{
-    partition_file_name, staged_path_of, DiskStore, Layer, Layout, PartitionId, PartitionStore,
-    Staged,
+    partition_file_name, staged_path_of, DiskStore, Layout, PartitionId, PartitionStore, Staged,
 };
 use climber_index::builder::IndexBuilder;
 use climber_pivot::signature::SignatureScratch;
@@ -107,10 +106,11 @@ pub const SKELETON_FILE: &str = "skeleton.clsk";
 pub struct MaintenanceReport {
     /// Partitions whose base image this fold rewrote: every partition a
     /// compaction folds, and a flush's partitions whose extension images
-    /// would outgrow their share of the base.
+    /// would outgrow their share of the base (or, at a merge, that have
+    /// no pending records).
     pub partitions_rewritten: usize,
-    /// Partitions this fold gave an extension image — a new one, or one
-    /// merging its extensions — instead of rewriting the base.
+    /// Partitions this fold gave an extension image in its pack — a new
+    /// one, or one merging its extensions — instead of rewriting the base.
     pub partitions_extended: usize,
     /// Delta records folded into sealed partitions: every record pending
     /// when the fold began but one a base rewrite purged (counted there).
@@ -127,17 +127,23 @@ pub struct MaintenanceReport {
     pub generation: u64,
 }
 
-/// Extension images a partition holds at most: a flush that would add
-/// one more merges the partition's extensions and its pending records into
-/// one. A cluster read therefore touches at most `1 + MAX_EXTENSIONS`
-/// files.
+/// Flushes whose packs may be live at once: a flush that would add one
+/// more merges every partition's extension images. Each partition holds
+/// at most one image of a flush, so a cluster read touches at most
+/// `1 + MAX_EXTENSIONS` images.
 const MAX_EXTENSIONS: usize = 4;
 
 /// A partition's extension images hold at most `1 / EXTENSION_SHARE` of
-/// its base image's bytes: a flush that would pass it rewrites the
-/// partition into one base image instead, so records are copied a bounded
-/// number of times (the log-structured merge rule).
+/// its base image's bytes, checked when a merge folds them: one that would
+/// pass it is rewritten into one base image instead, so records are
+/// copied a bounded number of times (the log-structured merge rule).
 const EXTENSION_SHARE: u64 = 4;
+
+/// Bytes of extension images one pack holds at most, by their predicted
+/// sizes (records appended while the fold runs may add a few): a merging
+/// flush writes a few packs, and the images a fold holds at once stay
+/// bounded.
+const PACK_BYTES: u64 = 4 << 20;
 
 /// What a fold does to one partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,14 +157,30 @@ enum Fold {
     Rewrite,
 }
 
-/// One partition of a fold between its stage and its publish: the
-/// staged image (written, not yet durable), how many records it copied
-/// from each delta run (the prefix its publish retires), and its counts.
-struct FoldStage {
-    staged: Staged,
+/// What a fold does to one partition, decided before any image is built:
+/// the fold, the partition's layout, and the predicted image length a pack
+/// is cut by.
+struct Planned {
+    pid: PartitionId,
+    fold: Fold,
+    layout: Layout,
+    predicted: u64,
+}
+
+/// One partition's folded image, built and not yet staged: how many
+/// records it copied from each delta run (the prefix its publish retires)
+/// and its counts.
+struct Folded {
+    pid: PartitionId,
+    image: fsio::Bytes,
     copied: Vec<(TrieNodeId, usize)>,
     done: FoldDone,
 }
+
+/// One file a fold staged — a rewritten base image, or a pack — as each
+/// of its images (written, not yet durable) with what its publish retires
+/// and reports.
+type FileStage = Vec<(Staged, Vec<(TrieNodeId, usize)>, FoldDone)>;
 
 /// What one partition's fold did, once published.
 struct FoldDone {
@@ -796,20 +818,26 @@ impl<S: PartitionStore> Climber<S> {
 
     /// Folds the delta segment into the sealed partitions. Every partition
     /// holding delta records gets them as one more *extension image* — a
-    /// small image beside its base holding only those records, each
-    /// trie-node cluster in id order — so a flush writes about what was
-    /// appended, and no base image is read or rewritten. Two bounds keep
-    /// reads and rewrites in check, per partition:
+    /// small image holding only those records, each trie-node cluster in
+    /// id order — and the flush writes all those images back to back into
+    /// one new *pack* file (a few past 4 MiB), so it writes about what was
+    /// appended, in one file, and no base image is read or rewritten. Two
+    /// bounds keep reads and rewrites in check:
     ///
-    /// * a flush that would give it a fifth extension merges its
-    ///   extensions and its pending records into one;
-    /// * a flush that would make its extensions pass a quarter of its base
-    ///   image's bytes rewrites it instead into one base image — base,
-    ///   extensions and pending records — and that rewrite **purges**: it
-    ///   drops the tombstoned records it holds and clears exactly those
-    ///   tombstones. Tombstones of partitions that only extend are kept
-    ///   (they keep filtering queries); [`compact`](Self::compact) purges
-    ///   every one.
+    /// * a flush that would leave the extension images of a fifth flush
+    ///   live **merges** instead, every partition at once: one holding
+    ///   pending records gets its extensions and those records as one
+    ///   extension in the flush's packs, and every older pack is removed —
+    ///   so no pack outlives the flushes its images are read for;
+    /// * a partition whose extensions would pass a quarter of its base
+    ///   image's bytes — checked when a merge folds them, or on a flush
+    ///   that would give a partition its first one — or that has none of
+    ///   its own pending records at a merge, is rewritten instead into one
+    ///   base image: base, extensions and pending records. That rewrite
+    ///   **purges**: it drops the tombstoned records it holds and clears
+    ///   exactly those tombstones. Tombstones of partitions that only
+    ///   extend are kept (they keep filtering queries);
+    ///   [`compact`](Self::compact) purges every one.
     ///
     /// Each image is built by one [`fold_partition`] per partition over the
     /// build's worker fan-out, the new files made durable together on the
@@ -823,18 +851,19 @@ impl<S: PartitionStore> Climber<S> {
     /// (the receipts of this fold's images, the entries it was opened
     /// with), and the manifest is rewritten at the bumped segment
     /// generation, so the on-disk index stays openable at O(affected
-    /// partitions) cost. The images a merge or a rewrite replaced are
-    /// removed once that manifest has committed.
+    /// partitions) cost. The packs a merge or rewrites emptied are removed
+    /// once that manifest has committed.
     ///
     /// A query racing a fold answers as it would before or after it: a
     /// delta record leaves the segment in the same critical section that
     /// publishes the image holding it, so at every instant it is in
-    /// exactly one place a query reads. If a partition write or fsync
-    /// fails, that partition's records simply stay in the delta segment —
-    /// no acknowledged append is dropped — the other partitions still
-    /// publish, and a later `flush` or `save` finishes the pending
-    /// re-seal. Folds and saves of one index run one
-    /// at a time; appends, deletes and queries proceed throughout.
+    /// exactly one place a query reads. If a file's write or fsync fails,
+    /// the records of the partitions it held — one rewritten partition, or
+    /// every partition in a pack — simply stay in the delta segment — no
+    /// acknowledged append is dropped — the other files still publish,
+    /// and a later `flush` or `save` finishes the pending re-seal. Folds
+    /// and saves of one index run one at a time; appends, deletes and
+    /// queries proceed throughout.
     pub fn flush(&self) -> Result<MaintenanceReport, ClimberError> {
         Ok(self.maintain(false)?)
     }
@@ -874,9 +903,16 @@ impl<S: PartitionStore> Climber<S> {
             }
         }
         // The fold set: the compaction's partitions plus every one with
-        // pending records. Records appended to any of them from here on
+        // pending records — and, when a merge is due, every one with
+        // extension images. Records appended to any of them from here on
         // wait for the next fold.
         affected.extend(self.delta.partitions());
+        let merging = !compact && self.store.extension_generations() >= MAX_EXTENSIONS;
+        if merging {
+            let extended =
+                |pid: &PartitionId| (self.store.layout(*pid)).is_ok_and(|l| l.files.len() > 1);
+            affected.extend(self.store.ids().into_iter().filter(extended));
+        }
         if affected.is_empty() && (!compact || purge.is_empty()) {
             // Nothing to fold — but an earlier fold may have published
             // images and then failed its re-seal (e.g. out of disk):
@@ -895,36 +931,94 @@ impl<S: PartitionStore> Climber<S> {
             });
         }
 
-        // Fold the affected partitions in three phases: stage every image
-        // on the build's worker fan-out (CPU work: each worker owns one
-        // image end to end, and the image is dropped once written), make
+        // Fold the affected partitions in three phases: stage every file
+        // — each base rewrite on its own, every extension image in the
+        // flush's packs — with the images built on the build's worker
+        // fan-out (CPU work: each worker builds one image at a time), make
         // every staged file durable at once on the I/O threads, then
         // publish each partition. From the first publish on, a disk
         // directory's manifest is stale until the re-seal below lands; the
         // flag makes any later flush or save finish the repair if this
-        // attempt errors out. A partition whose stage or fsync failed
-        // published nothing and retired nothing; the others still publish.
+        // attempt errors out. A partition whose file failed to stage or
+        // fsync published nothing and retired nothing; the others still
+        // publish.
         self.reseal_owed
             .store(true, std::sync::atomic::Ordering::Relaxed);
         let cluster = climber_dfs::cluster::Cluster::new(self.build_options.resolved_threads());
+        let mut published: Vec<io::Result<FoldDone>> = Vec::new();
+        let (mut rewrites, mut packed) = (Vec::new(), Vec::new());
+        for pid in affected {
+            match self.plan_fold(pid, compact, merging) {
+                Ok(planned) if planned.fold == Fold::Rewrite => rewrites.push(planned),
+                Ok(planned) => packed.push(planned),
+                Err(e) => published.push(Err(e)),
+            }
+        }
         let purge_ref = &purge;
-        let stages = cluster.par_map(affected.into_iter().collect(), move |pid| {
-            self.stage_fold(pid, compact, purge_ref)
+        let mut files: Vec<io::Result<FileStage>> = cluster.par_map(rewrites, move |planned| {
+            let folded = self.fold_image(planned, purge_ref)?;
+            let staged = self.store.stage(folded.pid, folded.image)?;
+            Ok(vec![(staged, folded.copied, folded.done)])
         });
-        let unsynced = (stages.iter().flatten())
-            .map(|stage| stage.staged.unsynced().to_path_buf())
+        // The packs: partitions in ascending id, cut where the predicted
+        // images would pass `PACK_BYTES`, each pack's images built
+        // together and staged as one file.
+        let generation = self.generation.load(Ordering::Relaxed) + 1;
+        let mut chunks: Vec<Vec<Planned>> = Vec::new();
+        let mut chunk_bytes = 0;
+        for planned in packed {
+            if chunks.is_empty() || chunk_bytes + planned.predicted > PACK_BYTES {
+                chunks.push(Vec::new());
+                chunk_bytes = 0;
+            }
+            chunk_bytes += planned.predicted;
+            chunks.last_mut().expect("a chunk").push(planned);
+        }
+        for (k, chunk) in chunks.into_iter().enumerate() {
+            let mut images = Vec::with_capacity(chunk.len());
+            let mut folds = Vec::with_capacity(chunk.len());
+            for folded in cluster.par_map(chunk, |planned| self.fold_image(planned, purge_ref)) {
+                match folded {
+                    Ok(f) => {
+                        images.push((f.pid, f.image));
+                        folds.push((f.copied, f.done));
+                    }
+                    Err(e) => published.push(Err(e)),
+                }
+            }
+            if images.is_empty() {
+                continue;
+            }
+            let staged = self.store.stage_pack(generation, k as u32, merging, images);
+            files.push(staged.map(|staged| {
+                (staged.into_iter().zip(folds))
+                    .map(|(staged, (copied, done))| (staged, copied, done))
+                    .collect()
+            }));
+        }
+        let unsynced = (files.iter().flatten())
+            .map(|file| file[0].0.unsynced().to_path_buf())
             .collect();
         let mut synced = fsio::fsync_files(&self.store.fs(), unsynced).into_iter();
-        let published: Vec<io::Result<FoldDone>> = (stages.into_iter())
-            .map(|stage| {
-                let stage = stage?;
-                if let Err(e) = synced.next().expect("one fsync per staged file") {
-                    self.store.discard(stage.staged);
-                    return Err(e);
+        for file in files {
+            let file = match file {
+                Ok(file) => file,
+                Err(e) => {
+                    published.push(Err(e));
+                    continue;
                 }
-                self.publish_fold(stage)
-            })
-            .collect();
+            };
+            if let Err(e) = synced.next().expect("one fsync per staged file") {
+                for (staged, _, _) in file {
+                    self.store.discard(staged);
+                }
+                published.push(Err(e));
+                continue;
+            }
+            for (staged, copied, done) in file {
+                published.push(self.publish_fold(staged, copied, done));
+            }
+        }
         let mut report = MaintenanceReport {
             partitions_rewritten: 0,
             partitions_extended: 0,
@@ -951,8 +1045,9 @@ impl<S: PartitionStore> Climber<S> {
                 }
             }
         }
-        // A published image is named by this generation (an extension's
-        // file number): spend it even when another partition failed.
+        // A published image is named by this generation (its pack's, and
+        // its number as an extension): spend it even when another
+        // partition failed.
         if report.partitions_rewritten + report.partitions_extended > 0 {
             report.generation = self.generation.fetch_add(1, Ordering::Relaxed) + 1;
         }
@@ -987,59 +1082,55 @@ impl<S: PartitionStore> Climber<S> {
         self.seal(dir, prev.as_ref()).map(drop)
     }
 
-    /// What a flush does to partition `pid` (see [`flush`](Self::flush)),
-    /// from the sizes of its images and of the extension its pending
-    /// records would make.
-    fn flush_fold(&self, pid: PartitionId, layout: &Layout) -> Fold {
+    /// What a fold does to partition `pid` (see [`flush`](Self::flush);
+    /// a compaction always rewrites), from the sizes of its images and of
+    /// the extension its pending records would make.
+    fn plan_fold(&self, pid: PartitionId, compact: bool, merging: bool) -> io::Result<Planned> {
+        let layout = self.store.layout(pid)?;
         let (nodes, records) = (self.delta.read().runs(pid))
             .fold((0, 0), |(nodes, records), (_, run)| {
                 (nodes + 1, records + run.len())
             });
         let added = image_len(layout.series_len, nodes, records) as u64;
-        let extension_bytes = layout.files[1..].iter().sum::<u64>() + added;
-        if extension_bytes * EXTENSION_SHARE > layout.files[0] {
-            Fold::Rewrite
-        } else if layout.files.len() > MAX_EXTENSIONS {
-            Fold::Merge
-        } else {
-            Fold::Extend
-        }
+        let extension_bytes = layout.files[1..].iter().sum::<u64>();
+        let passes = (extension_bytes + added) * EXTENSION_SHARE > layout.files[0];
+        let fold = match (compact, merging) {
+            (true, _) => Fold::Rewrite,
+            (false, true) if passes || records == 0 => Fold::Rewrite,
+            (false, true) => Fold::Merge,
+            // A partition with extensions waits for the next merge to be
+            // rewritten: rewriting it now would leave its images in older
+            // packs as dead bytes.
+            (false, false) if passes && layout.files.len() == 1 => Fold::Rewrite,
+            (false, false) => Fold::Extend,
+        };
+        let predicted = match fold {
+            Fold::Merge => extension_bytes + added,
+            _ => added,
+        };
+        Ok(Planned {
+            pid,
+            fold,
+            layout,
+            predicted,
+        })
     }
 
-    /// Stages one partition's fold (see [`Fold`]; a compaction always
-    /// rewrites): the images it folds in are read with no lock held, then,
-    /// inside one delta read section, their clusters and the partition's
-    /// delta runs as they stand are spliced — byte ranges, never decoded,
-    /// each run in ascending-id order — into the new image, and only each
-    /// run's record count is kept; a rewrite drops the ids in `purge`, and
-    /// clusters left empty are dropped. The image is then
-    /// [staged](PartitionStore::stage) unsynced, with no lock held, and
-    /// dropped. An extension is named by the generation the fold commits.
-    fn stage_fold(
-        &self,
-        pid: PartitionId,
-        compact: bool,
-        purge: &BTreeSet<u64>,
-    ) -> io::Result<FoldStage> {
-        let layout = self.store.layout(pid)?;
-        let fold = match compact {
-            true => Fold::Rewrite,
-            false => self.flush_fold(pid, &layout),
-        };
-        let file = self.generation.load(Ordering::Relaxed) + 1;
-        let (layer, layers) = match fold {
-            Fold::Extend => (
-                Layer::Extension {
-                    file,
-                    merged: false,
-                },
-                Vec::new(),
-            ),
-            Fold::Merge => (
-                Layer::Extension { file, merged: true },
-                self.store.layers(pid, 1)?,
-            ),
-            Fold::Rewrite => (Layer::Base, self.store.layers(pid, 0)?),
+    /// Builds one partition's folded image (see [`Fold`]): the images it
+    /// folds in are read with no lock held, then, inside one delta read
+    /// section, their clusters and the partition's delta runs as they
+    /// stand are spliced — byte ranges, never decoded, each run in
+    /// ascending-id order — into the new image, and only each run's record
+    /// count is kept; a rewrite drops the ids in `purge`, and clusters left
+    /// empty are dropped.
+    fn fold_image(&self, planned: Planned, purge: &BTreeSet<u64>) -> io::Result<Folded> {
+        let Planned {
+            pid, fold, layout, ..
+        } = planned;
+        let layers = match fold {
+            Fold::Extend => Vec::new(),
+            Fold::Merge => self.store.layers(pid, 1)?,
+            Fold::Rewrite => self.store.layers(pid, 0)?,
         };
         let mut purged = Vec::new();
         let keep = |id: u64| match fold == Fold::Rewrite && purge.contains(&id) {
@@ -1064,8 +1155,9 @@ impl<S: PartitionStore> Climber<S> {
         drop(layers);
         // From a stage worker: see `start_io_threads` on heap arenas.
         fsio::start_io_threads();
-        Ok(FoldStage {
-            staged: self.store.stage(pid, layer, image)?,
+        Ok(Folded {
+            pid,
+            image,
             copied,
             done: FoldDone {
                 fold,
@@ -1075,13 +1167,18 @@ impl<S: PartitionStore> Climber<S> {
         })
     }
 
-    /// Publishes a durable fold stage in the delta write section that
+    /// Publishes a durable staged image in the delta write section that
     /// retires the runs it copied.
-    fn publish_fold(&self, stage: FoldStage) -> io::Result<FoldDone> {
-        let pid = stage.staged.id();
-        let section = (self.store).publish(stage.staged, || self.delta.write())?;
-        section.retire(pid, stage.copied);
-        Ok(stage.done)
+    fn publish_fold(
+        &self,
+        staged: Staged,
+        copied: Vec<(TrieNodeId, usize)>,
+        done: FoldDone,
+    ) -> io::Result<FoldDone> {
+        let pid = staged.id();
+        let section = (self.store).publish(staged, || self.delta.write())?;
+        section.retire(pid, copied);
+        Ok(done)
     }
 
     /// The global index skeleton.
@@ -1661,11 +1758,12 @@ mod tests {
     /// The orphan sweep of a writable open lists the directory through the
     /// open's filesystem: a `FaultFs` traces the listing (a read-only open
     /// lists nothing), and in a `SimFs` directory a writable open removes
-    /// an orphan extension image that a read-only open leaves.
+    /// an orphan pack and an orphan version-3 extension image that a
+    /// read-only open leaves — and keeps the pack its manifest names.
     #[test]
     fn a_writable_open_lists_through_its_filesystem() {
         use climber_dfs::fsio::{ClimberFs, FaultFs, FsOp, SimFs};
-        use climber_dfs::store::extension_file_name;
+        use climber_dfs::store::{extension_file_name, pack_file_name};
         let dir = std::env::temp_dir().join(format!("climber-core-list-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let ds = Domain::RandomWalk.generate(300, 3);
@@ -1687,20 +1785,30 @@ mod tests {
         let store = DiskStore::create(sim.root().to_path_buf(), sim.clone()).unwrap();
         let options = BuildOptions::default().with_threads(2);
         let built = Climber::build_into(store, &ds, small_cfg(), options).unwrap();
-        let orphan = sim
-            .root()
-            .join(extension_file_name(built.store().ids()[0], 9));
-        sim.write(&orphan, b"a crashed fold's extension").unwrap();
+        built.append(ds.get(7)).unwrap();
+        let generation = built.flush().unwrap().generation;
+        let named = sim.root().join(pack_file_name(generation, 0));
+        let orphans = [
+            sim.root().join(pack_file_name(generation + 1, 0)),
+            sim.root().join(pack_file_name(generation, 1)),
+            (sim.root()).join(extension_file_name(built.store().ids()[0], 9)),
+        ];
+        drop(built);
+        for orphan in &orphans {
+            sim.write(orphan, b"a crashed fold's images").unwrap();
+        }
         Climber::open_dir(sim.root(), &over(sim.clone(), false)).unwrap();
-        assert!(
-            sim.read(&orphan).is_ok(),
-            "a read-only open removes nothing"
-        );
+        for orphan in &orphans {
+            assert!(sim.read(orphan).is_ok(), "a read-only open removes nothing");
+        }
         Climber::open_dir(sim.root(), &over(sim.clone(), true)).unwrap();
-        assert!(
-            sim.read(&orphan).is_err(),
-            "the writable open sweeps the orphan"
-        );
+        for orphan in &orphans {
+            assert!(
+                sim.read(orphan).is_err(),
+                "the writable open sweeps {orphan:?}"
+            );
+        }
+        assert!(sim.read(&named).is_ok(), "the named pack stays");
     }
 
     #[test]

@@ -145,6 +145,12 @@ impl ClimberFs for StdFs {
         // One open: it costs about as much as reading a small cluster.
         let mut file = fs::File::open(path)?;
         let mut read = |&(offset, len): &(u64, usize)| {
+            // A length past `TRUSTED_LEN` (an image, not a cluster) is
+            // checked against the file before anything is reserved for
+            // it: a damaged manifest's claim never becomes an allocation.
+            if len > TRUSTED_LEN && offset.saturating_add(len as u64) > file.metadata()?.len() {
+                return Err(past_end(path, offset, len));
+            }
             file.seek(io::SeekFrom::Start(offset))?;
             // Filled by `read_to_end` without zeroing it first.
             let mut buf = Vec::with_capacity(len);
@@ -191,6 +197,10 @@ impl ClimberFs for StdFs {
         fs::create_dir_all(path)
     }
 }
+
+/// The longest range [`StdFs::read_ranges`] reserves a buffer for
+/// without first checking that the file holds it.
+const TRUSTED_LEN: usize = 1 << 20;
 
 fn past_end(path: &Path, offset: u64, len: usize) -> io::Error {
     let at = format!("{len} bytes at offset {offset}");
@@ -912,6 +922,12 @@ mod tests {
             assert!(err.to_string().contains(INJECTED_FAULT));
             let got = ff.read_ranges(&p, &[(0, 1), (1, 1)]).unwrap();
             assert_eq!(slices(&got), [b"0", b"1"]);
+            // A claimed length no file could hold fails typed: nothing is
+            // reserved for it.
+            for range in [(4, usize::MAX / 2), (u64::MAX - 1, 1 << 40)] {
+                let err = ff.read_ranges(&p, &[range]).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{range:?}");
+            }
         });
     }
 

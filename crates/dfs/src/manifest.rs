@@ -1,9 +1,10 @@
 //! The versioned on-disk index manifest.
 //!
 //! A persisted CLIMBER index directory holds, per partition, one base
-//! image (`part_XXXXXXXX.clbp`) and up to a few extension images
-//! (`part_XXXXXXXX.x<n>.clbp`, each holding records a flush appended), the
-//! serialised skeleton (`skeleton.clsk`), and this module's
+//! image (`part_XXXXXXXX.clbp`); the extension images flushes appended,
+//! packed per flush into a few *pack* files (`pack_<generation>.<k>.clbp`,
+//! each the extension images of many partitions back to back); the
+//! serialised skeleton (`skeleton.clsk`); and this module's
 //! `MANIFEST.clmf` — the commit record that makes the directory a *valid
 //! index* rather than a pile of files:
 //!
@@ -17,17 +18,21 @@
 //! skeleton: bytes u64, xxh64 u64
 //! partition count u32
 //!   per partition: id u32, file count u32 (≥ 1)
-//!     per file, in file order: file u64, bytes u64, xxh64 u64, records u64
+//!     per file, in file order: file u64, bytes u64, xxh64 u64, records u64,
+//!       place u8 — 0: its own file; 1: in a pack, then k u32, offset u64
 //! manifest xxh64 u64          — checksum of every preceding byte
 //! ```
 //!
-//! A partition's files are ordered: the base image first (file `0`), then
-//! its extension images by strictly ascending file number `n ≥ 1` — the
-//! segment generation of the flush that wrote it. A query reads a node's
-//! cluster from every file in that order. Versions 1 and 2 list one file
-//! per partition as `id u32, bytes u64, xxh64 u64, records u64` and still
-//! decode (as base images with no extension); a writable open rewrites
-//! them as version 3 at its next seal.
+//! A partition's files are ordered: the base image first (file `0`, always
+//! its own file), then its extension images by strictly ascending file
+//! number `n ≥ 1` — the segment generation of the flush that wrote it. An
+//! extension lies `bytes` bytes from `offset` on in pack
+//! `pack_<n>.<k>.clbp` — or, written by a version-3 build, in its own file
+//! `part_XXXXXXXX.x<n>.clbp`. A query reads a node's cluster from every
+//! image in that order. Version 3 lists each file without its place (every
+//! image in its own file); versions 1 and 2 list one file per partition
+//! as `id u32, bytes u64, xxh64 u64, records u64`. All still decode, and a
+//! writable open rewrites them as version 4 at its next seal.
 //!
 //! All integers little-endian. Writers go through
 //! [`Manifest::write_atomic_with`] (temp file + fsync + atomic rename +
@@ -59,9 +64,10 @@ pub const MANIFEST_MAGIC: [u8; 4] = *b"CLMF";
 /// Newest on-disk index format this build reads and writes. Version 2
 /// added the segment generation and the optional update-journal entry;
 /// version 3 made each partition entry an ordered list of files (a base
-/// image and its extension images). Version-1 and version-2 directories
-/// are still read (version 1 as generation 0 with no journal).
-pub const FORMAT_VERSION: u32 = 3;
+/// image and its extension images); version 4 places each extension image
+/// in a pack at an offset. Directories of versions 1 to 3 are still read
+/// (version 1 as generation 0 with no journal).
+pub const FORMAT_VERSION: u32 = 4;
 
 // ---------------------------------------------------------------------------
 // xxHash64
@@ -337,8 +343,10 @@ pub struct PartitionEntry {
     pub extensions: Vec<ImageEntry>,
 }
 
-/// One image file of a partition: its base image (`file` 0,
-/// `part_{id:08}.clbp`) or an extension image (`part_{id:08}.x{file}.clbp`).
+/// One image of a partition: its base image (`file` 0,
+/// `part_{id:08}.clbp`) or an extension image — in a pack
+/// (`pack_{file}.{k}.clbp`), or in a file of its own
+/// (`part_{id:08}.x{file}.clbp`, written by a version-3 build).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ImageEntry {
     /// `0` for the base image; else the extension's number (≥ 1), the
@@ -350,6 +358,18 @@ pub struct ImageEntry {
     pub checksum: u64,
     /// Records stored inside.
     pub records: u64,
+    /// Where in a pack the image lies; `None` for an image in its own
+    /// file.
+    pub pack: Option<PackSlot>,
+}
+
+/// Where an extension image lies in the pack its flush wrote.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PackSlot {
+    /// The pack's number among its flush's packs (`pack_<file>.<k>.clbp`).
+    pub k: u32,
+    /// Byte offset of the image in the pack.
+    pub offset: u64,
 }
 
 impl PartitionEntry {
@@ -361,6 +381,7 @@ impl PartitionEntry {
             bytes: self.bytes,
             checksum: self.checksum,
             records: self.records,
+            pack: None,
         };
         std::iter::once(base).chain(self.extensions.iter().copied())
     }
@@ -473,6 +494,14 @@ impl Manifest {
                 image.bytes.encode(&mut out);
                 image.checksum.encode(&mut out);
                 image.records.encode(&mut out);
+                match image.pack {
+                    None => 0u8.encode(&mut out),
+                    Some(slot) => {
+                        1u8.encode(&mut out);
+                        slot.k.encode(&mut out);
+                        slot.offset.encode(&mut out);
+                    }
+                }
             }
         }
         let sum = xxh64(&out, 0);
@@ -559,8 +588,8 @@ impl Manifest {
             checksum: r.u64().map_err(parse)?,
         };
         let n = r.u32().map_err(parse)? as usize;
-        // Capped at what the remaining bytes can hold (28 per entry): the
-        // self-checksum is an integrity check, not a defence.
+        // Capped at what the remaining bytes can hold (28 per entry at
+        // least): the self-checksum is an integrity check, not a defence.
         let mut partitions = Vec::with_capacity(n.min(r.remaining() / 28));
         for _ in 0..n {
             let id = r.u32().map_err(parse)?;
@@ -579,11 +608,40 @@ impl Manifest {
                         "partition {id}: file {file} out of place"
                     )));
                 }
+                let (bytes, checksum, records) = (
+                    r.u64().map_err(parse)?,
+                    r.u64().map_err(parse)?,
+                    r.u64().map_err(parse)?,
+                );
+                // Before version 4 every image is a file of its own; a base
+                // image always is.
+                let place = match version >= 4 {
+                    true => r.u8().map_err(parse)?,
+                    false => 0,
+                };
+                let pack = match place {
+                    0 => None,
+                    1 if !expect_base => Some(PackSlot {
+                        k: r.u32().map_err(parse)?,
+                        offset: r.u64().map_err(parse)?,
+                    }),
+                    _ => {
+                        return Err(OpenError::CorruptManifest(format!(
+                            "partition {id}: file {file} has place {place}"
+                        )))
+                    }
+                };
+                if pack.is_some_and(|slot| slot.offset.checked_add(bytes).is_none()) {
+                    return Err(OpenError::CorruptManifest(format!(
+                        "partition {id}: file {file} ends past the largest offset"
+                    )));
+                }
                 Ok(ImageEntry {
                     file,
-                    bytes: r.u64().map_err(parse)?,
-                    checksum: r.u64().map_err(parse)?,
-                    records: r.u64().map_err(parse)?,
+                    bytes,
+                    checksum,
+                    records,
+                    pack,
                 })
             };
             if files == 0 {
@@ -711,42 +769,80 @@ mod tests {
         assert_eq!(hashes.len(), 40);
     }
 
-    /// [`sample_manifest`] with extension images on both partitions.
-    fn sample_extended() -> Manifest {
+    /// [`sample_manifest`] with extension images on both partitions, each
+    /// in a pack when `packed`, else in a file of its own.
+    fn sample_extended_with(packed: bool) -> Manifest {
         let mut m = sample_manifest();
-        let ext = |file, records| ImageEntry {
+        let ext = |file, records, offset| ImageEntry {
             file,
             bytes: 40 + records * 24,
             checksum: 0x5EED ^ file,
             records,
+            pack: packed.then_some(PackSlot { k: 0, offset }),
         };
-        m.partitions[0].extensions = vec![ext(2, 3), ext(5, 1), ext(9, 2)];
-        m.partitions[1].extensions = vec![ext(4, 7)];
+        m.partitions[0].extensions = vec![ext(2, 3, 0), ext(5, 1, 0), ext(9, 2, 0)];
+        m.partitions[1].extensions = vec![ext(4, 7, 0), ext(9, 1, 88)];
         m.num_records = m.partitions.iter().map(PartitionEntry::total_records).sum();
         m.fingerprint = Manifest::fingerprint_of(16, m.num_records, &m.partitions);
         m
     }
 
+    fn sample_extended() -> Manifest {
+        sample_extended_with(true)
+    }
+
+    /// `m` in the version-3 layout: every image in its own file, listed
+    /// without a place.
+    fn encode_v3(m: &Manifest) -> Vec<u8> {
+        let mut out = m.encode();
+        let mut v3 = Vec::new();
+        v3.extend_from_slice(&out[..4]);
+        3u32.encode(&mut v3);
+        // Everything up to the partition list is laid out as in v4.
+        let head = out.len()
+            - 8
+            - m.partitions.len() * 8
+            - (m.partitions.iter().flat_map(PartitionEntry::images))
+                .map(|x| 33 + if x.pack.is_some() { 12 } else { 0 })
+                .sum::<usize>();
+        v3.extend_from_slice(&out[8..head]);
+        for e in &m.partitions {
+            e.id.encode(&mut v3);
+            (1 + e.extensions.len() as u32).encode(&mut v3);
+            for x in e.images() {
+                assert_eq!(x.pack, None, "a version-3 image is a file of its own");
+                for v in [x.file, x.bytes, x.checksum, x.records] {
+                    v.encode(&mut v3);
+                }
+            }
+        }
+        let sum = xxh64(&v3, 0);
+        sum.encode(&mut v3);
+        out.clear();
+        v3
+    }
+
     #[test]
     fn manifest_roundtrip() {
-        for m in [sample_manifest(), sample_extended()] {
+        for m in [
+            sample_manifest(),
+            sample_extended(),
+            sample_extended_with(false),
+        ] {
             let back = Manifest::decode(&m.encode()).unwrap();
             assert_eq!(m, back);
         }
     }
 
-    /// Every single-bit flip of a version-3 manifest that lists extension
-    /// images decodes to a typed error — or to a manifest that re-encodes
-    /// to exactly the flipped bytes. Never a panic, never a silently
-    /// different manifest.
-    #[test]
-    fn every_bit_flip_of_a_v3_manifest_is_typed() {
-        let b = sample_extended().encode();
+    /// Every single-bit flip of `b` decodes to a typed error — or to a
+    /// manifest that re-encodes to exactly the flipped bytes. Never a
+    /// panic, never a silently different manifest.
+    fn every_bit_flip_is_typed(b: &[u8], encode: impl Fn(&Manifest) -> Vec<u8>) {
         for bit in 0..b.len() * 8 {
-            let mut bad = b.clone();
+            let mut bad = b.to_vec();
             bad[bit / 8] ^= 1 << (bit % 8);
             match Manifest::decode(&bad) {
-                Ok(m) => assert_eq!(m.encode(), bad, "bit {bit} decoded to another manifest"),
+                Ok(m) => assert_eq!(encode(&m), bad, "bit {bit} decoded to another manifest"),
                 Err(
                     OpenError::CorruptManifest(_)
                     | OpenError::BadMagic { .. }
@@ -754,6 +850,58 @@ mod tests {
                 ) => {}
                 Err(e) => panic!("bit {bit}: untyped failure {e:?}"),
             }
+        }
+    }
+
+    /// A version-3 manifest listing extension images in files of their
+    /// own.
+    #[test]
+    fn every_bit_flip_of_a_v3_manifest_is_typed() {
+        let m = sample_extended_with(false);
+        let b = encode_v3(&m);
+        let mut back = Manifest::decode(&b).unwrap();
+        assert_eq!(back.format_version, 3);
+        back.format_version = FORMAT_VERSION;
+        assert_eq!(back, m, "a version-3 manifest decodes to what it lists");
+        every_bit_flip_is_typed(&b, encode_v3);
+    }
+
+    /// A version-4 manifest listing extension images in packs.
+    #[test]
+    fn every_bit_flip_of_a_v4_manifest_is_typed() {
+        let b = sample_extended().encode();
+        every_bit_flip_is_typed(&b, Manifest::encode);
+    }
+
+    /// Under a valid self-checksum, an extension whose `offset + bytes`
+    /// overflows, a base image placed in a pack and an unknown place are
+    /// corrupt manifests, not a panic or an allocation later.
+    #[test]
+    fn impossible_pack_places_are_corrupt() {
+        let mut overflow = sample_extended();
+        overflow.partitions[1].extensions[1].pack = Some(PackSlot {
+            k: 0,
+            offset: u64::MAX - 8,
+        });
+        let b = overflow.encode();
+        assert!(matches!(
+            Manifest::decode(&b),
+            Err(OpenError::CorruptManifest(m)) if m.contains("offset")
+        ));
+        // The base image's place byte, set to 1 (a pack) and to 2.
+        let m = sample_manifest();
+        let at = m.encode().len() - 8 - 1;
+        for place in [1u8, 2] {
+            let mut b = m.encode();
+            assert_eq!(b[at], 0);
+            b[at] = place;
+            let body = b.len() - 8;
+            let sum = xxh64(&b[..body], 0);
+            b[body..].copy_from_slice(&sum.to_le_bytes());
+            assert!(
+                matches!(Manifest::decode(&b), Err(OpenError::CorruptManifest(_))),
+                "place {place}"
+            );
         }
     }
 
@@ -889,8 +1037,9 @@ mod tests {
         // a *valid* self-checksum: the checksum guards integrity only.
         let m = sample_manifest();
         let mut b = m.encode();
-        // Each entry: id, file count, then one base file of four u64s.
-        let at = b.len() - 8 - m.partitions.len() * 40 - 4;
+        // Each entry: id, file count, then one base file of four u64s
+        // and its place.
+        let at = b.len() - 8 - m.partitions.len() * 41 - 4;
         assert_eq!(b[at..at + 4], (m.partitions.len() as u32).to_le_bytes());
         b.truncate(at);
         b.extend_from_slice(&u32::MAX.to_le_bytes());

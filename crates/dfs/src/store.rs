@@ -8,34 +8,40 @@
 //! the bytes in a map instead of on a disk.
 //!
 //! A partition is a **base image** plus up to a few **extension images**,
-//! each a CLBP image of its own ([`Layer`]): a flush appends a partition's
-//! pending records as one more extension instead of rewriting the base.
-//! Reads see the partition as one: a node's cluster is its cluster in the
-//! base followed by its cluster in each extension, in file order, which
-//! is exactly the cluster folding them into one base would give
+//! each a CLBP image of its own: a flush appends a partition's pending
+//! records as one more extension instead of rewriting the base. Reads see
+//! the partition as one: a node's cluster is its cluster in the base
+//! followed by its cluster in each extension, in file order, which is
+//! exactly the cluster folding them into one base would give
 //! ([`fold_partition`]).
 //!
-//! The store has **one** write protocol per layer, whether it was
+//! The store has **one** write protocol per kind of image, whether it was
 //! [created](DiskStore::create) empty for a build or
 //! [opened](DiskStore::open_validated) from a sealed manifest for a
 //! fold. A base image is staged under the partition's `.new` sibling
 //! (temp file, fsync, rename); the seal describes the partition from what
 //! the store holds, commits the manifest, and only then
 //! [installs](PartitionStore::commit_staged) the stage over the main
-//! file. An extension image is written once, under its own new name
-//! (`part_<id>.x<n>.clbp`, see [`extension_file_name`]), fsynced, and made
-//! durable by the seal's directory fsync before the manifest that names
-//! it commits. No committed file is ever written in place, and an
-//! extension a merge or a base rewrite replaced is removed only after the
-//! manifest that no longer names it has committed. A `put` is three steps
-//! a fold takes apart to overlap many partitions' waits:
-//! [`stage`](PartitionStore::stage) (file written, unsynced), the fsync,
-//! and [`publish`](PartitionStore::publish).
+//! file. Extension images are not files of their own: a flush writes the
+//! extension images of all the partitions it extends back to back, in
+//! ascending partition id, into one new **pack** (`pack_<gen>.<k>.clbp`,
+//! see [`pack_file_name`]; a few once they pass a few MiB) — written once
+//! under its new name, fsynced, and made durable by the seal's directory
+//! fsync before the manifest that names its images commits. No committed
+//! file is ever written in place. A pack is removed once no image in it
+//! is named any more — after a merge or base rewrites replaced them all —
+//! and only after the manifest that no longer names them has committed. A
+//! `put` is three steps a fold takes apart to overlap many partitions'
+//! waits: [`stage`](PartitionStore::stage) (file written, unsynced), the
+//! fsync, and [`publish`](PartitionStore::publish);
+//! [`stage_pack`](PartitionStore::stage_pack) stages many partitions'
+//! extension images in one file, each published on its own.
 //!
 //! A query reads clusters, not partitions: [`read_clusters`] hands out
 //! the trie-node clusters a plan names as [`ClusterView`]s. The store
-//! keeps every file's parsed [`PartitionDirectory`], so a cluster is a
-//! [`BlockCache`] hit or one ranged read of exactly its bytes;
+//! keeps every image's parsed [`PartitionDirectory`], so a cluster is a
+//! [`BlockCache`] hit or one ranged read of exactly its bytes — in a pack,
+//! at its image's offset;
 //! [`open`](PartitionStore::open) stays the whole-partition read that
 //! folds, scrubs, seals and tests use, and never touches the cache.
 //!
@@ -46,7 +52,7 @@
 
 use crate::format::{fold_partition, ClusterPick, PartitionDirectory, PartitionReader, TrieNodeId};
 use crate::fsio::{self, FsRef, SimFs};
-use crate::manifest::{xxh64, ImageEntry, Manifest, OpenError, PartitionEntry};
+use crate::manifest::{xxh64, ImageEntry, Manifest, OpenError, PackSlot, PartitionEntry};
 use crate::page::{self, BlockCache, ClusterView};
 use crate::stats::IoStats;
 use bytes::Bytes;
@@ -63,7 +69,8 @@ pub fn partition_file_name(id: PartitionId) -> String {
 }
 
 /// File name of partition `id`'s extension image `file` (≥ 1) inside an
-/// index directory.
+/// index directory, as a version-3 build wrote it: in a file of its own.
+/// A writable store still reads and removes these; it never writes one.
 pub fn extension_file_name(id: PartitionId, file: u64) -> String {
     format!("part_{id:08}.x{file}.clbp")
 }
@@ -79,6 +86,44 @@ pub fn parse_extension_file_name(name: &str) -> Option<(PartitionId, u64)> {
     }
     let parsed = (id.parse().ok()?, file.parse().ok()?);
     (extension_file_name(parsed.0, parsed.1) == name && parsed.1 > 0).then_some(parsed)
+}
+
+/// File name of pack `k` of the flush that committed generation
+/// `generation`: the extension images of that flush's partitions, back to
+/// back.
+pub fn pack_file_name(generation: u64, k: u32) -> String {
+    format!("pack_{generation}.{k}.clbp")
+}
+
+/// The `(generation, k)` a [`pack_file_name`] names, or `None` for any
+/// other name.
+pub fn parse_pack_file_name(name: &str) -> Option<(u64, u32)> {
+    let rest = name.strip_prefix("pack_")?.strip_suffix(".clbp")?;
+    let (generation, k) = rest.split_once('.')?;
+    let parsed = (generation.parse().ok()?, k.parse().ok()?);
+    (pack_file_name(parsed.0, parsed.1) == name && parsed.0 > 0).then_some(parsed)
+}
+
+/// Where an image lies in `dir`: a base image or a version-3 extension in
+/// its own file, any other extension in its pack.
+fn image_path(dir: &Path, id: PartitionId, image: &ImageEntry) -> PathBuf {
+    dir.join(match (image.file, image.pack) {
+        (0, _) => partition_file_name(id),
+        (file, None) => extension_file_name(id, file),
+        (file, Some(slot)) => pack_file_name(file, slot.k),
+    })
+}
+
+/// Reads the image `slot` places in the file at `path`: the whole file,
+/// or `len` bytes of a pack from the slot's offset — never the whole pack.
+fn read_image(fs: &FsRef, path: &Path, slot: Option<PackSlot>, len: u64) -> io::Result<Bytes> {
+    match slot {
+        None => fs.read(path),
+        Some(slot) => {
+            let len = usize::try_from(len).map_err(|_| invalid_data(format!("{len} bytes")))?;
+            Ok(fs.read_ranges(path, &[(slot.offset, len)])?.remove(0))
+        }
+    }
 }
 
 /// Subdirectory a quarantining open moves failed-validation partition
@@ -132,13 +177,14 @@ impl PutReceipt {
     }
 
     /// The manifest entry of the image this receipt describes as file
-    /// `file` of its partition.
-    fn image(&self, file: u64) -> ImageEntry {
+    /// `file` of its partition, where `pack` places it.
+    fn image(&self, file: u64, pack: Option<PackSlot>) -> ImageEntry {
         ImageEntry {
             file,
             bytes: self.image_len,
             checksum: self.checksum,
             records: self.records,
+            pack,
         }
     }
 
@@ -165,18 +211,12 @@ impl PutReceipt {
 
 /// Where a staged image goes in its partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Layer {
+enum Layer {
     /// The base image: replaces the partition's base and every extension.
     Base,
     /// Extension image `file` (≥ 1, unique to the partition): follows the
     /// partition's extensions — or, when `merged`, replaces all of them.
-    Extension {
-        /// The extension's number.
-        file: u64,
-        /// The image holds the partition's current extensions' records:
-        /// it replaces them.
-        merged: bool,
-    },
+    Extension { file: u64, merged: bool },
 }
 
 impl Layer {
@@ -210,8 +250,10 @@ pub struct Staged {
     id: PartitionId,
     layer: Layer,
     /// Where the image was written, unsynced: a temp sibling of the `.new`
-    /// stage for a base image, the final name for an extension.
+    /// stage for a base image, its pack for an extension.
     path: PathBuf,
+    /// Where in its pack an extension lies.
+    slot: Option<PackSlot>,
     receipt: PutReceipt,
     directory: PartitionDirectory,
 }
@@ -223,7 +265,8 @@ impl Staged {
     }
 
     /// The file that must be fsynced before the image is
-    /// [published](PartitionStore::publish).
+    /// [published](PartitionStore::publish): shared by every image of a
+    /// pack.
     pub fn unsynced(&self) -> &Path {
         &self.path
     }
@@ -294,13 +337,13 @@ fn for_each_layered<E>(
 /// A store of encoded partitions keyed by [`PartitionId`].
 pub trait PartitionStore: Send + Sync {
     /// Writes (or replaces) a partition's base image, dropping any
-    /// extension: [`stage`](Self::stage) it as [`Layer::Base`], fsync the
-    /// staged file, [`publish`](Self::publish), all on the calling thread.
-    /// `publish` is the caller's section, opened right before the store's
-    /// own that makes the image readable and returned still held; every
-    /// caller but a fold passes `|| ()`.
+    /// extension: [`stage`](Self::stage) it, fsync the staged file,
+    /// [`publish`](Self::publish), all on the calling thread. `publish` is
+    /// the caller's section, opened right before the store's own that
+    /// makes the image readable and returned still held; every caller but
+    /// a fold passes `|| ()`.
     fn put<G>(&self, id: PartitionId, bytes: Bytes, publish: impl FnOnce() -> G) -> io::Result<G> {
-        let staged = self.stage(id, Layer::Base, bytes)?;
+        let staged = self.stage(id, bytes)?;
         if let Err(e) = self.fs().fsync_file(staged.unsynced()) {
             self.discard(staged);
             return Err(e);
@@ -309,27 +352,46 @@ pub trait PartitionStore: Send + Sync {
     }
 
     /// The first step of a [`put`](Self::put): takes what the publish
-    /// records from `bytes` and writes them — a base image to a temp
-    /// sibling of the partition's stage, an extension to its own new file
-    /// — not fsynced (see [`Staged::unsynced`]). Nothing is readable yet.
-    fn stage(&self, id: PartitionId, layer: Layer, bytes: Bytes) -> io::Result<Staged>;
+    /// records from the base image `bytes` and writes them to a temp
+    /// sibling of the partition's stage, not fsynced (see
+    /// [`Staged::unsynced`]). Nothing is readable yet.
+    fn stage(&self, id: PartitionId, bytes: Bytes) -> io::Result<Staged>;
 
-    /// Makes a staged image part of its partition's readable state, as its
-    /// [`Layer`] says. The caller has made [`Staged::unsynced`] durable
-    /// first. Once the store holds its own publish section it has opened
-    /// the caller's, `section` (lock order: a fold's delta write section,
-    /// then the store), and returns it still held. On failure nothing was
-    /// published and the staged file is gone.
+    /// Stages extension images of many partitions — `images`, ascending by
+    /// id — in one new pack, [`pack_file_name`]`(generation, k)`: back to
+    /// back, in one unsynced write. Each image is the extension numbered
+    /// `generation` of its partition: it follows the partition's
+    /// extensions, or — when `merged` — replaces them all. Every returned
+    /// stage names the pack as its [`Staged::unsynced`] file: one fsync
+    /// makes them all publishable, each on its own.
+    fn stage_pack(
+        &self,
+        generation: u64,
+        k: u32,
+        merged: bool,
+        images: Vec<(PartitionId, Bytes)>,
+    ) -> io::Result<Vec<Staged>>;
+
+    /// Makes a staged image part of its partition's readable state: a base
+    /// image replaces the partition's images, an extension follows (or,
+    /// merged, replaces) its extensions. The caller has made
+    /// [`Staged::unsynced`] durable first. Once the store holds its own
+    /// publish section it has opened the caller's, `section` (lock order:
+    /// a fold's delta write section, then the store), and returns it still
+    /// held. On failure nothing was published, and a base image's staged
+    /// file is gone (a pack stays for its other images).
     fn publish<G>(&self, staged: Staged, section: impl FnOnce() -> G) -> io::Result<G>;
 
-    /// Drops a staged image that will not be published, removing its file.
+    /// Drops a staged image that will not be published, removing its file
+    /// — for a pack image, the pack with every image in it.
     fn discard(&self, staged: Staged) {
         self.fs().remove_file(staged.unsynced()).ok();
     }
 
     /// Partition `id`'s images from file `from` on (`0`: the base image,
     /// then its extensions in file order; `1`: the extensions alone) —
-    /// each read whole, past any block cache, and accounted nowhere: what
+    /// each read whole (from its pack, only its own bytes), past any block
+    /// cache, and accounted nowhere: what
     /// [`layers`](Self::layers), [`open`](Self::open) and a seal's
     /// [`image`](Self::image) read.
     fn images(&self, id: PartitionId, from: usize) -> io::Result<Vec<Bytes>>;
@@ -368,6 +430,11 @@ pub trait PartitionStore: Send + Sync {
     /// decides between extending, merging and rewriting by — read from
     /// what the store already holds.
     fn layout(&self, id: PartitionId) -> io::Result<Layout>;
+
+    /// How many flushes wrote the extension images the store serves (the
+    /// distinct extension numbers): each partition holds at most one image
+    /// of each, so this bounds the extensions of every partition.
+    fn extension_generations(&self) -> usize;
 
     /// The query path's one read: appends `(node, view)` to `out` for every
     /// cluster of partition `id` that `pick` selects — from the base image
@@ -424,10 +491,11 @@ pub trait PartitionStore: Send + Sync {
 
     /// Called by the seal *after* the manifest commit point: renames every
     /// staged (`.new`) base image over its committed main file and removes
-    /// the extension images the committed manifest no longer names. The
-    /// seal's closing directory fsync makes the renames durable (an
-    /// interrupted install is rolled forward at open either way, and a
-    /// writable open removes extensions no manifest names).
+    /// the packs (and version-3 extension files) holding no image the
+    /// committed manifest names. The seal's closing directory fsync makes
+    /// the renames durable (an interrupted install is rolled forward at
+    /// open either way, and a writable open removes packs no manifest
+    /// names).
     fn commit_staged(&self) -> io::Result<()>;
 
     /// Partitions a quarantining open moved aside; opens of these ids
@@ -470,8 +538,9 @@ fn place_layer<T>(held: &mut Vec<T>, layer: Layer, image: T) -> Vec<T> {
     replaced
 }
 
-/// On-disk partition store: `<dir>/part_<id>.clbp` and the partition's
-/// extension images `<dir>/part_<id>.x<n>.clbp`.
+/// On-disk partition store: `<dir>/part_<id>.clbp` and the packs of
+/// extension images `<dir>/pack_<gen>.<k>.clbp` (plus the per-partition
+/// extension files `<dir>/part_<id>.x<n>.clbp` of a version-3 directory).
 #[derive(Debug)]
 pub struct DiskStore {
     dir: PathBuf,
@@ -498,8 +567,13 @@ pub struct DiskStore {
     /// publish or a commit changes a partition's files only while holding
     /// it exclusively.
     parts: RwLock<BTreeMap<PartitionId, Images>>,
-    /// Extension images a publish replaced: removed once the next manifest
-    /// commit no longer names them.
+    /// Live images per pack `(generation, k)`: the manifest's and each one
+    /// published since. A pack whose count a publish takes to zero is
+    /// retired.
+    packs: Mutex<BTreeMap<(u64, u32), usize>>,
+    /// Files holding only images a publish replaced — packs, and
+    /// version-3 extension files: removed once the next manifest commit no
+    /// longer names them.
     retired: Mutex<Vec<PathBuf>>,
     /// Partitions a quarantining open (or a scrub) set aside; opening them
     /// fails with `NotFound` until repaired.
@@ -523,16 +597,30 @@ struct Images {
     pending: Option<PutReceipt>,
 }
 
-/// One image file of a [`DiskStore`] partition.
+/// One image of a [`DiskStore`] partition.
 #[derive(Debug)]
 struct ImageFile {
     /// `0` for the base image, else the extension's number.
     file: u64,
-    /// Where the image lies: a base image under its `.new` sibling while
-    /// its partition's `base_staged`, else under its own name.
+    /// The file the image lies in: a base image under its `.new` sibling
+    /// while its partition's `base_staged`, else under its own name; an
+    /// extension in its pack (or, version 3, its own file).
     path: PathBuf,
+    /// Where in its pack an extension lies.
+    slot: Option<PackSlot>,
     receipt: PutReceipt,
     directory: PartitionDirectory,
+}
+
+impl ImageFile {
+    /// Where the image starts in its file.
+    fn offset(&self) -> u64 {
+        self.slot.map_or(0, |slot| slot.offset)
+    }
+
+    fn read(&self, fs: &FsRef) -> io::Result<Bytes> {
+        read_image(fs, &self.path, self.slot, self.receipt.image_len)
+    }
 }
 
 /// A [`DiskStore`]'s handle into a shared [`BlockCache`].
@@ -559,6 +647,7 @@ impl DiskStore {
             read_only: false,
             fs,
             parts: RwLock::new(BTreeMap::new()),
+            packs: Mutex::new(BTreeMap::new()),
             retired: Mutex::new(Vec::new()),
             quarantined: RwLock::new(BTreeSet::new()),
             cache: None,
@@ -573,15 +662,19 @@ impl DiskStore {
         Self::create(fs.root().to_path_buf(), fs).expect("an in-memory directory is always there")
     }
 
-    /// The typed failure of reading partition `id`'s image at `path`.
+    /// The typed failure of reading partition `id`'s image at `path`: an
+    /// image its pack ends inside is as corrupt as a torn file.
     fn unreadable(err: io::Error, path: &Path, id: PartitionId) -> OpenError {
-        if err.kind() == io::ErrorKind::NotFound {
-            OpenError::MissingPartition {
+        match err.kind() {
+            io::ErrorKind::NotFound => OpenError::MissingPartition {
                 id,
                 path: path.to_path_buf(),
-            }
-        } else {
-            OpenError::Io(err)
+            },
+            io::ErrorKind::UnexpectedEof => OpenError::CorruptPartition {
+                id,
+                reason: err.to_string(),
+            },
+            _ => OpenError::Io(err),
         }
     }
 
@@ -626,8 +719,9 @@ impl DiskStore {
         }
     }
 
-    /// Reads and checks every extension image of `e` where it lies,
-    /// appending each to `files` and its bytes to `images`.
+    /// Reads and checks every extension image of `e` where it lies — only
+    /// its own range of a pack — appending each to `files` and its bytes
+    /// to `images`.
     fn read_extensions(
         fs: &FsRef,
         dir: &Path,
@@ -637,15 +731,15 @@ impl DiskStore {
         images: &mut Vec<Bytes>,
     ) -> Result<(), OpenError> {
         for x in &e.extensions {
-            let path = dir.join(extension_file_name(e.id, x.file));
-            let bytes = fs
-                .read(&path)
+            let path = image_path(dir, e.id, x);
+            let bytes = read_image(fs, &path, x.pack, x.bytes)
                 .map_err(|err| Self::unreadable(err, &path, e.id))?;
             let directory = Self::check_image(&bytes, e.id, x, series_len)?;
             let receipt = PutReceipt::checked(x, &directory);
             files.push(ImageFile {
                 file: x.file,
                 path,
+                slot: x.pack,
                 receipt,
                 directory,
             });
@@ -666,9 +760,9 @@ impl DiskStore {
     ///   `PermissionDenied`, **and the open itself only reads**, whatever
     ///   the other arguments say: committed bytes a crash left under a
     ///   `.new` sibling are served from there ([`fsio::read_committed`]);
-    ///   temp droppings, stale siblings and extension images no manifest
-    ///   names wait for the next writable open, which installs or sweeps
-    ///   them.
+    ///   temp droppings, stale siblings and packs (or version-3 extension
+    ///   files) no manifest names wait for the next writable open, which
+    ///   installs or sweeps them.
     /// * `quarantine` — a failing partition no longer aborts the open: it
     ///   is recorded ([`quarantined`](PartitionStore::quarantined)) and,
     ///   when writable, its base file moved into [`QUARANTINE_DIR`].
@@ -717,6 +811,7 @@ impl DiskStore {
                 files.push(ImageFile {
                     file: 0,
                     path: (if is_staged { &sibling } else { &path }).clone(),
+                    slot: None,
                     receipt,
                     directory,
                 });
@@ -770,16 +865,25 @@ impl DiskStore {
                 }
             }
         }
+        // Every pack the manifest names, with the images it holds —
+        // quarantined partitions' too, so no pack still named is removed.
+        let mut packs: BTreeMap<(u64, u32), usize> = BTreeMap::new();
+        let mut own_files: BTreeSet<(PartitionId, u64)> = BTreeSet::new();
+        for e in &manifest.partitions {
+            for x in &e.extensions {
+                match x.pack {
+                    Some(slot) => *packs.entry((x.file, slot.k)).or_default() += 1,
+                    None => drop(own_files.insert((e.id, x.file))),
+                }
+            }
+        }
         // Sweep temp droppings from interrupted atomic writes, and the
-        // extension images of folds that never committed (or whose
-        // replacement did): files no committed manifest names.
+        // packs of folds that never committed (or whose images were all
+        // replaced by one that did): files no committed manifest names.
         if !read_only {
-            let named: BTreeSet<(PartitionId, u64)> = (manifest.partitions.iter())
-                .flat_map(|e| e.extensions.iter().map(|x| (e.id, x.file)))
-                .collect();
             for name in fs.list(&dir).unwrap_or_default() {
-                let orphan =
-                    parse_extension_file_name(&name).is_some_and(|image| !named.contains(&image));
+                let orphan = parse_pack_file_name(&name).is_some_and(|p| !packs.contains_key(&p))
+                    || parse_extension_file_name(&name).is_some_and(|x| !own_files.contains(&x));
                 if fsio::is_tmp_name(&name) || orphan {
                     fs.remove_file(&dir.join(name)).ok();
                 }
@@ -795,6 +899,7 @@ impl DiskStore {
                 read_only,
                 fs,
                 parts: RwLock::new(parts),
+                packs: Mutex::new(packs),
                 retired: Mutex::new(Vec::new()),
                 quarantined: RwLock::new(quarantined),
                 cache,
@@ -860,6 +965,7 @@ impl DiskStore {
             let mut files = vec![ImageFile {
                 file: 0,
                 path: self.path_of(e.id),
+                slot: None,
                 receipt: PutReceipt::checked(&base, &directory),
                 directory,
             }];
@@ -906,14 +1012,36 @@ impl DiskStore {
     /// record — the scrub primitive for partitions not under quarantine.
     pub fn verify_partition(&self, e: &PartitionEntry) -> Result<(), OpenError> {
         for image in e.images() {
-            let path = match image.file {
-                0 => self.path_of(e.id),
-                file => self.dir.join(extension_file_name(e.id, file)),
-            };
-            let bytes = (self.fs.read(&path)).map_err(|err| Self::unreadable(err, &path, e.id))?;
+            let path = image_path(&self.dir, e.id, &image);
+            let bytes = read_image(&self.fs, &path, image.pack, image.bytes)
+                .map_err(|err| Self::unreadable(err, &path, e.id))?;
             Self::check_image(&bytes, e.id, &image, self.series_len)?;
         }
         Ok(())
+    }
+
+    /// Accounts a published image in `pack` and the images it replaced:
+    /// files left holding no named image are retired, to be removed after
+    /// the next manifest commit.
+    fn account(&self, pack: Option<(u64, u32)>, replaced: &[ImageFile]) {
+        let mut packs = self.packs.lock();
+        if let Some(pack) = pack {
+            *packs.entry(pack).or_default() += 1;
+        }
+        let mut retired = self.retired.lock();
+        for x in replaced.iter().filter(|x| x.file != 0) {
+            let Some(slot) = x.slot else {
+                retired.push(x.path.clone());
+                continue;
+            };
+            if let Some(live) = packs.get_mut(&(x.file, slot.k)) {
+                *live -= 1;
+                if *live == 0 {
+                    packs.remove(&(x.file, slot.k));
+                    retired.push(x.path.clone());
+                }
+            }
+        }
     }
 }
 
@@ -922,7 +1050,7 @@ impl PartitionStore for DiskStore {
         self.cache.as_ref().map(|sc| Arc::clone(&sc.cache))
     }
 
-    fn stage(&self, id: PartitionId, layer: Layer, bytes: Bytes) -> io::Result<Staged> {
+    fn stage(&self, id: PartitionId, bytes: Bytes) -> io::Result<Staged> {
         if self.is_read_only() {
             return Err(read_only_error());
         }
@@ -931,31 +1059,61 @@ impl PartitionStore for DiskStore {
         let directory = PartitionDirectory::parse(&bytes).map_err(invalid_data)?;
         let receipt = PutReceipt::of(&bytes, &directory);
         self.stats.on_partition_write(bytes.len() as u64);
-        let path = match layer {
-            // The committed file stays untouched: the image goes to a temp
-            // sibling of its `.new` stage, which the publish renames into
-            // place (replaced atomically or not at all) and
-            // `commit_staged` over the main file after the next manifest
-            // commit.
-            Layer::Base => fsio::write_temp(&*self.fs, &staged_path_of(&self.dir, id), &bytes)?,
-            // A name no file of the committed state has: written once, in
-            // place, and never renamed.
-            Layer::Extension { file, .. } => {
-                let path = self.dir.join(extension_file_name(id, file));
-                if let Err(e) = self.fs.write(&path, &bytes) {
-                    self.fs.remove_file(&path).ok();
-                    return Err(e);
-                }
-                path
-            }
-        };
+        // The committed file stays untouched: the image goes to a temp
+        // sibling of its `.new` stage, which the publish renames into place
+        // (replaced atomically or not at all) and `commit_staged` over the
+        // main file after the next manifest commit.
+        let path = fsio::write_temp(&*self.fs, &staged_path_of(&self.dir, id), &bytes)?;
         Ok(Staged {
             id,
-            layer,
+            layer: Layer::Base,
             path,
+            slot: None,
             receipt,
             directory,
         })
+    }
+
+    /// The pack gets a name no file of the committed state has: written
+    /// once, in place, and never renamed.
+    fn stage_pack(
+        &self,
+        generation: u64,
+        k: u32,
+        merged: bool,
+        images: Vec<(PartitionId, Bytes)>,
+    ) -> io::Result<Vec<Staged>> {
+        if self.is_read_only() {
+            return Err(read_only_error());
+        }
+        let path = self.dir.join(pack_file_name(generation, k));
+        let mut pack = Vec::with_capacity(images.iter().map(|(_, image)| image.len()).sum());
+        let mut staged = Vec::with_capacity(images.len());
+        for (id, image) in images {
+            let directory = PartitionDirectory::parse(&image).map_err(invalid_data)?;
+            let receipt = PutReceipt::of(&image, &directory);
+            self.stats.on_partition_write(image.len() as u64);
+            staged.push(Staged {
+                id,
+                layer: Layer::Extension {
+                    file: generation,
+                    merged,
+                },
+                path: path.clone(),
+                slot: Some(PackSlot {
+                    k,
+                    offset: pack.len() as u64,
+                }),
+                receipt,
+                directory,
+            });
+            pack.extend_from_slice(&image);
+        }
+        if let Err(e) = self.fs.write(&path, &pack) {
+            self.fs.remove_file(&path).ok();
+            return Err(e);
+        }
+        Ok(staged)
     }
 
     /// The seal pays the one directory fsync covering every stage. A base
@@ -963,12 +1121,15 @@ impl PartitionStore for DiskStore {
     /// land together, between two cluster reads, inside the caller's
     /// section. Publishing an extension leaves every cached cluster
     /// valid; a merged one drops those of the extensions it replaces, a
-    /// base image every one of the partition's.
+    /// base image every one of the partition's. A pack image that fails to
+    /// publish leaves its pack in place for the others: a pack no manifest
+    /// names is swept by the next writable open.
     fn publish<G>(&self, staged: Staged, section: impl FnOnce() -> G) -> io::Result<G> {
         let Staged {
             id,
             layer,
             path,
+            slot,
             receipt,
             directory,
         } = staged;
@@ -987,11 +1148,7 @@ impl PartitionStore for DiskStore {
             }
             Layer::Extension { .. } => match parts.get_mut(&id) {
                 Some(images) => images,
-                None => {
-                    drop((parts, section));
-                    self.fs.remove_file(&path).ok();
-                    return Err(not_found(id));
-                }
+                None => return Err(not_found(id)),
             },
         };
         images.pending = Some(receipt);
@@ -1002,17 +1159,18 @@ impl PartitionStore for DiskStore {
         let image = ImageFile {
             file: layer.file(),
             path,
+            slot,
             receipt,
             directory,
         };
+        let pack = slot.map(|slot| (layer.file(), slot.k));
         let replaced = place_layer(&mut images.files, layer, image);
         self.ids.write().insert(id);
         drop(parts);
+        self.account(pack, &replaced);
         let extensions: Vec<u64> = (replaced.iter().map(|f| f.file))
             .filter(|&file| file != 0)
             .collect();
-        (self.retired.lock())
-            .extend((extensions.iter()).map(|&file| self.dir.join(extension_file_name(id, file))));
         if let Some(sc) = &self.cache {
             match layer {
                 // Reads serve the sibling now: the old clusters are stale.
@@ -1037,7 +1195,7 @@ impl PartitionStore for DiskStore {
             checksum: base.receipt.checksum,
             records: base.receipt.records,
             extensions: (extensions.iter())
-                .map(|x| x.receipt.image(x.file))
+                .map(|x| x.receipt.image(x.file, x.slot))
                 .collect(),
         })
     }
@@ -1053,8 +1211,14 @@ impl PartitionStore for DiskStore {
         })
     }
 
+    fn extension_generations(&self) -> usize {
+        let parts = self.parts.read();
+        let files = parts.values().flat_map(|images| &images.files[1..]);
+        files.map(|x| x.file).collect::<BTreeSet<u64>>().len()
+    }
+
     /// Each cluster is a cache hit or one ranged read of exactly its bytes
-    /// (then cached); the misses of one call share one open per file.
+    /// (then cached); the misses of one call share one open per image.
     /// A staged (pre-commit) base image never enters the cache: it is not
     /// the committed image yet and is replaced at the next commit. An
     /// extension is never rewritten, so its clusters are cached from its
@@ -1078,18 +1242,18 @@ impl PartitionStore for DiskStore {
             true => None,
             false => self.cache.as_ref(),
         };
-        // A hit goes out as found; a miss holds its place in `out` until
-        // the one read of its file's misses fills it.
+        // A hit goes out as found; a miss holds its place in `out` (with
+        // an empty buffer, which allocates nothing) until the one read of
+        // its image's misses fills it.
         let start = out.len();
         let mut misses: Vec<(usize, usize, (u64, usize))> = Vec::new();
-        // The placeholder of every miss (one allocation, none for hits).
-        let mut empty = None;
         for_each_layered(files, pick, |li, node, span, count| {
             let cache = cache_of(li);
             let hit = cache.and_then(|sc| sc.cache.get(sc.token, id, files[li].file, node));
             let bytes = hit.unwrap_or_else(|| {
-                misses.push((li, out.len(), (span.start as u64, span.len())));
-                empty.get_or_insert_with(Bytes::new).clone()
+                let at = files[li].offset() + span.start as u64;
+                misses.push((li, out.len(), (at, span.len())));
+                Bytes::new()
             });
             out.push((node, ClusterView::new(bytes, series_len, count)));
             Ok::<(), io::Error>(())
@@ -1125,7 +1289,7 @@ impl PartitionStore for DiskStore {
         let parts = self.parts.read();
         let images = parts.get(&id).ok_or_else(|| not_found(id))?;
         (images.files.iter().skip(from))
-            .map(|f| self.fs.read(&f.path))
+            .map(|f| f.read(&self.fs))
             .collect()
     }
 
@@ -1141,7 +1305,7 @@ impl PartitionStore for DiskStore {
     /// the rename only unlinks it; the held handles are closed on the I/O
     /// threads ([`fsio::release`]), where the replaced files' blocks are
     /// freed in parallel and outside the lock reads wait on. Then every
-    /// retired extension is removed, best effort: one a crash or an error
+    /// retired pack is removed, best effort: one a crash or an error
     /// leaves behind is named by no manifest, and the next writable open
     /// sweeps it.
     fn commit_staged(&self) -> io::Result<()> {

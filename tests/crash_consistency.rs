@@ -501,15 +501,16 @@ fn merging_flush_survives_every_crash_point() {
     t.cleanup();
 }
 
-/// Extension images no committed manifest names — a fold that crashed
-/// before its commit, or images a merge replaced — are litter: a
-/// read-only open, under either policy, leaves every one in place and
-/// changes nothing; the writable open removes exactly those and keeps
-/// every named extension.
+/// Packs no committed manifest names — a fold that crashed before its
+/// commit, or packs whose images a merge replaced — are litter, and so are
+/// the per-partition extension files of a version-3 directory no manifest
+/// names: a read-only open, under either policy, leaves every one in place
+/// and changes nothing; the writable open removes exactly those and keeps
+/// every named pack.
 #[test]
 fn orphan_extension_images_are_left_by_a_read_only_open_and_swept_by_a_writable_one() {
     use climber_core::dfs::store::{
-        extension_file_name, parse_extension_file_name, PartitionStore,
+        extension_file_name, pack_file_name, parse_pack_file_name, PartitionStore,
     };
 
     let root = tmp_root("orphans");
@@ -520,22 +521,26 @@ fn orphan_extension_images_are_left_by_a_read_only_open_and_swept_by_a_writable_
     let named = |dir: &Path| -> Vec<String> {
         let mut names: Vec<String> = (fs::read_dir(dir).unwrap().flatten())
             .map(|e| e.file_name().to_string_lossy().into_owned())
-            .filter(|n| parse_extension_file_name(n).is_some())
+            .filter(|n| parse_pack_file_name(n).is_some())
             .collect();
         names.sort();
         names
     };
     let before = named(&dir);
     assert_eq!(before.len(), 4, "{before:?}");
-    let pids = Climber::open(&dir).unwrap().store().ids();
+    let c = Climber::open(&dir).unwrap();
+    let (pids, generation) = (c.store().ids(), c.generation());
+    drop(c);
     let litter = [
-        extension_file_name(pids[0], 5),
-        extension_file_name(pids[1], 1),
-        extension_file_name(pids[2], 77),
+        pack_file_name(generation + 1, 0),
+        pack_file_name(generation, 1),
+        pack_file_name(77, 0),
+        extension_file_name(pids[2], 5),
     ];
-    fs::write(dir.join(&litter[0]), b"a crashed fold's extension").unwrap();
+    fs::write(dir.join(&litter[0]), b"a crashed fold's pack").unwrap();
     fs::copy(dir.join(&before[0]), dir.join(&litter[1])).unwrap();
     fs::write(dir.join(&litter[2]), b"").unwrap();
+    fs::write(dir.join(&litter[3]), b"a version-3 extension").unwrap();
     for policy in [RecoveryPolicy::Strict, RecoveryPolicy::Quarantine] {
         assert!(read_only_fingerprint(&dir, policy, &probes) == clean);
     }
@@ -546,6 +551,7 @@ fn orphan_extension_images_are_left_by_a_read_only_open_and_swept_by_a_writable_
         before,
         "the writable open swept the wrong files"
     );
+    assert!(!dir.join(&litter[3]).exists());
     fs::remove_dir_all(&root).ok();
 }
 

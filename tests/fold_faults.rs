@@ -1,26 +1,35 @@
-//! A fold whose durability step fails.
+//! A fold whose write or durability step fails.
 //!
-//! A flush stages every dirty partition's image (an extension image, or a
-//! rewritten base image), fsyncs the staged files together on the I/O
-//! threads, then publishes each partition. When one of those fsyncs fails,
-//! that partition publishes nothing: its file is removed and its records
-//! stay in the delta segment, queryable. Every
-//! other partition still publishes, the flush returns the error, and a
-//! retried flush converges with every acknowledged append held.
+//! A flush stages one file per rewritten base image and one pack holding
+//! every other dirty partition's extension image, fsyncs the staged files
+//! together on the I/O threads, then publishes each partition. When a
+//! file's write or fsync fails, every partition in that file publishes
+//! nothing: the file is removed and their records stay in the delta
+//! segment, queryable. Every other file still publishes, the flush
+//! returns the error, and a retried flush converges with every
+//! acknowledged append held — and no pack the manifest does not name
+//! survives a writable reopen.
 
-use climber_core::dfs::fsio::{
-    is_tmp_name, FaultAction, FaultFs, FaultTrigger, FsOp, FsRef, INJECTED_FAULT,
-};
-use climber_core::dfs::store::{partition_file_name, DiskStore, PartitionStore};
+use climber_core::dfs::fsio::{is_tmp_name, Bytes, ClimberFs, FsOp, StdFs, INJECTED_FAULT};
+use climber_core::dfs::store::{parse_pack_file_name, DiskStore, PartitionStore};
 use climber_core::series::gen::Domain;
 use climber_core::{
-    Climber, ClimberConfig, ClimberError, OpenOptions, QueryOutcome, RecoveryPolicy, SearchRequest,
+    Climber, ClimberConfig, ClimberError, Manifest, OpenOptions, QueryOutcome, RecoveryPolicy,
+    SearchRequest,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::io;
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// Records built into the index.
 const N: u64 = 1_500;
+
+/// Copies of one built series among the appends: enough to make its
+/// partition's first extension pass a quarter of its base, so the flush
+/// rewrites that base.
+const HOT: usize = 60;
 
 fn cfg() -> ClimberConfig {
     ClimberConfig::default()
@@ -34,7 +43,58 @@ fn cfg() -> ClimberConfig {
         .with_workers(2)
 }
 
-fn open_rw(dir: &Path, fs: FsRef) -> Climber<DiskStore> {
+/// The standard filesystem, failing the first `op` on a file whose name
+/// `fails` accepts, once, while armed.
+#[derive(Debug)]
+struct FailOnce {
+    op: FsOp,
+    fails: fn(&str) -> bool,
+    armed: AtomicBool,
+}
+
+impl FailOnce {
+    fn check(&self, op: FsOp, path: &Path) -> io::Result<()> {
+        let name = path.file_name().unwrap().to_string_lossy();
+        if op == self.op && (self.fails)(&name) && self.armed.swap(false, Ordering::SeqCst) {
+            return Err(io::Error::other(format!(
+                "{INJECTED_FAULT}: {op:?} {}",
+                path.display()
+            )));
+        }
+        Ok(())
+    }
+}
+
+impl ClimberFs for FailOnce {
+    fn read(&self, path: &Path) -> io::Result<Bytes> {
+        StdFs.read(path)
+    }
+    fn read_ranges(&self, path: &Path, ranges: &[(u64, usize)]) -> io::Result<Vec<Bytes>> {
+        StdFs.read_ranges(path, ranges)
+    }
+    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        self.check(FsOp::Write, path)?;
+        StdFs.write(path, bytes)
+    }
+    fn fsync_file(&self, path: &Path) -> io::Result<()> {
+        self.check(FsOp::FsyncFile, path)?;
+        StdFs.fsync_file(path)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        StdFs.rename(from, to)
+    }
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
+        StdFs.remove_file(path)
+    }
+    fn fsync_dir(&self, path: &Path) -> io::Result<()> {
+        StdFs.fsync_dir(path)
+    }
+    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
+        StdFs.create_dir_all(path)
+    }
+}
+
+fn open_rw(dir: &Path, fs: Arc<FailOnce>) -> Climber<DiskStore> {
     let opts = OpenOptions {
         writable: true,
         policy: RecoveryPolicy::Strict,
@@ -81,25 +141,64 @@ fn assert_holds(index: &Climber<DiskStore>, acked: &[(u64, Vec<f32>)]) {
     assert_eq!(all.len() as u64, N + acked.len() as u64);
 }
 
-fn temp_files(dir: &Path) -> Vec<String> {
+fn names(dir: &Path, keep: impl Fn(&str) -> bool) -> Vec<String> {
     (std::fs::read_dir(dir).unwrap().flatten())
         .map(|e| e.file_name().to_string_lossy().into_owned())
-        .filter(|name| is_tmp_name(name))
+        .filter(|name| keep(name))
         .collect()
 }
 
-#[test]
-fn a_failed_stage_fsync_publishes_the_others_and_a_retry_converges() {
-    let dir = std::env::temp_dir().join(format!("climber-foldfaults-{}", std::process::id()));
+/// Every pack in `dir` is one its manifest names.
+fn assert_no_unnamed_pack(dir: &Path) {
+    let manifest = Manifest::load_with(&StdFs, dir).unwrap();
+    let named: BTreeSet<(u64, u32)> = (manifest.partitions.iter())
+        .flat_map(|e| e.extensions.iter())
+        .filter_map(|x| Some((x.file, x.pack?.k)))
+        .collect();
+    let on_disk = names(dir, |name| parse_pack_file_name(name).is_some());
+    for name in on_disk {
+        let pack = parse_pack_file_name(&name).unwrap();
+        assert!(named.contains(&pack), "{name} is named by no manifest");
+    }
+}
+
+/// What a failed flush left: the partitions still pending, and how the
+/// retry folded them (extended, rewritten).
+struct Failed {
+    pending: Vec<u32>,
+    hot: u32,
+    retried: (usize, usize),
+}
+
+/// Appends fresh series and `HOT` copies of a built one, fails the first
+/// `op` on a file `fails` accepts during the flush, checks that the
+/// partitions of that file — and only those — published nothing and
+/// left no file, and that a retry and a reopen converge.
+fn fail_a_flush(tag: &str, op: FsOp, fails: fn(&str) -> bool) -> Failed {
+    let dir = std::env::temp_dir().join(format!("climber-foldfaults-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    Climber::build_on_disk(&Domain::RandomWalk.generate(N as usize, 3), &dir, cfg()).unwrap();
-    let ff = FaultFs::over_std();
-    let index = open_rw(&dir, ff.clone());
-    let appended = fresh(200, 21);
+    let built = Domain::RandomWalk.generate(N as usize, 3);
+    Climber::build_on_disk(&built, &dir, cfg()).unwrap();
+    let fs = Arc::new(FailOnce {
+        op,
+        fails,
+        armed: AtomicBool::new(false),
+    });
+    let index = open_rw(&dir, fs.clone());
+    let mut appended = fresh(200, 21);
+    appended.extend((0..HOT).map(|_| built.get(5).to_vec()));
     let ids = index.append_batch(&appended).unwrap();
     let acked: Vec<(u64, Vec<f32>)> = ids.into_iter().zip(appended.iter().cloned()).collect();
     let dirty = index.delta().partitions();
     assert!(dirty.len() >= 3, "the appends dirtied {dirty:?}");
+    let view = index.delta().read();
+    let pending_of = |pid: u32| view.runs(pid).map(|(_, run)| run.len()).sum::<usize>();
+    let hot = dirty
+        .iter()
+        .copied()
+        .max_by_key(|&pid| pending_of(pid))
+        .unwrap();
+    drop(view);
     let mut reqs: Vec<SearchRequest> = (appended.iter().take(24))
         .map(|q| SearchRequest::new(&q[..], 5))
         .collect();
@@ -108,62 +207,163 @@ fn a_failed_stage_fsync_publishes_the_others_and_a_retry_converges() {
             .iter()
             .map(|q| SearchRequest::new(&q[..], 10).adaptive(2)),
     );
+    reqs.push(SearchRequest::new(built.get(5), 80));
     let want: Vec<QueryOutcome> = reqs.iter().map(|r| index.search(r)).collect();
 
-    // The second staged-file fsync fails, on whichever I/O thread runs it.
-    ff.inject(
-        FaultTrigger::Kind(FsOp::FsyncFile, 1),
-        FaultAction::ErrorOnce,
-    );
-    ff.arm();
+    fs.armed.store(true, Ordering::SeqCst);
     let err = index.flush().unwrap_err();
-    ff.disarm();
+    assert!(!fs.armed.load(Ordering::SeqCst), "no file failed");
     assert!(matches!(err, ClimberError::Io(_)), "{err:?}");
     let message = err.to_string();
     assert!(message.contains(INJECTED_FAULT), "{message}");
-    // The failed file: an extension image, or the temp file of a rewritten
-    // base image.
-    let names = |pid: u32| {
-        let stage = format!("{}.new.tmp.", partition_file_name(pid));
-        let extension = format!("part_{pid:08}.x");
-        [stage, extension]
-    };
-    let failed: Vec<u32> = (dirty.iter().copied())
-        .filter(|&pid| names(pid).iter().any(|name| message.contains(name)))
-        .collect();
-    assert_eq!(failed.len(), 1, "not one stage fsync failed: {message}");
-    let failed = failed[0];
 
-    // That partition published nothing and left no temp file; every other
-    // dirty partition published its stage.
-    assert_eq!(index.delta().partitions(), vec![failed]);
-    assert_eq!(index.store().receipt(failed), None);
-    for &pid in dirty.iter().filter(|&&pid| pid != failed) {
-        assert!(index.store().receipt(pid).is_some(), "{pid} not published");
+    // The failed file's partitions published nothing and left no file;
+    // every other dirty partition published.
+    let pending = index.delta().partitions();
+    assert!(!pending.is_empty());
+    for &pid in &dirty {
+        let published = index.store().receipt(pid).is_some();
+        assert_eq!(published, !pending.contains(&pid), "partition {pid}");
     }
-    assert_eq!(temp_files(&dir), Vec::<String>::new());
-    let extension = format!("part_{failed:08}.x");
-    let left: Vec<String> = (std::fs::read_dir(&dir).unwrap().flatten())
-        .map(|e| e.file_name().to_string_lossy().into_owned())
-        .filter(|name| name.starts_with(&extension))
-        .collect();
-    assert_eq!(left, Vec::<String>::new(), "the failed image stayed");
+    assert_eq!(names(&dir, is_tmp_name), Vec::<String>::new());
+    assert_eq!(
+        names(&dir, fails),
+        Vec::<String>::new(),
+        "the failed file stayed"
+    );
     let now: Vec<QueryOutcome> = reqs.iter().map(|r| index.search(r)).collect();
     assert_eq!(now, want, "the failed flush moved an answer");
     assert_holds(&index, &acked);
 
     // The retry folds what is left and re-seals the directory.
     let report = index.flush().unwrap();
-    assert_eq!(report.partitions_extended, 1);
-    assert_eq!(report.partitions_rewritten, 0);
     assert!(index.delta().is_empty());
     let now: Vec<QueryOutcome> = reqs.iter().map(|r| index.search(r)).collect();
     assert_eq!(now, want, "the retried flush moved an answer");
     assert_holds(&index, &acked);
     drop(index);
+    assert_no_unnamed_pack(&dir);
+    drop(open_rw(&dir, fs));
+    assert_no_unnamed_pack(&dir);
     let reopened = Climber::open(&dir).unwrap();
     let now: Vec<QueryOutcome> = reqs.iter().map(|r| reopened.search(r)).collect();
     assert_eq!(now, want, "the reopened index answers otherwise");
     assert_holds(&reopened, &acked);
+    std::fs::remove_dir_all(&dir).ok();
+    Failed {
+        pending,
+        hot,
+        retried: (report.partitions_extended, report.partitions_rewritten),
+    }
+}
+
+fn is_pack(name: &str) -> bool {
+    parse_pack_file_name(name).is_some()
+}
+
+fn is_base_stage(name: &str) -> bool {
+    name.contains(".clbp.new.tmp.")
+}
+
+/// The pack's fsync fails: every partition it held stays pending, the
+/// rewritten base image publishes, and the retry extends exactly those.
+#[test]
+fn a_failed_stage_fsync_publishes_the_others_and_a_retry_converges() {
+    let failed = fail_a_flush("fsync", FsOp::FsyncFile, is_pack);
+    assert!(!failed.pending.contains(&failed.hot), "the rewrite failed");
+    assert_eq!(failed.retried, (failed.pending.len(), 0));
+}
+
+/// The pack's write fails: the same, from the stage.
+#[test]
+fn a_failed_pack_write_leaves_every_partition_in_it_pending() {
+    let failed = fail_a_flush("write", FsOp::Write, is_pack);
+    assert!(!failed.pending.contains(&failed.hot), "the rewrite failed");
+    assert_eq!(failed.retried, (failed.pending.len(), 0));
+}
+
+/// A rewritten base image's fsync fails: that partition alone stays
+/// pending, and the pack publishes.
+#[test]
+fn a_failed_rewrite_fsync_leaves_only_its_partition_pending() {
+    let failed = fail_a_flush("rewrite", FsOp::FsyncFile, is_base_stage);
+    assert_eq!(failed.pending, vec![failed.hot]);
+    assert_eq!(failed.retried, (0, 1));
+}
+
+/// A flush whose extension images fill several packs, the second pack's
+/// fsync failing: exactly the partitions in that pack stay pending, those
+/// of the other packs publish, and a retry converges.
+#[test]
+fn a_failed_pack_leaves_the_other_packs_published() {
+    let dir = std::env::temp_dir().join(format!("climber-foldfaults-packs-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let built = Domain::RandomWalk.generate(N as usize, 3);
+    Climber::build_on_disk(&built, &dir, cfg().with_capacity(300)).unwrap();
+    let fs = Arc::new(FailOnce {
+        op: FsOp::FsyncFile,
+        fails: |name| parse_pack_file_name(name).is_some_and(|(_, k)| k == 1),
+        armed: AtomicBool::new(false),
+    });
+    let index = open_rw(&dir, fs.clone());
+    let batch = fresh(16, 77);
+    let mut acked: Vec<(u64, Vec<f32>)> = Vec::new();
+    let ids = index.append_batch(&batch).unwrap();
+    acked.extend(ids.into_iter().zip(batch.iter().cloned()));
+    let first = index.flush().unwrap();
+    assert_eq!(first.partitions_rewritten, 0);
+    // About 5 MiB of copies, all in partitions the first flush extended.
+    let copies: Vec<Vec<f32>> = (0..320).flat_map(|_| batch.iter().cloned()).collect();
+    let ids = index.append_batch(&copies).unwrap();
+    acked.extend(ids.into_iter().zip(copies));
+    let dirty = index.delta().partitions();
+    let reqs: Vec<SearchRequest> = (batch.iter())
+        .map(|q| SearchRequest::new(&q[..], 50))
+        .collect();
+    let want: Vec<QueryOutcome> = reqs.iter().map(|r| index.search(r)).collect();
+
+    fs.armed.store(true, Ordering::SeqCst);
+    let err = index.flush().unwrap_err();
+    assert!(!fs.armed.load(Ordering::SeqCst), "no second pack");
+    assert!(err.to_string().contains(INJECTED_FAULT), "{err}");
+    let pending = index.delta().partitions();
+    assert!(
+        !pending.is_empty() && pending.len() < dirty.len(),
+        "{pending:?} of {dirty:?}"
+    );
+    // The packs are cut in ascending partition id: the failed second
+    // pack held a run of them, with published ones on both sides of it.
+    let published: Vec<u32> = (dirty.iter().copied())
+        .filter(|pid| index.store().receipt(*pid).is_some())
+        .collect();
+    assert_eq!(published.len() + pending.len(), dirty.len());
+    let (lo, hi) = (pending[0], pending[pending.len() - 1]);
+    assert!(
+        published.iter().all(|&p| p < lo || p > hi),
+        "{published:?} {pending:?}"
+    );
+    assert!(
+        published.iter().any(|&p| p < lo),
+        "{published:?} {pending:?}"
+    );
+    assert_eq!(
+        names(&dir, |n| parse_pack_file_name(n)
+            .is_some_and(|(_, k)| k == 1)),
+        Vec::<String>::new()
+    );
+    let now: Vec<QueryOutcome> = reqs.iter().map(|r| index.search(r)).collect();
+    assert_eq!(now, want, "the failed flush moved an answer");
+    let report = index.flush().unwrap();
+    assert_eq!(report.partitions_extended, pending.len());
+    assert!(index.delta().is_empty());
+    let now: Vec<QueryOutcome> = reqs.iter().map(|r| index.search(r)).collect();
+    assert_eq!(now, want, "the retried flush moved an answer");
+    assert_holds(&index, &acked);
+    drop(index);
+    drop(open_rw(&dir, fs));
+    assert_no_unnamed_pack(&dir);
+    let reopened = Climber::open(&dir).unwrap();
+    let now: Vec<QueryOutcome> = reqs.iter().map(|r| reopened.search(r)).collect();
+    assert_eq!(now, want, "the reopened index answers otherwise");
     std::fs::remove_dir_all(&dir).ok();
 }

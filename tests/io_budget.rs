@@ -2,19 +2,21 @@
 //! trace: every partition byte crosses the filesystem boundary once per
 //! direction.
 //!
-//! * A flush that gives D partitions an extension image and rewrites the
-//!   base image of R others performs exactly **R partition reads, D + R
-//!   image writes, D + R file fsyncs** and a **constant** number of
-//!   directory fsyncs (the pre-commit barrier, the manifest commit, the
-//!   closing install) — no extension is read, renamed or written twice, no
-//!   manifest or skeleton re-read, no per-file directory fsync, no
-//!   read-back of what it just wrote. An extension is written once under
-//!   its own new name; a base image is written under a temp name and
-//!   renamed to its `.new` sibling, so no file another reader may be
-//!   serving is ever truncated.
-//! * A flush that merges a partition's E extensions reads exactly those E
-//!   images, writes one, and removes the E only after the manifest that
-//!   no longer names them has committed.
+//! * A flush that gives D partitions an extension image, in P packs, and
+//!   rewrites the base image of R others performs exactly **R partition
+//!   reads, P + R file writes, P + R file fsyncs** and a **constant**
+//!   number of directory fsyncs (the pre-commit barrier, the manifest
+//!   commit, the closing install) — no per-partition extension file, no
+//!   extension read, renamed or written twice, no manifest or skeleton
+//!   re-read, no per-file directory fsync, no read-back of what it just
+//!   wrote, and nothing removed. A pack is written once under its own new
+//!   name; a base image is written under a temp name and renamed to its
+//!   `.new` sibling, so no file another reader may be serving is ever
+//!   truncated.
+//! * A flush that merges reads exactly the extension images it folds (each
+//!   its own range of its pack), writes one pack, and removes the packs it
+//!   emptied only after the manifest that no longer names them has
+//!   committed.
 //! * The barrier sits where the protocol needs it: after the last image
 //!   is written and fsynced, before the manifest is renamed into place.
 //! * A build of P partitions performs exactly **P partition writes, P
@@ -33,7 +35,7 @@ use climber_core::dfs::format::{ClusterPick, PartitionDirectory, PartitionReader
 use climber_core::dfs::fsio::{Bytes, ClimberFs, FaultFs, FsOp, FsRef, StdFs};
 use climber_core::dfs::page::PAGE_SIZE;
 use climber_core::dfs::store::{
-    parse_extension_file_name, partition_file_name, DiskStore, PartitionStore,
+    parse_extension_file_name, parse_pack_file_name, partition_file_name, DiskStore, PartitionStore,
 };
 use climber_core::index::builder::IndexBuilder;
 use climber_core::series::gen::Domain;
@@ -113,6 +115,10 @@ fn is_extension(name: &str) -> bool {
     parse_extension_file_name(name).is_some()
 }
 
+fn is_pack(name: &str) -> bool {
+    parse_pack_file_name(name).is_some()
+}
+
 /// Position of the first (or `last`) op of `op` on a name `pred` accepts.
 fn pos(trace: &[(FsOp, String)], op: FsOp, pred: &dyn Fn(&str) -> bool, last: bool) -> usize {
     let mut hits = (trace.iter().enumerate())
@@ -144,25 +150,29 @@ fn flush_reads_writes_and_syncs_each_dirty_partition_once() {
             "non-partition reads: {trace:?}"
         );
 
-        // Writes: one extension per extended partition, under its own
-        // name; one stage per rewritten one, under a temp name; plus the
+        // Writes: one pack holding every extended partition's image,
+        // under its own name, and no file per extended partition; one
+        // stage per rewritten partition, under a temp name; plus the
         // manifest — each fsynced exactly once. Nothing is written in
         // place: not a committed file, not an earlier stage.
-        assert_eq!(count(&trace, FsOp::Write, is_extension), d);
+        let p = usize::from(d > 0);
+        assert_eq!(count(&trace, FsOp::Write, is_pack), p);
+        assert_eq!(count(&trace, FsOp::Write, is_extension), 0);
         assert_eq!(count(&trace, FsOp::Write, is_stage_tmp), r);
-        assert_eq!(count(&trace, FsOp::Write, all), d + r + 1, "{trace:?}");
-        assert_eq!(count(&trace, FsOp::FsyncFile, is_extension), d);
+        assert_eq!(count(&trace, FsOp::Write, all), p + r + 1, "{trace:?}");
+        assert_eq!(count(&trace, FsOp::FsyncFile, is_pack), p);
         assert_eq!(count(&trace, FsOp::FsyncFile, is_stage_tmp), r);
-        assert_eq!(count(&trace, FsOp::FsyncFile, all), d + r + 1);
+        assert_eq!(count(&trace, FsOp::FsyncFile, all), p + r + 1);
 
         // Renames (traced by source): temp → stage per rewritten
-        // partition, the manifest commit, then one install per stage. An
-        // extension is never renamed, and nothing is removed.
-        assert_eq!(count(&trace, FsOp::Rename, is_extension), 0);
+        // partition, the manifest commit, then one install per stage. A
+        // pack is never renamed, and nothing is removed.
+        assert_eq!(count(&trace, FsOp::Rename, is_pack), 0);
         assert_eq!(count(&trace, FsOp::Rename, is_stage_tmp), r);
         assert_eq!(count(&trace, FsOp::Rename, is_stage), r);
         assert_eq!(count(&trace, FsOp::Rename, all), 2 * r + 1);
-        assert_eq!(count(&trace, FsOp::RemoveFile, is_partition), 0);
+        let is_image_file = |n: &str| is_pack(n) || is_partition(n);
+        assert_eq!(count(&trace, FsOp::RemoveFile, is_image_file), 0);
         // Each stage is durable before it is published: its temp file's
         // fsync comes before the rename of that temp file.
         for (at, (_, tmp)) in
@@ -180,7 +190,7 @@ fn flush_reads_writes_and_syncs_each_dirty_partition_once() {
         // that rename.
         let barrier = pos(&trace, FsOp::FsyncDir, &all, false);
         let commit = pos(&trace, FsOp::Rename, &|n| n.starts_with("MANIFEST"), false);
-        let last_image = |op| pos(&trace, op, &|n| is_extension(n) || is_stage_tmp(n), true);
+        let last_image = |op| pos(&trace, op, &|n| is_pack(n) || is_stage_tmp(n), true);
         assert!(last_image(FsOp::Write) < barrier);
         assert!(last_image(FsOp::FsyncFile) < barrier);
         if r > 0 {
@@ -207,11 +217,12 @@ fn flush_reads_writes_and_syncs_each_dirty_partition_once() {
     );
 }
 
-/// A flush that would give a partition one extension too many merges its
-/// extensions and its pending records into one: it reads exactly those
-/// extension images (never the base), writes and fsyncs one image, renames
-/// nothing but the manifest, and removes the merged images only after the
-/// commit that stops naming them.
+/// A flush that would leave a fifth flush's pack live merges: the
+/// partition's extensions and its pending records become one image. It
+/// reads exactly those extension images (each its range of its pack,
+/// never the base), writes and fsyncs one pack, renames nothing but the
+/// manifest, and removes the packs it emptied only after the commit that
+/// stops naming them.
 #[test]
 fn a_merging_flush_reads_its_extensions_and_removes_them_after_the_commit() {
     let dir = std::env::temp_dir().join(format!("climber-iobudget-merge-{}", std::process::id()));
@@ -231,7 +242,7 @@ fn a_merging_flush_reads_its_extensions_and_removes_them_after_the_commit() {
         extended.push((report.partitions_extended, report.partitions_rewritten));
     }
     assert_eq!(extended, vec![(1, 0); 4]);
-    let ext_count = |n: &str| is_extension(n);
+    let ext_count = |n: &str| is_pack(n);
     let before: Vec<String> = (fs::read_dir(&dir).unwrap().flatten())
         .map(|e| e.file_name().to_string_lossy().into_owned())
         .filter(|n| ext_count(n))
@@ -253,12 +264,14 @@ fn a_merging_flush_reads_its_extensions_and_removes_them_after_the_commit() {
     let merged = |n: &str| before.iter().any(|b| b == n);
     assert_eq!(count(&trace, FsOp::Read, all), 4, "{trace:?}");
     assert_eq!(count(&trace, FsOp::Read, merged), 4);
-    assert_eq!(count(&trace, FsOp::Write, is_extension), 1);
+    assert_eq!(count(&trace, FsOp::Write, is_pack), 1);
     assert_eq!(count(&trace, FsOp::Write, all), 2, "{trace:?}");
-    assert_eq!(count(&trace, FsOp::FsyncFile, is_extension), 1);
+    assert_eq!(count(&trace, FsOp::FsyncFile, is_pack), 1);
     assert_eq!(count(&trace, FsOp::FsyncFile, all), 2);
     assert_eq!(count(&trace, FsOp::Rename, all), 1, "{trace:?}");
     assert_eq!(count(&trace, FsOp::RemoveFile, merged), 4);
+    let is_image_file = |n: &str| is_pack(n) || n.starts_with("part_");
+    assert_eq!(count(&trace, FsOp::RemoveFile, is_image_file), 4);
     assert_eq!(count(&trace, FsOp::FsyncDir, all), 3);
     let commit = pos(&trace, FsOp::Rename, &|n| n.starts_with("MANIFEST"), false);
     assert!(commit < pos(&trace, FsOp::RemoveFile, &merged, false));

@@ -18,7 +18,9 @@
 //!   oracle's, bit for bit — including partitions the fold must *not*
 //!   have touched;
 //! * the persisted bytes are that image, verbatim — or, for an extended
-//!   partition, its untouched base image and the predicted extension;
+//!   partition, its untouched base image and the predicted extension, at
+//!   its predicted offset in the flush's one pack: the extensions back to
+//!   back in ascending partition id, and nothing else;
 //! * the committed manifest entry (length, checksum, record count per
 //!   image) — taken from the stage's receipt, not from re-reading the
 //!   file — describes the persisted bytes exactly.
@@ -29,9 +31,8 @@
 
 use climber_core::dfs::fsio::StdFs;
 use climber_core::dfs::manifest::xxh64;
-use climber_core::dfs::store::{
-    extension_file_name, partition_file_name, DiskStore, PartitionStore,
-};
+use climber_core::dfs::manifest::PackSlot;
+use climber_core::dfs::store::{pack_file_name, partition_file_name, DiskStore, PartitionStore};
 use climber_core::series::gen::Domain;
 use climber_core::{Climber, ClimberConfig, Manifest};
 use proptest::prelude::*;
@@ -266,6 +267,9 @@ proptest! {
         prop_assert_eq!(report.partitions_extended, extended.len());
 
         let manifest = Manifest::load_with(&StdFs, &dir).unwrap();
+        let pack = (!extended.is_empty())
+            .then(|| fs::read(dir.join(pack_file_name(report.generation, 0))).unwrap());
+        let mut offset = 0u64;
         for &pid in &pids {
             let want = &expected[&pid];
             let reader = index.store().open(pid).unwrap();
@@ -289,13 +293,19 @@ proptest! {
             prop_assert_eq!(entry.checksum, xxh64(base, 0));
             prop_assert_eq!(entry.extensions.len(), 1);
             let x = entry.extensions[0];
-            let on_disk = fs::read(dir.join(extension_file_name(pid, x.file))).unwrap();
-            prop_assert!(on_disk == *extension, "partition {}: extension differs", pid);
+            prop_assert_eq!(x.file, report.generation);
+            prop_assert_eq!(x.pack, Some(PackSlot { k: 0, offset }));
+            let at = offset as usize..offset as usize + extension.len();
+            let on_disk = &pack.as_ref().unwrap()[at];
+            prop_assert!(on_disk == &extension[..], "partition {}: extension differs", pid);
+            offset += extension.len() as u64;
             prop_assert_eq!(x.bytes, extension.len() as u64);
             prop_assert_eq!(x.checksum, xxh64(extension, 0));
             prop_assert_eq!(x.records, *records);
             prop_assert_eq!(entry.total_records(), reader.record_count());
         }
+
+        prop_assert_eq!(pack.map_or(0, |pack| pack.len() as u64), offset);
 
         // A cold reopen validates every receipt-derived entry against the
         // installed files.
