@@ -86,7 +86,7 @@ use climber_dfs::fsio;
 use climber_dfs::manifest::{xxh64, FileEntry, PartitionEntry};
 use climber_dfs::segment;
 use climber_dfs::store::{
-    partition_file_name, staged_path_of, DiskStore, Layout, PartitionId, PartitionStore, Staged,
+    partition_file_name, staged_path_of, DiskStore, Layout, PartitionId, PartitionStore,
 };
 use climber_index::builder::IndexBuilder;
 use climber_pivot::signature::SignatureScratch;
@@ -167,7 +167,7 @@ struct Planned {
     predicted: u64,
 }
 
-/// One partition's folded image, built and not yet staged: how many
+/// One partition's folded image, built and not yet written: how many
 /// records it copied from each delta run (the prefix its publish retires)
 /// and its counts.
 struct Folded {
@@ -176,11 +176,6 @@ struct Folded {
     copied: Vec<(TrieNodeId, usize)>,
     done: FoldDone,
 }
-
-/// One file a fold staged — a rewritten base image, or a pack — as each
-/// of its images (written, not yet durable) with what its publish retires
-/// and reports.
-type FileStage = Vec<(Staged, Vec<(TrieNodeId, usize)>, FoldDone)>;
 
 /// What one partition's fold did, once published.
 struct FoldDone {
@@ -840,8 +835,9 @@ impl<S: PartitionStore> Climber<S> {
     ///   [`compact`](Self::compact) purges every one.
     ///
     /// Each image is built by one [`fold_partition`] per partition over the
-    /// build's worker fan-out, the new files made durable together on the
-    /// I/O threads, then each partition published. Queries read a node's
+    /// build's worker fan-out; each file is written and fsynced by the
+    /// worker that built it (a pack by the calling thread), then its
+    /// partitions published. Queries read a node's
     /// cluster from the base and then from each extension, which is the
     /// cluster a rewrite would hold: answers never depend on how a
     /// partition's records are split over its images.
@@ -931,17 +927,18 @@ impl<S: PartitionStore> Climber<S> {
             });
         }
 
-        // Fold the affected partitions in three phases: stage every file
-        // — each base rewrite on its own, every extension image in the
-        // flush's packs — with the images built on the build's worker
-        // fan-out (CPU work: each worker builds one image at a time), make
-        // every staged file durable at once on the I/O threads, then
-        // publish each partition. From the first publish on, a disk
-        // directory's manifest is stale until the re-seal below lands; the
-        // flag makes any later flush or save finish the repair if this
-        // attempt errors out. A partition whose file failed to stage or
-        // fsync published nothing and retired nothing; the others still
-        // publish.
+        // Fold the affected partitions on the build's worker fan-out: a
+        // worker builds one image at a time and writes it back, so one
+        // worker's write and fsync overlap another's CPU work. A base
+        // rewrite is `put` by the worker that built it, which retires the
+        // copied runs in the delta write section the put returns; the
+        // extension images are built a pack at a time, and each pack, once
+        // written and fsynced, publishes its partitions one by one. From the
+        // first publish on, a disk directory's manifest is stale until the
+        // re-seal below lands; the flag makes any later flush or save finish
+        // the repair if this attempt errors out. A partition whose file
+        // failed to write or fsync published nothing and retired nothing;
+        // the others still publish.
         self.reseal_owed
             .store(true, std::sync::atomic::Ordering::Relaxed);
         let cluster = climber_dfs::cluster::Cluster::new(self.build_options.resolved_threads());
@@ -955,14 +952,15 @@ impl<S: PartitionStore> Climber<S> {
             }
         }
         let purge_ref = &purge;
-        let mut files: Vec<io::Result<FileStage>> = cluster.par_map(rewrites, move |planned| {
+        published.extend(cluster.par_map(rewrites, move |planned| {
             let folded = self.fold_image(planned, purge_ref)?;
-            let staged = self.store.stage(folded.pid, folded.image)?;
-            Ok(vec![(staged, folded.copied, folded.done)])
-        });
+            let section = (self.store).put(folded.pid, folded.image, || self.delta.write())?;
+            section.retire(folded.pid, folded.copied);
+            Ok(folded.done)
+        }));
         // The packs: partitions in ascending id, cut where the predicted
         // images would pass `PACK_BYTES`, each pack's images built
-        // together and staged as one file.
+        // together and written as one file.
         let generation = self.generation.load(Ordering::Relaxed) + 1;
         let mut chunks: Vec<Vec<Planned>> = Vec::new();
         let mut chunk_bytes = 0;
@@ -989,34 +987,18 @@ impl<S: PartitionStore> Climber<S> {
             if images.is_empty() {
                 continue;
             }
-            let staged = self.store.stage_pack(generation, k as u32, merging, images);
-            files.push(staged.map(|staged| {
-                (staged.into_iter().zip(folds))
-                    .map(|(staged, (copied, done))| (staged, copied, done))
-                    .collect()
-            }));
-        }
-        let unsynced = (files.iter().flatten())
-            .map(|file| file[0].0.unsynced().to_path_buf())
-            .collect();
-        let mut synced = fsio::fsync_files(&self.store.fs(), unsynced).into_iter();
-        for file in files {
-            let file = match file {
-                Ok(file) => file,
+            let staged = match self.store.stage_pack(generation, k as u32, merging, images) {
+                Ok(staged) => staged,
                 Err(e) => {
                     published.push(Err(e));
                     continue;
                 }
             };
-            if let Err(e) = synced.next().expect("one fsync per staged file") {
-                for (staged, _, _) in file {
-                    self.store.discard(staged);
-                }
-                published.push(Err(e));
-                continue;
-            }
-            for (staged, copied, done) in file {
-                published.push(self.publish_fold(staged, copied, done));
+            for (staged, (copied, done)) in staged.into_iter().zip(folds) {
+                let pid = staged.id();
+                let retired = (self.store.publish(staged, || self.delta.write()))
+                    .map(|section| section.retire(pid, copied));
+                published.push(retired.map(|()| done));
             }
         }
         let mut report = MaintenanceReport {
@@ -1150,11 +1132,6 @@ impl<S: PartitionStore> Climber<S> {
         let pending_purged = (runs.iter().flat_map(|(_, recs)| recs.ids()))
             .filter(|id| purged.contains(id))
             .count() as u64;
-        drop(runs);
-        drop(view);
-        drop(layers);
-        // From a stage worker: see `start_io_threads` on heap arenas.
-        fsio::start_io_threads();
         Ok(Folded {
             pid,
             image,
@@ -1165,20 +1142,6 @@ impl<S: PartitionStore> Climber<S> {
                 purged,
             },
         })
-    }
-
-    /// Publishes a durable staged image in the delta write section that
-    /// retires the runs it copied.
-    fn publish_fold(
-        &self,
-        staged: Staged,
-        copied: Vec<(TrieNodeId, usize)>,
-        done: FoldDone,
-    ) -> io::Result<FoldDone> {
-        let pid = staged.id();
-        let section = (self.store).publish(staged, || self.delta.write())?;
-        section.retire(pid, copied);
-        Ok(done)
     }
 
     /// The global index skeleton.

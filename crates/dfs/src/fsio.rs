@@ -25,11 +25,8 @@
 //! commit protocol never leaves a third state. An in-memory index runs
 //! over a [`SimFs`], which keeps the files under its root in memory.
 //!
-//! The module also owns the process's **I/O threads**: a few long-lived
-//! threads that overlap filesystem waits — a fold's fsyncs
-//! ([`fsync_files`]) and the closes that free the files its installs
-//! replaced ([`release`]). Their jobs go through the caller's [`FsRef`],
-//! so an injected filesystem sees every operation, from whichever thread.
+//! The module starts no thread: each operation runs on its caller's — a
+//! fold writes and fsyncs each file on the worker that built it.
 
 pub use bytes::Bytes;
 use parking_lot::RwLock;
@@ -39,7 +36,7 @@ use std::fs;
 use std::io::{self, Read, Seek};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// The kinds of filesystem operation the persistence layer performs —
 /// each a distinct fault point a [`FaultFs`] script can target.
@@ -511,7 +508,7 @@ impl ClimberFs for FaultFs {
 /// every other path goes to the filesystem it wraps, as a [`FaultFs`]
 /// passes its operations on. An in-memory index is a
 /// [`DiskStore`](crate::store::DiskStore) rooted there, so it runs the
-/// one stage → fsync → publish → seal protocol, and a `save` of it into a
+/// one write → fsync → publish → seal protocol, and a `save` of it into a
 /// real directory writes one. A write, rename or remove under the root
 /// takes effect at once and an fsync only checks that its file exists:
 /// there is no crash model. Reads hand out slices of the stored bytes.
@@ -679,139 +676,23 @@ pub fn write_file_atomic_with(fs: &dyn ClimberFs, path: &Path, bytes: &[u8]) -> 
 /// removed best-effort.
 pub fn write_staged(fs: &dyn ClimberFs, path: &Path, bytes: &[u8]) -> io::Result<()> {
     let tmp = write_temp(fs, path, bytes)?;
-    fs.fsync_file(&tmp)
-        .and_then(|()| fs.rename(&tmp, path))
-        .inspect_err(|_| {
-            fs.remove_file(&tmp).ok();
-        })
+    fs.rename(&tmp, path).inspect_err(|_| {
+        fs.remove_file(&tmp).ok();
+    })
 }
 
-/// The first step of [`write_staged`], alone: `bytes` under a fresh temp
-/// sibling of `path`, not yet fsynced. Returns the temp path; the caller
-/// fsyncs it and renames it over `path`, or removes it. On failure the
-/// temp file is removed best-effort.
+/// The first two steps of [`write_staged`], alone: `bytes` under a fresh
+/// temp sibling of `path`, fsynced. Returns the temp path; the caller
+/// renames it over `path`, or removes it. On failure the temp file is
+/// removed best-effort.
 pub fn write_temp(fs: &dyn ClimberFs, path: &Path, bytes: &[u8]) -> io::Result<PathBuf> {
     let tmp = tmp_sibling(path);
-    match fs.write(&tmp, bytes) {
+    match fs.write(&tmp, bytes).and_then(|()| fs.fsync_file(&tmp)) {
         Ok(()) => Ok(tmp),
         Err(e) => {
             fs.remove_file(&tmp).ok();
             Err(e)
         }
-    }
-}
-
-/// How many filesystem waits the I/O threads keep in flight: a fold's
-/// fsyncs, and the frees of the files its installs replaced.
-const IO_THREADS: usize = 16;
-
-type IoJob = Box<dyn FnOnce() + Send + 'static>;
-
-/// The queue of the long-lived I/O threads, spawned by the first caller
-/// (`None` when not one could be spawned: jobs then run on the caller),
-/// which returns once each has settled on a heap arena. The threads run
-/// nothing but `'static` filesystem jobs — an fsync through an index's
-/// [`FsRef`], a handle to close — so no image ever reaches them, and
-/// being long-lived they take their arenas once (see
-/// [`start_io_threads`]).
-fn io_queue() -> Option<&'static mpsc::Sender<IoJob>> {
-    static QUEUE: OnceLock<Option<mpsc::Sender<IoJob>>> = OnceLock::new();
-    let queue = QUEUE.get_or_init(|| {
-        let (tx, rx) = mpsc::channel::<IoJob>();
-        let rx = Arc::new(Mutex::new(rx));
-        let (settled, ready) = mpsc::sync_channel(IO_THREADS);
-        let spawned = (0..IO_THREADS)
-            .filter(|i| {
-                let rx = Arc::clone(&rx);
-                let settled = settled.clone();
-                let worker = move || {
-                    // The thread's first allocation picks its arena.
-                    std::hint::black_box(Box::new(0u8));
-                    settled.send(()).ok();
-                    loop {
-                        let job = match rx.lock() {
-                            Ok(rx) => rx.recv(),
-                            Err(_) => return,
-                        };
-                        let Ok(job) = job else { return };
-                        // A panicking job fails only its own result.
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).ok();
-                    }
-                };
-                let thread = std::thread::Builder::new().name(format!("climber-io-{i}"));
-                thread.spawn(worker).is_ok()
-            })
-            .count();
-        drop(settled);
-        for _ in 0..spawned {
-            ready.recv().ok();
-        }
-        (spawned > 0).then_some(tx)
-    });
-    queue.as_ref()
-}
-
-/// Spawns the I/O threads unless they run already, returning once each
-/// has taken its heap arena. A new thread takes (glibc) the arena a thread
-/// that exited left, freed memory and all, and the I/O threads keep
-/// theirs for good. A fold therefore starts them from inside its stage
-/// fan-out: its workers hold the arenas exited threads left, full of the
-/// images the last fold freed, so the I/O threads take fresh ones.
-pub fn start_io_threads() {
-    io_queue();
-}
-
-/// Runs every job on the I/O threads, all of them in flight at once, and
-/// returns their results in order once the last one is done (`None` for
-/// a job that panicked).
-fn on_io_threads<T: Send + 'static>(
-    jobs: impl IntoIterator<Item = impl FnOnce() -> T + Send + 'static>,
-) -> Vec<Option<T>> {
-    let (done, results) = mpsc::channel();
-    let mut out = Vec::new();
-    for (i, job) in jobs.into_iter().enumerate() {
-        out.push(None);
-        let done = done.clone();
-        let job: IoJob = Box::new(move || {
-            done.send((i, job())).ok();
-        });
-        match io_queue() {
-            Some(queue) => {
-                if let Err(mpsc::SendError(job)) = queue.send(job) {
-                    job();
-                }
-            }
-            None => job(),
-        }
-    }
-    drop(done);
-    // Ends once every job has run or unwound, dropping its sender.
-    for (i, result) in results {
-        out[i] = Some(result);
-    }
-    out
-}
-
-/// Fsyncs every file of `paths` through `fs` on the I/O threads, all at
-/// once, and returns each result in `paths` order: the fold's durability
-/// step, at queue depth instead of one wait per worker.
-pub fn fsync_files(fs: &FsRef, paths: Vec<PathBuf>) -> Vec<io::Result<()>> {
-    let jobs = paths.into_iter().map(|path| {
-        let fs = Arc::clone(fs);
-        move || fs.fsync_file(&path)
-    });
-    let results = on_io_threads(jobs).into_iter();
-    results
-        .map(|r| r.unwrap_or_else(|| Err(io::Error::other("an fsync panicked"))))
-        .collect()
-}
-
-/// Closes `handles` on the I/O threads, all at once, and returns when
-/// every one is closed. A handle [held](ClimberFs::hold) across a rename
-/// over its file makes the close, not the rename, free the file's blocks.
-pub fn release(handles: Vec<fs::File>) {
-    if !handles.is_empty() {
-        on_io_threads(handles.into_iter().map(|file| move || drop(file)));
     }
 }
 

@@ -31,11 +31,10 @@
 //! file is ever written in place. A pack is removed once no image in it
 //! is named any more — after a merge or base rewrites replaced them all —
 //! and only after the manifest that no longer names them has committed. A
-//! `put` is three steps a fold takes apart to overlap many partitions'
-//! waits: [`stage`](PartitionStore::stage) (file written, unsynced), the
-//! fsync, and [`publish`](PartitionStore::publish);
-//! [`stage_pack`](PartitionStore::stage_pack) stages many partitions'
-//! extension images in one file, each published on its own.
+//! [`put`](PartitionStore::put) writes, fsyncs and publishes one base
+//! image on the calling thread; [`stage_pack`](PartitionStore::stage_pack)
+//! writes and fsyncs many partitions' extension images in one file, each
+//! then [published](PartitionStore::publish) on its own.
 //!
 //! A query reads clusters, not partitions: [`read_clusters`] hands out
 //! the trie-node clusters a plan names as [`ClusterView`]s. The store
@@ -147,7 +146,8 @@ fn quarantine_path_of(dir: &Path, id: PartitionId) -> PathBuf {
 /// Identifier of a physical partition (the paper's `β` ids).
 pub type PartitionId = u32;
 
-/// What a [`stage`](PartitionStore::stage) took from an image: everything
+/// What a [`put`](PartitionStore::put) or a
+/// [`stage_pack`](PartitionStore::stage_pack) took from an image: everything
 /// a manifest records about it, taken while the bytes were in hand — so a
 /// seal describes a built or folded partition without opening, re-reading
 /// or re-hashing it.
@@ -241,16 +241,15 @@ pub struct Layout {
     pub files: Vec<u64>,
 }
 
-/// A partition image [staged](PartitionStore::stage) and not yet
-/// readable. The store keeps only what the publish records — the receipt,
-/// the parsed directory and the file the image sits in, unsynced — never
-/// the image itself.
+/// A partition image staged — written and fsynced — and not yet readable.
+/// The store keeps only what the publish records — the receipt, the parsed
+/// directory and the file the image sits in — never the image itself.
 #[derive(Debug)]
 pub struct Staged {
     id: PartitionId,
     layer: Layer,
-    /// Where the image was written, unsynced: a temp sibling of the `.new`
-    /// stage for a base image, its pack for an extension.
+    /// Where the image lies: a temp sibling of the `.new` stage for a base
+    /// image, its pack for an extension.
     path: PathBuf,
     /// Where in its pack an extension lies.
     slot: Option<PackSlot>,
@@ -262,13 +261,6 @@ impl Staged {
     /// The partition the image belongs to.
     pub fn id(&self) -> PartitionId {
         self.id
-    }
-
-    /// The file that must be fsynced before the image is
-    /// [published](PartitionStore::publish): shared by every image of a
-    /// pack.
-    pub fn unsynced(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -337,33 +329,23 @@ fn for_each_layered<E>(
 /// A store of encoded partitions keyed by [`PartitionId`].
 pub trait PartitionStore: Send + Sync {
     /// Writes (or replaces) a partition's base image, dropping any
-    /// extension: [`stage`](Self::stage) it, fsync the staged file,
-    /// [`publish`](Self::publish), all on the calling thread. `publish` is
-    /// the caller's section, opened right before the store's own that
-    /// makes the image readable and returned still held; every caller but
-    /// a fold passes `|| ()`.
-    fn put<G>(&self, id: PartitionId, bytes: Bytes, publish: impl FnOnce() -> G) -> io::Result<G> {
-        let staged = self.stage(id, bytes)?;
-        if let Err(e) = self.fs().fsync_file(staged.unsynced()) {
-            self.discard(staged);
-            return Err(e);
-        }
-        self.publish(staged, publish)
-    }
-
-    /// The first step of a [`put`](Self::put): takes what the publish
-    /// records from the base image `bytes` and writes them to a temp
-    /// sibling of the partition's stage, not fsynced (see
-    /// [`Staged::unsynced`]). Nothing is readable yet.
-    fn stage(&self, id: PartitionId, bytes: Bytes) -> io::Result<Staged>;
+    /// extension, all on the calling thread: the image goes to a temp
+    /// sibling of the partition's `.new` stage, is fsynced there, and is
+    /// [published](Self::publish). `section` is the caller's section,
+    /// opened right before the store's own that makes the image readable
+    /// and returned still held: a fold's base rewrite passes its delta
+    /// write section, in which it retires the runs the image copied; a
+    /// build or a save passes `|| ()`. On failure nothing was published and
+    /// the temp file is gone.
+    fn put<G>(&self, id: PartitionId, bytes: Bytes, section: impl FnOnce() -> G) -> io::Result<G>;
 
     /// Stages extension images of many partitions — `images`, ascending by
     /// id — in one new pack, [`pack_file_name`]`(generation, k)`: back to
-    /// back, in one unsynced write. Each image is the extension numbered
-    /// `generation` of its partition: it follows the partition's
-    /// extensions, or — when `merged` — replaces them all. Every returned
-    /// stage names the pack as its [`Staged::unsynced`] file: one fsync
-    /// makes them all publishable, each on its own.
+    /// back, in one write, fsynced before this returns. Each image is the
+    /// extension numbered `generation` of its partition: it follows the
+    /// partition's extensions, or — when `merged` — replaces them all. Each
+    /// returned stage is publishable on its own. When the write or the
+    /// fsync fails the pack is removed and nothing is staged.
     fn stage_pack(
         &self,
         generation: u64,
@@ -374,19 +356,12 @@ pub trait PartitionStore: Send + Sync {
 
     /// Makes a staged image part of its partition's readable state: a base
     /// image replaces the partition's images, an extension follows (or,
-    /// merged, replaces) its extensions. The caller has made
-    /// [`Staged::unsynced`] durable first. Once the store holds its own
+    /// merged, replaces) its extensions. Once the store holds its own
     /// publish section it has opened the caller's, `section` (lock order:
     /// a fold's delta write section, then the store), and returns it still
     /// held. On failure nothing was published, and a base image's staged
     /// file is gone (a pack stays for its other images).
     fn publish<G>(&self, staged: Staged, section: impl FnOnce() -> G) -> io::Result<G>;
-
-    /// Drops a staged image that will not be published, removing its file
-    /// — for a pack image, the pack with every image in it.
-    fn discard(&self, staged: Staged) {
-        self.fs().remove_file(staged.unsynced()).ok();
-    }
 
     /// Partition `id`'s images from file `from` on (`0`: the base image,
     /// then its extensions in file order; `1`: the extensions alone) —
@@ -1050,11 +1025,11 @@ impl PartitionStore for DiskStore {
         self.cache.as_ref().map(|sc| Arc::clone(&sc.cache))
     }
 
-    fn stage(&self, id: PartitionId, bytes: Bytes) -> io::Result<Staged> {
+    fn put<G>(&self, id: PartitionId, bytes: Bytes, section: impl FnOnce() -> G) -> io::Result<G> {
         if self.is_read_only() {
             return Err(read_only_error());
         }
-        // Only a partition image is staged; its shape goes on the receipt,
+        // Only a partition image is put; its shape goes on the receipt,
         // its directory serves the cluster reads.
         let directory = PartitionDirectory::parse(&bytes).map_err(invalid_data)?;
         let receipt = PutReceipt::of(&bytes, &directory);
@@ -1064,14 +1039,17 @@ impl PartitionStore for DiskStore {
         // (replaced atomically or not at all) and `commit_staged` over the
         // main file after the next manifest commit.
         let path = fsio::write_temp(&*self.fs, &staged_path_of(&self.dir, id), &bytes)?;
-        Ok(Staged {
+        // Freed before the publish waits for its locks.
+        drop(bytes);
+        let staged = Staged {
             id,
             layer: Layer::Base,
             path,
             slot: None,
             receipt,
             directory,
-        })
+        };
+        self.publish(staged, section)
     }
 
     /// The pack gets a name no file of the committed state has: written
@@ -1109,7 +1087,10 @@ impl PartitionStore for DiskStore {
             });
             pack.extend_from_slice(&image);
         }
-        if let Err(e) = self.fs.write(&path, &pack) {
+        let written = self.fs.write(&path, &pack);
+        // Freed before the fsync waits on the device.
+        drop(pack);
+        if let Err(e) = written.and_then(|()| self.fs.fsync_file(&path)) {
             self.fs.remove_file(&path).ok();
             return Err(e);
         }
@@ -1302,9 +1283,9 @@ impl PartitionStore for DiskStore {
     }
 
     /// Each install holds the file it replaces open across its rename, so
-    /// the rename only unlinks it; the held handles are closed on the I/O
-    /// threads ([`fsio::release`]), where the replaced files' blocks are
-    /// freed in parallel and outside the lock reads wait on. Then every
+    /// the rename only unlinks it; the held handles are closed after the
+    /// last install, where the replaced files' blocks are freed outside the
+    /// lock reads wait on. Then every
     /// retired pack is removed, best effort: one a crash or an error
     /// leaves behind is named by no manifest, and the next writable open
     /// sweeps it.
@@ -1330,7 +1311,7 @@ impl PartitionStore for DiskStore {
             Ok(())
         };
         let installed: io::Result<()> = pending.into_iter().try_for_each(&mut install);
-        fsio::release(replaced);
+        drop(replaced);
         installed?;
         for images in self.parts.write().values_mut() {
             images.pending = None;

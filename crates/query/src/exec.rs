@@ -636,14 +636,23 @@ impl Scorer<'_, '_> {
 
 #[cfg(test)]
 mod tests {
-    use super::{scan_group, Source, SourceStatus};
+    use super::{execute, plan_group, scan_group, SeriesLen, Source, SourceStatus};
     use crate::plan::{QueryOutcome, QueryPlan};
+    use crate::search::{SearchMode, SearchRequest};
     use crate::updates::UpdateView;
     use climber_dfs::format::PartitionWriter;
     use climber_dfs::segment::{DeltaSegment, TombstoneSet};
     use climber_dfs::store::{DiskStore, PartitionStore};
+    use climber_index::builder::IndexBuilder;
+    use climber_index::config::IndexConfig;
+    use climber_index::skeleton::IndexSkeleton;
+    use climber_series::dataset::Dataset;
     use climber_series::distance::{ed_early_abandon, sq_ed};
+    use climber_series::gen::{query_workload, Domain};
+    use climber_series::ground_truth::exact_knn;
+    use climber_series::recall::recall_of_results;
     use climber_series::topk::TopK;
+    use std::collections::BTreeSet;
 
     /// A store with one partition: cluster 1 = records 0..4 near zero,
     /// cluster 2 = records 10..14 far away.
@@ -842,5 +851,407 @@ mod tests {
             });
         }
         assert_eq!(via_blocks.results, via_visit.into_sorted());
+    }
+
+    /// `reqs` through the executor over the sealed partitions of `store`.
+    fn run(
+        skeleton: &IndexSkeleton,
+        store: &DiskStore,
+        reqs: &[SearchRequest],
+        threads: usize,
+    ) -> Vec<QueryOutcome> {
+        let sources = [Some(Source::sealed(store))];
+        let series_len = SeriesLen::default().get(store);
+        execute(skeleton, &sources, series_len, reqs, threads).0
+    }
+
+    /// One request, inline on the calling thread.
+    fn search(skeleton: &IndexSkeleton, store: &DiskStore, req: &SearchRequest) -> QueryOutcome {
+        run(skeleton, store, std::slice::from_ref(req), 0)
+            .pop()
+            .expect("one outcome per request")
+    }
+
+    /// An in-memory index of `n` series of `domain`: the data generated
+    /// with `data_seed`, the index built with `seed`.
+    fn build_seeded(
+        domain: Domain,
+        n: usize,
+        data_seed: u64,
+        seed: u64,
+    ) -> (IndexSkeleton, DiskStore, Dataset) {
+        let ds = domain.generate(n, data_seed);
+        let store = DiskStore::in_memory();
+        let cfg = IndexConfig::default()
+            .with_paa_segments(8)
+            .with_pivots(48)
+            .with_prefix_len(6)
+            .with_capacity(80)
+            .with_alpha(0.4)
+            .with_epsilon(1)
+            .with_seed(seed)
+            .with_workers(2);
+        let (skeleton, _) = IndexBuilder::new(cfg).build(&ds, &store);
+        (skeleton, store, ds)
+    }
+
+    fn build(domain: Domain, n: usize) -> (IndexSkeleton, DiskStore, Dataset) {
+        build_seeded(domain, n, 91, 5)
+    }
+
+    /// The index the answer-quality tests below are calibrated on.
+    fn build_engine(domain: Domain, n: usize) -> (IndexSkeleton, DiskStore, Dataset) {
+        build_seeded(domain, n, 47, 21)
+    }
+
+    fn queries_of(ds: &Dataset, n: usize) -> Vec<Vec<f32>> {
+        (0..n as u64)
+            .map(|i| ds.get((i * 37) % ds.num_series() as u64).to_vec())
+            .collect()
+    }
+
+    // The plan and multi-partition stages.
+
+    #[test]
+    fn plan_queries_matches_sequential_planning() {
+        let (skeleton, store, ds) = build(Domain::RandomWalk, 400);
+        let queries = queries_of(&ds, 8);
+        let plans = plan_group(&skeleton, &queries, SearchMode::Exact, 10, None);
+        for (q, plan) in queries.iter().zip(&plans) {
+            let alone = search(&skeleton, &store, &SearchRequest::new(&q[..], 10).exact());
+            assert_eq!(plan, &alone.plan);
+        }
+        // A budget truncates every plan of the group.
+        let capped = plan_group(&skeleton, &queries, SearchMode::Smallest, 10, Some(1));
+        assert!(capped.iter().all(|p| p.num_partitions() <= 1));
+    }
+
+    #[test]
+    fn scan_shard_heaps_match_batch_outcomes() {
+        // Queries whose planned scan already holds k candidates are
+        // done: the expansion stage must leave them exactly alone.
+        let (skeleton, store, ds) = build(Domain::RandomWalk, 500);
+        let (queries, k) = (queries_of(&ds, 10), 8);
+        let sources = [Some(Source::sealed(&store))];
+        let plans = || plan_group(&skeleton, &queries, SearchMode::Adaptive(4), k, None);
+        let mut status = [SourceStatus::default()];
+        let planned = scan_group(&sources, &queries, plans(), k, false, &mut status);
+        let full = scan_group(&sources, &queries, plans(), k, true, &mut status);
+        assert!(planned.iter().any(|o| o.results.len() >= k));
+        for (planned, full) in planned.iter().zip(&full) {
+            if planned.results.len() >= k {
+                assert_eq!(planned, full);
+            }
+        }
+    }
+
+    #[test]
+    fn expand_shard_partition_reports_missing_partition() {
+        let (_, store, _) = build(Domain::RandomWalk, 200);
+        let pid = store.ids()[0];
+        let reader = store.open(pid).unwrap();
+        let q = vec![0.0f32; reader.series_len()];
+        // A plan that selects no cluster of a real partition, and a
+        // partition that does not exist.
+        let mut plan = QueryPlan::default();
+        plan.reads.insert(pid, Vec::new());
+        plan.reads.insert(9_999, Vec::new());
+        let sources = [Some(Source::sealed(&store))];
+        let mut status = [SourceStatus::default()];
+        let k = reader.record_count() as usize + 1;
+        let out = scan_group(&sources, &[q], vec![plan], k, true, &mut status);
+        assert_eq!(
+            out[0].records_scanned,
+            reader.record_count(),
+            "expansion reads it all"
+        );
+        assert_eq!(out[0].partitions_opened, 1);
+        assert!(status[0].failed_partitions.contains(&9_999));
+        assert!(!status[0].failed_partitions.contains(&pid));
+    }
+
+    #[test]
+    fn partition_of_another_series_length_is_skipped_and_named() {
+        let (skeleton, store, ds) = build(Domain::RandomWalk, 600);
+        let req = (queries_of(&ds, 20).into_iter())
+            .map(|q| SearchRequest::new(q, 50))
+            .find(|req| search(&skeleton, &store, req).plan.num_partitions() >= 2)
+            .expect("some plan reads two partitions");
+        let bad = *search(&skeleton, &store, &req)
+            .plan
+            .reads
+            .keys()
+            .next()
+            .unwrap();
+
+        // The same partitions minus `bad`, and with `bad` re-encoded one
+        // reading longer per record than the index (and the query).
+        let (without, crafted) = (DiskStore::in_memory(), DiskStore::in_memory());
+        for pid in store.ids() {
+            let reader = store.open(pid).unwrap();
+            if pid != bad {
+                without.put(pid, reader.raw_bytes_owned(), || ()).unwrap();
+                crafted.put(pid, reader.raw_bytes_owned(), || ()).unwrap();
+                continue;
+            }
+            let mut w = PartitionWriter::new(reader.group_id(), reader.series_len() + 1);
+            for (node, recs) in reader.clusters() {
+                recs.for_each(|id, values| w.push_record(id, &[values, &[0.0]].concat()));
+                w.seal_cluster(node);
+            }
+            crafted.put(pid, w.finish(), || ()).unwrap();
+        }
+
+        let reqs = std::slice::from_ref(&req);
+        let over = |store| {
+            execute(
+                &skeleton,
+                &[Some(Source::sealed(store))],
+                Some(ds.series_len()),
+                reqs,
+                0,
+            )
+        };
+        let (got, status) = over(&crafted);
+        let (want, _) = over(&without);
+        assert_eq!(status[0].failed_partitions, BTreeSet::from([bad]));
+        assert!(!got[0].results.is_empty(), "the other partitions answer");
+        assert_eq!(got, want, "a partition the scan refuses reads as absent");
+    }
+
+    // What a batch shares and refuses.
+
+    #[test]
+    fn batch_decodes_less_than_it_scans() {
+        let (skeleton, store, ds) = build(Domain::TexMex, 500);
+        // clustered data: many queries land in the same partitions
+        let reqs: Vec<SearchRequest> = queries_of(&ds, 40)
+            .into_iter()
+            .map(|q| SearchRequest::new(q, 10))
+            .collect();
+        let before = store.stats().snapshot();
+        let out = run(&skeleton, &store, &reqs, 0);
+        let decoded = store.stats().snapshot().since(&before).records_read;
+        let scanned: u64 = out.iter().map(|o| o.records_scanned).sum();
+        assert!(decoded > 0);
+        assert!(
+            decoded < scanned,
+            "no sharing: decoded {decoded} vs scanned {scanned}"
+        );
+    }
+
+    #[test]
+    fn empty_batch_is_empty() {
+        let (skeleton, store, _) = build(Domain::RandomWalk, 200);
+        let before = store.stats().snapshot();
+        assert!(run(&skeleton, &store, &[], 0).is_empty());
+        let io = store.stats().snapshot().since(&before);
+        assert_eq!(io.records_read, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "factor must be positive")]
+    fn zero_factor_rejected() {
+        let (skeleton, store, ds) = build(Domain::RandomWalk, 200);
+        run(
+            &skeleton,
+            &store,
+            &[SearchRequest::new(ds.get(0), 5).adaptive(0)],
+            0,
+        );
+    }
+
+    // Answer quality per planner, determinism, budgets.
+
+    #[test]
+    fn self_queries_find_themselves() {
+        let (skeleton, store, ds) = build_engine(Domain::RandomWalk, 400);
+        let mut found = 0;
+        for qid in query_workload(&ds, 20, 1) {
+            let out = search(
+                &skeleton,
+                &store,
+                &SearchRequest::new(ds.get(qid), 10).exact(),
+            );
+            if out.results.iter().any(|&(id, d)| id == qid && d == 0.0) {
+                found += 1;
+            }
+        }
+        // The query IS an indexed record; CLIMBER's plan covers the node
+        // the record was placed under whenever the primary group matches,
+        // which is the overwhelming majority of self-queries.
+        assert!(found >= 16, "only {found}/20 self-queries found themselves");
+    }
+
+    #[test]
+    fn knn_returns_k_results_sorted() {
+        let (skeleton, store, ds) = build_engine(Domain::Eeg, 300);
+        let out = search(
+            &skeleton,
+            &store,
+            &SearchRequest::new(ds.get(5), 25).exact(),
+        );
+        assert_eq!(out.results.len(), 25);
+        for w in out.results.windows(2) {
+            assert!(w[0].1 <= w[1].1);
+        }
+    }
+
+    #[test]
+    fn recall_beats_random_partition_guessing() {
+        let (skeleton, store, ds) = build_engine(Domain::TexMex, 500);
+        // k small relative to n: at 500 records the 20th "neighbour" is
+        // already nearly random, so probe the regime the index is for.
+        let k = 5;
+        let mut total = 0.0;
+        let mut scanned = 0u64;
+        let queries = query_workload(&ds, 15, 2);
+        for &qid in &queries {
+            let out = search(
+                &skeleton,
+                &store,
+                &SearchRequest::new(ds.get(qid), k).adaptive(4),
+            );
+            let exact = exact_knn(&ds, ds.get(qid), k);
+            total += recall_of_results(&out.results, &exact);
+            scanned += out.records_scanned;
+        }
+        let mean = total / queries.len() as f64;
+        let frac = scanned as f64 / (queries.len() as f64 * 500.0);
+        // Clustered SIFT-like data is CLIMBER's best case: recall must be
+        // well above the fraction of data actually scanned.
+        assert!(mean > 0.45, "mean recall {mean:.3} too low");
+        assert!(
+            mean > 1.5 * frac,
+            "no locality lift: recall {mean:.3} vs scanned {frac:.3}"
+        );
+    }
+
+    #[test]
+    fn adaptive_recall_at_least_knn_recall_on_average() {
+        let (skeleton, store, ds) = build_engine(Domain::RandomWalk, 500);
+        let k = 120; // larger than most trie nodes → adaptive should help
+        let queries = query_workload(&ds, 12, 3);
+        let (mut r_knn, mut r_adp) = (0.0, 0.0);
+        for &qid in &queries {
+            let exact = exact_knn(&ds, ds.get(qid), k);
+            r_knn += recall_of_results(
+                &search(
+                    &skeleton,
+                    &store,
+                    &SearchRequest::new(ds.get(qid), k).exact(),
+                )
+                .results,
+                &exact,
+            );
+            r_adp += recall_of_results(
+                &search(
+                    &skeleton,
+                    &store,
+                    &SearchRequest::new(ds.get(qid), k).adaptive(4),
+                )
+                .results,
+                &exact,
+            );
+        }
+        assert!(
+            r_adp >= r_knn - 1e-9,
+            "adaptive {} worse than knn {}",
+            r_adp,
+            r_knn
+        );
+    }
+
+    #[test]
+    fn od_smallest_reads_most_and_recalls_most() {
+        let (skeleton, store, ds) = build_engine(Domain::Dna, 400);
+        let k = 50;
+        let queries = query_workload(&ds, 10, 4);
+        let (mut scan_knn, mut scan_ods) = (0u64, 0u64);
+        let (mut rec_knn, mut rec_ods) = (0.0, 0.0);
+        for &qid in &queries {
+            let exact = exact_knn(&ds, ds.get(qid), k);
+            let a = search(
+                &skeleton,
+                &store,
+                &SearchRequest::new(ds.get(qid), k).exact(),
+            );
+            let b = search(
+                &skeleton,
+                &store,
+                &SearchRequest::new(ds.get(qid), k).smallest(),
+            );
+            scan_knn += a.records_scanned;
+            scan_ods += b.records_scanned;
+            rec_knn += recall_of_results(&a.results, &exact);
+            rec_ods += recall_of_results(&b.results, &exact);
+        }
+        assert!(
+            scan_ods >= scan_knn,
+            "OD-Smallest must scan at least as much"
+        );
+        assert!(
+            rec_ods >= rec_knn - 1e-9,
+            "OD-Smallest must recall at least as much"
+        );
+    }
+
+    #[test]
+    fn queries_are_deterministic() {
+        let (skeleton, store, ds) = build_engine(Domain::Eeg, 200);
+        let q = ds.get(9);
+        assert_eq!(
+            search(&skeleton, &store, &SearchRequest::new(q, 10).exact()),
+            search(&skeleton, &store, &SearchRequest::new(q, 10).exact())
+        );
+        assert_eq!(
+            search(&skeleton, &store, &SearchRequest::new(q, 50).adaptive(2)),
+            search(&skeleton, &store, &SearchRequest::new(q, 50).adaptive(2))
+        );
+    }
+
+    #[test]
+    fn budget_caps_partitions_opened() {
+        let (skeleton, store, ds) = build_engine(Domain::RandomWalk, 500);
+        // find a query whose OD-Smallest plan spans several partitions
+        let q = (0..50u64)
+            .map(|i| ds.get(i * 7).to_vec())
+            .find(|q| {
+                search(
+                    &skeleton,
+                    &store,
+                    &SearchRequest::new(q.clone(), 150).smallest(),
+                )
+                .plan
+                .num_partitions()
+                    > 1
+            })
+            .expect("some query must span several partitions");
+        let capped = search(
+            &skeleton,
+            &store,
+            &SearchRequest::new(q, 150).smallest().with_budget(1),
+        );
+        assert!(capped.partitions_opened <= 1);
+        assert!(capped.plan.num_partitions() <= 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "k must be positive")]
+    fn search_rejects_zero_k() {
+        let (skeleton, store, _) = build_engine(Domain::RandomWalk, 200);
+        search(&skeleton, &store, &SearchRequest::new(vec![1.0f32], 0));
+    }
+
+    #[test]
+    fn works_after_skeleton_roundtrip() {
+        let (skeleton, store, ds) = build_engine(Domain::RandomWalk, 200);
+        let restored = IndexSkeleton::from_bytes(&skeleton.to_bytes()).unwrap();
+        let out = search(&restored, &store, &SearchRequest::new(ds.get(3), 5).exact());
+        assert_eq!(out.results.len(), 5);
+        assert_eq!(
+            out,
+            search(&skeleton, &store, &SearchRequest::new(ds.get(3), 5).exact())
+        );
     }
 }

@@ -4,7 +4,7 @@
 //! Threading model:
 //!
 //! * one **acceptor** thread blocks on `TcpListener::accept` and spawns a
-//!   detached handler per connection;
+//!   handler per connection;
 //! * each **handler** reads frames and validates requests. A request that
 //!   finds the [`AdmissionQueue`] empty and an execution slot free is
 //!   **executed by the handler itself** and answered from the same thread:
@@ -34,9 +34,10 @@
 //!
 //! [`shutdown`](Server::shutdown) is drain-clean: the acceptor stops, the
 //! queue refuses new work, every admitted request is still executed and
-//! answered, every thread the server owns is joined, and every open
-//! connection's read half is closed so that its handler — and the backend
-//! handle it holds — goes away without waiting for the client to hang up.
+//! answered, every open connection's read half is closed so that its
+//! handler — and the backend handle it holds — goes away without waiting
+//! for the client to hang up, and every thread the server started,
+//! connection handlers included, is joined.
 
 use crate::metrics::{ServeMetrics, StatsReport};
 use crate::protocol::{bad_request, error_response, Framed, HealthReport, Request, Response};
@@ -157,15 +158,24 @@ pub struct Server {
     workers: Vec<JoinHandle<()>>,
 }
 
-/// A clone of every open connection's stream, keyed by accept order: what
-/// [`Server::shutdown`] closes to end handlers blocked on an idle client.
-/// A handler removes its entry when it exits, so the socket closes then.
-type Connections = Mutex<HashMap<u64, TcpStream>>;
+/// The connection handlers: what [`Server::shutdown`] ends and joins.
+type Connections = Mutex<Handlers>;
 
-/// The map is only ever inserted into, removed from and iterated, so it is
-/// intact even if a thread died holding the lock; `shutdown` also runs
-/// from `Drop`, where a panic on poison could abort the process.
-fn lock(connections: &Connections) -> MutexGuard<'_, HashMap<u64, TcpStream>> {
+#[derive(Default)]
+struct Handlers {
+    /// A clone of every open connection's stream, keyed by accept order:
+    /// what `shutdown` closes to end handlers blocked on an idle client. A
+    /// handler removes its entry when it exits, so the socket closes then.
+    streams: HashMap<u64, TcpStream>,
+    /// Every handler not yet joined. The acceptor drops those that have
+    /// finished as it accepts; `shutdown` joins the rest.
+    threads: Vec<JoinHandle<()>>,
+}
+
+/// The registry is only ever inserted into, removed from and iterated, so
+/// it is intact even if a thread died holding the lock; `shutdown` also
+/// runs from `Drop`, where a panic on poison could abort the process.
+fn lock(connections: &Connections) -> MutexGuard<'_, Handlers> {
     connections.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -270,11 +280,12 @@ impl Server {
             .with_io(&(self.io_probe)())
     }
 
-    /// Stops accepting, drains every admitted request, joins every owned
-    /// thread, and returns once no execution is in flight and every open
-    /// connection has been told to end. In-flight requests are answered;
-    /// requests submitted after this point get a typed shutting-down
-    /// response, or find the connection closed.
+    /// Stops accepting, drains every admitted request, tells every open
+    /// connection to end, and returns once every thread the server started
+    /// — connection handlers included — is joined. In-flight requests are
+    /// answered (a handler writing to a client that reads nothing holds
+    /// this up to the write timeout); requests submitted after this point
+    /// get a typed shutting-down response, or find the connection closed.
     pub fn shutdown(mut self) {
         self.shutdown_impl();
     }
@@ -294,12 +305,21 @@ impl Server {
         // The workers left an empty queue; what still holds a slot is a
         // handler executing its own request.
         self.queue.wait_idle();
-        // Handlers are detached and block in `read` for as long as their
-        // client stays connected, each holding the backend. Closing the
-        // read half ends that wait with a clean EOF; a handler that is
-        // still writing a reply finishes it first.
-        for stream in lock(&self.connections).values() {
-            let _ = stream.shutdown(Shutdown::Read);
+        // Handlers block in `read` for as long as their client stays
+        // connected, each holding the backend. Closing the read half ends
+        // that wait with a clean EOF; a handler that is still writing a
+        // reply finishes it first. The acceptor is joined, so no handler
+        // is added after this; each is joined outside the lock, which it
+        // takes to deregister.
+        let threads = {
+            let mut handlers = lock(&self.connections);
+            for stream in handlers.streams.values() {
+                let _ = stream.shutdown(Shutdown::Read);
+            }
+            std::mem::take(&mut handlers.threads)
+        };
+        for h in threads {
+            let _ = h.join();
         }
     }
 }
@@ -398,24 +418,26 @@ fn accept_loop<B: SearchBackend + 'static>(
                 let Ok(clone) = stream.try_clone() else {
                     continue;
                 };
-                lock(connections).insert(id, clone);
+                let mut handlers = lock(connections);
+                handlers.streams.insert(id, clone);
                 let backend = Arc::clone(backend);
                 let queue = Arc::clone(queue);
                 let metrics = Arc::clone(metrics);
                 let registry = Arc::clone(connections);
-                // Handlers are detached: they exit on EOF — the client's,
-                // or the one `shutdown` sends them — and a post-shutdown
-                // submit is refused by the queue, so none of them can
-                // outlive the process holding work.
+                // A handler exits on EOF — the client's, or the one
+                // `shutdown` sends it — and a post-shutdown submit is
+                // refused by the queue, so `shutdown` can join every one.
                 let spawned = thread::Builder::new()
                     .name("climber-serve-conn".into())
                     .spawn(move || {
                         handle_connection(stream, &*backend, &queue, &metrics, config);
-                        lock(&registry).remove(&id);
+                        lock(&registry).streams.remove(&id);
                     });
-                if spawned.is_err() {
+                handlers.threads.retain(|h| !h.is_finished());
+                match spawned {
+                    Ok(handler) => handlers.threads.push(handler),
                     // no handler will: close the connection
-                    lock(connections).remove(&id);
+                    Err(_) => drop(handlers.streams.remove(&id)),
                 }
             }
             Err(_) => {

@@ -131,9 +131,9 @@ fn a_panic_on_the_connection_thread_costs_one_reply_and_no_slot() {
     server.shutdown();
 }
 
-/// Handlers are detached and used to leave their loop only on *client*
-/// EOF: every connected-but-idle client kept a handler — and the index it
-/// holds — alive past `shutdown()`.
+/// Handlers used to leave their loop only on *client* EOF, and were not
+/// joined: every connected-but-idle client kept a handler — and the index
+/// it holds — alive past `shutdown()`.
 #[test]
 fn shutdown_ends_idle_connections_and_releases_the_backend() {
     let climber = build_climber(250, 103);
@@ -178,6 +178,9 @@ fn shutdown_ends_idle_connections_and_releases_the_backend() {
         "shutdown returned with an execution in flight"
     );
     stopping.join().unwrap();
+    // `shutdown` joined every handler, so none still holds the backend
+    // (the gate-opening thread held the only other clone until joined).
+    assert_eq!(Arc::strong_count(&gated), 1);
     assert_eq!(
         in_flight.join().unwrap().unwrap(),
         climber.search(&req),

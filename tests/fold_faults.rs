@@ -1,11 +1,11 @@
 //! A fold whose write or durability step fails.
 //!
-//! A flush stages one file per rewritten base image and one pack holding
-//! every other dirty partition's extension image, fsyncs the staged files
-//! together on the I/O threads, then publishes each partition. When a
-//! file's write or fsync fails, every partition in that file publishes
-//! nothing: the file is removed and their records stay in the delta
-//! segment, queryable. Every other file still publishes, the flush
+//! A flush writes one file per rewritten base image and one pack holding
+//! every other dirty partition's extension image; each file is fsynced
+//! right after its write — a base image by the worker that built it — and
+//! then publishes its partitions. When a file's write or fsync fails,
+//! every partition in that file publishes nothing: the file is removed
+//! and their records stay in the delta segment, queryable. Every other file still publishes, the flush
 //! returns the error, and a retried flush converges with every
 //! acknowledged append held — and no pack the manifest does not name
 //! survives a writable reopen.
