@@ -15,6 +15,14 @@
 //! * more threads — workers pull `(source, partition)` tasks off a shared
 //!   cursor.
 //!
+//! Each configuration runs the workload again and again for a fixed
+//! wall-clock budget ([`ROW_SECS`], [`QUICK_ROW_SECS`] with `--quick`),
+//! and its row reports the median run and how many runs it took: a run
+//! is a fraction of a second, and the median of tens of them moves less
+//! from one invocation to the next than the best of a few (single-thread
+//! rows within ±6 % over three invocations on a 2-core x86-64 box, where
+//! the multi-thread rows still spread wider).
+//!
 //! Results are bit-identical across all configurations (asserted on a
 //! sample at the end). Emits a `BENCH_throughput.json` record next to the
 //! printed table; scale with `CLIMBER_N` / `CLIMBER_K` /
@@ -30,6 +38,16 @@ use climber_core::{Climber, QueryOutcome, SearchRequest};
 use std::fmt::Write as _;
 use std::time::Instant;
 
+/// Wall-clock seconds each configuration is timed over.
+const ROW_SECS: f64 = 5.0;
+
+/// [`ROW_SECS`] of a `--quick` run (seven configurations).
+const QUICK_ROW_SECS: f64 = 3.0;
+
+/// Runs of a configuration however short its budget: a median of fewer
+/// is no median.
+const MIN_RUNS: usize = 3;
+
 /// One measured configuration.
 struct Row {
     batch: usize,
@@ -37,6 +55,8 @@ struct Row {
     qps: f64,
     secs: f64,
     sharing: f64,
+    /// Runs the budget held (the row is the median one).
+    runs: usize,
 }
 
 /// `Climber::search_many` with an explicit worker count: the executor
@@ -58,20 +78,27 @@ fn search_many(
     .0
 }
 
-/// Runs a configuration `reps` times and keeps the fastest run (standard
-/// benching practice: the minimum is the least noise-contaminated sample,
-/// and every configuration gets the same treatment).
-fn run_config_best(
+/// Runs a configuration until `budget` seconds have passed (at least
+/// [`MIN_RUNS`] times) and keeps the median run, every configuration
+/// alike.
+fn run_config_median(
     climber: &Climber<DiskStore>,
     wl: &[SearchRequest],
     batch: usize,
     threads: usize,
-    reps: usize,
+    budget: f64,
 ) -> Row {
-    (0..reps.max(1))
-        .map(|_| run_config(climber, wl, batch, threads))
-        .min_by(|a, b| a.secs.total_cmp(&b.secs))
-        .expect("reps >= 1")
+    let start = Instant::now();
+    let mut runs = Vec::new();
+    while runs.len() < MIN_RUNS || start.elapsed().as_secs_f64() < budget {
+        runs.push(run_config(climber, wl, batch, threads));
+    }
+    runs.sort_by(|a, b| a.secs.total_cmp(&b.secs));
+    let count = runs.len();
+    Row {
+        runs: count,
+        ..runs.swap_remove(count / 2)
+    }
 }
 
 /// Runs the whole workload split into `batch`-sized calls on `threads`
@@ -109,6 +136,7 @@ fn run_config(
         } else {
             scanned as f64 / decoded as f64
         },
+        runs: 1,
     }
 }
 
@@ -118,12 +146,14 @@ fn main() {
     let nq = env_usize("CLIMBER_BATCH_QUERIES", 256);
     let k = if quick { 10 } else { default_k() };
     let factor = 4;
+    let budget = if quick { QUICK_ROW_SECS } else { ROW_SECS };
     // Not the shared banner(): its scale line prints the CLIMBER_N /
     // CLIMBER_QUERIES / CLIMBER_K defaults, which --quick overrides —
     // print the parameters this run actually uses.
     println!("==========================================================================");
     println!("Throughput — batched partition-major execution (QPS)");
     println!("workload: fixed query set, Adaptive-{factor}X; grid: batch {{1,16,256}} x threads {{1,4,8}}");
+    println!("each row: the median run of those in {budget} s of wall clock");
     println!(
         "scale: N={n} queries={nq} K={k}{} (CLIMBER_N / CLIMBER_BATCH_QUERIES / CLIMBER_K)",
         if quick { " [--quick]" } else { "" }
@@ -151,7 +181,7 @@ fn main() {
     let threads = [1usize, 4, 8];
     let mut rows: Vec<Row> = Vec::new();
     let mut table = Table::new(vec![
-        "batch", "threads", "QPS", "secs", "sharing", "speedup",
+        "batch", "threads", "QPS", "secs", "runs", "sharing", "speedup",
     ]);
     let wl = &requests[..];
     // Warm up caches so the 1×1 baseline is not penalised by first-touch.
@@ -162,7 +192,7 @@ fn main() {
             if b == 1 && t > 1 && quick {
                 continue; // single-query batches gain nothing on smoke runs
             }
-            let row = run_config_best(climber, wl, b, t, 3);
+            let row = run_config_median(climber, wl, b, t, budget);
             if b == 1 && t == 1 {
                 baseline_qps = row.qps;
             }
@@ -171,6 +201,7 @@ fn main() {
                 row.threads.to_string(),
                 f2(row.qps),
                 f2(row.secs),
+                row.runs.to_string(),
                 f2(row.sharing),
                 format!("{:.2}x", row.qps / baseline_qps),
             ]);
@@ -209,12 +240,13 @@ fn main() {
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
             json,
-            "{}\n    {{\"batch\": {}, \"threads\": {}, \"qps\": {:.2}, \"secs\": {:.4}, \"sharing\": {:.2}}}",
+            "{}\n    {{\"batch\": {}, \"threads\": {}, \"qps\": {:.2}, \"secs\": {:.4}, \"runs\": {}, \"sharing\": {:.2}}}",
             if i == 0 { "" } else { "," },
             r.batch,
             r.threads,
             r.qps,
             r.secs,
+            r.runs,
             r.sharing
         );
     }

@@ -79,15 +79,11 @@ pub use open::OpenOptions;
 pub use recover::{BackendHealth, RecoveryPolicy, RecoveryReport, ScrubReport};
 pub use shard::{ShardSetManifest, ShardStatus, ShardedClimber, SHARD_SET_FILE};
 
-use climber_dfs::format::{
-    fold_partition, image_len, ClusterRecords, Encode, PartitionReader, TrieNodeId,
-};
+use climber_dfs::format::{fold_partition, image_len, ClusterRecords, Encode, TrieNodeId};
 use climber_dfs::fsio;
 use climber_dfs::manifest::{xxh64, FileEntry, PartitionEntry};
 use climber_dfs::segment;
-use climber_dfs::store::{
-    partition_file_name, staged_path_of, DiskStore, Layout, PartitionId, PartitionStore,
-};
+use climber_dfs::store::{DiskStore, Layout, PartitionId, PartitionStore};
 use climber_index::builder::IndexBuilder;
 use climber_pivot::signature::SignatureScratch;
 use climber_query::exec::{execute, SeriesLen, Source};
@@ -297,10 +293,10 @@ impl Climber<DiskStore> {
     /// any thread count.
     ///
     /// Partitions stream to disk as they are built, each staged like a
-    /// fold's rewrite, and the sealing save commits them from their put
-    /// receipts — every partition is written once and never read back by
-    /// the seal. An index a previous build left in `dir` stays committed
-    /// until the new manifest is.
+    /// fold's rewrite, and the sealing save commits them from the entries
+    /// their puts recorded — every partition is written once and never
+    /// read back by the seal. An index a previous build left in `dir`
+    /// stays committed until the new manifest is.
     pub fn build_on_disk_with(
         ds: &Dataset,
         dir: impl AsRef<Path>,
@@ -318,7 +314,11 @@ impl Climber<DiskStore> {
         config: ClimberConfig,
         options: BuildOptions,
     ) -> Result<Self, ClimberError> {
-        let (skeleton, report) = IndexBuilder::with_options(config, options).build(ds, &store);
+        let builder = IndexBuilder::with_options(config, options);
+        let (skeleton, mut report) =
+            builder.build_with_put(ds, |pid, image| store.put(pid, image, || ()))?;
+        // The store is new: everything it counted is the build's.
+        report.io = store.stats().snapshot();
         let next_id = ds.num_series() as u64;
         let c = Self::built(skeleton, store, config, options, Some(report), ds, next_id);
         c.save(c.store.dir())?;
@@ -450,16 +450,34 @@ impl<S: PartitionStore> Climber<S> {
     /// rename leaves no valid manifest, so [`Climber::open`] can never
     /// observe a half-written index. Returns the written manifest.
     ///
-    /// The partition reads save performs for checksumming are not store
-    /// I/O: they never show in [`serve_io`](Self::serve_io).
+    /// Into the store's own directory this is a seal of what the store
+    /// holds. Into any other, every partition is read as one image and
+    /// [put](PartitionStore::put) into a new [`DiskStore`] there, fanned
+    /// out over the build's threads, and that store is sealed: the same
+    /// stage → commit → install protocol a build runs. Those reads are not
+    /// store I/O: they never show in [`serve_io`](Self::serve_io).
     pub fn save(&self, dir: impl AsRef<Path>) -> Result<Manifest, ClimberError> {
         let _serial = (self.maintenance.lock()).unwrap_or_else(PoisonError::into_inner);
-        Ok(self.seal(dir.as_ref(), None)?)
+        let dir = dir.as_ref();
+        if dir == self.store.dir() {
+            return Ok(self.seal(&self.store, None)?);
+        }
+        let target = DiskStore::create(dir, self.store.fs())?;
+        let cluster = climber_dfs::cluster::Cluster::new(self.build_options.resolved_threads());
+        let copied = cluster.par_map(self.store.ids(), |pid| {
+            target.put(pid, self.store.image(pid)?, || ())
+        });
+        copied.into_iter().collect::<io::Result<()>>()?;
+        Ok(self.seal(&target, None)?)
     }
 
-    /// The save implementation. `refresh`, when given, is the manifest
-    /// last committed to `dir`, the store's home: a partition the store
-    /// cannot describe (a quarantined one) keeps its entry verbatim.
+    /// Seals `store`'s directory: this index's own store, or the one a
+    /// save into another directory filled. `refresh`, when given, is the
+    /// manifest last committed to the store's directory: a partition the
+    /// store cannot describe (a quarantined one) keeps its entry verbatim.
+    /// Every other partition is described by what the store holds — the
+    /// entries of the images it published and of those it was opened with
+    /// — so a seal reads no partition.
     ///
     /// Crash-consistency protocol: nothing a committed manifest references
     /// is overwritten before the next manifest commits. New bytes are
@@ -470,69 +488,35 @@ impl<S: PartitionStore> Climber<S> {
     /// before the commit leaves the old directory byte-identical (stages
     /// match no manifest and are swept at open); a crash after it is
     /// rolled forward at open from the surviving `.new` siblings.
-    fn seal(&self, dir: &Path, refresh: Option<&Manifest>) -> io::Result<Manifest> {
-        let fs = self.store.fs();
+    fn seal<T: PartitionStore>(
+        &self,
+        store: &T,
+        refresh: Option<&Manifest>,
+    ) -> io::Result<Manifest> {
+        let (dir, fs) = (store.dir(), store.fs());
         fs.create_dir_all(dir)?;
-        let ids = self.store.ids();
+        let ids = store.ids();
         if ids.is_empty() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "cannot save an index with no partitions",
             ));
         }
-        let home = self.store.dir() == dir;
-        // In the store's own directory a partition is described by what
-        // the store holds — the receipts of the images it staged there and
-        // the entries it was opened with — and one it cannot serve by the
-        // previous manifest: no open, no re-read, no re-hash. Everything
-        // else is read once, for the checksum and the structural
-        // validation, and — sealing into another directory — staged there
-        // as one base image (a manifest only references files that went
-        // through stage → commit). Fanned out over the build's threads in
-        // ascending-id manifest order.
-        let cluster = climber_dfs::cluster::Cluster::new(self.build_options.resolved_threads());
-        let fs_ref = &fs;
-        let described: Vec<io::Result<(PartitionEntry, Option<u32>)>> =
-            cluster.par_map(ids, move |pid| {
-                if home {
-                    if let Some(e) = self.store.entry(pid) {
-                        return Ok((e, None));
-                    }
-                    if let Some(e) = refresh.and_then(|prev| prev.partition(pid)) {
-                        return Ok((e.clone(), None));
-                    }
-                }
-                let payload = self.store.image(pid)?;
-                let reader = PartitionReader::open(payload.clone())
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-                if !home {
-                    fsio::write_staged(&**fs_ref, &staged_path_of(dir, pid), &payload)?;
-                }
-                Ok((
-                    PartitionEntry {
-                        id: pid,
-                        bytes: payload.len() as u64,
-                        checksum: xxh64(&payload, 0),
-                        records: reader.record_count(),
-                        extensions: Vec::new(),
-                    },
-                    Some(reader.series_len() as u32),
-                ))
-            });
-        let mut partitions = Vec::with_capacity(described.len());
-        let mut num_records = 0u64;
-        let mut series_len = (self.series_len()).map_or_else(
+        let home = dir == self.store.dir();
+        let mut partitions = Vec::with_capacity(ids.len());
+        for pid in ids {
+            let prev = || refresh.and_then(|prev| prev.partition(pid)).cloned();
+            let e = store.entry(pid).or_else(prev).ok_or_else(|| {
+                let unserved = format!("partition {pid} is quarantined");
+                io::Error::new(io::ErrorKind::NotFound, unserved)
+            })?;
+            partitions.push(e);
+        }
+        let num_records = partitions.iter().map(PartitionEntry::total_records).sum();
+        let series_len = (self.series_len()).map_or_else(
             || refresh.map_or(0, |prev| prev.series_len),
             |len| len as u32,
         );
-        for entry in described {
-            let (p, sl) = entry?;
-            num_records += p.total_records();
-            if let Some(sl) = sl {
-                series_len = sl;
-            }
-            partitions.push(p);
-        }
         // The skeleton's bytes are invariant after the build, so a re-seal
         // of the home directory finds the manifest it last committed there
         // already describing them and touches nothing. Otherwise the file
@@ -607,15 +591,8 @@ impl<S: PartitionStore> Climber<S> {
             // The home directory commits `m` from here on, whatever of the
             // install fails: the next re-seal refreshes it.
             *self.sealed.lock().unwrap() = Some(m.clone());
-            self.store.commit_staged()?;
-        } else {
-            for e in &m.partitions {
-                fs.rename(
-                    &staged_path_of(dir, e.id),
-                    &dir.join(partition_file_name(e.id)),
-                )?;
-            }
         }
+        store.commit_staged()?;
         if skel_staged {
             fs.rename(&skel_staged_path, &skel_path)?;
         }
@@ -844,7 +821,7 @@ impl<S: PartitionStore> Climber<S> {
     ///
     /// The store's directory is re-sealed afterwards —
     /// incrementally: every entry comes from what the store already holds
-    /// (the receipts of this fold's images, the entries it was opened
+    /// (the entries of this fold's images and of those it was opened
     /// with), and the manifest is rewritten at the bumped segment
     /// generation, so the on-disk index stays openable at O(affected
     /// partitions) cost. The packs a merge or rewrites emptied are removed
@@ -1051,17 +1028,16 @@ impl<S: PartitionStore> Climber<S> {
     /// checksums and the manifest must match the folded partitions for
     /// the directory to stay openable. The re-seal is incremental — every
     /// partition is described by what the store already holds, the
-    /// receipts of the images it published and the entries it was opened
+    /// entries of the images it published and of those it was opened
     /// with, and only a quarantined partition's entry comes from the
     /// previous manifest — so a small fold costs O(affected partitions)
     /// of I/O, not O(index). The previous manifest is the one this
     /// instance holds; only an index that never sealed or opened its
     /// directory reads it from disk.
     fn reseal_home(&self) -> io::Result<()> {
-        let dir = self.store.dir();
         let held = self.sealed.lock().unwrap().clone();
-        let prev = held.or_else(|| Manifest::load_with(&*self.store.fs(), dir).ok());
-        self.seal(dir, prev.as_ref()).map(drop)
+        let prev = held.or_else(|| Manifest::load_with(&*self.store.fs(), self.store.dir()).ok());
+        self.seal(&self.store, prev.as_ref()).map(drop)
     }
 
     /// What a fold does to partition `pid` (see [`flush`](Self::flush);
@@ -1186,6 +1162,13 @@ impl<S: PartitionStore> Climber<S> {
     /// of one set all carry the same one.
     pub(crate) fn sealed_skeleton(&self) -> Option<FileEntry> {
         self.sealed.lock().unwrap().as_ref().map(|m| m.skeleton)
+    }
+
+    /// The generation of the manifest this instance last committed or
+    /// opened; `None` before its first seal.
+    pub(crate) fn sealed_generation(&self) -> Option<u64> {
+        let sealed = self.sealed.lock().unwrap_or_else(PoisonError::into_inner);
+        sealed.as_ref().map(|m| m.generation)
     }
 
     /// The index configuration: the exact build parameters for built
@@ -1715,6 +1698,28 @@ mod tests {
         assert!(ff.op_count() > 0);
         assert!(ff.trace().iter().all(|(_, path)| path.starts_with(&dir)));
         assert_eq!(Climber::open(&dir).unwrap().search_many(&reqs), answers);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A build whose third partition write fails returns the error: the
+    /// other partitions are still written, and nothing panics.
+    #[test]
+    fn a_failed_build_write_is_an_error() {
+        use climber_dfs::fsio::{FaultAction, FaultFs, FaultTrigger, FsOp};
+        let dir = std::env::temp_dir().join(format!("climber-core-bwf-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let ff = FaultFs::over_std();
+        ff.inject(FaultTrigger::Kind(FsOp::Write, 2), FaultAction::Error);
+        ff.arm();
+        let store = DiskStore::create(&dir, ff.clone()).unwrap();
+        let ds = Domain::RandomWalk.generate(300, 4);
+        let options = BuildOptions::default().with_threads(2);
+        let built = Climber::build_into(store, &ds, small_cfg(), options);
+        assert!(matches!(built, Err(ClimberError::Io(_))), "{built:?}");
+        assert!(
+            ff.op_count_of(FsOp::Write) > 2,
+            "the other partitions are written"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -170,9 +170,9 @@ fn open_index(
         &dir.join(format!("{SKELETON_FILE}.new")),
         opts.writable,
         |b| {
-            let found = xxh64(b, 0);
+            let found = xxh64(&b, 0);
             if b.len() as u64 == entry.bytes && found == entry.checksum {
-                Ok(())
+                Ok(b)
             } else {
                 Err(OpenError::ChecksumMismatch {
                     what: "skeleton".into(),
@@ -241,7 +241,7 @@ fn load_journal(dir: &Path, m: &Manifest, opts: &OpenOptions) -> Result<Journal,
                     entry.bytes
                 )));
             }
-            let found = xxh64(b, 0);
+            let found = xxh64(&b, 0);
             if found != entry.checksum {
                 return Err(OpenError::ChecksumMismatch {
                     what: "journal".into(),
@@ -249,7 +249,7 @@ fn load_journal(dir: &Path, m: &Manifest, opts: &OpenOptions) -> Result<Journal,
                     found,
                 });
             }
-            Ok(())
+            Ok(b)
         },
         |e| match e.kind() {
             io::ErrorKind::NotFound => OpenError::MissingJournal(path.clone()),

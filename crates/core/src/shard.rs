@@ -294,8 +294,8 @@ impl ShardedClimber<DiskStore> {
     /// Builds a sharded index under `dir` (one subdirectory per shard plus
     /// the super-manifest), the sharded counterpart of
     /// [`Climber::build_on_disk`]: each shard's share of every partition
-    /// is staged as it is built, each shard sealed from its put receipts,
-    /// and the built set returned as it is, writable.
+    /// is staged as it is built, each shard sealed from what its puts
+    /// recorded, and the built set returned as it is, writable.
     ///
     /// # Panics
     /// If `num_shards == 0`.
@@ -355,7 +355,7 @@ impl ShardedClimber<DiskStore> {
             let reader = PartitionReader::open(image)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
             route_partition(&stores, router_seed, pid, &reader)
-        });
+        })?;
         let n = ds.num_series() as u64;
         let shards = (stores.into_iter().enumerate())
             .map(|(i, store)| {
@@ -548,11 +548,12 @@ impl<S: PartitionStore> ShardedClimber<S> {
         self.shards.iter().flatten().next()?.series_len()
     }
 
-    fn set_manifest(&self) -> ShardSetManifest {
+    /// The super-manifest recording `generations`, one per shard slot.
+    fn set_manifest(&self, generations: Vec<u64>) -> ShardSetManifest {
         ShardSetManifest {
             num_shards: self.shards.len() as u32,
             router_seed: self.router_seed,
-            generations: self.generations(),
+            generations,
         }
     }
 
@@ -576,11 +577,12 @@ impl<S: PartitionStore> ShardedClimber<S> {
         // they sealed last (recorded in `sealed_generations`), so a
         // repaired shard can still re-admit under the super-manifest
         // written below.
+        let mut generations = self.sealed_generations.clone();
         for (i, shard) in self.shards.iter().enumerate() {
             let Some(shard) = shard else { continue };
-            shard.save(dir.join(shard_dir_name(i)))?;
+            generations[i] = shard.save(dir.join(shard_dir_name(i)))?.generation;
         }
-        let sm = self.set_manifest();
+        let sm = self.set_manifest(generations);
         fsio::write_file_atomic_with(&*fs, &dir.join(SHARD_SET_FILE), &sm.encode())
             .map_err(ClimberError::Io)?;
         Ok(sm)
@@ -594,11 +596,17 @@ impl<S: PartitionStore> ShardedClimber<S> {
 
     /// Re-seals the set's super-manifest after a fold
     /// bumped shard generations; without it a reopen would (correctly)
-    /// refuse the drifted shard.
+    /// refuse the drifted shard. Each shard is recorded at the generation
+    /// its own directory committed, which a shard whose fold or re-seal
+    /// failed may have left behind its live counter.
     fn reseal_set(&self) -> Result<(), ClimberError> {
         if let Some(home) = self.home_dir() {
-            let path = home.join(SHARD_SET_FILE);
-            fsio::write_file_atomic_with(&*self.fs(), &path, &self.set_manifest().encode())
+            let committed = |s: &Climber<S>| s.sealed_generation().unwrap_or(s.generation());
+            let generations = (self.shards.iter().zip(&self.sealed_generations))
+                .map(|(s, &dead)| s.as_ref().map_or(dead, committed))
+                .collect();
+            let sm = self.set_manifest(generations);
+            fsio::write_file_atomic_with(&*self.fs(), &home.join(SHARD_SET_FILE), &sm.encode())
                 .map_err(ClimberError::Io)?;
         }
         Ok(())
@@ -702,11 +710,22 @@ impl<S: PartitionStore> ShardedClimber<S> {
             tombstones_remaining: 0,
             generation: 0,
         };
+        // Every shard folds, and the set is re-sealed, even when one fails:
+        // a shard that committed its fold must be recorded at its new
+        // generation, or the set would not reopen.
+        let mut failed = None;
         for shard in self.shards.iter().flatten() {
-            let r = if purge {
-                shard.compact()?
+            let folded = if purge {
+                shard.compact()
             } else {
-                shard.flush()?
+                shard.flush()
+            };
+            let r = match folded {
+                Ok(r) => r,
+                Err(e) => {
+                    failed.get_or_insert(e);
+                    continue;
+                }
             };
             merged.partitions_rewritten += r.partitions_rewritten;
             merged.partitions_extended += r.partitions_extended;
@@ -715,7 +734,8 @@ impl<S: PartitionStore> ShardedClimber<S> {
             merged.tombstones_remaining += r.tombstones_remaining;
             merged.generation = merged.generation.max(r.generation);
         }
-        self.reseal_set()?;
+        let resealed = self.reseal_set();
+        failed.map_or(resealed, Err)?;
         Ok(merged)
     }
 
@@ -953,6 +973,23 @@ mod tests {
         assert_eq!(reopened.router_seed(), built.router_seed());
         assert_eq!(reopened.num_shards(), 2);
         assert!(!reopened.is_writable());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A sharded build whose third partition write fails returns the
+    /// error instead of panicking.
+    #[test]
+    fn a_failed_sharded_build_write_is_an_error() {
+        use climber_dfs::fsio::{FaultAction, FaultFs, FaultTrigger, FsOp};
+        let dir = std::env::temp_dir().join(format!("climber-shard-bwf-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let ff = FaultFs::over_std();
+        ff.inject(FaultTrigger::Kind(FsOp::Write, 2), FaultAction::Error);
+        ff.arm();
+        let ds = Domain::RandomWalk.generate(300, 5);
+        let options = BuildOptions::default().with_threads(2);
+        let built = ShardedClimber::build_into(&ds, &dir, ff, cfg(), options, 2);
+        assert!(matches!(built, Err(ClimberError::Io(_))), "{built:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -697,48 +697,45 @@ pub fn write_temp(fs: &dyn ClimberFs, path: &Path, bytes: &[u8]) -> io::Result<P
 }
 
 /// The open-side half of the stage → commit → install protocol, for every
-/// file a manifest references (partition, skeleton, journal): returns the
-/// bytes that pass `check` — those of `path`, else those of its `staged`
-/// sibling, which a crash between the manifest commit and the install
-/// leaves as the only copy of the committed contents — plus whether they
-/// are still under `staged` when this returns. When neither passes, the
-/// error is the one `path` itself earned (`unreadable` maps a failed
-/// read of it), as if no sibling existed.
+/// file a manifest references (partition, skeleton, journal): returns what
+/// `check` makes of the bytes that pass it — those of `path`, else those
+/// of its `staged` sibling, which a crash between the manifest commit and
+/// the install leaves as the only copy of the committed contents — plus
+/// whether they are still under `staged` when this returns. When neither
+/// passes, the error is the one `path` itself earned (`unreadable` maps a
+/// failed read of it), as if no sibling existed.
 ///
 /// `writable` gates everything this does to the directory. A writable
 /// open finishes the protocol: a sibling beside a matching
 /// `path` is pre-commit garbage and is removed; a matching sibling is
 /// renamed over `path` and the directory fsynced. A read-only open only
 /// reads, so it can never remove a live writer's pre-commit stages.
-pub fn read_committed<E>(
+pub fn read_committed<T, E>(
     fs: &dyn ClimberFs,
     path: &Path,
     staged: &Path,
     writable: bool,
-    check: impl Fn(&[u8]) -> Result<(), E>,
+    check: impl Fn(Bytes) -> Result<T, E>,
     unreadable: impl FnOnce(io::Error) -> E,
-) -> Result<(Bytes, bool), E> {
-    let first = match fs.read(path).map_err(unreadable) {
-        Ok(bytes) => match check(&bytes) {
-            Ok(()) => {
-                if writable {
-                    fs.remove_file(staged).ok();
-                }
-                return Ok((bytes, false));
+) -> Result<(T, bool), E> {
+    let first = match fs.read(path).map_err(unreadable).and_then(&check) {
+        Ok(checked) => {
+            if writable {
+                fs.remove_file(staged).ok();
             }
-            Err(e) => e,
-        },
+            return Ok((checked, false));
+        }
         Err(e) => e,
     };
-    match fs.read(staged) {
-        Ok(bytes) if check(&bytes).is_ok() => {
+    match fs.read(staged).map(check) {
+        Ok(Ok(checked)) => {
             let installed = writable && fs.rename(staged, path).is_ok();
             if installed {
                 if let Some(dir) = path.parent() {
                     fs.fsync_dir(dir).ok();
                 }
             }
-            Ok((bytes, !installed))
+            Ok((checked, !installed))
         }
         _ => Err(first),
     }

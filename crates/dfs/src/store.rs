@@ -16,11 +16,12 @@
 //! ([`fold_partition`]).
 //!
 //! The store has **one** write protocol per kind of image, whether it was
-//! [created](DiskStore::create) empty for a build or
-//! [opened](DiskStore::open_validated) from a sealed manifest for a
-//! fold. A base image is staged under the partition's `.new` sibling
-//! (temp file, fsync, rename); the seal describes the partition from what
-//! the store holds, commits the manifest, and only then
+//! [created](DiskStore::create) empty for a build or a save into another
+//! directory, or [opened](DiskStore::open_validated) from a sealed
+//! manifest for a fold. A base image is staged under the partition's
+//! `.new` sibling (temp file, fsync, rename); the seal describes the
+//! partition from what the store holds — it reads no partition — commits
+//! the manifest, and only then
 //! [installs](PartitionStore::commit_staged) the stage over the main
 //! file. Extension images are not files of their own: a flush writes the
 //! extension images of all the partitions it extends back to back, in
@@ -36,13 +37,21 @@
 //! writes and fsyncs many partitions' extension images in one file, each
 //! then [published](PartitionStore::publish) on its own.
 //!
+//! The store keeps all of its partitions under **one** lock: every
+//! servable partition's images — each one's manifest entry, the file it
+//! lies in and its parsed [`PartitionDirectory`], never its bytes — the
+//! quarantined ids, the live images per pack and the files a publish
+//! retired. Its ids are the servable ones and the quarantined ones. An
+//! image read from disk is checked against its manifest entry in one
+//! place, which the open, a readmission and a scrub's verification share.
+//!
 //! A query reads clusters, not partitions: [`read_clusters`] hands out
-//! the trie-node clusters a plan names as [`ClusterView`]s. The store
-//! keeps every image's parsed [`PartitionDirectory`], so a cluster is a
+//! the trie-node clusters a plan names as [`ClusterView`]s. Since the
+//! store holds every image's directory, a cluster is a
 //! [`BlockCache`] hit or one ranged read of exactly its bytes — in a pack,
 //! at its image's offset;
 //! [`open`](PartitionStore::open) stays the whole-partition read that
-//! folds, scrubs, seals and tests use, and never touches the cache.
+//! folds, scrubs and tests use, and never touches the cache.
 //!
 //! Every operation reports to an [`IoStats`], which is how experiments
 //! observe "partitions touched" and bytes moved.
@@ -55,7 +64,7 @@ use crate::manifest::{xxh64, ImageEntry, Manifest, OpenError, PackSlot, Partitio
 use crate::page::{self, BlockCache, ClusterView};
 use crate::stats::IoStats;
 use bytes::Bytes;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::ops::Range;
@@ -131,10 +140,10 @@ fn read_image(fs: &FsRef, path: &Path, slot: Option<PackSlot>, len: u64) -> io::
 pub const QUARANTINE_DIR: &str = "QUARANTINE";
 
 /// The roll-forward staging sibling of partition `id`'s base image inside
-/// `dir`: every base `put` (and a seal copying into another directory)
-/// lands here, and the rename over the main file happens only *after* the
-/// next manifest commit — so a crash anywhere in a build or a fold leaves
-/// the committed file untouched.
+/// `dir`: every base `put` — a build's, a fold's, a save's into another
+/// directory — lands here, and the rename over the main file happens only
+/// *after* the next manifest commit, so a crash anywhere in a build, a
+/// fold or a save leaves the committed file untouched.
 pub fn staged_path_of(dir: &Path, id: PartitionId) -> PathBuf {
     dir.join(format!("{}.new", partition_file_name(id)))
 }
@@ -145,89 +154,6 @@ fn quarantine_path_of(dir: &Path, id: PartitionId) -> PathBuf {
 
 /// Identifier of a physical partition (the paper's `β` ids).
 pub type PartitionId = u32;
-
-/// What a [`put`](PartitionStore::put) or a
-/// [`stage_pack`](PartitionStore::stage_pack) took from an image: everything
-/// a manifest records about it, taken while the bytes were in hand — so a
-/// seal describes a built or folded partition without opening, re-reading
-/// or re-hashing it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PutReceipt {
-    /// Length of the image.
-    pub image_len: u64,
-    /// xxHash64 (seed 0) of the image.
-    pub checksum: u64,
-    /// Records in the image.
-    pub records: u64,
-    /// Length of every stored series.
-    pub series_len: u32,
-}
-
-impl PutReceipt {
-    /// The manifest entry of partition `id` when this receipt's image is
-    /// its base image and it has no extension.
-    pub fn entry(&self, id: PartitionId) -> PartitionEntry {
-        PartitionEntry {
-            id,
-            bytes: self.image_len,
-            checksum: self.checksum,
-            records: self.records,
-            extensions: Vec::new(),
-        }
-    }
-
-    /// The manifest entry of the image this receipt describes as file
-    /// `file` of its partition, where `pack` places it.
-    fn image(&self, file: u64, pack: Option<PackSlot>) -> ImageEntry {
-        ImageEntry {
-            file,
-            bytes: self.image_len,
-            checksum: self.checksum,
-            records: self.records,
-            pack,
-        }
-    }
-
-    /// The receipt of an image already checked against its manifest
-    /// entry `e`: taken from the entry, without hashing the image again.
-    fn checked(e: &ImageEntry, directory: &PartitionDirectory) -> Self {
-        Self {
-            image_len: e.bytes,
-            checksum: e.checksum,
-            records: directory.record_count(),
-            series_len: directory.series_len() as u32,
-        }
-    }
-
-    fn of(bytes: &[u8], directory: &PartitionDirectory) -> Self {
-        Self {
-            image_len: bytes.len() as u64,
-            checksum: xxh64(bytes, 0),
-            records: directory.record_count(),
-            series_len: directory.series_len() as u32,
-        }
-    }
-}
-
-/// Where a staged image goes in its partition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Layer {
-    /// The base image: replaces the partition's base and every extension.
-    Base,
-    /// Extension image `file` (≥ 1, unique to the partition): follows the
-    /// partition's extensions — or, when `merged`, replaces all of them.
-    Extension { file: u64, merged: bool },
-}
-
-impl Layer {
-    /// The file number: `0` for the base image.
-    fn file(self) -> u64 {
-        match self {
-            Self::Base => 0,
-            Self::Extension { file, .. } => file,
-        }
-    }
-}
 
 /// A partition's files as a fold's merge rule weighs them, known without
 /// reading a byte of them.
@@ -241,20 +167,63 @@ pub struct Layout {
     pub files: Vec<u64>,
 }
 
+/// One image of a partition as the store holds it: what a manifest
+/// records of it, the file it lies in, and its parsed directory — so a
+/// seal describes it and a cluster read finds its bytes without reading
+/// its header again. Never the image itself.
+#[derive(Debug)]
+struct ImageFile {
+    /// The image's manifest entry: its number (`0` for the base image),
+    /// size, checksum, records, and where in a pack it lies.
+    entry: ImageEntry,
+    /// The file the image lies in: a base image under its `.new` sibling
+    /// while its partition's `base_staged` (or, staged, a temp sibling of
+    /// it), else under its own name; an extension in its pack (or,
+    /// version 3, its own file).
+    path: PathBuf,
+    directory: PartitionDirectory,
+}
+
+impl ImageFile {
+    /// The image `bytes`, number `file` of its partition, lying at `path`
+    /// (at `pack`'s offset when it is in a pack): parsed and hashed while
+    /// the bytes are in hand. Only a partition image is accepted.
+    fn of(bytes: &[u8], file: u64, pack: Option<PackSlot>, path: PathBuf) -> io::Result<Self> {
+        let directory = PartitionDirectory::parse(bytes).map_err(invalid_data)?;
+        let entry = ImageEntry {
+            file,
+            bytes: bytes.len() as u64,
+            checksum: xxh64(bytes, 0),
+            records: directory.record_count(),
+            pack,
+        };
+        Ok(Self {
+            entry,
+            path,
+            directory,
+        })
+    }
+
+    /// Where the image starts in its file.
+    fn offset(&self) -> u64 {
+        self.entry.pack.map_or(0, |slot| slot.offset)
+    }
+
+    fn read(&self, fs: &FsRef) -> io::Result<Bytes> {
+        read_image(fs, &self.path, self.entry.pack, self.entry.bytes)
+    }
+}
+
 /// A partition image staged — written and fsynced — and not yet readable.
-/// The store keeps only what the publish records — the receipt, the parsed
-/// directory and the file the image sits in — never the image itself.
 #[derive(Debug)]
 pub struct Staged {
     id: PartitionId,
-    layer: Layer,
-    /// Where the image lies: a temp sibling of the `.new` stage for a base
-    /// image, its pack for an extension.
-    path: PathBuf,
-    /// Where in its pack an extension lies.
-    slot: Option<PackSlot>,
-    receipt: PutReceipt,
-    directory: PartitionDirectory,
+    /// A base image (file `0`) lies in a temp sibling of its `.new` stage,
+    /// an extension in its pack.
+    image: ImageFile,
+    /// The extension replaces the partition's extensions instead of
+    /// following them.
+    merged: bool,
 }
 
 impl Staged {
@@ -367,7 +336,7 @@ pub trait PartitionStore: Send + Sync {
     /// then its extensions in file order; `1`: the extensions alone) —
     /// each read whole (from its pack, only its own bytes), past any block
     /// cache, and accounted nowhere: what
-    /// [`layers`](Self::layers), [`open`](Self::open) and a seal's
+    /// [`layers`](Self::layers), [`open`](Self::open) and
     /// [`image`](Self::image) read.
     fn images(&self, id: PartitionId, from: usize) -> io::Result<Vec<Bytes>>;
 
@@ -392,10 +361,10 @@ pub trait PartitionStore: Send + Sync {
         one_image(self.layers(id, 0)?)
     }
 
-    /// Partition `id` as one image, the bytes a seal into another
-    /// directory copies and checksums: the persisted base image verbatim
-    /// when the partition has no extension, else the base folded with its
-    /// extensions (as [`open`](Self::open)). Accounted nowhere: a seal's
+    /// Partition `id` as one image, the bytes a save into another
+    /// directory puts there: the persisted base image verbatim when the
+    /// partition has no extension, else the base folded with its
+    /// extensions (as [`open`](Self::open)). Accounted nowhere: a save's
     /// reads are not query traffic.
     fn image(&self, id: PartitionId) -> io::Result<Bytes> {
         Ok(one_image(parse_images(self.images(id, 0)?)?)?.raw_bytes_owned())
@@ -427,7 +396,8 @@ pub trait PartitionStore: Send + Sync {
         out: &mut Vec<(TrieNodeId, ClusterView)>,
     ) -> io::Result<usize>;
 
-    /// All stored partition ids, ascending.
+    /// All stored partition ids, ascending: the servable and the
+    /// quarantined ones.
     fn ids(&self) -> Vec<PartitionId>;
 
     /// Number of stored partitions.
@@ -448,17 +418,13 @@ pub trait PartitionStore: Send + Sync {
     /// openable.
     fn dir(&self) -> &Path;
 
-    /// The receipt of the image most recently published for partition
-    /// `id` (durable in [`dir`](Self::dir), base or extension) that no
-    /// manifest commit has described yet — see
-    /// [`commit_staged`](Self::commit_staged).
-    fn receipt(&self, id: PartitionId) -> Option<PutReceipt>;
-
     /// The manifest entry describing partition `id`'s current images in
-    /// [`dir`](Self::dir), taken from what the store holds — receipts of
-    /// its publishes and the entries it was opened with — so a seal of
-    /// that directory describes the partition without reading it. `None`
-    /// for partitions the store cannot serve.
+    /// [`dir`](Self::dir), taken from what the store holds — the entries
+    /// of the images it published and of those it was opened with — so a
+    /// seal of that directory describes the partition without reading it.
+    /// An image published since the last manifest commit makes it differ
+    /// from that manifest's entry. `None` for partitions the store cannot
+    /// serve.
     fn entry(&self, id: PartitionId) -> Option<PartitionEntry>;
 
     /// The filesystem this store performs durable operations through.
@@ -501,16 +467,20 @@ fn read_only_error() -> io::Error {
     )
 }
 
-/// Places a published image in a partition's images (`held`, base first)
-/// as `layer` says, returning the images it replaced.
-fn place_layer<T>(held: &mut Vec<T>, layer: Layer, image: T) -> Vec<T> {
-    let replaced = match layer {
-        Layer::Base => std::mem::take(held),
-        Layer::Extension { merged: true, .. } => held.split_off(1),
-        Layer::Extension { merged: false, .. } => Vec::new(),
-    };
-    held.push(image);
-    replaced
+/// The typed failure of reading partition `id`'s image at `path`: an
+/// image its pack ends inside is as corrupt as a torn file.
+fn unreadable(err: io::Error, path: &Path, id: PartitionId) -> OpenError {
+    match err.kind() {
+        io::ErrorKind::NotFound => OpenError::MissingPartition {
+            id,
+            path: path.to_path_buf(),
+        },
+        io::ErrorKind::UnexpectedEof => OpenError::CorruptPartition {
+            id,
+            reason: err.to_string(),
+        },
+        _ => OpenError::Io(err),
+    }
 }
 
 /// On-disk partition store: `<dir>/part_<id>.clbp` and the packs of
@@ -520,10 +490,6 @@ fn place_layer<T>(held: &mut Vec<T>, layer: Layer, image: T) -> Vec<T> {
 pub struct DiskStore {
     dir: PathBuf,
     stats: IoStats,
-    /// Every partition the store holds: the manifest's (never a directory
-    /// scan, so stray files are never served) plus each one a put staged
-    /// since.
-    ids: RwLock<BTreeSet<PartitionId>>,
     /// The manifest's series length, which every image header must repeat
     /// (`0` = none recorded: a created store, or an empty index).
     series_len: u32,
@@ -533,29 +499,36 @@ pub struct DiskStore {
     read_only: bool,
     /// The filesystem every durable operation goes through (injectable).
     fs: FsRef,
-    /// Every servable partition's images, base first: what each holds (its
-    /// receipt) and where its clusters lie (its parsed directory), so a
-    /// cluster read needs no header.
-    ///
-    /// Also the lock that keeps a partition's directories and its files in
-    /// step: a cluster read holds it shared over its ranged reads, and a
-    /// publish or a commit changes a partition's files only while holding
-    /// it exclusively.
-    parts: RwLock<BTreeMap<PartitionId, Images>>,
-    /// Live images per pack `(generation, k)`: the manifest's and each one
-    /// published since. A pack whose count a publish takes to zero is
-    /// retired.
-    packs: Mutex<BTreeMap<(u64, u32), usize>>,
-    /// Files holding only images a publish replaced — packs, and
-    /// version-3 extension files: removed once the next manifest commit no
-    /// longer names them.
-    retired: Mutex<Vec<PathBuf>>,
-    /// Partitions a quarantining open (or a scrub) set aside; opening them
-    /// fails with `NotFound` until repaired.
-    quarantined: RwLock<BTreeSet<PartitionId>>,
+    /// Every partition the store holds, under one lock. It also keeps a
+    /// partition's directories and its files in step: a cluster read
+    /// holds it shared over its ranged reads, and a publish or a commit
+    /// changes a partition's files only while holding it exclusively.
+    state: RwLock<State>,
     /// Block-cache attachment: the shared cache plus this store's token
     /// (the namespace its partition ids live under in the cache).
     cache: Option<StoreCache>,
+}
+
+/// The partitions of a [`DiskStore`]: the manifest's (never a directory
+/// scan, so stray files are never served) plus each one a put staged
+/// since — every one servable, quarantined, or (set aside by a scrub)
+/// both.
+#[derive(Debug, Default)]
+struct State {
+    /// The images of every partition the store can describe: each
+    /// servable one, and each one a scrub set aside after open.
+    parts: BTreeMap<PartitionId, Images>,
+    /// Partitions a quarantining open (or a scrub) set aside; reading them
+    /// fails with `NotFound` until repaired.
+    quarantined: BTreeSet<PartitionId>,
+    /// Live images per pack `(generation, k)`: the manifest's and each one
+    /// published since. A pack whose count a publish takes to zero is
+    /// retired.
+    packs: BTreeMap<(u64, u32), usize>,
+    /// Files holding only images a publish replaced — packs, and
+    /// version-3 extension files: removed once the next manifest commit no
+    /// longer names them.
+    retired: Vec<PathBuf>,
 }
 
 /// One partition's images in a [`DiskStore`].
@@ -568,34 +541,6 @@ struct Images {
     /// bytes a crash left uninstalled that this open could not (read-only)
     /// or did not manage to rename.
     base_staged: bool,
-    /// The receipt of the last image published and not yet committed.
-    pending: Option<PutReceipt>,
-}
-
-/// One image of a [`DiskStore`] partition.
-#[derive(Debug)]
-struct ImageFile {
-    /// `0` for the base image, else the extension's number.
-    file: u64,
-    /// The file the image lies in: a base image under its `.new` sibling
-    /// while its partition's `base_staged`, else under its own name; an
-    /// extension in its pack (or, version 3, its own file).
-    path: PathBuf,
-    /// Where in its pack an extension lies.
-    slot: Option<PackSlot>,
-    receipt: PutReceipt,
-    directory: PartitionDirectory,
-}
-
-impl ImageFile {
-    /// Where the image starts in its file.
-    fn offset(&self) -> u64 {
-        self.slot.map_or(0, |slot| slot.offset)
-    }
-
-    fn read(&self, fs: &FsRef) -> io::Result<Bytes> {
-        read_image(fs, &self.path, self.slot, self.receipt.image_len)
-    }
 }
 
 /// A [`DiskStore`]'s handle into a shared [`BlockCache`].
@@ -607,26 +552,33 @@ struct StoreCache {
 
 impl DiskStore {
     /// An empty writable store rooted at `dir` (created through `fs` if
-    /// needed) — what a build writes into. It holds no partition until a
-    /// put stages one, whatever files `dir` already has: an index a
-    /// previous build left there stays committed, and openable, until
-    /// the seal of this one commits its manifest.
+    /// needed) — what a build or a save into another directory writes
+    /// into. It holds no partition until a put stages one, whatever files
+    /// `dir` already has: an index a previous build left there stays
+    /// committed, and openable, until the seal of this one commits its
+    /// manifest.
     pub fn create(dir: impl Into<PathBuf>, fs: FsRef) -> io::Result<Self> {
         let dir = dir.into();
         fs.create_dir_all(&dir)?;
-        Ok(Self {
+        Ok(Self::empty(dir, 0, false, fs, None))
+    }
+
+    fn empty(
+        dir: PathBuf,
+        series_len: u32,
+        read_only: bool,
+        fs: FsRef,
+        cache: Option<StoreCache>,
+    ) -> Self {
+        Self {
             dir,
             stats: IoStats::new(),
-            ids: RwLock::new(BTreeSet::new()),
-            series_len: 0,
-            read_only: false,
+            series_len,
+            read_only,
             fs,
-            parts: RwLock::new(BTreeMap::new()),
-            packs: Mutex::new(BTreeMap::new()),
-            retired: Mutex::new(Vec::new()),
-            quarantined: RwLock::new(BTreeSet::new()),
-            cache: None,
-        })
+            state: RwLock::new(State::default()),
+            cache,
+        }
     }
 
     /// An empty writable store over a fresh in-memory filesystem
@@ -637,90 +589,70 @@ impl DiskStore {
         Self::create(fs.root().to_path_buf(), fs).expect("an in-memory directory is always there")
     }
 
-    /// The typed failure of reading partition `id`'s image at `path`: an
-    /// image its pack ends inside is as corrupt as a torn file.
-    fn unreadable(err: io::Error, path: &Path, id: PartitionId) -> OpenError {
-        match err.kind() {
-            io::ErrorKind::NotFound => OpenError::MissingPartition {
-                id,
-                path: path.to_path_buf(),
-            },
-            io::ErrorKind::UnexpectedEof => OpenError::CorruptPartition {
-                id,
-                reason: err.to_string(),
-            },
-            _ => OpenError::Io(err),
-        }
-    }
-
-    /// Checks the bytes of partition `id`'s image against its manifest
-    /// entry (size, checksum) and against the format itself: a file the
-    /// manifest describes exactly but [`PartitionDirectory::parse`] would
-    /// refuse — say a version this build does not read — or whose header
-    /// claims another series length than the manifest's `series_len` (`0`
-    /// = unknown) must fail here, by name, not open "healthy" and then
-    /// read as empty in every scan. Returns the parsed directory.
-    fn check_image(
-        bytes: &[u8],
-        id: PartitionId,
-        e: &ImageEntry,
-        series_len: u32,
-    ) -> Result<PartitionDirectory, OpenError> {
-        if bytes.len() as u64 != e.bytes {
-            return Err(OpenError::PartitionSizeMismatch {
-                id,
-                expected: e.bytes,
-                found: bytes.len() as u64,
-            });
-        }
-        let found = xxh64(bytes, 0);
-        if found != e.checksum {
-            return Err(OpenError::ChecksumMismatch {
-                what: match e.file {
-                    0 => format!("partition {id}"),
-                    file => format!("partition {id} extension {file}"),
-                },
-                expected: e.checksum,
-                found,
-            });
-        }
-        let corrupt = |reason| OpenError::CorruptPartition { id, reason };
-        let parsed = PartitionDirectory::parse(bytes).map_err(corrupt)?;
-        match parsed.series_len() as u32 {
-            len if series_len != 0 && len != series_len => Err(corrupt(format!(
-                "series length {len} ≠ manifest {series_len}"
-            ))),
-            _ => Ok(parsed),
-        }
-    }
-
-    /// Reads and checks every extension image of `e` where it lies — only
-    /// its own range of a pack — appending each to `files` and its bytes
-    /// to `images`.
-    fn read_extensions(
-        fs: &FsRef,
-        dir: &Path,
+    /// The one image check: partition `e`'s images, each checked against
+    /// its manifest entry (size, checksum) and against the format itself —
+    /// a file the manifest describes exactly but [`PartitionDirectory::parse`]
+    /// would refuse (say a version this build does not read), or whose
+    /// header claims another series length than the manifest's (`0` =
+    /// unknown), must fail here, by name, not open "healthy" and then read
+    /// as empty in every scan. The base image is `base`, which the caller
+    /// read and which is to be served from `base_path`; every extension is
+    /// read where it lies, only its own range of a pack. Returns the images
+    /// with their bytes, base first.
+    fn checked_images(
+        &self,
         e: &PartitionEntry,
-        series_len: u32,
-        files: &mut Vec<ImageFile>,
-        images: &mut Vec<Bytes>,
-    ) -> Result<(), OpenError> {
-        for x in &e.extensions {
-            let path = image_path(dir, e.id, x);
-            let bytes = read_image(fs, &path, x.pack, x.bytes)
-                .map_err(|err| Self::unreadable(err, &path, e.id))?;
-            let directory = Self::check_image(&bytes, e.id, x, series_len)?;
-            let receipt = PutReceipt::checked(x, &directory);
-            files.push(ImageFile {
-                file: x.file,
+        base_path: PathBuf,
+        base: Bytes,
+    ) -> Result<Vec<(ImageFile, Bytes)>, OpenError> {
+        let (id, mut base) = (e.id, Some((base_path, base)));
+        let corrupt = |reason| OpenError::CorruptPartition { id, reason };
+        let check = |x: ImageEntry| {
+            let (path, bytes) = match base.take() {
+                Some(base) => base,
+                None => {
+                    let path = image_path(&self.dir, id, &x);
+                    let bytes = read_image(&self.fs, &path, x.pack, x.bytes)
+                        .map_err(|err| unreadable(err, &path, id))?;
+                    (path, bytes)
+                }
+            };
+            if bytes.len() as u64 != x.bytes {
+                return Err(OpenError::PartitionSizeMismatch {
+                    id,
+                    expected: x.bytes,
+                    found: bytes.len() as u64,
+                });
+            }
+            let found = xxh64(&bytes, 0);
+            if found != x.checksum {
+                return Err(OpenError::ChecksumMismatch {
+                    what: match x.file {
+                        0 => format!("partition {id}"),
+                        file => format!("partition {id} extension {file}"),
+                    },
+                    expected: x.checksum,
+                    found,
+                });
+            }
+            let directory = PartitionDirectory::parse(&bytes).map_err(corrupt)?;
+            let len = directory.series_len() as u32;
+            if self.series_len != 0 && len != self.series_len {
+                let manifest = self.series_len;
+                return Err(corrupt(format!(
+                    "series length {len} ≠ manifest {manifest}"
+                )));
+            }
+            let records = directory.record_count();
+            let entry = ImageEntry { records, ..x };
+            let image = ImageFile {
+                entry,
                 path,
-                slot: x.pack,
-                receipt,
                 directory,
-            });
-            images.push(bytes);
-        }
-        Ok(())
+            };
+            Ok((image, bytes))
+        };
+        e.images().map(check).collect()
     }
 
     /// Opens a persisted index directory — the one store open. Loads the
@@ -755,60 +687,48 @@ impl DiskStore {
         cache: Option<Arc<BlockCache>>,
     ) -> Result<(Self, Manifest, u64), OpenError> {
         let manifest = Manifest::load_with(&*fs, &dir)?;
-        let mut parts = BTreeMap::new();
-        let mut quarantined = BTreeSet::new();
         let cache = cache.map(|cache| StoreCache {
             cache,
             token: page::next_store_token(),
         });
+        let mut store = Self::empty(dir, manifest.series_len, read_only, fs, cache);
+        let (dir, fs) = (&store.dir, &store.fs);
+        let mut state = State::default();
         let mut warmed_bytes = 0u64;
-        let mut warming = cache.is_some();
+        let mut warming = store.cache.is_some();
         for e in &manifest.partitions {
-            let path = dir.join(partition_file_name(e.id));
-            let sibling = staged_path_of(&dir, e.id);
-            let base = e.images().next().expect("a base image");
-            let mut files = Vec::with_capacity(1 + e.extensions.len());
-            let mut images = Vec::with_capacity(1 + e.extensions.len());
+            let path = store.path_of(e.id);
+            let sibling = staged_path_of(dir, e.id);
+            // The base is served from where `read_committed` found the
+            // committed bytes; the extensions are checked with it.
             let read = fsio::read_committed(
-                &*fs,
+                &**fs,
                 &path,
                 &sibling,
                 !read_only,
-                |b| Self::check_image(b, e.id, &base, manifest.series_len).map(drop),
-                |err| Self::unreadable(err, &path, e.id),
-            )
-            .and_then(|(bytes, is_staged)| {
-                // Checked by the closure above; parsed again here, without
-                // re-hashing the image.
-                let directory = PartitionDirectory::parse(&bytes)
-                    .map_err(|reason| OpenError::CorruptPartition { id: e.id, reason })?;
-                let receipt = PutReceipt::checked(&base, &directory);
-                files.push(ImageFile {
-                    file: 0,
-                    path: (if is_staged { &sibling } else { &path }).clone(),
-                    slot: None,
-                    receipt,
-                    directory,
-                });
-                images.push(bytes);
-                Self::read_extensions(&fs, &dir, e, manifest.series_len, &mut files, &mut images)?;
-                Ok(is_staged)
-            });
+                |base| store.checked_images(e, path.clone(), base),
+                |err| unreadable(err, &path, e.id),
+            );
             match read {
-                Ok(base_staged) => {
-                    if let Some(sc) = cache.as_ref().filter(|_| warming) {
+                Ok((mut images, base_staged)) => {
+                    if base_staged {
+                        images[0].0.path = sibling;
+                    }
+                    if let Some(sc) = store.cache.as_ref().filter(|_| warming) {
                         // Reuse the validation reads: warm the cache so
                         // first-query latency after a cold open skips the
                         // filesystem entirely. A base still under `.new` is
                         // read uncached, like any other staged image.
-                        let warm =
-                            (files.iter().zip(images)).filter(|(f, _)| f.file != 0 || !base_staged);
+                        let warm = images
+                            .iter()
+                            .filter(|(f, _)| f.entry.file != 0 || !base_staged);
                         for (f, image) in warm {
                             warming = (f.directory)
                                 .for_each_picked(ClusterPick::Rest(&[]), |node, span, _| {
                                     let len = span.len() as u64;
                                     let bytes = image.slice(span);
-                                    if !sc.cache.try_warm(sc.token, e.id, f.file, node, bytes) {
+                                    if !sc.cache.try_warm(sc.token, e.id, f.entry.file, node, bytes)
+                                    {
                                         return Err(());
                                     }
                                     warmed_bytes += len;
@@ -820,12 +740,8 @@ impl DiskStore {
                             }
                         }
                     }
-                    let images = Images {
-                        files,
-                        base_staged,
-                        pending: None,
-                    };
-                    parts.insert(e.id, images);
+                    let files = images.into_iter().map(|(f, _)| f).collect();
+                    state.parts.insert(e.id, Images { files, base_staged });
                 }
                 Err(first) if !quarantine => return Err(first),
                 Err(_) => {
@@ -833,21 +749,20 @@ impl DiskStore {
                     // the index degraded.
                     if !read_only {
                         fs.create_dir_all(&dir.join(QUARANTINE_DIR)).ok();
-                        fs.rename(&path, &quarantine_path_of(&dir, e.id)).ok();
+                        fs.rename(&path, &quarantine_path_of(dir, e.id)).ok();
                         fs.remove_file(&sibling).ok();
                     }
-                    quarantined.insert(e.id);
+                    state.quarantined.insert(e.id);
                 }
             }
         }
         // Every pack the manifest names, with the images it holds —
         // quarantined partitions' too, so no pack still named is removed.
-        let mut packs: BTreeMap<(u64, u32), usize> = BTreeMap::new();
         let mut own_files: BTreeSet<(PartitionId, u64)> = BTreeSet::new();
         for e in &manifest.partitions {
             for x in &e.extensions {
                 match x.pack {
-                    Some(slot) => *packs.entry((x.file, slot.k)).or_default() += 1,
+                    Some(slot) => *state.packs.entry((x.file, slot.k)).or_default() += 1,
                     None => drop(own_files.insert((e.id, x.file))),
                 }
             }
@@ -856,32 +771,17 @@ impl DiskStore {
         // packs of folds that never committed (or whose images were all
         // replaced by one that did): files no committed manifest names.
         if !read_only {
-            for name in fs.list(&dir).unwrap_or_default() {
-                let orphan = parse_pack_file_name(&name).is_some_and(|p| !packs.contains_key(&p))
+            for name in fs.list(dir).unwrap_or_default() {
+                let orphan = parse_pack_file_name(&name)
+                    .is_some_and(|p| !state.packs.contains_key(&p))
                     || parse_extension_file_name(&name).is_some_and(|x| !own_files.contains(&x));
                 if fsio::is_tmp_name(&name) || orphan {
                     fs.remove_file(&dir.join(name)).ok();
                 }
             }
         }
-        let ids = manifest.partition_ids().into_iter().collect();
-        Ok((
-            Self {
-                dir,
-                stats: IoStats::new(),
-                ids: RwLock::new(ids),
-                series_len: manifest.series_len,
-                read_only,
-                fs,
-                parts: RwLock::new(parts),
-                packs: Mutex::new(packs),
-                retired: Mutex::new(Vec::new()),
-                quarantined: RwLock::new(quarantined),
-                cache,
-            },
-            manifest,
-            warmed_bytes,
-        ))
+        store.state = RwLock::new(state);
+        Ok((store, manifest, warmed_bytes))
     }
 
     /// True when the store was opened read-only from a manifest.
@@ -893,9 +793,10 @@ impl DiskStore {
         self.dir.join(partition_file_name(id))
     }
 
-    /// Root directory of the store.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+    fn invalidate(&self, id: PartitionId) {
+        if let Some(sc) = &self.cache {
+            sc.cache.invalidate(sc.token, id);
+        }
     }
 
     /// Marks partition `id` quarantined and, when the store is writable,
@@ -915,10 +816,8 @@ impl DiskStore {
                 Err(e) => return Err(e),
             }
         }
-        self.quarantined.write().insert(id);
-        if let Some(sc) = &self.cache {
-            sc.cache.invalidate(sc.token, id);
-        }
+        self.state.write().quarantined.insert(id);
+        self.invalidate(id);
         Ok(())
     }
 
@@ -930,93 +829,48 @@ impl DiskStore {
     /// renamed back; a read-only store renames nothing. Returns `true`
     /// when the partition is healthy and serving again.
     pub fn try_readmit(&self, e: &PartitionEntry) -> io::Result<bool> {
-        if !self.quarantined.read().contains(&e.id) {
+        if !self.state.read().quarantined.contains(&e.id) {
             return Ok(true);
         }
-        let base = e.images().next().expect("a base image");
-        let matching = |path: &Path| {
-            let bytes = self.fs.read(path).ok()?;
-            let directory = Self::check_image(&bytes, e.id, &base, self.series_len).ok()?;
-            let mut files = vec![ImageFile {
-                file: 0,
-                path: self.path_of(e.id),
-                slot: None,
-                receipt: PutReceipt::checked(&base, &directory),
-                directory,
-            }];
-            let extensions = Self::read_extensions(
-                &self.fs,
-                &self.dir,
-                e,
-                self.series_len,
-                &mut files,
-                &mut Vec::new(),
-            );
-            extensions.is_ok().then_some(files)
-        };
-        let readmit = |files: Vec<ImageFile>| {
-            let images = Images {
-                files,
-                base_staged: false,
-                pending: None,
-            };
-            self.parts.write().insert(e.id, images);
-            self.quarantined.write().remove(&e.id);
-            if let Some(sc) = &self.cache {
-                sc.cache.invalidate(sc.token, e.id);
-            }
-        };
         let main = self.path_of(e.id);
-        if let Some(files) = matching(&main) {
-            readmit(files);
-            return Ok(true);
-        }
-        let qpath = quarantine_path_of(&self.dir, e.id);
-        if !self.read_only {
-            if let Some(files) = matching(&qpath) {
+        let checked = |path: &Path| {
+            let base = self.fs.read(path).ok()?;
+            self.checked_images(e, main.clone(), base).ok()
+        };
+        let images = match checked(&main) {
+            Some(images) => images,
+            None if self.read_only => return Ok(false),
+            None => {
+                let qpath = quarantine_path_of(&self.dir, e.id);
+                let Some(images) = checked(&qpath) else {
+                    return Ok(false);
+                };
                 self.fs.rename(&qpath, &main)?;
                 self.fs.fsync_dir(&self.dir)?;
-                readmit(files);
-                return Ok(true);
+                images
             }
-        }
-        Ok(false)
+        };
+        let files = images.into_iter().map(|(f, _)| f).collect();
+        let mut state = self.state.write();
+        state.parts.insert(
+            e.id,
+            Images {
+                files,
+                base_staged: false,
+            },
+        );
+        state.quarantined.remove(&e.id);
+        drop(state);
+        self.invalidate(e.id);
+        Ok(true)
     }
 
     /// Re-validates the committed images of `e` against its manifest
     /// record — the scrub primitive for partitions not under quarantine.
     pub fn verify_partition(&self, e: &PartitionEntry) -> Result<(), OpenError> {
-        for image in e.images() {
-            let path = image_path(&self.dir, e.id, &image);
-            let bytes = read_image(&self.fs, &path, image.pack, image.bytes)
-                .map_err(|err| Self::unreadable(err, &path, e.id))?;
-            Self::check_image(&bytes, e.id, &image, self.series_len)?;
-        }
-        Ok(())
-    }
-
-    /// Accounts a published image in `pack` and the images it replaced:
-    /// files left holding no named image are retired, to be removed after
-    /// the next manifest commit.
-    fn account(&self, pack: Option<(u64, u32)>, replaced: &[ImageFile]) {
-        let mut packs = self.packs.lock();
-        if let Some(pack) = pack {
-            *packs.entry(pack).or_default() += 1;
-        }
-        let mut retired = self.retired.lock();
-        for x in replaced.iter().filter(|x| x.file != 0) {
-            let Some(slot) = x.slot else {
-                retired.push(x.path.clone());
-                continue;
-            };
-            if let Some(live) = packs.get_mut(&(x.file, slot.k)) {
-                *live -= 1;
-                if *live == 0 {
-                    packs.remove(&(x.file, slot.k));
-                    retired.push(x.path.clone());
-                }
-            }
-        }
+        let main = self.path_of(e.id);
+        let base = (self.fs.read(&main)).map_err(|err| unreadable(err, &main, e.id))?;
+        self.checked_images(e, main, base).map(drop)
     }
 }
 
@@ -1029,25 +883,21 @@ impl PartitionStore for DiskStore {
         if self.is_read_only() {
             return Err(read_only_error());
         }
-        // Only a partition image is put; its shape goes on the receipt,
-        // its directory serves the cluster reads.
-        let directory = PartitionDirectory::parse(&bytes).map_err(invalid_data)?;
-        let receipt = PutReceipt::of(&bytes, &directory);
+        // Only a partition image is put, refused before anything is
+        // written; its directory serves the cluster reads.
+        let mut image = ImageFile::of(&bytes, 0, None, PathBuf::new())?;
         self.stats.on_partition_write(bytes.len() as u64);
         // The committed file stays untouched: the image goes to a temp
         // sibling of its `.new` stage, which the publish renames into place
         // (replaced atomically or not at all) and `commit_staged` over the
         // main file after the next manifest commit.
-        let path = fsio::write_temp(&*self.fs, &staged_path_of(&self.dir, id), &bytes)?;
-        // Freed before the publish waits for its locks.
+        image.path = fsio::write_temp(&*self.fs, &staged_path_of(&self.dir, id), &bytes)?;
+        // Freed before the publish waits for its lock.
         drop(bytes);
         let staged = Staged {
             id,
-            layer: Layer::Base,
-            path,
-            slot: None,
-            receipt,
-            directory,
+            image,
+            merged: false,
         };
         self.publish(staged, section)
     }
@@ -1068,22 +918,16 @@ impl PartitionStore for DiskStore {
         let mut pack = Vec::with_capacity(images.iter().map(|(_, image)| image.len()).sum());
         let mut staged = Vec::with_capacity(images.len());
         for (id, image) in images {
-            let directory = PartitionDirectory::parse(&image).map_err(invalid_data)?;
-            let receipt = PutReceipt::of(&image, &directory);
+            let slot = PackSlot {
+                k,
+                offset: pack.len() as u64,
+            };
+            let image_file = ImageFile::of(&image, generation, Some(slot), path.clone())?;
             self.stats.on_partition_write(image.len() as u64);
             staged.push(Staged {
                 id,
-                layer: Layer::Extension {
-                    file: generation,
-                    merged,
-                },
-                path: path.clone(),
-                slot: Some(PackSlot {
-                    k,
-                    offset: pack.len() as u64,
-                }),
-                receipt,
-                directory,
+                image: image_file,
+                merged,
             });
             pack.extend_from_slice(&image);
         }
@@ -1100,102 +944,104 @@ impl PartitionStore for DiskStore {
     /// The seal pays the one directory fsync covering every stage. A base
     /// image's rename and its new directory, or an extension's directory,
     /// land together, between two cluster reads, inside the caller's
-    /// section. Publishing an extension leaves every cached cluster
-    /// valid; a merged one drops those of the extensions it replaces, a
-    /// base image every one of the partition's. A pack image that fails to
+    /// section, and so does the pack bookkeeping: files left holding no
+    /// named image are retired, to be removed after the next manifest
+    /// commit. Publishing an extension leaves every cached cluster valid;
+    /// a merged one drops those of the extensions it replaces, a base
+    /// image every one of the partition's. A pack image that fails to
     /// publish leaves its pack in place for the others: a pack no manifest
     /// names is swept by the next writable open.
     fn publish<G>(&self, staged: Staged, section: impl FnOnce() -> G) -> io::Result<G> {
         let Staged {
             id,
-            layer,
-            path,
-            slot,
-            receipt,
-            directory,
+            mut image,
+            merged,
         } = staged;
+        let base = image.entry.file == 0;
         let section = section();
-        let mut parts = self.parts.write();
-        let images = match layer {
-            Layer::Base => {
-                if let Err(e) = self.fs.rename(&path, &staged_path_of(&self.dir, id)) {
-                    drop((parts, section));
-                    self.fs.remove_file(&path).ok();
-                    return Err(e);
-                }
-                let images = parts.entry(id).or_default();
-                images.base_staged = true;
-                images
+        let mut guard = self.state.write();
+        let state = &mut *guard;
+        if base {
+            let to = staged_path_of(&self.dir, id);
+            if let Err(e) = self.fs.rename(&image.path, &to) {
+                drop((guard, section));
+                self.fs.remove_file(&image.path).ok();
+                return Err(e);
             }
-            Layer::Extension { .. } => match parts.get_mut(&id) {
-                Some(images) => images,
-                None => return Err(not_found(id)),
-            },
+            image.path = to;
+        }
+        let images = match base {
+            true => state.parts.entry(id).or_default(),
+            false => state.parts.get_mut(&id).ok_or_else(|| not_found(id))?,
         };
-        images.pending = Some(receipt);
-        let path = match layer {
-            Layer::Base => staged_path_of(&self.dir, id),
-            Layer::Extension { .. } => path,
+        images.base_staged |= base;
+        let pack = (image.entry.pack).map(|slot| (image.entry.file, slot.k));
+        let replaced = match (base, merged) {
+            (true, _) => std::mem::take(&mut images.files),
+            (false, true) => images.files.split_off(1),
+            (false, false) => Vec::new(),
         };
-        let image = ImageFile {
-            file: layer.file(),
-            path,
-            slot,
-            receipt,
-            directory,
-        };
-        let pack = slot.map(|slot| (layer.file(), slot.k));
-        let replaced = place_layer(&mut images.files, layer, image);
-        self.ids.write().insert(id);
-        drop(parts);
-        self.account(pack, &replaced);
-        let extensions: Vec<u64> = (replaced.iter().map(|f| f.file))
-            .filter(|&file| file != 0)
-            .collect();
+        images.files.push(image);
+        if let Some(pack) = pack {
+            *state.packs.entry(pack).or_default() += 1;
+        }
+        let extensions = replaced.iter().filter(|x| x.entry.file != 0);
+        for x in extensions.clone() {
+            let Some(slot) = x.entry.pack else {
+                state.retired.push(x.path.clone());
+                continue;
+            };
+            let pack = (x.entry.file, slot.k);
+            if let Some(live) = state.packs.get_mut(&pack) {
+                *live -= 1;
+                if *live == 0 {
+                    state.packs.remove(&pack);
+                    state.retired.push(x.path.clone());
+                }
+            }
+        }
+        drop(guard);
         if let Some(sc) = &self.cache {
-            match layer {
-                // Reads serve the sibling now: the old clusters are stale.
-                Layer::Base => sc.cache.invalidate(sc.token, id),
-                Layer::Extension { .. } => sc.cache.invalidate_files(sc.token, id, &extensions),
+            // A base image: reads serve the sibling now, the old clusters
+            // are stale.
+            match base {
+                true => sc.cache.invalidate(sc.token, id),
+                false => {
+                    let files: Vec<u64> = extensions.map(|x| x.entry.file).collect();
+                    sc.cache.invalidate_files(sc.token, id, &files);
+                }
             }
         }
         Ok(section)
     }
 
-    fn receipt(&self, id: PartitionId) -> Option<PutReceipt> {
-        self.parts.read().get(&id).and_then(|images| images.pending)
-    }
-
     fn entry(&self, id: PartitionId) -> Option<PartitionEntry> {
-        let parts = self.parts.read();
-        let images = parts.get(&id)?;
-        let (base, extensions) = images.files.split_first()?;
+        let state = self.state.read();
+        let (base, extensions) = state.parts.get(&id)?.files.split_first()?;
         Some(PartitionEntry {
             id,
-            bytes: base.receipt.image_len,
-            checksum: base.receipt.checksum,
-            records: base.receipt.records,
-            extensions: (extensions.iter())
-                .map(|x| x.receipt.image(x.file, x.slot))
-                .collect(),
+            bytes: base.entry.bytes,
+            checksum: base.entry.checksum,
+            records: base.entry.records,
+            extensions: extensions.iter().map(|x| x.entry).collect(),
         })
     }
 
     fn layout(&self, id: PartitionId) -> io::Result<Layout> {
-        let parts = self.parts.read();
-        let images = parts.get(&id).ok_or_else(|| not_found(id))?;
+        let state = self.state.read();
+        let images = state.parts.get(&id).ok_or_else(|| not_found(id))?;
         let base = &images.files[0].directory;
         Ok(Layout {
             group_id: base.group_id(),
             series_len: base.series_len(),
-            files: images.files.iter().map(|f| f.receipt.image_len).collect(),
+            files: images.files.iter().map(|f| f.entry.bytes).collect(),
         })
     }
 
     fn extension_generations(&self) -> usize {
-        let parts = self.parts.read();
-        let files = parts.values().flat_map(|images| &images.files[1..]);
-        files.map(|x| x.file).collect::<BTreeSet<u64>>().len()
+        let state = self.state.read();
+        let files = state.parts.values().flat_map(|images| &images.files[1..]);
+        files.map(|x| x.entry.file).collect::<BTreeSet<u64>>().len()
     }
 
     /// Each cluster is a cache hit or one ranged read of exactly its bytes
@@ -1212,11 +1058,11 @@ impl PartitionStore for DiskStore {
     ) -> io::Result<usize> {
         // Held over the reads below: no rename moves the file they read
         // while the directory says where its clusters lie.
-        let parts = self.parts.read();
-        if self.quarantined.read().contains(&id) {
+        let state = self.state.read();
+        if state.quarantined.contains(&id) {
             return Err(quarantined_error(id));
         }
-        let images = parts.get(&id).ok_or_else(|| not_found(id))?;
+        let images = state.parts.get(&id).ok_or_else(|| not_found(id))?;
         let files = &images.files;
         let series_len = files[0].directory.series_len();
         let cache_of = |li: usize| match li == 0 && images.base_staged {
@@ -1230,7 +1076,8 @@ impl PartitionStore for DiskStore {
         let mut misses: Vec<(usize, usize, (u64, usize))> = Vec::new();
         for_each_layered(files, pick, |li, node, span, count| {
             let cache = cache_of(li);
-            let hit = cache.and_then(|sc| sc.cache.get(sc.token, id, files[li].file, node));
+            let file = files[li].entry.file;
+            let hit = cache.and_then(|sc| sc.cache.get(sc.token, id, file, node));
             let bytes = hit.unwrap_or_else(|| {
                 let at = files[li].offset() + span.start as u64;
                 misses.push((li, out.len(), (at, span.len())));
@@ -1249,8 +1096,8 @@ impl PartitionStore for DiskStore {
             for (&(_, i, _), bytes) in run.iter().zip(read) {
                 let (node, view) = &mut out[i];
                 if let Some(sc) = cache_of(li) {
-                    sc.cache
-                        .insert(sc.token, id, files[li].file, *node, bytes.clone());
+                    let file = files[li].entry.file;
+                    sc.cache.insert(sc.token, id, file, *node, bytes.clone());
                 }
                 *view = ClusterView::new(bytes, series_len, view.len());
             }
@@ -1264,11 +1111,11 @@ impl PartitionStore for DiskStore {
     }
 
     fn images(&self, id: PartitionId, from: usize) -> io::Result<Vec<Bytes>> {
-        if self.quarantined.read().contains(&id) {
+        let state = self.state.read();
+        if state.quarantined.contains(&id) {
             return Err(quarantined_error(id));
         }
-        let parts = self.parts.read();
-        let images = parts.get(&id).ok_or_else(|| not_found(id))?;
+        let images = state.parts.get(&id).ok_or_else(|| not_found(id))?;
         (images.files.iter().skip(from))
             .map(|f| f.read(&self.fs))
             .collect()
@@ -1290,7 +1137,7 @@ impl PartitionStore for DiskStore {
     /// leaves behind is named by no manifest, and the next writable open
     /// sweeps it.
     fn commit_staged(&self) -> io::Result<()> {
-        let pending: Vec<PartitionId> = (self.parts.read().iter())
+        let pending: Vec<PartitionId> = (self.state.read().parts.iter())
             .filter(|(_, images)| images.base_staged)
             .map(|(&id, _)| id)
             .collect();
@@ -1298,36 +1145,36 @@ impl PartitionStore for DiskStore {
         let mut install = |id: PartitionId| {
             let main = self.path_of(id);
             replaced.extend(self.fs.hold(&main));
-            let mut parts = self.parts.write();
+            let mut state = self.state.write();
             self.fs.rename(&staged_path_of(&self.dir, id), &main)?;
-            if let Some(images) = parts.get_mut(&id) {
+            if let Some(images) = state.parts.get_mut(&id) {
                 images.base_staged = false;
                 images.files[0].path = main;
             }
-            drop(parts);
-            if let Some(sc) = &self.cache {
-                sc.cache.invalidate(sc.token, id);
-            }
+            drop(state);
+            self.invalidate(id);
             Ok(())
         };
         let installed: io::Result<()> = pending.into_iter().try_for_each(&mut install);
         drop(replaced);
         installed?;
-        for images in self.parts.write().values_mut() {
-            images.pending = None;
-        }
-        for path in std::mem::take(&mut *self.retired.lock()) {
+        let retired = std::mem::take(&mut self.state.write().retired);
+        for path in retired {
             self.fs.remove_file(&path).ok();
         }
         Ok(())
     }
 
     fn quarantined(&self) -> Vec<PartitionId> {
-        self.quarantined.read().iter().copied().collect()
+        self.state.read().quarantined.iter().copied().collect()
     }
 
     fn ids(&self) -> Vec<PartitionId> {
-        self.ids.read().iter().copied().collect()
+        let state = self.state.read();
+        let ids: BTreeSet<PartitionId> = (state.parts.keys().chain(&state.quarantined))
+            .copied()
+            .collect();
+        ids.into_iter().collect()
     }
 
     fn stats(&self) -> &IoStats {
@@ -1523,6 +1370,100 @@ mod tests {
         assert_eq!(read(ClusterPick::Rest(&[1])), 0);
         let diff = store.stats().snapshot().since(&before);
         assert_eq!(diff.partitions_opened, 1);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Puts `images` into a fresh directory under `tag`, installs them,
+    /// and commits a manifest describing them.
+    fn sealed_dir(tag: &str, images: &[(PartitionId, Bytes)]) -> (PathBuf, Manifest) {
+        use crate::manifest::{FileEntry, FORMAT_VERSION};
+        let dir = std::env::temp_dir().join(format!("climber-dfs-{tag}-{}", std::process::id()));
+        fs::remove_dir_all(&dir).ok();
+        let build = DiskStore::create(&dir, fsio::std_fs()).unwrap();
+        for (id, image) in images {
+            build.put(*id, image.clone(), || ()).unwrap();
+        }
+        build.commit_staged().unwrap();
+        let partitions: Vec<PartitionEntry> = (images.iter())
+            .map(|(id, _)| build.entry(*id).unwrap())
+            .collect();
+        let num_records = partitions.iter().map(PartitionEntry::total_records).sum();
+        let manifest = Manifest {
+            format_version: FORMAT_VERSION,
+            config: Vec::new(),
+            fingerprint: Manifest::fingerprint_of(2, num_records, &partitions),
+            num_records,
+            max_series_id: None,
+            series_len: 2,
+            generation: 0,
+            journal: None,
+            skeleton: FileEntry {
+                bytes: 0,
+                checksum: 0,
+            },
+            partitions,
+        };
+        manifest.write_atomic_with(&fsio::StdFs, &dir).unwrap();
+        (dir, manifest)
+    }
+
+    /// The store's one partition state through a quarantining open, a
+    /// scrub's quarantine, two readmissions and a put: the ids stay the
+    /// manifest's plus the put's, `quarantined()` names exactly the
+    /// partitions set aside, a quarantined id reads as `NotFound`, and
+    /// readers racing the quarantine, the readmission and the publish
+    /// never panic.
+    #[test]
+    fn quarantine_readmit_and_put_keep_one_state() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let good = encode_partition(1, 9, 3);
+        let images = [(0, encode_partition(0, 5, 7)), (1, good.clone())];
+        let (dir, manifest) = sealed_dir("one-state", &images);
+        let part1 = dir.join(partition_file_name(1));
+        let mut bad = good.to_vec();
+        let mid = bad.len() / 2;
+        bad[mid] ^= 0xFF;
+        fs::write(&part1, &bad).unwrap();
+        let (store, _, _) =
+            DiskStore::open_validated(dir.clone(), false, fsio::std_fs(), true, None).unwrap();
+        let entry = |id| manifest.partition(id).unwrap().clone();
+        let read = |id| {
+            let mut out = Vec::new();
+            store.read_clusters(id, ClusterPick::Named(&[5, 9]), &mut out)?;
+            Ok::<usize, io::Error>(out.iter().map(|(_, view)| view.len()).sum())
+        };
+        assert_eq!(store.quarantined(), vec![1]);
+        assert_eq!(store.ids(), vec![0, 1]);
+        assert_eq!(read(1).unwrap_err().kind(), io::ErrorKind::NotFound);
+
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    while !stop.load(Ordering::SeqCst) {
+                        for id in 0..8 {
+                            let _ = (read(id), store.ids(), store.entry(id), store.quarantined());
+                        }
+                    }
+                });
+            }
+            store.quarantine_partition(0).unwrap();
+            // An operator restores partition 1's bytes at its main path.
+            fs::write(&part1, &good).unwrap();
+            assert!(store.try_readmit(&entry(1)).unwrap());
+            store.put(5, encode_partition(5, 9, 1), || ()).unwrap();
+            stop.store(true, Ordering::SeqCst);
+        });
+        assert_eq!(store.ids(), vec![0, 1, 5]);
+        assert_eq!(store.quarantined(), vec![0]);
+        assert_eq!(read(0).unwrap_err().kind(), io::ErrorKind::NotFound);
+        assert_eq!((read(1).unwrap(), read(5).unwrap()), (3, 1));
+
+        // Partition 0's quarantined copy is intact: it is renamed back.
+        assert!(store.try_readmit(&entry(0)).unwrap());
+        assert_eq!(store.quarantined(), Vec::<PartitionId>::new());
+        assert_eq!(store.ids(), vec![0, 1, 5]);
+        assert_eq!(read(0).unwrap(), 7);
         fs::remove_dir_all(&dir).ok();
     }
 

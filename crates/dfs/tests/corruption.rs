@@ -318,35 +318,38 @@ fn read_write_open_validates_then_accepts_puts() {
     fs::remove_dir_all(&dir).ok();
 }
 
-/// A disk put keeps the receipt of exactly what it staged — the seal's
-/// manifest entry, no re-read needed — and refuses bytes that are not a
-/// partition image; a build store's put stages like any other.
+/// A disk put describes exactly what it staged — the seal's manifest
+/// entry, no re-read needed, differing from the committed one — and
+/// refuses bytes that are not a partition image; a build store's put
+/// stages like any other.
 #[test]
-fn staging_puts_return_receipts_of_the_stored_bytes() {
+fn staging_puts_describe_the_stored_bytes() {
     let dir = persisted_dir("receipt");
-    let (store, _) = open_validated(&dir, false).unwrap();
+    let (store, manifest) = open_validated(&dir, false).unwrap();
+    assert_eq!(store.entry(0).as_ref(), manifest.partition(0));
     let mut w = PartitionWriter::new(0, 4);
     let recs: Vec<(u64, [f32; 4])> = (0..50).map(|i| (i, [i as f32, 0.5, -1.0, 2.0])).collect();
     w.push_cluster(2, recs.iter().map(|(id, v)| (*id, &v[..])));
     let image = w.finish();
     store.put(0, image.clone(), || ()).unwrap();
-    let receipt = store.receipt(0).expect("a staging put");
+    let entry = store.entry(0).expect("a staging put");
+    assert_ne!(Some(&entry), manifest.partition(0), "the put is published");
     let stored = store.image(0).unwrap();
     assert_eq!(stored, image);
-    assert_eq!(receipt.image_len, stored.len() as u64);
-    assert_eq!(receipt.checksum, xxh64(&stored, 0));
-    assert_eq!((receipt.records, receipt.series_len), (50, 4));
-    assert_eq!(receipt.entry(0).bytes, receipt.image_len);
+    assert_eq!(entry.bytes, stored.len() as u64);
+    assert_eq!(entry.checksum, xxh64(&stored, 0));
+    assert_eq!((entry.records, entry.extensions.len()), (50, 0));
     assert_eq!(store.open(0).unwrap().raw_bytes(), &image[..]);
     let err = store.put(1, vec![0u8; 64].into(), || ()).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert_eq!(store.open(1).unwrap().record_count(), 3, "committed file");
+    assert_eq!(store.entry(1).as_ref(), manifest.partition(1));
 
     let build_dir = dir.join("build");
     let build = DiskStore::create(&build_dir, std_fs()).unwrap();
     assert!(build.ids().is_empty());
     build.put(0, image.clone(), || ()).unwrap();
-    assert_eq!(build.receipt(0), Some(receipt));
+    assert_eq!(build.entry(0), Some(entry));
     assert_eq!(build.ids(), vec![0]);
     assert_eq!(fs::read(staged_path_of(&build_dir, 0)).unwrap(), &image[..]);
     assert!(!build_dir.join(partition_file_name(0)).exists());

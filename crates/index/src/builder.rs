@@ -60,6 +60,7 @@ use climber_series::sampling::{partition_level_sample, partitions_for_alpha};
 use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// Execution knobs of one index build — how the work is run, as opposed to
@@ -221,14 +222,18 @@ impl IndexBuilder {
 
     /// Builds the index over `ds`, writing partitions into `store`.
     /// Returns the skeleton and a build report.
+    ///
+    /// # Panics
+    /// If a partition write fails.
     pub fn build<S: PartitionStore>(
         &self,
         ds: &Dataset,
         store: &S,
     ) -> (IndexSkeleton, BuildReport) {
         let io_before = store.stats().snapshot();
-        let (skeleton, mut report) =
-            self.build_with_put(ds, |pid, image| store.put(pid, image, || ()));
+        let (skeleton, mut report) = self
+            .build_with_put(ds, |pid, image| store.put(pid, image, || ()))
+            .expect("partition write failed");
         report.io = store.stats().snapshot().since(&io_before);
         (skeleton, report)
     }
@@ -241,9 +246,13 @@ impl IndexBuilder {
     ///
     /// [`build`]: Self::build
     ///
-    /// # Panics
-    /// If `put` fails.
-    pub fn build_with_put<F>(&self, ds: &Dataset, put: F) -> (IndexSkeleton, BuildReport)
+    /// Every partition is handed to `put` even when one fails; the first
+    /// failure is returned once the last `put` has returned.
+    pub fn build_with_put<F>(
+        &self,
+        ds: &Dataset,
+        put: F,
+    ) -> io::Result<(IndexSkeleton, BuildReport)>
     where
         F: Fn(PartitionId, Bytes) -> io::Result<()> + Sync,
     {
@@ -484,6 +493,8 @@ impl IndexBuilder {
         // the dataset into its own writer, so at most `threads` partition
         // buffers are in flight at once.
         let put = &put;
+        let failed = Mutex::new(None);
+        let failed_ref = &failed;
         self.cluster.install(|| {
             rayon::scope(|s| {
                 for (&pid, &gid) in &partition_group {
@@ -503,7 +514,11 @@ impl IndexBuilder {
                                     .push_cluster(node, sids.iter().map(|&sid| (sid, ds.get(sid))));
                             }
                         }
-                        put(pid, writer.finish()).expect("partition write failed");
+                        if let Err(e) = put(pid, writer.finish()) {
+                            (failed_ref.lock())
+                                .unwrap_or_else(PoisonError::into_inner)
+                                .get_or_insert(e);
+                        }
                     });
                 }
             })
@@ -529,7 +544,8 @@ impl IndexBuilder {
             conversion_records_per_sec: per_sec(n, conversion_secs),
             redistribution_records_per_sec: per_sec(n, redistribution_secs),
         };
-        (skeleton, report)
+        let failed = failed.into_inner().unwrap_or_else(PoisonError::into_inner);
+        failed.map_or(Ok((skeleton, report)), Err)
     }
 
     /// Partition-level sampling over the raw dataset: the unorganised input

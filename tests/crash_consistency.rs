@@ -29,7 +29,7 @@
 //! and no `OpenOptions` combination changes an answer (the open matrix).
 
 use climber_core::dfs::fsio::{FaultAction, FaultFs, FaultTrigger, FsOp, FsRef};
-use climber_core::dfs::store::DiskStore;
+use climber_core::dfs::store::{DiskStore, PartitionStore};
 use climber_core::series::gen::Domain;
 use climber_core::{
     BlockCache, CacheConfig, Climber, ClimberConfig, ClimberError, OpenError, OpenOptions,

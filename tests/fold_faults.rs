@@ -221,8 +221,9 @@ fn fail_a_flush(tag: &str, op: FsOp, fails: fn(&str) -> bool) -> Failed {
     // every other dirty partition published.
     let pending = index.delta().partitions();
     assert!(!pending.is_empty());
+    let committed = Manifest::load_with(&StdFs, &dir).unwrap();
     for &pid in &dirty {
-        let published = index.store().receipt(pid).is_some();
+        let published = index.store().entry(pid).as_ref() != committed.partition(pid);
         assert_eq!(published, !pending.contains(&pid), "partition {pid}");
     }
     assert_eq!(names(&dir, is_tmp_name), Vec::<String>::new());
@@ -333,8 +334,9 @@ fn a_failed_pack_leaves_the_other_packs_published() {
     );
     // The packs are cut in ascending partition id: the failed second
     // pack held a run of them, with published ones on both sides of it.
+    let committed = Manifest::load_with(&StdFs, &dir).unwrap();
     let published: Vec<u32> = (dirty.iter().copied())
-        .filter(|pid| index.store().receipt(*pid).is_some())
+        .filter(|&pid| index.store().entry(pid).as_ref() != committed.partition(pid))
         .collect();
     assert_eq!(published.len() + pending.len(), dirty.len());
     let (lo, hi) = (pending[0], pending[pending.len() - 1]);

@@ -22,7 +22,7 @@
 //! * A build of P partitions performs exactly **P partition writes, P
 //!   partition fsyncs** and its seal **no partition read**: every
 //!   partition is staged once by its put, and the seal commits it from
-//!   the put's receipt.
+//!   the entry the put recorded.
 //! * A fresh build, single or sharded, opens no partition: its append
 //!   counter and series length come from the dataset, not from a scan.
 //! * A block-cache miss is exactly **one** read, of exactly one cluster,
@@ -142,7 +142,7 @@ fn flush_reads_writes_and_syncs_each_dirty_partition_once() {
         // Reads: the R base images being rewritten, and nothing else — no
         // extended partition is read, the manifest and the skeleton this
         // instance opened stay in memory, and the seal describes each
-        // image from its receipt.
+        // image from the entry its stage recorded.
         assert_eq!(count(&trace, FsOp::Read, is_partition), r, "{trace:?}");
         assert_eq!(
             count(&trace, FsOp::Read, all),

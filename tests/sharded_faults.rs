@@ -3,15 +3,19 @@
 //! mid-scatter degrades a query to a reported partial answer — never a
 //! panic, never a hang.
 
-use climber_core::dfs::fsio::{FaultFs, FsOp};
-use climber_core::dfs::manifest::OpenError;
+use climber_core::dfs::fsio::{Bytes, ClimberFs, FaultFs, FsOp, StdFs, INJECTED_FAULT};
+use climber_core::dfs::manifest::{Manifest, OpenError};
+use climber_core::dfs::store::parse_pack_file_name;
 use climber_core::series::gen::Domain;
 use climber_core::{
     CacheConfig, Climber, ClimberConfig, ClimberError, OpenOptions, RecoveryPolicy, SearchRequest,
     ShardSetManifest, ShardedClimber, SHARD_SET_FILE,
 };
 use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 fn cfg() -> ClimberConfig {
     ClimberConfig::default()
@@ -499,5 +503,88 @@ fn shard_readmitted_by_scrub_shares_the_sets_cache() {
     let clusters: usize = nodes.iter().map(Vec::len).sum();
     assert!(clusters >= pids.len());
     assert_eq!(set.serve_io().cache_hits - before, clusters as u64);
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// The standard filesystem, failing the first pack write under a
+/// `shard-001` directory, once, while armed.
+#[derive(Debug, Default)]
+struct FailShard1Pack {
+    armed: AtomicBool,
+}
+
+impl ClimberFs for FailShard1Pack {
+    fn read(&self, path: &Path) -> io::Result<Bytes> {
+        StdFs.read(path)
+    }
+    fn read_ranges(&self, path: &Path, ranges: &[(u64, usize)]) -> io::Result<Vec<Bytes>> {
+        StdFs.read_ranges(path, ranges)
+    }
+    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        let in_shard_1 = path.parent().is_some_and(|p| p.ends_with("shard-001"));
+        let pack = parse_pack_file_name(&path.file_name().unwrap().to_string_lossy()).is_some();
+        if in_shard_1 && pack && self.armed.swap(false, Ordering::SeqCst) {
+            return Err(io::Error::other(format!(
+                "{INJECTED_FAULT}: {}",
+                path.display()
+            )));
+        }
+        StdFs.write(path, bytes)
+    }
+    fn fsync_file(&self, path: &Path) -> io::Result<()> {
+        StdFs.fsync_file(path)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        StdFs.rename(from, to)
+    }
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
+        StdFs.remove_file(path)
+    }
+    fn fsync_dir(&self, path: &Path) -> io::Result<()> {
+        StdFs.fsync_dir(path)
+    }
+    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
+        StdFs.create_dir_all(path)
+    }
+}
+
+/// A set flush whose second shard fails after the first committed its
+/// fold still re-seals the set, at each shard's committed generation: the
+/// flush reports the error, the set reopens strictly, and every record
+/// the first shard folded is found.
+#[test]
+fn a_failed_shard_flush_still_reseals_the_set() {
+    let (dir, set) = build("fold-fail", 2);
+    drop(set);
+    let fs = Arc::new(FailShard1Pack::default());
+    let opts = OpenOptions {
+        fs: fs.clone(),
+        ..rw(RecoveryPolicy::Strict)
+    };
+    let (set, _) = ShardedClimber::open_dir(&dir, &opts).unwrap();
+    let extra = Domain::RandomWalk.generate(24, 63);
+    let batch: Vec<Vec<f32>> = (0..24).map(|i| extra.get(i).to_vec()).collect();
+    let ids = set.append_batch(&batch).unwrap();
+    fs.armed.store(true, Ordering::SeqCst);
+    let err = set.flush().unwrap_err();
+    assert!(!fs.armed.load(Ordering::SeqCst), "no pack write failed");
+    assert!(err.to_string().contains(INJECTED_FAULT), "{err}");
+    let folded: Vec<(u64, &Vec<f32>)> = (ids.into_iter().zip(&batch))
+        .filter(|&(id, _)| set.shard_of(id) == 0)
+        .collect();
+    assert!(!folded.is_empty());
+    drop(set);
+
+    let reopened = ShardedClimber::open(&dir).unwrap();
+    let generations = reopened.generations();
+    for (i, &generation) in generations.iter().enumerate() {
+        let m = Manifest::load_with(&StdFs, &dir.join(format!("shard-{i:03}"))).unwrap();
+        assert_eq!(generation, m.generation, "shard {i}");
+    }
+    assert_eq!(generations[0], 1, "shard 0 committed its fold");
+    for (id, values) in folded {
+        let out = reopened.search(&SearchRequest::new(&values[..], 1).exact());
+        assert_eq!(out.results[0], (id, 0.0), "record {id}");
+    }
     fs::remove_dir_all(&dir).ok();
 }

@@ -22,7 +22,7 @@
 //!   its predicted offset in the flush's one pack: the extensions back to
 //!   back in ascending partition id, and nothing else;
 //! * the committed manifest entry (length, checksum, record count per
-//!   image) — taken from the stage's receipt, not from re-reading the
+//!   image) — recorded by the stage, not taken from re-reading the
 //!   file — describes the persisted bytes exactly.
 //!
 //! Varied: generator domain, dataset size, append count and source, delta
@@ -307,7 +307,7 @@ proptest! {
 
         prop_assert_eq!(pack.map_or(0, |pack| pack.len() as u64), offset);
 
-        // A cold reopen validates every receipt-derived entry against the
+        // A cold reopen validates every stage-recorded entry against the
         // installed files.
         drop(index);
         let cold = Climber::open(&dir).unwrap();
