@@ -15,13 +15,13 @@
 //! * more threads — workers pull `(source, partition)` tasks off a shared
 //!   cursor.
 //!
-//! Each configuration runs the workload again and again for a fixed
-//! wall-clock budget ([`ROW_SECS`], [`QUICK_ROW_SECS`] with `--quick`),
-//! and its row reports the median run and how many runs it took: a run
-//! is a fraction of a second, and the median of tens of them moves less
-//! from one invocation to the next than the best of a few (single-thread
-//! rows within ±6 % over three invocations on a 2-core x86-64 box, where
-//! the multi-thread rows still spread wider).
+//! The grid runs in rounds — every configuration once per round, in grid
+//! order — until a wall-clock budget of [`ROW_SECS`] per configuration
+//! ([`QUICK_ROW_SECS`] with `--quick`) has passed, and each row reports
+//! its median run and how many runs it took. A run is a fraction of a
+//! second, so each row's runs are spread across the whole invocation: a
+//! slow stretch of the machine lands on every row alike instead of
+//! swallowing one row timed in a block of its own.
 //!
 //! Results are bit-identical across all configurations (asserted on a
 //! sample at the end). Emits a `BENCH_throughput.json` record next to the
@@ -38,7 +38,7 @@ use climber_core::{Climber, QueryOutcome, SearchRequest};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// Wall-clock seconds each configuration is timed over.
+/// Wall-clock seconds of the grid's budget per configuration.
 const ROW_SECS: f64 = 5.0;
 
 /// [`ROW_SECS`] of a `--quick` run (seven configurations).
@@ -78,27 +78,33 @@ fn search_many(
     .0
 }
 
-/// Runs a configuration until `budget` seconds have passed (at least
-/// [`MIN_RUNS`] times) and keeps the median run, every configuration
-/// alike.
-fn run_config_median(
+/// Runs every `(batch, threads)` configuration of `grid` once per round,
+/// in grid order, until `budget` seconds have passed and each has
+/// [`MIN_RUNS`] runs; returns each configuration's median run, in grid
+/// order.
+fn run_grid(
     climber: &Climber<DiskStore>,
     wl: &[SearchRequest],
-    batch: usize,
-    threads: usize,
+    grid: &[(usize, usize)],
     budget: f64,
-) -> Row {
+) -> Vec<Row> {
     let start = Instant::now();
-    let mut runs = Vec::new();
-    while runs.len() < MIN_RUNS || start.elapsed().as_secs_f64() < budget {
-        runs.push(run_config(climber, wl, batch, threads));
+    let mut runs: Vec<Vec<Row>> = grid.iter().map(|_| Vec::new()).collect();
+    while runs[0].len() < MIN_RUNS || start.elapsed().as_secs_f64() < budget {
+        for (&(batch, threads), runs) in grid.iter().zip(&mut runs) {
+            runs.push(run_config(climber, wl, batch, threads));
+        }
     }
-    runs.sort_by(|a, b| a.secs.total_cmp(&b.secs));
-    let count = runs.len();
-    Row {
-        runs: count,
-        ..runs.swap_remove(count / 2)
-    }
+    (runs.into_iter())
+        .map(|mut runs| {
+            runs.sort_by(|a, b| a.secs.total_cmp(&b.secs));
+            let count = runs.len();
+            Row {
+                runs: count,
+                ..runs.swap_remove(count / 2)
+            }
+        })
+        .collect()
 }
 
 /// Runs the whole workload split into `batch`-sized calls on `threads`
@@ -153,7 +159,7 @@ fn main() {
     println!("==========================================================================");
     println!("Throughput — batched partition-major execution (QPS)");
     println!("workload: fixed query set, Adaptive-{factor}X; grid: batch {{1,16,256}} x threads {{1,4,8}}");
-    println!("each row: the median run of those in {budget} s of wall clock");
+    println!("each row: its median run, the grid run round by round for {budget} s per row");
     println!(
         "scale: N={n} queries={nq} K={k}{} (CLIMBER_N / CLIMBER_BATCH_QUERIES / CLIMBER_K)",
         if quick { " [--quick]" } else { "" }
@@ -177,36 +183,30 @@ fn main() {
         .map(|&q| SearchRequest::new(ds.get(q), k).adaptive(factor))
         .collect();
 
-    let batches = [1usize, 16, 256];
-    let threads = [1usize, 4, 8];
-    let mut rows: Vec<Row> = Vec::new();
-    let mut table = Table::new(vec![
-        "batch", "threads", "QPS", "secs", "runs", "sharing", "speedup",
-    ]);
+    let grid: Vec<(usize, usize)> = [1usize, 16, 256]
+        .into_iter()
+        .flat_map(|b| [1usize, 4, 8].map(|t| (b, t)))
+        // Single-query batches gain nothing from threads on smoke runs.
+        .filter(|&(b, t)| !(quick && b == 1 && t > 1))
+        .collect();
     let wl = &requests[..];
     // Warm up caches so the 1×1 baseline is not penalised by first-touch.
     run_config(climber, &wl[..wl.len().min(8)], 1, 1);
-    let mut baseline_qps = 0.0;
-    for &b in &batches {
-        for &t in &threads {
-            if b == 1 && t > 1 && quick {
-                continue; // single-query batches gain nothing on smoke runs
-            }
-            let row = run_config_median(climber, wl, b, t, budget);
-            if b == 1 && t == 1 {
-                baseline_qps = row.qps;
-            }
-            table.row(vec![
-                row.batch.to_string(),
-                row.threads.to_string(),
-                f2(row.qps),
-                f2(row.secs),
-                row.runs.to_string(),
-                f2(row.sharing),
-                format!("{:.2}x", row.qps / baseline_qps),
-            ]);
-            rows.push(row);
-        }
+    let rows = run_grid(climber, wl, &grid, budget * grid.len() as f64);
+    let baseline_qps = rows[0].qps;
+    let mut table = Table::new(vec![
+        "batch", "threads", "QPS", "secs", "runs", "sharing", "speedup",
+    ]);
+    for row in &rows {
+        table.row(vec![
+            row.batch.to_string(),
+            row.threads.to_string(),
+            f2(row.qps),
+            f2(row.secs),
+            row.runs.to_string(),
+            f2(row.sharing),
+            format!("{:.2}x", row.qps / baseline_qps),
+        ]);
     }
     table.print();
 

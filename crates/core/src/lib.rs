@@ -567,7 +567,6 @@ impl<S: PartitionStore> Climber<S> {
             )?)
         };
         let m = Manifest {
-            format_version: FORMAT_VERSION,
             config: self.config.encode_vec(),
             fingerprint: Manifest::fingerprint_of(series_len, num_records, &partitions),
             num_records,
@@ -1726,12 +1725,12 @@ mod tests {
     /// The orphan sweep of a writable open lists the directory through the
     /// open's filesystem: a `FaultFs` traces the listing (a read-only open
     /// lists nothing), and in a `SimFs` directory a writable open removes
-    /// an orphan pack and an orphan version-3 extension image that a
-    /// read-only open leaves — and keeps the pack its manifest names.
+    /// the orphan packs that a read-only open leaves — and keeps the pack
+    /// its manifest names.
     #[test]
     fn a_writable_open_lists_through_its_filesystem() {
         use climber_dfs::fsio::{ClimberFs, FaultFs, FsOp, SimFs};
-        use climber_dfs::store::{extension_file_name, pack_file_name};
+        use climber_dfs::store::pack_file_name;
         let dir = std::env::temp_dir().join(format!("climber-core-list-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let ds = Domain::RandomWalk.generate(300, 3);
@@ -1759,7 +1758,6 @@ mod tests {
         let orphans = [
             sim.root().join(pack_file_name(generation + 1, 0)),
             sim.root().join(pack_file_name(generation, 1)),
-            (sim.root()).join(extension_file_name(built.store().ids()[0], 9)),
         ];
         drop(built);
         for orphan in &orphans {

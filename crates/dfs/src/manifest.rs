@@ -9,17 +9,18 @@
 //! index* rather than a pile of files:
 //!
 //! ```text
-//! magic "CLMF" | format_version u32 | flags u32 (reserved)
+//! magic "CLMF" | format_version u32 (= FORMAT_VERSION) | flags u32 (reserved)
 //! fingerprint u64             — dataset fingerprint (see [`Manifest::fingerprint_of`])
 //! num_records u64 | max_series_id u64 (u64::MAX = none) | series_len u32
-//! generation u64              — segment generation (v2+; bumped per flush)
-//! journal flag u8 (+ bytes u64, xxh64 u64 when 1)   — update journal (v2+)
+//! generation u64              — segment generation (bumped per flush)
+//! journal flag u8 (+ bytes u64, xxh64 u64 when 1)   — update journal
 //! config blob  (u64 len + bytes)   — opaque encoded IndexConfig
 //! skeleton: bytes u64, xxh64 u64
 //! partition count u32
 //!   per partition: id u32, file count u32 (≥ 1)
 //!     per file, in file order: file u64, bytes u64, xxh64 u64, records u64,
-//!       place u8 — 0: its own file; 1: in a pack, then k u32, offset u64
+//!       place u8 — 0: its own file (the base); 1: in a pack (an
+//!       extension), then k u32, offset u64
 //! manifest xxh64 u64          — checksum of every preceding byte
 //! ```
 //!
@@ -27,12 +28,8 @@
 //! its own file), then its extension images by strictly ascending file
 //! number `n ≥ 1` — the segment generation of the flush that wrote it. An
 //! extension lies `bytes` bytes from `offset` on in pack
-//! `pack_<n>.<k>.clbp` — or, written by a version-3 build, in its own file
-//! `part_XXXXXXXX.x<n>.clbp`. A query reads a node's cluster from every
-//! image in that order. Version 3 lists each file without its place (every
-//! image in its own file); versions 1 and 2 list one file per partition
-//! as `id u32, bytes u64, xxh64 u64, records u64`. All still decode, and a
-//! writable open rewrites them as version 4 at its next seal.
+//! `pack_<n>.<k>.clbp`. A query reads a node's cluster from every image in
+//! that order.
 //!
 //! All integers little-endian. Writers go through
 //! [`Manifest::write_atomic_with`] (temp file + fsync + atomic rename +
@@ -43,10 +40,12 @@
 //! partition file's size and checksum, reporting failures as typed
 //! [`OpenError`]s.
 //!
-//! Version/compat policy: `format_version` is bumped on any layout change;
-//! readers accept only versions `<= FORMAT_VERSION` they know how to parse
-//! and reject the future with [`OpenError::UnsupportedVersion`] rather
-//! than guessing.
+//! Version/compat policy: there is one layout, [`FORMAT_VERSION`], bumped
+//! on any layout change. A manifest of any other version — older or newer
+//! — fails every open with [`OpenError::UnsupportedVersion`] before
+//! anything else is read or touched, rather than being guessed at.
+//! Compatibility across builds is kept by reading a committed directory of
+//! the current version, not by decoders of retired layouts.
 
 use crate::format::{ByteReader, Decode, Encode};
 use crate::fsio::ClimberFs;
@@ -61,12 +60,11 @@ pub const MANIFEST_FILE: &str = "MANIFEST.clmf";
 /// Magic prefix of a manifest file.
 pub const MANIFEST_MAGIC: [u8; 4] = *b"CLMF";
 
-/// Newest on-disk index format this build reads and writes. Version 2
-/// added the segment generation and the optional update-journal entry;
-/// version 3 made each partition entry an ordered list of files (a base
-/// image and its extension images); version 4 places each extension image
-/// in a pack at an offset. Directories of versions 1 to 3 are still read
-/// (version 1 as generation 0 with no journal).
+/// The one on-disk index format this build reads and writes: each
+/// partition entry an ordered list of images (a base image, then its
+/// extension images, each placed in a pack at an offset), with the segment
+/// generation and the optional update-journal entry. A directory of any
+/// other version is refused.
 pub const FORMAT_VERSION: u32 = 4;
 
 // ---------------------------------------------------------------------------
@@ -169,11 +167,12 @@ pub enum OpenError {
         /// The four bytes actually found.
         found: [u8; 4],
     },
-    /// The manifest was written by a newer format than this build reads.
+    /// The manifest was written in a format version other than the one
+    /// this build reads — an older one or a newer one.
     UnsupportedVersion {
         /// Version recorded in the manifest.
         found: u32,
-        /// Newest version this build supports.
+        /// The one version this build reads ([`FORMAT_VERSION`]).
         supported: u32,
     },
     /// The manifest is structurally damaged (truncated, trailing bytes,
@@ -259,7 +258,7 @@ impl fmt::Display for OpenError {
             Self::BadMagic { found } => write!(f, "bad manifest magic {found:?}"),
             Self::UnsupportedVersion { found, supported } => write!(
                 f,
-                "index format version {found} is newer than supported {supported}"
+                "index format version {found}; this build reads only version {supported}"
             ),
             Self::CorruptManifest(m) => write!(f, "corrupt manifest: {m}"),
             Self::MissingPartition { id, path } => {
@@ -344,9 +343,8 @@ pub struct PartitionEntry {
 }
 
 /// One image of a partition: its base image (`file` 0,
-/// `part_{id:08}.clbp`) or an extension image — in a pack
-/// (`pack_{file}.{k}.clbp`), or in a file of its own
-/// (`part_{id:08}.x{file}.clbp`, written by a version-3 build).
+/// `part_{id:08}.clbp`) or an extension image, in a pack
+/// (`pack_{file}.{k}.clbp`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ImageEntry {
     /// `0` for the base image; else the extension's number (≥ 1), the
@@ -358,8 +356,8 @@ pub struct ImageEntry {
     pub checksum: u64,
     /// Records stored inside.
     pub records: u64,
-    /// Where in a pack the image lies; `None` for an image in its own
-    /// file.
+    /// Where in a pack the image lies: `Some` for every extension, `None`
+    /// for the base image, which is a file of its own.
     pub pack: Option<PackSlot>,
 }
 
@@ -392,13 +390,11 @@ impl PartitionEntry {
     }
 }
 
-/// The index directory's commit record: format version, build
-/// configuration, dataset fingerprint, and the byte range + checksum of
-/// every file the index is made of.
+/// The index directory's commit record: build configuration, dataset
+/// fingerprint, and the byte range + checksum of every file the index is
+/// made of. It is always encoded at [`FORMAT_VERSION`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Manifest {
-    /// On-disk format version this directory was written with.
-    pub format_version: u32,
     /// Opaque encoded `IndexConfig` (decoded by `climber-index`; this
     /// crate sits below the config type in the dependency graph).
     pub config: Vec<u8>,
@@ -414,11 +410,11 @@ pub struct Manifest {
     /// Segment generation: how many flush/compaction folds the sealed
     /// partitions have absorbed. A persisted update journal embeds the
     /// generation it was written against; opening rejects a mismatch as
-    /// [`OpenError::StaleGeneration`]. Version-1 directories read as 0.
+    /// [`OpenError::StaleGeneration`].
     pub generation: u64,
     /// The update journal (pending delta records + tombstones), when one
     /// was persisted. `None` means the index was sealed with no pending
-    /// updates. Always `None` for version-1 directories.
+    /// updates.
     pub journal: Option<FileEntry>,
     /// The serialised skeleton file.
     pub skeleton: FileEntry,
@@ -467,7 +463,7 @@ impl Manifest {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(&MANIFEST_MAGIC);
-        self.format_version.encode(&mut out);
+        FORMAT_VERSION.encode(&mut out);
         0u32.encode(&mut out); // flags, reserved
         self.fingerprint.encode(&mut out);
         self.num_records.encode(&mut out);
@@ -527,7 +523,7 @@ impl Manifest {
             return Err(OpenError::CorruptManifest("truncated at version".into()));
         }
         let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-        if version > FORMAT_VERSION {
+        if version != FORMAT_VERSION {
             return Err(OpenError::UnsupportedVersion {
                 found: version,
                 supported: FORMAT_VERSION,
@@ -561,26 +557,18 @@ impl Manifest {
         let num_records = r.u64().map_err(parse)?;
         let max_raw = r.u64().map_err(parse)?;
         let series_len = r.u32().map_err(parse)?;
-        // Version 1 predates mutable segments: no generation field and no
-        // journal entry, so such a directory reads as generation 0 with
-        // nothing pending.
-        let (generation, journal) = if version >= 2 {
-            let generation = r.u64().map_err(parse)?;
-            let journal = match r.u8().map_err(parse)? {
-                0 => None,
-                1 => Some(FileEntry {
-                    bytes: r.u64().map_err(parse)?,
-                    checksum: r.u64().map_err(parse)?,
-                }),
-                t => {
-                    return Err(OpenError::CorruptManifest(format!(
-                        "unknown journal flag {t}"
-                    )))
-                }
-            };
-            (generation, journal)
-        } else {
-            (0, None)
+        let generation = r.u64().map_err(parse)?;
+        let journal = match r.u8().map_err(parse)? {
+            0 => None,
+            1 => Some(FileEntry {
+                bytes: r.u64().map_err(parse)?,
+                checksum: r.u64().map_err(parse)?,
+            }),
+            t => {
+                return Err(OpenError::CorruptManifest(format!(
+                    "unknown journal flag {t}"
+                )))
+            }
         };
         let config = Vec::<u8>::decode(&mut r).map_err(parse)?;
         let skeleton = FileEntry {
@@ -588,21 +576,15 @@ impl Manifest {
             checksum: r.u64().map_err(parse)?,
         };
         let n = r.u32().map_err(parse)? as usize;
-        // Capped at what the remaining bytes can hold (28 per entry at
-        // least): the self-checksum is an integrity check, not a defence.
-        let mut partitions = Vec::with_capacity(n.min(r.remaining() / 28));
+        // Capped at what the remaining bytes can hold (41 per entry at
+        // least: id, file count and one base image): the self-checksum is
+        // an integrity check, not a defence.
+        let mut partitions = Vec::with_capacity(n.min(r.remaining() / 41));
         for _ in 0..n {
             let id = r.u32().map_err(parse)?;
-            // Before version 3 an entry is one base image, untagged.
-            let files = match version >= 3 {
-                true => r.u32().map_err(parse)?,
-                false => 1,
-            };
+            let files = r.u32().map_err(parse)?;
             let mut file = |expect_base: bool| -> Result<ImageEntry, OpenError> {
-                let file = match version >= 3 {
-                    true => r.u64().map_err(parse)?,
-                    false => 0,
-                };
+                let file = r.u64().map_err(parse)?;
                 if (file == 0) != expect_base {
                     return Err(OpenError::CorruptManifest(format!(
                         "partition {id}: file {file} out of place"
@@ -613,14 +595,11 @@ impl Manifest {
                     r.u64().map_err(parse)?,
                     r.u64().map_err(parse)?,
                 );
-                // Before version 4 every image is a file of its own; a base
-                // image always is.
-                let place = match version >= 4 {
-                    true => r.u8().map_err(parse)?,
-                    false => 0,
-                };
+                // A base image is a file of its own; an extension is in a
+                // pack.
+                let place = r.u8().map_err(parse)?;
                 let pack = match place {
-                    0 => None,
+                    0 if expect_base => None,
                     1 if !expect_base => Some(PackSlot {
                         k: r.u32().map_err(parse)?,
                         offset: r.u64().map_err(parse)?,
@@ -671,7 +650,6 @@ impl Manifest {
         }
         r.expect_end().map_err(parse)?;
         Ok(Self {
-            format_version: version,
             config,
             fingerprint,
             num_records,
@@ -731,7 +709,6 @@ mod tests {
             },
         ];
         Manifest {
-            format_version: FORMAT_VERSION,
             config: vec![1, 2, 3, 4],
             fingerprint: Manifest::fingerprint_of(16, 5, &partitions),
             num_records: 5,
@@ -769,16 +746,16 @@ mod tests {
         assert_eq!(hashes.len(), 40);
     }
 
-    /// [`sample_manifest`] with extension images on both partitions, each
-    /// in a pack when `packed`, else in a file of its own.
-    fn sample_extended_with(packed: bool) -> Manifest {
+    /// [`sample_manifest`] with extension images, each in a pack, on both
+    /// partitions.
+    fn sample_extended() -> Manifest {
         let mut m = sample_manifest();
         let ext = |file, records, offset| ImageEntry {
             file,
             bytes: 40 + records * 24,
             checksum: 0x5EED ^ file,
             records,
-            pack: packed.then_some(PackSlot { k: 0, offset }),
+            pack: Some(PackSlot { k: 0, offset }),
         };
         m.partitions[0].extensions = vec![ext(2, 3, 0), ext(5, 1, 0), ext(9, 2, 0)];
         m.partitions[1].extensions = vec![ext(4, 7, 0), ext(9, 1, 88)];
@@ -787,48 +764,9 @@ mod tests {
         m
     }
 
-    fn sample_extended() -> Manifest {
-        sample_extended_with(true)
-    }
-
-    /// `m` in the version-3 layout: every image in its own file, listed
-    /// without a place.
-    fn encode_v3(m: &Manifest) -> Vec<u8> {
-        let mut out = m.encode();
-        let mut v3 = Vec::new();
-        v3.extend_from_slice(&out[..4]);
-        3u32.encode(&mut v3);
-        // Everything up to the partition list is laid out as in v4.
-        let head = out.len()
-            - 8
-            - m.partitions.len() * 8
-            - (m.partitions.iter().flat_map(PartitionEntry::images))
-                .map(|x| 33 + if x.pack.is_some() { 12 } else { 0 })
-                .sum::<usize>();
-        v3.extend_from_slice(&out[8..head]);
-        for e in &m.partitions {
-            e.id.encode(&mut v3);
-            (1 + e.extensions.len() as u32).encode(&mut v3);
-            for x in e.images() {
-                assert_eq!(x.pack, None, "a version-3 image is a file of its own");
-                for v in [x.file, x.bytes, x.checksum, x.records] {
-                    v.encode(&mut v3);
-                }
-            }
-        }
-        let sum = xxh64(&v3, 0);
-        sum.encode(&mut v3);
-        out.clear();
-        v3
-    }
-
     #[test]
     fn manifest_roundtrip() {
-        for m in [
-            sample_manifest(),
-            sample_extended(),
-            sample_extended_with(false),
-        ] {
+        for m in [sample_manifest(), sample_extended()] {
             let back = Manifest::decode(&m.encode()).unwrap();
             assert_eq!(m, back);
         }
@@ -837,12 +775,12 @@ mod tests {
     /// Every single-bit flip of `b` decodes to a typed error — or to a
     /// manifest that re-encodes to exactly the flipped bytes. Never a
     /// panic, never a silently different manifest.
-    fn every_bit_flip_is_typed(b: &[u8], encode: impl Fn(&Manifest) -> Vec<u8>) {
+    fn every_bit_flip_is_typed(b: &[u8]) {
         for bit in 0..b.len() * 8 {
             let mut bad = b.to_vec();
             bad[bit / 8] ^= 1 << (bit % 8);
             match Manifest::decode(&bad) {
-                Ok(m) => assert_eq!(encode(&m), bad, "bit {bit} decoded to another manifest"),
+                Ok(m) => assert_eq!(m.encode(), bad, "bit {bit} decoded to another manifest"),
                 Err(
                     OpenError::CorruptManifest(_)
                     | OpenError::BadMagic { .. }
@@ -853,29 +791,17 @@ mod tests {
         }
     }
 
-    /// A version-3 manifest listing extension images in files of their
-    /// own.
-    #[test]
-    fn every_bit_flip_of_a_v3_manifest_is_typed() {
-        let m = sample_extended_with(false);
-        let b = encode_v3(&m);
-        let mut back = Manifest::decode(&b).unwrap();
-        assert_eq!(back.format_version, 3);
-        back.format_version = FORMAT_VERSION;
-        assert_eq!(back, m, "a version-3 manifest decodes to what it lists");
-        every_bit_flip_is_typed(&b, encode_v3);
-    }
-
     /// A version-4 manifest listing extension images in packs.
     #[test]
     fn every_bit_flip_of_a_v4_manifest_is_typed() {
         let b = sample_extended().encode();
-        every_bit_flip_is_typed(&b, Manifest::encode);
+        every_bit_flip_is_typed(&b);
     }
 
     /// Under a valid self-checksum, an extension whose `offset + bytes`
-    /// overflows, a base image placed in a pack and an unknown place are
-    /// corrupt manifests, not a panic or an allocation later.
+    /// overflows, an extension at place 0 (a file of its own), a base image
+    /// placed in a pack and an unknown place are corrupt manifests, not a
+    /// panic or an allocation later.
     #[test]
     fn impossible_pack_places_are_corrupt() {
         let mut overflow = sample_extended();
@@ -887,6 +813,12 @@ mod tests {
         assert!(matches!(
             Manifest::decode(&b),
             Err(OpenError::CorruptManifest(m)) if m.contains("offset")
+        ));
+        let mut own_file = sample_extended();
+        own_file.partitions[0].extensions[1].pack = None;
+        assert!(matches!(
+            Manifest::decode(&own_file.encode()),
+            Err(OpenError::CorruptManifest(m)) if m.contains("place 0")
         ));
         // The base image's place byte, set to 1 (a pack) and to 2.
         let m = sample_manifest();
@@ -905,7 +837,7 @@ mod tests {
         }
     }
 
-    /// A version-3 entry's files are a base (file 0) and then extensions
+    /// An entry's files are a base (file 0) and then extensions
     /// by strictly ascending file number: anything else, under a valid
     /// self-checksum, is a corrupt manifest.
     #[test]
@@ -944,42 +876,6 @@ mod tests {
         assert_eq!(m, back);
     }
 
-    /// A version-1 manifest (pre-segments layout: no generation, no
-    /// journal entry) must still decode, reading as generation 0 with no
-    /// journal — old directories stay openable and upgrade on next save.
-    #[test]
-    fn version_1_manifest_still_decodes() {
-        let m = sample_manifest();
-        let mut out = Vec::new();
-        out.extend_from_slice(&MANIFEST_MAGIC);
-        1u32.encode(&mut out); // the historical version
-        0u32.encode(&mut out); // flags
-        m.fingerprint.encode(&mut out);
-        m.num_records.encode(&mut out);
-        m.max_series_id.unwrap_or(u64::MAX).encode(&mut out);
-        m.series_len.encode(&mut out);
-        // v1 continues straight into the config blob
-        m.config.encode(&mut out);
-        m.skeleton.bytes.encode(&mut out);
-        m.skeleton.checksum.encode(&mut out);
-        (m.partitions.len() as u32).encode(&mut out);
-        for e in &m.partitions {
-            e.id.encode(&mut out);
-            e.bytes.encode(&mut out);
-            e.checksum.encode(&mut out);
-            e.records.encode(&mut out);
-        }
-        let sum = xxh64(&out, 0);
-        sum.encode(&mut out);
-
-        let back = Manifest::decode(&out).unwrap();
-        assert_eq!(back.format_version, 1);
-        assert_eq!(back.generation, 0);
-        assert_eq!(back.journal, None);
-        assert_eq!(back.partitions, m.partitions);
-        assert_eq!(back.config, m.config);
-    }
-
     #[test]
     fn manifest_rejects_bad_magic() {
         let mut b = sample_manifest().encode();
@@ -990,21 +886,28 @@ mod tests {
         ));
     }
 
+    /// Every version but [`FORMAT_VERSION`] is refused — the retired
+    /// layouts 1 to 3, the never-written 0 and a future one alike.
     #[test]
     fn manifest_rejects_future_version() {
-        let mut b = sample_manifest().encode();
-        b[4..8].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-        // Re-seal so the version check (not the checksum) fires.
-        let body_len = b.len() - 8;
-        let sum = xxh64(&b[..body_len], 0);
-        b[body_len..].copy_from_slice(&sum.to_le_bytes());
-        assert!(matches!(
-            Manifest::decode(&b),
-            Err(OpenError::UnsupportedVersion {
-                found,
-                supported: FORMAT_VERSION,
-            }) if found == FORMAT_VERSION + 1
-        ));
+        for version in [0, 1, 2, 3, FORMAT_VERSION + 1] {
+            let mut b = sample_manifest().encode();
+            b[4..8].copy_from_slice(&version.to_le_bytes());
+            // Re-seal so the version check (not the checksum) fires.
+            let body_len = b.len() - 8;
+            let sum = xxh64(&b[..body_len], 0);
+            b[body_len..].copy_from_slice(&sum.to_le_bytes());
+            assert!(
+                matches!(
+                    Manifest::decode(&b),
+                    Err(OpenError::UnsupportedVersion {
+                        found,
+                        supported: FORMAT_VERSION,
+                    }) if found == version
+                ),
+                "version {version}"
+            );
+        }
     }
 
     #[test]
@@ -1090,11 +993,13 @@ mod tests {
 
     #[test]
     fn open_error_display_is_informative() {
-        let e = OpenError::UnsupportedVersion {
-            found: 9,
-            supported: 1,
-        };
-        assert!(e.to_string().contains('9'));
+        for (found, supported) in [(3, 4), (9, 4)] {
+            let e = OpenError::UnsupportedVersion { found, supported };
+            assert_eq!(
+                e.to_string(),
+                format!("index format version {found}; this build reads only version {supported}")
+            );
+        }
         let e = OpenError::ChecksumMismatch {
             what: "partition 3".into(),
             expected: 1,

@@ -76,26 +76,6 @@ pub fn partition_file_name(id: PartitionId) -> String {
     format!("part_{id:08}.clbp")
 }
 
-/// File name of partition `id`'s extension image `file` (≥ 1) inside an
-/// index directory, as a version-3 build wrote it: in a file of its own.
-/// A writable store still reads and removes these; it never writes one.
-pub fn extension_file_name(id: PartitionId, file: u64) -> String {
-    format!("part_{id:08}.x{file}.clbp")
-}
-
-/// The `(partition, file)` an [`extension_file_name`] names, or `None`
-/// for any other name.
-pub fn parse_extension_file_name(name: &str) -> Option<(PartitionId, u64)> {
-    let rest = name.strip_prefix("part_")?.strip_suffix(".clbp")?;
-    let (id, file) = rest.split_once(".x")?;
-    let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
-    if id.len() != 8 || !digits(id) || !digits(file) {
-        return None;
-    }
-    let parsed = (id.parse().ok()?, file.parse().ok()?);
-    (extension_file_name(parsed.0, parsed.1) == name && parsed.1 > 0).then_some(parsed)
-}
-
 /// File name of pack `k` of the flush that committed generation
 /// `generation`: the extension images of that flush's partitions, back to
 /// back.
@@ -112,13 +92,12 @@ pub fn parse_pack_file_name(name: &str) -> Option<(u64, u32)> {
     (pack_file_name(parsed.0, parsed.1) == name && parsed.0 > 0).then_some(parsed)
 }
 
-/// Where an image lies in `dir`: a base image or a version-3 extension in
-/// its own file, any other extension in its pack.
+/// Where an image lies in `dir`: a base image in its own file, an
+/// extension in its pack.
 fn image_path(dir: &Path, id: PartitionId, image: &ImageEntry) -> PathBuf {
-    dir.join(match (image.file, image.pack) {
-        (0, _) => partition_file_name(id),
-        (file, None) => extension_file_name(id, file),
-        (file, Some(slot)) => pack_file_name(file, slot.k),
+    dir.join(match image.pack {
+        None => partition_file_name(id),
+        Some(slot) => pack_file_name(image.file, slot.k),
     })
 }
 
@@ -178,8 +157,7 @@ struct ImageFile {
     entry: ImageEntry,
     /// The file the image lies in: a base image under its `.new` sibling
     /// while its partition's `base_staged` (or, staged, a temp sibling of
-    /// it), else under its own name; an extension in its pack (or,
-    /// version 3, its own file).
+    /// it), else under its own name; an extension in its pack.
     path: PathBuf,
     directory: PartitionDirectory,
 }
@@ -432,11 +410,10 @@ pub trait PartitionStore: Send + Sync {
 
     /// Called by the seal *after* the manifest commit point: renames every
     /// staged (`.new`) base image over its committed main file and removes
-    /// the packs (and version-3 extension files) holding no image the
-    /// committed manifest names. The seal's closing directory fsync makes
-    /// the renames durable (an interrupted install is rolled forward at
-    /// open either way, and a writable open removes packs no manifest
-    /// names).
+    /// the packs holding no image the committed manifest names. The seal's
+    /// closing directory fsync makes the renames durable (an interrupted
+    /// install is rolled forward at open either way, and a writable open
+    /// removes packs no manifest names).
     fn commit_staged(&self) -> io::Result<()>;
 
     /// Partitions a quarantining open moved aside; opens of these ids
@@ -484,8 +461,7 @@ fn unreadable(err: io::Error, path: &Path, id: PartitionId) -> OpenError {
 }
 
 /// On-disk partition store: `<dir>/part_<id>.clbp` and the packs of
-/// extension images `<dir>/pack_<gen>.<k>.clbp` (plus the per-partition
-/// extension files `<dir>/part_<id>.x<n>.clbp` of a version-3 directory).
+/// extension images `<dir>/pack_<gen>.<k>.clbp`.
 #[derive(Debug)]
 pub struct DiskStore {
     dir: PathBuf,
@@ -525,9 +501,8 @@ struct State {
     /// published since. A pack whose count a publish takes to zero is
     /// retired.
     packs: BTreeMap<(u64, u32), usize>,
-    /// Files holding only images a publish replaced — packs, and
-    /// version-3 extension files: removed once the next manifest commit no
-    /// longer names them.
+    /// Packs holding only images a publish replaced: removed once the next
+    /// manifest commit no longer names them.
     retired: Vec<PathBuf>,
 }
 
@@ -667,9 +642,8 @@ impl DiskStore {
     ///   `PermissionDenied`, **and the open itself only reads**, whatever
     ///   the other arguments say: committed bytes a crash left under a
     ///   `.new` sibling are served from there ([`fsio::read_committed`]);
-    ///   temp droppings, stale siblings and packs (or version-3 extension
-    ///   files) no manifest names wait for the next writable open, which
-    ///   installs or sweeps them.
+    ///   temp droppings, stale siblings and packs no manifest names wait
+    ///   for the next writable open, which installs or sweeps them.
     /// * `quarantine` — a failing partition no longer aborts the open: it
     ///   is recorded ([`quarantined`](PartitionStore::quarantined)) and,
     ///   when writable, its base file moved into [`QUARANTINE_DIR`].
@@ -758,13 +732,9 @@ impl DiskStore {
         }
         // Every pack the manifest names, with the images it holds —
         // quarantined partitions' too, so no pack still named is removed.
-        let mut own_files: BTreeSet<(PartitionId, u64)> = BTreeSet::new();
-        for e in &manifest.partitions {
-            for x in &e.extensions {
-                match x.pack {
-                    Some(slot) => *state.packs.entry((x.file, slot.k)).or_default() += 1,
-                    None => drop(own_files.insert((e.id, x.file))),
-                }
+        for x in manifest.partitions.iter().flat_map(|e| &e.extensions) {
+            if let Some(slot) = x.pack {
+                *state.packs.entry((x.file, slot.k)).or_default() += 1;
             }
         }
         // Sweep temp droppings from interrupted atomic writes, and the
@@ -772,9 +742,8 @@ impl DiskStore {
         // replaced by one that did): files no committed manifest names.
         if !read_only {
             for name in fs.list(dir).unwrap_or_default() {
-                let orphan = parse_pack_file_name(&name)
-                    .is_some_and(|p| !state.packs.contains_key(&p))
-                    || parse_extension_file_name(&name).is_some_and(|x| !own_files.contains(&x));
+                let orphan =
+                    parse_pack_file_name(&name).is_some_and(|p| !state.packs.contains_key(&p));
                 if fsio::is_tmp_name(&name) || orphan {
                     fs.remove_file(&dir.join(name)).ok();
                 }
@@ -987,10 +956,7 @@ impl PartitionStore for DiskStore {
         }
         let extensions = replaced.iter().filter(|x| x.entry.file != 0);
         for x in extensions.clone() {
-            let Some(slot) = x.entry.pack else {
-                state.retired.push(x.path.clone());
-                continue;
-            };
+            let Some(slot) = x.entry.pack else { continue };
             let pack = (x.entry.file, slot.k);
             if let Some(live) = state.packs.get_mut(&pack) {
                 *live -= 1;
@@ -1284,7 +1250,7 @@ mod tests {
 
     #[test]
     fn cached_disk_store_serves_hits_and_invalidates_on_put() {
-        use crate::manifest::{FileEntry, FORMAT_VERSION};
+        use crate::manifest::FileEntry;
         use crate::page::{BlockCache, CacheConfig};
         let dir = std::env::temp_dir().join(format!("climber-dfs-cache-{}", std::process::id()));
         fs::remove_dir_all(&dir).ok();
@@ -1302,7 +1268,6 @@ mod tests {
             extensions: Vec::new(),
         }];
         Manifest {
-            format_version: FORMAT_VERSION,
             config: Vec::new(),
             fingerprint: Manifest::fingerprint_of(2, 4, &partitions),
             num_records: 4,
@@ -1376,7 +1341,7 @@ mod tests {
     /// Puts `images` into a fresh directory under `tag`, installs them,
     /// and commits a manifest describing them.
     fn sealed_dir(tag: &str, images: &[(PartitionId, Bytes)]) -> (PathBuf, Manifest) {
-        use crate::manifest::{FileEntry, FORMAT_VERSION};
+        use crate::manifest::FileEntry;
         let dir = std::env::temp_dir().join(format!("climber-dfs-{tag}-{}", std::process::id()));
         fs::remove_dir_all(&dir).ok();
         let build = DiskStore::create(&dir, fsio::std_fs()).unwrap();
@@ -1389,7 +1354,6 @@ mod tests {
             .collect();
         let num_records = partitions.iter().map(PartitionEntry::total_records).sum();
         let manifest = Manifest {
-            format_version: FORMAT_VERSION,
             config: Vec::new(),
             fingerprint: Manifest::fingerprint_of(2, num_records, &partitions),
             num_records,

@@ -48,7 +48,6 @@ fn persisted_dir(tag: &str) -> PathBuf {
     write_file_atomic_with(&StdFs, &dir.join("skeleton.clsk"), &skeleton_blob).unwrap();
 
     Manifest {
-        format_version: FORMAT_VERSION,
         config: vec![0xAA; 8],
         fingerprint: Manifest::fingerprint_of(4, num_records, &partitions),
         num_records,

@@ -155,7 +155,7 @@ impl IndexConfig {
 impl Encode for IndexConfig {
     /// Persisted inside the index manifest so a reopened index knows the
     /// exact build parameters (little-endian, field order fixed by the
-    /// manifest's `format_version`).
+    /// manifest's format version, `FORMAT_VERSION`).
     fn encode(&self, out: &mut Vec<u8>) {
         (self.paa_segments as u64).encode(out);
         (self.num_pivots as u64).encode(out);

@@ -502,16 +502,13 @@ fn merging_flush_survives_every_crash_point() {
 }
 
 /// Packs no committed manifest names — a fold that crashed before its
-/// commit, or packs whose images a merge replaced — are litter, and so are
-/// the per-partition extension files of a version-3 directory no manifest
-/// names: a read-only open, under either policy, leaves every one in place
-/// and changes nothing; the writable open removes exactly those and keeps
+/// commit, or packs whose images a merge replaced — are litter: a
+/// read-only open, under either policy, leaves every one in place and
+/// changes nothing; the writable open removes exactly those and keeps
 /// every named pack.
 #[test]
 fn orphan_extension_images_are_left_by_a_read_only_open_and_swept_by_a_writable_one() {
-    use climber_core::dfs::store::{
-        extension_file_name, pack_file_name, parse_pack_file_name, PartitionStore,
-    };
+    use climber_core::dfs::store::{pack_file_name, parse_pack_file_name};
 
     let root = tmp_root("orphans");
     let dir = root.join("idx");
@@ -529,18 +526,16 @@ fn orphan_extension_images_are_left_by_a_read_only_open_and_swept_by_a_writable_
     let before = named(&dir);
     assert_eq!(before.len(), 4, "{before:?}");
     let c = Climber::open(&dir).unwrap();
-    let (pids, generation) = (c.store().ids(), c.generation());
+    let generation = c.generation();
     drop(c);
     let litter = [
         pack_file_name(generation + 1, 0),
         pack_file_name(generation, 1),
         pack_file_name(77, 0),
-        extension_file_name(pids[2], 5),
     ];
     fs::write(dir.join(&litter[0]), b"a crashed fold's pack").unwrap();
     fs::copy(dir.join(&before[0]), dir.join(&litter[1])).unwrap();
     fs::write(dir.join(&litter[2]), b"").unwrap();
-    fs::write(dir.join(&litter[3]), b"a version-3 extension").unwrap();
     for policy in [RecoveryPolicy::Strict, RecoveryPolicy::Quarantine] {
         assert!(read_only_fingerprint(&dir, policy, &probes) == clean);
     }
@@ -551,7 +546,6 @@ fn orphan_extension_images_are_left_by_a_read_only_open_and_swept_by_a_writable_
         before,
         "the writable open swept the wrong files"
     );
-    assert!(!dir.join(&litter[3]).exists());
     fs::remove_dir_all(&root).ok();
 }
 

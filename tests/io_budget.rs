@@ -35,7 +35,7 @@ use climber_core::dfs::format::{ClusterPick, PartitionDirectory, PartitionReader
 use climber_core::dfs::fsio::{Bytes, ClimberFs, FaultFs, FsOp, FsRef, StdFs};
 use climber_core::dfs::page::PAGE_SIZE;
 use climber_core::dfs::store::{
-    parse_extension_file_name, parse_pack_file_name, partition_file_name, DiskStore, PartitionStore,
+    parse_pack_file_name, partition_file_name, DiskStore, PartitionStore,
 };
 use climber_core::index::builder::IndexBuilder;
 use climber_core::series::gen::Domain;
@@ -111,10 +111,6 @@ fn count(trace: &[(FsOp, String)], op: FsOp, pred: impl Fn(&str) -> bool) -> usi
     trace.iter().filter(|(o, n)| *o == op && pred(n)).count()
 }
 
-fn is_extension(name: &str) -> bool {
-    parse_extension_file_name(name).is_some()
-}
-
 fn is_pack(name: &str) -> bool {
     parse_pack_file_name(name).is_some()
 }
@@ -157,7 +153,6 @@ fn flush_reads_writes_and_syncs_each_dirty_partition_once() {
         // place: not a committed file, not an earlier stage.
         let p = usize::from(d > 0);
         assert_eq!(count(&trace, FsOp::Write, is_pack), p);
-        assert_eq!(count(&trace, FsOp::Write, is_extension), 0);
         assert_eq!(count(&trace, FsOp::Write, is_stage_tmp), r);
         assert_eq!(count(&trace, FsOp::Write, all), p + r + 1, "{trace:?}");
         assert_eq!(count(&trace, FsOp::FsyncFile, is_pack), p);

@@ -9,21 +9,11 @@
 //!   directory holds no pack the manifest does not name, at most
 //!   `MAX_EXTENSIONS` flushes' packs are live, and the index answers as
 //!   its cold reopen.
-//! * A version-3 directory, whose extension images are files of their own,
-//!   opens read-only and writable and answers as the directory it was made
-//!   from; its per-partition extension files are gone after the first
-//!   merging flush, or after a compaction.
 
-use climber_core::dfs::format::Encode;
 use climber_core::dfs::fsio::StdFs;
-use climber_core::dfs::manifest::{xxh64, PackSlot};
-use climber_core::dfs::store::{
-    extension_file_name, pack_file_name, parse_extension_file_name, parse_pack_file_name,
-};
+use climber_core::dfs::store::{pack_file_name, parse_pack_file_name};
 use climber_core::series::gen::Domain;
-use climber_core::{
-    Climber, ClimberConfig, Manifest, QueryOutcome, SearchRequest, FORMAT_VERSION, MANIFEST_FILE,
-};
+use climber_core::{Climber, ClimberConfig, Manifest, QueryOutcome, SearchRequest, MANIFEST_FILE};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -143,169 +133,6 @@ fn every_flush_leaves_packs_without_dead_bytes_or_orphans() {
     let got: Vec<QueryOutcome> = reqs.iter().map(|r| cold.search(r)).collect();
     assert_eq!(got, want, "the reopened index answers otherwise");
     fs::remove_dir_all(&dir).ok();
-}
-
-/// `m` encoded as a version-3 manifest: every image a file of its own.
-fn v3_manifest(m: &Manifest) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(b"CLMF");
-    3u32.encode(&mut out);
-    0u32.encode(&mut out);
-    m.fingerprint.encode(&mut out);
-    m.num_records.encode(&mut out);
-    m.max_series_id.unwrap_or(u64::MAX).encode(&mut out);
-    m.series_len.encode(&mut out);
-    m.generation.encode(&mut out);
-    match m.journal {
-        Some(j) => {
-            1u8.encode(&mut out);
-            j.bytes.encode(&mut out);
-            j.checksum.encode(&mut out);
-        }
-        None => 0u8.encode(&mut out),
-    }
-    m.config.encode(&mut out);
-    m.skeleton.bytes.encode(&mut out);
-    m.skeleton.checksum.encode(&mut out);
-    (m.partitions.len() as u32).encode(&mut out);
-    for e in &m.partitions {
-        e.id.encode(&mut out);
-        (1 + e.extensions.len() as u32).encode(&mut out);
-        for x in e.images() {
-            for v in [x.file, x.bytes, x.checksum, x.records] {
-                v.encode(&mut out);
-            }
-        }
-    }
-    let sum = xxh64(&out, 0);
-    sum.encode(&mut out);
-    out
-}
-
-/// Rewrites the version-4 directory `dir` as a version-3 build would have
-/// left it: each extension image copied out of its pack into a file of
-/// its own, the packs removed, the manifest re-encoded.
-fn downgrade_to_v3(dir: &Path) {
-    let m = Manifest::load_with(&StdFs, dir).unwrap();
-    for e in &m.partitions {
-        for x in &e.extensions {
-            let PackSlot { k, offset } = x.pack.unwrap();
-            let pack = fs::read(dir.join(pack_file_name(x.file, k))).unwrap();
-            let image = &pack[offset as usize..(offset + x.bytes) as usize];
-            fs::write(dir.join(extension_file_name(e.id, x.file)), image).unwrap();
-        }
-    }
-    for pack in names(dir, |n| parse_pack_file_name(n).is_some()) {
-        fs::remove_file(dir.join(pack)).unwrap();
-    }
-    fs::write(dir.join(MANIFEST_FILE), v3_manifest(&m)).unwrap();
-    assert_eq!(Manifest::load_with(&StdFs, dir).unwrap().format_version, 3);
-}
-
-fn copy_dir(src: &Path, dst: &Path) {
-    fs::remove_dir_all(dst).ok();
-    fs::create_dir_all(dst).unwrap();
-    for entry in fs::read_dir(src).unwrap().flatten() {
-        fs::copy(entry.path(), dst.join(entry.file_name())).unwrap();
-    }
-}
-
-fn legacy_files(dir: &Path) -> BTreeSet<String> {
-    names(dir, |n| parse_extension_file_name(n).is_some())
-}
-
-#[test]
-fn a_version_3_directory_opens_answers_and_loses_its_extension_files() {
-    let root = tmp("v3");
-    let (v4, v3) = (root.join("v4"), root.join("v3"));
-    let ds = Domain::RandomWalk.generate(600, 5);
-    drop(Climber::build_on_disk(&ds, &v4, cfg()).unwrap());
-    let index = Climber::open_rw(&v4).unwrap();
-    let mut probes: Vec<Vec<f32>> = (0..6u64).map(|i| ds.get(i * 97).to_vec()).collect();
-    for cycle in 0..2 {
-        let extra = Domain::RandomWalk.generate(20, 2_000 + cycle);
-        let batch: Vec<Vec<f32>> = (0..20).map(|i| extra.get(i).to_vec()).collect();
-        index.append_batch(&batch).unwrap();
-        probes.push(batch[0].clone());
-        let report = index.flush().unwrap();
-        assert!(report.partitions_extended > 0);
-    }
-    drop(index);
-    let reqs = requests(&probes);
-    let want: Vec<QueryOutcome> = {
-        let c = Climber::open(&v4).unwrap();
-        reqs.iter().map(|r| c.search(r)).collect()
-    };
-    copy_dir(&v4, &v3);
-    downgrade_to_v3(&v3);
-    let legacy = legacy_files(&v3);
-    assert!(!legacy.is_empty());
-
-    let ro = Climber::open(&v3).unwrap();
-    let got: Vec<QueryOutcome> = reqs.iter().map(|r| ro.search(r)).collect();
-    assert_eq!(got, want, "a read-only version-3 open answers otherwise");
-    drop(ro);
-
-    // A flush that does not merge keeps the version-3 files, now named by
-    // a version-4 manifest beside the flush's pack; the first merging one
-    // removes them.
-    let flushed = root.join("flushed");
-    copy_dir(&v3, &flushed);
-    let rw = Climber::open_rw(&flushed).unwrap();
-    let got: Vec<QueryOutcome> = reqs.iter().map(|r| rw.search(r)).collect();
-    assert_eq!(got, want, "a writable version-3 open answers otherwise");
-    assert_eq!(
-        Manifest::load_with(&StdFs, &flushed)
-            .unwrap()
-            .format_version,
-        3,
-        "an open alone rewrote the manifest"
-    );
-    let mut merged_at = None;
-    for cycle in 0..MAX_EXTENSIONS {
-        let extra = Domain::RandomWalk.generate(20, 3_000 + cycle as u64);
-        let batch: Vec<Vec<f32>> = (0..20).map(|i| extra.get(i as u64).to_vec()).collect();
-        rw.append_batch(&batch).unwrap();
-        probes.push(batch[0].clone());
-        rw.flush().unwrap();
-        let m = Manifest::load_with(&StdFs, &flushed).unwrap();
-        assert_eq!(m.format_version, FORMAT_VERSION);
-        if legacy_files(&flushed).is_empty() {
-            assert!((m.partitions.iter().flat_map(|e| &e.extensions)).all(|x| x.pack.is_some()));
-            merged_at = Some(cycle);
-            break;
-        }
-        assert_eq!(legacy_files(&flushed), legacy, "cycle {cycle}");
-    }
-    // Two flushes' images were live: the third flush after them merges.
-    assert_eq!(merged_at, Some(2));
-    let reqs = requests(&probes);
-    let want: Vec<QueryOutcome> = reqs.iter().map(|r| rw.search(r)).collect();
-    drop(rw);
-    let cold = Climber::open(&flushed).unwrap();
-    let got: Vec<QueryOutcome> = reqs.iter().map(|r| cold.search(r)).collect();
-    assert_eq!(got, want, "the merged directory answers otherwise");
-
-    // A compaction removes them too, and every pack.
-    let compacted = root.join("compacted");
-    copy_dir(&v3, &compacted);
-    let rw = Climber::open_rw(&compacted).unwrap();
-    rw.compact().unwrap();
-    drop(rw);
-    assert_eq!(legacy_files(&compacted), BTreeSet::new());
-    assert_eq!(
-        names(&compacted, |n| parse_pack_file_name(n).is_some()),
-        BTreeSet::new()
-    );
-    let reqs = requests(&probes[..8]);
-    let want: Vec<QueryOutcome> = {
-        let c = Climber::open(&v4).unwrap();
-        reqs.iter().map(|r| c.search(r)).collect()
-    };
-    let cold = Climber::open(&compacted).unwrap();
-    let got: Vec<QueryOutcome> = reqs.iter().map(|r| cold.search(r)).collect();
-    assert_eq!(got, want, "the compacted directory answers otherwise");
-    fs::remove_dir_all(&root).ok();
 }
 
 /// An extending flush whose images pass the 4 MiB cap writes them into

@@ -4,14 +4,15 @@
 //! `ClimberError::Open(OpenError)` from `Climber::open` — never a panic,
 //! never a silently wrong index.
 
-use climber_core::dfs::fsio::StdFs;
+use climber_core::dfs::fsio::{FaultFs, FsOp, StdFs};
 use climber_core::dfs::manifest::{xxh64, FileEntry};
 use climber_core::dfs::segment::{decode_journal, encode_journal};
 use climber_core::dfs::store::{partition_file_name, PartitionStore};
 use climber_core::series::gen::Domain;
 use climber_core::{
     CacheConfig, Climber, ClimberConfig, ClimberError, DeltaSegment, Manifest, OpenError,
-    OpenOptions, RecoveryPolicy, SearchRequest, FORMAT_VERSION, MANIFEST_FILE, SKELETON_FILE,
+    OpenOptions, RecoveryPolicy, SearchRequest, ShardedClimber, FORMAT_VERSION, MANIFEST_FILE,
+    SKELETON_FILE,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -218,22 +219,87 @@ fn wrong_manifest_magic_is_typed() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// The manifest at `path` with its version field set to `version` and
+/// its self-checksum re-sealed, so only the version check can fire.
+fn rewrite_version(path: &Path, version: u32) {
+    let mut bytes = fs::read(path).unwrap();
+    bytes[4..8].copy_from_slice(&version.to_le_bytes());
+    let body = bytes.len() - 8;
+    let sum = xxh64(&bytes[..body], 0);
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    fs::write(path, &bytes).unwrap();
+}
+
+fn is_unsupported(err: &OpenError, version: u32) -> bool {
+    matches!(err, OpenError::UnsupportedVersion { found, supported: FORMAT_VERSION } if *found == version)
+}
+
+/// A manifest of any version but `FORMAT_VERSION` — a future one, or one
+/// of the retired layouts 1 to 3 — fails every open, read-only or
+/// writable, under either policy, before the open touches anything: the
+/// directory keeps every file and byte, and the open only reads. A shard
+/// set with one such shard names it under `Strict` and serves without it
+/// under `Quarantine`.
 #[test]
 fn future_format_version_is_typed() {
     let dir = built_dir("future");
     let path = manifest_path(&dir);
-    let mut bytes = fs::read(&path).unwrap();
-    // bump the version field and re-seal the manifest's self-checksum so
-    // only the version check can fire
-    bytes[4..8].copy_from_slice(&(FORMAT_VERSION + 7).to_le_bytes());
-    let body = bytes.len() - 8;
-    let sum = xxh64(&bytes[..body], 0);
-    bytes[body..].copy_from_slice(&sum.to_le_bytes());
-    fs::write(&path, &bytes).unwrap();
-    assert!(matches!(
-        Climber::open(&dir),
-        Err(ClimberError::Open(OpenError::UnsupportedVersion { found, .. })) if found == FORMAT_VERSION + 7
-    ));
+    for version in [FORMAT_VERSION + 7, 1, 2, 3] {
+        rewrite_version(&path, version);
+        let before = dir_image(&dir);
+        for writable in [false, true] {
+            for policy in [RecoveryPolicy::Strict, RecoveryPolicy::Quarantine] {
+                let ff = FaultFs::over_std();
+                ff.arm();
+                let opts = OpenOptions {
+                    writable,
+                    policy,
+                    fs: ff.clone(),
+                    ..OpenOptions::default()
+                };
+                let case = format!("version {version}, writable {writable}, {policy:?}");
+                match Climber::open_dir(&dir, &opts) {
+                    Err(ClimberError::Open(e)) => {
+                        assert!(is_unsupported(&e, version), "{case}: {e}")
+                    }
+                    other => panic!("{case}: {:?}", other.map(drop)),
+                }
+                let touched: Vec<_> = (ff.trace().into_iter())
+                    .filter(|(op, _)| *op != FsOp::Read)
+                    .collect();
+                assert_eq!(touched, [], "{case}");
+            }
+        }
+        assert!(
+            dir_image(&dir) == before,
+            "version {version}: the directory changed"
+        );
+    }
+    fs::remove_dir_all(&dir).ok();
+
+    let dir = tmp_dir("future-shards");
+    fs::remove_dir_all(&dir).ok();
+    let ds = Domain::RandomWalk.generate(500, 23);
+    drop(ShardedClimber::build_on_disk(&ds, &dir, cfg(), 3).unwrap());
+    rewrite_version(&manifest_path(&dir.join("shard-001")), 3);
+    for writable in [false, true] {
+        let strict = OpenOptions {
+            writable,
+            ..OpenOptions::default()
+        };
+        match ShardedClimber::open_dir(&dir, &strict) {
+            Err(ClimberError::Open(OpenError::Shard { shard: 1, source })) => {
+                assert!(is_unsupported(&source, 3), "writable {writable}: {source}")
+            }
+            other => panic!("writable {writable}: {:?}", other.map(drop)),
+        }
+        let quarantine = OpenOptions {
+            policy: RecoveryPolicy::Quarantine,
+            ..strict
+        };
+        let (_, report) = ShardedClimber::open_dir(&dir, &quarantine).unwrap();
+        assert_eq!(report.dead_shards, vec![1], "writable {writable}");
+    }
     fs::remove_dir_all(&dir).ok();
 }
 
@@ -680,106 +746,4 @@ fn config_and_fingerprint_survive_reopen() {
     assert_eq!(m1.fingerprint, m2.fingerprint);
     fs::remove_dir_all(&dir).ok();
     fs::remove_dir_all(tmp_dir("config-copy")).ok();
-}
-
-/// `m` in the manifest layout of format version 1 (no generation, no
-/// journal entry) or 2, both of which list one image per partition as
-/// `id, bytes, checksum, records` — the directories earlier builds wrote.
-fn legacy_manifest(m: &Manifest, version: u32) -> Vec<u8> {
-    use climber_core::dfs::format::Encode;
-    let mut out = Vec::new();
-    out.extend_from_slice(b"CLMF");
-    version.encode(&mut out);
-    0u32.encode(&mut out);
-    m.fingerprint.encode(&mut out);
-    m.num_records.encode(&mut out);
-    m.max_series_id.unwrap_or(u64::MAX).encode(&mut out);
-    m.series_len.encode(&mut out);
-    if version == 2 {
-        m.generation.encode(&mut out);
-        0u8.encode(&mut out); // no journal
-    }
-    m.config.encode(&mut out);
-    m.skeleton.bytes.encode(&mut out);
-    m.skeleton.checksum.encode(&mut out);
-    (m.partitions.len() as u32).encode(&mut out);
-    for e in &m.partitions {
-        assert!(e.extensions.is_empty(), "a legacy layout has no extension");
-        e.id.encode(&mut out);
-        e.bytes.encode(&mut out);
-        e.checksum.encode(&mut out);
-        e.records.encode(&mut out);
-    }
-    let sum = xxh64(&out, 0);
-    sum.encode(&mut out);
-    out
-}
-
-/// Directories of format versions 1 and 2 still open, read-only and
-/// writable, and answer exactly as the version-3 directory they were
-/// made from; a writable open's next seal rewrites them as version 3,
-/// extension images included.
-#[test]
-fn version_1_and_2_directories_open_and_answer_identically() {
-    let root = tmp_dir("legacy");
-    fs::remove_dir_all(&root).ok();
-    let ds = Domain::RandomWalk.generate(600, 61);
-    let current = root.join("v3");
-    drop(Climber::build_on_disk(&ds, &current, cfg()).unwrap());
-    let m = Manifest::load_with(&StdFs, &current).unwrap();
-    assert_eq!(m.format_version, FORMAT_VERSION);
-    let reqs: Vec<SearchRequest> = (0..12u64)
-        .map(|i| SearchRequest::new(ds.get(i * 47), 10))
-        .collect();
-    let want: Vec<_> = {
-        let c = Climber::open(&current).unwrap();
-        reqs.iter().map(|r| c.search(r)).collect()
-    };
-    for version in [1u32, 2] {
-        let dir = root.join(format!("v{version}"));
-        fs::create_dir_all(&dir).unwrap();
-        for entry in fs::read_dir(&current).unwrap().flatten() {
-            fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
-        }
-        fs::write(dir.join(MANIFEST_FILE), legacy_manifest(&m, version)).unwrap();
-        let legacy = Manifest::load_with(&StdFs, &dir).unwrap();
-        assert_eq!(legacy.format_version, version);
-        assert_eq!(legacy.partitions, m.partitions);
-
-        let ro = Climber::open(&dir).unwrap();
-        let got: Vec<_> = reqs.iter().map(|r| ro.search(r)).collect();
-        assert_eq!(got, want, "a version-{version} directory answers otherwise");
-        drop(ro);
-
-        let rw = Climber::open_rw(&dir).unwrap();
-        let got: Vec<_> = reqs.iter().map(|r| rw.search(r)).collect();
-        assert_eq!(
-            got, want,
-            "a writable version-{version} open answers otherwise"
-        );
-        assert_eq!(
-            Manifest::load_with(&StdFs, &dir).unwrap().format_version,
-            version,
-            "an open alone rewrote the manifest"
-        );
-        let probe: Vec<f32> = ds.get(3).iter().map(|v| v + 0.5).collect();
-        let id = rw.append(&probe).unwrap();
-        let report = rw.flush().unwrap();
-        assert_eq!(report.partitions_extended, 1);
-        let sealed = Manifest::load_with(&StdFs, &dir).unwrap();
-        assert_eq!(sealed.format_version, FORMAT_VERSION);
-        assert_eq!(
-            sealed
-                .partitions
-                .iter()
-                .map(|e| e.extensions.len())
-                .sum::<usize>(),
-            1
-        );
-        drop(rw);
-        let cold = Climber::open(&dir).unwrap();
-        let out = cold.search(&SearchRequest::new(&probe[..], 1).exact());
-        assert_eq!(out.results[0], (id, 0.0));
-    }
-    fs::remove_dir_all(&root).ok();
 }
