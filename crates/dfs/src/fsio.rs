@@ -25,6 +25,16 @@
 //! commit protocol never leaves a third state. An in-memory index runs
 //! over a [`SimFs`], which keeps the files under its root in memory.
 //!
+//! A file is read whole ([`ClimberFs::read`]) or through a **handle**:
+//! [`ClimberFs::open_read`] opens it once and returns a shared
+//! [`ReadHandle`] of ranged reads. A store holds one per live image file
+//! and reads every cluster, and every image a merge folds, through it, so
+//! a query opens nothing. Like any open file, a handle goes on reading the
+//! bytes it opened after its path is renamed over or removed, so whoever
+//! holds one also keeps that file's blocks allocated. A [`StdFs`] handle
+//! serves one reader at a time; another waits for it. Readers meet there
+//! when a fold's workers read the images of one pack at once.
+//!
 //! The module starts no thread: each operation runs on its caller's — a
 //! fold writes and fsyncs each file on the worker that built it.
 
@@ -36,15 +46,15 @@ use std::fs;
 use std::io::{self, Read, Seek};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 /// The kinds of filesystem operation the persistence layer performs —
 /// each a distinct fault point a [`FaultFs`] script can target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FsOp {
     /// A read: of a whole file ([`ClimberFs::read`]) or of one byte range
-    /// of it (each range of a [`ClimberFs::read_ranges`], a query's
-    /// cluster read).
+    /// of it (each range of a [`ReadHandle::read_ranges`]: a cluster, a run
+    /// of adjacent clusters, or an image in its pack).
     Read,
     /// Whole-file write (create/truncate).
     Write,
@@ -82,11 +92,10 @@ pub trait ClimberFs: fmt::Debug + Send + Sync {
     /// Reads the entire file at `path`.
     fn read(&self, path: &Path) -> io::Result<Bytes>;
 
-    /// Reads every `(offset, len)` range of the file at `path` — exactly
-    /// `len` bytes from byte `offset` on, one read per range, in order —
-    /// through one open of the file. A range the file ends inside fails
-    /// the call with [`io::ErrorKind::UnexpectedEof`].
-    fn read_ranges(&self, path: &Path, ranges: &[(u64, usize)]) -> io::Result<Vec<Bytes>>;
+    /// Opens the file at `path` for ranged reads. The handle reads the
+    /// file it opened for as long as it lives, whatever later happens to
+    /// `path`. Not a fault point: each read through it is one.
+    fn open_read(&self, path: &Path) -> io::Result<ReadRef>;
 
     /// Writes `bytes` to `path`, creating or truncating it. Not atomic
     /// and not synced — compose with [`ClimberFs::fsync_file`] and
@@ -110,14 +119,6 @@ pub trait ClimberFs: fmt::Debug + Send + Sync {
     /// Creates `path` and any missing ancestors.
     fn create_dir_all(&self, path: &Path) -> io::Result<()>;
 
-    /// Opens `path` only to keep its blocks allocated: a file renamed over
-    /// while held is freed when the handle drops, not inside the rename.
-    /// `None` when there is nothing to hold. Not a fault point: it changes
-    /// nothing on disk, and what it returns is only ever dropped.
-    fn hold(&self, path: &Path) -> Option<fs::File> {
-        fs::File::open(path).ok()
-    }
-
     /// The names of the entries of directory `dir` (those that are UTF-8).
     fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
         let names =
@@ -129,6 +130,18 @@ pub trait ClimberFs: fmt::Debug + Send + Sync {
 /// A shared, thread-safe filesystem handle.
 pub type FsRef = Arc<dyn ClimberFs>;
 
+/// A file open for ranged reads: what [`ClimberFs::open_read`] returns,
+/// shared by every reader of the file.
+pub trait ReadHandle: fmt::Debug + Send + Sync {
+    /// Reads every `(offset, len)` range — exactly `len` bytes from byte
+    /// `offset` on, one read per range, in order. A range the file ends
+    /// inside fails the call with [`io::ErrorKind::UnexpectedEof`].
+    fn read_ranges(&self, ranges: &[(u64, usize)]) -> io::Result<Vec<Bytes>>;
+}
+
+/// A shared [`ReadHandle`].
+pub type ReadRef = Arc<dyn ReadHandle>;
+
 /// The production filesystem: direct passthrough to `std::fs`.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct StdFs;
@@ -138,26 +151,10 @@ impl ClimberFs for StdFs {
         fs::read(path).map(Bytes::from)
     }
 
-    fn read_ranges(&self, path: &Path, ranges: &[(u64, usize)]) -> io::Result<Vec<Bytes>> {
-        // One open: it costs about as much as reading a small cluster.
-        let mut file = fs::File::open(path)?;
-        let mut read = |&(offset, len): &(u64, usize)| {
-            // A length past `TRUSTED_LEN` (an image, not a cluster) is
-            // checked against the file before anything is reserved for
-            // it: a damaged manifest's claim never becomes an allocation.
-            if len > TRUSTED_LEN && offset.saturating_add(len as u64) > file.metadata()?.len() {
-                return Err(past_end(path, offset, len));
-            }
-            file.seek(io::SeekFrom::Start(offset))?;
-            // Filled by `read_to_end` without zeroing it first.
-            let mut buf = Vec::with_capacity(len);
-            (&mut file).take(len as u64).read_to_end(&mut buf)?;
-            if buf.len() < len {
-                return Err(past_end(path, offset, len));
-            }
-            Ok(Bytes::from(buf))
-        };
-        ranges.iter().map(&mut read).collect()
+    fn open_read(&self, path: &Path) -> io::Result<ReadRef> {
+        let file = Mutex::new(fs::File::open(path)?);
+        let path = path.to_path_buf();
+        Ok(Arc::new(StdHandle { path, file }))
     }
 
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
@@ -165,8 +162,8 @@ impl ClimberFs for StdFs {
     }
 
     fn fsync_file(&self, path: &Path) -> io::Result<()> {
-        // Reopen-to-sync keeps the trait object-safe (no handles cross
-        // the boundary); the kernel syncs the inode, not the descriptor.
+        // Reopen-to-sync: no writer holds a handle. The kernel syncs the
+        // inode, not the descriptor.
         fs::OpenOptions::new().write(true).open(path)?.sync_all()
     }
 
@@ -195,8 +192,43 @@ impl ClimberFs for StdFs {
     }
 }
 
-/// The longest range [`StdFs::read_ranges`] reserves a buffer for
-/// without first checking that the file holds it.
+/// A [`StdFs`] file open for reading. One reader at a time seeks and
+/// reads it.
+#[derive(Debug)]
+struct StdHandle {
+    /// The path it was opened at, for errors only.
+    path: PathBuf,
+    file: Mutex<fs::File>,
+}
+
+impl ReadHandle for StdHandle {
+    fn read_ranges(&self, ranges: &[(u64, usize)]) -> io::Result<Vec<Bytes>> {
+        // Every read seeks first: a reader that panicked left nothing the
+        // next one depends on.
+        let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
+        let file = &mut *file;
+        let mut read = |&(offset, len): &(u64, usize)| {
+            // A length past `TRUSTED_LEN` (an image, not a cluster) is
+            // checked against the file before anything is reserved for
+            // it: a damaged manifest's claim never becomes an allocation.
+            if len > TRUSTED_LEN && offset.saturating_add(len as u64) > file.metadata()?.len() {
+                return Err(past_end(&self.path, offset, len));
+            }
+            file.seek(io::SeekFrom::Start(offset))?;
+            // Filled by `read_to_end` without zeroing it first.
+            let mut buf = Vec::with_capacity(len);
+            file.take(len as u64).read_to_end(&mut buf)?;
+            if buf.len() < len {
+                return Err(past_end(&self.path, offset, len));
+            }
+            Ok(Bytes::from(buf))
+        };
+        ranges.iter().map(&mut read).collect()
+    }
+}
+
+/// The longest range a [`StdFs`] handle reserves a buffer for without
+/// first checking that the file holds it.
 const TRUSTED_LEN: usize = 1 << 20;
 
 fn past_end(path: &Path, offset: u64, len: usize) -> io::Error {
@@ -290,6 +322,8 @@ struct Rule {
 /// action) scripted at each index in turn.
 #[derive(Debug)]
 pub struct FaultFs {
+    /// Itself, for the handles it opens: each checks its reads here.
+    me: Weak<FaultFs>,
     inner: FsRef,
     armed: AtomicBool,
     crashed: AtomicBool,
@@ -311,7 +345,8 @@ impl FaultFs {
     /// Wraps `inner`, starting **disarmed**: operations pass through
     /// uncounted until [`FaultFs::arm`].
     pub fn new(inner: FsRef) -> Arc<Self> {
-        Arc::new(Self {
+        Arc::new_cyclic(|me| Self {
+            me: me.clone(),
             inner,
             armed: AtomicBool::new(false),
             crashed: AtomicBool::new(false),
@@ -446,13 +481,15 @@ impl ClimberFs for FaultFs {
         self.inner.read(path)
     }
 
-    /// Each range is one [`FsOp::Read`]; a fault at any of them fails
-    /// the call.
-    fn read_ranges(&self, path: &Path, ranges: &[(u64, usize)]) -> io::Result<Vec<Bytes>> {
-        for _ in ranges {
-            self.check(FsOp::Read, path)?;
-        }
-        self.inner.read_ranges(path, ranges)
+    /// Each range read through the handle is one [`FsOp::Read`] on
+    /// `path`; a fault at any of them fails the read.
+    fn open_read(&self, path: &Path) -> io::Result<ReadRef> {
+        let fs = self
+            .me
+            .upgrade()
+            .expect("a FaultFs lives in the Arc `new` made");
+        let (path, inner) = (path.to_path_buf(), self.inner.open_read(path)?);
+        Ok(Arc::new(FaultHandle { fs, path, inner }))
     }
 
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
@@ -493,13 +530,27 @@ impl ClimberFs for FaultFs {
         self.inner.create_dir_all(path)
     }
 
-    fn hold(&self, path: &Path) -> Option<fs::File> {
-        self.inner.hold(path)
-    }
-
     fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
         self.check(FsOp::List, dir)?;
         self.inner.list(dir)
+    }
+}
+
+/// A handle a [`FaultFs`] opened: every range it reads is checked, and
+/// traced, as one [`FsOp::Read`] of its path.
+#[derive(Debug)]
+struct FaultHandle {
+    fs: Arc<FaultFs>,
+    path: PathBuf,
+    inner: ReadRef,
+}
+
+impl ReadHandle for FaultHandle {
+    fn read_ranges(&self, ranges: &[(u64, usize)]) -> io::Result<Vec<Bytes>> {
+        for _ in ranges {
+            self.fs.check(FsOp::Read, &self.path)?;
+        }
+        self.inner.read_ranges(ranges)
     }
 }
 
@@ -555,16 +606,13 @@ impl ClimberFs for SimFs {
             .map_or_else(|| self.file(path), |disk| disk.read(path))
     }
 
-    fn read_ranges(&self, path: &Path, ranges: &[(u64, usize)]) -> io::Result<Vec<Bytes>> {
+    /// A handle on a file under the root is its bytes as they are now.
+    fn open_read(&self, path: &Path) -> io::Result<ReadRef> {
         if let Some(disk) = self.disk(path) {
-            return disk.read_ranges(path, ranges);
+            return disk.open_read(path);
         }
-        let file = self.file(path)?;
-        let slice = |&(offset, len): &(u64, usize)| match offset.checked_add(len as u64) {
-            Some(end) if end <= file.len() as u64 => Ok(file.slice(offset as usize..end as usize)),
-            _ => Err(past_end(path, offset, len)),
-        };
-        ranges.iter().map(slice).collect()
+        let (path, file) = (path.to_path_buf(), self.file(path)?);
+        Ok(Arc::new(SimHandle { path, file }))
     }
 
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
@@ -614,10 +662,6 @@ impl ClimberFs for SimFs {
             .map_or(Ok(()), |disk| disk.create_dir_all(path))
     }
 
-    fn hold(&self, path: &Path) -> Option<fs::File> {
-        self.disk(path)?.hold(path)
-    }
-
     fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
         if let Some(disk) = self.disk(dir) {
             return disk.list(dir);
@@ -629,6 +673,25 @@ impl ClimberFs for SimFs {
         let mut names: Vec<String> = names.collect();
         names.sort_unstable();
         Ok(names)
+    }
+}
+
+/// A file under a [`SimFs`] root, open: its ranged reads are slices of
+/// its bytes.
+#[derive(Debug)]
+struct SimHandle {
+    path: PathBuf,
+    file: Bytes,
+}
+
+impl ReadHandle for SimHandle {
+    fn read_ranges(&self, ranges: &[(u64, usize)]) -> io::Result<Vec<Bytes>> {
+        let file = &self.file;
+        let slice = |&(offset, len): &(u64, usize)| match offset.checked_add(len as u64) {
+            Some(end) if end <= file.len() as u64 => Ok(file.slice(offset as usize..end as usize)),
+            _ => Err(past_end(&self.path, offset, len)),
+        };
+        ranges.iter().map(slice).collect()
     }
 }
 
@@ -780,6 +843,8 @@ mod tests {
         });
     }
 
+    /// A handle's ranged reads over the real filesystem and a [`SimFs`],
+    /// each through a [`FaultFs`]: exactly the ranges, or a typed failure.
     #[test]
     fn read_ranges_reads_exactly_the_ranges_or_fails_typed() {
         each_fs("range", |inner, dir| {
@@ -787,25 +852,37 @@ mod tests {
             let p = dir.join("r.bin");
             ff.write(&p, b"0123456789").unwrap();
             ff.arm();
-            let got = ff.read_ranges(&p, &[(2, 5), (0, 1), (10, 0)]).unwrap();
+            let handle = ff.open_read(&p).unwrap();
+            let read = |ranges: &[(u64, usize)]| handle.read_ranges(ranges);
+            let got = read(&[(2, 5), (0, 1), (10, 0)]).unwrap();
             assert_eq!(slices(&got), [&b"23456"[..], b"0", b""]);
-            assert!(ff.read_ranges(&p, &[]).unwrap().is_empty());
-            let err = ff.read_ranges(&p, &[(0, 2), (8, 3)]).unwrap_err();
+            assert!(read(&[]).unwrap().is_empty());
+            let err = read(&[(0, 2), (8, 3)]).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-            assert!(ff.read_ranges(&dir.join("absent"), &[(0, 1)]).is_err());
-            // Each range is one `Read` op, faultable like a whole read.
-            assert_eq!(ff.op_count_of(FsOp::Read), 6);
-            ff.inject(FaultTrigger::Kind(FsOp::Read, 7), FaultAction::ErrorOnce);
-            let err = ff.read_ranges(&p, &[(0, 1), (1, 1)]).unwrap_err();
+            assert!(ff.open_read(&dir.join("absent")).is_err());
+            // Each range is one `Read` op, faultable like a whole read; an
+            // open is none.
+            assert_eq!(ff.op_count_of(FsOp::Read), 5);
+            assert_eq!(ff.op_count(), 5);
+            ff.inject(FaultTrigger::Kind(FsOp::Read, 6), FaultAction::ErrorOnce);
+            let err = read(&[(0, 1), (1, 1)]).unwrap_err();
             assert!(err.to_string().contains(INJECTED_FAULT));
-            let got = ff.read_ranges(&p, &[(0, 1), (1, 1)]).unwrap();
+            let got = read(&[(0, 1), (1, 1)]).unwrap();
             assert_eq!(slices(&got), [b"0", b"1"]);
             // A claimed length no file could hold fails typed: nothing is
             // reserved for it.
             for range in [(4, usize::MAX / 2), (u64::MAX - 1, 1 << 40)] {
-                let err = ff.read_ranges(&p, &[range]).unwrap_err();
+                let err = read(&[range]).unwrap_err();
                 assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{range:?}");
             }
+            // The handle reads the file it opened: a rename over its path
+            // changes nothing it reads, a fresh open reads the new bytes.
+            let q = dir.join("q.bin");
+            ff.write(&q, b"abcdefghij").unwrap();
+            ff.rename(&q, &p).unwrap();
+            assert_eq!(slices(&read(&[(0, 3)]).unwrap()), [b"012"]);
+            let fresh = ff.open_read(&p).unwrap().read_ranges(&[(0, 3)]);
+            assert_eq!(slices(&fresh.unwrap()), [b"abc"]);
         });
     }
 

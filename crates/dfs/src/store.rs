@@ -48,10 +48,19 @@
 //! A query reads clusters, not partitions: [`read_clusters`] hands out
 //! the trie-node clusters a plan names as [`ClusterView`]s. Since the
 //! store holds every image's directory, a cluster is a
-//! [`BlockCache`] hit or one ranged read of exactly its bytes — in a pack,
+//! [`BlockCache`] hit or a ranged read of exactly its bytes — in a pack,
 //! at its image's offset;
 //! [`open`](PartitionStore::open) stays the whole-partition read that
 //! folds, scrubs and tests use, and never touches the cache.
+//!
+//! The store holds its live image files open
+//! ([`ClimberFs::open_read`](fsio::ClimberFs::open_read)), each from its
+//! first read on: every pack, whose images share its handle, and base
+//! images up to [`HELD_BASES`] in the whole process (past that, a base read
+//! opens its file for that read). So a cluster read, and the read of the
+//! images a merge folds, opens nothing. A handle leaves with its file: a
+//! base image a publish replaced, once the install has renamed over it; a
+//! pack, once its last image is replaced; a quarantined base at once.
 //!
 //! Every operation reports to an [`IoStats`], which is how experiments
 //! observe "partitions touched" and bytes moved.
@@ -59,7 +68,7 @@
 //! [`read_clusters`]: PartitionStore::read_clusters
 
 use crate::format::{fold_partition, ClusterPick, PartitionDirectory, PartitionReader, TrieNodeId};
-use crate::fsio::{self, FsRef, SimFs};
+use crate::fsio::{self, FsRef, ReadRef, SimFs};
 use crate::manifest::{xxh64, ImageEntry, Manifest, OpenError, PackSlot, PartitionEntry};
 use crate::page::{self, BlockCache, ClusterView};
 use crate::stats::IoStats;
@@ -69,7 +78,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// File name of partition `id`'s base image inside an index directory.
 pub fn partition_file_name(id: PartitionId) -> String {
@@ -101,16 +111,63 @@ fn image_path(dir: &Path, id: PartitionId, image: &ImageEntry) -> PathBuf {
     })
 }
 
-/// Reads the image `slot` places in the file at `path`: the whole file,
-/// or `len` bytes of a pack from the slot's offset — never the whole pack.
+/// The range an image of `len` bytes lies in within its file: all of a
+/// base image's file, `len` bytes of a pack from the slot's offset.
+fn image_range(slot: Option<PackSlot>, len: u64) -> io::Result<(u64, usize)> {
+    let len = usize::try_from(len).map_err(|_| invalid_data(format!("{len} bytes")))?;
+    Ok((slot.map_or(0, |slot| slot.offset), len))
+}
+
+/// Reads the image `slot` places in the file at `path`, through a handle
+/// of its own: the whole file, or `len` bytes of a pack from the slot's
+/// offset — never the whole pack.
 fn read_image(fs: &FsRef, path: &Path, slot: Option<PackSlot>, len: u64) -> io::Result<Bytes> {
     match slot {
         None => fs.read(path),
         Some(slot) => {
-            let len = usize::try_from(len).map_err(|_| invalid_data(format!("{len} bytes")))?;
-            Ok(fs.read_ranges(path, &[(slot.offset, len)])?.remove(0))
+            let range = image_range(Some(slot), len)?;
+            Ok(fs.open_read(path)?.read_ranges(&[range])?.remove(0))
         }
     }
+}
+
+/// The base images the process holds open at most, over all its stores
+/// (each shard of a set is one): the ledger's index has 111, an index of a
+/// million series about 1 100, and a default `ulimit -n` is 1 024. A base
+/// read past it opens its file for that read. A store's packs are held
+/// beside them, until a merge retires them.
+pub const HELD_BASES: usize = 256;
+
+/// The base images held open now, over every store. A count alone, so
+/// `Relaxed`: the handle a seat goes with is published by its `OnceLock`.
+static HELD: AtomicUsize = AtomicUsize::new(0);
+
+/// One of the process's [`HELD_BASES`] places, given back when it drops.
+#[derive(Debug)]
+struct Seat;
+
+impl Seat {
+    /// A free place, if there is one.
+    fn take() -> Option<Self> {
+        let free = |held: usize| (held < HELD_BASES).then_some(held + 1);
+        HELD.fetch_update(Ordering::Relaxed, Ordering::Relaxed, free)
+            .ok()
+            .map(|_| Self)
+    }
+}
+
+impl Drop for Seat {
+    fn drop(&mut self) {
+        HELD.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// An image file held open: a pack, or a base image in one of the
+/// process's seats.
+#[derive(Debug)]
+struct Held {
+    handle: ReadRef,
+    _seat: Option<Seat>,
 }
 
 /// Subdirectory a quarantining open moves failed-validation partition
@@ -160,6 +217,9 @@ struct ImageFile {
     /// it), else under its own name; an extension in its pack.
     path: PathBuf,
     directory: PartitionDirectory,
+    /// A base image's file, open from its first read on if a seat was free
+    /// then. An extension is read through its pack's ([`Pack`]).
+    held: OnceLock<Held>,
 }
 
 impl ImageFile {
@@ -175,20 +235,22 @@ impl ImageFile {
             records: directory.record_count(),
             pack,
         };
-        Ok(Self {
+        Ok(Self::new(entry, path, directory))
+    }
+
+    fn new(entry: ImageEntry, path: PathBuf, directory: PartitionDirectory) -> Self {
+        let held = OnceLock::new();
+        Self {
             entry,
             path,
             directory,
-        })
+            held,
+        }
     }
 
     /// Where the image starts in its file.
     fn offset(&self) -> u64 {
         self.entry.pack.map_or(0, |slot| slot.offset)
-    }
-
-    fn read(&self, fs: &FsRef) -> io::Result<Bytes> {
-        read_image(fs, &self.path, self.entry.pack, self.entry.bytes)
     }
 }
 
@@ -497,13 +559,25 @@ struct State {
     /// Partitions a quarantining open (or a scrub) set aside; reading them
     /// fails with `NotFound` until repaired.
     quarantined: BTreeSet<PartitionId>,
-    /// Live images per pack `(generation, k)`: the manifest's and each one
+    /// Every live pack `(generation, k)`: the manifest's and each one
     /// published since. A pack whose count a publish takes to zero is
     /// retired.
-    packs: BTreeMap<(u64, u32), usize>,
+    packs: BTreeMap<(u64, u32), Pack>,
     /// Packs holding only images a publish replaced: removed once the next
     /// manifest commit no longer names them.
     retired: Vec<PathBuf>,
+    /// The handles of committed base images a publish replaced: held until
+    /// the install that renames over each, so the rename only unlinks it.
+    replaced: Vec<Held>,
+}
+
+/// One live pack of a [`DiskStore`].
+#[derive(Debug, Default)]
+struct Pack {
+    /// Its images the store serves.
+    live: usize,
+    /// The pack file, open from the first read of any of its images on.
+    held: OnceLock<Held>,
 }
 
 /// One partition's images in a [`DiskStore`].
@@ -620,12 +694,7 @@ impl DiskStore {
             }
             let records = directory.record_count();
             let entry = ImageEntry { records, ..x };
-            let image = ImageFile {
-                entry,
-                path,
-                directory,
-            };
-            Ok((image, bytes))
+            Ok((ImageFile::new(entry, path, directory), bytes))
         };
         e.images().map(check).collect()
     }
@@ -734,7 +803,7 @@ impl DiskStore {
         // quarantined partitions' too, so no pack still named is removed.
         for x in manifest.partitions.iter().flat_map(|e| &e.extensions) {
             if let Some(slot) = x.pack {
-                *state.packs.entry((x.file, slot.k)).or_default() += 1;
+                state.packs.entry((x.file, slot.k)).or_default().live += 1;
             }
         }
         // Sweep temp droppings from interrupted atomic writes, and the
@@ -768,6 +837,50 @@ impl DiskStore {
         }
     }
 
+    /// The handle image `f` is read through: its pack's, always held, or
+    /// its own as a base image, held if one of the process's seats is
+    /// free — each opened on the first read that needs it. Otherwise a
+    /// handle opened for this read alone.
+    fn handle(&self, state: &State, f: &ImageFile) -> io::Result<ReadRef> {
+        let held = match f.entry.pack {
+            Some(slot) => state
+                .packs
+                .get(&(f.entry.file, slot.k))
+                .map(|pack| &pack.held),
+            None => Some(&f.held),
+        };
+        let Some(held) = held else {
+            return self.fs.open_read(&f.path);
+        };
+        if let Some(held) = held.get() {
+            return Ok(Arc::clone(&held.handle));
+        }
+        let handle = self.fs.open_read(&f.path)?;
+        let seat = match f.entry.pack {
+            Some(_) => None,
+            None => match Seat::take() {
+                Some(seat) => Some(seat),
+                None => return Ok(handle),
+            },
+        };
+        // A reader that opened it at the same time keeps the first one.
+        let held = held.get_or_init(|| Held {
+            handle,
+            _seat: seat,
+        });
+        Ok(Arc::clone(&held.handle))
+    }
+
+    /// Reads `ranges` of image `f`'s file through its [`handle`](Self::handle).
+    fn read(
+        &self,
+        state: &State,
+        f: &ImageFile,
+        ranges: &[(u64, usize)],
+    ) -> io::Result<Vec<Bytes>> {
+        self.handle(state, f)?.read_ranges(ranges)
+    }
+
     /// Marks partition `id` quarantined and, when the store is writable,
     /// moves its base file into [`QUARANTINE_DIR`] — the scrub path for
     /// corruption found *after* open. A read-only store only marks it, as
@@ -785,7 +898,16 @@ impl DiskStore {
                 Err(e) => return Err(e),
             }
         }
-        self.state.write().quarantined.insert(id);
+        let mut state = self.state.write();
+        state.quarantined.insert(id);
+        // The base file moved: its handle, if any, goes with it.
+        let base = state
+            .parts
+            .get_mut(&id)
+            .and_then(|images| images.files.first_mut());
+        let held = base.and_then(|base| base.held.take());
+        drop(state);
+        drop(held);
         self.invalidate(id);
         Ok(())
     }
@@ -943,24 +1065,31 @@ impl PartitionStore for DiskStore {
             true => state.parts.entry(id).or_default(),
             false => state.parts.get_mut(&id).ok_or_else(|| not_found(id))?,
         };
+        let committed_base = base && !images.base_staged;
         images.base_staged |= base;
         let pack = (image.entry.pack).map(|slot| (image.entry.file, slot.k));
-        let replaced = match (base, merged) {
+        let mut replaced = match (base, merged) {
             (true, _) => std::mem::take(&mut images.files),
             (false, true) => images.files.split_off(1),
             (false, false) => Vec::new(),
         };
         images.files.push(image);
+        if committed_base {
+            // Its file is still the partition's main file, which the next
+            // install renames over.
+            let held = replaced.first_mut().and_then(|old| old.held.take());
+            state.replaced.extend(held);
+        }
         if let Some(pack) = pack {
-            *state.packs.entry(pack).or_default() += 1;
+            state.packs.entry(pack).or_default().live += 1;
         }
         let extensions = replaced.iter().filter(|x| x.entry.file != 0);
         for x in extensions.clone() {
             let Some(slot) = x.entry.pack else { continue };
             let pack = (x.entry.file, slot.k);
-            if let Some(live) = state.packs.get_mut(&pack) {
-                *live -= 1;
-                if *live == 0 {
+            if let Some(p) = state.packs.get_mut(&pack) {
+                p.live -= 1;
+                if p.live == 0 {
                     state.packs.remove(&pack);
                     state.retired.push(x.path.clone());
                 }
@@ -1010,12 +1139,16 @@ impl PartitionStore for DiskStore {
         files.map(|x| x.entry.file).collect::<BTreeSet<u64>>().len()
     }
 
-    /// Each cluster is a cache hit or one ranged read of exactly its bytes
-    /// (then cached); the misses of one call share one open per image.
-    /// A staged (pre-commit) base image never enters the cache: it is not
-    /// the committed image yet and is replaced at the next commit. An
-    /// extension is never rewritten, so its clusters are cached from its
-    /// publish on.
+    /// Each cluster is a cache hit or a miss, and a call reads each image's
+    /// misses through the image's held handle, in one call of it. A miss
+    /// that will be cached is one ranged read of exactly its bytes, its own
+    /// buffer: the cache charges what it keeps resident. Misses that will
+    /// not be — on a cacheless store, or of a staged base image — are read
+    /// one run of adjacent clusters at a time, each run one ranged read
+    /// sliced per cluster. A staged (pre-commit) base image never enters
+    /// the cache: it is not the committed image yet and is replaced at the
+    /// next commit. An extension is never rewritten, so its clusters are
+    /// cached from its publish on.
     fn read_clusters(
         &self,
         id: PartitionId,
@@ -1036,8 +1169,8 @@ impl PartitionStore for DiskStore {
             false => self.cache.as_ref(),
         };
         // A hit goes out as found; a miss holds its place in `out` (with
-        // an empty buffer, which allocates nothing) until the one read of
-        // its image's misses fills it.
+        // an empty buffer, which allocates nothing) until the read of its
+        // image's misses fills it.
         let start = out.len();
         let mut misses: Vec<(usize, usize, (u64, usize))> = Vec::new();
         for_each_layered(files, pick, |li, node, span, count| {
@@ -1052,20 +1185,38 @@ impl PartitionStore for DiskStore {
             out.push((node, ClusterView::new(bytes, series_len, count)));
             Ok::<(), io::Error>(())
         })?;
-        // Each file's misses in their order (a sorted run: no allocation).
-        misses.sort_unstable_by_key(|&(li, at, _)| (li, at));
-        for run in misses.chunk_by(|a, b| a.0 == b.0) {
-            let li = run[0].0;
-            let ranges: Vec<(u64, usize)> = run.iter().map(|&(_, _, range)| range).collect();
-            let read = self.fs.read_ranges(&files[li].path, &ranges);
-            let read = read.inspect_err(|_| out.truncate(start))?;
-            for (&(_, i, _), bytes) in run.iter().zip(read) {
-                let (node, view) = &mut out[i];
-                if let Some(sc) = cache_of(li) {
-                    let file = files[li].entry.file;
-                    sc.cache.insert(sc.token, id, file, *node, bytes.clone());
+        // Each image's misses in file order.
+        misses.sort_unstable_by_key(|&(li, _, (at, _))| (li, at));
+        for image in misses.chunk_by(|a, b| a.0 == b.0) {
+            let li = image[0].0;
+            let cache = cache_of(li);
+            let mut ranges: Vec<(u64, usize)> = Vec::with_capacity(image.len());
+            for &(_, _, (at, len)) in image {
+                match ranges.last_mut() {
+                    Some((from, run)) if cache.is_none() && *from + *run as u64 == at => {
+                        *run += len
+                    }
+                    _ => ranges.push((at, len)),
                 }
-                *view = ClusterView::new(bytes, series_len, view.len());
+            }
+            let read = self.read(&state, &files[li], &ranges);
+            let read = read.inspect_err(|_| out.truncate(start))?;
+            // Misses and runs go in the same order: each run holds the
+            // misses up to its end.
+            let mut image = image.iter().peekable();
+            for (&(from, n), run) in ranges.iter().zip(read) {
+                let end = from + n as u64;
+                let in_run = |&&(_, _, (at, len)): &&_| at + len as u64 <= end;
+                while let Some(&(_, i, (at, len))) = image.next_if(in_run) {
+                    let skip = (at - from) as usize;
+                    let bytes = run.slice(skip..skip + len);
+                    let (node, view) = &mut out[i];
+                    if let Some(sc) = cache {
+                        let file = files[li].entry.file;
+                        sc.cache.insert(sc.token, id, file, *node, bytes.clone());
+                    }
+                    *view = ClusterView::new(bytes, series_len, view.len());
+                }
             }
         }
         if let ClusterPick::Named(_) = pick {
@@ -1082,9 +1233,11 @@ impl PartitionStore for DiskStore {
             return Err(quarantined_error(id));
         }
         let images = state.parts.get(&id).ok_or_else(|| not_found(id))?;
-        (images.files.iter().skip(from))
-            .map(|f| f.read(&self.fs))
-            .collect()
+        let read = |f: &ImageFile| {
+            let range = image_range(f.entry.pack, f.entry.bytes)?;
+            Ok(self.read(&state, f, &[range])?.remove(0))
+        };
+        images.files.iter().skip(from).map(read).collect()
     }
 
     fn dir(&self) -> &Path {
@@ -1095,22 +1248,21 @@ impl PartitionStore for DiskStore {
         self.fs.clone()
     }
 
-    /// Each install holds the file it replaces open across its rename, so
-    /// the rename only unlinks it; the held handles are closed after the
-    /// last install, where the replaced files' blocks are freed outside the
-    /// lock reads wait on. Then every
-    /// retired pack is removed, best effort: one a crash or an error
-    /// leaves behind is named by no manifest, and the next writable open
-    /// sweeps it.
+    /// A replaced base image whose file was held (read since it was
+    /// committed) stays open across the install's rename, so the rename
+    /// only unlinks it; those handles are closed after the last install,
+    /// where the replaced files' blocks are freed outside the lock reads
+    /// wait on. The installed image keeps its own handle, which reads the
+    /// same file under its new name. Then every retired pack is removed,
+    /// best effort: one a crash or an error leaves behind is named by no
+    /// manifest, and the next writable open sweeps it.
     fn commit_staged(&self) -> io::Result<()> {
         let pending: Vec<PartitionId> = (self.state.read().parts.iter())
             .filter(|(_, images)| images.base_staged)
             .map(|(&id, _)| id)
             .collect();
-        let mut replaced = Vec::new();
-        let mut install = |id: PartitionId| {
+        let install = |id: PartitionId| {
             let main = self.path_of(id);
-            replaced.extend(self.fs.hold(&main));
             let mut state = self.state.write();
             self.fs.rename(&staged_path_of(&self.dir, id), &main)?;
             if let Some(images) = state.parts.get_mut(&id) {
@@ -1121,7 +1273,9 @@ impl PartitionStore for DiskStore {
             self.invalidate(id);
             Ok(())
         };
-        let installed: io::Result<()> = pending.into_iter().try_for_each(&mut install);
+        let installed: io::Result<()> = pending.into_iter().try_for_each(install);
+        // Taken under the lock, closed outside it.
+        let replaced = std::mem::take(&mut self.state.write().replaced);
         drop(replaced);
         installed?;
         let retired = std::mem::take(&mut self.state.write().retired);
@@ -1152,6 +1306,7 @@ impl PartitionStore for DiskStore {
 mod tests {
     use super::*;
     use crate::format::PartitionWriter;
+    use crate::fsio::FsOp;
     use std::fs;
 
     fn encode_partition(group: u64, node: u64, n: usize) -> Bytes {
@@ -1428,6 +1583,151 @@ mod tests {
         assert_eq!(store.quarantined(), Vec::<PartitionId>::new());
         assert_eq!(store.ids(), vec![0, 1, 5]);
         assert_eq!(read(0).unwrap(), 7);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A partition of group `group` with one cluster of `per` records for
+    /// each of `nodes`, back to back in that order.
+    fn encode_clusters(group: u64, nodes: &[u64], per: usize) -> Bytes {
+        let mut w = PartitionWriter::new(group, 2);
+        for (c, &node) in nodes.iter().enumerate() {
+            let recs: Vec<(u64, Vec<f32>)> = (0..per)
+                .map(|i| ((c * per + i) as u64, vec![node as f32, i as f32]))
+                .collect();
+            w.push_cluster(node, recs.iter().map(|(id, v)| (*id, v.as_slice())));
+        }
+        w.finish()
+    }
+
+    /// Each `(node, view)` of a cluster read of partition `id`, with the
+    /// view's record bytes.
+    fn read_bytes(
+        store: &DiskStore,
+        id: PartitionId,
+        pick: ClusterPick<'_>,
+    ) -> io::Result<Vec<(TrieNodeId, Vec<u8>)>> {
+        let mut out = Vec::new();
+        store.read_clusters(id, pick, &mut out)?;
+        let bytes = |view: &ClusterView| {
+            let records = view.records();
+            (0..view.len())
+                .flat_map(|i| records.record(i).to_vec())
+                .collect()
+        };
+        Ok(out
+            .iter()
+            .map(|(node, view)| (*node, bytes(view)))
+            .collect())
+    }
+
+    /// Each `(node, bytes)` cluster of the image in the file at `path`,
+    /// read afresh.
+    fn file_clusters(path: &Path) -> Vec<(TrieNodeId, Vec<u8>)> {
+        let file = fs::read(path).unwrap();
+        let directory = PartitionDirectory::parse(&file).unwrap();
+        let mut clusters = Vec::new();
+        (directory.for_each_picked(ClusterPick::Rest(&[]), |node, span, _| {
+            clusters.push((node, file[span].to_vec()));
+            Ok::<(), ()>(())
+        }))
+        .unwrap();
+        clusters
+    }
+
+    /// A held base handle serves the image the store serves: after a put
+    /// and its install the new bytes, after a quarantine nothing, after a
+    /// readmission the readmitted file's; and readers racing on one
+    /// handle each read what a fresh read of the file holds.
+    #[test]
+    fn a_held_handle_never_serves_a_replaced_or_quarantined_file() {
+        let images = [
+            (0, encode_clusters(0, &[5, 6], 4)),
+            (1, encode_clusters(1, &[7, 8, 9], 6)),
+        ];
+        let (dir, _) = sealed_dir("held", &images);
+        let (store, _, _) =
+            DiskStore::open_validated(dir.clone(), false, fsio::std_fs(), false, None).unwrap();
+        let main = dir.join(partition_file_name(0));
+        let all = ClusterPick::Rest(&[]);
+        assert_eq!(read_bytes(&store, 0, all).unwrap(), file_clusters(&main));
+
+        let replacement = encode_clusters(0, &[5, 6], 2);
+        store.put(0, replacement.clone(), || ()).unwrap();
+        let staged = staged_path_of(&dir, 0);
+        assert_eq!(read_bytes(&store, 0, all).unwrap(), file_clusters(&staged));
+        store.commit_staged().unwrap();
+        assert_eq!(&fs::read(&main).unwrap()[..], &replacement[..]);
+        let installed = read_bytes(&store, 0, all).unwrap();
+        assert_eq!(installed, file_clusters(&main));
+
+        let entry = store.entry(0).unwrap();
+        store.quarantine_partition(0).unwrap();
+        let err = read_bytes(&store, 0, all).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        assert!(store.try_readmit(&entry).unwrap());
+        assert_eq!(read_bytes(&store, 0, all).unwrap(), installed);
+
+        let want = file_clusters(&dir.join(partition_file_name(1)));
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..200 {
+                        assert_eq!(read_bytes(&store, 1, all).unwrap(), want);
+                    }
+                });
+            }
+        });
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A cacheless read, or a read of a staged base image, reads each run
+    /// of adjacent missed clusters in one range; a read that caches what
+    /// it reads reads each missed cluster in its own.
+    #[test]
+    fn uncached_misses_are_read_a_run_at_a_time_and_cached_ones_one_by_one() {
+        use crate::fsio::FaultFs;
+        use crate::page::{BlockCache, CacheConfig};
+        let image = encode_clusters(3, &[1, 2, 3, 4], 3);
+        let (dir, _) = sealed_dir("runs", &[(0, image.clone())]);
+        let main = dir.join(partition_file_name(0));
+        let reads = |ff: &FaultFs, store: &DiskStore, pick| {
+            let before = ff.op_count_of(FsOp::Read);
+            let got = read_bytes(store, 0, pick).unwrap();
+            (got, ff.op_count_of(FsOp::Read) - before)
+        };
+        let clusters = file_clusters(&main);
+        let picked = |nodes: &[u64]| {
+            let of = |node| clusters.iter().find(|(n, _)| *n == node).unwrap().clone();
+            nodes.iter().map(|&node| of(node)).collect::<Vec<_>>()
+        };
+
+        let ff = FaultFs::over_std();
+        let (store, _, _) =
+            DiskStore::open_validated(dir.clone(), false, ff.clone(), false, None).unwrap();
+        ff.arm();
+        assert_eq!(
+            reads(&ff, &store, ClusterPick::Rest(&[])),
+            (clusters.clone(), 1)
+        );
+        let named = |nodes| reads(&ff, &store, ClusterPick::Named(nodes));
+        assert_eq!(named(&[3, 1]), (picked(&[3, 1]), 2));
+        assert_eq!(named(&[3, 2]), (picked(&[3, 2]), 1));
+        assert_eq!(named(&[4, 1, 2]), (picked(&[4, 1, 2]), 2));
+        drop(store);
+
+        let ff = FaultFs::over_std();
+        let cache = Arc::new(BlockCache::new(CacheConfig::default()));
+        let (store, _, _) =
+            DiskStore::open_validated(dir.clone(), false, ff.clone(), false, Some(cache)).unwrap();
+        ff.arm();
+        store.put(0, image, || ()).unwrap();
+        let all = ClusterPick::Rest(&[]);
+        assert_eq!(reads(&ff, &store, all), (clusters.clone(), 1), "staged");
+        store.commit_staged().unwrap();
+        assert_eq!(reads(&ff, &store, all), (clusters.clone(), 4), "misses");
+        assert_eq!(reads(&ff, &store, all), (clusters, 0), "hits");
         fs::remove_dir_all(&dir).ok();
     }
 

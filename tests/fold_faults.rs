@@ -10,7 +10,9 @@
 //! acknowledged append held — and no pack the manifest does not name
 //! survives a writable reopen.
 
-use climber_core::dfs::fsio::{is_tmp_name, Bytes, ClimberFs, FsOp, StdFs, INJECTED_FAULT};
+use climber_core::dfs::fsio::{
+    is_tmp_name, Bytes, ClimberFs, FsOp, ReadRef, StdFs, INJECTED_FAULT,
+};
 use climber_core::dfs::store::{parse_pack_file_name, DiskStore, PartitionStore};
 use climber_core::series::gen::Domain;
 use climber_core::{
@@ -69,8 +71,8 @@ impl ClimberFs for FailOnce {
     fn read(&self, path: &Path) -> io::Result<Bytes> {
         StdFs.read(path)
     }
-    fn read_ranges(&self, path: &Path, ranges: &[(u64, usize)]) -> io::Result<Vec<Bytes>> {
-        StdFs.read_ranges(path, ranges)
+    fn open_read(&self, path: &Path) -> io::Result<ReadRef> {
+        StdFs.open_read(path)
     }
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         self.check(FsOp::Write, path)?;

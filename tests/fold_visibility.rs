@@ -16,16 +16,17 @@
 //!   census of every partition plus the delta holds every acknowledged
 //!   append.
 
-use climber_core::dfs::fsio::{Bytes, ClimberFs, FsRef, StdFs};
+use climber_core::dfs::fsio::{Bytes, ClimberFs, FsRef, ReadHandle, ReadRef, StdFs};
 use climber_core::dfs::store::{parse_pack_file_name, DiskStore, PartitionStore};
 use climber_core::series::gen::Domain;
 use climber_core::{
     Climber, ClimberConfig, OpenOptions, QueryOutcome, RecoveryPolicy, SearchRequest,
 };
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, Weak};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -49,8 +50,8 @@ fn cfg() -> ClimberConfig {
 enum Park {
     /// None: everything passes.
     Off,
-    /// Every operation but a ranged read. Queries read through ranged
-    /// reads only, and a fold never does, so this parks the fold alone.
+    /// Every operation, each read through a handle included, of a thread
+    /// that is not running queries: the fold alone.
     Fold,
     /// The first write of a partition image — a base image's stage or a
     /// pack of extension images — once.
@@ -65,17 +66,25 @@ struct GateState {
     tickets: u64,
 }
 
+thread_local! {
+    /// Set on a thread that runs a probe's queries.
+    static QUERYING: Cell<bool> = const { Cell::new(false) };
+}
+
 /// A [`StdFs`] that parks the operations [`Park`] names, one at a time,
 /// until the test releases each.
 #[derive(Debug)]
 struct Gate {
+    /// Itself, for the handles it opens: each passes its reads here.
+    me: Weak<Gate>,
     state: Mutex<GateState>,
     moved: Condvar,
 }
 
 impl Gate {
     fn new() -> Arc<Self> {
-        Arc::new(Self {
+        Arc::new_cyclic(|me| Self {
+            me: me.clone(),
             state: Mutex::new(GateState {
                 park: Park::Off,
                 parked: None,
@@ -93,7 +102,7 @@ impl Gate {
     fn pass(&self, op: &str, path: &Path) {
         let parks = |park: Park| match park {
             Park::Off => false,
-            Park::Fold => op != "read_ranges",
+            Park::Fold => !QUERYING.with(Cell::get),
             Park::FirstStage => {
                 let name = path.file_name().unwrap().to_string_lossy();
                 op == "write"
@@ -140,9 +149,14 @@ impl ClimberFs for Gate {
         self.pass("read", path);
         StdFs.read(path)
     }
-    fn read_ranges(&self, path: &Path, ranges: &[(u64, usize)]) -> io::Result<Vec<Bytes>> {
-        self.pass("read_ranges", path);
-        StdFs.read_ranges(path, ranges)
+    fn open_read(&self, path: &Path) -> io::Result<ReadRef> {
+        self.pass("open_read", path);
+        let gate = self
+            .me
+            .upgrade()
+            .expect("a Gate lives in the Arc `new` made");
+        let (path, inner) = (path.to_path_buf(), StdFs.open_read(path)?);
+        Ok(Arc::new(GatedHandle { gate, path, inner }))
     }
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         self.pass("write", path);
@@ -170,6 +184,21 @@ impl ClimberFs for Gate {
     }
 }
 
+/// A handle a [`Gate`] opened: each read passes the gate first.
+#[derive(Debug)]
+struct GatedHandle {
+    gate: Arc<Gate>,
+    path: PathBuf,
+    inner: ReadRef,
+}
+
+impl ReadHandle for GatedHandle {
+    fn read_ranges(&self, ranges: &[(u64, usize)]) -> io::Result<Vec<Bytes>> {
+        self.gate.pass("read_ranges", &self.path);
+        self.inner.read_ranges(ranges)
+    }
+}
+
 /// A [`StdFs`] whose file fsyncs take 10 ms, so a flush of a dozen
 /// partitions lasts long enough for many self-queries to race it.
 #[derive(Debug)]
@@ -179,8 +208,8 @@ impl ClimberFs for Slow {
     fn read(&self, path: &Path) -> io::Result<Bytes> {
         StdFs.read(path)
     }
-    fn read_ranges(&self, path: &Path, ranges: &[(u64, usize)]) -> io::Result<Vec<Bytes>> {
-        StdFs.read_ranges(path, ranges)
+    fn open_read(&self, path: &Path) -> io::Result<ReadRef> {
+        StdFs.open_read(path)
     }
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         StdFs.write(path, bytes)
@@ -278,7 +307,10 @@ fn fold_under_probe(
             };
             ops += 1;
             let (_, probe) = running.get_or_insert_with(|| {
-                let probe = s.spawn(|| reqs.iter().map(|r| index.search(r)).collect());
+                let probe = s.spawn(|| {
+                    QUERYING.set(true);
+                    reqs.iter().map(|r| index.search(r)).collect()
+                });
                 (op, probe)
             });
             let deadline = Instant::now() + Duration::from_millis(200);

@@ -28,11 +28,12 @@
 //! * A block-cache miss is exactly **one** read, of exactly one cluster,
 //!   and a hit is none; a whole-partition open, cached store or not, is
 //!   exactly one read.
-//! * An uncached query reads exactly its planned clusters, one read each,
-//!   and the rest of a partition only when it expands.
+//! * An uncached query reads exactly its planned clusters, one read per
+//!   run of adjacent ones, and the rest of a partition only when it
+//!   expands.
 
 use climber_core::dfs::format::{ClusterPick, PartitionDirectory, PartitionReader};
-use climber_core::dfs::fsio::{Bytes, ClimberFs, FaultFs, FsOp, FsRef, StdFs};
+use climber_core::dfs::fsio::{Bytes, ClimberFs, FaultFs, FsOp, FsRef, ReadHandle, ReadRef, StdFs};
 use climber_core::dfs::page::PAGE_SIZE;
 use climber_core::dfs::store::{
     parse_pack_file_name, partition_file_name, DiskStore, PartitionStore,
@@ -474,11 +475,27 @@ fn a_miss_is_one_read_and_a_hit_is_none() {
 }
 
 /// A recording filesystem over the standard one: the `(file name, offset,
-/// len)` of every read — each range of a ranged read, and a whole read as
-/// offset 0 and `usize::MAX` — and a panic on anything else, which a
-/// query must never do.
+/// len)` of every read — each range read through a handle it opened, and a
+/// whole read as offset 0 and `usize::MAX` — and a panic on anything else,
+/// which a query must never do.
 #[derive(Debug, Default)]
-struct ReadLog(Mutex<Vec<(String, u64, usize)>>);
+struct ReadLog(Arc<Mutex<Vec<(String, u64, usize)>>>);
+
+/// A handle a [`ReadLog`] opened: logs each range, then reads it.
+#[derive(Debug)]
+struct LoggedHandle {
+    log: Arc<Mutex<Vec<(String, u64, usize)>>>,
+    name: String,
+    inner: ReadRef,
+}
+
+impl ReadHandle for LoggedHandle {
+    fn read_ranges(&self, ranges: &[(u64, usize)]) -> io::Result<Vec<Bytes>> {
+        let logged = ranges.iter().map(|&(at, len)| (self.name.clone(), at, len));
+        self.log.lock().unwrap().extend(logged);
+        self.inner.read_ranges(ranges)
+    }
+}
 
 impl ReadLog {
     fn take(&self) -> Vec<(String, u64, usize)> {
@@ -491,14 +508,10 @@ impl ClimberFs for ReadLog {
         self.0.lock().unwrap().push((name_of(path), 0, usize::MAX));
         StdFs.read(path)
     }
-    fn read_ranges(&self, path: &Path, ranges: &[(u64, usize)]) -> io::Result<Vec<Bytes>> {
-        let mut log = self.0.lock().unwrap();
-        log.extend(
-            ranges
-                .iter()
-                .map(|&(offset, len)| (name_of(path), offset, len)),
-        );
-        StdFs.read_ranges(path, ranges)
+    fn open_read(&self, path: &Path) -> io::Result<ReadRef> {
+        let (log, name) = (Arc::clone(&self.0), name_of(path));
+        let inner = StdFs.open_read(path)?;
+        Ok(Arc::new(LoggedHandle { log, name, inner }))
     }
     fn write(&self, path: &Path, _: &[u8]) -> io::Result<()> {
         unreachable!("write {}", path.display())
@@ -520,10 +533,24 @@ impl ClimberFs for ReadLog {
     }
 }
 
-/// On an uncached store a query performs exactly one read per planned
-/// cluster, of exactly that cluster's bytes, and reads no byte of an
+/// The reads one cluster read of an uncached store makes for the cluster
+/// `spans` it misses: one per run of adjacent clusters of a file.
+fn runs(mut spans: Vec<(String, u64, usize)>) -> Vec<(String, u64, usize)> {
+    spans.sort();
+    let mut runs: Vec<(String, u64, usize)> = Vec::new();
+    for (name, at, len) in spans {
+        match runs.last_mut() {
+            Some((file, from, run)) if *file == name && *from + *run as u64 == at => *run += len,
+            _ => runs.push((name, at, len)),
+        }
+    }
+    runs
+}
+
+/// On an uncached store a query reads exactly the bytes of its planned
+/// clusters, one read per run of adjacent ones, and no byte of an
 /// unplanned cluster unless it expands — when it reads the rest of each
-/// partition it walks, each cluster once.
+/// partition it walks, each cluster once, again a run per read.
 #[test]
 fn an_uncached_query_reads_exactly_its_planned_clusters() {
     let dir = built("planned");
@@ -561,25 +588,29 @@ fn an_uncached_query_reads_exactly_its_planned_clusters() {
         let mut want = Vec::new();
         let mut found = 0;
         for (&pid, nodes) in &outcome.plan.reads {
+            let mut planned = Vec::new();
             for &node in nodes
                 .iter()
                 .filter(|n| readers[&pid].cluster_len(**n).is_some())
             {
                 let (read, count) = span(pid, node);
-                want.push(read);
+                planned.push(read);
                 found += count;
             }
+            want.extend(runs(planned));
         }
         let expands = found < k;
         if expands {
             for (&pid, nodes) in &outcome.plan.reads {
+                let mut rest = Vec::new();
                 for node in readers[&pid].cluster_ids() {
                     if !nodes.contains(&node) {
                         let (read, count) = span(pid, node);
-                        want.push(read);
+                        rest.push(read);
                         found += count;
                     }
                 }
+                want.extend(runs(rest));
                 if found >= k {
                     break;
                 }

@@ -3,7 +3,7 @@
 //! mid-scatter degrades a query to a reported partial answer — never a
 //! panic, never a hang.
 
-use climber_core::dfs::fsio::{Bytes, ClimberFs, FaultFs, FsOp, StdFs, INJECTED_FAULT};
+use climber_core::dfs::fsio::{Bytes, ClimberFs, FaultFs, FsOp, ReadRef, StdFs, INJECTED_FAULT};
 use climber_core::dfs::manifest::{Manifest, OpenError};
 use climber_core::dfs::store::parse_pack_file_name;
 use climber_core::series::gen::Domain;
@@ -183,13 +183,13 @@ fn shard_failing_mid_scatter_degrades_with_status_not_panic() {
     let (healthy_out, healthy_status) = set.search_many_with_status(&reqs, 0);
     assert!(healthy_status.iter().all(|s| s.healthy));
 
-    // Rip shard 1's partition files out from under the open set — the
-    // disk store re-reads files per open, so the next scatter hits the
-    // missing files mid-flight.
+    // Cut shard 1's partition files short under the open set — in place,
+    // so the files the store holds open are cut too — and the next
+    // scatter's reads run past their ends mid-flight.
     for entry in fs::read_dir(dir.join("shard-001")).unwrap() {
         let p = entry.unwrap().path();
         if p.extension().is_some_and(|e| e == "clbp") {
-            fs::remove_file(p).unwrap();
+            fs::write(p, b"").unwrap();
         }
     }
     let (out, statuses) = set.search_many_with_status(&reqs, 0);
@@ -517,8 +517,8 @@ impl ClimberFs for FailShard1Pack {
     fn read(&self, path: &Path) -> io::Result<Bytes> {
         StdFs.read(path)
     }
-    fn read_ranges(&self, path: &Path, ranges: &[(u64, usize)]) -> io::Result<Vec<Bytes>> {
-        StdFs.read_ranges(path, ranges)
+    fn open_read(&self, path: &Path) -> io::Result<ReadRef> {
+        StdFs.open_read(path)
     }
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         let in_shard_1 = path.parent().is_some_and(|p| p.ends_with("shard-001"));
