@@ -625,8 +625,9 @@ impl<S: PartitionStore> Climber<S> {
     }
 
     /// Executes one [`SearchRequest`] — its [`SearchMode`] picks the
-    /// planner, an optional [budget](SearchRequest::with_budget) caps the
-    /// partitions read — as [`search_many`](Self::search_many) with one
+    /// planner, an optional [budget](SearchRequest::with_budget) keeps the
+    /// plan's best-ranked partitions (a zero budget panics, as `k == 0`
+    /// does) — as [`search_many`](Self::search_many) with one
     /// request, inline on the calling thread. Results are
     /// `(series id, squared ED)` ascending.
     ///
@@ -661,9 +662,9 @@ impl<S: PartitionStore> Climber<S> {
     ///
     /// # Panics
     /// If a request fails [`SearchRequest::validate_for`] the indexed
-    /// [`series_len`](Self::series_len): zero `k`, empty query, zero
-    /// factor, or — in every mode but `Resampled` — a query of another
-    /// length (the message names both). The serving layer runs the same
+    /// [`series_len`](Self::series_len): zero `k`, zero budget, empty
+    /// query, zero factor, or — in every mode but `Resampled` — a query of
+    /// another length (the message names both). The serving layer runs the same
     /// check before admission and answers with a typed bad request.
     pub fn search_many(&self, reqs: &[SearchRequest]) -> Vec<QueryOutcome> {
         self.search_many_with_status(reqs).0

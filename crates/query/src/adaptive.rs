@@ -102,7 +102,7 @@ pub fn plan_adaptive(
         // plan.
         fresh.clear();
         for_each_node_read(skeleton, c.group, c.node, |partition, _, _| {
-            if !plan.reads.contains_key(&partition) && !fresh.contains(&partition) {
+            if plan.reads.get(partition).is_none() && !fresh.contains(&partition) {
                 fresh.push(partition);
             }
         });

@@ -308,7 +308,7 @@ pub(crate) fn scan_group<S: PartitionStore, Q: AsRef<[f32]> + Sync>(
     let mut pool = SCRATCH.with_borrow_mut(|s| std::mem::take(&mut s.work));
     let mut used = 0;
     for (qi, plan) in plans.iter().enumerate() {
-        for (&pid, nodes) in &plan.reads {
+        for (&pid, nodes) in plan.reads.iter() {
             let known = pool[..used].iter().position(|w| w.pid == pid);
             let wi = known.unwrap_or_else(|| {
                 used += 1;
@@ -406,28 +406,28 @@ pub(crate) fn scan_group<S: PartitionStore, Q: AsRef<[f32]> + Sync>(
     let _: Vec<()> = (0..workers).into_par_iter().map(worker).collect();
 
     // Gather, per query: a planned partition counts as opened when any
-    // live source opened it; the expansion walks the plan in order, and
-    // reads the rest of each opened partition's clusters.
+    // live source opened it; the expansion walks the plan's partitions in
+    // ascending id (the order of `work`), and reads the rest of each
+    // opened partition's clusters.
     let expand_failed: Mutex<Vec<(usize, PartitionId)>> = Mutex::new(Vec::new());
     let finish = |(qi, plan): (usize, QueryPlan)| {
-        let part = |pid: &PartitionId| {
-            let pi = work.binary_search_by_key(pid, |w| w.pid);
-            pi.expect("every planned partition has work")
+        let any_opened = |(pid, _): &(&PartitionId, _)| {
+            let pi = work.binary_search_by_key(*pid, |w| w.pid);
+            let pi = pi.expect("every planned partition has work");
+            (live.iter()).any(|&si| opened(si, pi).load(Ordering::Relaxed))
         };
-        let any_opened = |pid: &&PartitionId| {
-            let pi = part(pid);
-            live.iter()
-                .any(|&si| opened(si, pi).load(Ordering::Relaxed))
-        };
-        let partitions_opened = plan.reads.keys().filter(any_opened).count();
+        let partitions_opened = plan.reads.iter().filter(any_opened).count();
         let top = seats[qi].heap.lock().expect(held).take();
         let mut lanes = [lane(qi, top)];
         if expands && lanes[0].top.len() < k {
             let paa = &mut Vec::new(); // one lane: never prefiltered, never filled
             let rest = &mut Vec::new();
-            for (&pid, planned) in &plan.reads {
+            for (pi, &PartitionWork { pid, .. }) in work.iter().enumerate() {
+                let Some(planned) = plan.reads.get(pid) else {
+                    continue;
+                };
                 for &si in &live {
-                    if !opened(si, part(&pid)).load(Ordering::Relaxed) {
+                    if !opened(si, pi).load(Ordering::Relaxed) {
                         continue;
                     }
                     let src = sources[si].as_ref().expect("live source");
@@ -637,7 +637,8 @@ impl Scorer<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::{execute, plan_group, scan_group, SeriesLen, Source, SourceStatus};
-    use crate::plan::{QueryOutcome, QueryPlan};
+    use crate::knn::{for_each_node_read, select_primary};
+    use crate::plan::{query_seed, QueryOutcome, QueryPlan, Reads};
     use crate::search::{SearchMode, SearchRequest};
     use crate::updates::UpdateView;
     use climber_dfs::format::PartitionWriter;
@@ -953,9 +954,10 @@ mod tests {
         let q = vec![0.0f32; reader.series_len()];
         // A plan that selects no cluster of a real partition, and a
         // partition that does not exist.
-        let mut plan = QueryPlan::default();
-        plan.reads.insert(pid, Vec::new());
-        plan.reads.insert(9_999, Vec::new());
+        let plan = QueryPlan {
+            reads: Reads(vec![(pid, Vec::new()), (9_999, Vec::new())]),
+            ..QueryPlan::default()
+        };
         let sources = [Some(Source::sealed(&store))];
         let mut status = [SourceStatus::default()];
         let k = reader.record_count() as usize + 1;
@@ -977,12 +979,8 @@ mod tests {
             .map(|q| SearchRequest::new(q, 50))
             .find(|req| search(&skeleton, &store, req).plan.num_partitions() >= 2)
             .expect("some plan reads two partitions");
-        let bad = *search(&skeleton, &store, &req)
-            .plan
-            .reads
-            .keys()
-            .next()
-            .unwrap();
+        let plan = search(&skeleton, &store, &req).plan;
+        let (&bad, _) = plan.reads.iter().next().unwrap();
 
         // The same partitions minus `bad`, and with `bad` re-encoded one
         // reading longer per record than the index (and the query).
@@ -1236,11 +1234,74 @@ mod tests {
         assert!(capped.plan.num_partitions() <= 1);
     }
 
+    /// A budget of one keeps the plan's first partition: the first the
+    /// primary node reads (for OD-Smallest, the primary group's root), on
+    /// queries whose lowest-id planned partition is another one — for
+    /// Adaptive-4X, some of them an expansion partition.
+    #[test]
+    fn a_budget_of_one_keeps_the_primary_nodes_partition() {
+        let (skeleton, store, ds) = build_engine(Domain::RandomWalk, 500);
+        for mode in [SearchMode::Adaptive(4), SearchMode::Smallest] {
+            let (mut disagree, mut expansion) = (0, 0);
+            for i in 0..ds.num_series() as u64 {
+                let req = SearchRequest {
+                    mode,
+                    ..SearchRequest::new(ds.get(i), 150)
+                };
+                let full = search(&skeleton, &store, &req).plan;
+                let node = match mode {
+                    SearchMode::Smallest => 0,
+                    _ => {
+                        let sig = skeleton.extract_signature(&req.query);
+                        select_primary(&skeleton, &sig, query_seed(&req.query)).node
+                    }
+                };
+                let mut primary = Vec::new();
+                for_each_node_read(&skeleton, full.primary_group, node, |pid, cluster, _| {
+                    primary.push((pid, cluster));
+                });
+                let lowest = full.reads.iter().map(|(&pid, _)| pid).min().unwrap();
+                if lowest == primary[0].0 {
+                    continue;
+                }
+                disagree += 1;
+                expansion += usize::from(primary.iter().all(|&(pid, _)| pid != lowest));
+                let capped = search(&skeleton, &store, &req.with_budget(1)).plan;
+                let kept: Vec<_> = capped.reads.iter().collect();
+                let (&first, clusters) = full.reads.iter().next().unwrap();
+                assert_eq!(kept, [(&first, clusters)], "{mode:?} query {i}");
+                assert!(
+                    clusters.iter().any(|&c| primary.contains(&(first, c))),
+                    "{mode:?} query {i}: partition {first} holds no primary cluster"
+                );
+                assert_eq!(first, primary[0].0, "{mode:?} query {i}: plan order");
+            }
+            assert!(disagree > 0, "{mode:?}: rank and id order always agree");
+            if mode != SearchMode::Smallest {
+                assert!(
+                    expansion > 0,
+                    "{mode:?}: no expansion partition ranks first by id"
+                );
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "k must be positive")]
     fn search_rejects_zero_k() {
         let (skeleton, store, _) = build_engine(Domain::RandomWalk, 200);
         search(&skeleton, &store, &SearchRequest::new(vec![1.0f32], 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "budget must be positive")]
+    fn search_rejects_a_zero_budget() {
+        let (skeleton, store, ds) = build_engine(Domain::RandomWalk, 200);
+        search(
+            &skeleton,
+            &store,
+            &SearchRequest::new(ds.get(0), 5).with_budget(0),
+        );
     }
 
     #[test]

@@ -61,7 +61,7 @@ mod tests {
             // If OD-Smallest includes the kNN primary group, its reads must
             // cover every kNN read (kNN prunes within the group).
             if ods.groups.contains(&knn.primary_group) {
-                for (pid, clusters) in &knn.reads {
+                for (&pid, clusters) in knn.reads.iter() {
                     let sup = ods.reads.get(pid).unwrap_or_else(|| {
                         panic!("query {qid}: partition {pid} missing from OD-Smallest")
                     });
@@ -85,7 +85,7 @@ mod tests {
             let meta = &skeleton.groups[g as usize];
             for n in meta.trie.nodes() {
                 for &pid in &n.partitions {
-                    assert!(plan.reads.contains_key(&pid), "group {g} partition {pid}");
+                    assert!(plan.reads.get(pid).is_some(), "group {g} partition {pid}");
                 }
             }
         }

@@ -14,7 +14,6 @@ use climber_dfs::store::PartitionId;
 use climber_index::skeleton::{GroupId, IndexSkeleton};
 use climber_series::series::SeriesId;
 use rayon::prelude::*;
-use std::collections::BTreeMap;
 
 /// The physical reads a query will perform.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -26,46 +25,63 @@ pub struct QueryPlan {
     pub primary_path_len: usize,
     /// Estimated records under the primary trie node (`Size(GN)`).
     pub primary_node_size: u64,
-    /// partition → trie-node clusters to read from it, sorted.
-    pub reads: BTreeMap<PartitionId, Vec<TrieNodeId>>,
-    /// Estimated candidate records covered by `reads`.
+    /// The partitions to open, best first, with the clusters to read.
+    pub reads: Reads,
+    /// Estimated candidate records the planner covered, before any budget.
     pub est_candidates: u64,
     /// Groups that participated in the plan (primary first).
     pub groups: Vec<GroupId>,
 }
 
+/// A plan's reads: one entry per partition, in the order its planner
+/// first named it — the primary node's partitions, then each expansion's.
+/// That order is the plan's rank, and a budget keeps its head.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Reads(pub(crate) Vec<(PartitionId, Vec<TrieNodeId>)>);
+
+impl Reads {
+    /// `(partition, clusters)`, best first; clusters as the planner named them.
+    pub fn iter(&self) -> impl Iterator<Item = (&PartitionId, &Vec<TrieNodeId>)> + '_ {
+        self.0.iter().map(|(pid, nodes)| (pid, nodes))
+    }
+
+    /// The clusters planned in `partition`, if the plan reads it.
+    pub fn get(&self, partition: PartitionId) -> Option<&[TrieNodeId]> {
+        self.0
+            .iter()
+            .find(|(pid, _)| *pid == partition)
+            .map(|(_, nodes)| &nodes[..])
+    }
+
+    /// Keeps the `max` best partitions: a budget.
+    pub fn truncate(&mut self, max: usize) {
+        self.0.truncate(max);
+    }
+}
+
 impl QueryPlan {
     /// Number of distinct partitions the plan touches.
     pub fn num_partitions(&self) -> usize {
-        self.reads.len()
+        self.reads.0.len()
     }
 
-    /// Adds a cluster read, deduplicating.
+    /// Adds a cluster read, deduplicating: a partition first named here
+    /// ranks after every partition already in the plan.
     pub fn add_read(&mut self, partition: PartitionId, node: TrieNodeId) {
-        let v = self.reads.entry(partition).or_default();
-        if !v.contains(&node) {
-            v.push(node);
-        }
-    }
-
-    /// Truncates the plan to its first `max` partitions (ascending
-    /// partition id — deterministic, so truncated plans stay bit-identical
-    /// between the sequential and the batched executor). The estimate
-    /// fields keep describing the untruncated plan.
-    pub fn truncate_partitions(&mut self, max: usize) {
-        if self.reads.len() <= max {
-            return;
-        }
-        if let Some(&cut) = self.reads.keys().nth(max) {
-            self.reads.split_off(&cut);
+        let reads = &mut self.reads.0;
+        let at = (reads.iter().position(|(pid, _)| *pid == partition)).unwrap_or_else(|| {
+            reads.push((partition, Vec::new()));
+            reads.len() - 1
+        });
+        if !reads[at].1.contains(&node) {
+            reads[at].1.push(node);
         }
     }
 }
 
 /// Plans every query of a group against the shared skeleton — plans
 /// depend only on skeleton and query, so one pass serves every source.
-/// A budget truncates each plan deterministically (ascending partition
-/// id).
+/// A budget keeps each plan's best partitions.
 pub(crate) fn plan_group<Q: AsRef<[f32]> + Sync>(
     skeleton: &IndexSkeleton,
     queries: &[Q],
@@ -87,7 +103,7 @@ pub(crate) fn plan_group<Q: AsRef<[f32]> + Sync>(
                 SearchMode::Smallest => plan_od_smallest(skeleton, sig),
             };
             if let Some(b) = budget {
-                plan.truncate_partitions(b as usize);
+                plan.reads.truncate(b as usize);
             }
             plan
         })
@@ -108,16 +124,12 @@ impl Encode for QueryPlan {
         self.primary_node_size.encode(out);
         self.est_candidates.encode(out);
         (self.groups.len() as u32).encode(out);
-        for g in &self.groups {
-            g.encode(out);
-        }
-        (self.reads.len() as u32).encode(out);
-        for (pid, nodes) in &self.reads {
+        self.groups.iter().for_each(|g| g.encode(out));
+        (self.num_partitions() as u32).encode(out);
+        for (pid, nodes) in self.reads.iter() {
             pid.encode(out);
             (nodes.len() as u32).encode(out);
-            for n in nodes {
-                n.encode(out);
-            }
+            nodes.iter().for_each(|n| n.encode(out));
         }
     }
 }
@@ -128,24 +140,22 @@ impl Decode for QueryPlan {
         let primary_path_len = r.u64()? as usize;
         let primary_node_size = r.u64()?;
         let est_candidates = r.u64()?;
-        let n_groups = r.u32()? as usize;
-        let mut groups = Vec::with_capacity(n_groups.min(r.remaining() / 4));
-        for _ in 0..n_groups {
-            groups.push(r.u32()?);
-        }
+        // Counts come from the frame: vectors grow as items arrive.
+        let groups = (0..r.u32()?).map(|_| r.u32()).collect::<Result<_, _>>()?;
         let n_reads = r.u32()? as usize;
-        let mut reads = BTreeMap::new();
+        let mut reads = Vec::with_capacity(n_reads.min(r.remaining() / 8));
         for _ in 0..n_reads {
             let pid = r.u32()?;
-            let n_nodes = r.u32()? as usize;
-            let mut nodes = Vec::with_capacity(n_nodes.min(r.remaining() / 8));
-            for _ in 0..n_nodes {
-                nodes.push(r.u64()?);
-            }
-            if reads.insert(pid, nodes).is_some() {
-                return Err(format!("duplicate partition {pid} in plan"));
-            }
+            let nodes = (0..r.u32()?).map(|_| r.u64()).collect::<Result<_, _>>()?;
+            reads.push((pid, nodes));
         }
+        // One entry per partition, checked in O(n log n) on a sorted copy.
+        let mut pids: Vec<PartitionId> = reads.iter().map(|(pid, _)| *pid).collect();
+        pids.sort_unstable();
+        if let Some(pair) = pids.windows(2).find(|pair| pair[0] == pair[1]) {
+            return Err(format!("duplicate partition {} in plan", pair[0]));
+        }
+        let reads = Reads(reads);
         Ok(Self {
             primary_group,
             primary_path_len,
@@ -218,7 +228,7 @@ mod tests {
             primary_group: 3,
             primary_path_len: 5,
             primary_node_size: 42,
-            reads: BTreeMap::new(),
+            reads: Reads::default(),
             est_candidates: 99,
             groups: vec![3, 1],
         };
@@ -249,14 +259,21 @@ mod tests {
     }
 
     #[test]
-    fn truncate_partitions_keeps_the_first_ids() {
-        let mut p = sample_outcome().plan;
-        p.truncate_partitions(10);
-        assert_eq!(p.num_partitions(), 2, "no-op when under the cap");
-        p.truncate_partitions(1);
+    fn truncate_keeps_the_best_ranked_partitions() {
+        let mut p = QueryPlan::default();
+        p.add_read(7, 1);
+        p.add_read(2, 5);
+        p.add_read(7, 3);
+        p.add_read(4, 2);
+        let ranked: Vec<_> = p.reads.iter().map(|(&pid, _)| pid).collect();
+        assert_eq!(ranked, [7, 2, 4], "first-seen order, not id order");
+        p.reads.truncate(10);
+        assert_eq!(p.num_partitions(), 3, "no-op when under the cap");
+        p.reads.truncate(1);
         assert_eq!(p.num_partitions(), 1);
-        assert_eq!(p.reads[&1], vec![10, 11]);
-        p.truncate_partitions(0);
+        assert_eq!(p.reads.get(7), Some(&[1, 3][..]));
+        assert_eq!(p.reads.get(2), None);
+        p.reads.truncate(0);
         assert_eq!(p.num_partitions(), 0);
     }
 
@@ -268,7 +285,41 @@ mod tests {
         p.add_read(1, 11);
         p.add_read(2, 10);
         assert_eq!(p.num_partitions(), 2);
-        assert_eq!(p.reads[&1], vec![10, 11]);
-        assert_eq!(p.reads[&2], vec![10]);
+        assert_eq!(p.reads.get(1), Some(&[10, 11][..]));
+        assert_eq!(p.reads.get(2), Some(&[10][..]));
+    }
+
+    #[test]
+    fn a_frame_naming_a_partition_twice_is_refused() {
+        use climber_dfs::format::{Decode, Encode};
+        // A hand-built outcome frame: no results, then a plan reading one
+        // cluster from each `(partition, node)` of `reads`, in that order.
+        let frame = |reads: &[(u32, u64)]| {
+            let mut f = Vec::new();
+            0u32.encode(&mut f); // results
+            2u64.encode(&mut f); // partitions opened
+            9u64.encode(&mut f); // records scanned
+            3u32.encode(&mut f); // primary group
+            5u64.encode(&mut f); // primary path length
+            42u64.encode(&mut f); // primary node size
+            99u64.encode(&mut f); // estimated candidates
+            0u32.encode(&mut f); // groups
+            (reads.len() as u32).encode(&mut f);
+            for &(pid, node) in reads {
+                pid.encode(&mut f);
+                1u32.encode(&mut f);
+                node.encode(&mut f);
+            }
+            f
+        };
+        let repeated = QueryOutcome::decode_vec(&frame(&[(4, 7), (1, 10), (4, 8)]));
+        let err = repeated.unwrap_err();
+        assert!(err.contains("duplicate partition 4"), "{err}");
+        // Without the repeat the frame decodes, in the frame's order.
+        let plan = QueryOutcome::decode_vec(&frame(&[(4, 7), (1, 10)]))
+            .unwrap()
+            .plan;
+        let ranked: Vec<_> = plan.reads.iter().map(|(&pid, _)| pid).collect();
+        assert_eq!(ranked, [4, 1]);
     }
 }

@@ -37,25 +37,17 @@ pub enum SearchMode {
     Smallest,
 }
 
-impl SearchMode {
-    /// Wire tag for this mode.
-    fn tag(self) -> u8 {
-        match self {
-            SearchMode::Exact => 0,
-            SearchMode::Adaptive(_) => 1,
-            SearchMode::Resampled(_) => 2,
-            SearchMode::Smallest => 3,
-        }
-    }
-}
-
 impl Encode for SearchMode {
+    /// A tag, then the factor (`0` for the modes without one).
     fn encode(&self, out: &mut Vec<u8>) {
-        self.tag().encode(out);
-        match *self {
-            SearchMode::Adaptive(f) | SearchMode::Resampled(f) => f.encode(out),
-            SearchMode::Exact | SearchMode::Smallest => 0u32.encode(out),
-        }
+        let (tag, factor) = match *self {
+            SearchMode::Exact => (0u8, 0u32),
+            SearchMode::Adaptive(f) => (1, f),
+            SearchMode::Resampled(f) => (2, f),
+            SearchMode::Smallest => (3, 0),
+        };
+        tag.encode(out);
+        factor.encode(out);
     }
 }
 
@@ -96,10 +88,10 @@ pub struct SearchRequest {
     pub k: usize,
     /// Search strategy.
     pub mode: SearchMode,
-    /// Optional cap on the distinct partitions the plan may read: the
-    /// plan is truncated (deterministically, ascending partition id) to
-    /// at most this many partitions before refinement. `None` = the
-    /// strategy's own plan, untruncated.
+    /// Optional cap on the distinct partitions the plan may read: the plan
+    /// keeps its first this many in rank order (primary node first) before
+    /// refinement. `None` = the strategy's own plan, untruncated; `Some(0)`
+    /// fails [`validate`](Self::validate).
     pub budget: Option<u32>,
 }
 
@@ -143,22 +135,26 @@ impl SearchRequest {
         self
     }
 
-    /// Caps the plan at `max_partitions` distinct partitions.
+    /// Caps the plan at its `max_partitions` best-ranked partitions (a
+    /// positive number: a zero budget fails [`validate`](Self::validate)).
     #[must_use]
     pub fn with_budget(mut self, max_partitions: usize) -> Self {
         self.budget = Some(saturate(max_partitions));
         self
     }
 
-    /// Checks the request is executable without panicking: `k` positive,
-    /// a non-empty query of finite values, and a positive factor for the
-    /// factor-carrying modes. The serving layer maps a failure onto a typed
-    /// bad-request response instead of letting a malformed frame kill a
-    /// worker. A NaN or infinite query value would make every distance
-    /// NaN or infinite, which no top-k bound can order.
+    /// Checks the request is executable without panicking: `k` and any
+    /// budget positive, a non-empty query of finite values, and a positive
+    /// factor for the factor-carrying modes. The serving layer maps a
+    /// failure onto a typed bad-request response instead of letting a
+    /// malformed frame kill a worker. A NaN or infinite query value would
+    /// make every distance NaN or infinite, which no top-k bound can order.
     pub fn validate(&self) -> Result<(), String> {
         if self.k == 0 {
             return Err("k must be positive".into());
+        }
+        if self.budget == Some(0) {
+            return Err("budget must be positive".into());
         }
         if self.query.is_empty() {
             return Err("query must be non-empty".into());
@@ -209,16 +205,9 @@ impl Encode for SearchRequest {
         }
         (self.k as u64).encode(out);
         self.mode.encode(out);
-        match self.budget {
-            Some(b) => {
-                1u8.encode(out);
-                b.encode(out);
-            }
-            None => {
-                0u8.encode(out);
-                0u32.encode(out);
-            }
-        }
+        let (flag, budget) = self.budget.map_or((0u8, 0u32), |b| (1, b));
+        flag.encode(out);
+        budget.encode(out);
     }
 }
 
@@ -347,6 +336,28 @@ mod tests {
         assert!(err.contains('3') && err.contains('8'), "{err}");
         assert!(short.clone().resampled(2).validate_for(Some(8)).is_ok());
         assert!(short.resampled(0).validate_for(Some(8)).is_err());
+    }
+
+    #[test]
+    fn validate_refuses_a_zero_budget() {
+        // A budget of zero would cut every plan to nothing and answer `[]`
+        // for a positive `k`: refused like `k == 0`, in every mode.
+        let req = SearchRequest::new(vec![1.0; 3], 5);
+        for req in [
+            req.clone(),
+            req.clone().exact(),
+            req.clone().smallest(),
+            req.resampled(2),
+        ] {
+            let err = req
+                .clone()
+                .with_budget(0)
+                .validate_for(Some(3))
+                .unwrap_err();
+            assert!(err.contains("budget must be positive"), "{err}");
+            assert!(req.clone().with_budget(1).validate_for(Some(3)).is_ok());
+            assert!(req.validate_for(Some(3)).is_ok(), "no budget is no cap");
+        }
     }
 
     #[test]

@@ -61,15 +61,16 @@ fn reference_plan(skeleton: &IndexSkeleton, req: &SearchRequest) -> (QueryPlan, 
         SearchMode::Smallest => plan_od_smallest(skeleton, &sig),
     };
     if let Some(b) = req.budget {
-        plan.truncate_partitions(b as usize);
+        plan.reads.truncate(b as usize);
     }
     (plan, query)
 }
 
 /// The trivially-correct reference: every surviving record of the planned
 /// clusters of every shard, scored exactly, sorted by `(distance, id)`,
-/// truncated to `k`; expansion replayed on candidate *counts* — plan
-/// order, all shards per partition, stop once `k` candidates exist.
+/// truncated to `k`; expansion replayed on candidate *counts* — the
+/// plan's partitions in ascending id, all shards per partition, stop once
+/// `k` candidates exist.
 fn oracle(
     shards: &[&Climber<DiskStore>],
     plan: &QueryPlan,
@@ -93,7 +94,7 @@ fn oracle(
         candidates.len()
     };
     let mut have = 0;
-    for (&pid, nodes) in &plan.reads {
+    for (&pid, nodes) in plan.reads.iter() {
         for shard in shards {
             for &node in nodes {
                 have = cluster(shard, pid, node);
@@ -101,7 +102,9 @@ fn oracle(
         }
     }
     if expands && have < k {
-        for (&pid, planned) in &plan.reads {
+        let mut by_id: Vec<_> = plan.reads.iter().collect();
+        by_id.sort_unstable_by_key(|&(&pid, _)| pid);
+        for (&pid, planned) in by_id {
             for shard in shards {
                 let mut nodes = shard.store().open(pid).unwrap().cluster_ids();
                 nodes.extend(shard.delta().read().nodes_for(pid));
@@ -121,7 +124,7 @@ fn oracle(
     candidates.truncate(k);
     QueryOutcome {
         results: candidates.into_iter().map(|(d, id)| (id, d)).collect(),
-        partitions_opened: plan.reads.len(),
+        partitions_opened: plan.num_partitions(),
         records_scanned,
         plan: plan.clone(),
     }

@@ -114,7 +114,7 @@ proptest! {
         let (skeleton, _, ds) = build_index(200, seed, 40);
         let sig = skeleton.extract_signature(ds.get(qid % 200));
         let plan = plan_knn(&skeleton, &sig, qid);
-        prop_assert!(!plan.reads.is_empty());
+        prop_assert!(plan.num_partitions() > 0);
         prop_assert!((plan.primary_group as usize) < skeleton.groups.len());
         prop_assert!(plan.primary_path_len <= skeleton.prefix_len);
     }
@@ -126,7 +126,7 @@ proptest! {
         let base = plan_knn(&skeleton, &sig, qid);
         let adaptive = plan_adaptive(&skeleton, &sig, k, 4, qid);
         // every read of the base plan is present in the adaptive plan
-        for (pid, clusters) in &base.reads {
+        for (&pid, clusters) in base.reads.iter() {
             let sup = adaptive.reads.get(pid);
             prop_assert!(sup.is_some(), "partition {pid} dropped");
             for c in clusters {
@@ -149,7 +149,7 @@ proptest! {
                 let leaf = meta.trie.node(leaf_idx);
                 let planned = plan
                     .reads
-                    .get(&leaf.partitions[0])
+                    .get(leaf.partitions[0])
                     .map(|cs| cs.contains(&leaf.id))
                     .unwrap_or(false);
                 prop_assert!(planned, "group {g} leaf {} unplanned", leaf.id);

@@ -347,6 +347,7 @@ pub fn bad_request(message: String) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use climber_core::query::QueryPlan;
     use climber_core::SearchMode;
 
     // The call shapes these tests were written against: a frame written in
@@ -457,6 +458,44 @@ mod tests {
                 "cut {cut}: {err:?}"
             );
         }
+    }
+
+    /// Every cut and every bit flip of a framed message decodes to an
+    /// error or a value — never a panic — and every cut is an error.
+    fn sweep<T: Encode + Decode + PartialEq + std::fmt::Debug>(msg: &T) {
+        let mut wire = Vec::new();
+        write_message(&mut wire, msg).unwrap();
+        assert_eq!(
+            read_message::<T>(&mut &wire[..]).unwrap().as_ref(),
+            Some(msg)
+        );
+        assert!(read_message::<T>(&mut &wire[..0]).unwrap().is_none());
+        for cut in 1..wire.len() {
+            let torn = read_message::<T>(&mut &wire[..cut]);
+            assert!(torn.is_err(), "cut {cut}: {torn:?}");
+        }
+        for (at, bit) in (0..wire.len()).flat_map(|at| (0..8).map(move |bit| (at, bit))) {
+            let mut flipped = wire.clone();
+            flipped[at] ^= 1 << bit;
+            let _ = read_message::<T>(&mut &flipped[..]);
+        }
+    }
+
+    #[test]
+    fn every_cut_and_bit_flip_of_a_search_or_an_outcome_is_survived() {
+        sweep(&sample_request());
+        let mut plan = QueryPlan::default();
+        for (pid, node) in [(6, 1), (2, 5), (6, 3), (4, 2), (4, 6)] {
+            plan.add_read(pid, node);
+        }
+        plan.groups = vec![3, 1];
+        assert_eq!(plan.num_partitions(), 3);
+        sweep(&Response::Outcome(QueryOutcome {
+            results: vec![(9, 0.0), (2, 1.25), (17, f64::MAX)],
+            partitions_opened: 3,
+            records_scanned: 314,
+            plan,
+        }));
     }
 
     #[test]

@@ -301,3 +301,34 @@ fn wrong_length_queries_are_refused_before_admission() {
     assert_eq!((stats.admitted, stats.completed, stats.internal), (3, 3, 0));
     server.shutdown();
 }
+
+/// A zero partition budget would cut every plan to nothing and answer
+/// `[]` for a positive `k`. The handler refuses it as it refuses `k == 0`:
+/// a typed bad request, nothing admitted, the one worker alive.
+#[test]
+fn a_zero_budget_is_a_bad_request() {
+    let climber = build_climber(200, 37);
+    let server = Server::start(
+        Arc::clone(&climber),
+        "127.0.0.1:0",
+        ServeConfig::default().with_workers(1),
+    )
+    .unwrap();
+    let mut client = ServeClient::connect(server.local_addr())
+        .unwrap()
+        .with_retry_policy(no_retries());
+    let query = SearchRequest::new(probe_query(&climber), 5);
+    for req in [query.clone(), query.clone().smallest()] {
+        let err = client.search(&req.with_budget(0)).unwrap_err();
+        let ClimberError::Serve(ServeError::BadRequest(msg)) = &err else {
+            panic!("expected a bad request, got {err:?}");
+        };
+        assert!(msg.contains("budget must be positive"), "{msg}");
+    }
+    let good = query.with_budget(1);
+    assert_eq!(client.search(&good).unwrap(), climber.search(&good));
+    let stats = server.stats();
+    assert_eq!(stats.rejected, 2);
+    assert_eq!((stats.admitted, stats.completed, stats.internal), (1, 1, 0));
+    server.shutdown();
+}

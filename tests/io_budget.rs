@@ -584,10 +584,11 @@ fn an_uncached_query_reads_exactly_its_planned_clusters() {
         let outcome = index.search(&SearchRequest::new(ds.get(i * 13).to_vec(), k));
         let mut got = log.take();
         // The planned clusters, then — while the answer is short — the
-        // rest of each planned partition in plan order.
+        // rest of each planned partition in ascending id, as the executor
+        // expands.
         let mut want = Vec::new();
         let mut found = 0;
-        for (&pid, nodes) in &outcome.plan.reads {
+        for (&pid, nodes) in outcome.plan.reads.iter() {
             let mut planned = Vec::new();
             for &node in nodes
                 .iter()
@@ -601,7 +602,9 @@ fn an_uncached_query_reads_exactly_its_planned_clusters() {
         }
         let expands = found < k;
         if expands {
-            for (&pid, nodes) in &outcome.plan.reads {
+            let mut by_id: Vec<_> = outcome.plan.reads.iter().collect();
+            by_id.sort_unstable_by_key(|&(&pid, _)| pid);
+            for (&pid, nodes) in by_id {
                 let mut rest = Vec::new();
                 for node in readers[&pid].cluster_ids() {
                     if !nodes.contains(&node) {

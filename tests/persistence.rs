@@ -334,7 +334,7 @@ fn dir_with_a_version_2_partition(tag: &str) -> (PathBuf, u32, Vec<f32>) {
         .map(|i| ds.get(i).to_vec())
         .find(|q| {
             let plan = built.search(&SearchRequest::new(q.clone(), 5).exact()).plan;
-            plan.reads.contains_key(&victim)
+            plan.reads.get(victim).is_some()
         })
         .expect("some stored series is routed to the first partition");
     drop(built);
@@ -713,7 +713,8 @@ fn read_only_scrub_reports_damage_and_touches_nothing() {
     let index = Climber::open(&dir).unwrap();
     // The first partition a stored series' exact plan reads.
     let req = SearchRequest::new(ds.get(0).to_vec(), 5).exact();
-    let victim = *index.search(&req).plan.reads.keys().next().unwrap();
+    let plan = index.search(&req).plan;
+    let (&victim, _) = plan.reads.iter().next().unwrap();
 
     let path = dir.join(partition_file_name(victim));
     let mut bytes = fs::read(&path).unwrap();
